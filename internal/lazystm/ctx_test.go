@@ -7,6 +7,7 @@ package lazystm
 import (
 	"context"
 	"errors"
+	"repro/internal/txn/txntest"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,25 +15,7 @@ import (
 	"repro/internal/stmapi"
 )
 
-func TestAtomicCtxPreCancelledSkipsBody(t *testing.T) {
-	f := newFixture(t, Config{})
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	ran := false
-	err := f.rt.AtomicCtx(ctx, nil, func(tx *Txn) error {
-		ran = true
-		return nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if ran {
-		t.Fatalf("body executed under an already-cancelled context")
-	}
-	if s := f.rt.Stats.Snapshot(); s.Starts != 0 {
-		t.Fatalf("starts = %d, want 0", s.Starts)
-	}
-}
+func TestAtomicCtxPreCancelledSkipsBody(t *testing.T) { txntest.CtxPreCancelledSkipsBody(t, "lazy") }
 
 func TestAtomicCtxCancelMidBodyDiscardsBuffer(t *testing.T) {
 	f := newFixture(t, Config{})
@@ -55,20 +38,7 @@ func TestAtomicCtxCancelMidBodyDiscardsBuffer(t *testing.T) {
 	}
 }
 
-func TestAtomicCtxDeadlineInRetryWait(t *testing.T) {
-	f := newFixture(t, Config{})
-	o := f.heap.New(f.cls)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-	defer cancel()
-	err := f.rt.AtomicCtx(ctx, nil, func(tx *Txn) error {
-		_ = tx.Read(o, 0)
-		tx.Retry()
-		return nil
-	})
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
-	}
-}
+func TestAtomicCtxDeadlineInRetryWait(t *testing.T) { txntest.CtxDeadlineInRetryWait(t, "lazy") }
 
 func TestAtomicCtxCancelDuringOrderingWait(t *testing.T) {
 	// Park the first committer inside the Figure 4 commit window (after the
@@ -196,24 +166,4 @@ func TestNestedAtomicCtxPreCancelled(t *testing.T) {
 	}
 }
 
-func TestAtomicCtxAPIAdapter(t *testing.T) {
-	f := newFixture(t, Config{})
-	api := f.rt.API()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	ran := false
-	err := api.AtomicCtx(ctx, func(tx stmapi.Txn) error { ran = true; return nil })
-	if !errors.Is(err, context.Canceled) || ran {
-		t.Fatalf("api.AtomicCtx pre-cancelled: err=%v ran=%v", err, ran)
-	}
-	o := f.heap.New(f.cls)
-	if err := api.AtomicCtx(context.Background(), func(tx stmapi.Txn) error {
-		tx.Write(o, 0, 11)
-		return nil
-	}); err != nil {
-		t.Fatalf("api.AtomicCtx: %v", err)
-	}
-	if got := o.LoadSlot(0); got != 11 {
-		t.Fatalf("slot 0 = %d, want 11", got)
-	}
-}
+func TestAtomicCtxAPIAdapter(t *testing.T) { txntest.CtxAPIAdapter(t, "lazy") }

@@ -5,7 +5,7 @@ package lazystm
 // must flush correctly under parallel commit/abort. Run under -race in CI.
 
 import (
-	"sync"
+	"repro/internal/txn/txntest"
 	"testing"
 )
 
@@ -17,9 +17,9 @@ func TestPooledDescriptorClean(t *testing.T) {
 	o := f.heap.New(f.cls)
 	for i := 0; i < 50; i++ {
 		err := f.rt.Atomic(nil, func(tx *Txn) error {
-			if tx.reads.Len() != 0 || len(tx.buf) != 0 {
+			if tx.Reads.Len() != 0 || len(tx.buf) != 0 {
 				t.Errorf("iter %d: dirty descriptor (reads %d, buffered spans %d)",
-					i, tx.reads.Len(), len(tx.buf))
+					i, tx.Reads.Len(), len(tx.buf))
 			}
 			// Spill the read set past its inline capacity and buffer writes
 			// to several spans so the next iteration exercises a real reset.
@@ -42,45 +42,4 @@ func TestPooledDescriptorClean(t *testing.T) {
 
 // TestStatsFlushParallel checks commit/abort accounting with contended
 // increments and deliberate user aborts across goroutines.
-func TestStatsFlushParallel(t *testing.T) {
-	f := newFixture(t, Config{})
-	o := f.heap.New(f.cls)
-	const goroutines = 8
-	const iters = 100
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				err := f.rt.Atomic(nil, func(tx *Txn) error {
-					tx.Write(o, 0, tx.Read(o, 0)+1)
-					if i%4 == 3 {
-						return ErrAborted
-					}
-					return nil
-				})
-				if i%4 == 3 && err != ErrAborted {
-					t.Errorf("want ErrAborted, got %v", err)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	const total = goroutines * iters
-	const wantCommits = total * 3 / 4
-	if got := f.rt.Stats.Commits.Load(); got != wantCommits {
-		t.Errorf("commits = %d, want %d", got, wantCommits)
-	}
-	starts := f.rt.Stats.Starts.Load()
-	aborts := f.rt.Stats.Aborts.Load()
-	if starts != f.rt.Stats.Commits.Load()+aborts {
-		t.Errorf("starts (%d) != commits + aborts (%d)", starts, f.rt.Stats.Commits.Load()+aborts)
-	}
-	if aborts < total/4 {
-		t.Errorf("aborts = %d, want >= %d", aborts, total/4)
-	}
-	if got := o.LoadSlot(0); got != wantCommits {
-		t.Errorf("cell = %d, want %d (only committed increments)", got, wantCommits)
-	}
-}
+func TestStatsFlushParallel(t *testing.T) { txntest.StatsFlushParallel(t, "lazy") }

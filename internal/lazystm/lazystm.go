@@ -19,34 +19,47 @@
 // lost update (GLU) and granular inconsistent read (GIR) anomalies of
 // Section 2.4.
 //
-// Like the eager runtime, the hot path is contention- and allocation-free
-// in steady state: statistics are descriptor-local until commit/abort,
-// descriptors (and their write-buffer maps and commit scratch) are pooled,
-// and read sets use the inline-array fast path of package objset.
+// Everything that is not versioning is the transaction kernel, package txn,
+// which this runtime embeds and plugs into through txn.Strategy. What is
+// here is the versioning: the Read and Write barriers, the span buffer, the
+// body of commit (acquire, validate, write back, release), and what
+// rollback, reaping an orphan and the irrevocable switch do to the records
+// this runtime holds. The differences from the eager runtime all follow
+// from buffering:
+//
+//   - An attempt that has not passed its commit point never wrote to shared
+//     memory, so rolling it back (or reclaiming it as an orphan) only
+//     restores the acquired records to their original Shared words — no
+//     version bump, no undo replay. Discarding the buffer is free.
+//
+//   - An orphan that died past the commit point has completed its write-back
+//     (write-back precedes every post-commit injection point), so the reaper
+//     releases with a version bump and completes the orphan's commit ticket,
+//     unblocking the write-back ordering chain quiescing committers wait on.
+//
+//   - Irrevocable transactions acquire records for their reads during the
+//     body (tx.objs/tx.Owned track holdings from the switch onward); commit
+//     keeps those holdings and merges the write set in.
 package lazystm
 
 import (
 	"context"
 	"errors"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/conflict"
 	"repro/internal/faultinject"
 	"repro/internal/objmodel"
-	"repro/internal/objset"
-	"repro/internal/stats"
 	"repro/internal/stmapi"
 	"repro/internal/trace"
+	"repro/internal/txn"
 	"repro/internal/txrec"
 )
 
 // MaxGranularity is the largest supported buffering granularity in slots.
 const MaxGranularity = stmapi.MaxGranularity
 
-// Status is the lifecycle state of a transaction attempt (shared with the
-// eager runtime through stmapi).
+// Status is the lifecycle state of a transaction attempt (shared by every
+// runtime through stmapi).
 type Status = stmapi.Status
 
 // Transaction statuses.
@@ -69,7 +82,7 @@ type Hooks struct {
 }
 
 // Config parameterizes a Runtime. The cross-runtime knobs (Granularity,
-// Quiescence, Handler, SelfAbortAfter) live in the embedded
+// Quiescence, Handler, SelfAbortAfter, ...) live in the embedded
 // stmapi.CommonConfig; Hooks are lazy-specific.
 type Config struct {
 	stmapi.CommonConfig
@@ -78,239 +91,47 @@ type Config struct {
 	Hooks Hooks
 }
 
-// Stats aggregates runtime counters. Counters are sharded (package stats)
-// and fed from descriptor-local deltas flushed at commit/abort.
-type Stats struct {
-	Starts      stats.Counter
-	Commits     stats.Counter
-	Aborts      stats.Counter
-	UserRetries stats.Counter
-	TxnReads    stats.Counter
-	TxnWrites   stats.Counter
-	SelfAborts  stats.Counter // contention-policy SelfAbort decisions taken
-	DoomsIssued stats.Counter // contention-policy AbortOther decisions that marked a victim
-
-	// Robustness counters (recovery and irrevocability).
-	ReaperSteals    stats.Counter // dead transactions reclaimed (reaper or inline waiter steal)
-	Escalations     stats.Counter // atomic blocks escalated to irrevocable after K aborts
-	IrrevocableTxns stats.Counter // transactions that finished while irrevocable
-	IrrevocableNs   stats.Counter // cumulative irrevocable-token hold time, nanoseconds
-
-	// Commit-clock validation counters (see the eager runtime).
-	ClockAdvances       stats.Counter
-	FastpathValidations stats.Counter
-	FallbackWalks       stats.Counter
-
-	// Adaptive-granularity counters.
-	GranPromotions stats.Counter
-	GranDemotions  stats.Counter
-}
-
-// StatsSnapshot is a point-in-time copy of every Stats counter, shared with
-// the eager runtime through stmapi.
+// StatsSnapshot is a point-in-time copy of every Stats counter, shared by
+// every runtime through stmapi.
 type StatsSnapshot = stmapi.StatsSnapshot
 
-// Snapshot sums every counter's shards (not an atomic cut across counters).
-func (s *Stats) Snapshot() StatsSnapshot {
-	return StatsSnapshot{
-		Starts:      s.Starts.Load(),
-		Commits:     s.Commits.Load(),
-		Aborts:      s.Aborts.Load(),
-		UserRetries: s.UserRetries.Load(),
-		TxnReads:    s.TxnReads.Load(),
-		TxnWrites:   s.TxnWrites.Load(),
-		SelfAborts:  s.SelfAborts.Load(),
-		DoomsIssued: s.DoomsIssued.Load(),
-
-		ReaperSteals:    s.ReaperSteals.Load(),
-		Escalations:     s.Escalations.Load(),
-		IrrevocableTxns: s.IrrevocableTxns.Load(),
-		IrrevocableNs:   s.IrrevocableNs.Load(),
-
-		ClockAdvances:       s.ClockAdvances.Load(),
-		FastpathValidations: s.FastpathValidations.Load(),
-		FallbackWalks:       s.FallbackWalks.Load(),
-		GranPromotions:      s.GranPromotions.Load(),
-		GranDemotions:       s.GranDemotions.Load(),
-	}
-}
-
-// regSlots is the capacity of the fixed active-transaction slot array
-// (mirrors the eager runtime's registry; kept concrete per runtime so the
-// hot path stays monomorphic).
-const regSlots = 256
-
-type regSlot struct {
-	p atomic.Pointer[Txn]
-	_ [56]byte
-}
-
-// registry tracks in-flight descriptors: CAS-claimed id-hashed slots with a
-// sync.Map overflow. It serves ActiveTransactions and the contention
-// policies' owner-by-ID lookups.
-type registry struct {
-	slots    [regSlots]regSlot
-	overflow sync.Map // id -> *Txn
-}
-
-func (r *registry) add(tx *Txn) {
-	h := int(tx.id)
-	for i := 0; i < regSlots; i++ {
-		s := &r.slots[(h+i)&(regSlots-1)]
-		if s.p.Load() == nil && s.p.CompareAndSwap(nil, tx) {
-			tx.slot = (h + i) & (regSlots - 1)
-			return
-		}
-	}
-	tx.slot = -1
-	r.overflow.Store(tx.id, tx)
-}
-
-func (r *registry) remove(tx *Txn) {
-	if tx.slot >= 0 {
-		r.slots[tx.slot].p.Store(nil)
-		return
-	}
-	r.overflow.Delete(tx.id)
-}
-
-func (r *registry) forEach(f func(*Txn) bool) {
-	for i := range r.slots {
-		if tx := r.slots[i].p.Load(); tx != nil {
-			if !f(tx) {
-				return
-			}
-		}
-	}
-	r.overflow.Range(func(_, v any) bool { return f(v.(*Txn)) })
-}
-
-// findStamp returns the live descriptor whose current incarnation ID is id,
-// or nil (see the eager runtime: the stamp check filters descriptor reuse).
-func (r *registry) findStamp(id uint64) *Txn {
-	var found *Txn
-	r.forEach(func(tx *Txn) bool {
-		if tx.stamp.Load() == id {
-			found = tx
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-// Runtime is a lazy-versioning STM instance bound to a heap.
+// Runtime is a lazy-versioning STM instance bound to a heap. The embedded
+// kernel supplies Heap, Stats, the tracer / injector / commit-sink setters,
+// the adaptive-granularity controls and Recovery.
 type Runtime struct {
-	Heap  *objmodel.Heap
-	Stats Stats
+	txn.Kernel
 
-	cfg      Config
-	handler  conflict.Handler
-	policy   conflict.Policy
-	nextID   atomic.Uint64
-	reg      registry
-	pool     sync.Pool // idle *Txn descriptors
-	tracer   atomic.Pointer[trace.Tracer]
-	injector atomic.Pointer[faultinject.Injector]
-	sink     atomic.Pointer[sinkBox]
-
-	// Commit-clock validation state (see the eager runtime).
-	clock    *objmodel.CommitClock
-	clockOn  bool
-	staleObs conflict.StaleObserver
-
-	// Adaptive-granularity state: immutable promotion table, swapped
-	// copy-on-write under granMu, sampled once per attempt at begin.
-	granTab atomic.Pointer[granTable]
-	granMu  sync.Mutex
-
-	// Commit tickets order write-back completion for quiescence mode. done
-	// is the contiguous completion watermark; tickets completed out of order
-	// (including by cancelled waiters) park in pending until the watermark
-	// reaches them, so an abandoned wait can never stall the chain.
-	tickets atomic.Uint64
-	done    atomic.Uint64
-	pending map[uint64]struct{}
-	doneMu  sync.Mutex
-	doneCv  *sync.Cond
-
-	// irrevToken is the runtime's single irrevocable-transaction token: the
-	// owner ID of the current irrevocable transaction, 0 when free.
-	irrevToken atomic.Uint64
+	cfg   Config
+	order txn.WriteBackOrder // commit tickets: write-back completion order for quiescence mode
 }
 
 // New creates a lazy-versioning Runtime over heap. Invalid configurations
-// are rejected with a panic, matching the eager runtime.
+// are rejected with a panic.
 func New(heap *objmodel.Heap, cfg Config) *Runtime {
-	if err := cfg.Normalize(); err != nil {
-		panic("lazystm: " + err.Error())
-	}
-	h := cfg.Handler
-	if h == nil {
-		h = &conflict.Backoff{}
-	}
-	rt := &Runtime{Heap: heap, cfg: cfg, handler: h, policy: conflict.AsPolicy(h)}
-	rt.pending = make(map[uint64]struct{})
-	rt.doneCv = sync.NewCond(&rt.doneMu)
-	rt.clock = heap.Clock()
-	rt.clockOn = !cfg.NoCommitClock
-	rt.staleObs, _ = h.(conflict.StaleObserver)
-	// Hot manifest sites pre-seed slot-level granularity, as in the eager
-	// runtime; fires only for manifest-matched allocations.
-	heap.AddAllocObserver(func(o *objmodel.Object, site *objmodel.ManifestSite) {
-		if site.Hot && site.Granularity == "slot" {
-			rt.PromoteObject(o)
-		}
+	rt := &Runtime{cfg: cfg}
+	rt.Init("lazy", heap, &rt.cfg.CommonConfig, func() txn.Strategy {
+		return &Txn{rt: rt, buf: make(map[spanKey]spanBuf)}
 	})
+	rt.order.Init()
+	rt.PromoteHotSites()
 	return rt
 }
 
 // Config returns the runtime's configuration.
 func (rt *Runtime) Config() Config { return rt.cfg }
 
-// SetTracer installs (or, with nil, removes) the event tracer. Descriptors
-// sample it when a top-level Atomic begins; with no tracer installed every
-// emission point is one nil check.
-func (rt *Runtime) SetTracer(t *trace.Tracer) { rt.tracer.Store(t) }
+// API returns the runtime-agnostic driver view of rt.
+func (rt *Runtime) API() stmapi.Runtime { return txn.API{Kernel: &rt.Kernel} }
 
-// Tracer returns the installed tracer, or nil.
-func (rt *Runtime) Tracer() *trace.Tracer { return rt.tracer.Load() }
-
-// SetInjector installs (or, with nil, removes) a fault injector, sampled
-// once per top-level Atomic like the tracer.
-func (rt *Runtime) SetInjector(in *faultinject.Injector) { rt.injector.Store(in) }
-
-// sinkBox wraps a CommitSink so it can live in an atomic.Pointer (which
-// needs a concrete element type) regardless of the sink's dynamic type.
-type sinkBox struct{ s stmapi.CommitSink }
-
-// SetCommitSink installs (or, with nil, removes) the durable commit sink
-// (stmapi.DurableRuntime). Sampled once per top-level Atomic like the
-// tracer; transactions in flight keep their previous setting.
-func (rt *Runtime) SetCommitSink(s stmapi.CommitSink) {
-	if s == nil {
-		rt.sink.Store(nil)
-		return
-	}
-	rt.sink.Store(&sinkBox{s: s})
+func init() {
+	txn.Register("lazy", func(heap *objmodel.Heap, cfg stmapi.CommonConfig) stmapi.Runtime {
+		return New(heap, Config{CommonConfig: cfg}).API()
+	})
 }
 
 // ErrAborted aborts the transaction without retry when returned from the
 // body.
 var ErrAborted = errors.New("lazystm: transaction aborted by user")
-
-type signal uint8
-
-const (
-	sigRestart signal = iota + 1
-	sigRetry
-	sigCancel // context cancelled: abort and return ctx.Err()
-)
-
-type txSignal struct {
-	s  signal
-	tx *Txn
-}
 
 type spanKey struct {
 	obj  *objmodel.Object
@@ -322,330 +143,38 @@ type spanBuf struct {
 	n    int
 }
 
-// Txn is a lazy-versioning transaction descriptor. Pooled across Atomic
-// calls; user code must not retain one past the body.
+// Txn is a lazy-versioning transaction descriptor: the kernel descriptor
+// plus the span buffer. Pooled across Atomic calls; user code must not
+// retain one past the body.
 type Txn struct {
-	rt      *Runtime
-	id      uint64
-	slot    int           // registry slot index, -1 when in overflow
-	status  atomic.Uint32 // Status values
-	attempt int
+	txn.Txn
+	rt *Runtime
 
-	reads objset.VerSet
-	buf   map[spanKey]spanBuf // buffered spans, by value: no per-span allocation
+	buf map[spanKey]spanBuf // buffered spans, by value: no per-span allocation
 
-	// Commit scratch, reused across attempts and pooled incarnations.
-	objs  []*objmodel.Object
-	owned objset.VerSet
+	// objs lists the objects whose records this attempt holds or is about to
+	// acquire, in handle order once commit has sorted it (Owned says which
+	// are held, and at what version). Reused across attempts and pooled
+	// incarnations, so a steady-state commit allocates nothing.
+	objs []*objmodel.Object
 
-	// Commit-clock snapshot (rv) and write version (wv): rv is the clock
-	// value this attempt's reads are consistent with; wv is the stamp for
-	// committed releases, set after validation and before the commit point
-	// so that every release path — including the crash branches and the
-	// reaper completing an orphan — stamps the same version.
-	rv uint64
-	wv uint64
-
-	// gran is the adaptive-granularity promotion table sampled at begin;
-	// nil when the configured granularity is 1 or nothing is promoted.
-	gran *granTable
-
-	// Arbitration state (see the eager runtime): stamp is the cross-thread
-	// readable ID, doomed the advisory abort-other flag, karma the invested
-	// work for priority policies.
-	stamp  atomic.Uint64
-	doomed atomic.Bool
-	karma  atomic.Int64
-
-	// Recovery state (see the eager runtime): hb is the reaper's epoch
-	// heartbeat, dead the death certificate whose release-store publishes the
-	// descriptor's final state (buffer, owned set, ticket) to reclaimers,
-	// reaping the single-reclaimer election. ticket is the commit ticket,
-	// kept on the descriptor so a reaper can complete an orphan's write-back
-	// ordering slot.
-	hb      atomic.Uint64
-	dead    atomic.Bool
-	reaping atomic.Bool
-	ticket  uint64
-
-	// Irrevocability state: irrevocable is the owner-goroutine-local flag,
-	// irrevStamp its cross-thread mirror, irrevAt the token acquire time.
-	// While irrevocable, reads acquire records pessimistically; tx.objs and
-	// tx.owned then track holdings from the body onward, not just the commit.
-	irrevocable bool
-	irrevStamp  atomic.Bool
-	irrevAt     time.Time
-
-	// ctx is the cancellation context installed by AtomicCtx; nil for plain
-	// Atomic.
-	ctx context.Context
-
-	// fi is the fault injector sampled at getTxn.
-	fi *faultinject.Injector
-
-	// sink is the commit sink sampled at getTxn (nil-check hook like tr);
-	// redo is its scratch record, reused across commits.
-	sink stmapi.CommitSink
-	redo []stmapi.RedoWrite
-
-	// Statistics deltas flushed at commit/abort.
-	nStarts     int64
-	nReads      int64
-	nWrites     int64
-	nRetries    int64
-	nSelfAborts int64
-	nDooms      int64
-	nClockAdv   int64
-	nFastpath   int64
-	nWalks      int64
-
-	// Tracing state (see the eager runtime): tr sampled per Atomic, nil
-	// disables every emission point; blameObj attributes pending aborts.
-	tr       *trace.Tracer
-	blameObj uint64
-	beginAt  time.Time
-	abortAt  time.Time
+	// ticket is the commit ticket, kept on the descriptor so a reaper can
+	// complete an orphan's write-back ordering slot.
+	ticket uint64
 }
 
-// ID returns the descriptor's owner ID.
-func (tx *Txn) ID() uint64 { return tx.id }
-
-// Status returns the descriptor's current status.
-func (tx *Txn) Status() Status { return Status(tx.status.Load()) }
-
-// Attempt returns the 0-based retry attempt of the current top-level
-// execution.
-func (tx *Txn) Attempt() int { return tx.attempt }
-
-func (rt *Runtime) getTxn() *Txn {
-	tx, _ := rt.pool.Get().(*Txn)
-	if tx == nil {
-		tx = &Txn{rt: rt, buf: make(map[spanKey]spanBuf)}
-	}
-	tx.id = rt.nextID.Add(1)
-	tx.tr = rt.tracer.Load()
-	tx.fi = rt.injector.Load()
-	tx.sink = nil
-	if b := rt.sink.Load(); b != nil {
-		tx.sink = b.s
-	}
-	tx.blameObj = 0
-	tx.abortAt = time.Time{}
-	tx.doomed.Store(false)
-	tx.karma.Store(0)
-	tx.dead.Store(false)
-	tx.reaping.Store(false)
-	tx.irrevocable = false
-	tx.irrevStamp.Store(false)
-	tx.stamp.Store(tx.id) // publish before the registry makes tx reachable
-	rt.reg.add(tx)
-	return tx
+// Begin implements txn.Strategy.
+func (tx *Txn) Begin() {
+	tx.ticket = 0
+	clear(tx.buf)
+	tx.objs = tx.objs[:0]
 }
 
-func (rt *Runtime) putTxn(tx *Txn) {
-	rt.reg.remove(tx)
-	tx.reads.Reset()
-	tx.owned.Reset()
+// Reset implements txn.Strategy.
+func (tx *Txn) Reset() {
 	clear(tx.buf)
 	clear(tx.objs)
 	tx.objs = tx.objs[:0]
-	tx.ctx = nil
-	tx.fi = nil
-	tx.sink = nil
-	tx.redo = tx.redo[:0]
-	tx.gran = nil
-	rt.pool.Put(tx)
-}
-
-func (tx *Txn) begin() {
-	tx.status.Store(uint32(Active))
-	tx.doomed.Store(false)
-	tx.hb.Add(1) // heartbeat: the reaper sees a fresh epoch
-	tx.ticket = 0
-	tx.reads.Reset()
-	clear(tx.buf)
-	tx.nStarts++
-	tx.wv = 0
-	if tx.rt.clockOn {
-		tx.rv = tx.rt.clock.Load()
-	}
-	tx.gran = nil
-	if tx.rt.cfg.Granularity > 1 {
-		tx.gran = tx.rt.granTab.Load()
-	}
-	if tr := tx.tr; tr != nil {
-		tx.beginAt = time.Now()
-		if !tx.abortAt.IsZero() {
-			tr.ObserveAbortGap(tx.beginAt.Sub(tx.abortAt))
-			tx.abortAt = time.Time{}
-		}
-		tr.Record(trace.EvBegin, tx.id, 0, 0, 0)
-	}
-}
-
-// flushStats drains descriptor-local counters into the sharded aggregates.
-func (tx *Txn) flushStats() {
-	s := &tx.rt.Stats
-	hint := int(tx.id)
-	if tx.nStarts != 0 {
-		s.Starts.AddShard(hint, tx.nStarts)
-		tx.nStarts = 0
-	}
-	if tx.nReads != 0 {
-		s.TxnReads.AddShard(hint, tx.nReads)
-		tx.nReads = 0
-	}
-	if tx.nWrites != 0 {
-		s.TxnWrites.AddShard(hint, tx.nWrites)
-		tx.nWrites = 0
-	}
-	if tx.nRetries != 0 {
-		s.UserRetries.AddShard(hint, tx.nRetries)
-		tx.nRetries = 0
-	}
-	if tx.nSelfAborts != 0 {
-		s.SelfAborts.AddShard(hint, tx.nSelfAborts)
-		tx.nSelfAborts = 0
-	}
-	if tx.nDooms != 0 {
-		s.DoomsIssued.AddShard(hint, tx.nDooms)
-		tx.nDooms = 0
-	}
-	if tx.nClockAdv != 0 {
-		s.ClockAdvances.AddShard(hint, tx.nClockAdv)
-		tx.nClockAdv = 0
-	}
-	if tx.nFastpath != 0 {
-		s.FastpathValidations.AddShard(hint, tx.nFastpath)
-		tx.nFastpath = 0
-	}
-	if tx.nWalks != 0 {
-		s.FallbackWalks.AddShard(hint, tx.nWalks)
-		tx.nWalks = 0
-	}
-}
-
-// Restart aborts and re-executes the transaction.
-func (tx *Txn) Restart() { panic(txSignal{sigRestart, tx}) }
-
-// Retry aborts and blocks until the read set changes, then re-executes.
-func (tx *Txn) Retry() {
-	tx.nRetries++
-	if tr := tx.tr; tr != nil {
-		tr.Record(trace.EvRetry, tx.id, 0, 0, 0)
-	}
-	panic(txSignal{sigRetry, tx})
-}
-
-// resolveConflict builds the arbitration Info for a conflict on o and asks
-// the policy. AbortOther dooming is performed here; the caller maps Wait and
-// SelfAbort onto its own control flow (panic-restart inside the body,
-// release-and-fail inside commit).
-func (tx *Txn) resolveConflict(o *objmodel.Object, kind conflict.Kind, attempt int, rec txrec.Word) conflict.Decision {
-	tx.karma.Add(1)
-	info := conflict.Info{
-		Kind: kind, Attempt: attempt, Record: rec,
-		Self: tx.id, SelfPrio: tx.karma.Load(),
-	}
-	if txrec.IsExclusive(rec) {
-		info.Owner = txrec.Owner(rec)
-		if victim := tx.rt.reg.findStamp(info.Owner); victim != nil {
-			if victim.dead.Load() {
-				// The owner's goroutine died holding the record: steal it and
-				// have the caller re-probe instead of arbitrating with a corpse.
-				tx.rt.reapTxn(victim)
-				return conflict.Wait
-			}
-			info.OwnerActive = true
-			info.OwnerPrio = victim.karma.Load()
-			info.OwnerIrrevocable = victim.irrevStamp.Load()
-		}
-	}
-	d := tx.rt.policy.Resolve(info)
-	switch d {
-	case conflict.SelfAbort:
-		tx.nSelfAborts++
-		if tr := tx.tr; tr != nil {
-			tr.Record(trace.EvSelfAbort, tx.id, uint64(o.Ref()), 0, 0)
-		}
-	case conflict.AbortOther:
-		if victim := tx.rt.reg.findStamp(info.Owner); victim != nil && !victim.irrevStamp.Load() {
-			victim.doomed.Store(true)
-			tx.nDooms++
-			if tr := tx.tr; tr != nil {
-				tr.Record(trace.EvDoom, tx.id, uint64(o.Ref()), 0, info.Owner)
-			}
-		}
-		// Camp on the record with yields instead of exponential sleeps (see
-		// the eager runtime's conflictWait): arbitration decided this
-		// transaction wins, and sleeping past the victim's release invites
-		// doom churn — a third party re-acquires and must be doomed in turn.
-		a := attempt
-		if a > 9 {
-			a = 9 // clamp into WaitAttempt's spin/yield bands; never sleep
-		}
-		conflict.WaitAttempt(a, 0)
-	}
-	return d
-}
-
-func (tx *Txn) conflictWait(o *objmodel.Object, kind conflict.Kind, attempt int, rec txrec.Word) {
-	tx.hb.Add(1) // slow path: prove liveness to the reaper while we wait
-	if tr := tx.tr; tr != nil {
-		ref := uint64(o.Ref())
-		var owner uint64
-		if txrec.IsExclusive(rec) {
-			owner = txrec.Owner(rec) // Ver carries the owning txn ID: the waits-for edge
-		}
-		tr.Record(trace.EvConflict, tx.id, ref, 0, owner)
-		tr.Hot().BumpConflict(ref)
-	}
-	if tx.irrevocable {
-		// Irrevocable transactions never restart and never lose: doom any
-		// live owner (dead ones are reaped) and wait for the record to free.
-		tx.irrevClaim(o, rec, attempt)
-		return
-	}
-	if tx.ctx != nil && tx.ctx.Err() != nil {
-		panic(txSignal{sigCancel, tx})
-	}
-	if tx.doomed.Load() {
-		tx.blameObj = uint64(o.Ref())
-		tx.Restart()
-	}
-	if attempt >= tx.rt.cfg.SelfAbortAfter {
-		tx.blameObj = uint64(o.Ref())
-		tx.Restart()
-	}
-	if tx.resolveConflict(o, kind, attempt, rec) == conflict.SelfAbort {
-		tx.blameObj = uint64(o.Ref())
-		tx.Restart()
-	}
-}
-
-// irrevClaim is the irrevocable transaction's conflict step: reap a dead
-// owner, doom a live one (the token is singular, so the owner is never
-// itself irrevocable), then wait for the record to free.
-func (tx *Txn) irrevClaim(o *objmodel.Object, rec txrec.Word, attempt int) {
-	if txrec.IsExclusive(rec) {
-		if victim := tx.rt.reg.findStamp(txrec.Owner(rec)); victim != nil && victim != tx {
-			if victim.dead.Load() {
-				tx.rt.reapTxn(victim)
-				return
-			}
-			if victim.doomed.CompareAndSwap(false, true) {
-				tx.nDooms++
-				if tr := tx.tr; tr != nil {
-					tr.Record(trace.EvDoom, tx.id, uint64(o.Ref()), 0, txrec.Owner(rec))
-				}
-			}
-		}
-	}
-	conflict.WaitAttempt(attempt, 0)
-}
-
-func (tx *Txn) span(o *objmodel.Object, slot int) (base int) {
-	return slot &^ (tx.effGran(o) - 1)
 }
 
 // Read returns the transaction's view of o's slot: the private buffer if
@@ -653,22 +182,13 @@ func (tx *Txn) span(o *objmodel.Object, slot int) (base int) {
 // slot was written — the granular inconsistent read of Section 2.4),
 // otherwise shared memory under optimistic version validation.
 func (tx *Txn) Read(o *objmodel.Object, slot int) uint64 {
-	tx.nReads++
-	if tx.doomed.Load() && !tx.irrevocable {
-		tx.blameObj = uint64(o.Ref())
-		tx.Restart()
-	}
-	if tx.ctx != nil && !tx.irrevocable && tx.ctx.Err() != nil {
-		// Every access is a cancellation point, so a context cancelled
-		// mid-body (in particular a nested block's scoped context) is
-		// noticed without needing a conflict to arise first.
-		panic(txSignal{sigCancel, tx})
-	}
-	base := tx.span(o, slot)
+	tx.NReads++
+	tx.Poll(o)
 	if len(tx.buf) > 0 {
+		base := slot &^ (tx.Span(o) - 1)
 		if sb, ok := tx.buf[spanKey{o, base}]; ok {
-			if tr := tx.tr; tr != nil {
-				tr.Record(trace.EvRead, tx.id, uint64(o.Ref()), slot, 0)
+			if tr := tx.Tr; tr != nil {
+				tr.Record(trace.EvRead, tx.ID(), uint64(o.Ref()), slot, 0)
 			}
 			return sb.vals[slot-base]
 		}
@@ -679,58 +199,50 @@ func (tx *Txn) Read(o *objmodel.Object, slot int) uint64 {
 		case txrec.IsPrivate(w):
 			// Traced even though no logging is needed: the soundness oracle
 			// audits private (elided) accesses against the manifest.
-			if tr := tx.tr; tr != nil {
-				tr.Record(trace.EvRead, tx.id, uint64(o.Ref()), slot, 0)
+			if tr := tx.Tr; tr != nil {
+				tr.Record(trace.EvRead, tx.ID(), uint64(o.Ref()), slot, 0)
 			}
 			return o.LoadSlot(slot)
-		case txrec.IsExclusive(w), txrec.IsExclusiveAnon(w):
-			if txrec.IsExclusive(w) && txrec.Owner(w) == tx.id {
-				// Our own pessimistic hold (irrevocable mode): the slot value
-				// in memory is ours to read — write-back has not happened, so
-				// it is the pre-transaction value unless buffered (handled
-				// above).
-				return o.LoadSlot(slot)
-			}
+		case txrec.IsExclusive(w) && txrec.Owner(w) == tx.ID():
+			// Our own pessimistic hold (irrevocable mode): the slot value in
+			// memory is ours to read — write-back has not happened, so it is
+			// the pre-transaction value unless buffered (handled above).
+			return o.LoadSlot(slot)
+		case !txrec.IsShared(w):
 			// Lazy versioning never reads another transaction's data while
 			// its record is held (there is no dirty data in memory, but a
 			// committer may be writing back).
-			tx.conflictWait(o, conflict.TxnRead, attempt, w)
-		default:
-			if tx.irrevocable {
-				// Pessimistic read: acquire the record so nothing can ever
-				// invalidate it (no abort is legal past the switch).
-				if !o.Rec.CompareAndSwap(w, txrec.MakeExclusive(tx.id)) {
-					continue
-				}
-				ver := txrec.Version(w)
-				tx.owned.Put(o, ver)
-				tx.objs = append(tx.objs, o)
-				tx.reads.Put(o, ver)
-				if tr := tx.tr; tr != nil {
-					tr.Record(trace.EvRead, tx.id, uint64(o.Ref()), slot, ver)
-				}
-				return o.LoadSlot(slot)
+			tx.ConflictWait(o, conflict.TxnRead, attempt, w)
+		case tx.Irrevocable:
+			// Pessimistic read: acquire the record so nothing can ever
+			// invalidate it (no abort is legal past the switch).
+			if !tx.acquire(o, w) {
+				continue
 			}
+			tx.objs = append(tx.objs, o)
+			tx.Reads.Put(o, txrec.Version(w))
+			if tr := tx.Tr; tr != nil {
+				tr.Record(trace.EvRead, tx.ID(), uint64(o.Ref()), slot, txrec.Version(w))
+			}
+			return o.LoadSlot(slot)
+		default:
 			v := o.LoadSlot(slot)
 			if o.Rec.Load() != w {
 				continue
 			}
 			ver := txrec.Version(w)
-			if tx.rt.clockOn && ver > tx.rv {
-				// Version postdates the clock snapshot: extend it (see the
-				// eager runtime) or restart if the read set is stale.
-				tx.extendSnapshot(o, ver)
+			if tx.rt.ClockOn && ver > tx.RV {
+				// Version postdates the clock snapshot: extend it, or restart
+				// if the read set is stale.
+				tx.ExtendSnapshot(o, ver)
 			}
-			if prev, ok := tx.reads.Get(o); ok {
-				if prev != ver {
-					tx.blameObj = uint64(o.Ref())
-					tx.Restart()
-				}
-			} else {
-				tx.reads.Put(o, ver)
+			if prev, ok := tx.Reads.Get(o); !ok {
+				tx.Reads.Put(o, ver)
+			} else if prev != ver {
+				tx.RestartOn(uint64(o.Ref()))
 			}
-			if tr := tx.tr; tr != nil {
-				tr.Record(trace.EvRead, tx.id, uint64(o.Ref()), slot, ver)
+			if tr := tx.Tr; tr != nil {
+				tr.Record(trace.EvRead, tx.ID(), uint64(o.Ref()), slot, ver)
 			}
 			return v
 		}
@@ -747,19 +259,13 @@ func (tx *Txn) ReadRef(o *objmodel.Object, slot int) objmodel.Ref {
 // snapshot of the *adjacent* slot is what later manufactures the granular
 // lost update when Granularity > 1.
 func (tx *Txn) Write(o *objmodel.Object, slot int, v uint64) {
-	tx.nWrites++
-	if tx.doomed.Load() && !tx.irrevocable {
-		tx.blameObj = uint64(o.Ref())
-		tx.Restart()
-	}
-	if tx.ctx != nil && !tx.irrevocable && tx.ctx.Err() != nil {
-		panic(txSignal{sigCancel, tx}) // accesses are cancellation points
-	}
-	base := tx.span(o, slot)
+	tx.NWrites++
+	tx.Poll(o)
+	g := tx.Span(o)
+	base := slot &^ (g - 1)
 	key := spanKey{o, base}
 	sb, ok := tx.buf[key]
 	if !ok {
-		g := tx.effGran(o)
 		for i := 0; i < g && base+i < len(o.Slots); i++ {
 			sb.vals[i] = o.LoadSlot(base + i)
 			sb.n++
@@ -767,8 +273,8 @@ func (tx *Txn) Write(o *objmodel.Object, slot int, v uint64) {
 	}
 	sb.vals[slot-base] = v
 	tx.buf[key] = sb
-	if tr := tx.tr; tr != nil {
-		tr.Record(trace.EvWrite, tx.id, uint64(o.Ref()), slot, 0)
+	if tr := tx.Tr; tr != nil {
+		tr.Record(trace.EvWrite, tx.ID(), uint64(o.Ref()), slot, 0)
 	}
 }
 
@@ -777,143 +283,108 @@ func (tx *Txn) WriteRef(o *objmodel.Object, slot int, r objmodel.Ref) {
 	tx.Write(o, slot, uint64(r))
 }
 
-// Validate re-checks the read set.
-func (tx *Txn) Validate() bool {
-	ok, _ := tx.validateExcluding(nil)
-	return ok
+// RetryWait implements txn.Strategy.
+func (tx *Txn) RetryWait(ctx context.Context) error { return tx.WaitForReadSetChange(ctx) }
+
+// acquire takes o's record, whose Shared word w the caller just loaded.
+// false means the CAS lost a race. The caller lists o in tx.objs.
+func (tx *Txn) acquire(o *objmodel.Object, w txrec.Word) bool {
+	if !o.Rec.CompareAndSwap(w, txrec.MakeExclusive(tx.ID())) {
+		return false
+	}
+	tx.Owned.Put(o, txrec.Version(w))
+	return true
 }
 
-// validateExcluding re-checks the read set; on failure it also reports the
-// handle of the first inconsistent object, for conflict attribution. Under
-// commit-clock validation an unchanged clock proves no committed or
-// non-transactional write happened since the snapshot, so the walk is
-// skipped; the transaction's own commit-time acquisitions never tick the
-// clock, so holding the write set does not defeat the fast path.
-func (tx *Txn) validateExcluding(owned *objset.VerSet) (bool, uint64) {
-	if tx.rt.clockOn && tx.rt.clock.Load() == tx.rv {
-		tx.nFastpath++
-		return true, 0
-	}
-	tx.nWalks++
-	return tx.walkValidateExcluding(owned)
-}
-
-// walkValidateExcluding is the original O(|read set|) validation walk.
-func (tx *Txn) walkValidateExcluding(owned *objset.VerSet) (bool, uint64) {
-	ok := true
-	var bad uint64
-	tx.reads.Range(func(o *objmodel.Object, ver uint64) bool {
-		w := o.Rec.Load()
-		switch {
-		case txrec.IsPrivate(w):
-		case txrec.IsShared(w):
-			if txrec.Version(w) != ver {
-				ok = false
-			}
-		case txrec.IsExclusive(w) && owned != nil:
-			if sv, has := owned.Get(o); !has || sv != ver {
-				ok = false
-			}
-		default:
-			ok = false
-		}
-		if !ok {
-			bad = uint64(o.Ref())
-		}
-		return ok
-	})
-	return ok, bad
-}
-
-// extendSnapshot handles a read that observed version ver above the clock
-// snapshot: raise the clock to cover ver, re-validate the read set against
-// a fresh clock value, and adopt it as the new snapshot — or restart if
-// the read set is already stale. (See the eager runtime for why waiting
-// for a committer to catch the clock up instead could livelock.)
-func (tx *Txn) extendSnapshot(o *objmodel.Object, ver uint64) {
-	rt := tx.rt
-	if tr := tx.tr; tr != nil {
-		ref := uint64(o.Ref())
-		tr.Record(trace.EvExtend, tx.id, ref, 0, ver)
-		tr.Hot().BumpValidation(ref)
-	}
-	rt.clock.Raise(ver)
-	newRv := rt.clock.Load()
-	tx.nWalks++
-	if ok, bad := tx.walkValidateExcluding(nil); !ok {
-		tx.notifyStale(bad)
-		tx.blameObj = bad
-		tx.Restart()
-	}
-	tx.rv = newRv
-}
-
-// notifyStale reports a validation failure to the contention handler if it
-// observes stale aborts (conflict.StaleObserver); attribution only, the
-// abort happens regardless.
-func (tx *Txn) notifyStale(bad uint64) {
-	if tr := tx.tr; tr != nil {
-		tr.Record(trace.EvValidation, tx.id, bad, tx.attempt, 0)
-		tr.Hot().BumpValidation(bad)
-	}
-	if obs := tx.rt.staleObs; obs != nil {
-		obs.ObserveValidationAbort(conflict.Info{
-			Kind:     conflict.TxnValidation,
-			Attempt:  tx.attempt,
-			Obj:      bad,
-			Self:     tx.id,
-			SelfPrio: tx.karma.Load(),
-		})
-	}
-}
-
-// release restores the records of every object acquired by this attempt;
-// with bump the version is incremented (publishing new state), without it
-// the original shared word is restored. The holdings are cleared afterwards:
-// a descriptor that later dies as an orphan must not present records it no
-// longer owns to the reaper.
-func (tx *Txn) release(bump bool) {
+// release gives back the records of every object acquired by this attempt.
+// A committed release stamps them with the write version obtained before
+// the commit point (tx.WV is 0 for a commit that wrote nothing, degrading
+// to the plain version bump), publishing the new state to optimistic
+// readers; otherwise the original shared words are restored — nothing
+// reached memory. The holdings are cleared afterwards: a descriptor that
+// later dies as an orphan must not present records it no longer owns to
+// the reaper.
+func (tx *Txn) release(committed bool) {
 	for _, o := range tx.objs {
-		sv, ok := tx.owned.Get(o)
+		sv, ok := tx.Owned.Get(o)
 		if !ok {
 			continue
 		}
-		if bump {
-			// Commit path: stamp with the write version obtained before the
-			// commit point (tx.wv is 0 when the clock is off, degrading to
-			// the plain version bump).
-			o.Rec.ReleaseOwnedAt(sv, tx.wv)
+		if committed {
+			o.Rec.ReleaseOwnedAt(sv, tx.WV)
 		} else {
 			o.Rec.Store(txrec.MakeShared(sv))
 		}
 	}
-	tx.owned.Reset()
+	tx.Owned.Reset()
 	tx.objs = tx.objs[:0]
 }
 
-// commit runs the lazy commit protocol: acquire the write set's records in
-// handle order, validate the read set, pass the commit point, write back
-// the buffered spans in no particular order, release the records, and (in
-// quiescence mode) wait for all previously serialized transactions'
-// write-backs to complete.
-//
-// ok=false means the attempt aborts and retries. A non-nil error is only
-// possible after the commit point, when cancellation abandoned the
-// quiescence wait (the commit itself is durable).
-func (tx *Txn) commit() (ok bool, err error) {
-	if tx.doomed.Load() && !tx.irrevocable {
+// Rollback implements txn.Strategy: restore whatever records the attempt
+// still holds (an irrevocable body's pessimistic read locks, a failed
+// irrevocable switch's partial upgrade — a commit that fails has already
+// released); the buffer is simply dropped at the next begin.
+func (tx *Txn) Rollback() { tx.release(false) }
+
+// inject fires the fault injector at point p, before the commit point, with
+// o (nil at PreValidate) the object being acquired. false means the commit
+// must fail: the records are restored and o is blamed. Crash simulates
+// thread death — nothing has reached shared memory, so a crashed committer's
+// records are restored unchanged before the crash surfaces; Orphan dies
+// holding whatever it acquired so far (Owned records it) until a reaper
+// steals it. An irrevocable transaction can do neither Abort nor Crash.
+func (tx *Txn) inject(p faultinject.Point, o *objmodel.Object) bool {
+	switch tx.FI.Fire(p, tx.ID()) {
+	case faultinject.Abort:
+		if !tx.Irrevocable {
+			if o != nil {
+				tx.Blame = uint64(o.Ref())
+			}
+			tx.release(false)
+			return false
+		}
+	case faultinject.Crash:
+		if !tx.Irrevocable {
+			tx.release(false)
+			tx.Crash(p)
+		}
+	case faultinject.Orphan:
+		tx.Die(p)
+	}
+	return true
+}
+
+// injectCommitted fires the fault injector at point p inside the Figure 4
+// window: logically committed, write-back done, records still held. A
+// crashing thread's cleanup releases with a version bump and completes the
+// ticket so the ordering chain never stalls; an orphan dies with NO cleanup —
+// records stay held and the ticket chain stalls until the reaper releases
+// (bumping — the write-back is in memory) and completes the ticket.
+func (tx *Txn) injectCommitted(p faultinject.Point) {
+	switch tx.FI.Fire(p, tx.ID()) {
+	case faultinject.Crash:
+		tx.release(true)
+		tx.rt.order.MarkComplete(tx.ticket)
+		tx.CrashCommitted(p)
+	case faultinject.Orphan:
+		tx.Die(p)
+	}
+}
+
+// Commit implements txn.Strategy with the lazy commit protocol: acquire the
+// write set's records in handle order, validate the read set, pass the
+// commit point, write back the buffered spans in no particular order,
+// release the records, and (in quiescence mode) wait for all previously
+// serialized transactions' write-backs to complete.
+func (tx *Txn) Commit() (ok bool, err error) {
+	if tx.Doomed() && !tx.Irrevocable {
 		return false, nil
 	}
 	// Collect distinct objects in the write set, sorted by handle so
-	// concurrent committers acquire in the same order (no deadlock). The
-	// scratch slice and owned set live on the descriptor, so a steady-state
-	// commit allocates nothing. An irrevocable transaction arrives already
-	// holding its pessimistically-read records in objs/owned; those are kept
-	// (acquisition below skips them) and the write set is merged in.
-	if !tx.irrevocable {
-		tx.objs = tx.objs[:0]
-		tx.owned.Reset()
-	}
+	// concurrent committers acquire in the same order (no deadlock). An
+	// irrevocable transaction arrives already holding its pessimistically
+	// read records in objs/Owned; those are kept (acquisition below skips
+	// them) and the write set is merged in.
 	for key := range tx.buf {
 		dup := false
 		for _, o := range tx.objs {
@@ -926,156 +397,70 @@ func (tx *Txn) commit() (ok bool, err error) {
 			tx.objs = append(tx.objs, key.obj)
 		}
 	}
-	sortByRef(tx.objs)
+	txn.SortByRef(tx.objs)
 
 	for _, o := range tx.objs {
 		if txrec.IsPrivate(o.Rec.Load()) {
 			continue // thread-local: written back without synchronization
 		}
-		if _, mine := tx.owned.Get(o); mine {
+		if _, mine := tx.Owned.Get(o); mine {
 			continue // already held by the irrevocable switch or a read
 		}
 		for attempt := 0; ; attempt++ {
 			w := o.Rec.Load()
-			if txrec.IsShared(w) {
-				if fi := tx.fi; fi != nil {
-					switch fi.Fire(faultinject.PreAcquire, tx.id) {
-					case faultinject.Abort:
-						if !tx.irrevocable {
-							tx.blameObj = uint64(o.Ref())
-							tx.release(false)
-							return false, nil
-						}
-					case faultinject.Crash:
-						if !tx.irrevocable {
-							tx.release(false)
-							tx.crash(faultinject.PreAcquire)
-						}
-					case faultinject.Orphan:
-						// Dies mid-acquire: records taken so far stay held
-						// (owned records them) until a reaper steals them.
-						tx.die(faultinject.PreAcquire)
-					}
-				}
-				if o.Rec.CompareAndSwap(w, txrec.MakeExclusive(tx.id)) {
-					tx.owned.Put(o, txrec.Version(w))
-					if tr := tx.tr; tr != nil {
-						tr.Record(trace.EvLockAcquire, tx.id, uint64(o.Ref()), 0, txrec.Version(w))
-					}
-					if fi := tx.fi; fi != nil {
-						switch fi.Fire(faultinject.PostAcquire, tx.id) {
-						case faultinject.Abort:
-							if !tx.irrevocable {
-								tx.blameObj = uint64(o.Ref())
-								tx.release(false)
-								return false, nil
-							}
-						case faultinject.Crash:
-							if !tx.irrevocable {
-								// Nothing has reached shared memory; a crashed
-								// committer's records are restored unchanged.
-								tx.release(false)
-								tx.crash(faultinject.PostAcquire)
-							}
-						case faultinject.Orphan:
-							tx.die(faultinject.PostAcquire)
-						}
-					}
-					break
+			if !txrec.IsShared(w) {
+				if !tx.AcquireWait(o, attempt, w) {
+					tx.release(false)
+					return false, nil
 				}
 				continue
 			}
-			if tr := tx.tr; tr != nil {
-				ref := uint64(o.Ref())
-				var owner uint64
-				if txrec.IsExclusive(w) {
-					owner = txrec.Owner(w)
-				}
-				tr.Record(trace.EvConflict, tx.id, ref, 0, owner)
-				tr.Hot().BumpConflict(ref)
+			if tx.FI != nil && !tx.inject(faultinject.PreAcquire, o) {
+				return false, nil
 			}
-			tx.hb.Add(1) // contended acquire: prove liveness to the reaper
-			if tx.irrevocable {
-				// No fail path is legal: doom a live owner, reap a dead one,
-				// and re-probe until the record frees.
-				tx.irrevClaim(o, w, attempt)
+			if !tx.acquire(o, w) {
 				continue
 			}
-			if tx.ctx != nil && tx.ctx.Err() != nil {
-				// Cancelled mid-acquire: fail the commit; the atomic loop's
-				// entry check converts the failure into ctx.Err().
-				tx.release(false)
+			if tr := tx.Tr; tr != nil {
+				tr.Record(trace.EvLockAcquire, tx.ID(), uint64(o.Ref()), 0, txrec.Version(w))
+			}
+			if tx.FI != nil && !tx.inject(faultinject.PostAcquire, o) {
 				return false, nil
 			}
-			if tx.doomed.Load() || attempt >= tx.rt.cfg.SelfAbortAfter {
-				tx.blameObj = uint64(o.Ref())
-				tx.release(false)
-				return false, nil
-			}
-			if tx.resolveConflict(o, conflict.TxnWrite, attempt, w) == conflict.SelfAbort {
-				tx.blameObj = uint64(o.Ref())
-				tx.release(false)
-				return false, nil
-			}
+			break
 		}
 	}
 
 	// A doom that landed while we were acquiring is honored up to the commit
 	// point; past it the victim has won the race and simply commits.
-	if tx.doomed.Load() && !tx.irrevocable {
+	if tx.Doomed() && !tx.Irrevocable {
 		tx.release(false)
 		return false, nil
 	}
-	if fi := tx.fi; fi != nil {
-		switch fi.Fire(faultinject.PreValidate, tx.id) {
-		case faultinject.Abort:
-			if !tx.irrevocable {
-				tx.release(false)
-				return false, nil
-			}
-		case faultinject.Crash:
-			if !tx.irrevocable {
-				tx.release(false)
-				tx.crash(faultinject.PreValidate)
-			}
-		case faultinject.Orphan:
-			// Dies entering validation holding its whole write set: the
-			// canonical lazy orphan — buffers never reach memory.
-			tx.die(faultinject.PreValidate)
-		}
+	// An orphan here dies entering validation holding its whole write set:
+	// the canonical lazy orphan — buffers never reach memory.
+	if tx.FI != nil && !tx.inject(faultinject.PreValidate, nil) {
+		return false, nil
 	}
-	if vok, bad := tx.validateExcluding(&tx.owned); !vok {
-		if tx.irrevocable {
+	// The write version is obtained before the commit point, so every
+	// release past here — normal, crash branch, or reaper-completed — stamps
+	// records with tx.WV. Transactions holding records without buffered
+	// writes (pessimistic read locks only) release values unchanged and need
+	// none.
+	if vok, bad := tx.ValidateCommit(len(tx.buf) > 0); !vok {
+		if tx.Irrevocable {
 			// Structurally impossible: every read-set entry has been
 			// Exclusive(self) since the switch.
 			panic("lazystm: irrevocable transaction failed validation")
 		}
-		tx.notifyStale(bad)
-		tx.blameObj = bad
+		tx.Blame = bad
 		tx.release(false) // nothing reached memory; restore original versions
 		return false, nil
 	}
 
-	// Obtain the write version before the commit point (GV4 pass-on-fail,
-	// see the eager runtime): every release past here — normal, crash
-	// branch, or reaper-completed — stamps records with tx.wv, and the
-	// clock advance fails the validation fast path of every snapshot that
-	// predates this commit. Transactions holding records without buffered
-	// writes (pessimistic read locks only) release values unchanged, so
-	// they need no advance.
-	// A durable runtime needs a stamp (the redo record's LSN) for any
-	// commit with buffered writes, even when clock validation is off.
-	if (tx.rt.clockOn || tx.sink != nil) && len(tx.buf) > 0 {
-		var advanced bool
-		if tx.wv, advanced = tx.rt.clock.Advance(); advanced {
-			tx.nClockAdv++
-		}
-	}
-
 	// ----- commit point: the transaction is now serialized. -----
-	tx.status.Store(uint32(Committed))
-	ticket := tx.rt.tickets.Add(1)
-	tx.ticket = ticket // published by dead's release-store if we die an orphan
+	tx.CommitPoint()
+	tx.ticket = tx.rt.order.Take() // published by the death certificate if we die an orphan
 	if h := tx.rt.cfg.Hooks.OnAfterCommitPoint; h != nil {
 		h(tx)
 	}
@@ -1102,205 +487,88 @@ func (tx *Txn) commit() (ok bool, err error) {
 		}
 	}
 
-	if fi := tx.fi; fi != nil {
-		switch fi.Fire(faultinject.PostCommitPoint, tx.id) {
-		case faultinject.Crash:
-			// The Figure 4 window: logically committed, write-back done, records
-			// still held. A dying thread's cleanup releases with a version bump
-			// and completes the ticket so the ordering chain never stalls.
-			tx.release(true)
-			tx.rt.markComplete(ticket)
-			tx.rt.Stats.Commits.AddShard(int(tx.id), 1)
-			tx.flushStats()
-			panic(faultinject.CrashError{Point: faultinject.PostCommitPoint, Txn: tx.id})
-		case faultinject.Orphan:
-			// Dies in the Figure 4 window with NO cleanup: records stay held
-			// and the ticket chain stalls until the reaper releases (bumping —
-			// the write-back is in memory) and completes the ticket.
-			tx.die(faultinject.PostCommitPoint)
-		}
+	if tx.FI != nil {
+		tx.injectCommitted(faultinject.PostCommitPoint)
+		tx.injectCommitted(faultinject.PreRelease)
 	}
 
-	if fi := tx.fi; fi != nil {
-		switch fi.Fire(faultinject.PreRelease, tx.id) {
-		case faultinject.Crash:
-			tx.release(true)
-			tx.rt.markComplete(ticket)
-			tx.rt.Stats.Commits.AddShard(int(tx.id), 1)
-			tx.flushStats()
-			panic(faultinject.CrashError{Point: faultinject.PreRelease, Txn: tx.id})
-		case faultinject.Orphan:
-			tx.die(faultinject.PreRelease)
-		}
-	}
-
-	// Stream the redo record while the records are still held, so the log
-	// observes commits to each object in release order (replay order agrees
-	// with every object's version order). The buffered spans carry exactly
-	// the values the write-back just stored. The injected-death branches
-	// above never reach this append: a commit that died before logging is
-	// not durable — it was never acked.
+	// The buffered spans carry exactly the values the write-back just stored.
 	var durSeq uint64
 	var durErr error
-	if tx.sink != nil && len(tx.buf) > 0 {
-		tx.redo = tx.redo[:0]
+	if tx.Sink != nil && len(tx.buf) > 0 {
+		tx.Redo = tx.Redo[:0]
 		for key, sb := range tx.buf {
 			for i := 0; i < sb.n; i++ {
-				tx.redo = append(tx.redo, stmapi.RedoWrite{
+				tx.Redo = append(tx.Redo, stmapi.RedoWrite{
 					Ref: key.obj.Ref(), Slot: key.base + i, Val: sb.vals[i],
 				})
 			}
 		}
-		durSeq, durErr = tx.sink.AppendRedo(tx.id, tx.wv, tx.redo)
+		durSeq, durErr = tx.AppendRedo()
 	}
 
-	tx.release(true) // version bump publishes the new state to optimistic readers
-
-	// Our own write-back is complete regardless of how long predecessors
-	// take, so the ticket is marked before any waiting: a successor never
-	// waits on a transaction that has already finished its stores.
-	tx.rt.markComplete(ticket)
-	tx.dropIrrevocable() // records released: surrender the token before any ordering wait
+	tx.release(true)
+	tx.rt.order.MarkComplete(tx.ticket)
+	tx.Committed() // records released: the token is surrendered before any ordering wait
 	if tx.rt.cfg.Quiescence {
-		if tr := tx.tr; tr != nil {
-			start := time.Now()
-			err = tx.rt.awaitOrder(tx.ctx, ticket)
-			tr.ObserveQuiesce(time.Since(start))
+		err = tx.AwaitOrdering(func() error { return tx.rt.order.AwaitOrder(tx.Ctx, tx.ticket) })
+	}
+	return true, tx.WaitDurable(durSeq, durErr, err)
+}
+
+// ReapOrphan implements txn.Strategy. An uncommitted orphan has its records
+// restored to the original Shared words — its buffered writes never reached
+// memory, so there is nothing to undo and no version to burn. A committed
+// orphan (died inside the commit window, after write-back) is released with
+// a version bump and its ticket completed so the ordering chain cannot
+// stall.
+func (tx *Txn) ReapOrphan(committed bool) {
+	if committed && tx.rt.ClockOn {
+		// The releases below expose the orphan's written-back values; tick
+		// the clock first so no snapshot predating them keeps its clock-only
+		// validation (see the eager reaper). ReleaseOwned's plain +1 bump is
+		// a fine stamp: a reader that meets a version above its snapshot
+		// extends on contact.
+		tx.rt.Clock.Tick()
+	}
+	for _, o := range tx.objs {
+		sv, ok := tx.Owned.Get(o)
+		if !ok {
+			continue // write-set entry the orphan never got to acquire
+		}
+		if committed {
+			o.Rec.ReleaseOwned(sv)
 		} else {
-			err = tx.rt.awaitOrder(tx.ctx, ticket)
+			o.Rec.Store(txrec.MakeShared(sv))
 		}
 	}
-	tx.rt.Stats.Commits.AddShard(int(tx.id), 1)
-	if tr := tx.tr; tr != nil {
-		tr.Record(trace.EvCommit, tx.id, 0, 0, 0)
-		tr.ObserveCommit(time.Since(tx.beginAt))
+	if committed && tx.ticket != 0 {
+		tx.rt.order.MarkComplete(tx.ticket)
 	}
-	tx.flushStats()
-	// Durability barrier, after release and ticket completion so the group
-	// commit's fsync window never extends lock hold times or stalls the
-	// write-back ordering chain.
-	if durErr == nil && durSeq != 0 {
-		durErr = tx.sink.WaitDurable(durSeq)
-	}
-	if err == nil {
-		err = durErr
-	}
-	return true, err
 }
 
-// crash performs the abort bookkeeping for a simulated thread death inside
-// commit (the caller has already restored the records) and panics with
-// CrashError.
-func (tx *Txn) crash(p faultinject.Point) {
-	tx.fi = nil // the bookkeeping below must not re-enter injection
-	tx.abort()
-	panic(faultinject.CrashError{Point: p, Txn: tx.id})
-}
-
-// markComplete records that ticket's write-back has finished and advances
-// the contiguous completion watermark past every parked ticket it unblocks.
-// Completion is decoupled from waiting so that a waiter abandoning its wait
-// (cancellation, crash injection) can never stall later tickets — the
-// failure mode of the previous in-order-only scheme.
-func (rt *Runtime) markComplete(ticket uint64) {
-	rt.doneMu.Lock()
-	rt.pending[ticket] = struct{}{}
-	for {
-		next := rt.done.Load() + 1
-		if _, ok := rt.pending[next]; !ok {
-			break
-		}
-		delete(rt.pending, next)
-		rt.done.Store(next)
-	}
-	rt.doneCv.Broadcast()
-	rt.doneMu.Unlock()
-}
-
-// awaitOrder blocks until the completion watermark reaches ticket — i.e.
-// every transaction serialized before it has finished applying its updates
-// (the lazy-versioning quiescence of Section 3.4). A cancelled context
-// abandons the wait and returns its error; the caller's commit is already
-// durable.
-func (rt *Runtime) awaitOrder(ctx context.Context, ticket uint64) error {
-	if ctx != nil {
-		// Wake the cond-var wait when the context fires; without this a
-		// waiter could sleep past its deadline until the next Broadcast.
-		stop := context.AfterFunc(ctx, func() {
-			rt.doneMu.Lock()
-			rt.doneCv.Broadcast()
-			rt.doneMu.Unlock()
-		})
-		defer stop()
-	}
-	rt.doneMu.Lock()
-	defer rt.doneMu.Unlock()
-	for rt.done.Load() < ticket {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return err
+// LockReadSet implements txn.Strategy: it upgrades every read-set entry to
+// Exclusive at its recorded version, recording holdings in Owned/objs (the
+// failure path restores them through Rollback), after which reads acquire
+// their records pessimistically. A lazy transaction owns nothing during its
+// body, so every entry must be Shared at the recorded version; anything
+// else means the snapshot is stale.
+func (tx *Txn) LockReadSet() bool {
+	ok := true
+	tx.Reads.Range(func(o *objmodel.Object, ver uint64) bool {
+		w := o.Rec.Load()
+		switch {
+		case txrec.IsPrivate(w):
+		case txrec.IsShared(w) && txrec.Version(w) == ver:
+			if ok = tx.acquire(o, w); ok {
+				tx.objs = append(tx.objs, o)
 			}
+		default:
+			ok = false
 		}
-		rt.doneCv.Wait()
-	}
-	return nil
-}
-
-func (tx *Txn) abort() {
-	if tx.irrevocable {
-		// Contract violation (the body returned an error after the switch),
-		// but the pessimistic read locks must still be released — unchanged,
-		// nothing was written back — and the token surrendered.
-		tx.release(false)
-		tx.dropIrrevocable()
-	}
-	// Invested work converts into priority for the next attempt (Karma).
-	if tx.nReads+tx.nWrites > 0 {
-		tx.karma.Add(tx.nReads + tx.nWrites)
-	}
-	tx.status.Store(uint32(Aborted))
-	tx.rt.Stats.Aborts.AddShard(int(tx.id), 1)
-	if tr := tx.tr; tr != nil {
-		tr.Record(trace.EvAbort, tx.id, tx.blameObj, 0, 0)
-		if tx.blameObj != 0 {
-			tr.Hot().BumpAbort(tx.blameObj)
-		}
-		tx.abortAt = time.Now()
-	}
-	tx.blameObj = 0
-	tx.flushStats()
-}
-
-// waitForReadSetChange blocks until something in the aborted transaction's
-// read set changes. The read set is waited on in place (it survives abort;
-// begin resets it on re-execution), avoiding the per-retry snapshot copy.
-func (rt *Runtime) waitForReadSetChange(ctx context.Context, rs *objset.VerSet) error {
-	if rs.Len() == 0 {
-		return nil
-	}
-	for a := 0; ; a++ {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		changed := false
-		rs.Range(func(o *objmodel.Object, ver uint64) bool {
-			w := o.Rec.Load()
-			if txrec.IsPrivate(w) {
-				return true
-			}
-			if !txrec.IsShared(w) || txrec.Version(w) != ver {
-				changed = true
-				return false
-			}
-			return true
-		})
-		if changed {
-			return nil
-		}
-		conflict.WaitAttempt(a, 0)
-	}
+		return ok
+	})
+	return ok
 }
 
 // Atomic executes body as a lazy-versioning transaction, retrying until it
@@ -1310,17 +578,31 @@ func (rt *Runtime) waitForReadSetChange(ctx context.Context, rs *objset.VerSet) 
 // studies this variant exists for; the eager runtime implements full
 // nesting).
 func (rt *Runtime) Atomic(parent *Txn, body func(*Txn) error) error {
-	if parent != nil {
-		return body(parent)
-	}
-	return rt.atomic(nil, body, rt.escalateFrom())
+	return rt.AtomicCtx(nil, parent, body)
 }
 
-// AtomicIrrevocable executes body as an irrevocable transaction (see the
-// eager runtime: singular token, pessimistic reads after the switch, no
-// abort possible past it — safe for I/O). Nested calls are flattened: the
-// enclosing transaction itself becomes irrevocable. Returns
-// stmapi.ErrIrrevocableDisabled on a NoIrrevocable runtime.
+// AtomicCtx is Atomic with deadline/cancellation support; see
+// txn.Kernel.Atomic for where the context is checked. Cancellation before
+// the commit point discards the write buffer and returns ctx.Err();
+// cancellation during the post-commit ordering wait returns ctx.Err() with
+// the effects already committed.
+//
+// Nested calls are flattened like Atomic. A non-nil ctx on a nested call
+// governs the nested block only: cancellation surfaces as the block's error
+// return (no buffered state is rolled back, matching the flattened model),
+// and the enclosing body decides how to proceed.
+func (rt *Runtime) AtomicCtx(ctx context.Context, parent *Txn, body func(*Txn) error) error {
+	if parent != nil {
+		return parent.NestedCtx(ctx, func() error { return body(parent) })
+	}
+	return rt.Kernel.Atomic(ctx, rt.EscalateFrom(), func(k *txn.Txn) error { return body(k.Self().(*Txn)) })
+}
+
+// AtomicIrrevocable executes body as an irrevocable transaction (singular
+// token, pessimistic reads after the switch, no abort possible past it —
+// safe for I/O). Nested calls are flattened: the enclosing transaction
+// itself becomes irrevocable. Returns stmapi.ErrIrrevocableDisabled on a
+// NoIrrevocable runtime.
 func (rt *Runtime) AtomicIrrevocable(parent *Txn, body func(*Txn) error) error {
 	if rt.cfg.NoIrrevocable {
 		return stmapi.ErrIrrevocableDisabled
@@ -1329,173 +611,5 @@ func (rt *Runtime) AtomicIrrevocable(parent *Txn, body func(*Txn) error) error {
 		parent.BecomeIrrevocable()
 		return body(parent)
 	}
-	return rt.atomic(nil, body, 0)
-}
-
-// escalateFrom converts the configured escalation threshold into the atomic
-// loop's irrevFrom parameter (-1 = never escalate).
-func (rt *Runtime) escalateFrom() int {
-	if rt.cfg.EscalateAfter > 0 {
-		return rt.cfg.EscalateAfter
-	}
-	return -1
-}
-
-// AtomicCtx is Atomic with deadline/cancellation support, mirroring the
-// eager runtime: an already-cancelled context returns ctx.Err() without
-// executing the body; cancellation before the commit point discards the
-// write buffer and returns ctx.Err(); cancellation during the post-commit
-// ordering wait returns ctx.Err() with the effects already committed.
-//
-// Nested calls are flattened like Atomic. A non-nil ctx on a nested call
-// governs the nested block only: cancellation surfaces as the block's error
-// return (no buffered state is rolled back, matching the flattened model),
-// and the enclosing body decides how to proceed.
-func (rt *Runtime) AtomicCtx(ctx context.Context, parent *Txn, body func(*Txn) error) error {
-	if parent != nil {
-		return rt.nestedCtx(ctx, parent, body)
-	}
-	return rt.atomic(ctx, body, rt.escalateFrom())
-}
-
-func (rt *Runtime) nestedCtx(ctx context.Context, parent *Txn, body func(*Txn) error) (err error) {
-	if ctx == nil {
-		return body(parent) // inherit the enclosing context
-	}
-	if e := ctx.Err(); e != nil {
-		return e
-	}
-	prev := parent.ctx
-	parent.ctx = ctx
-	defer func() {
-		parent.ctx = prev
-		r := recover()
-		if r == nil {
-			return
-		}
-		if s, ok := r.(txSignal); ok && s.tx == parent && s.s == sigCancel {
-			if prev == nil || prev.Err() == nil {
-				err = ctx.Err()
-				return
-			}
-		}
-		panic(r)
-	}()
-	return body(parent)
-}
-
-// atomic is the top-level execution loop. irrevFrom is the attempt index
-// from which the body runs irrevocably (0 = AtomicIrrevocable, EscalateAfter
-// for graceful degradation, -1 = never).
-func (rt *Runtime) atomic(ctx context.Context, body func(*Txn) error, irrevFrom int) error {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-	}
-	tx := rt.getTxn()
-	tx.ctx = ctx
-	defer rt.finish(tx)
-	for attempt := 0; ; attempt++ {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		tx.attempt = attempt
-		tx.begin()
-		runBody := body
-		if irrevFrom >= 0 && attempt >= irrevFrom {
-			// Switch right after begin, while the read set is empty and
-			// nothing is buffered: the token acquire cannot deadlock and the
-			// read-set upgrade is trivial. Closure allocates on this cold
-			// path only.
-			escalated := irrevFrom > 0
-			runBody = func(tx *Txn) error {
-				tx.becomeIrrevocable(escalated)
-				return body(tx)
-			}
-		}
-		err, sig := rt.run(tx, runBody)
-		switch sig {
-		case 0:
-			if err != nil {
-				tx.abort()
-				return err
-			}
-			committed, cerr := tx.commit()
-			if committed {
-				return cerr
-			}
-			tx.abort()
-		case sigRestart:
-			tx.abort()
-		case sigRetry:
-			tx.abort()
-			if werr := rt.waitForReadSetChange(ctx, &tx.reads); werr != nil {
-				return werr
-			}
-		case sigCancel:
-			tx.abort()
-			if ctx != nil {
-				return ctx.Err()
-			}
-			return context.Canceled // unreachable: sigCancel requires a ctx
-		}
-		conflict.WaitAttempt(attempt, 0)
-	}
-}
-
-// ActiveTransactions returns the number of registered descriptors whose
-// status is Active (API parity with the eager runtime).
-func (rt *Runtime) ActiveTransactions() int {
-	n := 0
-	rt.reg.forEach(func(tx *Txn) bool {
-		if Status(tx.status.Load()) == Active {
-			n++
-		}
-		return true
-	})
-	return n
-}
-
-func (rt *Runtime) run(tx *Txn, body func(*Txn) error) (err error, sig signal) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
-		if tx.dead.Load() {
-			// Died at an Orphan injection point: no cleanup may run — records
-			// stay held for the reaper, the descriptor is never pooled.
-			panic(r)
-		}
-		if s, ok := r.(txSignal); ok && s.tx == tx {
-			sig = s.s
-			return
-		}
-		// Validate treating self-owned records as consistent: an irrevocable
-		// transaction's pessimistic read locks must not read as foreign.
-		if ok, _ := tx.validateExcluding(&tx.owned); !ok {
-			sig = sigRestart
-			return
-		}
-		tx.abort() // discard buffers before propagating the fault
-		panic(r)
-	}()
-	return body(tx), 0
-}
-
-// sortByRef sorts objects by their heap handle (insertion sort; write sets
-// are small).
-func sortByRef(objs []*objmodel.Object) {
-	for i := 1; i < len(objs); i++ {
-		o := objs[i]
-		j := i - 1
-		for j >= 0 && objs[j].Ref() > o.Ref() {
-			objs[j+1] = objs[j]
-			j--
-		}
-		objs[j+1] = o
-	}
+	return rt.Kernel.Atomic(nil, 0, func(k *txn.Txn) error { return body(k.Self().(*Txn)) })
 }

@@ -7,7 +7,8 @@ package lazystm
 // invariants under contention per policy.
 
 import (
-	"sync"
+	"repro/internal/txn/txntest"
+	"runtime"
 	"testing"
 
 	"repro/internal/conflict"
@@ -16,72 +17,60 @@ import (
 )
 
 func TestPoliciesPreserveInvariantsUnderContention(t *testing.T) {
-	for _, policy := range conflict.PolicyNames {
-		t.Run(policy, func(t *testing.T) {
-			pol, err := conflict.ByName(policy)
-			if err != nil {
-				t.Fatal(err)
-			}
-			f := newFixture(t, Config{CommonConfig: stmapi.CommonConfig{Handler: pol}})
-			const accounts, balance = 4, 1000
-			objs := make([]*objmodel.Object, accounts)
-			for i := range objs {
-				objs[i] = f.heap.New(f.cls)
-				objs[i].StoreSlot(0, balance)
-			}
-			runTransfers(t, f, objs, 4, 400)
-			var sum uint64
-			for _, o := range objs {
-				sum += o.LoadSlot(0)
-			}
-			if sum != accounts*balance {
-				t.Fatalf("total balance %d, want %d", sum, accounts*balance)
-			}
-			s := f.rt.Stats.Snapshot()
-			if s.Commits == 0 {
-				t.Fatalf("no commits recorded")
-			}
-			t.Logf("%s: starts=%d commits=%d aborts=%d self-aborts=%d dooms=%d",
-				policy, s.Starts, s.Commits, s.Aborts, s.SelfAborts, s.DoomsIssued)
-		})
-	}
+	txntest.PoliciesPreserveInvariants(t, "lazy")
 }
+
+// alwaysDoom is a contention policy that rules for the requester every
+// time.
+type alwaysDoom struct{}
+
+func (alwaysDoom) HandleConflict(conflict.Info)            {}
+func (alwaysDoom) Resolve(conflict.Info) conflict.Decision { return conflict.AbortOther }
 
 func TestDoomAfterCommitPointIsIgnored(t *testing.T) {
 	// A doom landing after the victim's commit point must not undo it: the
 	// victim has won the race and simply commits (advisory dooming is
-	// honored only up to validation).
-	pol, err := conflict.ByName("timestamp")
-	if err != nil {
-		t.Fatal(err)
-	}
+	// honored only up to validation). The victim is held inside its commit
+	// window until a contender for its record has doomed it.
+	var f *fixture
+	var o *objmodel.Object
 	var victim *Txn
-	var mu sync.Mutex
-	f := newFixture(t, Config{
-		CommonConfig: stmapi.CommonConfig{Handler: pol},
+	contender := make(chan error, 1)
+	f = newFixture(t, Config{
+		CommonConfig: stmapi.CommonConfig{Handler: alwaysDoom{}},
 		Hooks: Hooks{OnAfterCommitPoint: func(tx *Txn) {
-			mu.Lock()
+			if victim != nil {
+				return // the contender's own commit
+			}
 			victim = tx
-			mu.Unlock()
-			tx.doomed.Store(true) // simulate a doom that lost the race
+			go func() {
+				contender <- f.rt.Atomic(nil, func(tx *Txn) error {
+					tx.Write(o, 1, 9)
+					return nil
+				})
+			}()
+			for !tx.Doomed() {
+				runtime.Gosched()
+			}
 		}},
 	})
-	o := f.heap.New(f.cls)
+	o = f.heap.New(f.cls)
 	if err := f.rt.Atomic(nil, func(tx *Txn) error {
 		tx.Write(o, 0, 7)
 		return nil
 	}); err != nil {
 		t.Fatalf("Atomic: %v", err)
 	}
-	mu.Lock()
-	defer mu.Unlock()
+	if err := <-contender; err != nil {
+		t.Fatalf("contender: %v", err)
+	}
 	if victim == nil {
 		t.Fatalf("commit hook never ran")
 	}
 	if got := o.LoadSlot(0); got != 7 {
 		t.Fatalf("slot 0 = %d, want 7 (post-commit-point doom must be ignored)", got)
 	}
-	if s := f.rt.Stats.Snapshot(); s.Commits != 1 {
-		t.Fatalf("commits = %d, want 1", s.Commits)
+	if s := f.rt.Stats.Snapshot(); s.Commits != 2 || s.DoomsIssued != 1 {
+		t.Fatalf("commits = %d, dooms = %d, want 2 and 1", s.Commits, s.DoomsIssued)
 	}
 }

@@ -169,7 +169,7 @@ func TestAtomicIrrevocableCommitsAndReleasesToken(t *testing.T) {
 	if v := o.LoadSlot(0); v != 2 {
 		t.Fatalf("slot = %d, want 2", v)
 	}
-	if tok := rt.irrevToken.Load(); tok != 0 {
+	if tok := rt.IrrevocableHolder(); tok != 0 {
 		t.Fatalf("token not released: %d", tok)
 	}
 	if n := rt.Stats.IrrevocableTxns.Load(); n != 1 {
@@ -224,7 +224,7 @@ func TestBecomeIrrevocableMidBodySurvivesDoom(t *testing.T) {
 	if err != nil {
 		t.Fatalf("irrevocable txn returned %v", err)
 	}
-	if tok := rt.irrevToken.Load(); tok != 0 {
+	if tok := rt.IrrevocableHolder(); tok != 0 {
 		t.Fatalf("token not released: %d", tok)
 	}
 }

@@ -10,9 +10,10 @@
 // scans, through each descriptor's snap pin. The pin protocol makes the
 // scan race-free without locks:
 //
-//   - getTxn stores snap = 1 (the lowest possible snapshot) BEFORE the
-//     registry publishes the descriptor, and begin refines it to the real
-//     rv AFTER reading the clock.
+//   - a descriptor's snap is 1 (the lowest possible snapshot) BEFORE the
+//     registry publishes it — stored at allocation and again on every
+//     return to the pool — and begin refines it to the real snapshot AFTER
+//     reading the clock.
 //   - The collector reads the clock FIRST, then scans pins.
 //
 // So if the collector misses a transaction (sees no pin, or the slot is
@@ -25,23 +26,26 @@
 // first collection after it finishes resumes past its snapshot.
 package mvstm
 
-import "repro/internal/objmodel"
+import (
+	"repro/internal/objmodel"
+	"repro/internal/txn"
+)
 
 // Watermark returns the version-reclamation horizon: the smallest live
 // begin snapshot, or the current clock when no transaction is in flight.
 func (rt *Runtime) Watermark() uint64 {
 	// Clock first, pins second — see the package comment for why this
 	// ordering makes a missed pin harmless.
-	w := rt.clock.Load()
-	rt.reg.forEach(func(tx *Txn) bool {
-		if s := tx.snap.Load(); s != 0 && s < w {
+	w := rt.Clock.Load()
+	rt.ForEach(func(k *txn.Txn) bool {
+		if s := k.Self().(*Txn).snap.Load(); s < w {
 			w = s
 		}
 		return true
 	})
 	rt.watermark.Store(w)
-	if c := rt.clock.Load(); c >= w {
-		rt.wmLag.Store(int64(c - w))
+	if c := rt.Clock.Load(); c >= w {
+		rt.Stats.WatermarkLag.Store(int64(c - w))
 	}
 	return w
 }
@@ -95,7 +99,7 @@ func (rt *Runtime) maybeCollect(tx *Txn) {
 	}
 	rt.gcMu.Unlock()
 	if reclaimed > 0 {
-		rt.Stats.VersionsGCd.AddShard(int(tx.id), int64(reclaimed))
+		rt.Stats.VersionsGCd.AddShard(int(tx.ID()), int64(reclaimed))
 	}
 }
 

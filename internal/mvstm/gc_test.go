@@ -33,7 +33,7 @@ func TestGCReclaimsDeadVersions(t *testing.T) {
 	if head := o.MVHead.Load(); head.Vals[0] != writes {
 		t.Errorf("surviving head value = %d, want %d", head.Vals[0], writes)
 	}
-	s := f.rt.StatsSnapshot()
+	s := f.rt.Stats.Snapshot()
 	if s.VersionsGCd != writes {
 		t.Errorf("VersionsGCd = %d, want %d", s.VersionsGCd, writes)
 	}
@@ -110,7 +110,7 @@ func TestGCPinnedByLongReader(t *testing.T) {
 	if got := chainLen(o); got != 1 {
 		t.Errorf("chain length after unpinned GC = %d, want 1", got)
 	}
-	if lag := f.rt.StatsSnapshot().WatermarkLag; lag != 0 {
+	if lag := f.rt.Stats.Snapshot().WatermarkLag; lag != 0 {
 		t.Errorf("watermark lag after quiescence = %d, want 0", lag)
 	}
 }

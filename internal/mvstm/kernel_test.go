@@ -1,0 +1,94 @@
+package mvstm
+
+// The kernel behaviours every runtime shares, checked on this one (the
+// checks live in txntest), and the allocation gate for the paths that are
+// allocation-free here.
+
+import (
+	"testing"
+
+	"repro/internal/stmapi"
+	"repro/internal/trace"
+	"repro/internal/txn/txntest"
+)
+
+func TestAtomicCtxPreCancelledSkipsBody(t *testing.T) { txntest.CtxPreCancelledSkipsBody(t, "mvstm") }
+func TestAtomicCtxDeadlineInRetryWait(t *testing.T)   { txntest.CtxDeadlineInRetryWait(t, "mvstm") }
+func TestAtomicCtxAPIAdapter(t *testing.T)            { txntest.CtxAPIAdapter(t, "mvstm") }
+func TestStatsFlushParallel(t *testing.T)             { txntest.StatsFlushParallel(t, "mvstm") }
+func TestPoliciesPreserveInvariantsUnderContention(t *testing.T) {
+	txntest.PoliciesPreserveInvariants(t, "mvstm")
+}
+
+type countSink struct{ appends int }
+
+func (c *countSink) AppendRedo(txnID, stamp uint64, writes []stmapi.RedoWrite) (uint64, error) {
+	c.appends++
+	return uint64(c.appends), nil
+}
+
+func (c *countSink) WaitDurable(seq uint64) error { return nil }
+
+// TestMVDisabledHooksAllocFree pins the disabled tracer and commit-sink
+// hooks on the multi-version runtime: a transaction that does not write —
+// on the concrete API, through AtomicRead, and through the stmapi adapter —
+// allocates nothing, including after a tracer and a sink have been
+// installed and removed again. A writing commit allocates exactly the
+// version it installs (the node and its value image), never more.
+func TestMVDisabledHooksAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates; exact alloc count only meaningful without -race")
+	}
+	f := newFixture(t, Config{})
+	o := f.heap.New(f.cls)
+	if err := f.rt.Atomic(nil, func(tx *Txn) error { tx.Write(o, 0, 1); return nil }); err != nil {
+		t.Fatal(err) // gives o a version chain, so the reads below walk one
+	}
+	api := f.rt.API()
+	reader := func(tx *Txn) error { _ = tx.Read(o, 0); return nil }
+	apiReader := func(tx stmapi.Txn) error { _ = tx.Read(o, 0); return nil }
+	writer := func(tx *Txn) error { tx.Write(o, 0, tx.Read(o, 0)+1); return nil }
+	paths := []struct {
+		name string
+		want float64
+		run  func() error
+	}{
+		{"Atomic read-only", 0, func() error { return f.rt.Atomic(nil, reader) }},
+		{"AtomicRead", 0, func() error { return f.rt.AtomicRead(reader) }},
+		{"adapter read-only", 0, func() error { return api.Atomic(apiReader) }},
+		{"Atomic writing", 2, func() error { return f.rt.Atomic(nil, writer) }},
+	}
+	measure := func(when string) {
+		for _, p := range paths {
+			for i := 0; i < 10; i++ { // warm the descriptor pool
+				if err := p.run(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			avg := testing.AllocsPerRun(200, func() {
+				if err := p.run(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if avg > p.want {
+				t.Errorf("%s, %s: %.1f allocations per transaction, want at most %.0f", when, p.name, avg, p.want)
+			}
+		}
+	}
+	measure("no hooks ever installed")
+
+	sink := &countSink{}
+	f.rt.SetCommitSink(sink)
+	f.rt.SetTracer(trace.New(trace.Config{Shards: 1, ShardCapacity: 64}))
+	for i := 0; i < 20; i++ {
+		if err := f.rt.Atomic(nil, writer); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sink.appends == 0 {
+		t.Fatal("sink never saw a redo append while installed")
+	}
+	f.rt.SetCommitSink(nil)
+	f.rt.SetTracer(nil)
+	measure("hooks installed and removed")
+}

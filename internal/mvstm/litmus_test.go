@@ -77,7 +77,7 @@ func TestReadOnlyZeroAbortsUnderWriterStorm(t *testing.T) {
 			for i := 0; i < readerTxns; i++ {
 				err := f.rt.AtomicRead(func(tx *Txn) error {
 					readerRuns.Add(1)
-					readerIDs.Store(tx.id, struct{}{})
+					readerIDs.Store(tx.ID(), struct{}{})
 					if tx.Attempt() != 0 {
 						t.Errorf("read-only body on attempt %d, want 0", tx.Attempt())
 					}
@@ -103,7 +103,7 @@ func TestReadOnlyZeroAbortsUnderWriterStorm(t *testing.T) {
 
 	// Stats: zero reader aborts, zero reader retries (every body ran exactly
 	// once), and the snapshot read path actually served the storm.
-	s := f.rt.StatsSnapshot()
+	s := f.rt.Stats.Snapshot()
 	if s.ReadOnlyAborts != 0 {
 		t.Errorf("ReadOnlyAborts = %d, want 0", s.ReadOnlyAborts)
 	}

@@ -34,6 +34,35 @@
 // the reaper scans). A long-running snapshot reader therefore pins exactly
 // the history it might still read, and nothing more; when it finishes, the
 // next collection prunes past its snapshot. See gc.go.
+//
+// Everything that is not versioning is the transaction kernel, package txn,
+// which this runtime embeds and plugs into through txn.Strategy. What is
+// here is the versioning: the Read and Write barriers, the slot buffer and
+// the version chains, the body of commit, the commit gate, and GC. The
+// kernel's lifecycle reads differently here in four places:
+//
+//   - Bodies own nothing. Reads resolve against version chains and writes
+//     stay buffered, so an orphan that died mid-body holds no records at
+//     all — the reaper only unregisters it (and unpins its GC snapshot).
+//
+//   - An orphan that died inside the commit window holds write-set records.
+//     Pre-commit-point the records are restored to their original Shared
+//     words (no versions were installed, no state escaped). Post-commit-point
+//     the versions are installed and written back, so the reaper releases the
+//     records at the orphan's write version — the same stamp the installed
+//     chain heads carry — and completes its ordering ticket.
+//
+//   - The commit gate (committers counter) is never repaired by the reaper:
+//     commit releases it on every exit, including the panic unwind of a
+//     simulated thread death, so only the descriptor's own goroutine ever
+//     touches it.
+//
+//   - Irrevocable mode takes no read locks. The switch acquires the
+//     singular token and then drains the commit gate; with nothing else
+//     committing, the transaction reads the newest version of everything
+//     (RV = maxSnapshot) and first-committer-wins can never fail it, which
+//     preserves the no-abort guarantee without locking a single record
+//     during the body.
 package mvstm
 
 import (
@@ -47,15 +76,14 @@ import (
 	"repro/internal/conflict"
 	"repro/internal/faultinject"
 	"repro/internal/objmodel"
-	"repro/internal/objset"
-	"repro/internal/stats"
 	"repro/internal/stmapi"
 	"repro/internal/trace"
+	"repro/internal/txn"
 	"repro/internal/txrec"
 )
 
-// Status is the lifecycle state of a transaction attempt (shared with the
-// other runtimes through stmapi).
+// Status is the lifecycle state of a transaction attempt (shared by every
+// runtime through stmapi).
 type Status = stmapi.Status
 
 // Transaction statuses.
@@ -100,255 +128,113 @@ type Config struct {
 	GCEvery int
 }
 
-// Stats aggregates runtime counters (sharded, fed from descriptor-local
-// deltas flushed at commit/abort, like the other runtimes).
-type Stats struct {
-	Starts      stats.Counter
-	Commits     stats.Counter
-	Aborts      stats.Counter
-	UserRetries stats.Counter
-	TxnReads    stats.Counter
-	TxnWrites   stats.Counter
-	SelfAborts  stats.Counter
-	DoomsIssued stats.Counter
-
-	ReaperSteals    stats.Counter
-	Escalations     stats.Counter
-	IrrevocableTxns stats.Counter
-	IrrevocableNs   stats.Counter
-
-	ClockAdvances stats.Counter // commits whose clock-increment CAS succeeded
-
-	// Multi-version counters (see stmapi.StatsSnapshot for semantics).
-	SnapshotReads     stats.Counter
-	ReadOnlyTxns      stats.Counter
-	ReadOnlyAborts    stats.Counter
-	VersionsInstalled stats.Counter
-	VersionsGCd       stats.Counter
-}
-
-// StatsSnapshot is shared with the other runtimes through stmapi.
+// StatsSnapshot is shared by every runtime through stmapi.
 type StatsSnapshot = stmapi.StatsSnapshot
 
-// regSlots is the capacity of the fixed active-transaction slot array (kept
-// concrete per runtime so the hot path stays monomorphic).
-const regSlots = 256
-
-type regSlot struct {
-	p atomic.Pointer[Txn]
-	_ [56]byte
-}
-
-// registry tracks in-flight descriptors: CAS-claimed id-hashed slots with a
-// sync.Map overflow. Beyond the usual duties (ActiveTransactions, owner
-// lookups, the reaper's scan) it is also the GC's view of live snapshots:
-// the watermark is the minimum pinned snapshot over registered descriptors.
-type registry struct {
-	slots    [regSlots]regSlot
-	overflow sync.Map // id -> *Txn
-}
-
-func (r *registry) add(tx *Txn) {
-	h := int(tx.id)
-	for i := 0; i < regSlots; i++ {
-		s := &r.slots[(h+i)&(regSlots-1)]
-		if s.p.Load() == nil && s.p.CompareAndSwap(nil, tx) {
-			tx.slot = (h + i) & (regSlots - 1)
-			return
-		}
-	}
-	tx.slot = -1
-	r.overflow.Store(tx.id, tx)
-}
-
-func (r *registry) remove(tx *Txn) {
-	if tx.slot >= 0 {
-		r.slots[tx.slot].p.Store(nil)
-		return
-	}
-	r.overflow.Delete(tx.id)
-}
-
-func (r *registry) forEach(f func(*Txn) bool) {
-	for i := range r.slots {
-		if tx := r.slots[i].p.Load(); tx != nil {
-			if !f(tx) {
-				return
-			}
-		}
-	}
-	r.overflow.Range(func(_, v any) bool { return f(v.(*Txn)) })
-}
-
-func (r *registry) findStamp(id uint64) *Txn {
-	var found *Txn
-	r.forEach(func(tx *Txn) bool {
-		if tx.stamp.Load() == id {
-			found = tx
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-// Runtime is a multi-version STM instance bound to a heap.
+// Runtime is a multi-version STM instance bound to a heap. The embedded
+// kernel supplies Heap, Stats, the tracer / injector / commit-sink setters
+// and Recovery; its registry is also the GC's view of live snapshots (the
+// watermark is the minimum pinned snapshot over registered descriptors).
 type Runtime struct {
-	Heap  *objmodel.Heap
-	Stats Stats
+	txn.Kernel
 
-	cfg      Config
-	handler  conflict.Handler
-	policy   conflict.Policy
-	nextID   atomic.Uint64
-	reg      registry
-	pool     sync.Pool // idle *Txn descriptors
-	tracer   atomic.Pointer[trace.Tracer]
-	injector atomic.Pointer[faultinject.Injector]
-	sink     atomic.Pointer[sinkBox]
-	staleObs conflict.StaleObserver
-
-	clock *objmodel.CommitClock
+	cfg Config
 
 	// Commit gate: committers counts writing transactions inside the commit
-	// protocol, irrevToken is the single irrevocable-transaction token. An
-	// irrevocable switch takes the token, drains committers, and then runs
-	// alone — with nothing else committing, versions cannot move past its
-	// snapshot and first-committer-wins can never fail it, which is how a
-	// runtime with no read locks at all keeps the no-abort guarantee.
+	// protocol. An irrevocable switch takes the kernel's token, drains
+	// committers, and then runs alone — with nothing else committing,
+	// versions cannot move past its snapshot and first-committer-wins can
+	// never fail it, which is how a runtime with no read locks at all keeps
+	// the no-abort guarantee.
 	committers atomic.Int64
-	irrevToken atomic.Uint64
 
 	// GC state: gcTick schedules inline collections, gcMu serializes pruners
-	// (protecting the reclaim counts), watermark/wmLag are the last computed
-	// watermark and its distance behind the clock, for /metrics.
+	// (protecting the reclaim counts), watermark is the last computed
+	// watermark (its distance behind the clock is Stats.WatermarkLag).
 	gcTick    atomic.Uint64
 	gcMu      sync.Mutex
 	watermark atomic.Uint64
-	wmLag     atomic.Int64
 
-	// Commit tickets order write-back completion for quiescence mode (see
-	// the lazy runtime; read-only commits have no write-back and take no
-	// ticket).
-	tickets atomic.Uint64
-	done    atomic.Uint64
-	pending map[uint64]struct{}
-	doneMu  sync.Mutex
-	doneCv  *sync.Cond
+	// order holds the commit tickets ordering write-back completion for
+	// quiescence mode (read-only commits have no write-back and take none).
+	order txn.WriteBackOrder
 }
 
 // New creates a multi-version Runtime over heap. Invalid configurations are
-// rejected with a panic, matching the other runtimes.
+// rejected with a panic.
 func New(heap *objmodel.Heap, cfg Config) *Runtime {
-	if err := cfg.Normalize(); err != nil {
-		panic("mvstm: " + err.Error())
+	rt := &Runtime{cfg: cfg}
+	if rt.cfg.GCEvery == 0 {
+		rt.cfg.GCEvery = DefaultGCEvery
 	}
-	if cfg.GCEvery == 0 {
-		cfg.GCEvery = DefaultGCEvery
-	}
-	h := cfg.Handler
-	if h == nil {
-		h = &conflict.Backoff{}
-	}
-	rt := &Runtime{Heap: heap, cfg: cfg, handler: h, policy: conflict.AsPolicy(h)}
-	rt.pending = make(map[uint64]struct{})
-	rt.doneCv = sync.NewCond(&rt.doneMu)
-	rt.clock = heap.Clock()
-	rt.staleObs, _ = h.(conflict.StaleObserver)
+	rt.Init("mvstm", heap, &rt.cfg.CommonConfig, func() txn.Strategy {
+		tx := &Txn{rt: rt, buf: make(map[slotKey]uint64)}
+		tx.snap.Store(1)
+		return tx
+	})
+	rt.ClockOn = true // NoCommitClock is ignored: the clock is what stamps versions
+	rt.order.Init()
 	return rt
 }
 
 // Config returns the runtime's configuration.
 func (rt *Runtime) Config() Config { return rt.cfg }
 
-// SetTracer installs (or, with nil, removes) the event tracer.
-func (rt *Runtime) SetTracer(t *trace.Tracer) { rt.tracer.Store(t) }
+// API returns the runtime-agnostic driver view of rt. Beyond the kernel's
+// adapter it satisfies stmapi.ReadOnlyRuntime — AtomicRead is the zero-abort
+// snapshot path — and forwards the commit-gate barrier the durable store's
+// live checkpoint probes for.
+func (rt *Runtime) API() stmapi.Runtime { return snapshotAPI{txn.API{Kernel: &rt.Kernel}, rt} }
 
-// Tracer returns the installed tracer, or nil.
-func (rt *Runtime) Tracer() *trace.Tracer { return rt.tracer.Load() }
-
-// SetInjector installs (or, with nil, removes) a fault injector, sampled
-// once per top-level Atomic like the tracer.
-func (rt *Runtime) SetInjector(in *faultinject.Injector) { rt.injector.Store(in) }
-
-// sinkBox wraps a CommitSink so it can live in an atomic.Pointer (which
-// needs a concrete element type) regardless of the sink's dynamic type.
-type sinkBox struct{ s stmapi.CommitSink }
-
-// SetCommitSink installs (or, with nil, removes) the durable commit sink
-// (stmapi.DurableRuntime). Sampled once per top-level Atomic like the
-// tracer; transactions in flight keep their previous setting.
-func (rt *Runtime) SetCommitSink(s stmapi.CommitSink) {
-	if s == nil {
-		rt.sink.Store(nil)
-		return
-	}
-	rt.sink.Store(&sinkBox{s: s})
+type snapshotAPI struct {
+	txn.API
+	rt *Runtime
 }
 
-// DrainCommitters waits until no writing transaction is inside the commit
-// gate (between enterCommit and exitCommit), or the timeout elapses. An
-// instant with an empty gate proves every commit that entered before the
-// call has installed its versions and released — the barrier the durable
-// store's live checkpoint uses to bound snapshot coverage. Commits entering
-// after the observation are not excluded (a barrier, not a lock).
-func (rt *Runtime) DrainCommitters(timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for a := 0; ; a++ {
-		if rt.committers.Load() == 0 {
-			return true
-		}
-		if time.Now().After(deadline) {
-			return false
-		}
-		conflict.WaitAttempt(a, 0)
-	}
+func (a snapshotAPI) AtomicRead(body func(stmapi.Txn) error) error {
+	return a.rt.AtomicRead(func(tx *Txn) error { return body(tx) })
+}
+
+func (a snapshotAPI) DrainCommitters(timeout time.Duration) bool {
+	return a.rt.DrainCommitters(timeout)
+}
+
+func init() {
+	txn.Register("mvstm", func(heap *objmodel.Heap, cfg stmapi.CommonConfig) stmapi.Runtime {
+		return New(heap, Config{CommonConfig: cfg}).API()
+	})
 }
 
 // ErrAborted aborts the transaction without retry when returned from the
 // body.
 var ErrAborted = errors.New("mvstm: transaction aborted by user")
 
-type signal uint8
-
-const (
-	sigRestart signal = iota + 1
-	sigRetry
-	sigCancel
-)
-
-type txSignal struct {
-	s  signal
-	tx *Txn
-}
-
 type slotKey struct {
 	obj  *objmodel.Object
 	slot int
 }
 
-// Txn is a multi-version transaction descriptor. Pooled across Atomic
-// calls; user code must not retain one past the body.
-type Txn struct {
-	rt      *Runtime
-	id      uint64
-	slot    int
-	status  atomic.Uint32
-	attempt int
+// maxSnapshot is the irrevocable RV: with the commit gate drained and the
+// token held, nothing else commits, so reading the newest version of
+// everything is the (only) serializable view.
+const maxSnapshot = math.MaxUint64
 
-	// rv is the begin snapshot: reads see the newest version at or below
-	// it. An irrevocable transaction sets rv to MaxUint64 after draining
-	// the commit gate — running alone, "newest" is always consistent.
-	// wv is the write version obtained from the clock before the commit
-	// point; every release path stamps records with it.
-	rv uint64
-	wv uint64
+// Txn is a multi-version transaction descriptor: the kernel descriptor plus
+// the slot buffer. Its RV is the begin snapshot — reads see the newest
+// version at or below it — and its WV, obtained from the clock before the
+// commit point, is what every release path stamps records with. Pooled
+// across Atomic calls; user code must not retain one past the body.
+type Txn struct {
+	txn.Txn
+	rt *Runtime
 
 	// snap is the GC pin, readable by the collector through the registry:
 	// the oldest snapshot this descriptor may still read from. It is
-	// stored low (1) before the first rv is taken so a concurrent
-	// watermark scan can never race past a snapshot it did not see, then
-	// refined to rv at each begin (monotonic; over-pinning is safe).
+	// stored low (1) before the registry makes the descriptor reachable — at
+	// allocation, and again whenever it returns to the pool — so a
+	// concurrent watermark scan can never race past a snapshot it did not
+	// see, then refined to RV at each begin (monotonic; over-pinning is
+	// safe). See gc.go for the full ordering argument.
 	snap atomic.Uint64
 
 	// readOnly marks an AtomicRead transaction: writes panic, commit takes
@@ -358,229 +244,32 @@ type Txn struct {
 
 	buf map[slotKey]uint64 // buffered writes, always slot-granular
 
-	// Commit scratch, reused across attempts and pooled incarnations.
+	// objs lists the write set's objects in handle order during commit
+	// (Owned says which records are held, and at what version); inCommit
+	// marks the descriptor as inside the commit gate.
 	objs     []*objmodel.Object
-	owned    objset.VerSet
-	inCommit bool // inside the commit gate; reaper must decrement committers
+	inCommit bool
 
-	// Arbitration state (see the eager runtime).
-	stamp  atomic.Uint64
-	doomed atomic.Bool
-	karma  atomic.Int64
-
-	// Recovery state (see the eager runtime).
-	hb      atomic.Uint64
-	dead    atomic.Bool
-	reaping atomic.Bool
-	ticket  uint64
-
-	// Irrevocability state.
-	irrevocable bool
-	irrevStamp  atomic.Bool
-	irrevAt     time.Time
-
-	ctx context.Context
-	fi  *faultinject.Injector
-
-	// sink is the commit sink sampled at getTxn (nil-check hook like tr);
-	// redo is its scratch record, reused across commits.
-	sink stmapi.CommitSink
-	redo []stmapi.RedoWrite
-
-	// Statistics deltas flushed at commit/abort.
-	nStarts     int64
-	nReads      int64
-	nWrites     int64
-	nRetries    int64
-	nSelfAborts int64
-	nDooms      int64
-	nClockAdv   int64
-	nSnapReads  int64
-	nInstalled  int64
-
-	tr       *trace.Tracer
-	blameObj uint64
-	beginAt  time.Time
-	abortAt  time.Time
+	// ticket is the commit ticket, kept on the descriptor so a reaper can
+	// complete an orphan's write-back ordering slot.
+	ticket uint64
 }
 
-// ID returns the descriptor's owner ID.
-func (tx *Txn) ID() uint64 { return tx.id }
+// Begin implements txn.Strategy.
+func (tx *Txn) Begin() {
+	tx.ticket = 0
+	clear(tx.buf)
+	tx.snap.Store(tx.RV) // refine the pin; the previous value was <= RV
+}
 
-// Status returns the descriptor's current status.
-func (tx *Txn) Status() Status { return Status(tx.status.Load()) }
-
-// Attempt returns the 0-based retry attempt of the current top-level
-// execution.
-func (tx *Txn) Attempt() int { return tx.attempt }
-
-func (rt *Runtime) getTxn() *Txn {
-	tx, _ := rt.pool.Get().(*Txn)
-	if tx == nil {
-		tx = &Txn{rt: rt, buf: make(map[slotKey]uint64)}
-	}
-	tx.id = rt.nextID.Add(1)
-	tx.tr = rt.tracer.Load()
-	tx.fi = rt.injector.Load()
-	tx.sink = nil
-	if b := rt.sink.Load(); b != nil {
-		tx.sink = b.s
-	}
-	tx.blameObj = 0
-	tx.abortAt = time.Time{}
+// Reset implements txn.Strategy.
+func (tx *Txn) Reset() {
+	tx.snap.Store(1) // unregistered now; pinned low for when it next is
 	tx.readOnly = false
 	tx.inCommit = false
-	tx.doomed.Store(false)
-	tx.karma.Store(0)
-	tx.dead.Store(false)
-	tx.reaping.Store(false)
-	tx.irrevocable = false
-	tx.irrevStamp.Store(false)
-	// Pin the GC low before the registry makes tx reachable and before the
-	// first clock read: a watermark scan that misses this store must have
-	// run before it, so this transaction's upcoming rv (read after it) is
-	// at least that scan's clock sample and cannot be pruned out from
-	// under it. See gc.go for the full ordering argument.
-	tx.snap.Store(1)
-	tx.stamp.Store(tx.id)
-	rt.reg.add(tx)
-	return tx
-}
-
-func (rt *Runtime) putTxn(tx *Txn) {
-	rt.reg.remove(tx)
-	tx.snap.Store(0)
-	tx.owned.Reset()
 	clear(tx.buf)
 	clear(tx.objs)
 	tx.objs = tx.objs[:0]
-	tx.ctx = nil
-	tx.fi = nil
-	tx.sink = nil
-	tx.redo = tx.redo[:0]
-	rt.pool.Put(tx)
-}
-
-func (tx *Txn) begin() {
-	tx.status.Store(uint32(Active))
-	tx.doomed.Store(false)
-	tx.hb.Add(1)
-	tx.ticket = 0
-	clear(tx.buf)
-	tx.nStarts++
-	tx.wv = 0
-	tx.rv = tx.rt.clock.Load()
-	tx.snap.Store(tx.rv) // refine the pin; previous value was ≤ rv
-	if tr := tx.tr; tr != nil {
-		tx.beginAt = time.Now()
-		if !tx.abortAt.IsZero() {
-			tr.ObserveAbortGap(tx.beginAt.Sub(tx.abortAt))
-			tx.abortAt = time.Time{}
-		}
-		tr.Record(trace.EvBegin, tx.id, 0, 0, 0)
-	}
-}
-
-func (tx *Txn) flushStats() {
-	s := &tx.rt.Stats
-	hint := int(tx.id)
-	if tx.nStarts != 0 {
-		s.Starts.AddShard(hint, tx.nStarts)
-		tx.nStarts = 0
-	}
-	if tx.nReads != 0 {
-		s.TxnReads.AddShard(hint, tx.nReads)
-		tx.nReads = 0
-	}
-	if tx.nWrites != 0 {
-		s.TxnWrites.AddShard(hint, tx.nWrites)
-		tx.nWrites = 0
-	}
-	if tx.nRetries != 0 {
-		s.UserRetries.AddShard(hint, tx.nRetries)
-		tx.nRetries = 0
-	}
-	if tx.nSelfAborts != 0 {
-		s.SelfAborts.AddShard(hint, tx.nSelfAborts)
-		tx.nSelfAborts = 0
-	}
-	if tx.nDooms != 0 {
-		s.DoomsIssued.AddShard(hint, tx.nDooms)
-		tx.nDooms = 0
-	}
-	if tx.nClockAdv != 0 {
-		s.ClockAdvances.AddShard(hint, tx.nClockAdv)
-		tx.nClockAdv = 0
-	}
-	if tx.nSnapReads != 0 {
-		s.SnapshotReads.AddShard(hint, tx.nSnapReads)
-		tx.nSnapReads = 0
-	}
-	if tx.nInstalled != 0 {
-		s.VersionsInstalled.AddShard(hint, tx.nInstalled)
-		tx.nInstalled = 0
-	}
-}
-
-// Restart aborts and re-executes the transaction.
-func (tx *Txn) Restart() { panic(txSignal{sigRestart, tx}) }
-
-// Retry aborts and blocks until the heap changes, then re-executes. With no
-// read set to wait on, "changes" is approximated conservatively by the
-// commit clock moving past the begin snapshot: every committed write
-// advances the clock, so the wait wakes on any commit (a superset of the
-// read-set wakeups the other runtimes give).
-func (tx *Txn) Retry() {
-	tx.nRetries++
-	if tr := tx.tr; tr != nil {
-		tr.Record(trace.EvRetry, tx.id, 0, 0, 0)
-	}
-	panic(txSignal{sigRetry, tx})
-}
-
-// resolveConflict builds the arbitration Info for a commit-time conflict on
-// o and asks the policy (see the lazy runtime; mvstm bodies never contend,
-// so this only runs during write-set acquisition).
-func (tx *Txn) resolveConflict(o *objmodel.Object, attempt int, rec txrec.Word) conflict.Decision {
-	tx.karma.Add(1)
-	info := conflict.Info{
-		Kind: conflict.TxnWrite, Attempt: attempt, Record: rec,
-		Self: tx.id, SelfPrio: tx.karma.Load(),
-	}
-	if txrec.IsExclusive(rec) {
-		info.Owner = txrec.Owner(rec)
-		if victim := tx.rt.reg.findStamp(info.Owner); victim != nil {
-			if victim.dead.Load() {
-				tx.rt.reapTxn(victim)
-				return conflict.Wait
-			}
-			info.OwnerActive = true
-			info.OwnerPrio = victim.karma.Load()
-			info.OwnerIrrevocable = victim.irrevStamp.Load()
-		}
-	}
-	d := tx.rt.policy.Resolve(info)
-	switch d {
-	case conflict.SelfAbort:
-		tx.nSelfAborts++
-		if tr := tx.tr; tr != nil {
-			tr.Record(trace.EvSelfAbort, tx.id, uint64(o.Ref()), 0, 0)
-		}
-	case conflict.AbortOther:
-		if victim := tx.rt.reg.findStamp(info.Owner); victim != nil && !victim.irrevStamp.Load() {
-			victim.doomed.Store(true)
-			tx.nDooms++
-			if tr := tx.tr; tr != nil {
-				tr.Record(trace.EvDoom, tx.id, uint64(o.Ref()), 0, info.Owner)
-			}
-		}
-		a := attempt
-		if a > 9 {
-			a = 9 // camp with yields, never sleep (see the lazy runtime)
-		}
-		conflict.WaitAttempt(a, 0)
-	}
-	return d
 }
 
 // Read returns the transaction's view of o's slot: the private write buffer
@@ -590,19 +279,13 @@ func (tx *Txn) resolveConflict(o *objmodel.Object, attempt int, rec txrec.Word) 
 // conflict handler, so readers are invisible to the causal recorder's
 // conflict DAG.
 func (tx *Txn) Read(o *objmodel.Object, slot int) uint64 {
-	tx.nReads++
+	tx.NReads++
 	if !tx.readOnly {
-		if tx.doomed.Load() && !tx.irrevocable {
-			tx.blameObj = uint64(o.Ref())
-			tx.Restart()
-		}
-		if tx.ctx != nil && !tx.irrevocable && tx.ctx.Err() != nil {
-			panic(txSignal{sigCancel, tx})
-		}
+		tx.Poll(o)
 		if len(tx.buf) > 0 {
 			if v, ok := tx.buf[slotKey{o, slot}]; ok {
-				if tr := tx.tr; tr != nil {
-					tr.Record(trace.EvRead, tx.id, uint64(o.Ref()), slot, 0)
+				if tr := tx.Tr; tr != nil {
+					tr.Record(trace.EvRead, tx.ID(), uint64(o.Ref()), slot, 0)
 				}
 				return v
 			}
@@ -618,35 +301,35 @@ func (tx *Txn) Read(o *objmodel.Object, slot int) uint64 {
 // The record word is consulted before the chain, and the read waits out a
 // committer that could still install a version the snapshot must see. A
 // committer advances the commit clock before installing, so a transaction
-// that begins in that window gets rv equal to the in-flight write version;
+// that begins in that window gets RV equal to the in-flight write version;
 // the committer holds the record Exclusive for that whole window (from
 // before its clock advance until after its install), which makes an
-// Exclusive record with a chain head at or below rv the precise signature
+// Exclusive record with a chain head at or below RV the precise signature
 // of "a covered version may be in flight". Loading the record first also
 // orders the loads: a Shared word proves every release — and therefore
 // every install, which precedes it — that could carry a covered timestamp
 // is already visible to the chain load that follows. Without the wait, a
 // writer reads the stale head and then passes first-committer-wins because
-// the lost commit's stamp equals rv rather than exceeding it — a lost
+// the lost commit's stamp equals RV rather than exceeding it — a lost
 // update (the crash figure's conservation check catches exactly this).
 func (tx *Txn) snapshotRead(o *objmodel.Object, slot int) uint64 {
 	for attempt := 0; ; attempt++ {
 		w := o.Rec.Load()
 		if head := o.MVHead.Load(); head != nil {
-			if head.TS <= tx.rv && txrec.IsExclusive(w) {
+			if head.TS <= tx.RV && txrec.IsExclusive(w) {
 				// In-flight committer whose stamp may be covered by this
 				// snapshot: wait for its install + release (bounded by its
 				// commit; dead owners are reaped inline below). A head
-				// above rv needs no wait — anything the owner installs is
-				// stamped above the head, hence above rv too.
+				// above RV needs no wait — anything the owner installs is
+				// stamped above the head, hence above RV too.
 				tx.waitOwner(o, w, attempt)
 				continue
 			}
 			for v := head; v != nil; v = v.Prev() {
-				if v.TS <= tx.rv {
-					tx.nSnapReads++
-					if tr := tx.tr; tr != nil {
-						tr.Record(trace.EvRead, tx.id, uint64(o.Ref()), slot, v.TS)
+				if v.TS <= tx.RV {
+					tx.NSnapReads++
+					if tr := tx.Tr; tr != nil {
+						tr.Record(trace.EvRead, tx.ID(), uint64(o.Ref()), slot, v.TS)
 					}
 					return v.Vals[slot]
 				}
@@ -657,7 +340,7 @@ func (tx *Txn) snapshotRead(o *objmodel.Object, slot int) uint64 {
 			// later snapshot always covers); a foreign-runtime or
 			// non-transactional writer can manufacture it. Catch the clock
 			// up and restart with a snapshot that covers the chain.
-			tx.rt.clock.Raise(head.TS)
+			tx.rt.Clock.Raise(head.TS)
 			tx.restartStale(o)
 			continue
 		}
@@ -669,18 +352,18 @@ func (tx *Txn) snapshotRead(o *objmodel.Object, slot int) uint64 {
 		case txrec.IsPrivate(w):
 			// Traced even though no snapshot logic applies: the soundness
 			// oracle audits private (elided) accesses against the manifest.
-			if tr := tx.tr; tr != nil {
-				tr.Record(trace.EvRead, tx.id, uint64(o.Ref()), slot, 0)
+			if tr := tx.Tr; tr != nil {
+				tr.Record(trace.EvRead, tx.ID(), uint64(o.Ref()), slot, 0)
 			}
 			return o.LoadSlot(slot)
 		case txrec.IsShared(w):
 			ver := txrec.Version(w)
-			if ver > tx.rv {
+			if ver > tx.RV {
 				// Committed after the snapshot by a writer that installed
 				// no version chain (foreign runtime or non-transactional
 				// barrier): the old value is gone, so the snapshot cannot
 				// be served. Unreachable in pure multi-version runs.
-				tx.rt.clock.Raise(ver)
+				tx.rt.Clock.Raise(ver)
 				tx.restartStale(o)
 				continue
 			}
@@ -688,9 +371,9 @@ func (tx *Txn) snapshotRead(o *objmodel.Object, slot int) uint64 {
 			if o.Rec.Load() != w {
 				continue
 			}
-			tx.nSnapReads++
-			if tr := tx.tr; tr != nil {
-				tr.Record(trace.EvRead, tx.id, uint64(o.Ref()), slot, ver)
+			tx.NSnapReads++
+			if tr := tx.Tr; tr != nil {
+				tr.Record(trace.EvRead, tx.ID(), uint64(o.Ref()), slot, ver)
 			}
 			return v
 		default:
@@ -712,19 +395,16 @@ func (tx *Txn) snapshotRead(o *objmodel.Object, slot int) uint64 {
 // the snapshot read path survives.
 func (tx *Txn) waitOwner(o *objmodel.Object, w uint64, attempt int) {
 	if txrec.IsExclusive(w) {
-		if victim := tx.rt.reg.findStamp(txrec.Owner(w)); victim != nil && victim.dead.Load() {
-			tx.rt.reapTxn(victim)
+		if victim := tx.rt.FindStamp(txrec.Owner(w)); victim != nil && victim.Dead() {
+			tx.rt.Reap(victim)
 			return
 		}
 	}
-	tx.hb.Add(1)
+	tx.Beat()
 	if !tx.readOnly {
-		if tx.ctx != nil && !tx.irrevocable && tx.ctx.Err() != nil {
-			panic(txSignal{sigCancel, tx})
-		}
-		if (tx.doomed.Load() || attempt >= tx.rt.cfg.SelfAbortAfter) && !tx.irrevocable {
-			tx.blameObj = uint64(o.Ref())
-			tx.Restart()
+		tx.Poll(o) // a doom restarts, a cancelled context cancels
+		if attempt >= tx.rt.cfg.SelfAbortAfter && !tx.Irrevocable {
+			tx.RestartOn(uint64(o.Ref()))
 		}
 	}
 	conflict.WaitAttempt(attempt, 0)
@@ -735,12 +415,11 @@ func (tx *Txn) waitOwner(o *objmodel.Object, w uint64, attempt int) {
 // read-only transaction this is the one abort path that exists — kept
 // honest by the ReadOnlyAborts counter the litmus suite pins to zero.
 func (tx *Txn) restartStale(o *objmodel.Object) {
-	if tr := tx.tr; tr != nil {
-		tr.Record(trace.EvValidation, tx.id, uint64(o.Ref()), tx.attempt, 0)
+	if tr := tx.Tr; tr != nil {
+		tr.Record(trace.EvValidation, tx.ID(), uint64(o.Ref()), tx.Attempt(), 0)
 		tr.Hot().BumpValidation(uint64(o.Ref()))
 	}
-	tx.blameObj = uint64(o.Ref())
-	tx.Restart()
+	tx.RestartOn(uint64(o.Ref()))
 }
 
 // ReadRef is Read for reference slots.
@@ -755,17 +434,11 @@ func (tx *Txn) Write(o *objmodel.Object, slot int, v uint64) {
 	if tx.readOnly {
 		panic("mvstm: write inside a read-only transaction (AtomicRead)")
 	}
-	tx.nWrites++
-	if tx.doomed.Load() && !tx.irrevocable {
-		tx.blameObj = uint64(o.Ref())
-		tx.Restart()
-	}
-	if tx.ctx != nil && !tx.irrevocable && tx.ctx.Err() != nil {
-		panic(txSignal{sigCancel, tx})
-	}
+	tx.NWrites++
+	tx.Poll(o)
 	tx.buf[slotKey{o, slot}] = v
-	if tr := tx.tr; tr != nil {
-		tr.Record(trace.EvWrite, tx.id, uint64(o.Ref()), slot, 0)
+	if tr := tx.Tr; tr != nil {
+		tr.Record(trace.EvWrite, tx.ID(), uint64(o.Ref()), slot, 0)
 	}
 }
 
@@ -774,27 +447,44 @@ func (tx *Txn) WriteRef(o *objmodel.Object, slot int, r objmodel.Ref) {
 	tx.Write(o, slot, uint64(r))
 }
 
+// RetryWait implements txn.Strategy. With no read set to wait on, "re-
+// execution may observe something new" is approximated conservatively by
+// the commit clock moving past the begin snapshot: every committed write
+// advances the clock, so the wait wakes on any commit (a superset of the
+// read-set wakeups the other runtimes give).
+func (tx *Txn) RetryWait(ctx context.Context) error {
+	for a := 0; tx.rt.Clock.Load() <= tx.RV; a++ {
+		if ctx != nil {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		conflict.WaitAttempt(a, 0)
+	}
+	return nil
+}
+
 // enterCommit admits a writing transaction into the commit protocol,
 // waiting out an irrevocable token holder. Returns false when the attempt
 // must abort instead (cancelled or doomed while waiting).
 func (rt *Runtime) enterCommit(tx *Txn) bool {
 	for a := 0; ; a++ {
-		if tok := rt.irrevToken.Load(); tok == 0 || tok == tx.id {
+		if tok := rt.IrrevocableHolder(); tok == 0 || tok == tx.ID() {
 			rt.committers.Add(1)
-			if tok = rt.irrevToken.Load(); tok == 0 || tok == tx.id {
+			if tok = rt.IrrevocableHolder(); tok == 0 || tok == tx.ID() {
 				tx.inCommit = true
 				return true
 			}
 			rt.committers.Add(-1) // lost the race to an irrevocable switch
 		}
-		tx.hb.Add(1)
-		if tx.ctx != nil && tx.ctx.Err() != nil {
+		tx.Beat()
+		if tx.Ctx != nil && tx.Ctx.Err() != nil {
 			return false
 		}
-		if tx.doomed.Load() && !tx.irrevocable {
+		if tx.Doomed() && !tx.Irrevocable {
 			return false
 		}
-		rt.reapDead() // a dead token holder must not gate commits forever
+		rt.ReapDead() // a dead token holder must not gate commits forever
 		conflict.WaitAttempt(a, 0)
 	}
 }
@@ -806,24 +496,52 @@ func (rt *Runtime) exitCommit(tx *Txn) {
 	}
 }
 
-// release restores the records of every object acquired by this commit;
-// with bump they are stamped with the write version (matching the installed
-// chain head), without it the original shared words are restored — nothing
+// DrainCommitters waits until no writing transaction is inside the commit
+// gate (between enterCommit and exitCommit), or the timeout elapses. An
+// instant with an empty gate proves every commit that entered before the
+// call has installed its versions and released — the barrier the durable
+// store's live checkpoint uses to bound snapshot coverage. Commits entering
+// after the observation are not excluded (a barrier, not a lock).
+func (rt *Runtime) DrainCommitters(timeout time.Duration) bool {
+	deadline := time.Now().Add(timeout)
+	for a := 0; ; a++ {
+		if rt.committers.Load() == 0 {
+			return true
+		}
+		if time.Now().After(deadline) {
+			return false
+		}
+		conflict.WaitAttempt(a, 0)
+	}
+}
+
+// release gives back the records of every object acquired by this commit:
+// committed, they are stamped with the write version (matching the installed
+// chain head); otherwise the original shared words are restored — nothing
 // was published, and the untouched slots make the seqlock's ABA benign.
-func (tx *Txn) release(bump bool) {
+func (tx *Txn) release(committed bool) {
 	for _, o := range tx.objs {
-		sv, ok := tx.owned.Get(o)
+		sv, ok := tx.Owned.Get(o)
 		if !ok {
 			continue
 		}
-		if bump {
-			o.Rec.ReleaseOwnedAt(sv, tx.wv)
+		if committed {
+			o.Rec.ReleaseOwnedAt(sv, tx.WV)
 		} else {
 			o.Rec.Store(txrec.MakeShared(sv))
 		}
 	}
-	tx.owned.Reset()
+	tx.Owned.Reset()
 	tx.objs = tx.objs[:0]
+}
+
+// Rollback implements txn.Strategy: a failed commit has already restored
+// its records and the buffer is dropped at the next begin, so only the
+// accounting is left.
+func (tx *Txn) Rollback() {
+	if tx.readOnly {
+		tx.rt.Stats.ReadOnlyAborts.AddShard(int(tx.ID()), 1)
+	}
 }
 
 // snapshotSlots copies an object's current slot values — the image a new
@@ -836,17 +554,71 @@ func snapshotSlots(o *objmodel.Object) []uint64 {
 	return vals
 }
 
-// commit runs the multi-version commit protocol for a writing transaction:
-// enter the commit gate, acquire the write set's records in handle order
-// with the first-committer-wins check (a record version above the begin
-// snapshot means a concurrent committer got there first), obtain the write
-// version, pass the commit point, install a new version on every written
-// object's chain, write the buffered slots back, release the records
-// stamped with the write version, and (in quiescence mode) wait for all
-// previously serialized write-backs.
-func (tx *Txn) commit() (ok bool, err error) {
+// inject fires the fault injector at point p, before the commit point, with
+// o (nil at PreValidate) the object being acquired. false means the commit
+// must fail: the records are restored and o is blamed. Crash simulates
+// thread death (no versions were installed, so the records are restored
+// unchanged before the crash surfaces); Orphan dies holding whatever it
+// acquired so far. An irrevocable transaction can do neither Abort nor
+// Crash.
+func (tx *Txn) inject(p faultinject.Point, o *objmodel.Object) bool {
+	switch tx.FI.Fire(p, tx.ID()) {
+	case faultinject.Abort:
+		if !tx.Irrevocable {
+			if o != nil {
+				tx.Blame = uint64(o.Ref())
+			}
+			tx.release(false)
+			return false
+		}
+	case faultinject.Crash:
+		if !tx.Irrevocable {
+			tx.release(false)
+			tx.Crash(p)
+		}
+	case faultinject.Orphan:
+		tx.Die(p)
+	}
+	return true
+}
+
+// injectCommitted fires the fault injector at point p past the commit
+// point, versions installed and written back, records still held: a
+// crashing thread's cleanup releases at the write version and completes the
+// ticket; an orphan leaves both to the reaper.
+func (tx *Txn) injectCommitted(p faultinject.Point) {
+	switch tx.FI.Fire(p, tx.ID()) {
+	case faultinject.Crash:
+		tx.release(true)
+		tx.rt.exitCommit(tx)
+		tx.rt.order.MarkComplete(tx.ticket)
+		tx.CrashCommitted(p)
+	case faultinject.Orphan:
+		tx.Die(p)
+	}
+}
+
+// Commit implements txn.Strategy. A body that never wrote — AtomicRead, or
+// any body without writes; the read-only hint is the absence of writes, no
+// declaration needed — takes the zero-metadata path: no gate, no clock, no
+// ticket, no records, because its snapshot reads were consistent by
+// construction the moment they happened. A writing transaction runs the
+// multi-version commit protocol: enter the commit gate, acquire the write
+// set's records in handle order with the first-committer-wins check (a
+// record version above the begin snapshot means a concurrent committer got
+// there first), obtain the write version, pass the commit point, install a
+// new version on every written object's chain, write the buffered slots
+// back, release the records stamped with the write version, and (in
+// quiescence mode) wait for all previously serialized write-backs.
+func (tx *Txn) Commit() (ok bool, err error) {
 	rt := tx.rt
-	if tx.doomed.Load() && !tx.irrevocable {
+	if tx.readOnly || len(tx.buf) == 0 {
+		rt.Stats.ReadOnlyTxns.AddShard(int(tx.ID()), 1)
+		tx.CommitPoint()
+		tx.Committed()
+		return true, nil
+	}
+	if tx.Doomed() && !tx.Irrevocable {
 		return false, nil
 	}
 	if !rt.enterCommit(tx) {
@@ -855,7 +627,6 @@ func (tx *Txn) commit() (ok bool, err error) {
 	defer rt.exitCommit(tx)
 
 	tx.objs = tx.objs[:0]
-	tx.owned.Reset()
 	for key := range tx.buf {
 		dup := false
 		for _, o := range tx.objs {
@@ -868,7 +639,7 @@ func (tx *Txn) commit() (ok bool, err error) {
 			tx.objs = append(tx.objs, key.obj)
 		}
 	}
-	sortByRef(tx.objs)
+	txn.SortByRef(tx.objs)
 
 	for _, o := range tx.objs {
 		if txrec.IsPrivate(o.Rec.Load()) {
@@ -876,153 +647,80 @@ func (tx *Txn) commit() (ok bool, err error) {
 		}
 		for attempt := 0; ; attempt++ {
 			w := o.Rec.Load()
-			if txrec.IsShared(w) {
-				if fi := tx.fi; fi != nil {
-					switch fi.Fire(faultinject.PreAcquire, tx.id) {
-					case faultinject.Abort:
-						if !tx.irrevocable {
-							tx.blameObj = uint64(o.Ref())
-							tx.release(false)
-							return false, nil
-						}
-					case faultinject.Crash:
-						if !tx.irrevocable {
-							tx.release(false)
-							tx.crash(faultinject.PreAcquire)
-						}
-					case faultinject.Orphan:
-						tx.die(faultinject.PreAcquire)
-					}
-				}
-				ver := txrec.Version(w)
-				if ver > tx.rv {
-					// First committer wins: a concurrent transaction
-					// committed this object after our snapshot. Raise the
-					// clock over the lost version so the retry's snapshot
-					// covers it even when the release stamp outran the
-					// clock (two committers sharing a write version).
-					tx.notifyStale(uint64(o.Ref()))
-					tx.blameObj = uint64(o.Ref())
+			if !txrec.IsShared(w) {
+				// For an irrevocable committer only a dead owner can hold a
+				// record (it has the token and the gate is drained); the
+				// kernel's claim reaps it and re-probes.
+				if !tx.AcquireWait(o, attempt, w) {
 					tx.release(false)
-					rt.clock.Raise(ver)
 					return false, nil
 				}
-				if o.Rec.CompareAndSwap(w, txrec.MakeExclusive(tx.id)) {
-					tx.owned.Put(o, ver)
-					if tr := tx.tr; tr != nil {
-						tr.Record(trace.EvLockAcquire, tx.id, uint64(o.Ref()), 0, ver)
-					}
-					if fi := tx.fi; fi != nil {
-						switch fi.Fire(faultinject.PostAcquire, tx.id) {
-						case faultinject.Abort:
-							if !tx.irrevocable {
-								tx.blameObj = uint64(o.Ref())
-								tx.release(false)
-								return false, nil
-							}
-						case faultinject.Crash:
-							if !tx.irrevocable {
-								tx.release(false)
-								tx.crash(faultinject.PostAcquire)
-							}
-						case faultinject.Orphan:
-							tx.die(faultinject.PostAcquire)
-						}
-					}
-					break
-				}
 				continue
 			}
-			if tr := tx.tr; tr != nil {
-				ref := uint64(o.Ref())
-				var owner uint64
-				if txrec.IsExclusive(w) {
-					owner = txrec.Owner(w)
-				}
-				tr.Record(trace.EvConflict, tx.id, ref, 0, owner)
-				tr.Hot().BumpConflict(ref)
+			if tx.FI != nil && !tx.inject(faultinject.PreAcquire, o) {
+				return false, nil
 			}
-			tx.hb.Add(1)
-			if tx.irrevocable {
-				// Only a dead owner can hold a record while we hold the
-				// token with the gate drained: reap it and re-probe.
-				if txrec.IsExclusive(w) {
-					if victim := rt.reg.findStamp(txrec.Owner(w)); victim != nil && victim.dead.Load() {
-						rt.reapTxn(victim)
-					}
-				}
-				conflict.WaitAttempt(attempt, 0)
+			ver := txrec.Version(w)
+			if ver > tx.RV {
+				// First committer wins: a concurrent transaction committed
+				// this object after our snapshot. Raise the clock over the
+				// lost version so the retry's snapshot covers it even when
+				// the release stamp outran the clock (two committers sharing
+				// a write version).
+				tx.NotifyStale(uint64(o.Ref()))
+				tx.Blame = uint64(o.Ref())
+				tx.release(false)
+				rt.Clock.Raise(ver)
+				return false, nil
+			}
+			if !o.Rec.CompareAndSwap(w, txrec.MakeExclusive(tx.ID())) {
 				continue
 			}
-			if tx.ctx != nil && tx.ctx.Err() != nil {
-				tx.release(false)
+			tx.Owned.Put(o, ver)
+			if tr := tx.Tr; tr != nil {
+				tr.Record(trace.EvLockAcquire, tx.ID(), uint64(o.Ref()), 0, ver)
+			}
+			if tx.FI != nil && !tx.inject(faultinject.PostAcquire, o) {
 				return false, nil
 			}
-			if tx.doomed.Load() || attempt >= rt.cfg.SelfAbortAfter {
-				tx.blameObj = uint64(o.Ref())
-				tx.release(false)
-				return false, nil
-			}
-			if tx.resolveConflict(o, attempt, w) == conflict.SelfAbort {
-				tx.blameObj = uint64(o.Ref())
-				tx.release(false)
-				return false, nil
-			}
+			break
 		}
 	}
 
-	if tx.doomed.Load() && !tx.irrevocable {
+	if tx.Doomed() && !tx.Irrevocable {
 		tx.release(false)
 		return false, nil
 	}
-	if fi := tx.fi; fi != nil {
-		switch fi.Fire(faultinject.PreValidate, tx.id) {
-		case faultinject.Abort:
-			if !tx.irrevocable {
-				tx.release(false)
-				return false, nil
-			}
-		case faultinject.Crash:
-			if !tx.irrevocable {
-				tx.release(false)
-				tx.crash(faultinject.PreValidate)
-			}
-		case faultinject.Orphan:
-			tx.die(faultinject.PreValidate)
-		}
+	if tx.FI != nil && !tx.inject(faultinject.PreValidate, nil) {
+		return false, nil
 	}
 	// There is no validation step: first-committer-wins was enforced
 	// record-by-record at acquisition, and snapshot reads need no
 	// re-checking — that is the snapshot-isolation trade (write skew
 	// admitted, see the litmus matrix's MV column).
 
-	// Obtain the write version before the commit point (GV4
-	// pass-on-failure) so every release path — normal, crash branch, or a
-	// reaper completing an orphan — stamps the same version the installed
-	// chain heads carry.
-	var advanced bool
-	if tx.wv, advanced = rt.clock.Advance(); advanced {
-		tx.nClockAdv++
-	}
+	// Obtain the write version before the commit point so every release
+	// path — normal, crash branch, or a reaper completing an orphan — stamps
+	// the same version the installed chain heads carry.
+	tx.Stamp()
 
 	// ----- commit point: the transaction is now serialized. -----
-	tx.status.Store(uint32(Committed))
-	ticket := rt.tickets.Add(1)
-	tx.ticket = ticket
+	tx.CommitPoint()
+	tx.ticket = rt.order.Take()
 	if h := rt.cfg.Hooks.OnAfterCommitPoint; h != nil {
 		h(tx)
 	}
 
 	// Install versions, then write the buffered slots back. Installing
-	// first means a snapshot at or past wv reads the new values from the
+	// first means a snapshot at or past WV reads the new values from the
 	// chain even while the slots still hold old state; non-transactional
 	// readers under weak atomicity go straight to the slots and still see
 	// the lazy write-back window (the litmus MI programs depend on it).
 	k := 0
 	for _, o := range tx.objs {
-		sv, held := tx.owned.Get(o)
+		sv, held := tx.Owned.Get(o)
 		if held {
-			rs := tx.wv
+			rs := tx.WV
 			if sv+1 > rs {
 				rs = sv + 1 // mirror ReleaseOwnedAt: chain and record agree
 			}
@@ -1034,7 +732,7 @@ func (tx *Txn) commit() (ok bool, err error) {
 				base := &objmodel.MVVersion{TS: sv, Vals: snapshotSlots(o)}
 				o.MVHead.Store(base)
 				head = base
-				tx.nInstalled++
+				tx.NInstalled++
 			}
 			vals := snapshotSlots(o)
 			for key, v := range tx.buf {
@@ -1045,7 +743,7 @@ func (tx *Txn) commit() (ok bool, err error) {
 			node := &objmodel.MVVersion{TS: rs, Vals: vals}
 			node.SetPrev(head)
 			o.MVHead.Store(node)
-			tx.nInstalled++
+			tx.NInstalled++
 		}
 		for key, v := range tx.buf {
 			if key.obj != o {
@@ -1065,219 +763,122 @@ func (tx *Txn) commit() (ok bool, err error) {
 		}
 	}
 
-	if fi := tx.fi; fi != nil {
-		switch fi.Fire(faultinject.PostCommitPoint, tx.id) {
-		case faultinject.Crash:
-			tx.release(true)
-			rt.exitCommit(tx)
-			rt.markComplete(ticket)
-			rt.Stats.Commits.AddShard(int(tx.id), 1)
-			tx.flushStats()
-			panic(faultinject.CrashError{Point: faultinject.PostCommitPoint, Txn: tx.id})
-		case faultinject.Orphan:
-			tx.die(faultinject.PostCommitPoint)
-		}
-	}
-	if fi := tx.fi; fi != nil {
-		switch fi.Fire(faultinject.PreRelease, tx.id) {
-		case faultinject.Crash:
-			tx.release(true)
-			rt.exitCommit(tx)
-			rt.markComplete(ticket)
-			rt.Stats.Commits.AddShard(int(tx.id), 1)
-			tx.flushStats()
-			panic(faultinject.CrashError{Point: faultinject.PreRelease, Txn: tx.id})
-		case faultinject.Orphan:
-			tx.die(faultinject.PreRelease)
-		}
+	if tx.FI != nil {
+		tx.injectCommitted(faultinject.PostCommitPoint)
+		tx.injectCommitted(faultinject.PreRelease)
 	}
 
-	// Durable runtimes stream the redo image to the commit sink while the
-	// versions are already installed but this committer is still inside the
-	// gate: WAL order is consistent with version-chain order, and a live
-	// checkpoint's DrainCommitters barrier cannot observe an installed
-	// commit whose redo record is not yet appended. The fsync wait happens
-	// after release, off the contention path.
+	// The redo image goes to the commit sink while the versions are already
+	// installed but this committer is still inside the gate: WAL order is
+	// consistent with version-chain order, and a live checkpoint's
+	// DrainCommitters barrier cannot observe an installed commit whose redo
+	// record is not yet appended.
 	var durSeq uint64
 	var durErr error
-	if tx.sink != nil && len(tx.buf) > 0 {
-		tx.redo = tx.redo[:0]
+	if tx.Sink != nil {
+		tx.Redo = tx.Redo[:0]
 		for key, v := range tx.buf {
-			tx.redo = append(tx.redo, stmapi.RedoWrite{Ref: key.obj.Ref(), Slot: key.slot, Val: v})
+			tx.Redo = append(tx.Redo, stmapi.RedoWrite{Ref: key.obj.Ref(), Slot: key.slot, Val: v})
 		}
-		durSeq, durErr = tx.sink.AppendRedo(tx.id, tx.wv, tx.redo)
+		durSeq, durErr = tx.AppendRedo()
 	}
 
 	rt.maybeCollect(tx) // before release clears tx.objs; pruning never touches records
-	tx.release(true)    // stamps every record with rs = max(wv, sv+1), the chain head's TS
+	tx.release(true)    // stamps every record with rs = max(WV, sv+1), the chain head's TS
 	rt.exitCommit(tx)
-	rt.markComplete(ticket)
-	tx.dropIrrevocable()
+	rt.order.MarkComplete(tx.ticket)
+	tx.Committed()
 	if rt.cfg.Quiescence {
-		if tr := tx.tr; tr != nil {
-			start := time.Now()
-			err = rt.awaitOrder(tx.ctx, ticket)
-			tr.ObserveQuiesce(time.Since(start))
+		err = tx.AwaitOrdering(func() error { return rt.order.AwaitOrder(tx.Ctx, tx.ticket) })
+	}
+	return true, tx.WaitDurable(durSeq, durErr, err)
+}
+
+// ReapOrphan implements txn.Strategy. Uncommitted orphans have their
+// records restored to the original Shared words — their buffered writes
+// never reached memory and no version was installed. Committed orphans are
+// released at their write version, matching the chain heads they installed
+// before dying, and their ordering ticket is completed so quiescing
+// committers cannot stall. (Unregistering the descriptor, which the kernel
+// does next, also unpins its snapshot from the GC watermark.)
+func (tx *Txn) ReapOrphan(committed bool) {
+	for _, o := range tx.objs {
+		sv, ok := tx.Owned.Get(o)
+		if !ok {
+			continue // write-set entry the orphan never got to acquire
+		}
+		if committed {
+			// No clock tick is needed: snapshot readers never validate, and
+			// a writer that meets the released version raises the clock on
+			// contact (first-committer-wins).
+			o.Rec.ReleaseOwnedAt(sv, tx.WV)
 		} else {
-			err = rt.awaitOrder(tx.ctx, ticket)
+			o.Rec.Store(txrec.MakeShared(sv))
 		}
 	}
-	rt.Stats.Commits.AddShard(int(tx.id), 1)
-	if tr := tx.tr; tr != nil {
-		tr.Record(trace.EvCommit, tx.id, 0, 0, 0)
-		tr.ObserveCommit(time.Since(tx.beginAt))
-	}
-	tx.flushStats()
-	// Group-commit barrier: the commit is visible in memory; now wait for
-	// the WAL batch holding it to reach stable storage before acking.
-	if durErr == nil && durSeq != 0 {
-		durErr = tx.sink.WaitDurable(durSeq)
-	}
-	if err == nil {
-		err = durErr
-	}
-	return true, err
-}
-
-// commitReadOnly is the zero-metadata commit of a transaction that never
-// wrote: no gate, no clock, no ticket, no records — set the status and
-// flush the local counters.
-func (tx *Txn) commitReadOnly() {
-	tx.status.Store(uint32(Committed))
-	tx.rt.Stats.Commits.AddShard(int(tx.id), 1)
-	tx.rt.Stats.ReadOnlyTxns.AddShard(int(tx.id), 1)
-	if tr := tx.tr; tr != nil {
-		tr.Record(trace.EvCommit, tx.id, 0, 0, 0)
-		tr.ObserveCommit(time.Since(tx.beginAt))
-	}
-	tx.flushStats()
-}
-
-// notifyStale reports a first-committer-wins abort to the contention
-// handler if it observes stale aborts; attribution only.
-func (tx *Txn) notifyStale(bad uint64) {
-	if tr := tx.tr; tr != nil {
-		tr.Record(trace.EvValidation, tx.id, bad, tx.attempt, 0)
-		tr.Hot().BumpValidation(bad)
-	}
-	if obs := tx.rt.staleObs; obs != nil {
-		obs.ObserveValidationAbort(conflict.Info{
-			Kind:     conflict.TxnValidation,
-			Attempt:  tx.attempt,
-			Obj:      bad,
-			Self:     tx.id,
-			SelfPrio: tx.karma.Load(),
-		})
+	if committed && tx.ticket != 0 {
+		tx.rt.order.MarkComplete(tx.ticket)
 	}
 }
 
-// crash performs the abort bookkeeping for a simulated thread death inside
-// commit (the caller has already restored the records) and panics.
-func (tx *Txn) crash(p faultinject.Point) {
-	tx.fi = nil
-	tx.rt.exitCommit(tx)
-	tx.abort()
-	panic(faultinject.CrashError{Point: p, Txn: tx.id})
-}
-
-// markComplete and awaitOrder implement the write-back ordering tickets for
-// quiescence mode (see the lazy runtime; the scheme is identical).
-func (rt *Runtime) markComplete(ticket uint64) {
-	rt.doneMu.Lock()
-	rt.pending[ticket] = struct{}{}
-	for {
-		next := rt.done.Load() + 1
-		if _, ok := rt.pending[next]; !ok {
-			break
-		}
-		delete(rt.pending, next)
-		rt.done.Store(next)
-	}
-	rt.doneCv.Broadcast()
-	rt.doneMu.Unlock()
-}
-
-func (rt *Runtime) awaitOrder(ctx context.Context, ticket uint64) error {
-	if ctx != nil {
-		stop := context.AfterFunc(ctx, func() {
-			rt.doneMu.Lock()
-			rt.doneCv.Broadcast()
-			rt.doneMu.Unlock()
-		})
-		defer stop()
-	}
-	rt.doneMu.Lock()
-	defer rt.doneMu.Unlock()
-	for rt.done.Load() < ticket {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		rt.doneCv.Wait()
-	}
-	return nil
-}
-
-func (tx *Txn) abort() {
-	if tx.irrevocable {
-		tx.release(false)
-		tx.dropIrrevocable()
-	}
-	if tx.nReads+tx.nWrites > 0 {
-		tx.karma.Add(tx.nReads + tx.nWrites)
-	}
-	tx.status.Store(uint32(Aborted))
-	tx.rt.Stats.Aborts.AddShard(int(tx.id), 1)
+// BecomeIrrevocable switches the transaction to irrevocable mode. The
+// multi-version switch is lock-free with respect to the heap: the kernel
+// acquires the singular token, then LockReadSet drains the commit gate and
+// widens the snapshot. Restarting is still legal up to the switch;
+// afterwards the transaction cannot abort. Panics on a NoIrrevocable
+// runtime, or inside a read-only transaction.
+func (tx *Txn) BecomeIrrevocable() {
 	if tx.readOnly {
-		tx.rt.Stats.ReadOnlyAborts.AddShard(int(tx.id), 1)
+		panic("mvstm: BecomeIrrevocable inside a read-only transaction (AtomicRead)")
 	}
-	if tr := tx.tr; tr != nil {
-		tr.Record(trace.EvAbort, tx.id, tx.blameObj, 0, 0)
-		if tx.blameObj != 0 {
-			tr.Hot().BumpAbort(tx.blameObj)
-		}
-		tx.abortAt = time.Now()
-	}
-	tx.blameObj = 0
-	tx.flushStats()
+	tx.Txn.BecomeIrrevocable()
 }
 
-// waitForClock blocks until the commit clock passes rv — some transaction
-// committed a write since this one's snapshot, so re-execution may observe
-// something new.
-func (rt *Runtime) waitForClock(ctx context.Context, rv uint64) error {
-	for a := 0; rt.clock.Load() <= rv; a++ {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
+// LockReadSet implements txn.Strategy. With the token held no new committer
+// can enter the gate; drain the ones already inside — each is bounded by its
+// own commit (or by the panic unwind of a simulated death, which also
+// releases the gate) — and widen the snapshot to maxSnapshot: running
+// alone, the newest version of everything is a consistent (and the only
+// serializable) view, so no record is locked and no read needs re-checking.
+func (tx *Txn) LockReadSet() bool {
+	for a := 0; tx.rt.committers.Load() != 0; a++ {
+		tx.Beat()
+		tx.rt.ReapDead()
 		conflict.WaitAttempt(a, 0)
 	}
-	return nil
+	tx.RV = maxSnapshot
+	return true
 }
 
 // Atomic executes body as a multi-version transaction, retrying until it
-// commits. A body that never writes commits on the read-only path
-// automatically — the ReadOnly hint is the absence of writes, no
-// declaration needed. Closed nesting is flattened like the lazy runtime.
+// commits. Closed nesting is flattened like the lazy runtime.
 func (rt *Runtime) Atomic(parent *Txn, body func(*Txn) error) error {
+	return rt.AtomicCtx(nil, parent, body)
+}
+
+// AtomicCtx is Atomic with deadline/cancellation support (see
+// txn.Kernel.Atomic, and the lazy runtime for the nested-context contract).
+func (rt *Runtime) AtomicCtx(ctx context.Context, parent *Txn, body func(*Txn) error) error {
 	if parent != nil {
-		return body(parent)
+		return parent.NestedCtx(ctx, func() error { return body(parent) })
 	}
-	return rt.atomic(nil, body, rt.escalateFrom(), false)
+	return rt.Kernel.Atomic(ctx, rt.EscalateFrom(), func(k *txn.Txn) error { return body(k.Self().(*Txn)) })
 }
 
 // AtomicRead executes body as a read-only snapshot transaction: writes and
 // BecomeIrrevocable panic, and the body runs exactly once — snapshot reads
 // cannot conflict, so there is nothing to retry.
 func (rt *Runtime) AtomicRead(body func(*Txn) error) error {
-	return rt.atomic(nil, body, -1, true)
+	return rt.Kernel.Atomic(nil, -1, func(k *txn.Txn) error {
+		tx := k.Self().(*Txn)
+		tx.readOnly = true
+		return body(tx)
+	})
 }
 
-// AtomicIrrevocable executes body as an irrevocable transaction (see
-// recovery.go for the gate-drain switch). Nested calls are flattened.
+// AtomicIrrevocable executes body as an irrevocable transaction. Nested
+// calls are flattened. Returns stmapi.ErrIrrevocableDisabled on a
+// NoIrrevocable runtime.
 func (rt *Runtime) AtomicIrrevocable(parent *Txn, body func(*Txn) error) error {
 	if rt.cfg.NoIrrevocable {
 		return stmapi.ErrIrrevocableDisabled
@@ -1286,168 +887,5 @@ func (rt *Runtime) AtomicIrrevocable(parent *Txn, body func(*Txn) error) error {
 		parent.BecomeIrrevocable()
 		return body(parent)
 	}
-	return rt.atomic(nil, body, 0, false)
-}
-
-func (rt *Runtime) escalateFrom() int {
-	if rt.cfg.EscalateAfter > 0 {
-		return rt.cfg.EscalateAfter
-	}
-	return -1
-}
-
-// AtomicCtx is Atomic with deadline/cancellation support (see the lazy
-// runtime for the nested-context contract).
-func (rt *Runtime) AtomicCtx(ctx context.Context, parent *Txn, body func(*Txn) error) error {
-	if parent != nil {
-		return rt.nestedCtx(ctx, parent, body)
-	}
-	return rt.atomic(ctx, body, rt.escalateFrom(), false)
-}
-
-func (rt *Runtime) nestedCtx(ctx context.Context, parent *Txn, body func(*Txn) error) (err error) {
-	if ctx == nil {
-		return body(parent)
-	}
-	if e := ctx.Err(); e != nil {
-		return e
-	}
-	prev := parent.ctx
-	parent.ctx = ctx
-	defer func() {
-		parent.ctx = prev
-		r := recover()
-		if r == nil {
-			return
-		}
-		if s, ok := r.(txSignal); ok && s.tx == parent && s.s == sigCancel {
-			if prev == nil || prev.Err() == nil {
-				err = ctx.Err()
-				return
-			}
-		}
-		panic(r)
-	}()
-	return body(parent)
-}
-
-// atomic is the top-level execution loop. irrevFrom is the attempt index
-// from which the body runs irrevocably (-1 = never); readOnly selects the
-// AtomicRead discipline.
-func (rt *Runtime) atomic(ctx context.Context, body func(*Txn) error, irrevFrom int, readOnly bool) error {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-	}
-	tx := rt.getTxn()
-	tx.ctx = ctx
-	tx.readOnly = readOnly
-	defer rt.finish(tx)
-	for attempt := 0; ; attempt++ {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		tx.attempt = attempt
-		tx.begin()
-		runBody := body
-		if irrevFrom >= 0 && attempt >= irrevFrom {
-			escalated := irrevFrom > 0
-			runBody = func(tx *Txn) error {
-				tx.becomeIrrevocable(escalated)
-				return body(tx)
-			}
-		}
-		err, sig := rt.run(tx, runBody)
-		switch sig {
-		case 0:
-			if err != nil {
-				tx.abort()
-				return err
-			}
-			if tx.readOnly || len(tx.buf) == 0 {
-				// The read-only path: a body that never wrote needs no
-				// commit protocol — its snapshot reads were consistent by
-				// construction the moment they happened.
-				tx.commitReadOnly()
-				return nil
-			}
-			committed, cerr := tx.commit()
-			if committed {
-				return cerr
-			}
-			tx.abort()
-		case sigRestart:
-			tx.abort()
-		case sigRetry:
-			rv := tx.rv
-			tx.abort()
-			if werr := rt.waitForClock(ctx, rv); werr != nil {
-				return werr
-			}
-		case sigCancel:
-			tx.abort()
-			if ctx != nil {
-				return ctx.Err()
-			}
-			return context.Canceled
-		}
-		conflict.WaitAttempt(attempt, 0)
-	}
-}
-
-// ActiveTransactions returns the number of registered descriptors whose
-// status is Active.
-func (rt *Runtime) ActiveTransactions() int {
-	n := 0
-	rt.reg.forEach(func(tx *Txn) bool {
-		if Status(tx.status.Load()) == Active {
-			n++
-		}
-		return true
-	})
-	return n
-}
-
-func (rt *Runtime) run(tx *Txn, body func(*Txn) error) (err error, sig signal) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
-		if tx.dead.Load() {
-			panic(r)
-		}
-		if s, ok := r.(txSignal); ok && s.tx == tx {
-			sig = s.s
-			return
-		}
-		// Unlike the validating runtimes there is no "was this fault an
-		// artifact of an inconsistent read" question: snapshot reads are
-		// consistent by construction, so the fault is the body's own.
-		tx.abort()
-		panic(r)
-	}()
-	return body(tx), 0
-}
-
-// maxSnapshot is the irrevocable rv: with the commit gate drained and the
-// token held, nothing else commits, so reading the newest version of
-// everything is the (only) serializable view.
-const maxSnapshot = math.MaxUint64
-
-// sortByRef sorts objects by their heap handle (insertion sort; write sets
-// are small).
-func sortByRef(objs []*objmodel.Object) {
-	for i := 1; i < len(objs); i++ {
-		o := objs[i]
-		j := i - 1
-		for j >= 0 && objs[j].Ref() > o.Ref() {
-			objs[j+1] = objs[j]
-			j--
-		}
-		objs[j+1] = o
-	}
+	return rt.Kernel.Atomic(nil, 0, func(k *txn.Txn) error { return body(k.Self().(*Txn)) })
 }

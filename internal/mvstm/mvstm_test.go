@@ -12,7 +12,7 @@ import (
 )
 
 // The adapter must satisfy the read-only capability interface.
-var _ stmapi.ReadOnlyRuntime = apiRuntime{}
+var _ stmapi.ReadOnlyRuntime = snapshotAPI{}
 
 type fixture struct {
 	heap *objmodel.Heap
@@ -123,7 +123,7 @@ func TestReadOnlyCommitPath(t *testing.T) {
 	if after := f.heap.Clock().Load(); after != before {
 		t.Errorf("read-only commit moved the clock %d -> %d", before, after)
 	}
-	s := f.rt.StatsSnapshot()
+	s := f.rt.Stats.Snapshot()
 	if s.ReadOnlyTxns != 1 || s.Commits != 1 {
 		t.Errorf("read-only txns = %d, commits = %d, want 1/1", s.ReadOnlyTxns, s.Commits)
 	}
@@ -289,7 +289,7 @@ func TestSnapshotConsistencyUnderWriters(t *testing.T) {
 	if n := torn.Load(); n != 0 {
 		t.Errorf("%d torn snapshot reads", n)
 	}
-	s := f.rt.StatsSnapshot()
+	s := f.rt.Stats.Snapshot()
 	if s.ReadOnlyAborts != 0 {
 		t.Errorf("read-only aborts = %d, want 0", s.ReadOnlyAborts)
 	}
@@ -349,7 +349,7 @@ func TestIrrevocableReadsNewestAndCommits(t *testing.T) {
 	if got := o.LoadSlot(0); got != 4 {
 		t.Errorf("state = %d, want 4", got)
 	}
-	if f.rt.irrevToken.Load() != 0 {
+	if f.rt.IrrevocableHolder() != 0 {
 		t.Error("irrevocable token not surrendered")
 	}
 	if f.rt.Stats.IrrevocableTxns.Load() != 1 {

@@ -199,11 +199,11 @@ func TestAdaptGranularityFromHotspots(t *testing.T) {
 	if promoted != 1 || demoted != 1 {
 		t.Fatalf("AdaptGranularity = (%d promoted, %d demoted), want (1, 1)", promoted, demoted)
 	}
-	tab := f.rt.granTab.Load()
-	if !tab.promoted(uint64(x.Ref())) {
+	// Neither probe changes the table unless the assertion it makes fails.
+	if f.rt.PromoteObject(x) {
 		t.Error("hot object not promoted")
 	}
-	if tab.promoted(uint64(cold.Ref())) {
+	if f.rt.DemoteObject(cold) {
 		t.Error("cold object still promoted")
 	}
 

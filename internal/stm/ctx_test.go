@@ -6,31 +6,14 @@ package stm
 import (
 	"context"
 	"errors"
+	"repro/internal/txn/txntest"
 	"testing"
 	"time"
 
 	"repro/internal/stmapi"
 )
 
-func TestAtomicCtxPreCancelledSkipsBody(t *testing.T) {
-	f := newFixture(t, Config{})
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	ran := false
-	err := f.rt.AtomicCtx(ctx, nil, func(tx *Txn) error {
-		ran = true
-		return nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if ran {
-		t.Fatalf("body executed under an already-cancelled context")
-	}
-	if s := f.rt.Stats.Snapshot(); s.Starts != 0 {
-		t.Fatalf("starts = %d, want 0 (no attempt should begin)", s.Starts)
-	}
-}
+func TestAtomicCtxPreCancelledSkipsBody(t *testing.T) { txntest.CtxPreCancelledSkipsBody(t, "eager") }
 
 func TestAtomicCtxNilBehavesLikeAtomic(t *testing.T) {
 	f := newFixture(t, Config{})
@@ -106,20 +89,7 @@ func TestAtomicCtxDeadlineInConflictWait(t *testing.T) {
 	}
 }
 
-func TestAtomicCtxDeadlineInRetryWait(t *testing.T) {
-	f := newFixture(t, Config{})
-	o := f.newCell()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-	defer cancel()
-	err := f.rt.AtomicCtx(ctx, nil, func(tx *Txn) error {
-		_ = tx.Read(o, 0)
-		tx.Retry() // nothing ever writes o: the wait must end via ctx
-		return nil
-	})
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
-	}
-}
+func TestAtomicCtxDeadlineInRetryWait(t *testing.T) { txntest.CtxDeadlineInRetryWait(t, "eager") }
 
 func TestAtomicCtxCancelDuringQuiescence(t *testing.T) {
 	f := newFixture(t, Config{CommonConfig: stmapi.CommonConfig{Quiescence: true}})
@@ -241,24 +211,4 @@ func TestNestedAtomicCtxOuterCancelWinsOverScope(t *testing.T) {
 	}
 }
 
-func TestAtomicCtxAPIAdapter(t *testing.T) {
-	f := newFixture(t, Config{})
-	api := f.rt.API()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	ran := false
-	err := api.AtomicCtx(ctx, func(tx stmapi.Txn) error { ran = true; return nil })
-	if !errors.Is(err, context.Canceled) || ran {
-		t.Fatalf("api.AtomicCtx pre-cancelled: err=%v ran=%v", err, ran)
-	}
-	o := f.newCell()
-	if err := api.AtomicCtx(context.Background(), func(tx stmapi.Txn) error {
-		tx.Write(o, 0, 11)
-		return nil
-	}); err != nil {
-		t.Fatalf("api.AtomicCtx: %v", err)
-	}
-	if got := o.LoadSlot(0); got != 11 {
-		t.Fatalf("slot 0 = %d, want 11", got)
-	}
-}
+func TestAtomicCtxAPIAdapter(t *testing.T) { txntest.CtxAPIAdapter(t, "eager") }

@@ -6,6 +6,7 @@ package stm
 // its overflow path and quiescence scans). All are run under -race in CI.
 
 import (
+	"repro/internal/txn/txntest"
 	"sync"
 	"testing"
 
@@ -22,18 +23,18 @@ func TestPooledDescriptorClean(t *testing.T) {
 	var lastID uint64
 	for i := 0; i < 50; i++ {
 		err := f.rt.Atomic(nil, func(tx *Txn) error {
-			if tx.reads.Len() != 0 || tx.owned.Len() != 0 {
+			if tx.Reads.Len() != 0 || tx.Owned.Len() != 0 {
 				t.Errorf("iter %d: dirty read/owned set (%d/%d entries)",
-					i, tx.reads.Len(), tx.owned.Len())
+					i, tx.Reads.Len(), tx.Owned.Len())
 			}
 			if len(tx.writes) != 0 || len(tx.undo) != 0 || len(tx.comps) != 0 {
 				t.Errorf("iter %d: dirty logs (writes %d, undo %d, comps %d)",
 					i, len(tx.writes), len(tx.undo), len(tx.comps))
 			}
-			if tx.id <= lastID {
-				t.Errorf("iter %d: id %d not fresh (last %d)", i, tx.id, lastID)
+			if tx.ID() <= lastID {
+				t.Errorf("iter %d: id %d not fresh (last %d)", i, tx.ID(), lastID)
 			}
-			lastID = tx.id
+			lastID = tx.ID()
 			// Dirty the descriptor thoroughly for the next reuse check:
 			// spill the read set past its inline capacity, write, and nest.
 			for j := 0; j < 12; j++ {
@@ -71,7 +72,7 @@ func TestPooledDescriptorsParallel(t *testing.T) {
 			o := objs[g]
 			for i := 1; i <= iters; i++ {
 				err := f.rt.Atomic(nil, func(tx *Txn) error {
-					if tx.reads.Len() != 0 || len(tx.writes) != 0 {
+					if tx.Reads.Len() != 0 || len(tx.writes) != 0 {
 						t.Errorf("goroutine %d: dirty descriptor", g)
 					}
 					prev := tx.Read(o, 0)
@@ -99,56 +100,7 @@ func TestPooledDescriptorsParallel(t *testing.T) {
 // TestStatsFlushParallel checks the descriptor-local counter flush under
 // parallel commits and aborts: every begun attempt is accounted as exactly
 // one commit or abort, and access counts cover at least the committed work.
-func TestStatsFlushParallel(t *testing.T) {
-	f := newFixture(t, Config{})
-	o := f.newCell()
-	const goroutines = 8
-	const iters = 100
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				err := f.rt.Atomic(nil, func(tx *Txn) error {
-					tx.Write(o, 0, tx.Read(o, 0)+1)
-					if i%4 == 3 {
-						return ErrAborted
-					}
-					return nil
-				})
-				if i%4 == 3 && err != ErrAborted {
-					t.Errorf("want ErrAborted, got %v", err)
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	var (
-		starts  = f.rt.Stats.Starts.Load()
-		commits = f.rt.Stats.Commits.Load()
-		aborts  = f.rt.Stats.Aborts.Load()
-		writes  = f.rt.Stats.TxnWrites.Load()
-		reads   = f.rt.Stats.TxnReads.Load()
-	)
-	const total = goroutines * iters
-	const wantCommits = total * 3 / 4
-	if commits != wantCommits {
-		t.Errorf("commits = %d, want %d", commits, wantCommits)
-	}
-	if starts != commits+aborts {
-		t.Errorf("starts (%d) != commits (%d) + aborts (%d)", starts, commits, aborts)
-	}
-	if aborts < total/4 {
-		t.Errorf("aborts = %d, want >= %d (user aborts alone)", aborts, total/4)
-	}
-	if writes < total || reads < total {
-		t.Errorf("reads/writes = %d/%d, want >= %d each", reads, writes, total)
-	}
-	if got := o.LoadSlot(0); got != wantCommits {
-		t.Errorf("cell = %d, want %d (only committed increments)", got, wantCommits)
-	}
-}
+func TestStatsFlushParallel(t *testing.T) { txntest.StatsFlushParallel(t, "eager") }
 
 // TestQuiescenceShardedRegistry runs contended committing transactions in
 // quiescence mode: every commit scans the slot-array registry and waits out
@@ -187,6 +139,7 @@ func TestQuiescenceShardedRegistry(t *testing.T) {
 func TestRegistryOverflow(t *testing.T) {
 	f := newFixture(t, Config{})
 	const extra = 16
+	const regSlots = 256 // the kernel registry's slot-array capacity
 	const total = regSlots + extra
 	ready := make(chan struct{}, total)
 	release := make(chan struct{})

@@ -10,12 +10,12 @@ package stm
 import (
 	"context"
 	"errors"
+	"repro/internal/txn/txntest"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/conflict"
-	"repro/internal/objmodel"
 	"repro/internal/stmapi"
 )
 
@@ -107,35 +107,7 @@ func runOpposedWriters(t *testing.T, policy string, deadline time.Duration) (e1,
 }
 
 func TestPoliciesPreserveInvariantsUnderContention(t *testing.T) {
-	for _, policy := range conflict.PolicyNames {
-		t.Run(policy, func(t *testing.T) {
-			pol, err := conflict.ByName(policy)
-			if err != nil {
-				t.Fatal(err)
-			}
-			f := newFixture(t, Config{CommonConfig: stmapi.CommonConfig{Handler: pol}})
-			const accounts, balance = 4, 1000 // few accounts: heavy contention
-			objs := make([]*objmodel.Object, accounts)
-			for i := range objs {
-				objs[i] = f.newCell()
-				objs[i].StoreSlot(0, balance)
-			}
-			runTransfers(t, f, objs, 4, 400)
-			var sum uint64
-			for _, o := range objs {
-				sum += o.LoadSlot(0)
-			}
-			if sum != accounts*balance {
-				t.Fatalf("total balance %d, want %d", sum, accounts*balance)
-			}
-			s := f.rt.Stats.Snapshot()
-			if s.Commits == 0 {
-				t.Fatalf("no commits recorded")
-			}
-			t.Logf("%s: starts=%d commits=%d aborts=%d self-aborts=%d dooms=%d",
-				policy, s.Starts, s.Commits, s.Aborts, s.SelfAborts, s.DoomsIssued)
-		})
-	}
+	txntest.PoliciesPreserveInvariants(t, "eager")
 }
 
 func TestDoomedVictimRestartsAndBothCommit(t *testing.T) {

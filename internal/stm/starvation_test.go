@@ -81,7 +81,7 @@ func runStarvationLitmus(t *testing.T, handler conflict.Handler, selfAbortAfter 
 		for ctx.Err() == nil {
 			err := f.rt.AtomicCtx(ctx, nil, func(tx *Txn) error {
 				mu.Lock()
-				victimIDs[tx.id] = true
+				victimIDs[tx.ID()] = true
 				mu.Unlock()
 				tx.Write(hot, 0, 100)
 				return nil

@@ -20,34 +20,32 @@
 // private objects skip synchronization, and writing a reference into a
 // public object immediately publishes the referenced private subgraph.
 //
-// The hot path is engineered to scale with thread count (the property the
-// paper's Section 7 results hinge on): statistics are accumulated in plain
-// per-descriptor counters and flushed into sharded aggregates only at
-// commit/abort, descriptors are pooled so a top-level Atomic allocates
-// nothing in steady state, read/owned sets use an inline-array fast path
-// (package objset), and the active-transaction registry is a fixed sharded
-// slot array so begin/end cost one CAS and one store.
+// Everything that is not versioning — the descriptor pool and registry, the
+// retry loop, conflict arbitration, commit-clock validation, recovery,
+// irrevocability, statistics — is the transaction kernel, package txn,
+// which this runtime embeds and plugs its versioning into through
+// txn.Strategy. What is here is the versioning: the Read and Write
+// barriers, the undo log and savepoints, the body of commit, rollback, what
+// reaping an orphan does to its records, and the read-set lock upgrade of
+// the irrevocable switch.
 package stm
 
 import (
 	"context"
 	"errors"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/conflict"
 	"repro/internal/faultinject"
 	"repro/internal/objmodel"
-	"repro/internal/objset"
-	"repro/internal/stats"
 	"repro/internal/stmapi"
 	"repro/internal/trace"
+	"repro/internal/txn"
 	"repro/internal/txrec"
 )
 
-// Status is the lifecycle state of a transaction attempt (shared with the
-// lazy runtime through stmapi, so the numeric encodings agree).
+// Status is the lifecycle state of a transaction attempt (shared by every
+// runtime through stmapi, so the numeric encodings agree).
 type Status = stmapi.Status
 
 // Transaction statuses.
@@ -62,7 +60,7 @@ const (
 const MaxGranularity = stmapi.MaxGranularity
 
 // Config parameterizes a Runtime. The cross-runtime knobs (Granularity,
-// Quiescence, Handler, SelfAbortAfter) live in the embedded
+// Quiescence, Handler, SelfAbortAfter, ...) live in the embedded
 // stmapi.CommonConfig; DEA is eager-specific.
 type Config struct {
 	stmapi.CommonConfig
@@ -74,210 +72,18 @@ type Config struct {
 	DEA bool
 }
 
-// DefaultSelfAbortAfter is the default Config.SelfAbortAfter.
-const DefaultSelfAbortAfter = stmapi.DefaultSelfAbortAfter
-
-// Stats aggregates runtime counters for experiments. Each counter is
-// sharded across cache lines (package stats); transactions accumulate
-// deltas in descriptor-local fields and flush them at commit/abort, so no
-// per-access global atomic exists anywhere on the hot path.
-type Stats struct {
-	Starts      stats.Counter // transaction attempts begun
-	Commits     stats.Counter
-	Aborts      stats.Counter // aborts of any cause (conflict, validation, retry)
-	UserRetries stats.Counter // user-initiated retry operations
-	TxnReads    stats.Counter
-	TxnWrites   stats.Counter
-	SelfAborts  stats.Counter // contention-policy SelfAbort decisions taken
-	DoomsIssued stats.Counter // contention-policy AbortOther decisions that marked a victim
-
-	// Robustness counters (recovery and irrevocability).
-	ReaperSteals    stats.Counter // dead transactions reclaimed (reaper or inline waiter steal)
-	Escalations     stats.Counter // atomic blocks escalated to irrevocable after K aborts
-	IrrevocableTxns stats.Counter // transactions that finished while irrevocable
-	IrrevocableNs   stats.Counter // cumulative irrevocable-token hold time, nanoseconds
-
-	// Commit-clock validation counters.
-	ClockAdvances       stats.Counter // successful clock-increment CASes at commit
-	FastpathValidations stats.Counter // validations satisfied by the clock compare
-	FallbackWalks       stats.Counter // validations that walked the read set
-
-	// Adaptive-granularity counters.
-	GranPromotions stats.Counter // objects promoted to slot-level versioning
-	GranDemotions  stats.Counter // objects demoted back to the configured span
-}
-
 // StatsSnapshot is a point-in-time copy of every Stats counter as plain
-// values, shared with the lazy runtime through stmapi so drivers consume
-// either runtime's statistics uniformly.
+// values, shared by every runtime through stmapi.
 type StatsSnapshot = stmapi.StatsSnapshot
 
-// Snapshot sums every counter's shards. Like Counter.Load it is not an
-// atomic cut across counters, which is the usual statistics contract.
-func (s *Stats) Snapshot() StatsSnapshot {
-	return StatsSnapshot{
-		Starts:      s.Starts.Load(),
-		Commits:     s.Commits.Load(),
-		Aborts:      s.Aborts.Load(),
-		UserRetries: s.UserRetries.Load(),
-		TxnReads:    s.TxnReads.Load(),
-		TxnWrites:   s.TxnWrites.Load(),
-		SelfAborts:  s.SelfAborts.Load(),
-		DoomsIssued: s.DoomsIssued.Load(),
-
-		ReaperSteals:    s.ReaperSteals.Load(),
-		Escalations:     s.Escalations.Load(),
-		IrrevocableTxns: s.IrrevocableTxns.Load(),
-		IrrevocableNs:   s.IrrevocableNs.Load(),
-
-		ClockAdvances:       s.ClockAdvances.Load(),
-		FastpathValidations: s.FastpathValidations.Load(),
-		FallbackWalks:       s.FallbackWalks.Load(),
-		GranPromotions:      s.GranPromotions.Load(),
-		GranDemotions:       s.GranDemotions.Load(),
-	}
-}
-
-// regSlots is the capacity of the fixed active-transaction slot array.
-// Power of two. More than regSlots concurrently active transactions spill
-// into a sync.Map overflow (correct but slower; unreachable in the paper's
-// thread sweeps).
-const regSlots = 256
-
-// regSlot is one registry slot, padded to a cache line so neighbouring
-// claims and releases do not false-share.
-type regSlot struct {
-	p atomic.Pointer[Txn]
-	_ [56]byte
-}
-
-// registry tracks in-flight transaction descriptors. Claiming is a CAS
-// into an id-hashed slot with linear probing; releasing is a single nil
-// store. Scans (quiescence, ActiveTransactions) walk the array without
-// allocating — unlike the sync.Map it replaces, whose Store/Delete
-// allocated on every transaction and whose Range boxed every entry.
-type registry struct {
-	slots    [regSlots]regSlot
-	overflow sync.Map // id -> *Txn, only when the slot array is full
-}
-
-func (r *registry) add(tx *Txn) {
-	h := int(tx.id)
-	for i := 0; i < regSlots; i++ {
-		s := &r.slots[(h+i)&(regSlots-1)]
-		if s.p.Load() == nil && s.p.CompareAndSwap(nil, tx) {
-			tx.slot = (h + i) & (regSlots - 1)
-			return
-		}
-	}
-	tx.slot = -1
-	r.overflow.Store(tx.id, tx)
-}
-
-func (r *registry) remove(tx *Txn) {
-	if tx.slot >= 0 {
-		r.slots[tx.slot].p.Store(nil)
-		return
-	}
-	r.overflow.Delete(tx.id)
-}
-
-// forEach calls f for every registered descriptor until f returns false.
-func (r *registry) forEach(f func(*Txn) bool) {
-	for i := range r.slots {
-		if tx := r.slots[i].p.Load(); tx != nil {
-			if !f(tx) {
-				return
-			}
-		}
-	}
-	r.overflow.Range(func(_, v any) bool { return f(v.(*Txn)) })
-}
-
-// findStamp returns the live descriptor whose current incarnation ID is id,
-// or nil. Descriptors are pooled, so a pointer read from a slot may belong
-// to a later transaction by the time its stamp is loaded; the stamp check
-// filters that race (IDs are never reused), making the lookup safe — at
-// worst it misses a departing transaction, which callers treat as "owner no
-// longer active".
-func (r *registry) findStamp(id uint64) *Txn {
-	var found *Txn
-	r.forEach(func(tx *Txn) bool {
-		if tx.stamp.Load() == id {
-			found = tx
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-// Runtime is an STM instance bound to a heap.
+// Runtime is an eager-versioning STM instance bound to a heap. The embedded
+// kernel supplies Heap, Stats, the tracer / injector / commit-sink setters,
+// the adaptive-granularity controls and Recovery.
 type Runtime struct {
-	Heap  *objmodel.Heap
-	Stats Stats
+	txn.Kernel
 
-	cfg      Config
-	handler  conflict.Handler
-	policy   conflict.Policy // handler adapted (or asserted) to the policy interface
-	nextID   atomic.Uint64
-	seq      atomic.Uint64 // global begin/commit sequence for quiescence
-	reg      registry      // active-transaction registry
-	pool     sync.Pool     // idle *Txn descriptors
-	tracer   atomic.Pointer[trace.Tracer]
-	injector atomic.Pointer[faultinject.Injector]
-	sink     atomic.Pointer[sinkBox]
-
-	// Commit-clock validation state: the heap's clock (cached to skip a
-	// pointer hop per validation), whether clock validation is enabled, and
-	// the handler asserted to the stale-abort observer interface (once, at
-	// New — never on the abort path).
-	clock    *objmodel.CommitClock
-	clockOn  bool
-	staleObs conflict.StaleObserver
-
-	// Adaptive-granularity state: an immutable promotion table swapped
-	// copy-on-write under granMu. Transactions sample the pointer once at
-	// begin, so a table swap never changes the span arithmetic of an
-	// attempt already in flight.
-	granTab atomic.Pointer[granTable]
-	granMu  sync.Mutex
-
-	// irrevToken is the runtime's single irrevocable-transaction token: the
-	// owner ID of the current irrevocable transaction, 0 when free. Exactly
-	// one transaction may be irrevocable at a time (Section: at most one
-	// transaction can be guaranteed never to abort, because two such
-	// transactions could deadlock on each other's records).
-	irrevToken atomic.Uint64
-}
-
-// SetTracer installs (or, with nil, removes) the event tracer. Descriptors
-// sample the tracer when a top-level Atomic begins, so transactions already
-// in flight keep their previous setting. With no tracer installed the hot
-// path pays one nil check per emission point and nothing else.
-func (rt *Runtime) SetTracer(t *trace.Tracer) { rt.tracer.Store(t) }
-
-// Tracer returns the installed tracer, or nil.
-func (rt *Runtime) Tracer() *trace.Tracer { return rt.tracer.Load() }
-
-// SetInjector installs (or, with nil, removes) a fault injector. Like the
-// tracer it is sampled once per top-level Atomic and guarded by a single nil
-// check per injection point, so the uninstrumented hot path is unchanged.
-func (rt *Runtime) SetInjector(in *faultinject.Injector) { rt.injector.Store(in) }
-
-// sinkBox wraps a CommitSink so it can live in an atomic.Pointer (which
-// needs a concrete element type) regardless of the sink's dynamic type.
-type sinkBox struct{ s stmapi.CommitSink }
-
-// SetCommitSink installs (or, with nil, removes) the durable commit sink
-// (stmapi.DurableRuntime). Sampled once per top-level Atomic like the
-// tracer; transactions in flight keep their previous setting.
-func (rt *Runtime) SetCommitSink(s stmapi.CommitSink) {
-	if s == nil {
-		rt.sink.Store(nil)
-		return
-	}
-	rt.sink.Store(&sinkBox{s: s})
+	cfg Config
+	seq atomic.Uint64 // global begin/commit sequence for quiescence
 }
 
 // New creates a Runtime over heap with the given configuration. Invalid
@@ -285,45 +91,22 @@ func (rt *Runtime) SetCommitSink(s stmapi.CommitSink) {
 // self-abort threshold) are rejected here with a panic rather than
 // misbehaving later.
 func New(heap *objmodel.Heap, cfg Config) *Runtime {
-	if err := cfg.Normalize(); err != nil {
-		panic("stm: " + err.Error())
-	}
-	h := cfg.Handler
-	if h == nil {
-		h = &conflict.Backoff{}
-	}
-	rt := &Runtime{Heap: heap, cfg: cfg, handler: h, policy: conflict.AsPolicy(h)}
-	rt.clock = heap.Clock()
-	rt.clockOn = !cfg.NoCommitClock
-	rt.staleObs, _ = h.(conflict.StaleObserver)
-	// Hot allocation sites from an elision manifest pre-seed the adaptive
-	// granularity table: their objects get slot-level records from birth
-	// instead of waiting for the hotspot attribution to notice them. The
-	// observer only fires for manifest-matched allocations, so this costs
-	// nothing when no manifest is loaded.
-	heap.AddAllocObserver(func(o *objmodel.Object, site *objmodel.ManifestSite) {
-		if site.Hot && site.Granularity == "slot" {
-			rt.PromoteObject(o)
-		}
-	})
+	rt := &Runtime{cfg: cfg}
+	rt.Init("eager", heap, &rt.cfg.CommonConfig, func() txn.Strategy { return &Txn{rt: rt} })
+	rt.PromoteHotSites()
 	return rt
 }
 
 // Config returns the runtime's configuration.
 func (rt *Runtime) Config() Config { return rt.cfg }
 
-// control-flow signals raised inside transaction bodies.
-type signal uint8
+// API returns the runtime-agnostic driver view of rt.
+func (rt *Runtime) API() stmapi.Runtime { return txn.API{Kernel: &rt.Kernel} }
 
-const (
-	sigRestart signal = iota + 1 // conflict or explicit restart: abort and re-execute
-	sigRetry                     // user retry: abort, wait for read set change, re-execute
-	sigCancel                    // context cancelled: abort and return ctx.Err()
-)
-
-type txSignal struct {
-	s  signal
-	tx *Txn
+func init() {
+	txn.Register("eager", func(heap *objmodel.Heap, cfg stmapi.CommonConfig) stmapi.Runtime {
+		return New(heap, Config{CommonConfig: cfg}).API()
+	})
 }
 
 // ErrAborted is returned by Atomic when the body requests a permanent abort
@@ -343,383 +126,65 @@ type undoEntry struct {
 	vals [MaxGranularity]uint64
 }
 
+// savepoint marks the write-set lengths a closed-nested block rolls back to.
 type savepoint struct {
 	undoLen   int
 	writesLen int
 	compLen   int
 }
 
-// Txn is a transaction descriptor. A Txn is confined to the goroutine that
-// runs the atomic body; only status and beginSeq are read by other threads.
-// Descriptors are pooled: outside an Atomic call a descriptor may be reused
-// by any goroutine, so user code must not retain one past the body.
+// Txn is an eager-versioning transaction descriptor: the kernel descriptor
+// (identity, read set, owned set, arbitration and recovery state) plus the
+// in-place write set. A Txn is confined to the goroutine that runs the
+// atomic body; only the kernel's atomic fields and beginSeq are read by
+// other threads. Descriptors are pooled: outside an Atomic call a descriptor
+// may be reused by any goroutine, so user code must not retain one past the
+// body.
 type Txn struct {
+	txn.Txn
 	rt       *Runtime
-	id       uint64
-	slot     int // registry slot index, -1 when in overflow
-	status   atomic.Uint32
 	beginSeq atomic.Uint64
 
-	reads   objset.VerSet // first-read version per object
-	owned   objset.VerSet // object -> version saved at acquire
-	writes  []ownedEntry
-	undo    []undoEntry
-	saves   []savepoint
-	comps   []func() // open-nesting compensations, run on abort in reverse
-	attempt int
-
-	// Commit-clock snapshot: the clock value this attempt's reads are
-	// consistent with. Every read at version <= rv is covered; a read above
-	// rv extends the snapshot (re-validating the read set). Meaningful only
-	// when the runtime's clock validation is on.
-	rv uint64
+	writes []ownedEntry // records acquired, in acquisition order (Owned is the index)
+	undo   []undoEntry
+	comps  []func() // open-nesting compensations, run on abort in reverse
 
 	// wrote records whether this attempt stored in place to a shared
 	// (record-acquired) object; private-object writes leave it false. Commit
-	// gates the clock advance on it: irrevocable transactions append
+	// asks for a write version only then: irrevocable transactions append
 	// pessimistic READ claims to tx.writes without changing any value, and
 	// releasing those unchanged needs no snapshot invalidation.
 	wrote bool
-
-	// gran is the adaptive-granularity promotion table sampled at begin;
-	// nil when the configured granularity is 1 (nothing to promote) or no
-	// object has been promoted.
-	gran *granTable
-
-	// Arbitration state. stamp mirrors id but is readable cross-thread
-	// (contention policies look up an owner's descriptor by ID); doomed is
-	// the advisory abort-other flag a winning transaction sets — the victim
-	// notices at its next access, conflict wait, or commit and restarts;
-	// karma accumulates invested work across aborted attempts of the same
-	// atomic block for priority-based policies.
-	stamp  atomic.Uint64
-	doomed atomic.Bool
-	karma  atomic.Int64
-
-	// Recovery state. hb is the epoch heartbeat the reaper watches (bumped at
-	// begin and on conflict-wait slow paths — never on the access hot path);
-	// dead is the death certificate: a release-store of true publishes every
-	// prior write of the dying goroutine (undo log, writes list) to any
-	// reaper that acquires it, and is the ONLY condition under which another
-	// thread may touch this descriptor; reaping serializes reclaimers.
-	hb      atomic.Uint64
-	dead    atomic.Bool
-	reaping atomic.Bool
-
-	// Irrevocability state. irrevocable is goroutine-local (hot-path checks
-	// by the owner); irrevStamp is its cross-thread mirror (policies and
-	// doom() consult it); irrevAt feeds the token-hold-time metrics.
-	irrevocable bool
-	irrevStamp  atomic.Bool
-	irrevAt     time.Time
-
-	// ctx is the cancellation context installed by AtomicCtx; nil for plain
-	// Atomic, in which case no cancellation checks run anywhere.
-	ctx context.Context
-
-	// fi is the fault injector sampled at getTxn (nil-check hook like tr).
-	fi *faultinject.Injector
-
-	// sink is the commit sink sampled at getTxn (nil-check hook like tr);
-	// redo is its scratch record, reused across commits.
-	sink stmapi.CommitSink
-	redo []stmapi.RedoWrite
-
-	// Statistics deltas accumulated without synchronization and flushed to
-	// the runtime's sharded counters at commit/abort.
-	nStarts     int64
-	nReads      int64
-	nWrites     int64
-	nRetries    int64
-	nSelfAborts int64
-	nDooms      int64
-	nClockAdv   int64
-	nFastpath   int64
-	nWalks      int64
-
-	// Tracing state. tr is sampled from the runtime once per top-level
-	// Atomic; nil (the default) disables every emission point behind one
-	// predictable branch. blameObj is the handle of the object a pending
-	// abort is attributed to; beginAt/abortAt feed the commit-latency and
-	// abort-to-retry histograms.
-	tr       *trace.Tracer
-	blameObj uint64
-	beginAt  time.Time
-	abortAt  time.Time
 }
 
-// ID returns the transaction's owner ID as encoded in acquired records.
-func (tx *Txn) ID() uint64 { return tx.id }
-
-// Status returns the descriptor's current status.
-func (tx *Txn) Status() Status { return Status(tx.status.Load()) }
-
-// Attempt returns the 0-based retry attempt of the current top-level
-// execution (0 on the first try).
-func (tx *Txn) Attempt() int { return tx.attempt }
-
-// getTxn fetches a pooled descriptor (or allocates the first time), assigns
-// a fresh owner ID, and registers it. The fresh ID per top-level Atomic
-// keeps record-ownership comparisons ABA-free across descriptor reuse.
-func (rt *Runtime) getTxn() *Txn {
-	tx, _ := rt.pool.Get().(*Txn)
-	if tx == nil {
-		tx = &Txn{rt: rt}
-	}
-	tx.id = rt.nextID.Add(1)
-	tx.tr = rt.tracer.Load()
-	tx.fi = rt.injector.Load()
-	tx.sink = nil
-	if b := rt.sink.Load(); b != nil {
-		tx.sink = b.s
-	}
-	tx.blameObj = 0
-	tx.abortAt = time.Time{}
-	tx.doomed.Store(false)
-	tx.karma.Store(0)
-	tx.dead.Store(false)
-	tx.reaping.Store(false)
-	tx.irrevocable = false
-	tx.irrevStamp.Store(false)
-	// Publish the stamp before the descriptor becomes reachable through the
-	// registry, so policy lookups never observe a stale incarnation's ID.
-	tx.stamp.Store(tx.id)
-	rt.reg.add(tx)
-	return tx
+// Begin implements txn.Strategy.
+func (tx *Txn) Begin() {
+	tx.beginSeq.Store(tx.rt.seq.Add(1))
+	tx.writes = tx.writes[:0]
+	tx.undo = tx.undo[:0]
+	tx.comps = tx.comps[:0]
+	tx.wrote = false
 }
 
-// putTxn unregisters the descriptor, drops every object reference it holds
-// (so pooled descriptors never pin dead heap objects or leak state into
-// their next incarnation), and returns it to the pool.
-func (rt *Runtime) putTxn(tx *Txn) {
-	rt.reg.remove(tx)
-	tx.reads.Reset()
-	tx.owned.Reset()
+// Reset implements txn.Strategy.
+func (tx *Txn) Reset() {
 	clear(tx.writes)
 	tx.writes = tx.writes[:0]
 	clear(tx.undo)
 	tx.undo = tx.undo[:0]
 	clear(tx.comps)
 	tx.comps = tx.comps[:0]
-	tx.saves = tx.saves[:0]
-	tx.ctx = nil
-	tx.fi = nil
-	tx.sink = nil
-	tx.redo = tx.redo[:0]
-	tx.gran = nil
-	rt.pool.Put(tx)
 }
 
-func (tx *Txn) begin() {
-	tx.status.Store(uint32(Active))
-	tx.doomed.Store(false) // a doom aimed at a finished attempt is consumed
-	tx.hb.Add(1)           // heartbeat: the reaper sees a fresh epoch
-	tx.beginSeq.Store(tx.rt.seq.Add(1))
-	tx.reads.Reset()
-	tx.owned.Reset()
-	tx.writes = tx.writes[:0]
-	tx.undo = tx.undo[:0]
-	tx.saves = tx.saves[:0]
-	tx.comps = tx.comps[:0]
-	tx.wrote = false
-	tx.nStarts++
-	if tx.rt.clockOn {
-		tx.rv = tx.rt.clock.Load()
-	}
-	tx.gran = nil
-	if tx.rt.cfg.Granularity > 1 {
-		tx.gran = tx.rt.granTab.Load()
-	}
-	if tr := tx.tr; tr != nil {
-		tx.beginAt = time.Now()
-		if !tx.abortAt.IsZero() {
-			tr.ObserveAbortGap(tx.beginAt.Sub(tx.abortAt))
-			tx.abortAt = time.Time{}
-		}
-		tr.Record(trace.EvBegin, tx.id, 0, 0, 0)
-	}
-}
-
-// flushStats drains the descriptor-local counters into the sharded
-// aggregates. Called at commit and abort — the transaction boundaries where
-// other threads may legitimately observe the totals.
-func (tx *Txn) flushStats() {
-	s := &tx.rt.Stats
-	hint := int(tx.id)
-	if tx.nStarts != 0 {
-		s.Starts.AddShard(hint, tx.nStarts)
-		tx.nStarts = 0
-	}
-	if tx.nReads != 0 {
-		s.TxnReads.AddShard(hint, tx.nReads)
-		tx.nReads = 0
-	}
-	if tx.nWrites != 0 {
-		s.TxnWrites.AddShard(hint, tx.nWrites)
-		tx.nWrites = 0
-	}
-	if tx.nRetries != 0 {
-		s.UserRetries.AddShard(hint, tx.nRetries)
-		tx.nRetries = 0
-	}
-	if tx.nSelfAborts != 0 {
-		s.SelfAborts.AddShard(hint, tx.nSelfAborts)
-		tx.nSelfAborts = 0
-	}
-	if tx.nDooms != 0 {
-		s.DoomsIssued.AddShard(hint, tx.nDooms)
-		tx.nDooms = 0
-	}
-	if tx.nClockAdv != 0 {
-		s.ClockAdvances.AddShard(hint, tx.nClockAdv)
-		tx.nClockAdv = 0
-	}
-	if tx.nFastpath != 0 {
-		s.FastpathValidations.AddShard(hint, tx.nFastpath)
-		tx.nFastpath = 0
-	}
-	if tx.nWalks != 0 {
-		s.FallbackWalks.AddShard(hint, tx.nWalks)
-		tx.nWalks = 0
-	}
-}
-
-// Restart aborts the transaction and re-executes it from the beginning of
-// the outermost atomic block. Exposed so tests and litmus programs can
-// force the "transaction aborts for some reason" steps of the paper's
-// Figure 3 examples, and used internally when an access discovers the
-// transaction is doomed.
-func (tx *Txn) Restart() {
-	panic(txSignal{sigRestart, tx})
-}
-
-// Retry implements the user-initiated retry operation: the transaction
-// aborts and blocks until some location in its read set changes, then
-// re-executes.
-func (tx *Txn) Retry() {
-	tx.nRetries++
-	if tr := tx.tr; tr != nil {
-		tr.Record(trace.EvRetry, tx.id, 0, 0, 0)
-	}
-	panic(txSignal{sigRetry, tx})
-}
-
-func (tx *Txn) conflictWait(o *objmodel.Object, kind conflict.Kind, attempt int, rec txrec.Word) {
-	tx.hb.Add(1) // slow path: prove liveness to the reaper while we wait
-	if tr := tx.tr; tr != nil {
-		ref := uint64(o.Ref())
-		var owner uint64
-		if txrec.IsExclusive(rec) {
-			owner = txrec.Owner(rec) // Ver carries the owning txn ID: the waits-for edge
-		}
-		tr.Record(trace.EvConflict, tx.id, ref, 0, owner)
-		tr.Hot().BumpConflict(ref)
-	}
-	if tx.irrevocable {
-		// An irrevocable transaction can neither restart nor lose an
-		// arbitration: skip cancellation, doom, and self-abort caps; doom any
-		// live owner directly (the token is singular, so the owner is never
-		// itself irrevocable) and wait for the record to free. A dead owner is
-		// reclaimed on the spot.
-		if txrec.IsExclusive(rec) {
-			if victim := tx.rt.reg.findStamp(txrec.Owner(rec)); victim != nil && victim != tx {
-				if victim.dead.Load() {
-					tx.rt.reapTxn(victim)
-					return
-				}
-				if victim.doomed.CompareAndSwap(false, true) {
-					tx.nDooms++
-					if tr := tx.tr; tr != nil {
-						tr.Record(trace.EvDoom, tx.id, uint64(o.Ref()), 0, txrec.Owner(rec))
-					}
-				}
-			}
-		}
-		conflict.WaitAttempt(attempt, 0)
-		return
-	}
-	if tx.ctx != nil && tx.ctx.Err() != nil {
-		panic(txSignal{sigCancel, tx})
-	}
-	if tx.doomed.Load() {
-		tx.blameObj = uint64(o.Ref())
-		tx.Restart()
-	}
-	if attempt >= tx.rt.cfg.SelfAbortAfter {
-		tx.blameObj = uint64(o.Ref())
-		tx.Restart()
-	}
-	tx.karma.Add(1) // enduring a conflict earns priority under Karma-style policies
-	info := conflict.Info{
-		Kind: kind, Attempt: attempt, Record: rec,
-		Self: tx.id, SelfPrio: tx.karma.Load(),
-	}
-	if txrec.IsExclusive(rec) {
-		info.Owner = txrec.Owner(rec)
-		if victim := tx.rt.reg.findStamp(info.Owner); victim != nil {
-			if victim.dead.Load() {
-				// The owner's goroutine died holding the record: steal it
-				// (undo replay + release) and re-probe instead of waiting on
-				// a lock nobody will ever release.
-				tx.rt.reapTxn(victim)
-				return
-			}
-			info.OwnerActive = true
-			info.OwnerPrio = victim.karma.Load()
-			info.OwnerIrrevocable = victim.irrevStamp.Load()
-		}
-	}
-	switch tx.rt.policy.Resolve(info) {
-	case conflict.Wait:
-		// The policy performed its own backoff; re-probe the record.
-	case conflict.SelfAbort:
-		tx.nSelfAborts++
-		if tr := tx.tr; tr != nil {
-			tr.Record(trace.EvSelfAbort, tx.id, uint64(o.Ref()), 0, 0)
-		}
-		tx.blameObj = uint64(o.Ref())
-		tx.Restart()
-	case conflict.AbortOther:
-		if tx.rt.doom(info.Owner) {
-			tx.nDooms++
-			if tr := tx.tr; tr != nil {
-				tr.Record(trace.EvDoom, tx.id, uint64(o.Ref()), 0, info.Owner)
-			}
-		}
-		// Camp on the record with yields instead of exponential sleeps:
-		// arbitration already decided this transaction wins, and the victim
-		// releases at its next access or commit. Sleeping past that release
-		// lets a third party (or the restarting victim itself) re-acquire
-		// and force another doom round — the flight recorder shows this as
-		// long consecutive doomed-by chains against whoever holds the record.
-		a := attempt
-		if a > 9 {
-			a = 9 // clamp into WaitAttempt's spin/yield bands; never sleep
-		}
-		conflict.WaitAttempt(a, 0)
-	}
-}
-
-// doom marks the live transaction with the given ID for abort-other: its
-// doom flag is set and it restarts at its next access, conflict wait, or
-// commit. Purely advisory — the victim's own thread performs the rollback,
-// so the txrec state machine never sees a forcible release. Reports whether
-// a live descriptor was marked (false means the owner already finished, in
-// which case the record is released or about to be).
-func (rt *Runtime) doom(id uint64) bool {
-	if id == 0 {
+// acquire takes o's record, whose Shared word w the caller just loaded, and
+// enters it in the write set. false means the CAS lost a race.
+func (tx *Txn) acquire(o *objmodel.Object, w txrec.Word) bool {
+	if !o.Rec.CompareAndSwap(w, txrec.MakeExclusive(tx.ID())) {
 		return false
 	}
-	if victim := rt.reg.findStamp(id); victim != nil {
-		if victim.irrevStamp.Load() {
-			// Irrevocable transactions are never doomed — that is the whole
-			// guarantee. The caller keeps waiting; the token holder finishes.
-			return false
-		}
-		victim.doomed.Store(true)
-		return true
-	}
-	return false
+	tx.writes = append(tx.writes, ownedEntry{o, txrec.Version(w)})
+	tx.Owned.Put(o, txrec.Version(w))
+	return true
 }
 
 // Read opens object o for reading at slot and returns the value
@@ -727,87 +192,64 @@ func (rt *Runtime) doom(id uint64) bool {
 // are read directly. Reads of objects owned by other transactions or by
 // non-transactional writers invoke the conflict manager and retry.
 func (tx *Txn) Read(o *objmodel.Object, slot int) uint64 {
-	tx.nReads++
-	if tx.doomed.Load() && !tx.irrevocable {
-		tx.blameObj = uint64(o.Ref())
-		tx.Restart()
-	}
-	if tx.ctx != nil && !tx.irrevocable && tx.ctx.Err() != nil {
-		// Every access is a cancellation point, so a context cancelled
-		// mid-body (in particular a nested block's scoped context) is
-		// noticed without needing a conflict to arise first.
-		panic(txSignal{sigCancel, tx})
-	}
+	tx.NReads++
+	tx.Poll(o)
 	for attempt := 0; ; attempt++ {
 		w := o.Rec.Load()
+		var ver uint64
 		switch {
 		case txrec.IsPrivate(w):
 			// Visible to this thread only; no logging or validation needed.
-			// Still traced: the soundness oracle audits private (elided)
-			// accesses against the manifest, and they are invisible to it
-			// any other way.
-			if tr := tx.tr; tr != nil {
-				tr.Record(trace.EvRead, tx.id, uint64(o.Ref()), slot, 0)
+			// Still traced (below): the soundness oracle audits private
+			// (elided) accesses against the manifest, and they are invisible
+			// to it any other way.
+		case txrec.IsExclusive(w) && txrec.Owner(w) == tx.ID():
+		case !txrec.IsShared(w):
+			// Another transaction or a non-transactional writer holds the
+			// record.
+			tx.ConflictWait(o, conflict.TxnRead, attempt, w)
+			continue
+		case tx.Irrevocable:
+			// Pessimistic read: acquire the record like a write, so commit
+			// validation is structurally unable to fail (no abort is legal
+			// past the switch). Objects read before the switch are already
+			// Exclusive(self) — LockReadSet upgraded them — so they take
+			// the owner case above, never this one.
+			if !tx.acquire(o, w) {
+				continue
 			}
-			return o.LoadSlot(slot)
-		case txrec.IsExclusive(w):
-			if txrec.Owner(w) == tx.id {
-				if tr := tx.tr; tr != nil {
-					tr.Record(trace.EvRead, tx.id, uint64(o.Ref()), slot, 0)
-				}
-				return o.LoadSlot(slot)
-			}
-			tx.conflictWait(o, conflict.TxnRead, attempt, w)
-		case txrec.IsExclusiveAnon(w):
-			// A non-transactional writer holds the record.
-			tx.conflictWait(o, conflict.TxnRead, attempt, w)
+			ver = txrec.Version(w)
+			tx.Reads.Put(o, ver)
 		default: // shared
-			if tx.irrevocable {
-				// Pessimistic read: acquire the record like a write, so commit
-				// validation is structurally unable to fail (no abort is legal
-				// past the switch). Objects read before the switch are already
-				// Exclusive(self) — lockReadSet upgraded them — so they take
-				// the IsExclusive branch above, never this one.
-				if !o.Rec.CompareAndSwap(w, txrec.MakeExclusive(tx.id)) {
-					continue
-				}
-				ver := txrec.Version(w)
-				tx.writes = append(tx.writes, ownedEntry{o, ver})
-				tx.owned.Put(o, ver)
-				tx.reads.Put(o, ver)
-				if tr := tx.tr; tr != nil {
-					tr.Record(trace.EvRead, tx.id, uint64(o.Ref()), slot, ver)
-				}
-				return o.LoadSlot(slot)
-			}
 			v := o.LoadSlot(slot)
 			if o.Rec.Load() != w {
 				// Record changed under us; retry the sample.
 				continue
 			}
-			ver := txrec.Version(w)
-			if tx.rt.clockOn && ver > tx.rv {
+			ver = txrec.Version(w)
+			if tx.rt.ClockOn && ver > tx.RV {
 				// The version postdates our clock snapshot: the value may be
 				// newer than everything read so far. Extend the snapshot —
 				// walk-validate the read set against a fresh clock value — or
 				// restart if the read set is already stale.
-				tx.extendSnapshot(o, ver)
+				tx.ExtendSnapshot(o, ver)
 			}
-			if prev, ok := tx.reads.Get(o); ok {
-				if prev != ver {
-					// We already read this object at an older version: the
-					// transaction is doomed; abort eagerly.
-					tx.blameObj = uint64(o.Ref())
-					tx.Restart()
-				}
-			} else {
-				tx.reads.Put(o, ver)
+			if prev, ok := tx.Reads.Get(o); !ok {
+				tx.Reads.Put(o, ver)
+			} else if prev != ver {
+				// We already read this object at an older version: the
+				// transaction is doomed; abort eagerly.
+				tx.RestartOn(uint64(o.Ref()))
 			}
-			if tr := tx.tr; tr != nil {
-				tr.Record(trace.EvRead, tx.id, uint64(o.Ref()), slot, ver)
+			if tr := tx.Tr; tr != nil {
+				tr.Record(trace.EvRead, tx.ID(), uint64(o.Ref()), slot, ver)
 			}
 			return v
 		}
+		if tr := tx.Tr; tr != nil {
+			tr.Record(trace.EvRead, tx.ID(), uint64(o.Ref()), slot, ver)
+		}
+		return o.LoadSlot(slot)
 	}
 }
 
@@ -817,7 +259,7 @@ func (tx *Txn) ReadRef(o *objmodel.Object, slot int) objmodel.Ref {
 }
 
 func (tx *Txn) logUndo(o *objmodel.Object, slot int) {
-	g := tx.effGran(o)
+	g := tx.Span(o)
 	base := slot &^ (g - 1)
 	e := undoEntry{obj: o, base: base}
 	for i := 0; i < g && base+i < len(o.Slots); i++ {
@@ -839,109 +281,78 @@ func (tx *Txn) maybePublish(o *objmodel.Object, slot int, v uint64) {
 	tx.rt.Heap.PublishRef(objmodel.Ref(v))
 }
 
+// inject fires the fault injector at point p of a write's record
+// acquisition on o. Abort restarts through the ordinary path (which replays
+// any undo entry already logged and releases with a version bump); Crash
+// simulates thread death, which the atomic loop's recover cleans up after
+// exactly as a managed runtime does for a dead thread; Orphan dies with no
+// cleanup at all, leaving the records held for a reaper or a waiting
+// contender to steal. An irrevocable transaction can do none of these.
+func (tx *Txn) inject(p faultinject.Point, o *objmodel.Object) {
+	switch tx.FI.Fire(p, tx.ID()) {
+	case faultinject.Abort:
+		if !tx.Irrevocable {
+			tx.RestartOn(uint64(o.Ref()))
+		}
+	case faultinject.Crash:
+		if !tx.Irrevocable {
+			panic(faultinject.CrashError{Point: p, Txn: tx.ID()})
+		}
+	case faultinject.Orphan:
+		tx.Die(p)
+	}
+}
+
 // Write opens object o for writing at slot and stores v in place
 // (open-for-write with strict two-phase locking and eager versioning).
 func (tx *Txn) Write(o *objmodel.Object, slot int, v uint64) {
-	tx.nWrites++
-	if tx.doomed.Load() && !tx.irrevocable {
-		tx.blameObj = uint64(o.Ref())
-		tx.Restart()
-	}
-	if tx.ctx != nil && !tx.irrevocable && tx.ctx.Err() != nil {
-		panic(txSignal{sigCancel, tx}) // accesses are cancellation points
-	}
+	tx.NWrites++
+	tx.Poll(o)
 	for attempt := 0; ; attempt++ {
 		w := o.Rec.Load()
+		var ver uint64
+		acquired := false
 		switch {
 		case txrec.IsPrivate(w):
 			// Thread-local: no locking, but rollback must still restore it.
 			tx.logUndo(o, slot)
 			o.StoreSlot(slot, v)
-			if tr := tx.tr; tr != nil {
-				tr.Record(trace.EvWrite, tx.id, uint64(o.Ref()), slot, 0)
+			if tr := tx.Tr; tr != nil {
+				tr.Record(trace.EvWrite, tx.ID(), uint64(o.Ref()), slot, 0)
 			}
 			return
-		case txrec.IsExclusive(w):
-			if txrec.Owner(w) != tx.id {
-				tx.conflictWait(o, conflict.TxnWrite, attempt, w)
-				continue
-			}
-			tx.logUndo(o, slot)
-			o.StoreSlot(slot, v)
-			tx.wrote = true
-			tx.maybePublish(o, slot, v)
-			if tr := tx.tr; tr != nil {
-				tr.Record(trace.EvWrite, tx.id, uint64(o.Ref()), slot, 0)
-			}
-			return
-		case txrec.IsExclusiveAnon(w):
-			tx.conflictWait(o, conflict.TxnWrite, attempt, w)
+		case txrec.IsExclusive(w) && txrec.Owner(w) == tx.ID():
+		case !txrec.IsShared(w):
+			tx.ConflictWait(o, conflict.TxnWrite, attempt, w)
+			continue
 		default: // shared: acquire
-			if fi := tx.fi; fi != nil {
-				switch fi.Fire(faultinject.PreAcquire, tx.id) {
-				case faultinject.Abort:
-					if !tx.irrevocable {
-						tx.blameObj = uint64(o.Ref())
-						tx.Restart()
-					}
-				case faultinject.Crash:
-					if !tx.irrevocable {
-						// Simulated thread death before the CAS: nothing is owned
-						// for this object yet; run's recover performs the abort.
-						panic(faultinject.CrashError{Point: faultinject.PreAcquire, Txn: tx.id})
-					}
-				case faultinject.Orphan:
-					// Goroutine dies with no cleanup at all: records stay held
-					// until a reaper or a waiting contender steals them.
-					tx.die(faultinject.PreAcquire)
-				}
+			if tx.FI != nil {
+				tx.inject(faultinject.PreAcquire, o)
 			}
-			if !o.Rec.CompareAndSwap(w, txrec.MakeExclusive(tx.id)) {
+			if !tx.acquire(o, w) {
 				continue
 			}
-			ver := txrec.Version(w)
-			tx.writes = append(tx.writes, ownedEntry{o, ver})
-			tx.owned.Put(o, ver)
-			if tr := tx.tr; tr != nil {
-				tr.Record(trace.EvLockAcquire, tx.id, uint64(o.Ref()), slot, ver)
+			ver, acquired = txrec.Version(w), true
+			if tr := tx.Tr; tr != nil {
+				tr.Record(trace.EvLockAcquire, tx.ID(), uint64(o.Ref()), slot, ver)
 			}
-			if prev, ok := tx.reads.Get(o); ok && prev != ver {
+			if prev, ok := tx.Reads.Get(o); ok && prev != ver {
 				// Object changed between our read and this acquire: doomed.
-				tx.blameObj = uint64(o.Ref())
-				tx.Restart()
+				tx.RestartOn(uint64(o.Ref()))
 			}
-			tx.logUndo(o, slot)
-			o.StoreSlot(slot, v)
-			tx.wrote = true
-			tx.maybePublish(o, slot, v)
-			if tr := tx.tr; tr != nil {
-				tr.Record(trace.EvWrite, tx.id, uint64(o.Ref()), slot, ver)
-			}
-			if fi := tx.fi; fi != nil {
-				switch fi.Fire(faultinject.PostAcquire, tx.id) {
-				case faultinject.Abort:
-					if !tx.irrevocable {
-						// The record is ours and the old value is logged; the
-						// ordinary restart path replays the undo entry and
-						// releases with a version bump.
-						tx.blameObj = uint64(o.Ref())
-						tx.Restart()
-					}
-				case faultinject.Crash:
-					if !tx.irrevocable {
-						// Crash while owning a record mid-update: run's recover
-						// aborts (rollback + release) before propagating, exactly
-						// the cleanup a managed runtime performs for a dead thread.
-						panic(faultinject.CrashError{Point: faultinject.PostAcquire, Txn: tx.id})
-					}
-				case faultinject.Orphan:
-					// Dies owning the record mid-update: the reaper must replay
-					// the undo entry just logged before releasing.
-					tx.die(faultinject.PostAcquire)
-				}
-			}
-			return
 		}
+		tx.logUndo(o, slot)
+		o.StoreSlot(slot, v)
+		tx.wrote = true
+		tx.maybePublish(o, slot, v)
+		if tr := tx.Tr; tr != nil {
+			tr.Record(trace.EvWrite, tx.ID(), uint64(o.Ref()), slot, ver)
+		}
+		if tx.FI != nil && acquired {
+			// The record is ours and the old value is logged.
+			tx.inject(faultinject.PostAcquire, o)
+		}
+		return
 	}
 }
 
@@ -950,323 +361,146 @@ func (tx *Txn) WriteRef(o *objmodel.Object, slot int, r objmodel.Ref) {
 	tx.Write(o, slot, uint64(r))
 }
 
-// Validate re-checks the read set and reports whether the transaction is
-// still consistent. The VM calls this periodically so that doomed
-// transactions (which have read data speculatively written by others)
-// abort promptly instead of looping or faulting.
-func (tx *Txn) Validate() bool {
-	ok, _ := tx.validate()
-	return ok
-}
+// RetryWait implements txn.Strategy.
+func (tx *Txn) RetryWait(ctx context.Context) error { return tx.WaitForReadSetChange(ctx) }
 
-// validate re-checks the read set; on failure it also reports the handle
-// of the first inconsistent object, for conflict attribution. Under
-// commit-clock validation the fast path is a single compare: an unchanged
-// clock proves no committed or non-transactional write happened anywhere
-// on the heap since this transaction's snapshot, so no read-set entry can
-// have changed (the transaction's own acquisitions never tick the clock
-// and are checked against the owned set only when walking). Abort-path
-// releases bump versions without ticking the clock, but they restore the
-// values first, so a read set that passes the fast path is still
-// value-equivalent to a consistent snapshot.
-func (tx *Txn) validate() (bool, uint64) {
-	if tx.rt.clockOn && tx.rt.clock.Load() == tx.rv {
-		tx.nFastpath++
-		return true, 0
-	}
-	tx.nWalks++
-	return tx.walkValidate()
-}
-
-// walkValidate is the original O(|read set|) validation walk, used when
-// the clock snapshot is stale (or clock validation is off).
-func (tx *Txn) walkValidate() (bool, uint64) {
-	ok := true
-	var bad uint64
-	tx.reads.Range(func(o *objmodel.Object, ver uint64) bool {
-		w := o.Rec.Load()
-		switch {
-		case txrec.IsPrivate(w):
-			// Only this thread could ever have seen it; trivially valid.
-		case txrec.IsShared(w):
-			if txrec.Version(w) != ver {
-				ok = false
-			}
-		case txrec.IsExclusive(w) && txrec.Owner(w) == tx.id:
-			if ov, _ := tx.owned.Get(o); ov != ver {
-				ok = false
-			}
-		default:
-			ok = false
-		}
-		if !ok {
-			bad = uint64(o.Ref())
-		}
-		return ok
-	})
-	return ok, bad
-}
-
-// ValidateOrRestart aborts and restarts the transaction if it is doomed.
-func (tx *Txn) ValidateOrRestart() {
-	if ok, bad := tx.validate(); !ok {
-		tx.failValidation(bad)
-	}
-}
-
-// extendSnapshot handles a read that observed version ver above the clock
-// snapshot rv: it raises the clock to cover ver (abort releases and
-// anonymous releases push object versions past the clock, so waiting for
-// a committer to catch the clock up could livelock), re-validates the
-// read set against a fresh clock value, and on success adopts that value
-// as the new snapshot. On failure the transaction restarts — it read
-// something that changed since begin.
-func (tx *Txn) extendSnapshot(o *objmodel.Object, ver uint64) {
-	rt := tx.rt
-	if tr := tx.tr; tr != nil {
-		ref := uint64(o.Ref())
-		tr.Record(trace.EvExtend, tx.id, ref, 0, ver)
-		tr.Hot().BumpValidation(ref)
-	}
-	rt.clock.Raise(ver)
-	newRv := rt.clock.Load()
-	tx.nWalks++
-	if ok, bad := tx.walkValidate(); !ok {
-		tx.failValidation(bad)
-	}
-	tx.rv = newRv
-}
-
-// failValidation attributes a validation failure to obj and restarts,
-// first notifying the contention handler if it observes stale aborts
-// (conflict.StaleObserver). Unlike a HandleConflict call there is no
-// decision to make — the transaction is already inconsistent — so the
-// notification is purely for attribution and priority accounting.
-func (tx *Txn) failValidation(bad uint64) {
-	tx.notifyStale(bad)
-	tx.blameObj = bad
-	tx.Restart()
-}
-
-func (tx *Txn) notifyStale(bad uint64) {
-	if tr := tx.tr; tr != nil {
-		tr.Record(trace.EvValidation, tx.id, bad, tx.attempt, 0)
-		tr.Hot().BumpValidation(bad)
-	}
-	if obs := tx.rt.staleObs; obs != nil {
-		obs.ObserveValidationAbort(conflict.Info{
-			Kind:     conflict.TxnValidation,
-			Attempt:  tx.attempt,
-			Obj:      bad,
-			Self:     tx.id,
-			SelfPrio: tx.karma.Load(),
-		})
-	}
-}
-
-func (tx *Txn) rollbackTo(undoLen, writesLen, compLen int) {
+func (tx *Txn) rollbackTo(sp savepoint) {
 	// Replay the undo log in reverse: later entries may shadow earlier ones,
 	// so reverse order restores the oldest values last.
-	for i := len(tx.undo) - 1; i >= undoLen; i-- {
+	for i := len(tx.undo) - 1; i >= sp.undoLen; i-- {
 		e := tx.undo[i]
 		for j := 0; j < e.n; j++ {
 			e.obj.StoreSlot(e.base+j, e.vals[j])
 		}
 	}
-	tx.undo = tx.undo[:undoLen]
+	tx.undo = tx.undo[:sp.undoLen]
 	// Release records acquired after the savepoint, bumping versions so
 	// optimistic readers of our speculative state fail validation (the
 	// bump is load-bearing: without it, a reader that sampled the record,
 	// read a speculative slot value, and re-checked the record could pass
 	// its double-check against the restored word — an ABA).
-	for i := len(tx.writes) - 1; i >= writesLen; i-- {
+	for i := len(tx.writes) - 1; i >= sp.writesLen; i-- {
 		e := tx.writes[i]
 		e.obj.Rec.ReleaseOwned(e.version)
-		tx.owned.Delete(e.obj)
+		tx.Owned.Delete(e.obj)
 		// Partial abort: the rollback above restored exactly the values the
 		// enclosing transaction read before this record was acquired, so
 		// refresh its read-set entry to the post-release version — otherwise
 		// the parent would fail validation against its own nested abort and
 		// retry forever.
-		if _, ok := tx.reads.Get(e.obj); ok {
-			tx.reads.Put(e.obj, e.version+1)
+		if _, ok := tx.Reads.Get(e.obj); ok {
+			tx.Reads.Put(e.obj, e.version+1)
 		}
 	}
-	tx.writes = tx.writes[:writesLen]
+	tx.writes = tx.writes[:sp.writesLen]
 	// Run open-nesting compensations registered after the savepoint.
-	for i := len(tx.comps) - 1; i >= compLen; i-- {
+	for i := len(tx.comps) - 1; i >= sp.compLen; i-- {
 		tx.comps[i]()
 	}
-	tx.comps = tx.comps[:compLen]
+	tx.comps = tx.comps[:sp.compLen]
 }
 
-func (tx *Txn) abort() {
-	if fi := tx.fi; fi != nil {
-		switch fi.Fire(faultinject.PreRelease, tx.id) {
+// Rollback implements txn.Strategy: replay the whole undo log and release
+// every record with a version bump.
+func (tx *Txn) Rollback() {
+	if fi := tx.FI; fi != nil {
+		switch fi.Fire(faultinject.PreRelease, tx.ID()) {
 		case faultinject.Crash:
-			// Crash on the abort path itself: complete the cleanup (with
-			// injection disarmed, or the recursive abort would re-fire) so every
+			// Crash on the abort path itself: complete the cleanup so every
 			// owned record is released, then surface the crash.
-			tx.fi = nil
-			tx.abort()
-			panic(faultinject.CrashError{Point: faultinject.PreRelease, Txn: tx.id})
+			tx.Crash(faultinject.PreRelease)
 		case faultinject.Orphan:
 			// Dies entering its own rollback: nothing is undone or released;
 			// the reaper replays the whole undo log.
-			tx.die(faultinject.PreRelease)
+			tx.Die(faultinject.PreRelease)
 		}
 	}
-	// Work invested by the failed attempt converts into priority for the
-	// next one (Karma-style policies): reads and writes not yet flushed
-	// belong to this attempt.
-	if tx.nReads+tx.nWrites > 0 {
-		tx.karma.Add(tx.nReads + tx.nWrites)
-	}
-	tx.rollbackTo(0, 0, 0)
-	// Aborting while irrevocable is a contract violation (the body returned
-	// an error after the switch), but the token must still be surrendered —
-	// after the rollback above released our records.
-	tx.dropIrrevocable()
-	tx.status.Store(uint32(Aborted))
-	tx.rt.Stats.Aborts.AddShard(int(tx.id), 1)
-	if tr := tx.tr; tr != nil {
-		tr.Record(trace.EvAbort, tx.id, tx.blameObj, 0, 0)
-		if tx.blameObj != 0 {
-			tr.Hot().BumpAbort(tx.blameObj)
-		}
-		tx.abortAt = time.Now()
-	}
-	tx.blameObj = 0
-	tx.flushStats()
+	tx.rollbackTo(savepoint{})
 }
 
-// commit attempts to commit. ok=false means the attempt must abort and
-// retry. A non-nil error is only possible after the commit point (the
-// transaction's effects are durable) when a cancellation abandoned the
-// post-commit quiescence wait; the caller returns it without retrying.
-func (tx *Txn) commit() (ok bool, err error) {
-	if tx.doomed.Load() && !tx.irrevocable {
+// releaseCommitted releases every held record stamped with the write
+// version: readers that observe the stamped version either began after the
+// clock step (their snapshot covers it) or extend their snapshot on contact.
+func (tx *Txn) releaseCommitted() {
+	for _, e := range tx.writes {
+		e.obj.Rec.ReleaseOwnedAt(e.version, tx.WV)
+	}
+}
+
+// Commit implements txn.Strategy: validate the read set (the write set's
+// records have been held since each first write), pass the commit point,
+// log, release.
+func (tx *Txn) Commit() (ok bool, err error) {
+	if tx.Doomed() && !tx.Irrevocable {
 		return false, nil
 	}
-	if fi := tx.fi; fi != nil {
-		switch fi.Fire(faultinject.PreValidate, tx.id) {
+	if fi := tx.FI; fi != nil {
+		switch fi.Fire(faultinject.PreValidate, tx.ID()) {
 		case faultinject.Abort:
-			if !tx.irrevocable {
+			if !tx.Irrevocable {
 				return false, nil
 			}
 		case faultinject.Crash:
-			if !tx.irrevocable {
+			if !tx.Irrevocable {
 				// Thread dies entering validation: roll back and release
 				// everything (the managed-runtime cleanup), then surface it.
-				tx.abort()
-				panic(faultinject.CrashError{Point: faultinject.PreValidate, Txn: tx.id})
+				tx.Crash(faultinject.PreValidate)
 			}
 		case faultinject.Orphan:
 			// Dies entering validation with every write still in place and
 			// every record still Exclusive: the canonical orphan.
-			tx.die(faultinject.PreValidate)
+			tx.Die(faultinject.PreValidate)
 		}
 	}
-	if ok, bad := tx.validate(); !ok {
-		if tx.irrevocable {
+	// A write version is needed by a commit that stored in place to a shared
+	// object, and by a durable runtime (as the redo record's LSN) for any
+	// commit that stored anywhere — including private objects, which skip
+	// tx.wrote.
+	if ok, bad := tx.ValidateCommit(tx.wrote || (tx.Sink != nil && len(tx.undo) > 0)); !ok {
+		if tx.Irrevocable {
 			// Structurally impossible: every read-set entry is Exclusive(self)
 			// since the switch, so validation cannot observe a foreign change.
 			panic("stm: irrevocable transaction failed validation")
 		}
-		tx.notifyStale(bad)
-		tx.blameObj = bad
+		tx.Blame = bad
 		return false, nil
 	}
-	// Obtain a write version: one clock tick (GV4, pass-on-failure) covers
-	// every record released below, and failing the fast path of every
-	// transaction whose snapshot predates this commit. Commits that stored
-	// nothing in place skip it — read-only bodies, and irrevocable bodies
-	// whose tx.writes holds only pessimistic read claims — since releasing
-	// unchanged values leaves stale snapshots valid (wv stays 0, so the
-	// releases below degrade to plain version bumps).
-	// A durable runtime needs a stamp (the redo record's LSN) for any commit
-	// that stored anywhere — including private objects, which skip tx.wrote —
-	// even when clock validation is off.
-	var wv uint64
-	wantStamp := tx.wrote || (tx.sink != nil && len(tx.undo) > 0)
-	if wantStamp && (tx.rt.clockOn || tx.sink != nil) {
-		var advanced bool
-		if wv, advanced = tx.rt.clock.Advance(); advanced {
-			tx.nClockAdv++
-		}
-	}
-	tx.status.Store(uint32(Committed))
-	if fi := tx.fi; fi != nil {
-		switch fi.Fire(faultinject.PostCommitPoint, tx.id) {
+	tx.CommitPoint()
+	if fi := tx.FI; fi != nil {
+		switch fi.Fire(faultinject.PostCommitPoint, tx.ID()) {
 		case faultinject.Crash:
 			// Past the commit point the transaction is logically committed; a
 			// dying thread's records are released exactly as commit would have
 			// released them, never rolled back.
-			for _, e := range tx.writes {
-				e.obj.Rec.ReleaseOwnedAt(e.version, wv)
-			}
-			tx.rt.Stats.Commits.AddShard(int(tx.id), 1)
-			tx.flushStats()
-			panic(faultinject.CrashError{Point: faultinject.PostCommitPoint, Txn: tx.id})
+			tx.releaseCommitted()
+			tx.CrashCommitted(faultinject.PostCommitPoint)
 		case faultinject.Orphan:
 			// Dies just past the commit point still holding every record: the
 			// reaper must finish the release (no rollback — it committed).
-			tx.die(faultinject.PostCommitPoint)
+			tx.Die(faultinject.PostCommitPoint)
 		}
 	}
-	// Stream the redo record while the records are still held: appends to
-	// the log observe commits to each object in release order, so replay
-	// order agrees with every object's version order. Eager versioning wrote
-	// in place, so the current slot values under the undo spans ARE the redo
-	// image. The injected-death branches above never reach this append: a
-	// commit that died before logging is simply not durable, which is the
-	// contract (it was never acked).
+	// Eager versioning wrote in place, so the current slot values under the
+	// undo spans ARE the redo image.
 	var durSeq uint64
 	var durErr error
-	if tx.sink != nil && len(tx.undo) > 0 {
-		tx.redo = tx.redo[:0]
+	if tx.Sink != nil && len(tx.undo) > 0 {
+		tx.Redo = tx.Redo[:0]
 		for _, e := range tx.undo {
 			for i := 0; i < e.n; i++ {
-				tx.redo = append(tx.redo, stmapi.RedoWrite{
+				tx.Redo = append(tx.Redo, stmapi.RedoWrite{
 					Ref: e.obj.Ref(), Slot: e.base + i, Val: e.obj.LoadSlot(e.base + i),
 				})
 			}
 		}
-		durSeq, durErr = tx.sink.AppendRedo(tx.id, wv, tx.redo)
+		durSeq, durErr = tx.AppendRedo()
 	}
-	// Release with the write version: readers that observe the stamped
-	// version either began after the clock advance (snapshot covers it) or
-	// extend their snapshot on contact.
-	for _, e := range tx.writes {
-		e.obj.Rec.ReleaseOwnedAt(e.version, wv)
-	}
-	tx.rt.Stats.Commits.AddShard(int(tx.id), 1)
-	if tr := tx.tr; tr != nil {
-		tr.Record(trace.EvCommit, tx.id, 0, 0, 0)
-		tr.ObserveCommit(time.Since(tx.beginAt))
-	}
-	tx.dropIrrevocable()
-	tx.flushStats()
+	tx.releaseCommitted()
+	tx.Committed()
 	if tx.rt.cfg.Quiescence {
-		if tr := tx.tr; tr != nil {
-			start := time.Now()
-			err = tx.quiesce()
-			tr.ObserveQuiesce(time.Since(start))
-		} else {
-			err = tx.quiesce()
-		}
+		err = tx.AwaitOrdering(tx.quiesce)
 	}
-	// Durability barrier, after the records are released so the group
-	// commit's fsync window never extends lock hold times: Atomic returns
-	// only once the redo record is on stable storage (or the sink failed —
-	// the commit is applied in memory, its durability unknown to the caller).
-	if durErr == nil && durSeq != 0 {
-		durErr = tx.sink.WaitDurable(durSeq)
-	}
-	if err == nil {
-		err = durErr
-	}
-	return true, err
+	return true, tx.WaitDurable(durSeq, durErr, err)
 }
 
 // quiesce implements the Section 3.4 privatization guarantee: the committed
@@ -1283,19 +517,20 @@ func (tx *Txn) commit() (ok bool, err error) {
 func (tx *Txn) quiesce() error {
 	commitSeq := tx.rt.seq.Add(1)
 	var err error
-	tx.rt.reg.forEach(func(other *Txn) bool {
+	tx.rt.ForEach(func(k *txn.Txn) bool {
+		other := k.Self().(*Txn)
 		if other == tx {
 			return true
 		}
-		for a := 0; Status(other.status.Load()) == Active && other.beginSeq.Load() < commitSeq; a++ {
-			if other.dead.Load() {
+		for a := 0; other.Status() == Active && other.beginSeq.Load() < commitSeq; a++ {
+			if other.Dead() {
 				// Quiescing on an orphan would spin forever; reclaim it (the
 				// reap stores a terminal status, ending this wait).
-				tx.rt.reapTxn(other)
+				tx.rt.Reap(k)
 				break
 			}
-			if tx.ctx != nil {
-				if err = tx.ctx.Err(); err != nil {
+			if tx.Ctx != nil {
+				if err = tx.Ctx.Err(); err != nil {
 					return false
 				}
 			}
@@ -1306,37 +541,61 @@ func (tx *Txn) quiesce() error {
 	return err
 }
 
-// waitForReadSetChange blocks until any object in the given read set
-// changes version or becomes owned, implementing the retry operation. The
-// caller passes the aborted transaction's own read set (which survives
-// abort and is reset only on the next begin), so no snapshot copy is made.
-func (rt *Runtime) waitForReadSetChange(ctx context.Context, rs *objset.VerSet) error {
-	if rs.Len() == 0 {
-		return nil // retrying with an empty read set would block forever
+// ReapOrphan implements txn.Strategy. An orphan that died before its commit
+// point is rolled back — undo replay, compensations, release with version
+// bumps — as its own abort would have; one that died inside the commit
+// window has its release completed, effects intact.
+func (tx *Txn) ReapOrphan(committed bool) {
+	if !committed {
+		tx.rollbackTo(savepoint{})
+		return
 	}
-	for a := 0; ; a++ {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		changed := false
-		rs.Range(func(o *objmodel.Object, ver uint64) bool {
-			w := o.Rec.Load()
-			if txrec.IsPrivate(w) {
-				return true
-			}
-			if !txrec.IsShared(w) || txrec.Version(w) != ver {
-				changed = true
-				return false
-			}
-			return true
-		})
-		if changed {
-			return nil
-		}
-		conflict.WaitAttempt(a, 0)
+	// Tick the clock BEFORE releasing: unlike an abort, the releases expose
+	// changed values (nothing is restored), so clock snapshots that predate
+	// them must lose their validation fast path. Ticking first means no
+	// transaction can read a released value and still pass clock-only
+	// validation with a pre-release snapshot.
+	if tx.rt.ClockOn {
+		tx.rt.Clock.Tick()
 	}
+	for i := len(tx.writes) - 1; i >= 0; i-- {
+		e := tx.writes[i]
+		e.obj.Rec.ReleaseOwned(e.version)
+	}
+}
+
+// LockReadSet implements txn.Strategy: it upgrades every read-set entry to
+// Exclusive at its recorded version. With the whole read set owned, no
+// other transaction can invalidate it, so commit validation trivially passes
+// — the mechanism behind the no-abort guarantee — and from then on reads
+// acquire their records pessimistically. Acquired records join the write
+// set, so the failure path (ordinary restart) releases them with version
+// bumps. Returns false if any entry is stale or cannot be acquired at the
+// recorded version.
+func (tx *Txn) LockReadSet() bool {
+	ok := true
+	tx.Reads.Range(func(o *objmodel.Object, ver uint64) bool {
+		w := o.Rec.Load()
+		switch {
+		case txrec.IsPrivate(w):
+			// Only this thread ever saw it; nothing to lock.
+		case txrec.IsExclusive(w) && txrec.Owner(w) == tx.ID():
+			// Already ours (read after write): valid iff acquired at the
+			// version we read.
+			ov, _ := tx.Owned.Get(o)
+			ok = ov == ver
+		case txrec.IsShared(w) && txrec.Version(w) == ver:
+			// Losing the CAS race fails fast: a retry loop here could wait
+			// forever on a foreign owner, and release always bumps the
+			// version, so the entry can only come back stale.
+			ok = tx.acquire(o, w)
+		default:
+			// Foreign-owned or version moved: the snapshot is already stale.
+			ok = false
+		}
+		return ok
+	})
+	return ok
 }
 
 // Atomic executes body as a transaction. With parent == nil it is a
@@ -1348,10 +607,23 @@ func (rt *Runtime) waitForReadSetChange(ctx context.Context, rs *objset.VerSet) 
 // The body's error return aborts: ErrAborted (or any wrapped error)
 // discards the transaction's effects and is returned to the caller.
 func (rt *Runtime) Atomic(parent *Txn, body func(*Txn) error) error {
+	return rt.AtomicCtx(nil, parent, body)
+}
+
+// AtomicCtx is Atomic with deadline/cancellation support; see
+// txn.Kernel.Atomic for where the context is checked and what cancellation
+// before and after the commit point means.
+//
+// With a non-nil parent, a nil ctx inherits the enclosing transaction's
+// context; a non-nil ctx governs just the nested block — its cancellation
+// partially aborts to the savepoint and AtomicCtx returns ctx.Err() to the
+// enclosing body, which decides whether to continue. A nil ctx with a nil
+// parent behaves exactly like Atomic, paying zero cancellation checks.
+func (rt *Runtime) AtomicCtx(ctx context.Context, parent *Txn, body func(*Txn) error) error {
 	if parent != nil {
-		return rt.nested(parent, body)
+		return parent.nested(ctx, body)
 	}
-	return rt.atomic(nil, body, rt.escalateFrom())
+	return rt.Kernel.Atomic(ctx, rt.EscalateFrom(), func(k *txn.Txn) error { return body(k.Self().(*Txn)) })
 }
 
 // AtomicIrrevocable executes body as an irrevocable transaction: once the
@@ -1367,206 +639,21 @@ func (rt *Runtime) AtomicIrrevocable(parent *Txn, body func(*Txn) error) error {
 	}
 	if parent != nil {
 		parent.BecomeIrrevocable()
-		return rt.nested(parent, body)
+		return parent.nested(nil, body)
 	}
-	return rt.atomic(nil, body, 0)
+	return rt.Kernel.Atomic(nil, 0, func(k *txn.Txn) error { return body(k.Self().(*Txn)) })
 }
 
-// escalateFrom converts the configured escalation threshold into the atomic
-// loop's irrevFrom parameter: the attempt index from which the transaction
-// runs irrevocably, or -1 for never.
-func (rt *Runtime) escalateFrom() int {
-	if rt.cfg.EscalateAfter > 0 {
-		return rt.cfg.EscalateAfter
+// nested runs body as a closed-nested block of tx under ctx (nil inherits):
+// any error — the body's own, or a cancellation scoped to the block —
+// partially aborts to the savepoint taken here.
+func (tx *Txn) nested(ctx context.Context, body func(*Txn) error) error {
+	sp := savepoint{len(tx.undo), len(tx.writes), len(tx.comps)}
+	err := tx.NestedCtx(ctx, func() error { return body(tx) })
+	if err != nil {
+		tx.rollbackTo(sp)
 	}
-	return -1
-}
-
-// AtomicCtx is Atomic with deadline/cancellation support. The context is
-// checked on entry (an already-cancelled context returns ctx.Err() without
-// executing the body), before every re-execution, inside conflict waits,
-// during retry's read-set wait, and during post-commit quiescence waits.
-// Cancellation before the commit point aborts the attempt (undo-log replay,
-// record release with version bump) and returns ctx.Err(); cancellation
-// detected during the post-commit quiescence wait returns ctx.Err() with
-// the transaction's effects already committed — the error then only means
-// the privatization guarantee was not awaited.
-//
-// With a non-nil parent, a nil ctx inherits the enclosing transaction's
-// context; a non-nil ctx governs just the nested block — its cancellation
-// partially aborts to the savepoint and AtomicCtx returns ctx.Err() to the
-// enclosing body, which decides whether to continue. A nil ctx with a nil
-// parent behaves exactly like Atomic, paying zero cancellation checks.
-func (rt *Runtime) AtomicCtx(ctx context.Context, parent *Txn, body func(*Txn) error) error {
-	if parent != nil {
-		return rt.nestedCtx(ctx, parent, body)
-	}
-	return rt.atomic(ctx, body, rt.escalateFrom())
-}
-
-// atomic is the top-level execution loop. irrevFrom is the attempt index
-// from which the body runs irrevocably (0 = from the first attempt, i.e.
-// AtomicIrrevocable; EscalateAfter for graceful degradation; -1 = never).
-func (rt *Runtime) atomic(ctx context.Context, body func(*Txn) error, irrevFrom int) error {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-	}
-	tx := rt.getTxn()
-	tx.ctx = ctx
-	defer rt.finish(tx)
-	for attempt := 0; ; attempt++ {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		tx.attempt = attempt
-		tx.begin()
-		runBody := body
-		if irrevFrom >= 0 && attempt >= irrevFrom {
-			// Run this attempt irrevocably: switch right after begin, while
-			// the read set is empty and nothing is held, so the token acquire
-			// can never deadlock and the read-set upgrade is trivial. The
-			// closure allocates, but only on this cold path.
-			escalated := irrevFrom > 0
-			runBody = func(tx *Txn) error {
-				tx.becomeIrrevocable(escalated)
-				return body(tx)
-			}
-		}
-		err, sig := rt.run(tx, runBody)
-		switch sig {
-		case 0:
-			if err != nil {
-				tx.abort()
-				return err
-			}
-			committed, cerr := tx.commit()
-			if committed {
-				return cerr
-			}
-			tx.abort()
-		case sigRestart:
-			tx.abort()
-		case sigRetry:
-			tx.abort()
-			// The read set survives abort (begin resets it on the next
-			// attempt), so wait on it in place instead of copying it into a
-			// fresh snapshot map on every retry.
-			if werr := rt.waitForReadSetChange(ctx, &tx.reads); werr != nil {
-				return werr
-			}
-		case sigCancel:
-			tx.abort()
-			if ctx != nil {
-				return ctx.Err()
-			}
-			return context.Canceled // unreachable: sigCancel requires a ctx
-		}
-		conflict.WaitAttempt(attempt, 0)
-	}
-}
-
-// run executes the body, converting control-flow panics into signals. A
-// foreign panic raised while the transaction is doomed (invalid read set)
-// is treated as a restart — speculative execution on inconsistent data may
-// fault in arbitrary ways, exactly the hazard quiescence-based systems
-// worry about (Section 3.4); a managed runtime converts the fault into an
-// abort.
-func (rt *Runtime) run(tx *Txn, body func(*Txn) error) (err error, sig signal) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
-		if tx.dead.Load() {
-			// The goroutine died at an Orphan injection point: no cleanup may
-			// run — its records stay held for the reaper, and the descriptor
-			// must never be pooled (finish checks the same flag).
-			panic(r)
-		}
-		if s, ok := r.(txSignal); ok && s.tx == tx {
-			sig = s.s
-			return
-		}
-		// Always walk here, never the clock fast path: the question is
-		// whether THIS read set is entry-by-entry consistent, and a fault
-		// is rare enough that the O(|read set|) answer is the right one.
-		if ok, _ := tx.walkValidate(); !ok {
-			sig = sigRestart
-			return
-		}
-		// A genuine fault in a consistent transaction: abort (roll back and
-		// release every owned record) before propagating, so other threads
-		// are not left blocking on records owned by a dead transaction.
-		tx.abort()
-		panic(r)
-	}()
-	return body(tx), 0
-}
-
-func (rt *Runtime) nested(parent *Txn, body func(*Txn) error) error {
-	sp := savepoint{
-		undoLen:   len(parent.undo),
-		writesLen: len(parent.writes),
-		compLen:   len(parent.comps),
-	}
-	parent.saves = append(parent.saves, sp)
-	defer func() { parent.saves = parent.saves[:len(parent.saves)-1] }()
-	if err := body(parent); err != nil {
-		// Partial abort: roll the parent back to the savepoint.
-		parent.rollbackTo(sp.undoLen, sp.writesLen, sp.compLen)
-		return err
-	}
-	return nil
-}
-
-// nestedCtx runs a closed-nested block under its own context. While the
-// block runs, cancellation checks consult the child context; callers who
-// want the enclosing context to also cut the nested block short should
-// derive the child from it (context.WithTimeout(parentCtx, ...)).
-func (rt *Runtime) nestedCtx(ctx context.Context, parent *Txn, body func(*Txn) error) (err error) {
-	if ctx == nil {
-		return rt.nested(parent, body) // inherit the enclosing context
-	}
-	if e := ctx.Err(); e != nil {
-		return e
-	}
-	sp := savepoint{
-		undoLen:   len(parent.undo),
-		writesLen: len(parent.writes),
-		compLen:   len(parent.comps),
-	}
-	prev := parent.ctx
-	parent.ctx = ctx
-	parent.saves = append(parent.saves, sp)
-	defer func() {
-		parent.saves = parent.saves[:len(parent.saves)-1]
-		parent.ctx = prev
-		r := recover()
-		if r == nil {
-			return
-		}
-		if s, ok := r.(txSignal); ok && s.tx == parent && s.s == sigCancel {
-			if prev == nil || prev.Err() == nil {
-				// The cancellation is scoped to this nested block: partial
-				// abort to the savepoint and report it as the block's error.
-				parent.rollbackTo(sp.undoLen, sp.writesLen, sp.compLen)
-				err = ctx.Err()
-				return
-			}
-			// The enclosing context is cancelled too; let the outer level
-			// handle it (full abort).
-		}
-		panic(r)
-	}()
-	if berr := body(parent); berr != nil {
-		parent.rollbackTo(sp.undoLen, sp.writesLen, sp.compLen)
-		return berr
-	}
-	return nil
+	return err
 }
 
 // AtomicOpen executes body as an open-nested transaction: an independent
@@ -1580,18 +667,4 @@ func (rt *Runtime) AtomicOpen(parent *Txn, body func(*Txn) error, compensation f
 		parent.comps = append(parent.comps, compensation)
 	}
 	return err
-}
-
-// ActiveTransactions returns the number of registered descriptors whose
-// status is Active (for tests and monitoring). Scans the sharded slot
-// array without allocating.
-func (rt *Runtime) ActiveTransactions() int {
-	n := 0
-	rt.reg.forEach(func(tx *Txn) bool {
-		if Status(tx.status.Load()) == Active {
-			n++
-		}
-		return true
-	})
-	return n
 }

@@ -418,11 +418,11 @@ func TestForeignPanicWhileDoomedRestarts(t *testing.T) {
 	runs := 0
 	err := f.rt.Atomic(nil, func(tx *Txn) error {
 		runs++
-		tx.reads.Put(o, 999) // forge an invalid read entry: transaction is doomed
+		tx.Reads.Put(o, 999) // forge an invalid read entry: transaction is doomed
 		if runs == 1 {
 			panic(objmodel.ErrNullDeref)
 		}
-		tx.reads.Delete(o)
+		tx.Reads.Delete(o)
 		return nil
 	})
 	if err != nil {

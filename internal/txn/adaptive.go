@@ -1,4 +1,4 @@
-package stm
+package txn
 
 import "repro/internal/objmodel"
 
@@ -12,7 +12,8 @@ import "repro/internal/objmodel"
 // anomalies on exactly the objects where they cost something: objects the
 // tracer's hotspot table identifies as contended are promoted to
 // slot-level (granularity-1) version management; objects that cool down
-// are demoted back to the configured span.
+// are demoted back to the configured span. The multi-version runtime
+// always buffers slot-granular, so promotion changes nothing there.
 //
 // The promotion set is an immutable table swapped copy-on-write: each
 // transaction samples the table pointer once at begin and uses it for the
@@ -36,23 +37,37 @@ func (t *granTable) promoted(h uint64) bool {
 	return ok
 }
 
-// effGran returns the version-management granularity in effect for o in
-// this attempt: 1 for promoted objects, the configured span otherwise.
-func (tx *Txn) effGran(o *objmodel.Object) int {
-	g := tx.rt.cfg.Granularity
+// Span returns the version-management granularity in effect for o in this
+// attempt: 1 for promoted objects, the configured span otherwise.
+func (tx *Txn) Span(o *objmodel.Object) int {
+	g := tx.k.cfg.Granularity
 	if g > 1 && tx.gran.promoted(uint64(o.Ref())) {
 		return 1
 	}
 	return g
 }
 
+// PromoteHotSites pre-seeds the promotion table from an elision manifest:
+// objects allocated at a site the manifest marks hot get slot-level records
+// from birth instead of waiting for the hotspot attribution to notice them.
+// The observer only fires for manifest-matched allocations, so this costs
+// nothing when no manifest is loaded. Runtimes with span granularity call it
+// once from New.
+func (k *Kernel) PromoteHotSites() {
+	k.Heap.AddAllocObserver(func(o *objmodel.Object, site *objmodel.ManifestSite) {
+		if site.Hot && site.Granularity == "slot" {
+			k.PromoteObject(o)
+		}
+	})
+}
+
 // editGran applies edit to a copy of the promotion set and swaps it in.
 // edit reports whether it changed anything; an unchanged table is not
 // swapped.
-func (rt *Runtime) editGran(edit func(m map[uint64]struct{}) bool) bool {
-	rt.granMu.Lock()
-	defer rt.granMu.Unlock()
-	old := rt.granTab.Load()
+func (k *Kernel) editGran(edit func(m map[uint64]struct{}) bool) bool {
+	k.granMu.Lock()
+	defer k.granMu.Unlock()
+	old := k.granTab.Load()
 	m := make(map[uint64]struct{})
 	if old != nil {
 		for h := range old.m {
@@ -62,7 +77,7 @@ func (rt *Runtime) editGran(edit func(m map[uint64]struct{}) bool) bool {
 	if !edit(m) {
 		return false
 	}
-	rt.granTab.Store(&granTable{m: m})
+	k.granTab.Store(&granTable{m: m})
 	return true
 }
 
@@ -70,9 +85,9 @@ func (rt *Runtime) editGran(edit func(m map[uint64]struct{}) bool) bool {
 // transactions beginning after the call. Reports whether the object was
 // newly promoted. Promotion only has an effect on runtimes configured
 // with Granularity > 1.
-func (rt *Runtime) PromoteObject(o *objmodel.Object) bool {
+func (k *Kernel) PromoteObject(o *objmodel.Object) bool {
 	h := uint64(o.Ref())
-	changed := rt.editGran(func(m map[uint64]struct{}) bool {
+	changed := k.editGran(func(m map[uint64]struct{}) bool {
 		if _, ok := m[h]; ok {
 			return false
 		}
@@ -80,7 +95,7 @@ func (rt *Runtime) PromoteObject(o *objmodel.Object) bool {
 		return true
 	})
 	if changed {
-		rt.Stats.GranPromotions.AddShard(int(h), 1)
+		k.Stats.GranPromotions.AddShard(int(h), 1)
 	}
 	return changed
 }
@@ -88,9 +103,9 @@ func (rt *Runtime) PromoteObject(o *objmodel.Object) bool {
 // DemoteObject returns o to the configured span granularity for
 // transactions beginning after the call. Reports whether the object was
 // previously promoted.
-func (rt *Runtime) DemoteObject(o *objmodel.Object) bool {
+func (k *Kernel) DemoteObject(o *objmodel.Object) bool {
 	h := uint64(o.Ref())
-	changed := rt.editGran(func(m map[uint64]struct{}) bool {
+	changed := k.editGran(func(m map[uint64]struct{}) bool {
 		if _, ok := m[h]; !ok {
 			return false
 		}
@@ -98,7 +113,7 @@ func (rt *Runtime) DemoteObject(o *objmodel.Object) bool {
 		return true
 	})
 	if changed {
-		rt.Stats.GranDemotions.AddShard(int(h), 1)
+		k.Stats.GranDemotions.AddShard(int(h), 1)
 	}
 	return changed
 }
@@ -109,16 +124,16 @@ func (rt *Runtime) DemoteObject(o *objmodel.Object) bool {
 // promotions and demotions performed. Callers run it periodically (there
 // is no background goroutine — policy cadence belongs to the driver). A
 // runtime without a tracer, or with maxHot <= 0, demotes everything.
-func (rt *Runtime) AdaptGranularity(maxHot int) (promoted, demoted int) {
+func (k *Kernel) AdaptGranularity(maxHot int) (promoted, demoted int) {
 	want := make(map[uint64]struct{})
-	if tr := rt.tracer.Load(); tr != nil && maxHot > 0 {
+	if tr := k.tracer.Load(); tr != nil && maxHot > 0 {
 		for _, e := range tr.Hot().Top(maxHot) {
 			if e.Score() > 0 {
 				want[e.Obj] = struct{}{}
 			}
 		}
 	}
-	rt.editGran(func(m map[uint64]struct{}) bool {
+	k.editGran(func(m map[uint64]struct{}) bool {
 		for h := range m {
 			if _, keep := want[h]; !keep {
 				delete(m, h)
@@ -134,10 +149,10 @@ func (rt *Runtime) AdaptGranularity(maxHot int) (promoted, demoted int) {
 		return promoted+demoted > 0
 	})
 	if promoted > 0 {
-		rt.Stats.GranPromotions.AddShard(0, int64(promoted))
+		k.Stats.GranPromotions.AddShard(0, int64(promoted))
 	}
 	if demoted > 0 {
-		rt.Stats.GranDemotions.AddShard(0, int64(demoted))
+		k.Stats.GranDemotions.AddShard(0, int64(demoted))
 	}
 	return promoted, demoted
 }

@@ -1,0 +1,344 @@
+package txn
+
+import (
+	"context"
+	"time"
+
+	"repro/internal/conflict"
+	"repro/internal/faultinject"
+	"repro/internal/objmodel"
+	"repro/internal/stmapi"
+	"repro/internal/trace"
+)
+
+// control-flow signals raised inside transaction bodies.
+type signal uint8
+
+const (
+	sigRestart signal = iota + 1 // conflict or explicit restart: abort and re-execute
+	sigRetry                     // user retry: abort, wait for a change, re-execute
+	sigCancel                    // context cancelled: abort and return ctx.Err()
+)
+
+type txSignal struct {
+	s  signal
+	tx *Txn
+}
+
+// Restart aborts the transaction and re-executes it from the beginning of
+// the outermost atomic block. Exposed so tests and litmus programs can
+// force the "transaction aborts for some reason" steps of the paper's
+// Figure 3 examples, and used internally when an access discovers the
+// transaction is doomed.
+func (tx *Txn) Restart() { panic(txSignal{sigRestart, tx}) }
+
+// RestartOn is Restart with the abort attributed to the object with handle
+// ref (conflict attribution in the tracer's hotspot table).
+func (tx *Txn) RestartOn(ref uint64) {
+	tx.Blame = ref
+	tx.Restart()
+}
+
+// Retry implements the user-initiated retry operation: the transaction
+// aborts and blocks until re-execution may observe something new (a read-set
+// change on the validating runtimes, any commit on the multi-version one),
+// then re-executes.
+func (tx *Txn) Retry() {
+	tx.nRetries++
+	if tr := tx.Tr; tr != nil {
+		tr.Record(trace.EvRetry, tx.id, 0, 0, 0)
+	}
+	panic(txSignal{sigRetry, tx})
+}
+
+// cancel aborts the transaction because its context is done; the atomic
+// loop (or the nested block whose context it was) returns ctx.Err().
+func (tx *Txn) cancel() { panic(txSignal{sigCancel, tx}) }
+
+// Poll is the prologue of every transactional access: a doomed transaction
+// restarts, and a cancelled context cancels (every access is a cancellation
+// point, so a context cancelled mid-body — in particular a nested block's
+// scoped context — is noticed without a conflict having to arise first). An
+// irrevocable transaction does neither. Kept small enough to inline into
+// the barriers; o is the accessed object, for attribution.
+func (tx *Txn) Poll(o *objmodel.Object) {
+	if (tx.Ctx != nil || tx.doomed.Load()) && !tx.Irrevocable {
+		tx.pollSlow(o)
+	}
+}
+
+func (tx *Txn) pollSlow(o *objmodel.Object) {
+	if tx.doomed.Load() {
+		tx.RestartOn(uint64(o.Ref()))
+	}
+	if tx.Ctx != nil && tx.Ctx.Err() != nil {
+		tx.cancel()
+	}
+}
+
+// EscalateFrom converts the configured escalation threshold into Atomic's
+// irrevFrom parameter: the attempt index from which the transaction runs
+// irrevocably, or -1 for never.
+func (k *Kernel) EscalateFrom() int {
+	if k.cfg.EscalateAfter > 0 {
+		return k.cfg.EscalateAfter
+	}
+	return -1
+}
+
+// Atomic is the top-level execution loop: body is (re-)executed until it
+// commits, returns an error (which aborts and is returned), or ctx (nil for
+// none) is done. irrevFrom is the attempt index from which the body runs
+// irrevocably: 0 from the first attempt (AtomicIrrevocable), EscalateFrom()
+// for graceful degradation, -1 for never. body receives the kernel
+// descriptor; runtimes wrap their concrete-typed bodies in a closure that
+// does not escape, so a steady-state top-level Atomic allocates nothing.
+//
+// The context is checked on entry (an already-cancelled context returns
+// ctx.Err() without executing the body), before every re-execution, at
+// every access, inside conflict waits, during a retry wait, and during
+// post-commit ordering waits. Cancellation before the commit point aborts
+// the attempt and returns ctx.Err(); cancellation detected during the
+// post-commit wait returns ctx.Err() with the transaction's effects already
+// committed — the error then only means the ordering guarantee was not
+// awaited.
+func (k *Kernel) Atomic(ctx context.Context, irrevFrom int, body func(*Txn) error) error {
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+	}
+	tx := k.getTxn(ctx)
+	defer k.putTxn(tx)
+	for attempt := 0; ; attempt++ {
+		if ctx != nil {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		tx.attempt = attempt
+		tx.begin()
+		// From irrevFrom on, the switch happens right after begin, while the
+		// read set is empty and nothing is held, so the token acquire can
+		// never deadlock and the read-set upgrade is trivial.
+		err, sig := tx.run(body, irrevFrom >= 0 && attempt >= irrevFrom, irrevFrom > 0)
+		switch sig {
+		case 0:
+			if err != nil {
+				tx.Abort()
+				return err
+			}
+			committed, cerr := tx.self.Commit()
+			if committed {
+				return cerr
+			}
+			tx.Abort()
+		case sigRestart:
+			tx.Abort()
+		case sigRetry:
+			tx.Abort()
+			// The read set survives abort (begin resets it on the next
+			// attempt), so the runtime waits on it in place instead of
+			// copying it into a fresh snapshot on every retry.
+			if werr := tx.self.RetryWait(ctx); werr != nil {
+				return werr
+			}
+		case sigCancel:
+			tx.Abort()
+			if ctx != nil {
+				return ctx.Err()
+			}
+			return context.Canceled // unreachable: sigCancel requires a ctx
+		}
+		conflict.WaitAttempt(attempt, 0)
+	}
+}
+
+// run executes the body, converting control-flow panics into signals. A
+// foreign panic raised while the attempt is inconsistent (invalid read set)
+// is treated as a restart — speculative execution on inconsistent data may
+// fault in arbitrary ways, exactly the hazard quiescence-based systems
+// worry about (Section 3.4); a managed runtime converts the fault into an
+// abort. The consistency question always gets the entry-by-entry answer,
+// never the clock fast path: a fault is rare enough that the O(|read set|)
+// walk is the right price for certainty. (The multi-version runtime keeps no
+// read set — its snapshot reads are consistent by construction — so its
+// walk is over nothing and a fault there is always the body's own.)
+func (tx *Txn) run(body func(*Txn) error, irrevocable, escalated bool) (err error, sig signal) {
+	defer func() {
+		r := recover()
+		if r == nil {
+			return
+		}
+		if tx.dead.Load() {
+			// The goroutine died at an Orphan injection point: no cleanup may
+			// run — its records stay held for the reaper, and the descriptor
+			// must never be pooled (putTxn checks the same flag).
+			panic(r)
+		}
+		if s, ok := r.(txSignal); ok && s.tx == tx {
+			sig = s.s
+			return
+		}
+		if ok, _ := tx.walkValidate(); !ok {
+			sig = sigRestart
+			return
+		}
+		// A genuine fault in a consistent transaction: abort (roll back and
+		// release every owned record) before propagating, so other threads
+		// are not left blocking on records owned by a dead transaction.
+		tx.Abort()
+		panic(r)
+	}()
+	if irrevocable {
+		tx.becomeIrrevocable(escalated)
+	}
+	return body(tx), 0
+}
+
+// NestedCtx runs body, a closed-nested block of tx, under ctx. A nil ctx
+// inherits the enclosing context. A non-nil ctx governs just the block:
+// while it runs, cancellation checks consult ctx (callers who want the
+// enclosing context to also cut the block short derive ctx from it), and
+// its cancellation surfaces as the block's error return — the enclosing
+// body decides whether to continue, and a runtime with partial rollback
+// rolls back to its savepoint on any error from here. If the enclosing
+// context is cancelled too, the signal propagates to the outer level (full
+// abort).
+func (tx *Txn) NestedCtx(ctx context.Context, body func() error) (err error) {
+	if ctx == nil {
+		return body()
+	}
+	if e := ctx.Err(); e != nil {
+		return e
+	}
+	prev := tx.Ctx
+	tx.Ctx = ctx
+	defer func() {
+		tx.Ctx = prev
+		r := recover()
+		if r == nil {
+			return
+		}
+		if s, ok := r.(txSignal); ok && s.tx == tx && s.s == sigCancel && (prev == nil || prev.Err() == nil) {
+			err = ctx.Err()
+			return
+		}
+		panic(r)
+	}()
+	return body()
+}
+
+// Abort rolls the attempt back and does the bookkeeping of an abort of any
+// cause. The atomic loop calls it; runtimes call it from injected-crash
+// branches that must clean up before surfacing the crash.
+func (tx *Txn) Abort() {
+	tx.self.Rollback()
+	// Work invested by the failed attempt converts into priority for the
+	// next one (Karma-style policies): reads and writes not yet flushed
+	// belong to this attempt.
+	if n := tx.NReads + tx.NWrites; n > 0 {
+		tx.karma.Add(n)
+	}
+	// Aborting while irrevocable is a contract violation (the body returned
+	// an error after the switch), but the token must still be surrendered —
+	// after Rollback released the records.
+	tx.dropIrrevocable()
+	tx.status.Store(uint32(stmapi.Aborted))
+	tx.k.Stats.Aborts.AddShard(int(tx.id), 1)
+	if tr := tx.Tr; tr != nil {
+		tr.Record(trace.EvAbort, tx.id, tx.Blame, 0, 0)
+		if tx.Blame != 0 {
+			tr.Hot().BumpAbort(tx.Blame)
+		}
+		tx.abortAt = time.Now()
+	}
+	tx.Blame = 0
+	tx.flushStats()
+}
+
+// Crash completes a simulated thread death (faultinject.Crash) at p before
+// the commit point: with injection disarmed (the cleanup must not re-fire
+// it) the attempt is aborted — the cleanup a managed runtime performs for a
+// dead thread — and the crash is surfaced.
+func (tx *Txn) Crash(p faultinject.Point) {
+	tx.FI = nil
+	tx.Abort()
+	panic(faultinject.CrashError{Point: p, Txn: tx.id})
+}
+
+// CrashCommitted is Crash past the commit point: the transaction is
+// logically committed and the caller has released its records exactly as
+// commit would have, so it is accounted as a commit, never rolled back.
+func (tx *Txn) CrashCommitted(p faultinject.Point) {
+	tx.k.Stats.Commits.AddShard(int(tx.id), 1)
+	tx.flushStats()
+	panic(faultinject.CrashError{Point: p, Txn: tx.id})
+}
+
+// Die terminates the goroutine's transactional life with no cleanup
+// (faultinject.Orphan): the orphan's records stay held until a reaper or a
+// conflicting waiter steals them. The dead store is the death certificate
+// gating all stealing; it must be the last thing the dying goroutine does
+// to the descriptor.
+func (tx *Txn) Die(p faultinject.Point) {
+	tx.dead.Store(true)
+	panic(faultinject.OrphanError{Point: p, Txn: tx.id})
+}
+
+// Committed is the common tail of a commit, called past CommitPoint once
+// the records are released: it accounts the commit and surrenders the
+// irrevocable token. The commit counts from here, before any ordering wait:
+// it has happened whether or not the caller stays to wait.
+func (tx *Txn) Committed() {
+	tx.k.Stats.Commits.AddShard(int(tx.id), 1)
+	if tr := tx.Tr; tr != nil {
+		tr.Record(trace.EvCommit, tx.id, 0, 0, 0)
+		tr.ObserveCommit(time.Since(tx.beginAt))
+	}
+	tx.dropIrrevocable()
+	tx.flushStats()
+}
+
+// CommitPoint publishes the Committed status: from here on a reaper that
+// finds the descriptor dead completes the release instead of rolling back.
+func (tx *Txn) CommitPoint() { tx.status.Store(uint32(stmapi.Committed)) }
+
+// AwaitOrdering runs the runtime's post-commit ordering wait (quiescence),
+// observing its duration when tracing.
+func (tx *Txn) AwaitOrdering(wait func() error) error {
+	tr := tx.Tr
+	if tr == nil {
+		return wait()
+	}
+	start := time.Now()
+	err := wait()
+	tr.ObserveQuiesce(time.Since(start))
+	return err
+}
+
+// AppendRedo streams the redo record built in tx.Redo to the commit sink
+// while the records are still held, so the log observes commits to each
+// object in release order and replay order agrees with every object's
+// version order. An injected death never reaches this append: a commit that
+// died before logging is simply not durable, which is the contract (it was
+// never acked).
+func (tx *Txn) AppendRedo() (seq uint64, err error) {
+	return tx.Sink.AppendRedo(tx.id, tx.WV, tx.Redo)
+}
+
+// WaitDurable is the durability barrier, taken after the records are
+// released so the group commit's fsync window never extends lock hold
+// times: Atomic returns only once the redo record appended as seq is on
+// stable storage, or the sink failed — the commit is applied in memory, its
+// durability unknown to the caller. orderErr, the ordering wait's error,
+// takes precedence in the result.
+func (tx *Txn) WaitDurable(seq uint64, appendErr, orderErr error) error {
+	if appendErr == nil && seq != 0 {
+		appendErr = tx.Sink.WaitDurable(seq)
+	}
+	if orderErr != nil {
+		return orderErr
+	}
+	return appendErr
+}

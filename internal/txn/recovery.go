@@ -1,0 +1,187 @@
+package txn
+
+import (
+	"time"
+
+	"repro/internal/conflict"
+	"repro/internal/recovery"
+	"repro/internal/stmapi"
+	"repro/internal/trace"
+)
+
+// Orphaned-transaction recovery and irrevocable mode.
+//
+// Recovery: a goroutine that dies mid-protocol (simulated by the faultinject
+// Orphan action) leaves its records Exclusive with nobody to release them.
+// The dying path (Die) marks the descriptor dead — a release-store, so
+// everything the goroutine wrote beforehand (its write set in whatever form
+// the runtime keeps it) happens-before any thread that observes the flag —
+// and then unwinds without cleanup. Reclaim is Reap: a CAS on the reaping
+// flag elects a single reclaimer, which has the runtime release the
+// orphan's records exactly as the orphan's own abort would have (or, past
+// the commit point, finish the release without rollback). Reclaimers are the
+// recovery.Reaper's periodic scan, a conflicting waiter that finds its owner
+// dead, or a waiter on the irrevocable token or a commit gate — so orphans
+// are recovered within a bounded wait even with no reaper running.
+//
+// Irrevocability: a transaction holding the runtime's singular token can
+// never abort. The switch acquires the token, then has the runtime make the
+// attempt's reads impossible to invalidate (Strategy.LockReadSet: the
+// validating runtimes upgrade every read-set entry to Exclusive and read
+// pessimistically from then on; the multi-version runtime drains its commit
+// gate and runs alone). Dooms are refused, conflict arbitration always rules
+// for the token holder, and waiters on its records either restart via their
+// self-abort cap or are doomed by the irrevocable transaction itself, so it
+// always makes progress.
+
+// Reap steals a dead transaction's records. Safe by two gates: the dead
+// flag (only a goroutine that will never run again sets it, and its
+// release-store publishes the descriptor's final state) and the reaping CAS
+// (exactly one reclaimer touches the descriptor). An orphan that died before
+// its commit point is rolled back and counted as an abort; one that died
+// past it has its release completed, effects intact, and counts as a
+// commit. Either way every record returns to Shared and all waiters
+// unblock. Returns false if tx is not confirmed dead or another reclaimer
+// won the race.
+func (k *Kernel) Reap(tx *Txn) bool {
+	if !tx.dead.Load() || !tx.reaping.CompareAndSwap(false, true) {
+		return false
+	}
+	id := tx.id
+	committed := tx.Status() == stmapi.Committed
+	tx.self.ReapOrphan(committed)
+	if committed {
+		k.Stats.Commits.AddShard(int(id), 1)
+	} else {
+		tx.status.Store(uint32(stmapi.Aborted))
+		k.Stats.Aborts.AddShard(int(id), 1)
+	}
+	if tx.irrevStamp.Load() {
+		// The orphan held the irrevocable token; free it for the next taker.
+		k.irrevToken.CompareAndSwap(id, 0)
+	}
+	k.Stats.ReaperSteals.AddShard(int(id), 1)
+	tx.flushStats()
+	if tr := k.tracer.Load(); tr != nil {
+		tr.Record(trace.EvSteal, 0, 0, 0, id)
+	}
+	k.reg.remove(tx)
+	return true
+}
+
+// ReapDead sweeps the registry for confirmed-dead descriptors and reclaims
+// them inline. Used on wait paths with no record to find the owner through
+// (the irrevocable token, a commit gate), where a dead holder would
+// otherwise stall the waiter until the background reaper's next scan.
+func (k *Kernel) ReapDead() {
+	k.reg.forEach(func(tx *Txn) bool {
+		if tx.dead.Load() {
+			k.Reap(tx)
+		}
+		return true
+	})
+}
+
+// Recovery exposes the runtime to a recovery.Reaper.
+func (k *Kernel) Recovery() recovery.Target { return target{k} }
+
+type target struct{ k *Kernel }
+
+func (t target) Name() string { return t.k.name }
+
+func (t target) VisitTxns(f func(recovery.TxnInfo)) {
+	t.k.reg.forEach(func(tx *Txn) bool {
+		f(recovery.TxnInfo{
+			ID:          tx.stamp.Load(),
+			Beat:        tx.hb.Load(),
+			Status:      tx.Status(),
+			Dead:        tx.dead.Load(),
+			Irrevocable: tx.irrevStamp.Load(),
+		})
+		return true
+	})
+}
+
+func (t target) Reclaim(id uint64) bool {
+	victim := t.k.reg.findStamp(id)
+	return victim != nil && t.k.Reap(victim)
+}
+
+// IrrevocableHolder returns the ID of the transaction holding the
+// irrevocable token, 0 when it is free.
+func (k *Kernel) IrrevocableHolder() uint64 { return k.irrevToken.Load() }
+
+// IsIrrevocable reports whether the transaction has switched to irrevocable
+// mode.
+func (tx *Txn) IsIrrevocable() bool { return tx.Irrevocable }
+
+// BecomeIrrevocable switches the transaction to irrevocable mode: acquire
+// the runtime's singular token (waiting while another holder exists; still
+// abortable while waiting), then lock the read set. If any read is already
+// stale the transaction restarts — aborting is still legal up to the instant
+// the switch completes. After a successful switch the transaction can no
+// longer abort, restart, or be doomed, making it safe to perform I/O in the
+// remainder of the body. The body must not return an error or call Retry
+// after the switch. Panics on a NoIrrevocable runtime (AtomicIrrevocable
+// returns ErrIrrevocableDisabled instead).
+func (tx *Txn) BecomeIrrevocable() { tx.becomeIrrevocable(false) }
+
+func (tx *Txn) becomeIrrevocable(escalated bool) {
+	if tx.Irrevocable {
+		return
+	}
+	k := tx.k
+	if k.cfg.NoIrrevocable {
+		panic(k.name + ": BecomeIrrevocable on a runtime configured with NoIrrevocable")
+	}
+	for a := 0; !k.irrevToken.CompareAndSwap(0, tx.id); a++ {
+		// Pre-switch we are still an ordinary transaction: honor dooms and
+		// cancellation so token waiters cannot deadlock with the holder. A
+		// dead holder is reaped inline (Reap surrenders its token).
+		if tx.doomed.Load() {
+			tx.Restart()
+		}
+		if tx.Ctx != nil && tx.Ctx.Err() != nil {
+			tx.cancel()
+		}
+		tx.hb.Add(1)
+		k.ReapDead()
+		conflict.WaitAttempt(a, 0)
+	}
+	if !tx.self.LockReadSet() {
+		// A read went stale before the switch: surrender the token and
+		// restart while aborting is still legal.
+		k.irrevToken.Store(0)
+		tx.Restart()
+	}
+	if escalated {
+		k.Stats.Escalations.AddShard(int(tx.id), 1)
+		if tr := tx.Tr; tr != nil {
+			tr.Record(trace.EvEscalate, tx.id, 0, tx.attempt, 0)
+		}
+	}
+	tx.irrevAt = time.Now()
+	tx.Irrevocable = true
+	tx.irrevStamp.Store(true)
+	if tr := tx.Tr; tr != nil {
+		tr.Record(trace.EvIrrevocable, tx.id, 0, tx.attempt, 0)
+	}
+}
+
+// dropIrrevocable surrenders the irrevocable token after the transaction's
+// records have been released, and accounts the hold time. No-op for ordinary
+// transactions.
+func (tx *Txn) dropIrrevocable() {
+	if !tx.Irrevocable {
+		return
+	}
+	hold := time.Since(tx.irrevAt)
+	tx.Irrevocable = false
+	tx.irrevStamp.Store(false)
+	tx.k.irrevToken.Store(0)
+	tx.k.Stats.IrrevocableTxns.AddShard(int(tx.id), 1)
+	tx.k.Stats.IrrevocableNs.AddShard(int(tx.id), hold.Nanoseconds())
+	if tr := tx.Tr; tr != nil {
+		tr.ObserveIrrevocableHold(hold)
+	}
+}

@@ -1,0 +1,400 @@
+// Package txn is the transaction kernel shared by the three STM runtimes
+// (internal/stm, eager versioning; internal/lazystm, lazy versioning;
+// internal/mvstm, multi-version snapshot isolation). The paper describes one
+// STM (Section 3: transaction records, open-for-read and open-for-write,
+// validation, commit, quiescence) whose versioning discipline is the
+// variable part; this package is everything that is not versioning, written
+// once:
+//
+//   - the descriptor (Txn) with its identity, arbitration, recovery,
+//     irrevocability, cancellation, tracing and statistics state, the pool
+//     it is recycled through, and the fixed-slot registry of live
+//     descriptors (registry.go);
+//   - the top-level retry / escalate / irrevocable loop, the control-flow
+//     signals bodies raise, closed-nesting contexts, and the common tail of
+//     abort and commit (atomic.go);
+//   - conflict arbitration: policy consultation, dooming, inline stealing
+//     from dead owners, the irrevocable claim (conflict.go);
+//   - commit-clock validation for the two validating runtimes: snapshot,
+//     extension, the commit fast path, the read-set walk (validate.go);
+//   - the write-back ticket chain the two buffering runtimes order their
+//     commits with (order.go);
+//   - orphan recovery and the irrevocable token (recovery.go), adaptive
+//     version granularity (adaptive.go), sharded statistics (stats.go), and
+//     the stmapi adapter every runtime registers through (api.go).
+//
+// A runtime embeds Kernel in its Runtime and Txn in its descriptor, keeps
+// its Read and Write barriers as concrete methods that reach kernel state
+// through the embedded fields (no interface or generic call on any access),
+// and plugs its versioning in through Strategy, which the kernel calls a
+// handful of times per attempt.
+package txn
+
+import (
+	"context"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"repro/internal/conflict"
+	"repro/internal/faultinject"
+	"repro/internal/objmodel"
+	"repro/internal/objset"
+	"repro/internal/stmapi"
+	"repro/internal/trace"
+)
+
+// Strategy is the versioning seam: what a runtime's descriptor implements so
+// the kernel can drive it. Every method is per attempt (or rarer); nothing
+// here is on the access path.
+type Strategy interface {
+	// Base returns the kernel descriptor embedded in the runtime's (promoted
+	// from the embedded Txn; runtimes do not write it).
+	Base() *Txn
+
+	// Begin resets the runtime's per-attempt state (write set, savepoints,
+	// begin stamps). The kernel has already reset its own and taken the
+	// clock snapshot.
+	Begin()
+
+	// Commit runs the runtime's commit protocol. ok=false means the attempt
+	// must abort and retry (the kernel calls Rollback next). A non-nil error
+	// is only possible past the commit point, when cancellation abandoned an
+	// ordering wait or the commit sink failed; the effects are applied and
+	// the kernel returns the error without retrying.
+	Commit() (ok bool, err error)
+
+	// Rollback undoes the attempt's effects on shared memory and releases
+	// every record it holds. The kernel does the bookkeeping around it.
+	Rollback()
+
+	// RetryWait blocks a user Retry until re-execution may observe something
+	// new, or ctx (nil for none) is done.
+	RetryWait(ctx context.Context) error
+
+	// LockReadSet completes the irrevocable switch once the token is held:
+	// whatever makes the attempt's reads impossible to invalidate. false
+	// means a read is already stale; the kernel surrenders the token and
+	// restarts the attempt, so the runtime must leave its holdings in a
+	// state Rollback releases.
+	LockReadSet() bool
+
+	// ReapOrphan releases the records of a descriptor whose goroutine died,
+	// on behalf of the reclaimer: rolled back if it died before its commit
+	// point, its release completed if after.
+	ReapOrphan(committed bool)
+
+	// Reset drops every object reference the runtime's part of the
+	// descriptor holds, before it returns to the pool.
+	Reset()
+}
+
+// Kernel is the runtime-level half of the transaction kernel. A runtime
+// embeds it by value in its Runtime struct (so Heap, Stats and the setters
+// are the runtime's own exported surface) and initializes it in place with
+// Init.
+type Kernel struct {
+	Heap  *objmodel.Heap
+	Stats Stats
+
+	// Clock is the heap's commit clock, cached to skip a pointer hop per
+	// validation; ClockOn is whether commit-clock validation is enabled
+	// (stmapi.CommonConfig.NoCommitClock unset).
+	Clock   *objmodel.CommitClock
+	ClockOn bool
+
+	name     string
+	cfg      stmapi.CommonConfig
+	newTxn   func() Strategy
+	policy   conflict.Policy        // the configured handler, adapted to Policy
+	staleObs conflict.StaleObserver // the handler, if it observes stale aborts; asserted once here
+	nextID   atomic.Uint64
+	reg      registry
+	pool     sync.Pool // idle *Txn descriptors
+	tracer   atomic.Pointer[trace.Tracer]
+	injector atomic.Pointer[faultinject.Injector]
+	sink     atomic.Pointer[sinkBox]
+
+	// Adaptive-granularity state: an immutable promotion table swapped
+	// copy-on-write under granMu (adaptive.go).
+	granTab atomic.Pointer[granTable]
+	granMu  sync.Mutex
+
+	// irrevToken is the runtime's single irrevocable-transaction token: the
+	// owner ID of the current irrevocable transaction, 0 when free. Exactly
+	// one transaction may be irrevocable at a time, because two transactions
+	// guaranteed never to abort could deadlock on each other's records.
+	irrevToken atomic.Uint64
+}
+
+// Init prepares k in place: name is the stmapi registry name, cfg is
+// normalized in place (so the runtime's Config() reports the defaults that
+// took effect), and newTxn allocates one runtime descriptor with its
+// embedded Txn zeroed. An invalid configuration panics here rather than
+// misbehaving later.
+func (k *Kernel) Init(name string, heap *objmodel.Heap, cfg *stmapi.CommonConfig, newTxn func() Strategy) {
+	if err := cfg.Normalize(); err != nil {
+		panic(name + ": " + err.Error())
+	}
+	h := cfg.Handler
+	if h == nil {
+		h = &conflict.Backoff{}
+	}
+	k.Heap = heap
+	k.Clock = heap.Clock()
+	k.ClockOn = !cfg.NoCommitClock
+	k.name = name
+	k.cfg = *cfg
+	k.newTxn = newTxn
+	k.policy = conflict.AsPolicy(h)
+	k.staleObs, _ = h.(conflict.StaleObserver)
+}
+
+// Name returns the stmapi registry name the kernel was initialized with.
+func (k *Kernel) Name() string { return k.name }
+
+// SetTracer installs (or, with nil, removes) the event tracer. Descriptors
+// sample the tracer when a top-level Atomic begins, so transactions already
+// in flight keep their previous setting. With no tracer installed the hot
+// path pays one nil check per emission point and nothing else.
+func (k *Kernel) SetTracer(t *trace.Tracer) { k.tracer.Store(t) }
+
+// Tracer returns the installed tracer, or nil.
+func (k *Kernel) Tracer() *trace.Tracer { return k.tracer.Load() }
+
+// SetInjector installs (or, with nil, removes) a fault injector. Like the
+// tracer it is sampled once per top-level Atomic and guarded by a single nil
+// check per injection point, so the uninstrumented hot path is unchanged.
+func (k *Kernel) SetInjector(in *faultinject.Injector) { k.injector.Store(in) }
+
+// sinkBox wraps a CommitSink so it can live in an atomic.Pointer (which
+// needs a concrete element type) regardless of the sink's dynamic type.
+type sinkBox struct{ s stmapi.CommitSink }
+
+// SetCommitSink installs (or, with nil, removes) the durable commit sink
+// (stmapi.DurableRuntime). Sampled once per top-level Atomic like the
+// tracer; transactions in flight keep their previous setting.
+func (k *Kernel) SetCommitSink(s stmapi.CommitSink) {
+	if s == nil {
+		k.sink.Store(nil)
+		return
+	}
+	k.sink.Store(&sinkBox{s: s})
+}
+
+// ActiveTransactions returns the number of registered descriptors whose
+// status is Active (for tests and monitoring). Scans the slot array without
+// allocating.
+func (k *Kernel) ActiveTransactions() int {
+	n := 0
+	k.reg.forEach(func(tx *Txn) bool {
+		if tx.Status() == stmapi.Active {
+			n++
+		}
+		return true
+	})
+	return n
+}
+
+// ForEach calls f for every registered descriptor until f returns false
+// (quiescence and the multi-version watermark scan the live set this way).
+func (k *Kernel) ForEach(f func(*Txn) bool) { k.reg.forEach(f) }
+
+// Txn is the kernel half of a transaction descriptor; each runtime's
+// descriptor embeds one and adds its read/write-set representation. A
+// descriptor is confined to the goroutine running the atomic body; other
+// threads read only the atomic fields. Descriptors are pooled: outside an
+// Atomic call one may be reused by any goroutine, so user code must not
+// retain it past the body.
+//
+// Fields the runtimes' barriers and commit protocols touch are exported;
+// the rest is reachable only through kernel methods.
+type Txn struct {
+	k    *Kernel
+	self Strategy   // the runtime descriptor embedding this one; set once at allocation
+	api  stmapi.Txn // self as the driver-facing interface, asserted once at allocation
+
+	id      uint64
+	slot    int // registry slot index, -1 when in overflow
+	status  atomic.Uint32
+	attempt int
+
+	// Reads holds the first-read version per object (unused by the
+	// multi-version runtime, which validates nothing); Owned holds the
+	// version saved at acquire for every record this attempt holds.
+	Reads objset.VerSet
+	Owned objset.VerSet
+
+	// RV is the commit-clock snapshot this attempt's reads are consistent
+	// with: every read at a version <= RV is covered, a read above it
+	// extends the snapshot. WV is the write version ValidateCommit or
+	// Stamp obtained, 0 for a commit that changed no shared value; every
+	// release path, including a reaper completing an orphan, stamps with it.
+	RV uint64
+	WV uint64
+
+	// gran is the adaptive-granularity promotion table sampled at begin;
+	// nil when the configured granularity is 1 or nothing is promoted.
+	gran *granTable
+
+	// Arbitration state. stamp mirrors id but is readable cross-thread
+	// (contention policies look an owner's descriptor up by ID); doomed is
+	// the advisory abort-other flag a winning transaction sets — the victim
+	// notices at its next access, conflict wait, or commit and restarts;
+	// karma accumulates invested work across aborted attempts of the same
+	// atomic block for priority-based policies.
+	stamp  atomic.Uint64
+	doomed atomic.Bool
+	karma  atomic.Int64
+
+	// Recovery state. hb is the epoch heartbeat the reaper watches (bumped at
+	// begin and on conflict-wait slow paths — never on the access hot path);
+	// dead is the death certificate: a release-store of true publishes every
+	// prior write of the dying goroutine (its whole descriptor) to any
+	// reclaimer that acquires it, and is the ONLY condition under which
+	// another thread may touch this descriptor; reaping elects one reclaimer.
+	hb      atomic.Uint64
+	dead    atomic.Bool
+	reaping atomic.Bool
+
+	// Irrevocability state. Irrevocable is goroutine-local (hot-path checks
+	// by the owner); irrevStamp is its cross-thread mirror (policies and
+	// doom consult it); irrevAt feeds the token-hold-time metrics.
+	Irrevocable bool
+	irrevStamp  atomic.Bool
+	irrevAt     time.Time
+
+	// Ctx is the cancellation context installed by AtomicCtx; nil for plain
+	// Atomic, in which case no cancellation checks run anywhere.
+	Ctx context.Context
+
+	// FI, Sink and Tr are the fault injector, commit sink and tracer sampled
+	// when the top-level Atomic began; nil (the default) disables every hook
+	// behind one predictable branch. Redo is the sink's scratch record,
+	// reused across commits.
+	FI   *faultinject.Injector
+	Sink stmapi.CommitSink
+	Redo []stmapi.RedoWrite
+	Tr   *trace.Tracer
+
+	// Blame is the handle of the object a pending abort is attributed to;
+	// beginAt/abortAt feed the commit-latency and abort-to-retry histograms.
+	Blame   uint64
+	beginAt time.Time
+	abortAt time.Time
+
+	// Statistics deltas accumulated without synchronization and flushed to
+	// the kernel's sharded counters at commit/abort (stats.go).
+	NReads, NWrites, NSnapReads, NInstalled int64
+	nStarts, nRetries, nSelfAborts, nDooms  int64
+	nClockAdv, nFastpath, nWalks            int64
+}
+
+// Base returns tx; runtime descriptors satisfy Strategy.Base by promotion.
+func (tx *Txn) Base() *Txn { return tx }
+
+// Self returns the runtime descriptor that embeds tx.
+func (tx *Txn) Self() Strategy { return tx.self }
+
+// ID returns the transaction's owner ID as encoded in acquired records.
+func (tx *Txn) ID() uint64 { return tx.id }
+
+// Status returns the descriptor's current status.
+func (tx *Txn) Status() stmapi.Status { return stmapi.Status(tx.status.Load()) }
+
+// Attempt returns the 0-based retry attempt of the current top-level
+// execution (0 on the first try).
+func (tx *Txn) Attempt() int { return tx.attempt }
+
+// Dead reports whether the descriptor's goroutine died holding it (the
+// death certificate is set); only then may another thread reclaim it.
+func (tx *Txn) Dead() bool { return tx.dead.Load() }
+
+// Doomed reports whether a contention policy marked this attempt for abort.
+func (tx *Txn) Doomed() bool { return tx.doomed.Load() }
+
+// Beat proves liveness to the reaper; slow paths that may wait call it.
+func (tx *Txn) Beat() { tx.hb.Add(1) }
+
+// getTxn fetches a pooled descriptor (or allocates the first time), assigns
+// a fresh owner ID, and registers it. The fresh ID per top-level Atomic
+// keeps record-ownership comparisons ABA-free across descriptor reuse.
+func (k *Kernel) getTxn(ctx context.Context) *Txn {
+	tx, _ := k.pool.Get().(*Txn)
+	if tx == nil {
+		s := k.newTxn()
+		tx = s.Base()
+		tx.k, tx.self = k, s
+		tx.api, _ = s.(stmapi.Txn)
+	}
+	tx.id = k.nextID.Add(1)
+	tx.Ctx = ctx
+	tx.Tr = k.tracer.Load()
+	tx.FI = k.injector.Load()
+	tx.Sink = nil
+	if b := k.sink.Load(); b != nil {
+		tx.Sink = b.s
+	}
+	tx.Blame = 0
+	tx.abortAt = time.Time{}
+	tx.doomed.Store(false)
+	tx.karma.Store(0)
+	tx.dead.Store(false)
+	tx.reaping.Store(false)
+	tx.Irrevocable = false
+	tx.irrevStamp.Store(false)
+	// Publish the stamp before the descriptor becomes reachable through the
+	// registry, so policy lookups never observe a stale incarnation's ID.
+	tx.stamp.Store(tx.id)
+	k.reg.add(tx)
+	return tx
+}
+
+// putTxn unregisters the descriptor, drops every object reference it holds
+// (so pooled descriptors never pin dead heap objects or leak state into
+// their next incarnation), and returns it to the pool — unless the
+// transaction died: a dead descriptor's records are (or will be) reclaimed
+// by a reaper, which must find its write set intact, so it is retired, never
+// reused.
+func (k *Kernel) putTxn(tx *Txn) {
+	if tx.dead.Load() {
+		return
+	}
+	k.reg.remove(tx)
+	tx.self.Reset()
+	tx.Reads.Reset()
+	tx.Owned.Reset()
+	tx.Ctx = nil
+	tx.FI = nil
+	tx.Sink = nil
+	tx.Redo = tx.Redo[:0]
+	tx.gran = nil
+	k.pool.Put(tx)
+}
+
+func (tx *Txn) begin() {
+	k := tx.k
+	tx.status.Store(uint32(stmapi.Active))
+	tx.doomed.Store(false) // a doom aimed at a finished attempt is consumed
+	tx.hb.Add(1)           // heartbeat: the reaper sees a fresh epoch
+	tx.nStarts++
+	tx.Reads.Reset()
+	tx.Owned.Reset()
+	tx.WV = 0
+	if k.ClockOn {
+		tx.RV = k.Clock.Load()
+	}
+	tx.gran = nil
+	if k.cfg.Granularity > 1 {
+		tx.gran = k.granTab.Load()
+	}
+	tx.self.Begin()
+	if tr := tx.Tr; tr != nil {
+		tx.beginAt = time.Now()
+		if !tx.abortAt.IsZero() {
+			tr.ObserveAbortGap(tx.beginAt.Sub(tx.abortAt))
+			tx.abortAt = time.Time{}
+		}
+		tr.Record(trace.EvBegin, tx.id, 0, 0, 0)
+	}
+}

@@ -1,0 +1,447 @@
+package txn
+
+// Unit tests for what has one home in the kernel: the registry, the
+// descriptor pool, the statistics flush, the write-back ticket chain, and
+// the atomic loop's handling of every signal, driven through a fake
+// strategy. Run under -race in CI.
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/faultinject"
+	"repro/internal/objmodel"
+	"repro/internal/stmapi"
+	"repro/internal/txrec"
+)
+
+// fake is a scripted Strategy: it owns no records and logs the kernel's
+// calls.
+type fake struct {
+	Txn
+	calls    []string
+	commits  []bool // scripted Commit results, consumed in order; true once exhausted
+	lockOK   bool
+	retryErr error
+}
+
+func (f *fake) log(s string) { f.calls = append(f.calls, s) }
+func (f *fake) Begin()       { f.log("begin") }
+func (f *fake) Rollback()    { f.log("rollback") }
+func (f *fake) Reset()       { f.log("reset") }
+func (f *fake) LockReadSet() bool {
+	f.log("lock")
+	return f.lockOK
+}
+func (f *fake) ReapOrphan(committed bool) { f.log(fmt.Sprint("reap ", committed)) }
+func (f *fake) RetryWait(context.Context) error {
+	f.log("retrywait")
+	return f.retryErr
+}
+func (f *fake) Commit() (bool, error) {
+	f.log("commit")
+	ok := true
+	if len(f.commits) > 0 {
+		ok, f.commits = f.commits[0], f.commits[1:]
+	}
+	if ok {
+		f.CommitPoint()
+		f.Committed()
+	}
+	return ok, nil
+}
+
+// newFake returns a kernel whose every descriptor is the one returned fake,
+// so a test can script it before and inspect it after each Atomic.
+func newFake(t *testing.T, cfg stmapi.CommonConfig) (*Kernel, *fake) {
+	t.Helper()
+	f := &fake{lockOK: true}
+	k := &Kernel{}
+	k.Init("fake", objmodel.NewHeap(), &cfg, func() Strategy { return f })
+	return k, f
+}
+
+func (f *fake) take() string {
+	s := fmt.Sprint(f.calls)
+	f.calls = nil
+	return s
+}
+
+func TestAtomicCommitAndUserAbort(t *testing.T) {
+	k, f := newFake(t, stmapi.CommonConfig{})
+	if err := k.Atomic(nil, -1, func(tx *Txn) error { tx.NReads += 3; tx.NWrites++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := f.take(), "[begin commit reset]"; got != want {
+		t.Errorf("commit: calls = %s, want %s", got, want)
+	}
+	boom := errors.New("boom")
+	if err := k.Atomic(nil, -1, func(tx *Txn) error { tx.NReads++; return boom }); err != boom {
+		t.Errorf("err = %v, want the body's error", err)
+	}
+	if got, want := f.take(), "[begin rollback reset]"; got != want {
+		t.Errorf("user abort: calls = %s, want %s", got, want)
+	}
+	s := k.Stats.Snapshot()
+	if s.Starts != 2 || s.Commits != 1 || s.Aborts != 1 || s.TxnReads != 4 || s.TxnWrites != 1 {
+		t.Errorf("stats = %+v, want 2 starts, 1 commit, 1 abort, 4 reads, 1 write", s)
+	}
+	if n := k.ActiveTransactions(); n != 0 {
+		t.Errorf("registered descriptors after return = %d, want 0", n)
+	}
+}
+
+func TestAtomicSignals(t *testing.T) {
+	k, f := newFake(t, stmapi.CommonConfig{})
+
+	// Restart, a failed commit and a user Retry each abort and re-execute.
+	f.commits = []bool{false}
+	runs := 0
+	err := k.Atomic(nil, -1, func(tx *Txn) error {
+		runs++
+		if tx.Attempt() != runs-1 {
+			t.Errorf("attempt = %d on run %d", tx.Attempt(), runs)
+		}
+		switch runs {
+		case 1:
+			tx.RestartOn(7)
+		case 3:
+			tx.Retry()
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "[begin rollback begin commit rollback begin rollback retrywait begin commit reset]"
+	if got := f.take(); got != want {
+		t.Errorf("calls = %s\nwant    %s", got, want)
+	}
+	if s := k.Stats.Snapshot(); s.Starts != 4 || s.Aborts != 3 || s.Commits != 1 || s.UserRetries != 1 {
+		t.Errorf("stats = %+v, want 4 starts, 3 aborts, 1 commit, 1 retry", s)
+	}
+
+	// A retry wait that ends with an error ends the loop with it.
+	f.retryErr = context.DeadlineExceeded
+	if err := k.Atomic(nil, -1, func(tx *Txn) error { tx.Retry(); return nil }); err != context.DeadlineExceeded {
+		t.Errorf("err = %v, want the retry wait's error", err)
+	}
+	f.take()
+
+	// Another descriptor's signal is not ours to consume.
+	func() {
+		defer func() {
+			if _, ok := recover().(txSignal); !ok {
+				t.Error("a foreign transaction's signal did not propagate")
+			}
+		}()
+		other := &Txn{}
+		_ = k.Atomic(nil, -1, func(tx *Txn) error { other.Restart(); return nil })
+	}()
+	if got, want := f.take(), "[begin rollback reset]"; got != want {
+		t.Errorf("foreign signal: calls = %s, want %s", got, want)
+	}
+}
+
+func TestAtomicCancellation(t *testing.T) {
+	k, f := newFake(t, stmapi.CommonConfig{})
+	ctx, cancel := context.WithCancel(context.Background())
+	err := k.Atomic(ctx, -1, func(tx *Txn) error {
+		tx.Poll(nil) // not cancelled yet: no-op
+		cancel()
+		tx.Poll(nil)
+		t.Error("access after cancellation did not cancel")
+		return nil
+	})
+	if err != context.Canceled {
+		t.Errorf("err = %v, want context.Canceled", err)
+	}
+	if got, want := f.take(), "[begin rollback reset]"; got != want {
+		t.Errorf("calls = %s, want %s", got, want)
+	}
+	// Already cancelled: no descriptor, no attempt.
+	if err := k.Atomic(ctx, -1, func(*Txn) error { t.Error("body ran"); return nil }); err != context.Canceled {
+		t.Errorf("err = %v, want context.Canceled", err)
+	}
+	if f.take() != "[]" || k.Stats.Starts.Load() != 1 {
+		t.Error("a pre-cancelled Atomic began an attempt")
+	}
+
+	// A nested block's own context cancels just the block.
+	outer := 0
+	err = k.Atomic(nil, -1, func(tx *Txn) error {
+		outer++
+		nctx, ncancel := context.WithCancel(context.Background())
+		nerr := tx.NestedCtx(nctx, func() error {
+			ncancel()
+			tx.Poll(nil)
+			return nil
+		})
+		if nerr != context.Canceled || tx.Ctx != nil {
+			t.Errorf("nested err = %v, Ctx restored = %v", nerr, tx.Ctx == nil)
+		}
+		return nil
+	})
+	if err != nil || outer != 1 {
+		t.Errorf("outer err = %v after %d runs, want nil after 1", err, outer)
+	}
+}
+
+func TestAtomicFaults(t *testing.T) {
+	k, f := newFake(t, stmapi.CommonConfig{})
+	// A fault in an attempt whose read set no longer validates is an
+	// artifact of speculation: restart.
+	o := k.Heap.New(k.Heap.MustDefineClass(objmodel.ClassSpec{Name: "C", Fields: []objmodel.Field{{Name: "f"}}}))
+	runs := 0
+	if err := k.Atomic(nil, -1, func(tx *Txn) error {
+		if runs++; runs == 1 {
+			tx.Reads.Put(o, txrec.Version(o.Rec.Load())+1) // a version o does not have
+			panic("speculative fault")
+		}
+		return nil
+	}); err != nil || runs != 2 {
+		t.Errorf("err = %v after %d runs, want nil after 2", err, runs)
+	}
+	if got, want := f.take(), "[begin rollback begin commit reset]"; got != want {
+		t.Errorf("calls = %s, want %s", got, want)
+	}
+	// A fault in a consistent attempt is the body's own: abort, then propagate.
+	func() {
+		defer func() {
+			if r := recover(); r != "real fault" {
+				t.Errorf("recovered %v, want the body's panic", r)
+			}
+		}()
+		_ = k.Atomic(nil, -1, func(tx *Txn) error { panic("real fault") })
+	}()
+	if got, want := f.take(), "[begin rollback reset]"; got != want {
+		t.Errorf("calls = %s, want %s", got, want)
+	}
+}
+
+func TestEscalationAndIrrevocable(t *testing.T) {
+	k, f := newFake(t, stmapi.CommonConfig{EscalateAfter: 2})
+	var seen []bool
+	if err := k.Atomic(nil, k.EscalateFrom(), func(tx *Txn) error {
+		seen = append(seen, tx.IsIrrevocable())
+		if !tx.IsIrrevocable() {
+			tx.Restart()
+		}
+		if k.IrrevocableHolder() != tx.ID() {
+			t.Error("irrevocable without the token")
+		}
+		tx.doomed.Store(true) // a doom is not honored past the switch
+		tx.Poll(nil)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(seen) != "[false false true]" {
+		t.Errorf("irrevocable per attempt = %v, want the third", seen)
+	}
+	if got, want := f.take(), "[begin rollback begin rollback begin lock commit reset]"; got != want {
+		t.Errorf("calls = %s, want %s", got, want)
+	}
+	s := k.Stats.Snapshot()
+	if s.Escalations != 1 || s.IrrevocableTxns != 1 || k.IrrevocableHolder() != 0 {
+		t.Errorf("escalations %d, irrevocable txns %d, holder %d; want 1, 1, 0", s.Escalations, s.IrrevocableTxns, k.IrrevocableHolder())
+	}
+
+	// A switch whose read set is stale surrenders the token and restarts.
+	f.lockOK = false
+	runs := 0
+	if err := k.Atomic(nil, -1, func(tx *Txn) error {
+		if runs++; runs == 1 {
+			tx.BecomeIrrevocable()
+			t.Error("a failed switch returned")
+		}
+		if k.IrrevocableHolder() != 0 {
+			t.Error("token still held after a failed switch")
+		}
+		return nil
+	}); err != nil || runs != 2 {
+		t.Errorf("err = %v after %d runs, want nil after 2", err, runs)
+	}
+
+	// NoIrrevocable: the adapter refuses, BecomeIrrevocable panics.
+	k2, _ := newFake(t, stmapi.CommonConfig{NoIrrevocable: true})
+	if err := (API{k2}).AtomicIrrevocable(func(stmapi.Txn) error { return nil }); err != stmapi.ErrIrrevocableDisabled {
+		t.Errorf("err = %v, want ErrIrrevocableDisabled", err)
+	}
+}
+
+func TestPoolHygiene(t *testing.T) {
+	k, f := newFake(t, stmapi.CommonConfig{})
+	k.SetInjector(faultinject.New(1))
+	o := k.Heap.New(k.Heap.MustDefineClass(objmodel.ClassSpec{Name: "C", Fields: []objmodel.Field{{Name: "f"}}}))
+	var last uint64
+	for i := 0; i < 3; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		err := k.Atomic(ctx, -1, func(tx *Txn) error {
+			if tx.ID() <= last {
+				t.Errorf("id %d not fresh (last %d)", tx.ID(), last)
+			}
+			last = tx.ID()
+			if tx.Reads.Len() != 0 || tx.Owned.Len() != 0 || len(tx.Redo) != 0 || tx.Blame != 0 ||
+				tx.Doomed() || tx.Dead() || tx.karma.Load() != 0 || tx.IsIrrevocable() || tx.Ctx != ctx || tx.FI == nil {
+				t.Errorf("iteration %d: dirty descriptor", i)
+			}
+			// Dirty everything an incarnation can leave behind.
+			tx.Reads.Put(o, 1)
+			tx.Owned.Put(o, 1)
+			tx.Redo = append(tx.Redo, stmapi.RedoWrite{})
+			tx.karma.Add(5)
+			tx.Blame = 5
+			tx.doomed.Store(true)
+			return nil
+		})
+		cancel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Ctx != nil || f.FI != nil || f.Sink != nil || f.Reads.Len() != 0 || f.Owned.Len() != 0 || len(f.Redo) != 0 {
+			t.Errorf("iteration %d: pooled descriptor still holds references", i)
+		}
+	}
+}
+
+func TestRegistryOverflowAndReuse(t *testing.T) {
+	var r registry
+	const total = regSlots + 16
+	txs := make([]*Txn, total)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := g; i < total; i += 4 {
+				tx := &Txn{id: uint64(i + 1)}
+				tx.stamp.Store(tx.id)
+				r.add(tx)
+				txs[i] = tx
+			}
+		}()
+	}
+	wg.Wait()
+	n, over := 0, 0
+	r.forEach(func(tx *Txn) bool {
+		n++
+		if tx.slot < 0 {
+			over++
+		}
+		return true
+	})
+	if n != total || over != 16 {
+		t.Errorf("scan saw %d descriptors, %d in overflow; want %d and 16", n, over, total)
+	}
+	for _, tx := range txs {
+		if r.findStamp(tx.id) != tx {
+			t.Fatalf("findStamp(%d) missed a live descriptor", tx.id)
+		}
+	}
+	// Reuse: the descriptor stays registered under a new incarnation's ID.
+	// The old ID must no longer resolve, the new one must.
+	reused := txs[3]
+	reused.stamp.Store(9999)
+	if r.findStamp(4) != nil || r.findStamp(9999) != reused {
+		t.Error("findStamp does not follow the stamp across descriptor reuse")
+	}
+	for _, tx := range txs {
+		r.remove(tx)
+	}
+	r.forEach(func(*Txn) bool { t.Error("registry not empty after removing everything"); return false })
+}
+
+func TestStatsFlushParallel(t *testing.T) {
+	k := &Kernel{}
+	cfg := stmapi.CommonConfig{}
+	k.Init("fake", objmodel.NewHeap(), &cfg, func() Strategy { return &fake{} })
+	const goroutines, iters = 8, 200
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				_ = k.Atomic(nil, -1, func(tx *Txn) error {
+					tx.NReads += 2
+					tx.NWrites++
+					if tx.Attempt() == 0 && i%4 == 0 {
+						tx.Restart()
+					}
+					return nil
+				})
+			}
+		}()
+	}
+	wg.Wait()
+	const total = goroutines * iters
+	s := k.Stats.Snapshot()
+	if s.Commits != total || s.Aborts != total/4 || s.Starts != s.Commits+s.Aborts {
+		t.Errorf("starts %d, commits %d, aborts %d; want %d commits and %d aborts", s.Starts, s.Commits, s.Aborts, total, total/4)
+	}
+	if s.TxnReads != 2*s.Starts || s.TxnWrites != s.Starts {
+		t.Errorf("reads %d, writes %d over %d attempts; want 2 and 1 per attempt", s.TxnReads, s.TxnWrites, s.Starts)
+	}
+}
+
+func TestOrphanIsRetiredAndReaped(t *testing.T) {
+	k, f := newFake(t, stmapi.CommonConfig{})
+	func() {
+		defer func() {
+			if _, ok := recover().(faultinject.OrphanError); !ok {
+				t.Error("Die did not surface an OrphanError")
+			}
+		}()
+		_ = k.Atomic(nil, -1, func(tx *Txn) error { tx.Die(faultinject.PreValidate); return nil })
+	}()
+	if got, want := f.take(), "[begin]"; got != want {
+		t.Errorf("calls = %s, want %s (no cleanup may run for an orphan)", got, want)
+	}
+	id := f.ID()
+	if k.FindStamp(id) != &f.Txn {
+		t.Fatal("the orphan left the registry before being reaped")
+	}
+	rec := k.Recovery()
+	if !rec.Reclaim(id) || rec.Reclaim(id) {
+		t.Error("Reclaim must succeed exactly once")
+	}
+	if got, want := f.take(), "[reap false]"; got != want {
+		t.Errorf("calls = %s, want %s", got, want)
+	}
+	s := k.Stats.Snapshot()
+	if s.ReaperSteals != 1 || s.Aborts != 1 || k.FindStamp(id) != nil || f.Status() != stmapi.Aborted {
+		t.Errorf("steals %d, aborts %d, status %v; want 1, 1, aborted and unregistered", s.ReaperSteals, s.Aborts, f.Status())
+	}
+}
+
+func TestWriteBackOrderAbandonedWaiter(t *testing.T) {
+	var w WriteBackOrder
+	w.Init()
+	t1, t2, t3 := w.Take(), w.Take(), w.Take()
+	// The waiter for ticket 2 gives up; nothing after it may stall on that.
+	ctx, cancel := context.WithCancel(context.Background())
+	abandoned := make(chan error, 1)
+	go func() { abandoned <- w.AwaitOrder(ctx, t2) }()
+	w.MarkComplete(t2)
+	w.MarkComplete(t3)
+	cancel()
+	if err := <-abandoned; err != context.Canceled {
+		t.Errorf("abandoned wait returned %v, want context.Canceled", err)
+	}
+	reached := make(chan error, 1)
+	go func() { reached <- w.AwaitOrder(nil, t3) }()
+	select {
+	case err := <-reached:
+		t.Fatalf("ticket 3 passed (err %v) with ticket 1 incomplete", err)
+	case <-time.After(10 * time.Millisecond):
+	}
+	w.MarkComplete(t1)
+	if err := <-reached; err != nil {
+		t.Errorf("AwaitOrder = %v, want nil once every earlier ticket completed", err)
+	}
+}
