@@ -73,6 +73,19 @@ func (c *CommitClock) Advance() (wv uint64, advanced bool) {
 	return c.v.Load(), false
 }
 
+// AdvanceFrom moves the clock from cur to cur+1 with a single CAS and
+// reports whether this caller performed the step. A committer passes a
+// value it sampled before the validation that justifies its commit: success
+// proves no other writer obtained a version in between, so the step is
+// both the end of that validation and the commit's write version (cur+1).
+// On failure nothing changed; the caller re-samples and re-validates.
+func (c *CommitClock) AdvanceFrom(cur uint64) bool {
+	if cur >= clockLimit {
+		panic(fmt.Sprintf("objmodel: commit clock overflow (value %#x)", cur))
+	}
+	return c.v.CompareAndSwap(cur, cur+1)
+}
+
 // Raise lifts the clock to at least v. Readers use it when they observe an
 // object version above their snapshot — abort releases and anonymous
 // releases each bump an object's version by 1 without ticking the clock

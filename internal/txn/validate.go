@@ -30,8 +30,8 @@ func (tx *Txn) ValidateOrRestart() {
 	}
 }
 
-// validateRead re-checks the read set: an unmoved clock proves it unchanged,
-// otherwise it is walked.
+// validateRead is validation that takes no write version: mid-body checks
+// and commits that changed no shared value. An unmoved clock is sufficient.
 func (tx *Txn) validateRead() (bool, uint64) {
 	if tx.k.ClockOn && tx.k.Clock.Load() == tx.RV {
 		tx.nFastpath++
@@ -45,25 +45,77 @@ func (tx *Txn) validateRead() (bool, uint64) {
 // records already held. On failure it reports the first inconsistent
 // object's handle and has notified the contention handler. stamp says the
 // commit changes shared values (or must be logged) and so needs a write
-// version, which is obtained after validation (one clock tick, GV4
-// pass-on-failure) and left in tx.WV; otherwise WV stays 0 and the releases
+// version, which is left in tx.WV; otherwise WV stays 0 and the releases
 // degrade to plain version bumps — releasing unchanged values (read-only
 // bodies, irrevocable bodies holding only pessimistic read claims) leaves
 // stale snapshots valid, so no clock step is needed.
+//
+// The rule for a stamped commit: its write version is always taken by one
+// CAS that moves the clock from a value sampled BEFORE the validation that
+// justifies the commit. From RV itself the CAS is the whole validation (the
+// fast path): nobody obtained a version since the snapshot. Otherwise the
+// committer samples the clock, walks the read set — which sees other
+// committers' held records — and tries the CAS from the sampled value,
+// again until one succeeds or a walk fails. So a failed validation never
+// moves the clock, and no two committers with crossed read/write sets both
+// pass: their CASes are ordered, and the later one sampled the clock after
+// the earlier one's step, by which time the earlier one held its write set,
+// so the later one's walk (or, on its fast path, its own snapshot's reads)
+// met those records.
+//
+// Two shapes this replaced admitted write skew on runtimes that claim
+// opacity. Comparing clock == RV and taking the version afterwards lets two
+// committers both pass the compare before either steps. Walking and then
+// stepping unconditionally leaves the walker's held records invisible to a
+// concurrent fast-path committer for the span between its walk and its
+// step: the fast path passes because the clock has not moved yet, the
+// walker passed because the other had not locked yet.
 func (tx *Txn) ValidateCommit(stamp bool) (bool, uint64) {
-	ok, bad := tx.validateRead()
-	if !ok {
-		tx.NotifyStale(bad)
-		return false, bad
+	k := tx.k
+	switch {
+	case !stamp:
+		ok, bad := tx.validateRead()
+		if !ok {
+			tx.NotifyStale(bad)
+		}
+		return ok, bad
+	case !k.ClockOn:
+		tx.nWalks++
+		ok, bad := tx.walkValidate()
+		if !ok {
+			tx.NotifyStale(bad)
+		} else if tx.Sink != nil {
+			tx.Stamp() // walk validation needs no version; the redo record needs an LSN
+		}
+		return ok, bad
 	}
-	if stamp && (tx.k.ClockOn || tx.Sink != nil) {
-		tx.Stamp()
+	// Sample first rather than open with a CAS from RV: under contention the
+	// clock has usually moved, and a load leaves its cache line shared where
+	// a failed CAS would take it exclusive for nothing.
+	c := k.Clock.Load()
+	for fast := c == tx.RV; ; c, fast = k.Clock.Load(), false {
+		if !fast {
+			tx.nWalks++
+			if ok, bad := tx.walkValidate(); !ok {
+				tx.NotifyStale(bad)
+				return false, bad
+			}
+		}
+		if k.Clock.AdvanceFrom(c) {
+			if fast {
+				tx.nFastpath++
+			}
+			tx.nClockAdv++
+			tx.WV = c + 1
+			return true, 0
+		}
 	}
-	return true, 0
 }
 
-// Stamp obtains a write version in the GV4 pass-on-failure style and leaves
-// it in tx.WV.
+// Stamp obtains a write version in the GV4 pass-on-failure style for a
+// commit that validates nothing against the clock (the multi-version
+// runtime's first-committer-wins, or a walk-validated commit that only
+// needs a log sequence number), and leaves it in tx.WV.
 func (tx *Txn) Stamp() {
 	var advanced bool
 	if tx.WV, advanced = tx.k.Clock.Advance(); advanced {
