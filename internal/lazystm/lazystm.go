@@ -232,9 +232,11 @@ func (tx *Txn) Read(o *objmodel.Object, slot int) uint64 {
 			}
 			ver := txrec.Version(w)
 			if tx.rt.ClockOn && ver > tx.RV {
-				// Version postdates the clock snapshot: extend it, or restart
-				// if the read set is stale.
+				// Version postdates the clock snapshot: extend it (or restart
+				// if the read set is stale), then sample o again under the
+				// snapshot that covers it.
 				tx.ExtendSnapshot(o, ver)
+				continue
 			}
 			if prev, ok := tx.Reads.Get(o); !ok {
 				tx.Reads.Put(o, ver)

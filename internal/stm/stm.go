@@ -230,9 +230,11 @@ func (tx *Txn) Read(o *objmodel.Object, slot int) uint64 {
 			if tx.rt.ClockOn && ver > tx.RV {
 				// The version postdates our clock snapshot: the value may be
 				// newer than everything read so far. Extend the snapshot —
-				// walk-validate the read set against a fresh clock value — or
-				// restart if the read set is already stale.
+				// walk-validate the read set against a fresh clock value, or
+				// restart if it is already stale — then sample o again under
+				// the snapshot that covers it.
 				tx.ExtendSnapshot(o, ver)
+				continue
 			}
 			if prev, ok := tx.Reads.Get(o); !ok {
 				tx.Reads.Put(o, ver)

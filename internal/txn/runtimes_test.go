@@ -1,7 +1,9 @@
 package txn_test
 
 // Isolation regressions for the validation the kernel does once for every
-// runtime, run over the registered runtimes. Run under -race in CI.
+// runtime, run over the registered runtimes: the write-skew probe for the
+// commit fast path and the deterministic interleaving for snapshot
+// extension. Run under -race in CI.
 
 import (
 	"runtime"
@@ -11,6 +13,7 @@ import (
 
 	"repro/internal/objmodel"
 	"repro/internal/stmapi"
+	"repro/internal/trace"
 	"repro/internal/txn/txntest"
 
 	_ "repro/internal/lazystm"
@@ -102,5 +105,71 @@ func TestWriteSkew(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// sinkFunc adapts a function to trace.Sink.
+type sinkFunc func(trace.Event)
+
+func (f sinkFunc) Observe(ev trace.Event) { f(ev) }
+
+// TestExtensionCoversTriggeringRead drives the one interleaving snapshot
+// extension used to get wrong, deterministically, through the tracer's
+// synchronous sink. T reads o at a version above its snapshot, which
+// extends the snapshot; between T's sample of o and the fresh clock value
+// the extension adopts, W2 commits to o and q (the sink runs it at the
+// extension's trace point). The sampled value is then stale but covered by
+// neither the extension's walk — o is not in the read set yet — nor the new
+// snapshot. T must not see q from W2 alongside o from before W2, and its
+// increment of o must not overwrite W2's (on the lazy runtime it did: the
+// commit fast path accepted the stale entry).
+func TestExtensionCoversTriggeringRead(t *testing.T) {
+	for _, name := range []string{"eager", "lazy"} {
+		t.Run(name, func(t *testing.T) {
+			f := txntest.New(t, name, stmapi.CommonConfig{})
+			rt, o, q := f.Runtime(), f.NewCell(), f.NewCell()
+			write := func(v uint64) func(stmapi.Txn) error {
+				return func(tx stmapi.Txn) error {
+					tx.Write(o, 0, v)
+					tx.Write(q, 0, v)
+					return nil
+				}
+			}
+			tr := trace.New(trace.Config{Shards: 1, ShardCapacity: 64})
+			fired := false
+			tr.SetSink(sinkFunc(func(ev trace.Event) {
+				if ev.Kind == trace.EvExtend && ev.Obj == uint64(o.Ref()) && !fired {
+					fired = true
+					if err := rt.Atomic(write(100)); err != nil { // W2
+						t.Error(err)
+					}
+				}
+			}))
+			rt.SetTracer(tr)
+			attempts := 0
+			err := rt.Atomic(func(tx stmapi.Txn) error { // T
+				if attempts++; attempts == 1 {
+					// W1 commits after T's snapshot, so T's read of o extends.
+					if err := rt.Atomic(write(1)); err != nil {
+						return err
+					}
+				}
+				vo, vq := tx.Read(o, 0), tx.Read(q, 0)
+				if vo != vq {
+					t.Errorf("attempt %d read o = %d with q = %d: not a snapshot", attempts, vo, vq)
+				}
+				tx.Write(o, 0, vo+1)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !fired {
+				t.Fatal("the read never extended the snapshot; the interleaving was not exercised")
+			}
+			if got := o.LoadSlot(0); got != 101 {
+				t.Errorf("o = %d, want 101: W2's update was lost", got)
+			}
+		})
 	}
 }

@@ -158,6 +158,13 @@ func (tx *Txn) walkValidate() (bool, uint64) {
 // set against a fresh clock value, and on success adopts that value as the
 // new snapshot. On failure the transaction restarts — it read something
 // that changed since begin.
+//
+// The caller must re-sample o after a successful extension rather than
+// record the value it sampled before: that sample is covered by neither the
+// walk (o is not in the read set yet) nor the new snapshot, so a commit to o
+// landing between the sample and the fresh clock value would leave a stale
+// entry that every later clock-only validation accepts — the lost update
+// the benchmark's shared_hot workload found on the lazy runtime.
 func (tx *Txn) ExtendSnapshot(o *objmodel.Object, ver uint64) {
 	k := tx.k
 	if tr := tx.Tr; tr != nil {
