@@ -158,28 +158,3 @@ func TestLazyClockFastpath(t *testing.T) {
 		t.Errorf("fallback walks = %d, want 0", got)
 	}
 }
-
-// TestLazyValidationEnvWalk: STM_VALIDATION=walk forces read-set walks on
-// the lazy runtime too.
-func TestLazyValidationEnvWalk(t *testing.T) {
-	t.Setenv(stmapi.ValidationEnv, "walk")
-	f := newFixture(t, Config{})
-	o := f.heap.New(f.cls)
-	for i := 0; i < 10; i++ {
-		if err := f.rt.Atomic(nil, func(tx *Txn) error {
-			tx.Write(o, 0, tx.Read(o, 0)+1)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := f.rt.Stats.FastpathValidations.Load(); got != 0 {
-		t.Errorf("fastpath validations = %d, want 0 in walk mode", got)
-	}
-	if got := f.rt.Stats.ClockAdvances.Load(); got != 0 {
-		t.Errorf("clock advances = %d, want 0 in walk mode", got)
-	}
-	if got := f.rt.Stats.FallbackWalks.Load(); got == 0 {
-		t.Error("fallback walks = 0, want > 0")
-	}
-}

@@ -126,45 +126,6 @@ func TestClockSnapshotExtensionFails(t *testing.T) {
 	}
 }
 
-// TestValidationEnvWalk: STM_VALIDATION=walk disables the clock at runtime
-// construction — every validation is a full read-set walk and the clock
-// never advances.
-func TestValidationEnvWalk(t *testing.T) {
-	t.Setenv(stmapi.ValidationEnv, "walk")
-	f := newFixture(t, Config{})
-	o := f.newCell()
-	const n = 10
-	for i := 0; i < n; i++ {
-		if err := f.rt.Atomic(nil, func(tx *Txn) error {
-			tx.Write(o, 0, tx.Read(o, 0)+1)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := f.rt.Stats.FastpathValidations.Load(); got != 0 {
-		t.Errorf("fastpath validations = %d, want 0 in walk mode", got)
-	}
-	if got := f.rt.Stats.FallbackWalks.Load(); got != n {
-		t.Errorf("fallback walks = %d, want %d", got, n)
-	}
-	if got := f.rt.Stats.ClockAdvances.Load(); got != 0 {
-		t.Errorf("clock advances = %d, want 0 in walk mode", got)
-	}
-}
-
-// TestValidationEnvInvalid: an unrecognized STM_VALIDATION value is a
-// configuration error rejected at construction.
-func TestValidationEnvInvalid(t *testing.T) {
-	t.Setenv(stmapi.ValidationEnv, "bogus")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("New with STM_VALIDATION=bogus did not panic")
-		}
-	}()
-	newFixture(t, Config{})
-}
-
 // staleObsPolicy is a contention handler that also records validation-abort
 // notifications (conflict.StaleObserver).
 type staleObsPolicy struct {

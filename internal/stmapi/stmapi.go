@@ -1,7 +1,9 @@
 // Package stmapi defines the runtime-agnostic transactional memory API
 // implemented by every STM runtime in this repository (internal/stm, eager
 // versioning; internal/lazystm, lazy versioning; internal/mvstm,
-// multi-version snapshot isolation).
+// multi-version snapshot isolation). The runtimes share one transaction
+// kernel, internal/txn, which also holds the one adapter (txn.API) that
+// implements Runtime for all of them and the helper they register through.
 //
 // Historically every driver — the bench sweeps, the litmus harness,
 // cmd/stmbench — carried a hand-written code path per runtime, switching on
@@ -24,15 +26,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 
 	"repro/internal/conflict"
 	"repro/internal/objmodel"
 	"repro/internal/trace"
 )
 
-// Status is the lifecycle state of a transaction attempt. Both runtimes
-// alias their Status type to this one, so the numeric encodings agree.
+// Status is the lifecycle state of a transaction attempt. Every runtime
+// aliases its Status type to this one, so the numeric encodings agree.
 type Status uint32
 
 // Transaction statuses.
@@ -114,17 +115,8 @@ type CommonConfig struct {
 	// zero value — clock validation on — is the fast default: commit
 	// validation is a single clock compare whenever no other transaction
 	// committed since this one began, falling back to the walk only then.
-	// The ValidationEnv environment variable overrides this field in
-	// Normalize, so deployments can flip validation modes without a
-	// recompile.
 	NoCommitClock bool
 }
-
-// ValidationEnv is the environment variable consulted by Normalize to
-// override CommonConfig.NoCommitClock: "walk" forces read-set-walk
-// validation, "clock" forces commit-clock validation, empty leaves the
-// config value alone. Any other value is a configuration error.
-const ValidationEnv = "STM_VALIDATION"
 
 // Normalize fills defaulted fields in place and validates the result: the
 // zero value of every field is a valid "use the default" request, anything
@@ -147,15 +139,6 @@ func (c *CommonConfig) Normalize() error {
 	}
 	if c.NoIrrevocable && c.EscalateAfter > 0 {
 		return fmt.Errorf("stmapi: EscalateAfter %d conflicts with NoIrrevocable (escalation needs irrevocable transactions)", c.EscalateAfter)
-	}
-	switch v := os.Getenv(ValidationEnv); v {
-	case "":
-	case "walk":
-		c.NoCommitClock = true
-	case "clock":
-		c.NoCommitClock = false
-	default:
-		return fmt.Errorf("stmapi: %s=%q (want \"clock\" or \"walk\")", ValidationEnv, v)
 	}
 	return nil
 }

@@ -2,8 +2,8 @@ package txn_test
 
 // Isolation regressions for the validation the kernel does once for every
 // runtime, run over the registered runtimes: the write-skew probe for the
-// commit fast path and the deterministic interleaving for snapshot
-// extension. Run under -race in CI.
+// commit fast path, the deterministic interleaving for snapshot extension,
+// and the walk-mode counters. Run under -race in CI.
 
 import (
 	"runtime"
@@ -169,6 +169,38 @@ func TestExtensionCoversTriggeringRead(t *testing.T) {
 			}
 			if got := o.LoadSlot(0); got != 101 {
 				t.Errorf("o = %d, want 101: W2's update was lost", got)
+			}
+		})
+	}
+}
+
+// TestNoCommitClockWalks: with NoCommitClock every validation is a full
+// read-set walk and the clock never advances; the multi-version runtime
+// ignores the knob (the clock is what stamps its versions).
+func TestNoCommitClockWalks(t *testing.T) {
+	for _, name := range stmapi.Runtimes() {
+		t.Run(name, func(t *testing.T) {
+			f := txntest.New(t, name, stmapi.CommonConfig{NoCommitClock: true})
+			rt, o := f.Runtime(), f.NewCell()
+			const n = 10
+			for i := 0; i < n; i++ {
+				if err := rt.Atomic(func(tx stmapi.Txn) error {
+					tx.Write(o, 0, tx.Read(o, 0)+1)
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s := rt.Stats()
+			if name == "mvstm" {
+				if s.ClockAdvances != n {
+					t.Errorf("clock advances = %d, want %d", s.ClockAdvances, n)
+				}
+				return
+			}
+			if s.FastpathValidations != 0 || s.FallbackWalks != n || s.ClockAdvances != 0 {
+				t.Errorf("fastpath %d, walks %d, clock advances %d; want 0, %d, 0 in walk mode",
+					s.FastpathValidations, s.FallbackWalks, s.ClockAdvances, n)
 			}
 		})
 	}
