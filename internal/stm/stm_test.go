@@ -586,6 +586,10 @@ func TestGranularityOneDoesNotSpan(t *testing.T) {
 
 // TestQuiescenceWaitsForActive: a committed transaction in quiescence mode
 // must not return while another transaction that started earlier is active.
+// The long transaction records its completion from inside its body: the
+// quiescing committer is released the moment the long transaction's status
+// leaves Active, which nothing orders against what the long goroutine does
+// after its Atomic returns.
 func TestQuiescenceWaitsForActive(t *testing.T) {
 	f := newFixture(t, Config{CommonConfig: stmapi.CommonConfig{Quiescence: true}})
 	a, b := f.newCell(), f.newCell()
@@ -602,9 +606,9 @@ func TestQuiescenceWaitsForActive(t *testing.T) {
 			_ = tx.Read(a, 0)
 			close(inBody)
 			<-finish
+			push("long-done")
 			return nil
 		})
-		push("long-done")
 	}()
 	go func() { // committer that must quiesce
 		defer wg.Done()

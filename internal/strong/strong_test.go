@@ -229,7 +229,11 @@ func TestAggregatedBarrierPublishes(t *testing.T) {
 // TestStrongAtomicityEndToEnd: concurrent transactional increments and
 // barriered non-transactional increments to the same counter must compose
 // with no lost updates — the intermediate-lost-update (ILU) anomaly of
-// Figure 2b must not occur under strong atomicity.
+// Figure 2b must not occur under strong atomicity. The non-transactional
+// increment holds the record across its read and write (the aggregated
+// barrier a compiler emits for o.f++); as two separate barriers it is not
+// atomic, and a transaction committing between them is overwritten
+// whatever the atomicity regime.
 func TestStrongAtomicityEndToEnd(t *testing.T) {
 	h, cls, b := setup(t, false)
 	rt := stm.New(h, stm.Config{})
@@ -249,7 +253,9 @@ func TestStrongAtomicityEndToEnd(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < perSide; i++ {
-			b.Write(o, 0, b.Read(o, 0)+1)
+			tok := b.Acquire(o)
+			b.AggWrite(o, 0, b.AggRead(o, 0, tok)+1, tok)
+			b.Release(o, tok)
 		}
 	}()
 	wg.Wait()
