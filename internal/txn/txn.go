@@ -210,13 +210,44 @@ func (k *Kernel) ForEach(f func(*Txn) bool) { k.reg.forEach(f) }
 // Fields the runtimes' barriers and commit protocols touch are exported;
 // the rest is reachable only through kernel methods.
 type Txn struct {
+	// The fields other threads read, together on the descriptor's first
+	// cache line and padded off from the rest: contenders scan every
+	// registered descriptor's stamp to find a record's owner, and the
+	// owner's own accesses write its sets and counters constantly — sharing
+	// a line between the two makes every scan a miss for the owner. These
+	// change once per attempt at most, so the line stays shared-clean.
+	//
+	// Arbitration: stamp mirrors id but is readable cross-thread (contention
+	// policies look an owner's descriptor up by ID); doomed is the advisory
+	// abort-other flag a winning transaction sets — the victim notices at
+	// its next access, conflict wait, or commit and restarts; karma
+	// accumulates invested work across aborted attempts of the same atomic
+	// block for priority-based policies; irrevStamp mirrors Irrevocable
+	// (policies and doom consult it).
+	//
+	// Recovery: hb is the epoch heartbeat the reaper watches (bumped at
+	// begin and on conflict-wait slow paths — never on the access hot path);
+	// dead is the death certificate: a release-store of true publishes every
+	// prior write of the dying goroutine (its whole descriptor) to any
+	// reclaimer that acquires it, and is the ONLY condition under which
+	// another thread may touch the rest of this descriptor; reaping elects
+	// one reclaimer.
+	status     atomic.Uint32
+	stamp      atomic.Uint64
+	doomed     atomic.Bool
+	karma      atomic.Int64
+	hb         atomic.Uint64
+	dead       atomic.Bool
+	reaping    atomic.Bool
+	irrevStamp atomic.Bool
+	_          [64]byte
+
 	k    *Kernel
 	self Strategy   // the runtime descriptor embedding this one; set once at allocation
 	api  stmapi.Txn // self as the driver-facing interface, asserted once at allocation
 
 	id      uint64
 	slot    int // registry slot index, -1 when in overflow
-	status  atomic.Uint32
 	attempt int
 
 	// Reads holds the first-read version per object (unused by the
@@ -237,31 +268,9 @@ type Txn struct {
 	// nil when the configured granularity is 1 or nothing is promoted.
 	gran *granTable
 
-	// Arbitration state. stamp mirrors id but is readable cross-thread
-	// (contention policies look an owner's descriptor up by ID); doomed is
-	// the advisory abort-other flag a winning transaction sets — the victim
-	// notices at its next access, conflict wait, or commit and restarts;
-	// karma accumulates invested work across aborted attempts of the same
-	// atomic block for priority-based policies.
-	stamp  atomic.Uint64
-	doomed atomic.Bool
-	karma  atomic.Int64
-
-	// Recovery state. hb is the epoch heartbeat the reaper watches (bumped at
-	// begin and on conflict-wait slow paths — never on the access hot path);
-	// dead is the death certificate: a release-store of true publishes every
-	// prior write of the dying goroutine (its whole descriptor) to any
-	// reclaimer that acquires it, and is the ONLY condition under which
-	// another thread may touch this descriptor; reaping elects one reclaimer.
-	hb      atomic.Uint64
-	dead    atomic.Bool
-	reaping atomic.Bool
-
-	// Irrevocability state. Irrevocable is goroutine-local (hot-path checks
-	// by the owner); irrevStamp is its cross-thread mirror (policies and
-	// doom consult it); irrevAt feeds the token-hold-time metrics.
+	// Irrevocable is goroutine-local (hot-path checks by the owner);
+	// irrevAt feeds the token-hold-time metrics.
 	Irrevocable bool
-	irrevStamp  atomic.Bool
 	irrevAt     time.Time
 
 	// Ctx is the cancellation context installed by AtomicCtx; nil for plain
