@@ -139,8 +139,8 @@ func TestQuiescenceShardedRegistry(t *testing.T) {
 func TestRegistryOverflow(t *testing.T) {
 	f := newFixture(t, Config{})
 	const extra = 16
-	const regSlots = 256 // the kernel registry's slot-array capacity
-	const total = regSlots + extra
+	const slotArray = 256 // the capacity of the kernel registry's slot array
+	const total = slotArray + extra
 	ready := make(chan struct{}, total)
 	release := make(chan struct{})
 	var wg sync.WaitGroup
