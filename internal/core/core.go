@@ -104,7 +104,6 @@ func NewSystem(cfg Config) (*System, error) {
 				Granularity: cfg.granularity(),
 				Quiescence:  cfg.Quiescence && cfg.Versioning == Eager,
 			},
-			DEA: cfg.DEA,
 		}),
 		Lazy: lazystm.New(h, lazystm.Config{
 			CommonConfig: stmapi.CommonConfig{

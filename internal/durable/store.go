@@ -87,8 +87,9 @@ type RecoveryInfo struct {
 	// MaxStamp is the highest commit stamp recovered (snapshot or WAL); the
 	// commit clock restarts above it.
 	MaxStamp uint64 `json:"max_stamp"`
-	// TornTail reports that the last segment ended in a truncated record —
-	// expected after a crash mid-append, replay stops there.
+	// TornTail reports that a generation's last segment ended in a truncated
+	// record — expected after a crash mid-append; replay of that generation
+	// stops there.
 	TornTail bool `json:"torn_tail,omitempty"`
 }
 
@@ -305,14 +306,23 @@ func recoverState(fs vfs.FS, dir string, heap *objmodel.Heap) (RecoveryInfo, uin
 		for off < len(data) {
 			rec, n, err := decodeRecord(data[off:])
 			if err != nil {
-				// A short or corrupt trailer on the NEWEST segment is a torn
-				// crash tail — the clean end of the log. Anywhere else it is
-				// real corruption.
-				if seg == maxSeg {
-					info.TornTail = true
-					break
+				// A short or corrupt trailer is a torn crash tail — the clean
+				// end of a generation's log — on the newest segment, or on
+				// the last segment of an earlier generation that crashed and
+				// was reopened without a checkpoint pruning it since.
+				// Anywhere else it is real corruption.
+				ok := seg == maxSeg
+				if !ok && i+1 < len(replay) && replay[i+1] == seg+1 {
+					var rerr error
+					if ok, rerr = startsGeneration(fs, dir, seg+1, seg+1 == maxSeg, maxEpoch); rerr != nil {
+						return info, 0, 0, rerr
+					}
 				}
-				return info, 0, 0, fmt.Errorf("durable: segment %d offset %d: %w", seg, off, err)
+				if !ok {
+					return info, 0, 0, fmt.Errorf("durable: segment %d offset %d: %w", seg, off, err)
+				}
+				info.TornTail = true
+				break
 			}
 			off += n
 			info.Records++
@@ -335,6 +345,24 @@ func recoverState(fs vfs.FS, dir string, heap *objmodel.Heap) (RecoveryInfo, uin
 		}
 	}
 	return info, maxEpoch, maxSeg, nil
+}
+
+// startsGeneration reports whether segment seg is where a reopen after a
+// crash started logging: Open puts every generation in a fresh segment whose
+// first record is its epoch, above every epoch logged before. Then the
+// segment before it was the crashed generation's last, and a torn trailer
+// there is that crash's tail. A newest segment holding no complete record
+// is the same reopen cut down before its epoch record reached the disk.
+func startsGeneration(fs vfs.FS, dir string, seg int, newest bool, maxEpoch uint64) (bool, error) {
+	data, err := fs.ReadFile(filepath.Join(dir, segName(seg)))
+	if err != nil {
+		return false, err
+	}
+	rec, _, err := decodeRecord(data)
+	if err != nil {
+		return newest, nil
+	}
+	return rec.Kind == kindEpoch && rec.Epoch > maxEpoch, nil
 }
 
 // applyWrite restores recovered values into the setup-built heap, checking

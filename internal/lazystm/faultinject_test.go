@@ -4,17 +4,16 @@ package lazystm
 // commit-time acquire/validate sequence must discard buffers and restore
 // records; injected crashes must perform stage-appropriate cleanup; a crash
 // inside the Figure 4 window must complete its ticket so the ordering chain
-// never stalls.
+// never stalls (those two through txntest, where the multi-version runtime
+// runs them too).
 
 import (
-	"errors"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/faultinject"
 	"repro/internal/objmodel"
-	"repro/internal/stmapi"
+	"repro/internal/txn/txntest"
 	"repro/internal/txrec"
 )
 
@@ -93,101 +92,11 @@ func TestInjectedAbortsPreserveInvariants(t *testing.T) {
 	}
 }
 
+// Crash cleanup per stage and in the commit window is the kernel's
+// commit-time protocol; the bodies are in txntest.
 func TestInjectedCrashCleansUpPerStage(t *testing.T) {
-	crashPoints := []struct {
-		point     faultinject.Point
-		committed bool
-	}{
-		{faultinject.PreAcquire, false},
-		{faultinject.PostAcquire, false},
-		{faultinject.PreValidate, false},
-		{faultinject.PostCommitPoint, true},
-	}
-	for _, c := range crashPoints {
-		t.Run(c.point.String(), func(t *testing.T) {
-			f := newFixture(t, Config{})
-			f.rt.SetInjector(faultinject.New(1, faultinject.Rule{
-				Point: c.point, Action: faultinject.Crash,
-			}))
-			o := f.heap.New(f.cls)
-			o.StoreSlot(0, 10)
-			err := func() (err error) {
-				defer func() {
-					if r := recover(); r != nil {
-						ce, ok := r.(faultinject.CrashError)
-						if !ok {
-							panic(r)
-						}
-						err = ce
-					}
-				}()
-				return f.rt.Atomic(nil, func(tx *Txn) error {
-					tx.Write(o, 0, 20)
-					return nil
-				})
-			}()
-			var ce faultinject.CrashError
-			if !errors.As(err, &ce) || ce.Point != c.point {
-				t.Fatalf("err = %v, want CrashError at %v", err, c.point)
-			}
-			if w := o.Rec.Load(); !txrec.IsShared(w) {
-				t.Fatalf("record %#x not released after crash", w)
-			}
-			want := uint64(10)
-			if c.committed {
-				want = 20
-			}
-			if got := o.LoadSlot(0); got != want {
-				t.Fatalf("slot 0 = %d, want %d", got, want)
-			}
-			if n := f.rt.ActiveTransactions(); n != 0 {
-				t.Fatalf("active transactions = %d, want 0", n)
-			}
-			f.rt.SetInjector(nil)
-			if err := f.rt.Atomic(nil, func(tx *Txn) error {
-				tx.Write(o, 1, 1)
-				return nil
-			}); err != nil {
-				t.Fatalf("post-crash transaction: %v", err)
-			}
-		})
-	}
+	txntest.InjectedCrashCleansUpPerStage(t, "lazy")
 }
-
 func TestCrashInCommitWindowDoesNotStallOrdering(t *testing.T) {
-	// A committer dying inside the Figure 4 window (post-commit-point,
-	// records held) must complete its write-back ticket during cleanup;
-	// otherwise every later in-order committer waits forever.
-	f := newFixture(t, Config{CommonConfig: stmapi.CommonConfig{Quiescence: true}})
-	f.rt.SetInjector(faultinject.New(1, faultinject.Rule{
-		Point: faultinject.PostCommitPoint, Action: faultinject.Crash, Every: 1 << 62,
-	}))
-	o := f.heap.New(f.cls)
-	func() {
-		defer func() { recover() }() // the injected CrashError
-		_ = f.rt.Atomic(nil, func(tx *Txn) error {
-			tx.Write(o, 0, 1)
-			return nil
-		})
-	}()
-	f.rt.SetInjector(nil)
-
-	done := make(chan error, 1)
-	go func() {
-		done <- f.rt.Atomic(nil, func(tx *Txn) error {
-			tx.Write(o, 1, 2)
-			return nil
-		})
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("successor transaction: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatalf("ordering chain stalled behind the crashed committer")
-	}
-	if got := o.LoadSlot(0); got != 1 {
-		t.Fatalf("slot 0 = %d, want 1 (crash was post-commit-point)", got)
-	}
+	txntest.CrashInCommitWindowDoesNotStallOrdering(t, "lazy")
 }

@@ -20,26 +20,21 @@
 // Section 2.4.
 //
 // Everything that is not versioning is the transaction kernel, package txn,
-// which this runtime embeds and plugs into through txn.Strategy. What is
-// here is the versioning: the Read and Write barriers, the span buffer, the
-// body of commit (acquire, validate, write back, release), and what
-// rollback, reaping an orphan and the irrevocable switch do to the records
-// this runtime holds. The differences from the eager runtime all follow
-// from buffering:
+// which this runtime embeds and plugs into through txn.Strategy; that
+// includes the commit-time locking protocol it shares with the multi-version
+// runtime (txn.Deferred). What is here is the versioning: the Read and Write
+// barriers, the span buffer, and in commit the validation and the
+// write-back. The differences from the eager runtime all follow from
+// buffering:
 //
 //   - An attempt that has not passed its commit point never wrote to shared
 //     memory, so rolling it back (or reclaiming it as an orphan) only
 //     restores the acquired records to their original Shared words — no
 //     version bump, no undo replay. Discarding the buffer is free.
 //
-//   - An orphan that died past the commit point has completed its write-back
-//     (write-back precedes every post-commit injection point), so the reaper
-//     releases with a version bump and completes the orphan's commit ticket,
-//     unblocking the write-back ordering chain quiescing committers wait on.
-//
 //   - Irrevocable transactions acquire records for their reads during the
-//     body (tx.objs/tx.Owned track holdings from the switch onward); commit
-//     keeps those holdings and merges the write set in.
+//     body (tx.Owned tracks holdings from the switch onward); commit keeps
+//     those holdings and acquires the rest of the write set.
 package lazystm
 
 import (
@@ -47,7 +42,6 @@ import (
 	"errors"
 
 	"repro/internal/conflict"
-	"repro/internal/faultinject"
 	"repro/internal/objmodel"
 	"repro/internal/stmapi"
 	"repro/internal/trace"
@@ -101,8 +95,7 @@ type StatsSnapshot = stmapi.StatsSnapshot
 type Runtime struct {
 	txn.Kernel
 
-	cfg   Config
-	order txn.WriteBackOrder // commit tickets: write-back completion order for quiescence mode
+	cfg Config
 }
 
 // New creates a lazy-versioning Runtime over heap. Invalid configurations
@@ -112,7 +105,6 @@ func New(heap *objmodel.Heap, cfg Config) *Runtime {
 	rt.Init("lazy", heap, &rt.cfg.CommonConfig, func() txn.Strategy {
 		return &Txn{rt: rt, buf: make(map[spanKey]spanBuf)}
 	})
-	rt.order.Init()
 	rt.PromoteHotSites()
 	return rt
 }
@@ -143,39 +135,24 @@ type spanBuf struct {
 	n    int
 }
 
-// Txn is a lazy-versioning transaction descriptor: the kernel descriptor
-// plus the span buffer. Pooled across Atomic calls; user code must not
-// retain one past the body.
+// Txn is a lazy-versioning transaction descriptor: the kernel's
+// deferred-update descriptor plus the span buffer. Pooled across Atomic
+// calls; user code must not retain one past the body.
 type Txn struct {
-	txn.Txn
+	txn.Deferred
 	rt *Runtime
 
 	buf map[spanKey]spanBuf // buffered spans, by value: no per-span allocation
-
-	// objs lists the objects whose records this attempt holds or is about to
-	// acquire, in handle order once commit has sorted it (Owned says which
-	// are held, and at what version). Reused across attempts and pooled
-	// incarnations, so a steady-state commit allocates nothing.
-	objs []*objmodel.Object
-
-	// ticket is the commit ticket, kept on the descriptor so a reaper can
-	// complete an orphan's write-back ordering slot.
-	ticket uint64
 }
 
 // Begin implements txn.Strategy.
 func (tx *Txn) Begin() {
-	tx.ticket = 0
+	tx.Deferred.Begin()
 	clear(tx.buf)
-	tx.objs = tx.objs[:0]
 }
 
 // Reset implements txn.Strategy.
-func (tx *Txn) Reset() {
-	clear(tx.buf)
-	clear(tx.objs)
-	tx.objs = tx.objs[:0]
-}
+func (tx *Txn) Reset() { clear(tx.buf) }
 
 // Read returns the transaction's view of o's slot: the private buffer if
 // the containing span has been buffered (even when only the *adjacent*
@@ -216,10 +193,9 @@ func (tx *Txn) Read(o *objmodel.Object, slot int) uint64 {
 		case tx.Irrevocable:
 			// Pessimistic read: acquire the record so nothing can ever
 			// invalidate it (no abort is legal past the switch).
-			if !tx.acquire(o, w) {
+			if !tx.Acquire(o, w) {
 				continue
 			}
-			tx.objs = append(tx.objs, o)
 			tx.Reads.Put(o, txrec.Version(w))
 			if tr := tx.Tr; tr != nil {
 				tr.Record(trace.EvRead, tx.ID(), uint64(o.Ref()), slot, txrec.Version(w))
@@ -288,91 +264,6 @@ func (tx *Txn) WriteRef(o *objmodel.Object, slot int, r objmodel.Ref) {
 // RetryWait implements txn.Strategy.
 func (tx *Txn) RetryWait(ctx context.Context) error { return tx.WaitForReadSetChange(ctx) }
 
-// acquire takes o's record, whose Shared word w the caller just loaded.
-// false means the CAS lost a race. The caller lists o in tx.objs.
-func (tx *Txn) acquire(o *objmodel.Object, w txrec.Word) bool {
-	if !o.Rec.CompareAndSwap(w, txrec.MakeExclusive(tx.ID())) {
-		return false
-	}
-	tx.Owned.Put(o, txrec.Version(w))
-	return true
-}
-
-// release gives back the records of every object acquired by this attempt.
-// A committed release stamps them with the write version obtained before
-// the commit point (tx.WV is 0 for a commit that wrote nothing, degrading
-// to the plain version bump), publishing the new state to optimistic
-// readers; otherwise the original shared words are restored — nothing
-// reached memory. The holdings are cleared afterwards: a descriptor that
-// later dies as an orphan must not present records it no longer owns to
-// the reaper.
-func (tx *Txn) release(committed bool) {
-	for _, o := range tx.objs {
-		sv, ok := tx.Owned.Get(o)
-		if !ok {
-			continue
-		}
-		if committed {
-			o.Rec.ReleaseOwnedAt(sv, tx.WV)
-		} else {
-			o.Rec.Store(txrec.MakeShared(sv))
-		}
-	}
-	tx.Owned.Reset()
-	tx.objs = tx.objs[:0]
-}
-
-// Rollback implements txn.Strategy: restore whatever records the attempt
-// still holds (an irrevocable body's pessimistic read locks, a failed
-// irrevocable switch's partial upgrade — a commit that fails has already
-// released); the buffer is simply dropped at the next begin.
-func (tx *Txn) Rollback() { tx.release(false) }
-
-// inject fires the fault injector at point p, before the commit point, with
-// o (nil at PreValidate) the object being acquired. false means the commit
-// must fail: the records are restored and o is blamed. Crash simulates
-// thread death — nothing has reached shared memory, so a crashed committer's
-// records are restored unchanged before the crash surfaces; Orphan dies
-// holding whatever it acquired so far (Owned records it) until a reaper
-// steals it. An irrevocable transaction can do neither Abort nor Crash.
-func (tx *Txn) inject(p faultinject.Point, o *objmodel.Object) bool {
-	switch tx.FI.Fire(p, tx.ID()) {
-	case faultinject.Abort:
-		if !tx.Irrevocable {
-			if o != nil {
-				tx.Blame = uint64(o.Ref())
-			}
-			tx.release(false)
-			return false
-		}
-	case faultinject.Crash:
-		if !tx.Irrevocable {
-			tx.release(false)
-			tx.Crash(p)
-		}
-	case faultinject.Orphan:
-		tx.Die(p)
-	}
-	return true
-}
-
-// injectCommitted fires the fault injector at point p inside the Figure 4
-// window: logically committed, write-back done, records still held. A
-// crashing thread's cleanup releases with a version bump and completes the
-// ticket so the ordering chain never stalls; an orphan dies with NO cleanup —
-// records stay held and the ticket chain stalls until the reaper releases
-// (bumping — the write-back is in memory) and completes the ticket.
-func (tx *Txn) injectCommitted(p faultinject.Point) {
-	switch tx.FI.Fire(p, tx.ID()) {
-	case faultinject.Crash:
-		tx.release(true)
-		tx.rt.order.MarkComplete(tx.ticket)
-		tx.CrashCommitted(p)
-	case faultinject.Orphan:
-		tx.Die(p)
-	}
-}
-
 // Commit implements txn.Strategy with the lazy commit protocol: acquire the
 // write set's records in handle order, validate the read set, pass the
 // commit point, write back the buffered spans in no particular order,
@@ -382,66 +273,13 @@ func (tx *Txn) Commit() (ok bool, err error) {
 	if tx.Doomed() && !tx.Irrevocable {
 		return false, nil
 	}
-	// Collect distinct objects in the write set, sorted by handle so
-	// concurrent committers acquire in the same order (no deadlock). An
-	// irrevocable transaction arrives already holding its pessimistically
-	// read records in objs/Owned; those are kept (acquisition below skips
-	// them) and the write set is merged in.
+	// An irrevocable transaction arrives already holding its pessimistically
+	// read records in Owned; those are kept. No first-committer-wins rule:
+	// the read set is validated below.
 	for key := range tx.buf {
-		dup := false
-		for _, o := range tx.objs {
-			if o == key.obj {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			tx.objs = append(tx.objs, key.obj)
-		}
+		tx.AddWrite(key.obj)
 	}
-	txn.SortByRef(tx.objs)
-
-	for _, o := range tx.objs {
-		if txrec.IsPrivate(o.Rec.Load()) {
-			continue // thread-local: written back without synchronization
-		}
-		if _, mine := tx.Owned.Get(o); mine {
-			continue // already held by the irrevocable switch or a read
-		}
-		for attempt := 0; ; attempt++ {
-			w := o.Rec.Load()
-			if !txrec.IsShared(w) {
-				if !tx.AcquireWait(o, attempt, w) {
-					tx.release(false)
-					return false, nil
-				}
-				continue
-			}
-			if tx.FI != nil && !tx.inject(faultinject.PreAcquire, o) {
-				return false, nil
-			}
-			if !tx.acquire(o, w) {
-				continue
-			}
-			if tr := tx.Tr; tr != nil {
-				tr.Record(trace.EvLockAcquire, tx.ID(), uint64(o.Ref()), 0, txrec.Version(w))
-			}
-			if tx.FI != nil && !tx.inject(faultinject.PostAcquire, o) {
-				return false, nil
-			}
-			break
-		}
-	}
-
-	// A doom that landed while we were acquiring is honored up to the commit
-	// point; past it the victim has won the race and simply commits.
-	if tx.Doomed() && !tx.Irrevocable {
-		tx.release(false)
-		return false, nil
-	}
-	// An orphan here dies entering validation holding its whole write set:
-	// the canonical lazy orphan — buffers never reach memory.
-	if tx.FI != nil && !tx.inject(faultinject.PreValidate, nil) {
+	if !tx.LockWriteSet(txn.NoLimit) {
 		return false, nil
 	}
 	// The write version is obtained before the commit point, so every
@@ -456,13 +294,12 @@ func (tx *Txn) Commit() (ok bool, err error) {
 			panic("lazystm: irrevocable transaction failed validation")
 		}
 		tx.Blame = bad
-		tx.release(false) // nothing reached memory; restore original versions
+		tx.Release(false) // nothing reached memory; restore original versions
 		return false, nil
 	}
 
 	// ----- commit point: the transaction is now serialized. -----
-	tx.CommitPoint()
-	tx.ticket = tx.rt.order.Take() // published by the death certificate if we die an orphan
+	tx.Serialize()
 	if h := tx.rt.cfg.Hooks.OnAfterCommitPoint; h != nil {
 		h(tx)
 	}
@@ -490,8 +327,7 @@ func (tx *Txn) Commit() (ok bool, err error) {
 	}
 
 	if tx.FI != nil {
-		tx.injectCommitted(faultinject.PostCommitPoint)
-		tx.injectCommitted(faultinject.PreRelease)
+		tx.FireCommitted()
 	}
 
 	// The buffered spans carry exactly the values the write-back just stored.
@@ -509,48 +345,23 @@ func (tx *Txn) Commit() (ok bool, err error) {
 		durSeq, durErr = tx.AppendRedo()
 	}
 
-	tx.release(true)
-	tx.rt.order.MarkComplete(tx.ticket)
-	tx.Committed() // records released: the token is surrendered before any ordering wait
-	if tx.rt.cfg.Quiescence {
-		err = tx.AwaitOrdering(func() error { return tx.rt.order.AwaitOrder(tx.Ctx, tx.ticket) })
-	}
-	return true, tx.WaitDurable(durSeq, durErr, err)
+	tx.ReleaseCommitted() // the token is surrendered before any ordering wait
+	return true, tx.AwaitCommitted(durSeq, durErr)
 }
 
-// ReapOrphan implements txn.Strategy. An uncommitted orphan has its records
-// restored to the original Shared words — its buffered writes never reached
-// memory, so there is nothing to undo and no version to burn. A committed
-// orphan (died inside the commit window, after write-back) is released with
-// a version bump and its ticket completed so the ordering chain cannot
-// stall.
+// ReapOrphan implements txn.Strategy: the kernel's record-and-ticket release,
+// behind a clock tick when the orphan had committed. Its releases expose
+// written-back values, so no snapshot predating them may keep its clock-only
+// validation (see the eager reaper).
 func (tx *Txn) ReapOrphan(committed bool) {
 	if committed && tx.rt.ClockOn {
-		// The releases below expose the orphan's written-back values; tick
-		// the clock first so no snapshot predating them keeps its clock-only
-		// validation (see the eager reaper). ReleaseOwned's plain +1 bump is
-		// a fine stamp: a reader that meets a version above its snapshot
-		// extends on contact.
 		tx.rt.Clock.Tick()
 	}
-	for _, o := range tx.objs {
-		sv, ok := tx.Owned.Get(o)
-		if !ok {
-			continue // write-set entry the orphan never got to acquire
-		}
-		if committed {
-			o.Rec.ReleaseOwned(sv)
-		} else {
-			o.Rec.Store(txrec.MakeShared(sv))
-		}
-	}
-	if committed && tx.ticket != 0 {
-		tx.rt.order.MarkComplete(tx.ticket)
-	}
+	tx.Deferred.ReapOrphan(committed)
 }
 
 // LockReadSet implements txn.Strategy: it upgrades every read-set entry to
-// Exclusive at its recorded version, recording holdings in Owned/objs (the
+// Exclusive at its recorded version, recording holdings in Owned (the
 // failure path restores them through Rollback), after which reads acquire
 // their records pessimistically. A lazy transaction owns nothing during its
 // body, so every entry must be Shared at the recorded version; anything
@@ -562,9 +373,7 @@ func (tx *Txn) LockReadSet() bool {
 		switch {
 		case txrec.IsPrivate(w):
 		case txrec.IsShared(w) && txrec.Version(w) == ver:
-			if ok = tx.acquire(o, w); ok {
-				tx.objs = append(tx.objs, o)
-			}
+			ok = tx.Acquire(o, w)
 		default:
 			ok = false
 		}

@@ -8,9 +8,8 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/objmodel"
-	"repro/internal/recovery"
 	"repro/internal/stmapi"
-	"repro/internal/txrec"
+	"repro/internal/txn/txntest"
 )
 
 func newRecoveryRuntime(t *testing.T, cfg Config) (*Runtime, *objmodel.Object) {
@@ -48,79 +47,13 @@ func orphanOnce(t *testing.T, rt *Runtime, body func(tx *Txn) error) {
 	}
 }
 
+// The reaper checks belong to the kernel's commit-time protocol; their
+// bodies are in txntest.
 func TestReaperRestoresOrphanedRecord(t *testing.T) {
-	rt, o := newRecoveryRuntime(t, Config{})
-	rt.Atomic(nil, func(tx *Txn) error { tx.Write(o, 0, 41); return nil })
-
-	// Dies at PostAcquire holding the record; the buffered 999 never reaches
-	// memory, so reclaim restores the original Shared word unchanged.
-	in := faultinject.New(1, faultinject.Rule{Point: faultinject.PostAcquire, Action: faultinject.Orphan, Every: 1})
-	rt.SetInjector(in)
-	orphanOnce(t, rt, func(tx *Txn) error {
-		tx.Write(o, 0, 999)
-		return nil
-	})
-	rt.SetInjector(nil)
-
-	if w := o.Rec.Load(); !txrec.IsExclusive(w) {
-		t.Fatalf("record not left Exclusive by the orphan: %#x", w)
-	}
-	reaper := recovery.NewReaper(rt.Recovery(), recovery.Config{})
-	rep := reaper.ScanOnce()
-	if rep.Reaped != 1 {
-		t.Fatalf("reaped %d, want 1", rep.Reaped)
-	}
-	if w := o.Rec.Load(); !txrec.IsShared(w) {
-		t.Fatalf("record not restored to Shared: %#x", w)
-	}
-	if v := o.LoadSlot(0); v != 41 {
-		t.Fatalf("buffered write leaked to memory: slot = %d, want 41", v)
-	}
-	if n := rt.Stats.ReaperSteals.Load(); n != 1 {
-		t.Fatalf("ReaperSteals = %d, want 1", n)
-	}
-	// The orphan must stay reclaimable exactly once.
-	if rep := reaper.ScanOnce(); rep.Reaped != 0 {
-		t.Fatalf("second scan reaped %d, want 0", rep.Reaped)
-	}
+	txntest.ReaperRestoresOrphanedRecord(t, "lazy")
 }
-
 func TestCommittedOrphanKeepsEffectsAndUnstallsTickets(t *testing.T) {
-	rt, o := newRecoveryRuntime(t, Config{CommonConfig: stmapi.CommonConfig{Quiescence: true}})
-	// Dies in the Figure 4 window: logically committed, write-back complete,
-	// records held, ticket incomplete.
-	in := faultinject.New(1, faultinject.Rule{Point: faultinject.PostCommitPoint, Action: faultinject.Orphan, Every: 1})
-	rt.SetInjector(in)
-	orphanOnce(t, rt, func(tx *Txn) error {
-		tx.Write(o, 0, 7)
-		return nil
-	})
-	rt.SetInjector(nil)
-
-	reaper := recovery.NewReaper(rt.Recovery(), recovery.Config{})
-	if rep := reaper.ScanOnce(); rep.Reaped != 1 {
-		t.Fatalf("reaped %d, want 1", rep.Reaped)
-	}
-	if w := o.Rec.Load(); !txrec.IsShared(w) {
-		t.Fatalf("record not released: %#x", w)
-	}
-	if v := o.LoadSlot(0); v != 7 {
-		t.Fatalf("committed effect lost: slot = %d, want 7", v)
-	}
-	// The reaper completed the orphan's ticket, so a quiescent commit after
-	// it must not stall on the ordering chain.
-	done := make(chan error, 1)
-	go func() {
-		done <- rt.Atomic(nil, func(tx *Txn) error { tx.Write(o, 1, 1); return nil })
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("commit after reap: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("quiescent commit stalled on the orphan's ticket")
-	}
+	txntest.CommittedOrphanKeepsEffectsAndUnstallsTickets(t, "lazy")
 }
 
 func TestWaiterStealsInlineWithoutReaper(t *testing.T) {

@@ -94,7 +94,7 @@ func (rt *Runtime) maybeCollect(tx *Txn) {
 	w := rt.Watermark()
 	reclaimed := 0
 	rt.gcMu.Lock()
-	for _, o := range tx.objs {
+	for _, o := range tx.Objs {
 		reclaimed += pruneObject(o, w)
 	}
 	rt.gcMu.Unlock()

@@ -67,7 +67,9 @@ func TestGCPinnedByLongReader(t *testing.T) {
 	started := make(chan uint64)
 	release := make(chan struct{})
 	done := make(chan uint64, 1)
+	finished := make(chan struct{})
 	go func() {
+		defer close(finished)
 		_ = f.rt.AtomicRead(func(tx *Txn) error {
 			first := tx.Read(o, 0)
 			started <- first
@@ -103,6 +105,7 @@ func TestGCPinnedByLongReader(t *testing.T) {
 	if second := <-done; second != first {
 		t.Errorf("reader view changed across GC: %d then %d", first, second)
 	}
+	<-finished // the pin goes when AtomicRead returns, not when its body does
 
 	// Reader finished: its pin is gone, the watermark advances to the
 	// clock, and collection prunes everything below the head.

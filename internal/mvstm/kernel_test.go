@@ -20,6 +20,21 @@ func TestPoliciesPreserveInvariantsUnderContention(t *testing.T) {
 	txntest.PoliciesPreserveInvariants(t, "mvstm")
 }
 
+// The commit-time protocol's fault and orphan checks; on this runtime each
+// also requires the commit gate to come out empty.
+func TestInjectedCrashCleansUpPerStage(t *testing.T) {
+	txntest.InjectedCrashCleansUpPerStage(t, "mvstm")
+}
+func TestCrashInCommitWindowDoesNotStallOrdering(t *testing.T) {
+	txntest.CrashInCommitWindowDoesNotStallOrdering(t, "mvstm")
+}
+func TestReaperRestoresOrphanedRecord(t *testing.T) {
+	txntest.ReaperRestoresOrphanedRecord(t, "mvstm")
+}
+func TestCommittedOrphanKeepsEffectsAndUnstallsTickets(t *testing.T) {
+	txntest.CommittedOrphanKeepsEffectsAndUnstallsTickets(t, "mvstm")
+}
+
 type countSink struct{ appends int }
 
 func (c *countSink) AppendRedo(txnID, stamp uint64, writes []stmapi.RedoWrite) (uint64, error) {

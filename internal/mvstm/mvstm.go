@@ -36,21 +36,23 @@
 // next collection prunes past its snapshot. See gc.go.
 //
 // Everything that is not versioning is the transaction kernel, package txn,
-// which this runtime embeds and plugs into through txn.Strategy. What is
-// here is the versioning: the Read and Write barriers, the slot buffer and
-// the version chains, the body of commit, the commit gate, and GC. The
-// kernel's lifecycle reads differently here in four places:
+// which this runtime embeds and plugs into through txn.Strategy; that
+// includes the commit-time locking protocol it shares with the lazy runtime
+// (txn.Deferred). What is here is the versioning: the Read and Write
+// barriers, the slot buffer and the version chains, in commit the gate, the
+// stamp, the install and the write-back, and GC. The kernel's lifecycle
+// reads differently here in four places:
 //
 //   - Bodies own nothing. Reads resolve against version chains and writes
 //     stay buffered, so an orphan that died mid-body holds no records at
 //     all — the reaper only unregisters it (and unpins its GC snapshot).
 //
 //   - An orphan that died inside the commit window holds write-set records.
-//     Pre-commit-point the records are restored to their original Shared
-//     words (no versions were installed, no state escaped). Post-commit-point
-//     the versions are installed and written back, so the reaper releases the
-//     records at the orphan's write version — the same stamp the installed
-//     chain heads carry — and completes its ordering ticket.
+//     The kernel's reaper release restores them before the commit point (no
+//     versions were installed, no state escaped) and releases them at the
+//     orphan's write version after it — the stamp the installed chain heads
+//     carry. No clock tick is needed: snapshot readers never validate, and a
+//     writer that meets the released version raises the clock on contact.
 //
 //   - The commit gate (committers counter) is never repaired by the reaper:
 //     commit releases it on every exit, including the panic unwind of a
@@ -74,7 +76,6 @@ import (
 	"time"
 
 	"repro/internal/conflict"
-	"repro/internal/faultinject"
 	"repro/internal/objmodel"
 	"repro/internal/stmapi"
 	"repro/internal/trace"
@@ -154,10 +155,6 @@ type Runtime struct {
 	gcTick    atomic.Uint64
 	gcMu      sync.Mutex
 	watermark atomic.Uint64
-
-	// order holds the commit tickets ordering write-back completion for
-	// quiescence mode (read-only commits have no write-back and take none).
-	order txn.WriteBackOrder
 }
 
 // New creates a multi-version Runtime over heap. Invalid configurations are
@@ -173,7 +170,6 @@ func New(heap *objmodel.Heap, cfg Config) *Runtime {
 		return tx
 	})
 	rt.ClockOn = true // NoCommitClock is ignored: the clock is what stamps versions
-	rt.order.Init()
 	return rt
 }
 
@@ -219,13 +215,13 @@ type slotKey struct {
 // everything is the (only) serializable view.
 const maxSnapshot = math.MaxUint64
 
-// Txn is a multi-version transaction descriptor: the kernel descriptor plus
-// the slot buffer. Its RV is the begin snapshot — reads see the newest
+// Txn is a multi-version transaction descriptor: the kernel's
+// deferred-update descriptor plus the slot buffer. Its RV is the begin snapshot — reads see the newest
 // version at or below it — and its WV, obtained from the clock before the
 // commit point, is what every release path stamps records with. Pooled
 // across Atomic calls; user code must not retain one past the body.
 type Txn struct {
-	txn.Txn
+	txn.Deferred
 	rt *Runtime
 
 	// snap is the GC pin, readable by the collector through the registry:
@@ -244,20 +240,12 @@ type Txn struct {
 
 	buf map[slotKey]uint64 // buffered writes, always slot-granular
 
-	// objs lists the write set's objects in handle order during commit
-	// (Owned says which records are held, and at what version); inCommit
-	// marks the descriptor as inside the commit gate.
-	objs     []*objmodel.Object
-	inCommit bool
-
-	// ticket is the commit ticket, kept on the descriptor so a reaper can
-	// complete an orphan's write-back ordering slot.
-	ticket uint64
+	inCommit bool // inside the commit gate
 }
 
 // Begin implements txn.Strategy.
 func (tx *Txn) Begin() {
-	tx.ticket = 0
+	tx.Deferred.Begin()
 	clear(tx.buf)
 	tx.snap.Store(tx.RV) // refine the pin; the previous value was <= RV
 }
@@ -268,8 +256,6 @@ func (tx *Txn) Reset() {
 	tx.readOnly = false
 	tx.inCommit = false
 	clear(tx.buf)
-	clear(tx.objs)
-	tx.objs = tx.objs[:0]
 }
 
 // Read returns the transaction's view of o's slot: the private write buffer
@@ -515,26 +501,6 @@ func (rt *Runtime) DrainCommitters(timeout time.Duration) bool {
 	}
 }
 
-// release gives back the records of every object acquired by this commit:
-// committed, they are stamped with the write version (matching the installed
-// chain head); otherwise the original shared words are restored — nothing
-// was published, and the untouched slots make the seqlock's ABA benign.
-func (tx *Txn) release(committed bool) {
-	for _, o := range tx.objs {
-		sv, ok := tx.Owned.Get(o)
-		if !ok {
-			continue
-		}
-		if committed {
-			o.Rec.ReleaseOwnedAt(sv, tx.WV)
-		} else {
-			o.Rec.Store(txrec.MakeShared(sv))
-		}
-	}
-	tx.Owned.Reset()
-	tx.objs = tx.objs[:0]
-}
-
 // Rollback implements txn.Strategy: a failed commit has already restored
 // its records and the buffer is dropped at the next begin, so only the
 // accounting is left.
@@ -552,50 +518,6 @@ func snapshotSlots(o *objmodel.Object) []uint64 {
 		vals[i] = o.LoadSlot(i)
 	}
 	return vals
-}
-
-// inject fires the fault injector at point p, before the commit point, with
-// o (nil at PreValidate) the object being acquired. false means the commit
-// must fail: the records are restored and o is blamed. Crash simulates
-// thread death (no versions were installed, so the records are restored
-// unchanged before the crash surfaces); Orphan dies holding whatever it
-// acquired so far. An irrevocable transaction can do neither Abort nor
-// Crash.
-func (tx *Txn) inject(p faultinject.Point, o *objmodel.Object) bool {
-	switch tx.FI.Fire(p, tx.ID()) {
-	case faultinject.Abort:
-		if !tx.Irrevocable {
-			if o != nil {
-				tx.Blame = uint64(o.Ref())
-			}
-			tx.release(false)
-			return false
-		}
-	case faultinject.Crash:
-		if !tx.Irrevocable {
-			tx.release(false)
-			tx.Crash(p)
-		}
-	case faultinject.Orphan:
-		tx.Die(p)
-	}
-	return true
-}
-
-// injectCommitted fires the fault injector at point p past the commit
-// point, versions installed and written back, records still held: a
-// crashing thread's cleanup releases at the write version and completes the
-// ticket; an orphan leaves both to the reaper.
-func (tx *Txn) injectCommitted(p faultinject.Point) {
-	switch tx.FI.Fire(p, tx.ID()) {
-	case faultinject.Crash:
-		tx.release(true)
-		tx.rt.exitCommit(tx)
-		tx.rt.order.MarkComplete(tx.ticket)
-		tx.CrashCommitted(p)
-	case faultinject.Orphan:
-		tx.Die(p)
-	}
 }
 
 // Commit implements txn.Strategy. A body that never wrote — AtomicRead, or
@@ -626,78 +548,17 @@ func (tx *Txn) Commit() (ok bool, err error) {
 	}
 	defer rt.exitCommit(tx)
 
-	tx.objs = tx.objs[:0]
 	for key := range tx.buf {
-		dup := false
-		for _, o := range tx.objs {
-			if o == key.obj {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			tx.objs = append(tx.objs, key.obj)
-		}
+		tx.AddWrite(key.obj)
 	}
-	txn.SortByRef(tx.objs)
-
-	for _, o := range tx.objs {
-		if txrec.IsPrivate(o.Rec.Load()) {
-			continue // thread-local: written back without synchronization
-		}
-		for attempt := 0; ; attempt++ {
-			w := o.Rec.Load()
-			if !txrec.IsShared(w) {
-				// For an irrevocable committer only a dead owner can hold a
-				// record (it has the token and the gate is drained); the
-				// kernel's claim reaps it and re-probes.
-				if !tx.AcquireWait(o, attempt, w) {
-					tx.release(false)
-					return false, nil
-				}
-				continue
-			}
-			if tx.FI != nil && !tx.inject(faultinject.PreAcquire, o) {
-				return false, nil
-			}
-			ver := txrec.Version(w)
-			if ver > tx.RV {
-				// First committer wins: a concurrent transaction committed
-				// this object after our snapshot. Raise the clock over the
-				// lost version so the retry's snapshot covers it even when
-				// the release stamp outran the clock (two committers sharing
-				// a write version).
-				tx.NotifyStale(uint64(o.Ref()))
-				tx.Blame = uint64(o.Ref())
-				tx.release(false)
-				rt.Clock.Raise(ver)
-				return false, nil
-			}
-			if !o.Rec.CompareAndSwap(w, txrec.MakeExclusive(tx.ID())) {
-				continue
-			}
-			tx.Owned.Put(o, ver)
-			if tr := tx.Tr; tr != nil {
-				tr.Record(trace.EvLockAcquire, tx.ID(), uint64(o.Ref()), 0, ver)
-			}
-			if tx.FI != nil && !tx.inject(faultinject.PostAcquire, o) {
-				return false, nil
-			}
-			break
-		}
-	}
-
-	if tx.Doomed() && !tx.Irrevocable {
-		tx.release(false)
+	// First committer wins: a record version above the begin snapshot fails
+	// the commit (an irrevocable committer's is maxSnapshot: nothing can).
+	// There is no other validation step: snapshot reads need no re-checking —
+	// that is the snapshot-isolation trade (write skew admitted, see the
+	// litmus matrix's MV column).
+	if !tx.LockWriteSet(tx.RV) {
 		return false, nil
 	}
-	if tx.FI != nil && !tx.inject(faultinject.PreValidate, nil) {
-		return false, nil
-	}
-	// There is no validation step: first-committer-wins was enforced
-	// record-by-record at acquisition, and snapshot reads need no
-	// re-checking — that is the snapshot-isolation trade (write skew
-	// admitted, see the litmus matrix's MV column).
 
 	// Obtain the write version before the commit point so every release
 	// path — normal, crash branch, or a reaper completing an orphan — stamps
@@ -705,8 +566,7 @@ func (tx *Txn) Commit() (ok bool, err error) {
 	tx.Stamp()
 
 	// ----- commit point: the transaction is now serialized. -----
-	tx.CommitPoint()
-	tx.ticket = rt.order.Take()
+	tx.Serialize()
 	if h := rt.cfg.Hooks.OnAfterCommitPoint; h != nil {
 		h(tx)
 	}
@@ -717,7 +577,7 @@ func (tx *Txn) Commit() (ok bool, err error) {
 	// readers under weak atomicity go straight to the slots and still see
 	// the lazy write-back window (the litmus MI programs depend on it).
 	k := 0
-	for _, o := range tx.objs {
+	for _, o := range tx.Objs {
 		sv, held := tx.Owned.Get(o)
 		if held {
 			rs := tx.WV
@@ -764,8 +624,7 @@ func (tx *Txn) Commit() (ok bool, err error) {
 	}
 
 	if tx.FI != nil {
-		tx.injectCommitted(faultinject.PostCommitPoint)
-		tx.injectCommitted(faultinject.PreRelease)
+		tx.FireCommitted() // a crash unwinds through the deferred gate exit
 	}
 
 	// The redo image goes to the commit sink while the versions are already
@@ -783,42 +642,10 @@ func (tx *Txn) Commit() (ok bool, err error) {
 		durSeq, durErr = tx.AppendRedo()
 	}
 
-	rt.maybeCollect(tx) // before release clears tx.objs; pruning never touches records
-	tx.release(true)    // stamps every record with rs = max(WV, sv+1), the chain head's TS
-	rt.exitCommit(tx)
-	rt.order.MarkComplete(tx.ticket)
-	tx.Committed()
-	if rt.cfg.Quiescence {
-		err = tx.AwaitOrdering(func() error { return rt.order.AwaitOrder(tx.Ctx, tx.ticket) })
-	}
-	return true, tx.WaitDurable(durSeq, durErr, err)
-}
-
-// ReapOrphan implements txn.Strategy. Uncommitted orphans have their
-// records restored to the original Shared words — their buffered writes
-// never reached memory and no version was installed. Committed orphans are
-// released at their write version, matching the chain heads they installed
-// before dying, and their ordering ticket is completed so quiescing
-// committers cannot stall. (Unregistering the descriptor, which the kernel
-// does next, also unpins its snapshot from the GC watermark.)
-func (tx *Txn) ReapOrphan(committed bool) {
-	for _, o := range tx.objs {
-		sv, ok := tx.Owned.Get(o)
-		if !ok {
-			continue // write-set entry the orphan never got to acquire
-		}
-		if committed {
-			// No clock tick is needed: snapshot readers never validate, and
-			// a writer that meets the released version raises the clock on
-			// contact (first-committer-wins).
-			o.Rec.ReleaseOwnedAt(sv, tx.WV)
-		} else {
-			o.Rec.Store(txrec.MakeShared(sv))
-		}
-	}
-	if committed && tx.ticket != 0 {
-		tx.rt.order.MarkComplete(tx.ticket)
-	}
+	rt.maybeCollect(tx)   // before release clears tx.Objs; pruning never touches records
+	tx.ReleaseCommitted() // stamps every record with rs = max(WV, sv+1), the chain head's TS
+	rt.exitCommit(tx)     // records released: out of the gate before any wait
+	return true, tx.AwaitCommitted(durSeq, durErr)
 }
 
 // BecomeIrrevocable switches the transaction to irrevocable mode. The

@@ -59,17 +59,13 @@ const (
 // slots.
 const MaxGranularity = stmapi.MaxGranularity
 
-// Config parameterizes a Runtime. The cross-runtime knobs (Granularity,
-// Quiescence, Handler, SelfAbortAfter, ...) live in the embedded
-// stmapi.CommonConfig; DEA is eager-specific.
+// Config parameterizes a Runtime: the cross-runtime knobs (Granularity,
+// Quiescence, Handler, SelfAbortAfter, ...) of the embedded
+// stmapi.CommonConfig. Dynamic escape analysis is not one of them: the heap
+// decides. On a heap that mints private objects (Heap.AllocPrivate, or an
+// elision manifest) the runtime cooperates as the package comment says.
 type Config struct {
 	stmapi.CommonConfig
-
-	// DEA enables dynamic escape analysis cooperation: transactional
-	// accesses to private objects skip record synchronization and undo
-	// logging still applies; transactional writes of references into public
-	// objects publish the referenced subgraph immediately (Section 4).
-	DEA bool
 }
 
 // StatsSnapshot is a point-in-time copy of every Stats counter as plain
@@ -272,9 +268,11 @@ func (tx *Txn) logUndo(o *objmodel.Object, slot int) {
 }
 
 func (tx *Txn) maybePublish(o *objmodel.Object, slot int, v uint64) {
-	// An elision manifest mints private objects even with DEA off, so the
-	// publication safety net must stay armed whenever one is loaded.
-	if v == 0 || !o.IsRefSlot(slot) || !(tx.rt.cfg.DEA || tx.rt.Heap.HasManifest()) {
+	// Armed whenever the heap can mint private objects (dynamic escape
+	// analysis, or an elision manifest with it off). The heap is asked, not
+	// a runtime option that could disagree with it and leave a private-born
+	// object reachable from a public one.
+	if v == 0 || !o.IsRefSlot(slot) || !(tx.rt.Heap.AllocPrivate || tx.rt.Heap.HasManifest()) {
 		return
 	}
 	// The container is public (callers ensure this); publish the referenced

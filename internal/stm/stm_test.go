@@ -20,10 +20,20 @@ type fixture struct {
 
 func newFixture(t testing.TB, cfg Config) *fixture {
 	t.Helper()
+	return newFixtureOn(t, objmodel.NewHeap(), cfg)
+}
+
+// newDEAFixture is newFixture on a heap whose objects are born private
+// (dynamic escape analysis): the heap decides, the runtime has no option.
+func newDEAFixture(t testing.TB) *fixture {
+	t.Helper()
 	h := objmodel.NewHeap()
-	if cfg.DEA {
-		h.AllocPrivate = true
-	}
+	h.AllocPrivate = true
+	return newFixtureOn(t, h, Config{})
+}
+
+func newFixtureOn(t testing.TB, h *objmodel.Heap, cfg Config) *fixture {
+	t.Helper()
 	rt := New(h, cfg)
 	cls := h.MustDefineClass(objmodel.ClassSpec{
 		Name: "Cell",
@@ -451,7 +461,7 @@ func TestForeignPanicWhileValidPropagates(t *testing.T) {
 }
 
 func TestDEAPrivateAccessSkipsLocking(t *testing.T) {
-	f := newFixture(t, Config{DEA: true})
+	f := newDEAFixture(t)
 	o := f.newCell()
 	if !o.IsPrivate() {
 		t.Fatal("object not private at birth")
@@ -475,7 +485,7 @@ func TestDEAPrivateAccessSkipsLocking(t *testing.T) {
 }
 
 func TestDEAPrivateRollback(t *testing.T) {
-	f := newFixture(t, Config{DEA: true})
+	f := newDEAFixture(t)
 	o := f.newCell()
 	o.StoreSlot(0, 3)
 	_ = f.rt.Atomic(nil, func(tx *Txn) error {
@@ -491,7 +501,7 @@ func TestDEAPrivateRollback(t *testing.T) {
 // of a reference into a public object immediately publishes the referenced
 // private subgraph, before commit.
 func TestDEATxnWritePublishes(t *testing.T) {
-	f := newFixture(t, Config{DEA: true})
+	f := newDEAFixture(t)
 	pub := f.heap.NewPublic(f.cls)
 	priv := f.newCell()
 	child := f.newCell()
@@ -508,8 +518,36 @@ func TestDEATxnWritePublishes(t *testing.T) {
 	}
 }
 
+// TestRegistryBuiltEagerPublishes builds the runtime the way drivers do,
+// through the stmapi registry, whose factory can pass only CommonConfig. On
+// a heap that mints private objects it must still publish: a private-born
+// object left private after being written into a public holder is reachable
+// by other threads with every barrier skipping synchronization on it.
+func TestRegistryBuiltEagerPublishes(t *testing.T) {
+	h := objmodel.NewHeap()
+	h.AllocPrivate = true
+	rt, err := stmapi.New("eager", h, stmapi.CommonConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cls := h.MustDefineClass(objmodel.ClassSpec{Name: "Cell", Fields: []objmodel.Field{{Name: "next", IsRef: true}}})
+	holder, item := h.NewPublic(cls), h.New(cls)
+	if !item.IsPrivate() {
+		t.Fatal("object not private at birth")
+	}
+	if err := rt.Atomic(func(tx stmapi.Txn) error {
+		tx.WriteRef(holder, 0, item.Ref())
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if item.IsPrivate() {
+		t.Error("private-born object still private after a committed write into a public holder")
+	}
+}
+
 func TestDEAWriteIntoPrivateDoesNotPublish(t *testing.T) {
-	f := newFixture(t, Config{DEA: true})
+	f := newDEAFixture(t)
 	container := f.newCell()
 	child := f.newCell()
 	err := f.rt.Atomic(nil, func(tx *Txn) error {

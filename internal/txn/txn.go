@@ -17,17 +17,18 @@
 //     from dead owners, the irrevocable claim (conflict.go);
 //   - commit-clock validation for the two validating runtimes: snapshot,
 //     extension, the commit fast path, the read-set walk (validate.go);
-//   - the write-back ticket chain the two buffering runtimes order their
-//     commits with (order.go);
+//   - the commit-time locking protocol of the two deferred-update runtimes
+//     (deferred.go) and the write-back ticket chain it orders their commits
+//     with (order.go);
 //   - orphan recovery and the irrevocable token (recovery.go), adaptive
 //     version granularity (adaptive.go), sharded statistics (stats.go), and
 //     the stmapi adapter every runtime registers through (api.go).
 //
-// A runtime embeds Kernel in its Runtime and Txn in its descriptor, keeps
-// its Read and Write barriers as concrete methods that reach kernel state
-// through the embedded fields (no interface or generic call on any access),
-// and plugs its versioning in through Strategy, which the kernel calls a
-// handful of times per attempt.
+// A runtime embeds Kernel in its Runtime and Txn (or Deferred, which embeds
+// Txn) in its descriptor, keeps its Read and Write barriers as concrete
+// methods that reach kernel state through the embedded fields (no interface
+// or generic call on any access), and plugs its versioning in through
+// Strategy, which the kernel calls a handful of times per attempt.
 package txn
 
 import (
@@ -120,6 +121,9 @@ type Kernel struct {
 	granTab atomic.Pointer[granTable]
 	granMu  sync.Mutex
 
+	// order is the deferred-update runtimes' ticket chain (eager takes none).
+	order WriteBackOrder
+
 	// irrevToken is the runtime's single irrevocable-transaction token: the
 	// owner ID of the current irrevocable transaction, 0 when free. Exactly
 	// one transaction may be irrevocable at a time, because two transactions
@@ -148,6 +152,7 @@ func (k *Kernel) Init(name string, heap *objmodel.Heap, cfg *stmapi.CommonConfig
 	k.newTxn = newTxn
 	k.policy = conflict.AsPolicy(h)
 	k.staleObs, _ = h.(conflict.StaleObserver)
+	k.order.Init()
 }
 
 // Name returns the stmapi registry name the kernel was initialized with.

@@ -1,9 +1,9 @@
 package txn
 
 // Unit tests for what has one home in the kernel: the registry, the
-// descriptor pool, the statistics flush, the write-back ticket chain, and
-// the atomic loop's handling of every signal, driven through a fake
-// strategy. Run under -race in CI.
+// descriptor pool, the statistics flush, the write-back ticket chain, the
+// commit-time acquire loop, and the atomic loop's handling of every signal,
+// driven through a fake strategy. Run under -race in CI.
 
 import (
 	"context"
@@ -16,13 +16,15 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/objmodel"
 	"repro/internal/stmapi"
+	"repro/internal/trace"
 	"repro/internal/txrec"
 )
 
-// fake is a scripted Strategy: it owns no records and logs the kernel's
-// calls.
+// fake is a scripted Strategy: it logs the kernel's calls and holds only
+// the records a test acquires through the embedded deferred-update
+// descriptor, which it shadows at every Strategy method.
 type fake struct {
-	Txn
+	Deferred
 	calls    []string
 	commits  []bool // scripted Commit results, consumed in order; true once exhausted
 	lockOK   bool
@@ -417,6 +419,117 @@ func TestOrphanIsRetiredAndReaped(t *testing.T) {
 	if s.ReaperSteals != 1 || s.Aborts != 1 || k.FindStamp(id) != nil || f.Status() != stmapi.Aborted {
 		t.Errorf("steals %d, aborts %d, status %v; want 1, 1, aborted and unregistered", s.ReaperSteals, s.Aborts, f.Status())
 	}
+}
+
+// TestLockWriteSet drives the commit-time acquire loop the deferred-update
+// runtimes share: handle order whatever the listing order, private and
+// already-held records skipped, and every way of failing (the version
+// limit, an injected abort between two acquisitions) leaving each record
+// Shared at the version it had.
+func TestLockWriteSet(t *testing.T) {
+	k, f := newFake(t, stmapi.CommonConfig{})
+	tr := trace.New(trace.Config{Shards: 1})
+	k.SetTracer(tr)
+	cls := k.Heap.MustDefineClass(objmodel.ClassSpec{Name: "C", Fields: []objmodel.Field{{Name: "f"}}})
+	var objs [5]*objmodel.Object
+	for i := range objs {
+		objs[i] = k.Heap.New(cls)
+	}
+	k.Heap.AllocPrivate = true
+	private := k.Heap.New(cls)
+	k.Heap.AllocPrivate = false
+	words := func() (w [len(objs)]txrec.Word) {
+		for i, o := range objs {
+			w[i] = o.Rec.Load()
+		}
+		return w
+	}
+	before := words()
+	abort := errors.New("abort")
+	list := func(idx ...int) {
+		for _, i := range idx {
+			f.AddWrite(objs[i])
+		}
+	}
+
+	_ = k.Atomic(nil, -1, func(tx *Txn) error {
+		// Held before commit, as an irrevocable body's read leaves it.
+		if !f.Acquire(objs[2], objs[2].Rec.Load()) {
+			t.Fatal("Acquire lost an uncontended CAS")
+		}
+		list(4, 2, 0, 3, 0, 4)
+		f.AddWrite(private)
+		if len(f.Objs) != 5 {
+			t.Fatalf("%d objects listed, want 5 (each once)", len(f.Objs))
+		}
+		if !f.LockWriteSet(NoLimit) {
+			t.Fatal("uncontended LockWriteSet failed")
+		}
+		for i := 1; i < len(f.Objs); i++ {
+			if f.Objs[i-1].Ref() >= f.Objs[i].Ref() {
+				t.Errorf("Objs not in handle order at %d", i)
+			}
+		}
+		var acquired []uint64
+		for _, ev := range tr.Events() {
+			if ev.Kind == trace.EvLockAcquire {
+				acquired = append(acquired, ev.Obj)
+			}
+		}
+		want := []uint64{uint64(objs[0].Ref()), uint64(objs[3].Ref()), uint64(objs[4].Ref())}
+		if fmt.Sprint(acquired) != fmt.Sprint(want) {
+			t.Errorf("acquired %v, want %v: handle order, without the held and the private one", acquired, want)
+		}
+		for _, i := range []int{0, 2, 3, 4} {
+			if w := objs[i].Rec.Load(); !txrec.IsExclusive(w) || txrec.Owner(w) != tx.ID() {
+				t.Errorf("object %d: record %#x, want Exclusive(self)", i, w)
+			}
+		}
+		if objs[1].Rec.Load() != before[1] || !private.IsPrivate() {
+			t.Error("a record outside the write set, or a private one, was touched")
+		}
+		f.Release(false)
+		if words() != before || f.Owned.Len() != 0 || len(f.Objs) != 0 {
+			t.Error("Release(false) did not restore every record and clear the holdings")
+		}
+		return abort
+	})
+
+	// The version limit: objs[3] was committed above it by somebody else.
+	objs[3].Rec.Store(txrec.MakeShared(9))
+	before = words()
+	_ = k.Atomic(nil, -1, func(tx *Txn) error {
+		list(4, 3, 0)
+		if f.LockWriteSet(5) {
+			t.Fatal("a record above the version limit was acquired")
+		}
+		if words() != before || f.Owned.Len() != 0 {
+			t.Error("the refused commit kept a record, or changed a version")
+		}
+		if tx.Blame != uint64(objs[3].Ref()) || k.Clock.Load() < 9 {
+			t.Errorf("blame %d, clock %d; want the refused object blamed and the clock raised over its version", tx.Blame, k.Clock.Load())
+		}
+		return abort
+	})
+
+	// Every: 2 aborts at PreAcquire arrivals 0 and 2: the first call fails
+	// before taking anything, the second between its two acquisitions.
+	k.SetInjector(faultinject.New(1, faultinject.Rule{Point: faultinject.PreAcquire, Action: faultinject.Abort, Every: 2}))
+	_ = k.Atomic(nil, -1, func(tx *Txn) error {
+		for round := 0; round < 2; round++ {
+			list(0, 4)
+			if f.LockWriteSet(NoLimit) {
+				t.Fatalf("round %d: LockWriteSet survived an injected abort", round)
+			}
+			if words() != before || f.Owned.Len() != 0 {
+				t.Errorf("round %d: an injected abort left a record held or re-versioned", round)
+			}
+		}
+		if tx.Blame != uint64(objs[4].Ref()) {
+			t.Errorf("blame %d, want the object being acquired", tx.Blame)
+		}
+		return abort
+	})
 }
 
 func TestWriteBackOrderAbandonedWaiter(t *testing.T) {

@@ -7,6 +7,8 @@ package interproc
 import (
 	"go/ast"
 	"go/types"
+
+	"repro/internal/vetstm"
 )
 
 // callResults generates constraints for a call and returns one node per
@@ -26,7 +28,7 @@ func (g *genCtx) callResults(call *ast.CallExpr) []int {
 	}
 	fn := calleeFunc(g.info, call)
 	if fn != nil {
-		if fn.Pkg() != nil && atomicEntryNames[fn.Name()] && tailIn(fn.Pkg().Path(), stmRuntimeTails) {
+		if vetstm.IsAtomicEntry(fn) {
 			return g.atomicCall(call)
 		}
 		if res, ok := g.intrinsic(fn, call); ok {
@@ -273,7 +275,7 @@ func (g *genCtx) intrinsic(fn *types.Func, call *ast.CallExpr) ([]int, bool) {
 		}
 	}
 
-	if pathHasTail(path, pkgObjModel) && recv != nil {
+	if vetstm.PathHasTail(path, vetstm.PkgObjModel) && recv != nil {
 		switch {
 		case namedIs(recv.Type(), "Heap"):
 			evalRecv()
@@ -318,7 +320,7 @@ func (g *genCtx) intrinsic(fn *types.Func, call *ast.CallExpr) ([]int, bool) {
 	}
 
 	// Transactional accessors: tx.Read/Write and friends, any runtime.
-	if recv != nil && isTxnType(recv.Type()) {
+	if recv != nil && vetstm.IsTxnType(recv.Type()) {
 		evalRecv()
 		switch name {
 		case "Read", "ReadRef":
@@ -334,7 +336,7 @@ func (g *genCtx) intrinsic(fn *types.Func, call *ast.CallExpr) ([]int, bool) {
 	}
 
 	// Strong (non-transactional) barriers.
-	if pathHasTail(path, pkgStrong) && recv != nil && namedIs(recv.Type(), "Barriers") {
+	if vetstm.PathHasTail(path, vetstm.PkgStrong) && recv != nil && namedIs(recv.Type(), "Barriers") {
 		evalRecv()
 		switch name {
 		case "Read", "ReadRef", "ReadOrdering", "ReadOrderingRef", "AggRead":
@@ -365,7 +367,7 @@ func (g *genCtx) intrinsic(fn *types.Func, call *ast.CallExpr) ([]int, bool) {
 	}
 
 	// core.System NT accessors (they delegate to strong.Barriers).
-	if pathHasTail(path, pkgCore) && recv != nil && namedIs(recv.Type(), "System") {
+	if vetstm.PathHasTail(path, vetstm.PkgCore) && recv != nil && namedIs(recv.Type(), "System") {
 		switch name {
 		case "Read", "ReadRef":
 			evalRecv()
@@ -477,15 +479,6 @@ func funcValue(info *types.Info, e ast.Expr) *types.Func {
 		return fn
 	}
 	return nil
-}
-
-func tailIn(path string, tails []string) bool {
-	for _, t := range tails {
-		if pathHasTail(path, t) {
-			return true
-		}
-	}
-	return false
 }
 
 func arityMatches(fi *funcInfo, nargs int) bool {

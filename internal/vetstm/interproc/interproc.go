@@ -39,7 +39,6 @@ import (
 	"go/types"
 	"path/filepath"
 	"sort"
-	"strings"
 
 	"repro/internal/elide"
 	"repro/internal/vetstm"
@@ -271,7 +270,7 @@ func (a *analyzer) registerFunc(fi *funcInfo, sig *types.Signature, recv *ast.Fi
 	info := fi.pkg.Info
 	if recv != nil && len(recv.List) > 0 && len(recv.List[0].Names) > 0 {
 		fi.recv = info.Defs[recv.List[0].Names[0]]
-		if fi.recv != nil && isTxnType(fi.recv.Type()) {
+		if fi.recv != nil && vetstm.IsTxnType(fi.recv.Type()) {
 			// Methods on a transaction handle run transactionally.
 			fi.hasTxnArg = true
 		}
@@ -285,7 +284,7 @@ func (a *analyzer) registerFunc(fi *funcInfo, sig *types.Signature, recv *ast.Fi
 			for _, name := range field.Names {
 				obj := info.Defs[name]
 				fi.params = append(fi.params, obj)
-				if obj != nil && isTxnType(obj.Type()) {
+				if obj != nil && vetstm.IsTxnType(obj.Type()) {
 					fi.hasTxnArg = true
 				}
 			}
@@ -357,7 +356,7 @@ func (a *analyzer) collectSites() {
 // allocKind recognizes the heap-allocation intrinsics.
 func allocKind(info *types.Info, call *ast.CallExpr) (SiteKind, bool) {
 	fn := calleeFunc(info, call)
-	if fn == nil || fn.Pkg() == nil || !pathHasTail(fn.Pkg().Path(), pkgObjModel) {
+	if fn == nil || fn.Pkg() == nil || !vetstm.PathHasTail(fn.Pkg().Path(), vetstm.PkgObjModel) {
 		return 0, false
 	}
 	if recv := fn.Signature().Recv(); recv == nil || !namedIs(recv.Type(), "Heap") {
@@ -534,23 +533,7 @@ func (a *analyzer) classify(shared bitset) *Result {
 	return res
 }
 
-// ---- small type helpers (kept local: vetstm's are unexported) ----
-
-const (
-	pkgSTM      = "internal/stm"
-	pkgLazySTM  = "internal/lazystm"
-	pkgMVSTM    = "internal/mvstm"
-	pkgSTMAPI   = "internal/stmapi"
-	pkgCore     = "internal/core"
-	pkgObjModel = "internal/objmodel"
-	pkgStrong   = "internal/strong"
-)
-
-var stmRuntimeTails = []string{pkgSTM, pkgLazySTM, pkgMVSTM, pkgSTMAPI, pkgCore}
-
-func pathHasTail(path, tail string) bool {
-	return path == tail || strings.HasSuffix(path, "/"+tail)
-}
+// ---- small type helpers (the STM package and type tables are vetstm's) ----
 
 // namedIs reports whether t (through pointers and aliases) is a named type
 // with the given name.
@@ -564,27 +547,6 @@ func namedIs(t types.Type, name string) bool {
 		return false
 	}
 	return named.Obj().Name() == name
-}
-
-// isTxnType reports whether t is a transaction handle of any runtime.
-func isTxnType(t types.Type) bool {
-	t = types.Unalias(t)
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = types.Unalias(ptr.Elem())
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return false
-	}
-	name, path := named.Obj().Name(), named.Obj().Pkg().Path()
-	switch name {
-	case "Txn":
-		return pathHasTail(path, pkgSTM) || pathHasTail(path, pkgLazySTM) ||
-			pathHasTail(path, pkgMVSTM) || pathHasTail(path, pkgSTMAPI)
-	case "Tx":
-		return pathHasTail(path, pkgCore)
-	}
-	return false
 }
 
 // calleeFunc resolves the *types.Func a call invokes, or nil for dynamic
@@ -609,12 +571,4 @@ func unparen(e ast.Expr) ast.Expr {
 		}
 		e = p.X
 	}
-}
-
-var atomicEntryNames = map[string]bool{
-	"Atomic":            true,
-	"AtomicCtx":         true,
-	"AtomicIrrevocable": true,
-	"AtomicOpen":        true,
-	"AtomicRead":        true,
 }

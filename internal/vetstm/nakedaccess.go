@@ -68,7 +68,7 @@ func runNakedAccess(pass *Pass) {
 				if v == nil || !shared[v] {
 					return true
 				}
-				if fn, ok := pass.Info.Uses[se.Sel].(*types.Func); !ok || fn.Pkg() == nil || !pathHasTail(fn.Pkg().Path(), pkgObjModel) {
+				if fn, ok := pass.Info.Uses[se.Sel].(*types.Func); !ok || fn.Pkg() == nil || !PathHasTail(fn.Pkg().Path(), PkgObjModel) {
 					return true
 				}
 				pass.Reportf(n.Pos(),

@@ -43,7 +43,7 @@ func runPrivatization(pass *Pass) {
 }
 
 func isManagedRef(t types.Type) bool {
-	return t != nil && namedIn(t, pkgObjModel, "Ref")
+	return t != nil && namedIn(t, PkgObjModel, "Ref")
 }
 
 // mentionsRef reports whether any subexpression of e carries a managed
@@ -76,7 +76,7 @@ func checkUnsafePublication(pass *Pass) {
 				return true
 			}
 			fn, ok := pass.Info.Uses[se.Sel].(*types.Func)
-			if !ok || fn.Pkg() == nil || !pathHasTail(fn.Pkg().Path(), pkgObjModel) {
+			if !ok || fn.Pkg() == nil || !PathHasTail(fn.Pkg().Path(), PkgObjModel) {
 				return true
 			}
 			if !mentionsRef(pass.Info, call.Args[1]) {
@@ -166,7 +166,7 @@ func checkPrivatizeThenRawRead(pass *Pass) {
 						continue
 					}
 					fn, ok := pass.Info.Uses[se.Sel].(*types.Func)
-					if !ok || fn.Pkg() == nil || !pathHasTail(fn.Pkg().Path(), pkgObjModel) {
+					if !ok || fn.Pkg() == nil || !PathHasTail(fn.Pkg().Path(), PkgObjModel) {
 						continue
 					}
 					end, ok := privAfter(call.Args[0], call.Pos())
@@ -187,7 +187,7 @@ func checkPrivatizeThenRawRead(pass *Pass) {
 					return true
 				}
 				fn, ok := pass.Info.Uses[se.Sel].(*types.Func)
-				if !ok || fn.Pkg() == nil || !pathHasTail(fn.Pkg().Path(), pkgObjModel) {
+				if !ok || fn.Pkg() == nil || !PathHasTail(fn.Pkg().Path(), PkgObjModel) {
 					return true
 				}
 				v := identVar(pass.Info, se.X)

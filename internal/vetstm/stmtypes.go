@@ -7,18 +7,24 @@ import (
 )
 
 // The STM surface the passes recognize, by package-path suffix. Matching
-// on suffixes keeps the suite working if the module path changes.
+// on suffixes keeps the suite working if the module path changes. This is
+// the one table: the whole-program analysis (package interproc) reads it
+// too, so a runtime added here is visible to every pass at once.
 const (
-	pkgSTM      = "internal/stm"
-	pkgLazySTM  = "internal/lazystm"
-	pkgSTMAPI   = "internal/stmapi"
-	pkgCore     = "internal/core"
-	pkgObjModel = "internal/objmodel"
+	PkgSTM      = "internal/stm"
+	PkgLazySTM  = "internal/lazystm"
+	PkgMVSTM    = "internal/mvstm"
+	PkgSTMAPI   = "internal/stmapi"
+	PkgCore     = "internal/core"
+	PkgObjModel = "internal/objmodel"
+	PkgStrong   = "internal/strong"
 )
 
-var stmPkgTails = []string{pkgSTM, pkgLazySTM, pkgSTMAPI, pkgCore}
+// stmPkgTails are the packages that declare atomic entry points.
+var stmPkgTails = []string{PkgSTM, PkgLazySTM, PkgMVSTM, PkgSTMAPI, PkgCore}
 
-func pathHasTail(path, tail string) bool {
+// PathHasTail reports whether the package path is tail or ends in /tail.
+func PathHasTail(path, tail string) bool {
 	return path == tail || strings.HasSuffix(path, "/"+tail)
 }
 
@@ -39,22 +45,23 @@ func namedIn(t types.Type, tail, name string) bool {
 	if obj.Name() != name || obj.Pkg() == nil {
 		return false
 	}
-	return pathHasTail(obj.Pkg().Path(), tail)
+	return PathHasTail(obj.Pkg().Path(), tail)
 }
 
-// isTxnType reports whether t is a transaction handle: *stm.Txn,
-// *lazystm.Txn, stmapi.Txn, or core.Tx.
-func isTxnType(t types.Type) bool {
-	return namedIn(t, pkgSTM, "Txn") ||
-		namedIn(t, pkgLazySTM, "Txn") ||
-		namedIn(t, pkgSTMAPI, "Txn") ||
-		namedIn(t, pkgCore, "Tx")
+// IsTxnType reports whether t is a transaction handle: *stm.Txn,
+// *lazystm.Txn, *mvstm.Txn, stmapi.Txn, or core.Tx.
+func IsTxnType(t types.Type) bool {
+	return namedIn(t, PkgSTM, "Txn") ||
+		namedIn(t, PkgLazySTM, "Txn") ||
+		namedIn(t, PkgMVSTM, "Txn") ||
+		namedIn(t, PkgSTMAPI, "Txn") ||
+		namedIn(t, PkgCore, "Tx")
 }
 
 // isManagedObject reports whether t is a managed-heap object handle
 // (*objmodel.Object; core.Obj is an alias of it).
 func isManagedObject(t types.Type) bool {
-	return namedIn(t, pkgObjModel, "Object")
+	return namedIn(t, PkgObjModel, "Object")
 }
 
 // atomicEntryNames are the runtime methods that start an atomic block.
@@ -63,25 +70,35 @@ var atomicEntryNames = map[string]bool{
 	"AtomicCtx":         true,
 	"AtomicIrrevocable": true,
 	"AtomicOpen":        true,
+	"AtomicRead":        true,
+}
+
+// IsAtomicEntry reports whether fn is an atomic entry point of one of the
+// STM packages.
+func IsAtomicEntry(fn *types.Func) bool {
+	if fn.Pkg() == nil || !atomicEntryNames[fn.Name()] {
+		return false
+	}
+	for _, tail := range stmPkgTails {
+		if PathHasTail(fn.Pkg().Path(), tail) {
+			return true
+		}
+	}
+	return false
 }
 
 // atomicCall reports whether call invokes an atomic entry point of one of
 // the STM packages and returns the method name.
 func atomicCall(info *types.Info, call *ast.CallExpr) (string, bool) {
 	se, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || !atomicEntryNames[se.Sel.Name] {
+	if !ok {
 		return "", false
 	}
 	fn, ok := info.Uses[se.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil {
+	if !ok || !IsAtomicEntry(fn) {
 		return "", false
 	}
-	for _, tail := range stmPkgTails {
-		if pathHasTail(fn.Pkg().Path(), tail) {
-			return se.Sel.Name, true
-		}
-	}
-	return "", false
+	return se.Sel.Name, true
 }
 
 // txnMethodCall returns the transaction variable and method name when
@@ -96,7 +113,7 @@ func txnMethodCall(info *types.Info, call *ast.CallExpr) (*types.Var, string, bo
 		return nil, "", false
 	}
 	v, ok := info.Uses[id].(*types.Var)
-	if !ok || !isTxnType(v.Type()) {
+	if !ok || !IsTxnType(v.Type()) {
 		return nil, "", false
 	}
 	return v, se.Sel.Name, true
@@ -140,7 +157,7 @@ func txnParam(info *types.Info, ft *ast.FuncType) *types.Var {
 	}
 	for _, field := range ft.Params.List {
 		for _, name := range field.Names {
-			if v, ok := info.Defs[name].(*types.Var); ok && isTxnType(v.Type()) {
+			if v, ok := info.Defs[name].(*types.Var); ok && IsTxnType(v.Type()) {
 				return v
 			}
 		}
@@ -163,7 +180,7 @@ func looksLikeBody(info *types.Info, ft *ast.FuncType) bool {
 		if t == nil {
 			continue
 		}
-		if isTxnType(t) {
+		if IsTxnType(t) {
 			return true
 		}
 		if named, ok := types.Unalias(t).(*types.Named); ok && named.Obj().Pkg() == nil && named.Obj().Name() == "error" {

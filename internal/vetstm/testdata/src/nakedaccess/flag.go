@@ -3,12 +3,15 @@
 package nakedaccess
 
 import (
+	"repro/internal/mvstm"
 	"repro/internal/objmodel"
 	"repro/internal/stm"
 )
 
 var rt *stm.Runtime
+var mv *mvstm.Runtime
 var shared *objmodel.Object
+var snapshotted *objmodel.Object // opened only by a multi-version snapshot read
 
 func transactional() {
 	_ = rt.Atomic(nil, func(tx *stm.Txn) error {
@@ -27,4 +30,15 @@ func nakedWrite() {
 
 func rawSlots() uint64 {
 	return shared.Slots[0].Load() // want `raw Slots access on shared`
+}
+
+func transactionalMV() {
+	_ = mv.AtomicRead(func(tx *mvstm.Txn) error {
+		_ = tx.Read(snapshotted, 0)
+		return nil
+	})
+}
+
+func nakedWriteMV() {
+	snapshotted.StoreSlot(0, 7) // want `naked StoreSlot on snapshotted`
 }

@@ -2,17 +2,20 @@
 package txnescape
 
 import (
+	"repro/internal/mvstm"
 	"repro/internal/objmodel"
 	"repro/internal/stm"
 	"repro/internal/stmapi"
 )
 
 var rt *stm.Runtime
+var mv *mvstm.Runtime
 var api stmapi.Runtime
 var obj *objmodel.Object
 
 var leaked *stm.Txn
 var leakedAPI stmapi.Txn
+var leakedMV *mvstm.Txn
 var registry = map[string]*stm.Txn{}
 var txnCh = make(chan *stm.Txn, 1)
 
@@ -33,6 +36,22 @@ func storeGlobalMap() {
 func storeGlobalAPI() {
 	_ = api.Atomic(func(tx stmapi.Txn) error {
 		leakedAPI = tx // want `stored to package-level leakedAPI`
+		return nil
+	})
+}
+
+func storeGlobalMV() {
+	_ = mv.Atomic(nil, func(tx *mvstm.Txn) error {
+		leakedMV = tx // want `stored to package-level leakedMV`
+		return nil
+	})
+}
+
+func goroutineCaptureMVRead() {
+	_ = mv.AtomicRead(func(tx *mvstm.Txn) error {
+		go func() { // want `captured by a goroutine`
+			_ = tx.Read(obj, 0)
+		}()
 		return nil
 	})
 }

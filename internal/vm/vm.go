@@ -157,7 +157,6 @@ func New(prog *ir.Program, mode Mode, out io.Writer) (*VM, error) {
 			Granularity: mode.Granularity,
 			Quiescence:  mode.Quiescence && mode.Versioning == Eager,
 		},
-		DEA: mode.DEA,
 	})
 	v.Lazy = lazystm.New(heap, lazystm.Config{
 		CommonConfig: stmapi.CommonConfig{
