@@ -338,14 +338,14 @@ func BenchmarkLazyTxnSmall(b *testing.B) {
 	}
 }
 
-// ---- Parallel STM hot-path throughput ----
+// ---- STAMP-shape workload throughput ----
 //
-// These benchmarks drive the STM runtimes' Go API under concurrent load —
-// read-heavy, write-heavy, and mixed transaction mixes at 1, 2, 4, and
-// GOMAXPROCS goroutines — measuring how open-for-read/write, commit, and
-// descriptor churn scale with thread count (the property the paper's
-// Section 7 evaluation hinges on). The same sweep is available as
-// formatted tables or JSON via `stmbench -fig par [-json]`.
+// The structured mixes from internal/workloads (vacation, kmeans, genome)
+// drive the eager runtime's Go API under concurrent load at 1, 2, 4, and
+// GOMAXPROCS goroutines; `stmbench -fig stamp [-json]` runs the full sweep
+// over every registered runtime. The uniform read-heavy/mixed/write-heavy
+// mixes are `go run ./benchmark`'s partitioned_read, partitioned_write and
+// shared_hot workloads.
 
 func parallelGoroutineCounts() []int {
 	counts := []int{1, 2, 4}
@@ -354,43 +354,6 @@ func parallelGoroutineCounts() []int {
 	}
 	return counts
 }
-
-func benchParallelTxns(b *testing.B, workload string, readPct int, validation string) {
-	for _, g := range parallelGoroutineCounts() {
-		b.Run(fmt.Sprintf("%dg", g), func(b *testing.B) {
-			b.ReportAllocs()
-			res, err := bench.RunParallel(bench.ParallelSpec{
-				Workload:   workload,
-				Versioning: "eager",
-				Validation: validation,
-				Goroutines: g,
-				ReadPct:    readPct,
-				Txns:       b.N,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(res.Aborts)/float64(b.N), "aborts/op")
-		})
-	}
-}
-
-func BenchmarkParallelReadHeavy(b *testing.B)  { benchParallelTxns(b, "read-heavy", 90, "") }
-func BenchmarkParallelMixed(b *testing.B)      { benchParallelTxns(b, "mixed", 50, "") }
-func BenchmarkParallelWriteHeavy(b *testing.B) { benchParallelTxns(b, "write-heavy", 10, "") }
-
-// BenchmarkParallelReadHeavyWalk re-runs the read-heavy sweep with the
-// commit clock disabled — every commit validates by walking its read set.
-// The gap to BenchmarkParallelReadHeavy is the TL2 fast path's gain.
-func BenchmarkParallelReadHeavyWalk(b *testing.B) {
-	benchParallelTxns(b, "read-heavy", 90, "walk")
-}
-
-// ---- STAMP-shape workload throughput ----
-//
-// The structured mixes from internal/workloads (vacation, kmeans, genome)
-// under the same harness; `stmbench -fig stamp [-json]` runs the full
-// sweep over both runtimes.
 
 func benchStamp(b *testing.B, workload string) {
 	for _, g := range parallelGoroutineCounts() {

@@ -5,7 +5,9 @@ package cmd_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"net"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -197,13 +199,13 @@ func TestStmtopTool(t *testing.T) {
 	}
 }
 
-// TestStmbenchTraceJSON runs the parallel sweep at a tiny scale with
-// tracing and a metrics endpoint enabled, checking that stdout stays a
-// machine-readable JSON array (with the new abort/retry counts) and the
-// trace summary lands on stderr.
+// TestStmbenchTraceJSON runs the stamp sweep at a small scale with tracing
+// and a metrics endpoint enabled, checking that stdout stays a
+// machine-readable JSON array (with the abort/retry counts), the trace
+// summary lands on stderr, and the endpoint serves the running runtime.
 func TestStmbenchTraceJSON(t *testing.T) {
 	if testing.Short() {
-		t.Skip("parallel sweep is slow")
+		t.Skip("stamp sweep is slow")
 	}
 	stmbench := buildTool(t, "stmbench")
 
@@ -214,19 +216,42 @@ func TestStmbenchTraceJSON(t *testing.T) {
 	addr := ln.Addr().String()
 	ln.Close()
 
-	bench := exec.Command(stmbench, "-fig", "par", "-json", "-trace",
-		"-metrics-addr", addr, "-partxns", "2000", "-maxthreads", "2")
+	bench := exec.Command(stmbench, "-fig", "stamp", "-versioning", "eager", "-json", "-trace",
+		"-metrics-addr", addr, "-partxns", "20000", "-maxthreads", "2")
 	var benchOut, benchErr bytes.Buffer
 	bench.Stdout, bench.Stderr = &benchOut, &benchErr
-	if err := bench.Run(); err != nil {
-		t.Fatalf("stmbench: %v\nstderr: %s", err, benchErr.String())
+	if err := bench.Start(); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan error, 1)
+	go func() { exited <- bench.Wait() }()
+	// Poll while the sweep runs: the endpoint is up before the first
+	// measurement, and each measurement registers its runtime as it starts.
+	served, running := false, true
+	var runErr error
+	for running && !served {
+		select {
+		case runErr = <-exited:
+			running = false
+		case <-time.After(5 * time.Millisecond):
+			served = metricsServe(addr, "stamp/eager")
+		}
+	}
+	if running {
+		runErr = <-exited
+	}
+	if runErr != nil {
+		t.Fatalf("stmbench: %v\nstderr: %s", runErr, benchErr.String())
+	}
+	if !served {
+		t.Errorf("/metrics never listed a stamp/eager runtime while the sweep ran")
 	}
 	var results []map[string]any
 	if err := json.Unmarshal(benchOut.Bytes(), &results); err != nil {
 		t.Fatalf("stdout is not a JSON array: %v\n%s", err, benchOut.String())
 	}
 	if len(results) == 0 {
-		t.Fatal("empty parallel sweep results")
+		t.Fatal("empty stamp sweep results")
 	}
 	for _, key := range []string{"commits", "aborts", "retries", "starts"} {
 		if _, ok := results[0][key]; !ok {
@@ -237,6 +262,60 @@ func TestStmbenchTraceJSON(t *testing.T) {
 		if !strings.Contains(benchErr.String(), want) {
 			t.Errorf("stderr missing %q:\n%s", want, benchErr.String())
 		}
+	}
+}
+
+// metricsServe reports whether the /metrics endpoint at addr answers with a
+// runtime registered under name; an endpoint that is not up yet is a no.
+func metricsServe(addr, name string) bool {
+	resp, err := http.Get("http://" + addr + "/metrics")
+	if err != nil {
+		return false
+	}
+	defer resp.Body.Close()
+	var snaps []metrics.RuntimeSnapshot
+	if json.NewDecoder(resp.Body).Decode(&snaps) != nil {
+		return false
+	}
+	for _, s := range snaps {
+		if s.Name == name {
+			return true
+		}
+	}
+	return false
+}
+
+// TestStmbenchBadFlags: a size below 1, a deleted figure and the deleted
+// -validation flag are each refused with status 2 before any figure runs,
+// never a panic or a table of zeros.
+func TestStmbenchBadFlags(t *testing.T) {
+	stmbench := buildTool(t, "stmbench")
+	for _, tc := range []struct {
+		args []string
+		want string // stderr must contain it
+	}{
+		{[]string{"-fig", "18", "-maxthreads", "0"}, "-maxthreads 0"},
+		{[]string{"-fig", "15", "-reps", "0"}, "-reps 0"},
+		{[]string{"-fig", "15", "-scale", "0"}, "-scale 0"},
+		{[]string{"-fig", "stamp", "-partxns", "0"}, "-partxns 0"},
+		{[]string{"-fig", "par"}, "stamp, crash, elide"},
+		{[]string{"-fig", "durable"}, "stamp, crash, elide"},
+		{[]string{"-fig", "causal"}, "stamp, crash, elide"},
+		{[]string{"-validation", "walk"}, "-validation"},
+	} {
+		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
+			cmd := exec.Command(stmbench, tc.args...)
+			var stderr bytes.Buffer
+			cmd.Stderr = &stderr
+			err := cmd.Run()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+				t.Errorf("exit = %v, want status 2", err)
+			}
+			if strings.Contains(stderr.String(), "panic") || !strings.Contains(stderr.String(), tc.want) {
+				t.Errorf("stderr lacks %q or panics:\n%s", tc.want, stderr.String())
+			}
+		})
 	}
 }
 

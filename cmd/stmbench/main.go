@@ -9,11 +9,8 @@
 //	stmbench -fig 18           Tsp scalability
 //	stmbench -fig 19           OO7 scalability
 //	stmbench -fig 20           JBB scalability
-//	stmbench -fig par          parallel STM hot-path throughput sweep
 //	stmbench -fig stamp        STAMP-shape workload sweep (vacation/kmeans/genome)
 //	stmbench -fig crash        crash-recovery robustness run (orphan injection)
-//	stmbench -fig causal       flight-recorder starvation profile + tracing overhead
-//	stmbench -fig durable      durable-store group-commit window sweep (WAL fsync cost)
 //	stmbench -fig elide        barrier-elision A/B (stmvet manifest off/on + soundness oracle)
 //	stmbench -fig all          everything
 //
@@ -24,30 +21,23 @@
 //	stmbench -fig elide -json > BENCH_010.json
 //	stmvet elide -o m.json ./internal/workloads/elidewl && stmbench -fig elide -manifest m.json
 //
-// An unknown -fig value is an error that lists the known figures. The
-// -validation flag selects the commit-time validation mode for the par and
-// stamp sweeps: "clock" (the default commit-clock fast path) or "walk"
-// (full read-set walks), enabling before/after A/B runs:
+// An unknown -fig value is an error that lists the known figures, and a
+// -scale, -maxthreads, -reps or -partxns below 1 is an error naming the
+// flag. Flags -scale and -maxthreads stretch the workloads; -reps controls
+// timed repetitions per configuration. The stamp sweep drives the STM
+// runtimes' Go API directly at growing goroutine counts, -partxns
+// transactions per cell; with -json its results are emitted as a JSON array
+// (workload, runtime, ns/op, commits, aborts). What the repository tracks
+// about its own runtimes' throughput across revisions is `go run
+// ./benchmark`, not this command.
 //
-//	stmbench -fig stamp -validation walk -json > walk.json
-//	stmbench -fig stamp -validation clock -json > clock.json
-//
-// Flags -scale and -maxthreads stretch the workloads; -reps controls timed
-// repetitions per configuration. The parallel sweep drives the STM
-// runtimes' Go API directly (read-heavy/write-heavy/mixed at growing
-// goroutine counts); with -json its results are emitted as a JSON array
-// (benchmark name, config, ns/op, commits, aborts) suitable for tracking a
-// BENCH_*.json perf trajectory across revisions:
-//
-//	stmbench -fig par -json > BENCH_par.json
-//
-// Observability: -trace enables the event tracer on the parallel sweep's
+// Observability: -trace enables the event tracer on the stamp and crash
 // runtimes and prints conflict attribution (hottest objects) and latency
 // percentiles afterwards; -metrics-addr serves the live /metrics endpoint
-// (internal/metrics) while the sweep runs, for cmd/stmtop to poll:
+// (internal/metrics) while they run, for cmd/stmtop to poll:
 //
-//	stmbench -fig par -trace
-//	stmbench -fig par -metrics-addr localhost:9190 &  stmtop -addr localhost:9190
+//	stmbench -fig stamp -trace
+//	stmbench -fig stamp -metrics-addr localhost:9190 &  stmtop -addr localhost:9190
 //
 // -trace-dump FILE writes the retained event history (with a causal
 // flight recorder attached) as a JSON dump for offline analysis with
@@ -69,7 +59,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/causal"
 	"repro/internal/conflict"
-	"repro/internal/durable"
 	"repro/internal/elide"
 	"repro/internal/metrics"
 	"repro/internal/stmapi"
@@ -80,7 +69,7 @@ import (
 
 // knownFigs lists every figure name run() dispatches on, in presentation
 // order. Keep in sync with the run() calls below.
-var knownFigs = []string{"6", "13", "15", "16", "17", "18", "19", "20", "par", "stamp", "crash", "causal", "durable", "elide"}
+var knownFigs = []string{"6", "13", "15", "16", "17", "18", "19", "20", "stamp", "crash", "elide"}
 
 func knownFig(name string) bool {
 	for _, f := range knownFigs {
@@ -99,17 +88,16 @@ func main() {
 	scale := flag.Int("scale", 1, "workload scale factor")
 	maxThreads := flag.Int("maxthreads", bench.MaxThreads(), "largest thread count in scalability sweeps")
 	reps := flag.Int("reps", bench.Reps, "timed repetitions per configuration")
-	jsonOut := flag.Bool("json", false, "emit machine-readable JSON results (parallel sweep)")
-	parTxns := flag.Int("partxns", 100_000, "transactions per parallel-throughput configuration")
-	traceOn := flag.Bool("trace", false, "enable the event tracer on the parallel sweep; print hotspots and latency percentiles")
+	jsonOut := flag.Bool("json", false, "emit machine-readable JSON results (stamp, crash and elide figures)")
+	parTxns := flag.Int("partxns", 100_000, "transactions per stamp-sweep configuration")
+	traceOn := flag.Bool("trace", false, "enable the event tracer on the stamp and crash figures; print hotspots and latency percentiles")
 	traceDump := flag.String("trace-dump", "", "write the retained trace events (JSON) to FILE for cmd/stmtrace; implies tracing")
 	metricsAddr := flag.String("metrics-addr", "", "serve the live /metrics endpoint (for cmd/stmtop) on host:port while running")
-	policy := flag.String("policy", "", "contention policy for the parallel sweep: "+
-		fmt.Sprintf("%v", conflict.PolicyNames)+" (empty consults $"+conflict.PolicyEnv+", default backoff)")
+	policy := flag.String("policy", "", "contention policy for the stamp sweep: "+
+		fmt.Sprintf("%v", conflict.PolicyNames)+" (empty means backoff)")
 	seed := flag.Uint64("seed", 1, "fault-injection seed for the crash figure")
-	validation := flag.String("validation", "", `commit-time validation for the par/stamp sweeps: "clock" (default) or "walk"`)
 	manifestPath := flag.String("manifest", "", "elision manifest for the elide figure (empty: build in-process with the stmvet analyses)")
-	versioning := flag.String("versioning", "", "restrict the par/stamp/crash/causal/durable sweeps to one runtime: "+
+	versioning := flag.String("versioning", "", "restrict the stamp and crash sweeps to one runtime: "+
 		fmt.Sprintf("%v", stmapi.Runtimes())+" (empty sweeps all)")
 	// The usage text enumerates the registries (figures and runtimes are
 	// both open-ended sets), so `stmbench -h` is always current: a newly
@@ -131,16 +119,21 @@ func main() {
 			*fig, strings.Join(knownFigs, ", "))
 		os.Exit(2)
 	}
-	// Fail fast on an unknown policy — from the flag or from the
-	// STM_CONFLICT_POLICY environment variable — before any figure runs.
-	if _, err := conflict.ByNameOrEnv(*policy); err != nil {
-		fmt.Fprintf(os.Stderr, "stmbench: %v\n", err)
-		os.Exit(2)
+	// Fail fast on a size below 1 too: an empty thread sweep or zero
+	// repetitions would otherwise index an empty result or print a table of
+	// zero durations.
+	for _, size := range []struct {
+		flag  string
+		value int
+	}{{"maxthreads", *maxThreads}, {"reps", *reps}, {"scale", *scale}, {"partxns", *parTxns}} {
+		if size.value < 1 {
+			fmt.Fprintf(os.Stderr, "stmbench: -%s %d: must be at least 1\n", size.flag, size.value)
+			os.Exit(2)
+		}
 	}
-	switch *validation {
-	case "", "clock", "walk":
-	default:
-		fmt.Fprintf(os.Stderr, "stmbench: unknown validation mode %q (want clock or walk)\n", *validation)
+	// Fail fast on an unknown policy before any figure runs.
+	if _, err := conflict.ByName(*policy); err != nil {
+		fmt.Fprintf(os.Stderr, "stmbench: %v\n", err)
 		os.Exit(2)
 	}
 	// Fail fast on an unknown runtime name too (mirroring the policy
@@ -246,32 +239,36 @@ func main() {
 	scaling("19", "Figure 19", workloads.OO7())
 	scaling("20", "Figure 20", workloads.JBB())
 
-	run("par", func() error {
+	// observe builds the options that attach -trace / -trace-dump /
+	// -metrics-addr to a figure's runtimes. Each measurement creates a fresh
+	// runtime; re-registering it under a stable per-runtime name lets stmtop
+	// always see the one currently running, whichever the registry built.
+	observe := func(fig string) []bench.Option {
+		var opts []bench.Option
+		if tracer != nil {
+			opts = append(opts, bench.WithTracer(tracer))
+		}
+		if reg != nil {
+			opts = append(opts, bench.WithRuntime(func(rt stmapi.Runtime) {
+				reg.RegisterRuntime(fig+"/"+rt.Name(), rt)
+			}))
+		}
+		return opts
+	}
+
+	run("stamp", func() error {
 		// Sweep 1, 2, 4, ... goroutines; at least up to 4 even on small
 		// hosts so oversubscription behavior is visible.
 		maxG := *maxThreads
 		if maxG < 4 {
 			maxG = 4
 		}
-		var opts []bench.ParallelOption
-		if tracer != nil {
-			opts = append(opts, bench.WithTracer(tracer))
-		}
-		if reg != nil {
-			// Each measurement creates a fresh runtime; re-register it under
-			// a stable per-runtime name so stmtop always sees the one
-			// currently running, whichever runtime the registry built.
-			opts = append(opts, bench.WithRuntime(func(rt stmapi.Runtime) {
-				reg.RegisterRuntime("par/"+rt.Name(), rt)
-			}))
-		}
-		specs := bench.ParallelSpecs(maxG, *parTxns)
-		specs = filterVersioning(specs, func(s bench.ParallelSpec) string { return s.Versioning }, *versioning)
+		specs := bench.StampSpecs(maxG, *parTxns)
+		specs = filterVersioning(specs, func(s bench.StampSpec) string { return s.Versioning }, *versioning)
 		for i := range specs {
 			specs[i].Policy = *policy
-			specs[i].Validation = *validation
 		}
-		results, err := bench.RunParallelSweep(specs, opts...)
+		results, err := bench.RunStampSweep(specs, observe("stamp")...)
 		if err != nil {
 			return err
 		}
@@ -282,7 +279,7 @@ func main() {
 				return err
 			}
 		} else {
-			fmt.Print(bench.FormatParallel(results))
+			fmt.Print(bench.FormatStamp(results))
 		}
 		if *traceOn && tracer != nil {
 			printTraceSummary(tracer, recorder)
@@ -290,43 +287,10 @@ func main() {
 		return nil
 	})
 
-	run("stamp", func() error {
-		maxG := *maxThreads
-		if maxG < 4 {
-			maxG = 4
-		}
-		specs := bench.StampSpecs(maxG, *parTxns)
-		specs = filterVersioning(specs, func(s bench.StampSpec) string { return s.Versioning }, *versioning)
-		for i := range specs {
-			specs[i].Policy = *policy
-			specs[i].Validation = *validation
-		}
-		results, err := bench.RunStampSweep(specs)
-		if err != nil {
-			return err
-		}
-		if *jsonOut {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			return enc.Encode(results)
-		}
-		fmt.Print(bench.FormatStamp(results))
-		return nil
-	})
-
 	run("crash", func() error {
-		var opts []bench.ParallelOption
-		if tracer != nil {
-			opts = append(opts, bench.WithTracer(tracer))
-		}
-		if reg != nil {
-			opts = append(opts, bench.WithRuntime(func(rt stmapi.Runtime) {
-				reg.RegisterRuntime("crash/"+rt.Name(), rt)
-			}))
-		}
 		specs := bench.CrashSpecs(*seed)
 		specs = filterVersioning(specs, func(s bench.CrashSpec) string { return s.Versioning }, *versioning)
-		results, err := bench.RunCrashSweep(specs, opts...)
+		results, err := bench.RunCrashSweep(specs, observe("crash")...)
 		if *jsonOut {
 			enc := json.NewEncoder(os.Stdout)
 			enc.SetIndent("", "  ")
@@ -343,48 +307,6 @@ func main() {
 		if *traceOn && tracer != nil {
 			printTraceSummary(tracer, recorder)
 		}
-		return nil
-	})
-
-	run("causal", func() error {
-		maxG := *maxThreads
-		if maxG < 4 {
-			maxG = 4
-		}
-		// The causal figure manages its own tracer/recorder pairs: each spec
-		// needs a pristine baseline run and a pristine traced run.
-		specs := bench.CausalSpecs(maxG, *parTxns)
-		specs = filterVersioning(specs, func(s bench.CausalSpec) string { return s.Versioning }, *versioning)
-		results, err := bench.RunCausalSweep(specs)
-		if err != nil {
-			return err
-		}
-		if *jsonOut {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			return enc.Encode(results)
-		}
-		fmt.Print(bench.FormatCausal(results))
-		return nil
-	})
-
-	run("durable", func() error {
-		specs := bench.DurableSpecs(*seed)
-		specs = filterVersioning(specs, func(s bench.DurableSpec) string { return s.Versioning }, *versioning)
-		var onStore func(string, *durable.Store)
-		if reg != nil {
-			onStore = reg.RegisterStore
-		}
-		results, err := bench.RunDurableSweep(specs, onStore)
-		if err != nil {
-			return err
-		}
-		if *jsonOut {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			return enc.Encode(results)
-		}
-		fmt.Print(bench.FormatDurable(results))
 		return nil
 	})
 

@@ -76,17 +76,13 @@ const crashInitBalance = 1_000
 // RunCrash executes one crash-recovery measurement. The returned error is
 // non-nil when a safety invariant is violated (conservation or record
 // state), so callers exit non-zero on a broken run; injection-induced
-// worker deaths are expected and never an error. Options use the parallel
-// sweep's vocabulary — WithTracer attaches a tracer (and through it any
+// worker deaths are expected and never an error. Options are the STAMP
+// sweep's: WithTracer attaches a tracer (and through it any
 // flight-recorder sink) to the runtime, which makes the crash figure the
 // richest causal fixture in the suite: dooms, steals, and validation
 // aborts all fire here.
-func RunCrash(spec CrashSpec, opts ...ParallelOption) (CrashResult, error) {
+func RunCrash(spec CrashSpec, opts ...Option) (CrashResult, error) {
 	spec.defaults()
-	var po parallelOpts
-	for _, opt := range opts {
-		opt(&po)
-	}
 	h := objmodel.NewHeap()
 	cls := h.MustDefineClass(objmodel.ClassSpec{
 		Name:   "CAcct",
@@ -112,7 +108,7 @@ func RunCrash(spec CrashSpec, opts ...ParallelOption) (CrashResult, error) {
 		}
 	}
 	in := faultinject.New(spec.Seed, rules...)
-	pol, err := conflict.ByNameOrEnv(spec.Policy)
+	pol, err := conflict.ByName(spec.Policy)
 	if err != nil {
 		return CrashResult{}, fmt.Errorf("bench: %w", err)
 	}
@@ -135,12 +131,7 @@ func RunCrash(spec CrashSpec, opts ...ParallelOption) (CrashResult, error) {
 	}
 	inj.SetInjector(in)
 	target := rec.Recovery()
-	if po.onRuntime != nil {
-		po.onRuntime(api)
-	}
-	if po.tracer != nil {
-		api.SetTracer(po.tracer)
-	}
+	attach(api, opts)
 
 	reaper := recovery.NewReaper(target, recovery.Config{Interval: time.Millisecond})
 	reaper.Start()
@@ -245,7 +236,7 @@ func CrashSpecs(seed uint64) []CrashSpec {
 
 // RunCrashSweep runs each spec in order, failing on the first violated
 // invariant. Options apply to every measurement.
-func RunCrashSweep(specs []CrashSpec, opts ...ParallelOption) ([]CrashResult, error) {
+func RunCrashSweep(specs []CrashSpec, opts ...Option) ([]CrashResult, error) {
 	results := make([]CrashResult, 0, len(specs))
 	for _, spec := range specs {
 		res, err := RunCrash(spec, opts...)

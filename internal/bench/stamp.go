@@ -1,12 +1,14 @@
 package bench
 
-// STAMP-shape throughput sweeps. Like the parallel sweeps these drive the
-// runtimes' Go API directly, but instead of synthetic uniform mixes they
-// run the structured workloads in internal/workloads (vacation, kmeans,
-// genome) whose access shapes echo the STAMP suite's contention profiles.
-// Each measurement also reports the validation profile — clock advances,
-// fast-path hits, fallback walks — so walk-vs-clock A/B runs land in the
-// same JSON trajectory.
+// STAMP-shape throughput sweeps. Unlike the figure reproductions in this
+// package, which drive whole TJ programs through the interpreter, these
+// hit the STM runtimes' Go API directly, so interpreter dispatch cost does
+// not damp the signal: the structured workloads in internal/workloads
+// (vacation, kmeans, genome), whose access shapes echo the STAMP suite's
+// contention profiles, run at 1, 2, 4, ... goroutines over every runtime in
+// the stmapi registry. Each measurement also reports the validation profile
+// (clock advances, fast-path hits, fallback walks). Results are
+// JSON-serializable so cmd/stmbench -json can emit them.
 
 import (
 	"fmt"
@@ -17,15 +19,15 @@ import (
 	"repro/internal/conflict"
 	"repro/internal/objmodel"
 	"repro/internal/stmapi"
+	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
 // StampSpec configures one STAMP-shape measurement.
 type StampSpec struct {
-	Workload   string `json:"workload"`             // vacation, kmeans, genome
-	Versioning string `json:"versioning"`           // runtime name (stmapi.Runtimes)
-	Policy     string `json:"policy,omitempty"`     // contention policy; empty = backoff
-	Validation string `json:"validation,omitempty"` // "clock" (default) or "walk"
+	Workload   string `json:"workload"`         // vacation, kmeans, genome
+	Versioning string `json:"versioning"`       // runtime name (stmapi.Runtimes)
+	Policy     string `json:"policy,omitempty"` // contention policy; empty = backoff
 	Goroutines int    `json:"goroutines"`
 	Txns       int    `json:"txns"` // committed transactions demanded, total
 }
@@ -51,6 +53,67 @@ type StampResult struct {
 	ReadOnlyTxns  int64 `json:"read_only_txns,omitempty"`
 }
 
+// Option customizes RunStamp and RunCrash beyond the JSON-serializable spec
+// (observability hooks; the spec stays a plain config record).
+type Option func(*options)
+
+type options struct {
+	tracer    *trace.Tracer
+	onRuntime func(stmapi.Runtime)
+}
+
+// WithTracer installs t on the runtime each measurement creates, so a
+// sweep's conflicts, hotspots, and latency histograms accumulate into one
+// tracer.
+func WithTracer(t *trace.Tracer) Option {
+	return func(o *options) { o.tracer = t }
+}
+
+// WithRuntime calls f with each runtime a measurement creates, before any
+// transaction runs (metrics registration and the like). The hook receives
+// the registry-built stmapi.Runtime regardless of which runtime the spec
+// named; callers needing a concrete surface probe with a type assertion.
+func WithRuntime(f func(stmapi.Runtime)) Option {
+	return func(o *options) { o.onRuntime = f }
+}
+
+// attach hands a freshly built runtime what opts carry, before any
+// transaction runs on it.
+func attach(api stmapi.Runtime, opts []Option) {
+	var o options
+	for _, opt := range opts {
+		opt(&o)
+	}
+	if o.onRuntime != nil {
+		o.onRuntime(api)
+	}
+	if o.tracer != nil {
+		api.SetTracer(o.tracer)
+	}
+}
+
+// splitmix advances a SplitMix64 state and returns the next value.
+func splitmix(s *uint64) uint64 {
+	*s += 0x9e3779b97f4a7c15
+	z := *s
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
+// GoroutineSweep returns 1, 2, 4, ... up to max, always including max
+// itself (so a 6-core host measures 1, 2, 4, 6).
+func GoroutineSweep(max int) []int {
+	if max < 1 {
+		max = 1
+	}
+	var out []int
+	for g := 1; g < max; g *= 2 {
+		out = append(out, g)
+	}
+	return append(out, max)
+}
+
 func (s *StampSpec) defaults() {
 	if s.Workload == "" {
 		s.Workload = "vacation"
@@ -69,27 +132,26 @@ func (s *StampSpec) defaults() {
 // RunStamp executes one STAMP-shape measurement: the workload's structures
 // are built on a fresh heap, then Txns transactions are split across
 // Goroutines workers, each running the workload body.
-func RunStamp(spec StampSpec) (StampResult, error) {
+func RunStamp(spec StampSpec, opts ...Option) (StampResult, error) {
 	spec.defaults()
 	h := objmodel.NewHeap()
 	w, err := workloads.NewStamp(spec.Workload, h)
 	if err != nil {
 		return StampResult{}, fmt.Errorf("bench: %w", err)
 	}
-	pol, err := conflict.ByNameOrEnv(spec.Policy)
+	pol, err := conflict.ByName(spec.Policy)
 	if err != nil {
 		return StampResult{}, fmt.Errorf("bench: %w", err)
 	}
-	noClock, err := validationConfig(spec.Validation)
-	if err != nil {
-		return StampResult{}, err
-	}
-	common := stmapi.CommonConfig{Handler: pol, NoCommitClock: noClock}
 
-	api, err := stmapi.New(spec.Versioning, h, common)
+	// Every runtime is built by name through the stmapi registry and driven
+	// through the uniform surface; an unrecognized Versioning fails fast
+	// with the registry's error listing what is available.
+	api, err := stmapi.New(spec.Versioning, h, stmapi.CommonConfig{Handler: pol})
 	if err != nil {
 		return StampResult{}, fmt.Errorf("bench: %w", err)
 	}
+	attach(api, opts)
 
 	var wg sync.WaitGroup
 	start := time.Now()
@@ -102,8 +164,9 @@ func RunStamp(spec StampSpec) (StampResult, error) {
 		go func(seed uint64, n int) {
 			defer wg.Done()
 			rng := seed*2862933555777941757 + 3037000493
-			// One closure per worker (see RunParallel): a per-transaction
-			// closure would allocate and mask the runtimes' zero-alloc path.
+			// One body closure per worker, not per transaction: it escapes
+			// through the stmapi interface call, and a per-transaction
+			// allocation here would mask the runtimes' zero-alloc hot path.
 			body := func(tx stmapi.Txn) error {
 				w.Body(tx, &rng)
 				return nil
@@ -157,11 +220,12 @@ func StampSpecs(maxGoroutines, txns int) []StampSpec {
 	return specs
 }
 
-// RunStampSweep runs every spec and returns the results.
-func RunStampSweep(specs []StampSpec) ([]StampResult, error) {
+// RunStampSweep runs every spec and returns the results. Options apply to
+// every measurement.
+func RunStampSweep(specs []StampSpec, opts ...Option) ([]StampResult, error) {
 	results := make([]StampResult, 0, len(specs))
 	for _, spec := range specs {
-		res, err := RunStamp(spec)
+		res, err := RunStamp(spec, opts...)
 		if err != nil {
 			return nil, err
 		}
@@ -170,7 +234,8 @@ func RunStampSweep(specs []StampSpec) ([]StampResult, error) {
 	return results, nil
 }
 
-// FormatStamp renders results as a table mirroring FormatParallel.
+// FormatStamp renders results as a table: one row per workload/runtime, one
+// column per goroutine count, txns/sec in each cell.
 func FormatStamp(results []StampResult) string {
 	type key struct{ workload, versioning string }
 	cols := make(map[int]bool)

@@ -31,46 +31,8 @@ func TestRunStampSmoke(t *testing.T) {
 	}
 }
 
-// TestRunStampWalkMode: validation "walk" disables the clock entirely.
-func TestRunStampWalkMode(t *testing.T) {
-	res, err := RunStamp(StampSpec{Workload: "kmeans", Validation: "walk", Goroutines: 2, Txns: 500})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FastpathValidations != 0 || res.ClockAdvances != 0 {
-		t.Errorf("walk mode: fastpath = %d, advances = %d, want 0/0",
-			res.FastpathValidations, res.ClockAdvances)
-	}
-	if res.FallbackWalks == 0 {
-		t.Error("walk mode: fallback walks = 0, want > 0")
-	}
-}
-
 func TestRunStampUnknown(t *testing.T) {
 	if _, err := RunStamp(StampSpec{Workload: "nope"}); err == nil {
 		t.Error("unknown workload did not error")
-	}
-	if _, err := RunStamp(StampSpec{Validation: "nope"}); err == nil {
-		t.Error("unknown validation mode did not error")
-	}
-}
-
-// TestRunParallelValidationField: the parallel sweep honors the validation
-// mode and reports the clock profile.
-func TestRunParallelValidationField(t *testing.T) {
-	clock, err := RunParallel(ParallelSpec{Workload: "mixed", ReadPct: 50, Goroutines: 2, Txns: 500})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if clock.FastpathValidations == 0 {
-		t.Error("clock mode: fastpath validations = 0")
-	}
-	walk, err := RunParallel(ParallelSpec{Workload: "mixed", ReadPct: 50, Goroutines: 2, Txns: 500, Validation: "walk"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if walk.FastpathValidations != 0 || walk.ClockAdvances != 0 {
-		t.Errorf("walk mode: fastpath = %d, advances = %d, want 0/0",
-			walk.FastpathValidations, walk.ClockAdvances)
 	}
 }

@@ -28,7 +28,6 @@ package conflict
 
 import (
 	"fmt"
-	"os"
 	"time"
 )
 
@@ -193,7 +192,7 @@ var PolicyNames = []string{"backoff", "timestamp", "karma"}
 // ByName constructs a fresh contention policy: "backoff" (the paper's
 // Section 3.2 default), "timestamp" (greedy, older wins), or "karma"
 // (priority accumulation). It is the single point tools (stmbench -policy,
-// the litmus harness, CI matrices) resolve policy names through.
+// the litmus harness) resolve policy names through.
 func ByName(name string) (Policy, error) {
 	switch name {
 	case "", "backoff":
@@ -205,21 +204,4 @@ func ByName(name string) (Policy, error) {
 	default:
 		return nil, fmt.Errorf("conflict: unknown policy %q (have %v)", name, PolicyNames)
 	}
-}
-
-// PolicyEnv names the environment variable that selects a contention policy
-// when no explicit name is given, so CI matrices and ad-hoc runs sweep
-// policies without plumbing a flag through every entry point.
-const PolicyEnv = "STM_CONFLICT_POLICY"
-
-// ByNameOrEnv resolves name like ByName, except an empty name consults
-// PolicyEnv first (an empty variable still means the default backoff). An
-// unknown name — flag or environment — is an error listing the valid
-// policies; every entry point must surface it rather than silently falling
-// through to the default.
-func ByNameOrEnv(name string) (Policy, error) {
-	if name == "" {
-		name = os.Getenv(PolicyEnv)
-	}
-	return ByName(name)
 }

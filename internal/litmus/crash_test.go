@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/conflict"
 	"repro/internal/faultinject"
 	"repro/internal/objmodel"
 	"repro/internal/recovery"
@@ -46,7 +47,11 @@ func newCrashRig(t *testing.T, kind string) *crashRig {
 	rig := &crashRig{kind: kind}
 	// Build by name through the registry, then recover the crash surfaces
 	// via the capability interfaces every adapter exports.
-	api, err := stmapi.New(kind, h, stmapi.CommonConfig{})
+	pol, err := conflict.ByName(defaultPolicy)
+	if err != nil {
+		t.Fatalf("build runtime: %v", err)
+	}
+	api, err := stmapi.New(kind, h, stmapi.CommonConfig{Handler: pol})
 	if err != nil {
 		t.Fatalf("build runtime: %v", err)
 	}
@@ -144,88 +149,92 @@ func orphanRules(kind string, p faultinject.Point) []faultinject.Rule {
 // recovery contract: one reap, records Shared, balances conserved, and a
 // subsequent writer over the same accounts commits promptly.
 func TestOrphanReclaimedAtEveryPoint(t *testing.T) {
-	for _, kind := range stmapi.Runtimes() {
-		for _, p := range crashPoints {
-			p := p
-			t.Run(kind+"/"+p.String(), func(t *testing.T) {
-				rig := newCrashRig(t, kind)
-				rig.inject(faultinject.New(1, orphanRules(kind, p)...))
-				orphanAtomic(t, rig.rt, func(tx stmapi.Txn) error {
-					tx.Write(rig.accts[0], 0, tx.Read(rig.accts[0], 0)-5)
-					tx.Write(rig.accts[1], 0, tx.Read(rig.accts[1], 0)+5)
-					return nil
-				})
-				rig.inject(nil)
+	underEachPolicy(t, func(t *testing.T) {
+		for _, kind := range stmapi.Runtimes() {
+			for _, p := range crashPoints {
+				p := p
+				t.Run(kind+"/"+p.String(), func(t *testing.T) {
+					rig := newCrashRig(t, kind)
+					rig.inject(faultinject.New(1, orphanRules(kind, p)...))
+					orphanAtomic(t, rig.rt, func(tx stmapi.Txn) error {
+						tx.Write(rig.accts[0], 0, tx.Read(rig.accts[0], 0)-5)
+						tx.Write(rig.accts[1], 0, tx.Read(rig.accts[1], 0)+5)
+						return nil
+					})
+					rig.inject(nil)
 
-				reaper := recovery.NewReaper(rig.target, recovery.Config{})
-				if rep := reaper.ScanOnce(); rep.Reaped != 1 {
-					t.Fatalf("reaped %d transactions, want 1", rep.Reaped)
-				}
-				rig.checkInvariants(t)
-				// Waiters must be unblocked: a transfer over the same two
-				// accounts has to commit without help.
-				done := make(chan error, 1)
-				go func() { done <- rig.transfer(0, 1, 1) }()
-				select {
-				case err := <-done:
-					if err != nil {
-						t.Fatalf("transfer after reap: %v", err)
+					reaper := recovery.NewReaper(rig.target, recovery.Config{})
+					if rep := reaper.ScanOnce(); rep.Reaped != 1 {
+						t.Fatalf("reaped %d transactions, want 1", rep.Reaped)
 					}
-				case <-time.After(5 * time.Second):
-					t.Fatal("transfer blocked after reap: waiters not unblocked")
-				}
-				rig.checkInvariants(t)
-			})
+					rig.checkInvariants(t)
+					// Waiters must be unblocked: a transfer over the same two
+					// accounts has to commit without help.
+					done := make(chan error, 1)
+					go func() { done <- rig.transfer(0, 1, 1) }()
+					select {
+					case err := <-done:
+						if err != nil {
+							t.Fatalf("transfer after reap: %v", err)
+						}
+					case <-time.After(5 * time.Second):
+						t.Fatal("transfer blocked after reap: waiters not unblocked")
+					}
+					rig.checkInvariants(t)
+				})
+			}
 		}
-	}
+	})
 }
 
 // TestWaitersUnblockUnderBackgroundReaper parks writers on an orphan's
 // records before any reclaim has happened and lets a background reaper free
 // them: every waiter must commit within a bounded wait.
 func TestWaitersUnblockUnderBackgroundReaper(t *testing.T) {
-	for _, kind := range stmapi.Runtimes() {
-		t.Run(kind, func(t *testing.T) {
-			rig := newCrashRig(t, kind)
-			rig.inject(faultinject.New(1, orphanRules(kind, faultinject.PreValidate)...))
-			orphanAtomic(t, rig.rt, func(tx stmapi.Txn) error {
-				for i := range rig.accts {
-					tx.Write(rig.accts[i], 0, tx.Read(rig.accts[i], 0)+1)
-				}
-				return nil
-			})
-			rig.inject(nil)
-
-			const waiters = 4
-			errs := make(chan error, waiters)
-			for w := 0; w < waiters; w++ {
-				w := w
-				go func() {
-					errs <- rig.transfer(w%crashAccts, (w+1)%crashAccts, 1)
-				}()
-			}
-			reaper := recovery.NewReaper(rig.target, recovery.Config{Interval: time.Millisecond})
-			reaper.Start()
-			defer reaper.Stop()
-			deadline := time.After(10 * time.Second)
-			for w := 0; w < waiters; w++ {
-				select {
-				case err := <-errs:
-					if err != nil {
-						t.Fatalf("waiter: %v", err)
+	underEachPolicy(t, func(t *testing.T) {
+		for _, kind := range stmapi.Runtimes() {
+			t.Run(kind, func(t *testing.T) {
+				rig := newCrashRig(t, kind)
+				rig.inject(faultinject.New(1, orphanRules(kind, faultinject.PreValidate)...))
+				orphanAtomic(t, rig.rt, func(tx stmapi.Txn) error {
+					for i := range rig.accts {
+						tx.Write(rig.accts[i], 0, tx.Read(rig.accts[i], 0)+1)
 					}
-				case <-deadline:
-					t.Fatalf("%d of %d waiters still blocked on the orphan's records", waiters-w, waiters)
+					return nil
+				})
+				rig.inject(nil)
+
+				const waiters = 4
+				errs := make(chan error, waiters)
+				for w := 0; w < waiters; w++ {
+					w := w
+					go func() {
+						errs <- rig.transfer(w%crashAccts, (w+1)%crashAccts, 1)
+					}()
 				}
-			}
-			if reaper.Steals() == 0 {
-				// Inline waiter steals may have beaten the reaper; either way
-				// the records must be consistent again.
-				t.Log("reaper reclaimed nothing: waiters stole inline")
-			}
-			rig.checkInvariants(t)
-		})
-	}
+				reaper := recovery.NewReaper(rig.target, recovery.Config{Interval: time.Millisecond})
+				reaper.Start()
+				defer reaper.Stop()
+				deadline := time.After(10 * time.Second)
+				for w := 0; w < waiters; w++ {
+					select {
+					case err := <-errs:
+						if err != nil {
+							t.Fatalf("waiter: %v", err)
+						}
+					case <-deadline:
+						t.Fatalf("%d of %d waiters still blocked on the orphan's records", waiters-w, waiters)
+					}
+				}
+				if reaper.Steals() == 0 {
+					// Inline waiter steals may have beaten the reaper; either way
+					// the records must be consistent again.
+					t.Log("reaper reclaimed nothing: waiters stole inline")
+				}
+				rig.checkInvariants(t)
+			})
+		}
+	})
 }
 
 // TestCrashStormConservesBalances runs opposed transfer workers with ~1%
@@ -233,58 +242,60 @@ func TestWaitersUnblockUnderBackgroundReaper(t *testing.T) {
 // Workers whose thread "dies" stay dead; at the end every record must be
 // Shared again, the total conserved, and every surviving commit durable.
 func TestCrashStormConservesBalances(t *testing.T) {
-	const (
-		workers = 8
-		iters   = 400
-	)
-	for _, kind := range stmapi.Runtimes() {
-		t.Run(kind, func(t *testing.T) {
-			rig := newCrashRig(t, kind)
-			rules := make([]faultinject.Rule, 0, len(crashPoints))
-			for _, p := range crashPoints {
-				rules = append(rules, faultinject.Rule{Point: p, Action: faultinject.Orphan, Rate: 10}) // ~1%/point
-			}
-			rig.inject(faultinject.New(7, rules...))
-			reaper := recovery.NewReaper(rig.target, recovery.Config{Interval: time.Millisecond})
-			reaper.Start()
+	underEachPolicy(t, func(t *testing.T) {
+		const (
+			workers = 8
+			iters   = 400
+		)
+		for _, kind := range stmapi.Runtimes() {
+			t.Run(kind, func(t *testing.T) {
+				rig := newCrashRig(t, kind)
+				rules := make([]faultinject.Rule, 0, len(crashPoints))
+				for _, p := range crashPoints {
+					rules = append(rules, faultinject.Rule{Point: p, Action: faultinject.Orphan, Rate: 10}) // ~1%/point
+				}
+				rig.inject(faultinject.New(7, rules...))
+				reaper := recovery.NewReaper(rig.target, recovery.Config{Interval: time.Millisecond})
+				reaper.Start()
 
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				w := w
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					defer func() {
-						if r := recover(); r != nil {
-							if _, ok := r.(faultinject.OrphanError); !ok {
-								panic(r)
+				var wg sync.WaitGroup
+				for w := 0; w < workers; w++ {
+					w := w
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						defer func() {
+							if r := recover(); r != nil {
+								if _, ok := r.(faultinject.OrphanError); !ok {
+									panic(r)
+								}
+								// Thread death: this worker is gone for good.
 							}
-							// Thread death: this worker is gone for good.
+						}()
+						for i := 0; i < iters; i++ {
+							from := (w + i) % crashAccts
+							to := (from + 1 + i%(crashAccts-1)) % crashAccts
+							_ = rig.transfer(from, to, 1)
 						}
 					}()
-					for i := 0; i < iters; i++ {
-						from := (w + i) % crashAccts
-						to := (from + 1 + i%(crashAccts-1)) % crashAccts
-						_ = rig.transfer(from, to, 1)
-					}
-				}()
-			}
-			wg.Wait()
-			rig.inject(nil)
-			// Drain: scan until two consecutive sweeps find nothing to reap,
-			// so late deaths are reclaimed before the invariant check.
-			for dry := 0; dry < 2; {
-				if rep := reaper.ScanOnce(); rep.Reaped == 0 {
-					dry++
-				} else {
-					dry = 0
 				}
-			}
-			reaper.Stop()
-			rig.checkInvariants(t)
-			if reaper.Steals() == 0 {
-				t.Log("no reaper steals: all orphans reclaimed inline by waiters")
-			}
-		})
-	}
+				wg.Wait()
+				rig.inject(nil)
+				// Drain: scan until two consecutive sweeps find nothing to reap,
+				// so late deaths are reclaimed before the invariant check.
+				for dry := 0; dry < 2; {
+					if rep := reaper.ScanOnce(); rep.Reaped == 0 {
+						dry++
+					} else {
+						dry = 0
+					}
+				}
+				reaper.Stop()
+				rig.checkInvariants(t)
+				if reaper.Steals() == 0 {
+					t.Log("no reaper steals: all orphans reclaimed inline by waiters")
+				}
+			})
+		}
+	})
 }

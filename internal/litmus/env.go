@@ -121,11 +121,11 @@ type Env struct {
 	cell *objmodel.Class
 }
 
-// PolicyEnvVar names the environment variable consulted (when
-// EnvConfig.Policy is empty) for the contention policy litmus environments
-// run under, so CI can sweep the whole suite per policy without plumbing a
-// flag through every test.
-const PolicyEnvVar = conflict.PolicyEnv
+// defaultPolicy is the contention policy an Env runs under when
+// EnvConfig.Policy is empty ("" is conflict.ByName's default, backoff). The
+// package's tests set it to sweep the whole suite per policy without
+// plumbing a name through every program.
+var defaultPolicy string
 
 // EnvConfig selects variation points for an Env.
 type EnvConfig struct {
@@ -137,8 +137,8 @@ type EnvConfig struct {
 	// (Section 2.4).
 	Granularity int
 
-	// Policy names the contention policy (conflict.ByName); empty consults
-	// PolicyEnvVar and falls back to the default backoff.
+	// Policy names the contention policy (conflict.ByName); empty means
+	// the package default, backoff.
 	Policy string
 
 	// LazyHooks instrument the lazy commit window (MI programs).
@@ -154,7 +154,10 @@ func NewEnv(mode Mode, cfg EnvConfig) *Env {
 	if cfg.Granularity == 0 {
 		cfg.Granularity = 1
 	}
-	pol, err := conflict.ByNameOrEnv(cfg.Policy)
+	if cfg.Policy == "" {
+		cfg.Policy = defaultPolicy
+	}
+	pol, err := conflict.ByName(cfg.Policy)
 	if err != nil {
 		panic("litmus: " + err.Error())
 	}
