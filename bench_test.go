@@ -23,6 +23,7 @@ import (
 	"repro/internal/lang/ir"
 	"repro/internal/lazystm"
 	"repro/internal/litmus"
+	"repro/internal/mvstm"
 	"repro/internal/objmodel"
 	"repro/internal/opt"
 	"repro/internal/stm"
@@ -334,6 +335,85 @@ func BenchmarkLazyTxnSmall(b *testing.B) {
 		_ = rt.Atomic(nil, func(tx *lazystm.Txn) error {
 			tx.Write(o, 0, tx.Read(o, 0)+1)
 			return nil
+		})
+	}
+}
+
+// ---- mvstm's install path and the read path it feeds ----
+//
+// The per-layer figures behind `go run ./benchmark`'s mvstm rows (ROADMAP
+// aim 1): what a writing commit costs and allocates, and what a snapshot
+// read costs when the object holds the version it wants against when one
+// chain node does.
+
+// BenchmarkMVWriteCommit is partitioned_write's operation on one goroutine:
+// 8 random (object, slot) pairs, each incremented with probability 90% and
+// read otherwise. Allocation is one version node per written object.
+func BenchmarkMVWriteCommit(b *testing.B) {
+	h := objmodel.NewHeap()
+	cls := h.MustDefineClass(objmodel.ClassSpec{
+		Name:   "Cell4",
+		Fields: []objmodel.Field{{Name: "a"}, {Name: "b"}, {Name: "c"}, {Name: "d"}},
+	})
+	objs := make([]*objmodel.Object, 1024)
+	for i := range objs {
+		objs[i] = h.New(cls)
+	}
+	rt := mvstm.New(h, mvstm.Config{})
+	rng := uint64(1)
+	body := func(tx *mvstm.Txn) error {
+		for p := 0; p < 8; p++ {
+			rng ^= rng << 13
+			rng ^= rng >> 7
+			rng ^= rng << 17
+			o, slot := objs[rng>>8%uint64(len(objs))], int(rng>>40&3)
+			if v := tx.Read(o, slot); rng>>48%10 != 0 {
+				tx.Write(o, slot, v+1)
+			}
+		}
+		return nil
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = rt.Atomic(nil, body)
+	}
+}
+
+// BenchmarkMVSnapshotRead times one read inside an open snapshot: inline,
+// the record's version is covered and the value comes off the slots under
+// the record seqlock; chain, a commit after the snapshot has overwritten the
+// object and the value is on the one node that commit pushed.
+func BenchmarkMVSnapshotRead(b *testing.B) {
+	for _, chain := range []bool{false, true} {
+		name := "inline"
+		if chain {
+			name = "chain"
+		}
+		b.Run(name, func(b *testing.B) {
+			h, o, _ := barrierFixture(b, false)
+			rt := mvstm.New(h, mvstm.Config{})
+			bump := func() {
+				_ = rt.Atomic(nil, func(tx *mvstm.Txn) error {
+					tx.Write(o, 0, tx.Read(o, 0)+1)
+					return nil
+				})
+			}
+			bump()
+			var s uint64
+			_ = rt.AtomicRead(func(tx *mvstm.Txn) error {
+				if chain {
+					done := make(chan struct{})
+					go func() { defer close(done); bump() }()
+					<-done
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					s += tx.Read(o, 0)
+				}
+				return nil
+			})
+			sinkU64 = s
 		})
 	}
 }

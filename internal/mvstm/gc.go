@@ -1,10 +1,14 @@
-// Version-chain garbage collection for the multi-version runtime.
+// Version-chain installation and reclamation for the multi-version runtime.
 //
 // A version is dead once no live transaction's snapshot can reach it: if W
 // is the smallest begin snapshot over all in-flight transactions (clamped
 // by the current clock), every object needs at most one version at or below
 // W — the newest such version is what a W-snapshot reads; everything older
-// is unreachable and the chain is severed below it.
+// is unreachable. A chain is pruned where it grows: the committer that
+// pushes a node, holding the object's record, drops what the watermark has
+// passed (install): a chain is one node long on an object written less often
+// than the watermark moves and is cut back every Config.GCEvery commits on a
+// hotter one, with no separate sweep (GC does one for tests and tooling).
 //
 // The watermark is computed against the same sharded registry the reaper
 // scans, through each descriptor's snap pin. The pin protocol makes the
@@ -23,16 +27,34 @@
 // above. Either the pin is seen and lowers W, or the snapshot provably sits
 // at or above W. A long-running snapshot reader therefore pins exactly the
 // history it may still read (premature reclaim is impossible), and the
-// first collection after it finishes resumes past its snapshot.
+// first install after it finishes prunes past its snapshot.
+//
+// The same argument covers every later transaction, so a watermark stays
+// valid for as long as the runtime lives: rt.watermark only rises (CAS-max),
+// and pruning against a cached value is merely conservative. Each descriptor
+// refreshes the cache every Config.GCEvery of its own writing commits, so
+// refreshes scale with the commit rate and transactions that share no object
+// share no counter either.
+//
+// One pruner per chain: only the holder of an object's record pushes on its
+// chain or severs it — a committer, or GC holding the record anonymously —
+// which keeps VersionsInstalled - VersionsGCd equal to the nodes on chains.
+//
+// Severed nodes are left to Go's collector, not reused: a snapshot read that
+// meets an Exclusive record loads the chain head's timestamp to decide whether
+// to wait (snapshotRead) while the record's holder may be severing that very
+// head, and a free list would hand the node to the next install under it.
 package mvstm
 
 import (
 	"repro/internal/objmodel"
 	"repro/internal/txn"
+	"repro/internal/txrec"
 )
 
-// Watermark returns the version-reclamation horizon: the smallest live
-// begin snapshot, or the current clock when no transaction is in flight.
+// Watermark computes the version-reclamation horizon — the smallest live
+// begin snapshot, or the current clock when no transaction is in flight —
+// raises the cached watermark to it, and returns the cached value.
 func (rt *Runtime) Watermark() uint64 {
 	// Clock first, pins second — see the package comment for why this
 	// ordering makes a missed pin harmless.
@@ -43,80 +65,112 @@ func (rt *Runtime) Watermark() uint64 {
 		}
 		return true
 	})
-	rt.watermark.Store(w)
+	for {
+		cur := rt.watermark.Load()
+		if cur >= w {
+			w = cur // a concurrent computation got further; its value holds too
+			break
+		}
+		if rt.watermark.CompareAndSwap(cur, w) {
+			break
+		}
+	}
 	if c := rt.Clock.Load(); c >= w {
 		rt.Stats.WatermarkLag.Store(int64(c - w))
 	}
 	return w
 }
 
-// pruneObject severs o's version chain below watermark w: the newest
-// version at or below w is kept (a w-snapshot still reads it), everything
-// older is cut loose. Returns the number of versions reclaimed. Callers
-// hold rt.gcMu — a single pruner per chain keeps the counts exact, and the
-// severed tail stays reachable by readers that already walked past the cut
-// (see objmodel.MVVersion).
-func pruneObject(o *objmodel.Object, w uint64) int {
-	keep := o.MVHead.Load()
-	if keep == nil {
-		return 0
+// pruneHorizon returns the watermark this commit's installs prune against:
+// the cached one, and on the descriptor's countdown a fresh one, which the
+// installs then also sweep their chains against (install); 0, below every
+// timestamp, when pruning at install is off.
+func (tx *Txn) pruneHorizon() (w uint64, sweep bool) {
+	every := tx.rt.cfg.GCEvery
+	if every < 0 {
+		return 0, false
 	}
-	for keep.TS > w {
-		next := keep.Prev()
-		if next == nil {
-			return 0 // chain bottoms out above w: nothing is reclaimable
-		}
-		keep = next
+	if tx.refreshIn--; tx.refreshIn < 0 {
+		tx.refreshIn = every - 1
+		return tx.rt.Watermark(), true
 	}
-	// keep is the newest version at or below w. Count and sever its tail.
-	n := 0
-	for v := keep.Prev(); v != nil; v = v.Prev() {
-		n++
-	}
-	if n > 0 {
-		keep.SetPrev(nil)
-	}
-	return n
+	return tx.rt.watermark.Load(), false
 }
 
-// maybeCollect runs an inline collection every cfg.GCEvery writing commits,
-// pruning the chains the committing transaction just extended. Write-set
-// objects are the ones growing, so collecting at the point of growth keeps
-// chains short without a background thread; a full-heap pass is available
-// through GC.
-func (rt *Runtime) maybeCollect(tx *Txn) {
-	if rt.cfg.GCEvery < 0 {
-		return
+// install pushes the image o's slots hold — its committed state since sv,
+// the version the record was acquired at, which the write-back is about to
+// overwrite — on o's chain, and prunes the chain against watermark w. The
+// caller holds o's record.
+//
+// At or under the watermark the new node is the one a w-snapshot reads and
+// the whole old chain is dead: it is dropped unlinked and unread (o.MVLen
+// says how long it was). That is every install on an object written less
+// often than the watermark is refreshed. Above it the node is linked, and
+// only a sweep install (one in Config.GCEvery) looks for the newest node at
+// or under w to sever below it: on an object that hot the nodes were pushed
+// from other processors, and reading them at every install costs more than
+// keeping them a few commits longer.
+func (tx *Txn) install(o *objmodel.Object, sv, w uint64, sweep bool) {
+	n := objmodel.NewMVVersion(sv, len(o.Slots))
+	for i := range n.Vals {
+		n.Vals[i] = o.LoadSlot(i)
 	}
-	if rt.gcTick.Add(1)%uint64(rt.cfg.GCEvery) != 0 {
-		return
+	if sv <= w {
+		tx.NReclaimed += int64(o.MVLen)
+		o.MVLen = 0
+	} else {
+		head := o.MVHead.Load()
+		n.SetPrev(head)
+		if sweep {
+			tx.NReclaimed += int64(prune(o, head, w))
+		}
 	}
-	w := rt.Watermark()
-	reclaimed := 0
-	rt.gcMu.Lock()
-	for _, o := range tx.Objs {
-		reclaimed += pruneObject(o, w)
+	o.MVLen++
+	o.MVHead.Store(n)
+	tx.NInstalled++
+}
+
+// prune severs o's chain from head below its newest node at or under
+// watermark w — a w-snapshot still reads that one — and returns the number
+// of nodes severed. The caller holds o's record.
+func prune(o *objmodel.Object, head *objmodel.MVVersion, w uint64) int {
+	for keep := head; keep != nil; keep = keep.Prev() {
+		if keep.TS <= w {
+			n := 0
+			for dead := keep.Prev(); dead != nil; dead = dead.Prev() {
+				n++
+			}
+			if n > 0 {
+				keep.SetPrev(nil)
+				o.MVLen -= n
+			}
+			return n
+		}
 	}
-	rt.gcMu.Unlock()
-	if reclaimed > 0 {
-		rt.Stats.VersionsGCd.AddShard(int(tx.ID()), int64(reclaimed))
-	}
+	return 0 // the chain bottoms out above w
 }
 
 // GC walks the whole heap and prunes every object's version chain against
 // the current watermark, returning the number of versions reclaimed. Tests
-// and operational tooling call it directly; the runtime itself collects
-// incrementally at commit (see maybeCollect).
+// and operational tooling call it; the runtime itself prunes at install. It
+// holds each record it prunes under exclusive-anonymous, as a
+// non-transactional writer would, and skips the ones it cannot take: their
+// holder prunes.
 func (rt *Runtime) GC() int {
 	w := rt.Watermark()
 	reclaimed := 0
-	rt.gcMu.Lock()
 	for i, n := 1, rt.Heap.Len(); i <= n; i++ {
-		if o := rt.Heap.TryGet(objmodel.Ref(i)); o != nil {
-			reclaimed += pruneObject(o, w)
+		o := rt.Heap.TryGet(objmodel.Ref(i))
+		if o == nil || o.MVHead.Load() == nil {
+			continue
 		}
+		rec := o.Rec.Load()
+		if !txrec.IsShared(rec) || !o.Rec.CompareAndSwap(rec, txrec.MakeExclusiveAnon(txrec.Version(rec))) {
+			continue
+		}
+		reclaimed += prune(o, o.MVHead.Load(), w)
+		o.Rec.Store(rec)
 	}
-	rt.gcMu.Unlock()
 	if reclaimed > 0 {
 		rt.Stats.VersionsGCd.AddShard(0, int64(reclaimed))
 	}

@@ -3,12 +3,15 @@ package mvstm
 import (
 	"sync"
 	"testing"
+
+	"repro/internal/txrec"
 )
 
 // TestGCReclaimsDeadVersions: with no reader pinning history, a collection
-// prunes every chain down to its head.
+// prunes every chain down to its head (the newest node at or under the
+// watermark stays, dead or not: the next install drops it).
 func TestGCReclaimsDeadVersions(t *testing.T) {
-	f := newFixture(t, Config{GCEvery: -1}) // inline GC off; drive it by hand
+	f := newFixture(t, Config{GCEvery: -1}) // no pruning at install; drive GC by hand
 	o := f.heap.New(f.cls)
 	const writes = 20
 	for i := uint64(1); i <= writes; i++ {
@@ -19,23 +22,26 @@ func TestGCReclaimsDeadVersions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// writes versions plus the base anchor.
-	if got := chainLen(o); got != writes+1 {
-		t.Fatalf("chain length before GC = %d, want %d", got, writes+1)
+	// One pre-image per commit.
+	if got := chainLen(o); got != writes {
+		t.Fatalf("chain length before GC = %d, want %d", got, writes)
 	}
 	reclaimed := f.rt.GC()
-	if reclaimed != writes {
-		t.Errorf("reclaimed = %d, want %d", reclaimed, writes)
+	if reclaimed != writes-1 {
+		t.Errorf("reclaimed = %d, want %d", reclaimed, writes-1)
 	}
 	if got := chainLen(o); got != 1 {
 		t.Errorf("chain length after GC = %d, want 1", got)
 	}
-	if head := o.MVHead.Load(); head.Vals[0] != writes {
-		t.Errorf("surviving head value = %d, want %d", head.Vals[0], writes)
+	if head := o.MVHead.Load(); head.Vals[0] != writes-1 {
+		t.Errorf("surviving head value = %d, want the last pre-image %d", head.Vals[0], writes-1)
+	}
+	if w := o.Rec.Load(); !txrec.IsShared(w) {
+		t.Errorf("record after GC = %#x, want shared", w)
 	}
 	s := f.rt.Stats.Snapshot()
-	if s.VersionsGCd != writes {
-		t.Errorf("VersionsGCd = %d, want %d", s.VersionsGCd, writes)
+	if s.VersionsGCd != writes-1 {
+		t.Errorf("VersionsGCd = %d, want %d", s.VersionsGCd, writes-1)
 	}
 	if s.VersionsLive != s.VersionsInstalled-s.VersionsGCd {
 		t.Errorf("VersionsLive gauge inconsistent: %d != %d - %d",
@@ -124,7 +130,7 @@ func TestGCPinnedByLongReader(t *testing.T) {
 // stay internally consistent (two reads of slots kept equal by every
 // writer must match).
 func TestGCUnderConcurrentLoad(t *testing.T) {
-	f := newFixture(t, Config{GCEvery: 8}) // aggressive inline GC too
+	f := newFixture(t, Config{GCEvery: 8}) // frequent watermark refreshes too
 	o := f.heap.New(f.cls)
 	if err := f.rt.Atomic(nil, func(tx *Txn) error {
 		tx.Write(o, 0, 0)

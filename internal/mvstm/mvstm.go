@@ -2,10 +2,10 @@
 // same heap, transaction records, and commit clock as the eager and lazy
 // runtimes. Where those runtimes make every read pay for isolation —
 // per-read version validation plus a commit-time read-set check — mvstm
-// moves the whole cost to writers: each committed write publishes an
-// immutable version of the object stamped by the commit clock, and readers
-// pick a snapshot timestamp at begin and then walk version chains with no
-// validation, no aborts, and no per-read writes to shared metadata.
+// moves the whole cost to writers: a committing writer saves the image it is
+// about to overwrite, stamped by the commit clock, and readers pick a
+// snapshot timestamp at begin and then read with no validation, no aborts,
+// and no per-read writes to shared metadata.
 //
 // Transactions run under snapshot isolation: every read (in a read-only OR
 // a writing transaction) is satisfied from the newest committed version at
@@ -19,21 +19,26 @@
 // read-only transactions — AtomicRead, or Atomic bodies that never write —
 // commit with zero aborts and zero retries under any writer storm.
 //
-// Writers buffer slot-granular and commit like the lazy runtime: acquire
-// the write set's records in handle order, first-committer-wins check,
-// advance the clock to obtain the write version, pass the commit point,
-// install a new version on each object's chain, write the buffered values
-// back to the slots (so non-transactional readers under weak atomicity see
-// current state), and release the records stamped with the write version.
-// Versions strictly decrease along each chain, and the head version's
-// timestamp always matches the record's version once released, so the
-// record word and the chain never disagree about what is newest.
+// The newest version of an object is the object: its slots, at the version
+// in its Shared record. A snapshot that covers that version reads the slots
+// under the record seqlock, touching no chain node; only a snapshot older
+// than the record walks the object's version chain, which holds the images
+// the slots had before (objmodel.MVVersion).
+//
+// Writers buffer slot-granular, in a slice in program order, and commit
+// like the lazy runtime: sort the buffer by handle, acquire the write set's
+// records in that order, first-committer-wins check, advance the clock to
+// obtain the write version, pass the commit point, and then in one pass over
+// the buffer push each object's pre-image onto its chain, pruning the chain
+// while there, and write the buffered values back to the slots; finally
+// release the records stamped with the write version. Versions strictly
+// decrease along each chain and the head's is below the record's.
 //
 // Dead versions are reclaimed against a watermark: the smallest begin
 // snapshot among live transactions (tracked in the same sharded registry
 // the reaper scans). A long-running snapshot reader therefore pins exactly
 // the history it might still read, and nothing more; when it finishes, the
-// next collection prunes past its snapshot. See gc.go.
+// next install on an object prunes past its snapshot. See gc.go.
 //
 // Everything that is not versioning is the transaction kernel, package txn,
 // which this runtime embeds and plugs into through txn.Strategy; that
@@ -43,16 +48,17 @@
 // stamp, the install and the write-back, and GC. The kernel's lifecycle
 // reads differently here in four places:
 //
-//   - Bodies own nothing. Reads resolve against version chains and writes
-//     stay buffered, so an orphan that died mid-body holds no records at
-//     all — the reaper only unregisters it (and unpins its GC snapshot).
+//   - Bodies own nothing. Reads resolve against slots and version chains and
+//     writes stay buffered, so an orphan that died mid-body holds no records
+//     at all — the reaper only unregisters it (and unpins its GC snapshot).
 //
 //   - An orphan that died inside the commit window holds write-set records.
 //     The kernel's reaper release restores them before the commit point (no
 //     versions were installed, no state escaped) and releases them at the
-//     orphan's write version after it — the stamp the installed chain heads
-//     carry. No clock tick is needed: snapshot readers never validate, and a
-//     writer that meets the released version raises the clock on contact.
+//     orphan's write version after it: its pre-images are on the chains and
+//     its values in the slots (write-back precedes every post-commit fault
+//     point). No clock tick is needed: snapshot readers never validate, and
+//     a writer that meets the released version raises the clock on contact.
 //
 //   - The commit gate (committers counter) is never repaired by the reaper:
 //     commit releases it on every exit, including the panic unwind of a
@@ -68,10 +74,11 @@
 package mvstm
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"math"
-	"sync"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -98,12 +105,13 @@ const (
 // mirroring the lazy runtime's so the litmus harness drives both uniformly.
 type Hooks struct {
 	// OnAfterCommitPoint runs after the transaction has logically committed
-	// (status set, versions installed, records held) but before any buffered
-	// value reaches the object slots.
+	// (status set, write version obtained, records held) but before any
+	// pre-image is installed or any buffered value reaches the object slots.
 	OnAfterCommitPoint func(*Txn)
 
 	// OnAfterWriteback runs after the k-th individual slot write-back
-	// (0-based), still before the records are released.
+	// (0-based; objects in handle order, an object's slots in the order the
+	// body first wrote them), still before the records are released.
 	OnAfterWriteback func(tx *Txn, k int)
 }
 
@@ -122,10 +130,11 @@ type Config struct {
 	// Hooks instrument the commit window (tests only).
 	Hooks Hooks
 
-	// GCEvery is the number of writing commits between inline version-chain
-	// collections (each collection recomputes the watermark and prunes the
-	// committing transaction's own write set). Zero means DefaultGCEvery;
-	// negative disables inline collection (tests drive GC() directly).
+	// GCEvery is the number of writing commits a descriptor makes between
+	// refreshes of the watermark its installs prune against; the commit that
+	// refreshes it (a registry scan) also sweeps the chains it pushes on (see
+	// gc.go). Zero means DefaultGCEvery; negative disables pruning at install
+	// (tests drive GC() directly).
 	GCEvery int
 }
 
@@ -149,11 +158,9 @@ type Runtime struct {
 	// the no-abort guarantee.
 	committers atomic.Int64
 
-	// GC state: gcTick schedules inline collections, gcMu serializes pruners
-	// (protecting the reclaim counts), watermark is the last computed
-	// watermark (its distance behind the clock is Stats.WatermarkLag).
-	gcTick    atomic.Uint64
-	gcMu      sync.Mutex
+	// watermark is the highest reclamation watermark computed so far, what
+	// installs prune against (gc.go); its distance behind the clock is
+	// Stats.WatermarkLag.
 	watermark atomic.Uint64
 }
 
@@ -165,7 +172,7 @@ func New(heap *objmodel.Heap, cfg Config) *Runtime {
 		rt.cfg.GCEvery = DefaultGCEvery
 	}
 	rt.Init("mvstm", heap, &rt.cfg.CommonConfig, func() txn.Strategy {
-		tx := &Txn{rt: rt, buf: make(map[slotKey]uint64)}
+		tx := &Txn{rt: rt}
 		tx.snap.Store(1)
 		return tx
 	})
@@ -215,11 +222,73 @@ type slotKey struct {
 // everything is the (only) serializable view.
 const maxSnapshot = math.MaxUint64
 
+type bufEntry struct {
+	obj  *objmodel.Object
+	slot int
+	val  uint64
+}
+
+// bufSpill is the write-set size past which lookups go through an index
+// instead of a scan of the buffer (as objset does).
+const bufSpill = 16
+
+// writeBuf is a transaction's buffered writes, always slot-granular: one
+// entry per written slot, in the order the body first wrote each, until
+// commit sorts it by handle. The array and the index outlive a transaction.
+type writeBuf struct {
+	ents  []bufEntry
+	index map[slotKey]int // position in ents; filled only past bufSpill entries
+}
+
+// find returns the position of (o, slot)'s entry, or -1. Not for use once
+// commit has sorted the buffer (the index would be stale).
+func (b *writeBuf) find(o *objmodel.Object, slot int) int {
+	if len(b.index) > 0 {
+		if i, ok := b.index[slotKey{o, slot}]; ok {
+			return i
+		}
+		return -1
+	}
+	for i := range b.ents {
+		if e := &b.ents[i]; e.obj == o && e.slot == slot {
+			return i
+		}
+	}
+	return -1
+}
+
+func (b *writeBuf) put(o *objmodel.Object, slot int, v uint64) {
+	if i := b.find(o, slot); i >= 0 {
+		b.ents[i].val = v
+		return
+	}
+	b.ents = append(b.ents, bufEntry{o, slot, v})
+	switch n := len(b.ents); {
+	case len(b.index) > 0:
+		b.index[slotKey{o, slot}] = n - 1
+	case n > bufSpill:
+		if b.index == nil {
+			b.index = make(map[slotKey]int, 2*bufSpill)
+		}
+		for i, e := range b.ents {
+			b.index[slotKey{e.obj, e.slot}] = i
+		}
+	}
+}
+
+// reset empties the buffer, dropping its object references.
+func (b *writeBuf) reset() {
+	clear(b.ents)
+	b.ents = b.ents[:0]
+	clear(b.index)
+}
+
 // Txn is a multi-version transaction descriptor: the kernel's
-// deferred-update descriptor plus the slot buffer. Its RV is the begin snapshot — reads see the newest
-// version at or below it — and its WV, obtained from the clock before the
-// commit point, is what every release path stamps records with. Pooled
-// across Atomic calls; user code must not retain one past the body.
+// deferred-update descriptor plus the slot buffer. Its RV is the begin
+// snapshot — reads see the newest version at or below it — and its WV,
+// obtained from the clock before the commit point, is what every release
+// path stamps records with. Pooled across Atomic calls; user code must not
+// retain one past the body.
 type Txn struct {
 	txn.Deferred
 	rt *Runtime
@@ -238,7 +307,11 @@ type Txn struct {
 	// abort (the litmus suite asserts there are none).
 	readOnly bool
 
-	buf map[slotKey]uint64 // buffered writes, always slot-granular
+	buf writeBuf
+
+	// refreshIn counts this descriptor's writing commits down to its next
+	// watermark refresh (gc.go); kept across transactions.
+	refreshIn int
 
 	inCommit bool // inside the commit gate
 }
@@ -246,7 +319,7 @@ type Txn struct {
 // Begin implements txn.Strategy.
 func (tx *Txn) Begin() {
 	tx.Deferred.Begin()
-	clear(tx.buf)
+	tx.buf.reset()
 	tx.snap.Store(tx.RV) // refine the pin; the previous value was <= RV
 }
 
@@ -255,7 +328,7 @@ func (tx *Txn) Reset() {
 	tx.snap.Store(1) // unregistered now; pinned low for when it next is
 	tx.readOnly = false
 	tx.inCommit = false
-	clear(tx.buf)
+	tx.buf.reset()
 }
 
 // Read returns the transaction's view of o's slot: the private write buffer
@@ -268,72 +341,49 @@ func (tx *Txn) Read(o *objmodel.Object, slot int) uint64 {
 	tx.NReads++
 	if !tx.readOnly {
 		tx.Poll(o)
-		if len(tx.buf) > 0 {
-			if v, ok := tx.buf[slotKey{o, slot}]; ok {
+		if len(tx.buf.ents) > 0 {
+			if i := tx.buf.find(o, slot); i >= 0 {
 				if tr := tx.Tr; tr != nil {
 					tr.Record(trace.EvRead, tx.ID(), uint64(o.Ref()), slot, 0)
 				}
-				return v
+				return tx.buf.ents[i].val
 			}
 		}
 	}
 	return tx.snapshotRead(o, slot)
 }
 
-// snapshotRead resolves a read against the object's version chain, falling
-// back to the transaction record for objects no multi-version transaction
-// has written yet.
+// snapshotRead resolves a read against the object: its slots when the
+// snapshot covers the version they hold, its version chain when it does not.
+// The record word is loaded first and says which.
 //
-// The record word is consulted before the chain, and the read waits out a
-// committer that could still install a version the snapshot must see. A
-// committer advances the commit clock before installing, so a transaction
-// that begins in that window gets RV equal to the in-flight write version;
-// the committer holds the record Exclusive for that whole window (from
-// before its clock advance until after its install), which makes an
-// Exclusive record with a chain head at or below RV the precise signature
-// of "a covered version may be in flight". Loading the record first also
-// orders the loads: a Shared word proves every release — and therefore
-// every install, which precedes it — that could carry a covered timestamp
-// is already visible to the chain load that follows. Without the wait, a
-// writer reads the stale head and then passes first-committer-wins because
-// the lost commit's stamp equals RV rather than exceeding it — a lost
-// update (the crash figure's conservation check catches exactly this).
+// Shared at a version at or below RV: the slots are the image the snapshot
+// wants, read under the record seqlock — an unchanged word across the load
+// proves no write-back in between. Nothing newer that the snapshot must see
+// can be in flight: a committer holds the record Exclusive from before it
+// obtains its write version until after its write-back, so one that acquires
+// after this load stamps above the clock RV was read from.
+//
+// Shared at a version above RV: the image was overwritten, and each commit
+// that overwrote it pushed what it overwrote on the chain before releasing;
+// loading the record first makes those pushes visible to the chain load.
+//
+// Exclusive: a committer advances the clock before its write-back, so a
+// transaction that begins in that window gets RV at or above the in-flight
+// write version and must see values that are not in the slots yet, while one
+// that began earlier must see the image being overwritten. The record holds
+// the owner, not the version, so the reader cannot tell which and waits for
+// the release (bounded by the owner's commit; dead owners are reaped
+// inline) — except when a chain node is above RV. Nodes are pushed by record
+// holders only, with rising timestamps, so such a node proves the state at
+// RV was superseded before it and sits below it on the chain, immutable
+// whatever the owner is doing. Without the wait, a writer reads the stale
+// slots and then passes first-committer-wins because the lost commit's
+// stamp equals RV rather than exceeding it — a lost update (the crash
+// figure's conservation check catches exactly this).
 func (tx *Txn) snapshotRead(o *objmodel.Object, slot int) uint64 {
 	for attempt := 0; ; attempt++ {
 		w := o.Rec.Load()
-		if head := o.MVHead.Load(); head != nil {
-			if head.TS <= tx.RV && txrec.IsExclusive(w) {
-				// In-flight committer whose stamp may be covered by this
-				// snapshot: wait for its install + release (bounded by its
-				// commit; dead owners are reaped inline below). A head
-				// above RV needs no wait — anything the owner installs is
-				// stamped above the head, hence above RV too.
-				tx.waitOwner(o, w, attempt)
-				continue
-			}
-			for v := head; v != nil; v = v.Prev() {
-				if v.TS <= tx.RV {
-					tx.NSnapReads++
-					if tr := tx.Tr; tr != nil {
-						tr.Record(trace.EvRead, tx.ID(), uint64(o.Ref()), slot, v.TS)
-					}
-					return v.Vals[slot]
-				}
-			}
-			// Every version postdates the snapshot. Unreachable when only
-			// multi-version transactions write this object (the chain
-			// bottoms out at the pre-chain version, whose timestamp a
-			// later snapshot always covers); a foreign-runtime or
-			// non-transactional writer can manufacture it. Catch the clock
-			// up and restart with a snapshot that covers the chain.
-			tx.rt.Clock.Raise(head.TS)
-			tx.restartStale(o)
-			continue
-		}
-		// No chain: the object has never been committed to by a
-		// multi-version transaction. Read the slot under the record
-		// seqlock — an unchanged record word across the load proves no
-		// writer released (publishing new state) in between.
 		switch {
 		case txrec.IsPrivate(w):
 			// Traced even though no snapshot logic applies: the soundness
@@ -344,33 +394,55 @@ func (tx *Txn) snapshotRead(o *objmodel.Object, slot int) uint64 {
 			return o.LoadSlot(slot)
 		case txrec.IsShared(w):
 			ver := txrec.Version(w)
-			if ver > tx.RV {
-				// Committed after the snapshot by a writer that installed
-				// no version chain (foreign runtime or non-transactional
-				// barrier): the old value is gone, so the snapshot cannot
-				// be served. Unreachable in pure multi-version runs.
-				tx.rt.Clock.Raise(ver)
-				tx.restartStale(o)
-				continue
+			if ver <= tx.RV {
+				v := o.LoadSlot(slot)
+				if o.Rec.Load() != w {
+					continue
+				}
+				return tx.snapshotHit(o, slot, ver, v)
 			}
-			v := o.LoadSlot(slot)
-			if o.Rec.Load() != w {
-				continue
+			if n := versionAt(o.MVHead.Load(), tx.RV); n != nil {
+				return tx.snapshotHit(o, slot, n.TS, n.Vals[slot])
 			}
-			tx.NSnapReads++
-			if tr := tx.Tr; tr != nil {
-				tr.Record(trace.EvRead, tx.ID(), uint64(o.Ref()), slot, ver)
-			}
-			return v
+			// Committed after the snapshot with the old image on no chain:
+			// the writer was a foreign runtime or a non-transactional
+			// barrier, and the snapshot cannot be served. Unreachable in pure
+			// multi-version runs (a chain bottoms out at or below the
+			// watermark). Catch the clock up and restart with a snapshot
+			// that covers the record.
+			tx.rt.Clock.Raise(ver)
+			tx.restartStale(o)
 		default:
-			// Exclusive (a committer between acquire and release, or a
-			// foreign-runtime owner) or exclusive-anonymous (a
-			// non-transactional writer). A multi-version committer
-			// installs its chain before releasing, so waiting here is
-			// bounded by its commit; a dead owner is reaped inline.
+			// Exclusive (a committer, or a foreign-runtime owner) or
+			// exclusive-anonymous (a non-transactional writer, or GC).
+			if head := o.MVHead.Load(); head != nil && head.TS > tx.RV {
+				if n := versionAt(head, tx.RV); n != nil {
+					return tx.snapshotHit(o, slot, n.TS, n.Vals[slot])
+				}
+			}
 			tx.waitOwner(o, w, attempt)
 		}
 	}
+}
+
+// versionAt returns the newest node at or below rv on the chain from head,
+// or nil.
+func versionAt(head *objmodel.MVVersion, rv uint64) *objmodel.MVVersion {
+	for n := head; n != nil; n = n.Prev() {
+		if n.TS <= rv {
+			return n
+		}
+	}
+	return nil
+}
+
+// snapshotHit accounts a snapshot read served at version ver.
+func (tx *Txn) snapshotHit(o *objmodel.Object, slot int, ver, v uint64) uint64 {
+	tx.NSnapReads++
+	if tr := tx.Tr; tr != nil {
+		tr.Record(trace.EvRead, tx.ID(), uint64(o.Ref()), slot, ver)
+	}
+	return v
 }
 
 // waitOwner parks a snapshot read behind a record owner for one wait round:
@@ -396,8 +468,8 @@ func (tx *Txn) waitOwner(o *objmodel.Object, w uint64, attempt int) {
 	conflict.WaitAttempt(attempt, 0)
 }
 
-// restartStale aborts an attempt whose snapshot cannot be served (chainless
-// object overwritten, or chain pruned past a foreign write). For a
+// restartStale aborts an attempt whose snapshot cannot be served (an object
+// overwritten by a writer that kept no pre-image). For a
 // read-only transaction this is the one abort path that exists — kept
 // honest by the ReadOnlyAborts counter the litmus suite pins to zero.
 func (tx *Txn) restartStale(o *objmodel.Object) {
@@ -422,7 +494,7 @@ func (tx *Txn) Write(o *objmodel.Object, slot int, v uint64) {
 	}
 	tx.NWrites++
 	tx.Poll(o)
-	tx.buf[slotKey{o, slot}] = v
+	tx.buf.put(o, slot, v)
 	if tr := tx.Tr; tr != nil {
 		tr.Record(trace.EvWrite, tx.ID(), uint64(o.Ref()), slot, 0)
 	}
@@ -510,31 +582,22 @@ func (tx *Txn) Rollback() {
 	}
 }
 
-// snapshotSlots copies an object's current slot values — the image a new
-// chain version publishes.
-func snapshotSlots(o *objmodel.Object) []uint64 {
-	vals := make([]uint64, len(o.Slots))
-	for i := range vals {
-		vals[i] = o.LoadSlot(i)
-	}
-	return vals
-}
-
 // Commit implements txn.Strategy. A body that never wrote — AtomicRead, or
 // any body without writes; the read-only hint is the absence of writes, no
 // declaration needed — takes the zero-metadata path: no gate, no clock, no
 // ticket, no records, because its snapshot reads were consistent by
 // construction the moment they happened. A writing transaction runs the
-// multi-version commit protocol: enter the commit gate, acquire the write
-// set's records in handle order with the first-committer-wins check (a
-// record version above the begin snapshot means a concurrent committer got
-// there first), obtain the write version, pass the commit point, install a
-// new version on every written object's chain, write the buffered slots
-// back, release the records stamped with the write version, and (in
-// quiescence mode) wait for all previously serialized write-backs.
+// multi-version commit protocol: enter the commit gate, sort the buffer by
+// handle, acquire the write set's records in that order with the
+// first-committer-wins check (a record version above the begin snapshot
+// means a concurrent committer got there first), obtain the write version,
+// pass the commit point, push every written object's pre-image on its chain
+// and write the buffered slots back, release the records stamped with the
+// write version, and (in quiescence mode) wait for all previously serialized
+// write-backs.
 func (tx *Txn) Commit() (ok bool, err error) {
 	rt := tx.rt
-	if tx.readOnly || len(tx.buf) == 0 {
+	if tx.readOnly || len(tx.buf.ents) == 0 {
 		rt.Stats.ReadOnlyTxns.AddShard(int(tx.ID()), 1)
 		tx.CommitPoint()
 		tx.Committed()
@@ -548,8 +611,16 @@ func (tx *Txn) Commit() (ok bool, err error) {
 	}
 	defer rt.exitCommit(tx)
 
-	for key := range tx.buf {
-		tx.AddWrite(key.obj)
+	// Handle order is the acquire order, and it makes each object's entries
+	// contiguous, so everything below is one pass over the buffer; the sort
+	// is stable, so an object's slots stay in the order the body wrote them
+	// and write-back and the redo record are deterministic.
+	ents := tx.buf.ents
+	slices.SortStableFunc(ents, func(a, b bufEntry) int { return cmp.Compare(a.obj.Ref(), b.obj.Ref()) })
+	for i := range ents {
+		if i == 0 || ents[i].obj != ents[i-1].obj {
+			tx.Objs = append(tx.Objs, ents[i].obj) // empty between commits, so already deduplicated and sorted
+		}
 	}
 	// First committer wins: a record version above the begin snapshot fails
 	// the commit (an irrevocable committer's is maxSnapshot: nothing can).
@@ -562,64 +633,38 @@ func (tx *Txn) Commit() (ok bool, err error) {
 
 	// Obtain the write version before the commit point so every release
 	// path — normal, crash branch, or a reaper completing an orphan — stamps
-	// the same version the installed chain heads carry.
+	// the same version.
 	tx.Stamp()
 
 	// ----- commit point: the transaction is now serialized. -----
-	tx.Serialize()
+	tx.Serialize(rt.cfg.Quiescence)
 	if h := rt.cfg.Hooks.OnAfterCommitPoint; h != nil {
 		h(tx)
 	}
 
-	// Install versions, then write the buffered slots back. Installing
-	// first means a snapshot at or past WV reads the new values from the
-	// chain even while the slots still hold old state; non-transactional
-	// readers under weak atomicity go straight to the slots and still see
-	// the lazy write-back window (the litmus MI programs depend on it).
-	k := 0
-	for _, o := range tx.Objs {
-		sv, held := tx.Owned.Get(o)
-		if held {
-			rs := tx.WV
-			if sv+1 > rs {
-				rs = sv + 1 // mirror ReleaseOwnedAt: chain and record agree
+	// Per object, save the pre-image on the chain, then write the buffered
+	// slots back. Both happen under the Exclusive record, which keeps
+	// snapshot readers off the slots (snapshotRead); non-transactional
+	// readers under weak atomicity go straight to the slots and see the lazy
+	// write-back window (the litmus MI programs depend on it).
+	horizon, sweep := tx.pruneHorizon()
+	publish := rt.Heap.HasManifest()
+	for k := range ents {
+		e := &ents[k]
+		o := e.obj
+		if k == 0 || o != ents[k-1].obj {
+			if sv, held := tx.Owned.Get(o); held { // a private object keeps no history
+				tx.install(o, sv, horizon, sweep)
 			}
-			head := o.MVHead.Load()
-			if head == nil {
-				// First multi-version commit to this object: anchor the
-				// chain with the pre-transaction image at the record's
-				// version, so older snapshots keep reading the old state.
-				base := &objmodel.MVVersion{TS: sv, Vals: snapshotSlots(o)}
-				o.MVHead.Store(base)
-				head = base
-				tx.NInstalled++
-			}
-			vals := snapshotSlots(o)
-			for key, v := range tx.buf {
-				if key.obj == o {
-					vals[key.slot] = v
-				}
-			}
-			node := &objmodel.MVVersion{TS: rs, Vals: vals}
-			node.SetPrev(head)
-			o.MVHead.Store(node)
-			tx.NInstalled++
 		}
-		for key, v := range tx.buf {
-			if key.obj != o {
-				continue
-			}
-			// Publication point under an elision manifest: a private-born
-			// object written into a public container escapes at write-back.
-			if rt.Heap.HasManifest() && v != 0 && o.IsRefSlot(key.slot) &&
-				!txrec.IsPrivate(o.Rec.Load()) {
-				rt.Heap.PublishRef(objmodel.Ref(v))
-			}
-			o.StoreSlot(key.slot, v)
-			if h := rt.cfg.Hooks.OnAfterWriteback; h != nil {
-				h(tx, k)
-			}
-			k++
+		// Publication point under an elision manifest: a private-born
+		// object written into a public container escapes at write-back.
+		if publish && e.val != 0 && o.IsRefSlot(e.slot) && !txrec.IsPrivate(o.Rec.Load()) {
+			rt.Heap.PublishRef(objmodel.Ref(e.val))
+		}
+		o.StoreSlot(e.slot, e.val)
+		if h := rt.cfg.Hooks.OnAfterWriteback; h != nil {
+			h(tx, k)
 		}
 	}
 
@@ -627,23 +672,22 @@ func (tx *Txn) Commit() (ok bool, err error) {
 		tx.FireCommitted() // a crash unwinds through the deferred gate exit
 	}
 
-	// The redo image goes to the commit sink while the versions are already
-	// installed but this committer is still inside the gate: WAL order is
-	// consistent with version-chain order, and a live checkpoint's
-	// DrainCommitters barrier cannot observe an installed commit whose redo
-	// record is not yet appended.
+	// The redo image goes to the commit sink while the write-back is done
+	// but this committer is still inside the gate: WAL order is consistent
+	// with version order, and a live checkpoint's DrainCommitters barrier
+	// cannot observe a written-back commit whose redo record is not yet
+	// appended.
 	var durSeq uint64
 	var durErr error
 	if tx.Sink != nil {
 		tx.Redo = tx.Redo[:0]
-		for key, v := range tx.buf {
-			tx.Redo = append(tx.Redo, stmapi.RedoWrite{Ref: key.obj.Ref(), Slot: key.slot, Val: v})
+		for _, e := range ents {
+			tx.Redo = append(tx.Redo, stmapi.RedoWrite{Ref: e.obj.Ref(), Slot: e.slot, Val: e.val})
 		}
 		durSeq, durErr = tx.AppendRedo()
 	}
 
-	rt.maybeCollect(tx)   // before release clears tx.Objs; pruning never touches records
-	tx.ReleaseCommitted() // stamps every record with rs = max(WV, sv+1), the chain head's TS
+	tx.ReleaseCommitted() // stamps every record with max(WV, sv+1), above the chain head's TS (sv)
 	rt.exitCommit(tx)     // records released: out of the gate before any wait
 	return true, tx.AwaitCommitted(durSeq, durErr)
 }

@@ -65,19 +65,23 @@ func TestMVCommitBasic(t *testing.T) {
 	if !txrec.IsShared(w) {
 		t.Fatalf("record = %#x, want shared", w)
 	}
+	// The chain holds what the commit overwrote: the image at the birth
+	// version, below the record's.
 	head := o.MVHead.Load()
 	if head == nil {
 		t.Fatal("no version chain after commit")
 	}
-	if head.TS != txrec.Version(w) {
-		t.Errorf("head TS %d != record version %d", head.TS, txrec.Version(w))
+	if head.TS != 1 || head.TS >= txrec.Version(w) {
+		t.Errorf("head TS = %d, want the birth version 1, below the record's %d", head.TS, txrec.Version(w))
 	}
-	if head.Vals[0] != 5 || head.Vals[1] != 6 {
-		t.Errorf("head image = %v", head.Vals[:2])
+	if head.Vals[0] != 0 || head.Vals[1] != 0 {
+		t.Errorf("head image = %v, want the pre-image (0,0)", head.Vals[:2])
 	}
-	// The base anchor (pre-transaction image at the birth version) follows.
-	if base := head.Prev(); base == nil || base.TS != 1 || base.Vals[0] != 0 {
-		t.Errorf("base anchor = %+v", base)
+	if head.Prev() != nil {
+		t.Errorf("first commit pushed %d nodes, want 1", chainLen(o))
+	}
+	if s := f.rt.Stats.Snapshot(); s.VersionsInstalled != 1 {
+		t.Errorf("VersionsInstalled = %d, want 1", s.VersionsInstalled)
 	}
 }
 

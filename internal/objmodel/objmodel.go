@@ -93,11 +93,17 @@ type Object struct {
 	Slots []atomic.Uint64
 	Len   int // array length; 0 for non-arrays
 
-	// MVHead is the newest committed version in the object's multi-version
-	// chain (internal/mvstm); nil until a multi-version transaction first
-	// commits a write to the object. It lives here rather than in mvstm so
-	// snapshot readers reach the chain with one pointer load off the object.
+	// MVHead is the newest superseded version in the object's multi-version
+	// chain (internal/mvstm; the newest committed version is the slots
+	// themselves); nil until a multi-version transaction first commits a
+	// write to the object. It lives here rather than in mvstm so snapshot
+	// readers reach the chain with one pointer load off the object.
 	MVHead atomic.Pointer[MVVersion]
+
+	// MVLen is the number of nodes on the chain from MVHead, so that a
+	// committer can drop a dead chain without walking it. Only the holder of
+	// the object's record reads or writes it.
+	MVLen int
 
 	ref Ref // this object's own handle
 

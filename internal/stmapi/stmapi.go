@@ -190,15 +190,16 @@ type StatsSnapshot struct {
 	GranPromotions int64 `json:"gran_promotions,omitempty"`
 	GranDemotions  int64 `json:"gran_demotions,omitempty"`
 
-	// Multi-version counters. SnapshotReads counts reads satisfied from a
-	// version chain without validation; ReadOnlyTxns counts transactions
+	// Multi-version counters. SnapshotReads counts reads satisfied at the
+	// begin snapshot (from the object or its version chain) without
+	// validation; ReadOnlyTxns counts transactions
 	// that committed on the read-only path (AtomicRead, or Atomic bodies
 	// that never wrote); ReadOnlyAborts counts read-only transactions that
 	// aborted — zero by construction in mvstm, the litmus suite asserts it.
 	// VersionsInstalled/VersionsGCd count chain nodes created and reclaimed
 	// (VersionsLive is their difference at snapshot time); WatermarkLag is
-	// the commit-clock distance the GC watermark trailed by at the last
-	// collection — how much history live snapshots were pinning.
+	// the commit-clock distance the GC watermark trailed by when it was last
+	// computed — how much history live snapshots were pinning.
 	SnapshotReads     int64 `json:"snapshot_reads,omitempty"`
 	ReadOnlyTxns      int64 `json:"read_only_txns,omitempty"`
 	ReadOnlyAborts    int64 `json:"read_only_aborts,omitempty"`

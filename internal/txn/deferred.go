@@ -38,7 +38,8 @@ type Deferred struct {
 	Objs []*objmodel.Object
 
 	// ticket is the commit ticket, kept on the descriptor so a reaper can
-	// complete an orphan's write-back ordering slot.
+	// complete an orphan's write-back ordering slot; 0 is none (an unordered
+	// commit, see Serialize).
 	ticket uint64
 }
 
@@ -59,8 +60,8 @@ func (d *Deferred) Rollback() { d.Release(false) }
 // and its ticket completed so the ordering chain cannot stall.
 func (d *Deferred) ReapOrphan(committed bool) {
 	d.Release(committed)
-	if committed && d.ticket != 0 {
-		d.k.order.MarkComplete(d.ticket)
+	if committed {
+		d.completeTicket()
 	}
 }
 
@@ -90,8 +91,9 @@ func (d *Deferred) Acquire(o *objmodel.Object, w txrec.Word) bool {
 // Release gives back every record this attempt acquired. A committed
 // release stamps them with the write version obtained before the commit
 // point (WV is 0 for a commit that wrote nothing, degrading to the plain
-// version bump): that publishes the new state to optimistic readers and
-// matches the chain heads a multi-version commit installed. Otherwise the
+// version bump): that publishes the new state to optimistic readers, and to
+// a multi-version runtime's snapshot readers as the version the slots now
+// hold. Otherwise the
 // original words are restored — nothing reached memory. The holdings are
 // cleared: a descriptor that later dies as an orphan must not present
 // records it no longer owns to the reaper, and a pooled one must not pin
@@ -202,12 +204,25 @@ func (d *Deferred) fire(p faultinject.Point, o *objmodel.Object) bool {
 	return true
 }
 
-// Serialize passes the commit point and then takes the write-back ticket,
-// so tickets are issued in serialization order. The death certificate
-// publishes the ticket if the committer dies an orphan.
-func (d *Deferred) Serialize() {
+// Serialize passes the commit point and then, for an ordered commit, takes
+// the write-back ticket, so tickets are issued in serialization order. The
+// death certificate publishes the ticket if the committer dies an orphan.
+// Only Quiescence needs the order, and a runtime that passes it here has
+// commits that take no ticket and complete none without it: transactions
+// that share no object then share neither the chain's counter nor its mutex.
+func (d *Deferred) Serialize(ordered bool) {
 	d.CommitPoint()
-	d.ticket = d.k.order.Take()
+	if ordered {
+		d.ticket = d.k.order.Take()
+	}
+}
+
+// completeTicket marks this commit's write-back complete on the ordering
+// chain, if it holds a ticket.
+func (d *Deferred) completeTicket() {
+	if d.ticket != 0 {
+		d.k.order.MarkComplete(d.ticket)
+	}
 }
 
 // FireCommitted fires the two fault points inside the Figure 4 window:
@@ -221,7 +236,7 @@ func (d *Deferred) FireCommitted() {
 		switch d.FI.Fire(p, d.id) {
 		case faultinject.Crash:
 			d.Release(true)
-			d.k.order.MarkComplete(d.ticket)
+			d.completeTicket()
 			d.CrashCommitted(p)
 		case faultinject.Orphan:
 			d.Die(p)
@@ -235,7 +250,7 @@ func (d *Deferred) FireCommitted() {
 // surrenders the irrevocable token.
 func (d *Deferred) ReleaseCommitted() {
 	d.Release(true)
-	d.k.order.MarkComplete(d.ticket)
+	d.completeTicket()
 	d.Committed()
 }
 

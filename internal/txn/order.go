@@ -10,11 +10,13 @@ import (
 
 // WriteBackOrder is the commit-ticket chain of the runtimes that buffer
 // writes and copy them back after the commit point (lazy, multi-version).
-// Each writing commit takes a ticket at its commit point, in serialization
+// An ordered commit takes a ticket at its commit point, in serialization
 // order, and marks it complete once its write-back has finished; in
-// quiescence mode a committer then waits until every ticket before its own
-// is complete, so no transaction returns while an earlier one is still
-// applying its updates (the lazy-versioning quiescence of Section 3.4).
+// quiescence mode it then waits until every ticket before its own is
+// complete, so no transaction returns while an earlier one is still applying
+// its updates (the lazy-versioning quiescence of Section 3.4). Nobody waits
+// without quiescence, and a commit serialized unordered (Deferred.Serialize)
+// never touches the chain.
 //
 // done is the contiguous completion watermark; tickets completed out of
 // order (including by waiters that abandoned their wait) park in pending
@@ -33,8 +35,9 @@ func (w *WriteBackOrder) Init() {
 	w.cv = sync.NewCond(&w.mu)
 }
 
-// Take issues the next ticket. Callers take it at their commit point and
-// store it on the descriptor, so a reaper can complete an orphan's slot.
+// Take issues the next ticket; tickets start at 1, so 0 on a descriptor means
+// none. Callers take it at their commit point and store it on the
+// descriptor, so a reaper can complete an orphan's slot.
 func (w *WriteBackOrder) Take() uint64 { return w.tickets.Add(1) }
 
 // MarkComplete records that ticket's write-back has finished and advances

@@ -205,3 +205,54 @@ func TestNoCommitClockWalks(t *testing.T) {
 		})
 	}
 }
+
+// TestNoTicketWithoutQuiescence: the write-back ticket chain orders commits,
+// and only Quiescence waits on the order. Without it a writing commit of the
+// multi-version runtime takes no ticket, so it completes none either
+// (completion is keyed on holding one) and the chain's counter and mutex stay
+// untouched by transactions that share no object; with it every writing
+// commit takes exactly one. The lazy runtime still takes one either way
+// (lazystm.Commit says why); when that changes its "off" row becomes 0 too.
+func TestNoTicketWithoutQuiescence(t *testing.T) {
+	const workers, commits = 4, 50
+	for _, c := range []struct {
+		name       string
+		quiescence bool
+		want       uint64
+	}{
+		{"mvstm", false, 0},
+		{"mvstm", true, workers * commits},
+		{"lazy", false, workers * commits},
+		{"lazy", true, workers * commits},
+	} {
+		mode := "off"
+		if c.quiescence {
+			mode = "on"
+		}
+		t.Run(c.name+"/quiescence "+mode, func(t *testing.T) {
+			f := txntest.New(t, c.name, stmapi.CommonConfig{Quiescence: c.quiescence})
+			rt := f.Runtime()
+			var wg sync.WaitGroup
+			for g := 0; g < workers; g++ {
+				wg.Add(1)
+				o := f.NewCell()
+				go func() {
+					defer wg.Done()
+					for i := 0; i < commits; i++ {
+						if err := rt.Atomic(func(tx stmapi.Txn) error {
+							tx.Write(o, 0, tx.Read(o, 0)+1)
+							return nil
+						}); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			if got := rt.(interface{ TicketsTaken() uint64 }).TicketsTaken(); got != c.want {
+				t.Errorf("%d tickets taken by %d writing commits, want %d", got, workers*commits, c.want)
+			}
+		})
+	}
+}

@@ -106,4 +106,5 @@ func (tx *Txn) flushStats() {
 	flush(&s.FallbackWalks, &tx.nWalks)
 	flush(&s.SnapshotReads, &tx.NSnapReads)
 	flush(&s.VersionsInstalled, &tx.NInstalled)
+	flush(&s.VersionsGCd, &tx.NReclaimed)
 }

@@ -300,6 +300,7 @@ type Txn struct {
 	// Statistics deltas accumulated without synchronization and flushed to
 	// the kernel's sharded counters at commit/abort (stats.go).
 	NReads, NWrites, NSnapReads, NInstalled int64
+	NReclaimed                              int64 // chain nodes this attempt's installs severed
 	nStarts, nRetries, nSelfAborts, nDooms  int64
 	nClockAdv, nFastpath, nWalks            int64
 }
