@@ -194,6 +194,31 @@ func BenchmarkAccessWriteBarrier(b *testing.B) {
 	}
 }
 
+// BenchmarkAccessWriteBarrierParallel is the write barrier with every
+// goroutine on an object of its own: they share nothing but the heap's commit
+// clock, so what this shows beyond BenchmarkAccessWriteBarrier, on more than
+// one processor, is what the barrier costs its neighbours through that line
+// (a run of writes to one object steps the clock once, at its first).
+func BenchmarkAccessWriteBarrierParallel(b *testing.B) {
+	h, first, bar := barrierFixture(b, false)
+	// One object per goroutine, seven unused ones apart: no two of them, nor
+	// their slot arrays, share a cache line.
+	objs := make([]*objmodel.Object, runtime.GOMAXPROCS(0))
+	for i := range objs {
+		objs[i] = h.New(first.Class)
+		for pad := 0; pad < 7; pad++ {
+			h.New(first.Class)
+		}
+	}
+	var next atomic.Int32
+	b.RunParallel(func(pb *testing.PB) {
+		o := objs[next.Add(1)-1]
+		for i := uint64(0); pb.Next(); i++ {
+			bar.Write(o, 0, i)
+		}
+	})
+}
+
 func BenchmarkAccessReadBarrierPrivate(b *testing.B) {
 	_, o, bar := barrierFixture(b, true)
 	var s uint64
@@ -336,6 +361,29 @@ func BenchmarkLazyTxnSmall(b *testing.B) {
 			tx.Write(o, 0, tx.Read(o, 0)+1)
 			return nil
 		})
+	}
+}
+
+// BenchmarkLazyWriteCommit is a lazy commit with a write set of 8 objects:
+// buffer, list, acquire in handle order, validate, write back, release, all
+// out of the descriptor's reused arrays.
+func BenchmarkLazyWriteCommit(b *testing.B) {
+	h, first, _ := barrierFixture(b, false)
+	objs := [8]*objmodel.Object{first}
+	for i := 1; i < len(objs); i++ {
+		objs[i] = h.New(first.Class)
+	}
+	rt := lazystm.New(h, lazystm.Config{})
+	body := func(tx *lazystm.Txn) error {
+		for _, o := range objs {
+			tx.Write(o, 0, tx.Read(o, 0)+1)
+		}
+		return nil
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = rt.Atomic(nil, body)
 	}
 }
 

@@ -17,9 +17,9 @@ func TestPooledDescriptorClean(t *testing.T) {
 	o := f.heap.New(f.cls)
 	for i := 0; i < 50; i++ {
 		err := f.rt.Atomic(nil, func(tx *Txn) error {
-			if tx.Reads.Len() != 0 || len(tx.buf) != 0 {
-				t.Errorf("iter %d: dirty descriptor (reads %d, buffered spans %d)",
-					i, tx.Reads.Len(), len(tx.buf))
+			if tx.Reads.Len() != 0 || len(tx.Buf.Ents) != 0 {
+				t.Errorf("iter %d: dirty descriptor (reads %d, buffered slots %d)",
+					i, tx.Reads.Len(), len(tx.Buf.Ents))
 			}
 			// Spill the read set past its inline capacity and buffer writes
 			// to several spans so the next iteration exercises a real reset.

@@ -3,8 +3,9 @@
 // writes privately and publish them to shared memory only after commit.
 // Records are acquired at commit time, the read set is validated, the
 // transaction logically commits, and the buffered updates are then copied
-// back "one at a time in no particular order" before the records are
-// released.
+// back one at a time before the records are released: the paper says "in no
+// particular order", and this runtime copies the last-buffered slot first
+// (Commit says why).
 //
 // The window between the commit point and the completion of write-back is
 // precisely what produces the memory-inconsistency (MI) anomalies of
@@ -14,18 +15,18 @@
 // deterministically.
 //
 // The write buffer operates at a configurable slot granularity: with
-// Granularity 2 a buffered entry spans two adjacent slots, snapshotting the
-// neighbour's value at buffer-creation time — reproducing the granular
-// lost update (GLU) and granular inconsistent read (GIR) anomalies of
-// Section 2.4.
+// Granularity 2 a first write to a slot buffers the span of two adjacent
+// slots it falls in, snapshotting the neighbour's value at that moment —
+// reproducing the granular lost update (GLU) and granular inconsistent read
+// (GIR) anomalies of Section 2.4.
 //
 // Everything that is not versioning is the transaction kernel, package txn,
 // which this runtime embeds and plugs into through txn.Strategy; that
-// includes the commit-time locking protocol it shares with the multi-version
-// runtime (txn.Deferred). What is here is the versioning: the Read and Write
-// barriers, the span buffer, and in commit the validation and the
-// write-back. The differences from the eager runtime all follow from
-// buffering:
+// includes the write buffer and the commit-time locking protocol it shares
+// with the multi-version runtime (txn.Deferred). What is here is the
+// versioning: the Read and Write barriers, the spans, and in commit the
+// validation and the write-back. The differences from the eager runtime all
+// follow from buffering:
 //
 //   - An attempt that has not passed its commit point never wrote to shared
 //     memory, so rolling it back (or reclaiming it as an orphan) only
@@ -48,9 +49,6 @@ import (
 	"repro/internal/txn"
 	"repro/internal/txrec"
 )
-
-// MaxGranularity is the largest supported buffering granularity in slots.
-const MaxGranularity = stmapi.MaxGranularity
 
 // Status is the lifecycle state of a transaction attempt (shared by every
 // runtime through stmapi).
@@ -103,7 +101,7 @@ type Runtime struct {
 func New(heap *objmodel.Heap, cfg Config) *Runtime {
 	rt := &Runtime{cfg: cfg}
 	rt.Init("lazy", heap, &rt.cfg.CommonConfig, func() txn.Strategy {
-		return &Txn{rt: rt, buf: make(map[spanKey]spanBuf)}
+		return &Txn{rt: rt}
 	})
 	rt.PromoteHotSites()
 	return rt
@@ -125,34 +123,13 @@ func init() {
 // body.
 var ErrAborted = errors.New("lazystm: transaction aborted by user")
 
-type spanKey struct {
-	obj  *objmodel.Object
-	base int
-}
-
-type spanBuf struct {
-	vals [MaxGranularity]uint64
-	n    int
-}
-
 // Txn is a lazy-versioning transaction descriptor: the kernel's
-// deferred-update descriptor plus the span buffer. Pooled across Atomic
-// calls; user code must not retain one past the body.
+// deferred-update descriptor, whose buffer holds the spans. Pooled across
+// Atomic calls; user code must not retain one past the body.
 type Txn struct {
 	txn.Deferred
 	rt *Runtime
-
-	buf map[spanKey]spanBuf // buffered spans, by value: no per-span allocation
 }
-
-// Begin implements txn.Strategy.
-func (tx *Txn) Begin() {
-	tx.Deferred.Begin()
-	clear(tx.buf)
-}
-
-// Reset implements txn.Strategy.
-func (tx *Txn) Reset() { clear(tx.buf) }
 
 // Read returns the transaction's view of o's slot: the private buffer if
 // the containing span has been buffered (even when only the *adjacent*
@@ -161,13 +138,12 @@ func (tx *Txn) Reset() { clear(tx.buf) }
 func (tx *Txn) Read(o *objmodel.Object, slot int) uint64 {
 	tx.NReads++
 	tx.Poll(o)
-	if len(tx.buf) > 0 {
-		base := slot &^ (tx.Span(o) - 1)
-		if sb, ok := tx.buf[spanKey{o, base}]; ok {
+	if len(tx.Buf.Ents) > 0 {
+		if i := tx.Buf.Find(o, slot); i >= 0 {
 			if tr := tx.Tr; tr != nil {
 				tr.Record(trace.EvRead, tx.ID(), uint64(o.Ref()), slot, 0)
 			}
-			return sb.vals[slot-base]
+			return tx.Buf.Ents[i].Val
 		}
 	}
 	for attempt := 0; ; attempt++ {
@@ -232,25 +208,26 @@ func (tx *Txn) ReadRef(o *objmodel.Object, slot int) objmodel.Ref {
 	return objmodel.Ref(tx.Read(o, slot))
 }
 
-// Write buffers a store to o's slot. On first touch of a span the current
-// contents of every slot in the span are snapshotted into the buffer; the
-// snapshot of the *adjacent* slot is what later manufactures the granular
-// lost update when Granularity > 1.
+// Write buffers a store to o's slot. On first touch of a span every slot in
+// it enters the buffer, the others with their current contents; the snapshot
+// of the *adjacent* slot is what later manufactures the granular lost update
+// when Granularity > 1.
 func (tx *Txn) Write(o *objmodel.Object, slot int, v uint64) {
 	tx.NWrites++
 	tx.Poll(o)
-	g := tx.Span(o)
-	base := slot &^ (g - 1)
-	key := spanKey{o, base}
-	sb, ok := tx.buf[key]
-	if !ok {
-		for i := 0; i < g && base+i < len(o.Slots); i++ {
-			sb.vals[i] = o.LoadSlot(base + i)
-			sb.n++
+	if i := tx.Buf.Find(o, slot); i >= 0 {
+		tx.Buf.Ents[i].Val = v
+	} else {
+		g := tx.Span(o)
+		base := slot &^ (g - 1)
+		for s := base; s < base+g && s < len(o.Slots); s++ {
+			if s == slot {
+				tx.Buf.Add(o, s, v)
+			} else {
+				tx.Buf.Add(o, s, o.LoadSlot(s))
+			}
 		}
 	}
-	sb.vals[slot-base] = v
-	tx.buf[key] = sb
 	if tr := tx.Tr; tr != nil {
 		tr.Record(trace.EvWrite, tx.ID(), uint64(o.Ref()), slot, 0)
 	}
@@ -266,9 +243,9 @@ func (tx *Txn) RetryWait(ctx context.Context) error { return tx.WaitForReadSetCh
 
 // Commit implements txn.Strategy with the lazy commit protocol: acquire the
 // write set's records in handle order, validate the read set, pass the
-// commit point, write back the buffered spans in no particular order,
-// release the records, and (in quiescence mode) wait for all previously
-// serialized transactions' write-backs to complete.
+// commit point, write back the buffered slots from the last buffered to the
+// first, release the records, and (in quiescence mode) wait for all
+// previously serialized transactions' write-backs to complete.
 func (tx *Txn) Commit() (ok bool, err error) {
 	if tx.Doomed() && !tx.Irrevocable {
 		return false, nil
@@ -276,8 +253,9 @@ func (tx *Txn) Commit() (ok bool, err error) {
 	// An irrevocable transaction arrives already holding its pessimistically
 	// read records in Owned; those are kept. No first-committer-wins rule:
 	// the read set is validated below.
-	for key := range tx.buf {
-		tx.AddWrite(key.obj)
+	ents := tx.Buf.Ents
+	for i := range ents {
+		tx.AddWrite(ents[i].Obj)
 	}
 	if !tx.LockWriteSet(txn.NoLimit) {
 		return false, nil
@@ -287,7 +265,7 @@ func (tx *Txn) Commit() (ok bool, err error) {
 	// records with tx.WV. Transactions holding records without buffered
 	// writes (pessimistic read locks only) release values unchanged and need
 	// none.
-	if vok, bad := tx.ValidateCommit(len(tx.buf) > 0); !vok {
+	if vok, bad := tx.ValidateCommit(len(ents) > 0); !vok {
 		if tx.Irrevocable {
 			// Structurally impossible: every read-set entry has been
 			// Exclusive(self) since the switch.
@@ -299,36 +277,27 @@ func (tx *Txn) Commit() (ok bool, err error) {
 	}
 
 	// ----- commit point: the transaction is now serialized. -----
-	// Ordered whether or not Quiescence waits on the order. The chain's mutex
-	// costs lazy half its throughput on disjoint objects, but taking it away
-	// (as mvstm has) loses a quarter on the benchmark's privatize_nt: the
-	// workers it used to park one at a time then run their non-transactional
-	// writes side by side, on the commit clock's cache line (ROADMAP, the
-	// serialisation-points item). It goes when that line does.
-	tx.Serialize(true)
+	tx.Serialize(tx.rt.cfg.Quiescence)
 	if h := tx.rt.cfg.Hooks.OnAfterCommitPoint; h != nil {
 		h(tx)
 	}
 
-	// Write back buffered spans. Go map iteration order is randomized,
-	// faithfully modeling "copies buffered values to memory one at a time
-	// in no particular order".
-	k := 0
+	// Write back, last-buffered slot first. The paper's lazy STM copies "in no
+	// particular order", and what Figure 4a needs of that is a publishing
+	// store able to land before the store that initializes what it publishes:
+	// atomic { el.val = 1; x = el } buffers x last and writes it back first.
 	publish := tx.rt.Heap.HasManifest()
-	for key, sb := range tx.buf {
-		for i := 0; i < sb.n; i++ {
-			// With an elision manifest loaded the heap mints private-born
-			// objects, so write-back into a public container is a publication
-			// point (Figure 10b): the referenced subgraph escapes here.
-			if publish && sb.vals[i] != 0 && key.obj.IsRefSlot(key.base+i) &&
-				!txrec.IsPrivate(key.obj.Rec.Load()) {
-				tx.rt.Heap.PublishRef(objmodel.Ref(sb.vals[i]))
-			}
-			key.obj.StoreSlot(key.base+i, sb.vals[i])
-			if h := tx.rt.cfg.Hooks.OnAfterWriteback; h != nil {
-				h(tx, k)
-			}
-			k++
+	for k := range ents {
+		e := &ents[len(ents)-1-k]
+		// With an elision manifest loaded the heap mints private-born
+		// objects, so write-back into a public container is a publication
+		// point (Figure 10b): the referenced subgraph escapes here.
+		if publish && e.Val != 0 && e.Obj.IsRefSlot(e.Slot) && !txrec.IsPrivate(e.Obj.Rec.Load()) {
+			tx.rt.Heap.PublishRef(objmodel.Ref(e.Val))
+		}
+		e.Obj.StoreSlot(e.Slot, e.Val)
+		if h := tx.rt.cfg.Hooks.OnAfterWriteback; h != nil {
+			h(tx, k)
 		}
 	}
 
@@ -336,20 +305,7 @@ func (tx *Txn) Commit() (ok bool, err error) {
 		tx.FireCommitted()
 	}
 
-	// The buffered spans carry exactly the values the write-back just stored.
-	var durSeq uint64
-	var durErr error
-	if tx.Sink != nil && len(tx.buf) > 0 {
-		tx.Redo = tx.Redo[:0]
-		for key, sb := range tx.buf {
-			for i := 0; i < sb.n; i++ {
-				tx.Redo = append(tx.Redo, stmapi.RedoWrite{
-					Ref: key.obj.Ref(), Slot: key.base + i, Val: sb.vals[i],
-				})
-			}
-		}
-		durSeq, durErr = tx.AppendRedo()
-	}
+	durSeq, durErr := tx.AppendBufferedRedo()
 
 	tx.ReleaseCommitted() // the token is surrendered before any ordering wait
 	return true, tx.AwaitCommitted(durSeq, durErr)

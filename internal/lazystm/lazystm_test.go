@@ -245,37 +245,45 @@ func TestGranularityOneWritebackDoesNotSpan(t *testing.T) {
 }
 
 // TestQuiescenceOrdersCompletion: with quiescence, when Atomic returns all
-// earlier-serialized transactions' write-backs are complete.
+// earlier-serialized transactions' write-backs are complete, which the commit
+// ticket chain orders (txn.WriteBackOrder.AwaitOrder); without it a commit
+// takes no ticket (internal/txn's TestNoTicketWithoutQuiescence) and waits for
+// nobody, and still returns only after its own write-back.
 func TestQuiescenceOrdersCompletion(t *testing.T) {
-	f := newFixture(t, Config{CommonConfig: stmapi.CommonConfig{Quiescence: true}})
-	o := f.heap.New(f.cls)
-	x := f.heap.New(f.cls)
-	const n = 50
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < n; i++ {
-				_ = f.rt.Atomic(nil, func(tx *Txn) error {
-					tx.Write(o, 0, tx.Read(o, 0)+1)
-					return nil
-				})
-				// After return, our own update (and all earlier ones) must
-				// be in memory: the plain read must be >= our count lower
-				// bound. With quiescence the write-back of every serialized
-				// predecessor is complete, so the plain load can never lag.
-				if got := o.LoadSlot(0); got == 0 {
-					t.Error("own committed update not visible after Atomic returned")
-					return
-				}
-				_ = x
+	for _, quiescence := range []bool{true, false} {
+		name := "quiescence off"
+		if quiescence {
+			name = "quiescence on"
+		}
+		t.Run(name, func(t *testing.T) {
+			f := newFixture(t, Config{CommonConfig: stmapi.CommonConfig{Quiescence: quiescence}})
+			o := f.heap.New(f.cls)
+			const n = 50
+			var wg sync.WaitGroup
+			for g := 0; g < 4; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < n; i++ {
+						_ = f.rt.Atomic(nil, func(tx *Txn) error {
+							tx.Write(o, 0, tx.Read(o, 0)+1)
+							return nil
+						})
+						// After return, our own update (and with quiescence
+						// every serialized predecessor's) is in memory: the
+						// plain load can never lag behind it.
+						if got := o.LoadSlot(0); got == 0 {
+							t.Error("own committed update not visible after Atomic returned")
+							return
+						}
+					}
+				}()
 			}
-		}(g)
-	}
-	wg.Wait()
-	if got := o.LoadSlot(0); got != 4*n {
-		t.Errorf("counter = %d, want %d", got, 4*n)
+			wg.Wait()
+			if got := o.LoadSlot(0); got != 4*n {
+				t.Errorf("counter = %d, want %d", got, 4*n)
+			}
+		})
 	}
 }
 

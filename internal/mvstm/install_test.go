@@ -296,95 +296,3 @@ func TestSnapshotReadInlineVsChain(t *testing.T) {
 		})
 	}
 }
-
-// TestWriteSetSliceSpill: a transaction that writes more distinct slots than
-// the buffer scans reads its own writes on both sides of the threshold, keeps
-// one entry for a slot written twice, and writes back object by object in
-// handle order, an object's slots in the order the body first wrote them.
-func TestWriteSetSliceSpill(t *testing.T) {
-	type target struct {
-		o    *objmodel.Object
-		slot int
-	}
-	var order []target
-	final := map[target]uint64{}
-	var nextK int
-	f := newFixture(t, Config{Hooks: Hooks{OnAfterWriteback: func(_ *Txn, k int) {
-		if len(final) == 0 {
-			return // the small transaction at the end
-		}
-		if k != nextK {
-			t.Errorf("write-back %d reported as %d", nextK, k)
-		}
-		nextK++
-		// Final values are distinct and non-zero: the slot just written back
-		// is the one holding its final value that did not before.
-		for tg, v := range final {
-			if tg.o.LoadSlot(tg.slot) == v {
-				order = append(order, tg)
-				delete(final, tg)
-			}
-		}
-	}}})
-	const nObjs = 2 * bufSpill
-	objs := make([]*objmodel.Object, nObjs)
-	for i := range objs {
-		objs[i] = f.heap.New(f.cls)
-	}
-	var want []target // handle order, then first-write order
-	for _, o := range objs {
-		want = append(want, target{o, 1}, target{o, 0})
-	}
-	if err := f.rt.Atomic(nil, func(tx *Txn) error {
-		for i := nObjs - 1; i >= 0; i-- { // against handle order; slot 1 before slot 0
-			o := objs[i]
-			for _, slot := range []int{1, 0} {
-				if got := tx.Read(o, slot); got != 0 {
-					t.Errorf("unwritten slot reads %d", got)
-				}
-				tx.Write(o, slot, 1)
-				tx.Write(o, slot, uint64(1000+2*i+slot)) // a second write to the same slot
-				final[target{o, slot}] = uint64(1000 + 2*i + slot)
-			}
-			// Read-your-writes, for this object and the first one written
-			// (entered before the spill, looked up after it).
-			for _, j := range []int{i, nObjs - 1} {
-				if got, exp := tx.Read(objs[j], 1), uint64(1000+2*j+1); got != exp {
-					t.Errorf("after %d writes: own write reads %d, want %d", 2*(nObjs-i), got, exp)
-				}
-			}
-		}
-		if got := len(tx.buf.ents); got != 2*nObjs {
-			t.Errorf("buffer holds %d entries for %d distinct slots", got, 2*nObjs)
-		}
-		if len(tx.buf.index) == 0 {
-			t.Errorf("%d entries did not spill past %d", 2*nObjs, bufSpill)
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != len(want) {
-		t.Fatalf("%d write-backs observed, want %d", len(order), len(want))
-	}
-	for k := range want {
-		if order[k] != want[k] {
-			t.Fatalf("write-back %d went to object #%d slot %d, want object #%d slot %d",
-				k, order[k].o.Ref(), order[k].slot, want[k].o.Ref(), want[k].slot)
-		}
-	}
-	// The descriptor is reused: a small transaction after a spilled one must
-	// not see the old index.
-	if err := f.rt.Atomic(nil, func(tx *Txn) error {
-		if got := tx.Read(objs[0], 0); got != 1000 {
-			t.Errorf("read after the spilled commit = %d, want 1000", got)
-		}
-		tx.Write(objs[0], 1, 7)
-		if len(tx.buf.index) != 0 || tx.Read(objs[0], 1) != 7 {
-			t.Error("a reused descriptor kept its spilled index")
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-}

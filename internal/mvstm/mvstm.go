@@ -42,9 +42,9 @@
 //
 // Everything that is not versioning is the transaction kernel, package txn,
 // which this runtime embeds and plugs into through txn.Strategy; that
-// includes the commit-time locking protocol it shares with the lazy runtime
-// (txn.Deferred). What is here is the versioning: the Read and Write
-// barriers, the slot buffer and the version chains, in commit the gate, the
+// includes the write buffer and the commit-time locking protocol it shares
+// with the lazy runtime (txn.Deferred). What is here is the versioning: the
+// Read and Write barriers, the version chains, in commit the gate, the
 // stamp, the install and the write-back, and GC. The kernel's lifecycle
 // reads differently here in four places:
 //
@@ -212,79 +212,15 @@ func init() {
 // body.
 var ErrAborted = errors.New("mvstm: transaction aborted by user")
 
-type slotKey struct {
-	obj  *objmodel.Object
-	slot int
-}
-
 // maxSnapshot is the irrevocable RV: with the commit gate drained and the
 // token held, nothing else commits, so reading the newest version of
 // everything is the (only) serializable view.
 const maxSnapshot = math.MaxUint64
 
-type bufEntry struct {
-	obj  *objmodel.Object
-	slot int
-	val  uint64
-}
-
-// bufSpill is the write-set size past which lookups go through an index
-// instead of a scan of the buffer (as objset does).
-const bufSpill = 16
-
-// writeBuf is a transaction's buffered writes, always slot-granular: one
-// entry per written slot, in the order the body first wrote each, until
-// commit sorts it by handle. The array and the index outlive a transaction.
-type writeBuf struct {
-	ents  []bufEntry
-	index map[slotKey]int // position in ents; filled only past bufSpill entries
-}
-
-// find returns the position of (o, slot)'s entry, or -1. Not for use once
-// commit has sorted the buffer (the index would be stale).
-func (b *writeBuf) find(o *objmodel.Object, slot int) int {
-	if len(b.index) > 0 {
-		if i, ok := b.index[slotKey{o, slot}]; ok {
-			return i
-		}
-		return -1
-	}
-	for i := range b.ents {
-		if e := &b.ents[i]; e.obj == o && e.slot == slot {
-			return i
-		}
-	}
-	return -1
-}
-
-func (b *writeBuf) put(o *objmodel.Object, slot int, v uint64) {
-	if i := b.find(o, slot); i >= 0 {
-		b.ents[i].val = v
-		return
-	}
-	b.ents = append(b.ents, bufEntry{o, slot, v})
-	switch n := len(b.ents); {
-	case len(b.index) > 0:
-		b.index[slotKey{o, slot}] = n - 1
-	case n > bufSpill:
-		if b.index == nil {
-			b.index = make(map[slotKey]int, 2*bufSpill)
-		}
-		for i, e := range b.ents {
-			b.index[slotKey{e.obj, e.slot}] = i
-		}
-	}
-}
-
-// reset empties the buffer, dropping its object references.
-func (b *writeBuf) reset() {
-	clear(b.ents)
-	b.ents = b.ents[:0]
-	clear(b.index)
-}
-
 // Txn is a multi-version transaction descriptor: the kernel's
-// deferred-update descriptor plus the slot buffer. Its RV is the begin
+// deferred-update descriptor, whose buffer is used slot-granular: one entry
+// per written slot, in the order the body first wrote each, until commit
+// sorts it by handle. Its RV is the begin
 // snapshot — reads see the newest version at or below it — and its WV,
 // obtained from the clock before the commit point, is what every release
 // path stamps records with. Pooled across Atomic calls; user code must not
@@ -307,8 +243,6 @@ type Txn struct {
 	// abort (the litmus suite asserts there are none).
 	readOnly bool
 
-	buf writeBuf
-
 	// refreshIn counts this descriptor's writing commits down to its next
 	// watermark refresh (gc.go); kept across transactions.
 	refreshIn int
@@ -319,7 +253,6 @@ type Txn struct {
 // Begin implements txn.Strategy.
 func (tx *Txn) Begin() {
 	tx.Deferred.Begin()
-	tx.buf.reset()
 	tx.snap.Store(tx.RV) // refine the pin; the previous value was <= RV
 }
 
@@ -328,7 +261,7 @@ func (tx *Txn) Reset() {
 	tx.snap.Store(1) // unregistered now; pinned low for when it next is
 	tx.readOnly = false
 	tx.inCommit = false
-	tx.buf.reset()
+	tx.Deferred.Reset()
 }
 
 // Read returns the transaction's view of o's slot: the private write buffer
@@ -341,12 +274,12 @@ func (tx *Txn) Read(o *objmodel.Object, slot int) uint64 {
 	tx.NReads++
 	if !tx.readOnly {
 		tx.Poll(o)
-		if len(tx.buf.ents) > 0 {
-			if i := tx.buf.find(o, slot); i >= 0 {
+		if len(tx.Buf.Ents) > 0 {
+			if i := tx.Buf.Find(o, slot); i >= 0 {
 				if tr := tx.Tr; tr != nil {
 					tr.Record(trace.EvRead, tx.ID(), uint64(o.Ref()), slot, 0)
 				}
-				return tx.buf.ents[i].val
+				return tx.Buf.Ents[i].Val
 			}
 		}
 	}
@@ -494,7 +427,7 @@ func (tx *Txn) Write(o *objmodel.Object, slot int, v uint64) {
 	}
 	tx.NWrites++
 	tx.Poll(o)
-	tx.buf.put(o, slot, v)
+	tx.Buf.Put(o, slot, v)
 	if tr := tx.Tr; tr != nil {
 		tr.Record(trace.EvWrite, tx.ID(), uint64(o.Ref()), slot, 0)
 	}
@@ -597,7 +530,7 @@ func (tx *Txn) Rollback() {
 // write-backs.
 func (tx *Txn) Commit() (ok bool, err error) {
 	rt := tx.rt
-	if tx.readOnly || len(tx.buf.ents) == 0 {
+	if tx.readOnly || len(tx.Buf.Ents) == 0 {
 		rt.Stats.ReadOnlyTxns.AddShard(int(tx.ID()), 1)
 		tx.CommitPoint()
 		tx.Committed()
@@ -615,11 +548,11 @@ func (tx *Txn) Commit() (ok bool, err error) {
 	// contiguous, so everything below is one pass over the buffer; the sort
 	// is stable, so an object's slots stay in the order the body wrote them
 	// and write-back and the redo record are deterministic.
-	ents := tx.buf.ents
-	slices.SortStableFunc(ents, func(a, b bufEntry) int { return cmp.Compare(a.obj.Ref(), b.obj.Ref()) })
+	ents := tx.Buf.Ents
+	slices.SortStableFunc(ents, func(a, b txn.BufEntry) int { return cmp.Compare(a.Obj.Ref(), b.Obj.Ref()) })
 	for i := range ents {
-		if i == 0 || ents[i].obj != ents[i-1].obj {
-			tx.Objs = append(tx.Objs, ents[i].obj) // empty between commits, so already deduplicated and sorted
+		if i == 0 || ents[i].Obj != ents[i-1].Obj {
+			tx.Objs = append(tx.Objs, ents[i].Obj) // empty between commits, so already deduplicated and sorted
 		}
 	}
 	// First committer wins: a record version above the begin snapshot fails
@@ -651,18 +584,18 @@ func (tx *Txn) Commit() (ok bool, err error) {
 	publish := rt.Heap.HasManifest()
 	for k := range ents {
 		e := &ents[k]
-		o := e.obj
-		if k == 0 || o != ents[k-1].obj {
+		o := e.Obj
+		if k == 0 || o != ents[k-1].Obj {
 			if sv, held := tx.Owned.Get(o); held { // a private object keeps no history
 				tx.install(o, sv, horizon, sweep)
 			}
 		}
 		// Publication point under an elision manifest: a private-born
 		// object written into a public container escapes at write-back.
-		if publish && e.val != 0 && o.IsRefSlot(e.slot) && !txrec.IsPrivate(o.Rec.Load()) {
-			rt.Heap.PublishRef(objmodel.Ref(e.val))
+		if publish && e.Val != 0 && o.IsRefSlot(e.Slot) && !txrec.IsPrivate(o.Rec.Load()) {
+			rt.Heap.PublishRef(objmodel.Ref(e.Val))
 		}
-		o.StoreSlot(e.slot, e.val)
+		o.StoreSlot(e.Slot, e.Val)
 		if h := rt.cfg.Hooks.OnAfterWriteback; h != nil {
 			h(tx, k)
 		}
@@ -677,15 +610,7 @@ func (tx *Txn) Commit() (ok bool, err error) {
 	// with version order, and a live checkpoint's DrainCommitters barrier
 	// cannot observe a written-back commit whose redo record is not yet
 	// appended.
-	var durSeq uint64
-	var durErr error
-	if tx.Sink != nil {
-		tx.Redo = tx.Redo[:0]
-		for _, e := range ents {
-			tx.Redo = append(tx.Redo, stmapi.RedoWrite{Ref: e.obj.Ref(), Slot: e.slot, Val: e.val})
-		}
-		durSeq, durErr = tx.AppendRedo()
-	}
+	durSeq, durErr := tx.AppendBufferedRedo()
 
 	tx.ReleaseCommitted() // stamps every record with max(WV, sv+1), above the chain head's TS (sv)
 	rt.exitCommit(tx)     // records released: out of the gate before any wait

@@ -381,6 +381,7 @@ func (tx *Txn) rollbackTo(sp savepoint) {
 	// its double-check against the restored word — an ABA).
 	for i := len(tx.writes) - 1; i >= sp.writesLen; i-- {
 		e := tx.writes[i]
+		tx.CoverBump(e.version + 1) // the values are back: no version may lead the clock for it
 		e.obj.Rec.ReleaseOwned(e.version)
 		tx.Owned.Delete(e.obj)
 		// Partial abort: the rollback above restored exactly the values the

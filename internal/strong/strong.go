@@ -13,8 +13,16 @@
 //
 // Write barrier (Figure 9b): atomically clear bit 0 of the record ("lock
 // btr"), which transitions Shared to Exclusive-anonymous; on failure call
-// the conflict handler and retry. After the store, add 9 to the record,
-// which restores Shared and increments the version in one atomic add.
+// the conflict handler and retry. After the store the paper adds 9 to the
+// record, restoring Shared one version up. Here the release is a store of a
+// computed version instead (releaseAnon): the runtimes validate a read set
+// against the heap's commit clock, so the barrier owes the clock a step when
+// a live transaction may have read the object, and owes it nothing when none
+// can have. It tells the two apart by comparing the version it acquired at
+// with the clock, and releases one version ahead of the clock so that the
+// next write to the same object falls in the second case: a run of writes to
+// an object no transaction reads in between costs one clock step, not one
+// each (DESIGN.md §11 has the argument and the variant that is unsound).
 //
 // With dynamic escape analysis (Figure 10) both barriers first check for
 // the Private (all ones) record and skip all synchronization; the write
@@ -162,7 +170,8 @@ func (b *Barriers) ReadOrderingRef(o *objmodel.Object, slot int) objmodel.Ref {
 
 // Write is the non-transactional write isolation barrier (Figure 9b, or 10b
 // with DEA). It acquires exclusive-anonymous ownership with an atomic
-// bit-test-and-reset, performs the store, and releases by adding 9.
+// bit-test-and-reset, performs the store, and releases one version up or
+// more (releaseAnon).
 func (b *Barriers) Write(o *objmodel.Object, slot int, v uint64) {
 	if b.Stats != nil {
 		b.Stats.Writes.Add(1)
@@ -194,16 +203,7 @@ func (b *Barriers) Write(o *objmodel.Object, slot int, v uint64) {
 			b.Heap.PublishRef(objmodel.Ref(v))
 		}
 		o.StoreSlot(slot, v)
-		// Advance the heap's commit clock BEFORE releasing: while the record
-		// is Exclusive-anonymous the store is invisible to transactions (both
-		// runtimes conflict-wait on an anonymous owner), and the word-level +9
-		// release bumps the object's version by only 1, which can still trail
-		// a concurrent transaction's clock snapshot. Ticking first guarantees
-		// no transaction can read the released value and still pass the
-		// single-compare validation fast path with a pre-release snapshot; the
-		// stale snapshot falls back to the read-set walk that notices the bump.
-		b.Heap.Clock().Tick()
-		o.Rec.ReleaseAnon()
+		b.releaseAnon(o, txrec.Version(prev))
 		if b.Observer != nil {
 			b.Observer(o, slot, true)
 		}
@@ -216,10 +216,41 @@ func (b *Barriers) WriteRef(o *objmodel.Object, slot int, r objmodel.Ref) {
 	b.Write(o, slot, uint64(r))
 }
 
+// releaseAnon ends an anonymous hold of o that was acquired at Shared version
+// v, after the holder's stores. While the record is Exclusive-anonymous the
+// stores are invisible to transactions (every runtime waits on an anonymous
+// owner); the release makes them visible, so whatever the clock is owed is
+// paid first.
+//
+// It is owed a step when the clock has reached v. A transaction records a
+// read of o at v only under a snapshot at or above v (a version above the
+// snapshot sends the read through ExtendSnapshot, which raises the clock to
+// the version before the read is sampled again), it took that snapshot from
+// the clock before it last saw the record at v, and that was before this
+// hold began. So a clock still below v proves that no live transaction holds
+// o at v, and nothing is owed: an older entry for o lost its fast path to
+// whichever writer moved o on from it, or, if only value-restoring releases
+// did, to the raise those make (txn.Txn.CoverBump), which would have put the
+// clock at v. A clock at or above v proves nothing, and stepping it before
+// the release takes the commit fast path (clock == snapshot) away from every
+// snapshot taken so far, which then walks and finds o changed.
+//
+// Either way o is released one version ahead of the clock, so the next hold
+// of it finds the clock below its version until some transaction reads o and
+// raises the clock over it. Versions stay strictly monotone per object.
+func (b *Barriers) releaseAnon(o *objmodel.Object, v uint64) {
+	if c := b.Heap.Clock().Load(); c >= v {
+		b.Heap.Clock().Tick()
+		v = c + 1 // where Tick left the clock, unless others moved it further
+	}
+	o.Rec.Store(txrec.MakeShared(objmodel.CheckVersion(v + 1)))
+}
+
 // AggToken is the state carried by an aggregated barrier (Figure 14)
 // between Acquire and Release.
 type AggToken struct {
 	private bool
+	version uint64 // the Shared version the record was acquired at
 }
 
 // Acquire begins an aggregated barrier on o: it acquires the transaction
@@ -237,7 +268,7 @@ func (b *Barriers) Acquire(o *objmodel.Object) AggToken {
 	for attempt := 0; ; attempt++ {
 		prev, ok := o.Rec.AcquireAnon()
 		if ok {
-			return AggToken{}
+			return AggToken{version: txrec.Version(prev)}
 		}
 		b.handle(conflict.NonTxnWrite, attempt, prev)
 	}
@@ -264,15 +295,12 @@ func (b *Barriers) AggRead(o *objmodel.Object, slot int, tok AggToken) uint64 {
 	return v
 }
 
-// Release ends an aggregated barrier, restoring Shared and bumping the
-// version ("add [a.txnfld],9").
+// Release ends an aggregated barrier, restoring Shared at a higher version
+// (the paper's "add [a.txnfld],9"; here releaseAnon, as in Write: values may
+// have changed under the aggregated ownership).
 func (b *Barriers) Release(o *objmodel.Object, tok AggToken) {
 	if tok.private {
 		return
 	}
-	// As in Write: values may have changed under the aggregated ownership, so
-	// stale clock snapshots must lose their fast path — and the tick must land
-	// before the release makes those values visible to transactions.
-	b.Heap.Clock().Tick()
-	o.Rec.ReleaseAnon()
+	b.releaseAnon(o, tok.version)
 }

@@ -14,8 +14,9 @@ import (
 const NoLimit = math.MaxUint64
 
 // Deferred is the kernel descriptor of a deferred-update runtime (lazy,
-// multi-version): Txn plus the write set's object list and the commit
-// ticket, and on them the commit-time locking protocol (Sections 3.3, 3.4):
+// multi-version): Txn plus the write buffer, the write set's object list and
+// the commit ticket, and on them the commit-time locking protocol (Sections
+// 3.3, 3.4):
 // acquire the write set's records in handle order, validate, pass the commit
 // point, write back, release, and in quiescence mode wait for every earlier
 // write-back. A multi-version commit differs in what it checks while locking
@@ -24,10 +25,13 @@ const NoLimit = math.MaxUint64
 // DESIGN.md §6 has the split between kernel and runtime step by step.
 //
 // It implements the Strategy methods that do not depend on the versioning
-// (Begin, Rollback, ReapOrphan); a runtime with more to do at one of them
-// declares its own and calls this one.
+// (Begin, Reset, Rollback, ReapOrphan); a runtime with more to do at one of
+// them declares its own and calls this one.
 type Deferred struct {
 	Txn
+
+	// Buf holds the body's writes until commit (writebuf.go).
+	Buf WriteBuf
 
 	// Objs lists the write set's objects, in handle order once LockWriteSet
 	// has sorted it. Which records are held, and at what version, is Owned:
@@ -44,7 +48,13 @@ type Deferred struct {
 }
 
 // Begin implements Strategy.
-func (d *Deferred) Begin() { d.ticket = 0 }
+func (d *Deferred) Begin() {
+	d.ticket = 0
+	d.Buf.Reset()
+}
+
+// Reset implements Strategy.
+func (d *Deferred) Reset() { d.Buf.Reset() }
 
 // Rollback implements Strategy: restore whatever records the attempt still
 // holds (an irrevocable body's pessimistic read locks, a failed irrevocable

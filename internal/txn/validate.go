@@ -12,13 +12,18 @@ import (
 // Commit-clock validation for the two validating runtimes (eager, lazy).
 //
 // A transaction snapshots the heap's commit clock at begin (RV). Every
-// commit that changes a shared value, every non-transactional write barrier
-// and every reaper completing a committed orphan moves the clock, so an
-// unmoved clock proves no object version changed since the snapshot and the
-// O(|read set|) validation walk can be skipped. Abort-path releases bump
-// versions without moving the clock, but they restore the values first, so
-// a read set that passes on the clock alone is still value-equivalent to a
-// consistent snapshot. With ClockOn false every validation walks.
+// mutation of shared state that a live snapshot may have read moves the clock
+// before it is visible: a commit that changes a shared value, a reaper
+// completing a committed orphan, and a non-transactional write barrier unless
+// the object's version is still above the clock, which no snapshot that has
+// read the object leaves it (strong.Barriers). So an unmoved clock proves
+// nothing this transaction read has changed since the snapshot and the
+// O(|read set|) validation walk can be skipped. Releases that bump a version
+// over restored or untouched values (aborts, commits that took no write
+// version) invalidate nothing: a read set that passes on the clock alone is
+// still value-equivalent to a consistent snapshot. They raise the clock no
+// further than the version they store (CoverBump). With ClockOn false every
+// validation walks.
 
 // ValidateOrRestart aborts and restarts the transaction if its read set is
 // no longer consistent. The VM calls this periodically so that doomed
@@ -77,6 +82,13 @@ func (tx *Txn) ValidateCommit(stamp bool) (bool, uint64) {
 		ok, bad := tx.validateRead()
 		if !ok {
 			tx.NotifyStale(bad)
+		} else if tx.Owned.Len() > 0 {
+			// Pessimistic read claims, about to be released one version up
+			// with their values as they were.
+			tx.Owned.Range(func(_ *objmodel.Object, sv uint64) bool {
+				tx.CoverBump(sv + 1)
+				return true
+			})
 		}
 		return ok, bad
 	case !k.ClockOn:
@@ -109,6 +121,21 @@ func (tx *Txn) ValidateCommit(stamp bool) (bool, uint64) {
 			tx.WV = c + 1
 			return true, 0
 		}
+	}
+}
+
+// CoverBump raises the commit clock to ver, the version at which the caller is
+// about to release a record whose object holds the values it held at the
+// version before (an abort's restored ones, a read claim's untouched ones).
+// Such a release leaves every snapshot that read the object valid, entries
+// at the older version included, and so must not leave the object's version
+// leading the clock: a non-transactional write barrier takes a version above
+// the clock as proof that no live snapshot has read the object and skips its
+// clock step (strong.Barriers). A no-op, one load, unless the object was the
+// last thing the clock was stepped for or already led it.
+func (tx *Txn) CoverBump(ver uint64) {
+	if tx.k.ClockOn {
+		tx.k.Clock.Raise(ver)
 	}
 }
 

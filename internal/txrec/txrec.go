@@ -240,7 +240,10 @@ func (r *Rec) AcquireAnon() (prev Word, acquired bool) {
 
 // ReleaseAnon releases a record acquired by AcquireAnon, restoring the
 // Shared state and incrementing the version in a single atomic add of 9,
-// exactly the paper's "add [TxRec],9".
+// exactly the paper's "add [TxRec],9". It is the release the encoding was
+// designed for; strong.Barriers, which also has a commit clock to answer to,
+// releases by a Store of a version it computes from that clock instead
+// (DESIGN.md §2, §11).
 func (r *Rec) ReleaseAnon() { r.w.Add(ReleaseIncrement) }
 
 // ReleaseOwned releases a transactionally-owned (Exclusive) record back to
