@@ -89,6 +89,65 @@ func TestTjrunTool(t *testing.T) {
 	}
 }
 
+// retryTJ hands 250 values through a one-slot box: put retries while the
+// full flag is set, take retries until the other thread sets it.
+const retryTJ = `
+class Box {
+  var full: bool;
+  var val: int;
+  func put(v: int) {
+    atomic { if (full) { retry; } val = v; full = true; }
+  }
+  func take(): int {
+    var v = 0;
+    atomic { if (!full) { retry; } v = val; full = false; }
+    return v;
+  }
+  func produce(n: int) {
+    for (var i = 1; i <= n; i++) { put(i); }
+  }
+}
+class Main {
+  static func main() {
+    var b = new Box();
+    var t = spawn b.produce(250);
+    var sum = 0;
+    for (var i = 0; i < 250; i++) { sum += b.take(); }
+    join(t);
+    print(sum);
+  }
+}`
+
+// TestTjrunStatsAreTheRunningRuntimes pins -stats to the runtime the mode
+// selected: the retries figure used to be the eager runtime's whichever ran,
+// so a lazy run always printed 0.
+func TestTjrunStatsAreTheRunningRuntimes(t *testing.T) {
+	bin := buildTool(t, "tjrun")
+	src := filepath.Join(t.TempDir(), "retry.tj")
+	if err := os.WriteFile(src, []byte(retryTJ), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []string{"weak-eager", "weak-lazy"} {
+		cmd := exec.Command(bin, "-mode", mode, "-stats", src)
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("%s: %v\n%s", mode, err, stderr.String())
+		}
+		if got := strings.TrimSpace(stdout.String()); got != "31375" {
+			t.Errorf("%s: output %q, want 31375", mode, got)
+		}
+		_, after, found := strings.Cut(stderr.String(), "retries: ")
+		n, err := strconv.Atoi(strings.TrimSpace(after))
+		if !found || err != nil {
+			t.Fatalf("%s: no retries figure in %q", mode, stderr.String())
+		}
+		if n < 1 {
+			t.Errorf("%s: retries: %d, want at least 1", mode, n)
+		}
+	}
+}
+
 func TestTjcTool(t *testing.T) {
 	bin := buildTool(t, "tjc")
 	src := writeSample(t)
@@ -168,7 +227,7 @@ func TestStmtopTool(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := metrics.NewRegistry()
-	reg.RegisterSTM("cmdtest/eager", rt)
+	reg.RegisterRuntime("cmdtest/eager", rt.API())
 	srv, err := reg.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -337,7 +396,7 @@ func TestStmtraceTool(t *testing.T) {
 	})
 	hot := h.New(cls)
 	rt := stm.New(h, stm.Config{CommonConfig: stmapi.CommonConfig{
-		Handler:        &conflict.Timestamp{MaxSleep: 20 * time.Microsecond},
+		Handler:        &conflict.Timestamp{},
 		SelfAbortAfter: 1 << 30,
 	}})
 	rt.SetTracer(tr)

@@ -85,9 +85,8 @@ func main() {
 	}
 	if *stats {
 		fmt.Fprintf(os.Stderr, "instructions: %d\n", m.Executed.Load())
+		st := m.RT.Stats()
 		fmt.Fprintf(os.Stderr, "txn commits: %d aborts: %d retries: %d\n",
-			m.Eager.Stats.Commits.Load()+m.Lazy.Stats.Commits.Load(),
-			m.Eager.Stats.Aborts.Load()+m.Lazy.Stats.Aborts.Load(),
-			m.Eager.Stats.UserRetries.Load())
+			st.Commits, st.Aborts, st.UserRetries)
 	}
 }

@@ -13,9 +13,11 @@ package main
 
 import (
 	"fmt"
+	"os"
 
-	"repro/internal/core"
 	"repro/internal/opt"
+	"repro/internal/tj"
+	"repro/internal/vm"
 )
 
 const src = `
@@ -56,11 +58,10 @@ func main() {
 	for _, lvl := range []opt.Level{
 		opt.O0NoOpts, opt.O1BarrierElim, opt.O2Aggregate, opt.O4WholeProg,
 	} {
-		p, err := core.Compile(src, core.Config{Strong: true, OptLevel: lvl})
+		prog, rep, err := tj.CompileLevel(src, lvl, 1)
 		if err != nil {
 			panic(err)
 		}
-		rep := p.Report
 		fmt.Printf("==== %v ====\n", lvl)
 		fmt.Printf("inserted: %d read + %d write barriers; removed: %d immutable, %d escape; aggregated: %d\n",
 			rep.TotalReads, rep.TotalWrites, rep.RemovedImmutable, rep.RemovedEscape, rep.AggregatedAccesses)
@@ -68,11 +69,19 @@ func main() {
 			fmt.Printf("whole-program: NAIT removed %d reads + %d writes\n",
 				rep.WholeProg.NAITReads, rep.WholeProg.NAITWrites)
 		}
-		fmt.Println(p.DisassembleMethod("Main.describe"))
-		res, err := p.Run()
+		for _, m := range prog.Methods {
+			if m.Name == "Main.describe" {
+				fmt.Println(m)
+			}
+		}
+		fmt.Print("program output: ")
+		m, err := vm.New(prog, vm.Mode{Sync: vm.SyncSTM, Strong: true, DEA: lvl.DEAEnabled()}, os.Stdout)
 		if err != nil {
 			panic(err)
 		}
-		fmt.Printf("program output: %s\n\n", res.Output)
+		if err := m.Run(); err != nil {
+			panic(err)
+		}
+		fmt.Println()
 	}
 }

@@ -20,119 +20,85 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/lazystm"
-	"repro/internal/objmodel"
-	"repro/internal/stm"
-	"repro/internal/strong"
+	"repro/internal/core"
+	"repro/internal/txn"
 )
 
-// oneTrial runs Figure 1 once and reports whether r1 != r2 was observed.
-// mode: "weak-lazy", "strong-lazy" (ordering barriers), or "strong-eager".
-func oneTrial(mode string) bool {
-	heap := objmodel.NewHeap()
-	item := heap.MustDefineClass(objmodel.ClassSpec{
-		Name:   "Item",
-		Fields: []objmodel.Field{{Name: "val1"}, {Name: "val2"}},
-	})
-	list := heap.MustDefineClass(objmodel.ClassSpec{
-		Name:   "List",
-		Fields: []objmodel.Field{{Name: "head", IsRef: true}},
-	})
-	l := heap.New(list)
-	it := heap.New(item)
-	// Pre-publication init: no transaction has seen these objects yet, and
-	// this example deliberately works at the raw layer to reproduce the
-	// Figure 1 anomaly.
+// regimes are the systems Figure 1 runs on; "strong-lazy" gets the Section
+// 3.3 ordering barriers, "strong-eager" the Figure 9 ones.
+var regimes = []struct {
+	name string
+	cfg  core.Config
+}{
+	{"weak-lazy", core.Config{Versioning: "lazy"}},
+	{"strong-lazy", core.Config{Versioning: "lazy", Strong: true}},
+	{"strong-eager", core.Config{Versioning: "eager", Strong: true}},
+}
+
+// oneTrial runs Figure 1 once on a fresh system and reports whether
+// r1 != r2 was observed.
+func oneTrial(cfg core.Config) bool {
+	sys := core.MustNewSystem(cfg)
+	item, _ := sys.DefineClass("Item", core.Field{Name: "val1"}, core.Field{Name: "val2"})
+	list, _ := sys.DefineClass("List", core.Field{Name: "head", IsRef: true})
+	l := sys.New(list)
+	it := sys.New(item)
+	// Pre-publication init: no transaction has seen these objects yet.
 	//stmvet:ignore nakedaccess,privatization -- deliberately reproduces Figure 1: raw init before publication
 	l.StoreSlot(0, uint64(it.Ref()))
-
-	bars := strong.New(heap, false)
 
 	// Widen the write-back window so the race is observable: after its
 	// commit point, the lazy transaction announces itself and then holds
 	// its write-back until Thread 1 has probed (bounded, so the strong
 	// regimes — whose probes rightly block on the held record — make
-	// progress once the window closes).
+	// progress once the window closes). The eager runtime writes in place:
+	// it has no such window and never fires the hook.
+	lazy := cfg.Versioning == "lazy"
 	gate := make(chan struct{})
 	probed := make(chan struct{})
 	var once sync.Once
-	lrt := lazystm.New(heap, lazystm.Config{Hooks: lazystm.Hooks{
-		OnAfterCommitPoint: func(tx *lazystm.Txn) {
+	sys.RT.(interface{ SetCommitHooks(txn.CommitHooks) }).SetCommitHooks(txn.CommitHooks{
+		OnAfterCommitPoint: func(*txn.Txn) {
 			once.Do(func() { close(gate) })
 			select {
 			case <-probed:
 			case <-time.After(2 * time.Millisecond):
 			}
 		},
-	}})
-	ert := stm.New(heap, stm.Config{})
-
-	ntRead := func(o *objmodel.Object, slot int) uint64 {
-		switch mode {
-		case "strong-lazy":
-			return bars.ReadOrdering(o, slot)
-		case "strong-eager":
-			return bars.Read(o, slot)
-		default:
-			return o.LoadSlot(slot)
-		}
-	}
+	})
 
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() { // Thread 2: increment both fields of the shared item
 		defer wg.Done()
-		body := func(read func(*objmodel.Object, int) uint64, write func(*objmodel.Object, int, uint64), headRef uint64) {
-			if headRef == 0 {
-				return
+		_ = sys.Atomic(func(tx core.Tx) error {
+			if head := tx.ReadRef(l, 0); head != 0 {
+				o := sys.Deref(head)
+				tx.Write(o, 0, tx.Read(o, 0)+1)
+				tx.Write(o, 1, tx.Read(o, 1)+1)
 			}
-			o := heap.Get(objmodel.Ref(headRef))
-			write(o, 0, read(o, 0)+1)
-			write(o, 1, read(o, 1)+1)
-		}
-		if mode == "strong-eager" {
-			_ = ert.Atomic(nil, func(tx *stm.Txn) error {
-				body(tx.Read, tx.Write, tx.Read(l, 0))
-				return nil
-			})
-			return
-		}
-		_ = lrt.Atomic(nil, func(tx *lazystm.Txn) error {
-			body(tx.Read, tx.Write, tx.Read(l, 0))
 			return nil
 		})
 	}()
 
 	// Thread 1: wait for Thread 2 to commit, privatize, then read outside
 	// any transaction — the Figure 1 idiom.
-	if mode == "strong-eager" {
-		// The eager runtime has no write-back window; no gate to wait on.
-		wg.Wait()
-	} else {
+	if lazy {
 		<-gate
+	} else {
+		wg.Wait()
 	}
-	var ref uint64
-	privatize := func() {
-		if mode == "strong-eager" {
-			_ = ert.Atomic(nil, func(tx *stm.Txn) error {
-				ref = tx.Read(l, 0)
-				tx.Write(l, 0, 0)
-				return nil
-			})
-			return
-		}
-		_ = lrt.Atomic(nil, func(tx *lazystm.Txn) error {
-			ref = tx.Read(l, 0)
-			tx.Write(l, 0, 0)
-			return nil
-		})
-	}
-	privatize()
-	o := heap.Get(objmodel.Ref(ref))
-	r1 := ntRead(o, 0)
+	var ref core.ObjRef
+	_ = sys.Atomic(func(tx core.Tx) error {
+		ref = tx.ReadRef(l, 0)
+		tx.WriteRef(l, 0, 0)
+		return nil
+	})
+	o := sys.Deref(ref)
+	r1 := sys.Read(o, 0)
 	close(probed) // the pending write-back lands between the two reads
 	wg.Wait()
-	r2 := ntRead(o, 1)
+	r2 := sys.Read(o, 1)
 	// Thread 2 increments both fields atomically, so a consistent view has
 	// r1 == r2 (either both incremented or neither). r1 != r2 means the
 	// privatized reads raced with a committed transaction's write-back.
@@ -142,10 +108,10 @@ func oneTrial(mode string) bool {
 func main() {
 	const trials = 300
 	fmt.Println("Figure 1 privatization idiom, many trials per regime:")
-	for _, mode := range []string{"weak-lazy", "strong-lazy", "strong-eager"} {
+	for _, r := range regimes {
 		violations := 0
 		for i := 0; i < trials; i++ {
-			if oneTrial(mode) {
+			if oneTrial(r.cfg) {
 				violations++
 			}
 		}
@@ -153,7 +119,7 @@ func main() {
 		if violations > 0 {
 			verdict = "r1 != r2 OBSERVED (isolation/ordering violated)"
 		}
-		fmt.Printf("  %-13s %4d/%d violations  -> %s\n", mode, violations, trials, verdict)
+		fmt.Printf("  %-13s %4d/%d violations  -> %s\n", r.name, violations, trials, verdict)
 	}
 	fmt.Println("\nThe weakly-atomic lazy STM exhibits the Figure 1 bug; the")
 	fmt.Println("ordering read barriers of Section 3.3 (strong-lazy) and the")

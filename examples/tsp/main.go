@@ -59,9 +59,9 @@ func main() {
 		if m.Bar.Stats != nil {
 			barriers = m.Bar.Stats.Reads.Load() + m.Bar.Stats.Writes.Load()
 		}
+		st := m.RT.Stats()
 		fmt.Printf("%-24s best tour %s  %8s  commits %5d aborts %3d  barriers %9d\n",
-			c.name, out, elapsed.Round(time.Millisecond),
-			m.Eager.Stats.Commits.Load(), m.Eager.Stats.Aborts.Load(), barriers)
+			c.name, out, elapsed.Round(time.Millisecond), st.Commits, st.Aborts, barriers)
 		if c.level == opt.O4WholeProg && rep.WholeProg != nil {
 			wp := rep.WholeProg
 			fmt.Printf("%-24s NAIT removed %d of %d read barriers and %d of %d write barriers statically\n",

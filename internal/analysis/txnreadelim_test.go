@@ -134,7 +134,7 @@ func TestTxnReadElimReducesSTMReads(t *testing.T) {
 		if err := m.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return m.Eager.Stats.TxnReads.Load()
+		return m.RT.Stats().TxnReads
 	}
 	with, without := count(true), count(false)
 	if with >= without {
@@ -159,7 +159,7 @@ func TestTxnReadDirectIgnoredUnderStrong(t *testing.T) {
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if m.Eager.Stats.TxnReads.Load() == 0 {
+	if m.RT.Stats().TxnReads == 0 {
 		t.Error("strong mode bypassed open-for-read despite the unsoundness note")
 	}
 }

@@ -13,7 +13,6 @@ package conflict
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -125,43 +124,29 @@ type StaleObserver interface {
 // concurrent use.
 type Backoff struct {
 	Stats Stats
-
-	// MaxSleep bounds the per-conflict sleep once spinning escalates.
-	// Zero means DefaultMaxSleep.
-	MaxSleep time.Duration
 }
 
-// DefaultMaxSleep is the backoff sleep cap.
+// DefaultMaxSleep bounds the per-conflict sleep once spinning escalates.
 const DefaultMaxSleep = 100 * time.Microsecond
 
 // HandleConflict implements Handler with bounded exponential backoff.
 func (b *Backoff) HandleConflict(info Info) {
 	b.Stats.record(info.Kind)
-	WaitAttempt(info.Attempt, b.MaxSleep)
+	WaitAttempt(info.Attempt)
 }
 
 // WaitAttempt performs the backoff for the given 0-based attempt number:
 // brief spinning for early attempts, then scheduler yields, then sleeps
-// with exponentially growing duration capped at maxSleep.
-func WaitAttempt(attempt int, maxSleep time.Duration) {
+// with exponentially growing duration capped at DefaultMaxSleep.
+func WaitAttempt(attempt int) {
 	switch {
 	case attempt < 4:
 		spin(1 << uint(attempt))
 	case attempt < 10:
 		runtime.Gosched()
 	default:
-		if maxSleep <= 0 {
-			maxSleep = DefaultMaxSleep
-		}
-		shift := attempt - 10
-		if shift > 12 {
-			shift = 12
-		}
-		d := time.Microsecond << uint(shift)
-		if d > maxSleep {
-			d = maxSleep
-		}
-		time.Sleep(d)
+		shift := min(attempt-10, 12)
+		time.Sleep(min(time.Microsecond<<uint(shift), DefaultMaxSleep))
 	}
 }
 
@@ -196,40 +181,4 @@ func (e RaceError) Error() string {
 func (p *Panic) HandleConflict(info Info) {
 	p.Stats.record(info.Kind)
 	panic(RaceError{Info: info})
-}
-
-// Reporter records every conflict (up to Limit) and then delegates to a
-// backoff so execution continues — the "break to the debugger" policy in
-// spirit: the program keeps running and the races are available afterward.
-type Reporter struct {
-	Stats   Stats
-	Limit   int // max events retained; 0 means 1024
-	mu      sync.Mutex
-	events  []Info
-	dropped int64
-}
-
-// HandleConflict implements Handler.
-func (r *Reporter) HandleConflict(info Info) {
-	r.Stats.record(info.Kind)
-	limit := r.Limit
-	if limit == 0 {
-		limit = 1024
-	}
-	r.mu.Lock()
-	if len(r.events) < limit {
-		r.events = append(r.events, info)
-	} else {
-		r.dropped++
-	}
-	r.mu.Unlock()
-	WaitAttempt(info.Attempt, 0)
-}
-
-// Events returns a copy of the recorded conflicts and the count of dropped
-// events beyond the limit.
-func (r *Reporter) Events() ([]Info, int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]Info(nil), r.events...), r.dropped
 }

@@ -28,7 +28,6 @@ package conflict
 
 import (
 	"fmt"
-	"time"
 )
 
 // Decision is a Policy's resolution of one conflict.
@@ -108,17 +107,13 @@ func (b *Backoff) Resolve(info Info) Decision {
 // backoff-and-retry, since there is nobody to arbitrate against.
 type Timestamp struct {
 	Stats Stats
-
-	// MaxSleep bounds the fallback backoff sleep; zero means
-	// DefaultMaxSleep.
-	MaxSleep time.Duration
 }
 
 // HandleConflict implements Handler for call sites that never arbitrate
 // (the non-transactional barriers): plain backoff.
 func (t *Timestamp) HandleConflict(info Info) {
 	t.Stats.record(info.Kind)
-	WaitAttempt(info.Attempt, t.MaxSleep)
+	WaitAttempt(info.Attempt)
 }
 
 // Resolve implements Policy: older wins — except an irrevocable owner,
@@ -126,11 +121,11 @@ func (t *Timestamp) HandleConflict(info Info) {
 func (t *Timestamp) Resolve(info Info) Decision {
 	t.Stats.record(info.Kind)
 	if info.Self == 0 || info.Owner == 0 || !info.OwnerActive {
-		WaitAttempt(info.Attempt, t.MaxSleep)
+		WaitAttempt(info.Attempt)
 		return Wait
 	}
 	if info.OwnerIrrevocable {
-		WaitAttempt(info.Attempt, t.MaxSleep)
+		WaitAttempt(info.Attempt)
 		return Wait
 	}
 	if info.Self < info.Owner {
@@ -149,29 +144,25 @@ func (t *Timestamp) Resolve(info Info) Decision {
 // equal-karma rivals cannot doom each other in the same round.
 type Karma struct {
 	Stats Stats
-
-	// MaxSleep bounds the backoff sleep while waiting; zero means
-	// DefaultMaxSleep.
-	MaxSleep time.Duration
 }
 
 // HandleConflict implements Handler: plain backoff (barriers don't carry
 // priorities).
 func (k *Karma) HandleConflict(info Info) {
 	k.Stats.record(info.Kind)
-	WaitAttempt(info.Attempt, k.MaxSleep)
+	WaitAttempt(info.Attempt)
 }
 
 // Resolve implements Policy.
 func (k *Karma) Resolve(info Info) Decision {
 	k.Stats.record(info.Kind)
 	if info.Self == 0 || info.Owner == 0 || !info.OwnerActive {
-		WaitAttempt(info.Attempt, k.MaxSleep)
+		WaitAttempt(info.Attempt)
 		return Wait
 	}
 	if info.OwnerIrrevocable {
 		// No karma total outranks the irrevocable token; yield.
-		WaitAttempt(info.Attempt, k.MaxSleep)
+		WaitAttempt(info.Attempt)
 		return Wait
 	}
 	rank := info.SelfPrio + int64(info.Attempt)
@@ -181,7 +172,7 @@ func (k *Karma) Resolve(info Info) Decision {
 	case rank == info.OwnerPrio && info.Self < info.Owner:
 		return AbortOther
 	default:
-		WaitAttempt(info.Attempt, k.MaxSleep)
+		WaitAttempt(info.Attempt)
 		return Wait
 	}
 }

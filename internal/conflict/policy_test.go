@@ -2,7 +2,6 @@ package conflict
 
 import (
 	"testing"
-	"time"
 )
 
 func TestByName(t *testing.T) {
@@ -27,7 +26,7 @@ func TestByName(t *testing.T) {
 }
 
 func TestAsPolicy(t *testing.T) {
-	b := &Backoff{MaxSleep: time.Microsecond}
+	b := &Backoff{}
 	if AsPolicy(b) != Policy(b) {
 		t.Fatalf("AsPolicy should return a Policy unchanged")
 	}
@@ -41,7 +40,7 @@ func TestAsPolicy(t *testing.T) {
 }
 
 func TestBackoffResolveAlwaysWaits(t *testing.T) {
-	b := &Backoff{MaxSleep: time.Microsecond}
+	b := &Backoff{}
 	for attempt := 0; attempt < 8; attempt++ {
 		info := Info{Kind: TxnWrite, Attempt: attempt, Self: 9, Owner: 3, OwnerActive: true}
 		if d := b.Resolve(info); d != Wait {
@@ -51,7 +50,7 @@ func TestBackoffResolveAlwaysWaits(t *testing.T) {
 }
 
 func TestTimestampResolve(t *testing.T) {
-	ts := &Timestamp{MaxSleep: time.Microsecond}
+	ts := &Timestamp{}
 	cases := []struct {
 		name string
 		info Info
@@ -74,7 +73,7 @@ func TestTimestampResolve(t *testing.T) {
 }
 
 func TestKarmaResolve(t *testing.T) {
-	k := &Karma{MaxSleep: time.Microsecond}
+	k := &Karma{}
 	cases := []struct {
 		name string
 		info Info

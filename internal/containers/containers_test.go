@@ -6,69 +6,81 @@ import (
 	"testing/quick"
 
 	"repro/internal/core"
+	"repro/internal/stmapi"
 )
 
-func systems(t *testing.T) map[string]*core.System {
-	t.Helper()
-	return map[string]*core.System{
-		"weak":       core.MustNewSystem(core.Config{}),
-		"strong":     core.MustNewSystem(core.Config{Strong: true}),
-		"strong-dea": core.MustNewSystem(core.Config{Strong: true, DEA: true}),
+// onEachSystem runs f on a fresh instance of every system the containers
+// support: each registered runtime weakly atomic (eager's keeps the plain
+// name "weak"), and each strongly atomic system core assembles.
+func onEachSystem(t *testing.T, f func(t *testing.T, sys *core.System)) {
+	cfgs := map[string]core.Config{
+		"strong":      {Strong: true},
+		"strong-dea":  {Strong: true, DEA: true},
+		"strong-lazy": {Versioning: "lazy", Strong: true},
+	}
+	for _, rt := range stmapi.Runtimes() {
+		name := "weak-" + rt
+		if rt == "eager" {
+			name = "weak"
+		}
+		cfgs[name] = core.Config{Versioning: rt}
+	}
+	for name, cfg := range cfgs {
+		t.Run(name, func(t *testing.T) { f(t, core.MustNewSystem(cfg)) })
 	}
 }
 
-func TestMapBasics(t *testing.T) {
-	for name, sys := range systems(t) {
-		t.Run(name, func(t *testing.T) {
-			m, err := NewMap(sys, 8)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, ok, _ := m.Get(1); ok {
-				t.Error("empty map claims membership")
-			}
-			for k := int64(0); k < 50; k++ {
-				if err := m.Put(k, k*10); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := m.Put(7, 777); err != nil { // update
-				t.Fatal(err)
-			}
-			for k := int64(0); k < 50; k++ {
-				v, ok, err := m.Get(k)
-				if err != nil || !ok {
-					t.Fatalf("get %d: ok=%v err=%v", k, ok, err)
-				}
-				want := k * 10
-				if k == 7 {
-					want = 777
-				}
-				if v != want {
-					t.Errorf("get %d = %d, want %d", k, v, want)
-				}
-			}
-			if n, _ := m.Len(); n != 50 {
-				t.Errorf("len = %d, want 50", n)
-			}
-			if ok, _ := m.Delete(7); !ok {
-				t.Error("delete existing failed")
-			}
-			if ok, _ := m.Delete(7); ok {
-				t.Error("double delete succeeded")
-			}
-			if _, ok, _ := m.Get(7); ok {
-				t.Error("deleted key still present")
-			}
-			if n, _ := m.Len(); n != 49 {
-				t.Errorf("len = %d, want 49", n)
-			}
-		})
+func TestMapBasics(t *testing.T) { onEachSystem(t, testMapBasics) }
+
+func testMapBasics(t *testing.T, sys *core.System) {
+	m, err := NewMap(sys, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, _ := m.Get(1); ok {
+		t.Error("empty map claims membership")
+	}
+	for k := int64(0); k < 50; k++ {
+		if err := m.Put(k, k*10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Put(7, 777); err != nil { // update
+		t.Fatal(err)
+	}
+	for k := int64(0); k < 50; k++ {
+		v, ok, err := m.Get(k)
+		if err != nil || !ok {
+			t.Fatalf("get %d: ok=%v err=%v", k, ok, err)
+		}
+		want := k * 10
+		if k == 7 {
+			want = 777
+		}
+		if v != want {
+			t.Errorf("get %d = %d, want %d", k, v, want)
+		}
+	}
+	if n, _ := m.Len(); n != 50 {
+		t.Errorf("len = %d, want 50", n)
+	}
+	if ok, _ := m.Delete(7); !ok {
+		t.Error("delete existing failed")
+	}
+	if ok, _ := m.Delete(7); ok {
+		t.Error("double delete succeeded")
+	}
+	if _, ok, _ := m.Get(7); ok {
+		t.Error("deleted key still present")
+	}
+	if n, _ := m.Len(); n != 49 {
+		t.Errorf("len = %d, want 49", n)
 	}
 }
 
-func TestMapConcurrent(t *testing.T) {
-	sys := core.MustNewSystem(core.Config{Strong: true})
+func TestMapConcurrent(t *testing.T) { onEachSystem(t, testMapConcurrent) }
+
+func testMapConcurrent(t *testing.T, sys *core.System) {
 	m, err := NewMap(sys, 16)
 	if err != nil {
 		t.Fatal(err)
@@ -104,8 +116,9 @@ func TestMapConcurrent(t *testing.T) {
 // TestMapComposedTransfer moves an entry between two maps in ONE atomic
 // step using the Tx variants — transactional composition, the STM selling
 // point the paper's intro leans on.
-func TestMapComposedTransfer(t *testing.T) {
-	sys := core.MustNewSystem(core.Config{Strong: true})
+func TestMapComposedTransfer(t *testing.T) { onEachSystem(t, testMapComposedTransfer) }
+
+func testMapComposedTransfer(t *testing.T, sys *core.System) {
 	a, _ := NewMap(sys, 8)
 	b, _ := NewMap(sys, 8)
 	if err := a.Put(1, 42); err != nil {
@@ -131,8 +144,9 @@ func TestMapComposedTransfer(t *testing.T) {
 	}
 }
 
-func TestQueueFIFOAndBlocking(t *testing.T) {
-	sys := core.MustNewSystem(core.Config{Strong: true})
+func TestQueueFIFOAndBlocking(t *testing.T) { onEachSystem(t, testQueueFIFOAndBlocking) }
+
+func testQueueFIFOAndBlocking(t *testing.T, sys *core.System) {
 	q, err := NewQueue(sys, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -165,8 +179,9 @@ func TestQueueFIFOAndBlocking(t *testing.T) {
 	}
 }
 
-func TestQueueTryTake(t *testing.T) {
-	sys := core.MustNewSystem(core.Config{})
+func TestQueueTryTake(t *testing.T) { onEachSystem(t, testQueueTryTake) }
+
+func testQueueTryTake(t *testing.T, sys *core.System) {
 	q, _ := NewQueue(sys, 2)
 	if _, ok, _ := q.TryTake(); ok {
 		t.Error("TryTake on empty queue returned a value")
@@ -178,8 +193,9 @@ func TestQueueTryTake(t *testing.T) {
 	}
 }
 
-func TestQueueManyProducersConsumers(t *testing.T) {
-	sys := core.MustNewSystem(core.Config{Strong: true})
+func TestQueueManyProducersConsumers(t *testing.T) { onEachSystem(t, testQueueManyProducersConsumers) }
+
+func testQueueManyProducersConsumers(t *testing.T, sys *core.System) {
 	q, _ := NewQueue(sys, 8)
 	const (
 		producers = 3
@@ -228,8 +244,9 @@ func TestQueueManyProducersConsumers(t *testing.T) {
 	}
 }
 
-func TestSetSortedAndDedup(t *testing.T) {
-	sys := core.MustNewSystem(core.Config{Strong: true, DEA: true})
+func TestSetSortedAndDedup(t *testing.T) { onEachSystem(t, testSetSortedAndDedup) }
+
+func testSetSortedAndDedup(t *testing.T, sys *core.System) {
 	s, err := NewSet(sys)
 	if err != nil {
 		t.Fatal(err)
@@ -269,8 +286,9 @@ func TestSetSortedAndDedup(t *testing.T) {
 	}
 }
 
-func TestSetConcurrentInserts(t *testing.T) {
-	sys := core.MustNewSystem(core.Config{Strong: true})
+func TestSetConcurrentInserts(t *testing.T) { onEachSystem(t, testSetConcurrentInserts) }
+
+func testSetConcurrentInserts(t *testing.T, sys *core.System) {
 	s, _ := NewSet(sys)
 	var added int64
 	var mu sync.Mutex
@@ -307,8 +325,9 @@ func TestSetConcurrentInserts(t *testing.T) {
 
 // TestMapAgainstModel drives the map with random operations and compares
 // against Go's built-in map.
-func TestMapAgainstModel(t *testing.T) {
-	sys := core.MustNewSystem(core.Config{Strong: true})
+func TestMapAgainstModel(t *testing.T) { onEachSystem(t, testMapAgainstModel) }
+
+func testMapAgainstModel(t *testing.T, sys *core.System) {
 	m, err := NewMap(sys, 4) // few buckets: long chains
 	if err != nil {
 		t.Fatal(err)

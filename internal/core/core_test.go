@@ -6,7 +6,7 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/opt"
+	"repro/internal/stmapi"
 )
 
 func TestSystemStrongCounter(t *testing.T) {
@@ -51,7 +51,7 @@ func TestSystemWeakIsDirect(t *testing.T) {
 }
 
 func TestSystemLazy(t *testing.T) {
-	s := MustNewSystem(Config{Versioning: Lazy, Strong: true})
+	s := MustNewSystem(Config{Versioning: "lazy", Strong: true})
 	cls, _ := s.DefineClass("C", Field{Name: "x"})
 	o := s.New(cls)
 	err := s.Atomic(func(tx Tx) error {
@@ -67,7 +67,7 @@ func TestSystemLazy(t *testing.T) {
 }
 
 func TestSystemRefsAndDeref(t *testing.T) {
-	s := MustNewSystem(Config{Strong: true, DEA: true, Versioning: Eager})
+	s := MustNewSystem(Config{Strong: true, DEA: true, Versioning: "eager"})
 	node, _ := s.DefineClass("Node", Field{Name: "v"}, Field{Name: "next", IsRef: true})
 	a, b := s.New(node), s.New(node)
 	b.StoreSlot(0, 42)
@@ -80,12 +80,86 @@ func TestSystemRefsAndDeref(t *testing.T) {
 	}
 }
 
+// TestAssembly pins the one decision this package owns: which combinations
+// of runtime, atomicity, escape analysis and granularity make a system.
+// Every registered runtime runs weakly atomic; strong atomicity needs a
+// barrier pairing (eager, lazy); DEA needs strong eager; strong lazy buffers
+// field-granular whatever granularity is asked for.
+func TestAssembly(t *testing.T) {
+	type atomicity struct {
+		name        string
+		strong, dea bool
+	}
+	for _, rt := range stmapi.Runtimes() {
+		for _, a := range []atomicity{{"weak", false, false}, {"strong", true, false}, {"strong+dea", true, true}} {
+			for _, gran := range []int{1, 2} {
+				t.Run(fmt.Sprintf("%s/%s/g%d", rt, a.name, gran), func(t *testing.T) {
+					wantErr := ""
+					switch {
+					case a.strong && rt != "eager" && rt != "lazy":
+						wantErr = "no barriers"
+					case a.dea && rt != "eager":
+						wantErr = "DEA requires"
+					}
+					s, err := NewSystem(Config{
+						CommonConfig: stmapi.CommonConfig{Granularity: gran},
+						Versioning:   rt, Strong: a.strong, DEA: a.dea,
+					})
+					if wantErr != "" {
+						if err == nil || !strings.Contains(err.Error(), wantErr) {
+							t.Fatalf("err = %v, want one containing %q", err, wantErr)
+						}
+						return
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					if s.RT.Name() != rt {
+						t.Errorf("runtime %q, want %q", s.RT.Name(), rt)
+					}
+					if s.Heap.AllocPrivate != a.dea || s.Barriers.DEA != a.dea {
+						t.Errorf("DEA: heap %v barriers %v, want %v", s.Heap.AllocPrivate, s.Barriers.DEA, a.dea)
+					}
+					// What granularity the system runs at shows in whether a
+					// write to slot 0 drags the neighbouring slot 1 into the
+					// transaction's view (Section 2.4). The multi-version
+					// runtime buffers slot-granular at any setting.
+					cls, _ := s.DefineClass("C", Field{Name: "f"}, Field{Name: "g"})
+					o := s.New(cls)
+					s.Heap.Publish(o)
+					var g uint64
+					if err := s.Atomic(func(tx Tx) error {
+						tx.Write(o, 0, 1)
+						o.StoreSlot(1, 7) // a racing plain store the span either snapshotted or did not
+						g = tx.Read(o, 1)
+						return nil
+					}); err != nil {
+						t.Fatal(err)
+					}
+					spans := gran == 2 && rt == "lazy" && !a.strong
+					if stale := g != 7; stale != spans {
+						t.Errorf("read of the neighbouring slot = %d: buffered in a span = %v, want %v", g, stale, spans)
+					}
+					s.Write(o, 0, 5)
+					if got := s.Read(o, 0); got != 5 {
+						t.Errorf("non-transactional round trip = %d, want 5", got)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestBadConfig covers the errors outside TestAssembly's table.
 func TestBadConfig(t *testing.T) {
+	if _, err := NewSystem(Config{Versioning: "nosuch"}); err == nil || !strings.Contains(err.Error(), "unknown runtime") {
+		t.Errorf("unknown runtime: err = %v, want stmapi.New's", err)
+	}
+	if _, err := NewSystem(Config{Versioning: "nosuch", Strong: true}); err == nil || !strings.Contains(err.Error(), "unknown runtime") {
+		t.Errorf("unknown runtime, strong: err = %v, want stmapi.New's", err)
+	}
 	if _, err := NewSystem(Config{DEA: true}); err == nil {
 		t.Error("DEA without Strong accepted")
-	}
-	if _, err := NewSystem(Config{DEA: true, Strong: true, Versioning: Lazy}); err == nil {
-		t.Error("DEA with Lazy accepted")
 	}
 	defer func() {
 		if recover() == nil {
@@ -94,117 +168,6 @@ func TestBadConfig(t *testing.T) {
 	}()
 	MustNewSystem(Config{DEA: true})
 }
-
-const helloSrc = `
-class Main {
-  static func main() {
-    var s = 0;
-    for (var i = 0; i < arg(0); i++) { s += i; }
-    atomic { s = s * 2; }
-    print(s);
-  }
-}`
-
-func TestCompileAndRun(t *testing.T) {
-	p, err := Compile(helloSrc, Config{Strong: true, OptLevel: opt.O2Aggregate})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := p.Run(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Output != "90" {
-		t.Errorf("output = %q, want 90", res.Output)
-	}
-	if res.Executed == 0 || res.Commits == 0 {
-		t.Errorf("stats: executed=%d commits=%d", res.Executed, res.Commits)
-	}
-	if p.Report == nil || p.Report.TotalReads < 0 {
-		t.Error("missing optimization report")
-	}
-}
-
-func TestCompileError(t *testing.T) {
-	if _, err := Compile(`class Main { static func main() { undefined_thing; } }`, Config{}); err == nil {
-		t.Error("semantic error not reported")
-	}
-	if _, err := Compile(`class Main {`, Config{}); err == nil {
-		t.Error("syntax error not reported")
-	}
-}
-
-func TestDisassemble(t *testing.T) {
-	p, err := Compile(helloSrc, Config{OptLevel: opt.O0NoOpts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dis := p.DisassembleMethod("Main.main")
-	for _, want := range []string{"atomicbegin", "atomicend", "ret"} {
-		if !strings.Contains(dis, want) {
-			t.Errorf("disassembly missing %q:\n%s", want, dis)
-		}
-	}
-	if !strings.Contains(p.DisassembleMethod("No.such"), "no method") {
-		t.Error("missing-method note absent")
-	}
-}
-
-func TestRunTo(t *testing.T) {
-	p, err := Compile(helloSrc, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	if err := p.RunTo(&sb, p.Mode(5)); err != nil {
-		t.Fatal(err)
-	}
-	if strings.TrimSpace(sb.String()) != "20" {
-		t.Errorf("output = %q", sb.String())
-	}
-}
-
-func TestAtomicOpen(t *testing.T) {
-	s := MustNewSystem(Config{Strong: true})
-	cls, _ := s.DefineClass("L", Field{Name: "ops"}, Field{Name: "data"})
-	logObj, data := s.New(cls), s.New(cls)
-	compensated := false
-	err := s.Atomic(func(tx Tx) error {
-		tx.Write(data, 1, 7)
-		// Open-nested audit-log increment: survives the parent's abort.
-		if err := s.AtomicOpen(tx, func(otx Tx) error {
-			otx.Write(logObj, 0, otx.Read(logObj, 0)+1)
-			return nil
-		}, func() { compensated = true }); err != nil {
-			return err
-		}
-		return ErrAbortSentinel
-	})
-	if err != ErrAbortSentinel {
-		t.Fatalf("err = %v", err)
-	}
-	if data.LoadSlot(1) != 0 {
-		t.Error("parent effect survived abort")
-	}
-	if logObj.LoadSlot(0) != 1 {
-		t.Error("open-nested effect did not survive parent abort")
-	}
-	if !compensated {
-		t.Error("compensation did not run")
-	}
-	// Lazy systems reject open nesting.
-	lz := MustNewSystem(Config{Versioning: Lazy})
-	if err := lz.AtomicOpen(nil, func(tx Tx) error { return nil }, nil); err == nil {
-		t.Error("lazy open nesting accepted")
-	}
-}
-
-// ErrAbortSentinel aborts the test transaction permanently.
-var ErrAbortSentinel = errSentinel{}
-
-type errSentinel struct{}
-
-func (errSentinel) Error() string { return "abort" }
 
 func ExampleSystem_Atomic() {
 	s := MustNewSystem(Config{Strong: true})

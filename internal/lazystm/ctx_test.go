@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/stmapi"
+	"repro/internal/txn"
 )
 
 func TestAtomicCtxPreCancelledSkipsBody(t *testing.T) { txntest.CtxPreCancelledSkipsBody(t, "lazy") }
@@ -47,15 +48,13 @@ func TestAtomicCtxCancelDuringOrderingWait(t *testing.T) {
 	parked := make(chan struct{})
 	release := make(chan struct{})
 	var once atomic.Bool
-	f := newFixture(t, Config{
-		CommonConfig: stmapi.CommonConfig{Quiescence: true},
-		Hooks: Hooks{OnAfterCommitPoint: func(tx *Txn) {
-			if once.CompareAndSwap(false, true) {
-				close(parked)
-				<-release
-			}
-		}},
-	})
+	f := newFixture(t, Config{CommonConfig: stmapi.CommonConfig{Quiescence: true}})
+	f.rt.SetCommitHooks(txn.CommitHooks{OnAfterCommitPoint: func(*txn.Txn) {
+		if once.CompareAndSwap(false, true) {
+			close(parked)
+			<-release
+		}
+	}})
 	o1 := f.heap.New(f.cls)
 	o2 := f.heap.New(f.cls)
 

@@ -11,8 +11,8 @@
 // precisely what produces the memory-inconsistency (MI) anomalies of
 // Figure 4 and the privatization problem of Figure 1 under weak atomicity;
 // the ordering read barrier of Section 3.3 (package strong) closes it.
-// Optional Hooks let the litmus tests hold a transaction inside that window
-// deterministically.
+// The kernel's txn.CommitHooks let the litmus tests hold a transaction inside
+// that window deterministically.
 //
 // The write buffer operates at a configurable slot granularity: with
 // Granularity 2 a first write to a slot buffers the span of two adjacent
@@ -61,26 +61,11 @@ const (
 	Aborted   = stmapi.Aborted
 )
 
-// Hooks are optional test instrumentation points inside the commit window.
-type Hooks struct {
-	// OnAfterCommitPoint runs after the transaction has logically committed
-	// (status set, records held) but before any buffered value reaches
-	// shared memory.
-	OnAfterCommitPoint func(*Txn)
-
-	// OnAfterWriteback runs after the k-th individual slot write-back
-	// (0-based), still before the records are released.
-	OnAfterWriteback func(tx *Txn, k int)
-}
-
-// Config parameterizes a Runtime. The cross-runtime knobs (Granularity,
-// Quiescence, Handler, SelfAbortAfter, ...) live in the embedded
-// stmapi.CommonConfig; Hooks are lazy-specific.
+// Config parameterizes a Runtime: the cross-runtime knobs (Granularity,
+// Quiescence, Handler, SelfAbortAfter, ...) of the embedded
+// stmapi.CommonConfig and nothing lazy-specific.
 type Config struct {
 	stmapi.CommonConfig
-
-	// Hooks instrument the commit window (tests only).
-	Hooks Hooks
 }
 
 // StatsSnapshot is a point-in-time copy of every Stats counter, shared by
@@ -278,9 +263,6 @@ func (tx *Txn) Commit() (ok bool, err error) {
 
 	// ----- commit point: the transaction is now serialized. -----
 	tx.Serialize(tx.rt.cfg.Quiescence)
-	if h := tx.rt.cfg.Hooks.OnAfterCommitPoint; h != nil {
-		h(tx)
-	}
 
 	// Write back, last-buffered slot first. The paper's lazy STM copies "in no
 	// particular order", and what Figure 4a needs of that is a publishing
@@ -296,9 +278,7 @@ func (tx *Txn) Commit() (ok bool, err error) {
 			tx.rt.Heap.PublishRef(objmodel.Ref(e.Val))
 		}
 		e.Obj.StoreSlot(e.Slot, e.Val)
-		if h := tx.rt.cfg.Hooks.OnAfterWriteback; h != nil {
-			h(tx, k)
-		}
+		tx.WroteBack(k)
 	}
 
 	if tx.FI != nil {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/objmodel"
 	"repro/internal/stmapi"
+	"repro/internal/txn"
 	"repro/internal/txrec"
 )
 
@@ -138,13 +139,13 @@ func TestLazyCounterAtomicity(t *testing.T) {
 // paper's Section 2.3 builds on: there is a window after the commit point
 // where a racing plain read still sees the old value.
 func TestCommitWindowVisible(t *testing.T) {
-	f := newFixture(t, Config{Hooks: Hooks{}})
+	f := newFixture(t, Config{})
 	o := f.heap.New(f.cls)
 	var observed uint64
-	f.rt.cfg.Hooks.OnAfterCommitPoint = func(tx *Txn) {
+	f.rt.SetCommitHooks(txn.CommitHooks{OnAfterCommitPoint: func(*txn.Txn) {
 		// Logically committed; memory must still hold the old value.
 		observed = o.LoadSlot(0)
-	}
+	}})
 	err := f.rt.Atomic(nil, func(tx *Txn) error {
 		tx.Write(o, 0, 42)
 		return nil

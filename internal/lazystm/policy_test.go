@@ -14,6 +14,7 @@ import (
 	"repro/internal/conflict"
 	"repro/internal/objmodel"
 	"repro/internal/stmapi"
+	"repro/internal/txn"
 )
 
 func TestPoliciesPreserveInvariantsUnderContention(t *testing.T) {
@@ -34,26 +35,24 @@ func TestDoomAfterCommitPointIsIgnored(t *testing.T) {
 	// window until a contender for its record has doomed it.
 	var f *fixture
 	var o *objmodel.Object
-	var victim *Txn
+	var victim *txn.Txn
 	contender := make(chan error, 1)
-	f = newFixture(t, Config{
-		CommonConfig: stmapi.CommonConfig{Handler: alwaysDoom{}},
-		Hooks: Hooks{OnAfterCommitPoint: func(tx *Txn) {
-			if victim != nil {
-				return // the contender's own commit
-			}
-			victim = tx
-			go func() {
-				contender <- f.rt.Atomic(nil, func(tx *Txn) error {
-					tx.Write(o, 1, 9)
-					return nil
-				})
-			}()
-			for !tx.Doomed() {
-				runtime.Gosched()
-			}
-		}},
-	})
+	f = newFixture(t, Config{CommonConfig: stmapi.CommonConfig{Handler: alwaysDoom{}}})
+	f.rt.SetCommitHooks(txn.CommitHooks{OnAfterCommitPoint: func(tx *txn.Txn) {
+		if victim != nil {
+			return // the contender's own commit
+		}
+		victim = tx
+		go func() {
+			contender <- f.rt.Atomic(nil, func(tx *Txn) error {
+				tx.Write(o, 1, 9)
+				return nil
+			})
+		}()
+		for !tx.Doomed() {
+			runtime.Gosched()
+		}
+	}})
 	o = f.heap.New(f.cls)
 	if err := f.rt.Atomic(nil, func(tx *Txn) error {
 		tx.Write(o, 0, 7)

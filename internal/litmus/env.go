@@ -19,12 +19,10 @@ import (
 	"time"
 
 	"repro/internal/conflict"
-	"repro/internal/lazystm"
-	"repro/internal/mvstm"
+	"repro/internal/core"
 	"repro/internal/objmodel"
-	"repro/internal/stm"
 	"repro/internal/stmapi"
-	"repro/internal/strong"
+	"repro/internal/txn"
 )
 
 // Mode is an execution regime from the Figure 6 columns.
@@ -108,14 +106,24 @@ func windowWait(mode Mode) func(<-chan struct{}) {
 	}
 }
 
-// Env is one fresh execution environment: a heap plus the runtime matching
-// the mode. Every litmus trial builds a new Env so trials are independent.
+// systems maps each regime to the core.System it runs on. Locks runs its
+// critical sections under Env's own lock and leaves the runtime idle.
+var systems = map[Mode]core.Config{
+	EagerWeak:  {Versioning: "eager"},
+	LazyWeak:   {Versioning: "lazy"},
+	MVWeak:     {Versioning: "mvstm"},
+	Locks:      {Versioning: "eager"},
+	Strong:     {Versioning: "eager", Strong: true},
+	StrongLazy: {Versioning: "lazy", Strong: true},
+}
+
+// Env is one fresh execution environment: the system matching the mode.
+// Every litmus trial builds a new Env so trials are independent.
 type Env struct {
 	Mode Mode
 	Heap *objmodel.Heap
 
-	rt   stmapi.Runtime // the STM driving the transactional regimes; nil under Locks
-	bar  *strong.Barriers
+	sys  *core.System
 	lock sync.Mutex // Locks mode: the single lock of the original programs
 
 	cell *objmodel.Class
@@ -130,30 +138,22 @@ var defaultPolicy string
 // EnvConfig selects variation points for an Env.
 type EnvConfig struct {
 	// Granularity is the undo-log / write-buffer granularity in slots.
-	// The Strong and StrongLazy regimes note: Strong keeps the requested
-	// granularity (object-level records hide it); StrongLazy forces 1,
-	// because a lazy-versioning STM must buffer at the granularity of the
-	// individual fields updated in a transaction to be strongly atomic
-	// (Section 2.4).
+	// Strong keeps the requested granularity (object-level records hide
+	// it); StrongLazy runs at 1 whatever is asked (core.NewSystem,
+	// Section 2.4).
 	Granularity int
 
 	// Policy names the contention policy (conflict.ByName); empty means
 	// the package default, backoff.
 	Policy string
 
-	// LazyHooks instrument the lazy commit window (MI programs).
-	LazyHooks lazystm.Hooks
-
-	// MVHooks instrument the mvstm commit window (the MV runtime also
-	// write-backs lazily, so the MI programs apply to it too).
-	MVHooks mvstm.Hooks
+	// Hooks instrument the commit window of the regimes that have one
+	// (lazyCommitWindow; the MI programs).
+	Hooks txn.CommitHooks
 }
 
 // NewEnv builds an environment for the given regime.
 func NewEnv(mode Mode, cfg EnvConfig) *Env {
-	if cfg.Granularity == 0 {
-		cfg.Granularity = 1
-	}
 	if cfg.Policy == "" {
 		cfg.Policy = defaultPolicy
 	}
@@ -161,37 +161,22 @@ func NewEnv(mode Mode, cfg EnvConfig) *Env {
 	if err != nil {
 		panic("litmus: " + err.Error())
 	}
-	common := stmapi.CommonConfig{Granularity: cfg.Granularity, Handler: pol}
-	h := objmodel.NewHeap()
-	e := &Env{Mode: mode, Heap: h}
-	e.cell = h.MustDefineClass(objmodel.ClassSpec{
+	sc := systems[mode]
+	sc.CommonConfig = stmapi.CommonConfig{Granularity: cfg.Granularity, Handler: pol}
+	sys := core.MustNewSystem(sc)
+	if rt, ok := sys.RT.(interface{ SetCommitHooks(txn.CommitHooks) }); ok {
+		rt.SetCommitHooks(cfg.Hooks)
+	}
+	e := &Env{Mode: mode, Heap: sys.Heap, sys: sys}
+	e.cell = e.Heap.MustDefineClass(objmodel.ClassSpec{
 		Name: "Cell",
 		Fields: []objmodel.Field{
 			{Name: "f"}, {Name: "g"}, {Name: "h"},
 			{Name: "ref", IsRef: true},
 		},
 	})
-	switch mode {
-	case EagerWeak, Locks:
-		e.rt = stm.New(h, stm.Config{CommonConfig: common}).API()
-	case Strong:
-		e.rt = stm.New(h, stm.Config{CommonConfig: common}).API()
-		e.bar = strong.New(h, false)
-	case LazyWeak:
-		e.rt = lazystm.New(h, lazystm.Config{CommonConfig: common, Hooks: cfg.LazyHooks}).API()
-	case StrongLazy:
-		common.Granularity = 1
-		e.rt = lazystm.New(h, lazystm.Config{CommonConfig: common, Hooks: cfg.LazyHooks}).API()
-		e.bar = strong.New(h, false)
-	case MVWeak:
-		e.rt = mvstm.New(h, mvstm.Config{CommonConfig: common, Hooks: cfg.MVHooks}).API()
-	}
 	return e
 }
-
-// Runtime exposes the environment's STM through the runtime-agnostic API
-// (nil under Locks), for tests that drive it directly.
-func (e *Env) Runtime() stmapi.Runtime { return e.rt }
 
 // NewCell allocates a fresh 4-slot object (f, g, h scalar; ref reference).
 func (e *Env) NewCell() *objmodel.Object { return e.Heap.New(e.cell) }
@@ -217,9 +202,7 @@ type Accessor interface {
 	Restart()
 }
 
-// stmAccessor adapts either runtime's transaction to Accessor through the
-// stmapi.Txn interface — one implementation where the eager/lazy split used
-// to require two.
+// stmAccessor adapts a runtime's transaction to Accessor.
 type stmAccessor struct {
 	tx stmapi.Txn
 }
@@ -252,11 +235,11 @@ func (e *Env) AtomicCtx(ctx context.Context, body func(a Accessor) error) error 
 	switch e.Mode {
 	case EagerWeak, Strong, LazyWeak, StrongLazy, MVWeak:
 		if ctx == nil {
-			return e.rt.Atomic(func(tx stmapi.Txn) error {
+			return e.sys.RT.Atomic(func(tx stmapi.Txn) error {
 				return body(&stmAccessor{tx})
 			})
 		}
-		return e.rt.AtomicCtx(ctx, func(tx stmapi.Txn) error {
+		return e.sys.RT.AtomicCtx(ctx, func(tx stmapi.Txn) error {
 			return body(&stmAccessor{tx})
 		})
 	case Locks:
@@ -289,25 +272,9 @@ func runLocksBody(body func(a Accessor) error, attempt int) (err error, restarte
 // direct under the weak and lock regimes, through the isolation barrier of
 // Figure 9a under Strong, and through the Section 3.3 ordering barrier
 // under StrongLazy.
-func (e *Env) NTRead(o *objmodel.Object, slot int) uint64 {
-	switch e.Mode {
-	case Strong:
-		return e.bar.Read(o, slot)
-	case StrongLazy:
-		return e.bar.ReadOrdering(o, slot)
-	default:
-		return o.LoadSlot(slot)
-	}
-}
+func (e *Env) NTRead(o *objmodel.Object, slot int) uint64 { return e.sys.Read(o, slot) }
 
 // NTWrite performs a non-transactional write: direct under the weak and
 // lock regimes, through the Figure 9b write barrier under both strong
 // regimes.
-func (e *Env) NTWrite(o *objmodel.Object, slot int, v uint64) {
-	switch e.Mode {
-	case Strong, StrongLazy:
-		e.bar.Write(o, slot, v)
-	default:
-		o.StoreSlot(slot, v)
-	}
-}
+func (e *Env) NTWrite(o *objmodel.Object, slot int, v uint64) { e.sys.Write(o, slot, v) }

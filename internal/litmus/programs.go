@@ -3,9 +3,8 @@ package litmus
 import (
 	"sync"
 
-	"repro/internal/lazystm"
-	"repro/internal/mvstm"
 	"repro/internal/objmodel"
+	"repro/internal/txn"
 )
 
 // Program is one executable anomaly program from Section 2.
@@ -458,29 +457,15 @@ func newPrivEnv(mode Mode) *privEnv {
 	// program probes — may hold, or the privatizer deadlocks against the
 	// probe that runs after it.
 	var cfg EnvConfig
-	wait := windowWait(mode)
-	switch mode {
-	case LazyWeak, StrongLazy:
+	if lazyCommitWindow(mode) {
+		wait := windowWait(mode)
 		var once sync.Once
-		cfg.LazyHooks = lazystm.Hooks{
-			OnAfterCommitPoint: func(tx *lazystm.Txn) {
-				holder := false
-				once.Do(func() { close(p.committed); holder = true })
-				if holder {
-					wait(p.probed)
-				}
-			},
-		}
-	case MVWeak:
-		var once sync.Once
-		cfg.MVHooks = mvstm.Hooks{
-			OnAfterCommitPoint: func(tx *mvstm.Txn) {
-				holder := false
-				once.Do(func() { close(p.committed); holder = true })
-				if holder {
-					wait(p.probed)
-				}
-			},
+		cfg.Hooks.OnAfterCommitPoint = func(*txn.Txn) {
+			holder := false
+			once.Do(func() { close(p.committed); holder = true })
+			if holder {
+				wait(p.probed)
+			}
 		}
 	}
 	p.e = NewEnv(mode, cfg)
@@ -549,27 +534,14 @@ func runMIOW(mode Mode) bool {
 	firstWB := make(chan struct{})
 	probed := make(chan struct{})
 	var cfg EnvConfig
-	wait := windowWait(mode)
-	switch mode {
-	case LazyWeak, StrongLazy:
+	if lazyCommitWindow(mode) {
+		wait := windowWait(mode)
 		var once sync.Once
-		cfg.LazyHooks = lazystm.Hooks{
-			OnAfterWriteback: func(tx *lazystm.Txn, k int) {
-				if k == 0 {
-					once.Do(func() { close(firstWB) })
-					wait(probed)
-				}
-			},
-		}
-	case MVWeak:
-		var once sync.Once
-		cfg.MVHooks = mvstm.Hooks{
-			OnAfterWriteback: func(tx *mvstm.Txn, k int) {
-				if k == 0 {
-					once.Do(func() { close(firstWB) })
-					wait(probed)
-				}
-			},
+		cfg.Hooks.OnAfterWriteback = func(_ *txn.Txn, k int) {
+			if k == 0 {
+				once.Do(func() { close(firstWB) })
+				wait(probed)
+			}
 		}
 	}
 	e := NewEnv(mode, cfg)

@@ -20,8 +20,6 @@ import (
 
 	"repro/internal/causal"
 	"repro/internal/durable"
-	"repro/internal/lazystm"
-	"repro/internal/stm"
 	"repro/internal/stmapi"
 	"repro/internal/trace"
 )
@@ -109,16 +107,6 @@ func collectRuntime(name string, rt stmapi.Runtime) RuntimeSnapshot {
 		}
 	}
 	return snap
-}
-
-// RegisterSTM exports an eager-versioning runtime under name.
-func (r *Registry) RegisterSTM(name string, rt *stm.Runtime) {
-	r.RegisterRuntime(name, rt.API())
-}
-
-// RegisterLazy exports a lazy-versioning runtime under name.
-func (r *Registry) RegisterLazy(name string, rt *lazystm.Runtime) {
-	r.RegisterRuntime(name, rt.API())
 }
 
 // Snapshot collects every registered runtime, in registration order.

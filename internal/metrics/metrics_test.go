@@ -50,8 +50,8 @@ func runSomeTxns(t *testing.T) (*stm.Runtime, *lazystm.Runtime) {
 func TestRegistrySnapshot(t *testing.T) {
 	ert, lrt := runSomeTxns(t)
 	reg := NewRegistry()
-	reg.RegisterSTM("eager-main", ert)
-	reg.RegisterLazy("lazy-main", lrt)
+	reg.RegisterRuntime("eager-main", ert.API())
+	reg.RegisterRuntime("lazy-main", lrt.API())
 
 	snaps := reg.Snapshot()
 	if len(snaps) != 2 {
@@ -84,9 +84,9 @@ func TestRegistrySnapshot(t *testing.T) {
 func TestRegistryReplaceByName(t *testing.T) {
 	ert, _ := runSomeTxns(t)
 	reg := NewRegistry()
-	reg.RegisterSTM("rt", ert)
+	reg.RegisterRuntime("rt", ert.API())
 	fresh := stm.New(objmodel.NewHeap(), stm.Config{})
-	reg.RegisterSTM("rt", fresh)
+	reg.RegisterRuntime("rt", fresh.API())
 	snaps := reg.Snapshot()
 	if len(snaps) != 1 {
 		t.Fatalf("snapshots = %d, want 1 (replacement, not append)", len(snaps))
@@ -99,8 +99,8 @@ func TestRegistryReplaceByName(t *testing.T) {
 func TestServeMetricsEndpoint(t *testing.T) {
 	ert, lrt := runSomeTxns(t)
 	reg := NewRegistry()
-	reg.RegisterSTM("eager-main", ert)
-	reg.RegisterLazy("lazy-main", lrt)
+	reg.RegisterRuntime("eager-main", ert.API())
+	reg.RegisterRuntime("lazy-main", lrt.API())
 	reg.PublishExpvar("stm-test-registry")
 	reg.PublishExpvar("stm-test-registry") // second publish must not panic
 
@@ -161,7 +161,7 @@ func TestRobustnessCountersExported(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := NewRegistry()
-	reg.RegisterSTM("rt", ert)
+	reg.RegisterRuntime("rt", ert.API())
 	s := reg.Snapshot()[0]
 	if s.Stats["irrevocable_txns"] != 1 {
 		t.Errorf("irrevocable_txns = %d, want 1", s.Stats["irrevocable_txns"])

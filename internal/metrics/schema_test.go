@@ -29,7 +29,7 @@ func TestConcurrentRegisterSnapshotHandler(t *testing.T) {
 	reg := NewRegistry()
 	h := objmodel.NewHeap()
 	rt := stm.New(h, stm.Config{})
-	reg.RegisterSTM("seed", rt)
+	reg.RegisterRuntime("seed", rt.API())
 
 	srv := httptest.NewServer(reg.Handler())
 	defer srv.Close()
@@ -44,8 +44,8 @@ func TestConcurrentRegisterSnapshotHandler(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				fresh := stm.New(objmodel.NewHeap(), stm.Config{})
-				reg.RegisterSTM(fmt.Sprintf("rt-%d-%d", w, i%5), fresh)
-				reg.RegisterSTM("seed", fresh)
+				reg.RegisterRuntime(fmt.Sprintf("rt-%d-%d", w, i%5), fresh.API())
+				reg.RegisterRuntime("seed", fresh.API())
 			}
 		}()
 		wg.Add(1)
@@ -129,7 +129,7 @@ func TestMetricsSchemaGolden(t *testing.T) {
 		}
 	}
 	reg := NewRegistry()
-	reg.RegisterSTM("rt", rt)
+	reg.RegisterRuntime("rt", rt.API())
 	data, err := json.Marshal(reg.Snapshot()[0])
 	if err != nil {
 		t.Fatal(err)
@@ -260,7 +260,7 @@ func TestCausalLineExported(t *testing.T) {
 		}
 	}
 	reg := NewRegistry()
-	reg.RegisterSTM("rt", rt)
+	reg.RegisterRuntime("rt", rt.API())
 	s := reg.Snapshot()[0]
 	if s.Causal == nil {
 		t.Fatal("snapshot missing causal line despite recorder sink")

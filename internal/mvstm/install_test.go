@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/objmodel"
+	"repro/internal/txn"
 )
 
 // chainNodes walks every object's chain (callers are at quiescence) and
@@ -205,19 +206,20 @@ func TestSnapshotReadInlineVsChain(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			var probe func(*Txn)
+			var probe func(*txn.Txn)
 			armed := false // only commit B is probed, and once
-			fire := func(tx *Txn) {
+			fire := func(tx *txn.Txn) {
 				if armed {
 					armed = false
 					probe(tx)
 				}
 			}
-			hooks := Hooks{OnAfterCommitPoint: fire}
+			hooks := txn.CommitHooks{OnAfterCommitPoint: fire}
 			if c.afterInstal {
-				hooks = Hooks{OnAfterWriteback: func(tx *Txn, _ int) { fire(tx) }}
+				hooks = txn.CommitHooks{OnAfterWriteback: func(tx *txn.Txn, _ int) { fire(tx) }}
 			}
-			f := newFixture(t, Config{Hooks: hooks})
+			f := newFixture(t, Config{})
+			f.rt.SetCommitHooks(hooks)
 			o, other := f.heap.New(f.cls), f.heap.New(f.cls)
 			write := func(o *objmodel.Object, v uint64) {
 				t.Helper()
@@ -240,7 +242,7 @@ func TestSnapshotReadInlineVsChain(t *testing.T) {
 			}
 			var rv, wvB uint64
 			waited := false
-			probe = func(b *Txn) {
+			probe = func(b *txn.Txn) {
 				wvB = b.WV
 				switch c.begin {
 				case inWindow:

@@ -101,20 +101,6 @@ const (
 	Aborted   = stmapi.Aborted
 )
 
-// Hooks are optional test instrumentation points inside the commit window,
-// mirroring the lazy runtime's so the litmus harness drives both uniformly.
-type Hooks struct {
-	// OnAfterCommitPoint runs after the transaction has logically committed
-	// (status set, write version obtained, records held) but before any
-	// pre-image is installed or any buffered value reaches the object slots.
-	OnAfterCommitPoint func(*Txn)
-
-	// OnAfterWriteback runs after the k-th individual slot write-back
-	// (0-based; objects in handle order, an object's slots in the order the
-	// body first wrote them), still before the records are released.
-	OnAfterWriteback func(tx *Txn, k int)
-}
-
 // DefaultGCEvery is the default Config.GCEvery.
 const DefaultGCEvery = 64
 
@@ -126,9 +112,6 @@ const DefaultGCEvery = 64
 // versions, so it cannot be turned off.
 type Config struct {
 	stmapi.CommonConfig
-
-	// Hooks instrument the commit window (tests only).
-	Hooks Hooks
 
 	// GCEvery is the number of writing commits a descriptor makes between
 	// refreshes of the watermark its installs prune against; the commit that
@@ -398,7 +381,7 @@ func (tx *Txn) waitOwner(o *objmodel.Object, w uint64, attempt int) {
 			tx.RestartOn(uint64(o.Ref()))
 		}
 	}
-	conflict.WaitAttempt(attempt, 0)
+	conflict.WaitAttempt(attempt)
 }
 
 // restartStale aborts an attempt whose snapshot cannot be served (an object
@@ -450,7 +433,7 @@ func (tx *Txn) RetryWait(ctx context.Context) error {
 				return err
 			}
 		}
-		conflict.WaitAttempt(a, 0)
+		conflict.WaitAttempt(a)
 	}
 	return nil
 }
@@ -476,7 +459,7 @@ func (rt *Runtime) enterCommit(tx *Txn) bool {
 			return false
 		}
 		rt.ReapDead() // a dead token holder must not gate commits forever
-		conflict.WaitAttempt(a, 0)
+		conflict.WaitAttempt(a)
 	}
 }
 
@@ -502,7 +485,7 @@ func (rt *Runtime) DrainCommitters(timeout time.Duration) bool {
 		if time.Now().After(deadline) {
 			return false
 		}
-		conflict.WaitAttempt(a, 0)
+		conflict.WaitAttempt(a)
 	}
 }
 
@@ -571,9 +554,6 @@ func (tx *Txn) Commit() (ok bool, err error) {
 
 	// ----- commit point: the transaction is now serialized. -----
 	tx.Serialize(rt.cfg.Quiescence)
-	if h := rt.cfg.Hooks.OnAfterCommitPoint; h != nil {
-		h(tx)
-	}
 
 	// Per object, save the pre-image on the chain, then write the buffered
 	// slots back. Both happen under the Exclusive record, which keeps
@@ -596,9 +576,7 @@ func (tx *Txn) Commit() (ok bool, err error) {
 			rt.Heap.PublishRef(objmodel.Ref(e.Val))
 		}
 		o.StoreSlot(e.Slot, e.Val)
-		if h := rt.cfg.Hooks.OnAfterWriteback; h != nil {
-			h(tx, k)
-		}
+		tx.WroteBack(k)
 	}
 
 	if tx.FI != nil {
@@ -640,7 +618,7 @@ func (tx *Txn) LockReadSet() bool {
 	for a := 0; tx.rt.committers.Load() != 0; a++ {
 		tx.Beat()
 		tx.rt.ReapDead()
-		conflict.WaitAttempt(a, 0)
+		conflict.WaitAttempt(a)
 	}
 	tx.RV = maxSnapshot
 	return true

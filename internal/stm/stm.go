@@ -535,7 +535,7 @@ func (tx *Txn) quiesce() error {
 					return false
 				}
 			}
-			conflict.WaitAttempt(a, 0)
+			conflict.WaitAttempt(a)
 		}
 		return true
 	})

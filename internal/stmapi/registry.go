@@ -9,9 +9,9 @@ import (
 )
 
 // Factory constructs a runtime bound to heap with the given common
-// configuration. Runtime-specific configuration (DEA for eager, commit-window
-// hooks for lazy, GC cadence for mvstm) keeps its defaults; drivers that need
-// it construct the concrete runtime directly.
+// configuration. Runtime-specific configuration (GC cadence for mvstm) keeps
+// its defaults; drivers that need it construct the concrete runtime
+// directly.
 type Factory func(heap *objmodel.Heap, cfg CommonConfig) (Runtime, error)
 
 var (

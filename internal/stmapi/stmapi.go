@@ -5,9 +5,6 @@
 // kernel, internal/txn, which also holds the one adapter (txn.API) that
 // implements Runtime for all of them and the helper they register through.
 //
-// Historically every driver — the bench sweeps, the litmus harness,
-// cmd/stmbench — carried a hand-written code path per runtime, switching on
-// a versioning string. This package collapses that duplication twice over:
 // Runtime and Txn are small interfaces every runtime satisfies (each exposes
 // an adapter via its API() method), CommonConfig is the shared configuration
 // surface the runtimes embed in their Config structs, StatsSnapshot is the
@@ -64,10 +61,9 @@ const MaxGranularity = 2
 const DefaultSelfAbortAfter = 64
 
 // CommonConfig is the configuration surface shared by every runtime. Each
-// runtime's Config embeds it (and adds its own fields: DEA for eager,
-// commit-window Hooks for lazy, GC cadence for mvstm). Fields a runtime has
-// no use for are documented on the field; a runtime never rejects one, it
-// ignores it.
+// runtime's Config embeds it (mvstm's adds its GC cadence). Fields a runtime
+// has no use for are documented on the field; a runtime never rejects one,
+// it ignores it.
 type CommonConfig struct {
 	// Granularity is the number of adjacent slots covered by one undo-log
 	// entry (eager) or write-buffer span (lazy): 1 (field-granular, the

@@ -150,7 +150,7 @@ func (k *Kernel) Atomic(ctx context.Context, irrevFrom int, body func(*Txn) erro
 			}
 			return context.Canceled // unreachable: sigCancel requires a ctx
 		}
-		conflict.WaitAttempt(attempt, 0)
+		conflict.WaitAttempt(attempt)
 	}
 }
 

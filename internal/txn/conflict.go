@@ -40,7 +40,7 @@ func campWait(attempt int) {
 	if attempt > 9 {
 		attempt = 9 // clamp into WaitAttempt's spin/yield bands
 	}
-	conflict.WaitAttempt(attempt, 0)
+	conflict.WaitAttempt(attempt)
 }
 
 // traceConflict records a conflict on o for the flight recorder; the Ver
@@ -72,7 +72,7 @@ func (tx *Txn) irrevClaim(o *objmodel.Object, rec txrec.Word, attempt int) {
 			tx.doom(victim, uint64(o.Ref()))
 		}
 	}
-	conflict.WaitAttempt(attempt, 0)
+	conflict.WaitAttempt(attempt)
 }
 
 // resolve arbitrates one conflict on o, whose record word rec this

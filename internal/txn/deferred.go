@@ -220,10 +220,29 @@ func (d *Deferred) fire(p faultinject.Point, o *objmodel.Object) bool {
 // Only Quiescence needs the order, and a runtime that passes it here has
 // commits that take no ticket and complete none without it: transactions
 // that share no object then share neither the chain's counter nor its mutex.
+// The commit window opens here, so CommitHooks.OnAfterCommitPoint fires here.
 func (d *Deferred) Serialize(ordered bool) {
 	d.CommitPoint()
 	if ordered {
 		d.ticket = d.k.order.Take()
+	}
+	if h := d.k.hooks.Load(); h != nil && h.OnAfterCommitPoint != nil {
+		h.OnAfterCommitPoint(&d.Txn)
+	}
+}
+
+// WroteBack fires CommitHooks.OnAfterWriteback for the k-th slot the runtime
+// has just written back. Split so that the no-hooks case inlines into the
+// write-back loop as one load and compare.
+func (d *Deferred) WroteBack(k int) {
+	if d.k.hooks.Load() != nil {
+		d.wroteBack(k)
+	}
+}
+
+func (d *Deferred) wroteBack(k int) {
+	if h := d.k.hooks.Load(); h != nil && h.OnAfterWriteback != nil {
+		h.OnAfterWriteback(&d.Txn, k)
 	}
 }
 

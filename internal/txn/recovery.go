@@ -146,7 +146,7 @@ func (tx *Txn) becomeIrrevocable(escalated bool) {
 		}
 		tx.hb.Add(1)
 		k.ReapDead()
-		conflict.WaitAttempt(a, 0)
+		conflict.WaitAttempt(a)
 	}
 	if !tx.self.LockReadSet() {
 		// A read went stale before the switch: surrender the token and

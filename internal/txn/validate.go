@@ -259,6 +259,6 @@ func (tx *Txn) WaitForReadSetChange(ctx context.Context) error {
 		if changed {
 			return nil
 		}
-		conflict.WaitAttempt(a, 0)
+		conflict.WaitAttempt(a)
 	}
 }

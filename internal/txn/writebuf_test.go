@@ -40,7 +40,8 @@ func TestWriteSetSliceSpill(t *testing.T) {
 			name:  "mvstm",
 			slots: []int{1, 0},
 			atomic: func(h *objmodel.Heap, hook func(int)) func(func(stmapi.Txn, *txn.WriteBuf)) error {
-				rt := mvstm.New(h, mvstm.Config{Hooks: mvstm.Hooks{OnAfterWriteback: func(_ *mvstm.Txn, k int) { hook(k) }}})
+				rt := mvstm.New(h, mvstm.Config{})
+				rt.SetCommitHooks(txn.CommitHooks{OnAfterWriteback: func(_ *txn.Txn, k int) { hook(k) }})
 				return func(body func(stmapi.Txn, *txn.WriteBuf)) error {
 					return rt.Atomic(nil, func(tx *mvstm.Txn) error { body(tx, &tx.Buf); return nil })
 				}
@@ -55,10 +56,8 @@ func TestWriteSetSliceSpill(t *testing.T) {
 			name:  "lazy spans",
 			slots: []int{1},
 			atomic: func(h *objmodel.Heap, hook func(int)) func(func(stmapi.Txn, *txn.WriteBuf)) error {
-				rt := lazystm.New(h, lazystm.Config{
-					CommonConfig: stmapi.CommonConfig{Granularity: 2},
-					Hooks:        lazystm.Hooks{OnAfterWriteback: func(_ *lazystm.Txn, k int) { hook(k) }},
-				})
+				rt := lazystm.New(h, lazystm.Config{CommonConfig: stmapi.CommonConfig{Granularity: 2}})
+				rt.SetCommitHooks(txn.CommitHooks{OnAfterWriteback: func(_ *txn.Txn, k int) { hook(k) }})
 				return func(body func(stmapi.Txn, *txn.WriteBuf)) error {
 					return rt.Atomic(nil, func(tx *lazystm.Txn) error { body(tx, &tx.Buf); return nil })
 				}

@@ -49,13 +49,12 @@ func namedIn(t types.Type, tail, name string) bool {
 }
 
 // IsTxnType reports whether t is a transaction handle: *stm.Txn,
-// *lazystm.Txn, *mvstm.Txn, stmapi.Txn, or core.Tx.
+// *lazystm.Txn, *mvstm.Txn, or stmapi.Txn (core.Tx is an alias of it).
 func IsTxnType(t types.Type) bool {
 	return namedIn(t, PkgSTM, "Txn") ||
 		namedIn(t, PkgLazySTM, "Txn") ||
 		namedIn(t, PkgMVSTM, "Txn") ||
-		namedIn(t, PkgSTMAPI, "Txn") ||
-		namedIn(t, PkgCore, "Tx")
+		namedIn(t, PkgSTMAPI, "Txn")
 }
 
 // isManagedObject reports whether t is a managed-heap object handle
@@ -168,7 +167,7 @@ func txnParam(info *types.Info, ft *ast.FuncType) *types.Var {
 // looksLikeBody distinguishes an atomic body (or a transactional helper)
 // from a runtime callback that merely receives a transaction. Bodies and
 // helpers return an error (the abort channel) or hand the transaction on
-// (a txn-typed result); hooks like lazystm.Hooks.OnAfterCommitPoint take
+// (a txn-typed result); hooks like txn.CommitHooks.OnAfterCommitPoint take
 // a *Txn and return nothing — they run exactly once at a fixed protocol
 // point and may legally perform effects.
 func looksLikeBody(info *types.Info, ft *ast.FuncType) bool {

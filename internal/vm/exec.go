@@ -5,9 +5,8 @@ import (
 	"io"
 
 	"repro/internal/lang/ir"
-	"repro/internal/lazystm"
 	"repro/internal/objmodel"
-	"repro/internal/stm"
+	"repro/internal/stmapi"
 	"repro/internal/strong"
 )
 
@@ -17,8 +16,8 @@ type thread struct {
 	id int64
 
 	txnDepth int
-	etx      *stm.Txn
-	ltx      *lazystm.Txn
+	tx       stmapi.Txn  // the enclosing STM transaction; nil outside one and in lock mode
+	reval    revalidator // tx again, if its runtime can re-validate mid-body
 
 	inAgg  bool
 	aggObj *objmodel.Object
@@ -56,14 +55,18 @@ func (t *thread) invoke(m *ir.Method, args []uint64) uint64 {
 	return ret
 }
 
-// validateTick periodically re-validates an active eager transaction so a
-// doomed transaction aborts promptly instead of looping on inconsistent
-// data (the managed-runtime analogue of the quiescence safety discussion
-// in Section 3.4).
+// revalidator is what a kernel-based runtime's descriptor offers beyond
+// stmapi.Txn (txn.Txn.ValidateOrRestart).
+type revalidator interface{ ValidateOrRestart() }
+
+// validateTick periodically re-validates an active transaction so a doomed
+// transaction aborts promptly instead of looping on inconsistent data (the
+// managed-runtime analogue of the quiescence safety discussion in Section
+// 3.4).
 func (t *thread) validateTick() {
 	t.tick++
-	if t.tick&255 == 0 && t.etx != nil {
-		t.etx.ValidateOrRestart()
+	if t.tick&255 == 0 && t.reval != nil {
+		t.reval.ValidateOrRestart()
 	}
 }
 
@@ -231,14 +234,10 @@ func (t *thread) exec(fr *frame, stopAtTxnExit bool) (execResult, uint64) {
 				return resTxnExit, 0
 			}
 		case ir.Retry:
-			switch {
-			case t.etx != nil:
-				t.etx.Retry()
-			case t.ltx != nil:
-				t.ltx.Retry()
-			default:
+			if t.tx == nil {
 				throw("retry outside a transaction (lock mode cannot retry)")
 			}
+			t.tx.Retry()
 
 		case ir.AcquireRec:
 			if t.txnDepth == 0 && vm.Mode.Strong && vm.Mode.Barriers != BarrierReadsOnly {
@@ -283,36 +282,29 @@ func (t *thread) exec(fr *frame, stopAtTxnExit bool) (execResult, uint64) {
 func (t *thread) runAtomicRegion(fr *frame) {
 	snapshot := make([]uint64, len(fr.regs))
 	copy(snapshot, fr.regs)
-	resumeBlock, resumePC := fr.block, fr.pc
-	body := func() {
-		copy(fr.regs, snapshot)
-		fr.block, fr.pc = resumeBlock, resumePC
+	// The body goes to the runtime through an interface, so whatever it
+	// captures lives on the heap. It therefore runs on a copy of the frame
+	// (sharing the registers): capturing fr itself would move every call's
+	// frame to the heap, atomic or not.
+	start := *fr
+	var end frame
+	err := t.vm.RT.Atomic(func(tx stmapi.Txn) error {
+		t.tx = tx
+		t.reval, _ = tx.(revalidator)
+		defer func() { t.tx, t.reval = nil, nil }()
+		end = start // each attempt runs from the region's first instruction
+		copy(end.regs, snapshot)
 		t.txnDepth = 1
-		res, _ := t.exec(fr, true)
-		if res != resTxnExit {
+		if res, _ := t.exec(&end, true); res != resTxnExit {
 			throw("vm: atomic region ended without AtomicEnd")
 		}
-	}
-	var err error
-	if t.vm.Mode.Versioning == Eager {
-		err = t.vm.Eager.Atomic(nil, func(tx *stm.Txn) error {
-			t.etx = tx
-			defer func() { t.etx = nil }()
-			body()
-			return nil
-		})
-	} else {
-		err = t.vm.Lazy.Atomic(nil, func(tx *lazystm.Txn) error {
-			t.ltx = tx
-			defer func() { t.ltx = nil }()
-			body()
-			return nil
-		})
-	}
+		return nil
+	})
 	if err != nil {
 		// TJ bodies cannot return errors; any error is a runtime failure.
 		panic(err)
 	}
+	fr.block, fr.pc = end.block, end.pc
 }
 
 func (t *thread) callMethod(m *ir.Method, argRegs []int, callerRegs []uint64) uint64 {
@@ -392,17 +384,11 @@ func (t *thread) load(o *objmodel.Object, slot int, b ir.Barrier) uint64 {
 			// bypass open-for-read (no logging, no validation).
 			return o.LoadSlot(slot)
 		}
-		if t.etx != nil {
-			return t.etx.Read(o, slot)
-		}
-		return t.ltx.Read(o, slot)
+		return t.tx.Read(o, slot)
 	}
 	if vm.Mode.Strong && vm.Mode.Barriers != BarrierWritesOnly &&
 		b.Active() && !t.inAgg {
-		if vm.Mode.Versioning == Eager {
-			return vm.Bar.Read(o, slot)
-		}
-		return vm.Bar.ReadOrdering(o, slot)
+		return vm.sys.Read(o, slot)
 	}
 	return o.LoadSlot(slot)
 }
@@ -411,11 +397,7 @@ func (t *thread) load(o *objmodel.Object, slot int, b ir.Barrier) uint64 {
 func (t *thread) store(o *objmodel.Object, slot int, val uint64, isRef bool, b ir.Barrier) {
 	vm := t.vm
 	if t.txnDepth > 0 && vm.Mode.Sync == SyncSTM {
-		if t.etx != nil {
-			t.etx.Write(o, slot, val)
-			return
-		}
-		t.ltx.Write(o, slot, val)
+		t.tx.Write(o, slot, val)
 		return
 	}
 	if vm.Mode.Strong && vm.Mode.Barriers != BarrierReadsOnly {

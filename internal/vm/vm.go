@@ -1,10 +1,10 @@
 // Package vm executes compiled TJ programs on the managed runtime: a
 // register-machine interpreter whose threads are goroutines, whose objects
-// live in the objmodel heap, and whose atomic blocks run on the eager
-// (McRT-style) or lazy STM. It is the execution half of our JIT: the
-// barrier annotations computed by lowering and the opt passes decide, at
-// each non-transactional access, whether the Figure 9/10 isolation
-// barriers run.
+// live in the objmodel heap, and whose atomic blocks run on the runtime of
+// a core.System (eager, McRT-style, is the paper's). It is the execution
+// half of our JIT: the barrier annotations computed by lowering and the opt
+// passes decide, at each non-transactional access, whether the System's
+// Figure 9/10 isolation barriers run.
 //
 // Modes reproduce the paper's experimental configurations:
 //
@@ -14,6 +14,10 @@
 //   - StrongEager: eager STM plus non-transactional isolation barriers,
 //     optionally with dynamic escape analysis (the paper's system).
 //   - StrongLazy:  lazy STM plus ordering read barriers (Section 3.3).
+//
+// Which of these are legal, and any other registered runtime run weakly
+// atomic, is core.NewSystem's decision; the VM adds only that lock mode has
+// no barriers.
 package vm
 
 import (
@@ -22,11 +26,10 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/lang/ir"
 	"repro/internal/lang/types"
-	"repro/internal/lazystm"
 	"repro/internal/objmodel"
-	"repro/internal/stm"
 	"repro/internal/stmapi"
 	"repro/internal/strong"
 )
@@ -40,13 +43,14 @@ const (
 	SyncSTM              // software transactional memory
 )
 
-// Versioning selects the STM flavor.
-type Versioning uint8
+// Versioning selects the STM flavor: an stmapi registry name (the zero
+// value is core's default, eager).
+type Versioning string
 
 // STM versioning policies.
 const (
-	Eager Versioning = iota
-	Lazy
+	Eager Versioning = "eager"
+	Lazy  Versioning = "lazy"
 )
 
 // BarrierSelect restricts which isolation barriers execute, for the
@@ -78,25 +82,17 @@ type Mode struct {
 	CountBarriers bool
 }
 
-func (m Mode) validate() error {
-	if m.DEA && (!m.Strong || m.Versioning != Eager || m.Sync != SyncSTM) {
-		return fmt.Errorf("vm: DEA requires strong atomicity on the eager STM")
-	}
-	if m.Strong && m.Sync == SyncLock {
-		return fmt.Errorf("vm: barriers are an STM feature; lock mode is weak by construction")
-	}
-	return nil
-}
-
 // VM is a loaded program plus runtime state.
 type VM struct {
 	Prog *ir.Program
 	Mode Mode
-	Heap *objmodel.Heap
 
-	Eager *stm.Runtime
-	Lazy  *lazystm.Runtime
-	Bar   *strong.Barriers
+	// The core.System the program runs on, and its heap, runtime (idle in
+	// lock mode) and barriers.
+	sys  *core.System
+	Heap *objmodel.Heap
+	RT   stmapi.Runtime
+	Bar  *strong.Barriers
 
 	classes    []*objmodel.Class  // indexed by types.Class.ID
 	statics    []*objmodel.Object // statics holder per class
@@ -137,34 +133,29 @@ func throw(format string, args ...any) {
 
 // New loads prog into a fresh VM.
 func New(prog *ir.Program, mode Mode, out io.Writer) (*VM, error) {
-	if err := mode.validate(); err != nil {
+	if mode.Sync == SyncLock && (mode.Strong || mode.DEA) {
+		return nil, fmt.Errorf("vm: barriers are an STM feature; lock mode is weak by construction")
+	}
+	sys, err := core.NewSystem(core.Config{
+		CommonConfig: stmapi.CommonConfig{Granularity: mode.Granularity, Quiescence: mode.Quiescence},
+		Versioning:   string(mode.Versioning),
+		Strong:       mode.Strong,
+		DEA:          mode.DEA,
+	})
+	if err != nil {
 		return nil, err
 	}
-	if mode.Granularity == 0 {
-		mode.Granularity = 1
-	}
-	heap := objmodel.NewHeap()
-	heap.AllocPrivate = mode.DEA
+	heap := sys.Heap
 	v := &VM{
 		Prog:     prog,
 		Mode:     mode,
+		sys:      sys,
 		Heap:     heap,
+		RT:       sys.RT,
+		Bar:      sys.Barriers,
 		out:      out,
 		typeByRT: make(map[*objmodel.Class]*types.Class),
 	}
-	v.Eager = stm.New(heap, stm.Config{
-		CommonConfig: stmapi.CommonConfig{
-			Granularity: mode.Granularity,
-			Quiescence:  mode.Quiescence && mode.Versioning == Eager,
-		},
-	})
-	v.Lazy = lazystm.New(heap, lazystm.Config{
-		CommonConfig: stmapi.CommonConfig{
-			Granularity: mode.Granularity,
-			Quiescence:  mode.Quiescence && mode.Versioning == Lazy,
-		},
-	})
-	v.Bar = strong.New(heap, mode.DEA)
 	if mode.CountBarriers {
 		v.Bar.Stats = &strong.Stats{}
 	}

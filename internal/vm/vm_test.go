@@ -563,10 +563,32 @@ func TestModeValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := vm.New(prog, vm.Mode{Sync: vm.SyncSTM, Versioning: vm.Lazy, Strong: true, DEA: true}, nil); err == nil {
-		t.Error("DEA over lazy STM accepted")
-	}
-	if _, err := vm.New(prog, vm.Mode{Sync: vm.SyncLock, Strong: true}, nil); err == nil {
-		t.Error("barriers in lock mode accepted")
+	// Lock mode has no barriers: the VM's own rule. The rest are
+	// core.NewSystem's, surfacing through vm.New.
+	for _, c := range []struct {
+		name string
+		mode vm.Mode
+		want string // substring of the error; "" for a legal mode
+	}{
+		{"barriers in lock mode", vm.Mode{Sync: vm.SyncLock, Strong: true}, "lock mode"},
+		{"DEA in lock mode", vm.Mode{Sync: vm.SyncLock, DEA: true}, "lock mode"},
+		{"DEA over lazy", vm.Mode{Sync: vm.SyncSTM, Versioning: vm.Lazy, Strong: true, DEA: true}, "DEA requires"},
+		{"DEA without barriers", vm.Mode{Sync: vm.SyncSTM, DEA: true}, "DEA requires"},
+		{"strong mvstm", vm.Mode{Sync: vm.SyncSTM, Versioning: "mvstm", Strong: true}, "no barriers"},
+		{"unknown runtime", vm.Mode{Sync: vm.SyncSTM, Versioning: "nosuch"}, "unknown runtime"},
+		{"weak mvstm", vm.Mode{Sync: vm.SyncSTM, Versioning: "mvstm"}, ""},
+		{"default versioning", vm.Mode{Sync: vm.SyncSTM, Strong: true}, ""},
+	} {
+		m, err := vm.New(prog, c.mode, nil)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: %v", c.name, err)
+		case c.want == "":
+			if err := m.Run(); err != nil {
+				t.Errorf("%s: run: %v", c.name, err)
+			}
+		case err == nil || !strings.Contains(err.Error(), c.want):
+			t.Errorf("%s: err = %v, want one containing %q", c.name, err, c.want)
+		}
 	}
 }
