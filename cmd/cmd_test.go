@@ -171,13 +171,13 @@ func TestAnomaliesTool(t *testing.T) {
 	if testing.Short() {
 		t.Skip("anomaly matrix is slow")
 	}
-	bin := buildTool(t, "anomalies")
-	out, err := exec.Command(bin).CombinedOutput()
+	bin := buildTool(t, "stmbench")
+	out, err := exec.Command(bin, "-fig", "6").CombinedOutput()
 	if err != nil {
-		t.Fatalf("anomalies: %v\n%s", err, out)
+		t.Fatalf("stmbench -fig 6: %v\n%s", err, out)
 	}
-	if !strings.Contains(string(out), "match the paper's Figure 6") {
-		t.Errorf("anomalies output:\n%s", out)
+	if !strings.Contains(string(out), "matrix matches Figure 6") {
+		t.Errorf("stmbench -fig 6 output:\n%s", out)
 	}
 }
 

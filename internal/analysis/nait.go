@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/lang/ir"
+	"repro/internal/pta"
 )
 
 // Options configures the whole-program run.
@@ -68,9 +69,9 @@ func Run(p *ir.Program, o Options) *Report {
 	if o.Granularity == 0 {
 		o.Granularity = 1
 	}
-	pta := Solve(p)
-	s := pta.s
-	r := &Report{PTA: pta}
+	res := Solve(p)
+	s := res.s
+	r := &Report{PTA: res}
 
 	// Pass 1 (Section 5.2): classify how every abstract object is accessed
 	// inside transactions, per slot, widening transactional writes to the
@@ -95,7 +96,7 @@ func Run(p *ir.Program, o Options) *Report {
 		}
 	}
 
-	forEachReachableAccess(p, pta, func(mc methodCtx, in *ir.Instr) {
+	forEachReachableAccess(p, res, func(mc methodCtx, in *ir.Instr) {
 		if effCtx(mc.ctx, in) != Txn {
 			return
 		}
@@ -105,7 +106,7 @@ func Run(p *ir.Program, o Options) *Report {
 	})
 
 	// TL: compute the set of thread-shared abstract objects.
-	shared := computeShared(p, pta)
+	shared := computeShared(p, res)
 
 	// Pass 2: for each barrier in reachable non-transactional code, decide
 	// removability per Figure 12 (NAIT) and per thread-locality (TL).
@@ -118,7 +119,7 @@ func Run(p *ir.Program, o Options) *Report {
 	}
 
 	if o.TxnReadElim {
-		forEachReachableAccess(p, pta, func(mc methodCtx, in *ir.Instr) {
+		forEachReachableAccess(p, res, func(mc methodCtx, in *ir.Instr) {
 			if effCtx(mc.ctx, in) != Txn || !in.Op.IsLoad() {
 				return
 			}
@@ -138,7 +139,7 @@ func Run(p *ir.Program, o Options) *Report {
 		})
 	}
 
-	forEachReachableAccess(p, pta, func(mc methodCtx, in *ir.Instr) {
+	forEachReachableAccess(p, res, func(mc methodCtx, in *ir.Instr) {
 		if effCtx(mc.ctx, in) == Txn {
 			return
 		}
@@ -167,7 +168,7 @@ func Run(p *ir.Program, o Options) *Report {
 					naitOK = false
 				}
 			}
-			if shared.get(ob) {
+			if shared.Has(ob) {
 				tlOK = false
 			}
 		})
@@ -209,10 +210,10 @@ func Run(p *ir.Program, o Options) *Report {
 
 // forEachReachableAccess visits every memory-access instruction of every
 // reachable (method, context) pair.
-func forEachReachableAccess(p *ir.Program, pta *PTA, f func(methodCtx, *ir.Instr)) {
+func forEachReachableAccess(p *ir.Program, res *PTA, f func(methodCtx, *ir.Instr)) {
 	for _, m := range p.Methods {
 		for _, ctx := range []Ctx{NonTxn, Txn} {
-			if !pta.Reachable(m, ctx) {
+			if !res.Reachable(m, ctx) {
 				continue
 			}
 			mc := methodCtx{m, ctx}
@@ -230,17 +231,17 @@ func forEachReachableAccess(p *ir.Program, pta *PTA, f func(methodCtx, *ir.Instr
 
 // accessTargets enumerates the (abstract object, slot) pairs an access may
 // touch in a context.
-func (s *solver) accessTargets(mc methodCtx, in *ir.Instr, f func(objID, int)) {
+func (s *frontend) accessTargets(mc methodCtx, in *ir.Instr, f func(objID, int)) {
 	switch in.Op {
 	case ir.GetStatic, ir.SetStatic:
 		f(s.staticsObj(in.Class), in.Slot)
 	case ir.GetField, ir.SetField:
 		if n, ok := s.varNodes[varKey{mc.m, mc.ctx, in.A}]; ok {
-			s.pts[n].forEach(func(o objID) { f(o, in.Slot) })
+			s.g.PointsTo(n).ForEach(func(o objID) { f(o, in.Slot) })
 		}
 	case ir.GetElem, ir.SetElem:
 		if n, ok := s.varNodes[varKey{mc.m, mc.ctx, in.A}]; ok {
-			s.pts[n].forEach(func(o objID) { f(o, elemSlot) })
+			s.g.PointsTo(n).ForEach(func(o objID) { f(o, elemSlot) })
 		}
 	}
 }
@@ -250,30 +251,18 @@ func (s *solver) accessTargets(mc methodCtx, in *ir.Instr, f func(objID, int)) {
 // handed to a spawned thread, transitively through heap fields. Note the
 // paper's observation that TL "typically treats a static field as
 // thread-shared even if only one thread ever uses it" — true here too.
-func computeShared(p *ir.Program, pta *PTA) bitset {
-	s := pta.s
-	shared := newBitset(s.numObjs)
-	var work []objID
-	add := func(o objID) {
-		if shared.set(o) {
-			work = append(work, o)
-		}
-	}
-	// Statics holders are thread-shared by definition ("TL typically
-	// treats a static field as thread-shared even if only one thread ever
-	// uses it"), and so is everything a static field points to.
+func computeShared(p *ir.Program, res *PTA) pta.Set {
+	s := res.s
+	roots := pta.NewSet(s.numObjs)
+	// Statics holders are thread-shared by definition; what their fields
+	// point to follows through the closure.
 	for o := 2 * s.numSites; o < s.numObjs; o++ {
-		add(o)
+		roots.Add(o)
 	}
-	for k, n := range s.fieldNodes {
-		if k.obj >= 2*s.numSites { // statics holder field
-			s.pts[n].forEach(add)
-		}
-	}
-	// Roots: receivers/arguments of spawn sites in reachable code.
+	// Receivers/arguments of spawn sites in reachable code.
 	for _, m := range p.Methods {
 		for _, ctx := range []Ctx{NonTxn, Txn} {
-			if !pta.Reachable(m, ctx) {
+			if !res.Reachable(m, ctx) {
 				continue
 			}
 			for _, b := range m.Blocks {
@@ -284,24 +273,16 @@ func computeShared(p *ir.Program, pta *PTA) bitset {
 					}
 					for _, a := range in.Args {
 						if n, ok := s.varNodes[varKey{m, ctx, a}]; ok {
-							s.pts[n].forEach(add)
+							s.g.PointsTo(n).ForEach(func(o objID) { roots.Add(o) })
 						}
 					}
 				}
 			}
 		}
 	}
-	// Transitive closure through object fields.
-	fieldsOf := make(map[objID][]int)
+	fieldsOf := make(map[objID][]pta.Node)
 	for k, n := range s.fieldNodes {
 		fieldsOf[k.obj] = append(fieldsOf[k.obj], n)
 	}
-	for len(work) > 0 {
-		o := work[len(work)-1]
-		work = work[:len(work)-1]
-		for _, n := range fieldsOf[o] {
-			s.pts[n].forEach(add)
-		}
-	}
-	return shared
+	return s.g.Closure(roots, func(o objID) []pta.Node { return fieldsOf[o] })
 }

@@ -10,6 +10,7 @@ package analysis
 import (
 	"repro/internal/lang/ir"
 	"repro/internal/lang/types"
+	"repro/internal/pta"
 )
 
 // Ctx is the analysis context: each method is analyzed in at most two
@@ -48,207 +49,103 @@ type fieldKey struct {
 	slot int
 }
 
-type loadCons struct {
-	slot int
-	dst  int // node
-}
-
-type storeCons struct {
-	slot int
-	src  int // node
-}
-
-type virtCall struct {
-	mc    methodCtx
-	in    *ir.Instr
-	ctx   Ctx // callee context
-	spawn bool
-}
-
-// solver is the Andersen constraint solver.
-type solver struct {
+// frontend generates the toy IR's constraints into the shared solver: it
+// owns what a node and an object mean (two-context variables, (object,
+// slot) field nodes, allocation site × context objects), discovers methods
+// as calls reach them, and resolves virtual calls per receiver object.
+type frontend struct {
 	prog     *ir.Program
+	g        *pta.Graph
 	numSites int
 	numObjs  int
 
-	// node table
-	pts       []bitset
-	succ      [][]int // copy edges: node -> nodes whose pts include it
-	loads     [][]loadCons
-	stores    [][]storeCons
-	virtuals  [][]virtCall // virtual call sites keyed on receiver node
-	nodeCount int
-
-	varNodes   map[varKey]int
-	fieldNodes map[fieldKey]int
-	retNodes   map[methodCtx]int
+	varNodes   map[varKey]pta.Node
+	fieldNodes map[fieldKey]pta.Node
+	retNodes   map[methodCtx]pta.Node
 
 	objClass []*types.Class // class of object-typed abstract objects (nil for arrays)
 	objIsArr []bool
-	objSite  []int // alloc site (-1 for statics holders)
-	objCtx   []Ctx
 
 	analyzed map[methodCtx]bool
-	worklist []int
-	inWL     []bool
-
-	pendingMC []methodCtx
 }
 
-func newSolver(p *ir.Program) *solver {
-	s := &solver{
+func newFrontend(p *ir.Program) *frontend {
+	s := &frontend{
 		prog:       p,
 		numSites:   p.NumAllocSites,
-		varNodes:   make(map[varKey]int),
-		fieldNodes: make(map[fieldKey]int),
-		retNodes:   make(map[methodCtx]int),
+		varNodes:   make(map[varKey]pta.Node),
+		fieldNodes: make(map[fieldKey]pta.Node),
+		retNodes:   make(map[methodCtx]pta.Node),
 		analyzed:   make(map[methodCtx]bool),
 	}
 	s.numObjs = 2*s.numSites + len(p.Types.Classes)
+	s.g = pta.New(s.numObjs)
 	s.objClass = make([]*types.Class, s.numObjs)
 	s.objIsArr = make([]bool, s.numObjs)
-	s.objSite = make([]int, s.numObjs)
-	s.objCtx = make([]Ctx, s.numObjs)
-	for i := range s.objSite {
-		s.objSite[i] = -1
-	}
 	return s
 }
 
-func (s *solver) siteObj(site int, ctx Ctx) objID { return site*2 + int(ctx) }
+func (s *frontend) siteObj(site int, ctx Ctx) objID { return site*2 + int(ctx) }
 
-func (s *solver) staticsObj(cl *types.Class) objID { return 2*s.numSites + cl.ID }
+func (s *frontend) staticsObj(cl *types.Class) objID { return 2*s.numSites + cl.ID }
 
-func (s *solver) newNode() int {
-	id := s.nodeCount
-	s.nodeCount++
-	s.pts = append(s.pts, newBitset(s.numObjs))
-	s.succ = append(s.succ, nil)
-	s.loads = append(s.loads, nil)
-	s.stores = append(s.stores, nil)
-	s.virtuals = append(s.virtuals, nil)
-	s.inWL = append(s.inWL, false)
-	return id
-}
-
-func (s *solver) varNode(m *ir.Method, ctx Ctx, reg int) int {
+func (s *frontend) varNode(m *ir.Method, ctx Ctx, reg int) pta.Node {
 	k := varKey{m, ctx, reg}
 	if n, ok := s.varNodes[k]; ok {
 		return n
 	}
-	n := s.newNode()
+	n := s.g.NewNode()
 	s.varNodes[k] = n
 	return n
 }
 
-func (s *solver) fieldNode(o objID, slot int) int {
+func (s *frontend) fieldNode(o objID, slot int) pta.Node {
 	k := fieldKey{o, slot}
 	if n, ok := s.fieldNodes[k]; ok {
 		return n
 	}
-	n := s.newNode()
+	n := s.g.NewNode()
 	s.fieldNodes[k] = n
 	return n
 }
 
-func (s *solver) retNode(mc methodCtx) int {
+func (s *frontend) retNode(mc methodCtx) pta.Node {
 	if n, ok := s.retNodes[mc]; ok {
 		return n
 	}
-	n := s.newNode()
+	n := s.g.NewNode()
 	s.retNodes[mc] = n
 	return n
 }
 
-func (s *solver) push(n int) {
-	if !s.inWL[n] {
-		s.inWL[n] = true
-		s.worklist = append(s.worklist, n)
-	}
-}
-
-func (s *solver) addObj(n int, o objID) {
-	if s.pts[n].set(o) {
-		s.push(n)
-	}
-}
-
-// addCopy adds pts(dst) ⊇ pts(src).
-func (s *solver) addCopy(src, dst int) {
-	s.succ[src] = append(s.succ[src], dst)
-	if s.pts[dst].unionWith(s.pts[src]) {
-		s.push(dst)
-	}
-}
-
-func (s *solver) addLoad(base int, slot int, dst int) {
-	s.loads[base] = append(s.loads[base], loadCons{slot, dst})
-	s.pts[base].forEach(func(o objID) {
-		s.addCopy(s.fieldNode(o, s.normSlot(o, slot)), dst)
+// addLoad states dst ⊇ o.slot for every o in pts(base).
+func (s *frontend) addLoad(base pta.Node, slot int, dst pta.Node) {
+	s.g.Each(base, func(o objID) {
+		s.g.Copy(s.fieldNode(o, s.normSlot(o, slot)), dst)
 	})
 }
 
-func (s *solver) addStore(base int, slot int, src int) {
-	s.stores[base] = append(s.stores[base], storeCons{slot, src})
-	s.pts[base].forEach(func(o objID) {
-		s.addCopy(src, s.fieldNode(o, s.normSlot(o, slot)))
+// addStore states o.slot ⊇ src for every o in pts(base).
+func (s *frontend) addStore(base pta.Node, slot int, src pta.Node) {
+	s.g.Each(base, func(o objID) {
+		s.g.Copy(src, s.fieldNode(o, s.normSlot(o, slot)))
 	})
 }
 
 // normSlot maps array element accesses to the shared element pseudo-slot.
-func (s *solver) normSlot(o objID, slot int) int {
+func (s *frontend) normSlot(o objID, slot int) int {
 	if s.objIsArr[o] {
 		return elemSlot
 	}
 	return slot
 }
 
-// solve runs the worklist to fixpoint, discovering methods on the fly.
-func (s *solver) solve() {
-	for {
-		// Drain newly-reachable method×context pairs.
-		for len(s.pendingMC) > 0 {
-			mc := s.pendingMC[len(s.pendingMC)-1]
-			s.pendingMC = s.pendingMC[:len(s.pendingMC)-1]
-			s.analyzeMethod(mc)
-		}
-		if len(s.worklist) == 0 {
-			return
-		}
-		n := s.worklist[len(s.worklist)-1]
-		s.worklist = s.worklist[:len(s.worklist)-1]
-		s.inWL[n] = false
-		delta := s.pts[n]
-		// Propagate along copy edges.
-		for _, d := range s.succ[n] {
-			if s.pts[d].unionWith(delta) {
-				s.push(d)
-			}
-		}
-		// Expand field constraints for every object now in pts(n).
-		for _, lc := range s.loads[n] {
-			delta.forEach(func(o objID) {
-				s.addCopy(s.fieldNode(o, s.normSlot(o, lc.slot)), lc.dst)
-			})
-		}
-		for _, sc := range s.stores[n] {
-			delta.forEach(func(o objID) {
-				s.addCopy(sc.src, s.fieldNode(o, s.normSlot(o, sc.slot)))
-			})
-		}
-		// Resolve virtual calls for newly-seen receiver classes.
-		for _, vc := range s.virtuals[n] {
-			delta.forEach(func(o objID) {
-				s.resolveVirtual(vc, o)
-			})
-		}
-	}
-}
-
-func (s *solver) reach(mc methodCtx) {
+// reach generates the constraints of a (method, context) pair the first
+// time a call or an entry point reaches it.
+func (s *frontend) reach(mc methodCtx) {
 	if !s.analyzed[mc] {
 		s.analyzed[mc] = true
-		s.pendingMC = append(s.pendingMC, mc)
+		s.analyzeMethod(mc)
 	}
 }
 
@@ -261,7 +158,7 @@ func calleeCtx(callerCtx Ctx, in *ir.Instr) Ctx {
 	return NonTxn
 }
 
-func (s *solver) bindCall(caller methodCtx, in *ir.Instr, callee *ir.Method, ctx Ctx) {
+func (s *frontend) bindCall(caller methodCtx, in *ir.Instr, callee *ir.Method, ctx Ctx) {
 	cmc := methodCtx{callee, ctx}
 	s.reach(cmc)
 	for i, a := range in.Args {
@@ -269,27 +166,30 @@ func (s *solver) bindCall(caller methodCtx, in *ir.Instr, callee *ir.Method, ctx
 			break
 		}
 		if callee.RegKinds[i] == ir.RRef {
-			s.addCopy(s.varNode(caller.m, caller.ctx, a), s.varNode(callee, ctx, i))
+			s.g.Copy(s.varNode(caller.m, caller.ctx, a), s.varNode(callee, ctx, i))
 		}
 	}
 	if in.Dst >= 0 && in.Op != ir.Spawn {
 		if k := caller.m.RegKinds[in.Dst]; k == ir.RRef {
-			s.addCopy(s.retNode(cmc), s.varNode(caller.m, caller.ctx, in.Dst))
+			s.g.Copy(s.retNode(cmc), s.varNode(caller.m, caller.ctx, in.Dst))
 		}
 	}
 }
 
-func (s *solver) resolveVirtual(vc virtCall, o objID) {
-	cl := s.objClass[o]
-	if cl == nil || vc.in.VIndex >= len(cl.VTable) {
-		return // array or incompatible object flowing in (type-confused set)
-	}
-	target := s.prog.MethodOf(cl.VTable[vc.in.VIndex])
-	s.bindCall(methodCtx{vc.mc.m, vc.mc.ctx}, vc.in, target, vc.ctx)
+// virtualCall binds the call (or spawn) in to the target each receiver
+// object's class selects; ctx is the callee context.
+func (s *frontend) virtualCall(caller methodCtx, in *ir.Instr, ctx Ctx) {
+	s.g.Each(s.varNode(caller.m, caller.ctx, in.Args[0]), func(o objID) {
+		cl := s.objClass[o]
+		if cl == nil || in.VIndex >= len(cl.VTable) {
+			return // array or incompatible object flowing in (type-confused set)
+		}
+		s.bindCall(caller, in, s.prog.MethodOf(cl.VTable[in.VIndex]), ctx)
+	})
 }
 
 // analyzeMethod generates constraints for one (method, context) pair.
-func (s *solver) analyzeMethod(mc methodCtx) {
+func (s *frontend) analyzeMethod(mc methodCtx) {
 	m, ctx := mc.m, mc.ctx
 	for _, b := range m.Blocks {
 		for i := range b.Instrs {
@@ -298,18 +198,14 @@ func (s *solver) analyzeMethod(mc methodCtx) {
 			case ir.NewObj:
 				o := s.siteObj(in.AllocSite, effCtx(ctx, in))
 				s.objClass[o] = in.Class
-				s.objSite[o] = in.AllocSite
-				s.objCtx[o] = effCtx(ctx, in)
-				s.addObj(s.varNode(m, ctx, in.Dst), o)
+				s.g.Add(s.varNode(m, ctx, in.Dst), o)
 			case ir.NewArray:
 				o := s.siteObj(in.AllocSite, effCtx(ctx, in))
 				s.objIsArr[o] = true
-				s.objSite[o] = in.AllocSite
-				s.objCtx[o] = effCtx(ctx, in)
-				s.addObj(s.varNode(m, ctx, in.Dst), o)
+				s.g.Add(s.varNode(m, ctx, in.Dst), o)
 			case ir.Mov:
 				if m.RegKinds[in.Dst] == ir.RRef {
-					s.addCopy(s.varNode(m, ctx, in.A), s.varNode(m, ctx, in.Dst))
+					s.g.Copy(s.varNode(m, ctx, in.A), s.varNode(m, ctx, in.Dst))
 				}
 			case ir.GetField:
 				if in.IsRef {
@@ -329,32 +225,26 @@ func (s *solver) analyzeMethod(mc methodCtx) {
 				}
 			case ir.GetStatic:
 				if in.IsRef {
-					s.addCopy(s.fieldNode(s.staticsObj(in.Class), in.Slot), s.varNode(m, ctx, in.Dst))
+					s.g.Copy(s.fieldNode(s.staticsObj(in.Class), in.Slot), s.varNode(m, ctx, in.Dst))
 				}
 			case ir.SetStatic:
 				if in.IsRef {
-					s.addCopy(s.varNode(m, ctx, in.B), s.fieldNode(s.staticsObj(in.Class), in.Slot))
+					s.g.Copy(s.varNode(m, ctx, in.B), s.fieldNode(s.staticsObj(in.Class), in.Slot))
 				}
 			case ir.CallStatic:
 				s.bindCall(mc, in, s.prog.MethodOf(in.Callee), calleeCtx(ctx, in))
 			case ir.CallVirtual:
-				recv := s.varNode(m, ctx, in.Args[0])
-				vc := virtCall{mc: mc, in: in, ctx: calleeCtx(ctx, in)}
-				s.virtuals[recv] = append(s.virtuals[recv], vc)
-				s.pts[recv].forEach(func(o objID) { s.resolveVirtual(vc, o) })
+				s.virtualCall(mc, in, calleeCtx(ctx, in))
 			case ir.Spawn:
 				// The spawned body runs outside any transaction.
 				if in.Callee != nil && in.VIndex < 0 {
 					s.bindCall(mc, in, s.prog.MethodOf(in.Callee), NonTxn)
 				} else {
-					recv := s.varNode(m, ctx, in.Args[0])
-					vc := virtCall{mc: mc, in: in, ctx: NonTxn, spawn: true}
-					s.virtuals[recv] = append(s.virtuals[recv], vc)
-					s.pts[recv].forEach(func(o objID) { s.resolveVirtual(vc, o) })
+					s.virtualCall(mc, in, NonTxn)
 				}
 			case ir.Ret:
 				if in.A >= 0 && m.RegKinds[in.A] == ir.RRef {
-					s.addCopy(s.varNode(m, ctx, in.A), s.retNode(mc))
+					s.g.Copy(s.varNode(m, ctx, in.A), s.retNode(mc))
 				}
 			}
 		}
@@ -372,18 +262,18 @@ func effCtx(ctx Ctx, in *ir.Instr) Ctx {
 // Solve runs the points-to analysis from the program's entry points (static
 // initializers and main, both outside transactions).
 func Solve(p *ir.Program) *PTA {
-	s := newSolver(p)
+	s := newFrontend(p)
 	for _, init := range p.Inits {
 		s.reach(methodCtx{init, NonTxn})
 	}
 	s.reach(methodCtx{p.Main, NonTxn})
-	s.solve()
+	s.g.Solve()
 	return &PTA{s: s}
 }
 
 // PTA holds points-to results.
 type PTA struct {
-	s *solver
+	s *frontend
 }
 
 // Reachable reports whether m is reachable in the given context.
@@ -399,7 +289,7 @@ func (p *PTA) PointsTo(m *ir.Method, ctx Ctx, reg int) []int {
 		return nil
 	}
 	var out []int
-	p.s.pts[n].forEach(func(o objID) { out = append(out, o) })
+	p.s.g.PointsTo(n).ForEach(func(o objID) { out = append(out, o) })
 	return out
 }
 

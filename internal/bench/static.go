@@ -62,15 +62,20 @@ func (r *StaticResult) String() string {
 
 // ---- Figure 6: the anomaly matrix ----
 
-// RunAnomalies produces the Figure 6 matrix and whether it matches the
-// paper's expectations.
+// RunAnomalies produces the Figure 6 matrix, what each of its programs
+// does, and whether the matrix matches the paper's expectations.
 func RunAnomalies() (string, bool) {
 	results := litmus.RunAll(litmus.AllModes)
 	ok, mismatch := litmus.Matches(results, litmus.AllModes)
-	out := "Figure 6: weak atomicity anomaly matrix (observed)\n" +
-		litmus.FormatMatrix(results, litmus.AllModes)
-	if !ok {
-		out += "\nMISMATCH vs paper: " + mismatch + "\n"
+	var b strings.Builder
+	b.WriteString("Figure 6: weak atomicity anomaly matrix (observed)\n")
+	b.WriteString(litmus.FormatMatrix(results, litmus.AllModes))
+	b.WriteString("\n")
+	for _, p := range litmus.Programs() {
+		fmt.Fprintf(&b, "%-6s (Figure %-5s %s): %s\n", p.ID, p.Figure, p.Row, p.Description)
 	}
-	return out, ok
+	if !ok {
+		b.WriteString("\nMISMATCH vs paper: " + mismatch + "\n")
+	}
+	return b.String(), ok
 }

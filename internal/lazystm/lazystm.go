@@ -354,12 +354,8 @@ func (rt *Runtime) AtomicCtx(ctx context.Context, parent *Txn, body func(*Txn) e
 // AtomicIrrevocable executes body as an irrevocable transaction (singular
 // token, pessimistic reads after the switch, no abort possible past it —
 // safe for I/O). Nested calls are flattened: the enclosing transaction
-// itself becomes irrevocable. Returns stmapi.ErrIrrevocableDisabled on a
-// NoIrrevocable runtime.
+// itself becomes irrevocable.
 func (rt *Runtime) AtomicIrrevocable(parent *Txn, body func(*Txn) error) error {
-	if rt.cfg.NoIrrevocable {
-		return stmapi.ErrIrrevocableDisabled
-	}
 	if parent != nil {
 		parent.BecomeIrrevocable()
 		return body(parent)

@@ -113,14 +113,6 @@ func TestAtomicIrrevocableCommitsAndReleasesToken(t *testing.T) {
 	}
 }
 
-func TestAtomicIrrevocableDisabled(t *testing.T) {
-	rt, _ := newRecoveryRuntime(t, Config{CommonConfig: stmapi.CommonConfig{NoIrrevocable: true}})
-	err := rt.AtomicIrrevocable(nil, func(tx *Txn) error { return nil })
-	if !errors.Is(err, stmapi.ErrIrrevocableDisabled) {
-		t.Fatalf("err = %v, want ErrIrrevocableDisabled", err)
-	}
-}
-
 func TestBecomeIrrevocableMidBodySurvivesDoom(t *testing.T) {
 	rt, o := newRecoveryRuntime(t, Config{})
 	var wg sync.WaitGroup

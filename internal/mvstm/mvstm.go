@@ -599,8 +599,8 @@ func (tx *Txn) Commit() (ok bool, err error) {
 // multi-version switch is lock-free with respect to the heap: the kernel
 // acquires the singular token, then LockReadSet drains the commit gate and
 // widens the snapshot. Restarting is still legal up to the switch;
-// afterwards the transaction cannot abort. Panics on a NoIrrevocable
-// runtime, or inside a read-only transaction.
+// afterwards the transaction cannot abort. Panics inside a read-only
+// transaction.
 func (tx *Txn) BecomeIrrevocable() {
 	if tx.readOnly {
 		panic("mvstm: BecomeIrrevocable inside a read-only transaction (AtomicRead)")
@@ -651,12 +651,8 @@ func (rt *Runtime) AtomicRead(body func(*Txn) error) error {
 }
 
 // AtomicIrrevocable executes body as an irrevocable transaction. Nested
-// calls are flattened. Returns stmapi.ErrIrrevocableDisabled on a
-// NoIrrevocable runtime.
+// calls are flattened.
 func (rt *Runtime) AtomicIrrevocable(parent *Txn, body func(*Txn) error) error {
-	if rt.cfg.NoIrrevocable {
-		return stmapi.ErrIrrevocableDisabled
-	}
 	if parent != nil {
 		parent.BecomeIrrevocable()
 		return body(parent)

@@ -632,12 +632,8 @@ func (rt *Runtime) AtomicCtx(ctx context.Context, parent *Txn, body func(*Txn) e
 // can never abort, restart, or observe inconsistent state, making it safe to
 // perform I/O or other unrecoverable actions inside. With a non-nil parent
 // the enclosing transaction itself becomes irrevocable, then body runs
-// closed-nested. Returns stmapi.ErrIrrevocableDisabled on a NoIrrevocable
-// runtime.
+// closed-nested.
 func (rt *Runtime) AtomicIrrevocable(parent *Txn, body func(*Txn) error) error {
-	if rt.cfg.NoIrrevocable {
-		return stmapi.ErrIrrevocableDisabled
-	}
 	if parent != nil {
 		parent.BecomeIrrevocable()
 		return parent.nested(nil, body)

@@ -21,7 +21,6 @@ package stmapi
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"repro/internal/conflict"
@@ -97,13 +96,6 @@ type CommonConfig struct {
 	// Zero disables escalation (the default); negative is invalid.
 	EscalateAfter int
 
-	// NoIrrevocable forbids irrevocable transactions on the runtime: the
-	// global token is never handed out, AtomicIrrevocable returns
-	// ErrIrrevocableDisabled, and BecomeIrrevocable panics. Deployments that
-	// cannot tolerate a serializing token set this; combining it with
-	// EscalateAfter > 0 is a configuration conflict rejected by Normalize.
-	NoIrrevocable bool
-
 	// NoCommitClock disables TL2-style commit-clock validation and falls
 	// back to the original read-set walk at every validation point. The
 	// multi-version runtime ignores it: the commit clock is what stamps
@@ -133,15 +125,8 @@ func (c *CommonConfig) Normalize() error {
 	if c.EscalateAfter < 0 {
 		return fmt.Errorf("stmapi: negative EscalateAfter %d", c.EscalateAfter)
 	}
-	if c.NoIrrevocable && c.EscalateAfter > 0 {
-		return fmt.Errorf("stmapi: EscalateAfter %d conflicts with NoIrrevocable (escalation needs irrevocable transactions)", c.EscalateAfter)
-	}
 	return nil
 }
-
-// ErrIrrevocableDisabled is returned by AtomicIrrevocable on a runtime
-// configured with NoIrrevocable.
-var ErrIrrevocableDisabled = errors.New("stmapi: irrevocable transactions disabled by configuration")
 
 // StatsSnapshot is a point-in-time copy of a runtime's counters as plain
 // values. Counters that a runtime does not track (UserRetries before the
@@ -281,9 +266,9 @@ type Txn interface {
 	// subsequent read acquires its record pessimistically and conflicting
 	// transactions yield. Safe for I/O after the switch. If the read set is
 	// already stale the transaction restarts (the switch has not happened,
-	// so aborting is still legal). Panics on a NoIrrevocable runtime, and
-	// must not be followed by Retry or a body error (the runtime still
-	// cleans up, but the irrevocability guarantee is forfeited).
+	// so aborting is still legal). Must not be followed by Retry or a body
+	// error (the runtime still cleans up, but the irrevocability guarantee
+	// is forfeited).
 	BecomeIrrevocable()
 
 	// IsIrrevocable reports whether BecomeIrrevocable has taken effect for
@@ -315,10 +300,10 @@ type Runtime interface {
 
 	// AtomicIrrevocable executes body as an irrevocable transaction: the
 	// body runs at most once after the irrevocable switch (no aborts, no
-	// re-execution past the switch), so it may perform I/O. Returns
-	// ErrIrrevocableDisabled on a NoIrrevocable runtime. A body error still
-	// rolls back and is returned — returning an error from an irrevocable
-	// body forfeits the no-reexecution guarantee and is a caller bug.
+	// re-execution past the switch), so it may perform I/O. A body error
+	// still rolls back and is returned — returning an error from an
+	// irrevocable body forfeits the no-reexecution guarantee and is a
+	// caller bug.
 	AtomicIrrevocable(body func(Txn) error) error
 
 	// Stats snapshots the runtime's counters.

@@ -30,9 +30,6 @@ func TestNormalizeEscalationEdgeCases(t *testing.T) {
 		{"zero escalation stays disabled", CommonConfig{EscalateAfter: 0}, ""},
 		{"positive escalation accepted", CommonConfig{EscalateAfter: 3}, ""},
 		{"negative escalation rejected", CommonConfig{EscalateAfter: -1}, "negative EscalateAfter"},
-		{"no-irrevocable alone accepted", CommonConfig{NoIrrevocable: true}, ""},
-		{"no-irrevocable + escalation conflict", CommonConfig{NoIrrevocable: true, EscalateAfter: 5}, "conflicts with NoIrrevocable"},
-		{"no-irrevocable + zero escalation accepted", CommonConfig{NoIrrevocable: true, EscalateAfter: 0}, ""},
 		{"negative self-abort rejected", CommonConfig{SelfAbortAfter: -2}, "negative SelfAbortAfter"},
 		{"granularity out of range", CommonConfig{Granularity: MaxGranularity + 1}, "unsupported granularity"},
 	}

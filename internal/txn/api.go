@@ -32,9 +32,6 @@ func (a API) AtomicCtx(ctx context.Context, body func(stmapi.Txn) error) error {
 }
 
 func (a API) AtomicIrrevocable(body func(stmapi.Txn) error) error {
-	if a.cfg.NoIrrevocable {
-		return stmapi.ErrIrrevocableDisabled
-	}
 	return a.Kernel.Atomic(nil, 0, func(tx *Txn) error { return body(tx.api) })
 }
 

@@ -122,8 +122,7 @@ func (tx *Txn) IsIrrevocable() bool { return tx.Irrevocable }
 // the switch completes. After a successful switch the transaction can no
 // longer abort, restart, or be doomed, making it safe to perform I/O in the
 // remainder of the body. The body must not return an error or call Retry
-// after the switch. Panics on a NoIrrevocable runtime (AtomicIrrevocable
-// returns ErrIrrevocableDisabled instead).
+// after the switch.
 func (tx *Txn) BecomeIrrevocable() { tx.becomeIrrevocable(false) }
 
 func (tx *Txn) becomeIrrevocable(escalated bool) {
@@ -131,9 +130,6 @@ func (tx *Txn) becomeIrrevocable(escalated bool) {
 		return
 	}
 	k := tx.k
-	if k.cfg.NoIrrevocable {
-		panic(k.name + ": BecomeIrrevocable on a runtime configured with NoIrrevocable")
-	}
 	for a := 0; !k.irrevToken.CompareAndSwap(0, tx.id); a++ {
 		// Pre-switch we are still an ordinary transaction: honor dooms and
 		// cancellation so token waiters cannot deadlock with the holder. A

@@ -268,12 +268,6 @@ func TestEscalationAndIrrevocable(t *testing.T) {
 	}); err != nil || runs != 2 {
 		t.Errorf("err = %v after %d runs, want nil after 2", err, runs)
 	}
-
-	// NoIrrevocable: the adapter refuses, BecomeIrrevocable panics.
-	k2, _ := newFake(t, stmapi.CommonConfig{NoIrrevocable: true})
-	if err := (API{k2}).AtomicIrrevocable(func(stmapi.Txn) error { return nil }); err != stmapi.ErrIrrevocableDisabled {
-		t.Errorf("err = %v, want ErrIrrevocableDisabled", err)
-	}
 }
 
 func TestPoolHygiene(t *testing.T) {

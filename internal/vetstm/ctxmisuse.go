@@ -60,7 +60,7 @@ func runCtxMisuse(pass *Pass) {
 // neverCancelledCtx reports whether e is a direct context.Background() or
 // context.TODO() call, returning the function name.
 func neverCancelledCtx(info *types.Info, e ast.Expr) string {
-	call, ok := unparen(e).(*ast.CallExpr)
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
 	if !ok {
 		return ""
 	}

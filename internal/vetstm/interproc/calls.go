@@ -8,20 +8,21 @@ import (
 	"go/ast"
 	"go/types"
 
+	"repro/internal/pta"
 	"repro/internal/vetstm"
 )
 
 // callResults generates constraints for a call and returns one node per
 // result value (nil when no result can carry managed references).
-func (g *genCtx) callResults(call *ast.CallExpr) []int {
+func (g *genCtx) callResults(call *ast.CallExpr) []pta.Node {
 	// Conversion: T(x) passes the value through.
 	if tv, ok := g.info.Types[call.Fun]; ok && tv.IsType() {
 		if len(call.Args) == 1 {
-			return []int{g.eval(call.Args[0])}
+			return []pta.Node{g.eval(call.Args[0])}
 		}
 		return nil
 	}
-	if id, ok := unparen(call.Fun).(*ast.Ident); ok {
+	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 		if b, ok := g.info.Uses[id].(*types.Builtin); ok {
 			return g.builtinCall(b.Name(), call)
 		}
@@ -45,7 +46,7 @@ func (g *genCtx) callResults(call *ast.CallExpr) []int {
 		return g.externalCall(call, fn.Signature().Results().Len())
 	}
 	// Direct call of a function literal: bind precisely.
-	if lit, ok := unparen(call.Fun).(*ast.FuncLit); ok {
+	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
 		if target := g.a.byNode[lit]; target != nil {
 			g.bindArgNodes(g.evalArgs(call), target)
 			g.a.calls = append(g.a.calls, callEdge{caller: g.fn, callee: target})
@@ -55,8 +56,8 @@ func (g *genCtx) callResults(call *ast.CallExpr) []int {
 	return g.dynamicCall(call, false, false)
 }
 
-func (g *genCtx) evalArgs(call *ast.CallExpr) []int {
-	nodes := make([]int, len(call.Args))
+func (g *genCtx) evalArgs(call *ast.CallExpr) []pta.Node {
+	nodes := make([]pta.Node, len(call.Args))
 	for i, arg := range call.Args {
 		nodes[i] = g.eval(arg)
 	}
@@ -65,7 +66,7 @@ func (g *genCtx) evalArgs(call *ast.CallExpr) []int {
 
 // bindArgNodes copies argument nodes into the target's parameter nodes,
 // collapsing variadic extras into the last parameter.
-func (g *genCtx) bindArgNodes(argNodes []int, target *funcInfo) {
+func (g *genCtx) bindArgNodes(argNodes []pta.Node, target *funcInfo) {
 	for i, n := range argNodes {
 		j := i
 		if j >= len(target.params) {
@@ -78,8 +79,8 @@ func (g *genCtx) bindArgNodes(argNodes []int, target *funcInfo) {
 	}
 }
 
-func (g *genCtx) bindDirect(call *ast.CallExpr, target *funcInfo, spawn bool) []int {
-	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
+func (g *genCtx) bindDirect(call *ast.CallExpr, target *funcInfo, spawn bool) []pta.Node {
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		rn := g.eval(sel.X)
 		if spawn {
 			g.markShared(rn)
@@ -99,9 +100,9 @@ func (g *genCtx) bindDirect(call *ast.CallExpr, target *funcInfo, spawn bool) []
 
 // chaCall resolves an interface method call against every method in the
 // program with the same name and a compatible parameter count.
-func (g *genCtx) chaCall(call *ast.CallExpr, fn *types.Func, spawn bool) []int {
-	var recvNode = -1
-	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
+func (g *genCtx) chaCall(call *ast.CallExpr, fn *types.Func, spawn bool) []pta.Node {
+	var recvNode pta.Node = -1
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		recvNode = g.eval(sel.X)
 		if spawn {
 			g.markShared(recvNode)
@@ -113,9 +114,9 @@ func (g *genCtx) chaCall(call *ast.CallExpr, fn *types.Func, spawn bool) []int {
 			g.markShared(n)
 		}
 	}
-	resNodes := make([]int, fn.Signature().Results().Len())
+	resNodes := make([]pta.Node, fn.Signature().Results().Len())
 	for i := range resNodes {
-		resNodes[i] = g.a.sol.newNode()
+		resNodes[i] = g.a.sol.NewNode()
 	}
 	for _, target := range g.a.funcList {
 		if target.decl == nil || target.decl.Recv == nil {
@@ -139,15 +140,15 @@ func (g *genCtx) chaCall(call *ast.CallExpr, fn *types.Func, spawn bool) []int {
 // externalCall models a call into code outside the analyzed set: every
 // argument (and the receiver) may escape to another goroutine, and the
 // results may alias any argument.
-func (g *genCtx) externalCall(call *ast.CallExpr, nres int) []int {
-	t := g.a.sol.newNode()
-	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
+func (g *genCtx) externalCall(call *ast.CallExpr, nres int) []pta.Node {
+	t := g.a.sol.NewNode()
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		rn := g.eval(sel.X)
 		g.markShared(rn)
 		g.copyTo(rn, t)
 	}
 	for _, arg := range call.Args {
-		if lit, ok := unparen(arg).(*ast.FuncLit); ok {
+		if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
 			if fi := g.a.byNode[lit]; fi != nil {
 				fi.addrTaken = true
 			}
@@ -161,7 +162,7 @@ func (g *genCtx) externalCall(call *ast.CallExpr, nres int) []int {
 	if nres == 0 {
 		return nil
 	}
-	res := make([]int, nres)
+	res := make([]pta.Node, nres)
 	for i := range res {
 		res[i] = t
 	}
@@ -170,7 +171,7 @@ func (g *genCtx) externalCall(call *ast.CallExpr, nres int) []int {
 
 // dynamicCall records a call through a func value for post-generation
 // CHA binding against address-taken functions.
-func (g *genCtx) dynamicCall(call *ast.CallExpr, spawn, txn bool) []int {
+func (g *genCtx) dynamicCall(call *ast.CallExpr, spawn, txn bool) []pta.Node {
 	g.eval(call.Fun)
 	args := g.evalArgs(call)
 	if spawn {
@@ -184,9 +185,9 @@ func (g *genCtx) dynamicCall(call *ast.CallExpr, spawn, txn bool) []int {
 			nres = sig.Results().Len()
 		}
 	}
-	resNodes := make([]int, nres)
+	resNodes := make([]pta.Node, nres)
 	for i := range resNodes {
-		resNodes[i] = g.a.sol.newNode()
+		resNodes[i] = g.a.sol.NewNode()
 	}
 	g.a.dynCalls = append(g.a.dynCalls, &dynCall{
 		caller:   g.fn,
@@ -202,12 +203,12 @@ func (g *genCtx) dynamicCall(call *ast.CallExpr, spawn, txn bool) []int {
 
 // atomicCall handles the Atomic* entry points: every func-typed argument
 // runs transactionally.
-func (g *genCtx) atomicCall(call *ast.CallExpr) []int {
-	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
+func (g *genCtx) atomicCall(call *ast.CallExpr) []pta.Node {
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		g.eval(sel.X)
 	}
 	for _, arg := range call.Args {
-		arg = unparen(arg)
+		arg = ast.Unparen(arg)
 		if lit, ok := arg.(*ast.FuncLit); ok {
 			if target := g.a.byNode[lit]; target != nil {
 				g.a.calls = append(g.a.calls, callEdge{caller: g.fn, callee: target, txn: true})
@@ -241,37 +242,37 @@ func (g *genCtx) atomicCall(call *ast.CallExpr) []int {
 // take precedence over direct binding so that an access is attributed to
 // the call site's context, mirroring how the runtime attributes allocation
 // sites via runtime.Callers.
-func (g *genCtx) intrinsic(fn *types.Func, call *ast.CallExpr) ([]int, bool) {
+func (g *genCtx) intrinsic(fn *types.Func, call *ast.CallExpr) ([]pta.Node, bool) {
 	if fn.Pkg() == nil {
 		return nil, false
 	}
 	path := fn.Pkg().Path()
 	recv := fn.Signature().Recv()
 	name := fn.Name()
-	evalRecv := func() int {
-		if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
+	evalRecv := func() pta.Node {
+		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 			return g.eval(sel.X)
 		}
 		return -1
 	}
-	argN := func(i int) int {
+	argN := func(i int) pta.Node {
 		if i < len(call.Args) {
 			return g.eval(call.Args[i])
 		}
 		return -1
 	}
-	load := func(base int, kind accessKind) []int {
+	load := func(base pta.Node, kind accessKind) []pta.Node {
 		g.access(base, false, kind)
-		t := g.a.sol.newNode()
+		t := g.a.sol.NewNode()
 		if base >= 0 {
-			g.a.sol.addLoad(base, t)
+			g.a.addLoad(base, t)
 		}
-		return []int{t}
+		return []pta.Node{t}
 	}
-	store := func(base, v int, kind accessKind) {
+	store := func(base, v pta.Node, kind accessKind) {
 		g.access(base, true, kind)
 		if base >= 0 && v >= 0 {
-			g.a.sol.addStore(base, v)
+			g.a.addStore(base, v)
 		}
 	}
 
@@ -284,15 +285,15 @@ func (g *genCtx) intrinsic(fn *types.Func, call *ast.CallExpr) ([]int, bool) {
 				for _, arg := range call.Args {
 					g.eval(arg)
 				}
-				t := g.a.sol.newNode()
+				t := g.a.sol.NewNode()
 				if site, ok := g.a.siteOf[call]; ok {
-					g.a.sol.addSite(t, site)
+					g.a.sol.Add(t, site)
 				}
-				return []int{t}, true
+				return []pta.Node{t}, true
 			case "Get", "TryGet":
-				t := g.a.sol.newNode()
+				t := g.a.sol.NewNode()
 				g.copyTo(argN(0), t)
-				return []int{t}, true
+				return []pta.Node{t}, true
 			}
 			for _, arg := range call.Args {
 				g.eval(arg)
@@ -302,7 +303,7 @@ func (g *genCtx) intrinsic(fn *types.Func, call *ast.CallExpr) ([]int, bool) {
 			base := evalRecv()
 			switch name {
 			case "Ref":
-				return []int{base}, true
+				return []pta.Node{base}, true
 			case "LoadSlot":
 				argN(0)
 				return load(base, accNaked), true
@@ -381,9 +382,9 @@ func (g *genCtx) intrinsic(fn *types.Func, call *ast.CallExpr) ([]int, bool) {
 			return nil, true
 		case "Deref":
 			evalRecv()
-			t := g.a.sol.newNode()
+			t := g.a.sol.NewNode()
 			g.copyTo(argN(0), t)
-			return []int{t}, true
+			return []pta.Node{t}, true
 		}
 		return nil, false
 	}
@@ -391,14 +392,14 @@ func (g *genCtx) intrinsic(fn *types.Func, call *ast.CallExpr) ([]int, bool) {
 	return nil, false
 }
 
-func (g *genCtx) builtinCall(name string, call *ast.CallExpr) []int {
+func (g *genCtx) builtinCall(name string, call *ast.CallExpr) []pta.Node {
 	switch name {
 	case "append":
-		t := g.a.sol.newNode()
+		t := g.a.sol.NewNode()
 		for _, arg := range call.Args {
 			g.copyTo(g.eval(arg), t)
 		}
-		return []int{t}
+		return []pta.Node{t}
 	case "copy":
 		if len(call.Args) == 2 {
 			g.copyTo(g.eval(call.Args[1]), g.eval(call.Args[0]))
@@ -416,7 +417,7 @@ func (g *genCtx) builtinCall(name string, call *ast.CallExpr) []int {
 // context, and everything reachable from the spawned goroutine (arguments,
 // receiver, closure captures) becomes thread-shared.
 func (g *genCtx) goCall(call *ast.CallExpr) {
-	fun := unparen(call.Fun)
+	fun := ast.Unparen(call.Fun)
 	if lit, ok := fun.(*ast.FuncLit); ok {
 		g.markCapturesShared(lit)
 		if target := g.a.byNode[lit]; target != nil {
@@ -470,7 +471,7 @@ func (g *genCtx) markCapturesShared(lit *ast.FuncLit) {
 
 // funcValue resolves an expression to the named function it denotes, if any.
 func funcValue(info *types.Info, e ast.Expr) *types.Func {
-	switch e := unparen(e).(type) {
+	switch e := ast.Unparen(e).(type) {
 	case *ast.Ident:
 		fn, _ := info.Uses[e].(*types.Func)
 		return fn

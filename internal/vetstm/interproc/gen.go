@@ -10,6 +10,8 @@ package interproc
 import (
 	"go/ast"
 	"go/types"
+
+	"repro/internal/pta"
 )
 
 type genCtx struct {
@@ -40,19 +42,19 @@ func (a *analyzer) generate(fi *funcInfo) {
 	}
 }
 
-func (g *genCtx) copyTo(src, dst int) {
+func (g *genCtx) copyTo(src, dst pta.Node) {
 	if src >= 0 && dst >= 0 {
-		g.a.sol.addCopy(src, dst)
+		g.a.sol.Copy(src, dst)
 	}
 }
 
-func (g *genCtx) markShared(n int) {
+func (g *genCtx) markShared(n pta.Node) {
 	if n >= 0 {
 		g.a.sharedRoots = append(g.a.sharedRoots, n)
 	}
 }
 
-func (g *genCtx) access(node int, store bool, kind accessKind) {
+func (g *genCtx) access(node pta.Node, store bool, kind accessKind) {
 	if node >= 0 {
 		g.a.accesses = append(g.a.accesses, accessRec{fn: g.fn, node: node, store: store, kind: kind})
 	}
@@ -64,7 +66,7 @@ func (g *genCtx) access(node int, store bool, kind accessKind) {
 // variables, struct fields, and channels are shared storage (see the
 // package comment); their nodes are registered as sharing roots when
 // created.
-func (g *genCtx) nodeForObj(obj types.Object) int {
+func (g *genCtx) nodeForObj(obj types.Object) pta.Node {
 	v, ok := obj.(*types.Var)
 	if !ok || v == nil {
 		return -1
@@ -79,7 +81,7 @@ func (g *genCtx) nodeForObj(obj types.Object) int {
 		if n, ok := a.nodeByKey[key]; ok {
 			return n
 		}
-		n := a.sol.newNode()
+		n := a.sol.NewNode()
 		a.nodeByKey[key] = n
 		g.markShared(n)
 		return n
@@ -89,7 +91,7 @@ func (g *genCtx) nodeForObj(obj types.Object) int {
 		if n, ok := a.nodeByKey[key]; ok {
 			return n
 		}
-		n := a.sol.newNode()
+		n := a.sol.NewNode()
 		a.nodeByKey[key] = n
 		g.markShared(n)
 		return n
@@ -97,14 +99,14 @@ func (g *genCtx) nodeForObj(obj types.Object) int {
 	if n, ok := a.nodeByObj[v]; ok {
 		return n
 	}
-	n := a.sol.newNode()
+	n := a.sol.NewNode()
 	a.nodeByObj[v] = n
 	return n
 }
 
 // chanNode returns the single points-to plane shared by all channels of
 // one element type.
-func (g *genCtx) chanNode(chanType types.Type) int {
+func (g *genCtx) chanNode(chanType types.Type) pta.Node {
 	if chanType == nil {
 		return -1
 	}
@@ -116,7 +118,7 @@ func (g *genCtx) chanNode(chanType types.Type) int {
 	if n, ok := g.a.nodeByKey[key]; ok {
 		return n
 	}
-	n := g.a.sol.newNode()
+	n := g.a.sol.NewNode()
 	g.a.nodeByKey[key] = n
 	g.markShared(n)
 	return n
@@ -211,16 +213,16 @@ func (g *genCtx) stmt(s ast.Stmt) {
 func (g *genCtx) typeSwitch(s *ast.TypeSwitchStmt) {
 	g.stmt(s.Init)
 	// The scrutinee: `switch v := x.(type)` or `switch x.(type)`.
-	var xNode int = -1
+	var xNode pta.Node = -1
 	switch as := s.Assign.(type) {
 	case *ast.AssignStmt:
 		if len(as.Rhs) == 1 {
-			if ta, ok := unparen(as.Rhs[0]).(*ast.TypeAssertExpr); ok {
+			if ta, ok := ast.Unparen(as.Rhs[0]).(*ast.TypeAssertExpr); ok {
 				xNode = g.eval(ta.X)
 			}
 		}
 	case *ast.ExprStmt:
-		if ta, ok := unparen(as.X).(*ast.TypeAssertExpr); ok {
+		if ta, ok := ast.Unparen(as.X).(*ast.TypeAssertExpr); ok {
 			xNode = g.eval(ta.X)
 		}
 	}
@@ -268,7 +270,7 @@ func (g *genCtx) ret(s *ast.ReturnStmt) {
 	}
 	if len(s.Results) == 1 && len(g.fn.retNodes) > 1 {
 		// return f() forwarding a multi-value call
-		if call, ok := unparen(s.Results[0]).(*ast.CallExpr); ok {
+		if call, ok := ast.Unparen(s.Results[0]).(*ast.CallExpr); ok {
 			res := g.callResults(call)
 			for i, rn := range res {
 				if i < len(g.fn.retNodes) {
@@ -288,11 +290,11 @@ func (g *genCtx) ret(s *ast.ReturnStmt) {
 
 func (g *genCtx) assign(lhs, rhs []ast.Expr) {
 	if len(rhs) == 1 && len(lhs) > 1 {
-		switch r := unparen(rhs[0]).(type) {
+		switch r := ast.Unparen(rhs[0]).(type) {
 		case *ast.CallExpr:
 			res := g.callResults(r)
 			for i, l := range lhs {
-				var rn int = -1
+				var rn pta.Node = -1
 				if i < len(res) {
 					rn = res[i]
 				}
@@ -327,8 +329,8 @@ func (g *genCtx) assign(lhs, rhs []ast.Expr) {
 
 // lval resolves an assignment target to its node. Container element
 // stores collapse into the container's node.
-func (g *genCtx) lval(e ast.Expr) int {
-	switch e := unparen(e).(type) {
+func (g *genCtx) lval(e ast.Expr) pta.Node {
+	switch e := ast.Unparen(e).(type) {
 	case *ast.Ident:
 		if e.Name == "_" {
 			return -1
@@ -360,7 +362,7 @@ func (g *genCtx) typeOf(e ast.Expr) types.Type {
 
 // eval generates constraints for an expression and returns its node, or
 // -1 when the value cannot carry managed references.
-func (g *genCtx) eval(e ast.Expr) int {
+func (g *genCtx) eval(e ast.Expr) pta.Node {
 	switch e := e.(type) {
 	case nil:
 		return -1
@@ -406,10 +408,10 @@ func (g *genCtx) eval(e ast.Expr) int {
 		}
 		return -1
 	case *ast.CompositeLit:
-		t := g.a.sol.newNode()
+		t := g.a.sol.NewNode()
 		for _, elt := range e.Elts {
 			if kv, ok := elt.(*ast.KeyValueExpr); ok {
-				if id, ok := unparen(kv.Key).(*ast.Ident); ok {
+				if id, ok := ast.Unparen(kv.Key).(*ast.Ident); ok {
 					if fv, ok := g.info.Uses[id].(*types.Var); ok && fv.IsField() {
 						g.copyTo(g.eval(kv.Value), g.nodeForObj(fv))
 						continue
@@ -429,7 +431,7 @@ func (g *genCtx) eval(e ast.Expr) int {
 		if a < 0 && b < 0 {
 			return -1
 		}
-		t := g.a.sol.newNode()
+		t := g.a.sol.NewNode()
 		g.copyTo(a, t)
 		g.copyTo(b, t)
 		return t

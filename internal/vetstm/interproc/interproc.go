@@ -1,8 +1,9 @@
 // Package interproc implements the whole-program analyses behind `stmvet
 // elide`: a CHA-style callgraph plus a flow-insensitive, Andersen-style
-// points-to analysis over the type-checked packages vetload produces, and
-// the two barrier-elision clients ported from the toy-IR pipeline
-// (internal/analysis) to the Go embedding:
+// points-to analysis over the type-checked packages vetload produces
+// (constraints generated here, solved by internal/pta, the solver the
+// toy-IR pipeline in internal/analysis also runs on), and the two
+// barrier-elision clients ported from that pipeline to the Go embedding:
 //
 //   - nait (Figure 12): allocation sites whose points-to set is never read
 //     or written inside any Atomic* body;
@@ -41,6 +42,7 @@ import (
 	"sort"
 
 	"repro/internal/elide"
+	"repro/internal/pta"
 	"repro/internal/vetstm"
 )
 
@@ -113,24 +115,28 @@ func Analyze(pkgs []*vetstm.Package, opts Options) (*Result, error) {
 		funcs:     make(map[string]*funcInfo),
 		byNode:    make(map[ast.Node]*funcInfo),
 		siteOf:    make(map[ast.Node]int),
-		nodeByKey: make(map[string]int),
-		nodeByObj: make(map[types.Object]int),
+		nodeByKey: make(map[string]pta.Node),
+		nodeByObj: make(map[types.Object]pta.Node),
 	}
 	a.buildUniverse()
 	a.collectSites()
-	a.sol = newSolver(len(a.sites))
+	a.sol = pta.New(len(a.sites))
+	a.mfield = make([]pta.Node, len(a.sites))
+	for i := range a.mfield {
+		a.mfield[i] = -1
+	}
 	// Result nodes must exist before generation: callers bind their
 	// callees' return nodes regardless of generation order.
 	for _, fi := range a.funcList {
 		for i := range fi.retNodes {
-			fi.retNodes[i] = a.sol.newNode()
+			fi.retNodes[i] = a.sol.NewNode()
 		}
 	}
 	for _, fi := range a.funcList {
 		a.generate(fi)
 	}
 	a.bindDynamicCalls()
-	a.sol.solve()
+	a.sol.Solve()
 	a.propagateReachTxn()
 	a.markAccesses()
 	shared := a.computeShared()
@@ -148,7 +154,7 @@ type funcInfo struct {
 	ftype     *ast.FuncType
 	recv      types.Object   // receiver var, nil for functions/literals
 	params    []types.Object // parameter vars in order (excluding receiver)
-	retNodes  []int
+	retNodes  []pta.Node
 	addrTaken bool
 	hasTxnArg bool // signature carries a transaction handle
 	reachTxn  bool
@@ -171,7 +177,7 @@ const (
 
 type accessRec struct {
 	fn    *funcInfo
-	node  int
+	node  pta.Node
 	store bool
 	kind  accessKind
 }
@@ -184,9 +190,9 @@ type siteRec struct {
 // value), resolved against address-taken functions after generation.
 type dynCall struct {
 	caller   *funcInfo
-	recvNode int // -1 if none
-	argNodes []int
-	resNodes []int
+	recvNode pta.Node // -1 if none
+	argNodes []pta.Node
+	resNodes []pta.Node
 	nargs    int
 	spawn    bool
 	txn      bool
@@ -203,12 +209,18 @@ type analyzer struct {
 	sites  []*siteRec
 	siteOf map[ast.Node]int
 
-	sol *solver
+	// sol is the constraint graph. The managed heap is field-insensitive:
+	// mfield maps a site to the one node standing for every ref-holding slot
+	// of every object allocated there (-1 until a load or store needs it).
+	// The runtime keys elision by allocation site, never by slot, so slot
+	// precision would buy nothing.
+	sol    *pta.Graph
+	mfield []pta.Node
 
-	nodeByKey map[string]int
-	nodeByObj map[types.Object]int
+	nodeByKey map[string]pta.Node
+	nodeByObj map[types.Object]pta.Node
 
-	sharedRoots []int
+	sharedRoots []pta.Node
 	accesses    []accessRec
 	calls       []callEdge
 	dynCalls    []*dynCall
@@ -373,6 +385,25 @@ func allocKind(info *types.Info, call *ast.CallExpr) (SiteKind, bool) {
 	return 0, false
 }
 
+// ---- the managed heap ----
+
+func (a *analyzer) mfieldNode(site int) pta.Node {
+	if a.mfield[site] < 0 {
+		a.mfield[site] = a.sol.NewNode()
+	}
+	return a.mfield[site]
+}
+
+// addLoad states dst ⊇ mfield(site) for every site in pts(base).
+func (a *analyzer) addLoad(base, dst pta.Node) {
+	a.sol.Each(base, func(site int) { a.sol.Copy(a.mfieldNode(site), dst) })
+}
+
+// addStore states mfield(site) ⊇ src for every site in pts(base).
+func (a *analyzer) addStore(base, src pta.Node) {
+	a.sol.Each(base, func(site int) { a.sol.Copy(src, a.mfieldNode(site)) })
+}
+
 // ---- reachTxn propagation ----
 
 func (a *analyzer) propagateReachTxn() {
@@ -418,7 +449,7 @@ func (a *analyzer) markAccesses() {
 			continue
 		}
 		isTxn := rec.kind == accTxn || (rec.fn != nil && rec.fn.reachTxn)
-		a.sol.pts[rec.node].forEach(func(site int) {
+		a.sol.PointsTo(rec.node).ForEach(func(site int) {
 			si := a.sites[site].info
 			si.Accesses++
 			if isTxn {
@@ -436,34 +467,26 @@ func (a *analyzer) markAccesses() {
 // objects are reachable from a shared root (globals, channels, Go struct
 // fields, spawn arguments and captures, external-call escapes, public-born
 // objects), transitively through managed reference slots.
-func (a *analyzer) computeShared() bitset {
-	shared := newBitset(len(a.sites))
-	var work []int
-	add := func(site int) {
-		if shared.set(site) {
-			work = append(work, site)
-		}
-	}
+func (a *analyzer) computeShared() pta.Set {
+	roots := pta.NewSet(len(a.sites))
 	for _, n := range a.sharedRoots {
-		a.sol.pts[n].forEach(add)
+		a.sol.PointsTo(n).ForEach(func(site int) { roots.Add(site) })
 	}
 	for i, s := range a.sites {
 		if s.info.Kind == SiteNewPublic {
-			add(i)
+			roots.Add(i)
 		}
 	}
-	for len(work) > 0 {
-		site := work[len(work)-1]
-		work = work[:len(work)-1]
-		if mf := a.sol.mfield[site]; mf >= 0 {
-			a.sol.pts[mf].forEach(add)
+	return a.sol.Closure(roots, func(site int) []pta.Node {
+		if mf := a.mfield[site]; mf >= 0 {
+			return []pta.Node{mf}
 		}
-	}
-	return shared
+		return nil
+	})
 }
 
 // classify derives the per-site class and assembles the manifest.
-func (a *analyzer) classify(shared bitset) *Result {
+func (a *analyzer) classify(shared pta.Set) *Result {
 	res := &Result{Sites: make([]*SiteInfo, 0, len(a.sites))}
 	m := &elide.Manifest{Version: elide.Version, Tool: a.opts.Tool}
 	for _, pkg := range a.pkgs {
@@ -479,7 +502,7 @@ func (a *analyzer) classify(shared bitset) *Result {
 	}
 	for i, s := range a.sites {
 		si := s.info
-		si.Shared = shared.get(i)
+		si.Shared = shared.Has(i)
 		txn := si.TxnRead || si.TxnWrite
 		switch {
 		case si.Kind == SiteNewPublic:
@@ -552,7 +575,7 @@ func namedIs(t types.Type, name string) bool {
 // calleeFunc resolves the *types.Func a call invokes, or nil for dynamic
 // calls, conversions, and builtins.
 func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := unparen(call.Fun).(type) {
+	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		fn, _ := info.Uses[fun].(*types.Func)
 		return fn
@@ -561,14 +584,4 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 		return fn
 	}
 	return nil
-}
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
 }

@@ -103,7 +103,7 @@ func checkPrivatizeThenRawRead(pass *Pass) {
 				return true
 			}
 			for i, rhs := range as.Rhs {
-				call, ok := unparen(rhs).(*ast.CallExpr)
+				call, ok := ast.Unparen(rhs).(*ast.CallExpr)
 				if !ok {
 					continue
 				}
@@ -157,7 +157,7 @@ func checkPrivatizeThenRawRead(pass *Pass) {
 			case *ast.AssignStmt:
 				// o := h.Get(ref): the dereferenced object is privatized too.
 				for i, rhs := range n.Rhs {
-					call, ok := unparen(rhs).(*ast.CallExpr)
+					call, ok := ast.Unparen(rhs).(*ast.CallExpr)
 					if !ok {
 						continue
 					}
@@ -175,7 +175,7 @@ func checkPrivatizeThenRawRead(pass *Pass) {
 					}
 					if v := identVar(pass.Info, n.Lhs[i]); v != nil {
 						priv[v] = end
-					} else if id, ok := unparen(n.Lhs[i]).(*ast.Ident); ok {
+					} else if id, ok := ast.Unparen(n.Lhs[i]).(*ast.Ident); ok {
 						if v, ok := pass.Info.Defs[id].(*types.Var); ok {
 							priv[v] = end
 						}

@@ -72,7 +72,7 @@ func runSideEffect(pass *Pass) {
 							"%s.%s inside an atomic body: the body re-executes after every abort, repeating the effect — move it after commit, or run under AtomicIrrevocable/BecomeIrrevocable",
 							pkg, name)
 					}
-				} else if id, ok := unparen(n.Fun).(*ast.Ident); ok {
+				} else if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok {
 					if bi, isB := pass.Info.Uses[id].(*types.Builtin); isB && (bi.Name() == "print" || bi.Name() == "println" || bi.Name() == "close") {
 						pass.Reportf(n.Pos(),
 							"%s inside an atomic body: the body re-executes after every abort, repeating the effect — move it after commit, or run under AtomicIrrevocable/BecomeIrrevocable",
@@ -103,7 +103,7 @@ func runSideEffect(pass *Pass) {
 // calleePkgFunc resolves a call to (package-path-suffix, function name)
 // when the callee is a package-level function of a known package.
 func calleePkgFunc(info *types.Info, call *ast.CallExpr) (string, string, bool) {
-	se, ok := unparen(call.Fun).(*ast.SelectorExpr)
+	se, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return "", "", false
 	}

@@ -107,7 +107,7 @@ func txnMethodCall(info *types.Info, call *ast.CallExpr) (*types.Var, string, bo
 	if !ok {
 		return nil, "", false
 	}
-	id, ok := unparen(se.X).(*ast.Ident)
+	id, ok := ast.Unparen(se.X).(*ast.Ident)
 	if !ok {
 		return nil, "", false
 	}
@@ -118,20 +118,10 @@ func txnMethodCall(info *types.Info, call *ast.CallExpr) (*types.Var, string, bo
 	return v, se.Sel.Name, true
 }
 
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
-}
-
 // identVar resolves e to the variable it names, if it is a plain
 // identifier.
 func identVar(info *types.Info, e ast.Expr) *types.Var {
-	id, ok := unparen(e).(*ast.Ident)
+	id, ok := ast.Unparen(e).(*ast.Ident)
 	if !ok {
 		return nil
 	}
@@ -206,7 +196,7 @@ func forEachBody(pass *Pass, fn func(bodyFunc)) {
 			}
 			if name, ok := atomicCall(pass.Info, call); ok {
 				for _, arg := range call.Args {
-					if lit, ok := unparen(arg).(*ast.FuncLit); ok {
+					if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
 						atomicLits[lit] = name
 					}
 				}

@@ -51,7 +51,7 @@ func runTxnEscape(pass *Pass) {
 				// transactions are single-threaded and the goroutine can
 				// outlive the atomic block (or race its re-execution).
 				captured := false
-				if fl, ok := unparen(n.Call.Fun).(*ast.FuncLit); ok && mentionsTxn(pass.Info, fl, tx) {
+				if fl, ok := ast.Unparen(n.Call.Fun).(*ast.FuncLit); ok && mentionsTxn(pass.Info, fl, tx) {
 					captured = true
 				}
 				for _, arg := range n.Call.Args {
@@ -84,7 +84,7 @@ func runTxnEscape(pass *Pass) {
 // opaque — tx.Read(o, 0) yields a slot value, not the handle — except the
 // append builtin, whose result aggregates its arguments.
 func carriesTxnHandle(info *types.Info, e ast.Expr, tx *types.Var) bool {
-	switch e := unparen(e).(type) {
+	switch e := ast.Unparen(e).(type) {
 	case *ast.Ident:
 		return info.Uses[e] == tx
 	case *ast.UnaryExpr:
@@ -101,7 +101,7 @@ func carriesTxnHandle(info *types.Info, e ast.Expr, tx *types.Var) bool {
 	case *ast.KeyValueExpr:
 		return carriesTxnHandle(info, e.Value, tx)
 	case *ast.CallExpr:
-		if id, ok := unparen(e.Fun).(*ast.Ident); ok && id.Name == "append" && info.Uses[id] == nil {
+		if id, ok := ast.Unparen(e.Fun).(*ast.Ident); ok && id.Name == "append" && info.Uses[id] == nil {
 			// append resolves to the universe builtin (no Uses object in
 			// some configurations; Uses maps it to the builtin otherwise).
 			for _, arg := range e.Args {
@@ -109,7 +109,7 @@ func carriesTxnHandle(info *types.Info, e ast.Expr, tx *types.Var) bool {
 					return true
 				}
 			}
-		} else if id, ok := unparen(e.Fun).(*ast.Ident); ok {
+		} else if id, ok := ast.Unparen(e.Fun).(*ast.Ident); ok {
 			if b, isB := info.Uses[id].(*types.Builtin); isB && b.Name() == "append" {
 				for _, arg := range e.Args {
 					if carriesTxnHandle(info, arg, tx) {
@@ -142,7 +142,7 @@ func mentionsTxn(info *types.Info, n ast.Node, tx *types.Var) bool {
 // lhs (`G = ...`, `G.f = ...`, `G[i] = ...`), or nil.
 func assignedGlobal(info *types.Info, lhs ast.Expr) *types.Var {
 	for {
-		switch e := unparen(lhs).(type) {
+		switch e := ast.Unparen(lhs).(type) {
 		case *ast.Ident:
 			v, ok := info.Uses[e].(*types.Var)
 			if !ok {
@@ -156,7 +156,7 @@ func assignedGlobal(info *types.Info, lhs ast.Expr) *types.Var {
 			return nil
 		case *ast.SelectorExpr:
 			// pkg.G = tx resolves Sel to the var; obj.f = tx walks to obj.
-			if id, ok := unparen(e.X).(*ast.Ident); ok {
+			if id, ok := ast.Unparen(e.X).(*ast.Ident); ok {
 				if _, isPkg := info.Uses[id].(*types.PkgName); isPkg {
 					lhs = e.Sel
 					continue
