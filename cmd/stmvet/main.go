@@ -219,6 +219,7 @@ func modulePath(root string) string {
 	}
 	return ""
 }
+
 // handshake answers `stmvet -V=full`, which cmd/go uses to fingerprint
 // the tool for its action cache. The content hash of the binary keys the
 // cache, so rebuilding stmvet invalidates stale vet results.

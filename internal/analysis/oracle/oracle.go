@@ -55,15 +55,15 @@ const (
 
 // Breach is one observed contradiction of the manifest.
 type Breach struct {
-	Kind  Kind
-	Site  string              // manifest allocation-site ID ("file.go:line")
-	Class objmodel.SiteClass  // the claim that was contradicted
-	Obj   uint64              // heap handle of the offending object
-	Slot  int                 // slot accessed
-	Write bool                // access direction
-	Txn   uint64              // transaction ID; 0 for non-transactional accesses
-	AllocG, AccessG uint64    // allocating / accessing goroutine IDs
-	Chain string              // causal context from the flight recorder, if any
+	Kind            Kind
+	Site            string             // manifest allocation-site ID ("file.go:line")
+	Class           objmodel.SiteClass // the claim that was contradicted
+	Obj             uint64             // heap handle of the offending object
+	Slot            int                // slot accessed
+	Write           bool               // access direction
+	Txn             uint64             // transaction ID; 0 for non-transactional accesses
+	AllocG, AccessG uint64             // allocating / accessing goroutine IDs
+	Chain           string             // causal context from the flight recorder, if any
 }
 
 // String renders the breach for logs and test failures.

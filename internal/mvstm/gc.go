@@ -40,10 +40,30 @@
 // chain or severs it — a committer, or GC holding the record anonymously —
 // which keeps VersionsInstalled - VersionsGCd equal to the nodes on chains.
 //
-// Severed nodes are left to Go's collector, not reused: a snapshot read that
-// meets an Exclusive record loads the chain head's timestamp to decide whether
-// to wait (snapshotRead) while the record's holder may be severing that very
-// head, and a free list would hand the node to the next install under it.
+// A dead head is rewritten in place: an install with sv at or under its
+// watermark w stores sv and the pre-image into the head it found instead of
+// allocating the node that replaces it. (What hung below is severed and left
+// to Go's collector; there is no free list.) Only an object's first install
+// and installs with sv > w allocate. So a node is not immutable while
+// reachable, and what makes that safe is the proof above: every transaction R
+// live now or beginning later has rv_R >= w. snapshotRead loads the head in
+// two places:
+//
+//   - Record Shared(ver) with ver > rv_R, then the walk. R is pinned, so a
+//     committer that acquires after that load has sv >= ver > rv_R >= w and
+//     pushes a fresh node; what it may sever lies below the newest node at or
+//     under w, and R reads that node or one above it. A committer that
+//     acquired before the load has released, and its stores happen before R's
+//     load of the record.
+//   - Record Exclusive, then the probe head.TS > rv_R. A holder that rewrites
+//     the head has sv <= w, and a node's TS only rises (record versions do),
+//     so old TS and new are both at most sv <= w <= rv_R: the probe is false
+//     either way and R waits for the release without touching Vals. If the
+//     probe is true, any holder while that node is the head has
+//     sv > head.TS > rv_R >= w and only pushes over it, and a node under the
+//     head is never written again: R walks an immutable chain.
+//
+// GC() prunes under the anonymous claim and rewrites nothing.
 package mvstm
 
 import (
@@ -97,36 +117,46 @@ func (tx *Txn) pruneHorizon() (w uint64, sweep bool) {
 	return tx.rt.watermark.Load(), false
 }
 
-// install pushes the image o's slots hold — its committed state since sv,
-// the version the record was acquired at, which the write-back is about to
-// overwrite — on o's chain, and prunes the chain against watermark w. The
-// caller holds o's record.
+// install saves the image o's slots hold — its committed state since sv, the
+// version the record was acquired at, which the write-back is about to
+// overwrite — as the head of o's chain, and prunes the chain against
+// watermark w. The caller holds o's record.
 //
-// At or under the watermark the new node is the one a w-snapshot reads and
-// the whole old chain is dead: it is dropped unlinked and unread (o.MVLen
-// says how long it was). That is every install on an object written less
-// often than the watermark is refreshed. Above it the node is linked, and
-// only a sweep install (one in Config.GCEvery) looks for the newest node at
-// or under w to sever below it: on an object that hot the nodes were pushed
+// At or under the watermark the saved image is the one a w-snapshot reads and
+// the whole old chain is dead (o.MVLen says how long it was): its head is
+// rewritten in place and whatever hung below it is cut off unread. That is
+// every install on an object written less often than the watermark is
+// refreshed. Above it a fresh node is linked over the old head, and only a
+// sweep install (one in Config.GCEvery) looks for the newest node at or
+// under w to sever below it: on an object that hot the nodes were pushed
 // from other processors, and reading them at every install costs more than
 // keeping them a few commits longer.
 func (tx *Txn) install(o *objmodel.Object, sv, w uint64, sweep bool) {
-	n := objmodel.NewMVVersion(sv, len(o.Slots))
-	for i := range n.Vals {
-		n.Vals[i] = o.LoadSlot(i)
-	}
-	if sv <= w {
-		tx.NReclaimed += int64(o.MVLen)
-		o.MVLen = 0
-	} else {
-		head := o.MVHead.Load()
-		n.SetPrev(head)
-		if sweep {
-			tx.NReclaimed += int64(prune(o, head, w))
+	head := o.MVHead.Load()
+	n := head
+	if sv <= w && head != nil {
+		if o.MVLen > 1 {
+			head.SetPrev(nil)
 		}
+		tx.NReclaimed += int64(o.MVLen) // the old head counts: reclaimed here, installed below
+		o.MVLen = 1
+	} else {
+		n = objmodel.NewMVVersion(len(o.Slots))
+		if head != nil {
+			n.SetPrev(head)
+			if sweep {
+				tx.NReclaimed += int64(prune(o, head, w))
+			}
+		}
+		o.MVLen++
 	}
-	o.MVLen++
-	o.MVHead.Store(n)
+	n.TS.Store(sv)
+	for i := range n.Vals {
+		n.Vals[i].Store(o.LoadSlot(i))
+	}
+	if n != head {
+		o.MVHead.Store(n)
+	}
 	tx.NInstalled++
 }
 
@@ -135,7 +165,7 @@ func (tx *Txn) install(o *objmodel.Object, sv, w uint64, sweep bool) {
 // of nodes severed. The caller holds o's record.
 func prune(o *objmodel.Object, head *objmodel.MVVersion, w uint64) int {
 	for keep := head; keep != nil; keep = keep.Prev() {
-		if keep.TS <= w {
+		if keep.TS.Load() <= w {
 			n := 0
 			for dead := keep.Prev(); dead != nil; dead = dead.Prev() {
 				n++

@@ -33,8 +33,8 @@ func TestGCReclaimsDeadVersions(t *testing.T) {
 	if got := chainLen(o); got != 1 {
 		t.Errorf("chain length after GC = %d, want 1", got)
 	}
-	if head := o.MVHead.Load(); head.Vals[0] != writes-1 {
-		t.Errorf("surviving head value = %d, want the last pre-image %d", head.Vals[0], writes-1)
+	if got := o.MVHead.Load().Vals[0].Load(); got != writes-1 {
+		t.Errorf("surviving head value = %d, want the last pre-image %d", got, writes-1)
 	}
 	if w := o.Rec.Load(); !txrec.IsShared(w) {
 		t.Errorf("record after GC = %#x, want shared", w)
@@ -98,7 +98,7 @@ func TestGCPinnedByLongReader(t *testing.T) {
 	// value 10 (its snapshot predates writes 11..20).
 	foundPinned := false
 	for v := o.MVHead.Load(); v != nil; v = v.Prev() {
-		if v.Vals[0] == first {
+		if v.Vals[0].Load() == first {
 			foundPinned = true
 			break
 		}

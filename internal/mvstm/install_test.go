@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/objmodel"
 	"repro/internal/txn"
+	"repro/internal/txrec"
 )
 
 // chainNodes walks every object's chain (callers are at quiescence) and
@@ -24,6 +25,25 @@ func chainNodes(h *objmodel.Heap) (total, longest int) {
 		longest = max(longest, n)
 	}
 	return total, longest
+}
+
+// reachable returns the nodes of o's chain a snapshot read at rv may load, by
+// snapshotRead's own rules: none while the record is Shared at a version rv
+// covers, or Exclusive under a head at or below rv (the read waits); otherwise
+// the chain from its head down to the newest node at or below rv.
+func reachable(o *objmodel.Object, rv uint64) (nodes []*objmodel.MVVersion) {
+	w := o.Rec.Load()
+	head := o.MVHead.Load()
+	if txrec.IsShared(w) && txrec.Version(w) <= rv || !txrec.IsShared(w) && (head == nil || head.TS.Load() <= rv) {
+		return nil
+	}
+	for n := head; n != nil; n = n.Prev() {
+		nodes = append(nodes, n)
+		if n.TS.Load() <= rv {
+			break
+		}
+	}
+	return nodes
 }
 
 // TestInstallPrunesBelowWatermark: writers alone, GC never called. Installs
@@ -88,10 +108,82 @@ func TestInstallPrunesBelowWatermark(t *testing.T) {
 	}
 }
 
+// TestInstallReusesDeadHead: one goroutine writes round-robin over objects
+// each rewritten long after the watermark has passed its last install, so
+// every install after an object's first finds the whole chain dead and
+// rewrites its head in place: the same node, one node long, holding the image
+// the commit overwrote, and in steady state a writing commit allocates
+// nothing.
+func TestInstallReusesDeadHead(t *testing.T) {
+	f := newFixture(t, Config{})
+	const perCommit = 8
+	objs := make([]*objmodel.Object, 2*perCommit*DefaultGCEvery) // an object is rewritten every 2*GCEvery commits
+	for i := range objs {
+		objs[i] = f.heap.New(f.cls)
+	}
+	next := 0
+	commit := func() {
+		batch := objs[next : next+perCommit]
+		next = (next + perCommit) % len(objs)
+		if err := f.rt.Atomic(nil, func(tx *Txn) error {
+			for _, o := range batch {
+				tx.Write(o, 0, tx.Read(o, 0)+1)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pass := func() {
+		for range len(objs) / perCommit {
+			commit()
+		}
+	}
+	pass() // warm-up: an object's first install allocates its node
+	heads := make([]*objmodel.MVVersion, len(objs))
+	for i, o := range objs {
+		heads[i] = o.MVHead.Load()
+	}
+	const passes = 3
+	for p := 2; p <= passes; p++ {
+		pass()
+		for i, o := range objs {
+			head := o.MVHead.Load()
+			if head != heads[i] {
+				t.Fatalf("pass %d, object %d: head is a new node, want the first one rewritten", p, i)
+			}
+			if o.MVLen != 1 || head.Prev() != nil {
+				t.Fatalf("pass %d, object %d: MVLen = %d, %d nodes on the chain, want 1 and 1", p, i, o.MVLen, chainLen(o))
+			}
+			if got, ver := head.TS.Load(), txrec.Version(o.Rec.Load()); got == 1 || got >= ver {
+				t.Fatalf("pass %d, object %d: head TS = %d, want the previous commit's stamp, below the record's %d", p, i, got, ver)
+			}
+			if got := head.Vals[0].Load(); got != uint64(p-1) {
+				t.Fatalf("pass %d, object %d: head image = %d, want the overwritten value %d", p, i, got, p-1)
+			}
+		}
+	}
+	s := f.rt.Stats.Snapshot()
+	if want := int64(passes * len(objs)); s.VersionsInstalled != want {
+		t.Errorf("VersionsInstalled = %d, want %d: a rewrite counts as an install", s.VersionsInstalled, want)
+	}
+	if s.VersionsLive != int64(len(objs)) {
+		t.Errorf("VersionsLive = %d, want one per object (%d)", s.VersionsLive, len(objs))
+	}
+	if raceEnabled {
+		return // the detector's instrumentation allocates
+	}
+	if avg := testing.AllocsPerRun(100, commit); avg != 0 {
+		t.Errorf("a commit writing %d objects allocates %.1f times, want 0", perCommit, avg)
+	}
+}
+
 // TestPinnedReaderSurvivesInstallPrune is TestGCPinnedByLongReader against
 // pruning at install: a reader pinned at snapshot S keeps reading every
 // object at its S value while writers push thousands of versions over them
-// (each push prunes), and the chains shrink once it has finished.
+// (each push prunes), and the chains shrink once it has finished. While it is
+// pinned no node it can reach is ever written again: an install rewrites a
+// head only when no live snapshot can need it (gc.go).
 func TestPinnedReaderSurvivesInstallPrune(t *testing.T) {
 	f := newFixture(t, Config{GCEvery: 1}) // every commit prunes against a fresh watermark
 	const nObjs, writers, commits = 8, 3, 400
@@ -118,11 +210,33 @@ func TestPinnedReaderSurvivesInstallPrune(t *testing.T) {
 	go func() {
 		defer close(readerDone)
 		_ = f.rt.AtomicRead(func(tx *Txn) error {
+			// Every node met so far on a path snapshotRead can take, as it
+			// was when first met; all of them are compared again on every
+			// pass, cut off the chain since or not.
+			type image struct {
+				ts   uint64
+				vals [3]uint64
+			}
+			imageOf := func(n *objmodel.MVVersion) image {
+				return image{n.TS.Load(), [3]uint64{n.Vals[0].Load(), n.Vals[1].Load(), n.Vals[2].Load()}}
+			}
+			seen := map[*objmodel.MVVersion]image{}
 			for pass := 0; ; pass++ {
 				last := stop.Load() // one full pass after the writers are done
 				for i, o := range objs {
 					if got := tx.Read(o, 0); got != uint64(100+i) {
 						t.Errorf("pass %d: object %d reads %d at the pinned snapshot, want %d", pass, i, got, 100+i)
+						return nil
+					}
+					for _, n := range reachable(o, tx.RV) {
+						if _, met := seen[n]; !met {
+							seen[n] = imageOf(n)
+						}
+					}
+				}
+				for n, was := range seen {
+					if now := imageOf(n); now != was {
+						t.Errorf("pass %d: node %p was %v when the pinned reader could first reach it, is %v now", pass, n, was, now)
 						return nil
 					}
 				}
@@ -162,11 +276,21 @@ func TestPinnedReaderSurvivesInstallPrune(t *testing.T) {
 		t.Errorf("read-only aborts = %d, want 0", n)
 	}
 
-	// The pin is gone: the next install on each object drops the history.
+	// The pin is gone: the next install on each object drops the history,
+	// and keeps the head it found for the image it saves.
+	heads := make([]*objmodel.MVVersion, nObjs)
+	for i, o := range objs {
+		heads[i] = o.MVHead.Load()
+	}
 	writeAll(func(int) uint64 { return 0 })
 	total, longest := chainNodes(f.heap)
 	if longest != 1 {
 		t.Errorf("longest chain = %d after the reader finished and one more install, want 1", longest)
+	}
+	for i, o := range objs {
+		if o.MVHead.Load() != heads[i] {
+			t.Errorf("object %d: the install after the reader finished allocated a head, want the dead one rewritten", i)
+		}
 	}
 	if live := f.rt.Stats.Snapshot().VersionsLive; live != int64(total) {
 		t.Errorf("VersionsLive = %d, a heap walk counts %d nodes", live, total)
@@ -178,7 +302,10 @@ func TestPinnedReaderSurvivesInstallPrune(t *testing.T) {
 // read and whether the read waited, for snapshots on every side of the
 // in-flight write version. Commit A has written 10 over 0 at version vA;
 // commit B, in flight, writes 20. Before B's install the chain head is A's
-// pre-image (timestamp 1); after it, B's (timestamp vA).
+// pre-image (timestamp 1); after it, B's (timestamp vA). In the last two
+// cases every commit prunes against a fresh watermark, which vA is then under:
+// B's install rewrites A's node in place, and the reader, whose snapshot the
+// old timestamp and the new are both at or below, waits on either.
 func TestSnapshotReadInlineVsChain(t *testing.T) {
 	type when int
 	const (
@@ -193,16 +320,19 @@ func TestSnapshotReadInlineVsChain(t *testing.T) {
 		afterInstal bool // probe from OnAfterWriteback, not OnAfterCommitPoint
 		wantWait    bool
 		want        uint64
+		deadHead    bool // B finds the chain dead and rewrites its head
 	}{
 		// A chain node above rv is the one case that does not wait.
-		{"rv below pre-image, after install", beforeA, true, false, 0},
-		{"rv below pre-image, before install", beforeA, false, true, 0},
-		{"rv below write version, after install", beforeB, true, true, 10},
-		{"rv below write version, before install", beforeB, false, true, 10},
-		{"rv equals write version, after install", inWindow, true, true, 20},
-		{"rv equals write version, before install", inWindow, false, true, 20},
-		{"rv above write version, after install", afterTick, true, true, 20},
-		{"rv above write version, before install", afterTick, false, true, 20},
+		{"rv below pre-image, after install", beforeA, true, false, 0, false},
+		{"rv below pre-image, before install", beforeA, false, true, 0, false},
+		{"rv below write version, after install", beforeB, true, true, 10, false},
+		{"rv below write version, before install", beforeB, false, true, 10, false},
+		{"rv equals write version, after install", inWindow, true, true, 20, false},
+		{"rv equals write version, before install", inWindow, false, true, 20, false},
+		{"rv above write version, after install", afterTick, true, true, 20, false},
+		{"rv above write version, before install", afterTick, false, true, 20, false},
+		{"dead head rewritten, rv below write version", beforeB, true, true, 10, true},
+		{"dead head rewritten, rv equals write version", inWindow, true, true, 20, true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -218,7 +348,11 @@ func TestSnapshotReadInlineVsChain(t *testing.T) {
 			if c.afterInstal {
 				hooks = txn.CommitHooks{OnAfterWriteback: func(tx *txn.Txn, _ int) { fire(tx) }}
 			}
-			f := newFixture(t, Config{})
+			cfg := Config{}
+			if c.deadHead {
+				cfg.GCEvery = 1
+			}
+			f := newFixture(t, cfg)
 			f.rt.SetCommitHooks(hooks)
 			o, other := f.heap.New(f.cls), f.heap.New(f.cls)
 			write := func(o *objmodel.Object, v uint64) {
@@ -271,9 +405,13 @@ func TestSnapshotReadInlineVsChain(t *testing.T) {
 				go reader()
 				rv = <-begun
 			}
+			headA := o.MVHead.Load()
 			armed = true
 			write(o, 20) // commit B, probed from inside
 			r := <-res
+			if c.deadHead && (o.MVHead.Load() != headA || headA.Prev() != nil || headA.Vals[0].Load() != 10) {
+				t.Errorf("B's install left %d nodes, head image %d; want A's node rewritten with the image 10", chainLen(o), o.MVHead.Load().Vals[0].Load())
+			}
 
 			switch c.begin {
 			case beforeA, beforeB:

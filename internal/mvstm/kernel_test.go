@@ -49,10 +49,12 @@ func (c *countSink) WaitDurable(seq uint64) error { return nil }
 // hooks on the multi-version runtime: a transaction that does not write —
 // on the concrete API, through AtomicRead, and through the stmapi adapter —
 // allocates nothing, including after a tracer and a sink have been
-// installed and removed again. A writing commit allocates exactly the
+// installed and removed again. A writing commit allocates at most the
 // versions it installs, one allocation (node and image together) per written
-// object, never more: the write set, its sort and the pruning allocate
-// nothing in steady state.
+// object — these objects are rewritten by every commit, above the watermark,
+// so an install here pushes a fresh node; TestInstallReusesDeadHead has the
+// commits that allocate nothing — never more: the write set, its sort and
+// the pruning allocate nothing in steady state.
 func TestMVDisabledHooksAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates; exact alloc count only meaningful without -race")

@@ -29,7 +29,8 @@
 // like the lazy runtime: sort the buffer by handle, acquire the write set's
 // records in that order, first-committer-wins check, advance the clock to
 // obtain the write version, pass the commit point, and then in one pass over
-// the buffer push each object's pre-image onto its chain, pruning the chain
+// the buffer save each object's pre-image at the head of its chain (over a
+// head no snapshot can need any more, else on a fresh node), pruning the chain
 // while there, and write the buffered values back to the slots; finally
 // release the records stamped with the write version. Versions strictly
 // decrease along each chain and the head's is below the record's.
@@ -60,25 +61,25 @@
 //     point). No clock tick is needed: snapshot readers never validate, and
 //     a writer that meets the released version raises the clock on contact.
 //
-//   - The commit gate (committers counter) is never repaired by the reaper:
-//     commit releases it on every exit, including the panic unwind of a
-//     simulated thread death, so only the descriptor's own goroutine ever
-//     touches it.
+//   - The commit gate, a flag on the descriptor (Txn.inCommit), is never
+//     repaired by the reaper: commit lowers it on every exit, including the
+//     panic unwind of a simulated thread death, so only the descriptor's own
+//     goroutine ever writes it.
 //
 //   - Irrevocable mode takes no read locks. The switch acquires the
-//     singular token and then drains the commit gate; with nothing else
-//     committing, the transaction reads the newest version of everything
+//     singular token and then scans the registry until it has seen every
+//     descriptor outside the gate (a committer raises its flag before it
+//     looks at the token, so one of the two sees the other); with nothing
+//     else committing, the transaction reads the newest version of everything
 //     (RV = maxSnapshot) and first-committer-wins can never fail it, which
 //     preserves the no-abort guarantee without locking a single record
 //     during the body.
 package mvstm
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"math"
-	"slices"
 	"sync/atomic"
 	"time"
 
@@ -132,14 +133,6 @@ type Runtime struct {
 	txn.Kernel
 
 	cfg Config
-
-	// Commit gate: committers counts writing transactions inside the commit
-	// protocol. An irrevocable switch takes the kernel's token, drains
-	// committers, and then runs alone — with nothing else committing,
-	// versions cannot move past its snapshot and first-committer-wins can
-	// never fail it, which is how a runtime with no read locks at all keeps
-	// the no-abort guarantee.
-	committers atomic.Int64
 
 	// watermark is the highest reclamation watermark computed so far, what
 	// installs prune against (gc.go); its distance behind the clock is
@@ -230,7 +223,11 @@ type Txn struct {
 	// watermark refresh (gc.go); kept across transactions.
 	refreshIn int
 
-	inCommit bool // inside the commit gate
+	// inCommit is the commit gate: raised while this descriptor is inside a
+	// writing commit, by its own goroutine only. An irrevocable switch takes
+	// the kernel's token, waits until it has seen every registered
+	// descriptor's flag down (drainGate), and then runs alone.
+	inCommit atomic.Bool
 }
 
 // Begin implements txn.Strategy.
@@ -243,7 +240,6 @@ func (tx *Txn) Begin() {
 func (tx *Txn) Reset() {
 	tx.snap.Store(1) // unregistered now; pinned low for when it next is
 	tx.readOnly = false
-	tx.inCommit = false
 	tx.Deferred.Reset()
 }
 
@@ -318,7 +314,7 @@ func (tx *Txn) snapshotRead(o *objmodel.Object, slot int) uint64 {
 				return tx.snapshotHit(o, slot, ver, v)
 			}
 			if n := versionAt(o.MVHead.Load(), tx.RV); n != nil {
-				return tx.snapshotHit(o, slot, n.TS, n.Vals[slot])
+				return tx.snapshotHit(o, slot, n.TS.Load(), n.Vals[slot].Load())
 			}
 			// Committed after the snapshot with the old image on no chain:
 			// the writer was a foreign runtime or a non-transactional
@@ -331,9 +327,9 @@ func (tx *Txn) snapshotRead(o *objmodel.Object, slot int) uint64 {
 		default:
 			// Exclusive (a committer, or a foreign-runtime owner) or
 			// exclusive-anonymous (a non-transactional writer, or GC).
-			if head := o.MVHead.Load(); head != nil && head.TS > tx.RV {
+			if head := o.MVHead.Load(); head != nil && head.TS.Load() > tx.RV {
 				if n := versionAt(head, tx.RV); n != nil {
-					return tx.snapshotHit(o, slot, n.TS, n.Vals[slot])
+					return tx.snapshotHit(o, slot, n.TS.Load(), n.Vals[slot].Load())
 				}
 			}
 			tx.waitOwner(o, w, attempt)
@@ -345,7 +341,7 @@ func (tx *Txn) snapshotRead(o *objmodel.Object, slot int) uint64 {
 // or nil.
 func versionAt(head *objmodel.MVVersion, rv uint64) *objmodel.MVVersion {
 	for n := head; n != nil; n = n.Prev() {
-		if n.TS <= rv {
+		if n.TS.Load() <= rv {
 			return n
 		}
 	}
@@ -441,15 +437,19 @@ func (tx *Txn) RetryWait(ctx context.Context) error {
 // enterCommit admits a writing transaction into the commit protocol,
 // waiting out an irrevocable token holder. Returns false when the attempt
 // must abort instead (cancelled or doomed while waiting).
+//
+// The flag goes up before the second look at the token, and a switch takes the
+// token before it scans the flags (Dekker; sync/atomic is sequentially
+// consistent): the switch sees this committer, or this committer the switch.
+// The first look keeps a waiter's flag from flickering at the holder's scan.
 func (rt *Runtime) enterCommit(tx *Txn) bool {
 	for a := 0; ; a++ {
 		if tok := rt.IrrevocableHolder(); tok == 0 || tok == tx.ID() {
-			rt.committers.Add(1)
+			tx.inCommit.Store(true)
 			if tok = rt.IrrevocableHolder(); tok == 0 || tok == tx.ID() {
-				tx.inCommit = true
 				return true
 			}
-			rt.committers.Add(-1) // lost the race to an irrevocable switch
+			tx.inCommit.Store(false) // lost the race to an irrevocable switch
 		}
 		tx.Beat()
 		if tx.Ctx != nil && tx.Ctx.Err() != nil {
@@ -463,30 +463,45 @@ func (rt *Runtime) enterCommit(tx *Txn) bool {
 	}
 }
 
+// exitCommit leaves the gate; a second call (Commit's deferred one, after a
+// normal exit) costs a load, not another sequentially consistent store.
 func (rt *Runtime) exitCommit(tx *Txn) {
-	if tx.inCommit {
-		tx.inCommit = false
-		rt.committers.Add(-1)
+	if tx.inCommit.Load() {
+		tx.inCommit.Store(false)
 	}
 }
 
-// DrainCommitters waits until no writing transaction is inside the commit
-// gate (between enterCommit and exitCommit), or the timeout elapses. An
-// instant with an empty gate proves every commit that entered before the
-// call has installed its versions and released — the barrier the durable
-// store's live checkpoint uses to bound snapshot coverage. Commits entering
-// after the observation are not excluded (a barrier, not a lock).
+// drainGate waits, one registered descriptor after the other, until it has
+// seen each outside the commit gate, calling wait between looks at a raised
+// flag; false means wait gave up. Every commit inside the gate when the scan
+// starts has left it when drainGate returns true.
+func (rt *Runtime) drainGate(wait func(attempt int) bool) bool {
+	drained := true
+	rt.ForEach(func(k *txn.Txn) bool {
+		tx := k.Self().(*Txn)
+		for a := 0; drained && tx.inCommit.Load(); a++ {
+			drained = wait(a)
+		}
+		return drained
+	})
+	return drained
+}
+
+// DrainCommitters waits until every writing transaction inside the commit
+// gate (between enterCommit and exitCommit) when it was called has left it,
+// or the timeout elapses: each of those commits has installed its versions
+// and released — the barrier the durable store's live checkpoint uses to
+// bound snapshot coverage. Commits entering after the call are not excluded
+// (a barrier, not a lock; excluding them takes the irrevocable token).
 func (rt *Runtime) DrainCommitters(timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
-	for a := 0; ; a++ {
-		if rt.committers.Load() == 0 {
-			return true
-		}
+	return rt.drainGate(func(a int) bool {
 		if time.Now().After(deadline) {
 			return false
 		}
 		conflict.WaitAttempt(a)
-	}
+		return true
+	})
 }
 
 // Rollback implements txn.Strategy: a failed commit has already restored
@@ -531,8 +546,8 @@ func (tx *Txn) Commit() (ok bool, err error) {
 	// contiguous, so everything below is one pass over the buffer; the sort
 	// is stable, so an object's slots stay in the order the body wrote them
 	// and write-back and the redo record are deterministic.
+	tx.Buf.SortByRef()
 	ents := tx.Buf.Ents
-	slices.SortStableFunc(ents, func(a, b txn.BufEntry) int { return cmp.Compare(a.Obj.Ref(), b.Obj.Ref()) })
 	for i := range ents {
 		if i == 0 || ents[i].Obj != ents[i-1].Obj {
 			tx.Objs = append(tx.Objs, ents[i].Obj) // empty between commits, so already deduplicated and sorted
@@ -555,7 +570,7 @@ func (tx *Txn) Commit() (ok bool, err error) {
 	// ----- commit point: the transaction is now serialized. -----
 	tx.Serialize(rt.cfg.Quiescence)
 
-	// Per object, save the pre-image on the chain, then write the buffered
+	// Per object, save the pre-image at the chain's head, then write the buffered
 	// slots back. Both happen under the Exclusive record, which keeps
 	// snapshot readers off the slots (snapshotRead); non-transactional
 	// readers under weak atomicity go straight to the slots and see the lazy
@@ -615,11 +630,12 @@ func (tx *Txn) BecomeIrrevocable() {
 // alone, the newest version of everything is a consistent (and the only
 // serializable) view, so no record is locked and no read needs re-checking.
 func (tx *Txn) LockReadSet() bool {
-	for a := 0; tx.rt.committers.Load() != 0; a++ {
+	tx.rt.drainGate(func(a int) bool {
 		tx.Beat()
 		tx.rt.ReapDead()
 		conflict.WaitAttempt(a)
-	}
+		return true
+	})
 	tx.RV = maxSnapshot
 	return true
 }

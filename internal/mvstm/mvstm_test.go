@@ -5,9 +5,11 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/objmodel"
 	"repro/internal/stmapi"
+	"repro/internal/txn"
 	"repro/internal/txrec"
 )
 
@@ -71,11 +73,11 @@ func TestMVCommitBasic(t *testing.T) {
 	if head == nil {
 		t.Fatal("no version chain after commit")
 	}
-	if head.TS != 1 || head.TS >= txrec.Version(w) {
-		t.Errorf("head TS = %d, want the birth version 1, below the record's %d", head.TS, txrec.Version(w))
+	if ts := head.TS.Load(); ts != 1 || ts >= txrec.Version(w) {
+		t.Errorf("head TS = %d, want the birth version 1, below the record's %d", ts, txrec.Version(w))
 	}
-	if head.Vals[0] != 0 || head.Vals[1] != 0 {
-		t.Errorf("head image = %v, want the pre-image (0,0)", head.Vals[:2])
+	if f, g := head.Vals[0].Load(), head.Vals[1].Load(); f != 0 || g != 0 {
+		t.Errorf("head image = (%d,%d), want the pre-image (0,0)", f, g)
 	}
 	if head.Prev() != nil {
 		t.Errorf("first commit pushed %d nodes, want 1", chainLen(o))
@@ -389,6 +391,104 @@ func TestIrrevocableExcludesCommitters(t *testing.T) {
 	wg.Wait()
 	if got := o.LoadSlot(0); got != goroutines*iters {
 		t.Errorf("counter = %d, want %d", got, goroutines*iters)
+	}
+}
+
+// TestGateIsPerDescriptor: the commit gate is the committing descriptor's own
+// flag. While one commit is held inside the gate, DrainCommitters times out
+// and an irrevocable switch, holding the token, waits for it; a commit that
+// starts behind the token waits outside with its flag clear; all three go
+// through once the first is let go.
+func TestGateIsPerDescriptor(t *testing.T) {
+	f := newFixture(t, Config{})
+	a, b, c := f.heap.New(f.cls), f.heap.New(f.cls), f.heap.New(f.cls)
+	inGate := func() (n int) {
+		f.rt.ForEach(func(k *txn.Txn) bool {
+			if k.Self().(*Txn).inCommit.Load() {
+				n++
+			}
+			return true
+		})
+		return n
+	}
+	await := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+
+	var hold atomic.Bool // the next commit to pass its commit point stops there
+	held, letGo := make(chan struct{}), make(chan struct{})
+	f.rt.SetCommitHooks(txn.CommitHooks{OnAfterCommitPoint: func(*txn.Txn) {
+		if hold.CompareAndSwap(true, false) {
+			close(held)
+			<-letGo
+		}
+	}})
+	var wg sync.WaitGroup
+	run := func(body func()) {
+		wg.Add(1)
+		go func() { defer wg.Done(); body() }()
+	}
+	write := func(o *objmodel.Object, atCommit func()) {
+		if err := f.rt.Atomic(nil, func(tx *Txn) error {
+			tx.Write(o, 0, 1)
+			atCommit()
+			return nil
+		}); err != nil {
+			t.Error(err)
+		}
+	}
+
+	hold.Store(true)
+	run(func() { write(a, func() {}) })
+	<-held
+	if n := inGate(); n != 1 {
+		t.Fatalf("%d descriptors inside the gate with one commit held there, want 1", n)
+	}
+	if f.rt.DrainCommitters(20 * time.Millisecond) {
+		t.Error("DrainCommitters returned true with a commit held inside the gate")
+	}
+
+	var switched atomic.Bool
+	run(func() {
+		if err := f.rt.AtomicIrrevocable(nil, func(tx *Txn) error {
+			switched.Store(true)
+			tx.Write(b, 0, tx.Read(a, 0)) // runs alone: the held commit's value
+			return nil
+		}); err != nil {
+			t.Error(err)
+		}
+	})
+	await("the irrevocable token to be taken", func() bool { return f.rt.IrrevocableHolder() != 0 })
+
+	var committing atomic.Bool
+	run(func() { write(c, func() { committing.Store(true) }) })
+	await("the late committer to reach its commit", committing.Load)
+	time.Sleep(20 * time.Millisecond) // into enterCommit, and the switch some rounds of its scan
+	if switched.Load() {
+		t.Error("the irrevocable switch completed with a commit inside the gate")
+	}
+	if n := inGate(); n != 1 {
+		t.Errorf("%d descriptors inside the gate, want only the held one: a commit behind the token backs out with its flag clear", n)
+	}
+	if c.LoadSlot(0) != 0 {
+		t.Error("a commit that started behind the irrevocable token went through")
+	}
+
+	close(letGo)
+	wg.Wait()
+	if !f.rt.DrainCommitters(time.Second) {
+		t.Error("DrainCommitters timed out with nothing committing")
+	}
+	if n := inGate(); n != 0 {
+		t.Errorf("%d descriptors inside the gate at rest, want 0", n)
+	}
+	if a.LoadSlot(0) != 1 || b.LoadSlot(0) != 1 || c.LoadSlot(0) != 1 {
+		t.Errorf("state = (%d,%d,%d), want (1,1,1)", a.LoadSlot(0), b.LoadSlot(0), c.LoadSlot(0))
 	}
 }
 

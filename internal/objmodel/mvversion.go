@@ -13,40 +13,45 @@ import "sync/atomic"
 // record's current version), so a snapshot at rv older than the record reads
 // the newest node with TS <= rv.
 //
-// TS and Vals are written before the store that publishes the node and
-// never while it is reachable, so snapshot readers traverse the chain with
-// no synchronization beyond the head load. The prev pointer is the one
-// mutable field, and only the holder of the object's record mutates it: to
-// sever the chain below the reclamation watermark by storing nil. Readers
-// that raced past the cut still hold the detached tail through their local
-// pointer, and Go's GC keeps it alive until they finish; reclamation here
-// means "unreachable from the object", not "freed now".
+// Only the holder of the object's record writes a node. A node under the
+// head is never written again except for its prev pointer, which the holder
+// stores nil in to sever the chain below the reclamation watermark. The head
+// can be: a committer that finds the whole chain dead (at or under the
+// watermark) stores its pre-image and timestamp into the head instead of
+// allocating a node to replace it, so TS and Vals are atomics, as an object's
+// slots are. No snapshot that can still be live reads the image meanwhile,
+// and a concurrent load of TS decides the same way on the old value and the
+// new (internal/mvstm/gc.go has the argument). Readers that raced past a cut
+// still hold the detached tail through their local pointer, and Go's GC keeps
+// it alive until they finish; reclamation here means "unreachable from the
+// object", not "freed now".
 type MVVersion struct {
 	// TS is the version at which this image became the object's committed
 	// state. Timestamps strictly decrease along the chain, and the head's is
-	// below the version in the object's transaction record.
-	TS uint64
+	// below the version in the object's transaction record. A node's TS only
+	// rises.
+	TS atomic.Uint64
 
 	// Vals is the full slot image of the object at TS. Whole-object images
 	// keep a chain read to a single walk regardless of which slots the
 	// superseding writer touched.
-	Vals []uint64
+	Vals []atomic.Uint64
 
 	prev atomic.Pointer[MVVersion]
 
 	// small backs Vals for objects of up to len(small) slots, so a node and
 	// its image are one allocation.
-	small [4]uint64
+	small [4]atomic.Uint64
 }
 
-// NewMVVersion returns an unlinked node stamped ts with a zeroed image of n
-// slots, for the caller to fill before publishing the node.
-func NewMVVersion(ts uint64, n int) *MVVersion {
-	v := &MVVersion{TS: ts}
+// NewMVVersion returns an unlinked node with a zeroed timestamp and a zeroed
+// image of n slots, for the caller to fill before publishing the node.
+func NewMVVersion(n int) *MVVersion {
+	v := &MVVersion{}
 	if n <= len(v.small) {
 		v.Vals = v.small[:n]
 	} else {
-		v.Vals = make([]uint64, n)
+		v.Vals = make([]atomic.Uint64, n)
 	}
 	return v
 }

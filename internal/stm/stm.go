@@ -79,7 +79,7 @@ type Runtime struct {
 	txn.Kernel
 
 	cfg Config
-	seq atomic.Uint64 // global begin/commit sequence for quiescence
+	seq atomic.Uint64 // global begin/commit sequence for quiescence; stepped only under cfg.Quiescence
 }
 
 // New creates a Runtime over heap with the given configuration. Invalid
@@ -155,7 +155,9 @@ type Txn struct {
 
 // Begin implements txn.Strategy.
 func (tx *Txn) Begin() {
-	tx.beginSeq.Store(tx.rt.seq.Add(1))
+	if tx.rt.cfg.Quiescence { // quiesce is the sequence's only reader
+		tx.beginSeq.Store(tx.rt.seq.Add(1))
+	}
 	tx.writes = tx.writes[:0]
 	tx.undo = tx.undo[:0]
 	tx.comps = tx.comps[:0]

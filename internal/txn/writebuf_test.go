@@ -161,3 +161,30 @@ func TestWriteSetSliceSpill(t *testing.T) {
 		})
 	}
 }
+
+// TestWriteBufSortByRef: on both sides of BufSpill, where the sort changes
+// from its own insertion sort to the library's, the commit order is the
+// library's stable sort by handle: objects ascending, an object's slots in
+// the order the body first wrote them.
+func TestWriteBufSortByRef(t *testing.T) {
+	h := objmodel.NewHeap()
+	cls := h.MustDefineClass(objmodel.ClassSpec{Name: "Cell", Fields: []objmodel.Field{{Name: "f"}, {Name: "g"}}})
+	objs := make([]*objmodel.Object, txn.BufSpill)
+	for i := range objs {
+		objs[i] = h.New(cls)
+	}
+	for n := 0; n <= 2*txn.BufSpill; n++ {
+		var buf txn.WriteBuf
+		for i := 0; i < n; i++ {
+			// Handles out of order (7 is coprime to the object count), each
+			// object's slot 1 before its slot 0.
+			buf.Add(objs[i*7%len(objs)], 1-i/len(objs), uint64(i))
+		}
+		want := slices.Clone(buf.Ents)
+		slices.SortStableFunc(want, func(a, b txn.BufEntry) int { return cmp.Compare(a.Obj.Ref(), b.Obj.Ref()) })
+		buf.SortByRef()
+		if !slices.Equal(buf.Ents, want) {
+			t.Errorf("%d entries: sorted to %v, want %v", n, buf.Ents, want)
+		}
+	}
+}
