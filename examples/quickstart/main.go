@@ -12,6 +12,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 	"sync"
 
 	"repro/internal/core"
@@ -50,13 +51,19 @@ func main() {
 		}
 	}()
 
-	// A non-transactional meddler increments both balances WITHOUT a
-	// transaction. The Figure 9 write barriers make this safe: the
-	// transactions above never lose these updates, and vice versa.
+	// A non-transactional meddler increments a's balance WITHOUT a
+	// transaction. Its read and write share one aggregated barrier (Figure
+	// 14): the record is held from the read to the write, so the
+	// transactions above never lose these updates, and vice versa. (A
+	// separate Read and Write would be two barriers, and a transfer
+	// committing between them would be overwritten.)
 	go func() {
 		defer wg.Done()
+		bar := sys.Barriers
 		for i := 0; i < meddles; i++ {
-			sys.Write(a, 0, sys.Read(a, 0)+1)
+			tok := bar.Acquire(a)
+			bar.AggWrite(a, 0, bar.AggRead(a, 0, tok)+1, tok)
+			bar.Release(a, tok)
 		}
 	}()
 
@@ -89,7 +96,7 @@ func main() {
 	fmt.Printf("torn/inconsistent audits: %d\n", torn)
 	if finalA+finalB != int64(1000+meddles) || torn != 0 {
 		fmt.Println("FAILED: strong atomicity was violated")
-		return
+		os.Exit(1)
 	}
 	fmt.Println("OK: transactional and non-transactional accesses composed safely")
 }

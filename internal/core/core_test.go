@@ -28,10 +28,15 @@ func TestSystemStrongCounter(t *testing.T) {
 			})
 		}
 	}()
-	go func() { // non-transactional, barriered side
+	go func() { // non-transactional side: one aggregated barrier per increment
 		defer wg.Done()
+		bar := s.Barriers
 		for i := 0; i < perSide; i++ {
-			s.Write(o, 0, s.Read(o, 0)+1)
+			// A separate Read and Write are two barriers: a transaction
+			// committing between them would be overwritten.
+			tok := bar.Acquire(o)
+			bar.AggWrite(o, 0, bar.AggRead(o, 0, tok)+1, tok)
+			bar.Release(o, tok)
 		}
 	}()
 	wg.Wait()

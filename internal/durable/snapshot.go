@@ -113,9 +113,9 @@ func decodeSnapshot(b []byte) (*snapshot, error) {
 		Stamp:    binary.LittleEndian.Uint64(p[8:]),
 		SegIndex: int(binary.LittleEndian.Uint64(p[16:])),
 	}
-	nobjs := int(binary.LittleEndian.Uint64(p[24:]))
+	nobjs := binary.LittleEndian.Uint64(p[24:])
 	off := 32
-	for i := 0; i < nobjs; i++ {
+	for i := uint64(0); i < nobjs; i++ {
 		if off+12 > payloadLen {
 			return nil, errCorruptRecord
 		}
@@ -131,6 +131,9 @@ func decodeSnapshot(b []byte) (*snapshot, error) {
 			off += 8
 		}
 		s.Objs = append(s.Objs, o)
+	}
+	if off != payloadLen { // bytes no object accounts for: not an encoder's output
+		return nil, errCorruptRecord
 	}
 	return s, nil
 }

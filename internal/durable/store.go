@@ -24,7 +24,7 @@ type Options struct {
 	FS vfs.FS
 
 	// Runtime names the STM runtime (a stmapi registry key: "eager",
-	// "lazy", "mv"). It must implement stmapi.DurableRuntime.
+	// "lazy", "mvstm"). It must implement stmapi.DurableRuntime.
 	Runtime string
 
 	// Common is the runtime configuration.
@@ -367,9 +367,10 @@ func startsGeneration(fs vfs.FS, dir string, seg int, newest bool, maxEpoch uint
 
 // applyWrite restores recovered values into the setup-built heap, checking
 // that the referenced object exists and is wide enough. bulk selects
-// whole-object restore (snapshot) vs single slot (WAL redo).
+// whole-object restore (snapshot) vs single slot (WAL redo). ref is compared
+// unsigned: a hostile one at or above 2^63 must not wrap into range.
 func applyWrite(heap *objmodel.Heap, ref objmodel.Ref, slot int, val uint64, bulk bool, vals []uint64) error {
-	if ref == objmodel.Null || int(ref) > heap.Len() {
+	if ref == objmodel.Null || uint64(ref) > uint64(heap.Len()) {
 		return fmt.Errorf("object %d not in setup heap (%d objects) — setup not deterministic?", ref, heap.Len())
 	}
 	o := heap.Get(ref)

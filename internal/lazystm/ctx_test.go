@@ -1,7 +1,7 @@
 package lazystm
 
 // Cancellation-edge tests for the lazy runtime's AtomicCtx: entry,
-// mid-body, retry waits, the post-commit ordering wait, and flattened
+// mid-body, retry waits, the post-commit quiescence wait, and flattened
 // nesting.
 
 import (
@@ -43,8 +43,8 @@ func TestAtomicCtxDeadlineInRetryWait(t *testing.T) { txntest.CtxDeadlineInRetry
 
 func TestAtomicCtxCancelDuringOrderingWait(t *testing.T) {
 	// Park the first committer inside the Figure 4 commit window (after the
-	// commit point, before write-back completes its ticket), so a later
-	// committer's in-order wait cannot finish on its own.
+	// commit point, before its write-back), so a later committer's quiescence
+	// wait cannot finish on its own.
 	parked := make(chan struct{})
 	release := make(chan struct{})
 	var once atomic.Bool
@@ -76,13 +76,13 @@ func TestAtomicCtxCancelDuringOrderingWait(t *testing.T) {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
-	// Write-back precedes the ordering wait: the effects are durable even
+	// Write-back precedes the quiescence wait: the effects are durable even
 	// though the wait was abandoned.
 	if got := o2.LoadSlot(0); got != 2 {
 		t.Fatalf("o2 slot 0 = %d, want 2 (commit is durable)", got)
 	}
 
-	// The abandoned wait must not stall the ticket chain: release the parked
+	// The abandoned wait must not stall anyone after it: release the parked
 	// committer and verify a third transaction quiesces normally.
 	close(release)
 	if err := <-firstDone; err != nil {

@@ -3,9 +3,9 @@ package lazystm
 // Fault-injection tests for the lazy runtime: injected aborts in the
 // commit-time acquire/validate sequence must discard buffers and restore
 // records; injected crashes must perform stage-appropriate cleanup; a crash
-// inside the Figure 4 window must complete its ticket so the ordering chain
-// never stalls (those two through txntest, where the multi-version runtime
-// runs them too).
+// inside the Figure 4 window must end its attempt so no quiescing committer
+// stalls behind it (those two through txntest, where the multi-version
+// runtime runs them too).
 
 import (
 	"sync"

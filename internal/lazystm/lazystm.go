@@ -229,8 +229,8 @@ func (tx *Txn) RetryWait(ctx context.Context) error { return tx.WaitForReadSetCh
 // Commit implements txn.Strategy with the lazy commit protocol: acquire the
 // write set's records in handle order, validate the read set, pass the
 // commit point, write back the buffered slots from the last buffered to the
-// first, release the records, and (in quiescence mode) wait for all
-// previously serialized transactions' write-backs to complete.
+// first, release the records, and (in quiescence mode) wait out the attempts
+// in flight, so every commit serialized earlier has written back.
 func (tx *Txn) Commit() (ok bool, err error) {
 	if tx.Doomed() && !tx.Irrevocable {
 		return false, nil
@@ -262,7 +262,7 @@ func (tx *Txn) Commit() (ok bool, err error) {
 	}
 
 	// ----- commit point: the transaction is now serialized. -----
-	tx.Serialize(tx.rt.cfg.Quiescence)
+	tx.Serialize()
 
 	// Write back, last-buffered slot first. The paper's lazy STM copies "in no
 	// particular order", and what Figure 4a needs of that is a publishing
@@ -287,11 +287,11 @@ func (tx *Txn) Commit() (ok bool, err error) {
 
 	durSeq, durErr := tx.AppendBufferedRedo()
 
-	tx.ReleaseCommitted() // the token is surrendered before any ordering wait
+	tx.ReleaseCommitted() // the token is surrendered before the quiescence wait
 	return true, tx.AwaitCommitted(durSeq, durErr)
 }
 
-// ReapOrphan implements txn.Strategy: the kernel's record-and-ticket release,
+// ReapOrphan implements txn.Strategy: the kernel's record release,
 // behind a clock tick when the orphan had committed. Its releases expose
 // written-back values, so no snapshot predating them may keep its clock-only
 // validation (see the eager reaper).
@@ -337,7 +337,7 @@ func (rt *Runtime) Atomic(parent *Txn, body func(*Txn) error) error {
 // AtomicCtx is Atomic with deadline/cancellation support; see
 // txn.Kernel.Atomic for where the context is checked. Cancellation before
 // the commit point discards the write buffer and returns ctx.Err();
-// cancellation during the post-commit ordering wait returns ctx.Err() with
+// cancellation during the post-commit quiescence wait returns ctx.Err() with
 // the effects already committed.
 //
 // Nested calls are flattened like Atomic. A non-nil ctx on a nested call

@@ -246,10 +246,10 @@ func TestGranularityOneWritebackDoesNotSpan(t *testing.T) {
 }
 
 // TestQuiescenceOrdersCompletion: with quiescence, when Atomic returns all
-// earlier-serialized transactions' write-backs are complete, which the commit
-// ticket chain orders (txn.WriteBackOrder.AwaitOrder); without it a commit
-// takes no ticket (internal/txn's TestNoTicketWithoutQuiescence) and waits for
-// nobody, and still returns only after its own write-back.
+// earlier-serialized transactions' write-backs are complete, because the
+// kernel's grace period waits out every attempt in flight (internal/txn's
+// TestQuiescenceIsAGracePeriod); without it a commit waits for nobody, and
+// still returns only after its own write-back.
 func TestQuiescenceOrdersCompletion(t *testing.T) {
 	for _, quiescence := range []bool{true, false} {
 		name := "quiescence off"

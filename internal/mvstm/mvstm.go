@@ -516,7 +516,7 @@ func (tx *Txn) Rollback() {
 // Commit implements txn.Strategy. A body that never wrote — AtomicRead, or
 // any body without writes; the read-only hint is the absence of writes, no
 // declaration needed — takes the zero-metadata path: no gate, no clock, no
-// ticket, no records, because its snapshot reads were consistent by
+// records, no quiescence wait, because its snapshot reads were consistent by
 // construction the moment they happened. A writing transaction runs the
 // multi-version commit protocol: enter the commit gate, sort the buffer by
 // handle, acquire the write set's records in that order with the
@@ -524,8 +524,7 @@ func (tx *Txn) Rollback() {
 // means a concurrent committer got there first), obtain the write version,
 // pass the commit point, push every written object's pre-image on its chain
 // and write the buffered slots back, release the records stamped with the
-// write version, and (in quiescence mode) wait for all previously serialized
-// write-backs.
+// write version, and (in quiescence mode) wait out the attempts in flight.
 func (tx *Txn) Commit() (ok bool, err error) {
 	rt := tx.rt
 	if tx.readOnly || len(tx.Buf.Ents) == 0 {
@@ -568,7 +567,7 @@ func (tx *Txn) Commit() (ok bool, err error) {
 	tx.Stamp()
 
 	// ----- commit point: the transaction is now serialized. -----
-	tx.Serialize(rt.cfg.Quiescence)
+	tx.Serialize()
 
 	// Per object, save the pre-image at the chain's head, then write the buffered
 	// slots back. Both happen under the Exclusive record, which keeps

@@ -110,7 +110,7 @@ func TestMVAbortLeavesMemoryAndChainUntouched(t *testing.T) {
 }
 
 // TestReadOnlyCommitPath checks that a body that never writes commits on
-// the zero-metadata path, leaving clock, tickets, and records untouched.
+// the zero-metadata path, leaving clock and records untouched.
 func TestReadOnlyCommitPath(t *testing.T) {
 	f := newFixture(t, Config{})
 	o := f.heap.New(f.cls)

@@ -63,8 +63,9 @@ type Target interface {
 	// provided its descriptor is marked dead: eager runtimes replay the
 	// orphan's undo log and release its records to Shared; lazy runtimes
 	// discard buffers, restore (or, past the commit point, release) the
-	// records, and complete the commit ticket. Returns false if the
-	// transaction is gone, alive, or already being reclaimed.
+	// records. Either way the orphan's attempt ends, so a quiescing
+	// committer stops waiting on it. Returns false if the transaction is
+	// gone, alive, or already being reclaimed.
 	Reclaim(id uint64) bool
 }
 

@@ -33,7 +33,6 @@ package stm
 import (
 	"context"
 	"errors"
-	"sync/atomic"
 
 	"repro/internal/conflict"
 	"repro/internal/faultinject"
@@ -79,7 +78,6 @@ type Runtime struct {
 	txn.Kernel
 
 	cfg Config
-	seq atomic.Uint64 // global begin/commit sequence for quiescence; stepped only under cfg.Quiescence
 }
 
 // New creates a Runtime over heap with the given configuration. Invalid
@@ -132,14 +130,12 @@ type savepoint struct {
 // Txn is an eager-versioning transaction descriptor: the kernel descriptor
 // (identity, read set, owned set, arbitration and recovery state) plus the
 // in-place write set. A Txn is confined to the goroutine that runs the
-// atomic body; only the kernel's atomic fields and beginSeq are read by
-// other threads. Descriptors are pooled: outside an Atomic call a descriptor
-// may be reused by any goroutine, so user code must not retain one past the
-// body.
+// atomic body; only the kernel's atomic fields are read by other threads.
+// Descriptors are pooled: outside an Atomic call a descriptor may be reused
+// by any goroutine, so user code must not retain one past the body.
 type Txn struct {
 	txn.Txn
-	rt       *Runtime
-	beginSeq atomic.Uint64
+	rt *Runtime
 
 	writes []ownedEntry // records acquired, in acquisition order (Owned is the index)
 	undo   []undoEntry
@@ -155,9 +151,6 @@ type Txn struct {
 
 // Begin implements txn.Strategy.
 func (tx *Txn) Begin() {
-	if tx.rt.cfg.Quiescence { // quiesce is the sequence's only reader
-		tx.beginSeq.Store(tx.rt.seq.Add(1))
-	}
 	tx.writes = tx.writes[:0]
 	tx.undo = tx.undo[:0]
 	tx.comps = tx.comps[:0]
@@ -432,7 +425,7 @@ func (tx *Txn) releaseCommitted() {
 
 // Commit implements txn.Strategy: validate the read set (the write set's
 // records have been held since each first write), pass the commit point,
-// log, release.
+// log, release, and (in quiescence mode) wait out the attempts in flight.
 func (tx *Txn) Commit() (ok bool, err error) {
 	if tx.Doomed() && !tx.Irrevocable {
 		return false, nil
@@ -500,48 +493,7 @@ func (tx *Txn) Commit() (ok bool, err error) {
 	}
 	tx.releaseCommitted()
 	tx.Committed()
-	if tx.rt.cfg.Quiescence {
-		err = tx.AwaitOrdering(tx.quiesce)
-	}
-	return true, tx.WaitDurable(durSeq, durErr, err)
-}
-
-// quiesce implements the Section 3.4 privatization guarantee: the committed
-// transaction waits until every transaction that was active at its commit
-// has finished or restarted, so that no doomed transaction can still access
-// data this transaction privatized.
-//
-// A scanned descriptor may be recycled mid-wait; that is benign, because a
-// later incarnation begins with a sequence number above commitSeq and so
-// falls out of the wait condition.
-// A cancelled context abandons the wait and returns its error: the commit
-// itself is already durable, only the privatization guarantee is waived for
-// this caller (documented on AtomicCtx).
-func (tx *Txn) quiesce() error {
-	commitSeq := tx.rt.seq.Add(1)
-	var err error
-	tx.rt.ForEach(func(k *txn.Txn) bool {
-		other := k.Self().(*Txn)
-		if other == tx {
-			return true
-		}
-		for a := 0; other.Status() == Active && other.beginSeq.Load() < commitSeq; a++ {
-			if other.Dead() {
-				// Quiescing on an orphan would spin forever; reclaim it (the
-				// reap stores a terminal status, ending this wait).
-				tx.rt.Reap(k)
-				break
-			}
-			if tx.Ctx != nil {
-				if err = tx.Ctx.Err(); err != nil {
-					return false
-				}
-			}
-			conflict.WaitAttempt(a)
-		}
-		return true
-	})
-	return err
+	return true, tx.AwaitCommitted(durSeq, durErr)
 }
 
 // ReapOrphan implements txn.Strategy. An orphan that died before its commit
@@ -659,9 +611,16 @@ func (tx *Txn) nested(ctx context.Context, body func(*Txn) error) error {
 // transaction that commits (or aborts) immediately, regardless of the
 // enclosing transaction's fate. If parent is non-nil and the open-nested
 // transaction commits, compensation (if non-nil) is registered to run if
-// the parent later aborts.
+// the parent later aborts. Under Quiescence its commit does not wait for
+// parent or the transactions parent runs inside, which cannot end before it
+// returns.
 func (rt *Runtime) AtomicOpen(parent *Txn, body func(*Txn) error, compensation func()) error {
-	err := rt.Atomic(nil, body)
+	err := rt.Kernel.Atomic(nil, rt.EscalateFrom(), func(k *txn.Txn) error {
+		if parent != nil {
+			k.OpenIn(&parent.Txn)
+		}
+		return body(k.Self().(*Txn))
+	})
 	if err == nil && parent != nil && compensation != nil {
 		parent.comps = append(parent.comps, compensation)
 	}

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/objmodel"
 	"repro/internal/stmapi"
@@ -670,6 +671,63 @@ func TestQuiescenceWaitsForActive(t *testing.T) {
 	defer mu.Unlock()
 	if len(order) != 2 || order[0] != "long-done" {
 		t.Errorf("order = %v, want long transaction to finish before quiesced commit returns", order)
+	}
+}
+
+// TestOpenNestedCommitUnderQuiescence: an open-nested commit, here two levels
+// deep, does not wait for the transactions it runs inside, which cannot end
+// before it returns, but still waits for every other attempt in flight.
+func TestOpenNestedCommitUnderQuiescence(t *testing.T) {
+	f := newFixture(t, Config{CommonConfig: stmapi.CommonConfig{Quiescence: true}})
+	o, o2, o3, other := f.newCell(), f.newCell(), f.newCell(), f.newCell()
+	inBody, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	bystander := make(chan error, 1)
+	go func() {
+		bystander <- f.rt.Atomic(nil, func(tx *Txn) error {
+			_ = tx.Read(other, 0)
+			once.Do(func() { close(inBody) })
+			<-release
+			return nil
+		})
+	}()
+	<-inBody
+	var innerOnce sync.Once
+	innerDone := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		done <- f.rt.Atomic(nil, func(tx *Txn) error {
+			tx.Write(o, 0, 1)
+			return f.rt.AtomicOpen(tx, func(child *Txn) error {
+				child.Write(o2, 0, 2)
+				err := f.rt.AtomicOpen(child, func(grandchild *Txn) error {
+					grandchild.Write(o3, 0, 3)
+					return nil
+				}, nil)
+				innerOnce.Do(func() { close(innerDone) })
+				return err
+			}, nil)
+		})
+	}()
+	select {
+	case <-innerDone:
+		t.Fatal("the innermost open-nested commit returned with an unrelated transaction in flight")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("an open-nested commit is waiting for a transaction it runs inside")
+	}
+	if err := <-bystander; err != nil {
+		t.Fatal(err)
+	}
+	if o.LoadSlot(0) != 1 || o2.LoadSlot(0) != 2 || o3.LoadSlot(0) != 3 {
+		t.Errorf("o, o2, o3 = %d, %d, %d; want 1, 2, 3", o.LoadSlot(0), o2.LoadSlot(0), o3.LoadSlot(0))
 	}
 }
 

@@ -71,10 +71,10 @@ type CommonConfig struct {
 	// slot-granular, so it exhibits no granular anomalies.
 	Granularity int
 
-	// Quiescence enables the Section 3.4 ordering guarantee: a transaction
-	// completes only after the transactions it must not overtake have
-	// finished (active-set drain for eager, write-back serialization for
-	// lazy).
+	// Quiescence enables the Section 3.4 guarantee: a commit returns only
+	// after every transaction attempt in flight when it committed has ended,
+	// its writes applied or undone and its records released, so data the
+	// commit privatized is touched by no transaction afterwards.
 	Quiescence bool
 
 	// Handler receives conflict notifications; nil means a shared

@@ -96,12 +96,11 @@ func (k *Kernel) EscalateFrom() int {
 //
 // The context is checked on entry (an already-cancelled context returns
 // ctx.Err() without executing the body), before every re-execution, at
-// every access, inside conflict waits, during a retry wait, and during
-// post-commit ordering waits. Cancellation before the commit point aborts
+// every access, inside conflict waits, during a retry wait, and during the
+// post-commit quiescence wait. Cancellation before the commit point aborts
 // the attempt and returns ctx.Err(); cancellation detected during the
-// post-commit wait returns ctx.Err() with the transaction's effects already
-// committed — the error then only means the ordering guarantee was not
-// awaited.
+// quiescence wait returns ctx.Err() with the transaction's effects already
+// committed — the error then only means the grace period was not awaited.
 func (k *Kernel) Atomic(ctx context.Context, irrevFrom int, body func(*Txn) error) error {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
@@ -245,6 +244,7 @@ func (tx *Txn) Abort() {
 	// after Rollback released the records.
 	tx.dropIrrevocable()
 	tx.status.Store(uint32(stmapi.Aborted))
+	tx.land()
 	tx.k.Stats.Aborts.AddShard(int(tx.id), 1)
 	if tr := tx.Tr; tr != nil {
 		tr.Record(trace.EvAbort, tx.id, tx.Blame, 0, 0)
@@ -287,9 +287,10 @@ func (tx *Txn) Die(p faultinject.Point) {
 }
 
 // Committed is the common tail of a commit, called past CommitPoint once
-// the records are released: it accounts the commit and surrenders the
-// irrevocable token. The commit counts from here, before any ordering wait:
-// it has happened whether or not the caller stays to wait.
+// the records are released: it accounts the commit, surrenders the
+// irrevocable token and ends the attempt. The commit counts from here,
+// before the quiescence wait: it has happened whether or not the caller
+// stays to wait.
 func (tx *Txn) Committed() {
 	tx.k.Stats.Commits.AddShard(int(tx.id), 1)
 	if tr := tx.Tr; tr != nil {
@@ -298,23 +299,86 @@ func (tx *Txn) Committed() {
 	}
 	tx.dropIrrevocable()
 	tx.flushStats()
+	tx.land()
 }
 
 // CommitPoint publishes the Committed status: from here on a reaper that
 // finds the descriptor dead completes the release instead of rolling back.
 func (tx *Txn) CommitPoint() { tx.status.Store(uint32(stmapi.Committed)) }
 
-// AwaitOrdering runs the runtime's post-commit ordering wait (quiescence),
-// observing its duration when tracing.
-func (tx *Txn) AwaitOrdering(wait func() error) error {
-	tr := tx.Tr
-	if tr == nil {
-		return wait()
+// land ends the attempt in flight, if quiescence began one: nothing it did
+// is left to undo, write back or release.
+func (tx *Txn) land() {
+	if g := tx.flight.Load(); g&1 != 0 {
+		tx.flight.Store(g + 1)
 	}
-	start := time.Now()
-	err := wait()
-	tr.ObserveQuiesce(time.Since(start))
+}
+
+// OpenIn records that tx runs open-nested inside parent until its Atomic
+// returns. Its quiescence then waits for neither parent nor what parent is
+// open-nested inside: they are blocked in this call and cannot end first.
+func (tx *Txn) OpenIn(parent *Txn) { tx.outer = parent }
+
+// quiesce is the Section 3.4 grace period: it returns once every attempt
+// that was in flight when it scanned has ended, so no transaction still
+// running (a doomed one included) can touch what the caller's commit
+// privatized, and on a deferred-update runtime no commit serialized earlier
+// is still writing back. The caller has landed, so two quiescing committers
+// never wait for each other. Each attempt's begin store precedes its first
+// access and sync/atomic is sequentially consistent, so an attempt that
+// touched a record before the caller acquired or validated it shows odd to
+// this scan, or has already ended. A scanned descriptor may be recycled
+// mid-wait; its counter still changes, which ends the wait. A dead one is
+// reaped inline (Reap ends its attempt), and a cancelled context abandons the
+// wait with its error.
+func (tx *Txn) quiesce() error {
+	k := tx.k
+	var err error
+	k.reg.forEach(func(other *Txn) bool {
+		for p := tx; p != nil; p = p.outer {
+			if p == other {
+				return true
+			}
+		}
+		g := other.flight.Load()
+		for a := 0; g&1 != 0 && other.flight.Load() == g; a++ {
+			if other.dead.Load() && k.Reap(other) {
+				break
+			}
+			if tx.Ctx != nil {
+				if err = tx.Ctx.Err(); err != nil {
+					return false
+				}
+			}
+			conflict.WaitAttempt(a)
+		}
+		return true
+	})
 	return err
+}
+
+// AwaitCommitted is what a committed transaction waits for before Atomic
+// returns, holding nothing and landed, so neither wait extends a lock hold
+// time: under Quiescence the grace period (observed by the tracer), then the
+// durability of the redo record appended as seq (appendErr is that append's
+// error). Either error leaves the commit applied in memory, its durability
+// unknown to the caller; the grace period's takes precedence.
+func (tx *Txn) AwaitCommitted(seq uint64, appendErr error) error {
+	var err error
+	if tx.k.cfg.Quiescence {
+		start := time.Now()
+		err = tx.quiesce()
+		if tr := tx.Tr; tr != nil {
+			tr.ObserveQuiesce(time.Since(start))
+		}
+	}
+	if appendErr == nil && seq != 0 {
+		appendErr = tx.Sink.WaitDurable(seq)
+	}
+	if err != nil {
+		return err
+	}
+	return appendErr
 }
 
 // AppendRedo streams the redo record built in tx.Redo to the commit sink
@@ -325,20 +389,4 @@ func (tx *Txn) AwaitOrdering(wait func() error) error {
 // never acked).
 func (tx *Txn) AppendRedo() (seq uint64, err error) {
 	return tx.Sink.AppendRedo(tx.id, tx.WV, tx.Redo)
-}
-
-// WaitDurable is the durability barrier, taken after the records are
-// released so the group commit's fsync window never extends lock hold
-// times: Atomic returns only once the redo record appended as seq is on
-// stable storage, or the sink failed — the commit is applied in memory, its
-// durability unknown to the caller. orderErr, the ordering wait's error,
-// takes precedence in the result.
-func (tx *Txn) WaitDurable(seq uint64, appendErr, orderErr error) error {
-	if appendErr == nil && seq != 0 {
-		appendErr = tx.Sink.WaitDurable(seq)
-	}
-	if orderErr != nil {
-		return orderErr
-	}
-	return appendErr
 }

@@ -14,12 +14,11 @@ import (
 const NoLimit = math.MaxUint64
 
 // Deferred is the kernel descriptor of a deferred-update runtime (lazy,
-// multi-version): Txn plus the write buffer, the write set's object list and
-// the commit ticket, and on them the commit-time locking protocol (Sections
-// 3.3, 3.4):
+// multi-version): Txn plus the write buffer and the write set's object list,
+// and on them the commit-time locking protocol (Sections 3.3, 3.4):
 // acquire the write set's records in handle order, validate, pass the commit
-// point, write back, release, and in quiescence mode wait for every earlier
-// write-back. A multi-version commit differs in what it checks while locking
+// point, write back, release, and in quiescence mode wait out the attempts in
+// flight. A multi-version commit differs in what it checks while locking
 // (LockWriteSet's version limit) and what it installs, not in that skeleton,
 // so the skeleton, its fault points and the reaper's release are here once;
 // DESIGN.md §6 has the split between kernel and runtime step by step.
@@ -40,18 +39,10 @@ type Deferred struct {
 	// Release on every way out of it, so it is empty between commits; the
 	// array is reused, so a steady-state commit allocates nothing.
 	Objs []*objmodel.Object
-
-	// ticket is the commit ticket, kept on the descriptor so a reaper can
-	// complete an orphan's write-back ordering slot; 0 is none (an unordered
-	// commit, see Serialize).
-	ticket uint64
 }
 
 // Begin implements Strategy.
-func (d *Deferred) Begin() {
-	d.ticket = 0
-	d.Buf.Reset()
-}
+func (d *Deferred) Begin() { d.Buf.Reset() }
 
 // Reset implements Strategy.
 func (d *Deferred) Reset() { d.Buf.Reset() }
@@ -66,14 +57,8 @@ func (d *Deferred) Rollback() { d.Release(false) }
 // never reached memory, so its records go back to their original words:
 // nothing to undo, no version to burn. A committed orphan died inside the
 // commit window with its write-back done (write-back precedes every
-// post-commit fault point), so it is released as its own commit would have,
-// and its ticket completed so the ordering chain cannot stall.
-func (d *Deferred) ReapOrphan(committed bool) {
-	d.Release(committed)
-	if committed {
-		d.completeTicket()
-	}
-}
+// post-commit fault point), so it is released as its own commit would have.
+func (d *Deferred) ReapOrphan(committed bool) { d.Release(committed) }
 
 // AddWrite lists o in the write set, once however many of its slots are
 // buffered (write sets are small: a scan beats a second index).
@@ -214,18 +199,10 @@ func (d *Deferred) fire(p faultinject.Point, o *objmodel.Object) bool {
 	return true
 }
 
-// Serialize passes the commit point and then, for an ordered commit, takes
-// the write-back ticket, so tickets are issued in serialization order. The
-// death certificate publishes the ticket if the committer dies an orphan.
-// Only Quiescence needs the order, and a runtime that passes it here has
-// commits that take no ticket and complete none without it: transactions
-// that share no object then share neither the chain's counter nor its mutex.
-// The commit window opens here, so CommitHooks.OnAfterCommitPoint fires here.
-func (d *Deferred) Serialize(ordered bool) {
+// Serialize passes the commit point. The commit window opens here, so
+// CommitHooks.OnAfterCommitPoint fires here.
+func (d *Deferred) Serialize() {
 	d.CommitPoint()
-	if ordered {
-		d.ticket = d.k.order.Take()
-	}
 	if h := d.k.hooks.Load(); h != nil && h.OnAfterCommitPoint != nil {
 		h.OnAfterCommitPoint(&d.Txn)
 	}
@@ -246,26 +223,17 @@ func (d *Deferred) wroteBack(k int) {
 	}
 }
 
-// completeTicket marks this commit's write-back complete on the ordering
-// chain, if it holds a ticket.
-func (d *Deferred) completeTicket() {
-	if d.ticket != 0 {
-		d.k.order.MarkComplete(d.ticket)
-	}
-}
-
 // FireCommitted fires the two fault points inside the Figure 4 window:
 // logically committed, write-back done, records still held. A crashing
-// thread's cleanup releases at the write version and completes the ticket
-// so the ordering chain never stalls; an orphan dies with NO cleanup, and
-// the chain stalls until the reaper does both. Callers guard it with
-// FI != nil like every other injection point.
+// thread's cleanup releases at the write version, and its attempt ends as
+// it unwinds; an orphan dies with NO cleanup, in flight until the reaper
+// releases it, or a quiescing committer reaps it inline. Callers guard it
+// with FI != nil like every other injection point.
 func (d *Deferred) FireCommitted() {
 	for _, p := range [...]faultinject.Point{faultinject.PostCommitPoint, faultinject.PreRelease} {
 		switch d.FI.Fire(p, d.id) {
 		case faultinject.Crash:
 			d.Release(true)
-			d.completeTicket()
 			d.CrashCommitted(p)
 		case faultinject.Orphan:
 			d.Die(p)
@@ -273,24 +241,10 @@ func (d *Deferred) FireCommitted() {
 	}
 }
 
-// ReleaseCommitted ends the commit window: release at the write version,
-// complete the ticket — before any waiting: this write-back is complete
-// however long its predecessors take — and account the commit, which
-// surrenders the irrevocable token.
+// ReleaseCommitted ends the commit window: release at the write version and
+// account the commit, which surrenders the irrevocable token and ends the
+// attempt before any waiting.
 func (d *Deferred) ReleaseCommitted() {
 	d.Release(true)
-	d.completeTicket()
 	d.Committed()
-}
-
-// AwaitCommitted is what a committed transaction, holding nothing, waits
-// for before Atomic returns: in quiescence mode every write-back serialized
-// before its own (Section 3.4), then the durability of the redo record
-// appended as seq (appendErr is that append's error).
-func (d *Deferred) AwaitCommitted(seq uint64, appendErr error) error {
-	var err error
-	if d.k.cfg.Quiescence {
-		err = d.AwaitOrdering(func() error { return d.k.order.AwaitOrder(d.Ctx, d.ticket) })
-	}
-	return d.WaitDurable(seq, appendErr, err)
 }

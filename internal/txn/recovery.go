@@ -21,8 +21,9 @@ import (
 // orphan's records exactly as the orphan's own abort would have (or, past
 // the commit point, finish the release without rollback). Reclaimers are the
 // recovery.Reaper's periodic scan, a conflicting waiter that finds its owner
-// dead, or a waiter on the irrevocable token or a commit gate — so orphans
-// are recovered within a bounded wait even with no reaper running.
+// dead, a waiter on the irrevocable token or a commit gate, or a quiescing
+// committer — so orphans are recovered within a bounded wait even with no
+// reaper running.
 //
 // Irrevocability: a transaction holding the runtime's singular token can
 // never abort. The switch acquires the token, then has the runtime make the
@@ -56,6 +57,7 @@ func (k *Kernel) Reap(tx *Txn) bool {
 		tx.status.Store(uint32(stmapi.Aborted))
 		k.Stats.Aborts.AddShard(int(id), 1)
 	}
+	tx.land() // quiescing committers stop waiting on the orphan
 	if tx.irrevStamp.Load() {
 		// The orphan held the irrevocable token; free it for the next taker.
 		k.irrevToken.CompareAndSwap(id, 0)

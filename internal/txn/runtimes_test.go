@@ -3,20 +3,26 @@ package txn_test
 // Isolation regressions for the validation the kernel does once for every
 // runtime, run over the registered runtimes: the write-skew probe for the
 // commit fast path, the deterministic interleaving for snapshot extension,
-// and the walk-mode counters. Run under -race in CI.
+// the walk-mode counters, and the quiescence grace period. Run under -race
+// in CI.
 
 import (
+	"context"
+	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/faultinject"
 	"repro/internal/objmodel"
 	"repro/internal/stmapi"
 	"repro/internal/strong"
 	"repro/internal/trace"
+	"repro/internal/txn"
 	"repro/internal/txn/txntest"
+	"repro/internal/txrec"
 
 	_ "repro/internal/lazystm"
 	_ "repro/internal/mvstm"
@@ -282,52 +288,158 @@ func TestNoCommitClockWalks(t *testing.T) {
 	}
 }
 
-// TestNoTicketWithoutQuiescence: the write-back ticket chain orders commits,
-// and only Quiescence waits on the order. Without it a writing commit of the
-// multi-version runtime takes no ticket, so it completes none either
-// (completion is keyed on holding one) and the chain's counter and mutex stay
-// untouched by transactions that share no object; with it every writing
-// commit takes exactly one. The same for the lazy runtime.
-func TestNoTicketWithoutQuiescence(t *testing.T) {
-	const workers, commits = 4, 50
-	for _, c := range []struct {
-		name       string
-		quiescence bool
-		want       uint64
-	}{
-		{"mvstm", false, 0},
-		{"mvstm", true, workers * commits},
-		{"lazy", false, 0},
-		{"lazy", true, workers * commits},
-	} {
-		mode := "off"
-		if c.quiescence {
-			mode = "on"
+// TestQuiescenceIsAGracePeriod: under Quiescence a commit returns only once
+// every attempt in flight when it committed has ended (Section 3.4), on every
+// runtime alike: one parked in its body, and on a deferred-update runtime one
+// parked past its commit point, whose write-back is then in memory. A deadline
+// abandons the wait, not the commit, and stalls nothing after it; an orphan in
+// flight is reaped by the waiting committer itself; with Quiescence off nobody
+// waits.
+func TestQuiescenceIsAGracePeriod(t *testing.T) {
+	where := map[bool]string{false: "body", true: "commit window"}
+	for _, name := range stmapi.Runtimes() {
+		windows := []bool{false, true}
+		if name == "eager" {
+			windows = windows[:1] // it writes in place: no commit window to park in
 		}
-		t.Run(c.name+"/quiescence "+mode, func(t *testing.T) {
-			f := txntest.New(t, c.name, stmapi.CommonConfig{Quiescence: c.quiescence})
-			rt := f.Runtime()
-			var wg sync.WaitGroup
-			for g := 0; g < workers; g++ {
-				wg.Add(1)
-				o := f.NewCell()
-				go func() {
-					defer wg.Done()
-					for i := 0; i < commits; i++ {
-						if err := rt.Atomic(func(tx stmapi.Txn) error {
-							tx.Write(o, 0, tx.Read(o, 0)+1)
-							return nil
-						}); err != nil {
-							t.Error(err)
-							return
-						}
+		for _, window := range windows {
+			t.Run(name+"/waits for an attempt parked in its "+where[window], func(t *testing.T) {
+				f := txntest.New(t, name, stmapi.CommonConfig{Quiescence: true})
+				x, y := f.NewCell(), f.NewCell()
+				release, parked := park(f, x, window)
+				committed := commitAsync(f, y, 1)
+				// The commit counts before its wait, so once it has counted the
+				// wait has begun; give it a moment to end (wrongly).
+				for deadline := time.Now().Add(5 * time.Second); f.Runtime().Stats().Commits == 0; runtime.Gosched() {
+					if time.Now().After(deadline) {
+						t.Fatal("the committer never committed")
 					}
-				}()
+				}
+				select {
+				case err := <-committed:
+					t.Fatalf("commit returned (err %v) with an attempt in flight", err)
+				case <-time.After(20 * time.Millisecond):
+				}
+				release()
+				within(t, committed, "commit still waiting after the parked attempt ended")
+				if window && x.LoadSlot(0) != 1 {
+					t.Error("the wait ended before the parked commit's write-back")
+				}
+				within(t, parked, "the parked transaction did not finish")
+			})
+		}
+		t.Run(name+"/a deadline abandons the wait, not the commit", func(t *testing.T) {
+			f := txntest.New(t, name, stmapi.CommonConfig{Quiescence: true})
+			x, y, z := f.NewCell(), f.NewCell(), f.NewCell()
+			release, parked := park(f, x, false)
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+			defer cancel()
+			err := f.Runtime().AtomicCtx(ctx, func(tx stmapi.Txn) error {
+				tx.Write(y, 0, 2)
+				return nil
+			})
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 			}
-			wg.Wait()
-			if got := rt.(interface{ TicketsTaken() uint64 }).TicketsTaken(); got != c.want {
-				t.Errorf("%d tickets taken by %d writing commits, want %d", got, workers*commits, c.want)
+			if got := y.LoadSlot(0); got != 2 {
+				t.Fatalf("y = %d, want 2: the commit is applied whether or not it waited", got)
+			}
+			release()
+			within(t, parked, "the parked transaction did not finish")
+			within(t, commitAsync(f, z, 3), "a commit after the abandoned wait stalled")
+		})
+		t.Run(name+"/reaps an orphan in flight inline", func(t *testing.T) {
+			f := txntest.New(t, name, stmapi.CommonConfig{Quiescence: true})
+			x, y := f.NewCell(), f.NewCell()
+			fr := f.Runtime().(interface{ SetInjector(*faultinject.Injector) })
+			fr.SetInjector(faultinject.New(1, faultinject.Rule{Point: faultinject.PostAcquire, Action: faultinject.Orphan, Every: 1}))
+			died := make(chan any, 1)
+			go func() {
+				defer func() { died <- recover() }()
+				_ = f.Runtime().Atomic(func(tx stmapi.Txn) error {
+					tx.Write(x, 0, 9)
+					return nil
+				})
+			}()
+			if r := <-died; r == nil {
+				t.Fatal("the transaction did not die")
+			} else if _, ok := r.(faultinject.OrphanError); !ok {
+				panic(r)
+			}
+			fr.SetInjector(nil)
+			within(t, commitAsync(f, y, 1), "commit stalled on an orphan with no reaper running")
+			if w := x.Rec.Load(); !txrec.IsShared(w) || x.LoadSlot(0) != 0 {
+				t.Errorf("orphan's record %#x, slot %d: want Shared and rolled back", w, x.LoadSlot(0))
+			}
+			if n := f.Runtime().Stats().ReaperSteals; n != 1 {
+				t.Errorf("ReaperSteals = %d, want 1", n)
 			}
 		})
+		t.Run(name+"/without Quiescence nobody waits", func(t *testing.T) {
+			f := txntest.New(t, name, stmapi.CommonConfig{})
+			y := f.NewCell()
+			for _, window := range windows {
+				release, parked := park(f, f.NewCell(), window)
+				within(t, commitAsync(f, y, 1), "commit waited for an attempt parked in its "+where[window])
+				release()
+				within(t, parked, "the parked transaction did not finish")
+			}
+		})
+	}
+}
+
+// park starts a transaction writing 1 to o that stops in its body or, with
+// window, just past its commit point, and returns once it has stopped:
+// release lets it go on, and parked delivers its Atomic's result.
+func park(f txntest.Fixture, o *objmodel.Object, window bool) (release func(), parked <-chan error) {
+	stopped, resume := make(chan struct{}), make(chan struct{})
+	var once atomic.Bool
+	stop := func() {
+		if once.CompareAndSwap(false, true) {
+			close(stopped)
+			<-resume
+		}
+	}
+	if window {
+		f.Runtime().(interface{ SetCommitHooks(txn.CommitHooks) }).SetCommitHooks(txn.CommitHooks{
+			OnAfterCommitPoint: func(*txn.Txn) { stop() },
+		})
+	}
+	done := make(chan error, 1)
+	go func() {
+		done <- f.Runtime().Atomic(func(tx stmapi.Txn) error {
+			tx.Write(o, 0, 1)
+			if !window {
+				stop()
+			}
+			return nil
+		})
+	}()
+	<-stopped
+	return func() { close(resume) }, done
+}
+
+// commitAsync commits o = v on a goroutine of its own.
+func commitAsync(f txntest.Fixture, o *objmodel.Object, v uint64) <-chan error {
+	done := make(chan error, 1)
+	go func() {
+		done <- f.Runtime().Atomic(func(tx stmapi.Txn) error {
+			tx.Write(o, 0, v)
+			return nil
+		})
+	}()
+	return done
+}
+
+// within fails the test with stalled unless done delivers nil in five seconds.
+func within(t *testing.T, done <-chan error, stalled string) {
+	t.Helper()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal(stalled)
 	}
 }

@@ -18,8 +18,8 @@
 //   - commit-clock validation for the two validating runtimes: snapshot,
 //     extension, the commit fast path, the read-set walk (validate.go);
 //   - the commit-time locking protocol of the two deferred-update runtimes
-//     (deferred.go) and the write-back ticket chain it orders their commits
-//     with (order.go);
+//     (deferred.go), and for all three the Section 3.4 quiescence, a grace
+//     period over the attempts in flight (atomic.go);
 //   - orphan recovery and the irrevocable token (recovery.go), adaptive
 //     version granularity (adaptive.go), sharded statistics (stats.go), and
 //     the stmapi adapter every runtime registers through (api.go).
@@ -60,8 +60,8 @@ type Strategy interface {
 
 	// Commit runs the runtime's commit protocol. ok=false means the attempt
 	// must abort and retry (the kernel calls Rollback next). A non-nil error
-	// is only possible past the commit point, when cancellation abandoned an
-	// ordering wait or the commit sink failed; the effects are applied and
+	// is only possible past the commit point, when cancellation abandoned the
+	// quiescence wait or the commit sink failed; the effects are applied and
 	// the kernel returns the error without retrying.
 	Commit() (ok bool, err error)
 
@@ -122,9 +122,6 @@ type Kernel struct {
 	granTab atomic.Pointer[granTable]
 	granMu  sync.Mutex
 
-	// order is the deferred-update runtimes' ticket chain (eager takes none).
-	order WriteBackOrder
-
 	// irrevToken is the runtime's single irrevocable-transaction token: the
 	// owner ID of the current irrevocable transaction, 0 when free. Exactly
 	// one transaction may be irrevocable at a time, because two transactions
@@ -153,7 +150,6 @@ func (k *Kernel) Init(name string, heap *objmodel.Heap, cfg *stmapi.CommonConfig
 	k.newTxn = newTxn
 	k.policy = conflict.AsPolicy(h)
 	k.staleObs, _ = h.(conflict.StaleObserver)
-	k.order.Init()
 }
 
 // Name returns the stmapi registry name the kernel was initialized with.
@@ -231,7 +227,7 @@ func (k *Kernel) ActiveTransactions() int {
 }
 
 // ForEach calls f for every registered descriptor until f returns false
-// (quiescence and the multi-version watermark scan the live set this way).
+// (the multi-version watermark and commit gate scan the live set this way).
 func (k *Kernel) ForEach(f func(*Txn) bool) { k.reg.forEach(f) }
 
 // Txn is the kernel half of a transaction descriptor; each runtime's
@@ -266,6 +262,11 @@ type Txn struct {
 	// reclaimer that acquires it, and is the ONLY condition under which
 	// another thread may touch the rest of this descriptor; reaping elects
 	// one reclaimer.
+	//
+	// Quiescence: flight is odd while an attempt is in flight. It is stepped
+	// only under CommonConfig.Quiescence: by the owner at begin and once the
+	// attempt has released everything, by the reaper for an orphan (quiesce).
+	flight     atomic.Uint64
 	status     atomic.Uint32
 	stamp      atomic.Uint64
 	doomed     atomic.Bool
@@ -283,6 +284,10 @@ type Txn struct {
 	id      uint64
 	slot    int // registry slot index, -1 when in overflow
 	attempt int
+
+	// outer is the transaction this one runs open-nested inside (OpenIn),
+	// nil for none.
+	outer *Txn
 
 	// Reads holds the first-read version per object (unused by the
 	// multi-version runtime, which validates nothing); Owned holds the
@@ -399,15 +404,18 @@ func (k *Kernel) getTxn(ctx context.Context) *Txn {
 // their next incarnation), and returns it to the pool — unless the
 // transaction died: a dead descriptor's records are (or will be) reclaimed
 // by a reaper, which must find its write set intact, so it is retired, never
-// reused.
+// reused. A panic past the commit point (a simulated crash in the commit
+// window) unwinds through here without Committed, so the attempt ends here.
 func (k *Kernel) putTxn(tx *Txn) {
 	if tx.dead.Load() {
 		return
 	}
+	tx.land()
 	k.reg.remove(tx)
 	tx.self.Reset()
 	tx.Reads.Reset()
 	tx.Owned.Reset()
+	tx.outer = nil
 	tx.Ctx = nil
 	tx.FI = nil
 	tx.Sink = nil
@@ -418,6 +426,9 @@ func (k *Kernel) putTxn(tx *Txn) {
 
 func (tx *Txn) begin() {
 	k := tx.k
+	if k.cfg.Quiescence { // even to odd, before the attempt's first access
+		tx.flight.Store(tx.flight.Load() + 1)
+	}
 	tx.status.Store(uint32(stmapi.Active))
 	tx.doomed.Store(false) // a doom aimed at a finished attempt is consumed
 	tx.hb.Add(1)           // heartbeat: the reaper sees a fresh epoch

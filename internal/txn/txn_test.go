@@ -1,9 +1,9 @@
 package txn
 
 // Unit tests for what has one home in the kernel: the registry, the
-// descriptor pool, the statistics flush, the write-back ticket chain, the
-// commit-time acquire loop, and the atomic loop's handling of every signal,
-// driven through a fake strategy. Run under -race in CI.
+// descriptor pool, the statistics flush, the commit-time acquire loop, and
+// the atomic loop's handling of every signal, driven through a fake
+// strategy. Run under -race in CI.
 
 import (
 	"context"
@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/faultinject"
 	"repro/internal/objmodel"
@@ -524,31 +523,4 @@ func TestLockWriteSet(t *testing.T) {
 		}
 		return abort
 	})
-}
-
-func TestWriteBackOrderAbandonedWaiter(t *testing.T) {
-	var w WriteBackOrder
-	w.Init()
-	t1, t2, t3 := w.Take(), w.Take(), w.Take()
-	// The waiter for ticket 2 gives up; nothing after it may stall on that.
-	ctx, cancel := context.WithCancel(context.Background())
-	abandoned := make(chan error, 1)
-	go func() { abandoned <- w.AwaitOrder(ctx, t2) }()
-	w.MarkComplete(t2)
-	w.MarkComplete(t3)
-	cancel()
-	if err := <-abandoned; err != context.Canceled {
-		t.Errorf("abandoned wait returned %v, want context.Canceled", err)
-	}
-	reached := make(chan error, 1)
-	go func() { reached <- w.AwaitOrder(nil, t3) }()
-	select {
-	case err := <-reached:
-		t.Fatalf("ticket 3 passed (err %v) with ticket 1 incomplete", err)
-	case <-time.After(10 * time.Millisecond):
-	}
-	w.MarkComplete(t1)
-	if err := <-reached; err != nil {
-		t.Errorf("AwaitOrder = %v, want nil once every earlier ticket completed", err)
-	}
 }

@@ -3,8 +3,10 @@ package txntest
 // Fault and orphan checks of the commit-time locking protocol the
 // deferred-update runtimes share (txn.Deferred): an injected crash cleans up
 // as its stage requires, a crash or an orphan inside the commit window never
-// stalls the write-back ordering chain, and the reaper restores or completes
-// what an orphan held. Written against stmapi plus the capability interfaces
+// stalls a quiescing committer, and the reaper restores or completes what an
+// orphan held. Two check names and their messages keep the vocabulary of the
+// write-back ticket chain the kernel's quiescence grace period replaced: the
+// "ordering" and the "tickets" they speak of are that grace period. Written against stmapi plus the capability interfaces
 // drivers probe for; a runtime with a commit gate must also come out of each
 // scenario with the gate empty.
 

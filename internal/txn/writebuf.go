@@ -97,6 +97,21 @@ func (b *WriteBuf) SortByRef() {
 	}
 }
 
+// SortByRef sorts objects by their heap handle, the order in which
+// commit-time acquirers lock their write sets so that concurrent committers
+// cannot deadlock (insertion sort; write sets are small).
+func SortByRef(objs []*objmodel.Object) {
+	for i := 1; i < len(objs); i++ {
+		o := objs[i]
+		j := i - 1
+		for j >= 0 && objs[j].Ref() > o.Ref() {
+			objs[j+1] = objs[j]
+			j--
+		}
+		objs[j+1] = o
+	}
+}
+
 // Reset empties the buffer, dropping its object references.
 func (b *WriteBuf) Reset() {
 	clear(b.Ents)
