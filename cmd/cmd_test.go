@@ -238,10 +238,13 @@ func TestStmtopTool(t *testing.T) {
 	if err != nil {
 		t.Fatalf("stmtop: %v\n%s", err, out)
 	}
-	for _, want := range []string{"RUNTIME", "cmdtest/eager", "eager", "26", "commit latency", "hot objects"} {
+	for _, want := range []string{"RUNTIME", "cmdtest/eager", "eager", "26", "validation: clock fast-path", "commit latency", "hot objects"} {
 		if !strings.Contains(string(out), want) {
 			t.Errorf("stmtop output missing %q:\n%s", want, out)
 		}
+	}
+	if strings.Contains(string(out), "promoted") {
+		t.Errorf("stmtop output still reports granularity promotions:\n%s", out)
 	}
 	// Polling mode against a live endpoint: two frames, then exit.
 	out, err = exec.Command(stmtop, "-addr", srv.Addr, "-n", "2", "-interval", "50ms").CombinedOutput()

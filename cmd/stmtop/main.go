@@ -102,20 +102,14 @@ func render(prev, cur []metrics.RuntimeSnapshot, topN int) string {
 		}
 		fmt.Fprintf(&b, "%-18s %-6s %12s %12s %7.1f%% %12s %12s\n",
 			s.Name, s.Kind, big(commits), big(aborts), abortPct, big(reads), big(writes))
-		// Validation line: shown once the commit clock or adaptive
-		// granularity has done anything, so walk-only runtimes keep the
-		// compact view.
+		// Validation line: shown once the commit clock has done anything, so
+		// walk-only runtimes keep the compact view.
 		fast := s.Stats["fastpath_validations"]
 		walks := s.Stats["fallback_walks"]
-		promos := s.Stats["gran_promotions"]
-		demos := s.Stats["gran_demotions"]
-		if fast > 0 || promos > 0 || demos > 0 {
-			hit := 0.0
-			if fast+walks > 0 {
-				hit = 100 * float64(fast) / float64(fast+walks)
-			}
-			fmt.Fprintf(&b, "  validation: clock fast-path %.1f%% (%s fast, %s walks)  promoted %d  demoted %d\n",
-				hit, big(float64(fast)), big(float64(walks)), promos, demos)
+		if fast > 0 {
+			hit := 100 * float64(fast) / float64(fast+walks)
+			fmt.Fprintf(&b, "  validation: clock fast-path %.1f%% (%s fast, %s walks)\n",
+				hit, big(float64(fast)), big(float64(walks)))
 		}
 		// Multi-version line: shown once the snapshot read path or the
 		// version GC has done anything (i.e. for mvstm-backed runtimes).

@@ -67,7 +67,7 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit diagnostics as JSON on stdout")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: stmvet [-passes p1,p2] [-C dir] [-include-tests] [-json] [packages]\n")
-		fmt.Fprintf(os.Stderr, "       stmvet elide [-o manifest.json] [-hot N] [-v] [packages]\n")
+		fmt.Fprintf(os.Stderr, "       stmvet elide [-o manifest.json] [-v] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -151,10 +151,9 @@ func runElide(args []string) int {
 	fs := flag.NewFlagSet("stmvet elide", flag.ExitOnError)
 	out := fs.String("o", "elide_manifest.json", "manifest output path ('-' for stdout)")
 	dir := fs.String("C", ".", "directory to resolve patterns in")
-	hot := fs.Int("hot", 0, "distinct-access threshold for hot-site granularity hints (0: default)")
 	verbose := fs.Bool("v", false, "print per-site classifications")
 	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: stmvet elide [-o manifest.json] [-hot N] [-v] [packages]\n")
+		fmt.Fprintf(os.Stderr, "usage: stmvet elide [-o manifest.json] [-v] [packages]\n")
 		fs.PrintDefaults()
 	}
 	_ = fs.Parse(args)
@@ -172,7 +171,7 @@ func runElide(args []string) int {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	res, err := interproc.Analyze(pkgs, interproc.Options{HotThreshold: *hot, Tool: "stmvet elide"})
+	res, err := interproc.Analyze(pkgs, interproc.Options{Tool: "stmvet elide"})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2

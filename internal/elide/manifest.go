@@ -9,8 +9,8 @@
 // birth state of each object's transaction record. Sites classified NAIT or
 // TL are born Private (the all-ones record of Figure 10) and ride the
 // zero-synchronization fast paths; "mixed" sites keep the default birth
-// state, optionally carrying a granularity hint that pre-seeds the adaptive
-// promotion table for hot objects.
+// state. Manifests written with the retired "hot" and "granularity" keys
+// still load: the decoder ignores them.
 //
 // The package is a leaf: it imports only the standard library, so both the
 // analysis side (which must not depend on the runtime) and the runtime side
@@ -38,8 +38,7 @@ import (
 //     for private birth: both runtimes treat Private records as direct
 //     access inside transactions (undo-logged writes, unlogged reads), which
 //     is sound when only the allocating goroutine can reach the object.
-//   - ClassMixed: accessed transactionally and shared — no elision. Mixed
-//     sites may still carry granularity hints.
+//   - ClassMixed: accessed transactionally and shared — no elision.
 const (
 	ClassNAITTL = "nait+tl"
 	ClassNAIT   = "nait"
@@ -64,14 +63,6 @@ type Site struct {
 
 	// Class is one of the Class* constants above.
 	Class string `json:"class"`
-
-	// Hot marks mixed sites whose objects see enough distinct accesses that
-	// pre-seeding slot-granularity records is worthwhile.
-	Hot bool `json:"hot,omitempty"`
-
-	// Granularity is a hint for hot sites: "slot" requests slot-level
-	// records from birth (the PR 6 adaptive-promotion table).
-	Granularity string `json:"granularity,omitempty"`
 
 	// Reason is a human-readable justification emitted by the analysis
 	// ("no txn access", "escapes via go stmt", ...). Informational only.
@@ -137,10 +128,6 @@ func (m *Manifest) Index() map[string]Site {
 func weaker(a, b Site) Site {
 	out := a
 	out.Class = meetClass(a.Class, b.Class)
-	out.Hot = a.Hot || b.Hot
-	if out.Granularity == "" {
-		out.Granularity = b.Granularity
-	}
 	if !Elidable(out.Class) && out.Class != ClassMixed {
 		out.Class = ClassMixed
 	}

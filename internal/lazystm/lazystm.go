@@ -73,8 +73,8 @@ type Config struct {
 type StatsSnapshot = stmapi.StatsSnapshot
 
 // Runtime is a lazy-versioning STM instance bound to a heap. The embedded
-// kernel supplies Heap, Stats, the tracer / injector / commit-sink setters,
-// the adaptive-granularity controls and Recovery.
+// kernel supplies Heap, Stats, the tracer / injector / commit-sink setters
+// and Recovery.
 type Runtime struct {
 	txn.Kernel
 
@@ -88,7 +88,6 @@ func New(heap *objmodel.Heap, cfg Config) *Runtime {
 	rt.Init("lazy", heap, &rt.cfg.CommonConfig, func() txn.Strategy {
 		return &Txn{rt: rt}
 	})
-	rt.PromoteHotSites()
 	return rt
 }
 
@@ -203,7 +202,7 @@ func (tx *Txn) Write(o *objmodel.Object, slot int, v uint64) {
 	if i := tx.Buf.Find(o, slot); i >= 0 {
 		tx.Buf.Ents[i].Val = v
 	} else {
-		g := tx.Span(o)
+		g := tx.rt.cfg.Granularity
 		base := slot &^ (g - 1)
 		for s := base; s < base+g && s < len(o.Slots); s++ {
 			if s == slot {

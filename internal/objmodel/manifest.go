@@ -3,8 +3,8 @@
 // each allocation. Sites the inter-procedural NAIT/TL analyses proved safe
 // are born Private (the all-ones record of Figure 10) even when dynamic
 // escape analysis is off, so their objects ride the zero-synchronization
-// fast paths; hot mixed sites are reported to allocation observers so the
-// runtimes can pre-seed slot-granularity records.
+// fast paths. Allocation observers (the soundness oracle) learn of every
+// matched allocation.
 //
 // Allocation sites are matched by "basename.go:line" of the frame that
 // called Heap.New/NewArray, resolved with runtime.Callers (inline-aware).
@@ -48,17 +48,14 @@ func (c SiteClass) Elidable() bool { return c != SiteMixed }
 
 // ManifestSite is one loaded allocation-site entry.
 type ManifestSite struct {
-	ID          string
-	Class       SiteClass
-	Hot         bool
-	Granularity string
+	ID    string
+	Class SiteClass
 }
 
 // AllocObserver is notified of every allocation that matched a manifest
 // site, synchronously on the allocating goroutine, after the object is
 // installed in the heap. The soundness oracle uses it to learn the
-// object→site mapping and the allocating goroutine; runtimes use it to
-// pre-seed granularity for hot sites.
+// object→site mapping and the allocating goroutine.
 type AllocObserver func(o *Object, site *ManifestSite)
 
 type manifestIndex struct {
@@ -74,7 +71,7 @@ type manifestIndex struct {
 func (h *Heap) ApplyManifest(m *elide.Manifest) {
 	idx := &manifestIndex{sites: make(map[string]*ManifestSite, len(m.Sites))}
 	for id, s := range m.Index() {
-		ms := &ManifestSite{ID: id, Hot: s.Hot, Granularity: s.Granularity}
+		ms := &ManifestSite{ID: id}
 		switch s.Class {
 		case elide.ClassNAIT:
 			ms.Class = SiteNAIT

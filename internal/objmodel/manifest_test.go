@@ -88,10 +88,7 @@ func TestManifestArrayAllocation(t *testing.T) {
 func TestAllocObserverSeesSiteAndHotHint(t *testing.T) {
 	h := NewHeap()
 	cls := h.MustDefineClass(ClassSpec{Name: "T", Fields: []Field{{Name: "x"}}})
-	site := hereSite(10, elide.ClassMixed)
-	site.Hot = true
-	site.Granularity = "slot"
-	h.ApplyManifest(manifestFor(site))
+	h.ApplyManifest(manifestFor(hereSite(7, elide.ClassMixed)))
 
 	var gotObj *Object
 	var gotSite *ManifestSite
@@ -102,11 +99,8 @@ func TestAllocObserverSeesSiteAndHotHint(t *testing.T) {
 	if gotObj != o {
 		t.Fatalf("observer saw object %v, want %v", gotObj, o)
 	}
-	if gotSite == nil || !gotSite.Hot || gotSite.Granularity != "slot" {
-		t.Fatalf("observer site = %+v, want hot slot-granularity", gotSite)
-	}
-	if gotSite.Class != SiteMixed {
-		t.Fatalf("observer site class = %v, want mixed", gotSite.Class)
+	if gotSite == nil || gotSite.Class != SiteMixed {
+		t.Fatalf("observer site = %+v, want a mixed site", gotSite)
 	}
 }
 
@@ -131,7 +125,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "manifest.json")
 	m := manifestFor(
 		elide.Site{ID: "a.go:1", File: "a.go", Line: 1, Class: elide.ClassNAIT, Pkg: "p"},
-		elide.Site{ID: "b.go:2", File: "b.go", Line: 2, Class: elide.ClassMixed, Hot: true, Granularity: "slot"},
+		elide.Site{ID: "b.go:2", File: "b.go", Line: 2, Class: elide.ClassMixed},
 	)
 	if err := m.WriteFile(path); err != nil {
 		t.Fatal(err)
@@ -143,7 +137,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	if len(got.Sites) != 2 || got.Version != elide.Version {
 		t.Fatalf("round trip lost data: %+v", got)
 	}
-	if got.Sites[0].ID != "a.go:1" || got.Sites[1].Hot != true {
+	if got.Sites[0].ID != "a.go:1" || got.Sites[1].Class != elide.ClassMixed {
 		t.Fatalf("round trip content mismatch: %+v", got.Sites)
 	}
 }

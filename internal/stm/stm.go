@@ -72,8 +72,8 @@ type Config struct {
 type StatsSnapshot = stmapi.StatsSnapshot
 
 // Runtime is an eager-versioning STM instance bound to a heap. The embedded
-// kernel supplies Heap, Stats, the tracer / injector / commit-sink setters,
-// the adaptive-granularity controls and Recovery.
+// kernel supplies Heap, Stats, the tracer / injector / commit-sink setters
+// and Recovery.
 type Runtime struct {
 	txn.Kernel
 
@@ -87,7 +87,6 @@ type Runtime struct {
 func New(heap *objmodel.Heap, cfg Config) *Runtime {
 	rt := &Runtime{cfg: cfg}
 	rt.Init("eager", heap, &rt.cfg.CommonConfig, func() txn.Strategy { return &Txn{rt: rt} })
-	rt.PromoteHotSites()
 	return rt
 }
 
@@ -252,7 +251,7 @@ func (tx *Txn) ReadRef(o *objmodel.Object, slot int) objmodel.Ref {
 }
 
 func (tx *Txn) logUndo(o *objmodel.Object, slot int) {
-	g := tx.Span(o)
+	g := tx.rt.cfg.Granularity
 	base := slot &^ (g - 1)
 	e := undoEntry{obj: o, base: base}
 	for i := 0; i < g && base+i < len(o.Slots); i++ {

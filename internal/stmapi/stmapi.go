@@ -166,11 +166,6 @@ type StatsSnapshot struct {
 	FastpathValidations int64 `json:"fastpath_validations,omitempty"`
 	FallbackWalks       int64 `json:"fallback_walks,omitempty"`
 
-	// Adaptive-granularity counters: objects promoted to slot-level
-	// version management and demoted back to the configured span.
-	GranPromotions int64 `json:"gran_promotions,omitempty"`
-	GranDemotions  int64 `json:"gran_demotions,omitempty"`
-
 	// Multi-version counters. SnapshotReads counts reads satisfied at the
 	// begin snapshot (from the object or its version chain) without
 	// validation; ReadOnlyTxns counts transactions
@@ -215,8 +210,6 @@ func (s StatsSnapshot) Fields() []struct {
 		{"clock_advances", s.ClockAdvances},
 		{"fastpath_validations", s.FastpathValidations},
 		{"fallback_walks", s.FallbackWalks},
-		{"gran_promotions", s.GranPromotions},
-		{"gran_demotions", s.GranDemotions},
 		{"snapshot_reads", s.SnapshotReads},
 		{"read_only_txns", s.ReadOnlyTxns},
 		{"read_only_aborts", s.ReadOnlyAborts},

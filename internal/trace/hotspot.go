@@ -60,7 +60,7 @@ func (h *Hotspots) BumpAbort(obj uint64) { h.get(obj).aborts.Add(1) }
 
 // BumpValidation counts one commit-clock validation failure or snapshot
 // extension charged to obj. Without this, clock-induced churn is invisible
-// to the hotspot table and AdaptGranularity never sees it.
+// to the hotspot table that /metrics and stmtop show.
 func (h *Hotspots) BumpValidation(obj uint64) { h.get(obj).validations.Add(1) }
 
 // HotspotEntry is one object's contention profile.

@@ -3,17 +3,19 @@ package txn_test
 // Isolation regressions for the validation the kernel does once for every
 // runtime, run over the registered runtimes: the write-skew probe for the
 // commit fast path, the deterministic interleaving for snapshot extension,
-// the walk-mode counters, and the quiescence grace period. Run under -race
-// in CI.
+// the walk-mode counters, the quiescence grace period, and that a heap does
+// not keep its runtimes alive. Run under -race in CI.
 
 import (
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 
 	"repro/internal/faultinject"
 	"repro/internal/objmodel"
@@ -286,6 +288,56 @@ func TestNoCommitClockWalks(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestHeapDoesNotRetainRuntimes: a heap may outlive the runtimes built on it
+// (a benchmark or a test builds several on one), so nothing the heap holds,
+// such as an allocation observer, may reach back into a runtime. Each of
+// eight runtimes commits once and is dropped; two collections must free all
+// of them.
+func TestHeapDoesNotRetainRuntimes(t *testing.T) {
+	for _, name := range stmapi.Runtimes() {
+		t.Run(name, func(t *testing.T) {
+			h := objmodel.NewHeap()
+			cls := h.MustDefineClass(objmodel.ClassSpec{Name: "Cell", Fields: []objmodel.Field{{Name: "v"}}})
+			o := h.New(cls)
+			kernels := make([]weak.Pointer[txn.Kernel], 8)
+			for i := range kernels {
+				rt, err := stmapi.New(name, h, stmapi.CommonConfig{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := rt.Atomic(func(tx stmapi.Txn) error {
+					tx.Write(o, 0, tx.Read(o, 0)+1)
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+				kernels[i] = weak.Make(kernelOf(rt))
+			}
+			runtime.GC()
+			runtime.GC()
+			live := 0
+			for _, k := range kernels {
+				if k.Value() != nil {
+					live++
+				}
+			}
+			if live != 0 {
+				t.Errorf("%d of %d runtimes still live after two collections with only their heap reachable", live, len(kernels))
+			}
+			runtime.KeepAlive(h)
+		})
+	}
+}
+
+// kernelOf returns the kernel behind a driver view: txn.API itself, or a
+// runtime's wrapper that embeds it (mvstm's adds AtomicRead).
+func kernelOf(rt stmapi.Runtime) *txn.Kernel {
+	if a, ok := rt.(txn.API); ok {
+		return a.Kernel
+	}
+	return reflect.ValueOf(rt).FieldByName("API").Interface().(txn.API).Kernel
 }
 
 // TestQuiescenceIsAGracePeriod: under Quiescence a commit returns only once

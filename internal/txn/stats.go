@@ -34,10 +34,6 @@ type Stats struct {
 	FastpathValidations stats.Counter // validations satisfied by the clock alone
 	FallbackWalks       stats.Counter // validations that walked the read set
 
-	// Adaptive-granularity counters.
-	GranPromotions stats.Counter // objects promoted to slot-level versioning
-	GranDemotions  stats.Counter // objects demoted back to the configured span
-
 	// Multi-version counters and the watermark-lag gauge (how far the
 	// reclamation watermark trailed the clock at the last collection).
 	SnapshotReads     stats.Counter
@@ -69,8 +65,6 @@ func (s *Stats) Snapshot() stmapi.StatsSnapshot {
 		ClockAdvances:       s.ClockAdvances.Load(),
 		FastpathValidations: s.FastpathValidations.Load(),
 		FallbackWalks:       s.FallbackWalks.Load(),
-		GranPromotions:      s.GranPromotions.Load(),
-		GranDemotions:       s.GranDemotions.Load(),
 
 		SnapshotReads:     s.SnapshotReads.Load(),
 		ReadOnlyTxns:      s.ReadOnlyTxns.Load(),

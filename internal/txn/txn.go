@@ -20,9 +20,9 @@
 //   - the commit-time locking protocol of the two deferred-update runtimes
 //     (deferred.go), and for all three the Section 3.4 quiescence, a grace
 //     period over the attempts in flight (atomic.go);
-//   - orphan recovery and the irrevocable token (recovery.go), adaptive
-//     version granularity (adaptive.go), sharded statistics (stats.go), and
-//     the stmapi adapter every runtime registers through (api.go).
+//   - orphan recovery and the irrevocable token (recovery.go), sharded
+//     statistics (stats.go), and the stmapi adapter every runtime registers
+//     through (api.go).
 //
 // A runtime embeds Kernel in its Runtime and Txn (or Deferred, which embeds
 // Txn) in its descriptor, keeps its Read and Write barriers as concrete
@@ -116,11 +116,6 @@ type Kernel struct {
 	injector atomic.Pointer[faultinject.Injector]
 	hooks    atomic.Pointer[CommitHooks]
 	sink     atomic.Pointer[sinkBox]
-
-	// Adaptive-granularity state: an immutable promotion table swapped
-	// copy-on-write under granMu (adaptive.go).
-	granTab atomic.Pointer[granTable]
-	granMu  sync.Mutex
 
 	// irrevToken is the runtime's single irrevocable-transaction token: the
 	// owner ID of the current irrevocable transaction, 0 when free. Exactly
@@ -303,10 +298,6 @@ type Txn struct {
 	RV uint64
 	WV uint64
 
-	// gran is the adaptive-granularity promotion table sampled at begin;
-	// nil when the configured granularity is 1 or nothing is promoted.
-	gran *granTable
-
 	// Irrevocable is goroutine-local (hot-path checks by the owner);
 	// irrevAt feeds the token-hold-time metrics.
 	Irrevocable bool
@@ -420,7 +411,6 @@ func (k *Kernel) putTxn(tx *Txn) {
 	tx.FI = nil
 	tx.Sink = nil
 	tx.Redo = tx.Redo[:0]
-	tx.gran = nil
 	k.pool.Put(tx)
 }
 
@@ -438,10 +428,6 @@ func (tx *Txn) begin() {
 	tx.WV = 0
 	if k.ClockOn {
 		tx.RV = k.Clock.Load()
-	}
-	tx.gran = nil
-	if k.cfg.Granularity > 1 {
-		tx.gran = k.granTab.Load()
 	}
 	tx.self.Begin()
 	if tr := tx.Tr; tr != nil {

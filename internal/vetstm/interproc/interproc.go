@@ -13,8 +13,7 @@
 // The result is an elide.Manifest keyed by stable "basename.go:line"
 // allocation-site IDs, which internal/objmodel loads to decide each
 // object's birth state (private for NAIT/TL sites — the Figure 10
-// zero-synchronization fast paths) and to pre-seed slot granularity for
-// hot mixed sites.
+// zero-synchronization fast paths).
 //
 // Deliberate conservatisms, all in the sound direction (a site is only
 // elided when every approximation agrees it is safe):
@@ -48,11 +47,6 @@ import (
 
 // Options configures a whole-program run.
 type Options struct {
-	// HotThreshold is the number of distinct static access expressions
-	// whose points-to set includes a mixed site before the site is marked
-	// Hot with a slot-granularity hint. 0 means the default (4).
-	HotThreshold int
-
 	// Tool is recorded in the manifest's Tool field.
 	Tool string
 }
@@ -79,7 +73,6 @@ type SiteInfo struct {
 	TxnRead  bool // some Atomic* body may read an object born here
 	TxnWrite bool // some Atomic* body may write one
 	Shared   bool // objects born here may cross goroutines
-	Accesses int  // distinct static access expressions reaching the site
 
 	Class  string // elide.Class* classification
 	Reason string
@@ -103,9 +96,6 @@ type Result struct {
 
 // Analyze runs the whole-program pipeline over the type-checked packages.
 func Analyze(pkgs []*vetstm.Package, opts Options) (*Result, error) {
-	if opts.HotThreshold <= 0 {
-		opts.HotThreshold = 4
-	}
 	if opts.Tool == "" {
 		opts.Tool = "stmvet elide"
 	}
@@ -442,22 +432,19 @@ func (a *analyzer) propagateReachTxn() {
 }
 
 // markAccesses folds the recorded access expressions into per-site
-// transactional-access and hotness facts.
+// transactional-access facts.
 func (a *analyzer) markAccesses() {
 	for _, rec := range a.accesses {
-		if rec.node < 0 {
+		isTxn := rec.kind == accTxn || (rec.fn != nil && rec.fn.reachTxn)
+		if rec.node < 0 || !isTxn {
 			continue
 		}
-		isTxn := rec.kind == accTxn || (rec.fn != nil && rec.fn.reachTxn)
 		a.sol.PointsTo(rec.node).ForEach(func(site int) {
 			si := a.sites[site].info
-			si.Accesses++
-			if isTxn {
-				if rec.store {
-					si.TxnWrite = true
-				} else {
-					si.TxnRead = true
-				}
+			if rec.store {
+				si.TxnWrite = true
+			} else {
+				si.TxnRead = true
 			}
 		})
 	}
@@ -533,10 +520,6 @@ func (a *analyzer) classify(shared pta.Set) *Result {
 			Line:   si.Line,
 			Class:  si.Class,
 			Reason: si.Reason,
-		}
-		if si.Class == elide.ClassMixed && si.Accesses >= a.opts.HotThreshold {
-			entry.Hot = true
-			entry.Granularity = "slot"
 		}
 		if elide.Elidable(si.Class) {
 			res.Stats.Elidable++

@@ -100,24 +100,3 @@ func TestDataHandoffParity(t *testing.T) {
 		t.Errorf("Stats.Elidable = %d, want 3 (item, scratch, local)", res.Stats.Elidable)
 	}
 }
-
-// Hot mixed sites get a slot-granularity hint once enough distinct access
-// expressions reach them.
-func TestHotMixedSiteGetsGranularityHint(t *testing.T) {
-	res := analyze(t, interproc.Options{HotThreshold: 2})
-	sites := handoffSites(res)
-	if len(sites) != 5 {
-		t.Fatalf("found %d handoff sites, want 5", len(sites))
-	}
-	counter := sites[2]
-	if counter.Class != elide.ClassMixed {
-		t.Fatalf("counter class = %q, want mixed", counter.Class)
-	}
-	entry, ok := res.Manifest.Index()[counter.ID]
-	if !ok {
-		t.Fatalf("counter missing from manifest")
-	}
-	if !entry.Hot || entry.Granularity != "slot" {
-		t.Errorf("counter entry = hot:%v gran:%q, want hot slot", entry.Hot, entry.Granularity)
-	}
-}

@@ -16,7 +16,7 @@
 //     eagerly at construction, so handoff always goes through the
 //     protected state.
 //   - shared counters: transactionally bumped by every worker → mixed,
-//     hot enough for a slot-granularity hint.
+//     the one class whose barriers are all kept.
 //
 // The workload is deliberately a leaf: it imports only the runtime
 // packages, so the analysis of this one package sees each object's whole
