@@ -21,7 +21,7 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/txn"
+	"repro/internal/trace"
 )
 
 // regimes are the systems Figure 1 runs on; "strong-lazy" gets the Section
@@ -47,25 +47,28 @@ func oneTrial(cfg core.Config) bool {
 	//stmvet:ignore nakedaccess,privatization -- deliberately reproduces Figure 1: raw init before publication
 	l.StoreSlot(0, uint64(it.Ref()))
 
-	// Widen the write-back window so the race is observable: after its
-	// commit point, the lazy transaction announces itself and then holds
-	// its write-back until Thread 1 has probed (bounded, so the strong
-	// regimes — whose probes rightly block on the held record — make
+	// Widen the write-back window so the race is observable: a synchronous
+	// trace sink sees the lazy transaction's commit point, announces it and
+	// then holds the write-back until Thread 1 has probed (bounded, so the
+	// strong regimes — whose probes rightly block on the held record — make
 	// progress once the window closes). The eager runtime writes in place:
-	// it has no such window and never fires the hook.
+	// it has no such window and records no commit point.
 	lazy := cfg.Versioning == "lazy"
 	gate := make(chan struct{})
 	probed := make(chan struct{})
 	var once sync.Once
-	sys.RT.(interface{ SetCommitHooks(txn.CommitHooks) }).SetCommitHooks(txn.CommitHooks{
-		OnAfterCommitPoint: func(*txn.Txn) {
-			once.Do(func() { close(gate) })
-			select {
-			case <-probed:
-			case <-time.After(2 * time.Millisecond):
-			}
-		},
-	})
+	tr := trace.New(trace.Config{Shards: 1, ShardCapacity: 64})
+	tr.SetSink(trace.SinkFunc(func(ev trace.Event) {
+		if ev.Kind != trace.EvCommitPoint {
+			return
+		}
+		once.Do(func() { close(gate) })
+		select {
+		case <-probed:
+		case <-time.After(2 * time.Millisecond):
+		}
+	}))
+	sys.RT.SetTracer(tr)
 
 	var wg sync.WaitGroup
 	wg.Add(1)

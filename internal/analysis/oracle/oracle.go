@@ -21,12 +21,13 @@
 //
 // Wiring: Attach registers an allocation observer on the heap (learning
 // the object→site mapping and each object's allocating goroutine); the
-// returned Oracle implements trace.Sink (install it on the runtime's
-// Tracer to see transactional accesses) and provides a BarrierObserver
-// for strong.Barriers (non-transactional accesses). When a causal
-// flight recorder is supplied, trace events are forwarded to it and each
-// transactional breach carries the recorder's conflict edges for the
-// offending transaction — the "how did we get here" chain.
+// returned Oracle is a trace.Sink and nothing else. Install it on one
+// Tracer and give that Tracer to both the runtime (transactional accesses)
+// and strong.Barriers (non-transactional accesses, trace.EvNTRead and
+// trace.EvNTWrite). When a causal flight recorder is supplied, trace
+// events are forwarded to it and each transactional breach carries the
+// recorder's conflict edges for the offending transaction — the "how did
+// we get here" chain.
 package oracle
 
 import (
@@ -150,16 +151,31 @@ func (o *Oracle) onAlloc(obj *objmodel.Object, site *objmodel.ManifestSite) {
 }
 
 // Observe consumes one trace event (trace.Sink): install the oracle as the
-// runtime Tracer's sink. Transactional reads and writes of NAIT-classified
-// objects are breaches; of TL-classified objects, breaches when the
-// transaction runs on a foreign goroutine. The sink contract guarantees
-// the call happens on the transaction's own goroutine, which is what makes
-// the TL check meaningful here.
+// sink of the Tracer the runtime and the barriers share. Transactional
+// reads and writes of NAIT-classified objects are breaches. Any access,
+// transactional or not, to a TL-classified object is a breach when it runs
+// on a goroutine other than the allocator's. (NAIT objects are *supposed*
+// to be accessed non-transactionally, so only the goroutine check applies
+// to EvNTRead and EvNTWrite.) The sink contract guarantees the call
+// happens on the accessing goroutine, which is what makes the TL check
+// meaningful here.
 func (o *Oracle) Observe(ev trace.Event) {
 	if o.cfg.Recorder != nil {
 		o.cfg.Recorder.Observe(ev)
 	}
-	if (ev.Kind != trace.EvRead && ev.Kind != trace.EvWrite) || ev.Obj == 0 {
+	var write, txnal bool
+	switch ev.Kind {
+	case trace.EvRead:
+		txnal = true
+	case trace.EvWrite:
+		write, txnal = true, true
+	case trace.EvNTRead:
+	case trace.EvNTWrite:
+		write = true
+	default:
+		return
+	}
+	if ev.Obj == 0 {
 		return
 	}
 	o.mu.Lock()
@@ -168,8 +184,7 @@ func (o *Oracle) Observe(ev trace.Event) {
 	if !ok {
 		return
 	}
-	write := ev.Kind == trace.EvWrite
-	if tr.site.Class == objmodel.SiteNAIT || tr.site.Class == objmodel.SiteNAITTL {
+	if txnal && (tr.site.Class == objmodel.SiteNAIT || tr.site.Class == objmodel.SiteNAITTL) {
 		o.report(Breach{
 			Kind: NAITBreach, Site: tr.site.ID, Class: tr.site.Class,
 			Obj: ev.Obj, Slot: ev.Slot, Write: write, Txn: ev.Txn,
@@ -181,29 +196,6 @@ func (o *Oracle) Observe(ev trace.Event) {
 			o.report(Breach{
 				Kind: TLBreach, Site: tr.site.ID, Class: tr.site.Class,
 				Obj: ev.Obj, Slot: ev.Slot, Write: write, Txn: ev.Txn,
-				AllocG: tr.allocG, AccessG: g,
-			})
-		}
-	}
-}
-
-// BarrierObserver returns the hook to install as strong.Barriers.Observer:
-// it checks non-transactional barriered accesses against the TL claims.
-// (NAIT objects are *supposed* to be accessed non-transactionally, so only
-// the goroutine check applies here.)
-func (o *Oracle) BarrierObserver() func(obj *objmodel.Object, slot int, write bool) {
-	return func(obj *objmodel.Object, slot int, write bool) {
-		h := uint64(obj.Ref())
-		o.mu.Lock()
-		tr, ok := o.objs[h]
-		o.mu.Unlock()
-		if !ok || (tr.site.Class != objmodel.SiteTL && tr.site.Class != objmodel.SiteNAITTL) {
-			return
-		}
-		if g := goid(); g != tr.allocG {
-			o.report(Breach{
-				Kind: TLBreach, Site: tr.site.ID, Class: tr.site.Class,
-				Obj: h, Slot: slot, Write: write,
 				AllocG: tr.allocG, AccessG: g,
 			})
 		}

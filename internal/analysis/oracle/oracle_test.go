@@ -78,9 +78,10 @@ func TestOracleCatchesWrongManifest(t *testing.T) {
 	}
 
 	// Contradiction 2: NT-barriered access from a goroutine that did not
-	// allocate the object (the TL half of the claim).
+	// allocate the object (the TL half of the claim), seen through the same
+	// tracer.
 	bars := strong.New(h, false)
-	bars.Observer = orc.BarrierObserver()
+	bars.Tracer = tr
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -175,7 +176,7 @@ func TestOracleCleanRunStaysSilent(t *testing.T) {
 	rt.SetTracer(tr)
 
 	bars := strong.New(h, false)
-	bars.Observer = orc.BarrierObserver()
+	bars.Tracer = tr
 
 	// nait handoff: publish through a public parent (Figure 10b), then let
 	// another goroutine read it with NT barriers.

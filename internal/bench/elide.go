@@ -156,9 +156,9 @@ func RunElideSweep(m *elide.Manifest, scale int) ([]ElideResult, error) {
 	}
 
 	// Certification pass: small, observed, off the clock. The oracle sees
-	// allocations (heap observer), NT accesses (barrier observer), and
-	// transactional accesses (tracer sink, teed into a flight recorder
-	// for causal context on any breach).
+	// allocations (heap observer) and, as the sink of the one tracer the
+	// runtime and the barriers share, NT and transactional accesses (teed
+	// into a flight recorder for causal context on any breach).
 	orcCfg := base
 	orcCfg.Manifest = m
 	orcCfg.Items /= 4
@@ -167,13 +167,10 @@ func RunElideSweep(m *elide.Manifest, scale int) ([]ElideResult, error) {
 	rec := causal.NewRecorder(causal.Config{})
 	tracer := trace.New(trace.Config{})
 	var orc *oracle.Oracle
-	var obs func(*objmodel.Object, int, bool)
 	orcCfg.OnSetup = func(h *objmodel.Heap) {
 		orc = oracle.Attach(h, oracle.Config{Recorder: rec})
-		obs = orc.BarrierObserver()
 		tracer.SetSink(orc)
 	}
-	orcCfg.Observer = func(o *objmodel.Object, slot int, write bool) { obs(o, slot, write) }
 	orcCfg.Tracer = tracer
 	if _, err := elidewl.Run(orcCfg); err != nil {
 		return nil, err

@@ -13,7 +13,7 @@ import (
 	"time"
 
 	"repro/internal/stmapi"
-	"repro/internal/txn"
+	"repro/internal/trace"
 )
 
 func TestAtomicCtxPreCancelledSkipsBody(t *testing.T) { txntest.CtxPreCancelledSkipsBody(t, "lazy") }
@@ -49,12 +49,12 @@ func TestAtomicCtxCancelDuringOrderingWait(t *testing.T) {
 	release := make(chan struct{})
 	var once atomic.Bool
 	f := newFixture(t, Config{CommonConfig: stmapi.CommonConfig{Quiescence: true}})
-	f.rt.SetCommitHooks(txn.CommitHooks{OnAfterCommitPoint: func(*txn.Txn) {
-		if once.CompareAndSwap(false, true) {
+	f.traceSink(func(ev trace.Event) {
+		if ev.Kind == trace.EvCommitPoint && once.CompareAndSwap(false, true) {
 			close(parked)
 			<-release
 		}
-	}})
+	})
 	o1 := f.heap.New(f.cls)
 	o2 := f.heap.New(f.cls)
 

@@ -11,8 +11,10 @@
 // precisely what produces the memory-inconsistency (MI) anomalies of
 // Figure 4 and the privatization problem of Figure 1 under weak atomicity;
 // the ordering read barrier of Section 3.3 (package strong) closes it.
-// The kernel's txn.CommitHooks let the litmus tests hold a transaction inside
-// that window deterministically.
+// The commit point and each slot's write-back are trace events
+// (trace.EvCommitPoint, trace.EvWriteBack), so a synchronous trace.Sink can
+// hold a transaction inside that window deterministically, as the litmus
+// tests do.
 //
 // The write buffer operates at a configurable slot granularity: with
 // Granularity 2 a first write to a slot buffers the span of two adjacent
@@ -277,7 +279,9 @@ func (tx *Txn) Commit() (ok bool, err error) {
 			tx.rt.Heap.PublishRef(objmodel.Ref(e.Val))
 		}
 		e.Obj.StoreSlot(e.Slot, e.Val)
-		tx.WroteBack(k)
+		if tr := tx.Tr; tr != nil {
+			tr.Record(trace.EvWriteBack, tx.ID(), uint64(e.Obj.Ref()), e.Slot, tx.WV)
+		}
 	}
 
 	if tx.FI != nil {

@@ -7,7 +7,7 @@ import (
 
 	"repro/internal/objmodel"
 	"repro/internal/stmapi"
-	"repro/internal/txn"
+	"repro/internal/trace"
 	"repro/internal/txrec"
 )
 
@@ -28,6 +28,15 @@ func newFixture(t testing.TB, cfg Config) *fixture {
 		},
 	})
 	return &fixture{heap: h, rt: rt, cls: cls}
+}
+
+// traceSink installs a tracer on the fixture's runtime whose synchronous
+// sink is fn. fn runs on the recording goroutine, so blocking in it at a
+// trace.EvCommitPoint holds that commit inside its window.
+func (f *fixture) traceSink(fn func(trace.Event)) {
+	tr := trace.New(trace.Config{Shards: 1, ShardCapacity: 64})
+	tr.SetSink(trace.SinkFunc(fn))
+	f.rt.SetTracer(tr)
 }
 
 func TestLazyCommitBasic(t *testing.T) {
@@ -142,10 +151,12 @@ func TestCommitWindowVisible(t *testing.T) {
 	f := newFixture(t, Config{})
 	o := f.heap.New(f.cls)
 	var observed uint64
-	f.rt.SetCommitHooks(txn.CommitHooks{OnAfterCommitPoint: func(*txn.Txn) {
-		// Logically committed; memory must still hold the old value.
-		observed = o.LoadSlot(0)
-	}})
+	f.traceSink(func(ev trace.Event) {
+		if ev.Kind == trace.EvCommitPoint {
+			// Logically committed; memory must still hold the old value.
+			observed = o.LoadSlot(0)
+		}
+	})
 	err := f.rt.Atomic(nil, func(tx *Txn) error {
 		tx.Write(o, 0, 42)
 		return nil

@@ -14,7 +14,7 @@ import (
 	"repro/internal/conflict"
 	"repro/internal/objmodel"
 	"repro/internal/stmapi"
-	"repro/internal/txn"
+	"repro/internal/trace"
 )
 
 func TestPoliciesPreserveInvariantsUnderContention(t *testing.T) {
@@ -35,26 +35,27 @@ func TestDoomAfterCommitPointIsIgnored(t *testing.T) {
 	// window until a contender for its record has doomed it.
 	var f *fixture
 	var o *objmodel.Object
-	var victim *txn.Txn
+	var mine, victim *Txn
 	contender := make(chan error, 1)
 	f = newFixture(t, Config{CommonConfig: stmapi.CommonConfig{Handler: alwaysDoom{}}})
-	f.rt.SetCommitHooks(txn.CommitHooks{OnAfterCommitPoint: func(tx *txn.Txn) {
-		if victim != nil {
-			return // the contender's own commit
+	f.traceSink(func(ev trace.Event) {
+		if ev.Kind != trace.EvCommitPoint || victim != nil {
+			return // not a commit point, or the contender's own
 		}
-		victim = tx
+		victim = mine
 		go func() {
 			contender <- f.rt.Atomic(nil, func(tx *Txn) error {
 				tx.Write(o, 1, 9)
 				return nil
 			})
 		}()
-		for !tx.Doomed() {
+		for !victim.Doomed() {
 			runtime.Gosched()
 		}
-	}})
+	})
 	o = f.heap.New(f.cls)
 	if err := f.rt.Atomic(nil, func(tx *Txn) error {
+		mine = tx
 		tx.Write(o, 0, 7)
 		return nil
 	}); err != nil {
@@ -64,7 +65,7 @@ func TestDoomAfterCommitPointIsIgnored(t *testing.T) {
 		t.Fatalf("contender: %v", err)
 	}
 	if victim == nil {
-		t.Fatalf("commit hook never ran")
+		t.Fatalf("the commit-point sink never ran")
 	}
 	if got := o.LoadSlot(0); got != 7 {
 		t.Fatalf("slot 0 = %d, want 7 (post-commit-point doom must be ignored)", got)

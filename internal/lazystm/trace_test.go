@@ -74,8 +74,10 @@ func TestLazyTraceEventLifecycle(t *testing.T) {
 		kinds = append(kinds, ev.Kind)
 	}
 	// Lazy ordering: the lock acquire happens at commit, after all reads
-	// and buffered writes.
-	want := []trace.Kind{trace.EvBegin, trace.EvRead, trace.EvWrite, trace.EvRead, trace.EvLockAcquire, trace.EvCommit}
+	// and buffered writes; then the commit window, the commit point and the
+	// one slot's write-back, before the commit completes.
+	want := []trace.Kind{trace.EvBegin, trace.EvRead, trace.EvWrite, trace.EvRead, trace.EvLockAcquire,
+		trace.EvCommitPoint, trace.EvWriteBack, trace.EvCommit}
 	if len(kinds) != len(want) {
 		t.Fatalf("events = %v, want %v", kinds, want)
 	}
@@ -93,8 +95,8 @@ func TestLazyTraceNoEventLossParallel(t *testing.T) {
 	f := newTraceFixture(t, Config{})
 	const goroutines = 8
 	const iters = 150
-	// 6 events per committed txn (begin/read/write/acquire/commit plus
-	// slack for retries); size shards for the worst case of one shard
+	// 8 events per committed txn (begin/read/write/acquire/commit-point/
+	// write-back/commit plus slack for retries); size shards for the worst case of one shard
 	// taking the whole stream.
 	tr := trace.New(trace.Config{ShardCapacity: goroutines * iters * 8, Shards: 8})
 	f.rt.SetTracer(tr)

@@ -22,7 +22,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/objmodel"
 	"repro/internal/stmapi"
-	"repro/internal/txn"
+	"repro/internal/trace"
 )
 
 // Mode is an execution regime from the Figure 6 columns.
@@ -82,16 +82,16 @@ func waitOrTimeout(ch <-chan struct{}) bool {
 	}
 }
 
-// windowWait picks how a runtime hook should block while keeping a
-// commit-point or write-back window open for a probing thread. In the weak
-// modes the probe's plain accesses never block, so the probe always arrives
-// and the wait can be generous — only a liveness backstop, and necessarily
-// far above the handoff window because under -race on a loaded machine the
-// prober can take much longer than that to run its transactions (a premature
-// release lets write-back race ahead of the probe: a flaky "anomaly not
-// observed"). In the strong modes the probe's NT barriers block on the very
-// records the paused committer still owns, so the tight handoff timeout is
-// what breaks that circular wait — those modes must keep it.
+// windowWait picks how an environment's trace sink should block while
+// keeping a commit-point or write-back window open for a probing thread. In
+// the weak modes the probe's plain accesses never block, so the probe always
+// arrives and the wait can be generous — only a liveness backstop, and
+// necessarily far above the handoff window because under -race on a loaded
+// machine the prober can take much longer than that to run its transactions
+// (a premature release lets write-back race ahead of the probe: a flaky
+// "anomaly not observed"). In the strong modes the probe's NT barriers block
+// on the very records the paused committer still owns, so the tight handoff
+// timeout is what breaks that circular wait — those modes must keep it.
 func windowWait(mode Mode) func(<-chan struct{}) {
 	switch mode {
 	case Strong, StrongLazy:
@@ -147,9 +147,12 @@ type EnvConfig struct {
 	// the package default, backoff.
 	Policy string
 
-	// Hooks instrument the commit window of the regimes that have one
-	// (lazyCommitWindow; the MI programs).
-	Hooks txn.CommitHooks
+	// Sink, when set, observes the environment's one event stream: NewEnv
+	// installs it on a tracer given to the runtime and the barriers. The MI
+	// programs hold the commit window of the regimes that have one
+	// (lazyCommitWindow) by blocking on its trace.EvCommitPoint or
+	// trace.EvWriteBack. Nil leaves the environment untraced.
+	Sink trace.Sink
 }
 
 // NewEnv builds an environment for the given regime.
@@ -164,8 +167,11 @@ func NewEnv(mode Mode, cfg EnvConfig) *Env {
 	sc := systems[mode]
 	sc.CommonConfig = stmapi.CommonConfig{Granularity: cfg.Granularity, Handler: pol}
 	sys := core.MustNewSystem(sc)
-	if rt, ok := sys.RT.(interface{ SetCommitHooks(txn.CommitHooks) }); ok {
-		rt.SetCommitHooks(cfg.Hooks)
+	if cfg.Sink != nil {
+		tr := trace.New(trace.Config{Shards: 1, ShardCapacity: 64}) // the sink is the reader
+		tr.SetSink(cfg.Sink)
+		sys.RT.SetTracer(tr)
+		sys.Barriers.Tracer = tr
 	}
 	e := &Env{Mode: mode, Heap: sys.Heap, sys: sys}
 	e.cell = e.Heap.MustDefineClass(objmodel.ClassSpec{

@@ -2,9 +2,10 @@ package litmus
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/objmodel"
-	"repro/internal/txn"
+	"repro/internal/trace"
 )
 
 // Program is one executable anomaly program from Section 2.
@@ -50,9 +51,9 @@ func expect(eager, lazy, mv, locks, strong bool) map[Mode]bool {
 }
 
 // lazyCommitWindow reports whether the mode's runtime writes buffered slots
-// back after its commit point — the window the MI programs instrument with
-// commit hooks. The multi-version runtime buffers and write-backs like the
-// lazy one, so it shares the window.
+// back after its commit point — the window the MI programs hold open from
+// their environment's trace sink. The multi-version runtime buffers and
+// write-backs like the lazy one, so it shares the window.
 func lazyCommitWindow(mode Mode) bool {
 	return mode == LazyWeak || mode == StrongLazy || mode == MVWeak
 }
@@ -452,21 +453,20 @@ func newPrivEnv(mode Mode) *privEnv {
 		probed:    make(chan struct{}),
 		t2done:    make(chan struct{}),
 	}
-	// The hooks are runtime-wide, so Thread 1's privatizing commit fires
-	// them too; only the first committer — Thread 2, whose window the
-	// program probes — may hold, or the privatizer deadlocks against the
-	// probe that runs after it.
+	// The sink sees every commit point, Thread 1's privatizing commit's
+	// too; only the first committer — Thread 2, whose window the program
+	// probes — may hold, or the privatizer deadlocks against the probe that
+	// runs after it.
 	var cfg EnvConfig
 	if lazyCommitWindow(mode) {
 		wait := windowWait(mode)
-		var once sync.Once
-		cfg.Hooks.OnAfterCommitPoint = func(*txn.Txn) {
-			holder := false
-			once.Do(func() { close(p.committed); holder = true })
-			if holder {
+		var held atomic.Bool
+		cfg.Sink = trace.SinkFunc(func(ev trace.Event) {
+			if ev.Kind == trace.EvCommitPoint && held.CompareAndSwap(false, true) {
+				close(p.committed)
 				wait(p.probed)
 			}
-		}
+		})
 	}
 	p.e = NewEnv(mode, cfg)
 	p.obj = p.e.NewCell()
@@ -536,13 +536,13 @@ func runMIOW(mode Mode) bool {
 	var cfg EnvConfig
 	if lazyCommitWindow(mode) {
 		wait := windowWait(mode)
-		var once sync.Once
-		cfg.Hooks.OnAfterWriteback = func(_ *txn.Txn, k int) {
-			if k == 0 {
-				once.Do(func() { close(firstWB) })
+		var held atomic.Bool
+		cfg.Sink = trace.SinkFunc(func(ev trace.Event) {
+			if ev.Kind == trace.EvWriteBack && held.CompareAndSwap(false, true) {
+				close(firstWB)
 				wait(probed)
 			}
-		}
+		})
 	}
 	e := NewEnv(mode, cfg)
 	el := e.NewCell()

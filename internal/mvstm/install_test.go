@@ -12,7 +12,7 @@ import (
 	"time"
 
 	"repro/internal/objmodel"
-	"repro/internal/txn"
+	"repro/internal/trace"
 	"repro/internal/txrec"
 )
 
@@ -317,7 +317,7 @@ func TestSnapshotReadInlineVsChain(t *testing.T) {
 	cases := []struct {
 		name        string
 		begin       when
-		afterInstal bool // probe from OnAfterWriteback, not OnAfterCommitPoint
+		afterInstal bool // probe at B's EvWriteBack, not its EvCommitPoint
 		wantWait    bool
 		want        uint64
 		deadHead    bool // B finds the chain dead and rewrites its head
@@ -336,24 +336,29 @@ func TestSnapshotReadInlineVsChain(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			var probe func(*txn.Txn)
+			var probe func()
+			var rv, wvB uint64
 			armed := false // only commit B is probed, and once
-			fire := func(tx *txn.Txn) {
-				if armed {
-					armed = false
-					probe(tx)
-				}
-			}
-			hooks := txn.CommitHooks{OnAfterCommitPoint: fire}
+			at := trace.EvCommitPoint
 			if c.afterInstal {
-				hooks = txn.CommitHooks{OnAfterWriteback: func(tx *txn.Txn, _ int) { fire(tx) }}
+				at = trace.EvWriteBack
 			}
 			cfg := Config{}
 			if c.deadHead {
 				cfg.GCEvery = 1
 			}
 			f := newFixture(t, cfg)
-			f.rt.SetCommitHooks(hooks)
+			// The kind is tested first: the readers' events come from other
+			// goroutines and must not touch armed.
+			f.traceSink(func(ev trace.Event) {
+				if ev.Kind == trace.EvCommitPoint && armed {
+					wvB = ev.Ver // B's write version
+				}
+				if ev.Kind == at && armed {
+					armed = false
+					probe()
+				}
+			})
 			o, other := f.heap.New(f.cls), f.heap.New(f.cls)
 			write := func(o *objmodel.Object, v uint64) {
 				t.Helper()
@@ -374,10 +379,8 @@ func TestSnapshotReadInlineVsChain(t *testing.T) {
 					return nil
 				})
 			}
-			var rv, wvB uint64
 			waited := false
-			probe = func(b *txn.Txn) {
-				wvB = b.WV
+			probe = func() {
 				switch c.begin {
 				case inWindow:
 					go reader()
@@ -392,7 +395,7 @@ func TestSnapshotReadInlineVsChain(t *testing.T) {
 				case r := <-res:
 					res <- r
 				case <-time.After(30 * time.Millisecond):
-					waited = true // still parked behind B's record, which this hook is holding
+					waited = true // still parked behind B's record, which this sink is holding
 				}
 			}
 

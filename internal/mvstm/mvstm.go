@@ -590,7 +590,9 @@ func (tx *Txn) Commit() (ok bool, err error) {
 			rt.Heap.PublishRef(objmodel.Ref(e.Val))
 		}
 		o.StoreSlot(e.Slot, e.Val)
-		tx.WroteBack(k)
+		if tr := tx.Tr; tr != nil {
+			tr.Record(trace.EvWriteBack, tx.ID(), uint64(o.Ref()), e.Slot, tx.WV)
+		}
 	}
 
 	if tx.FI != nil {

@@ -2,6 +2,7 @@ package mvstm
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/objmodel"
 	"repro/internal/stmapi"
+	"repro/internal/trace"
 	"repro/internal/txn"
 	"repro/internal/txrec"
 )
@@ -33,6 +35,15 @@ func newFixture(t testing.TB, cfg Config) *fixture {
 		},
 	})
 	return &fixture{heap: h, rt: rt, cls: cls}
+}
+
+// traceSink installs a tracer on the fixture's runtime whose synchronous
+// sink is fn. fn runs on the recording goroutine, so blocking in it at a
+// trace.EvCommitPoint holds that commit inside its window.
+func (f *fixture) traceSink(fn func(trace.Event)) {
+	tr := trace.New(trace.Config{Shards: 1, ShardCapacity: 64})
+	tr.SetSink(trace.SinkFunc(fn))
+	f.rt.SetTracer(tr)
 }
 
 func chainLen(o *objmodel.Object) int {
@@ -422,12 +433,12 @@ func TestGateIsPerDescriptor(t *testing.T) {
 
 	var hold atomic.Bool // the next commit to pass its commit point stops there
 	held, letGo := make(chan struct{}), make(chan struct{})
-	f.rt.SetCommitHooks(txn.CommitHooks{OnAfterCommitPoint: func(*txn.Txn) {
-		if hold.CompareAndSwap(true, false) {
+	f.traceSink(func(ev trace.Event) {
+		if ev.Kind == trace.EvCommitPoint && hold.CompareAndSwap(true, false) {
 			close(held)
 			<-letGo
 		}
-	}})
+	})
 	var wg sync.WaitGroup
 	run := func(body func()) {
 		wg.Add(1)
@@ -489,6 +500,46 @@ func TestGateIsPerDescriptor(t *testing.T) {
 	}
 	if a.LoadSlot(0) != 1 || b.LoadSlot(0) != 1 || c.LoadSlot(0) != 1 {
 		t.Errorf("state = (%d,%d,%d), want (1,1,1)", a.LoadSlot(0), b.LoadSlot(0), c.LoadSlot(0))
+	}
+}
+
+// TestMVTraceEventLifecycle is the lazy lifecycle test's twin on the
+// multi-version commit: the commit window is a commit point and one
+// write-back per buffered slot between the lock acquire and the commit, and
+// both carry the write version the commit obtained.
+func TestMVTraceEventLifecycle(t *testing.T) {
+	f := newFixture(t, Config{})
+	o := f.heap.New(f.cls)
+	var mine *Txn
+	var events []trace.Event
+	var wv uint64
+	f.traceSink(func(ev trace.Event) {
+		events = append(events, ev)
+		if ev.Kind == trace.EvCommitPoint {
+			wv = mine.WV
+		}
+	})
+	if err := f.rt.Atomic(nil, func(tx *Txn) error {
+		mine = tx
+		tx.Write(o, 0, tx.Read(o, 0)+1)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want := []trace.Kind{trace.EvBegin, trace.EvRead, trace.EvWrite, trace.EvLockAcquire,
+		trace.EvCommitPoint, trace.EvWriteBack, trace.EvCommit}
+	var kinds []trace.Kind
+	for _, ev := range events {
+		kinds = append(kinds, ev.Kind)
+	}
+	if !slices.Equal(kinds, want) {
+		t.Fatalf("events = %v, want %v", kinds, want)
+	}
+	if cp := events[4]; wv == 0 || cp.Ver != wv || cp.Txn != mine.ID() {
+		t.Errorf("commit point %+v, want Ver = WV = %d of txn %d", cp, wv, mine.ID())
+	}
+	if wb := events[5]; wb.Ver != wv || wb.Obj != uint64(o.Ref()) || wb.Slot != 0 {
+		t.Errorf("write-back %+v, want object %d slot 0 at %d", wb, o.Ref(), wv)
 	}
 }
 

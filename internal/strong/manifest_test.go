@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/elide"
 	"repro/internal/objmodel"
+	"repro/internal/trace"
 )
 
 // allocSite builds a manifest site for an allocation `delta` lines below
@@ -82,6 +83,10 @@ func TestManifestPublicationOnEscape(t *testing.T) {
 	}
 }
 
+// TestBarrierObserverSeesAccesses: a tracer on the barriers records each
+// completed access once, as the same trace.Event a transactional step is:
+// Txn 0, the object and slot, and the version read or released, which is
+// nonzero on a public object and 0 on the Figure 10 private fast path.
 func TestBarrierObserverSeesAccesses(t *testing.T) {
 	h := objmodel.NewHeap()
 	cls := h.MustDefineClass(objmodel.ClassSpec{
@@ -89,18 +94,12 @@ func TestBarrierObserverSeesAccesses(t *testing.T) {
 		Fields: []objmodel.Field{{Name: "f"}},
 	})
 	o := h.NewPublic(cls)
-	b := New(h, false)
-	type access struct {
-		slot  int
-		write bool
-	}
-	var seen []access
-	b.Observer = func(obj *objmodel.Object, slot int, write bool) {
-		if obj != o {
-			t.Errorf("observer saw wrong object")
-		}
-		seen = append(seen, access{slot, write})
-	}
+	h.AllocPrivate = true
+	p := h.New(cls)
+	b := New(h, true)
+	var seen []trace.Event
+	b.Tracer = trace.New(trace.Config{Shards: 1, ShardCapacity: 16})
+	b.Tracer.SetSink(trace.SinkFunc(func(ev trace.Event) { seen = append(seen, ev) }))
 	b.Write(o, 0, 7)
 	_ = b.Read(o, 0)
 	_ = b.ReadOrdering(o, 0)
@@ -108,14 +107,25 @@ func TestBarrierObserverSeesAccesses(t *testing.T) {
 	b.AggWrite(o, 0, 8, tok)
 	_ = b.AggRead(o, 0, tok)
 	b.Release(o, tok)
+	b.Write(p, 0, 9)
 
-	want := []access{{0, true}, {0, false}, {0, false}, {0, true}, {0, false}}
-	if len(seen) != len(want) {
-		t.Fatalf("observer saw %d accesses, want %d: %+v", len(seen), len(want), seen)
+	want := []struct {
+		kind trace.Kind
+		obj  *objmodel.Object
+	}{
+		{trace.EvNTWrite, o}, {trace.EvNTRead, o}, {trace.EvNTRead, o},
+		{trace.EvNTWrite, o}, {trace.EvNTRead, o}, {trace.EvNTWrite, p},
 	}
-	for i := range want {
-		if seen[i] != want[i] {
-			t.Fatalf("access %d = %+v, want %+v", i, seen[i], want[i])
+	if len(seen) != len(want) {
+		t.Fatalf("tracer saw %d accesses, want %d: %+v", len(seen), len(want), seen)
+	}
+	for i, w := range want {
+		ev := seen[i]
+		if ev.Kind != w.kind || ev.Txn != 0 || ev.Obj != uint64(w.obj.Ref()) || ev.Slot != 0 {
+			t.Errorf("access %d = %+v, want %v of object %d slot 0 with Txn 0", i, ev, w.kind, w.obj.Ref())
+		}
+		if private := w.obj == p; (ev.Ver == 0) != private {
+			t.Errorf("access %d (private %v) carries version %d", i, private, ev.Ver)
 		}
 	}
 }

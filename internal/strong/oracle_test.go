@@ -10,6 +10,7 @@ import (
 	"repro/internal/elide"
 	"repro/internal/objmodel"
 	"repro/internal/strong"
+	"repro/internal/trace"
 )
 
 // siteBelow builds a manifest site for an allocation `delta` lines below
@@ -48,7 +49,8 @@ func TestPublishObjectWalkUnderOracle(t *testing.T) {
 	bars := strong.New(h, false)
 	st := &strong.Stats{}
 	bars.Stats = st
-	bars.Observer = orc.BarrierObserver()
+	bars.Tracer = trace.New(trace.Config{})
+	bars.Tracer.SetSink(orc)
 
 	// Build the private subgraph through the fast paths: a ref written into
 	// a *private* object publishes nothing (Figure 10b fires only when the

@@ -35,6 +35,7 @@ import (
 
 	"repro/internal/conflict"
 	"repro/internal/objmodel"
+	"repro/internal/trace"
 	"repro/internal/txrec"
 )
 
@@ -63,13 +64,19 @@ type Barriers struct {
 	// Stats, when non-nil, counts barrier executions.
 	Stats *Stats
 
-	// Observer, when non-nil, is called synchronously on the accessing
-	// goroutine for every completed barriered access (reads after the
-	// value is validated, writes after the store). The soundness oracle
-	// (internal/analysis/oracle) uses it to check the static thread-local
-	// classification against actual non-transactional traffic. Leave nil
-	// when measuring: the indirect call costs as much as the fast path.
-	Observer func(o *objmodel.Object, slot int, write bool)
+	// Tracer, when non-nil, records every completed barriered access as a
+	// trace.EvNTRead or trace.EvNTWrite (reads after the value is
+	// validated, writes after the store), on the accessing goroutine and in
+	// the same Seq order as the runtimes' events: a synchronous Sink on it,
+	// such as the soundness oracle (internal/analysis/oracle), sees
+	// non-transactional traffic beside transactional. Leave nil when
+	// measuring: recording costs more than the fast path.
+	Tracer *trace.Tracer
+}
+
+// record emits one non-transactional access; callers check b.Tracer first.
+func (b *Barriers) record(k trace.Kind, o *objmodel.Object, slot int, ver uint64) {
+	b.Tracer.Record(k, 0, uint64(o.Ref()), slot, ver)
 }
 
 // elide reports whether the Figure 10 private fast paths and publication
@@ -114,8 +121,8 @@ func (b *Barriers) Read(o *objmodel.Object, slot int) uint64 {
 			if b.Stats != nil {
 				b.Stats.PrivateReads.Add(1)
 			}
-			if b.Observer != nil {
-				b.Observer(o, slot, false)
+			if b.Tracer != nil {
+				b.record(trace.EvNTRead, o, slot, 0)
 			}
 			return v
 		}
@@ -129,8 +136,8 @@ func (b *Barriers) Read(o *objmodel.Object, slot int) uint64 {
 			b.handle(conflict.NonTxnRead, attempt, w)
 			continue
 		}
-		if b.Observer != nil {
-			b.Observer(o, slot, false)
+		if b.Tracer != nil {
+			b.record(trace.EvNTRead, o, slot, txrec.Version(w))
 		}
 		return v
 	}
@@ -156,8 +163,12 @@ func (b *Barriers) ReadOrdering(o *objmodel.Object, slot int) uint64 {
 			continue
 		}
 		v := o.LoadSlot(slot)
-		if b.Observer != nil {
-			b.Observer(o, slot, false)
+		if b.Tracer != nil {
+			var ver uint64 // a private record has no version
+			if !txrec.IsPrivate(w) {
+				ver = txrec.Version(w)
+			}
+			b.record(trace.EvNTRead, o, slot, ver)
 		}
 		return v
 	}
@@ -185,8 +196,8 @@ func (b *Barriers) Write(o *objmodel.Object, slot int, v uint64) {
 			b.Stats.PrivateWrites.Add(1)
 		}
 		o.StoreSlot(slot, v)
-		if b.Observer != nil {
-			b.Observer(o, slot, true)
+		if b.Tracer != nil {
+			b.record(trace.EvNTWrite, o, slot, 0)
 		}
 		return
 	}
@@ -203,9 +214,9 @@ func (b *Barriers) Write(o *objmodel.Object, slot int, v uint64) {
 			b.Heap.PublishRef(objmodel.Ref(v))
 		}
 		o.StoreSlot(slot, v)
-		b.releaseAnon(o, txrec.Version(prev))
-		if b.Observer != nil {
-			b.Observer(o, slot, true)
+		rv := b.releaseAnon(o, txrec.Version(prev))
+		if b.Tracer != nil {
+			b.record(trace.EvNTWrite, o, slot, rv)
 		}
 		return
 	}
@@ -237,13 +248,16 @@ func (b *Barriers) WriteRef(o *objmodel.Object, slot int, r objmodel.Ref) {
 //
 // Either way o is released one version ahead of the clock, so the next hold
 // of it finds the clock below its version until some transaction reads o and
-// raises the clock over it. Versions stay strictly monotone per object.
-func (b *Barriers) releaseAnon(o *objmodel.Object, v uint64) {
+// raises the clock over it. Versions stay strictly monotone per object. It
+// returns the version released.
+func (b *Barriers) releaseAnon(o *objmodel.Object, v uint64) uint64 {
 	if c := b.Heap.Clock().Load(); c >= v {
 		b.Heap.Clock().Tick()
 		v = c + 1 // where Tick left the clock, unless others moved it further
 	}
-	o.Rec.Store(txrec.MakeShared(objmodel.CheckVersion(v + 1)))
+	v = objmodel.CheckVersion(v + 1)
+	o.Rec.Store(txrec.MakeShared(v))
+	return v
 }
 
 // AggToken is the state carried by an aggregated barrier (Figure 14)
@@ -275,22 +289,24 @@ func (b *Barriers) Acquire(o *objmodel.Object) AggToken {
 }
 
 // AggWrite stores a value inside an aggregated barrier, publishing written
-// references when the object is public and DEA is enabled.
+// references when the object is public and DEA is enabled. Its trace event
+// carries the version the record was acquired at: the version Release will
+// store is not chosen yet.
 func (b *Barriers) AggWrite(o *objmodel.Object, slot int, v uint64, tok AggToken) {
 	if !tok.private && v != 0 && o.IsRefSlot(slot) && b.elide() {
 		b.Heap.PublishRef(objmodel.Ref(v))
 	}
 	o.StoreSlot(slot, v)
-	if b.Observer != nil {
-		b.Observer(o, slot, true)
+	if b.Tracer != nil {
+		b.record(trace.EvNTWrite, o, slot, tok.version)
 	}
 }
 
 // AggRead loads a value inside an aggregated barrier.
 func (b *Barriers) AggRead(o *objmodel.Object, slot int, tok AggToken) uint64 {
 	v := o.LoadSlot(slot)
-	if b.Observer != nil {
-		b.Observer(o, slot, false)
+	if b.Tracer != nil {
+		b.record(trace.EvNTRead, o, slot, tok.version)
 	}
 	return v
 }

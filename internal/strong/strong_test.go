@@ -390,3 +390,35 @@ func TestAggReleaseTicksClockBeforeRelease(t *testing.T) {
 		b.Release(o, tok)
 	})
 }
+
+// TestDisabledTracerAllocFree: with no tracer (and no Stats) installed, no
+// barrier allocates, on a public object or on a private one (the Figure 10
+// fast paths), so the Tracer's one nil check is all the disabled path adds.
+func TestDisabledTracerAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates; exact alloc count only meaningful without -race")
+	}
+	h, cls, b := setup(t, true)
+	b.Stats = nil
+	pub, priv := h.NewPublic(cls), h.New(cls)
+	for _, o := range []*objmodel.Object{pub, priv} {
+		for _, op := range []struct {
+			name string
+			run  func()
+		}{
+			{"Read", func() { _ = b.Read(o, 0) }},
+			{"ReadOrdering", func() { _ = b.ReadOrdering(o, 0) }},
+			{"Write", func() { b.Write(o, 0, 1) }},
+			{"Acquire/AggWrite/AggRead/Release", func() {
+				tok := b.Acquire(o)
+				b.AggWrite(o, 0, 2, tok)
+				_ = b.AggRead(o, 1, tok)
+				b.Release(o, tok)
+			}},
+		} {
+			if avg := testing.AllocsPerRun(200, op.run); avg != 0 {
+				t.Errorf("%s on a private=%v object: %.1f allocations, want 0", op.name, o.IsPrivate(), avg)
+			}
+		}
+	}
+}

@@ -1,13 +1,18 @@
 // Package trace is the STM's observability substrate: a low-overhead event
-// recorder both runtimes (internal/stm, internal/lazystm) emit into when a
-// Tracer is installed on them.
+// recorder the three runtimes (internal/stm, internal/lazystm,
+// internal/mvstm) and the non-transactional barriers (internal/strong) emit
+// into when a Tracer is installed on them. It is the one record of a mixed
+// history: transactional steps, the deferred-update commit window (commit
+// point, each slot's write-back) and non-transactional barriered accesses
+// share one Event shape and one Seq order.
 //
 // The paper's evaluation (Section 7) lives and dies on knowing *why*
 // transactions abort and where contention concentrates; end-of-run
 // aggregate counters cannot answer that. A Tracer records a bounded
 // per-transaction event history — begin, read, write, lock-acquire,
 // conflict, abort, retry, commit, each carrying the object handle and
-// record version observed — into sharded ring buffers, and derives three
+// record version observed, plus the non-transactional reads and writes
+// around them — into sharded ring buffers, and derives three
 // live views from the stream:
 //
 //   - conflict attribution: a sharded hotspot table mapping object handle
@@ -55,6 +60,10 @@ const (
 	EvIrrevocable             // transaction became irrevocable (token acquired, read set locked)
 	EvValidation              // commit-clock validation failed (Obj = stale object observed)
 	EvExtend                  // read-time snapshot extension: version above snapshot, clock raised (Obj, Ver = version seen)
+	EvNTRead                  // non-transactional barriered read (Txn 0; Ver = version read, 0 on a private object)
+	EvNTWrite                 // non-transactional barriered write (Txn 0; Ver = version released, 0 on a private object)
+	EvCommitPoint             // deferred-update commit point passed, nothing written back yet (Ver = write version)
+	EvWriteBack               // deferred-update commit stored one buffered slot (Obj, Slot; Ver = write version)
 	numKinds
 )
 
@@ -62,6 +71,7 @@ var kindNames = [numKinds]string{
 	"begin", "read", "write", "lock-acquire", "conflict", "abort", "retry", "commit",
 	"self-abort", "doom", "steal", "escalate", "irrevocable",
 	"validation", "extend",
+	"nt-read", "nt-write", "commit-point", "write-back",
 }
 
 // String returns the kind's wire name (used as JSON keys in snapshots).
@@ -72,10 +82,13 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// Event is one step of one transaction's history.
+// Event is one step of a history. For a transactional kind Txn names the
+// transaction. For EvNTRead and EvNTWrite Txn is 0 (no transaction ID is
+// 0), and Ver is 0 only when the access took the Figure 10 private fast
+// path: a public object's versions start at 1.
 type Event struct {
 	Kind Kind   `json:"kind"`
-	Txn  uint64 `json:"txn"`           // transaction owner ID
+	Txn  uint64 `json:"txn"`           // transaction owner ID; 0 for an NT access or a background steal
 	Obj  uint64 `json:"obj,omitempty"` // heap handle; 0 = not object-specific
 	Slot int    `json:"slot"`          // slot index; meaningful for reads/writes
 	Ver  uint64 `json:"ver,omitempty"` // record version observed at the step
@@ -90,6 +103,12 @@ type Event struct {
 type Sink interface {
 	Observe(Event)
 }
+
+// SinkFunc adapts a function to Sink.
+type SinkFunc func(Event)
+
+// Observe calls f(ev).
+func (f SinkFunc) Observe(ev Event) { f(ev) }
 
 // Config parameterizes a Tracer.
 type Config struct {

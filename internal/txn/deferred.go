@@ -199,27 +199,14 @@ func (d *Deferred) fire(p faultinject.Point, o *objmodel.Object) bool {
 	return true
 }
 
-// Serialize passes the commit point. The commit window opens here, so
-// CommitHooks.OnAfterCommitPoint fires here.
+// Serialize passes the commit point. The commit window opens here, so the
+// descriptor's tracer records trace.EvCommitPoint here, carrying WV: a
+// synchronous Sink that blocks on it holds the commit with nothing written
+// back yet.
 func (d *Deferred) Serialize() {
 	d.CommitPoint()
-	if h := d.k.hooks.Load(); h != nil && h.OnAfterCommitPoint != nil {
-		h.OnAfterCommitPoint(&d.Txn)
-	}
-}
-
-// WroteBack fires CommitHooks.OnAfterWriteback for the k-th slot the runtime
-// has just written back. Split so that the no-hooks case inlines into the
-// write-back loop as one load and compare.
-func (d *Deferred) WroteBack(k int) {
-	if d.k.hooks.Load() != nil {
-		d.wroteBack(k)
-	}
-}
-
-func (d *Deferred) wroteBack(k int) {
-	if h := d.k.hooks.Load(); h != nil && h.OnAfterWriteback != nil {
-		h.OnAfterWriteback(&d.Txn, k)
+	if tr := d.Tr; tr != nil {
+		tr.Record(trace.EvCommitPoint, d.id, 0, 0, d.WV)
 	}
 }
 

@@ -118,11 +118,6 @@ func TestWriteSkew(t *testing.T) {
 	}
 }
 
-// sinkFunc adapts a function to trace.Sink.
-type sinkFunc func(trace.Event)
-
-func (f sinkFunc) Observe(ev trace.Event) { f(ev) }
-
 // TestExtensionCoversTriggeringRead drives the one interleaving snapshot
 // extension used to get wrong, deterministically, through the tracer's
 // synchronous sink. T reads o at a version above its snapshot, which
@@ -147,7 +142,7 @@ func TestExtensionCoversTriggeringRead(t *testing.T) {
 			}
 			tr := trace.New(trace.Config{Shards: 1, ShardCapacity: 64})
 			fired := false
-			tr.SetSink(sinkFunc(func(ev trace.Event) {
+			tr.SetSink(trace.SinkFunc(func(ev trace.Event) {
 				if ev.Kind == trace.EvExtend && ev.Obj == uint64(o.Ref()) && !fired {
 					fired = true
 					if err := rt.Atomic(write(100)); err != nil { // W2
@@ -453,9 +448,13 @@ func park(f txntest.Fixture, o *objmodel.Object, window bool) (release func(), p
 		}
 	}
 	if window {
-		f.Runtime().(interface{ SetCommitHooks(txn.CommitHooks) }).SetCommitHooks(txn.CommitHooks{
-			OnAfterCommitPoint: func(*txn.Txn) { stop() },
-		})
+		tr := trace.New(trace.Config{Shards: 1, ShardCapacity: 64})
+		tr.SetSink(trace.SinkFunc(func(ev trace.Event) {
+			if ev.Kind == trace.EvCommitPoint {
+				stop()
+			}
+		}))
+		f.Runtime().SetTracer(tr)
 	}
 	done := make(chan error, 1)
 	go func() {

@@ -114,7 +114,6 @@ type Kernel struct {
 	pool     sync.Pool // idle *Txn descriptors
 	tracer   atomic.Pointer[trace.Tracer]
 	injector atomic.Pointer[faultinject.Injector]
-	hooks    atomic.Pointer[CommitHooks]
 	sink     atomic.Pointer[sinkBox]
 
 	// irrevToken is the runtime's single irrevocable-transaction token: the
@@ -163,34 +162,6 @@ func (k *Kernel) Tracer() *trace.Tracer { return k.tracer.Load() }
 // tracer it is sampled once per top-level Atomic and guarded by a single nil
 // check per injection point, so the uninstrumented hot path is unchanged.
 func (k *Kernel) SetInjector(in *faultinject.Injector) { k.injector.Store(in) }
-
-// CommitHooks are optional test instrumentation points inside the commit
-// window of a deferred-update runtime (lazy, multi-version), the window the
-// Figure 1 and Figure 4 anomalies live in. They receive the kernel
-// descriptor (Self reaches the runtime's own). The eager runtime writes in
-// place and has no such window: it accepts hooks and never fires them.
-type CommitHooks struct {
-	// OnAfterCommitPoint runs after the transaction has logically committed
-	// (status set, write version obtained, records held) but before any
-	// buffered value reaches shared memory.
-	OnAfterCommitPoint func(tx *Txn)
-
-	// OnAfterWriteback runs after the k-th individual slot write-back
-	// (0-based, in the runtime's write-back order), still before the records
-	// are released.
-	OnAfterWriteback func(tx *Txn, k int)
-}
-
-// SetCommitHooks installs h (the zero value removes both hooks). Unlike the
-// tracer and the injector it is read at the hook points themselves, one nil
-// check each, so it takes effect for commits already in flight.
-func (k *Kernel) SetCommitHooks(h CommitHooks) {
-	if h.OnAfterCommitPoint == nil && h.OnAfterWriteback == nil {
-		k.hooks.Store(nil)
-		return
-	}
-	k.hooks.Store(&h)
-}
 
 // sinkBox wraps a CommitSink so it can live in an atomic.Pointer (which
 // needs a concrete element type) regardless of the sink's dynamic type.

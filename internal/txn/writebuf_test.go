@@ -9,6 +9,7 @@ import (
 	"repro/internal/mvstm"
 	"repro/internal/objmodel"
 	"repro/internal/stmapi"
+	"repro/internal/trace"
 	"repro/internal/txn"
 )
 
@@ -30,18 +31,18 @@ func TestWriteSetSliceSpill(t *testing.T) {
 	for _, c := range []struct {
 		name  string
 		slots []int // written per object, in this order
-		// atomic runs body in a fresh runtime over h whose write-back hook is
-		// hook, handing it the descriptor's buffer.
-		atomic func(h *objmodel.Heap, hook func(k int)) func(body func(tx stmapi.Txn, buf *txn.WriteBuf)) error
+		// atomic runs body in a fresh runtime over h traced by tr, handing it
+		// the descriptor's buffer.
+		atomic func(h *objmodel.Heap, tr *trace.Tracer) func(body func(tx stmapi.Txn, buf *txn.WriteBuf)) error
 		// order is the write-back order, given the order slots were buffered in.
 		order func(buffered []target) []target
 	}{
 		{
 			name:  "mvstm",
 			slots: []int{1, 0},
-			atomic: func(h *objmodel.Heap, hook func(int)) func(func(stmapi.Txn, *txn.WriteBuf)) error {
+			atomic: func(h *objmodel.Heap, tr *trace.Tracer) func(func(stmapi.Txn, *txn.WriteBuf)) error {
 				rt := mvstm.New(h, mvstm.Config{})
-				rt.SetCommitHooks(txn.CommitHooks{OnAfterWriteback: func(_ *txn.Txn, k int) { hook(k) }})
+				rt.SetTracer(tr)
 				return func(body func(stmapi.Txn, *txn.WriteBuf)) error {
 					return rt.Atomic(nil, func(tx *mvstm.Txn) error { body(tx, &tx.Buf); return nil })
 				}
@@ -55,9 +56,9 @@ func TestWriteSetSliceSpill(t *testing.T) {
 			// One write per object, to slot 1: the span brings slot 0 along.
 			name:  "lazy spans",
 			slots: []int{1},
-			atomic: func(h *objmodel.Heap, hook func(int)) func(func(stmapi.Txn, *txn.WriteBuf)) error {
+			atomic: func(h *objmodel.Heap, tr *trace.Tracer) func(func(stmapi.Txn, *txn.WriteBuf)) error {
 				rt := lazystm.New(h, lazystm.Config{CommonConfig: stmapi.CommonConfig{Granularity: 2}})
-				rt.SetCommitHooks(txn.CommitHooks{OnAfterWriteback: func(_ *txn.Txn, k int) { hook(k) }})
+				rt.SetTracer(tr)
 				return func(body func(stmapi.Txn, *txn.WriteBuf)) error {
 					return rt.Atomic(nil, func(tx *lazystm.Txn) error { body(tx, &tx.Buf); return nil })
 				}
@@ -71,26 +72,16 @@ func TestWriteSetSliceSpill(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			h := objmodel.NewHeap()
 			cls := h.MustDefineClass(objmodel.ClassSpec{Name: "Cell", Fields: []objmodel.Field{{Name: "f"}, {Name: "g"}}})
+			// The write-back order is the commit's EvWriteBack events, in order.
 			var order []target
+			tr := trace.New(trace.Config{Shards: 1, ShardCapacity: 64})
+			tr.SetSink(trace.SinkFunc(func(ev trace.Event) {
+				if ev.Kind == trace.EvWriteBack {
+					order = append(order, target{h.Get(objmodel.Ref(ev.Obj)), ev.Slot})
+				}
+			}))
 			final := map[target]uint64{}
-			var nextK int
-			atomic := c.atomic(h, func(k int) {
-				if len(final) == 0 {
-					return // the small transaction at the end
-				}
-				if k != nextK {
-					t.Errorf("write-back %d reported as %d", nextK, k)
-				}
-				nextK++
-				// Final values are distinct and held by no slot beforehand: the
-				// slot just written back is the one that now holds its own.
-				for tg, v := range final {
-					if tg.o.LoadSlot(tg.slot) == v {
-						order = append(order, tg)
-						delete(final, tg)
-					}
-				}
-			})
+			atomic := c.atomic(h, tr)
 			objs := make([]*objmodel.Object, nObjs)
 			for i := range objs {
 				objs[i] = h.New(cls)
@@ -143,6 +134,11 @@ func TestWriteSetSliceSpill(t *testing.T) {
 				if order[k] != want[k] {
 					t.Fatalf("write-back %d went to object #%d slot %d, want object #%d slot %d",
 						k, order[k].o.Ref(), order[k].slot, want[k].o.Ref(), want[k].slot)
+				}
+			}
+			for tg, v := range final {
+				if got := tg.o.LoadSlot(tg.slot); got != v {
+					t.Errorf("object #%d slot %d = %d after write-back, want %d", tg.o.Ref(), tg.slot, got, v)
 				}
 			}
 			// The descriptor is reused: a small transaction after a spilled one

@@ -157,9 +157,10 @@ func txnParam(info *types.Info, ft *ast.FuncType) *types.Var {
 // looksLikeBody distinguishes an atomic body (or a transactional helper)
 // from a runtime callback that merely receives a transaction. Bodies and
 // helpers return an error (the abort channel) or hand the transaction on
-// (a txn-typed result); hooks like txn.CommitHooks.OnAfterCommitPoint take
-// a *Txn and return nothing — they run exactly once at a fixed protocol
-// point and may legally perform effects.
+// (a txn-typed result); a callback such as txn.Kernel.ForEach's visitor
+// takes a *Txn and returns something else (or nothing) — it does not run
+// as part of the transaction, may legally perform effects, and is not
+// checked.
 func looksLikeBody(info *types.Info, ft *ast.FuncType) bool {
 	if ft.Results == nil {
 		return false

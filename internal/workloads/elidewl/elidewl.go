@@ -51,18 +51,15 @@ type Config struct {
 	// allocation (the B side of the A/B measurement).
 	Manifest *elide.Manifest
 
-	// Tracer, when non-nil, is installed on the STM runtime (the
-	// soundness oracle consumes transactional accesses through it).
+	// Tracer, when non-nil, is installed on the STM runtime and on the
+	// barriers (the soundness oracle, as its sink, sees transactional and
+	// non-transactional accesses through it). Leave nil when timing.
 	Tracer *trace.Tracer
 
 	// OnSetup, when non-nil, runs after the manifest is applied and
 	// before anything is allocated — the oracle attaches its allocation
 	// observer here.
 	OnSetup func(h *objmodel.Heap)
-
-	// Observer, when non-nil, is installed as the barriers' access
-	// observer (the oracle's NT side). Leave nil when timing.
-	Observer func(o *objmodel.Object, slot int, write bool)
 }
 
 func (c *Config) defaults() {
@@ -122,13 +119,9 @@ func Run(cfg Config) (Result, error) {
 	bars := strong.New(h, false)
 	st := &strong.Stats{}
 	bars.Stats = st
-	if cfg.Observer != nil {
-		bars.Observer = cfg.Observer
-	}
+	bars.Tracer = cfg.Tracer
 	rt := stm.New(h, stm.Config{})
-	if cfg.Tracer != nil {
-		rt.SetTracer(cfg.Tracer)
-	}
+	rt.SetTracer(cfg.Tracer)
 
 	// Shared counters: every worker transactionally bumps two of them per
 	// transaction — the mixed, hot sites.

@@ -49,17 +49,14 @@ func TestRunUnderAnalyzedManifestWithOracle(t *testing.T) {
 	rec := causal.NewRecorder(causal.Config{})
 	tracer := trace.New(trace.Config{})
 	var orc *oracle.Oracle
-	var obs func(*objmodel.Object, int, bool)
 	out, err := elidewl.Run(elidewl.Config{
 		Workers: 2, Items: 64, Scratch: 256, TxnOps: 64,
 		Manifest: res.Manifest,
 		Tracer:   tracer,
 		OnSetup: func(h *objmodel.Heap) {
 			orc = oracle.Attach(h, oracle.Config{Recorder: rec})
-			obs = orc.BarrierObserver()
 			tracer.SetSink(orc)
 		},
-		Observer: func(o *objmodel.Object, slot int, write bool) { obs(o, slot, write) },
 	})
 	if err != nil {
 		t.Fatal(err)
