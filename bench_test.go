@@ -428,11 +428,12 @@ func mvWriteBody(objs []*objmodel.Object, seed uint64) func(*mvstm.Txn) error {
 }
 
 // BenchmarkMVWriteCommit is partitioned_write's operation on one goroutine.
-// Allocation is a version node for an object's first install and for an
-// install above the watermark, which is an object drawn twice within the
-// Config.GCEvery commits between watermark refreshes: about one write in
-// seven over these 1024 objects (110 B/op). Every other install rewrites the
-// chain's dead head in place and allocates nothing.
+// Allocation is a version node for an object's first install only. An object
+// drawn twice within the Config.GCEvery commits between watermark refreshes,
+// about one write in seven over these 1024 objects, has its head above the
+// cached watermark; the commit's on-demand horizon, with no other snapshot
+// live, clears it, and every install rewrites the chain's dead head in place
+// (0 B/op).
 func BenchmarkMVWriteCommit(b *testing.B) {
 	rt, objs := mvWriteFixture(1024)
 	body := mvWriteBody(objs, 1)

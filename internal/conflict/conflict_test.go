@@ -1,6 +1,7 @@
 package conflict
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -64,6 +65,19 @@ func TestPanicHandler(t *testing.T) {
 		}
 	}()
 	p.HandleConflict(Info{Kind: NonTxnWrite, Record: 0x2a})
+}
+
+// BenchmarkWaitAttempt times one wait at an attempt number from each stage:
+// spin, yield, and the sleeps, where what the timer actually delivers is the
+// floor of every wait (a sub-millisecond time.Sleep may take a millisecond).
+func BenchmarkWaitAttempt(b *testing.B) {
+	for _, attempt := range []int{0, 3, 4, 10, 14, 17, 22} {
+		b.Run(fmt.Sprintf("attempt=%d", attempt), func(b *testing.B) {
+			for range b.N {
+				WaitAttempt(attempt)
+			}
+		})
+	}
 }
 
 func TestWaitAttemptAllPhases(t *testing.T) {

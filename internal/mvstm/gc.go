@@ -6,13 +6,14 @@
 // W — the newest such version is what a W-snapshot reads; everything older
 // is unreachable. A chain is pruned where it grows: the committer that
 // pushes a node, holding the object's record, drops what the watermark has
-// passed (install): a chain is one node long on an object written less often
-// than the watermark moves and is cut back every Config.GCEvery commits on a
-// hotter one, with no separate sweep (GC does one for tests and tooling).
+// passed (install): a chain is one node long unless a live snapshot below
+// the object's last write holds it longer, and is cut back every
+// Config.GCEvery commits once one has, with no separate sweep (GC does one
+// for tests and tooling).
 //
-// The watermark is computed against the same sharded registry the reaper
-// scans, through each descriptor's snap pin. The pin protocol makes the
-// scan race-free without locks:
+// The watermark is computed against the same registry the reaper scans,
+// through each descriptor's snap pin. The pin protocol makes the scan
+// race-free without locks:
 //
 //   - a descriptor's snap is 1 (the lowest possible snapshot) BEFORE the
 //     registry publishes it — stored at allocation and again on every
@@ -29,6 +30,16 @@
 // history it may still read (premature reclaim is impossible), and the
 // first install after it finishes prunes past its snapshot.
 //
+// An attempt that rolled back reads nothing until it begins again, so
+// Rollback unpins the descriptor (snap = maxSnapshot) for the wait before
+// its retry, and that begin pins in three steps: snap = the cached
+// watermark, then rv reloaded from the clock, then snap = rv. A scan that
+// reads the pin before the low store has sampled the clock before the
+// reload, so the new rv is at least its sample; one that reads it after
+// sees the watermark or rv, both at or below rv (a watermark never passes
+// the clock). Either way the new snapshot sits at or above W, as in the
+// first case. A first attempt begins from the pool's snap of 1.
+//
 // The same argument covers every later transaction, so a watermark stays
 // valid for as long as the runtime lives: rt.watermark only rises (CAS-max),
 // and pruning against a cached value is merely conservative. Each descriptor
@@ -36,18 +47,28 @@
 // refreshes scale with the commit rate and transactions that share no object
 // share no counter either.
 //
+// The cache is too old for a hot object, whose sv (its last write) is a
+// commit or two back. A commit whose install finds a head with sv above the
+// horizon it holds computes the horizon afresh, once (horizon: the same
+// clock-then-pins scan, not published), and prunes the rest of its installs
+// against that. Installs with sv at or under the cached watermark never scan,
+// which is every install on an object written less often than the cache is
+// refreshed.
+//
 // One pruner per chain: only the holder of an object's record pushes on its
 // chain or severs it — a committer, or GC holding the record anonymously —
 // which keeps VersionsInstalled - VersionsGCd equal to the nodes on chains.
 //
 // A dead head is rewritten in place: an install with sv at or under its
-// watermark w stores sv and the pre-image into the head it found instead of
-// allocating the node that replaces it. (What hung below is severed and left
-// to Go's collector; there is no free list.) Only an object's first install
-// and installs with sv > w allocate. So a node is not immutable while
-// reachable, and what makes that safe is the proof above: every transaction R
-// live now or beginning later has rv_R >= w. snapshotRead loads the head in
-// two places:
+// horizon w (the cached watermark or the commit's fresh horizon, both from
+// the scan above) stores sv and the pre-image into the head it found
+// instead of allocating the node that replaces it. (What hung below is
+// severed and left to Go's collector; there is no free list.) Only an
+// object's first install and installs with sv > w allocate. So a node is
+// not immutable while reachable, and what makes that safe is the proof
+// above: every transaction R live now or beginning later has rv_R >= w (an
+// attempt waiting to retry reads nothing, and its retry begins later).
+// snapshotRead loads the head in two places:
 //
 //   - Record Shared(ver) with ver > rv_R, then the walk. R is pinned, so a
 //     committer that acquires after that load has sv >= ver > rv_R >= w and
@@ -72,12 +93,11 @@ import (
 	"repro/internal/txrec"
 )
 
-// Watermark computes the version-reclamation horizon — the smallest live
-// begin snapshot, or the current clock when no transaction is in flight —
-// raises the cached watermark to it, and returns the cached value.
-func (rt *Runtime) Watermark() uint64 {
-	// Clock first, pins second — see the package comment for why this
-	// ordering makes a missed pin harmless.
+// horizon is the version-reclamation horizon now: the smallest pinned
+// snapshot over registered descriptors, or the current clock when none is
+// lower. Clock first, pins second — see the package comment for why this
+// ordering makes a missed pin harmless.
+func (rt *Runtime) horizon() uint64 {
 	w := rt.Clock.Load()
 	rt.ForEach(func(k *txn.Txn) bool {
 		if s := k.Self().(*Txn).snap.Load(); s < w {
@@ -85,6 +105,13 @@ func (rt *Runtime) Watermark() uint64 {
 		}
 		return true
 	})
+	return w
+}
+
+// Watermark computes the horizon, raises the cached watermark to it, and
+// returns the cached value.
+func (rt *Runtime) Watermark() uint64 {
+	w := rt.horizon()
 	for {
 		cur := rt.watermark.Load()
 		if cur >= w {
@@ -101,40 +128,51 @@ func (rt *Runtime) Watermark() uint64 {
 	return w
 }
 
-// pruneHorizon returns the watermark this commit's installs prune against:
-// the cached one, and on the descriptor's countdown a fresh one, which the
-// installs then also sweep their chains against (install); 0, below every
-// timestamp, when pruning at install is off.
-func (tx *Txn) pruneHorizon() (w uint64, sweep bool) {
+// pruning is what one writing commit's installs prune against.
+type pruning struct {
+	w     uint64 // no snapshot live now or taken later is below it
+	fresh bool   // w was computed during this commit, or pruning is off: never recomputed
+	sweep bool   // w was published on the descriptor's countdown: installs also sweep
+}
+
+// pruneHorizon returns what this commit's installs prune against: the cached
+// watermark, and on the descriptor's countdown a freshly published one,
+// which the installs then also sweep their chains against (install); 0,
+// below every timestamp, when pruning at install is off.
+func (tx *Txn) pruneHorizon() pruning {
 	every := tx.rt.cfg.GCEvery
 	if every < 0 {
-		return 0, false
+		return pruning{fresh: true}
 	}
 	if tx.refreshIn--; tx.refreshIn < 0 {
 		tx.refreshIn = every - 1
-		return tx.rt.Watermark(), true
+		return pruning{w: tx.rt.Watermark(), fresh: true, sweep: true}
 	}
-	return tx.rt.watermark.Load(), false
+	return pruning{w: tx.rt.watermark.Load()}
 }
 
 // install saves the image o's slots hold — its committed state since sv, the
 // version the record was acquired at, which the write-back is about to
-// overwrite — as the head of o's chain, and prunes the chain against
-// watermark w. The caller holds o's record.
+// overwrite — as the head of o's chain, and prunes the chain against p. The
+// caller holds o's record.
 //
-// At or under the watermark the saved image is the one a w-snapshot reads and
-// the whole old chain is dead (o.MVLen says how long it was): its head is
-// rewritten in place and whatever hung below it is cut off unread. That is
-// every install on an object written less often than the watermark is
-// refreshed. Above it a fresh node is linked over the old head, and only a
+// A head with sv above a cached watermark is a hot object's: p is brought up
+// to the horizon once, for this install and the commit's later ones. At or
+// under it the saved image is the one a w-snapshot reads and the whole old
+// chain is dead (o.MVLen says how long it was): its head is rewritten in
+// place and whatever hung below it is cut off unread. Above it a live
+// snapshot may read the head, so a fresh node is linked over it, and only a
 // sweep install (one in Config.GCEvery) looks for the newest node at or
-// under w to sever below it: on an object that hot the nodes were pushed
-// from other processors, and reading them at every install costs more than
+// under w to sever below it: on such an object the nodes were pushed from
+// other processors, and reading them at every install costs more than
 // keeping them a few commits longer.
-func (tx *Txn) install(o *objmodel.Object, sv, w uint64, sweep bool) {
+func (tx *Txn) install(o *objmodel.Object, sv uint64, p *pruning) {
 	head := o.MVHead.Load()
+	if head != nil && sv > p.w && !p.fresh {
+		p.w, p.fresh = max(p.w, tx.rt.horizon()), true
+	}
 	n := head
-	if sv <= w && head != nil {
+	if sv <= p.w && head != nil {
 		if o.MVLen > 1 {
 			head.SetPrev(nil)
 		}
@@ -144,8 +182,8 @@ func (tx *Txn) install(o *objmodel.Object, sv, w uint64, sweep bool) {
 		n = objmodel.NewMVVersion(len(o.Slots))
 		if head != nil {
 			n.SetPrev(head)
-			if sweep {
-				tx.NReclaimed += int64(prune(o, head, w))
+			if p.sweep {
+				tx.NReclaimed += int64(prune(o, head, p.w))
 			}
 		}
 		o.MVLen++

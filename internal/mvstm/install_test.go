@@ -6,6 +6,7 @@ package mvstm
 // be given chances to produce.
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -175,6 +176,138 @@ func TestInstallReusesDeadHead(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(100, commit); avg != 0 {
 		t.Errorf("a commit writing %d objects allocates %.1f times, want 0", perCommit, avg)
+	}
+}
+
+// TestHotInstallRewritesInPlace: one goroutine rewrites the same 16 objects on
+// every commit, so each install's sv is the previous commit's stamp, above a
+// watermark cached up to GCEvery commits back. No other snapshot is live, and
+// the horizon the commit computes for its first install clears every head:
+// each object keeps one node, rewritten in place, and a commit allocates
+// nothing.
+func TestHotInstallRewritesInPlace(t *testing.T) {
+	f := newFixture(t, Config{})
+	objs := make([]*objmodel.Object, 16)
+	for i := range objs {
+		objs[i] = f.heap.New(f.cls)
+	}
+	commit := func() {
+		if err := f.rt.Atomic(nil, func(tx *Txn) error {
+			for _, o := range objs {
+				tx.Write(o, 0, tx.Read(o, 0)+1)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commit() // an object's first install allocates its node
+	heads := make([]*objmodel.MVVersion, len(objs))
+	for i, o := range objs {
+		heads[i] = o.MVHead.Load()
+	}
+	for c := 2; c <= 3*DefaultGCEvery; c++ {
+		commit()
+		for i, o := range objs {
+			if o.MVHead.Load() != heads[i] || o.MVLen != 1 {
+				t.Fatalf("commit %d, object %d: head replaced or MVLen = %d, want the first node rewritten and 1", c, i, o.MVLen)
+			}
+			if got := heads[i].Vals[0].Load(); got != uint64(c-1) {
+				t.Fatalf("commit %d, object %d: head image = %d, want the overwritten value %d", c, i, got, c-1)
+			}
+		}
+	}
+	if live := f.rt.Stats.Snapshot().VersionsLive; live != int64(len(objs)) {
+		t.Errorf("VersionsLive = %d, want one per object (%d)", live, len(objs))
+	}
+	if raceEnabled {
+		return // the detector's instrumentation allocates
+	}
+	if avg := testing.AllocsPerRun(100, commit); avg != 0 {
+		t.Errorf("a commit rewriting %d hot objects allocates %.1f times, want 0", len(objs), avg)
+	}
+}
+
+// TestAbortedAttemptDoesNotPin: an attempt that aborted into a user Retry
+// holds no history back while it waits, and the attempts after it read
+// consistent snapshots while a writer rewrites the heads under them. The
+// first attempt is held just past its rollback (a synchronous sink at its
+// EvAbort) while the clock moves on: Watermark passes its snapshot. Then every
+// later attempt reads a and b, which the writer keeps equal, on both sides of
+// several of the writer's commits, and never finds the version its snapshot
+// needs reclaimed (an EvValidation from the snapshot read's restart).
+func TestAbortedAttemptDoesNotPin(t *testing.T) {
+	f := newFixture(t, Config{})
+	a, b := f.heap.New(f.cls), f.heap.New(f.cls)
+	write := func(v uint64) {
+		if err := f.rt.Atomic(nil, func(tx *Txn) error {
+			tx.Write(a, 0, v)
+			tx.Write(b, 0, v)
+			return nil
+		}); err != nil {
+			t.Error(err)
+		}
+	}
+	write(1)
+	parked, resume := make(chan struct{}), make(chan struct{})
+	var held atomic.Bool
+	var stale atomic.Int64
+	f.traceSink(func(ev trace.Event) {
+		switch {
+		case ev.Kind == trace.EvValidation:
+			stale.Add(1)
+		case ev.Kind == trace.EvAbort && held.CompareAndSwap(false, true):
+			close(parked)
+			<-resume
+		}
+	})
+	const retries = 50
+	var rv0 atomic.Uint64
+	done := make(chan error, 1)
+	go func() {
+		done <- f.rt.Atomic(nil, func(tx *Txn) error {
+			if tx.Attempt() == 0 {
+				rv0.Store(tx.RV)
+			}
+			x := tx.Read(a, 0)
+			for start := f.rt.Clock.Load(); tx.Attempt() > 0 && f.rt.Clock.Load() < start+3; {
+				runtime.Gosched() // let the writer commit over what was read
+			}
+			if y, x2 := tx.Read(b, 0), tx.Read(a, 0); y != x || x2 != x {
+				t.Errorf("attempt %d at snapshot %d read a = %d, b = %d, a again = %d", tx.Attempt(), tx.RV, x, y, x2)
+			}
+			if tx.Attempt() < retries {
+				tx.Retry()
+			}
+			return nil
+		})
+	}()
+	<-parked
+	for v := uint64(2); v < 10; v++ {
+		write(v)
+	}
+	if w := f.rt.Watermark(); w <= rv0.Load() {
+		t.Errorf("watermark %d with the clock at %d: an attempt waiting to retry still pins its snapshot %d", w, f.rt.Clock.Load(), rv0.Load())
+	}
+	close(resume)
+	var stop atomic.Bool
+	writerDone := make(chan struct{})
+	go func() {
+		defer close(writerDone)
+		for v := uint64(10); !stop.Load(); v++ {
+			write(v)
+		}
+	}()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	stop.Store(true)
+	<-writerDone
+	if n := stale.Load(); n != 0 {
+		t.Errorf("%d snapshot reads found the version they needed reclaimed", n)
+	}
+	if s := f.rt.Stats.Snapshot(); s.VersionsLive != int64(chainLen(a)+chainLen(b)) {
+		t.Errorf("VersionsLive = %d, a heap walk counts %d nodes", s.VersionsLive, chainLen(a)+chainLen(b))
 	}
 }
 

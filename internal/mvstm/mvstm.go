@@ -36,8 +36,8 @@
 // decrease along each chain and the head's is below the record's.
 //
 // Dead versions are reclaimed against a watermark: the smallest begin
-// snapshot among live transactions (tracked in the same sharded registry
-// the reaper scans). A long-running snapshot reader therefore pins exactly
+// snapshot among live transactions (tracked in the same registry the
+// reaper scans). A long-running snapshot reader therefore pins exactly
 // the history it might still read, and nothing more; when it finishes, the
 // next install on an object prunes past its snapshot. See gc.go.
 //
@@ -115,10 +115,12 @@ type Config struct {
 	stmapi.CommonConfig
 
 	// GCEvery is the number of writing commits a descriptor makes between
-	// refreshes of the watermark its installs prune against; the commit that
-	// refreshes it (a registry scan) also sweeps the chains it pushes on (see
-	// gc.go). Zero means DefaultGCEvery; negative disables pruning at install
-	// (tests drive GC() directly).
+	// refreshes of the published watermark its installs prune against; the
+	// commit that refreshes it (a registry scan) also sweeps the chains it
+	// pushes on. A commit that meets a head the cached watermark is too old
+	// to reclaim scans for a fresh horizon of its own, unpublished (see
+	// gc.go). Zero means DefaultGCEvery; negative disables pruning at
+	// install, on-demand horizons included (tests drive GC() directly).
 	GCEvery int
 }
 
@@ -210,8 +212,9 @@ type Txn struct {
 	// stored low (1) before the registry makes the descriptor reachable — at
 	// allocation, and again whenever it returns to the pool — so a
 	// concurrent watermark scan can never race past a snapshot it did not
-	// see, then refined to RV at each begin (monotonic; over-pinning is
-	// safe). See gc.go for the full ordering argument.
+	// see, then refined to RV at each begin (over-pinning is safe). Between
+	// a rollback and the next begin, when nothing is read, it is
+	// maxSnapshot: pinned nowhere. See gc.go for the full ordering argument.
 	snap atomic.Uint64
 
 	// readOnly marks an AtomicRead transaction: writes panic, commit takes
@@ -233,6 +236,12 @@ type Txn struct {
 // Begin implements txn.Strategy.
 func (tx *Txn) Begin() {
 	tx.Deferred.Begin()
+	if tx.snap.Load() == maxSnapshot {
+		// Unpinned since the rollback: pin low, then take the snapshot the
+		// pin covers (gc.go).
+		tx.snap.Store(tx.rt.watermark.Load())
+		tx.RV = tx.rt.Clock.Load()
+	}
 	tx.snap.Store(tx.RV) // refine the pin; the previous value was <= RV
 }
 
@@ -506,8 +515,10 @@ func (rt *Runtime) DrainCommitters(timeout time.Duration) bool {
 
 // Rollback implements txn.Strategy: a failed commit has already restored
 // its records and the buffer is dropped at the next begin, so only the
-// accounting is left.
+// accounting is left, and the pin: an aborted attempt reads nothing until it
+// begins again, so it holds no history back while it waits to retry.
 func (tx *Txn) Rollback() {
+	tx.snap.Store(maxSnapshot)
 	if tx.readOnly {
 		tx.rt.Stats.ReadOnlyAborts.AddShard(int(tx.ID()), 1)
 	}
@@ -574,14 +585,14 @@ func (tx *Txn) Commit() (ok bool, err error) {
 	// snapshot readers off the slots (snapshotRead); non-transactional
 	// readers under weak atomicity go straight to the slots and see the lazy
 	// write-back window (the litmus MI programs depend on it).
-	horizon, sweep := tx.pruneHorizon()
+	horizon := tx.pruneHorizon()
 	publish := rt.Heap.HasManifest()
 	for k := range ents {
 		e := &ents[k]
 		o := e.Obj
 		if k == 0 || o != ents[k-1].Obj {
 			if sv, held := tx.Owned.Get(o); held { // a private object keeps no history
-				tx.install(o, sv, horizon, sweep)
+				tx.install(o, sv, &horizon)
 			}
 		}
 		// Publication point under an elision manifest: a private-born

@@ -269,9 +269,11 @@ func (tx *Txn) Crash(p faultinject.Point) {
 
 // CrashCommitted is Crash past the commit point: the transaction is
 // logically committed and the caller has released its records exactly as
-// commit would have, so it is accounted as a commit, never rolled back.
+// commit would have, so it is accounted as a commit, never rolled back, and
+// surrenders the irrevocable token as Committed does.
 func (tx *Txn) CrashCommitted(p faultinject.Point) {
 	tx.k.Stats.Commits.AddShard(int(tx.id), 1)
+	tx.dropIrrevocable()
 	tx.flushStats()
 	panic(faultinject.CrashError{Point: p, Txn: tx.id})
 }

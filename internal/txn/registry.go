@@ -6,9 +6,8 @@ import (
 )
 
 // regSlots is the capacity of the fixed active-transaction slot array.
-// Power of two. More than regSlots concurrently active transactions spill
-// into a sync.Map overflow (correct but slower; unreachable in the paper's
-// thread sweeps).
+// More than regSlots concurrently active transactions spill into a sync.Map
+// overflow (correct but slower; unreachable in the paper's thread sweeps).
 const regSlots = 256
 
 // regSlot is one registry slot, padded to a cache line so neighbouring
@@ -18,27 +17,62 @@ type regSlot struct {
 	_ [56]byte
 }
 
-// registry tracks in-flight transaction descriptors. Claiming is a CAS
-// into an id-hashed slot with linear probing; releasing is a single nil
-// store, so begin/end cost one CAS and one store. Scans (quiescence,
-// ActiveTransactions, the reaper, the multi-version watermark) walk the
-// array without allocating.
+// registry tracks in-flight transaction descriptors, packed at the bottom of
+// the slot array: a claim takes the descriptor's previous slot if it is free,
+// else the lowest free one, so G goroutines running transactions keep about
+// the first G slots whatever their IDs (nothing reads a slot index as a hash
+// of the ID). hi, a high-water mark over every slot a claim has tried, is
+// raised before the claiming CAS, and scans (quiescence, ActiveTransactions,
+// the reaper, findStamp, the multi-version horizon and commit gate) walk
+// [0, hi) only, without allocating. Releasing is a single nil store.
+//
+// A claim at or past a scan's hi cannot be missed unsafely. It raised hi after
+// the scan loaded it, so its descriptor becomes reachable after the scan
+// began, exactly like a claim of a low slot the scan had already passed, which
+// every scanner tolerates: a record's owner registered before it acquired the
+// record a findStamp caller loaded; a quiescing committer's grace period
+// covers only attempts that may have touched what it acquired first; a
+// multi-version descriptor pins low before registering and reads its snapshot
+// after, above the horizon scan's earlier clock sample; a committer raises its
+// gate flag after registering, so after a switch's token CAS, and sees the
+// token; and the reaper's next scan sees an orphan this one missed.
 type registry struct {
+	_        [64]byte // hi shares no line with what precedes the registry
+	hi       atomic.Int32
+	_        [60]byte
 	slots    [regSlots]regSlot
 	overflow sync.Map // id -> *Txn, only when the slot array is full
 }
 
 func (r *registry) add(tx *Txn) {
-	h := int(tx.id)
-	for i := 0; i < regSlots; i++ {
-		s := &r.slots[(h+i)&(regSlots-1)]
-		if s.p.Load() == nil && s.p.CompareAndSwap(nil, tx) {
-			tx.slot = (h + i) & (regSlots - 1)
+	if tx.slot >= 0 && r.claim(tx.slot, tx) {
+		return
+	}
+	for i := range regSlots {
+		if r.claim(i, tx) {
 			return
 		}
 	}
 	tx.slot = -1
 	r.overflow.Store(tx.id, tx)
+}
+
+// claim registers tx in slot i if it is free, raising hi over i first.
+func (r *registry) claim(i int, tx *Txn) bool {
+	s := &r.slots[i]
+	if s.p.Load() != nil {
+		return false
+	}
+	for h := r.hi.Load(); int(h) <= i; h = r.hi.Load() {
+		if r.hi.CompareAndSwap(h, int32(i+1)) {
+			break
+		}
+	}
+	if !s.p.CompareAndSwap(nil, tx) {
+		return false
+	}
+	tx.slot = i
+	return true
 }
 
 func (r *registry) remove(tx *Txn) {
@@ -51,11 +85,9 @@ func (r *registry) remove(tx *Txn) {
 
 // forEach calls f for every registered descriptor until f returns false.
 func (r *registry) forEach(f func(*Txn) bool) {
-	for i := range r.slots {
-		if tx := r.slots[i].p.Load(); tx != nil {
-			if !f(tx) {
-				return
-			}
+	for i, n := 0, int(r.hi.Load()); i < n; i++ {
+		if tx := r.slots[i].p.Load(); tx != nil && !f(tx) {
+			return
 		}
 	}
 	r.overflow.Range(func(_, v any) bool { return f(v.(*Txn)) })

@@ -326,6 +326,62 @@ func TestHeapDoesNotRetainRuntimes(t *testing.T) {
 	}
 }
 
+// TestIrrevocableCrashPastCommitPointFreesToken: an irrevocable transaction
+// whose thread crashes past its commit point is a commit, and like one it
+// surrenders the irrevocable token; the next irrevocable transaction, and on
+// mvstm every writer (its commit gate waits out a token holder), would
+// otherwise wait forever. Eager fires only PostCommitPoint there: its
+// PreRelease is on the abort path.
+func TestIrrevocableCrashPastCommitPointFreesToken(t *testing.T) {
+	for _, name := range stmapi.Runtimes() {
+		points := []faultinject.Point{faultinject.PostCommitPoint, faultinject.PreRelease}
+		if name == "eager" {
+			points = points[:1]
+		}
+		for _, p := range points {
+			t.Run(name+"/"+p.String(), func(t *testing.T) {
+				f := txntest.New(t, name, stmapi.CommonConfig{})
+				rt, o := f.Runtime(), f.NewCell()
+				fr := rt.(interface{ SetInjector(*faultinject.Injector) })
+				fr.SetInjector(faultinject.New(1, faultinject.Rule{Point: p, Action: faultinject.Crash}))
+				write := func(v uint64) func(stmapi.Txn) error {
+					return func(tx stmapi.Txn) error { tx.Write(o, 0, v); return nil }
+				}
+				func() {
+					defer func() {
+						if ce, ok := recover().(faultinject.CrashError); !ok || ce.Point != p {
+							t.Fatalf("the irrevocable commit did not crash at %v", p)
+						}
+					}()
+					_ = rt.AtomicIrrevocable(write(1))
+				}()
+				fr.SetInjector(nil)
+				if id := kernelOf(rt).IrrevocableHolder(); id != 0 {
+					t.Errorf("the token is still held by the crashed transaction %d", id)
+				}
+				for _, next := range []struct {
+					kind   string
+					atomic func(func(stmapi.Txn) error) error
+				}{{"irrevocable", rt.AtomicIrrevocable}, {"plain", rt.Atomic}} {
+					done := make(chan error, 1)
+					go func() { done <- next.atomic(write(2)) }()
+					select {
+					case err := <-done:
+						if err != nil {
+							t.Fatal(err)
+						}
+					case <-time.After(2 * time.Second):
+						t.Fatalf("the next %s writer stalled behind the crashed token holder", next.kind)
+					}
+				}
+				if got := o.LoadSlot(0); got != 2 {
+					t.Errorf("slot 0 = %d, want 2", got)
+				}
+			})
+		}
+	}
+}
+
 // kernelOf returns the kernel behind a driver view: txn.API itself, or a
 // runtime's wrapper that embeds it (mvstm's adds AtomicRead).
 func kernelOf(rt stmapi.Runtime) *txn.Kernel {

@@ -8,8 +8,9 @@
 //
 //   - the descriptor (Txn) with its identity, arbitration, recovery,
 //     irrevocability, cancellation, tracing and statistics state, the pool
-//     it is recycled through, and the fixed-slot registry of live
-//     descriptors (registry.go);
+//     it is recycled through, and the registry of live descriptors, a
+//     fixed slot array kept packed at its low end so scans cost the number
+//     of goroutines in transactions, not the array (registry.go);
 //   - the top-level retry / escalate / irrevocable loop, the control-flow
 //     signals bodies raise, closed-nesting contexts, and the common tail of
 //     abort and commit (atomic.go);
@@ -248,7 +249,7 @@ type Txn struct {
 	api  stmapi.Txn // self as the driver-facing interface, asserted once at allocation
 
 	id      uint64
-	slot    int // registry slot index, -1 when in overflow
+	slot    int // registry slot index, -1 when in overflow; the next claim tries it first
 	attempt int
 
 	// outer is the transaction this one runs open-nested inside (OpenIn),

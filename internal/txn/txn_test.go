@@ -351,6 +351,31 @@ func TestRegistryOverflowAndReuse(t *testing.T) {
 	r.forEach(func(*Txn) bool { t.Error("registry not empty after removing everything"); return false })
 }
 
+// TestRegistryScanBound: goroutines running transactions keep the registry
+// packed at the bottom of its slot array, so a scan walks about one slot per
+// goroutine, not the array.
+func TestRegistryScanBound(t *testing.T) {
+	for _, g := range []int{1, 2, 4, 8} {
+		k := &Kernel{}
+		cfg := stmapi.CommonConfig{}
+		k.Init("fake", objmodel.NewHeap(), &cfg, func() Strategy { return &fake{} })
+		var wg sync.WaitGroup
+		for range g {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for range 2000 {
+					_ = k.Atomic(nil, -1, func(*Txn) error { return nil })
+				}
+			}()
+		}
+		wg.Wait()
+		if hi := int(k.reg.hi.Load()); hi > g+1 {
+			t.Errorf("%d goroutines: scans walk %d slots, want at most %d", g, hi, g+1)
+		}
+	}
+}
+
 func TestStatsFlushParallel(t *testing.T) {
 	k := &Kernel{}
 	cfg := stmapi.CommonConfig{}
