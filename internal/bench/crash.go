@@ -2,12 +2,13 @@ package bench
 
 // Crash-recovery robustness figure: opposed transfer workers run under
 // pseudo-random thread-death injection (the faultinject Orphan action) at
-// every commit-protocol point while a background reaper reclaims the
-// orphans' records. The measurement reports the usual throughput counters
-// plus the recovery profile — workers lost, records stolen back, escalations
-// — and checks the two safety invariants every run must satisfy regardless
-// of where threads died: the bank's total balance is conserved, and every
-// ownership record ends the run back in the Shared state.
+// every commit-protocol point while a 1 ms ticker sweeps the runtime with
+// ReapDead, reclaiming the orphans' records nobody is waiting on. The
+// measurement reports the usual throughput counters plus the recovery
+// profile — workers lost, records stolen back, escalations — and checks the
+// two safety invariants every run must satisfy regardless of where threads
+// died: the bank's total balance is conserved, and every ownership record
+// ends the run back in the Shared state.
 
 import (
 	"fmt"
@@ -19,7 +20,6 @@ import (
 	"repro/internal/conflict"
 	"repro/internal/faultinject"
 	"repro/internal/objmodel"
-	"repro/internal/recovery"
 	"repro/internal/stmapi"
 	"repro/internal/txrec"
 )
@@ -114,27 +114,28 @@ func RunCrash(spec CrashSpec, opts ...Option) (CrashResult, error) {
 	}
 	common := stmapi.CommonConfig{Handler: pol, EscalateAfter: spec.EscalateAfter}
 
-	// Build by name through the registry, then wire the crash surfaces via
-	// the capability interfaces every adapter exports: fault injection and
-	// the reaper target. A runtime missing either cannot run this figure.
 	api, err := stmapi.New(spec.Versioning, h, common)
 	if err != nil {
 		return CrashResult{}, fmt.Errorf("bench: %w", err)
 	}
-	inj, ok := api.(interface{ SetInjector(*faultinject.Injector) })
-	if !ok {
-		return CrashResult{}, fmt.Errorf("bench: runtime %q does not support fault injection", spec.Versioning)
-	}
-	rec, ok := api.(interface{ Recovery() recovery.Target })
-	if !ok {
-		return CrashResult{}, fmt.Errorf("bench: runtime %q does not expose a recovery target", spec.Versioning)
-	}
-	inj.SetInjector(in)
-	target := rec.Recovery()
+	api.SetInjector(in)
 	attach(api, opts)
 
-	reaper := recovery.NewReaper(target, recovery.Config{Interval: time.Millisecond})
-	reaper.Start()
+	// The background reaper: a driver's ticker over ReapDead.
+	stop, swept := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(swept)
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				api.ReapDead()
+			}
+		}
+	}()
 
 	var orphaned atomic.Int64
 	var wg sync.WaitGroup
@@ -176,16 +177,17 @@ func RunCrash(spec CrashSpec, opts ...Option) (CrashResult, error) {
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	// Drain: sweep until two consecutive scans reap nothing, so deaths at
+	close(stop)
+	<-swept
+	// Drain: sweep until two consecutive sweeps reap nothing, so deaths at
 	// the tail of the run are reclaimed before the invariant check.
 	for dry := 0; dry < 2; {
-		if rep := reaper.ScanOnce(); rep.Reaped == 0 {
+		if api.ReapDead() == 0 {
 			dry++
 		} else {
 			dry = 0
 		}
 	}
-	reaper.Stop()
 
 	var total uint64
 	shared := true

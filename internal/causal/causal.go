@@ -302,8 +302,9 @@ func (r *Recorder) observe(ev trace.Event) {
 		s.lastSeq = ev.Seq
 
 	case trace.EvSteal:
-		// ev.Txn (0 = background reaper) reclaimed dead transaction ev.Ver's
-		// records. The victim is gone: close its attempt and free its state.
+		// ev.Txn (0 = a ReapDead sweep) reclaimed dead transaction ev.Ver's
+		// records while waiting on ev.Obj (0 for a sweep). The victim is
+		// gone: close its attempt and free its state.
 		var to AttemptRef
 		if ev.Txn != 0 {
 			to = r.refOf(ev.Txn)

@@ -151,11 +151,6 @@ type liveCheckpointer interface {
 	DrainCommitters(timeout time.Duration) bool
 }
 
-// injectable mirrors the SetInjector probe the fault harness uses.
-type injectable interface {
-	SetInjector(in *faultinject.Injector)
-}
-
 // readOnlyRunner is the zero-abort read-only path mvstm exposes; the live
 // checkpoint reads the heap through it so the snapshot read can never abort
 // a writer or itself.
@@ -212,9 +207,7 @@ func Open(opts Options, setup func(*objmodel.Heap) error) (*Store, error) {
 		return nil, fmt.Errorf("durable: runtime %q does not implement stmapi.DurableRuntime", opts.Runtime)
 	}
 	if opts.Injector != nil {
-		if ir, ok := rt.(injectable); ok {
-			ir.SetInjector(opts.Injector)
-		}
+		rt.SetInjector(opts.Injector)
 	}
 
 	info.Epoch = maxEpoch + 1

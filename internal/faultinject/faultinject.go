@@ -21,9 +21,9 @@
 //	Orphan  simulate the thread dying with NO cleanup: the runtime marks the
 //	        descriptor dead and panics with OrphanError, leaving every
 //	        acquired record held and the undo log / write buffer in place.
-//	        The transaction's records stay Exclusive until internal/recovery
-//	        (or an inline-stealing waiter) reclaims them — the failure mode
-//	        the reaper exists to fix
+//	        The transaction's records stay Exclusive until a waiter steals
+//	        them inline or a sweep (stmapi.Runtime.ReapDead) reclaims them —
+//	        the failure mode the reclaimers exist to fix
 //
 // Determinism: every decision is a pure function of (Seed, point, arrival
 // index at that point). Two runs with the same seed and the same per-point

@@ -17,7 +17,6 @@ import (
 	"repro/internal/conflict"
 	"repro/internal/faultinject"
 	"repro/internal/objmodel"
-	"repro/internal/recovery"
 	"repro/internal/stmapi"
 	"repro/internal/txrec"
 )
@@ -27,14 +26,12 @@ const (
 	crashInitBal = 1000
 )
 
-// crashRig is one runtime under crash testing plus the concrete-type hooks
-// (fault injector, recovery target) the stmapi surface doesn't carry.
+// crashRig is one runtime under crash testing and the accounts it moves
+// balances between.
 type crashRig struct {
-	kind   string
-	accts  []*objmodel.Object
-	rt     stmapi.Runtime
-	inject func(*faultinject.Injector)
-	target recovery.Target
+	kind  string
+	accts []*objmodel.Object
+	rt    stmapi.Runtime
 }
 
 func newCrashRig(t *testing.T, kind string) *crashRig {
@@ -44,9 +41,6 @@ func newCrashRig(t *testing.T, kind string) *crashRig {
 		Name:   "Acct",
 		Fields: []objmodel.Field{{Name: "bal"}},
 	})
-	rig := &crashRig{kind: kind}
-	// Build by name through the registry, then recover the crash surfaces
-	// via the capability interfaces every adapter exports.
 	pol, err := conflict.ByName(defaultPolicy)
 	if err != nil {
 		t.Fatalf("build runtime: %v", err)
@@ -55,17 +49,7 @@ func newCrashRig(t *testing.T, kind string) *crashRig {
 	if err != nil {
 		t.Fatalf("build runtime: %v", err)
 	}
-	inj, ok := api.(interface{ SetInjector(*faultinject.Injector) })
-	if !ok {
-		t.Fatalf("runtime %q does not support fault injection", kind)
-	}
-	rec, ok := api.(interface{ Recovery() recovery.Target })
-	if !ok {
-		t.Fatalf("runtime %q does not expose a recovery target", kind)
-	}
-	rig.rt = api
-	rig.inject = inj.SetInjector
-	rig.target = rec.Recovery()
+	rig := &crashRig{kind: kind, rt: api}
 	for i := 0; i < crashAccts; i++ {
 		o := h.New(cls)
 		o.StoreSlot(0, crashInitBal)
@@ -98,6 +82,31 @@ func (rig *crashRig) checkInvariants(t *testing.T) {
 	}
 	if want := uint64(crashAccts * crashInitBal); total != want {
 		t.Errorf("%s: total balance = %d, want %d (conservation violated)", rig.kind, total, want)
+	}
+}
+
+// reapEvery sweeps rt with ReapDead every interval until the returned stop
+// is called; stop returns once the sweeping goroutine has exited, with the
+// total it reclaimed.
+func reapEvery(rt stmapi.Runtime, interval time.Duration) (stop func() int) {
+	quit, reaped := make(chan struct{}), make(chan int)
+	go func() {
+		tick := time.NewTicker(interval)
+		defer tick.Stop()
+		n := 0
+		for {
+			select {
+			case <-quit:
+				reaped <- n
+				return
+			case <-tick.C:
+				n += rt.ReapDead()
+			}
+		}
+	}()
+	return func() int {
+		close(quit)
+		return <-reaped
 	}
 }
 
@@ -155,17 +164,16 @@ func TestOrphanReclaimedAtEveryPoint(t *testing.T) {
 				p := p
 				t.Run(kind+"/"+p.String(), func(t *testing.T) {
 					rig := newCrashRig(t, kind)
-					rig.inject(faultinject.New(1, orphanRules(kind, p)...))
+					rig.rt.SetInjector(faultinject.New(1, orphanRules(kind, p)...))
 					orphanAtomic(t, rig.rt, func(tx stmapi.Txn) error {
 						tx.Write(rig.accts[0], 0, tx.Read(rig.accts[0], 0)-5)
 						tx.Write(rig.accts[1], 0, tx.Read(rig.accts[1], 0)+5)
 						return nil
 					})
-					rig.inject(nil)
+					rig.rt.SetInjector(nil)
 
-					reaper := recovery.NewReaper(rig.target, recovery.Config{})
-					if rep := reaper.ScanOnce(); rep.Reaped != 1 {
-						t.Fatalf("reaped %d transactions, want 1", rep.Reaped)
+					if n := rig.rt.ReapDead(); n != 1 {
+						t.Fatalf("reaped %d transactions, want 1", n)
 					}
 					rig.checkInvariants(t)
 					// Waiters must be unblocked: a transfer over the same two
@@ -188,21 +196,21 @@ func TestOrphanReclaimedAtEveryPoint(t *testing.T) {
 }
 
 // TestWaitersUnblockUnderBackgroundReaper parks writers on an orphan's
-// records before any reclaim has happened and lets a background reaper free
-// them: every waiter must commit within a bounded wait.
+// records before any reclaim has happened and lets a background ReapDead
+// sweep free them: every waiter must commit within a bounded wait.
 func TestWaitersUnblockUnderBackgroundReaper(t *testing.T) {
 	underEachPolicy(t, func(t *testing.T) {
 		for _, kind := range stmapi.Runtimes() {
 			t.Run(kind, func(t *testing.T) {
 				rig := newCrashRig(t, kind)
-				rig.inject(faultinject.New(1, orphanRules(kind, faultinject.PreValidate)...))
+				rig.rt.SetInjector(faultinject.New(1, orphanRules(kind, faultinject.PreValidate)...))
 				orphanAtomic(t, rig.rt, func(tx stmapi.Txn) error {
 					for i := range rig.accts {
 						tx.Write(rig.accts[i], 0, tx.Read(rig.accts[i], 0)+1)
 					}
 					return nil
 				})
-				rig.inject(nil)
+				rig.rt.SetInjector(nil)
 
 				const waiters = 4
 				errs := make(chan error, waiters)
@@ -212,24 +220,23 @@ func TestWaitersUnblockUnderBackgroundReaper(t *testing.T) {
 						errs <- rig.transfer(w%crashAccts, (w+1)%crashAccts, 1)
 					}()
 				}
-				reaper := recovery.NewReaper(rig.target, recovery.Config{Interval: time.Millisecond})
-				reaper.Start()
-				defer reaper.Stop()
+				stop := reapEvery(rig.rt, time.Millisecond)
 				deadline := time.After(10 * time.Second)
 				for w := 0; w < waiters; w++ {
 					select {
 					case err := <-errs:
 						if err != nil {
-							t.Fatalf("waiter: %v", err)
+							t.Errorf("waiter: %v", err)
 						}
 					case <-deadline:
+						stop()
 						t.Fatalf("%d of %d waiters still blocked on the orphan's records", waiters-w, waiters)
 					}
 				}
-				if reaper.Steals() == 0 {
-					// Inline waiter steals may have beaten the reaper; either way
+				if stop() == 0 {
+					// Inline waiter steals may have beaten the sweep; either way
 					// the records must be consistent again.
-					t.Log("reaper reclaimed nothing: waiters stole inline")
+					t.Log("the sweep reclaimed nothing: waiters stole inline")
 				}
 				rig.checkInvariants(t)
 			})
@@ -238,7 +245,8 @@ func TestWaitersUnblockUnderBackgroundReaper(t *testing.T) {
 }
 
 // TestCrashStormConservesBalances runs opposed transfer workers with ~1%
-// orphan injection at every protocol point while a background reaper runs.
+// orphan injection at every protocol point while a background ReapDead
+// sweep runs.
 // Workers whose thread "dies" stay dead; at the end every record must be
 // Shared again, the total conserved, and every surviving commit durable.
 func TestCrashStormConservesBalances(t *testing.T) {
@@ -254,9 +262,8 @@ func TestCrashStormConservesBalances(t *testing.T) {
 				for _, p := range crashPoints {
 					rules = append(rules, faultinject.Rule{Point: p, Action: faultinject.Orphan, Rate: 10}) // ~1%/point
 				}
-				rig.inject(faultinject.New(7, rules...))
-				reaper := recovery.NewReaper(rig.target, recovery.Config{Interval: time.Millisecond})
-				reaper.Start()
+				rig.rt.SetInjector(faultinject.New(7, rules...))
+				stop := reapEvery(rig.rt, time.Millisecond)
 
 				var wg sync.WaitGroup
 				for w := 0; w < workers; w++ {
@@ -280,20 +287,21 @@ func TestCrashStormConservesBalances(t *testing.T) {
 					}()
 				}
 				wg.Wait()
-				rig.inject(nil)
-				// Drain: scan until two consecutive sweeps find nothing to reap,
-				// so late deaths are reclaimed before the invariant check.
+				rig.rt.SetInjector(nil)
+				reaped := stop()
+				// Drain: sweep until two consecutive sweeps find nothing to
+				// reap, so late deaths are reclaimed before the invariant check.
 				for dry := 0; dry < 2; {
-					if rep := reaper.ScanOnce(); rep.Reaped == 0 {
+					if n := rig.rt.ReapDead(); n == 0 {
 						dry++
 					} else {
+						reaped += n
 						dry = 0
 					}
 				}
-				reaper.Stop()
 				rig.checkInvariants(t)
-				if reaper.Steals() == 0 {
-					t.Log("no reaper steals: all orphans reclaimed inline by waiters")
+				if reaped == 0 {
+					t.Log("no sweep steals: all orphans reclaimed inline by waiters")
 				}
 			})
 		}

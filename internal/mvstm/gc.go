@@ -11,7 +11,7 @@
 // Config.GCEvery commits once one has, with no separate sweep (GC does one
 // for tests and tooling).
 //
-// The watermark is computed against the same registry the reaper scans,
+// The watermark is computed against the same registry ReapDead sweeps,
 // through each descriptor's snap pin. The pin protocol makes the scan
 // race-free without locks:
 //

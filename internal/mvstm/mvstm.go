@@ -36,8 +36,8 @@
 // decrease along each chain and the head's is below the record's.
 //
 // Dead versions are reclaimed against a watermark: the smallest begin
-// snapshot among live transactions (tracked in the same registry the
-// reaper scans). A long-running snapshot reader therefore pins exactly
+// snapshot among live transactions (tracked in the same registry
+// ReapDead sweeps). A long-running snapshot reader therefore pins exactly
 // the history it might still read, and nothing more; when it finishes, the
 // next install on an object prunes past its snapshot. See gc.go.
 //
@@ -375,11 +375,10 @@ func (tx *Txn) snapshotHit(o *objmodel.Object, slot int, ver, v uint64) uint64 {
 func (tx *Txn) waitOwner(o *objmodel.Object, w uint64, attempt int) {
 	if txrec.IsExclusive(w) {
 		if victim := tx.rt.FindStamp(txrec.Owner(w)); victim != nil && victim.Dead() {
-			tx.rt.Reap(victim)
+			tx.rt.Reap(victim, tx.ID(), uint64(o.Ref()))
 			return
 		}
 	}
-	tx.Beat()
 	if !tx.readOnly {
 		tx.Poll(o) // a doom restarts, a cancelled context cancels
 		if attempt >= tx.rt.cfg.SelfAbortAfter && !tx.Irrevocable {
@@ -460,7 +459,6 @@ func (rt *Runtime) enterCommit(tx *Txn) bool {
 			}
 			tx.inCommit.Store(false) // lost the race to an irrevocable switch
 		}
-		tx.Beat()
 		if tx.Ctx != nil && tx.Ctx.Err() != nil {
 			return false
 		}
@@ -643,7 +641,6 @@ func (tx *Txn) BecomeIrrevocable() {
 // serializable) view, so no record is locked and no read needs re-checking.
 func (tx *Txn) LockReadSet() bool {
 	tx.rt.drainGate(func(a int) bool {
-		tx.Beat()
 		tx.rt.ReapDead()
 		conflict.WaitAttempt(a)
 		return true

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/objmodel"
-	"repro/internal/recovery"
 	"repro/internal/stmapi"
 	"repro/internal/txrec"
 )
@@ -63,10 +62,8 @@ func TestReaperRestoresOrphanedRecord(t *testing.T) {
 	if w := o.Rec.Load(); !txrec.IsExclusive(w) {
 		t.Fatalf("record not left Exclusive by the orphan: %#x", w)
 	}
-	reaper := recovery.NewReaper(rt.Recovery(), recovery.Config{})
-	rep := reaper.ScanOnce()
-	if rep.Reaped != 1 {
-		t.Fatalf("reaped %d, want 1", rep.Reaped)
+	if n := rt.ReapDead(); n != 1 {
+		t.Fatalf("reaped %d, want 1", n)
 	}
 	if w := o.Rec.Load(); !txrec.IsShared(w) {
 		t.Fatalf("record not restored to Shared: %#x", w)
@@ -78,8 +75,8 @@ func TestReaperRestoresOrphanedRecord(t *testing.T) {
 		t.Fatalf("ReaperSteals = %d, want 1", n)
 	}
 	// The orphan must stay reclaimable exactly once.
-	if rep := reaper.ScanOnce(); rep.Reaped != 0 {
-		t.Fatalf("second scan reaped %d, want 0", rep.Reaped)
+	if n := rt.ReapDead(); n != 0 {
+		t.Fatalf("second sweep reaped %d, want 0", n)
 	}
 }
 
@@ -93,9 +90,8 @@ func TestCommittedOrphanKeepsEffects(t *testing.T) {
 	})
 	rt.SetInjector(nil)
 
-	reaper := recovery.NewReaper(rt.Recovery(), recovery.Config{})
-	if rep := reaper.ScanOnce(); rep.Reaped != 1 {
-		t.Fatalf("reaped %d, want 1", rep.Reaped)
+	if n := rt.ReapDead(); n != 1 {
+		t.Fatalf("reaped %d, want 1", n)
 	}
 	if w := o.Rec.Load(); !txrec.IsShared(w) {
 		t.Fatalf("record not released: %#x", w)
@@ -115,7 +111,7 @@ func TestWaiterStealsInlineWithoutReaper(t *testing.T) {
 	})
 	rt.SetInjector(nil)
 
-	// No reaper: the next writer must find the dead owner and steal inline.
+	// No sweep: the next writer must find the dead owner and steal inline.
 	done := make(chan error, 1)
 	go func() {
 		done <- rt.Atomic(nil, func(tx *Txn) error { tx.Write(o, 0, 5); return nil })
@@ -134,8 +130,8 @@ func TestWaiterStealsInlineWithoutReaper(t *testing.T) {
 }
 
 // TestReaperVsInlineStealRace races the two reclamation paths against each
-// other on the same orphan: a background reaper scanning flat out while a
-// conflicting writer steals inline the moment it finds the dead owner.
+// other on the same orphan: ReapDead sweeping flat out while a conflicting
+// writer steals inline the moment it finds the dead owner.
 // Reclaim is idempotent per victim, so exactly one of them may win — the
 // steal counter must read exactly 1, the record must end Shared, and the
 // waiter's write must land. Run under -race in CI; repeated iterations give
@@ -158,15 +154,14 @@ func TestReaperVsInlineStealRace(t *testing.T) {
 		})
 		rt.SetInjector(nil)
 
-		reaper := recovery.NewReaper(rt.Recovery(), recovery.Config{})
 		start := make(chan struct{})
 		var wg sync.WaitGroup
 		wg.Add(2)
-		go func() { // reaper side
+		go func() { // sweep side
 			defer wg.Done()
 			<-start
 			for j := 0; j < 4; j++ {
-				reaper.ScanOnce()
+				rt.ReapDead()
 			}
 		}()
 		var werr error

@@ -6,12 +6,14 @@
 // implements Runtime for all of them and the helper they register through.
 //
 // Runtime and Txn are small interfaces every runtime satisfies (each exposes
-// an adapter via its API() method), CommonConfig is the shared configuration
-// surface the runtimes embed in their Config structs, StatsSnapshot is the
-// shared counter snapshot they report — and the registry (Register,
-// Runtimes, New) makes the set of runtimes itself a runtime value, so
-// drivers enumerate and construct runtimes by name instead of hardcoding
-// the list.
+// an adapter via its API() method). Runtime carries fault injection and
+// orphan reclaiming (SetInjector, ReapDead) too, so crash drivers probe for
+// nothing; the optional capabilities are DurableRuntime and ReadOnlyRuntime.
+// CommonConfig is the shared configuration surface the runtimes embed in
+// their Config structs, StatsSnapshot is the shared counter snapshot they
+// report — and the registry (Register, Runtimes, New) makes the set of
+// runtimes itself a runtime value, so drivers enumerate and construct
+// runtimes by name instead of hardcoding the list.
 //
 // The interfaces are for *drivers* — harnesses, benchmarks, exporters,
 // tools that must treat the runtimes uniformly. Hot loops that care about
@@ -24,6 +26,7 @@ import (
 	"fmt"
 
 	"repro/internal/conflict"
+	"repro/internal/faultinject"
 	"repro/internal/objmodel"
 	"repro/internal/trace"
 )
@@ -146,8 +149,8 @@ type StatsSnapshot struct {
 	DoomsIssued int64 `json:"policy_dooms,omitempty"`
 
 	// Recovery and irrevocability counters. ReaperSteals counts orphaned
-	// transactions whose records were reclaimed (by the background reaper or
-	// an inline-stealing waiter); Escalations counts atomic blocks escalated
+	// transactions whose records were reclaimed (by a ReapDead sweep or an
+	// inline-stealing waiter); Escalations counts atomic blocks escalated
 	// to irrevocable after EscalateAfter consecutive aborts; IrrevocableTxns
 	// counts transactions that ran irrevocably (escalated or explicit);
 	// IrrevocableNs is the cumulative global-token hold time.
@@ -310,4 +313,14 @@ type Runtime interface {
 
 	// ActiveTransactions returns the number of in-flight transactions.
 	ActiveTransactions() int
+
+	// SetInjector installs (or, with nil, removes) a fault injector. Like the
+	// tracer it is sampled once per top-level Atomic.
+	SetInjector(in *faultinject.Injector)
+
+	// ReapDead reclaims the records of every transaction whose goroutine
+	// died holding them (the faultinject Orphan action) and returns how many
+	// it reclaimed. Waiters on an orphan reclaim it inline; a driver calls
+	// this to reclaim orphans nobody is waiting on.
+	ReapDead() int
 }

@@ -55,7 +55,7 @@ const (
 	EvCommit                  // attempt committed
 	EvSelfAbort               // contention policy decided SelfAbort (Obj = contended object)
 	EvDoom                    // contention policy doomed the owner (Obj = contended object, Ver = victim ID)
-	EvSteal                   // reaper/waiter reclaimed a dead owner's records (Txn = reclaimer or 0, Ver = victim ID)
+	EvSteal                   // a waiter or sweep reclaimed a dead owner's records (Txn = reclaimer, Obj = object it waited on; 0 for a sweep; Ver = victim ID)
 	EvEscalate                // atomic block escalated to irrevocable after K consecutive aborts (Slot = attempt)
 	EvIrrevocable             // transaction became irrevocable (token acquired, read set locked)
 	EvValidation              // commit-clock validation failed (Obj = stale object observed)

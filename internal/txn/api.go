@@ -8,13 +8,13 @@ import (
 )
 
 // API is the runtime-agnostic driver view of a kernel-based runtime: it
-// implements stmapi.Runtime, stmapi.DurableRuntime and the fault-injection
-// and reaper capability interfaces drivers probe for (SetInjector, Recovery,
-// promoted from the embedded Kernel along with SetTracer, SetCommitSink and
-// ActiveTransactions). It is a value wrapper: each entry point re-wraps the
-// body in a closure that does not escape, so driving a runtime through
-// stmapi keeps the zero-allocation steady state of calling it directly. A
-// runtime with further capabilities embeds API in its own adapter type.
+// implements stmapi.Runtime and stmapi.DurableRuntime (SetTracer,
+// SetInjector, ReapDead, SetCommitSink and ActiveTransactions are promoted
+// from the embedded Kernel). It is a value wrapper: each entry point
+// re-wraps the body in a closure that does not escape, so driving a runtime
+// through stmapi keeps the zero-allocation steady state of calling it
+// directly. A runtime with further capabilities embeds API in its own
+// adapter type.
 type API struct{ *Kernel }
 
 // Heap returns the managed heap the runtime is bound to.

@@ -344,7 +344,7 @@ func (tx *Txn) quiesce() error {
 		}
 		g := other.flight.Load()
 		for a := 0; g&1 != 0 && other.flight.Load() == g; a++ {
-			if other.dead.Load() && k.Reap(other) {
+			if other.dead.Load() && k.Reap(other, tx.id, 0) {
 				break
 			}
 			if tx.Ctx != nil {

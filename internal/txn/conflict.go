@@ -66,7 +66,7 @@ func (tx *Txn) irrevClaim(o *objmodel.Object, rec txrec.Word, attempt int) {
 	if txrec.IsExclusive(rec) {
 		if victim := tx.k.reg.findStamp(txrec.Owner(rec)); victim != nil && victim != tx {
 			if victim.dead.Load() {
-				tx.k.Reap(victim)
+				tx.k.Reap(victim, tx.id, uint64(o.Ref()))
 				return
 			}
 			tx.doom(victim, uint64(o.Ref()))
@@ -94,7 +94,7 @@ func (tx *Txn) resolve(o *objmodel.Object, kind conflict.Kind, attempt int, rec 
 		info.Owner = txrec.Owner(rec)
 		if owner = tx.k.reg.findStamp(info.Owner); owner != nil {
 			if owner.dead.Load() {
-				tx.k.Reap(owner)
+				tx.k.Reap(owner, tx.id, uint64(o.Ref()))
 				return conflict.Wait
 			}
 			info.OwnerActive = true
@@ -125,7 +125,6 @@ func (tx *Txn) resolve(o *objmodel.Object, kind conflict.Kind, attempt int, rec 
 // when it returns. attempt counts the barrier's consecutive failures on
 // this access.
 func (tx *Txn) ConflictWait(o *objmodel.Object, kind conflict.Kind, attempt int, rec txrec.Word) {
-	tx.hb.Add(1) // slow path: prove liveness to the reaper while we wait
 	tx.traceConflict(o, rec)
 	if tx.Irrevocable {
 		tx.irrevClaim(o, rec, attempt)
@@ -155,7 +154,6 @@ func (tx *Txn) mayContend(attempt int) bool {
 // never fails: it claims and re-probes.
 func (tx *Txn) AcquireWait(o *objmodel.Object, attempt int, rec txrec.Word) bool {
 	tx.traceConflict(o, rec)
-	tx.hb.Add(1) // contended acquire: prove liveness to the reaper
 	if tx.Irrevocable {
 		tx.irrevClaim(o, rec, attempt)
 		return true

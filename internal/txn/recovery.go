@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/conflict"
-	"repro/internal/recovery"
 	"repro/internal/stmapi"
 	"repro/internal/trace"
 )
@@ -19,11 +18,11 @@ import (
 // and then unwinds without cleanup. Reclaim is Reap: a CAS on the reaping
 // flag elects a single reclaimer, which has the runtime release the
 // orphan's records exactly as the orphan's own abort would have (or, past
-// the commit point, finish the release without rollback). Reclaimers are the
-// recovery.Reaper's periodic scan, a conflicting waiter that finds its owner
-// dead, a waiter on the irrevocable token or a commit gate, or a quiescing
-// committer — so orphans are recovered within a bounded wait even with no
-// reaper running.
+// the commit point, finish the release without rollback). Reclaimers are a
+// conflicting waiter that finds its owner dead, a quiescing committer, and a
+// ReapDead sweep — run by a waiter on the irrevocable token or a commit gate,
+// or by a driver through stmapi.Runtime — so orphans are recovered within a
+// bounded wait with no background goroutine.
 //
 // Irrevocability: a transaction holding the runtime's singular token can
 // never abort. The switch acquires the token, then has the runtime make the
@@ -35,16 +34,17 @@ import (
 // self-abort cap or are doomed by the irrevocable transaction itself, so it
 // always makes progress.
 
-// Reap steals a dead transaction's records. Safe by two gates: the dead
-// flag (only a goroutine that will never run again sets it, and its
-// release-store publishes the descriptor's final state) and the reaping CAS
-// (exactly one reclaimer touches the descriptor). An orphan that died before
-// its commit point is rolled back and counted as an abort; one that died
-// past it has its release completed, effects intact, and counts as a
-// commit. Either way every record returns to Shared and all waiters
-// unblock. Returns false if tx is not confirmed dead or another reclaimer
-// won the race.
-func (k *Kernel) Reap(tx *Txn) bool {
+// Reap steals a dead transaction's records on behalf of reclaimer by, which
+// was waiting on object obj (0 for either when a sweep reclaims). Safe by two
+// gates: the dead flag (only a goroutine that will never run again sets it,
+// and its release-store publishes the descriptor's final state) and the
+// reaping CAS (exactly one reclaimer touches the descriptor). An orphan that
+// died before its commit point is rolled back and counted as an abort; one
+// that died past it has its release completed, effects intact, and counts as
+// a commit. Either way every record returns to Shared and all waiters
+// unblock. Returns false if tx is not confirmed dead or another reclaimer won
+// the race.
+func (k *Kernel) Reap(tx *Txn, by, obj uint64) bool {
 	if !tx.dead.Load() || !tx.reaping.CompareAndSwap(false, true) {
 		return false
 	}
@@ -65,48 +65,26 @@ func (k *Kernel) Reap(tx *Txn) bool {
 	k.Stats.ReaperSteals.AddShard(int(id), 1)
 	tx.flushStats()
 	if tr := k.tracer.Load(); tr != nil {
-		tr.Record(trace.EvSteal, 0, 0, 0, id)
+		tr.Record(trace.EvSteal, by, obj, 0, id)
 	}
 	k.reg.remove(tx)
 	return true
 }
 
-// ReapDead sweeps the registry for confirmed-dead descriptors and reclaims
-// them inline. Used on wait paths with no record to find the owner through
-// (the irrevocable token, a commit gate), where a dead holder would
-// otherwise stall the waiter until the background reaper's next scan.
-func (k *Kernel) ReapDead() {
+// ReapDead sweeps the registry for confirmed-dead descriptors, reclaims them
+// inline and returns how many it reclaimed. Wait paths with no record to
+// find the owner through (the irrevocable token, a commit gate) call it so a
+// dead holder cannot stall them; a driver that wants orphans reclaimed
+// without waiting on them calls it through stmapi.Runtime.
+func (k *Kernel) ReapDead() int {
+	n := 0
 	k.reg.forEach(func(tx *Txn) bool {
-		if tx.dead.Load() {
-			k.Reap(tx)
+		if tx.dead.Load() && k.Reap(tx, 0, 0) {
+			n++
 		}
 		return true
 	})
-}
-
-// Recovery exposes the runtime to a recovery.Reaper.
-func (k *Kernel) Recovery() recovery.Target { return target{k} }
-
-type target struct{ k *Kernel }
-
-func (t target) Name() string { return t.k.name }
-
-func (t target) VisitTxns(f func(recovery.TxnInfo)) {
-	t.k.reg.forEach(func(tx *Txn) bool {
-		f(recovery.TxnInfo{
-			ID:          tx.stamp.Load(),
-			Beat:        tx.hb.Load(),
-			Status:      tx.Status(),
-			Dead:        tx.dead.Load(),
-			Irrevocable: tx.irrevStamp.Load(),
-		})
-		return true
-	})
-}
-
-func (t target) Reclaim(id uint64) bool {
-	victim := t.k.reg.findStamp(id)
-	return victim != nil && t.k.Reap(victim)
+	return n
 }
 
 // IrrevocableHolder returns the ID of the transaction holding the
@@ -142,7 +120,6 @@ func (tx *Txn) becomeIrrevocable(escalated bool) {
 		if tx.Ctx != nil && tx.Ctx.Err() != nil {
 			tx.cancel()
 		}
-		tx.hb.Add(1)
 		k.ReapDead()
 		conflict.WaitAttempt(a)
 	}

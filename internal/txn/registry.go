@@ -23,7 +23,7 @@ type regSlot struct {
 // the first G slots whatever their IDs (nothing reads a slot index as a hash
 // of the ID). hi, a high-water mark over every slot a claim has tried, is
 // raised before the claiming CAS, and scans (quiescence, ActiveTransactions,
-// the reaper, findStamp, the multi-version horizon and commit gate) walk
+// ReapDead, findStamp, the multi-version horizon and commit gate) walk
 // [0, hi) only, without allocating. Releasing is a single nil store.
 //
 // A claim at or past a scan's hi cannot be missed unsafely. It raised hi after
@@ -35,7 +35,7 @@ type regSlot struct {
 // multi-version descriptor pins low before registering and reads its snapshot
 // after, above the horizon scan's earlier clock sample; a committer raises its
 // gate flag after registering, so after a switch's token CAS, and sees the
-// token; and the reaper's next scan sees an orphan this one missed.
+// token; and the next ReapDead sweep sees an orphan this one missed.
 type registry struct {
 	_        [64]byte // hi shares no line with what precedes the registry
 	hi       atomic.Int32

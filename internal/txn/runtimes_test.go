@@ -17,6 +17,7 @@ import (
 	"time"
 	"weak"
 
+	"repro/internal/causal"
 	"repro/internal/faultinject"
 	"repro/internal/objmodel"
 	"repro/internal/stmapi"
@@ -342,8 +343,7 @@ func TestIrrevocableCrashPastCommitPointFreesToken(t *testing.T) {
 			t.Run(name+"/"+p.String(), func(t *testing.T) {
 				f := txntest.New(t, name, stmapi.CommonConfig{})
 				rt, o := f.Runtime(), f.NewCell()
-				fr := rt.(interface{ SetInjector(*faultinject.Injector) })
-				fr.SetInjector(faultinject.New(1, faultinject.Rule{Point: p, Action: faultinject.Crash}))
+				rt.SetInjector(faultinject.New(1, faultinject.Rule{Point: p, Action: faultinject.Crash}))
 				write := func(v uint64) func(stmapi.Txn) error {
 					return func(tx stmapi.Txn) error { tx.Write(o, 0, v); return nil }
 				}
@@ -355,7 +355,7 @@ func TestIrrevocableCrashPastCommitPointFreesToken(t *testing.T) {
 					}()
 					_ = rt.AtomicIrrevocable(write(1))
 				}()
-				fr.SetInjector(nil)
+				rt.SetInjector(nil)
 				if id := kernelOf(rt).IrrevocableHolder(); id != 0 {
 					t.Errorf("the token is still held by the crashed transaction %d", id)
 				}
@@ -454,22 +454,7 @@ func TestQuiescenceIsAGracePeriod(t *testing.T) {
 		t.Run(name+"/reaps an orphan in flight inline", func(t *testing.T) {
 			f := txntest.New(t, name, stmapi.CommonConfig{Quiescence: true})
 			x, y := f.NewCell(), f.NewCell()
-			fr := f.Runtime().(interface{ SetInjector(*faultinject.Injector) })
-			fr.SetInjector(faultinject.New(1, faultinject.Rule{Point: faultinject.PostAcquire, Action: faultinject.Orphan, Every: 1}))
-			died := make(chan any, 1)
-			go func() {
-				defer func() { died <- recover() }()
-				_ = f.Runtime().Atomic(func(tx stmapi.Txn) error {
-					tx.Write(x, 0, 9)
-					return nil
-				})
-			}()
-			if r := <-died; r == nil {
-				t.Fatal("the transaction did not die")
-			} else if _, ok := r.(faultinject.OrphanError); !ok {
-				panic(r)
-			}
-			fr.SetInjector(nil)
+			orphan(t, f, x, faultinject.PostAcquire)
 			within(t, commitAsync(f, y, 1), "commit stalled on an orphan with no reaper running")
 			if w := x.Rec.Load(); !txrec.IsShared(w) || x.LoadSlot(0) != 0 {
 				t.Errorf("orphan's record %#x, slot %d: want Shared and rolled back", w, x.LoadSlot(0))
@@ -486,6 +471,99 @@ func TestQuiescenceIsAGracePeriod(t *testing.T) {
 				within(t, commitAsync(f, y, 1), "commit waited for an attempt parked in its "+where[window])
 				release()
 				within(t, parked, "the parked transaction did not finish")
+			}
+		})
+	}
+}
+
+// orphan runs a transaction writing 9 to o whose goroutine dies at p with
+// no cleanup, and returns once it has died.
+func orphan(t *testing.T, f txntest.Fixture, o *objmodel.Object, p faultinject.Point) {
+	t.Helper()
+	rt := f.Runtime()
+	rt.SetInjector(faultinject.New(1, faultinject.Rule{Point: p, Action: faultinject.Orphan, Every: 1}))
+	defer rt.SetInjector(nil)
+	died := make(chan any, 1)
+	go func() {
+		defer func() { died <- recover() }()
+		_ = rt.Atomic(func(tx stmapi.Txn) error {
+			tx.Write(o, 0, 9)
+			return nil
+		})
+	}()
+	if r := <-died; r == nil {
+		t.Fatal("the transaction did not die")
+	} else if _, ok := r.(faultinject.OrphanError); !ok {
+		panic(r)
+	}
+}
+
+// TestReapDeadReclaimsOnlyDead: a ReapDead sweep reclaims the orphan, exactly
+// once, and leaves a live transaction parked in its body alone, which then
+// commits.
+func TestReapDeadReclaimsOnlyDead(t *testing.T) {
+	for _, name := range stmapi.Runtimes() {
+		t.Run(name, func(t *testing.T) {
+			f := txntest.New(t, name, stmapi.CommonConfig{})
+			rt, x, y := f.Runtime(), f.NewCell(), f.NewCell()
+			release, parked := park(f, x, false)
+			orphan(t, f, y, faultinject.PostAcquire)
+			if n := rt.ReapDead(); n != 1 {
+				t.Fatalf("first sweep reclaimed %d, want 1", n)
+			}
+			if n := rt.ReapDead(); n != 0 {
+				t.Fatalf("second sweep reclaimed %d, want 0", n)
+			}
+			if w := y.Rec.Load(); !txrec.IsShared(w) || y.LoadSlot(0) != 0 {
+				t.Errorf("orphan's record %#x, slot %d: want Shared and rolled back", w, y.LoadSlot(0))
+			}
+			if n := rt.ActiveTransactions(); n != 1 {
+				t.Errorf("active transactions = %d, want the parked one", n)
+			}
+			release()
+			within(t, parked, "the live transaction did not commit after the sweep")
+			if x.LoadSlot(0) != 1 {
+				t.Error("the live transaction's write is missing")
+			}
+		})
+	}
+}
+
+// TestInlineStealNamesReclaimer: a writer that finds a dead owner on its
+// object reclaims it inline, and the steal event names that writer's attempt
+// and the object, so the causal recorder draws a stolen-from edge to it.
+func TestInlineStealNamesReclaimer(t *testing.T) {
+	for _, name := range stmapi.Runtimes() {
+		t.Run(name, func(t *testing.T) {
+			f := txntest.New(t, name, stmapi.CommonConfig{})
+			rt, o := f.Runtime(), f.NewCell()
+			rec := causal.NewRecorder(causal.Config{})
+			tr := trace.New(trace.Config{Shards: 1, ShardCapacity: 256})
+			tr.SetSink(rec)
+			rt.SetTracer(tr)
+			orphan(t, f, o, faultinject.PreValidate)
+			var waiter causal.AttemptRef
+			if err := rt.Atomic(func(tx stmapi.Txn) error {
+				waiter = causal.AttemptRef{Txn: tx.ID(), N: tx.Attempt()}
+				tx.Write(o, 0, 5)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			var stolen []causal.Edge
+			for _, e := range rec.Graph().Edges {
+				if e.Kind == causal.StolenFrom {
+					stolen = append(stolen, e)
+				}
+			}
+			if len(stolen) != 1 {
+				t.Fatalf("stolen-from edges = %+v, want exactly one", stolen)
+			}
+			if e := stolen[0]; e.To != waiter || e.Obj != uint64(o.Ref()) {
+				t.Errorf("stolen-from edge To:%+v Obj:%d, want To:%+v Obj:%d", e.To, e.Obj, waiter, o.Ref())
+			}
+			if o.LoadSlot(0) != 5 {
+				t.Errorf("slot 0 = %d, want the waiter's 5", o.LoadSlot(0))
 			}
 		})
 	}

@@ -21,9 +21,10 @@
 //   - the commit-time locking protocol of the two deferred-update runtimes
 //     (deferred.go), and for all three the Section 3.4 quiescence, a grace
 //     period over the attempts in flight (atomic.go);
-//   - orphan recovery and the irrevocable token (recovery.go), sharded
-//     statistics (stats.go), and the stmapi adapter every runtime registers
-//     through (api.go).
+//   - orphan recovery, one reclaim path (Reap) that waiters run inline and
+//     a ReapDead sweep runs for drivers, and the irrevocable token
+//     (recovery.go), sharded statistics (stats.go), and the stmapi adapter
+//     every runtime registers through (api.go).
 //
 // A runtime embeds Kernel in its Runtime and Txn (or Deferred, which embeds
 // Txn) in its descriptor, keeps its Read and Write barriers as concrete
@@ -222,23 +223,20 @@ type Txn struct {
 	// block for priority-based policies; irrevStamp mirrors Irrevocable
 	// (policies and doom consult it).
 	//
-	// Recovery: hb is the epoch heartbeat the reaper watches (bumped at
-	// begin and on conflict-wait slow paths — never on the access hot path);
-	// dead is the death certificate: a release-store of true publishes every
-	// prior write of the dying goroutine (its whole descriptor) to any
-	// reclaimer that acquires it, and is the ONLY condition under which
-	// another thread may touch the rest of this descriptor; reaping elects
-	// one reclaimer.
+	// Recovery: dead is the death certificate: a release-store of true
+	// publishes every prior write of the dying goroutine (its whole
+	// descriptor) to any reclaimer that acquires it, and is the ONLY
+	// condition under which another thread may touch the rest of this
+	// descriptor; reaping elects one reclaimer.
 	//
 	// Quiescence: flight is odd while an attempt is in flight. It is stepped
 	// only under CommonConfig.Quiescence: by the owner at begin and once the
-	// attempt has released everything, by the reaper for an orphan (quiesce).
+	// attempt has released everything, by the reclaimer for an orphan (Reap).
 	flight     atomic.Uint64
 	status     atomic.Uint32
 	stamp      atomic.Uint64
 	doomed     atomic.Bool
 	karma      atomic.Int64
-	hb         atomic.Uint64
 	dead       atomic.Bool
 	reaping    atomic.Bool
 	irrevStamp atomic.Bool
@@ -325,9 +323,6 @@ func (tx *Txn) Dead() bool { return tx.dead.Load() }
 // Doomed reports whether a contention policy marked this attempt for abort.
 func (tx *Txn) Doomed() bool { return tx.doomed.Load() }
 
-// Beat proves liveness to the reaper; slow paths that may wait call it.
-func (tx *Txn) Beat() { tx.hb.Add(1) }
-
 // getTxn fetches a pooled descriptor (or allocates the first time), assigns
 // a fresh owner ID, and registers it. The fresh ID per top-level Atomic
 // keeps record-ownership comparisons ABA-free across descriptor reuse.
@@ -393,7 +388,6 @@ func (tx *Txn) begin() {
 	}
 	tx.status.Store(uint32(stmapi.Active))
 	tx.doomed.Store(false) // a doom aimed at a finished attempt is consumed
-	tx.hb.Add(1)           // heartbeat: the reaper sees a fresh epoch
 	tx.nStarts++
 	tx.Reads.Reset()
 	tx.Owned.Reset()

@@ -426,9 +426,11 @@ func TestOrphanIsRetiredAndReaped(t *testing.T) {
 	if k.FindStamp(id) != &f.Txn {
 		t.Fatal("the orphan left the registry before being reaped")
 	}
-	rec := k.Recovery()
-	if !rec.Reclaim(id) || rec.Reclaim(id) {
-		t.Error("Reclaim must succeed exactly once")
+	if n := k.ReapDead(); n != 1 {
+		t.Errorf("first ReapDead reclaimed %d, want 1", n)
+	}
+	if n := k.ReapDead(); n != 0 {
+		t.Errorf("second ReapDead reclaimed %d, want 0", n)
 	}
 	if got, want := f.take(), "[reap false]"; got != want {
 		t.Errorf("calls = %s, want %s", got, want)

@@ -3,12 +3,12 @@ package txntest
 // Fault and orphan checks of the commit-time locking protocol the
 // deferred-update runtimes share (txn.Deferred): an injected crash cleans up
 // as its stage requires, a crash or an orphan inside the commit window never
-// stalls a quiescing committer, and the reaper restores or completes what an
-// orphan held. Two check names and their messages keep the vocabulary of the
-// write-back ticket chain the kernel's quiescence grace period replaced: the
-// "ordering" and the "tickets" they speak of are that grace period. Written against stmapi plus the capability interfaces
-// drivers probe for; a runtime with a commit gate must also come out of each
-// scenario with the gate empty.
+// stalls a quiescing committer, and a ReapDead sweep restores or completes
+// what an orphan held. Two check names and their messages keep the
+// vocabulary of the write-back ticket chain the kernel's quiescence grace
+// period replaced: the "ordering" and the "tickets" they speak of are that
+// grace period. Written against stmapi.Runtime alone; a runtime with a commit
+// gate must also come out of each scenario with the gate empty.
 
 import (
 	"errors"
@@ -17,26 +17,9 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/objmodel"
-	"repro/internal/recovery"
 	"repro/internal/stmapi"
 	"repro/internal/txrec"
 )
-
-// faultable is what the kernel's stmapi adapter offers beyond stmapi.Runtime
-// to fault and recovery drivers.
-type faultable interface {
-	SetInjector(*faultinject.Injector)
-	Recovery() recovery.Target
-}
-
-func (f Fixture) faultable(t *testing.T) faultable {
-	t.Helper()
-	fr, ok := f.rt.(faultable)
-	if !ok {
-		t.Fatalf("runtime %s has no SetInjector/Recovery", f.rt.Name())
-	}
-	return fr
-}
 
 // gateEmpty fails the test if the runtime has a commit gate and a committer
 // is still counted inside it: a crash or an orphan in the commit window must
@@ -131,8 +114,7 @@ func InjectedCrashCleansUpPerStage(t *testing.T, name string) {
 	} {
 		t.Run(c.point.String(), func(t *testing.T) {
 			f := New(t, name, stmapi.CommonConfig{})
-			fr := f.faultable(t)
-			fr.SetInjector(faultinject.New(1, faultinject.Rule{Point: c.point, Action: faultinject.Crash}))
+			f.rt.SetInjector(faultinject.New(1, faultinject.Rule{Point: c.point, Action: faultinject.Crash}))
 			o := f.NewCell()
 			o.StoreSlot(0, 10)
 			err := f.crashingWrite(o, 0, 20)
@@ -154,7 +136,7 @@ func InjectedCrashCleansUpPerStage(t *testing.T, name string) {
 				t.Fatalf("active transactions = %d, want 0", n)
 			}
 			f.gateEmpty(t)
-			fr.SetInjector(nil)
+			f.rt.SetInjector(nil)
 			if err := f.write(o, 1, 1); err != nil {
 				t.Fatalf("post-crash transaction: %v", err)
 			}
@@ -168,15 +150,14 @@ func InjectedCrashCleansUpPerStage(t *testing.T, name string) {
 // waits forever.
 func CrashInCommitWindowDoesNotStallOrdering(t *testing.T, name string) {
 	f := New(t, name, stmapi.CommonConfig{Quiescence: true})
-	fr := f.faultable(t)
-	fr.SetInjector(faultinject.New(1, faultinject.Rule{
+	f.rt.SetInjector(faultinject.New(1, faultinject.Rule{
 		Point: faultinject.PostCommitPoint, Action: faultinject.Crash, Every: 1 << 62,
 	}))
 	o := f.NewCell()
 	if err := f.crashingWrite(o, 0, 1); err == nil {
 		t.Fatal("the injected crash did not surface")
 	}
-	fr.SetInjector(nil)
+	f.rt.SetInjector(nil)
 	f.gateEmpty(t)
 
 	f.writeWithin(t, o, 1, 2, "ordering chain stalled behind the crashed committer")
@@ -190,22 +171,20 @@ func CrashInCommitWindowDoesNotStallOrdering(t *testing.T, name string) {
 // record to Shared with the old value, exactly once.
 func ReaperRestoresOrphanedRecord(t *testing.T, name string) {
 	f := New(t, name, stmapi.CommonConfig{})
-	fr := f.faultable(t)
 	o := f.NewCell()
 	if err := f.write(o, 0, 41); err != nil {
 		t.Fatal(err)
 	}
-	fr.SetInjector(faultinject.New(1, faultinject.Rule{Point: faultinject.PostAcquire, Action: faultinject.Orphan, Every: 1}))
+	f.rt.SetInjector(faultinject.New(1, faultinject.Rule{Point: faultinject.PostAcquire, Action: faultinject.Orphan, Every: 1}))
 	f.orphan(t, o, 999)
-	fr.SetInjector(nil)
+	f.rt.SetInjector(nil)
 
 	if w := o.Rec.Load(); !txrec.IsExclusive(w) {
 		t.Fatalf("record not left Exclusive by the orphan: %#x", w)
 	}
 	f.gateEmpty(t) // the dying goroutine's unwind left the gate; only the record is orphaned
-	reaper := recovery.NewReaper(fr.Recovery(), recovery.Config{})
-	if rep := reaper.ScanOnce(); rep.Reaped != 1 {
-		t.Fatalf("reaped %d, want 1", rep.Reaped)
+	if n := f.rt.ReapDead(); n != 1 {
+		t.Fatalf("reaped %d, want 1", n)
 	}
 	if w := o.Rec.Load(); !txrec.IsShared(w) {
 		t.Fatalf("record not restored to Shared: %#x", w)
@@ -216,27 +195,25 @@ func ReaperRestoresOrphanedRecord(t *testing.T, name string) {
 	if n := f.rt.Stats().ReaperSteals; n != 1 {
 		t.Fatalf("ReaperSteals = %d, want 1", n)
 	}
-	if rep := reaper.ScanOnce(); rep.Reaped != 0 {
-		t.Fatalf("second scan reaped %d, want 0", rep.Reaped)
+	if n := f.rt.ReapDead(); n != 0 {
+		t.Fatalf("second sweep reaped %d, want 0", n)
 	}
 }
 
 // CommittedOrphanKeepsEffectsAndUnstallsTickets: an orphan that died in the
-// Figure 4 window is logically committed with its write-back complete; the
-// reaper releases its records, keeps its effects, and completes its ticket,
-// so a quiescent commit after it does not stall on the ordering chain.
+// Figure 4 window is logically committed with its write-back complete; a
+// ReapDead sweep releases its records, keeps its effects, and completes its
+// ticket, so a quiescent commit after it does not stall on the ordering chain.
 func CommittedOrphanKeepsEffectsAndUnstallsTickets(t *testing.T, name string) {
 	f := New(t, name, stmapi.CommonConfig{Quiescence: true})
-	fr := f.faultable(t)
 	o := f.NewCell()
-	fr.SetInjector(faultinject.New(1, faultinject.Rule{Point: faultinject.PostCommitPoint, Action: faultinject.Orphan, Every: 1}))
+	f.rt.SetInjector(faultinject.New(1, faultinject.Rule{Point: faultinject.PostCommitPoint, Action: faultinject.Orphan, Every: 1}))
 	f.orphan(t, o, 7)
-	fr.SetInjector(nil)
+	f.rt.SetInjector(nil)
 	f.gateEmpty(t)
 
-	reaper := recovery.NewReaper(fr.Recovery(), recovery.Config{})
-	if rep := reaper.ScanOnce(); rep.Reaped != 1 {
-		t.Fatalf("reaped %d, want 1", rep.Reaped)
+	if n := f.rt.ReapDead(); n != 1 {
+		t.Fatalf("reaped %d, want 1", n)
 	}
 	if w := o.Rec.Load(); !txrec.IsShared(w) {
 		t.Fatalf("record not released: %#x", w)
