@@ -263,7 +263,7 @@ func BenchmarkTxnReadWriteCommit(b *testing.B) {
 	h, o, _ := barrierFixture(b, false)
 	rt := stm.New(h, stm.Config{})
 	for i := 0; i < b.N; i++ {
-		_ = rt.Atomic(nil, func(tx *stm.Txn) error {
+		_ = rt.Atomic(func(tx *stm.Txn) error {
 			tx.Write(o, 0, tx.Read(o, 0)+1)
 			return nil
 		})
@@ -275,7 +275,7 @@ func BenchmarkTxnReadOnly(b *testing.B) {
 	rt := stm.New(h, stm.Config{})
 	var s uint64
 	for i := 0; i < b.N; i++ {
-		_ = rt.Atomic(nil, func(tx *stm.Txn) error {
+		_ = rt.Atomic(func(tx *stm.Txn) error {
 			s += tx.Read(o, 0) + tx.Read(o, 1) + tx.Read(o, 2)
 			return nil
 		})
@@ -293,7 +293,7 @@ func BenchmarkTxnEmptyCommit(b *testing.B) {
 	nop := func(tx *stm.Txn) error { return nil }
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = rt.Atomic(nil, nop)
+		_ = rt.Atomic(nop)
 	}
 }
 
@@ -308,7 +308,7 @@ func BenchmarkTxnTracerDisabled(b *testing.B) {
 	rt := stm.New(h, stm.Config{})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = rt.Atomic(nil, func(tx *stm.Txn) error {
+		_ = rt.Atomic(func(tx *stm.Txn) error {
 			tx.Write(o, 0, tx.Read(o, 0)+1)
 			return nil
 		})
@@ -321,7 +321,7 @@ func BenchmarkTxnTracerEnabled(b *testing.B) {
 	rt.SetTracer(trace.New(trace.Config{}))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = rt.Atomic(nil, func(tx *stm.Txn) error {
+		_ = rt.Atomic(func(tx *stm.Txn) error {
 			tx.Write(o, 0, tx.Read(o, 0)+1)
 			return nil
 		})
@@ -342,7 +342,7 @@ func BenchmarkTxnCausalRecorder(b *testing.B) {
 	rt.SetTracer(tr)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = rt.Atomic(nil, func(tx *stm.Txn) error {
+		_ = rt.Atomic(func(tx *stm.Txn) error {
 			tx.Write(o, 0, tx.Read(o, 0)+1)
 			return nil
 		})
@@ -357,7 +357,7 @@ func BenchmarkLazyTxnSmall(b *testing.B) {
 	rt := lazystm.New(h, lazystm.Config{})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = rt.Atomic(nil, func(tx *lazystm.Txn) error {
+		_ = rt.Atomic(func(tx *lazystm.Txn) error {
 			tx.Write(o, 0, tx.Read(o, 0)+1)
 			return nil
 		})
@@ -383,7 +383,7 @@ func BenchmarkLazyWriteCommit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = rt.Atomic(nil, body)
+		_ = rt.Atomic(body)
 	}
 }
 
@@ -440,7 +440,7 @@ func BenchmarkMVWriteCommit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = rt.Atomic(nil, body)
+		_ = rt.Atomic(body)
 	}
 }
 
@@ -458,7 +458,7 @@ func BenchmarkMVWriteCommitParallel(b *testing.B) {
 		g := int(next.Add(1) - 1)
 		body := mvWriteBody(objs[g*len(objs)/parts:(g+1)*len(objs)/parts], uint64(g+1))
 		for pb.Next() {
-			_ = rt.Atomic(nil, body)
+			_ = rt.Atomic(body)
 		}
 	})
 }
@@ -477,7 +477,7 @@ func BenchmarkMVSnapshotRead(b *testing.B) {
 			h, o, _ := barrierFixture(b, false)
 			rt := mvstm.New(h, mvstm.Config{})
 			bump := func() {
-				_ = rt.Atomic(nil, func(tx *mvstm.Txn) error {
+				_ = rt.Atomic(func(tx *mvstm.Txn) error {
 					tx.Write(o, 0, tx.Read(o, 0)+1)
 					return nil
 				})

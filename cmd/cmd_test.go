@@ -196,7 +196,7 @@ func TestStmtopTool(t *testing.T) {
 	rt := stm.New(h, stm.Config{})
 	rt.SetTracer(trace.New(trace.Config{ShardCapacity: 256}))
 	for i := 0; i < 25; i++ {
-		if err := rt.Atomic(nil, func(tx *stm.Txn) error {
+		if err := rt.Atomic(func(tx *stm.Txn) error {
 			tx.Write(o, 0, tx.Read(o, 0)+1)
 			return nil
 		}); err != nil {
@@ -206,13 +206,13 @@ func TestStmtopTool(t *testing.T) {
 	// One deterministic conflict so the hotspot table has an entry: a
 	// competing committed write between two reads dooms the first attempt.
 	attempt := 0
-	if err := rt.Atomic(nil, func(tx *stm.Txn) error {
+	if err := rt.Atomic(func(tx *stm.Txn) error {
 		attempt++
 		_ = tx.Read(o, 0)
 		if attempt == 1 {
 			done := make(chan error, 1)
 			go func() {
-				done <- rt.Atomic(nil, func(tx2 *stm.Txn) error {
+				done <- rt.Atomic(func(tx2 *stm.Txn) error {
 					tx2.Write(o, 0, tx2.Read(o, 0)+1)
 					return nil
 				})
@@ -414,7 +414,7 @@ func TestStmtraceTool(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		if err := rt.Atomic(nil, func(tx *stm.Txn) error {
+		if err := rt.Atomic(func(tx *stm.Txn) error {
 			tx.Write(hot, 0, 1)
 			onceHeld.Do(func() { close(held) })
 			<-release
@@ -427,7 +427,7 @@ func TestStmtraceTool(t *testing.T) {
 		defer wg.Done()
 		<-held
 		entries := 0
-		if err := rt.Atomic(nil, func(tx *stm.Txn) error {
+		if err := rt.Atomic(func(tx *stm.Txn) error {
 			entries++
 			if entries > 1 {
 				// Already aborted at least once; let the holder commit.

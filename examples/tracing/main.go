@@ -67,7 +67,7 @@ func main() {
 				// 4 also update counter #0 — the planted hotspot.
 				cold := objs[1+rng.Intn(counters-1)]
 				touchHot := rng.Intn(4) > 0
-				_ = rt.Atomic(nil, func(tx *stm.Txn) error {
+				_ = rt.Atomic(func(tx *stm.Txn) error {
 					v := tx.Read(cold, 0)
 					var hv uint64
 					if touchHot {

@@ -70,7 +70,7 @@ func TestOracleCatchesWrongManifest(t *testing.T) {
 	rt.SetTracer(tr)
 
 	// Contradiction 1: transactional access of a NAIT-claimed object.
-	if err := rt.Atomic(nil, func(tx *stm.Txn) error {
+	if err := rt.Atomic(func(tx *stm.Txn) error {
 		tx.Write(obj, 0, tx.Read(obj, 0)+1)
 		return nil
 	}); err != nil {
@@ -126,7 +126,7 @@ func TestOracleCatchesTransactionalCrossGoroutine(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_ = rt.Atomic(nil, func(tx *stm.Txn) error {
+		_ = rt.Atomic(func(tx *stm.Txn) error {
 			tx.Write(obj, 0, 7)
 			return nil
 		})
@@ -199,7 +199,7 @@ func TestOracleCleanRunStaysSilent(t *testing.T) {
 
 	// tl usage: transactions on the allocating goroutine only.
 	for i := 0; i < 3; i++ {
-		if err := rt.Atomic(nil, func(tx *stm.Txn) error {
+		if err := rt.Atomic(func(tx *stm.Txn) error {
 			tx.Write(tlObj, 0, tx.Read(tlObj, 0)+1)
 			return nil
 		}); err != nil {

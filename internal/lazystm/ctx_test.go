@@ -1,8 +1,7 @@
 package lazystm
 
 // Cancellation-edge tests for the lazy runtime's AtomicCtx: entry,
-// mid-body, retry waits, the post-commit quiescence wait, and flattened
-// nesting.
+// mid-body, retry waits and the post-commit quiescence wait.
 
 import (
 	"context"
@@ -22,7 +21,7 @@ func TestAtomicCtxCancelMidBodyDiscardsBuffer(t *testing.T) {
 	f := newFixture(t, Config{})
 	o := f.heap.New(f.cls)
 	ctx, cancel := context.WithCancel(context.Background())
-	err := f.rt.AtomicCtx(ctx, nil, func(tx *Txn) error {
+	err := f.rt.AtomicCtx(ctx, func(tx *Txn) error {
 		tx.Write(o, 0, 99)
 		cancel()
 		_ = tx.Read(o, 0) // accesses are cancellation points
@@ -60,7 +59,7 @@ func TestAtomicCtxCancelDuringOrderingWait(t *testing.T) {
 
 	firstDone := make(chan error, 1)
 	go func() {
-		firstDone <- f.rt.Atomic(nil, func(tx *Txn) error {
+		firstDone <- f.rt.Atomic(func(tx *Txn) error {
 			tx.Write(o1, 0, 1)
 			return nil
 		})
@@ -69,7 +68,7 @@ func TestAtomicCtxCancelDuringOrderingWait(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	err := f.rt.AtomicCtx(ctx, nil, func(tx *Txn) error {
+	err := f.rt.AtomicCtx(ctx, func(tx *Txn) error {
 		tx.Write(o2, 0, 2)
 		return nil
 	})
@@ -90,7 +89,7 @@ func TestAtomicCtxCancelDuringOrderingWait(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		done <- f.rt.Atomic(nil, func(tx *Txn) error {
+		done <- f.rt.Atomic(func(tx *Txn) error {
 			tx.Write(o1, 1, 3)
 			return nil
 		})
@@ -102,66 +101,6 @@ func TestAtomicCtxCancelDuringOrderingWait(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatalf("ordering chain stalled after an abandoned wait")
-	}
-}
-
-func TestNestedAtomicCtxFlattened(t *testing.T) {
-	f := newFixture(t, Config{})
-	o := f.heap.New(f.cls)
-	var nestedErr error
-	err := f.rt.Atomic(nil, func(tx *Txn) error {
-		tx.Write(o, 0, 1)
-		ctx, cancel := context.WithCancel(context.Background())
-		nestedErr = f.rt.AtomicCtx(ctx, tx, func(tx *Txn) error {
-			tx.Write(o, 1, 2)
-			cancel()
-			_ = tx.Read(o, 1)
-			return nil
-		})
-		tx.Write(o, 2, 3)
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("outer Atomic: %v", err)
-	}
-	if !errors.Is(nestedErr, context.Canceled) {
-		t.Fatalf("nested err = %v, want context.Canceled", nestedErr)
-	}
-	// Flattened nesting: the nested block's buffered write is not rolled
-	// back; the enclosing body chose to continue, so everything commits.
-	if got := o.LoadSlot(0); got != 1 {
-		t.Fatalf("slot 0 = %d, want 1", got)
-	}
-	if got := o.LoadSlot(1); got != 2 {
-		t.Fatalf("slot 1 = %d, want 2 (flattened: nested write survives)", got)
-	}
-	if got := o.LoadSlot(2); got != 3 {
-		t.Fatalf("slot 2 = %d, want 3", got)
-	}
-}
-
-func TestNestedAtomicCtxPreCancelled(t *testing.T) {
-	f := newFixture(t, Config{})
-	o := f.heap.New(f.cls)
-	err := f.rt.Atomic(nil, func(tx *Txn) error {
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		ran := false
-		nerr := f.rt.AtomicCtx(ctx, tx, func(tx *Txn) error {
-			ran = true
-			return nil
-		})
-		if !errors.Is(nerr, context.Canceled) || ran {
-			t.Errorf("nested pre-cancelled: err=%v ran=%v", nerr, ran)
-		}
-		tx.Write(o, 0, 1)
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("outer Atomic: %v", err)
-	}
-	if got := o.LoadSlot(0); got != 1 {
-		t.Fatalf("slot 0 = %d, want 1", got)
 	}
 }
 

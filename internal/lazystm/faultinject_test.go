@@ -40,7 +40,7 @@ func runTransfers(t *testing.T, f *fixture, accounts []*objmodel.Object, gorouti
 				if from == to {
 					continue
 				}
-				if err := f.rt.Atomic(nil, func(tx *Txn) error {
+				if err := f.rt.Atomic(func(tx *Txn) error {
 					a := tx.Read(from, 0)
 					b := tx.Read(to, 0)
 					tx.Write(from, 0, a-1)

@@ -17,13 +17,13 @@ func lazyGranTrial(t *testing.T, g int) uint64 {
 	t.Helper()
 	f := newFixture(t, Config{CommonConfig: stmapi.CommonConfig{Granularity: g}})
 	o := f.heap.New(f.cls)
-	if err := f.rt.Atomic(nil, func(tx *Txn) error {
+	if err := f.rt.Atomic(func(tx *Txn) error {
 		tx.Write(o, 1, 7)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.rt.Atomic(nil, func(tx *Txn) error {
+	if err := f.rt.Atomic(func(tx *Txn) error {
 		tx.Write(o, 0, 1)
 		o.StoreSlot(1, 99)
 		return nil
@@ -52,7 +52,7 @@ func TestLazyClockFastpath(t *testing.T) {
 	o := f.heap.New(f.cls)
 	const n = 50
 	for i := 0; i < n; i++ {
-		if err := f.rt.Atomic(nil, func(tx *Txn) error {
+		if err := f.rt.Atomic(func(tx *Txn) error {
 			tx.Write(o, 0, tx.Read(o, 0)+1)
 			return nil
 		}); err != nil {

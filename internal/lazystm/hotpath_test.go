@@ -16,7 +16,7 @@ func TestPooledDescriptorClean(t *testing.T) {
 	f := newFixture(t, Config{})
 	o := f.heap.New(f.cls)
 	for i := 0; i < 50; i++ {
-		err := f.rt.Atomic(nil, func(tx *Txn) error {
+		err := f.rt.Atomic(func(tx *Txn) error {
 			if tx.Reads.Len() != 0 || len(tx.Buf.Ents) != 0 {
 				t.Errorf("iter %d: dirty descriptor (reads %d, buffered slots %d)",
 					i, tx.Reads.Len(), len(tx.Buf.Ents))

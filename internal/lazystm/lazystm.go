@@ -36,8 +36,11 @@
 //     version bump, no undo replay. Discarding the buffer is free.
 //
 //   - Irrevocable transactions acquire records for their reads during the
-//     body (tx.Owned tracks holdings from the switch onward); commit keeps
-//     those holdings and acquires the rest of the write set.
+//     body (tx.Owned tracks holdings from the switch onward, and the switch
+//     locks the read set through the kernel's txn.Txn.LockReadSet); commit
+//     keeps those holdings and acquires the rest of the write set.
+//
+// Every Atomic runs one flat transaction: there is no nesting.
 package lazystm
 
 import (
@@ -52,17 +55,6 @@ import (
 	"repro/internal/txrec"
 )
 
-// Status is the lifecycle state of a transaction attempt (shared by every
-// runtime through stmapi).
-type Status = stmapi.Status
-
-// Transaction statuses.
-const (
-	Active    = stmapi.Active
-	Committed = stmapi.Committed
-	Aborted   = stmapi.Aborted
-)
-
 // Config parameterizes a Runtime: the cross-runtime knobs (Granularity,
 // Quiescence, Handler, SelfAbortAfter, ...) of the embedded
 // stmapi.CommonConfig and nothing lazy-specific.
@@ -70,13 +62,9 @@ type Config struct {
 	stmapi.CommonConfig
 }
 
-// StatsSnapshot is a point-in-time copy of every Stats counter, shared by
-// every runtime through stmapi.
-type StatsSnapshot = stmapi.StatsSnapshot
-
 // Runtime is a lazy-versioning STM instance bound to a heap. The embedded
-// kernel supplies Heap, Stats, the tracer / injector / commit-sink setters
-// and Recovery.
+// kernel supplies Heap, Stats, SetTracer, SetInjector, SetCommitSink and
+// ReapDead.
 type Runtime struct {
 	txn.Kernel
 
@@ -305,36 +293,10 @@ func (tx *Txn) ReapOrphan(committed bool) {
 	tx.Deferred.ReapOrphan(committed)
 }
 
-// LockReadSet implements txn.Strategy: it upgrades every read-set entry to
-// Exclusive at its recorded version, recording holdings in Owned (the
-// failure path restores them through Rollback), after which reads acquire
-// their records pessimistically. A lazy transaction owns nothing during its
-// body, so every entry must be Shared at the recorded version; anything
-// else means the snapshot is stale.
-func (tx *Txn) LockReadSet() bool {
-	ok := true
-	tx.Reads.Range(func(o *objmodel.Object, ver uint64) bool {
-		w := o.Rec.Load()
-		switch {
-		case txrec.IsPrivate(w):
-		case txrec.IsShared(w) && txrec.Version(w) == ver:
-			ok = tx.Acquire(o, w)
-		default:
-			ok = false
-		}
-		return ok
-	})
-	return ok
-}
-
 // Atomic executes body as a lazy-versioning transaction, retrying until it
-// commits. Closed nesting is flattened: a nested Atomic call (parent
-// non-nil) joins the parent transaction, and a body error rolls back
-// nothing (lazy buffers make partial rollback unnecessary for the anomaly
-// studies this variant exists for; the eager runtime implements full
-// nesting).
-func (rt *Runtime) Atomic(parent *Txn, body func(*Txn) error) error {
-	return rt.AtomicCtx(nil, parent, body)
+// commits.
+func (rt *Runtime) Atomic(body func(*Txn) error) error {
+	return rt.AtomicCtx(nil, body)
 }
 
 // AtomicCtx is Atomic with deadline/cancellation support; see
@@ -342,26 +304,13 @@ func (rt *Runtime) Atomic(parent *Txn, body func(*Txn) error) error {
 // the commit point discards the write buffer and returns ctx.Err();
 // cancellation during the post-commit quiescence wait returns ctx.Err() with
 // the effects already committed.
-//
-// Nested calls are flattened like Atomic. A non-nil ctx on a nested call
-// governs the nested block only: cancellation surfaces as the block's error
-// return (no buffered state is rolled back, matching the flattened model),
-// and the enclosing body decides how to proceed.
-func (rt *Runtime) AtomicCtx(ctx context.Context, parent *Txn, body func(*Txn) error) error {
-	if parent != nil {
-		return parent.NestedCtx(ctx, func() error { return body(parent) })
-	}
+func (rt *Runtime) AtomicCtx(ctx context.Context, body func(*Txn) error) error {
 	return rt.Kernel.Atomic(ctx, rt.EscalateFrom(), func(k *txn.Txn) error { return body(k.Self().(*Txn)) })
 }
 
 // AtomicIrrevocable executes body as an irrevocable transaction (singular
 // token, pessimistic reads after the switch, no abort possible past it —
-// safe for I/O). Nested calls are flattened: the enclosing transaction
-// itself becomes irrevocable.
-func (rt *Runtime) AtomicIrrevocable(parent *Txn, body func(*Txn) error) error {
-	if parent != nil {
-		parent.BecomeIrrevocable()
-		return body(parent)
-	}
+// safe for I/O).
+func (rt *Runtime) AtomicIrrevocable(body func(*Txn) error) error {
 	return rt.Kernel.Atomic(nil, 0, func(k *txn.Txn) error { return body(k.Self().(*Txn)) })
 }

@@ -42,7 +42,7 @@ func (f *fixture) traceSink(fn func(trace.Event)) {
 func TestLazyCommitBasic(t *testing.T) {
 	f := newFixture(t, Config{})
 	o := f.heap.New(f.cls)
-	err := f.rt.Atomic(nil, func(tx *Txn) error {
+	err := f.rt.Atomic(func(tx *Txn) error {
 		tx.Write(o, 0, 5)
 		if got := tx.Read(o, 0); got != 5 {
 			t.Errorf("read-own-write = %d", got)
@@ -69,7 +69,7 @@ func TestLazyAbortLeavesMemoryUntouched(t *testing.T) {
 	f := newFixture(t, Config{})
 	o := f.heap.New(f.cls)
 	o.StoreSlot(0, 3)
-	err := f.rt.Atomic(nil, func(tx *Txn) error {
+	err := f.rt.Atomic(func(tx *Txn) error {
 		tx.Write(o, 0, 99)
 		return ErrAborted
 	})
@@ -89,7 +89,7 @@ func TestLazyValidationFailureRetries(t *testing.T) {
 	f := newFixture(t, Config{})
 	o, x := f.heap.New(f.cls), f.heap.New(f.cls)
 	runs := 0
-	err := f.rt.Atomic(nil, func(tx *Txn) error {
+	err := f.rt.Atomic(func(tx *Txn) error {
 		runs++
 		v := tx.Read(o, 0)
 		if runs == 1 {
@@ -131,7 +131,7 @@ func TestLazyCounterAtomicity(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				_ = f.rt.Atomic(nil, func(tx *Txn) error {
+				_ = f.rt.Atomic(func(tx *Txn) error {
 					tx.Write(o, 0, tx.Read(o, 0)+1)
 					return nil
 				})
@@ -157,7 +157,7 @@ func TestCommitWindowVisible(t *testing.T) {
 			observed = o.LoadSlot(0)
 		}
 	})
-	err := f.rt.Atomic(nil, func(tx *Txn) error {
+	err := f.rt.Atomic(func(tx *Txn) error {
 		tx.Write(o, 0, 42)
 		return nil
 	})
@@ -180,7 +180,7 @@ func TestGranularSnapshotServesStaleNeighbour(t *testing.T) {
 	f := newFixture(t, Config{CommonConfig: stmapi.CommonConfig{Granularity: 2}})
 	o := f.heap.New(f.cls)
 	o.StoreSlot(1, 10) // g
-	err := f.rt.Atomic(nil, func(tx *Txn) error {
+	err := f.rt.Atomic(func(tx *Txn) error {
 		tx.Write(o, 0, 1) // snapshots g == 10 into the buffer
 		// Another thread updates g in memory (barriered NT write).
 		if _, ok := o.Rec.AcquireAnon(); !ok {
@@ -210,7 +210,7 @@ func TestGranularWritebackOverwritesNeighbour(t *testing.T) {
 	done := make(chan struct{})
 	var once sync.Once
 	go func() {
-		_ = f.rt.Atomic(nil, func(tx *Txn) error {
+		_ = f.rt.Atomic(func(tx *Txn) error {
 			tx.Write(o, 0, 1) // span buffer captures g == 10
 			once.Do(func() { close(inBody) })
 			<-wrote
@@ -235,7 +235,7 @@ func TestGranularityOneWritebackDoesNotSpan(t *testing.T) {
 	wrote := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
-		_ = f.rt.Atomic(nil, func(tx *Txn) error {
+		_ = f.rt.Atomic(func(tx *Txn) error {
 			tx.Write(o, 0, 1)
 			select {
 			case <-inBody:
@@ -277,7 +277,7 @@ func TestQuiescenceOrdersCompletion(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					for i := 0; i < n; i++ {
-						_ = f.rt.Atomic(nil, func(tx *Txn) error {
+						_ = f.rt.Atomic(func(tx *Txn) error {
 							tx.Write(o, 0, tx.Read(o, 0)+1)
 							return nil
 						})
@@ -307,7 +307,7 @@ func TestLazyRetry(t *testing.T) {
 	var once sync.Once
 	go func() {
 		var got uint64
-		_ = f.rt.Atomic(nil, func(tx *Txn) error {
+		_ = f.rt.Atomic(func(tx *Txn) error {
 			v := tx.Read(o, 0)
 			once.Do(func() { close(started) })
 			if v == 0 {
@@ -319,7 +319,7 @@ func TestLazyRetry(t *testing.T) {
 		done <- got
 	}()
 	<-started
-	_ = f.rt.Atomic(nil, func(tx *Txn) error {
+	_ = f.rt.Atomic(func(tx *Txn) error {
 		tx.Write(o, 0, 8)
 		return nil
 	})
@@ -332,7 +332,7 @@ func TestLazyRestart(t *testing.T) {
 	f := newFixture(t, Config{})
 	o := f.heap.New(f.cls)
 	runs := 0
-	err := f.rt.Atomic(nil, func(tx *Txn) error {
+	err := f.rt.Atomic(func(tx *Txn) error {
 		runs++
 		tx.Write(o, 0, uint64(runs))
 		if runs < 2 {
@@ -348,24 +348,6 @@ func TestLazyRestart(t *testing.T) {
 	}
 }
 
-func TestLazyNestedFlattened(t *testing.T) {
-	f := newFixture(t, Config{})
-	o := f.heap.New(f.cls)
-	err := f.rt.Atomic(nil, func(tx *Txn) error {
-		tx.Write(o, 0, 1)
-		return f.rt.Atomic(tx, func(tx *Txn) error {
-			tx.Write(o, 1, 2)
-			return nil
-		})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.LoadSlot(0) != 1 || o.LoadSlot(1) != 2 {
-		t.Errorf("state = (%d,%d)", o.LoadSlot(0), o.LoadSlot(1))
-	}
-}
-
 func TestLazyMultiObjectCommitSorted(t *testing.T) {
 	f := newFixture(t, Config{})
 	objs := make([]*objmodel.Object, 8)
@@ -378,7 +360,7 @@ func TestLazyMultiObjectCommitSorted(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				_ = f.rt.Atomic(nil, func(tx *Txn) error {
+				_ = f.rt.Atomic(func(tx *Txn) error {
 					// Touch objects in different orders per goroutine; the
 					// sorted commit-time acquisition avoids deadlock.
 					if g%2 == 0 {

@@ -44,7 +44,7 @@ func TestDoomAfterCommitPointIsIgnored(t *testing.T) {
 		}
 		victim = mine
 		go func() {
-			contender <- f.rt.Atomic(nil, func(tx *Txn) error {
+			contender <- f.rt.Atomic(func(tx *Txn) error {
 				tx.Write(o, 1, 9)
 				return nil
 			})
@@ -54,7 +54,7 @@ func TestDoomAfterCommitPointIsIgnored(t *testing.T) {
 		}
 	})
 	o = f.heap.New(f.cls)
-	if err := f.rt.Atomic(nil, func(tx *Txn) error {
+	if err := f.rt.Atomic(func(tx *Txn) error {
 		mine = tx
 		tx.Write(o, 0, 7)
 		return nil

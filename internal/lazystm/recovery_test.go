@@ -40,7 +40,7 @@ func orphanOnce(t *testing.T, rt *Runtime, body func(tx *Txn) error) {
 			}
 			done <- nil
 		}()
-		done <- rt.Atomic(nil, body)
+		done <- rt.Atomic(body)
 	}()
 	if err := <-done; err != nil {
 		t.Fatalf("orphan goroutine: %v", err)
@@ -69,7 +69,7 @@ func TestWaiterStealsInlineWithoutReaper(t *testing.T) {
 	// No reaper: the next committer must find the dead owner and steal inline.
 	done := make(chan error, 1)
 	go func() {
-		done <- rt.Atomic(nil, func(tx *Txn) error { tx.Write(o, 0, 5); return nil })
+		done <- rt.Atomic(func(tx *Txn) error { tx.Write(o, 0, 5); return nil })
 	}()
 	select {
 	case err := <-done:
@@ -86,9 +86,9 @@ func TestWaiterStealsInlineWithoutReaper(t *testing.T) {
 
 func TestAtomicIrrevocableCommitsAndReleasesToken(t *testing.T) {
 	rt, o := newRecoveryRuntime(t, Config{})
-	rt.Atomic(nil, func(tx *Txn) error { tx.Write(o, 0, 1); return nil })
+	rt.Atomic(func(tx *Txn) error { tx.Write(o, 0, 1); return nil })
 
-	err := rt.AtomicIrrevocable(nil, func(tx *Txn) error {
+	err := rt.AtomicIrrevocable(func(tx *Txn) error {
 		v := tx.Read(o, 0)
 		if !tx.IsIrrevocable() {
 			t.Error("body not irrevocable inside AtomicIrrevocable")
@@ -128,14 +128,14 @@ func TestBecomeIrrevocableMidBodySurvivesDoom(t *testing.T) {
 					return
 				default:
 				}
-				rt.Atomic(nil, func(tx *Txn) error {
+				rt.Atomic(func(tx *Txn) error {
 					tx.Write(o, 1, tx.Read(o, 1)+1)
 					return nil
 				})
 			}
 		}()
 	}
-	err := rt.Atomic(nil, func(tx *Txn) error {
+	err := rt.Atomic(func(tx *Txn) error {
 		tx.BecomeIrrevocable()
 		// Past the switch nothing may abort us: a read of the contended
 		// object acquires it pessimistically and must succeed.
@@ -163,7 +163,7 @@ func TestEscalateAfterConsecutiveAborts(t *testing.T) {
 	in := faultinject.New(1, faultinject.Rule{Point: faultinject.PreValidate, Action: faultinject.Abort, Every: 1})
 	rt.SetInjector(in)
 	sawIrrevocable := false
-	err := rt.Atomic(nil, func(tx *Txn) error {
+	err := rt.Atomic(func(tx *Txn) error {
 		sawIrrevocable = tx.IsIrrevocable()
 		tx.Write(o, 0, uint64(tx.Attempt()))
 		return nil

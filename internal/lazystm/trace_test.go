@@ -43,12 +43,12 @@ func TestLazyDisabledTracerAllocFree(t *testing.T) {
 		return nil
 	}
 	for i := 0; i < 10; i++ {
-		if err := f.rt.Atomic(nil, body); err != nil {
+		if err := f.rt.Atomic(body); err != nil {
 			t.Fatal(err)
 		}
 	}
 	avg := testing.AllocsPerRun(200, func() {
-		if err := f.rt.Atomic(nil, body); err != nil {
+		if err := f.rt.Atomic(body); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -62,7 +62,7 @@ func TestLazyTraceEventLifecycle(t *testing.T) {
 	tr := trace.New(trace.Config{ShardCapacity: 128, Shards: 1})
 	f.rt.SetTracer(tr)
 	o := f.newCell()
-	if err := f.rt.Atomic(nil, func(tx *Txn) error {
+	if err := f.rt.Atomic(func(tx *Txn) error {
 		tx.Write(o, 0, tx.Read(o, 0)+1)
 		_ = tx.Read(o, 0) // buffered read-back
 		return nil
@@ -107,7 +107,7 @@ func TestLazyTraceNoEventLossParallel(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				_ = f.rt.Atomic(nil, func(tx *Txn) error {
+				_ = f.rt.Atomic(func(tx *Txn) error {
 					tx.Write(o, 0, tx.Read(o, 0)+1)
 					return nil
 				})
@@ -140,7 +140,7 @@ func TestLazyCommitValidationAttribution(t *testing.T) {
 	sink := f.newCell()
 	for i := 0; i < 4; i++ {
 		attempt := 0
-		err := f.rt.Atomic(nil, func(tx *Txn) error {
+		err := f.rt.Atomic(func(tx *Txn) error {
 			attempt++
 			v := tx.Read(hot, 0)
 			tx.Write(sink, 0, v)
@@ -149,7 +149,7 @@ func TestLazyCommitValidationAttribution(t *testing.T) {
 				// validation: its read set is now stale.
 				done := make(chan error, 1)
 				go func() {
-					done <- f.rt.Atomic(nil, func(tx2 *Txn) error {
+					done <- f.rt.Atomic(func(tx2 *Txn) error {
 						tx2.Write(hot, 0, tx2.Read(hot, 0)+1)
 						return nil
 					})
@@ -188,7 +188,7 @@ func TestLazyStatsSnapshot(t *testing.T) {
 	f := newTraceFixture(t, Config{})
 	o := f.newCell()
 	for i := 0; i < 5; i++ {
-		if err := f.rt.Atomic(nil, func(tx *Txn) error {
+		if err := f.rt.Atomic(func(tx *Txn) error {
 			tx.Write(o, 0, tx.Read(o, 0)+1)
 			return nil
 		}); err != nil {

@@ -50,7 +50,7 @@ func TestGLUVanishesAfterPromotion(t *testing.T) {
 			x.StoreSlot(SlotG, 1)
 			close(t2done)
 		}()
-		_ = rt.Atomic(nil, func(tx *stm.Txn) error { // Thread 1: atomic { x.f = 5 } aborting once
+		_ = rt.Atomic(func(tx *stm.Txn) error { // Thread 1: atomic { x.f = 5 } aborting once
 			tx.Write(x, SlotF, 5)
 			if tx.Attempt() == 0 {
 				once.Do(func() { close(afterWrite) })
@@ -95,7 +95,7 @@ func TestGIRVanishesAfterPromotion(t *testing.T) {
 			y.StoreSlot(SlotF, 1)
 			close(t2done)
 		}()
-		_ = rt.Atomic(nil, func(tx *lazystm.Txn) error { // Thread 1: atomic { x.f=5; if y==1 then r=x.g }
+		_ = rt.Atomic(func(tx *lazystm.Txn) error { // Thread 1: atomic { x.f=5; if y==1 then r=x.g }
 			r = sentinel
 			tx.Write(x, SlotF, 5)
 			once.Do(func() { close(afterWrite) })

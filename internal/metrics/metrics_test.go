@@ -22,7 +22,7 @@ func runSomeTxns(t *testing.T) (*stm.Runtime, *lazystm.Runtime) {
 	ert := stm.New(h, stm.Config{})
 	ert.SetTracer(trace.New(trace.Config{ShardCapacity: 256}))
 	for i := 0; i < 20; i++ {
-		if err := ert.Atomic(nil, func(tx *stm.Txn) error {
+		if err := ert.Atomic(func(tx *stm.Txn) error {
 			tx.Write(o, 0, tx.Read(o, 0)+1)
 			return nil
 		}); err != nil {
@@ -37,7 +37,7 @@ func runSomeTxns(t *testing.T) (*stm.Runtime, *lazystm.Runtime) {
 	o2 := h2.New(cls2)
 	lrt := lazystm.New(h2, lazystm.Config{})
 	for i := 0; i < 7; i++ {
-		if err := lrt.Atomic(nil, func(tx *lazystm.Txn) error {
+		if err := lrt.Atomic(func(tx *lazystm.Txn) error {
 			tx.Write(o2, 0, tx.Read(o2, 0)+1)
 			return nil
 		}); err != nil {
@@ -154,7 +154,7 @@ func TestRobustnessCountersExported(t *testing.T) {
 	})
 	o := h.New(cls)
 	ert := stm.New(h, stm.Config{})
-	if err := ert.AtomicIrrevocable(nil, func(tx *stm.Txn) error {
+	if err := ert.AtomicIrrevocable(func(tx *stm.Txn) error {
 		tx.Write(o, 0, 1)
 		return nil
 	}); err != nil {

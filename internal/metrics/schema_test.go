@@ -121,7 +121,7 @@ func TestMetricsSchemaGolden(t *testing.T) {
 	tr.SetSink(rec)
 	rt.SetTracer(tr)
 	for i := 0; i < 10; i++ {
-		if err := rt.Atomic(nil, func(tx *stm.Txn) error {
+		if err := rt.Atomic(func(tx *stm.Txn) error {
 			tx.Write(o, 0, tx.Read(o, 0)+1)
 			return nil
 		}); err != nil {
@@ -252,7 +252,7 @@ func TestCausalLineExported(t *testing.T) {
 	tr.SetSink(rec)
 	rt.SetTracer(tr)
 	for i := 0; i < 5; i++ {
-		if err := rt.Atomic(nil, func(tx *stm.Txn) error {
+		if err := rt.Atomic(func(tx *stm.Txn) error {
 			tx.Write(o, 0, 1)
 			return nil
 		}); err != nil {

@@ -15,7 +15,7 @@ func TestGCReclaimsDeadVersions(t *testing.T) {
 	o := f.heap.New(f.cls)
 	const writes = 20
 	for i := uint64(1); i <= writes; i++ {
-		if err := f.rt.Atomic(nil, func(tx *Txn) error {
+		if err := f.rt.Atomic(func(tx *Txn) error {
 			tx.Write(o, 0, i)
 			return nil
 		}); err != nil {
@@ -59,7 +59,7 @@ func TestGCPinnedByLongReader(t *testing.T) {
 	o := f.heap.New(f.cls)
 	write := func(v uint64) {
 		t.Helper()
-		if err := f.rt.Atomic(nil, func(tx *Txn) error {
+		if err := f.rt.Atomic(func(tx *Txn) error {
 			tx.Write(o, 0, v)
 			return nil
 		}); err != nil {
@@ -132,7 +132,7 @@ func TestGCPinnedByLongReader(t *testing.T) {
 func TestGCUnderConcurrentLoad(t *testing.T) {
 	f := newFixture(t, Config{GCEvery: 8}) // frequent watermark refreshes too
 	o := f.heap.New(f.cls)
-	if err := f.rt.Atomic(nil, func(tx *Txn) error {
+	if err := f.rt.Atomic(func(tx *Txn) error {
 		tx.Write(o, 0, 0)
 		tx.Write(o, 1, 0)
 		return nil
@@ -151,7 +151,7 @@ func TestGCUnderConcurrentLoad(t *testing.T) {
 					return
 				default:
 				}
-				_ = f.rt.Atomic(nil, func(tx *Txn) error {
+				_ = f.rt.Atomic(func(tx *Txn) error {
 					v := tx.Read(o, 0) + 1
 					tx.Write(o, 0, v)
 					tx.Write(o, 1, v) // invariant: slot0 == slot1

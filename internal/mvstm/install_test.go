@@ -68,7 +68,7 @@ func TestInstallPrunesBelowWatermark(t *testing.T) {
 			mine := objs[g*perWriter : (g+1)*perWriter]
 			for i := 0; i < commits; i++ {
 				a, b := mine[2*i%perWriter], mine[(2*i+1)%perWriter]
-				if err := f.rt.Atomic(nil, func(tx *Txn) error {
+				if err := f.rt.Atomic(func(tx *Txn) error {
 					tx.Write(a, 0, tx.Read(a, 0)+1)
 					tx.Write(b, 1, tx.Read(b, 1)+1)
 					return nil
@@ -99,7 +99,7 @@ func TestInstallPrunesBelowWatermark(t *testing.T) {
 	}
 	check("after the concurrent writers", 2*writers*commits)
 	for _, o := range objs {
-		if err := f.rt.Atomic(nil, func(tx *Txn) error { tx.Write(o, 0, 0); return nil }); err != nil {
+		if err := f.rt.Atomic(func(tx *Txn) error { tx.Write(o, 0, 0); return nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -126,7 +126,7 @@ func TestInstallReusesDeadHead(t *testing.T) {
 	commit := func() {
 		batch := objs[next : next+perCommit]
 		next = (next + perCommit) % len(objs)
-		if err := f.rt.Atomic(nil, func(tx *Txn) error {
+		if err := f.rt.Atomic(func(tx *Txn) error {
 			for _, o := range batch {
 				tx.Write(o, 0, tx.Read(o, 0)+1)
 			}
@@ -192,7 +192,7 @@ func TestHotInstallRewritesInPlace(t *testing.T) {
 		objs[i] = f.heap.New(f.cls)
 	}
 	commit := func() {
-		if err := f.rt.Atomic(nil, func(tx *Txn) error {
+		if err := f.rt.Atomic(func(tx *Txn) error {
 			for _, o := range objs {
 				tx.Write(o, 0, tx.Read(o, 0)+1)
 			}
@@ -240,7 +240,7 @@ func TestAbortedAttemptDoesNotPin(t *testing.T) {
 	f := newFixture(t, Config{})
 	a, b := f.heap.New(f.cls), f.heap.New(f.cls)
 	write := func(v uint64) {
-		if err := f.rt.Atomic(nil, func(tx *Txn) error {
+		if err := f.rt.Atomic(func(tx *Txn) error {
 			tx.Write(a, 0, v)
 			tx.Write(b, 0, v)
 			return nil
@@ -265,7 +265,7 @@ func TestAbortedAttemptDoesNotPin(t *testing.T) {
 	var rv0 atomic.Uint64
 	done := make(chan error, 1)
 	go func() {
-		done <- f.rt.Atomic(nil, func(tx *Txn) error {
+		done <- f.rt.Atomic(func(tx *Txn) error {
 			if tx.Attempt() == 0 {
 				rv0.Store(tx.RV)
 			}
@@ -326,7 +326,7 @@ func TestPinnedReaderSurvivesInstallPrune(t *testing.T) {
 	}
 	writeAll := func(v func(i int) uint64) {
 		t.Helper()
-		if err := f.rt.Atomic(nil, func(tx *Txn) error {
+		if err := f.rt.Atomic(func(tx *Txn) error {
 			for i, o := range objs {
 				tx.Write(o, 0, v(i))
 			}
@@ -391,7 +391,7 @@ func TestPinnedReaderSurvivesInstallPrune(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < commits; i++ {
 				a, b := objs[(g+i)%nObjs], objs[(g+i+3)%nObjs]
-				_ = f.rt.Atomic(nil, func(tx *Txn) error {
+				_ = f.rt.Atomic(func(tx *Txn) error {
 					tx.Write(a, 0, tx.Read(a, 0)+1000)
 					tx.Write(b, 0, tx.Read(b, 0)+1000)
 					return nil
@@ -495,7 +495,7 @@ func TestSnapshotReadInlineVsChain(t *testing.T) {
 			o, other := f.heap.New(f.cls), f.heap.New(f.cls)
 			write := func(o *objmodel.Object, v uint64) {
 				t.Helper()
-				if err := f.rt.Atomic(nil, func(tx *Txn) error { tx.Write(o, 0, v); return nil }); err != nil {
+				if err := f.rt.Atomic(func(tx *Txn) error { tx.Write(o, 0, v); return nil }); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -60,7 +60,7 @@ func TestMVDisabledHooksAllocFree(t *testing.T) {
 	}
 	f := newFixture(t, Config{})
 	o := f.heap.New(f.cls)
-	if err := f.rt.Atomic(nil, func(tx *Txn) error { tx.Write(o, 0, 1); return nil }); err != nil {
+	if err := f.rt.Atomic(func(tx *Txn) error { tx.Write(o, 0, 1); return nil }); err != nil {
 		t.Fatal(err) // gives o a version chain, so the reads below walk one
 	}
 	api := f.rt.API()
@@ -83,11 +83,11 @@ func TestMVDisabledHooksAllocFree(t *testing.T) {
 		want float64
 		run  func() error
 	}{
-		{"Atomic read-only", 0, func() error { return f.rt.Atomic(nil, reader) }},
+		{"Atomic read-only", 0, func() error { return f.rt.Atomic(reader) }},
 		{"AtomicRead", 0, func() error { return f.rt.AtomicRead(reader) }},
 		{"adapter read-only", 0, func() error { return api.Atomic(apiReader) }},
-		{"Atomic writing", 0, func() error { return f.rt.Atomic(nil, writer) }},
-		{"Atomic writing 8 objects", 0, func() error { return f.rt.Atomic(nil, writer8) }},
+		{"Atomic writing", 0, func() error { return f.rt.Atomic(writer) }},
+		{"Atomic writing 8 objects", 0, func() error { return f.rt.Atomic(writer8) }},
 	}
 	measure := func(when string) {
 		for _, p := range paths {
@@ -112,7 +112,7 @@ func TestMVDisabledHooksAllocFree(t *testing.T) {
 	f.rt.SetCommitSink(sink)
 	f.rt.SetTracer(trace.New(trace.Config{Shards: 1, ShardCapacity: 64}))
 	for i := 0; i < 20; i++ {
-		if err := f.rt.Atomic(nil, writer); err != nil {
+		if err := f.rt.Atomic(writer); err != nil {
 			t.Fatal(err)
 		}
 	}

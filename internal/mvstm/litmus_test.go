@@ -38,7 +38,7 @@ func TestReadOnlyZeroAbortsUnderWriterStorm(t *testing.T) {
 	}
 	// Prime every object with one transactional write so version chains
 	// exist before the storm: readers take the chain path from the start.
-	if err := f.rt.Atomic(nil, func(tx *Txn) error {
+	if err := f.rt.Atomic(func(tx *Txn) error {
 		for _, o := range pool {
 			tx.Write(o, 0, 1)
 			tx.Write(o, 1, 1)
@@ -61,7 +61,7 @@ func TestReadOnlyZeroAbortsUnderWriterStorm(t *testing.T) {
 			defer wwg.Done()
 			for i := 0; i < writerTxns; i++ {
 				o := pool[(w+i)%objects]
-				_ = f.rt.Atomic(nil, func(tx *Txn) error {
+				_ = f.rt.Atomic(func(tx *Txn) error {
 					v := tx.Read(o, 0)
 					tx.Write(o, 0, v+1)
 					tx.Write(o, 1, v+1) // invariant: slot 0 == slot 1

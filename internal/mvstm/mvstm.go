@@ -91,17 +91,6 @@ import (
 	"repro/internal/txrec"
 )
 
-// Status is the lifecycle state of a transaction attempt (shared by every
-// runtime through stmapi).
-type Status = stmapi.Status
-
-// Transaction statuses.
-const (
-	Active    = stmapi.Active
-	Committed = stmapi.Committed
-	Aborted   = stmapi.Aborted
-)
-
 // DefaultGCEvery is the default Config.GCEvery.
 const DefaultGCEvery = 64
 
@@ -124,12 +113,9 @@ type Config struct {
 	GCEvery int
 }
 
-// StatsSnapshot is shared by every runtime through stmapi.
-type StatsSnapshot = stmapi.StatsSnapshot
-
 // Runtime is a multi-version STM instance bound to a heap. The embedded
-// kernel supplies Heap, Stats, the tracer / injector / commit-sink setters
-// and Recovery; its registry is also the GC's view of live snapshots (the
+// kernel supplies Heap, Stats, SetTracer, SetInjector, SetCommitSink and
+// ReapDead; its registry is also the GC's view of live snapshots (the
 // watermark is the minimum pinned snapshot over registered descriptors).
 type Runtime struct {
 	txn.Kernel
@@ -650,17 +636,14 @@ func (tx *Txn) LockReadSet() bool {
 }
 
 // Atomic executes body as a multi-version transaction, retrying until it
-// commits. Closed nesting is flattened like the lazy runtime.
-func (rt *Runtime) Atomic(parent *Txn, body func(*Txn) error) error {
-	return rt.AtomicCtx(nil, parent, body)
+// commits.
+func (rt *Runtime) Atomic(body func(*Txn) error) error {
+	return rt.AtomicCtx(nil, body)
 }
 
 // AtomicCtx is Atomic with deadline/cancellation support (see
-// txn.Kernel.Atomic, and the lazy runtime for the nested-context contract).
-func (rt *Runtime) AtomicCtx(ctx context.Context, parent *Txn, body func(*Txn) error) error {
-	if parent != nil {
-		return parent.NestedCtx(ctx, func() error { return body(parent) })
-	}
+// txn.Kernel.Atomic).
+func (rt *Runtime) AtomicCtx(ctx context.Context, body func(*Txn) error) error {
 	return rt.Kernel.Atomic(ctx, rt.EscalateFrom(), func(k *txn.Txn) error { return body(k.Self().(*Txn)) })
 }
 
@@ -675,12 +658,7 @@ func (rt *Runtime) AtomicRead(body func(*Txn) error) error {
 	})
 }
 
-// AtomicIrrevocable executes body as an irrevocable transaction. Nested
-// calls are flattened.
-func (rt *Runtime) AtomicIrrevocable(parent *Txn, body func(*Txn) error) error {
-	if parent != nil {
-		parent.BecomeIrrevocable()
-		return body(parent)
-	}
+// AtomicIrrevocable executes body as an irrevocable transaction.
+func (rt *Runtime) AtomicIrrevocable(body func(*Txn) error) error {
 	return rt.Kernel.Atomic(nil, 0, func(k *txn.Txn) error { return body(k.Self().(*Txn)) })
 }

@@ -57,7 +57,7 @@ func chainLen(o *objmodel.Object) int {
 func TestMVCommitBasic(t *testing.T) {
 	f := newFixture(t, Config{})
 	o := f.heap.New(f.cls)
-	err := f.rt.Atomic(nil, func(tx *Txn) error {
+	err := f.rt.Atomic(func(tx *Txn) error {
 		tx.Write(o, 0, 5)
 		if got := tx.Read(o, 0); got != 5 {
 			t.Errorf("read-own-write = %d", got)
@@ -102,7 +102,7 @@ func TestMVAbortLeavesMemoryAndChainUntouched(t *testing.T) {
 	f := newFixture(t, Config{})
 	o := f.heap.New(f.cls)
 	boom := errors.New("boom")
-	err := f.rt.Atomic(nil, func(tx *Txn) error {
+	err := f.rt.Atomic(func(tx *Txn) error {
 		tx.Write(o, 0, 99)
 		return boom
 	})
@@ -128,7 +128,7 @@ func TestReadOnlyCommitPath(t *testing.T) {
 	o.StoreSlot(0, 7)
 	before := f.heap.Clock().Load()
 	var got uint64
-	if err := f.rt.Atomic(nil, func(tx *Txn) error {
+	if err := f.rt.Atomic(func(tx *Txn) error {
 		got = tx.Read(o, 0)
 		return nil
 	}); err != nil {
@@ -176,7 +176,7 @@ func TestFirstCommitterWins(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				_ = f.rt.Atomic(nil, func(tx *Txn) error {
+				_ = f.rt.Atomic(func(tx *Txn) error {
 					tx.Write(o, 0, tx.Read(o, 0)+1)
 					return nil
 				})
@@ -209,7 +209,7 @@ func TestWriteSkew(t *testing.T) {
 	)
 	go func() {
 		defer close(done)
-		_ = f.rt.Atomic(nil, func(tx *Txn) error {
+		_ = f.rt.Atomic(func(tx *Txn) error {
 			if tx.Attempt() > 0 {
 				// Not expected: the write sets touch disjoint objects, so
 				// first-committer-wins passes for both.
@@ -226,7 +226,7 @@ func TestWriteSkew(t *testing.T) {
 		})
 	}()
 	<-aAt
-	if err := f.rt.Atomic(nil, func(tx *Txn) error {
+	if err := f.rt.Atomic(func(tx *Txn) error {
 		if sum := tx.Read(x, 0) + tx.Read(y, 0); sum == 0 {
 			tx.Write(y, 0, 1)
 		}
@@ -250,7 +250,7 @@ func TestSnapshotConsistencyUnderWriters(t *testing.T) {
 	f := newFixture(t, Config{})
 	x, y := f.heap.New(f.cls), f.heap.New(f.cls)
 	const total = 1000
-	if err := f.rt.Atomic(nil, func(tx *Txn) error {
+	if err := f.rt.Atomic(func(tx *Txn) error {
 		tx.Write(x, 0, total)
 		tx.Write(y, 0, 0)
 		return nil
@@ -272,7 +272,7 @@ func TestSnapshotConsistencyUnderWriters(t *testing.T) {
 				}
 				rng = rng*6364136223846793005 + 1442695040888963407
 				amt := rng % 7
-				_ = f.rt.Atomic(nil, func(tx *Txn) error {
+				_ = f.rt.Atomic(func(tx *Txn) error {
 					a := tx.Read(x, 0)
 					if a < amt {
 						return nil
@@ -324,7 +324,7 @@ func TestRetryWakesOnCommit(t *testing.T) {
 	var once sync.Once
 	waiting := make(chan struct{})
 	go func() {
-		_ = f.rt.Atomic(nil, func(tx *Txn) error {
+		_ = f.rt.Atomic(func(tx *Txn) error {
 			v := tx.Read(o, 0)
 			if v == 0 {
 				once.Do(func() { close(waiting) })
@@ -335,7 +335,7 @@ func TestRetryWakesOnCommit(t *testing.T) {
 		})
 	}()
 	<-waiting // the reader is provably blocked in Retry before the write
-	if err := f.rt.Atomic(nil, func(tx *Txn) error {
+	if err := f.rt.Atomic(func(tx *Txn) error {
 		tx.Write(o, 0, 42)
 		return nil
 	}); err != nil {
@@ -353,7 +353,7 @@ func TestIrrevocableReadsNewestAndCommits(t *testing.T) {
 	f := newFixture(t, Config{})
 	o := f.heap.New(f.cls)
 	o.StoreSlot(0, 3)
-	err := f.rt.AtomicIrrevocable(nil, func(tx *Txn) error {
+	err := f.rt.AtomicIrrevocable(func(tx *Txn) error {
 		if !tx.IsIrrevocable() {
 			t.Error("not irrevocable inside AtomicIrrevocable")
 		}
@@ -384,7 +384,7 @@ func TestIrrevocableExcludesCommitters(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				_ = f.rt.Atomic(nil, func(tx *Txn) error {
+				_ = f.rt.Atomic(func(tx *Txn) error {
 					tx.Write(o, 0, tx.Read(o, 0)+1)
 					return nil
 				})
@@ -392,7 +392,7 @@ func TestIrrevocableExcludesCommitters(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 50; i++ {
-		if err := f.rt.AtomicIrrevocable(nil, func(tx *Txn) error {
+		if err := f.rt.AtomicIrrevocable(func(tx *Txn) error {
 			tx.Write(o, 1, tx.Read(o, 0))
 			return nil
 		}); err != nil {
@@ -445,7 +445,7 @@ func TestGateIsPerDescriptor(t *testing.T) {
 		go func() { defer wg.Done(); body() }()
 	}
 	write := func(o *objmodel.Object, atCommit func()) {
-		if err := f.rt.Atomic(nil, func(tx *Txn) error {
+		if err := f.rt.Atomic(func(tx *Txn) error {
 			tx.Write(o, 0, 1)
 			atCommit()
 			return nil
@@ -466,7 +466,7 @@ func TestGateIsPerDescriptor(t *testing.T) {
 
 	var switched atomic.Bool
 	run(func() {
-		if err := f.rt.AtomicIrrevocable(nil, func(tx *Txn) error {
+		if err := f.rt.AtomicIrrevocable(func(tx *Txn) error {
 			switched.Store(true)
 			tx.Write(b, 0, tx.Read(a, 0)) // runs alone: the held commit's value
 			return nil
@@ -519,7 +519,7 @@ func TestMVTraceEventLifecycle(t *testing.T) {
 			wv = mine.WV
 		}
 	})
-	if err := f.rt.Atomic(nil, func(tx *Txn) error {
+	if err := f.rt.Atomic(func(tx *Txn) error {
 		mine = tx
 		tx.Write(o, 0, tx.Read(o, 0)+1)
 		return nil

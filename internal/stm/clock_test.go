@@ -17,7 +17,7 @@ func TestClockFastpathUncontended(t *testing.T) {
 	o := f.newCell()
 	const n = 100
 	for i := 0; i < n; i++ {
-		if err := f.rt.Atomic(nil, func(tx *Txn) error {
+		if err := f.rt.Atomic(func(tx *Txn) error {
 			tx.Write(o, 0, tx.Read(o, 0)+1)
 			return nil
 		}); err != nil {
@@ -36,7 +36,7 @@ func TestClockFastpathUncontended(t *testing.T) {
 
 	// Read-only commits never advance the clock.
 	for i := 0; i < 5; i++ {
-		if err := f.rt.Atomic(nil, func(tx *Txn) error {
+		if err := f.rt.Atomic(func(tx *Txn) error {
 			_ = tx.Read(o, 0)
 			return nil
 		}); err != nil {
@@ -56,13 +56,13 @@ func TestClockSnapshotExtends(t *testing.T) {
 	f := newFixture(t, Config{})
 	o1, o2 := f.newCell(), f.newCell()
 	runs := 0
-	err := f.rt.Atomic(nil, func(tx *Txn) error {
+	err := f.rt.Atomic(func(tx *Txn) error {
 		runs++
 		_ = tx.Read(o1, 0)
 		if runs == 1 {
 			// An independent transaction commits to o2, pushing its version
 			// past the outer transaction's snapshot.
-			if err := f.rt.Atomic(nil, func(in *Txn) error {
+			if err := f.rt.Atomic(func(in *Txn) error {
 				in.Write(o2, 0, 7)
 				return nil
 			}); err != nil {
@@ -94,13 +94,13 @@ func TestClockSnapshotExtensionFails(t *testing.T) {
 	f := newFixture(t, Config{})
 	o1, o2 := f.newCell(), f.newCell()
 	runs := 0
-	err := f.rt.Atomic(nil, func(tx *Txn) error {
+	err := f.rt.Atomic(func(tx *Txn) error {
 		runs++
 		v1 := tx.Read(o1, 0)
 		if runs == 1 {
 			// The independent transaction overwrites o1 (already in the outer
 			// read set) as well as o2.
-			if err := f.rt.Atomic(nil, func(in *Txn) error {
+			if err := f.rt.Atomic(func(in *Txn) error {
 				in.Write(o1, 0, 5)
 				in.Write(o2, 0, 6)
 				return nil
@@ -148,7 +148,7 @@ func TestStaleObserverNotified(t *testing.T) {
 	f := newFixture(t, Config{CommonConfig: stmapi.CommonConfig{Handler: pol}})
 	o1, o2 := f.newCell(), f.newCell()
 	runs := 0
-	err := f.rt.Atomic(nil, func(tx *Txn) error {
+	err := f.rt.Atomic(func(tx *Txn) error {
 		runs++
 		_ = tx.Read(o1, 0)
 		if runs == 1 {

@@ -1,7 +1,7 @@
 package stm
 
 // Cancellation-edge tests for AtomicCtx: entry, mid-body, conflict waits,
-// retry waits, post-commit quiescence, and nested-block inheritance.
+// retry waits and post-commit quiescence.
 
 import (
 	"context"
@@ -18,7 +18,7 @@ func TestAtomicCtxPreCancelledSkipsBody(t *testing.T) { txntest.CtxPreCancelledS
 func TestAtomicCtxNilBehavesLikeAtomic(t *testing.T) {
 	f := newFixture(t, Config{})
 	o := f.newCell()
-	if err := f.rt.AtomicCtx(nil, nil, func(tx *Txn) error {
+	if err := f.rt.AtomicCtx(nil, func(tx *Txn) error {
 		tx.Write(o, 0, 42)
 		return nil
 	}); err != nil {
@@ -33,7 +33,7 @@ func TestAtomicCtxCancelMidBodyRollsBack(t *testing.T) {
 	f := newFixture(t, Config{})
 	o := f.newCell()
 	ctx, cancel := context.WithCancel(context.Background())
-	err := f.rt.AtomicCtx(ctx, nil, func(tx *Txn) error {
+	err := f.rt.AtomicCtx(ctx, func(tx *Txn) error {
 		tx.Write(o, 0, 99)
 		cancel()
 		// The next cancellation point notices: force one by restarting (the
@@ -58,7 +58,7 @@ func TestAtomicCtxDeadlineInConflictWait(t *testing.T) {
 	release := make(chan struct{})
 	acquired := make(chan struct{})
 	go func() {
-		_ = f.rt.Atomic(nil, func(tx *Txn) error {
+		_ = f.rt.Atomic(func(tx *Txn) error {
 			tx.Write(o, 1, 7)
 			close(acquired)
 			<-release
@@ -71,7 +71,7 @@ func TestAtomicCtxDeadlineInConflictWait(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	err := f.rt.AtomicCtx(ctx, nil, func(tx *Txn) error {
+	err := f.rt.AtomicCtx(ctx, func(tx *Txn) error {
 		tx.Write(o, 0, 1) // blocks in conflictWait on the held record
 		return nil
 	})
@@ -103,7 +103,7 @@ func TestAtomicCtxCancelDuringQuiescence(t *testing.T) {
 	inBody := make(chan struct{})
 	release := make(chan struct{})
 	go func() {
-		_ = f.rt.Atomic(nil, func(tx *Txn) error {
+		_ = f.rt.Atomic(func(tx *Txn) error {
 			_ = tx.Read(other, 1)
 			close(inBody)
 			<-release
@@ -115,7 +115,7 @@ func TestAtomicCtxCancelDuringQuiescence(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	err := f.rt.AtomicCtx(ctx, nil, func(tx *Txn) error {
+	err := f.rt.AtomicCtx(ctx, func(tx *Txn) error {
 		tx.Write(o, 0, 5)
 		return nil
 	})
@@ -129,85 +129,6 @@ func TestAtomicCtxCancelDuringQuiescence(t *testing.T) {
 	}
 	if s := f.rt.Stats.Snapshot(); s.Commits != 1 {
 		t.Fatalf("commits = %d, want 1", s.Commits)
-	}
-}
-
-func TestNestedAtomicCtxScopedCancellation(t *testing.T) {
-	f := newFixture(t, Config{})
-	o := f.newCell()
-	var nestedErr error
-	err := f.rt.Atomic(nil, func(tx *Txn) error {
-		tx.Write(o, 0, 1)
-		ctx, cancel := context.WithCancel(context.Background())
-		nestedErr = f.rt.AtomicCtx(ctx, tx, func(tx *Txn) error {
-			tx.Write(o, 1, 2)
-			cancel()
-			_ = tx.Read(o, 1) // accesses are cancellation points
-			return nil
-		})
-		// The nested cancellation is scoped: the outer body continues.
-		tx.Write(o, 2, 3)
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("outer Atomic: %v", err)
-	}
-	if !errors.Is(nestedErr, context.Canceled) {
-		t.Fatalf("nested err = %v, want context.Canceled", nestedErr)
-	}
-	if got := o.LoadSlot(0); got != 1 {
-		t.Fatalf("slot 0 = %d, want 1 (outer write kept)", got)
-	}
-	if got := o.LoadSlot(1); got != 0 {
-		t.Fatalf("slot 1 = %d, want 0 (nested write rolled back)", got)
-	}
-	if got := o.LoadSlot(2); got != 3 {
-		t.Fatalf("slot 2 = %d, want 3 (outer continued after nested cancel)", got)
-	}
-}
-
-func TestNestedAtomicCtxNilInheritsOuterContext(t *testing.T) {
-	f := newFixture(t, Config{})
-	o := f.newCell()
-	ctx, cancel := context.WithCancel(context.Background())
-	err := f.rt.AtomicCtx(ctx, nil, func(tx *Txn) error {
-		return f.rt.AtomicCtx(nil, tx, func(tx *Txn) error {
-			tx.Write(o, 0, 1)
-			cancel()
-			_ = tx.Read(o, 0) // outer ctx governs: the whole block unwinds
-			return nil
-		})
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if got := o.LoadSlot(0); got != 0 {
-		t.Fatalf("slot 0 = %d, want 0", got)
-	}
-}
-
-func TestNestedAtomicCtxOuterCancelWinsOverScope(t *testing.T) {
-	f := newFixture(t, Config{})
-	o := f.newCell()
-	outer, cancelOuter := context.WithCancel(context.Background())
-	err := f.rt.AtomicCtx(outer, nil, func(tx *Txn) error {
-		inner, cancelInner := context.WithCancel(context.Background())
-		defer cancelInner()
-		return f.rt.AtomicCtx(inner, tx, func(tx *Txn) error {
-			tx.Write(o, 0, 1)
-			cancelOuter()
-			cancelInner()
-			_ = tx.Read(o, 0)
-			return nil
-		})
-	})
-	// Both contexts are cancelled; the outer one wins and unwinds the whole
-	// transaction rather than being absorbed as a nested-block error.
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if got := o.LoadSlot(0); got != 0 {
-		t.Fatalf("slot 0 = %d, want 0 (full rollback)", got)
 	}
 }
 

@@ -32,12 +32,12 @@ func TestDisabledSinkAllocFree(t *testing.T) {
 	}
 	measure := func() float64 {
 		for i := 0; i < 10; i++ { // warm the descriptor pool
-			if err := f.rt.Atomic(nil, body); err != nil {
+			if err := f.rt.Atomic(body); err != nil {
 				t.Fatal(err)
 			}
 		}
 		return testing.AllocsPerRun(200, func() {
-			if err := f.rt.Atomic(nil, body); err != nil {
+			if err := f.rt.Atomic(body); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -51,7 +51,7 @@ func TestDisabledSinkAllocFree(t *testing.T) {
 	sink := &countSink{}
 	f.rt.SetCommitSink(sink)
 	for i := 0; i < 20; i++ {
-		if err := f.rt.Atomic(nil, body); err != nil {
+		if err := f.rt.Atomic(body); err != nil {
 			t.Fatal(err)
 		}
 	}

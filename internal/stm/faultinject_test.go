@@ -47,7 +47,7 @@ func runTransfers(t *testing.T, f *fixture, accounts []*objmodel.Object, gorouti
 				if from == to {
 					continue
 				}
-				if err := f.rt.Atomic(nil, func(tx *Txn) error {
+				if err := f.rt.Atomic(func(tx *Txn) error {
 					a := tx.Read(from, 0)
 					b := tx.Read(to, 0)
 					tx.Write(from, 0, a-1)
@@ -155,7 +155,7 @@ func TestInjectedCrashCleansUpPerStage(t *testing.T) {
 						err = ce
 					}
 				}()
-				return f.rt.Atomic(nil, func(tx *Txn) error {
+				return f.rt.Atomic(func(tx *Txn) error {
 					tx.Write(o, 0, 20)
 					return nil
 				})
@@ -179,7 +179,7 @@ func TestInjectedCrashCleansUpPerStage(t *testing.T) {
 			}
 			// The record must be usable by later transactions.
 			f.rt.SetInjector(nil)
-			if err := f.rt.Atomic(nil, func(tx *Txn) error {
+			if err := f.rt.Atomic(func(tx *Txn) error {
 				tx.Write(o, 1, 1)
 				return nil
 			}); err != nil {
@@ -207,7 +207,7 @@ func TestInjectedCrashOnAbortPath(t *testing.T) {
 				err = ce
 			}
 		}()
-		return f.rt.Atomic(nil, func(tx *Txn) error {
+		return f.rt.Atomic(func(tx *Txn) error {
 			tx.Write(o, 0, 20)
 			return boom // abort path: PreRelease fires inside abort()
 		})

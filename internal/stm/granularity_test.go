@@ -16,14 +16,14 @@ func granTrial(t *testing.T, g int) uint64 {
 	t.Helper()
 	f := newFixture(t, Config{CommonConfig: stmapi.CommonConfig{Granularity: g}})
 	o := f.newCell()
-	if err := f.rt.Atomic(nil, func(tx *Txn) error {
+	if err := f.rt.Atomic(func(tx *Txn) error {
 		tx.Write(o, 1, 7)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 	runs := 0
-	if err := f.rt.Atomic(nil, func(tx *Txn) error {
+	if err := f.rt.Atomic(func(tx *Txn) error {
 		runs++
 		tx.Write(o, 0, 1)
 		if runs == 1 {

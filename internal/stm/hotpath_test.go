@@ -16,36 +16,34 @@ import (
 
 // TestPooledDescriptorClean verifies that a descriptor fetched from the
 // pool carries nothing over from its previous incarnation: empty read and
-// owned sets, empty write/undo/compensation logs, and a fresh ID.
+// owned sets, an empty undo log, and a fresh ID.
 func TestPooledDescriptorClean(t *testing.T) {
 	f := newFixture(t, Config{})
 	o := f.newCell()
 	var lastID uint64
 	for i := 0; i < 50; i++ {
-		err := f.rt.Atomic(nil, func(tx *Txn) error {
+		err := f.rt.Atomic(func(tx *Txn) error {
 			if tx.Reads.Len() != 0 || tx.Owned.Len() != 0 {
 				t.Errorf("iter %d: dirty read/owned set (%d/%d entries)",
 					i, tx.Reads.Len(), tx.Owned.Len())
 			}
-			if len(tx.writes) != 0 || len(tx.undo) != 0 || len(tx.comps) != 0 {
-				t.Errorf("iter %d: dirty logs (writes %d, undo %d, comps %d)",
-					i, len(tx.writes), len(tx.undo), len(tx.comps))
+			if len(tx.undo) != 0 {
+				t.Errorf("iter %d: dirty undo log (%d entries)", i, len(tx.undo))
 			}
 			if tx.ID() <= lastID {
 				t.Errorf("iter %d: id %d not fresh (last %d)", i, tx.ID(), lastID)
 			}
 			lastID = tx.ID()
 			// Dirty the descriptor thoroughly for the next reuse check:
-			// spill the read set past its inline capacity, write, and nest.
+			// spill the read set past its inline capacity and write two
+			// slots.
 			for j := 0; j < 12; j++ {
 				c := f.newCell()
 				_ = tx.Read(c, 0)
 			}
 			tx.Write(o, 0, uint64(i))
-			return f.rt.Atomic(tx, func(tx *Txn) error {
-				tx.Write(o, 1, uint64(i))
-				return nil
-			})
+			tx.Write(o, 1, uint64(i))
+			return nil
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -71,8 +69,8 @@ func TestPooledDescriptorsParallel(t *testing.T) {
 			defer wg.Done()
 			o := objs[g]
 			for i := 1; i <= iters; i++ {
-				err := f.rt.Atomic(nil, func(tx *Txn) error {
-					if tx.Reads.Len() != 0 || len(tx.writes) != 0 {
+				err := f.rt.Atomic(func(tx *Txn) error {
+					if tx.Reads.Len() != 0 || tx.Owned.Len() != 0 || len(tx.undo) != 0 {
 						t.Errorf("goroutine %d: dirty descriptor", g)
 					}
 					prev := tx.Read(o, 0)
@@ -117,7 +115,7 @@ func TestQuiescenceShardedRegistry(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				_ = f.rt.Atomic(nil, func(tx *Txn) error {
+				_ = f.rt.Atomic(func(tx *Txn) error {
 					tx.Write(o, 0, tx.Read(o, 0)+1)
 					return nil
 				})
@@ -149,7 +147,7 @@ func TestRegistryOverflow(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_ = f.rt.Atomic(nil, func(tx *Txn) error {
+			_ = f.rt.Atomic(func(tx *Txn) error {
 				tx.Write(o, 0, 1)
 				ready <- struct{}{}
 				<-release

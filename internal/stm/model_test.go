@@ -12,13 +12,13 @@ import (
 )
 
 // TestSequentialModelEquivalence drives the STM with random operation
-// sequences — reads, writes, nested blocks, user aborts, restarts — on a
-// single thread and checks the heap afterwards against a plain in-memory
-// model executing the same sequence. This exercises the undo log,
-// savepoints, and release paths deterministically.
+// sequences — reads, writes, overwrites, restores, restarts — on a single
+// thread and checks the heap afterwards against a plain in-memory model
+// executing the same sequence. This exercises the undo log and the release
+// paths deterministically.
 func TestSequentialModelEquivalence(t *testing.T) {
 	type op struct {
-		Kind  uint8 // 0 write, 1 nested-commit, 2 nested-abort, 3 read-check, 4 restart-once
+		Kind  uint8 // 0 write, 1 overwrite, 2 write-then-restore, 3 read-check, 4 restart-once
 		Obj   uint8
 		Slot  uint8
 		Value uint8
@@ -38,7 +38,7 @@ func TestSequentialModelEquivalence(t *testing.T) {
 
 		i := 0
 		restarted := false
-		err := fx.rt.Atomic(nil, func(tx *Txn) error {
+		err := fx.rt.Atomic(func(tx *Txn) error {
 			// On restart, re-execute from the beginning like the VM does.
 			i = 0
 			shadow := make([][]uint64, nObjs)
@@ -53,17 +53,13 @@ func TestSequentialModelEquivalence(t *testing.T) {
 				case 0:
 					tx.Write(obj, slot, uint64(o.Value))
 					shadow[o.Obj%nObjs][slot] = uint64(o.Value)
-				case 1: // nested block that commits
-					_ = fx.rt.Atomic(tx, func(tx *Txn) error {
-						tx.Write(obj, slot, uint64(o.Value)+1)
-						return nil
-					})
+				case 1: // overwrite: two undo entries for one slot
+					tx.Write(obj, slot, 999)
+					tx.Write(obj, slot, uint64(o.Value)+1)
 					shadow[o.Obj%nObjs][slot] = uint64(o.Value) + 1
-				case 2: // nested block that aborts: no model effect
-					_ = fx.rt.Atomic(tx, func(tx *Txn) error {
-						tx.Write(obj, slot, 999)
-						return ErrAborted
-					})
+				case 2: // write then restore: no model effect
+					tx.Write(obj, slot, 999)
+					tx.Write(obj, slot, shadow[o.Obj%nObjs][slot])
 				case 3: // read must match the shadow state
 					if got := tx.Read(obj, slot); got != shadow[o.Obj%nObjs][slot] {
 						t.Errorf("read %d, shadow %d", got, shadow[o.Obj%nObjs][slot])
@@ -135,7 +131,7 @@ func TestVersionsNeverDecrease(t *testing.T) {
 			defer workers.Done()
 			for i := 0; i < 500; i++ {
 				if g%2 == 0 {
-					_ = fx.rt.Atomic(nil, func(tx *Txn) error {
+					_ = fx.rt.Atomic(func(tx *Txn) error {
 						tx.Write(o, 0, tx.Read(o, 0)+1)
 						if i%7 == 0 {
 							return ErrAborted
@@ -183,7 +179,7 @@ func TestRandomTransfersPreserveSum(t *testing.T) {
 				from, to := rng.Intn(nCells), rng.Intn(nCells)
 				amt := uint64(rng.Intn(5))
 				abort := rng.Intn(10) == 0
-				_ = fx.rt.Atomic(nil, func(tx *Txn) error {
+				_ = fx.rt.Atomic(func(tx *Txn) error {
 					tx.Write(cells[from], 0, tx.Read(cells[from], 0)-amt)
 					tx.Write(cells[to], 0, tx.Read(cells[to], 0)+amt)
 					if abort {
@@ -232,7 +228,7 @@ func TestQuiescencePrivatizationStress(t *testing.T) {
 					return
 				default:
 				}
-				_ = fx.rt.Atomic(nil, func(tx *Txn) error {
+				_ = fx.rt.Atomic(func(tx *Txn) error {
 					r := tx.ReadRef(holder, 2)
 					if r == 0 {
 						return nil
@@ -247,13 +243,13 @@ func TestQuiescencePrivatizationStress(t *testing.T) {
 	}
 	for round := 0; round < rounds; round++ {
 		item := fx.newCell()
-		_ = fx.rt.Atomic(nil, func(tx *Txn) error {
+		_ = fx.rt.Atomic(func(tx *Txn) error {
 			tx.WriteRef(holder, 2, item.Ref())
 			return nil
 		})
 		// Privatize: after this transaction (plus quiescence), no
 		// transaction may still touch the item.
-		_ = fx.rt.Atomic(nil, func(tx *Txn) error {
+		_ = fx.rt.Atomic(func(tx *Txn) error {
 			tx.WriteRef(holder, 2, 0)
 			return nil
 		})

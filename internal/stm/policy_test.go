@@ -51,7 +51,7 @@ func TestPoliciesResolveDeadlockWhereBackoffStarves(t *testing.T) {
 // wants A. Channel handshakes guarantee the cross-hold forms before either
 // blocks. SelfAbortAfter is effectively disabled so the built-in restart
 // threshold cannot rescue the backoff run.
-func runOpposedWriters(t *testing.T, policy string, deadline time.Duration) (e1, e2 error, s StatsSnapshot) {
+func runOpposedWriters(t *testing.T, policy string, deadline time.Duration) (e1, e2 error, s stmapi.StatsSnapshot) {
 	t.Helper()
 	pol, err := conflict.ByName(policy)
 	if err != nil {
@@ -73,7 +73,7 @@ func runOpposedWriters(t *testing.T, policy string, deadline time.Duration) (e1,
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		e1 = f.rt.AtomicCtx(ctx, nil, func(tx *Txn) error {
+		e1 = f.rt.AtomicCtx(ctx, func(tx *Txn) error {
 			onceBegan.Do(func() { close(t1Began) })
 			tx.Write(a, 0, 1)
 			onceA.Do(func() { close(t1HoldsA) })
@@ -85,7 +85,7 @@ func runOpposedWriters(t *testing.T, policy string, deadline time.Duration) (e1,
 	go func() {
 		defer wg.Done()
 		<-t1Began // T2 begins after T1: strictly younger under age policies
-		e2 = f.rt.AtomicCtx(ctx, nil, func(tx *Txn) error {
+		e2 = f.rt.AtomicCtx(ctx, func(tx *Txn) error {
 			tx.Write(b, 0, 2)
 			onceB.Do(func() { close(t2HoldsB) })
 			<-t1HoldsA
@@ -130,7 +130,7 @@ func TestDoomedVictimRestartsAndBothCommit(t *testing.T) {
 	var elderErr, youngErr error
 	go func() {
 		defer wg.Done()
-		elderErr = f.rt.Atomic(nil, func(tx *Txn) error {
+		elderErr = f.rt.Atomic(func(tx *Txn) error {
 			onceBegan.Do(func() { close(elderBegan) })
 			<-youngHolds
 			tx.Write(o, 0, 1) // conflicts with the younger owner: dooms it
@@ -140,7 +140,7 @@ func TestDoomedVictimRestartsAndBothCommit(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		<-elderBegan
-		youngErr = f.rt.Atomic(nil, func(tx *Txn) error {
+		youngErr = f.rt.Atomic(func(tx *Txn) error {
 			victimAttempts++
 			tx.Write(o, 1, 2)
 			onceHolds.Do(func() { close(youngHolds) })

@@ -40,7 +40,7 @@ func orphanOnce(t *testing.T, rt *Runtime, body func(tx *Txn) error) {
 			}
 			done <- nil
 		}()
-		done <- rt.Atomic(nil, body)
+		done <- rt.Atomic(body)
 	}()
 	if err := <-done; err != nil {
 		t.Fatalf("orphan goroutine: %v", err)
@@ -49,7 +49,7 @@ func orphanOnce(t *testing.T, rt *Runtime, body func(tx *Txn) error) {
 
 func TestReaperRestoresOrphanedRecord(t *testing.T) {
 	rt, o := newRecoveryRuntime(t, Config{})
-	rt.Atomic(nil, func(tx *Txn) error { tx.Write(o, 0, 41); return nil })
+	rt.Atomic(func(tx *Txn) error { tx.Write(o, 0, 41); return nil })
 
 	in := faultinject.New(1, faultinject.Rule{Point: faultinject.PostAcquire, Action: faultinject.Orphan, Every: 1})
 	rt.SetInjector(in)
@@ -114,7 +114,7 @@ func TestWaiterStealsInlineWithoutReaper(t *testing.T) {
 	// No sweep: the next writer must find the dead owner and steal inline.
 	done := make(chan error, 1)
 	go func() {
-		done <- rt.Atomic(nil, func(tx *Txn) error { tx.Write(o, 0, 5); return nil })
+		done <- rt.Atomic(func(tx *Txn) error { tx.Write(o, 0, 5); return nil })
 	}()
 	select {
 	case err := <-done:
@@ -143,7 +143,7 @@ func TestReaperVsInlineStealRace(t *testing.T) {
 	}
 	for i := 0; i < iters; i++ {
 		rt, o := newRecoveryRuntime(t, Config{})
-		if err := rt.Atomic(nil, func(tx *Txn) error { tx.Write(o, 0, 41); return nil }); err != nil {
+		if err := rt.Atomic(func(tx *Txn) error { tx.Write(o, 0, 41); return nil }); err != nil {
 			t.Fatal(err)
 		}
 		in := faultinject.New(uint64(i)+1, faultinject.Rule{Point: faultinject.PostAcquire, Action: faultinject.Orphan, Every: 1})
@@ -168,7 +168,7 @@ func TestReaperVsInlineStealRace(t *testing.T) {
 		go func() { // inline-steal side: conflicts with the orphaned record
 			defer wg.Done()
 			<-start
-			werr = rt.Atomic(nil, func(tx *Txn) error { tx.Write(o, 0, 5); return nil })
+			werr = rt.Atomic(func(tx *Txn) error { tx.Write(o, 0, 5); return nil })
 		}()
 		close(start)
 		wg.Wait()
@@ -189,9 +189,9 @@ func TestReaperVsInlineStealRace(t *testing.T) {
 
 func TestAtomicIrrevocableCommitsAndReleasesToken(t *testing.T) {
 	rt, o := newRecoveryRuntime(t, Config{})
-	rt.Atomic(nil, func(tx *Txn) error { tx.Write(o, 0, 1); return nil })
+	rt.Atomic(func(tx *Txn) error { tx.Write(o, 0, 1); return nil })
 
-	err := rt.AtomicIrrevocable(nil, func(tx *Txn) error {
+	err := rt.AtomicIrrevocable(func(tx *Txn) error {
 		v := tx.Read(o, 0)
 		if !tx.IsIrrevocable() {
 			t.Error("body not irrevocable inside AtomicIrrevocable")
@@ -231,14 +231,14 @@ func TestBecomeIrrevocableMidBodySurvivesDoom(t *testing.T) {
 					return
 				default:
 				}
-				rt.Atomic(nil, func(tx *Txn) error {
+				rt.Atomic(func(tx *Txn) error {
 					tx.Write(o, 1, tx.Read(o, 1)+1)
 					return nil
 				})
 			}
 		}()
 	}
-	err := rt.Atomic(nil, func(tx *Txn) error {
+	err := rt.Atomic(func(tx *Txn) error {
 		tx.BecomeIrrevocable()
 		// Past the switch nothing may abort us: a read of the contended
 		// object acquires it pessimistically and must succeed.
@@ -266,7 +266,7 @@ func TestEscalateAfterConsecutiveAborts(t *testing.T) {
 	in := faultinject.New(1, faultinject.Rule{Point: faultinject.PreValidate, Action: faultinject.Abort, Every: 1})
 	rt.SetInjector(in)
 	sawIrrevocable := false
-	err := rt.Atomic(nil, func(tx *Txn) error {
+	err := rt.Atomic(func(tx *Txn) error {
 		sawIrrevocable = tx.IsIrrevocable()
 		tx.Write(o, 0, uint64(tx.Attempt()))
 		return nil

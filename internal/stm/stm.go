@@ -13,21 +13,23 @@
 // readers of intermediate state fail validation.
 //
 // The package also provides the features the paper's system supports:
-// closed nesting (savepoints), open nesting with compensation actions,
 // user-initiated retry, a quiescence mode (Section 3.4), configurable
 // undo-log granularity (to reproduce the Section 2.4 anomalies), and
 // integration with dynamic escape analysis (Section 4): accesses to
 // private objects skip synchronization, and writing a reference into a
 // public object immediately publishes the referenced private subgraph.
+// Every Atomic runs one flat transaction: there is no closed or open
+// nesting, and so no partial abort.
 //
 // Everything that is not versioning — the descriptor pool and registry, the
 // retry loop, conflict arbitration, commit-clock validation, recovery,
 // irrevocability, statistics — is the transaction kernel, package txn,
 // which this runtime embeds and plugs its versioning into through
 // txn.Strategy. What is here is the versioning: the Read and Write
-// barriers, the undo log and savepoints, the body of commit, rollback, what
-// reaping an orphan does to its records, and the read-set lock upgrade of
-// the irrevocable switch.
+// barriers, the undo log, the body of commit, rollback, and what reaping an
+// orphan does to its records. The write set is the kernel's Owned set, and
+// records are acquired and the irrevocable switch's read set locked through
+// the kernel (txn.Txn.Acquire, txn.Txn.LockReadSet).
 package stm
 
 import (
@@ -43,21 +45,6 @@ import (
 	"repro/internal/txrec"
 )
 
-// Status is the lifecycle state of a transaction attempt (shared by every
-// runtime through stmapi, so the numeric encodings agree).
-type Status = stmapi.Status
-
-// Transaction statuses.
-const (
-	Active    = stmapi.Active
-	Committed = stmapi.Committed
-	Aborted   = stmapi.Aborted
-)
-
-// MaxGranularity is the largest supported version-management granularity in
-// slots.
-const MaxGranularity = stmapi.MaxGranularity
-
 // Config parameterizes a Runtime: the cross-runtime knobs (Granularity,
 // Quiescence, Handler, SelfAbortAfter, ...) of the embedded
 // stmapi.CommonConfig. Dynamic escape analysis is not one of them: the heap
@@ -67,13 +54,9 @@ type Config struct {
 	stmapi.CommonConfig
 }
 
-// StatsSnapshot is a point-in-time copy of every Stats counter as plain
-// values, shared by every runtime through stmapi.
-type StatsSnapshot = stmapi.StatsSnapshot
-
 // Runtime is an eager-versioning STM instance bound to a heap. The embedded
-// kernel supplies Heap, Stats, the tracer / injector / commit-sink setters
-// and Recovery.
+// kernel supplies Heap, Stats, SetTracer, SetInjector, SetCommitSink and
+// ReapDead.
 type Runtime struct {
 	txn.Kernel
 
@@ -107,28 +90,16 @@ func init() {
 // without retrying.
 var ErrAborted = errors.New("stm: transaction aborted by user")
 
-type ownedEntry struct {
-	obj     *objmodel.Object
-	version uint64 // version observed in the Shared word we replaced
-}
-
 type undoEntry struct {
 	obj  *objmodel.Object
 	base int // first slot of the span
 	n    int // number of slots captured
-	vals [MaxGranularity]uint64
-}
-
-// savepoint marks the write-set lengths a closed-nested block rolls back to.
-type savepoint struct {
-	undoLen   int
-	writesLen int
-	compLen   int
+	vals [stmapi.MaxGranularity]uint64
 }
 
 // Txn is an eager-versioning transaction descriptor: the kernel descriptor
-// (identity, read set, owned set, arbitration and recovery state) plus the
-// in-place write set. A Txn is confined to the goroutine that runs the
+// (identity, read set, owned set — which is the write set — arbitration and
+// recovery state) plus the undo log. A Txn is confined to the goroutine that runs the
 // atomic body; only the kernel's atomic fields are read by other threads.
 // Descriptors are pooled: outside an Atomic call a descriptor may be reused
 // by any goroutine, so user code must not retain one past the body.
@@ -136,45 +107,26 @@ type Txn struct {
 	txn.Txn
 	rt *Runtime
 
-	writes []ownedEntry // records acquired, in acquisition order (Owned is the index)
-	undo   []undoEntry
-	comps  []func() // open-nesting compensations, run on abort in reverse
+	undo []undoEntry
 
 	// wrote records whether this attempt stored in place to a shared
 	// (record-acquired) object; private-object writes leave it false. Commit
-	// asks for a write version only then: irrevocable transactions append
-	// pessimistic READ claims to tx.writes without changing any value, and
+	// asks for a write version only then: irrevocable transactions add
+	// pessimistic READ claims to Owned without changing any value, and
 	// releasing those unchanged needs no snapshot invalidation.
 	wrote bool
 }
 
 // Begin implements txn.Strategy.
 func (tx *Txn) Begin() {
-	tx.writes = tx.writes[:0]
 	tx.undo = tx.undo[:0]
-	tx.comps = tx.comps[:0]
 	tx.wrote = false
 }
 
 // Reset implements txn.Strategy.
 func (tx *Txn) Reset() {
-	clear(tx.writes)
-	tx.writes = tx.writes[:0]
 	clear(tx.undo)
 	tx.undo = tx.undo[:0]
-	clear(tx.comps)
-	tx.comps = tx.comps[:0]
-}
-
-// acquire takes o's record, whose Shared word w the caller just loaded, and
-// enters it in the write set. false means the CAS lost a race.
-func (tx *Txn) acquire(o *objmodel.Object, w txrec.Word) bool {
-	if !o.Rec.CompareAndSwap(w, txrec.MakeExclusive(tx.ID())) {
-		return false
-	}
-	tx.writes = append(tx.writes, ownedEntry{o, txrec.Version(w)})
-	tx.Owned.Put(o, txrec.Version(w))
-	return true
 }
 
 // Read opens object o for reading at slot and returns the value
@@ -205,7 +157,7 @@ func (tx *Txn) Read(o *objmodel.Object, slot int) uint64 {
 			// past the switch). Objects read before the switch are already
 			// Exclusive(self) — LockReadSet upgraded them — so they take
 			// the owner case above, never this one.
-			if !tx.acquire(o, w) {
+			if !tx.Acquire(o, w) {
 				continue
 			}
 			ver = txrec.Version(w)
@@ -323,7 +275,7 @@ func (tx *Txn) Write(o *objmodel.Object, slot int, v uint64) {
 			if tx.FI != nil {
 				tx.inject(faultinject.PreAcquire, o)
 			}
-			if !tx.acquire(o, w) {
+			if !tx.Acquire(o, w) {
 				continue
 			}
 			ver, acquired = txrec.Version(w), true
@@ -358,41 +310,34 @@ func (tx *Txn) WriteRef(o *objmodel.Object, slot int, r objmodel.Ref) {
 // RetryWait implements txn.Strategy.
 func (tx *Txn) RetryWait(ctx context.Context) error { return tx.WaitForReadSetChange(ctx) }
 
-func (tx *Txn) rollbackTo(sp savepoint) {
+// rollback replays the undo log and releases every owned record.
+func (tx *Txn) rollback() {
 	// Replay the undo log in reverse: later entries may shadow earlier ones,
 	// so reverse order restores the oldest values last.
-	for i := len(tx.undo) - 1; i >= sp.undoLen; i-- {
+	for i := len(tx.undo) - 1; i >= 0; i-- {
 		e := tx.undo[i]
 		for j := 0; j < e.n; j++ {
 			e.obj.StoreSlot(e.base+j, e.vals[j])
 		}
 	}
-	tx.undo = tx.undo[:sp.undoLen]
-	// Release records acquired after the savepoint, bumping versions so
-	// optimistic readers of our speculative state fail validation (the
-	// bump is load-bearing: without it, a reader that sampled the record,
-	// read a speculative slot value, and re-checked the record could pass
-	// its double-check against the restored word — an ABA).
-	for i := len(tx.writes) - 1; i >= sp.writesLen; i-- {
-		e := tx.writes[i]
-		tx.CoverBump(e.version + 1) // the values are back: no version may lead the clock for it
-		e.obj.Rec.ReleaseOwned(e.version)
-		tx.Owned.Delete(e.obj)
-		// Partial abort: the rollback above restored exactly the values the
-		// enclosing transaction read before this record was acquired, so
-		// refresh its read-set entry to the post-release version — otherwise
-		// the parent would fail validation against its own nested abort and
-		// retry forever.
-		if _, ok := tx.Reads.Get(e.obj); ok {
-			tx.Reads.Put(e.obj, e.version+1)
+	tx.undo = tx.undo[:0]
+	// Release every record, bumping versions so optimistic readers of our
+	// speculative state fail validation (the bump is load-bearing: without
+	// it, a reader that sampled the record, read a speculative slot value,
+	// and re-checked the record could pass its double-check against the
+	// restored word — an ABA).
+	tx.Owned.Range(func(o *objmodel.Object, ver uint64) bool {
+		tx.CoverBump(ver + 1) // the values are back: no version may lead the clock for it
+		o.Rec.ReleaseOwned(ver)
+		// The values are the ones this attempt read before it acquired the
+		// record, so its read-set entry moves to the post-release version: a
+		// Retry that waits on the read set must not wake on its own bump.
+		if _, ok := tx.Reads.Get(o); ok {
+			tx.Reads.Put(o, ver+1)
 		}
-	}
-	tx.writes = tx.writes[:sp.writesLen]
-	// Run open-nesting compensations registered after the savepoint.
-	for i := len(tx.comps) - 1; i >= sp.compLen; i-- {
-		tx.comps[i]()
-	}
-	tx.comps = tx.comps[:sp.compLen]
+		return true
+	})
+	tx.Owned.Reset()
 }
 
 // Rollback implements txn.Strategy: replay the whole undo log and release
@@ -410,16 +355,17 @@ func (tx *Txn) Rollback() {
 			tx.Die(faultinject.PreRelease)
 		}
 	}
-	tx.rollbackTo(savepoint{})
+	tx.rollback()
 }
 
 // releaseCommitted releases every held record stamped with the write
 // version: readers that observe the stamped version either began after the
 // clock step (their snapshot covers it) or extend their snapshot on contact.
 func (tx *Txn) releaseCommitted() {
-	for _, e := range tx.writes {
-		e.obj.Rec.ReleaseOwnedAt(e.version, tx.WV)
-	}
+	tx.Owned.Range(func(o *objmodel.Object, ver uint64) bool {
+		o.Rec.ReleaseOwnedAt(ver, tx.WV)
+		return true
+	})
 }
 
 // Commit implements txn.Strategy: validate the read set (the write set's
@@ -496,12 +442,12 @@ func (tx *Txn) Commit() (ok bool, err error) {
 }
 
 // ReapOrphan implements txn.Strategy. An orphan that died before its commit
-// point is rolled back — undo replay, compensations, release with version
-// bumps — as its own abort would have; one that died inside the commit
-// window has its release completed, effects intact.
+// point is rolled back — undo replay, release with version bumps — as its
+// own abort would have; one that died inside the commit window has its
+// release completed, effects intact.
 func (tx *Txn) ReapOrphan(committed bool) {
 	if !committed {
-		tx.rollbackTo(savepoint{})
+		tx.rollback()
 		return
 	}
 	// Tick the clock BEFORE releasing: unlike an abort, the releases expose
@@ -512,116 +458,31 @@ func (tx *Txn) ReapOrphan(committed bool) {
 	if tx.rt.ClockOn {
 		tx.rt.Clock.Tick()
 	}
-	for i := len(tx.writes) - 1; i >= 0; i-- {
-		e := tx.writes[i]
-		e.obj.Rec.ReleaseOwned(e.version)
-	}
-}
-
-// LockReadSet implements txn.Strategy: it upgrades every read-set entry to
-// Exclusive at its recorded version. With the whole read set owned, no
-// other transaction can invalidate it, so commit validation trivially passes
-// — the mechanism behind the no-abort guarantee — and from then on reads
-// acquire their records pessimistically. Acquired records join the write
-// set, so the failure path (ordinary restart) releases them with version
-// bumps. Returns false if any entry is stale or cannot be acquired at the
-// recorded version.
-func (tx *Txn) LockReadSet() bool {
-	ok := true
-	tx.Reads.Range(func(o *objmodel.Object, ver uint64) bool {
-		w := o.Rec.Load()
-		switch {
-		case txrec.IsPrivate(w):
-			// Only this thread ever saw it; nothing to lock.
-		case txrec.IsExclusive(w) && txrec.Owner(w) == tx.ID():
-			// Already ours (read after write): valid iff acquired at the
-			// version we read.
-			ov, _ := tx.Owned.Get(o)
-			ok = ov == ver
-		case txrec.IsShared(w) && txrec.Version(w) == ver:
-			// Losing the CAS race fails fast: a retry loop here could wait
-			// forever on a foreign owner, and release always bumps the
-			// version, so the entry can only come back stale.
-			ok = tx.acquire(o, w)
-		default:
-			// Foreign-owned or version moved: the snapshot is already stale.
-			ok = false
-		}
-		return ok
+	tx.Owned.Range(func(o *objmodel.Object, ver uint64) bool {
+		o.Rec.ReleaseOwned(ver)
+		return true
 	})
-	return ok
 }
 
-// Atomic executes body as a transaction. With parent == nil it is a
-// top-level atomic block: the body is (re-)executed until it commits. With
-// a non-nil parent it is a closed-nested block: a savepoint is taken and a
-// body error rolls the parent back to the savepoint (partial abort) while
-// conflicts abort and restart the outermost transaction.
-//
+// Atomic executes body as a transaction, re-executing it until it commits.
 // The body's error return aborts: ErrAborted (or any wrapped error)
 // discards the transaction's effects and is returned to the caller.
-func (rt *Runtime) Atomic(parent *Txn, body func(*Txn) error) error {
-	return rt.AtomicCtx(nil, parent, body)
+func (rt *Runtime) Atomic(body func(*Txn) error) error {
+	return rt.AtomicCtx(nil, body)
 }
 
 // AtomicCtx is Atomic with deadline/cancellation support; see
 // txn.Kernel.Atomic for where the context is checked and what cancellation
-// before and after the commit point means.
-//
-// With a non-nil parent, a nil ctx inherits the enclosing transaction's
-// context; a non-nil ctx governs just the nested block — its cancellation
-// partially aborts to the savepoint and AtomicCtx returns ctx.Err() to the
-// enclosing body, which decides whether to continue. A nil ctx with a nil
-// parent behaves exactly like Atomic, paying zero cancellation checks.
-func (rt *Runtime) AtomicCtx(ctx context.Context, parent *Txn, body func(*Txn) error) error {
-	if parent != nil {
-		return parent.nested(ctx, body)
-	}
+// before and after the commit point means. A nil ctx behaves exactly like
+// Atomic, paying zero cancellation checks.
+func (rt *Runtime) AtomicCtx(ctx context.Context, body func(*Txn) error) error {
 	return rt.Kernel.Atomic(ctx, rt.EscalateFrom(), func(k *txn.Txn) error { return body(k.Self().(*Txn)) })
 }
 
 // AtomicIrrevocable executes body as an irrevocable transaction: once the
 // switch succeeds (immediately after begin, while nothing is held), the body
 // can never abort, restart, or observe inconsistent state, making it safe to
-// perform I/O or other unrecoverable actions inside. With a non-nil parent
-// the enclosing transaction itself becomes irrevocable, then body runs
-// closed-nested.
-func (rt *Runtime) AtomicIrrevocable(parent *Txn, body func(*Txn) error) error {
-	if parent != nil {
-		parent.BecomeIrrevocable()
-		return parent.nested(nil, body)
-	}
+// perform I/O or other unrecoverable actions inside.
+func (rt *Runtime) AtomicIrrevocable(body func(*Txn) error) error {
 	return rt.Kernel.Atomic(nil, 0, func(k *txn.Txn) error { return body(k.Self().(*Txn)) })
-}
-
-// nested runs body as a closed-nested block of tx under ctx (nil inherits):
-// any error — the body's own, or a cancellation scoped to the block —
-// partially aborts to the savepoint taken here.
-func (tx *Txn) nested(ctx context.Context, body func(*Txn) error) error {
-	sp := savepoint{len(tx.undo), len(tx.writes), len(tx.comps)}
-	err := tx.NestedCtx(ctx, func() error { return body(tx) })
-	if err != nil {
-		tx.rollbackTo(sp)
-	}
-	return err
-}
-
-// AtomicOpen executes body as an open-nested transaction: an independent
-// transaction that commits (or aborts) immediately, regardless of the
-// enclosing transaction's fate. If parent is non-nil and the open-nested
-// transaction commits, compensation (if non-nil) is registered to run if
-// the parent later aborts. Under Quiescence its commit does not wait for
-// parent or the transactions parent runs inside, which cannot end before it
-// returns.
-func (rt *Runtime) AtomicOpen(parent *Txn, body func(*Txn) error, compensation func()) error {
-	err := rt.Kernel.Atomic(nil, rt.EscalateFrom(), func(k *txn.Txn) error {
-		if parent != nil {
-			k.OpenIn(&parent.Txn)
-		}
-		return body(k.Self().(*Txn))
-	})
-	if err == nil && parent != nil && compensation != nil {
-		parent.comps = append(parent.comps, compensation)
-	}
-	return err
 }

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/objmodel"
 	"repro/internal/stmapi"
@@ -50,7 +49,7 @@ func (f *fixture) newCell() *objmodel.Object { return f.heap.New(f.cls) }
 func TestCommitBasic(t *testing.T) {
 	f := newFixture(t, Config{})
 	o := f.newCell()
-	err := f.rt.Atomic(nil, func(tx *Txn) error {
+	err := f.rt.Atomic(func(tx *Txn) error {
 		tx.Write(o, 0, 41)
 		tx.Write(o, 0, tx.Read(o, 0)+1)
 		return nil
@@ -75,7 +74,7 @@ func TestUserErrorAborts(t *testing.T) {
 	o := f.newCell()
 	o.StoreSlot(0, 7)
 	myErr := errors.New("boom")
-	err := f.rt.Atomic(nil, func(tx *Txn) error {
+	err := f.rt.Atomic(func(tx *Txn) error {
 		tx.Write(o, 0, 99)
 		return myErr
 	})
@@ -101,7 +100,7 @@ func TestRestartReexecutes(t *testing.T) {
 	f := newFixture(t, Config{})
 	o := f.newCell()
 	runs := 0
-	err := f.rt.Atomic(nil, func(tx *Txn) error {
+	err := f.rt.Atomic(func(tx *Txn) error {
 		runs++
 		tx.Write(o, 0, uint64(runs))
 		if runs < 3 {
@@ -127,7 +126,7 @@ func TestRollbackReverseOrder(t *testing.T) {
 	f := newFixture(t, Config{})
 	o := f.newCell()
 	o.StoreSlot(0, 100)
-	err := f.rt.Atomic(nil, func(tx *Txn) error {
+	err := f.rt.Atomic(func(tx *Txn) error {
 		tx.Write(o, 0, 1)
 		tx.Write(o, 0, 2)
 		tx.Write(o, 0, 3)
@@ -156,7 +155,7 @@ func TestCounterAtomicity(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				err := f.rt.Atomic(nil, func(tx *Txn) error {
+				err := f.rt.Atomic(func(tx *Txn) error {
 					tx.Write(o, 0, tx.Read(o, 0)+1)
 					return nil
 				})
@@ -192,7 +191,7 @@ func TestInvariantPreserved(t *testing.T) {
 				default:
 				}
 				var a, b int64
-				_ = f.rt.Atomic(nil, func(tx *Txn) error {
+				_ = f.rt.Atomic(func(tx *Txn) error {
 					a = int64(tx.Read(x, 0))
 					b = int64(tx.Read(y, 0))
 					return nil
@@ -208,7 +207,7 @@ func TestInvariantPreserved(t *testing.T) {
 		go func() {
 			defer writers.Done()
 			for i := 0; i < 400; i++ {
-				_ = f.rt.Atomic(nil, func(tx *Txn) error {
+				_ = f.rt.Atomic(func(tx *Txn) error {
 					tx.Write(x, 0, tx.Read(x, 0)+1)
 					tx.Write(y, 0, tx.Read(y, 0)-1)
 					return nil
@@ -233,7 +232,7 @@ func TestRetryWaitsForChange(t *testing.T) {
 	done := make(chan uint64)
 	go func() {
 		var got uint64
-		_ = f.rt.Atomic(nil, func(tx *Txn) error {
+		_ = f.rt.Atomic(func(tx *Txn) error {
 			v := tx.Read(o, 0)
 			if v == 0 {
 				tx.Retry()
@@ -246,7 +245,7 @@ func TestRetryWaitsForChange(t *testing.T) {
 	// Let the retry engage, then satisfy it from another transaction.
 	for f.rt.Stats.UserRetries.Load() == 0 {
 	}
-	if err := f.rt.Atomic(nil, func(tx *Txn) error {
+	if err := f.rt.Atomic(func(tx *Txn) error {
 		tx.Write(o, 0, 5)
 		return nil
 	}); err != nil {
@@ -257,106 +256,6 @@ func TestRetryWaitsForChange(t *testing.T) {
 	}
 }
 
-func TestClosedNestingPartialAbort(t *testing.T) {
-	f := newFixture(t, Config{})
-	o := f.newCell()
-	inner := errors.New("inner failed")
-	err := f.rt.Atomic(nil, func(tx *Txn) error {
-		tx.Write(o, 0, 1)
-		if err := f.rt.Atomic(tx, func(tx *Txn) error {
-			tx.Write(o, 0, 2)
-			tx.Write(o, 1, 77)
-			return inner
-		}); !errors.Is(err, inner) {
-			t.Errorf("nested err = %v", err)
-		}
-		// Nested effects must be rolled back, outer effects intact.
-		if got := tx.Read(o, 0); got != 1 {
-			t.Errorf("after nested abort slot0 = %d, want 1", got)
-		}
-		if got := tx.Read(o, 1); got != 0 {
-			t.Errorf("after nested abort slot1 = %d, want 0", got)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.LoadSlot(0) != 1 || o.LoadSlot(1) != 0 {
-		t.Errorf("final state = (%d,%d), want (1,0)", o.LoadSlot(0), o.LoadSlot(1))
-	}
-}
-
-func TestClosedNestingCommit(t *testing.T) {
-	f := newFixture(t, Config{})
-	o := f.newCell()
-	err := f.rt.Atomic(nil, func(tx *Txn) error {
-		tx.Write(o, 0, 1)
-		return f.rt.Atomic(tx, func(tx *Txn) error {
-			tx.Write(o, 1, 2)
-			return nil
-		})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.LoadSlot(0) != 1 || o.LoadSlot(1) != 2 {
-		t.Errorf("state = (%d,%d), want (1,2)", o.LoadSlot(0), o.LoadSlot(1))
-	}
-}
-
-func TestOpenNestingCommitsIndependently(t *testing.T) {
-	f := newFixture(t, Config{})
-	o, log := f.newCell(), f.newCell()
-	compensated := false
-	err := f.rt.Atomic(nil, func(tx *Txn) error {
-		tx.Write(o, 0, 1)
-		// Open-nested action commits immediately.
-		if err := f.rt.AtomicOpen(tx, func(otx *Txn) error {
-			otx.Write(log, 0, otx.Read(log, 0)+1)
-			return nil
-		}, func() { compensated = true }); err != nil {
-			return err
-		}
-		// The open-nested effect must be visible even though the parent has
-		// not committed.
-		if got := log.LoadSlot(0); got != 1 {
-			t.Errorf("open-nested effect not visible: %d", got)
-		}
-		return ErrAborted // parent aborts
-	})
-	if !errors.Is(err, ErrAborted) {
-		t.Fatal(err)
-	}
-	if o.LoadSlot(0) != 0 {
-		t.Error("parent effect survived abort")
-	}
-	if log.LoadSlot(0) != 1 {
-		t.Error("open-nested effect rolled back with parent")
-	}
-	if !compensated {
-		t.Error("compensation did not run on parent abort")
-	}
-}
-
-func TestOpenNestingCompensationSkippedOnCommit(t *testing.T) {
-	f := newFixture(t, Config{})
-	log := f.newCell()
-	compensated := false
-	err := f.rt.Atomic(nil, func(tx *Txn) error {
-		return f.rt.AtomicOpen(tx, func(otx *Txn) error {
-			otx.Write(log, 0, 1)
-			return nil
-		}, func() { compensated = true })
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if compensated {
-		t.Error("compensation ran despite parent commit")
-	}
-}
-
 // TestValidationDetectsNonTxnVersionBump simulates a strong-atomicity
 // non-transactional write (acquire-anonymous + release) between a
 // transactional read and commit; the transaction must abort and re-execute.
@@ -364,7 +263,7 @@ func TestValidationDetectsNonTxnVersionBump(t *testing.T) {
 	f := newFixture(t, Config{})
 	o := f.newCell()
 	runs := 0
-	err := f.rt.Atomic(nil, func(tx *Txn) error {
+	err := f.rt.Atomic(func(tx *Txn) error {
 		runs++
 		v := tx.Read(o, 0)
 		if runs == 1 {
@@ -397,7 +296,7 @@ func TestDoomedReadRestarts(t *testing.T) {
 	f := newFixture(t, Config{})
 	o := f.newCell()
 	runs := 0
-	err := f.rt.Atomic(nil, func(tx *Txn) error {
+	err := f.rt.Atomic(func(tx *Txn) error {
 		runs++
 		_ = tx.Read(o, 0)
 		if runs == 1 {
@@ -427,7 +326,7 @@ func TestForeignPanicWhileDoomedRestarts(t *testing.T) {
 	f := newFixture(t, Config{})
 	o := f.newCell()
 	runs := 0
-	err := f.rt.Atomic(nil, func(tx *Txn) error {
+	err := f.rt.Atomic(func(tx *Txn) error {
 		runs++
 		tx.Reads.Put(o, 999) // forge an invalid read entry: transaction is doomed
 		if runs == 1 {
@@ -456,7 +355,7 @@ func TestForeignPanicWhileValidPropagates(t *testing.T) {
 			t.Error("no rollback before propagating panic is acceptable only if slot unchanged")
 		}
 	}()
-	_ = f.rt.Atomic(nil, func(tx *Txn) error {
+	_ = f.rt.Atomic(func(tx *Txn) error {
 		panic("user panic")
 	})
 }
@@ -467,7 +366,7 @@ func TestDEAPrivateAccessSkipsLocking(t *testing.T) {
 	if !o.IsPrivate() {
 		t.Fatal("object not private at birth")
 	}
-	err := f.rt.Atomic(nil, func(tx *Txn) error {
+	err := f.rt.Atomic(func(tx *Txn) error {
 		tx.Write(o, 0, 9)
 		if !o.IsPrivate() {
 			t.Error("private write acquired the record")
@@ -489,7 +388,7 @@ func TestDEAPrivateRollback(t *testing.T) {
 	f := newDEAFixture(t)
 	o := f.newCell()
 	o.StoreSlot(0, 3)
-	_ = f.rt.Atomic(nil, func(tx *Txn) error {
+	_ = f.rt.Atomic(func(tx *Txn) error {
 		tx.Write(o, 0, 50)
 		return ErrAborted
 	})
@@ -507,7 +406,7 @@ func TestDEATxnWritePublishes(t *testing.T) {
 	priv := f.newCell()
 	child := f.newCell()
 	priv.StoreSlot(2, uint64(child.Ref()))
-	err := f.rt.Atomic(nil, func(tx *Txn) error {
+	err := f.rt.Atomic(func(tx *Txn) error {
 		tx.WriteRef(pub, 2, priv.Ref())
 		if priv.IsPrivate() || child.IsPrivate() {
 			t.Error("referenced subgraph not published immediately at the write")
@@ -551,7 +450,7 @@ func TestDEAWriteIntoPrivateDoesNotPublish(t *testing.T) {
 	f := newDEAFixture(t)
 	container := f.newCell()
 	child := f.newCell()
-	err := f.rt.Atomic(nil, func(tx *Txn) error {
+	err := f.rt.Atomic(func(tx *Txn) error {
 		tx.WriteRef(container, 2, child.Ref())
 		return nil
 	})
@@ -575,7 +474,7 @@ func TestGranularitySpanUndo(t *testing.T) {
 	resume := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
-		_ = f.rt.Atomic(nil, func(tx *Txn) error {
+		_ = f.rt.Atomic(func(tx *Txn) error {
 			tx.Write(o, 0, 42) // undo entry captures slots {0,1} = {1,2}
 			close(barrier)
 			<-resume
@@ -606,7 +505,7 @@ func TestGranularityOneDoesNotSpan(t *testing.T) {
 	resume := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
-		_ = f.rt.Atomic(nil, func(tx *Txn) error {
+		_ = f.rt.Atomic(func(tx *Txn) error {
 			tx.Write(o, 0, 42)
 			close(sync1)
 			<-resume
@@ -641,7 +540,7 @@ func TestQuiescenceWaitsForActive(t *testing.T) {
 	wg.Add(2)
 	go func() { // long-running transaction
 		defer wg.Done()
-		_ = f.rt.Atomic(nil, func(tx *Txn) error {
+		_ = f.rt.Atomic(func(tx *Txn) error {
 			_ = tx.Read(a, 0)
 			close(inBody)
 			<-finish
@@ -652,7 +551,7 @@ func TestQuiescenceWaitsForActive(t *testing.T) {
 	go func() { // committer that must quiesce
 		defer wg.Done()
 		<-inBody
-		_ = f.rt.Atomic(nil, func(tx *Txn) error {
+		_ = f.rt.Atomic(func(tx *Txn) error {
 			tx.Write(b, 0, 1)
 			return nil
 		})
@@ -674,67 +573,10 @@ func TestQuiescenceWaitsForActive(t *testing.T) {
 	}
 }
 
-// TestOpenNestedCommitUnderQuiescence: an open-nested commit, here two levels
-// deep, does not wait for the transactions it runs inside, which cannot end
-// before it returns, but still waits for every other attempt in flight.
-func TestOpenNestedCommitUnderQuiescence(t *testing.T) {
-	f := newFixture(t, Config{CommonConfig: stmapi.CommonConfig{Quiescence: true}})
-	o, o2, o3, other := f.newCell(), f.newCell(), f.newCell(), f.newCell()
-	inBody, release := make(chan struct{}), make(chan struct{})
-	var once sync.Once
-	bystander := make(chan error, 1)
-	go func() {
-		bystander <- f.rt.Atomic(nil, func(tx *Txn) error {
-			_ = tx.Read(other, 0)
-			once.Do(func() { close(inBody) })
-			<-release
-			return nil
-		})
-	}()
-	<-inBody
-	var innerOnce sync.Once
-	innerDone := make(chan struct{})
-	done := make(chan error, 1)
-	go func() {
-		done <- f.rt.Atomic(nil, func(tx *Txn) error {
-			tx.Write(o, 0, 1)
-			return f.rt.AtomicOpen(tx, func(child *Txn) error {
-				child.Write(o2, 0, 2)
-				err := f.rt.AtomicOpen(child, func(grandchild *Txn) error {
-					grandchild.Write(o3, 0, 3)
-					return nil
-				}, nil)
-				innerOnce.Do(func() { close(innerDone) })
-				return err
-			}, nil)
-		})
-	}()
-	select {
-	case <-innerDone:
-		t.Fatal("the innermost open-nested commit returned with an unrelated transaction in flight")
-	case <-time.After(20 * time.Millisecond):
-	}
-	close(release)
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(3 * time.Second):
-		t.Fatal("an open-nested commit is waiting for a transaction it runs inside")
-	}
-	if err := <-bystander; err != nil {
-		t.Fatal(err)
-	}
-	if o.LoadSlot(0) != 1 || o2.LoadSlot(0) != 2 || o3.LoadSlot(0) != 3 {
-		t.Errorf("o, o2, o3 = %d, %d, %d; want 1, 2, 3", o.LoadSlot(0), o2.LoadSlot(0), o3.LoadSlot(0))
-	}
-}
-
 func TestStatsCounting(t *testing.T) {
 	f := newFixture(t, Config{})
 	o := f.newCell()
-	_ = f.rt.Atomic(nil, func(tx *Txn) error {
+	_ = f.rt.Atomic(func(tx *Txn) error {
 		_ = tx.Read(o, 0)
 		tx.Write(o, 0, 1)
 		return nil
@@ -753,7 +595,7 @@ func TestActiveTransactions(t *testing.T) {
 	inBody := make(chan struct{})
 	release := make(chan struct{})
 	go func() {
-		_ = f.rt.Atomic(nil, func(tx *Txn) error {
+		_ = f.rt.Atomic(func(tx *Txn) error {
 			close(inBody)
 			<-release
 			return nil
@@ -784,7 +626,7 @@ func ExampleRuntime_Atomic() {
 	})
 	a, b := heap.New(acct), heap.New(acct)
 	a.StoreSlot(0, 100)
-	_ = rt.Atomic(nil, func(tx *Txn) error {
+	_ = rt.Atomic(func(tx *Txn) error {
 		amt := uint64(30)
 		tx.Write(a, 0, tx.Read(a, 0)-amt)
 		tx.Write(b, 0, tx.Read(b, 0)+amt)

@@ -26,12 +26,12 @@ func TestDisabledTracerAllocFree(t *testing.T) {
 	}
 	// Warm the descriptor pool.
 	for i := 0; i < 10; i++ {
-		if err := f.rt.Atomic(nil, body); err != nil {
+		if err := f.rt.Atomic(body); err != nil {
 			t.Fatal(err)
 		}
 	}
 	avg := testing.AllocsPerRun(200, func() {
-		if err := f.rt.Atomic(nil, body); err != nil {
+		if err := f.rt.Atomic(body); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -47,7 +47,7 @@ func TestTraceEventLifecycle(t *testing.T) {
 	tr := trace.New(trace.Config{ShardCapacity: 128, Shards: 1})
 	f.rt.SetTracer(tr)
 	o := f.newCell()
-	if err := f.rt.Atomic(nil, func(tx *Txn) error {
+	if err := f.rt.Atomic(func(tx *Txn) error {
 		tx.Write(o, 1, tx.Read(o, 0)+7)
 		return nil
 	}); err != nil {
@@ -108,7 +108,7 @@ func TestTraceNoEventLossParallel(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				_ = f.rt.Atomic(nil, func(tx *Txn) error {
+				_ = f.rt.Atomic(func(tx *Txn) error {
 					tx.Write(o, 0, tx.Read(o, 0)+1)
 					return nil
 				})
@@ -159,7 +159,7 @@ func TestHotspotAttributionSkewedWrites(t *testing.T) {
 		colds = append(colds, uint64(c.Ref()))
 		// Touch the decoys in committed transactions so they appear in the
 		// trace but never in the hotspot table.
-		if err := f.rt.Atomic(nil, func(tx *Txn) error {
+		if err := f.rt.Atomic(func(tx *Txn) error {
 			tx.Write(c, 0, 1)
 			return nil
 		}); err != nil {
@@ -170,7 +170,7 @@ func TestHotspotAttributionSkewedWrites(t *testing.T) {
 	const conflicts = 5
 	for i := 0; i < conflicts; i++ {
 		attempt := 0
-		err := f.rt.Atomic(nil, func(tx *Txn) error {
+		err := f.rt.Atomic(func(tx *Txn) error {
 			attempt++
 			_ = tx.Read(hot, 0)
 			if attempt == 1 {
@@ -178,7 +178,7 @@ func TestHotspotAttributionSkewedWrites(t *testing.T) {
 				// hold it in our read set...
 				done := make(chan error, 1)
 				go func() {
-					done <- f.rt.Atomic(nil, func(tx2 *Txn) error {
+					done <- f.rt.Atomic(func(tx2 *Txn) error {
 						tx2.Write(hot, 0, tx2.Read(hot, 0)+1)
 						return nil
 					})
@@ -234,7 +234,7 @@ func TestTraceRetryAndQuiescence(t *testing.T) {
 	var once sync.Once
 	done := make(chan error, 1)
 	go func() {
-		done <- f.rt.Atomic(nil, func(tx *Txn) error {
+		done <- f.rt.Atomic(func(tx *Txn) error {
 			v := tx.Read(o, 0)
 			if v == 0 {
 				once.Do(func() { close(started) })
@@ -244,7 +244,7 @@ func TestTraceRetryAndQuiescence(t *testing.T) {
 		})
 	}()
 	<-started
-	if err := f.rt.Atomic(nil, func(tx *Txn) error {
+	if err := f.rt.Atomic(func(tx *Txn) error {
 		tx.Write(o, 0, 1)
 		return nil
 	}); err != nil {
@@ -269,14 +269,14 @@ func TestSetTracerMidstream(t *testing.T) {
 	o := f.newCell()
 	inc := func(tx *Txn) error { tx.Write(o, 0, tx.Read(o, 0)+1); return nil }
 
-	if err := f.rt.Atomic(nil, inc); err != nil {
+	if err := f.rt.Atomic(inc); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := tr.Recorded(); got != 0 {
 		t.Fatalf("events before install = %d", got)
 	}
 	f.rt.SetTracer(tr)
-	if err := f.rt.Atomic(nil, inc); err != nil {
+	if err := f.rt.Atomic(inc); err != nil {
 		t.Fatal(err)
 	}
 	after1, _ := tr.Recorded()
@@ -284,7 +284,7 @@ func TestSetTracerMidstream(t *testing.T) {
 		t.Fatal("no events after install")
 	}
 	f.rt.SetTracer(nil)
-	if err := f.rt.Atomic(nil, inc); err != nil {
+	if err := f.rt.Atomic(inc); err != nil {
 		t.Fatal(err)
 	}
 	if after2, _ := tr.Recorded(); after2 != after1 {
@@ -296,14 +296,14 @@ func TestStatsSnapshot(t *testing.T) {
 	f := newFixture(t, Config{})
 	o := f.newCell()
 	for i := 0; i < 3; i++ {
-		if err := f.rt.Atomic(nil, func(tx *Txn) error {
+		if err := f.rt.Atomic(func(tx *Txn) error {
 			tx.Write(o, 0, tx.Read(o, 0)+1)
 			return nil
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	_ = f.rt.Atomic(nil, func(tx *Txn) error { return ErrAborted })
+	_ = f.rt.Atomic(func(tx *Txn) error { return ErrAborted })
 	s := f.rt.Stats.Snapshot()
 	if s.Commits != 3 || s.Aborts != 1 || s.Starts != 4 {
 		t.Errorf("snapshot = %+v, want 4 starts, 3 commits, 1 abort", s)

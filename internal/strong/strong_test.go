@@ -253,7 +253,7 @@ func TestStrongAtomicityEndToEnd(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < perSide; i++ {
-			_ = rt.Atomic(nil, func(tx *stm.Txn) error {
+			_ = rt.Atomic(func(tx *stm.Txn) error {
 				tx.Write(o, 0, tx.Read(o, 0)+1)
 				return nil
 			})
@@ -298,7 +298,7 @@ func TestNoDirtyReads(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 2000; i++ {
-		_ = rt.Atomic(nil, func(tx *stm.Txn) error {
+		_ = rt.Atomic(func(tx *stm.Txn) error {
 			tx.Write(o, 0, tx.Read(o, 0)+1)
 			tx.Write(o, 0, tx.Read(o, 0)+1)
 			return nil

@@ -26,10 +26,10 @@ type txSignal struct {
 }
 
 // Restart aborts the transaction and re-executes it from the beginning of
-// the outermost atomic block. Exposed so tests and litmus programs can
-// force the "transaction aborts for some reason" steps of the paper's
-// Figure 3 examples, and used internally when an access discovers the
-// transaction is doomed.
+// its atomic block. Exposed so tests and litmus programs can force the
+// "transaction aborts for some reason" steps of the paper's Figure 3
+// examples, and used internally when an access discovers the transaction is
+// doomed.
 func (tx *Txn) Restart() { panic(txSignal{sigRestart, tx}) }
 
 // RestartOn is Restart with the abort attributed to the object with handle
@@ -52,15 +52,15 @@ func (tx *Txn) Retry() {
 }
 
 // cancel aborts the transaction because its context is done; the atomic
-// loop (or the nested block whose context it was) returns ctx.Err().
+// loop returns ctx.Err().
 func (tx *Txn) cancel() { panic(txSignal{sigCancel, tx}) }
 
 // Poll is the prologue of every transactional access: a doomed transaction
 // restarts, and a cancelled context cancels (every access is a cancellation
-// point, so a context cancelled mid-body — in particular a nested block's
-// scoped context — is noticed without a conflict having to arise first). An
-// irrevocable transaction does neither. Kept small enough to inline into
-// the barriers; o is the accessed object, for attribution.
+// point, so a context cancelled mid-body is noticed without a conflict
+// having to arise first). An irrevocable transaction does neither. Kept
+// small enough to inline into the barriers; o is the accessed object, for
+// attribution.
 func (tx *Txn) Poll(o *objmodel.Object) {
 	if (tx.Ctx != nil || tx.doomed.Load()) && !tx.Irrevocable {
 		tx.pollSlow(o)
@@ -195,39 +195,6 @@ func (tx *Txn) run(body func(*Txn) error, irrevocable, escalated bool) (err erro
 	return body(tx), 0
 }
 
-// NestedCtx runs body, a closed-nested block of tx, under ctx. A nil ctx
-// inherits the enclosing context. A non-nil ctx governs just the block:
-// while it runs, cancellation checks consult ctx (callers who want the
-// enclosing context to also cut the block short derive ctx from it), and
-// its cancellation surfaces as the block's error return — the enclosing
-// body decides whether to continue, and a runtime with partial rollback
-// rolls back to its savepoint on any error from here. If the enclosing
-// context is cancelled too, the signal propagates to the outer level (full
-// abort).
-func (tx *Txn) NestedCtx(ctx context.Context, body func() error) (err error) {
-	if ctx == nil {
-		return body()
-	}
-	if e := ctx.Err(); e != nil {
-		return e
-	}
-	prev := tx.Ctx
-	tx.Ctx = ctx
-	defer func() {
-		tx.Ctx = prev
-		r := recover()
-		if r == nil {
-			return
-		}
-		if s, ok := r.(txSignal); ok && s.tx == tx && s.s == sigCancel && (prev == nil || prev.Err() == nil) {
-			err = ctx.Err()
-			return
-		}
-		panic(r)
-	}()
-	return body()
-}
-
 // Abort rolls the attempt back and does the bookkeeping of an abort of any
 // cause. The atomic loop calls it; runtimes call it from injected-crash
 // branches that must clean up before surfacing the crash.
@@ -316,20 +283,15 @@ func (tx *Txn) land() {
 	}
 }
 
-// OpenIn records that tx runs open-nested inside parent until its Atomic
-// returns. Its quiescence then waits for neither parent nor what parent is
-// open-nested inside: they are blocked in this call and cannot end first.
-func (tx *Txn) OpenIn(parent *Txn) { tx.outer = parent }
-
 // quiesce is the Section 3.4 grace period: it returns once every attempt
 // that was in flight when it scanned has ended, so no transaction still
 // running (a doomed one included) can touch what the caller's commit
 // privatized, and on a deferred-update runtime no commit serialized earlier
-// is still writing back. The caller has landed, so two quiescing committers
-// never wait for each other. Each attempt's begin store precedes its first
-// access and sync/atomic is sequentially consistent, so an attempt that
-// touched a record before the caller acquired or validated it shows odd to
-// this scan, or has already ended. A scanned descriptor may be recycled
+// is still writing back. The caller has landed, so it never waits for itself
+// and two quiescing committers never wait for each other. Each attempt's
+// begin store precedes its first access and sync/atomic is sequentially
+// consistent, so an attempt that touched a record before the caller acquired
+// or validated it shows odd to this scan, or has already ended. A scanned descriptor may be recycled
 // mid-wait; its counter still changes, which ends the wait. A dead one is
 // reaped inline (Reap ends its attempt), and a cancelled context abandons the
 // wait with its error.
@@ -337,11 +299,6 @@ func (tx *Txn) quiesce() error {
 	k := tx.k
 	var err error
 	k.reg.forEach(func(other *Txn) bool {
-		for p := tx; p != nil; p = p.outer {
-			if p == other {
-				return true
-			}
-		}
 		g := other.flight.Load()
 		for a := 0; g&1 != 0 && other.flight.Load() == g; a++ {
 			if other.dead.Load() && k.Reap(other, tx.id, 0) {

@@ -146,6 +146,19 @@ func (tx *Txn) mayContend(attempt int) bool {
 	return !tx.doomed.Load() && attempt < tx.k.cfg.SelfAbortAfter
 }
 
+// Acquire takes o's record, whose Shared word w the caller just loaded, and
+// enters it in Owned, where commit and every release path find it. false
+// means the CAS lost a race. Eager's write barrier, the deferred-update
+// commit (LockWriteSet), an irrevocable body's pessimistic reads and the
+// read-set upgrade all acquire through it.
+func (tx *Txn) Acquire(o *objmodel.Object, w txrec.Word) bool {
+	if !o.Rec.CompareAndSwap(w, txrec.MakeExclusive(tx.id)) {
+		return false
+	}
+	tx.Owned.Put(o, txrec.Version(w))
+	return true
+}
+
 // AcquireWait is the commit-time counterpart of ConflictWait, for runtimes
 // that acquire their write set at commit: one conflict round on o, whose
 // record could not be acquired. false means the commit must release what it

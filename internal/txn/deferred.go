@@ -71,18 +71,6 @@ func (d *Deferred) AddWrite(o *objmodel.Object) {
 	d.Objs = append(d.Objs, o)
 }
 
-// Acquire takes o's record, whose Shared word w the caller just loaded, and
-// enters it in Owned, where commit and every release path find it. false
-// means the CAS lost a race. Besides LockWriteSet, an irrevocable body's
-// pessimistic reads and read-set upgrade acquire through it.
-func (d *Deferred) Acquire(o *objmodel.Object, w txrec.Word) bool {
-	if !o.Rec.CompareAndSwap(w, txrec.MakeExclusive(d.id)) {
-		return false
-	}
-	d.Owned.Put(o, txrec.Version(w))
-	return true
-}
-
 // Release gives back every record this attempt acquired. A committed
 // release stamps them with the write version obtained before the commit
 // point (WV is 0 for a commit that wrote nothing, degrading to the plain

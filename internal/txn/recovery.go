@@ -4,8 +4,10 @@ import (
 	"time"
 
 	"repro/internal/conflict"
+	"repro/internal/objmodel"
 	"repro/internal/stmapi"
 	"repro/internal/trace"
+	"repro/internal/txrec"
 )
 
 // Orphaned-transaction recovery and irrevocable mode.
@@ -27,12 +29,12 @@ import (
 // Irrevocability: a transaction holding the runtime's singular token can
 // never abort. The switch acquires the token, then has the runtime make the
 // attempt's reads impossible to invalidate (Strategy.LockReadSet: the
-// validating runtimes upgrade every read-set entry to Exclusive and read
-// pessimistically from then on; the multi-version runtime drains its commit
-// gate and runs alone). Dooms are refused, conflict arbitration always rules
-// for the token holder, and waiters on its records either restart via their
-// self-abort cap or are doomed by the irrevocable transaction itself, so it
-// always makes progress.
+// validating runtimes share Txn.LockReadSet, which upgrades every read-set
+// entry to Exclusive, and read pessimistically from then on; the
+// multi-version runtime drains its commit gate and runs alone). Dooms are
+// refused, conflict arbitration always rules for the token holder, and
+// waiters on its records either restart via their self-abort cap or are
+// doomed by the irrevocable transaction itself, so it always makes progress.
 
 // Reap steals a dead transaction's records on behalf of reclaimer by, which
 // was waiting on object obj (0 for either when a sweep reclaims). Safe by two
@@ -141,6 +143,40 @@ func (tx *Txn) becomeIrrevocable(escalated bool) {
 	if tr := tx.Tr; tr != nil {
 		tr.Record(trace.EvIrrevocable, tx.id, 0, tx.attempt, 0)
 	}
+}
+
+// LockReadSet implements Strategy for the two validating runtimes: it
+// upgrades every read-set entry to Exclusive at its recorded version. With
+// the whole read set owned, no other transaction can invalidate it, so
+// commit validation trivially passes — the mechanism behind the no-abort
+// guarantee — and from then on reads acquire their records pessimistically.
+// Acquired records join Owned, so the failure path (ordinary restart)
+// releases them through Rollback. false means an entry is stale or cannot be
+// acquired at the recorded version.
+func (tx *Txn) LockReadSet() bool {
+	ok := true
+	tx.Reads.Range(func(o *objmodel.Object, ver uint64) bool {
+		w := o.Rec.Load()
+		switch {
+		case txrec.IsPrivate(w):
+			// Only this thread ever saw it; nothing to lock.
+		case txrec.IsExclusive(w) && txrec.Owner(w) == tx.id:
+			// Already ours (eager read after write): valid iff acquired at
+			// the version we read.
+			ov, _ := tx.Owned.Get(o)
+			ok = ov == ver
+		case txrec.IsShared(w) && txrec.Version(w) == ver:
+			// Losing the CAS race fails fast: a retry loop here could wait
+			// forever on a foreign owner, and release always bumps the
+			// version, so the entry can only come back stale.
+			ok = tx.Acquire(o, w)
+		default:
+			// Foreign-owned or version moved: the snapshot is already stale.
+			ok = false
+		}
+		return ok
+	})
+	return ok
 }
 
 // dropIrrevocable surrenders the irrevocable token after the transaction's

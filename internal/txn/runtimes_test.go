@@ -476,6 +476,50 @@ func TestQuiescenceIsAGracePeriod(t *testing.T) {
 	}
 }
 
+// TestRetryAfterOwnWriteWaitsForAnotherCommit: a body that writes and then
+// retries blocks until another transaction commits. Eager's rollback
+// releases the record it wrote with a version bump, and the read set its
+// retry waits on holds that record; the rollback moves the entry to the
+// post-release version, so the wait does not wake on the transaction's own
+// release.
+func TestRetryAfterOwnWriteWaitsForAnotherCommit(t *testing.T) {
+	for _, name := range stmapi.Runtimes() {
+		t.Run(name, func(t *testing.T) {
+			f := txntest.New(t, name, stmapi.CommonConfig{})
+			o := f.NewCell()
+			var runs atomic.Int32
+			var seen atomic.Uint64
+			done := make(chan error, 1)
+			go func() {
+				done <- f.Runtime().Atomic(func(tx stmapi.Txn) error {
+					runs.Add(1)
+					v := tx.Read(o, 0)
+					tx.Write(o, 1, 1)
+					if v == 0 {
+						tx.Retry()
+					}
+					seen.Store(v)
+					return nil
+				})
+			}()
+			for deadline := time.Now().Add(5 * time.Second); f.Runtime().Stats().UserRetries == 0; runtime.Gosched() {
+				if time.Now().After(deadline) {
+					t.Fatal("the body never retried")
+				}
+			}
+			time.Sleep(20 * time.Millisecond)
+			if n := runs.Load(); n != 1 {
+				t.Fatalf("body ran %d times with nothing else committed", n)
+			}
+			within(t, commitAsync(f, o, 5), "the waking commit stalled")
+			within(t, done, "the retrying transaction did not wake on another commit")
+			if n, v := runs.Load(), seen.Load(); n != 2 || v != 5 {
+				t.Errorf("body ran %d times and saw %d, want 2 runs ending at 5", n, v)
+			}
+		})
+	}
+}
+
 // orphan runs a transaction writing 9 to o whose goroutine dies at p with
 // no cleanup, and returns once it has died.
 func orphan(t *testing.T, f txntest.Fixture, o *objmodel.Object, p faultinject.Point) {

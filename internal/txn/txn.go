@@ -11,9 +11,9 @@
 //     it is recycled through, and the registry of live descriptors, a
 //     fixed slot array kept packed at its low end so scans cost the number
 //     of goroutines in transactions, not the array (registry.go);
-//   - the top-level retry / escalate / irrevocable loop, the control-flow
-//     signals bodies raise, closed-nesting contexts, and the common tail of
-//     abort and commit (atomic.go);
+//   - the retry / escalate / irrevocable loop that runs each Atomic as one
+//     flat transaction, the control-flow signals bodies raise, and the
+//     common tail of abort and commit (atomic.go);
 //   - conflict arbitration: policy consultation, dooming, inline stealing
 //     from dead owners, the irrevocable claim (conflict.go);
 //   - commit-clock validation for the two validating runtimes: snapshot,
@@ -55,8 +55,8 @@ type Strategy interface {
 	// from the embedded Txn; runtimes do not write it).
 	Base() *Txn
 
-	// Begin resets the runtime's per-attempt state (write set, savepoints,
-	// begin stamps). The kernel has already reset its own and taken the
+	// Begin resets the runtime's per-attempt state (write set, begin
+	// stamps). The kernel has already reset its own and taken the
 	// clock snapshot.
 	Begin()
 
@@ -250,10 +250,6 @@ type Txn struct {
 	slot    int // registry slot index, -1 when in overflow; the next claim tries it first
 	attempt int
 
-	// outer is the transaction this one runs open-nested inside (OpenIn),
-	// nil for none.
-	outer *Txn
-
 	// Reads holds the first-read version per object (unused by the
 	// multi-version runtime, which validates nothing); Owned holds the
 	// version saved at acquire for every record this attempt holds.
@@ -373,7 +369,6 @@ func (k *Kernel) putTxn(tx *Txn) {
 	tx.self.Reset()
 	tx.Reads.Reset()
 	tx.Owned.Reset()
-	tx.outer = nil
 	tx.Ctx = nil
 	tx.FI = nil
 	tx.Sink = nil

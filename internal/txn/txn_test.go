@@ -172,24 +172,6 @@ func TestAtomicCancellation(t *testing.T) {
 		t.Error("a pre-cancelled Atomic began an attempt")
 	}
 
-	// A nested block's own context cancels just the block.
-	outer := 0
-	err = k.Atomic(nil, -1, func(tx *Txn) error {
-		outer++
-		nctx, ncancel := context.WithCancel(context.Background())
-		nerr := tx.NestedCtx(nctx, func() error {
-			ncancel()
-			tx.Poll(nil)
-			return nil
-		})
-		if nerr != context.Canceled || tx.Ctx != nil {
-			t.Errorf("nested err = %v, Ctx restored = %v", nerr, tx.Ctx == nil)
-		}
-		return nil
-	})
-	if err != nil || outer != 1 {
-		t.Errorf("outer err = %v after %d runs, want nil after 1", err, outer)
-	}
 }
 
 func TestAtomicFaults(t *testing.T) {

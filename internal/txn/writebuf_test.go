@@ -44,7 +44,7 @@ func TestWriteSetSliceSpill(t *testing.T) {
 				rt := mvstm.New(h, mvstm.Config{})
 				rt.SetTracer(tr)
 				return func(body func(stmapi.Txn, *txn.WriteBuf)) error {
-					return rt.Atomic(nil, func(tx *mvstm.Txn) error { body(tx, &tx.Buf); return nil })
+					return rt.Atomic(func(tx *mvstm.Txn) error { body(tx, &tx.Buf); return nil })
 				}
 			},
 			order: func(buffered []target) []target {
@@ -60,7 +60,7 @@ func TestWriteSetSliceSpill(t *testing.T) {
 				rt := lazystm.New(h, lazystm.Config{CommonConfig: stmapi.CommonConfig{Granularity: 2}})
 				rt.SetTracer(tr)
 				return func(body func(stmapi.Txn, *txn.WriteBuf)) error {
-					return rt.Atomic(nil, func(tx *lazystm.Txn) error { body(tx, &tx.Buf); return nil })
+					return rt.Atomic(func(tx *lazystm.Txn) error { body(tx, &tx.Buf); return nil })
 				}
 			},
 			order: func(buffered []target) []target {

@@ -39,13 +39,13 @@ func Run() {
 
 	counter := h.New(cls) // txn access and crosses goroutines: mixed
 	go bump(b, counter, done)
-	_ = rt.Atomic(nil, func(tx *stm.Txn) error {
+	_ = rt.Atomic(func(tx *stm.Txn) error {
 		tx.Write(counter, 0, tx.Read(counter, 0)+1)
 		return nil
 	})
 
 	local := h.New(cls) // txn access, single goroutine: tl
-	_ = rt.Atomic(nil, func(tx *stm.Txn) error {
+	_ = rt.Atomic(func(tx *stm.Txn) error {
 		tx.Write(local, 0, 1)
 		return nil
 	})

@@ -68,7 +68,6 @@ var atomicEntryNames = map[string]bool{
 	"Atomic":            true,
 	"AtomicCtx":         true,
 	"AtomicIrrevocable": true,
-	"AtomicOpen":        true,
 	"AtomicRead":        true,
 }
 

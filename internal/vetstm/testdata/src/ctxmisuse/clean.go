@@ -7,7 +7,7 @@ import (
 )
 
 func handled(ctx context.Context) error {
-	if err := rt.AtomicCtx(ctx, nil, body); err != nil {
+	if err := rt.AtomicCtx(ctx, body); err != nil {
 		return err
 	}
 	return nil
@@ -16,10 +16,10 @@ func handled(ctx context.Context) error {
 func derived() error {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
-	return rt.AtomicCtx(ctx, nil, body)
+	return rt.AtomicCtx(ctx, body)
 }
 
 func explicitIgnore(ctx context.Context) {
 	// An explicit blank assignment is a visible decision, not an accident.
-	_ = rt.AtomicCtx(ctx, nil, body)
+	_ = rt.AtomicCtx(ctx, body)
 }

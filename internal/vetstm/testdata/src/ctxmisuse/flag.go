@@ -15,11 +15,11 @@ var api stmapi.Runtime
 func body(tx *stm.Txn) error { return nil }
 
 func discarded(ctx context.Context) {
-	rt.AtomicCtx(ctx, nil, body) // want `AtomicCtx result discarded`
+	rt.AtomicCtx(ctx, body) // want `AtomicCtx result discarded`
 }
 
 func background() error {
-	return rt.AtomicCtx(context.Background(), nil, body) // want `AtomicCtx with context.Background\(\)`
+	return rt.AtomicCtx(context.Background(), body) // want `AtomicCtx with context.Background\(\)`
 }
 
 func todoAndDiscarded() {

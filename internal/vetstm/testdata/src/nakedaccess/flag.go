@@ -14,7 +14,7 @@ var shared *objmodel.Object
 var snapshotted *objmodel.Object // opened only by a multi-version snapshot read
 
 func transactional() {
-	_ = rt.Atomic(nil, func(tx *stm.Txn) error {
+	_ = rt.Atomic(func(tx *stm.Txn) error {
 		tx.Write(shared, 0, tx.Read(shared, 0)+1)
 		return nil
 	})

@@ -6,7 +6,7 @@ import (
 )
 
 func guard() {
-	_ = rt.Atomic(nil, func(tx *stm.Txn) error {
+	_ = rt.Atomic(func(tx *stm.Txn) error {
 		if tx.Read(obj, 0) == 0 {
 			tx.Retry()
 		}
@@ -16,7 +16,7 @@ func guard() {
 }
 
 func loopWithRead(objs []*stm.Txn) {
-	_ = rt.Atomic(nil, func(tx *stm.Txn) error {
+	_ = rt.Atomic(func(tx *stm.Txn) error {
 		for slot := 0; slot < 4; slot++ {
 			if tx.Read(obj, slot) == 0 {
 				tx.Retry() // the loop re-reads: a change is observable

@@ -19,7 +19,7 @@ var ch = make(chan uint64, 1)
 func work() {}
 
 func flagged() {
-	_ = rt.Atomic(nil, func(tx *stm.Txn) error {
+	_ = rt.Atomic(func(tx *stm.Txn) error {
 		fmt.Println("attempt")                    // want `fmt.Println inside an atomic body`
 		log.Printf("balance=%d", tx.Read(obj, 0)) // want `log.Printf inside an atomic body`
 		time.Sleep(time.Millisecond)              // want `time.Sleep inside an atomic body`

@@ -20,14 +20,14 @@ var registry = map[string]*stm.Txn{}
 var txnCh = make(chan *stm.Txn, 1)
 
 func storeGlobal() {
-	_ = rt.Atomic(nil, func(tx *stm.Txn) error {
+	_ = rt.Atomic(func(tx *stm.Txn) error {
 		leaked = tx // want `stored to package-level leaked`
 		return nil
 	})
 }
 
 func storeGlobalMap() {
-	_ = rt.Atomic(nil, func(tx *stm.Txn) error {
+	_ = rt.Atomic(func(tx *stm.Txn) error {
 		registry["current"] = tx // want `stored to package-level registry`
 		return nil
 	})
@@ -41,7 +41,7 @@ func storeGlobalAPI() {
 }
 
 func storeGlobalMV() {
-	_ = mv.Atomic(nil, func(tx *mvstm.Txn) error {
+	_ = mv.Atomic(func(tx *mvstm.Txn) error {
 		leakedMV = tx // want `stored to package-level leakedMV`
 		return nil
 	})
@@ -57,14 +57,14 @@ func goroutineCaptureMVRead() {
 }
 
 func sendOnChannel() {
-	_ = rt.Atomic(nil, func(tx *stm.Txn) error {
+	_ = rt.Atomic(func(tx *stm.Txn) error {
 		txnCh <- tx // want `sent on a channel`
 		return nil
 	})
 }
 
 func goroutineCapture() {
-	_ = rt.Atomic(nil, func(tx *stm.Txn) error {
+	_ = rt.Atomic(func(tx *stm.Txn) error {
 		go func() { // want `captured by a goroutine`
 			_ = tx.Read(obj, 0)
 		}()
@@ -73,7 +73,7 @@ func goroutineCapture() {
 }
 
 func goroutineArg(f func(*stm.Txn)) {
-	_ = rt.Atomic(nil, func(tx *stm.Txn) error {
+	_ = rt.Atomic(func(tx *stm.Txn) error {
 		go f(tx) // want `captured by a goroutine`
 		return nil
 	})

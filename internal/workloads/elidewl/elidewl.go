@@ -171,7 +171,7 @@ func Run(cfg Config) (Result, error) {
 			}
 
 			for i := 0; i < cfg.TxnOps; i++ {
-				if err := rt.Atomic(nil, func(tx *stm.Txn) error {
+				if err := rt.Atomic(func(tx *stm.Txn) error {
 					c := counters[w]
 					tx.Write(c, 0, tx.Read(c, 0)+1)
 					n := counters[(w+1)%cfg.Workers]
