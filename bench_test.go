@@ -27,6 +27,7 @@ import (
 	"repro/internal/objmodel"
 	"repro/internal/opt"
 	"repro/internal/stm"
+	"repro/internal/stmapi"
 	"repro/internal/strong"
 	"repro/internal/trace"
 	"repro/internal/vm"
@@ -261,9 +262,9 @@ func BenchmarkAccessSeparate3(b *testing.B) {
 
 func BenchmarkTxnReadWriteCommit(b *testing.B) {
 	h, o, _ := barrierFixture(b, false)
-	rt := stm.New(h, stm.Config{})
+	rt := stm.New(h, stmapi.CommonConfig{})
 	for i := 0; i < b.N; i++ {
-		_ = rt.Atomic(func(tx *stm.Txn) error {
+		_ = rt.Atomic(func(tx stmapi.Txn) error {
 			tx.Write(o, 0, tx.Read(o, 0)+1)
 			return nil
 		})
@@ -272,10 +273,10 @@ func BenchmarkTxnReadWriteCommit(b *testing.B) {
 
 func BenchmarkTxnReadOnly(b *testing.B) {
 	h, o, _ := barrierFixture(b, false)
-	rt := stm.New(h, stm.Config{})
+	rt := stm.New(h, stmapi.CommonConfig{})
 	var s uint64
 	for i := 0; i < b.N; i++ {
-		_ = rt.Atomic(func(tx *stm.Txn) error {
+		_ = rt.Atomic(func(tx stmapi.Txn) error {
 			s += tx.Read(o, 0) + tx.Read(o, 1) + tx.Read(o, 2)
 			return nil
 		})
@@ -289,8 +290,8 @@ func BenchmarkTxnReadOnly(b *testing.B) {
 // allocs/op.
 func BenchmarkTxnEmptyCommit(b *testing.B) {
 	h, _, _ := barrierFixture(b, false)
-	rt := stm.New(h, stm.Config{})
-	nop := func(tx *stm.Txn) error { return nil }
+	rt := stm.New(h, stmapi.CommonConfig{})
+	nop := func(tx stmapi.Txn) error { return nil }
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = rt.Atomic(nop)
@@ -305,10 +306,10 @@ func BenchmarkTxnEmptyCommit(b *testing.B) {
 // event recording, hotspot accounting, and latency histograms.
 func BenchmarkTxnTracerDisabled(b *testing.B) {
 	h, o, _ := barrierFixture(b, false)
-	rt := stm.New(h, stm.Config{})
+	rt := stm.New(h, stmapi.CommonConfig{})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = rt.Atomic(func(tx *stm.Txn) error {
+		_ = rt.Atomic(func(tx stmapi.Txn) error {
 			tx.Write(o, 0, tx.Read(o, 0)+1)
 			return nil
 		})
@@ -317,11 +318,11 @@ func BenchmarkTxnTracerDisabled(b *testing.B) {
 
 func BenchmarkTxnTracerEnabled(b *testing.B) {
 	h, o, _ := barrierFixture(b, false)
-	rt := stm.New(h, stm.Config{})
+	rt := stm.New(h, stmapi.CommonConfig{})
 	rt.SetTracer(trace.New(trace.Config{}))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = rt.Atomic(func(tx *stm.Txn) error {
+		_ = rt.Atomic(func(tx stmapi.Txn) error {
 			tx.Write(o, 0, tx.Read(o, 0)+1)
 			return nil
 		})
@@ -336,13 +337,13 @@ func BenchmarkTxnTracerEnabled(b *testing.B) {
 // 0 allocs/op regardless of this stack existing.
 func BenchmarkTxnCausalRecorder(b *testing.B) {
 	h, o, _ := barrierFixture(b, false)
-	rt := stm.New(h, stm.Config{})
+	rt := stm.New(h, stmapi.CommonConfig{})
 	tr := trace.New(trace.Config{})
 	tr.SetSink(causal.NewRecorder(causal.Config{}))
 	rt.SetTracer(tr)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = rt.Atomic(func(tx *stm.Txn) error {
+		_ = rt.Atomic(func(tx stmapi.Txn) error {
 			tx.Write(o, 0, tx.Read(o, 0)+1)
 			return nil
 		})
@@ -354,10 +355,10 @@ func BenchmarkTxnCausalRecorder(b *testing.B) {
 // write-back. Also allocation-free in steady state.
 func BenchmarkLazyTxnSmall(b *testing.B) {
 	h, o, _ := barrierFixture(b, false)
-	rt := lazystm.New(h, lazystm.Config{})
+	rt := lazystm.New(h, stmapi.CommonConfig{})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = rt.Atomic(func(tx *lazystm.Txn) error {
+		_ = rt.Atomic(func(tx stmapi.Txn) error {
 			tx.Write(o, 0, tx.Read(o, 0)+1)
 			return nil
 		})
@@ -373,8 +374,8 @@ func BenchmarkLazyWriteCommit(b *testing.B) {
 	for i := 1; i < len(objs); i++ {
 		objs[i] = h.New(first.Class)
 	}
-	rt := lazystm.New(h, lazystm.Config{})
-	body := func(tx *lazystm.Txn) error {
+	rt := lazystm.New(h, stmapi.CommonConfig{})
+	body := func(tx stmapi.Txn) error {
 		for _, o := range objs {
 			tx.Write(o, 0, tx.Read(o, 0)+1)
 		}
@@ -408,12 +409,12 @@ func mvWriteFixture(n int) (*mvstm.Runtime, []*objmodel.Object) {
 	for i := range objs {
 		objs[i] = h.New(cls)
 	}
-	return mvstm.New(h, mvstm.Config{}), objs
+	return mvstm.New(h, stmapi.CommonConfig{}), objs
 }
 
-func mvWriteBody(objs []*objmodel.Object, seed uint64) func(*mvstm.Txn) error {
+func mvWriteBody(objs []*objmodel.Object, seed uint64) func(stmapi.Txn) error {
 	rng := seed
-	return func(tx *mvstm.Txn) error {
+	return func(tx stmapi.Txn) error {
 		for p := 0; p < 8; p++ {
 			rng ^= rng << 13
 			rng ^= rng >> 7
@@ -429,7 +430,7 @@ func mvWriteBody(objs []*objmodel.Object, seed uint64) func(*mvstm.Txn) error {
 
 // BenchmarkMVWriteCommit is partitioned_write's operation on one goroutine.
 // Allocation is a version node for an object's first install only. An object
-// drawn twice within the Config.GCEvery commits between watermark refreshes,
+// drawn twice within the 64 commits between a descriptor's watermark refreshes,
 // about one write in seven over these 1024 objects, has its head above the
 // cached watermark; the commit's on-demand horizon, with no other snapshot
 // live, clears it, and every install rewrites the chain's dead head in place
@@ -475,21 +476,22 @@ func BenchmarkMVSnapshotRead(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			h, o, _ := barrierFixture(b, false)
-			rt := mvstm.New(h, mvstm.Config{})
+			rt := mvstm.New(h, stmapi.CommonConfig{})
 			bump := func() {
-				_ = rt.Atomic(func(tx *mvstm.Txn) error {
+				_ = rt.Atomic(func(tx stmapi.Txn) error {
 					tx.Write(o, 0, tx.Read(o, 0)+1)
 					return nil
 				})
 			}
 			bump()
 			var s uint64
-			_ = rt.AtomicRead(func(tx *mvstm.Txn) error {
+			_ = rt.AtomicRead(func(stx stmapi.Txn) error {
 				if chain {
 					done := make(chan struct{})
 					go func() { defer close(done); bump() }()
 					<-done
 				}
+				tx := stx.(*mvstm.Txn) // one read, not one read and a dynamic dispatch
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					s += tx.Read(o, 0)

@@ -193,10 +193,10 @@ func TestStmtopTool(t *testing.T) {
 		Fields: []objmodel.Field{{Name: "n"}},
 	})
 	o := h.New(cls)
-	rt := stm.New(h, stm.Config{})
+	rt := stm.New(h, stmapi.CommonConfig{})
 	rt.SetTracer(trace.New(trace.Config{ShardCapacity: 256}))
 	for i := 0; i < 25; i++ {
-		if err := rt.Atomic(func(tx *stm.Txn) error {
+		if err := rt.Atomic(func(tx stmapi.Txn) error {
 			tx.Write(o, 0, tx.Read(o, 0)+1)
 			return nil
 		}); err != nil {
@@ -206,13 +206,13 @@ func TestStmtopTool(t *testing.T) {
 	// One deterministic conflict so the hotspot table has an entry: a
 	// competing committed write between two reads dooms the first attempt.
 	attempt := 0
-	if err := rt.Atomic(func(tx *stm.Txn) error {
+	if err := rt.Atomic(func(tx stmapi.Txn) error {
 		attempt++
 		_ = tx.Read(o, 0)
 		if attempt == 1 {
 			done := make(chan error, 1)
 			go func() {
-				done <- rt.Atomic(func(tx2 *stm.Txn) error {
+				done <- rt.Atomic(func(tx2 stmapi.Txn) error {
 					tx2.Write(o, 0, tx2.Read(o, 0)+1)
 					return nil
 				})
@@ -227,7 +227,7 @@ func TestStmtopTool(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := metrics.NewRegistry()
-	reg.RegisterRuntime("cmdtest/eager", rt.API())
+	reg.RegisterRuntime("cmdtest/eager", rt)
 	srv, err := reg.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -398,10 +398,10 @@ func TestStmtraceTool(t *testing.T) {
 		Fields: []objmodel.Field{{Name: "n"}},
 	})
 	hot := h.New(cls)
-	rt := stm.New(h, stm.Config{CommonConfig: stmapi.CommonConfig{
+	rt := stm.New(h, stmapi.CommonConfig{
 		Handler:        &conflict.Timestamp{},
 		SelfAbortAfter: 1 << 30,
-	}})
+	})
 	rt.SetTracer(tr)
 
 	// The older transaction holds the record until the younger one has
@@ -414,7 +414,7 @@ func TestStmtraceTool(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		if err := rt.Atomic(func(tx *stm.Txn) error {
+		if err := rt.Atomic(func(tx stmapi.Txn) error {
 			tx.Write(hot, 0, 1)
 			onceHeld.Do(func() { close(held) })
 			<-release
@@ -427,7 +427,7 @@ func TestStmtraceTool(t *testing.T) {
 		defer wg.Done()
 		<-held
 		entries := 0
-		if err := rt.Atomic(func(tx *stm.Txn) error {
+		if err := rt.Atomic(func(tx stmapi.Txn) error {
 			entries++
 			if entries > 1 {
 				// Already aborted at least once; let the holder commit.

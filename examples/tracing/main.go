@@ -31,6 +31,7 @@ import (
 	"repro/internal/causal"
 	"repro/internal/objmodel"
 	"repro/internal/stm"
+	"repro/internal/stmapi"
 	"repro/internal/trace"
 )
 
@@ -50,7 +51,7 @@ func main() {
 		objs[i] = heap.New(cls)
 	}
 
-	rt := stm.New(heap, stm.Config{})
+	rt := stm.New(heap, stmapi.CommonConfig{})
 	tracer := trace.New(trace.Config{})
 	recorder := causal.NewRecorder(causal.Config{})
 	tracer.SetSink(recorder)
@@ -67,7 +68,7 @@ func main() {
 				// 4 also update counter #0 — the planted hotspot.
 				cold := objs[1+rng.Intn(counters-1)]
 				touchHot := rng.Intn(4) > 0
-				_ = rt.Atomic(func(tx *stm.Txn) error {
+				_ = rt.Atomic(func(tx stmapi.Txn) error {
 					v := tx.Read(cold, 0)
 					var hv uint64
 					if touchHot {
@@ -88,7 +89,7 @@ func main() {
 	}
 	wg.Wait()
 
-	s := rt.Stats.Snapshot()
+	s := rt.Stats()
 	fmt.Printf("transactions: %d committed, %d aborted (%.1f%% abort rate)\n",
 		s.Commits, s.Aborts, 100*float64(s.Aborts)/float64(s.Starts))
 

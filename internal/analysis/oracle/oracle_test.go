@@ -11,6 +11,7 @@ import (
 	"repro/internal/elide"
 	"repro/internal/objmodel"
 	"repro/internal/stm"
+	"repro/internal/stmapi"
 	"repro/internal/strong"
 	"repro/internal/trace"
 )
@@ -66,11 +67,11 @@ func TestOracleCatchesWrongManifest(t *testing.T) {
 
 	tr := trace.New(trace.Config{})
 	tr.SetSink(orc)
-	rt := stm.New(h, stm.Config{})
+	rt := stm.New(h, stmapi.CommonConfig{})
 	rt.SetTracer(tr)
 
 	// Contradiction 1: transactional access of a NAIT-claimed object.
-	if err := rt.Atomic(func(tx *stm.Txn) error {
+	if err := rt.Atomic(func(tx stmapi.Txn) error {
 		tx.Write(obj, 0, tx.Read(obj, 0)+1)
 		return nil
 	}); err != nil {
@@ -120,13 +121,13 @@ func TestOracleCatchesTransactionalCrossGoroutine(t *testing.T) {
 
 	tr := trace.New(trace.Config{})
 	tr.SetSink(orc)
-	rt := stm.New(h, stm.Config{})
+	rt := stm.New(h, stmapi.CommonConfig{})
 	rt.SetTracer(tr)
 
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_ = rt.Atomic(func(tx *stm.Txn) error {
+		_ = rt.Atomic(func(tx stmapi.Txn) error {
 			tx.Write(obj, 0, 7)
 			return nil
 		})
@@ -172,7 +173,7 @@ func TestOracleCleanRunStaysSilent(t *testing.T) {
 
 	tr := trace.New(trace.Config{})
 	tr.SetSink(orc)
-	rt := stm.New(h, stm.Config{})
+	rt := stm.New(h, stmapi.CommonConfig{})
 	rt.SetTracer(tr)
 
 	bars := strong.New(h, false)
@@ -199,7 +200,7 @@ func TestOracleCleanRunStaysSilent(t *testing.T) {
 
 	// tl usage: transactions on the allocating goroutine only.
 	for i := 0; i < 3; i++ {
-		if err := rt.Atomic(func(tx *stm.Txn) error {
+		if err := rt.Atomic(func(tx stmapi.Txn) error {
 			tx.Write(tlObj, 0, tx.Read(tlObj, 0)+1)
 			return nil
 		}); err != nil {

@@ -292,6 +292,3 @@ func (p *PTA) PointsTo(m *ir.Method, ctx Ctx, reg int) []int {
 	p.s.g.PointsTo(n).ForEach(func(o objID) { out = append(out, o) })
 	return out
 }
-
-// NumObjects returns the abstract-object universe size.
-func (p *PTA) NumObjects() int { return p.s.numObjs }

@@ -270,9 +270,6 @@ type Method struct {
 	Blocks []*Block // Blocks[0] is the entry
 }
 
-// BlockByID returns the block with the given ID.
-func (m *Method) BlockByID(id int) *Block { return m.Blocks[id] }
-
 // Program is a compiled TJ program.
 type Program struct {
 	Types   *types.Program

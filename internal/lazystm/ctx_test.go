@@ -6,22 +6,22 @@ package lazystm
 import (
 	"context"
 	"errors"
-	"repro/internal/txn/txntest"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/stmapi"
 	"repro/internal/trace"
+	"repro/internal/txn/txntest"
 )
 
 func TestAtomicCtxPreCancelledSkipsBody(t *testing.T) { txntest.CtxPreCancelledSkipsBody(t, "lazy") }
 
 func TestAtomicCtxCancelMidBodyDiscardsBuffer(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t, stmapi.CommonConfig{})
 	o := f.heap.New(f.cls)
 	ctx, cancel := context.WithCancel(context.Background())
-	err := f.rt.AtomicCtx(ctx, func(tx *Txn) error {
+	err := f.rt.AtomicCtx(ctx, func(tx stmapi.Txn) error {
 		tx.Write(o, 0, 99)
 		cancel()
 		_ = tx.Read(o, 0) // accesses are cancellation points
@@ -47,7 +47,7 @@ func TestAtomicCtxCancelDuringOrderingWait(t *testing.T) {
 	parked := make(chan struct{})
 	release := make(chan struct{})
 	var once atomic.Bool
-	f := newFixture(t, Config{CommonConfig: stmapi.CommonConfig{Quiescence: true}})
+	f := newFixture(t, stmapi.CommonConfig{Quiescence: true})
 	f.traceSink(func(ev trace.Event) {
 		if ev.Kind == trace.EvCommitPoint && once.CompareAndSwap(false, true) {
 			close(parked)
@@ -59,7 +59,7 @@ func TestAtomicCtxCancelDuringOrderingWait(t *testing.T) {
 
 	firstDone := make(chan error, 1)
 	go func() {
-		firstDone <- f.rt.Atomic(func(tx *Txn) error {
+		firstDone <- f.rt.Atomic(func(tx stmapi.Txn) error {
 			tx.Write(o1, 0, 1)
 			return nil
 		})
@@ -68,7 +68,7 @@ func TestAtomicCtxCancelDuringOrderingWait(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	err := f.rt.AtomicCtx(ctx, func(tx *Txn) error {
+	err := f.rt.AtomicCtx(ctx, func(tx stmapi.Txn) error {
 		tx.Write(o2, 0, 2)
 		return nil
 	})
@@ -89,7 +89,7 @@ func TestAtomicCtxCancelDuringOrderingWait(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		done <- f.rt.Atomic(func(tx *Txn) error {
+		done <- f.rt.Atomic(func(tx stmapi.Txn) error {
 			tx.Write(o1, 1, 3)
 			return nil
 		})

@@ -25,9 +25,9 @@ func TestLazyDisabledSinkAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates; exact alloc count only meaningful without -race")
 	}
-	f := newFixture(t, Config{})
+	f := newFixture(t, stmapi.CommonConfig{})
 	o := f.heap.New(f.cls)
-	body := func(tx *Txn) error {
+	body := func(tx stmapi.Txn) error {
 		tx.Write(o, 0, tx.Read(o, 0)+1)
 		return nil
 	}

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/objmodel"
+	"repro/internal/stmapi"
 	"repro/internal/txn/txntest"
 	"repro/internal/txrec"
 )
@@ -40,7 +41,7 @@ func runTransfers(t *testing.T, f *fixture, accounts []*objmodel.Object, gorouti
 				if from == to {
 					continue
 				}
-				if err := f.rt.Atomic(func(tx *Txn) error {
+				if err := f.rt.Atomic(func(tx stmapi.Txn) error {
 					a := tx.Read(from, 0)
 					b := tx.Read(to, 0)
 					tx.Write(from, 0, a-1)
@@ -59,7 +60,7 @@ func runTransfers(t *testing.T, f *fixture, accounts []*objmodel.Object, gorouti
 func TestInjectedAbortsPreserveInvariants(t *testing.T) {
 	for _, p := range abortPoints {
 		t.Run(p.String(), func(t *testing.T) {
-			f := newFixture(t, Config{})
+			f := newFixture(t, stmapi.CommonConfig{})
 			in := faultinject.New(uint64(p)+1, faultinject.Rule{
 				Point: p, Action: faultinject.Abort, Rate: 256,
 			})

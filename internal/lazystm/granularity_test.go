@@ -15,15 +15,15 @@ import (
 // slot0 and the store survives. Returns slot1's final value.
 func lazyGranTrial(t *testing.T, g int) uint64 {
 	t.Helper()
-	f := newFixture(t, Config{CommonConfig: stmapi.CommonConfig{Granularity: g}})
+	f := newFixture(t, stmapi.CommonConfig{Granularity: g})
 	o := f.heap.New(f.cls)
-	if err := f.rt.Atomic(func(tx *Txn) error {
+	if err := f.rt.Atomic(func(tx stmapi.Txn) error {
 		tx.Write(o, 1, 7)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.rt.Atomic(func(tx *Txn) error {
+	if err := f.rt.Atomic(func(tx stmapi.Txn) error {
 		tx.Write(o, 0, 1)
 		o.StoreSlot(1, 99)
 		return nil
@@ -48,24 +48,24 @@ func TestLazySpanPoisoningAndPromotion(t *testing.T) {
 // TestLazyClockFastpath pins the lazy runtime's TL2 stats: uncontended
 // writing commits advance the clock and validate on the fast path.
 func TestLazyClockFastpath(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t, stmapi.CommonConfig{})
 	o := f.heap.New(f.cls)
 	const n = 50
 	for i := 0; i < n; i++ {
-		if err := f.rt.Atomic(func(tx *Txn) error {
+		if err := f.rt.Atomic(func(tx stmapi.Txn) error {
 			tx.Write(o, 0, tx.Read(o, 0)+1)
 			return nil
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := f.rt.Stats.ClockAdvances.Load(); got != n {
+	if got := f.rt.Counters.ClockAdvances.Load(); got != n {
 		t.Errorf("clock advances = %d, want %d", got, n)
 	}
-	if got := f.rt.Stats.FastpathValidations.Load(); got == 0 {
+	if got := f.rt.Counters.FastpathValidations.Load(); got == 0 {
 		t.Error("fastpath validations = 0, want > 0")
 	}
-	if got := f.rt.Stats.FallbackWalks.Load(); got != 0 {
+	if got := f.rt.Counters.FallbackWalks.Load(); got != 0 {
 		t.Errorf("fallback walks = %d, want 0", got)
 	}
 }

@@ -5,18 +5,21 @@ package lazystm
 // must flush correctly under parallel commit/abort. Run under -race in CI.
 
 import (
-	"repro/internal/txn/txntest"
 	"testing"
+
+	"repro/internal/stmapi"
+	"repro/internal/txn/txntest"
 )
 
 // TestPooledDescriptorClean checks that a reused descriptor starts with an
 // empty read set and write buffer even after a transaction that dirtied
 // both heavily.
 func TestPooledDescriptorClean(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t, stmapi.CommonConfig{})
 	o := f.heap.New(f.cls)
 	for i := 0; i < 50; i++ {
-		err := f.rt.Atomic(func(tx *Txn) error {
+		err := f.rt.Atomic(func(stx stmapi.Txn) error {
+			tx := stx.(*Txn)
 			if tx.Reads.Len() != 0 || len(tx.Buf.Ents) != 0 {
 				t.Errorf("iter %d: dirty descriptor (reads %d, buffered slots %d)",
 					i, tx.Reads.Len(), len(tx.Buf.Ents))

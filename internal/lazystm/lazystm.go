@@ -45,7 +45,6 @@ package lazystm
 
 import (
 	"context"
-	"errors"
 
 	"repro/internal/conflict"
 	"repro/internal/objmodel"
@@ -55,47 +54,30 @@ import (
 	"repro/internal/txrec"
 )
 
-// Config parameterizes a Runtime: the cross-runtime knobs (Granularity,
-// Quiescence, Handler, SelfAbortAfter, ...) of the embedded
-// stmapi.CommonConfig and nothing lazy-specific.
-type Config struct {
-	stmapi.CommonConfig
-}
-
-// Runtime is a lazy-versioning STM instance bound to a heap. The embedded
-// kernel supplies Heap, Stats, SetTracer, SetInjector, SetCommitSink and
-// ReapDead.
+// Runtime is a lazy-versioning STM instance bound to a heap, configured by
+// the cross-runtime stmapi.CommonConfig and nothing lazy-specific. The
+// embedded kernel is its whole driver surface: Atomic, AtomicCtx,
+// AtomicIrrevocable, Heap, Stats, the setters and ReapDead, so *Runtime is
+// an stmapi.DurableRuntime.
 type Runtime struct {
 	txn.Kernel
-
-	cfg Config
 }
 
 // New creates a lazy-versioning Runtime over heap. Invalid configurations
 // are rejected with a panic.
-func New(heap *objmodel.Heap, cfg Config) *Runtime {
-	rt := &Runtime{cfg: cfg}
-	rt.Init("lazy", heap, &rt.cfg.CommonConfig, func() txn.Strategy {
+func New(heap *objmodel.Heap, cfg stmapi.CommonConfig) *Runtime {
+	rt := &Runtime{}
+	rt.Init("lazy", heap, cfg, func() txn.Strategy {
 		return &Txn{rt: rt}
 	})
 	return rt
 }
 
-// Config returns the runtime's configuration.
-func (rt *Runtime) Config() Config { return rt.cfg }
-
-// API returns the runtime-agnostic driver view of rt.
-func (rt *Runtime) API() stmapi.Runtime { return txn.API{Kernel: &rt.Kernel} }
-
 func init() {
 	txn.Register("lazy", func(heap *objmodel.Heap, cfg stmapi.CommonConfig) stmapi.Runtime {
-		return New(heap, Config{CommonConfig: cfg}).API()
+		return New(heap, cfg)
 	})
 }
-
-// ErrAborted aborts the transaction without retry when returned from the
-// body.
-var ErrAborted = errors.New("lazystm: transaction aborted by user")
 
 // Txn is a lazy-versioning transaction descriptor: the kernel's
 // deferred-update descriptor, whose buffer holds the spans. Pooled across
@@ -192,7 +174,7 @@ func (tx *Txn) Write(o *objmodel.Object, slot int, v uint64) {
 	if i := tx.Buf.Find(o, slot); i >= 0 {
 		tx.Buf.Ents[i].Val = v
 	} else {
-		g := tx.rt.cfg.Granularity
+		g := tx.rt.Config().Granularity
 		base := slot &^ (g - 1)
 		for s := base; s < base+g && s < len(o.Slots); s++ {
 			if s == slot {
@@ -257,14 +239,14 @@ func (tx *Txn) Commit() (ok bool, err error) {
 	// particular order", and what Figure 4a needs of that is a publishing
 	// store able to land before the store that initializes what it publishes:
 	// atomic { el.val = 1; x = el } buffers x last and writes it back first.
-	publish := tx.rt.Heap.HasManifest()
+	publish := tx.rt.Heap().HasManifest()
 	for k := range ents {
 		e := &ents[len(ents)-1-k]
 		// With an elision manifest loaded the heap mints private-born
 		// objects, so write-back into a public container is a publication
 		// point (Figure 10b): the referenced subgraph escapes here.
 		if publish && e.Val != 0 && e.Obj.IsRefSlot(e.Slot) && !txrec.IsPrivate(e.Obj.Rec.Load()) {
-			tx.rt.Heap.PublishRef(objmodel.Ref(e.Val))
+			tx.rt.Heap().PublishRef(objmodel.Ref(e.Val))
 		}
 		e.Obj.StoreSlot(e.Slot, e.Val)
 		if tr := tx.Tr; tr != nil {
@@ -291,26 +273,4 @@ func (tx *Txn) ReapOrphan(committed bool) {
 		tx.rt.Clock.Tick()
 	}
 	tx.Deferred.ReapOrphan(committed)
-}
-
-// Atomic executes body as a lazy-versioning transaction, retrying until it
-// commits.
-func (rt *Runtime) Atomic(body func(*Txn) error) error {
-	return rt.AtomicCtx(nil, body)
-}
-
-// AtomicCtx is Atomic with deadline/cancellation support; see
-// txn.Kernel.Atomic for where the context is checked. Cancellation before
-// the commit point discards the write buffer and returns ctx.Err();
-// cancellation during the post-commit quiescence wait returns ctx.Err() with
-// the effects already committed.
-func (rt *Runtime) AtomicCtx(ctx context.Context, body func(*Txn) error) error {
-	return rt.Kernel.Atomic(ctx, rt.EscalateFrom(), func(k *txn.Txn) error { return body(k.Self().(*Txn)) })
-}
-
-// AtomicIrrevocable executes body as an irrevocable transaction (singular
-// token, pessimistic reads after the switch, no abort possible past it —
-// safe for I/O).
-func (rt *Runtime) AtomicIrrevocable(body func(*Txn) error) error {
-	return rt.Kernel.Atomic(nil, 0, func(k *txn.Txn) error { return body(k.Self().(*Txn)) })
 }

@@ -11,13 +11,17 @@ import (
 	"repro/internal/txrec"
 )
 
+// errAborted is what a body returns to abort its transaction for good: the
+// runtime rolls back and returns it without retrying.
+var errAborted = errors.New("aborted by the body")
+
 type fixture struct {
 	heap *objmodel.Heap
 	rt   *Runtime
 	cls  *objmodel.Class
 }
 
-func newFixture(t testing.TB, cfg Config) *fixture {
+func newFixture(t testing.TB, cfg stmapi.CommonConfig) *fixture {
 	t.Helper()
 	h := objmodel.NewHeap()
 	rt := New(h, cfg)
@@ -40,9 +44,9 @@ func (f *fixture) traceSink(fn func(trace.Event)) {
 }
 
 func TestLazyCommitBasic(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t, stmapi.CommonConfig{})
 	o := f.heap.New(f.cls)
-	err := f.rt.Atomic(func(tx *Txn) error {
+	err := f.rt.Atomic(func(tx stmapi.Txn) error {
 		tx.Write(o, 0, 5)
 		if got := tx.Read(o, 0); got != 5 {
 			t.Errorf("read-own-write = %d", got)
@@ -66,14 +70,14 @@ func TestLazyCommitBasic(t *testing.T) {
 }
 
 func TestLazyAbortLeavesMemoryUntouched(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t, stmapi.CommonConfig{})
 	o := f.heap.New(f.cls)
 	o.StoreSlot(0, 3)
-	err := f.rt.Atomic(func(tx *Txn) error {
+	err := f.rt.Atomic(func(tx stmapi.Txn) error {
 		tx.Write(o, 0, 99)
-		return ErrAborted
+		return errAborted
 	})
-	if !errors.Is(err, ErrAborted) {
+	if !errors.Is(err, errAborted) {
 		t.Fatal(err)
 	}
 	if got := o.LoadSlot(0); got != 3 {
@@ -86,10 +90,10 @@ func TestLazyAbortLeavesMemoryUntouched(t *testing.T) {
 }
 
 func TestLazyValidationFailureRetries(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t, stmapi.CommonConfig{})
 	o, x := f.heap.New(f.cls), f.heap.New(f.cls)
 	runs := 0
-	err := f.rt.Atomic(func(tx *Txn) error {
+	err := f.rt.Atomic(func(tx stmapi.Txn) error {
 		runs++
 		v := tx.Read(o, 0)
 		if runs == 1 {
@@ -119,7 +123,7 @@ func TestLazyValidationFailureRetries(t *testing.T) {
 }
 
 func TestLazyCounterAtomicity(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t, stmapi.CommonConfig{})
 	o := f.heap.New(f.cls)
 	const (
 		goroutines = 8
@@ -131,7 +135,7 @@ func TestLazyCounterAtomicity(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				_ = f.rt.Atomic(func(tx *Txn) error {
+				_ = f.rt.Atomic(func(tx stmapi.Txn) error {
 					tx.Write(o, 0, tx.Read(o, 0)+1)
 					return nil
 				})
@@ -148,7 +152,7 @@ func TestLazyCounterAtomicity(t *testing.T) {
 // paper's Section 2.3 builds on: there is a window after the commit point
 // where a racing plain read still sees the old value.
 func TestCommitWindowVisible(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t, stmapi.CommonConfig{})
 	o := f.heap.New(f.cls)
 	var observed uint64
 	f.traceSink(func(ev trace.Event) {
@@ -157,7 +161,7 @@ func TestCommitWindowVisible(t *testing.T) {
 			observed = o.LoadSlot(0)
 		}
 	})
-	err := f.rt.Atomic(func(tx *Txn) error {
+	err := f.rt.Atomic(func(tx stmapi.Txn) error {
 		tx.Write(o, 0, 42)
 		return nil
 	})
@@ -177,10 +181,10 @@ func TestCommitWindowVisible(t *testing.T) {
 // slot f snapshots slot g; a later in-transaction read of g is served from
 // the stale buffer.
 func TestGranularSnapshotServesStaleNeighbour(t *testing.T) {
-	f := newFixture(t, Config{CommonConfig: stmapi.CommonConfig{Granularity: 2}})
+	f := newFixture(t, stmapi.CommonConfig{Granularity: 2})
 	o := f.heap.New(f.cls)
 	o.StoreSlot(1, 10) // g
-	err := f.rt.Atomic(func(tx *Txn) error {
+	err := f.rt.Atomic(func(tx stmapi.Txn) error {
 		tx.Write(o, 0, 1) // snapshots g == 10 into the buffer
 		// Another thread updates g in memory (barriered NT write).
 		if _, ok := o.Rec.AcquireAnon(); !ok {
@@ -191,9 +195,9 @@ func TestGranularSnapshotServesStaleNeighbour(t *testing.T) {
 		if got := tx.Read(o, 1); got != 10 {
 			t.Errorf("in-txn read of g = %d, want stale 10 from the span buffer", got)
 		}
-		return ErrAborted // do not write back; we only probe the buffer
+		return errAborted // do not write back; we only probe the buffer
 	})
-	if !errors.Is(err, ErrAborted) {
+	if !errors.Is(err, errAborted) {
 		t.Fatal(err)
 	}
 }
@@ -202,7 +206,7 @@ func TestGranularSnapshotServesStaleNeighbour(t *testing.T) {
 // lost update: the 2-slot write-back restores the snapshotted neighbour,
 // erasing an intervening update.
 func TestGranularWritebackOverwritesNeighbour(t *testing.T) {
-	f := newFixture(t, Config{CommonConfig: stmapi.CommonConfig{Granularity: 2}})
+	f := newFixture(t, stmapi.CommonConfig{Granularity: 2})
 	o := f.heap.New(f.cls)
 	o.StoreSlot(1, 10)
 	inBody := make(chan struct{})
@@ -210,7 +214,7 @@ func TestGranularWritebackOverwritesNeighbour(t *testing.T) {
 	done := make(chan struct{})
 	var once sync.Once
 	go func() {
-		_ = f.rt.Atomic(func(tx *Txn) error {
+		_ = f.rt.Atomic(func(tx stmapi.Txn) error {
 			tx.Write(o, 0, 1) // span buffer captures g == 10
 			once.Do(func() { close(inBody) })
 			<-wrote
@@ -228,14 +232,14 @@ func TestGranularWritebackOverwritesNeighbour(t *testing.T) {
 }
 
 func TestGranularityOneWritebackDoesNotSpan(t *testing.T) {
-	f := newFixture(t, Config{CommonConfig: stmapi.CommonConfig{Granularity: 1}})
+	f := newFixture(t, stmapi.CommonConfig{Granularity: 1})
 	o := f.heap.New(f.cls)
 	o.StoreSlot(1, 10)
 	inBody := make(chan struct{})
 	wrote := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
-		_ = f.rt.Atomic(func(tx *Txn) error {
+		_ = f.rt.Atomic(func(tx stmapi.Txn) error {
 			tx.Write(o, 0, 1)
 			select {
 			case <-inBody:
@@ -268,7 +272,7 @@ func TestQuiescenceOrdersCompletion(t *testing.T) {
 			name = "quiescence on"
 		}
 		t.Run(name, func(t *testing.T) {
-			f := newFixture(t, Config{CommonConfig: stmapi.CommonConfig{Quiescence: quiescence}})
+			f := newFixture(t, stmapi.CommonConfig{Quiescence: quiescence})
 			o := f.heap.New(f.cls)
 			const n = 50
 			var wg sync.WaitGroup
@@ -277,7 +281,7 @@ func TestQuiescenceOrdersCompletion(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					for i := 0; i < n; i++ {
-						_ = f.rt.Atomic(func(tx *Txn) error {
+						_ = f.rt.Atomic(func(tx stmapi.Txn) error {
 							tx.Write(o, 0, tx.Read(o, 0)+1)
 							return nil
 						})
@@ -300,14 +304,14 @@ func TestQuiescenceOrdersCompletion(t *testing.T) {
 }
 
 func TestLazyRetry(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t, stmapi.CommonConfig{})
 	o := f.heap.New(f.cls)
 	done := make(chan uint64)
 	started := make(chan struct{})
 	var once sync.Once
 	go func() {
 		var got uint64
-		_ = f.rt.Atomic(func(tx *Txn) error {
+		_ = f.rt.Atomic(func(tx stmapi.Txn) error {
 			v := tx.Read(o, 0)
 			once.Do(func() { close(started) })
 			if v == 0 {
@@ -319,7 +323,7 @@ func TestLazyRetry(t *testing.T) {
 		done <- got
 	}()
 	<-started
-	_ = f.rt.Atomic(func(tx *Txn) error {
+	_ = f.rt.Atomic(func(tx stmapi.Txn) error {
 		tx.Write(o, 0, 8)
 		return nil
 	})
@@ -329,10 +333,10 @@ func TestLazyRetry(t *testing.T) {
 }
 
 func TestLazyRestart(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t, stmapi.CommonConfig{})
 	o := f.heap.New(f.cls)
 	runs := 0
-	err := f.rt.Atomic(func(tx *Txn) error {
+	err := f.rt.Atomic(func(tx stmapi.Txn) error {
 		runs++
 		tx.Write(o, 0, uint64(runs))
 		if runs < 2 {
@@ -349,7 +353,7 @@ func TestLazyRestart(t *testing.T) {
 }
 
 func TestLazyMultiObjectCommitSorted(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t, stmapi.CommonConfig{})
 	objs := make([]*objmodel.Object, 8)
 	for i := range objs {
 		objs[i] = f.heap.New(f.cls)
@@ -360,7 +364,7 @@ func TestLazyMultiObjectCommitSorted(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				_ = f.rt.Atomic(func(tx *Txn) error {
+				_ = f.rt.Atomic(func(tx stmapi.Txn) error {
 					// Touch objects in different orders per goroutine; the
 					// sorted commit-time acquisition avoids deadlock.
 					if g%2 == 0 {
@@ -391,5 +395,5 @@ func TestLazyBadGranularityPanics(t *testing.T) {
 			t.Error("granularity 5 accepted")
 		}
 	}()
-	New(objmodel.NewHeap(), Config{CommonConfig: stmapi.CommonConfig{Granularity: 5}})
+	New(objmodel.NewHeap(), stmapi.CommonConfig{Granularity: 5})
 }

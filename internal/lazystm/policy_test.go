@@ -7,7 +7,6 @@ package lazystm
 // invariants under contention per policy.
 
 import (
-	"repro/internal/txn/txntest"
 	"runtime"
 	"testing"
 
@@ -15,6 +14,7 @@ import (
 	"repro/internal/objmodel"
 	"repro/internal/stmapi"
 	"repro/internal/trace"
+	"repro/internal/txn/txntest"
 )
 
 func TestPoliciesPreserveInvariantsUnderContention(t *testing.T) {
@@ -37,14 +37,14 @@ func TestDoomAfterCommitPointIsIgnored(t *testing.T) {
 	var o *objmodel.Object
 	var mine, victim *Txn
 	contender := make(chan error, 1)
-	f = newFixture(t, Config{CommonConfig: stmapi.CommonConfig{Handler: alwaysDoom{}}})
+	f = newFixture(t, stmapi.CommonConfig{Handler: alwaysDoom{}})
 	f.traceSink(func(ev trace.Event) {
 		if ev.Kind != trace.EvCommitPoint || victim != nil {
 			return // not a commit point, or the contender's own
 		}
 		victim = mine
 		go func() {
-			contender <- f.rt.Atomic(func(tx *Txn) error {
+			contender <- f.rt.Atomic(func(tx stmapi.Txn) error {
 				tx.Write(o, 1, 9)
 				return nil
 			})
@@ -54,8 +54,8 @@ func TestDoomAfterCommitPointIsIgnored(t *testing.T) {
 		}
 	})
 	o = f.heap.New(f.cls)
-	if err := f.rt.Atomic(func(tx *Txn) error {
-		mine = tx
+	if err := f.rt.Atomic(func(tx stmapi.Txn) error {
+		mine = tx.(*Txn)
 		tx.Write(o, 0, 7)
 		return nil
 	}); err != nil {
@@ -70,7 +70,7 @@ func TestDoomAfterCommitPointIsIgnored(t *testing.T) {
 	if got := o.LoadSlot(0); got != 7 {
 		t.Fatalf("slot 0 = %d, want 7 (post-commit-point doom must be ignored)", got)
 	}
-	if s := f.rt.Stats.Snapshot(); s.Commits != 2 || s.DoomsIssued != 1 {
+	if s := f.rt.Stats(); s.Commits != 2 || s.DoomsIssued != 1 {
 		t.Fatalf("commits = %d, dooms = %d, want 2 and 1", s.Commits, s.DoomsIssued)
 	}
 }

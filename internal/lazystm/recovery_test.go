@@ -12,7 +12,7 @@ import (
 	"repro/internal/txn/txntest"
 )
 
-func newRecoveryRuntime(t *testing.T, cfg Config) (*Runtime, *objmodel.Object) {
+func newRecoveryRuntime(t *testing.T, cfg stmapi.CommonConfig) (*Runtime, *objmodel.Object) {
 	t.Helper()
 	h := objmodel.NewHeap()
 	cls := h.MustDefineClass(objmodel.ClassSpec{
@@ -25,7 +25,7 @@ func newRecoveryRuntime(t *testing.T, cfg Config) (*Runtime, *objmodel.Object) {
 
 // orphanOnce runs body in its own goroutine and swallows the OrphanError the
 // injected death raises, returning once the goroutine has fully unwound.
-func orphanOnce(t *testing.T, rt *Runtime, body func(tx *Txn) error) {
+func orphanOnce(t *testing.T, rt *Runtime, body func(tx stmapi.Txn) error) {
 	t.Helper()
 	done := make(chan error, 1)
 	go func() {
@@ -57,10 +57,10 @@ func TestCommittedOrphanKeepsEffectsAndUnstallsTickets(t *testing.T) {
 }
 
 func TestWaiterStealsInlineWithoutReaper(t *testing.T) {
-	rt, o := newRecoveryRuntime(t, Config{})
+	rt, o := newRecoveryRuntime(t, stmapi.CommonConfig{})
 	in := faultinject.New(1, faultinject.Rule{Point: faultinject.PreValidate, Action: faultinject.Orphan, Every: 1})
 	rt.SetInjector(in)
-	orphanOnce(t, rt, func(tx *Txn) error {
+	orphanOnce(t, rt, func(tx stmapi.Txn) error {
 		tx.Write(o, 0, 999)
 		return nil
 	})
@@ -69,7 +69,7 @@ func TestWaiterStealsInlineWithoutReaper(t *testing.T) {
 	// No reaper: the next committer must find the dead owner and steal inline.
 	done := make(chan error, 1)
 	go func() {
-		done <- rt.Atomic(func(tx *Txn) error { tx.Write(o, 0, 5); return nil })
+		done <- rt.Atomic(func(tx stmapi.Txn) error { tx.Write(o, 0, 5); return nil })
 	}()
 	select {
 	case err := <-done:
@@ -85,10 +85,10 @@ func TestWaiterStealsInlineWithoutReaper(t *testing.T) {
 }
 
 func TestAtomicIrrevocableCommitsAndReleasesToken(t *testing.T) {
-	rt, o := newRecoveryRuntime(t, Config{})
-	rt.Atomic(func(tx *Txn) error { tx.Write(o, 0, 1); return nil })
+	rt, o := newRecoveryRuntime(t, stmapi.CommonConfig{})
+	rt.Atomic(func(tx stmapi.Txn) error { tx.Write(o, 0, 1); return nil })
 
-	err := rt.AtomicIrrevocable(func(tx *Txn) error {
+	err := rt.AtomicIrrevocable(func(tx stmapi.Txn) error {
 		v := tx.Read(o, 0)
 		if !tx.IsIrrevocable() {
 			t.Error("body not irrevocable inside AtomicIrrevocable")
@@ -105,16 +105,16 @@ func TestAtomicIrrevocableCommitsAndReleasesToken(t *testing.T) {
 	if tok := rt.IrrevocableHolder(); tok != 0 {
 		t.Fatalf("token not released: %d", tok)
 	}
-	if n := rt.Stats.IrrevocableTxns.Load(); n != 1 {
+	if n := rt.Counters.IrrevocableTxns.Load(); n != 1 {
 		t.Fatalf("IrrevocableTxns = %d, want 1", n)
 	}
-	if ns := rt.Stats.IrrevocableNs.Load(); ns <= 0 {
+	if ns := rt.Counters.IrrevocableNs.Load(); ns <= 0 {
 		t.Fatalf("IrrevocableNs = %d, want > 0", ns)
 	}
 }
 
 func TestBecomeIrrevocableMidBodySurvivesDoom(t *testing.T) {
-	rt, o := newRecoveryRuntime(t, Config{})
+	rt, o := newRecoveryRuntime(t, stmapi.CommonConfig{})
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	// Background writers hammer the object, trying to invalidate the reader.
@@ -128,14 +128,14 @@ func TestBecomeIrrevocableMidBodySurvivesDoom(t *testing.T) {
 					return
 				default:
 				}
-				rt.Atomic(func(tx *Txn) error {
+				rt.Atomic(func(tx stmapi.Txn) error {
 					tx.Write(o, 1, tx.Read(o, 1)+1)
 					return nil
 				})
 			}
 		}()
 	}
-	err := rt.Atomic(func(tx *Txn) error {
+	err := rt.Atomic(func(tx stmapi.Txn) error {
 		tx.BecomeIrrevocable()
 		// Past the switch nothing may abort us: a read of the contended
 		// object acquires it pessimistically and must succeed.
@@ -155,15 +155,13 @@ func TestBecomeIrrevocableMidBodySurvivesDoom(t *testing.T) {
 }
 
 func TestEscalateAfterConsecutiveAborts(t *testing.T) {
-	rt, o := newRecoveryRuntime(t, Config{
-		CommonConfig: stmapi.CommonConfig{EscalateAfter: 3},
-	})
+	rt, o := newRecoveryRuntime(t, stmapi.CommonConfig{EscalateAfter: 3})
 	// Abort every attempt at validation; the fourth attempt escalates to
 	// irrevocable, which ignores the Abort injection and commits.
 	in := faultinject.New(1, faultinject.Rule{Point: faultinject.PreValidate, Action: faultinject.Abort, Every: 1})
 	rt.SetInjector(in)
 	sawIrrevocable := false
-	err := rt.Atomic(func(tx *Txn) error {
+	err := rt.Atomic(func(tx stmapi.Txn) error {
 		sawIrrevocable = tx.IsIrrevocable()
 		tx.Write(o, 0, uint64(tx.Attempt()))
 		return nil
@@ -175,7 +173,7 @@ func TestEscalateAfterConsecutiveAborts(t *testing.T) {
 	if !sawIrrevocable {
 		t.Fatal("final attempt did not run irrevocably")
 	}
-	if n := rt.Stats.Escalations.Load(); n != 1 {
+	if n := rt.Counters.Escalations.Load(); n != 1 {
 		t.Fatalf("Escalations = %d, want 1", n)
 	}
 	if v := o.LoadSlot(0); v != 3 {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/objmodel"
+	"repro/internal/stmapi"
 	"repro/internal/trace"
 )
 
@@ -19,7 +20,7 @@ type traceFixture struct {
 	cls  *objmodel.Class
 }
 
-func newTraceFixture(t testing.TB, cfg Config) *traceFixture {
+func newTraceFixture(t testing.TB, cfg stmapi.CommonConfig) *traceFixture {
 	t.Helper()
 	h := objmodel.NewHeap()
 	rt := New(h, cfg)
@@ -36,9 +37,9 @@ func TestLazyDisabledTracerAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates; exact alloc count only meaningful without -race")
 	}
-	f := newTraceFixture(t, Config{})
+	f := newTraceFixture(t, stmapi.CommonConfig{})
 	o := f.newCell()
-	body := func(tx *Txn) error {
+	body := func(tx stmapi.Txn) error {
 		tx.Write(o, 0, tx.Read(o, 0)+1)
 		return nil
 	}
@@ -58,11 +59,11 @@ func TestLazyDisabledTracerAllocFree(t *testing.T) {
 }
 
 func TestLazyTraceEventLifecycle(t *testing.T) {
-	f := newTraceFixture(t, Config{})
+	f := newTraceFixture(t, stmapi.CommonConfig{})
 	tr := trace.New(trace.Config{ShardCapacity: 128, Shards: 1})
 	f.rt.SetTracer(tr)
 	o := f.newCell()
-	if err := f.rt.Atomic(func(tx *Txn) error {
+	if err := f.rt.Atomic(func(tx stmapi.Txn) error {
 		tx.Write(o, 0, tx.Read(o, 0)+1)
 		_ = tx.Read(o, 0) // buffered read-back
 		return nil
@@ -92,7 +93,7 @@ func TestLazyTraceEventLifecycle(t *testing.T) {
 }
 
 func TestLazyTraceNoEventLossParallel(t *testing.T) {
-	f := newTraceFixture(t, Config{})
+	f := newTraceFixture(t, stmapi.CommonConfig{})
 	const goroutines = 8
 	const iters = 150
 	// 8 events per committed txn (begin/read/write/acquire/commit-point/
@@ -107,7 +108,7 @@ func TestLazyTraceNoEventLossParallel(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				_ = f.rt.Atomic(func(tx *Txn) error {
+				_ = f.rt.Atomic(func(tx stmapi.Txn) error {
 					tx.Write(o, 0, tx.Read(o, 0)+1)
 					return nil
 				})
@@ -133,14 +134,14 @@ func TestLazyTraceNoEventLossParallel(t *testing.T) {
 // commit-time validation failure and checks the abort is blamed on the
 // object whose version moved.
 func TestLazyCommitValidationAttribution(t *testing.T) {
-	f := newTraceFixture(t, Config{})
+	f := newTraceFixture(t, stmapi.CommonConfig{})
 	tr := trace.New(trace.Config{ShardCapacity: 1024})
 	f.rt.SetTracer(tr)
 	hot := f.newCell()
 	sink := f.newCell()
 	for i := 0; i < 4; i++ {
 		attempt := 0
-		err := f.rt.Atomic(func(tx *Txn) error {
+		err := f.rt.Atomic(func(tx stmapi.Txn) error {
 			attempt++
 			v := tx.Read(hot, 0)
 			tx.Write(sink, 0, v)
@@ -149,7 +150,7 @@ func TestLazyCommitValidationAttribution(t *testing.T) {
 				// validation: its read set is now stale.
 				done := make(chan error, 1)
 				go func() {
-					done <- f.rt.Atomic(func(tx2 *Txn) error {
+					done <- f.rt.Atomic(func(tx2 stmapi.Txn) error {
 						tx2.Write(hot, 0, tx2.Read(hot, 0)+1)
 						return nil
 					})
@@ -185,17 +186,17 @@ func TestLazyCommitValidationAttribution(t *testing.T) {
 }
 
 func TestLazyStatsSnapshot(t *testing.T) {
-	f := newTraceFixture(t, Config{})
+	f := newTraceFixture(t, stmapi.CommonConfig{})
 	o := f.newCell()
 	for i := 0; i < 5; i++ {
-		if err := f.rt.Atomic(func(tx *Txn) error {
+		if err := f.rt.Atomic(func(tx stmapi.Txn) error {
 			tx.Write(o, 0, tx.Read(o, 0)+1)
 			return nil
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	s := f.rt.Stats.Snapshot()
+	s := f.rt.Stats()
 	if s.Commits != 5 || s.Starts != 5 || s.Aborts != 0 {
 		t.Errorf("snapshot = %+v", s)
 	}

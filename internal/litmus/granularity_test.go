@@ -37,7 +37,7 @@ func promoCells(h *objmodel.Heap, n int) []*objmodel.Object {
 func TestGLUVanishesAfterPromotion(t *testing.T) {
 	trial := func(gran int) bool {
 		h := objmodel.NewHeap()
-		rt := stm.New(h, stm.Config{CommonConfig: stmapi.CommonConfig{Granularity: gran}})
+		rt := stm.New(h, stmapi.CommonConfig{Granularity: gran})
 		x := promoCells(h, 1)[0]
 		afterWrite := make(chan struct{})
 		t2done := make(chan struct{})
@@ -50,7 +50,7 @@ func TestGLUVanishesAfterPromotion(t *testing.T) {
 			x.StoreSlot(SlotG, 1)
 			close(t2done)
 		}()
-		_ = rt.Atomic(func(tx *stm.Txn) error { // Thread 1: atomic { x.f = 5 } aborting once
+		_ = rt.Atomic(func(tx stmapi.Txn) error { // Thread 1: atomic { x.f = 5 } aborting once
 			tx.Write(x, SlotF, 5)
 			if tx.Attempt() == 0 {
 				once.Do(func() { close(afterWrite) })
@@ -78,7 +78,7 @@ func TestGLUVanishesAfterPromotion(t *testing.T) {
 func TestGIRVanishesAfterPromotion(t *testing.T) {
 	trial := func(gran int) bool {
 		h := objmodel.NewHeap()
-		rt := lazystm.New(h, lazystm.Config{CommonConfig: stmapi.CommonConfig{Granularity: gran}})
+		rt := lazystm.New(h, stmapi.CommonConfig{Granularity: gran})
 		cells := promoCells(h, 2)
 		x, y := cells[0], cells[1]
 		afterWrite := make(chan struct{})
@@ -95,7 +95,7 @@ func TestGIRVanishesAfterPromotion(t *testing.T) {
 			y.StoreSlot(SlotF, 1)
 			close(t2done)
 		}()
-		_ = rt.Atomic(func(tx *lazystm.Txn) error { // Thread 1: atomic { x.f=5; if y==1 then r=x.g }
+		_ = rt.Atomic(func(tx stmapi.Txn) error { // Thread 1: atomic { x.f=5; if y==1 then r=x.g }
 			r = sentinel
 			tx.Write(x, SlotF, 5)
 			once.Do(func() { close(afterWrite) })

@@ -8,6 +8,7 @@ import (
 	"repro/internal/lazystm"
 	"repro/internal/objmodel"
 	"repro/internal/stm"
+	"repro/internal/stmapi"
 	"repro/internal/trace"
 )
 
@@ -19,10 +20,10 @@ func runSomeTxns(t *testing.T) (*stm.Runtime, *lazystm.Runtime) {
 		Fields: []objmodel.Field{{Name: "a"}, {Name: "b"}},
 	})
 	o := h.New(cls)
-	ert := stm.New(h, stm.Config{})
+	ert := stm.New(h, stmapi.CommonConfig{})
 	ert.SetTracer(trace.New(trace.Config{ShardCapacity: 256}))
 	for i := 0; i < 20; i++ {
-		if err := ert.Atomic(func(tx *stm.Txn) error {
+		if err := ert.Atomic(func(tx stmapi.Txn) error {
 			tx.Write(o, 0, tx.Read(o, 0)+1)
 			return nil
 		}); err != nil {
@@ -35,9 +36,9 @@ func runSomeTxns(t *testing.T) (*stm.Runtime, *lazystm.Runtime) {
 		Fields: []objmodel.Field{{Name: "a"}},
 	})
 	o2 := h2.New(cls2)
-	lrt := lazystm.New(h2, lazystm.Config{})
+	lrt := lazystm.New(h2, stmapi.CommonConfig{})
 	for i := 0; i < 7; i++ {
-		if err := lrt.Atomic(func(tx *lazystm.Txn) error {
+		if err := lrt.Atomic(func(tx stmapi.Txn) error {
 			tx.Write(o2, 0, tx.Read(o2, 0)+1)
 			return nil
 		}); err != nil {
@@ -50,8 +51,8 @@ func runSomeTxns(t *testing.T) (*stm.Runtime, *lazystm.Runtime) {
 func TestRegistrySnapshot(t *testing.T) {
 	ert, lrt := runSomeTxns(t)
 	reg := NewRegistry()
-	reg.RegisterRuntime("eager-main", ert.API())
-	reg.RegisterRuntime("lazy-main", lrt.API())
+	reg.RegisterRuntime("eager-main", ert)
+	reg.RegisterRuntime("lazy-main", lrt)
 
 	snaps := reg.Snapshot()
 	if len(snaps) != 2 {
@@ -84,9 +85,9 @@ func TestRegistrySnapshot(t *testing.T) {
 func TestRegistryReplaceByName(t *testing.T) {
 	ert, _ := runSomeTxns(t)
 	reg := NewRegistry()
-	reg.RegisterRuntime("rt", ert.API())
-	fresh := stm.New(objmodel.NewHeap(), stm.Config{})
-	reg.RegisterRuntime("rt", fresh.API())
+	reg.RegisterRuntime("rt", ert)
+	fresh := stm.New(objmodel.NewHeap(), stmapi.CommonConfig{})
+	reg.RegisterRuntime("rt", fresh)
 	snaps := reg.Snapshot()
 	if len(snaps) != 1 {
 		t.Fatalf("snapshots = %d, want 1 (replacement, not append)", len(snaps))
@@ -99,8 +100,8 @@ func TestRegistryReplaceByName(t *testing.T) {
 func TestServeMetricsEndpoint(t *testing.T) {
 	ert, lrt := runSomeTxns(t)
 	reg := NewRegistry()
-	reg.RegisterRuntime("eager-main", ert.API())
-	reg.RegisterRuntime("lazy-main", lrt.API())
+	reg.RegisterRuntime("eager-main", ert)
+	reg.RegisterRuntime("lazy-main", lrt)
 	reg.PublishExpvar("stm-test-registry")
 	reg.PublishExpvar("stm-test-registry") // second publish must not panic
 
@@ -153,15 +154,15 @@ func TestRobustnessCountersExported(t *testing.T) {
 		Fields: []objmodel.Field{{Name: "a"}},
 	})
 	o := h.New(cls)
-	ert := stm.New(h, stm.Config{})
-	if err := ert.AtomicIrrevocable(func(tx *stm.Txn) error {
+	ert := stm.New(h, stmapi.CommonConfig{})
+	if err := ert.AtomicIrrevocable(func(tx stmapi.Txn) error {
 		tx.Write(o, 0, 1)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 	reg := NewRegistry()
-	reg.RegisterRuntime("rt", ert.API())
+	reg.RegisterRuntime("rt", ert)
 	s := reg.Snapshot()[0]
 	if s.Stats["irrevocable_txns"] != 1 {
 		t.Errorf("irrevocable_txns = %d, want 1", s.Stats["irrevocable_txns"])

@@ -28,8 +28,8 @@ var updateGolden = flag.Bool("update", false, "rewrite golden schema files")
 func TestConcurrentRegisterSnapshotHandler(t *testing.T) {
 	reg := NewRegistry()
 	h := objmodel.NewHeap()
-	rt := stm.New(h, stm.Config{})
-	reg.RegisterRuntime("seed", rt.API())
+	rt := stm.New(h, stmapi.CommonConfig{})
+	reg.RegisterRuntime("seed", rt)
 
 	srv := httptest.NewServer(reg.Handler())
 	defer srv.Close()
@@ -43,9 +43,9 @@ func TestConcurrentRegisterSnapshotHandler(t *testing.T) {
 		go func() { // registration side: fresh names and replacements
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				fresh := stm.New(objmodel.NewHeap(), stm.Config{})
-				reg.RegisterRuntime(fmt.Sprintf("rt-%d-%d", w, i%5), fresh.API())
-				reg.RegisterRuntime("seed", fresh.API())
+				fresh := stm.New(objmodel.NewHeap(), stmapi.CommonConfig{})
+				reg.RegisterRuntime(fmt.Sprintf("rt-%d-%d", w, i%5), fresh)
+				reg.RegisterRuntime("seed", fresh)
 			}
 		}()
 		wg.Add(1)
@@ -115,13 +115,13 @@ func TestMetricsSchemaGolden(t *testing.T) {
 		Fields: []objmodel.Field{{Name: "a"}},
 	})
 	o := h.New(cls)
-	rt := stm.New(h, stm.Config{})
+	rt := stm.New(h, stmapi.CommonConfig{})
 	tr := trace.New(trace.Config{ShardCapacity: 256})
 	rec := causal.NewRecorder(causal.Config{})
 	tr.SetSink(rec)
 	rt.SetTracer(tr)
 	for i := 0; i < 10; i++ {
-		if err := rt.Atomic(func(tx *stm.Txn) error {
+		if err := rt.Atomic(func(tx stmapi.Txn) error {
 			tx.Write(o, 0, tx.Read(o, 0)+1)
 			return nil
 		}); err != nil {
@@ -129,7 +129,7 @@ func TestMetricsSchemaGolden(t *testing.T) {
 		}
 	}
 	reg := NewRegistry()
-	reg.RegisterRuntime("rt", rt.API())
+	reg.RegisterRuntime("rt", rt)
 	data, err := json.Marshal(reg.Snapshot()[0])
 	if err != nil {
 		t.Fatal(err)
@@ -246,13 +246,13 @@ func TestCausalLineExported(t *testing.T) {
 		Fields: []objmodel.Field{{Name: "a"}},
 	})
 	o := h.New(cls)
-	rt := stm.New(h, stm.Config{})
+	rt := stm.New(h, stmapi.CommonConfig{})
 	tr := trace.New(trace.Config{})
 	rec := causal.NewRecorder(causal.Config{})
 	tr.SetSink(rec)
 	rt.SetTracer(tr)
 	for i := 0; i < 5; i++ {
-		if err := rt.Atomic(func(tx *stm.Txn) error {
+		if err := rt.Atomic(func(tx stmapi.Txn) error {
 			tx.Write(o, 0, 1)
 			return nil
 		}); err != nil {
@@ -260,7 +260,7 @@ func TestCausalLineExported(t *testing.T) {
 		}
 	}
 	reg := NewRegistry()
-	reg.RegisterRuntime("rt", rt.API())
+	reg.RegisterRuntime("rt", rt)
 	s := reg.Snapshot()[0]
 	if s.Causal == nil {
 		t.Fatal("snapshot missing causal line despite recorder sink")

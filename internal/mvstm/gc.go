@@ -8,7 +8,7 @@
 // pushes a node, holding the object's record, drops what the watermark has
 // passed (install): a chain is one node long unless a live snapshot below
 // the object's last write holds it longer, and is cut back every
-// Config.GCEvery commits once one has, with no separate sweep (GC does one
+// gcEvery commits once one has, with no separate sweep (GC does one
 // for tests and tooling).
 //
 // The watermark is computed against the same registry ReapDead sweeps,
@@ -43,7 +43,7 @@
 // The same argument covers every later transaction, so a watermark stays
 // valid for as long as the runtime lives: rt.watermark only rises (CAS-max),
 // and pruning against a cached value is merely conservative. Each descriptor
-// refreshes the cache every Config.GCEvery of its own writing commits, so
+// refreshes the cache every gcEvery of its own writing commits, so
 // refreshes scale with the commit rate and transactions that share no object
 // share no counter either.
 //
@@ -123,7 +123,7 @@ func (rt *Runtime) Watermark() uint64 {
 		}
 	}
 	if c := rt.Clock.Load(); c >= w {
-		rt.Stats.WatermarkLag.Store(int64(c - w))
+		rt.Counters.WatermarkLag.Store(int64(c - w))
 	}
 	return w
 }
@@ -140,7 +140,7 @@ type pruning struct {
 // which the installs then also sweep their chains against (install); 0,
 // below every timestamp, when pruning at install is off.
 func (tx *Txn) pruneHorizon() pruning {
-	every := tx.rt.cfg.GCEvery
+	every := tx.rt.gcEvery
 	if every < 0 {
 		return pruning{fresh: true}
 	}
@@ -162,7 +162,7 @@ func (tx *Txn) pruneHorizon() pruning {
 // chain is dead (o.MVLen says how long it was): its head is rewritten in
 // place and whatever hung below it is cut off unread. Above it a live
 // snapshot may read the head, so a fresh node is linked over it, and only a
-// sweep install (one in Config.GCEvery) looks for the newest node at or
+// sweep install (one in gcEvery) looks for the newest node at or
 // under w to sever below it: on such an object the nodes were pushed from
 // other processors, and reading them at every install costs more than
 // keeping them a few commits longer.
@@ -227,8 +227,8 @@ func prune(o *objmodel.Object, head *objmodel.MVVersion, w uint64) int {
 func (rt *Runtime) GC() int {
 	w := rt.Watermark()
 	reclaimed := 0
-	for i, n := 1, rt.Heap.Len(); i <= n; i++ {
-		o := rt.Heap.TryGet(objmodel.Ref(i))
+	for i, n := 1, rt.Heap().Len(); i <= n; i++ {
+		o := rt.Heap().TryGet(objmodel.Ref(i))
 		if o == nil || o.MVHead.Load() == nil {
 			continue
 		}
@@ -240,7 +240,7 @@ func (rt *Runtime) GC() int {
 		o.Rec.Store(rec)
 	}
 	if reclaimed > 0 {
-		rt.Stats.VersionsGCd.AddShard(0, int64(reclaimed))
+		rt.Counters.VersionsGCd.AddShard(0, int64(reclaimed))
 	}
 	return reclaimed
 }

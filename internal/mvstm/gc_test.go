@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/stmapi"
 	"repro/internal/txrec"
 )
 
@@ -11,11 +12,12 @@ import (
 // prunes every chain down to its head (the newest node at or under the
 // watermark stays, dead or not: the next install drops it).
 func TestGCReclaimsDeadVersions(t *testing.T) {
-	f := newFixture(t, Config{GCEvery: -1}) // no pruning at install; drive GC by hand
+	f := newFixture(t, stmapi.CommonConfig{})
+	f.rt.gcEvery = -1 // no pruning at install; drive GC by hand
 	o := f.heap.New(f.cls)
 	const writes = 20
 	for i := uint64(1); i <= writes; i++ {
-		if err := f.rt.Atomic(func(tx *Txn) error {
+		if err := f.rt.Atomic(func(tx stmapi.Txn) error {
 			tx.Write(o, 0, i)
 			return nil
 		}); err != nil {
@@ -39,7 +41,7 @@ func TestGCReclaimsDeadVersions(t *testing.T) {
 	if w := o.Rec.Load(); !txrec.IsShared(w) {
 		t.Errorf("record after GC = %#x, want shared", w)
 	}
-	s := f.rt.Stats.Snapshot()
+	s := f.rt.Stats()
 	if s.VersionsGCd != writes-1 {
 		t.Errorf("VersionsGCd = %d, want %d", s.VersionsGCd, writes-1)
 	}
@@ -55,11 +57,12 @@ func TestGCReclaimsDeadVersions(t *testing.T) {
 // further writes. Once the reader finishes, collection resumes past its
 // snapshot.
 func TestGCPinnedByLongReader(t *testing.T) {
-	f := newFixture(t, Config{GCEvery: -1})
+	f := newFixture(t, stmapi.CommonConfig{})
+	f.rt.gcEvery = -1
 	o := f.heap.New(f.cls)
 	write := func(v uint64) {
 		t.Helper()
-		if err := f.rt.Atomic(func(tx *Txn) error {
+		if err := f.rt.Atomic(func(tx stmapi.Txn) error {
 			tx.Write(o, 0, v)
 			return nil
 		}); err != nil {
@@ -76,7 +79,7 @@ func TestGCPinnedByLongReader(t *testing.T) {
 	finished := make(chan struct{})
 	go func() {
 		defer close(finished)
-		_ = f.rt.AtomicRead(func(tx *Txn) error {
+		_ = f.rt.AtomicRead(func(tx stmapi.Txn) error {
 			first := tx.Read(o, 0)
 			started <- first
 			<-release // hold the snapshot open across writes + GC
@@ -119,7 +122,7 @@ func TestGCPinnedByLongReader(t *testing.T) {
 	if got := chainLen(o); got != 1 {
 		t.Errorf("chain length after unpinned GC = %d, want 1", got)
 	}
-	if lag := f.rt.Stats.Snapshot().WatermarkLag; lag != 0 {
+	if lag := f.rt.Stats().WatermarkLag; lag != 0 {
 		t.Errorf("watermark lag after quiescence = %d, want 0", lag)
 	}
 }
@@ -130,9 +133,10 @@ func TestGCPinnedByLongReader(t *testing.T) {
 // stay internally consistent (two reads of slots kept equal by every
 // writer must match).
 func TestGCUnderConcurrentLoad(t *testing.T) {
-	f := newFixture(t, Config{GCEvery: 8}) // frequent watermark refreshes too
+	f := newFixture(t, stmapi.CommonConfig{})
+	f.rt.gcEvery = 8 // frequent watermark refreshes too
 	o := f.heap.New(f.cls)
-	if err := f.rt.Atomic(func(tx *Txn) error {
+	if err := f.rt.Atomic(func(tx stmapi.Txn) error {
 		tx.Write(o, 0, 0)
 		tx.Write(o, 1, 0)
 		return nil
@@ -151,7 +155,7 @@ func TestGCUnderConcurrentLoad(t *testing.T) {
 					return
 				default:
 				}
-				_ = f.rt.Atomic(func(tx *Txn) error {
+				_ = f.rt.Atomic(func(tx stmapi.Txn) error {
 					v := tx.Read(o, 0) + 1
 					tx.Write(o, 0, v)
 					tx.Write(o, 1, v) // invariant: slot0 == slot1
@@ -179,7 +183,7 @@ func TestGCUnderConcurrentLoad(t *testing.T) {
 		go func() {
 			defer readers.Done()
 			for i := 0; i < 500; i++ {
-				_ = f.rt.AtomicRead(func(tx *Txn) error {
+				_ = f.rt.AtomicRead(func(tx stmapi.Txn) error {
 					a := tx.Read(o, 0)
 					b := tx.Read(o, 1)
 					if a != b {
@@ -194,7 +198,7 @@ func TestGCUnderConcurrentLoad(t *testing.T) {
 	close(stop)
 	writers.Wait()
 	gcs.Wait()
-	if n := f.rt.Stats.ReadOnlyAborts.Load(); n != 0 {
+	if n := f.rt.Counters.ReadOnlyAborts.Load(); n != 0 {
 		t.Errorf("read-only aborts under GC churn = %d, want 0", n)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/objmodel"
+	"repro/internal/stmapi"
 	"repro/internal/trace"
 	"repro/internal/txrec"
 )
@@ -52,7 +53,7 @@ func reachable(o *objmodel.Object, rv uint64) (nodes []*objmodel.MVVersion) {
 // of nodes on chains throughout, and once no descheduled writer's snapshot
 // holds the watermark back every chain ends one or two nodes long.
 func TestInstallPrunesBelowWatermark(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t, stmapi.CommonConfig{})
 	const writers, perWriter, commits = 4, 512, 1500
 	objs := make([]*objmodel.Object, writers*perWriter)
 	for i := range objs {
@@ -68,7 +69,7 @@ func TestInstallPrunesBelowWatermark(t *testing.T) {
 			mine := objs[g*perWriter : (g+1)*perWriter]
 			for i := 0; i < commits; i++ {
 				a, b := mine[2*i%perWriter], mine[(2*i+1)%perWriter]
-				if err := f.rt.Atomic(func(tx *Txn) error {
+				if err := f.rt.Atomic(func(tx stmapi.Txn) error {
 					tx.Write(a, 0, tx.Read(a, 0)+1)
 					tx.Write(b, 1, tx.Read(b, 1)+1)
 					return nil
@@ -86,7 +87,7 @@ func TestInstallPrunesBelowWatermark(t *testing.T) {
 	check := func(when string, installs int64) {
 		t.Helper()
 		total, _ := chainNodes(f.heap)
-		s := f.rt.Stats.Snapshot()
+		s := f.rt.Stats()
 		if s.VersionsInstalled != installs {
 			t.Errorf("%s: VersionsInstalled = %d, want %d (one per written object per commit)", when, s.VersionsInstalled, installs)
 		}
@@ -99,7 +100,7 @@ func TestInstallPrunesBelowWatermark(t *testing.T) {
 	}
 	check("after the concurrent writers", 2*writers*commits)
 	for _, o := range objs {
-		if err := f.rt.Atomic(func(tx *Txn) error { tx.Write(o, 0, 0); return nil }); err != nil {
+		if err := f.rt.Atomic(func(tx stmapi.Txn) error { tx.Write(o, 0, 0); return nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -116,9 +117,9 @@ func TestInstallPrunesBelowWatermark(t *testing.T) {
 // the commit overwrote, and in steady state a writing commit allocates
 // nothing.
 func TestInstallReusesDeadHead(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t, stmapi.CommonConfig{})
 	const perCommit = 8
-	objs := make([]*objmodel.Object, 2*perCommit*DefaultGCEvery) // an object is rewritten every 2*GCEvery commits
+	objs := make([]*objmodel.Object, 2*perCommit*gcEvery) // an object is rewritten every 2*gcEvery commits
 	for i := range objs {
 		objs[i] = f.heap.New(f.cls)
 	}
@@ -126,7 +127,7 @@ func TestInstallReusesDeadHead(t *testing.T) {
 	commit := func() {
 		batch := objs[next : next+perCommit]
 		next = (next + perCommit) % len(objs)
-		if err := f.rt.Atomic(func(tx *Txn) error {
+		if err := f.rt.Atomic(func(tx stmapi.Txn) error {
 			for _, o := range batch {
 				tx.Write(o, 0, tx.Read(o, 0)+1)
 			}
@@ -164,7 +165,7 @@ func TestInstallReusesDeadHead(t *testing.T) {
 			}
 		}
 	}
-	s := f.rt.Stats.Snapshot()
+	s := f.rt.Stats()
 	if want := int64(passes * len(objs)); s.VersionsInstalled != want {
 		t.Errorf("VersionsInstalled = %d, want %d: a rewrite counts as an install", s.VersionsInstalled, want)
 	}
@@ -181,18 +182,18 @@ func TestInstallReusesDeadHead(t *testing.T) {
 
 // TestHotInstallRewritesInPlace: one goroutine rewrites the same 16 objects on
 // every commit, so each install's sv is the previous commit's stamp, above a
-// watermark cached up to GCEvery commits back. No other snapshot is live, and
+// watermark cached up to gcEvery commits back. No other snapshot is live, and
 // the horizon the commit computes for its first install clears every head:
 // each object keeps one node, rewritten in place, and a commit allocates
 // nothing.
 func TestHotInstallRewritesInPlace(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t, stmapi.CommonConfig{})
 	objs := make([]*objmodel.Object, 16)
 	for i := range objs {
 		objs[i] = f.heap.New(f.cls)
 	}
 	commit := func() {
-		if err := f.rt.Atomic(func(tx *Txn) error {
+		if err := f.rt.Atomic(func(tx stmapi.Txn) error {
 			for _, o := range objs {
 				tx.Write(o, 0, tx.Read(o, 0)+1)
 			}
@@ -206,7 +207,7 @@ func TestHotInstallRewritesInPlace(t *testing.T) {
 	for i, o := range objs {
 		heads[i] = o.MVHead.Load()
 	}
-	for c := 2; c <= 3*DefaultGCEvery; c++ {
+	for c := 2; c <= 3*gcEvery; c++ {
 		commit()
 		for i, o := range objs {
 			if o.MVHead.Load() != heads[i] || o.MVLen != 1 {
@@ -217,7 +218,7 @@ func TestHotInstallRewritesInPlace(t *testing.T) {
 			}
 		}
 	}
-	if live := f.rt.Stats.Snapshot().VersionsLive; live != int64(len(objs)) {
+	if live := f.rt.Stats().VersionsLive; live != int64(len(objs)) {
 		t.Errorf("VersionsLive = %d, want one per object (%d)", live, len(objs))
 	}
 	if raceEnabled {
@@ -237,10 +238,10 @@ func TestHotInstallRewritesInPlace(t *testing.T) {
 // several of the writer's commits, and never finds the version its snapshot
 // needs reclaimed (an EvValidation from the snapshot read's restart).
 func TestAbortedAttemptDoesNotPin(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t, stmapi.CommonConfig{})
 	a, b := f.heap.New(f.cls), f.heap.New(f.cls)
 	write := func(v uint64) {
-		if err := f.rt.Atomic(func(tx *Txn) error {
+		if err := f.rt.Atomic(func(tx stmapi.Txn) error {
 			tx.Write(a, 0, v)
 			tx.Write(b, 0, v)
 			return nil
@@ -265,7 +266,8 @@ func TestAbortedAttemptDoesNotPin(t *testing.T) {
 	var rv0 atomic.Uint64
 	done := make(chan error, 1)
 	go func() {
-		done <- f.rt.Atomic(func(tx *Txn) error {
+		done <- f.rt.Atomic(func(stx stmapi.Txn) error {
+			tx := stx.(*Txn)
 			if tx.Attempt() == 0 {
 				rv0.Store(tx.RV)
 			}
@@ -306,7 +308,7 @@ func TestAbortedAttemptDoesNotPin(t *testing.T) {
 	if n := stale.Load(); n != 0 {
 		t.Errorf("%d snapshot reads found the version they needed reclaimed", n)
 	}
-	if s := f.rt.Stats.Snapshot(); s.VersionsLive != int64(chainLen(a)+chainLen(b)) {
+	if s := f.rt.Stats(); s.VersionsLive != int64(chainLen(a)+chainLen(b)) {
 		t.Errorf("VersionsLive = %d, a heap walk counts %d nodes", s.VersionsLive, chainLen(a)+chainLen(b))
 	}
 }
@@ -318,7 +320,8 @@ func TestAbortedAttemptDoesNotPin(t *testing.T) {
 // pinned no node it can reach is ever written again: an install rewrites a
 // head only when no live snapshot can need it (gc.go).
 func TestPinnedReaderSurvivesInstallPrune(t *testing.T) {
-	f := newFixture(t, Config{GCEvery: 1}) // every commit prunes against a fresh watermark
+	f := newFixture(t, stmapi.CommonConfig{})
+	f.rt.gcEvery = 1 // every commit prunes against a fresh watermark
 	const nObjs, writers, commits = 8, 3, 400
 	objs := make([]*objmodel.Object, nObjs)
 	for i := range objs {
@@ -326,7 +329,7 @@ func TestPinnedReaderSurvivesInstallPrune(t *testing.T) {
 	}
 	writeAll := func(v func(i int) uint64) {
 		t.Helper()
-		if err := f.rt.Atomic(func(tx *Txn) error {
+		if err := f.rt.Atomic(func(tx stmapi.Txn) error {
 			for i, o := range objs {
 				tx.Write(o, 0, v(i))
 			}
@@ -342,7 +345,8 @@ func TestPinnedReaderSurvivesInstallPrune(t *testing.T) {
 	readerDone := make(chan struct{})
 	go func() {
 		defer close(readerDone)
-		_ = f.rt.AtomicRead(func(tx *Txn) error {
+		_ = f.rt.AtomicRead(func(stx stmapi.Txn) error {
+			tx := stx.(*Txn)
 			// Every node met so far on a path snapshotRead can take, as it
 			// was when first met; all of them are compared again on every
 			// pass, cut off the chain since or not.
@@ -391,7 +395,7 @@ func TestPinnedReaderSurvivesInstallPrune(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < commits; i++ {
 				a, b := objs[(g+i)%nObjs], objs[(g+i+3)%nObjs]
-				_ = f.rt.Atomic(func(tx *Txn) error {
+				_ = f.rt.Atomic(func(tx stmapi.Txn) error {
 					tx.Write(a, 0, tx.Read(a, 0)+1000)
 					tx.Write(b, 0, tx.Read(b, 0)+1000)
 					return nil
@@ -405,7 +409,7 @@ func TestPinnedReaderSurvivesInstallPrune(t *testing.T) {
 	if _, longest := chainNodes(f.heap); longest <= 2 {
 		t.Errorf("longest chain = %d while a reader pinned the history, want it kept", longest)
 	}
-	if n := f.rt.Stats.ReadOnlyAborts.Load(); n != 0 {
+	if n := f.rt.Counters.ReadOnlyAborts.Load(); n != 0 {
 		t.Errorf("read-only aborts = %d, want 0", n)
 	}
 
@@ -425,7 +429,7 @@ func TestPinnedReaderSurvivesInstallPrune(t *testing.T) {
 			t.Errorf("object %d: the install after the reader finished allocated a head, want the dead one rewritten", i)
 		}
 	}
-	if live := f.rt.Stats.Snapshot().VersionsLive; live != int64(total) {
+	if live := f.rt.Stats().VersionsLive; live != int64(total) {
 		t.Errorf("VersionsLive = %d, a heap walk counts %d nodes", live, total)
 	}
 }
@@ -476,11 +480,10 @@ func TestSnapshotReadInlineVsChain(t *testing.T) {
 			if c.afterInstal {
 				at = trace.EvWriteBack
 			}
-			cfg := Config{}
+			f := newFixture(t, stmapi.CommonConfig{})
 			if c.deadHead {
-				cfg.GCEvery = 1
+				f.rt.gcEvery = 1
 			}
-			f := newFixture(t, cfg)
 			// The kind is tested first: the readers' events come from other
 			// goroutines and must not touch armed.
 			f.traceSink(func(ev trace.Event) {
@@ -495,7 +498,7 @@ func TestSnapshotReadInlineVsChain(t *testing.T) {
 			o, other := f.heap.New(f.cls), f.heap.New(f.cls)
 			write := func(o *objmodel.Object, v uint64) {
 				t.Helper()
-				if err := f.rt.Atomic(func(tx *Txn) error { tx.Write(o, 0, v); return nil }); err != nil {
+				if err := f.rt.Atomic(func(tx stmapi.Txn) error { tx.Write(o, 0, v); return nil }); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -505,7 +508,8 @@ func TestSnapshotReadInlineVsChain(t *testing.T) {
 			type result struct{ rv, val uint64 }
 			begun, release, res := make(chan uint64, 1), make(chan struct{}), make(chan result, 1)
 			reader := func() {
-				_ = f.rt.AtomicRead(func(tx *Txn) error {
+				_ = f.rt.AtomicRead(func(stx stmapi.Txn) error {
+					tx := stx.(*Txn)
 					begun <- tx.RV
 					<-release
 					res <- result{tx.RV, tx.Read(o, 0)}

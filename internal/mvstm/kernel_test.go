@@ -47,8 +47,8 @@ func (c *countSink) WaitDurable(seq uint64) error { return nil }
 
 // TestMVDisabledHooksAllocFree pins the disabled tracer and commit-sink
 // hooks on the multi-version runtime: a transaction that does not write —
-// on the concrete API, through AtomicRead, and through the stmapi adapter —
-// allocates nothing, including after a tracer and a sink have been
+// through Atomic, through AtomicRead, and through AtomicRead called on the
+// stmapi.ReadOnlyRuntime interface — allocates nothing, including after a tracer and a sink have been
 // installed and removed again. So does a writing commit in steady state:
 // these objects are rewritten by every commit and no other snapshot is
 // live, so each install rewrites its object's head in place
@@ -58,20 +58,19 @@ func TestMVDisabledHooksAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates; exact alloc count only meaningful without -race")
 	}
-	f := newFixture(t, Config{})
+	f := newFixture(t, stmapi.CommonConfig{})
 	o := f.heap.New(f.cls)
-	if err := f.rt.Atomic(func(tx *Txn) error { tx.Write(o, 0, 1); return nil }); err != nil {
+	if err := f.rt.Atomic(func(tx stmapi.Txn) error { tx.Write(o, 0, 1); return nil }); err != nil {
 		t.Fatal(err) // gives o a version chain, so the reads below walk one
 	}
-	api := f.rt.API()
-	reader := func(tx *Txn) error { _ = tx.Read(o, 0); return nil }
-	apiReader := func(tx stmapi.Txn) error { _ = tx.Read(o, 0); return nil }
-	writer := func(tx *Txn) error { tx.Write(o, 0, tx.Read(o, 0)+1); return nil }
+	var api stmapi.ReadOnlyRuntime = f.rt
+	reader := func(tx stmapi.Txn) error { _ = tx.Read(o, 0); return nil }
+	writer := func(tx stmapi.Txn) error { tx.Write(o, 0, tx.Read(o, 0)+1); return nil }
 	var eight [8]*objmodel.Object
 	for i := range eight {
 		eight[i] = f.heap.New(f.cls)
 	}
-	writer8 := func(tx *Txn) error {
+	writer8 := func(tx stmapi.Txn) error {
 		for _, o := range eight {
 			tx.Write(o, 0, tx.Read(o, 0)+1)
 			tx.Write(o, 1, tx.Read(o, 1)+1)
@@ -85,7 +84,7 @@ func TestMVDisabledHooksAllocFree(t *testing.T) {
 	}{
 		{"Atomic read-only", 0, func() error { return f.rt.Atomic(reader) }},
 		{"AtomicRead", 0, func() error { return f.rt.AtomicRead(reader) }},
-		{"adapter read-only", 0, func() error { return api.Atomic(apiReader) }},
+		{"AtomicRead through stmapi", 0, func() error { return api.AtomicRead(reader) }},
 		{"Atomic writing", 0, func() error { return f.rt.Atomic(writer) }},
 		{"Atomic writing 8 objects", 0, func() error { return f.rt.Atomic(writer8) }},
 	}

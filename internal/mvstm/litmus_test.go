@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/causal"
 	"repro/internal/objmodel"
+	"repro/internal/stmapi"
 	"repro/internal/trace"
 )
 
@@ -26,7 +27,7 @@ func TestReadOnlyZeroAbortsUnderWriterStorm(t *testing.T) {
 		readers    = 4
 		readerTxns = 400
 	)
-	f := newFixture(t, Config{})
+	f := newFixture(t, stmapi.CommonConfig{})
 	tr := trace.New(trace.Config{})
 	rec := causal.NewRecorder(causal.Config{})
 	tr.SetSink(rec)
@@ -38,7 +39,7 @@ func TestReadOnlyZeroAbortsUnderWriterStorm(t *testing.T) {
 	}
 	// Prime every object with one transactional write so version chains
 	// exist before the storm: readers take the chain path from the start.
-	if err := f.rt.Atomic(func(tx *Txn) error {
+	if err := f.rt.Atomic(func(tx stmapi.Txn) error {
 		for _, o := range pool {
 			tx.Write(o, 0, 1)
 			tx.Write(o, 1, 1)
@@ -61,7 +62,7 @@ func TestReadOnlyZeroAbortsUnderWriterStorm(t *testing.T) {
 			defer wwg.Done()
 			for i := 0; i < writerTxns; i++ {
 				o := pool[(w+i)%objects]
-				_ = f.rt.Atomic(func(tx *Txn) error {
+				_ = f.rt.Atomic(func(tx stmapi.Txn) error {
 					v := tx.Read(o, 0)
 					tx.Write(o, 0, v+1)
 					tx.Write(o, 1, v+1) // invariant: slot 0 == slot 1
@@ -75,7 +76,7 @@ func TestReadOnlyZeroAbortsUnderWriterStorm(t *testing.T) {
 		go func() {
 			defer rwg.Done()
 			for i := 0; i < readerTxns; i++ {
-				err := f.rt.AtomicRead(func(tx *Txn) error {
+				err := f.rt.AtomicRead(func(tx stmapi.Txn) error {
 					readerRuns.Add(1)
 					readerIDs.Store(tx.ID(), struct{}{})
 					if tx.Attempt() != 0 {
@@ -103,7 +104,7 @@ func TestReadOnlyZeroAbortsUnderWriterStorm(t *testing.T) {
 
 	// Stats: zero reader aborts, zero reader retries (every body ran exactly
 	// once), and the snapshot read path actually served the storm.
-	s := f.rt.Stats.Snapshot()
+	s := f.rt.Stats()
 	if s.ReadOnlyAborts != 0 {
 		t.Errorf("ReadOnlyAborts = %d, want 0", s.ReadOnlyAborts)
 	}

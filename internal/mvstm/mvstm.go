@@ -78,7 +78,6 @@ package mvstm
 
 import (
 	"context"
-	"errors"
 	"math"
 	"sync/atomic"
 	"time"
@@ -91,51 +90,48 @@ import (
 	"repro/internal/txrec"
 )
 
-// DefaultGCEvery is the default Config.GCEvery.
-const DefaultGCEvery = 64
-
-// Config parameterizes a Runtime. The cross-runtime knobs live in the
-// embedded stmapi.CommonConfig; two of them read differently here:
-// Granularity is accepted but buffering is always slot-granular (a
-// multi-version runtime has no reason to manufacture the granular
-// anomalies), and NoCommitClock is ignored — the clock is what stamps
-// versions, so it cannot be turned off.
-type Config struct {
-	stmapi.CommonConfig
-
-	// GCEvery is the number of writing commits a descriptor makes between
-	// refreshes of the published watermark its installs prune against; the
-	// commit that refreshes it (a registry scan) also sweeps the chains it
-	// pushes on. A commit that meets a head the cached watermark is too old
-	// to reclaim scans for a fresh horizon of its own, unpublished (see
-	// gc.go). Zero means DefaultGCEvery; negative disables pruning at
-	// install, on-demand horizons included (tests drive GC() directly).
-	GCEvery int
-}
+// gcEvery is the number of writing commits a descriptor makes between
+// refreshes of the published watermark its installs prune against; the
+// commit that refreshes it (a registry scan) also sweeps the chains it
+// pushes on. A commit that meets a head the cached watermark is too old to
+// reclaim scans for a fresh horizon of its own, unpublished (see gc.go).
+const gcEvery = 64
 
 // Runtime is a multi-version STM instance bound to a heap. The embedded
-// kernel supplies Heap, Stats, SetTracer, SetInjector, SetCommitSink and
-// ReapDead; its registry is also the GC's view of live snapshots (the
-// watermark is the minimum pinned snapshot over registered descriptors).
+// kernel supplies Atomic, AtomicCtx, AtomicIrrevocable, Heap, Stats, the
+// setters and ReapDead; with AtomicRead and DrainCommitters, *Runtime is an
+// stmapi.DurableRuntime and an stmapi.ReadOnlyRuntime. The kernel's registry
+// is also the GC's view of live snapshots (the watermark is the minimum
+// pinned snapshot over registered descriptors).
+//
+// Configuration is the cross-runtime stmapi.CommonConfig, two of whose
+// knobs read differently here: Granularity is accepted but buffering is
+// always slot-granular (a multi-version runtime has no reason to
+// manufacture the granular anomalies), and NoCommitClock is ignored — the
+// clock is what stamps versions, so it cannot be turned off.
 type Runtime struct {
 	txn.Kernel
 
-	cfg Config
+	// gcEvery is the package's gcEvery, lowered by tests to exercise the
+	// refresh; negative disables pruning at install, on-demand horizons
+	// included (tests drive GC() directly).
+	gcEvery int
 
 	// watermark is the highest reclamation watermark computed so far, what
 	// installs prune against (gc.go); its distance behind the clock is
-	// Stats.WatermarkLag.
+	// Stats().WatermarkLag. A refreshing commit writes it, so it is padded
+	// off the kernel's last cache line, which every transaction reads at
+	// begin (tracer, injector, sink) and every writing commit at the gate
+	// (the irrevocable token).
+	_         [64]byte
 	watermark atomic.Uint64
 }
 
 // New creates a multi-version Runtime over heap. Invalid configurations are
 // rejected with a panic.
-func New(heap *objmodel.Heap, cfg Config) *Runtime {
-	rt := &Runtime{cfg: cfg}
-	if rt.cfg.GCEvery == 0 {
-		rt.cfg.GCEvery = DefaultGCEvery
-	}
-	rt.Init("mvstm", heap, &rt.cfg.CommonConfig, func() txn.Strategy {
+func New(heap *objmodel.Heap, cfg stmapi.CommonConfig) *Runtime {
+	rt := &Runtime{gcEvery: gcEvery}
+	rt.Init("mvstm", heap, cfg, func() txn.Strategy {
 		tx := &Txn{rt: rt}
 		tx.snap.Store(1)
 		return tx
@@ -144,37 +140,11 @@ func New(heap *objmodel.Heap, cfg Config) *Runtime {
 	return rt
 }
 
-// Config returns the runtime's configuration.
-func (rt *Runtime) Config() Config { return rt.cfg }
-
-// API returns the runtime-agnostic driver view of rt. Beyond the kernel's
-// adapter it satisfies stmapi.ReadOnlyRuntime — AtomicRead is the zero-abort
-// snapshot path — and forwards the commit-gate barrier the durable store's
-// live checkpoint probes for.
-func (rt *Runtime) API() stmapi.Runtime { return snapshotAPI{txn.API{Kernel: &rt.Kernel}, rt} }
-
-type snapshotAPI struct {
-	txn.API
-	rt *Runtime
-}
-
-func (a snapshotAPI) AtomicRead(body func(stmapi.Txn) error) error {
-	return a.rt.AtomicRead(func(tx *Txn) error { return body(tx) })
-}
-
-func (a snapshotAPI) DrainCommitters(timeout time.Duration) bool {
-	return a.rt.DrainCommitters(timeout)
-}
-
 func init() {
 	txn.Register("mvstm", func(heap *objmodel.Heap, cfg stmapi.CommonConfig) stmapi.Runtime {
-		return New(heap, Config{CommonConfig: cfg}).API()
+		return New(heap, cfg)
 	})
 }
-
-// ErrAborted aborts the transaction without retry when returned from the
-// body.
-var ErrAborted = errors.New("mvstm: transaction aborted by user")
 
 // maxSnapshot is the irrevocable RV: with the commit gate drained and the
 // token held, nothing else commits, so reading the newest version of
@@ -367,7 +337,7 @@ func (tx *Txn) waitOwner(o *objmodel.Object, w uint64, attempt int) {
 	}
 	if !tx.readOnly {
 		tx.Poll(o) // a doom restarts, a cancelled context cancels
-		if attempt >= tx.rt.cfg.SelfAbortAfter && !tx.Irrevocable {
+		if attempt >= tx.rt.Config().SelfAbortAfter && !tx.Irrevocable {
 			tx.RestartOn(uint64(o.Ref()))
 		}
 	}
@@ -504,7 +474,7 @@ func (rt *Runtime) DrainCommitters(timeout time.Duration) bool {
 func (tx *Txn) Rollback() {
 	tx.snap.Store(maxSnapshot)
 	if tx.readOnly {
-		tx.rt.Stats.ReadOnlyAborts.AddShard(int(tx.ID()), 1)
+		tx.rt.Counters.ReadOnlyAborts.AddShard(int(tx.ID()), 1)
 	}
 }
 
@@ -523,7 +493,7 @@ func (tx *Txn) Rollback() {
 func (tx *Txn) Commit() (ok bool, err error) {
 	rt := tx.rt
 	if tx.readOnly || len(tx.Buf.Ents) == 0 {
-		rt.Stats.ReadOnlyTxns.AddShard(int(tx.ID()), 1)
+		rt.Counters.ReadOnlyTxns.AddShard(int(tx.ID()), 1)
 		tx.CommitPoint()
 		tx.Committed()
 		return true, nil
@@ -570,7 +540,7 @@ func (tx *Txn) Commit() (ok bool, err error) {
 	// readers under weak atomicity go straight to the slots and see the lazy
 	// write-back window (the litmus MI programs depend on it).
 	horizon := tx.pruneHorizon()
-	publish := rt.Heap.HasManifest()
+	publish := rt.Heap().HasManifest()
 	for k := range ents {
 		e := &ents[k]
 		o := e.Obj
@@ -582,7 +552,7 @@ func (tx *Txn) Commit() (ok bool, err error) {
 		// Publication point under an elision manifest: a private-born
 		// object written into a public container escapes at write-back.
 		if publish && e.Val != 0 && o.IsRefSlot(e.Slot) && !txrec.IsPrivate(o.Rec.Load()) {
-			rt.Heap.PublishRef(objmodel.Ref(e.Val))
+			rt.Heap().PublishRef(objmodel.Ref(e.Val))
 		}
 		o.StoreSlot(e.Slot, e.Val)
 		if tr := tx.Tr; tr != nil {
@@ -635,30 +605,14 @@ func (tx *Txn) LockReadSet() bool {
 	return true
 }
 
-// Atomic executes body as a multi-version transaction, retrying until it
-// commits.
-func (rt *Runtime) Atomic(body func(*Txn) error) error {
-	return rt.AtomicCtx(nil, body)
-}
-
-// AtomicCtx is Atomic with deadline/cancellation support (see
-// txn.Kernel.Atomic).
-func (rt *Runtime) AtomicCtx(ctx context.Context, body func(*Txn) error) error {
-	return rt.Kernel.Atomic(ctx, rt.EscalateFrom(), func(k *txn.Txn) error { return body(k.Self().(*Txn)) })
-}
-
-// AtomicRead executes body as a read-only snapshot transaction: writes and
-// BecomeIrrevocable panic, and the body runs exactly once — snapshot reads
-// cannot conflict, so there is nothing to retry.
-func (rt *Runtime) AtomicRead(body func(*Txn) error) error {
-	return rt.Kernel.Atomic(nil, -1, func(k *txn.Txn) error {
+// AtomicRead executes body as a read-only snapshot transaction
+// (stmapi.ReadOnlyRuntime): writes and BecomeIrrevocable panic, and the body
+// runs exactly once — snapshot reads cannot conflict, so there is nothing to
+// retry.
+func (rt *Runtime) AtomicRead(body func(stmapi.Txn) error) error {
+	return rt.Run(nil, -1, func(k *txn.Txn) error {
 		tx := k.Self().(*Txn)
 		tx.readOnly = true
 		return body(tx)
 	})
-}
-
-// AtomicIrrevocable executes body as an irrevocable transaction.
-func (rt *Runtime) AtomicIrrevocable(body func(*Txn) error) error {
-	return rt.Kernel.Atomic(nil, 0, func(k *txn.Txn) error { return body(k.Self().(*Txn)) })
 }

@@ -15,16 +15,13 @@ import (
 	"repro/internal/txrec"
 )
 
-// The adapter must satisfy the read-only capability interface.
-var _ stmapi.ReadOnlyRuntime = snapshotAPI{}
-
 type fixture struct {
 	heap *objmodel.Heap
 	rt   *Runtime
 	cls  *objmodel.Class
 }
 
-func newFixture(t testing.TB, cfg Config) *fixture {
+func newFixture(t testing.TB, cfg stmapi.CommonConfig) *fixture {
 	t.Helper()
 	h := objmodel.NewHeap()
 	rt := New(h, cfg)
@@ -55,9 +52,9 @@ func chainLen(o *objmodel.Object) int {
 }
 
 func TestMVCommitBasic(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t, stmapi.CommonConfig{})
 	o := f.heap.New(f.cls)
-	err := f.rt.Atomic(func(tx *Txn) error {
+	err := f.rt.Atomic(func(tx stmapi.Txn) error {
 		tx.Write(o, 0, 5)
 		if got := tx.Read(o, 0); got != 5 {
 			t.Errorf("read-own-write = %d", got)
@@ -93,16 +90,16 @@ func TestMVCommitBasic(t *testing.T) {
 	if head.Prev() != nil {
 		t.Errorf("first commit pushed %d nodes, want 1", chainLen(o))
 	}
-	if s := f.rt.Stats.Snapshot(); s.VersionsInstalled != 1 {
+	if s := f.rt.Stats(); s.VersionsInstalled != 1 {
 		t.Errorf("VersionsInstalled = %d, want 1", s.VersionsInstalled)
 	}
 }
 
 func TestMVAbortLeavesMemoryAndChainUntouched(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t, stmapi.CommonConfig{})
 	o := f.heap.New(f.cls)
 	boom := errors.New("boom")
-	err := f.rt.Atomic(func(tx *Txn) error {
+	err := f.rt.Atomic(func(tx stmapi.Txn) error {
 		tx.Write(o, 0, 99)
 		return boom
 	})
@@ -115,7 +112,7 @@ func TestMVAbortLeavesMemoryAndChainUntouched(t *testing.T) {
 	if o.MVHead.Load() != nil {
 		t.Error("aborted transaction installed a version")
 	}
-	if got := f.rt.Stats.Aborts.Load(); got != 1 {
+	if got := f.rt.Counters.Aborts.Load(); got != 1 {
 		t.Errorf("aborts = %d, want 1", got)
 	}
 }
@@ -123,12 +120,12 @@ func TestMVAbortLeavesMemoryAndChainUntouched(t *testing.T) {
 // TestReadOnlyCommitPath checks that a body that never writes commits on
 // the zero-metadata path, leaving clock and records untouched.
 func TestReadOnlyCommitPath(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t, stmapi.CommonConfig{})
 	o := f.heap.New(f.cls)
 	o.StoreSlot(0, 7)
 	before := f.heap.Clock().Load()
 	var got uint64
-	if err := f.rt.Atomic(func(tx *Txn) error {
+	if err := f.rt.Atomic(func(tx stmapi.Txn) error {
 		got = tx.Read(o, 0)
 		return nil
 	}); err != nil {
@@ -140,7 +137,7 @@ func TestReadOnlyCommitPath(t *testing.T) {
 	if after := f.heap.Clock().Load(); after != before {
 		t.Errorf("read-only commit moved the clock %d -> %d", before, after)
 	}
-	s := f.rt.Stats.Snapshot()
+	s := f.rt.Stats()
 	if s.ReadOnlyTxns != 1 || s.Commits != 1 {
 		t.Errorf("read-only txns = %d, commits = %d, want 1/1", s.ReadOnlyTxns, s.Commits)
 	}
@@ -150,14 +147,14 @@ func TestReadOnlyCommitPath(t *testing.T) {
 }
 
 func TestAtomicReadRejectsWrites(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t, stmapi.CommonConfig{})
 	o := f.heap.New(f.cls)
 	defer func() {
 		if recover() == nil {
 			t.Error("Write inside AtomicRead did not panic")
 		}
 	}()
-	_ = f.rt.AtomicRead(func(tx *Txn) error {
+	_ = f.rt.AtomicRead(func(tx stmapi.Txn) error {
 		tx.Write(o, 0, 1)
 		return nil
 	})
@@ -167,7 +164,7 @@ func TestAtomicReadRejectsWrites(t *testing.T) {
 // snapshot isolation admits write skew across objects but still serializes
 // writes to the same object, so no increment may be lost.
 func TestFirstCommitterWins(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t, stmapi.CommonConfig{})
 	o := f.heap.New(f.cls)
 	const goroutines, iters = 8, 200
 	var wg sync.WaitGroup
@@ -176,7 +173,7 @@ func TestFirstCommitterWins(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				_ = f.rt.Atomic(func(tx *Txn) error {
+				_ = f.rt.Atomic(func(tx stmapi.Txn) error {
 					tx.Write(o, 0, tx.Read(o, 0)+1)
 					return nil
 				})
@@ -187,8 +184,8 @@ func TestFirstCommitterWins(t *testing.T) {
 	if got := o.LoadSlot(0); got != goroutines*iters {
 		t.Errorf("counter = %d, want %d (lost updates under FCW)", got, goroutines*iters)
 	}
-	if f.rt.Stats.Commits.Load() != goroutines*iters {
-		t.Errorf("commits = %d", f.rt.Stats.Commits.Load())
+	if f.rt.Counters.Commits.Load() != goroutines*iters {
+		t.Errorf("commits = %d", f.rt.Counters.Commits.Load())
 	}
 }
 
@@ -200,7 +197,7 @@ func TestFirstCommitterWins(t *testing.T) {
 // first-committer-wins detects write-write conflicts per object, so two
 // writes to different slots of one object do still collide.
 func TestWriteSkew(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t, stmapi.CommonConfig{})
 	x, y := f.heap.New(f.cls), f.heap.New(f.cls)
 	var (
 		aAt  = make(chan struct{})
@@ -209,7 +206,7 @@ func TestWriteSkew(t *testing.T) {
 	)
 	go func() {
 		defer close(done)
-		_ = f.rt.Atomic(func(tx *Txn) error {
+		_ = f.rt.Atomic(func(tx stmapi.Txn) error {
 			if tx.Attempt() > 0 {
 				// Not expected: the write sets touch disjoint objects, so
 				// first-committer-wins passes for both.
@@ -226,7 +223,7 @@ func TestWriteSkew(t *testing.T) {
 		})
 	}()
 	<-aAt
-	if err := f.rt.Atomic(func(tx *Txn) error {
+	if err := f.rt.Atomic(func(tx stmapi.Txn) error {
 		if sum := tx.Read(x, 0) + tx.Read(y, 0); sum == 0 {
 			tx.Write(y, 0, 1)
 		}
@@ -247,10 +244,10 @@ func TestWriteSkew(t *testing.T) {
 // invariant. A single torn read fails the test; zero read-only aborts and
 // zero retries prove the no-validation path really never backs out.
 func TestSnapshotConsistencyUnderWriters(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t, stmapi.CommonConfig{})
 	x, y := f.heap.New(f.cls), f.heap.New(f.cls)
 	const total = 1000
-	if err := f.rt.Atomic(func(tx *Txn) error {
+	if err := f.rt.Atomic(func(tx stmapi.Txn) error {
 		tx.Write(x, 0, total)
 		tx.Write(y, 0, 0)
 		return nil
@@ -272,7 +269,7 @@ func TestSnapshotConsistencyUnderWriters(t *testing.T) {
 				}
 				rng = rng*6364136223846793005 + 1442695040888963407
 				amt := rng % 7
-				_ = f.rt.Atomic(func(tx *Txn) error {
+				_ = f.rt.Atomic(func(tx stmapi.Txn) error {
 					a := tx.Read(x, 0)
 					if a < amt {
 						return nil
@@ -291,7 +288,7 @@ func TestSnapshotConsistencyUnderWriters(t *testing.T) {
 		go func() {
 			defer readers.Done()
 			for i := 0; i < 2000; i++ {
-				_ = f.rt.AtomicRead(func(tx *Txn) error {
+				_ = f.rt.AtomicRead(func(tx stmapi.Txn) error {
 					if sum := tx.Read(x, 0) + tx.Read(y, 0); sum != total {
 						torn.Add(1)
 					}
@@ -306,7 +303,7 @@ func TestSnapshotConsistencyUnderWriters(t *testing.T) {
 	if n := torn.Load(); n != 0 {
 		t.Errorf("%d torn snapshot reads", n)
 	}
-	s := f.rt.Stats.Snapshot()
+	s := f.rt.Stats()
 	if s.ReadOnlyAborts != 0 {
 		t.Errorf("read-only aborts = %d, want 0", s.ReadOnlyAborts)
 	}
@@ -318,13 +315,13 @@ func TestSnapshotConsistencyUnderWriters(t *testing.T) {
 }
 
 func TestRetryWakesOnCommit(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t, stmapi.CommonConfig{})
 	o := f.heap.New(f.cls)
 	done := make(chan uint64, 1)
 	var once sync.Once
 	waiting := make(chan struct{})
 	go func() {
-		_ = f.rt.Atomic(func(tx *Txn) error {
+		_ = f.rt.Atomic(func(tx stmapi.Txn) error {
 			v := tx.Read(o, 0)
 			if v == 0 {
 				once.Do(func() { close(waiting) })
@@ -335,7 +332,7 @@ func TestRetryWakesOnCommit(t *testing.T) {
 		})
 	}()
 	<-waiting // the reader is provably blocked in Retry before the write
-	if err := f.rt.Atomic(func(tx *Txn) error {
+	if err := f.rt.Atomic(func(tx stmapi.Txn) error {
 		tx.Write(o, 0, 42)
 		return nil
 	}); err != nil {
@@ -344,16 +341,16 @@ func TestRetryWakesOnCommit(t *testing.T) {
 	if got := <-done; got != 42 {
 		t.Errorf("retry observed %d, want 42", got)
 	}
-	if f.rt.Stats.UserRetries.Load() == 0 {
+	if f.rt.Counters.UserRetries.Load() == 0 {
 		t.Error("no retry recorded")
 	}
 }
 
 func TestIrrevocableReadsNewestAndCommits(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t, stmapi.CommonConfig{})
 	o := f.heap.New(f.cls)
 	o.StoreSlot(0, 3)
-	err := f.rt.AtomicIrrevocable(func(tx *Txn) error {
+	err := f.rt.AtomicIrrevocable(func(tx stmapi.Txn) error {
 		if !tx.IsIrrevocable() {
 			t.Error("not irrevocable inside AtomicIrrevocable")
 		}
@@ -369,13 +366,13 @@ func TestIrrevocableReadsNewestAndCommits(t *testing.T) {
 	if f.rt.IrrevocableHolder() != 0 {
 		t.Error("irrevocable token not surrendered")
 	}
-	if f.rt.Stats.IrrevocableTxns.Load() != 1 {
-		t.Errorf("irrevocable txns = %d", f.rt.Stats.IrrevocableTxns.Load())
+	if f.rt.Counters.IrrevocableTxns.Load() != 1 {
+		t.Errorf("irrevocable txns = %d", f.rt.Counters.IrrevocableTxns.Load())
 	}
 }
 
 func TestIrrevocableExcludesCommitters(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t, stmapi.CommonConfig{})
 	o := f.heap.New(f.cls)
 	const goroutines, iters = 4, 100
 	var wg sync.WaitGroup
@@ -384,7 +381,7 @@ func TestIrrevocableExcludesCommitters(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				_ = f.rt.Atomic(func(tx *Txn) error {
+				_ = f.rt.Atomic(func(tx stmapi.Txn) error {
 					tx.Write(o, 0, tx.Read(o, 0)+1)
 					return nil
 				})
@@ -392,7 +389,7 @@ func TestIrrevocableExcludesCommitters(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 50; i++ {
-		if err := f.rt.AtomicIrrevocable(func(tx *Txn) error {
+		if err := f.rt.AtomicIrrevocable(func(tx stmapi.Txn) error {
 			tx.Write(o, 1, tx.Read(o, 0))
 			return nil
 		}); err != nil {
@@ -411,7 +408,7 @@ func TestIrrevocableExcludesCommitters(t *testing.T) {
 // starts behind the token waits outside with its flag clear; all three go
 // through once the first is let go.
 func TestGateIsPerDescriptor(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t, stmapi.CommonConfig{})
 	a, b, c := f.heap.New(f.cls), f.heap.New(f.cls), f.heap.New(f.cls)
 	inGate := func() (n int) {
 		f.rt.ForEach(func(k *txn.Txn) bool {
@@ -445,7 +442,7 @@ func TestGateIsPerDescriptor(t *testing.T) {
 		go func() { defer wg.Done(); body() }()
 	}
 	write := func(o *objmodel.Object, atCommit func()) {
-		if err := f.rt.Atomic(func(tx *Txn) error {
+		if err := f.rt.Atomic(func(tx stmapi.Txn) error {
 			tx.Write(o, 0, 1)
 			atCommit()
 			return nil
@@ -466,7 +463,7 @@ func TestGateIsPerDescriptor(t *testing.T) {
 
 	var switched atomic.Bool
 	run(func() {
-		if err := f.rt.AtomicIrrevocable(func(tx *Txn) error {
+		if err := f.rt.AtomicIrrevocable(func(tx stmapi.Txn) error {
 			switched.Store(true)
 			tx.Write(b, 0, tx.Read(a, 0)) // runs alone: the held commit's value
 			return nil
@@ -508,7 +505,7 @@ func TestGateIsPerDescriptor(t *testing.T) {
 // write-back per buffered slot between the lock acquire and the commit, and
 // both carry the write version the commit obtained.
 func TestMVTraceEventLifecycle(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t, stmapi.CommonConfig{})
 	o := f.heap.New(f.cls)
 	var mine *Txn
 	var events []trace.Event
@@ -519,7 +516,8 @@ func TestMVTraceEventLifecycle(t *testing.T) {
 			wv = mine.WV
 		}
 	})
-	if err := f.rt.Atomic(func(tx *Txn) error {
+	if err := f.rt.Atomic(func(stx stmapi.Txn) error {
+		tx := stx.(*Txn)
 		mine = tx
 		tx.Write(o, 0, tx.Read(o, 0)+1)
 		return nil

@@ -6,19 +6,19 @@ package stm
 import (
 	"context"
 	"errors"
-	"repro/internal/txn/txntest"
 	"testing"
 	"time"
 
 	"repro/internal/stmapi"
+	"repro/internal/txn/txntest"
 )
 
 func TestAtomicCtxPreCancelledSkipsBody(t *testing.T) { txntest.CtxPreCancelledSkipsBody(t, "eager") }
 
 func TestAtomicCtxNilBehavesLikeAtomic(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t, stmapi.CommonConfig{})
 	o := f.newCell()
-	if err := f.rt.AtomicCtx(nil, func(tx *Txn) error {
+	if err := f.rt.AtomicCtx(nil, func(tx stmapi.Txn) error {
 		tx.Write(o, 0, 42)
 		return nil
 	}); err != nil {
@@ -30,10 +30,10 @@ func TestAtomicCtxNilBehavesLikeAtomic(t *testing.T) {
 }
 
 func TestAtomicCtxCancelMidBodyRollsBack(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t, stmapi.CommonConfig{})
 	o := f.newCell()
 	ctx, cancel := context.WithCancel(context.Background())
-	err := f.rt.AtomicCtx(ctx, func(tx *Txn) error {
+	err := f.rt.AtomicCtx(ctx, func(tx stmapi.Txn) error {
 		tx.Write(o, 0, 99)
 		cancel()
 		// The next cancellation point notices: force one by restarting (the
@@ -53,12 +53,12 @@ func TestAtomicCtxCancelMidBodyRollsBack(t *testing.T) {
 }
 
 func TestAtomicCtxDeadlineInConflictWait(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t, stmapi.CommonConfig{})
 	o := f.newCell()
 	release := make(chan struct{})
 	acquired := make(chan struct{})
 	go func() {
-		_ = f.rt.Atomic(func(tx *Txn) error {
+		_ = f.rt.Atomic(func(tx stmapi.Txn) error {
 			tx.Write(o, 1, 7)
 			close(acquired)
 			<-release
@@ -71,7 +71,7 @@ func TestAtomicCtxDeadlineInConflictWait(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	err := f.rt.AtomicCtx(ctx, func(tx *Txn) error {
+	err := f.rt.AtomicCtx(ctx, func(tx stmapi.Txn) error {
 		tx.Write(o, 0, 1) // blocks in conflictWait on the held record
 		return nil
 	})
@@ -92,7 +92,7 @@ func TestAtomicCtxDeadlineInConflictWait(t *testing.T) {
 func TestAtomicCtxDeadlineInRetryWait(t *testing.T) { txntest.CtxDeadlineInRetryWait(t, "eager") }
 
 func TestAtomicCtxCancelDuringQuiescence(t *testing.T) {
-	f := newFixture(t, Config{CommonConfig: stmapi.CommonConfig{Quiescence: true}})
+	f := newFixture(t, stmapi.CommonConfig{Quiescence: true})
 	o := f.newCell()
 
 	// Park a transaction that began before our commit and stays Active, so
@@ -103,7 +103,7 @@ func TestAtomicCtxCancelDuringQuiescence(t *testing.T) {
 	inBody := make(chan struct{})
 	release := make(chan struct{})
 	go func() {
-		_ = f.rt.Atomic(func(tx *Txn) error {
+		_ = f.rt.Atomic(func(tx stmapi.Txn) error {
 			_ = tx.Read(other, 1)
 			close(inBody)
 			<-release
@@ -115,7 +115,7 @@ func TestAtomicCtxCancelDuringQuiescence(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	err := f.rt.AtomicCtx(ctx, func(tx *Txn) error {
+	err := f.rt.AtomicCtx(ctx, func(tx stmapi.Txn) error {
 		tx.Write(o, 0, 5)
 		return nil
 	})
@@ -127,7 +127,7 @@ func TestAtomicCtxCancelDuringQuiescence(t *testing.T) {
 	if got := o.LoadSlot(0); got != 5 {
 		t.Fatalf("slot 0 = %d, want 5 (commit is durable)", got)
 	}
-	if s := f.rt.Stats.Snapshot(); s.Commits != 1 {
+	if s := f.rt.Stats(); s.Commits != 1 {
 		t.Fatalf("commits = %d, want 1", s.Commits)
 	}
 }

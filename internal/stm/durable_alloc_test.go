@@ -24,9 +24,9 @@ func (c *countSink) WaitDurable(seq uint64) error { return nil }
 // commit sink installed — including after one was installed and removed —
 // a committed read-write transaction performs zero heap allocations.
 func TestDisabledSinkAllocFree(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t, stmapi.CommonConfig{})
 	o := f.newCell()
-	body := func(tx *Txn) error {
+	body := func(tx stmapi.Txn) error {
 		tx.Write(o, 0, tx.Read(o, 0)+1)
 		return nil
 	}

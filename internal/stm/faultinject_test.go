@@ -47,7 +47,7 @@ func runTransfers(t *testing.T, f *fixture, accounts []*objmodel.Object, gorouti
 				if from == to {
 					continue
 				}
-				if err := f.rt.Atomic(func(tx *Txn) error {
+				if err := f.rt.Atomic(func(tx stmapi.Txn) error {
 					a := tx.Read(from, 0)
 					b := tx.Read(to, 0)
 					tx.Write(from, 0, a-1)
@@ -66,7 +66,7 @@ func runTransfers(t *testing.T, f *fixture, accounts []*objmodel.Object, gorouti
 func TestInjectedAbortsPreserveInvariants(t *testing.T) {
 	for _, p := range abortPoints {
 		t.Run(p.String(), func(t *testing.T) {
-			f := newFixture(t, Config{})
+			f := newFixture(t, stmapi.CommonConfig{})
 			in := faultinject.New(uint64(p)+1, faultinject.Rule{
 				Point: p, Action: faultinject.Abort, Rate: 256,
 			})
@@ -95,7 +95,7 @@ func TestInjectedAbortsPreserveInvariants(t *testing.T) {
 			if n := f.rt.ActiveTransactions(); n != 0 {
 				t.Errorf("active transactions = %d, want 0", n)
 			}
-			s := f.rt.Stats.Snapshot()
+			s := f.rt.Stats()
 			if s.Aborts == 0 {
 				t.Errorf("no aborts recorded despite %d injected", in.Fired(p, faultinject.Abort))
 			}
@@ -104,7 +104,7 @@ func TestInjectedAbortsPreserveInvariants(t *testing.T) {
 }
 
 func TestInjectedAbortsWithQuiescenceNeverHang(t *testing.T) {
-	f := newFixture(t, Config{CommonConfig: stmapi.CommonConfig{Quiescence: true}})
+	f := newFixture(t, stmapi.CommonConfig{Quiescence: true})
 	rules := make([]faultinject.Rule, len(abortPoints))
 	for i, p := range abortPoints {
 		rules[i] = faultinject.Rule{Point: p, Action: faultinject.Abort, Rate: 128}
@@ -139,7 +139,7 @@ func TestInjectedCrashCleansUpPerStage(t *testing.T) {
 	}
 	for _, c := range crashPoints {
 		t.Run(c.point.String(), func(t *testing.T) {
-			f := newFixture(t, Config{})
+			f := newFixture(t, stmapi.CommonConfig{})
 			f.rt.SetInjector(faultinject.New(1, faultinject.Rule{
 				Point: c.point, Action: faultinject.Crash,
 			}))
@@ -155,7 +155,7 @@ func TestInjectedCrashCleansUpPerStage(t *testing.T) {
 						err = ce
 					}
 				}()
-				return f.rt.Atomic(func(tx *Txn) error {
+				return f.rt.Atomic(func(tx stmapi.Txn) error {
 					tx.Write(o, 0, 20)
 					return nil
 				})
@@ -179,7 +179,7 @@ func TestInjectedCrashCleansUpPerStage(t *testing.T) {
 			}
 			// The record must be usable by later transactions.
 			f.rt.SetInjector(nil)
-			if err := f.rt.Atomic(func(tx *Txn) error {
+			if err := f.rt.Atomic(func(tx stmapi.Txn) error {
 				tx.Write(o, 1, 1)
 				return nil
 			}); err != nil {
@@ -190,7 +190,7 @@ func TestInjectedCrashCleansUpPerStage(t *testing.T) {
 }
 
 func TestInjectedCrashOnAbortPath(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t, stmapi.CommonConfig{})
 	f.rt.SetInjector(faultinject.New(1, faultinject.Rule{
 		Point: faultinject.PreRelease, Action: faultinject.Crash,
 	}))
@@ -207,7 +207,7 @@ func TestInjectedCrashOnAbortPath(t *testing.T) {
 				err = ce
 			}
 		}()
-		return f.rt.Atomic(func(tx *Txn) error {
+		return f.rt.Atomic(func(tx stmapi.Txn) error {
 			tx.Write(o, 0, 20)
 			return boom // abort path: PreRelease fires inside abort()
 		})
@@ -227,7 +227,7 @@ func TestInjectedCrashOnAbortPath(t *testing.T) {
 func TestInjectedDelayWidensRaceWindows(t *testing.T) {
 	// Delay is behavioral grease for the litmus programs; here just assert
 	// it neither aborts nor corrupts anything.
-	f := newFixture(t, Config{})
+	f := newFixture(t, stmapi.CommonConfig{})
 	in := faultinject.New(3, faultinject.Rule{
 		Point: faultinject.PostAcquire, Action: faultinject.Delay, Every: 4, Sleep: 1,
 	})

@@ -14,16 +14,16 @@ import (
 // clobbers the NT store; at slot granularity the NT store survives.
 func granTrial(t *testing.T, g int) uint64 {
 	t.Helper()
-	f := newFixture(t, Config{CommonConfig: stmapi.CommonConfig{Granularity: g}})
+	f := newFixture(t, stmapi.CommonConfig{Granularity: g})
 	o := f.newCell()
-	if err := f.rt.Atomic(func(tx *Txn) error {
+	if err := f.rt.Atomic(func(tx stmapi.Txn) error {
 		tx.Write(o, 1, 7)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 	runs := 0
-	if err := f.rt.Atomic(func(tx *Txn) error {
+	if err := f.rt.Atomic(func(tx stmapi.Txn) error {
 		runs++
 		tx.Write(o, 0, 1)
 		if runs == 1 {

@@ -6,23 +6,24 @@ package stm
 // its overflow path and quiescence scans). All are run under -race in CI.
 
 import (
-	"repro/internal/txn/txntest"
 	"sync"
 	"testing"
 
 	"repro/internal/objmodel"
 	"repro/internal/stmapi"
+	"repro/internal/txn/txntest"
 )
 
 // TestPooledDescriptorClean verifies that a descriptor fetched from the
 // pool carries nothing over from its previous incarnation: empty read and
 // owned sets, an empty undo log, and a fresh ID.
 func TestPooledDescriptorClean(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t, stmapi.CommonConfig{})
 	o := f.newCell()
 	var lastID uint64
 	for i := 0; i < 50; i++ {
-		err := f.rt.Atomic(func(tx *Txn) error {
+		err := f.rt.Atomic(func(stx stmapi.Txn) error {
+			tx := stx.(*Txn)
 			if tx.Reads.Len() != 0 || tx.Owned.Len() != 0 {
 				t.Errorf("iter %d: dirty read/owned set (%d/%d entries)",
 					i, tx.Reads.Len(), tx.Owned.Len())
@@ -55,7 +56,7 @@ func TestPooledDescriptorClean(t *testing.T) {
 // transacting on its own object, and checks that no reused descriptor ever
 // bleeds state into another goroutine's transaction.
 func TestPooledDescriptorsParallel(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t, stmapi.CommonConfig{})
 	const goroutines = 8
 	const iters = 200
 	objs := make([]*objmodel.Object, goroutines)
@@ -69,7 +70,8 @@ func TestPooledDescriptorsParallel(t *testing.T) {
 			defer wg.Done()
 			o := objs[g]
 			for i := 1; i <= iters; i++ {
-				err := f.rt.Atomic(func(tx *Txn) error {
+				err := f.rt.Atomic(func(stx stmapi.Txn) error {
+					tx := stx.(*Txn)
 					if tx.Reads.Len() != 0 || tx.Owned.Len() != 0 || len(tx.undo) != 0 {
 						t.Errorf("goroutine %d: dirty descriptor", g)
 					}
@@ -105,7 +107,7 @@ func TestStatsFlushParallel(t *testing.T) { txntest.StatsFlushParallel(t, "eager
 // concurrently active transactions. The final count proves isolation held;
 // an empty registry at the end proves begin/end stayed balanced.
 func TestQuiescenceShardedRegistry(t *testing.T) {
-	f := newFixture(t, Config{CommonConfig: stmapi.CommonConfig{Quiescence: true}})
+	f := newFixture(t, stmapi.CommonConfig{Quiescence: true})
 	o := f.newCell()
 	const goroutines = 8
 	const iters = 100
@@ -115,7 +117,7 @@ func TestQuiescenceShardedRegistry(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				_ = f.rt.Atomic(func(tx *Txn) error {
+				_ = f.rt.Atomic(func(tx stmapi.Txn) error {
 					tx.Write(o, 0, tx.Read(o, 0)+1)
 					return nil
 				})
@@ -135,7 +137,7 @@ func TestQuiescenceShardedRegistry(t *testing.T) {
 // slot array can hold, forcing the overflow path, and checks that scans
 // (ActiveTransactions) still see every one of them.
 func TestRegistryOverflow(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t, stmapi.CommonConfig{})
 	const extra = 16
 	const slotArray = 256 // the capacity of the kernel registry's slot array
 	const total = slotArray + extra
@@ -147,7 +149,7 @@ func TestRegistryOverflow(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_ = f.rt.Atomic(func(tx *Txn) error {
+			_ = f.rt.Atomic(func(tx stmapi.Txn) error {
 				tx.Write(o, 0, 1)
 				ready <- struct{}{}
 				<-release
@@ -166,7 +168,7 @@ func TestRegistryOverflow(t *testing.T) {
 	if n := f.rt.ActiveTransactions(); n != 0 {
 		t.Errorf("active after completion = %d, want 0", n)
 	}
-	if got := f.rt.Stats.Commits.Load(); got != total {
+	if got := f.rt.Counters.Commits.Load(); got != total {
 		t.Errorf("commits = %d, want %d", got, total)
 	}
 }

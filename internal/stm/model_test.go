@@ -25,7 +25,7 @@ func TestSequentialModelEquivalence(t *testing.T) {
 	}
 	f := func(ops []op, seed int64) bool {
 		const nObjs, nSlots = 4, 3
-		fx := newFixture(t, Config{})
+		fx := newFixture(t, stmapi.CommonConfig{})
 		objs := make([]*objmodel.Object, nObjs)
 		for i := range objs {
 			objs[i] = fx.newCell()
@@ -38,7 +38,7 @@ func TestSequentialModelEquivalence(t *testing.T) {
 
 		i := 0
 		restarted := false
-		err := fx.rt.Atomic(func(tx *Txn) error {
+		err := fx.rt.Atomic(func(tx stmapi.Txn) error {
 			// On restart, re-execute from the beginning like the VM does.
 			i = 0
 			shadow := make([][]uint64, nObjs)
@@ -98,7 +98,7 @@ func TestSequentialModelEquivalence(t *testing.T) {
 // TestVersionsNeverDecrease: across arbitrary concurrent transactional and
 // barrier-style activity, each object's shared version is monotone.
 func TestVersionsNeverDecrease(t *testing.T) {
-	fx := newFixture(t, Config{})
+	fx := newFixture(t, stmapi.CommonConfig{})
 	o := fx.newCell()
 	stop := make(chan struct{})
 	var maxSeen uint64
@@ -131,10 +131,10 @@ func TestVersionsNeverDecrease(t *testing.T) {
 			defer workers.Done()
 			for i := 0; i < 500; i++ {
 				if g%2 == 0 {
-					_ = fx.rt.Atomic(func(tx *Txn) error {
+					_ = fx.rt.Atomic(func(tx stmapi.Txn) error {
 						tx.Write(o, 0, tx.Read(o, 0)+1)
 						if i%7 == 0 {
-							return ErrAborted
+							return errAborted
 						}
 						return nil
 					})
@@ -162,7 +162,7 @@ func TestVersionsNeverDecrease(t *testing.T) {
 // cells keep the total constant under any interleaving — the classic STM
 // serializability stress, with user aborts mixed in.
 func TestRandomTransfersPreserveSum(t *testing.T) {
-	fx := newFixture(t, Config{})
+	fx := newFixture(t, stmapi.CommonConfig{})
 	const nCells = 6
 	cells := make([]*objmodel.Object, nCells)
 	for i := range cells {
@@ -179,11 +179,11 @@ func TestRandomTransfersPreserveSum(t *testing.T) {
 				from, to := rng.Intn(nCells), rng.Intn(nCells)
 				amt := uint64(rng.Intn(5))
 				abort := rng.Intn(10) == 0
-				_ = fx.rt.Atomic(func(tx *Txn) error {
+				_ = fx.rt.Atomic(func(tx stmapi.Txn) error {
 					tx.Write(cells[from], 0, tx.Read(cells[from], 0)-amt)
 					tx.Write(cells[to], 0, tx.Read(cells[to], 0)+amt)
 					if abort {
-						return ErrAborted
+						return errAborted
 					}
 					return nil
 				})
@@ -211,7 +211,7 @@ func TestRandomTransfersPreserveSum(t *testing.T) {
 // (unbarriered!) accesses afterwards — the Section 3.4 guarantee — even
 // while doomed transactions are still running.
 func TestQuiescencePrivatizationStress(t *testing.T) {
-	fx := newFixture(t, Config{CommonConfig: stmapi.CommonConfig{Quiescence: true}})
+	fx := newFixture(t, stmapi.CommonConfig{Quiescence: true})
 	holder := fx.newCell() // slot 2 (ref) points at the current item
 	const rounds = 150
 	var violations int
@@ -228,7 +228,7 @@ func TestQuiescencePrivatizationStress(t *testing.T) {
 					return
 				default:
 				}
-				_ = fx.rt.Atomic(func(tx *Txn) error {
+				_ = fx.rt.Atomic(func(tx stmapi.Txn) error {
 					r := tx.ReadRef(holder, 2)
 					if r == 0 {
 						return nil
@@ -243,13 +243,13 @@ func TestQuiescencePrivatizationStress(t *testing.T) {
 	}
 	for round := 0; round < rounds; round++ {
 		item := fx.newCell()
-		_ = fx.rt.Atomic(func(tx *Txn) error {
+		_ = fx.rt.Atomic(func(tx stmapi.Txn) error {
 			tx.WriteRef(holder, 2, item.Ref())
 			return nil
 		})
 		// Privatize: after this transaction (plus quiescence), no
 		// transaction may still touch the item.
-		_ = fx.rt.Atomic(func(tx *Txn) error {
+		_ = fx.rt.Atomic(func(tx stmapi.Txn) error {
 			tx.WriteRef(holder, 2, 0)
 			return nil
 		})

@@ -10,13 +10,13 @@ package stm
 import (
 	"context"
 	"errors"
-	"repro/internal/txn/txntest"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/conflict"
 	"repro/internal/stmapi"
+	"repro/internal/txn/txntest"
 )
 
 func TestPoliciesResolveDeadlockWhereBackoffStarves(t *testing.T) {
@@ -57,10 +57,10 @@ func runOpposedWriters(t *testing.T, policy string, deadline time.Duration) (e1,
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := newFixture(t, Config{CommonConfig: stmapi.CommonConfig{
+	f := newFixture(t, stmapi.CommonConfig{
 		Handler:        pol,
 		SelfAbortAfter: 1 << 30,
-	}})
+	})
 	a, b := f.newCell(), f.newCell()
 	ctx, cancel := context.WithTimeout(context.Background(), deadline)
 	defer cancel()
@@ -73,7 +73,7 @@ func runOpposedWriters(t *testing.T, policy string, deadline time.Duration) (e1,
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		e1 = f.rt.AtomicCtx(ctx, func(tx *Txn) error {
+		e1 = f.rt.AtomicCtx(ctx, func(tx stmapi.Txn) error {
 			onceBegan.Do(func() { close(t1Began) })
 			tx.Write(a, 0, 1)
 			onceA.Do(func() { close(t1HoldsA) })
@@ -85,7 +85,7 @@ func runOpposedWriters(t *testing.T, policy string, deadline time.Duration) (e1,
 	go func() {
 		defer wg.Done()
 		<-t1Began // T2 begins after T1: strictly younger under age policies
-		e2 = f.rt.AtomicCtx(ctx, func(tx *Txn) error {
+		e2 = f.rt.AtomicCtx(ctx, func(tx stmapi.Txn) error {
 			tx.Write(b, 0, 2)
 			onceB.Do(func() { close(t2HoldsB) })
 			<-t1HoldsA
@@ -103,7 +103,7 @@ func runOpposedWriters(t *testing.T, policy string, deadline time.Duration) (e1,
 			t.Fatalf("final state a=%d b=%d is not a serial outcome", va, vb)
 		}
 	}
-	return e1, e2, f.rt.Stats.Snapshot()
+	return e1, e2, f.rt.Stats()
 }
 
 func TestPoliciesPreserveInvariantsUnderContention(t *testing.T) {
@@ -118,7 +118,7 @@ func TestDoomedVictimRestartsAndBothCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := newFixture(t, Config{CommonConfig: stmapi.CommonConfig{Handler: pol}})
+	f := newFixture(t, stmapi.CommonConfig{Handler: pol})
 	o := f.newCell()
 
 	elderBegan := make(chan struct{})
@@ -130,7 +130,7 @@ func TestDoomedVictimRestartsAndBothCommit(t *testing.T) {
 	var elderErr, youngErr error
 	go func() {
 		defer wg.Done()
-		elderErr = f.rt.Atomic(func(tx *Txn) error {
+		elderErr = f.rt.Atomic(func(tx stmapi.Txn) error {
 			onceBegan.Do(func() { close(elderBegan) })
 			<-youngHolds
 			tx.Write(o, 0, 1) // conflicts with the younger owner: dooms it
@@ -140,7 +140,7 @@ func TestDoomedVictimRestartsAndBothCommit(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		<-elderBegan
-		youngErr = f.rt.Atomic(func(tx *Txn) error {
+		youngErr = f.rt.Atomic(func(tx stmapi.Txn) error {
 			victimAttempts++
 			tx.Write(o, 1, 2)
 			onceHolds.Do(func() { close(youngHolds) })
@@ -162,7 +162,7 @@ func TestDoomedVictimRestartsAndBothCommit(t *testing.T) {
 	if victimAttempts < 2 {
 		t.Fatalf("victim ran %d attempt(s); expected a doom-induced restart", victimAttempts)
 	}
-	s := f.rt.Stats.Snapshot()
+	s := f.rt.Stats()
 	if s.DoomsIssued == 0 {
 		t.Fatalf("no dooms recorded")
 	}

@@ -12,7 +12,7 @@ import (
 	"repro/internal/txrec"
 )
 
-func newRecoveryRuntime(t *testing.T, cfg Config) (*Runtime, *objmodel.Object) {
+func newRecoveryRuntime(t *testing.T, cfg stmapi.CommonConfig) (*Runtime, *objmodel.Object) {
 	t.Helper()
 	h := objmodel.NewHeap()
 	cls := h.MustDefineClass(objmodel.ClassSpec{
@@ -25,7 +25,7 @@ func newRecoveryRuntime(t *testing.T, cfg Config) (*Runtime, *objmodel.Object) {
 
 // orphanOnce runs body in its own goroutine and swallows the OrphanError the
 // injected death raises, returning once the goroutine has fully unwound.
-func orphanOnce(t *testing.T, rt *Runtime, body func(tx *Txn) error) {
+func orphanOnce(t *testing.T, rt *Runtime, body func(tx stmapi.Txn) error) {
 	t.Helper()
 	done := make(chan error, 1)
 	go func() {
@@ -48,12 +48,12 @@ func orphanOnce(t *testing.T, rt *Runtime, body func(tx *Txn) error) {
 }
 
 func TestReaperRestoresOrphanedRecord(t *testing.T) {
-	rt, o := newRecoveryRuntime(t, Config{})
-	rt.Atomic(func(tx *Txn) error { tx.Write(o, 0, 41); return nil })
+	rt, o := newRecoveryRuntime(t, stmapi.CommonConfig{})
+	rt.Atomic(func(tx stmapi.Txn) error { tx.Write(o, 0, 41); return nil })
 
 	in := faultinject.New(1, faultinject.Rule{Point: faultinject.PostAcquire, Action: faultinject.Orphan, Every: 1})
 	rt.SetInjector(in)
-	orphanOnce(t, rt, func(tx *Txn) error {
+	orphanOnce(t, rt, func(tx stmapi.Txn) error {
 		tx.Write(o, 0, 999) // dies owning o with 999 already in place
 		return nil
 	})
@@ -71,7 +71,7 @@ func TestReaperRestoresOrphanedRecord(t *testing.T) {
 	if v := o.LoadSlot(0); v != 41 {
 		t.Fatalf("undo not replayed: slot = %d, want 41", v)
 	}
-	if n := rt.Stats.ReaperSteals.Load(); n != 1 {
+	if n := rt.Counters.ReaperSteals.Load(); n != 1 {
 		t.Fatalf("ReaperSteals = %d, want 1", n)
 	}
 	// The orphan must stay reclaimable exactly once.
@@ -81,10 +81,10 @@ func TestReaperRestoresOrphanedRecord(t *testing.T) {
 }
 
 func TestCommittedOrphanKeepsEffects(t *testing.T) {
-	rt, o := newRecoveryRuntime(t, Config{})
+	rt, o := newRecoveryRuntime(t, stmapi.CommonConfig{})
 	in := faultinject.New(1, faultinject.Rule{Point: faultinject.PostCommitPoint, Action: faultinject.Orphan, Every: 1})
 	rt.SetInjector(in)
-	orphanOnce(t, rt, func(tx *Txn) error {
+	orphanOnce(t, rt, func(tx stmapi.Txn) error {
 		tx.Write(o, 0, 7)
 		return nil
 	})
@@ -102,10 +102,10 @@ func TestCommittedOrphanKeepsEffects(t *testing.T) {
 }
 
 func TestWaiterStealsInlineWithoutReaper(t *testing.T) {
-	rt, o := newRecoveryRuntime(t, Config{})
+	rt, o := newRecoveryRuntime(t, stmapi.CommonConfig{})
 	in := faultinject.New(1, faultinject.Rule{Point: faultinject.PreValidate, Action: faultinject.Orphan, Every: 1})
 	rt.SetInjector(in)
-	orphanOnce(t, rt, func(tx *Txn) error {
+	orphanOnce(t, rt, func(tx stmapi.Txn) error {
 		tx.Write(o, 0, 999)
 		return nil
 	})
@@ -114,7 +114,7 @@ func TestWaiterStealsInlineWithoutReaper(t *testing.T) {
 	// No sweep: the next writer must find the dead owner and steal inline.
 	done := make(chan error, 1)
 	go func() {
-		done <- rt.Atomic(func(tx *Txn) error { tx.Write(o, 0, 5); return nil })
+		done <- rt.Atomic(func(tx stmapi.Txn) error { tx.Write(o, 0, 5); return nil })
 	}()
 	select {
 	case err := <-done:
@@ -142,13 +142,13 @@ func TestReaperVsInlineStealRace(t *testing.T) {
 		iters = 5
 	}
 	for i := 0; i < iters; i++ {
-		rt, o := newRecoveryRuntime(t, Config{})
-		if err := rt.Atomic(func(tx *Txn) error { tx.Write(o, 0, 41); return nil }); err != nil {
+		rt, o := newRecoveryRuntime(t, stmapi.CommonConfig{})
+		if err := rt.Atomic(func(tx stmapi.Txn) error { tx.Write(o, 0, 41); return nil }); err != nil {
 			t.Fatal(err)
 		}
 		in := faultinject.New(uint64(i)+1, faultinject.Rule{Point: faultinject.PostAcquire, Action: faultinject.Orphan, Every: 1})
 		rt.SetInjector(in)
-		orphanOnce(t, rt, func(tx *Txn) error {
+		orphanOnce(t, rt, func(tx stmapi.Txn) error {
 			tx.Write(o, 0, 999)
 			return nil
 		})
@@ -168,14 +168,14 @@ func TestReaperVsInlineStealRace(t *testing.T) {
 		go func() { // inline-steal side: conflicts with the orphaned record
 			defer wg.Done()
 			<-start
-			werr = rt.Atomic(func(tx *Txn) error { tx.Write(o, 0, 5); return nil })
+			werr = rt.Atomic(func(tx stmapi.Txn) error { tx.Write(o, 0, 5); return nil })
 		}()
 		close(start)
 		wg.Wait()
 		if werr != nil {
 			t.Fatalf("iteration %d: writer after orphan: %v", i, werr)
 		}
-		if n := rt.Stats.ReaperSteals.Load(); n != 1 {
+		if n := rt.Counters.ReaperSteals.Load(); n != 1 {
 			t.Fatalf("iteration %d: %d steals recorded, want exactly 1 (double reclaim?)", i, n)
 		}
 		if w := o.Rec.Load(); !txrec.IsShared(w) {
@@ -188,10 +188,10 @@ func TestReaperVsInlineStealRace(t *testing.T) {
 }
 
 func TestAtomicIrrevocableCommitsAndReleasesToken(t *testing.T) {
-	rt, o := newRecoveryRuntime(t, Config{})
-	rt.Atomic(func(tx *Txn) error { tx.Write(o, 0, 1); return nil })
+	rt, o := newRecoveryRuntime(t, stmapi.CommonConfig{})
+	rt.Atomic(func(tx stmapi.Txn) error { tx.Write(o, 0, 1); return nil })
 
-	err := rt.AtomicIrrevocable(func(tx *Txn) error {
+	err := rt.AtomicIrrevocable(func(tx stmapi.Txn) error {
 		v := tx.Read(o, 0)
 		if !tx.IsIrrevocable() {
 			t.Error("body not irrevocable inside AtomicIrrevocable")
@@ -208,16 +208,16 @@ func TestAtomicIrrevocableCommitsAndReleasesToken(t *testing.T) {
 	if tok := rt.IrrevocableHolder(); tok != 0 {
 		t.Fatalf("token not released: %d", tok)
 	}
-	if n := rt.Stats.IrrevocableTxns.Load(); n != 1 {
+	if n := rt.Counters.IrrevocableTxns.Load(); n != 1 {
 		t.Fatalf("IrrevocableTxns = %d, want 1", n)
 	}
-	if ns := rt.Stats.IrrevocableNs.Load(); ns <= 0 {
+	if ns := rt.Counters.IrrevocableNs.Load(); ns <= 0 {
 		t.Fatalf("IrrevocableNs = %d, want > 0", ns)
 	}
 }
 
 func TestBecomeIrrevocableMidBodySurvivesDoom(t *testing.T) {
-	rt, o := newRecoveryRuntime(t, Config{})
+	rt, o := newRecoveryRuntime(t, stmapi.CommonConfig{})
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	// Background writers hammer the object, trying to invalidate the reader.
@@ -231,14 +231,14 @@ func TestBecomeIrrevocableMidBodySurvivesDoom(t *testing.T) {
 					return
 				default:
 				}
-				rt.Atomic(func(tx *Txn) error {
+				rt.Atomic(func(tx stmapi.Txn) error {
 					tx.Write(o, 1, tx.Read(o, 1)+1)
 					return nil
 				})
 			}
 		}()
 	}
-	err := rt.Atomic(func(tx *Txn) error {
+	err := rt.Atomic(func(tx stmapi.Txn) error {
 		tx.BecomeIrrevocable()
 		// Past the switch nothing may abort us: a read of the contended
 		// object acquires it pessimistically and must succeed.
@@ -258,15 +258,13 @@ func TestBecomeIrrevocableMidBodySurvivesDoom(t *testing.T) {
 }
 
 func TestEscalateAfterConsecutiveAborts(t *testing.T) {
-	rt, o := newRecoveryRuntime(t, Config{
-		CommonConfig: stmapi.CommonConfig{EscalateAfter: 3},
-	})
+	rt, o := newRecoveryRuntime(t, stmapi.CommonConfig{EscalateAfter: 3})
 	// Abort every attempt at validation; the fourth attempt escalates to
 	// irrevocable, which ignores the Abort injection and commits.
 	in := faultinject.New(1, faultinject.Rule{Point: faultinject.PreValidate, Action: faultinject.Abort, Every: 1})
 	rt.SetInjector(in)
 	sawIrrevocable := false
-	err := rt.Atomic(func(tx *Txn) error {
+	err := rt.Atomic(func(tx stmapi.Txn) error {
 		sawIrrevocable = tx.IsIrrevocable()
 		tx.Write(o, 0, uint64(tx.Attempt()))
 		return nil
@@ -278,7 +276,7 @@ func TestEscalateAfterConsecutiveAborts(t *testing.T) {
 	if !sawIrrevocable {
 		t.Fatal("final attempt did not run irrevocably")
 	}
-	if n := rt.Stats.Escalations.Load(); n != 1 {
+	if n := rt.Counters.Escalations.Load(); n != 1 {
 		t.Fatalf("Escalations = %d, want 1", n)
 	}
 	if v := o.LoadSlot(0); v != 3 {

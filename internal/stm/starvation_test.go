@@ -46,10 +46,10 @@ func runStarvationLitmus(t *testing.T, handler conflict.Handler, selfAbortAfter 
 	tr := trace.New(trace.Config{})
 	rec := causal.NewRecorder(causal.Config{})
 	tr.SetSink(rec)
-	f := newFixture(t, Config{CommonConfig: stmapi.CommonConfig{
+	f := newFixture(t, stmapi.CommonConfig{
 		Handler:        handler,
 		SelfAbortAfter: selfAbortAfter,
-	}})
+	})
 	f.rt.SetTracer(tr)
 	hot := f.newCell()
 
@@ -63,7 +63,7 @@ func runStarvationLitmus(t *testing.T, handler conflict.Handler, selfAbortAfter 
 			defer wg.Done()
 			for ctx.Err() == nil {
 				// Errors here are only ever the final context cancellation.
-				_ = f.rt.AtomicCtx(ctx, func(tx *Txn) error {
+				_ = f.rt.AtomicCtx(ctx, func(tx stmapi.Txn) error {
 					tx.Write(hot, 0, uint64(w+1))
 					time.Sleep(100 * time.Microsecond) // long hold
 					return nil
@@ -79,7 +79,7 @@ func runStarvationLitmus(t *testing.T, handler conflict.Handler, selfAbortAfter 
 	go func() {
 		defer wg.Done()
 		for ctx.Err() == nil {
-			err := f.rt.AtomicCtx(ctx, func(tx *Txn) error {
+			err := f.rt.AtomicCtx(ctx, func(tx stmapi.Txn) error {
 				mu.Lock()
 				victimIDs[tx.ID()] = true
 				mu.Unlock()

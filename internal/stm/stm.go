@@ -34,7 +34,6 @@ package stm
 
 import (
 	"context"
-	"errors"
 
 	"repro/internal/conflict"
 	"repro/internal/faultinject"
@@ -45,50 +44,32 @@ import (
 	"repro/internal/txrec"
 )
 
-// Config parameterizes a Runtime: the cross-runtime knobs (Granularity,
-// Quiescence, Handler, SelfAbortAfter, ...) of the embedded
-// stmapi.CommonConfig. Dynamic escape analysis is not one of them: the heap
+// Runtime is an eager-versioning STM instance bound to a heap. The embedded
+// kernel is its whole driver surface: Atomic, AtomicCtx, AtomicIrrevocable,
+// Heap, Stats, the setters and ReapDead, so *Runtime is an
+// stmapi.DurableRuntime. Configuration is the cross-runtime
+// stmapi.CommonConfig. Dynamic escape analysis is not part of it: the heap
 // decides. On a heap that mints private objects (Heap.AllocPrivate, or an
 // elision manifest) the runtime cooperates as the package comment says.
-type Config struct {
-	stmapi.CommonConfig
-}
-
-// Runtime is an eager-versioning STM instance bound to a heap. The embedded
-// kernel supplies Heap, Stats, SetTracer, SetInjector, SetCommitSink and
-// ReapDead.
 type Runtime struct {
 	txn.Kernel
-
-	cfg Config
 }
 
 // New creates a Runtime over heap with the given configuration. Invalid
 // configurations (granularity outside [1, MaxGranularity], negative
 // self-abort threshold) are rejected here with a panic rather than
 // misbehaving later.
-func New(heap *objmodel.Heap, cfg Config) *Runtime {
-	rt := &Runtime{cfg: cfg}
-	rt.Init("eager", heap, &rt.cfg.CommonConfig, func() txn.Strategy { return &Txn{rt: rt} })
+func New(heap *objmodel.Heap, cfg stmapi.CommonConfig) *Runtime {
+	rt := &Runtime{}
+	rt.Init("eager", heap, cfg, func() txn.Strategy { return &Txn{rt: rt} })
 	return rt
 }
 
-// Config returns the runtime's configuration.
-func (rt *Runtime) Config() Config { return rt.cfg }
-
-// API returns the runtime-agnostic driver view of rt.
-func (rt *Runtime) API() stmapi.Runtime { return txn.API{Kernel: &rt.Kernel} }
-
 func init() {
 	txn.Register("eager", func(heap *objmodel.Heap, cfg stmapi.CommonConfig) stmapi.Runtime {
-		return New(heap, Config{CommonConfig: cfg}).API()
+		return New(heap, cfg)
 	})
 }
-
-// ErrAborted is returned by Atomic when the body requests a permanent abort
-// by returning it: the transaction rolls back and Atomic returns ErrAborted
-// without retrying.
-var ErrAborted = errors.New("stm: transaction aborted by user")
 
 type undoEntry struct {
 	obj  *objmodel.Object
@@ -203,7 +184,7 @@ func (tx *Txn) ReadRef(o *objmodel.Object, slot int) objmodel.Ref {
 }
 
 func (tx *Txn) logUndo(o *objmodel.Object, slot int) {
-	g := tx.rt.cfg.Granularity
+	g := tx.rt.Config().Granularity
 	base := slot &^ (g - 1)
 	e := undoEntry{obj: o, base: base}
 	for i := 0; i < g && base+i < len(o.Slots); i++ {
@@ -218,13 +199,13 @@ func (tx *Txn) maybePublish(o *objmodel.Object, slot int, v uint64) {
 	// analysis, or an elision manifest with it off). The heap is asked, not
 	// a runtime option that could disagree with it and leave a private-born
 	// object reachable from a public one.
-	if v == 0 || !o.IsRefSlot(slot) || !(tx.rt.Heap.AllocPrivate || tx.rt.Heap.HasManifest()) {
+	if v == 0 || !o.IsRefSlot(slot) || !(tx.rt.Heap().AllocPrivate || tx.rt.Heap().HasManifest()) {
 		return
 	}
 	// The container is public (callers ensure this); publish the referenced
 	// subgraph immediately — even before commit, a doomed transaction in
 	// another thread may access objects published by this write (Section 4).
-	tx.rt.Heap.PublishRef(objmodel.Ref(v))
+	tx.rt.Heap().PublishRef(objmodel.Ref(v))
 }
 
 // inject fires the fault injector at point p of a write's record
@@ -462,27 +443,4 @@ func (tx *Txn) ReapOrphan(committed bool) {
 		o.Rec.ReleaseOwned(ver)
 		return true
 	})
-}
-
-// Atomic executes body as a transaction, re-executing it until it commits.
-// The body's error return aborts: ErrAborted (or any wrapped error)
-// discards the transaction's effects and is returned to the caller.
-func (rt *Runtime) Atomic(body func(*Txn) error) error {
-	return rt.AtomicCtx(nil, body)
-}
-
-// AtomicCtx is Atomic with deadline/cancellation support; see
-// txn.Kernel.Atomic for where the context is checked and what cancellation
-// before and after the commit point means. A nil ctx behaves exactly like
-// Atomic, paying zero cancellation checks.
-func (rt *Runtime) AtomicCtx(ctx context.Context, body func(*Txn) error) error {
-	return rt.Kernel.Atomic(ctx, rt.EscalateFrom(), func(k *txn.Txn) error { return body(k.Self().(*Txn)) })
-}
-
-// AtomicIrrevocable executes body as an irrevocable transaction: once the
-// switch succeeds (immediately after begin, while nothing is held), the body
-// can never abort, restart, or observe inconsistent state, making it safe to
-// perform I/O or other unrecoverable actions inside.
-func (rt *Runtime) AtomicIrrevocable(body func(*Txn) error) error {
-	return rt.Kernel.Atomic(nil, 0, func(k *txn.Txn) error { return body(k.Self().(*Txn)) })
 }

@@ -12,13 +12,17 @@ import (
 	"repro/internal/txrec"
 )
 
+// errAborted is what a body returns to abort its transaction for good: the
+// runtime rolls back and returns it without retrying.
+var errAborted = errors.New("aborted by the body")
+
 type fixture struct {
 	heap *objmodel.Heap
 	rt   *Runtime
 	cls  *objmodel.Class
 }
 
-func newFixture(t testing.TB, cfg Config) *fixture {
+func newFixture(t testing.TB, cfg stmapi.CommonConfig) *fixture {
 	t.Helper()
 	return newFixtureOn(t, objmodel.NewHeap(), cfg)
 }
@@ -29,10 +33,10 @@ func newDEAFixture(t testing.TB) *fixture {
 	t.Helper()
 	h := objmodel.NewHeap()
 	h.AllocPrivate = true
-	return newFixtureOn(t, h, Config{})
+	return newFixtureOn(t, h, stmapi.CommonConfig{})
 }
 
-func newFixtureOn(t testing.TB, h *objmodel.Heap, cfg Config) *fixture {
+func newFixtureOn(t testing.TB, h *objmodel.Heap, cfg stmapi.CommonConfig) *fixture {
 	t.Helper()
 	rt := New(h, cfg)
 	cls := h.MustDefineClass(objmodel.ClassSpec{
@@ -47,9 +51,9 @@ func newFixtureOn(t testing.TB, h *objmodel.Heap, cfg Config) *fixture {
 func (f *fixture) newCell() *objmodel.Object { return f.heap.New(f.cls) }
 
 func TestCommitBasic(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t, stmapi.CommonConfig{})
 	o := f.newCell()
-	err := f.rt.Atomic(func(tx *Txn) error {
+	err := f.rt.Atomic(func(tx stmapi.Txn) error {
 		tx.Write(o, 0, 41)
 		tx.Write(o, 0, tx.Read(o, 0)+1)
 		return nil
@@ -64,17 +68,17 @@ func TestCommitBasic(t *testing.T) {
 	if !txrec.IsShared(w) || txrec.Version(w) != 2 {
 		t.Errorf("record after commit = %#x, want shared v2", w)
 	}
-	if f.rt.Stats.Commits.Load() != 1 {
-		t.Errorf("commits = %d", f.rt.Stats.Commits.Load())
+	if f.rt.Counters.Commits.Load() != 1 {
+		t.Errorf("commits = %d", f.rt.Counters.Commits.Load())
 	}
 }
 
 func TestUserErrorAborts(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t, stmapi.CommonConfig{})
 	o := f.newCell()
 	o.StoreSlot(0, 7)
 	myErr := errors.New("boom")
-	err := f.rt.Atomic(func(tx *Txn) error {
+	err := f.rt.Atomic(func(tx stmapi.Txn) error {
 		tx.Write(o, 0, 99)
 		return myErr
 	})
@@ -91,16 +95,16 @@ func TestUserErrorAborts(t *testing.T) {
 	if txrec.Version(w) != 2 {
 		t.Errorf("abort must bump version; got v%d", txrec.Version(w))
 	}
-	if f.rt.Stats.Aborts.Load() != 1 {
-		t.Errorf("aborts = %d, want 1", f.rt.Stats.Aborts.Load())
+	if f.rt.Counters.Aborts.Load() != 1 {
+		t.Errorf("aborts = %d, want 1", f.rt.Counters.Aborts.Load())
 	}
 }
 
 func TestRestartReexecutes(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t, stmapi.CommonConfig{})
 	o := f.newCell()
 	runs := 0
-	err := f.rt.Atomic(func(tx *Txn) error {
+	err := f.rt.Atomic(func(tx stmapi.Txn) error {
 		runs++
 		tx.Write(o, 0, uint64(runs))
 		if runs < 3 {
@@ -117,22 +121,22 @@ func TestRestartReexecutes(t *testing.T) {
 	if got := o.LoadSlot(0); got != 3 {
 		t.Errorf("slot0 = %d, want 3", got)
 	}
-	if f.rt.Stats.Aborts.Load() != 2 {
-		t.Errorf("aborts = %d, want 2", f.rt.Stats.Aborts.Load())
+	if f.rt.Counters.Aborts.Load() != 2 {
+		t.Errorf("aborts = %d, want 2", f.rt.Counters.Aborts.Load())
 	}
 }
 
 func TestRollbackReverseOrder(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t, stmapi.CommonConfig{})
 	o := f.newCell()
 	o.StoreSlot(0, 100)
-	err := f.rt.Atomic(func(tx *Txn) error {
+	err := f.rt.Atomic(func(tx stmapi.Txn) error {
 		tx.Write(o, 0, 1)
 		tx.Write(o, 0, 2)
 		tx.Write(o, 0, 3)
-		return ErrAborted
+		return errAborted
 	})
-	if !errors.Is(err, ErrAborted) {
+	if !errors.Is(err, errAborted) {
 		t.Fatal(err)
 	}
 	if got := o.LoadSlot(0); got != 100 {
@@ -143,7 +147,7 @@ func TestRollbackReverseOrder(t *testing.T) {
 // TestCounterAtomicity runs concurrent increment transactions and checks
 // that no update is lost.
 func TestCounterAtomicity(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t, stmapi.CommonConfig{})
 	o := f.newCell()
 	const (
 		goroutines = 8
@@ -155,7 +159,7 @@ func TestCounterAtomicity(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				err := f.rt.Atomic(func(tx *Txn) error {
+				err := f.rt.Atomic(func(tx stmapi.Txn) error {
 					tx.Write(o, 0, tx.Read(o, 0)+1)
 					return nil
 				})
@@ -175,7 +179,7 @@ func TestCounterAtomicity(t *testing.T) {
 // TestInvariantPreserved maintains x+y == 0 across transfer transactions
 // while readers check the invariant transactionally.
 func TestInvariantPreserved(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t, stmapi.CommonConfig{})
 	x, y := f.newCell(), f.newCell()
 	stop := make(chan struct{})
 	var bad atomic.Int64
@@ -191,7 +195,7 @@ func TestInvariantPreserved(t *testing.T) {
 				default:
 				}
 				var a, b int64
-				_ = f.rt.Atomic(func(tx *Txn) error {
+				_ = f.rt.Atomic(func(tx stmapi.Txn) error {
 					a = int64(tx.Read(x, 0))
 					b = int64(tx.Read(y, 0))
 					return nil
@@ -207,7 +211,7 @@ func TestInvariantPreserved(t *testing.T) {
 		go func() {
 			defer writers.Done()
 			for i := 0; i < 400; i++ {
-				_ = f.rt.Atomic(func(tx *Txn) error {
+				_ = f.rt.Atomic(func(tx stmapi.Txn) error {
 					tx.Write(x, 0, tx.Read(x, 0)+1)
 					tx.Write(y, 0, tx.Read(y, 0)-1)
 					return nil
@@ -227,12 +231,12 @@ func TestInvariantPreserved(t *testing.T) {
 }
 
 func TestRetryWaitsForChange(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t, stmapi.CommonConfig{})
 	o := f.newCell()
 	done := make(chan uint64)
 	go func() {
 		var got uint64
-		_ = f.rt.Atomic(func(tx *Txn) error {
+		_ = f.rt.Atomic(func(tx stmapi.Txn) error {
 			v := tx.Read(o, 0)
 			if v == 0 {
 				tx.Retry()
@@ -243,9 +247,9 @@ func TestRetryWaitsForChange(t *testing.T) {
 		done <- got
 	}()
 	// Let the retry engage, then satisfy it from another transaction.
-	for f.rt.Stats.UserRetries.Load() == 0 {
+	for f.rt.Counters.UserRetries.Load() == 0 {
 	}
-	if err := f.rt.Atomic(func(tx *Txn) error {
+	if err := f.rt.Atomic(func(tx stmapi.Txn) error {
 		tx.Write(o, 0, 5)
 		return nil
 	}); err != nil {
@@ -260,10 +264,10 @@ func TestRetryWaitsForChange(t *testing.T) {
 // non-transactional write (acquire-anonymous + release) between a
 // transactional read and commit; the transaction must abort and re-execute.
 func TestValidationDetectsNonTxnVersionBump(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t, stmapi.CommonConfig{})
 	o := f.newCell()
 	runs := 0
-	err := f.rt.Atomic(func(tx *Txn) error {
+	err := f.rt.Atomic(func(tx stmapi.Txn) error {
 		runs++
 		v := tx.Read(o, 0)
 		if runs == 1 {
@@ -293,10 +297,10 @@ func TestValidationDetectsNonTxnVersionBump(t *testing.T) {
 }
 
 func TestDoomedReadRestarts(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t, stmapi.CommonConfig{})
 	o := f.newCell()
 	runs := 0
-	err := f.rt.Atomic(func(tx *Txn) error {
+	err := f.rt.Atomic(func(tx stmapi.Txn) error {
 		runs++
 		_ = tx.Read(o, 0)
 		if runs == 1 {
@@ -323,10 +327,11 @@ func TestDoomedReadRestarts(t *testing.T) {
 // transaction story: a panic raised while the read set is invalid converts
 // to an abort-and-restart instead of propagating.
 func TestForeignPanicWhileDoomedRestarts(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t, stmapi.CommonConfig{})
 	o := f.newCell()
 	runs := 0
-	err := f.rt.Atomic(func(tx *Txn) error {
+	err := f.rt.Atomic(func(stx stmapi.Txn) error {
+		tx := stx.(*Txn)
 		runs++
 		tx.Reads.Put(o, 999) // forge an invalid read entry: transaction is doomed
 		if runs == 1 {
@@ -344,7 +349,7 @@ func TestForeignPanicWhileDoomedRestarts(t *testing.T) {
 }
 
 func TestForeignPanicWhileValidPropagates(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t, stmapi.CommonConfig{})
 	o := f.newCell()
 	o.StoreSlot(0, 5)
 	defer func() {
@@ -355,7 +360,7 @@ func TestForeignPanicWhileValidPropagates(t *testing.T) {
 			t.Error("no rollback before propagating panic is acceptable only if slot unchanged")
 		}
 	}()
-	_ = f.rt.Atomic(func(tx *Txn) error {
+	_ = f.rt.Atomic(func(tx stmapi.Txn) error {
 		panic("user panic")
 	})
 }
@@ -366,7 +371,7 @@ func TestDEAPrivateAccessSkipsLocking(t *testing.T) {
 	if !o.IsPrivate() {
 		t.Fatal("object not private at birth")
 	}
-	err := f.rt.Atomic(func(tx *Txn) error {
+	err := f.rt.Atomic(func(tx stmapi.Txn) error {
 		tx.Write(o, 0, 9)
 		if !o.IsPrivate() {
 			t.Error("private write acquired the record")
@@ -388,9 +393,9 @@ func TestDEAPrivateRollback(t *testing.T) {
 	f := newDEAFixture(t)
 	o := f.newCell()
 	o.StoreSlot(0, 3)
-	_ = f.rt.Atomic(func(tx *Txn) error {
+	_ = f.rt.Atomic(func(tx stmapi.Txn) error {
 		tx.Write(o, 0, 50)
-		return ErrAborted
+		return errAborted
 	})
 	if got := o.LoadSlot(0); got != 3 {
 		t.Errorf("private object not rolled back: %d", got)
@@ -406,7 +411,7 @@ func TestDEATxnWritePublishes(t *testing.T) {
 	priv := f.newCell()
 	child := f.newCell()
 	priv.StoreSlot(2, uint64(child.Ref()))
-	err := f.rt.Atomic(func(tx *Txn) error {
+	err := f.rt.Atomic(func(tx stmapi.Txn) error {
 		tx.WriteRef(pub, 2, priv.Ref())
 		if priv.IsPrivate() || child.IsPrivate() {
 			t.Error("referenced subgraph not published immediately at the write")
@@ -450,7 +455,7 @@ func TestDEAWriteIntoPrivateDoesNotPublish(t *testing.T) {
 	f := newDEAFixture(t)
 	container := f.newCell()
 	child := f.newCell()
-	err := f.rt.Atomic(func(tx *Txn) error {
+	err := f.rt.Atomic(func(tx stmapi.Txn) error {
 		tx.WriteRef(container, 2, child.Ref())
 		return nil
 	})
@@ -466,7 +471,7 @@ func TestDEAWriteIntoPrivateDoesNotPublish(t *testing.T) {
 // restores the *adjacent* slot too — the raw material of the granular lost
 // update anomaly (Section 2.4).
 func TestGranularitySpanUndo(t *testing.T) {
-	f := newFixture(t, Config{CommonConfig: stmapi.CommonConfig{Granularity: 2}})
+	f := newFixture(t, stmapi.CommonConfig{Granularity: 2})
 	o := f.newCell()
 	o.StoreSlot(0, 1) // f
 	o.StoreSlot(1, 2) // g
@@ -474,11 +479,11 @@ func TestGranularitySpanUndo(t *testing.T) {
 	resume := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
-		_ = f.rt.Atomic(func(tx *Txn) error {
+		_ = f.rt.Atomic(func(tx stmapi.Txn) error {
 			tx.Write(o, 0, 42) // undo entry captures slots {0,1} = {1,2}
 			close(barrier)
 			<-resume
-			return ErrAborted
+			return errAborted
 		})
 		close(done)
 	}()
@@ -498,18 +503,18 @@ func TestGranularitySpanUndo(t *testing.T) {
 }
 
 func TestGranularityOneDoesNotSpan(t *testing.T) {
-	f := newFixture(t, Config{CommonConfig: stmapi.CommonConfig{Granularity: 1}})
+	f := newFixture(t, stmapi.CommonConfig{Granularity: 1})
 	o := f.newCell()
 	o.StoreSlot(1, 2)
 	sync1 := make(chan struct{})
 	resume := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
-		_ = f.rt.Atomic(func(tx *Txn) error {
+		_ = f.rt.Atomic(func(tx stmapi.Txn) error {
 			tx.Write(o, 0, 42)
 			close(sync1)
 			<-resume
-			return ErrAborted
+			return errAborted
 		})
 		close(done)
 	}()
@@ -529,7 +534,7 @@ func TestGranularityOneDoesNotSpan(t *testing.T) {
 // leaves Active, which nothing orders against what the long goroutine does
 // after its Atomic returns.
 func TestQuiescenceWaitsForActive(t *testing.T) {
-	f := newFixture(t, Config{CommonConfig: stmapi.CommonConfig{Quiescence: true}})
+	f := newFixture(t, stmapi.CommonConfig{Quiescence: true})
 	a, b := f.newCell(), f.newCell()
 	inBody := make(chan struct{})
 	finish := make(chan struct{})
@@ -540,7 +545,7 @@ func TestQuiescenceWaitsForActive(t *testing.T) {
 	wg.Add(2)
 	go func() { // long-running transaction
 		defer wg.Done()
-		_ = f.rt.Atomic(func(tx *Txn) error {
+		_ = f.rt.Atomic(func(tx stmapi.Txn) error {
 			_ = tx.Read(a, 0)
 			close(inBody)
 			<-finish
@@ -551,7 +556,7 @@ func TestQuiescenceWaitsForActive(t *testing.T) {
 	go func() { // committer that must quiesce
 		defer wg.Done()
 		<-inBody
-		_ = f.rt.Atomic(func(tx *Txn) error {
+		_ = f.rt.Atomic(func(tx stmapi.Txn) error {
 			tx.Write(b, 0, 1)
 			return nil
 		})
@@ -561,7 +566,7 @@ func TestQuiescenceWaitsForActive(t *testing.T) {
 		// Release the long transaction after giving the committer a chance
 		// to reach its quiesce wait.
 		<-inBody
-		for f.rt.Stats.Commits.Load() == 0 {
+		for f.rt.Counters.Commits.Load() == 0 {
 		}
 		close(finish)
 	}()
@@ -574,28 +579,28 @@ func TestQuiescenceWaitsForActive(t *testing.T) {
 }
 
 func TestStatsCounting(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t, stmapi.CommonConfig{})
 	o := f.newCell()
-	_ = f.rt.Atomic(func(tx *Txn) error {
+	_ = f.rt.Atomic(func(tx stmapi.Txn) error {
 		_ = tx.Read(o, 0)
 		tx.Write(o, 0, 1)
 		return nil
 	})
-	if f.rt.Stats.TxnReads.Load() != 1 || f.rt.Stats.TxnWrites.Load() != 1 {
+	if f.rt.Counters.TxnReads.Load() != 1 || f.rt.Counters.TxnWrites.Load() != 1 {
 		t.Errorf("reads/writes = %d/%d, want 1/1",
-			f.rt.Stats.TxnReads.Load(), f.rt.Stats.TxnWrites.Load())
+			f.rt.Counters.TxnReads.Load(), f.rt.Counters.TxnWrites.Load())
 	}
-	if f.rt.Stats.Starts.Load() != 1 {
-		t.Errorf("starts = %d", f.rt.Stats.Starts.Load())
+	if f.rt.Counters.Starts.Load() != 1 {
+		t.Errorf("starts = %d", f.rt.Counters.Starts.Load())
 	}
 }
 
 func TestActiveTransactions(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t, stmapi.CommonConfig{})
 	inBody := make(chan struct{})
 	release := make(chan struct{})
 	go func() {
-		_ = f.rt.Atomic(func(tx *Txn) error {
+		_ = f.rt.Atomic(func(tx stmapi.Txn) error {
 			close(inBody)
 			<-release
 			return nil
@@ -614,19 +619,19 @@ func TestBadGranularityPanics(t *testing.T) {
 			t.Error("granularity 3 accepted")
 		}
 	}()
-	New(objmodel.NewHeap(), Config{CommonConfig: stmapi.CommonConfig{Granularity: 3}})
+	New(objmodel.NewHeap(), stmapi.CommonConfig{Granularity: 3})
 }
 
 func ExampleRuntime_Atomic() {
 	heap := objmodel.NewHeap()
-	rt := New(heap, Config{})
+	rt := New(heap, stmapi.CommonConfig{})
 	acct := heap.MustDefineClass(objmodel.ClassSpec{
 		Name:   "Account",
 		Fields: []objmodel.Field{{Name: "balance"}},
 	})
 	a, b := heap.New(acct), heap.New(acct)
 	a.StoreSlot(0, 100)
-	_ = rt.Atomic(func(tx *Txn) error {
+	_ = rt.Atomic(func(tx stmapi.Txn) error {
 		amt := uint64(30)
 		tx.Write(a, 0, tx.Read(a, 0)-amt)
 		tx.Write(b, 0, tx.Read(b, 0)+amt)

@@ -18,9 +18,9 @@ import (
 // must not regress: with no tracer installed, a committed top-level
 // transaction performs zero heap allocations.
 func TestDisabledTracerAllocFree(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t, stmapi.CommonConfig{})
 	o := f.newCell()
-	body := func(tx *Txn) error {
+	body := func(tx stmapi.Txn) error {
 		tx.Write(o, 0, tx.Read(o, 0)+1)
 		return nil
 	}
@@ -43,11 +43,11 @@ func TestDisabledTracerAllocFree(t *testing.T) {
 // TestTraceEventLifecycle checks a single committed read-write transaction
 // emits the expected event sequence with object identity and versions.
 func TestTraceEventLifecycle(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t, stmapi.CommonConfig{})
 	tr := trace.New(trace.Config{ShardCapacity: 128, Shards: 1})
 	f.rt.SetTracer(tr)
 	o := f.newCell()
-	if err := f.rt.Atomic(func(tx *Txn) error {
+	if err := f.rt.Atomic(func(tx stmapi.Txn) error {
 		tx.Write(o, 1, tx.Read(o, 0)+7)
 		return nil
 	}); err != nil {
@@ -93,7 +93,7 @@ func TestTraceEventLifecycle(t *testing.T) {
 // commit and begin is present in the retained history — the ring has
 // capacity for all of them, so none may be lost.
 func TestTraceNoEventLossParallel(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t, stmapi.CommonConfig{})
 	const goroutines = 8
 	const iters = 150
 	// 5 events per txn (begin/read/acquire/write/commit) and the hint-based
@@ -108,7 +108,7 @@ func TestTraceNoEventLossParallel(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				_ = f.rt.Atomic(func(tx *Txn) error {
+				_ = f.rt.Atomic(func(tx stmapi.Txn) error {
 					tx.Write(o, 0, tx.Read(o, 0)+1)
 					return nil
 				})
@@ -148,7 +148,7 @@ func TestTraceNoEventLossParallel(t *testing.T) {
 // object among many decoys and checks the tracer blames exactly that
 // object: the acceptance criterion for conflict attribution.
 func TestHotspotAttributionSkewedWrites(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t, stmapi.CommonConfig{})
 	tr := trace.New(trace.Config{ShardCapacity: 4096})
 	f.rt.SetTracer(tr)
 
@@ -159,7 +159,7 @@ func TestHotspotAttributionSkewedWrites(t *testing.T) {
 		colds = append(colds, uint64(c.Ref()))
 		// Touch the decoys in committed transactions so they appear in the
 		// trace but never in the hotspot table.
-		if err := f.rt.Atomic(func(tx *Txn) error {
+		if err := f.rt.Atomic(func(tx stmapi.Txn) error {
 			tx.Write(c, 0, 1)
 			return nil
 		}); err != nil {
@@ -170,7 +170,7 @@ func TestHotspotAttributionSkewedWrites(t *testing.T) {
 	const conflicts = 5
 	for i := 0; i < conflicts; i++ {
 		attempt := 0
-		err := f.rt.Atomic(func(tx *Txn) error {
+		err := f.rt.Atomic(func(tx stmapi.Txn) error {
 			attempt++
 			_ = tx.Read(hot, 0)
 			if attempt == 1 {
@@ -178,7 +178,7 @@ func TestHotspotAttributionSkewedWrites(t *testing.T) {
 				// hold it in our read set...
 				done := make(chan error, 1)
 				go func() {
-					done <- f.rt.Atomic(func(tx2 *Txn) error {
+					done <- f.rt.Atomic(func(tx2 stmapi.Txn) error {
 						tx2.Write(hot, 0, tx2.Read(hot, 0)+1)
 						return nil
 					})
@@ -225,7 +225,7 @@ func TestHotspotAttributionSkewedWrites(t *testing.T) {
 // TestTraceRetryAndQuiescence covers the retry event and the quiescence
 // wait histogram.
 func TestTraceRetryAndQuiescence(t *testing.T) {
-	f := newFixture(t, Config{CommonConfig: stmapi.CommonConfig{Quiescence: true}})
+	f := newFixture(t, stmapi.CommonConfig{Quiescence: true})
 	tr := trace.New(trace.Config{ShardCapacity: 1024})
 	f.rt.SetTracer(tr)
 	o := f.newCell()
@@ -234,7 +234,7 @@ func TestTraceRetryAndQuiescence(t *testing.T) {
 	var once sync.Once
 	done := make(chan error, 1)
 	go func() {
-		done <- f.rt.Atomic(func(tx *Txn) error {
+		done <- f.rt.Atomic(func(tx stmapi.Txn) error {
 			v := tx.Read(o, 0)
 			if v == 0 {
 				once.Do(func() { close(started) })
@@ -244,7 +244,7 @@ func TestTraceRetryAndQuiescence(t *testing.T) {
 		})
 	}()
 	<-started
-	if err := f.rt.Atomic(func(tx *Txn) error {
+	if err := f.rt.Atomic(func(tx stmapi.Txn) error {
 		tx.Write(o, 0, 1)
 		return nil
 	}); err != nil {
@@ -264,10 +264,10 @@ func TestTraceRetryAndQuiescence(t *testing.T) {
 // TestSetTracerMidstream checks installation/removal: transactions begun
 // after SetTracer(nil) emit nothing.
 func TestSetTracerMidstream(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t, stmapi.CommonConfig{})
 	tr := trace.New(trace.Config{ShardCapacity: 64})
 	o := f.newCell()
-	inc := func(tx *Txn) error { tx.Write(o, 0, tx.Read(o, 0)+1); return nil }
+	inc := func(tx stmapi.Txn) error { tx.Write(o, 0, tx.Read(o, 0)+1); return nil }
 
 	if err := f.rt.Atomic(inc); err != nil {
 		t.Fatal(err)
@@ -293,25 +293,25 @@ func TestSetTracerMidstream(t *testing.T) {
 }
 
 func TestStatsSnapshot(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t, stmapi.CommonConfig{})
 	o := f.newCell()
 	for i := 0; i < 3; i++ {
-		if err := f.rt.Atomic(func(tx *Txn) error {
+		if err := f.rt.Atomic(func(tx stmapi.Txn) error {
 			tx.Write(o, 0, tx.Read(o, 0)+1)
 			return nil
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	_ = f.rt.Atomic(func(tx *Txn) error { return ErrAborted })
-	s := f.rt.Stats.Snapshot()
+	_ = f.rt.Atomic(func(tx stmapi.Txn) error { return errAborted })
+	s := f.rt.Stats()
 	if s.Commits != 3 || s.Aborts != 1 || s.Starts != 4 {
 		t.Errorf("snapshot = %+v, want 4 starts, 3 commits, 1 abort", s)
 	}
 	if s.TxnReads != 3 || s.TxnWrites != 3 {
 		t.Errorf("snapshot accesses = %+v", s)
 	}
-	if s.Commits != f.rt.Stats.Commits.Load() {
+	if s.Commits != f.rt.Counters.Commits.Load() {
 		t.Errorf("snapshot disagrees with Load()")
 	}
 }

@@ -8,10 +8,7 @@ import (
 	"repro/internal/objmodel"
 )
 
-// Factory constructs a runtime bound to heap with the given common
-// configuration. Runtime-specific configuration (GC cadence for mvstm) keeps
-// its defaults; drivers that need it construct the concrete runtime
-// directly.
+// Factory constructs a runtime bound to heap with the given configuration.
 type Factory func(heap *objmodel.Heap, cfg CommonConfig) (Runtime, error)
 
 var (

@@ -2,23 +2,18 @@
 // implemented by every STM runtime in this repository (internal/stm, eager
 // versioning; internal/lazystm, lazy versioning; internal/mvstm,
 // multi-version snapshot isolation). The runtimes share one transaction
-// kernel, internal/txn, which also holds the one adapter (txn.API) that
-// implements Runtime for all of them and the helper they register through.
+// kernel, internal/txn, whose Kernel implements Runtime and DurableRuntime;
+// each runtime embeds it, so a runtime is its own driver view, and
+// registers through the kernel's helper.
 //
-// Runtime and Txn are small interfaces every runtime satisfies (each exposes
-// an adapter via its API() method). Runtime carries fault injection and
-// orphan reclaiming (SetInjector, ReapDead) too, so crash drivers probe for
-// nothing; the optional capabilities are DurableRuntime and ReadOnlyRuntime.
-// CommonConfig is the shared configuration surface the runtimes embed in
-// their Config structs, StatsSnapshot is the shared counter snapshot they
-// report — and the registry (Register, Runtimes, New) makes the set of
-// runtimes itself a runtime value, so drivers enumerate and construct
-// runtimes by name instead of hardcoding the list.
-//
-// The interfaces are for *drivers* — harnesses, benchmarks, exporters,
-// tools that must treat the runtimes uniformly. Hot loops that care about
-// the last nanosecond keep using the concrete runtime APIs; an interface
-// call costs a dynamic dispatch that the concrete path does not.
+// Runtime and Txn are small interfaces every runtime satisfies. Runtime
+// carries fault injection and orphan reclaiming (SetInjector, ReapDead) too,
+// so crash drivers probe for nothing; the optional capabilities are
+// DurableRuntime and ReadOnlyRuntime. CommonConfig is the one configuration
+// surface every runtime's New takes, StatsSnapshot is the shared counter
+// snapshot they report — and the registry (Register, Runtimes, New) makes
+// the set of runtimes itself a runtime value, so drivers enumerate and
+// construct runtimes by name instead of hardcoding the list.
 package stmapi
 
 import (
@@ -62,10 +57,9 @@ const MaxGranularity = 2
 // DefaultSelfAbortAfter is the default CommonConfig.SelfAbortAfter.
 const DefaultSelfAbortAfter = 64
 
-// CommonConfig is the configuration surface shared by every runtime. Each
-// runtime's Config embeds it (mvstm's adds its GC cadence). Fields a runtime
-// has no use for are documented on the field; a runtime never rejects one,
-// it ignores it.
+// CommonConfig is the configuration surface shared by every runtime. Fields
+// a runtime has no use for are documented on the field; a runtime never
+// rejects one, it ignores it.
 type CommonConfig struct {
 	// Granularity is the number of adjacent slots covered by one undo-log
 	// entry (eager) or write-buffer span (lazy): 1 (field-granular, the
@@ -272,8 +266,9 @@ type Txn interface {
 	IsIrrevocable() bool
 }
 
-// Runtime is the uniform driver-facing surface of an STM runtime. Obtain
-// one from a concrete runtime's API() method, or by name from New.
+// Runtime is the uniform driver-facing surface of an STM runtime. Every
+// runtime's *Runtime is one; obtain one from its package's New, or by name
+// from New.
 type Runtime interface {
 	// Name identifies the runtime's versioning discipline — the key it was
 	// registered under (see Register). The set of names is open-ended:

@@ -7,6 +7,7 @@ import (
 	"repro/internal/conflict"
 	"repro/internal/objmodel"
 	"repro/internal/stm"
+	"repro/internal/stmapi"
 	"repro/internal/txrec"
 )
 
@@ -245,7 +246,7 @@ func TestAggregatedBarrierPublishes(t *testing.T) {
 // whatever the atomicity regime.
 func TestStrongAtomicityEndToEnd(t *testing.T) {
 	h, cls, b := setup(t, false)
-	rt := stm.New(h, stm.Config{})
+	rt := stm.New(h, stmapi.CommonConfig{})
 	o := h.New(cls)
 	const perSide = 2000
 	var wg sync.WaitGroup
@@ -253,7 +254,7 @@ func TestStrongAtomicityEndToEnd(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < perSide; i++ {
-			_ = rt.Atomic(func(tx *stm.Txn) error {
+			_ = rt.Atomic(func(tx stmapi.Txn) error {
 				tx.Write(o, 0, tx.Read(o, 0)+1)
 				return nil
 			})
@@ -278,7 +279,7 @@ func TestStrongAtomicityEndToEnd(t *testing.T) {
 // intermediate-dirty-read (IDR) anomaly of Figure 2c must not occur.
 func TestNoDirtyReads(t *testing.T) {
 	h, cls, b := setup(t, false)
-	rt := stm.New(h, stm.Config{})
+	rt := stm.New(h, stmapi.CommonConfig{})
 	o := h.New(cls)
 	stop := make(chan struct{})
 	var odd int
@@ -298,7 +299,7 @@ func TestNoDirtyReads(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 2000; i++ {
-		_ = rt.Atomic(func(tx *stm.Txn) error {
+		_ = rt.Atomic(func(tx stmapi.Txn) error {
 			tx.Write(o, 0, tx.Read(o, 0)+1)
 			tx.Write(o, 0, tx.Read(o, 0)+1)
 			return nil

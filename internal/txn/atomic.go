@@ -76,23 +76,44 @@ func (tx *Txn) pollSlow(o *objmodel.Object) {
 	}
 }
 
-// EscalateFrom converts the configured escalation threshold into Atomic's
+// Atomic executes body as a top-level transaction, re-executing it until it
+// commits; a body error aborts (rolls back) and is returned. Past
+// EscalateAfter consecutive aborts the next attempt runs irrevocably.
+func (k *Kernel) Atomic(body func(stmapi.Txn) error) error {
+	return k.AtomicCtx(nil, body)
+}
+
+// AtomicCtx is Atomic with deadline/cancellation support; see Run for where
+// the context is checked and what cancellation means after the commit point.
+// A nil ctx behaves exactly like Atomic, paying zero cancellation checks.
+func (k *Kernel) AtomicCtx(ctx context.Context, body func(stmapi.Txn) error) error {
+	return k.Run(ctx, k.escalateFrom(), func(tx *Txn) error { return body(tx.api) })
+}
+
+// AtomicIrrevocable executes body as an irrevocable transaction: it switches
+// before the body's first access, so the body runs exactly once and may
+// perform I/O.
+func (k *Kernel) AtomicIrrevocable(body func(stmapi.Txn) error) error {
+	return k.Run(nil, 0, func(tx *Txn) error { return body(tx.api) })
+}
+
+// escalateFrom converts the configured escalation threshold into Run's
 // irrevFrom parameter: the attempt index from which the transaction runs
 // irrevocably, or -1 for never.
-func (k *Kernel) EscalateFrom() int {
+func (k *Kernel) escalateFrom() int {
 	if k.cfg.EscalateAfter > 0 {
 		return k.cfg.EscalateAfter
 	}
 	return -1
 }
 
-// Atomic is the top-level execution loop: body is (re-)executed until it
+// Run is the top-level execution loop: body is (re-)executed until it
 // commits, returns an error (which aborts and is returned), or ctx (nil for
 // none) is done. irrevFrom is the attempt index from which the body runs
-// irrevocably: 0 from the first attempt (AtomicIrrevocable), EscalateFrom()
+// irrevocably: 0 from the first attempt (AtomicIrrevocable), escalateFrom()
 // for graceful degradation, -1 for never. body receives the kernel
-// descriptor; runtimes wrap their concrete-typed bodies in a closure that
-// does not escape, so a steady-state top-level Atomic allocates nothing.
+// descriptor; the entry points wrap their bodies in a closure that does not
+// escape, so a steady-state top-level Atomic allocates nothing.
 //
 // The context is checked on entry (an already-cancelled context returns
 // ctx.Err() without executing the body), before every re-execution, at
@@ -101,7 +122,7 @@ func (k *Kernel) EscalateFrom() int {
 // the attempt and returns ctx.Err(); cancellation detected during the
 // quiescence wait returns ctx.Err() with the transaction's effects already
 // committed — the error then only means the grace period was not awaited.
-func (k *Kernel) Atomic(ctx context.Context, irrevFrom int, body func(*Txn) error) error {
+func (k *Kernel) Run(ctx context.Context, irrevFrom int, body func(*Txn) error) error {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -212,7 +233,7 @@ func (tx *Txn) Abort() {
 	tx.dropIrrevocable()
 	tx.status.Store(uint32(stmapi.Aborted))
 	tx.land()
-	tx.k.Stats.Aborts.AddShard(int(tx.id), 1)
+	tx.k.Counters.Aborts.AddShard(int(tx.id), 1)
 	if tr := tx.Tr; tr != nil {
 		tr.Record(trace.EvAbort, tx.id, tx.Blame, 0, 0)
 		if tx.Blame != 0 {
@@ -239,7 +260,7 @@ func (tx *Txn) Crash(p faultinject.Point) {
 // commit would have, so it is accounted as a commit, never rolled back, and
 // surrenders the irrevocable token as Committed does.
 func (tx *Txn) CrashCommitted(p faultinject.Point) {
-	tx.k.Stats.Commits.AddShard(int(tx.id), 1)
+	tx.k.Counters.Commits.AddShard(int(tx.id), 1)
 	tx.dropIrrevocable()
 	tx.flushStats()
 	panic(faultinject.CrashError{Point: p, Txn: tx.id})
@@ -261,7 +282,7 @@ func (tx *Txn) Die(p faultinject.Point) {
 // before the quiescence wait: it has happened whether or not the caller
 // stays to wait.
 func (tx *Txn) Committed() {
-	tx.k.Stats.Commits.AddShard(int(tx.id), 1)
+	tx.k.Counters.Commits.AddShard(int(tx.id), 1)
 	if tr := tx.Tr; tr != nil {
 		tr.Record(trace.EvCommit, tx.id, 0, 0, 0)
 		tr.ObserveCommit(time.Since(tx.beginAt))

@@ -54,17 +54,17 @@ func (k *Kernel) Reap(tx *Txn, by, obj uint64) bool {
 	committed := tx.Status() == stmapi.Committed
 	tx.self.ReapOrphan(committed)
 	if committed {
-		k.Stats.Commits.AddShard(int(id), 1)
+		k.Counters.Commits.AddShard(int(id), 1)
 	} else {
 		tx.status.Store(uint32(stmapi.Aborted))
-		k.Stats.Aborts.AddShard(int(id), 1)
+		k.Counters.Aborts.AddShard(int(id), 1)
 	}
 	tx.land() // quiescing committers stop waiting on the orphan
 	if tx.irrevStamp.Load() {
 		// The orphan held the irrevocable token; free it for the next taker.
 		k.irrevToken.CompareAndSwap(id, 0)
 	}
-	k.Stats.ReaperSteals.AddShard(int(id), 1)
+	k.Counters.ReaperSteals.AddShard(int(id), 1)
 	tx.flushStats()
 	if tr := k.tracer.Load(); tr != nil {
 		tr.Record(trace.EvSteal, by, obj, 0, id)
@@ -132,7 +132,7 @@ func (tx *Txn) becomeIrrevocable(escalated bool) {
 		tx.Restart()
 	}
 	if escalated {
-		k.Stats.Escalations.AddShard(int(tx.id), 1)
+		k.Counters.Escalations.AddShard(int(tx.id), 1)
 		if tr := tx.Tr; tr != nil {
 			tr.Record(trace.EvEscalate, tx.id, 0, tx.attempt, 0)
 		}
@@ -190,8 +190,8 @@ func (tx *Txn) dropIrrevocable() {
 	tx.Irrevocable = false
 	tx.irrevStamp.Store(false)
 	tx.k.irrevToken.Store(0)
-	tx.k.Stats.IrrevocableTxns.AddShard(int(tx.id), 1)
-	tx.k.Stats.IrrevocableNs.AddShard(int(tx.id), hold.Nanoseconds())
+	tx.k.Counters.IrrevocableTxns.AddShard(int(tx.id), 1)
+	tx.k.Counters.IrrevocableNs.AddShard(int(tx.id), hold.Nanoseconds())
 	if tr := tx.Tr; tr != nil {
 		tr.ObserveIrrevocableHold(hold)
 	}

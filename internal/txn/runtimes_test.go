@@ -19,17 +19,16 @@ import (
 
 	"repro/internal/causal"
 	"repro/internal/faultinject"
+	"repro/internal/lazystm"
+	"repro/internal/mvstm"
 	"repro/internal/objmodel"
+	"repro/internal/stm"
 	"repro/internal/stmapi"
 	"repro/internal/strong"
 	"repro/internal/trace"
 	"repro/internal/txn"
 	"repro/internal/txn/txntest"
 	"repro/internal/txrec"
-
-	_ "repro/internal/lazystm"
-	_ "repro/internal/mvstm"
-	_ "repro/internal/stm"
 )
 
 // TestWriteSkew runs the classic probe, T1: if b == 0 { a = 1 } against
@@ -382,13 +381,46 @@ func TestIrrevocableCrashPastCommitPointFreesToken(t *testing.T) {
 	}
 }
 
-// kernelOf returns the kernel behind a driver view: txn.API itself, or a
-// runtime's wrapper that embeds it (mvstm's adds AtomicRead).
+// kernelOf returns the kernel a runtime embeds: every registered runtime is
+// a pointer to a struct with an embedded txn.Kernel.
 func kernelOf(rt stmapi.Runtime) *txn.Kernel {
-	if a, ok := rt.(txn.API); ok {
-		return a.Kernel
+	return reflect.ValueOf(rt).Elem().FieldByName("Kernel").Addr().Interface().(*txn.Kernel)
+}
+
+// TestRuntimeCapabilities pins what drivers probe a runtime for. A runtime
+// is its own driver view, so a capability gained or lost through embedding
+// would otherwise change a driver's path silently: the durable store, for
+// one, falls back to a stop-the-world checkpoint when DrainCommitters is
+// missing.
+func TestRuntimeCapabilities(t *testing.T) {
+	type drainer interface{ DrainCommitters(time.Duration) bool }
+	h := objmodel.NewHeap()
+	direct := map[string]stmapi.Runtime{
+		"eager": stm.New(h, stmapi.CommonConfig{}),
+		"lazy":  lazystm.New(h, stmapi.CommonConfig{}),
+		"mvstm": mvstm.New(h, stmapi.CommonConfig{}),
 	}
-	return reflect.ValueOf(rt).FieldByName("API").Interface().(txn.API).Kernel
+	names := stmapi.Runtimes()
+	if len(names) != len(direct) {
+		t.Fatalf("registered runtimes %v, want the %d this test knows", names, len(direct))
+	}
+	for _, name := range names {
+		rt, err := stmapi.New(name, h, stmapi.CommonConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := reflect.TypeOf(rt), reflect.TypeOf(direct[name]); got != want {
+			t.Errorf("%s: stmapi.New returns %v, the package's New %v", name, got, want)
+		}
+		if _, ok := rt.(stmapi.DurableRuntime); !ok {
+			t.Errorf("%s: not an stmapi.DurableRuntime", name)
+		}
+		_, ro := rt.(stmapi.ReadOnlyRuntime)
+		_, drains := rt.(drainer)
+		if want := name == "mvstm"; ro != want || drains != want {
+			t.Errorf("%s: ReadOnlyRuntime %v, DrainCommitters %v, want both %v", name, ro, drains, want)
+		}
+	}
 }
 
 // TestQuiescenceIsAGracePeriod: under Quiescence a commit returns only once

@@ -81,7 +81,7 @@ func (s *Stats) Snapshot() stmapi.StatsSnapshot {
 // aggregates. Called at commit and abort — the transaction boundaries where
 // other threads may legitimately observe the totals.
 func (tx *Txn) flushStats() {
-	s := &tx.k.Stats
+	s := &tx.k.Counters
 	hint := int(tx.id)
 	flush := func(c *stats.Counter, n *int64) {
 		if *n != 0 {

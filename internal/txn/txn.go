@@ -23,14 +23,17 @@
 //     period over the attempts in flight (atomic.go);
 //   - orphan recovery, one reclaim path (Reap) that waiters run inline and
 //     a ReapDead sweep runs for drivers, and the irrevocable token
-//     (recovery.go), sharded statistics (stats.go), and the stmapi adapter
-//     every runtime registers through (api.go).
+//     (recovery.go), and sharded statistics (stats.go);
+//   - the driver surface: Kernel implements stmapi.Runtime and
+//     stmapi.DurableRuntime, so a runtime that embeds it is its own driver
+//     view, and Register is the helper every runtime registers through.
 //
 // A runtime embeds Kernel in its Runtime and Txn (or Deferred, which embeds
 // Txn) in its descriptor, keeps its Read and Write barriers as concrete
-// methods that reach kernel state through the embedded fields (no interface
-// or generic call on any access), and plugs its versioning in through
-// Strategy, which the kernel calls a handful of times per attempt.
+// methods that reach kernel state through the embedded fields (no generic
+// call on any access; bodies reach them through stmapi.Txn), and plugs its
+// versioning in through Strategy, which the kernel calls a handful of times
+// per attempt.
 package txn
 
 import (
@@ -93,12 +96,12 @@ type Strategy interface {
 }
 
 // Kernel is the runtime-level half of the transaction kernel. A runtime
-// embeds it by value in its Runtime struct (so Heap, Stats and the setters
-// are the runtime's own exported surface) and initializes it in place with
-// Init.
+// embeds it by value in its Runtime struct, so the kernel's stmapi.Runtime
+// and stmapi.DurableRuntime methods are the runtime's own surface, and
+// initializes it in place with Init.
 type Kernel struct {
-	Heap  *objmodel.Heap
-	Stats Stats
+	// Counters are the runtime's statistics; Stats snapshots them.
+	Counters Stats
 
 	// Clock is the heap's commit clock, cached to skip a pointer hop per
 	// validation; ClockOn is whether commit-clock validation is enabled
@@ -106,6 +109,7 @@ type Kernel struct {
 	Clock   *objmodel.CommitClock
 	ClockOn bool
 
+	heap     *objmodel.Heap
 	name     string
 	cfg      stmapi.CommonConfig
 	newTxn   func() Strategy
@@ -126,11 +130,10 @@ type Kernel struct {
 }
 
 // Init prepares k in place: name is the stmapi registry name, cfg is
-// normalized in place (so the runtime's Config() reports the defaults that
-// took effect), and newTxn allocates one runtime descriptor with its
-// embedded Txn zeroed. An invalid configuration panics here rather than
-// misbehaving later.
-func (k *Kernel) Init(name string, heap *objmodel.Heap, cfg *stmapi.CommonConfig, newTxn func() Strategy) {
+// normalized (Config reports the defaults that took effect), and newTxn
+// allocates one runtime descriptor with its embedded Txn zeroed. An invalid
+// configuration panics here rather than misbehaving later.
+func (k *Kernel) Init(name string, heap *objmodel.Heap, cfg stmapi.CommonConfig, newTxn func() Strategy) {
 	if err := cfg.Normalize(); err != nil {
 		panic(name + ": " + err.Error())
 	}
@@ -138,18 +141,40 @@ func (k *Kernel) Init(name string, heap *objmodel.Heap, cfg *stmapi.CommonConfig
 	if h == nil {
 		h = &conflict.Backoff{}
 	}
-	k.Heap = heap
+	k.heap = heap
 	k.Clock = heap.Clock()
 	k.ClockOn = !cfg.NoCommitClock
 	k.name = name
-	k.cfg = *cfg
+	k.cfg = cfg
 	k.newTxn = newTxn
 	k.policy = conflict.AsPolicy(h)
 	k.staleObs, _ = h.(conflict.StaleObserver)
 }
 
+// Register registers a kernel-based runtime with stmapi under name: the
+// factory normalizes the configuration (an invalid one is an error here, not
+// New's panic) and returns whatever mk constructs.
+func Register(name string, mk func(*objmodel.Heap, stmapi.CommonConfig) stmapi.Runtime) {
+	stmapi.Register(name, func(heap *objmodel.Heap, cfg stmapi.CommonConfig) (stmapi.Runtime, error) {
+		if err := cfg.Normalize(); err != nil {
+			return nil, err
+		}
+		return mk(heap, cfg), nil
+	})
+}
+
 // Name returns the stmapi registry name the kernel was initialized with.
 func (k *Kernel) Name() string { return k.name }
+
+// Heap returns the managed heap the runtime is bound to.
+func (k *Kernel) Heap() *objmodel.Heap { return k.heap }
+
+// Config returns the normalized configuration the kernel was initialized
+// with.
+func (k *Kernel) Config() stmapi.CommonConfig { return k.cfg }
+
+// Stats snapshots the runtime's counters.
+func (k *Kernel) Stats() stmapi.StatsSnapshot { return k.Counters.Snapshot() }
 
 // SetTracer installs (or, with nil, removes) the event tracer. Descriptors
 // sample the tracer when a top-level Atomic begins, so transactions already

@@ -62,7 +62,7 @@ func newFake(t *testing.T, cfg stmapi.CommonConfig) (*Kernel, *fake) {
 	t.Helper()
 	f := &fake{lockOK: true}
 	k := &Kernel{}
-	k.Init("fake", objmodel.NewHeap(), &cfg, func() Strategy { return f })
+	k.Init("fake", objmodel.NewHeap(), cfg, func() Strategy { return f })
 	return k, f
 }
 
@@ -74,20 +74,20 @@ func (f *fake) take() string {
 
 func TestAtomicCommitAndUserAbort(t *testing.T) {
 	k, f := newFake(t, stmapi.CommonConfig{})
-	if err := k.Atomic(nil, -1, func(tx *Txn) error { tx.NReads += 3; tx.NWrites++; return nil }); err != nil {
+	if err := k.Run(nil, -1, func(tx *Txn) error { tx.NReads += 3; tx.NWrites++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := f.take(), "[begin commit reset]"; got != want {
 		t.Errorf("commit: calls = %s, want %s", got, want)
 	}
 	boom := errors.New("boom")
-	if err := k.Atomic(nil, -1, func(tx *Txn) error { tx.NReads++; return boom }); err != boom {
+	if err := k.Run(nil, -1, func(tx *Txn) error { tx.NReads++; return boom }); err != boom {
 		t.Errorf("err = %v, want the body's error", err)
 	}
 	if got, want := f.take(), "[begin rollback reset]"; got != want {
 		t.Errorf("user abort: calls = %s, want %s", got, want)
 	}
-	s := k.Stats.Snapshot()
+	s := k.Stats()
 	if s.Starts != 2 || s.Commits != 1 || s.Aborts != 1 || s.TxnReads != 4 || s.TxnWrites != 1 {
 		t.Errorf("stats = %+v, want 2 starts, 1 commit, 1 abort, 4 reads, 1 write", s)
 	}
@@ -102,7 +102,7 @@ func TestAtomicSignals(t *testing.T) {
 	// Restart, a failed commit and a user Retry each abort and re-execute.
 	f.commits = []bool{false}
 	runs := 0
-	err := k.Atomic(nil, -1, func(tx *Txn) error {
+	err := k.Run(nil, -1, func(tx *Txn) error {
 		runs++
 		if tx.Attempt() != runs-1 {
 			t.Errorf("attempt = %d on run %d", tx.Attempt(), runs)
@@ -122,13 +122,13 @@ func TestAtomicSignals(t *testing.T) {
 	if got := f.take(); got != want {
 		t.Errorf("calls = %s\nwant    %s", got, want)
 	}
-	if s := k.Stats.Snapshot(); s.Starts != 4 || s.Aborts != 3 || s.Commits != 1 || s.UserRetries != 1 {
+	if s := k.Stats(); s.Starts != 4 || s.Aborts != 3 || s.Commits != 1 || s.UserRetries != 1 {
 		t.Errorf("stats = %+v, want 4 starts, 3 aborts, 1 commit, 1 retry", s)
 	}
 
 	// A retry wait that ends with an error ends the loop with it.
 	f.retryErr = context.DeadlineExceeded
-	if err := k.Atomic(nil, -1, func(tx *Txn) error { tx.Retry(); return nil }); err != context.DeadlineExceeded {
+	if err := k.Run(nil, -1, func(tx *Txn) error { tx.Retry(); return nil }); err != context.DeadlineExceeded {
 		t.Errorf("err = %v, want the retry wait's error", err)
 	}
 	f.take()
@@ -141,7 +141,7 @@ func TestAtomicSignals(t *testing.T) {
 			}
 		}()
 		other := &Txn{}
-		_ = k.Atomic(nil, -1, func(tx *Txn) error { other.Restart(); return nil })
+		_ = k.Run(nil, -1, func(tx *Txn) error { other.Restart(); return nil })
 	}()
 	if got, want := f.take(), "[begin rollback reset]"; got != want {
 		t.Errorf("foreign signal: calls = %s, want %s", got, want)
@@ -151,7 +151,7 @@ func TestAtomicSignals(t *testing.T) {
 func TestAtomicCancellation(t *testing.T) {
 	k, f := newFake(t, stmapi.CommonConfig{})
 	ctx, cancel := context.WithCancel(context.Background())
-	err := k.Atomic(ctx, -1, func(tx *Txn) error {
+	err := k.Run(ctx, -1, func(tx *Txn) error {
 		tx.Poll(nil) // not cancelled yet: no-op
 		cancel()
 		tx.Poll(nil)
@@ -165,10 +165,10 @@ func TestAtomicCancellation(t *testing.T) {
 		t.Errorf("calls = %s, want %s", got, want)
 	}
 	// Already cancelled: no descriptor, no attempt.
-	if err := k.Atomic(ctx, -1, func(*Txn) error { t.Error("body ran"); return nil }); err != context.Canceled {
+	if err := k.Run(ctx, -1, func(*Txn) error { t.Error("body ran"); return nil }); err != context.Canceled {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
-	if f.take() != "[]" || k.Stats.Starts.Load() != 1 {
+	if f.take() != "[]" || k.Counters.Starts.Load() != 1 {
 		t.Error("a pre-cancelled Atomic began an attempt")
 	}
 
@@ -178,9 +178,9 @@ func TestAtomicFaults(t *testing.T) {
 	k, f := newFake(t, stmapi.CommonConfig{})
 	// A fault in an attempt whose read set no longer validates is an
 	// artifact of speculation: restart.
-	o := k.Heap.New(k.Heap.MustDefineClass(objmodel.ClassSpec{Name: "C", Fields: []objmodel.Field{{Name: "f"}}}))
+	o := k.Heap().New(k.Heap().MustDefineClass(objmodel.ClassSpec{Name: "C", Fields: []objmodel.Field{{Name: "f"}}}))
 	runs := 0
-	if err := k.Atomic(nil, -1, func(tx *Txn) error {
+	if err := k.Run(nil, -1, func(tx *Txn) error {
 		if runs++; runs == 1 {
 			tx.Reads.Put(o, txrec.Version(o.Rec.Load())+1) // a version o does not have
 			panic("speculative fault")
@@ -199,7 +199,7 @@ func TestAtomicFaults(t *testing.T) {
 				t.Errorf("recovered %v, want the body's panic", r)
 			}
 		}()
-		_ = k.Atomic(nil, -1, func(tx *Txn) error { panic("real fault") })
+		_ = k.Run(nil, -1, func(tx *Txn) error { panic("real fault") })
 	}()
 	if got, want := f.take(), "[begin rollback reset]"; got != want {
 		t.Errorf("calls = %s, want %s", got, want)
@@ -209,7 +209,7 @@ func TestAtomicFaults(t *testing.T) {
 func TestEscalationAndIrrevocable(t *testing.T) {
 	k, f := newFake(t, stmapi.CommonConfig{EscalateAfter: 2})
 	var seen []bool
-	if err := k.Atomic(nil, k.EscalateFrom(), func(tx *Txn) error {
+	if err := k.Run(nil, k.escalateFrom(), func(tx *Txn) error {
 		seen = append(seen, tx.IsIrrevocable())
 		if !tx.IsIrrevocable() {
 			tx.Restart()
@@ -229,7 +229,7 @@ func TestEscalationAndIrrevocable(t *testing.T) {
 	if got, want := f.take(), "[begin rollback begin rollback begin lock commit reset]"; got != want {
 		t.Errorf("calls = %s, want %s", got, want)
 	}
-	s := k.Stats.Snapshot()
+	s := k.Stats()
 	if s.Escalations != 1 || s.IrrevocableTxns != 1 || k.IrrevocableHolder() != 0 {
 		t.Errorf("escalations %d, irrevocable txns %d, holder %d; want 1, 1, 0", s.Escalations, s.IrrevocableTxns, k.IrrevocableHolder())
 	}
@@ -237,7 +237,7 @@ func TestEscalationAndIrrevocable(t *testing.T) {
 	// A switch whose read set is stale surrenders the token and restarts.
 	f.lockOK = false
 	runs := 0
-	if err := k.Atomic(nil, -1, func(tx *Txn) error {
+	if err := k.Run(nil, -1, func(tx *Txn) error {
 		if runs++; runs == 1 {
 			tx.BecomeIrrevocable()
 			t.Error("a failed switch returned")
@@ -254,11 +254,11 @@ func TestEscalationAndIrrevocable(t *testing.T) {
 func TestPoolHygiene(t *testing.T) {
 	k, f := newFake(t, stmapi.CommonConfig{})
 	k.SetInjector(faultinject.New(1))
-	o := k.Heap.New(k.Heap.MustDefineClass(objmodel.ClassSpec{Name: "C", Fields: []objmodel.Field{{Name: "f"}}}))
+	o := k.Heap().New(k.Heap().MustDefineClass(objmodel.ClassSpec{Name: "C", Fields: []objmodel.Field{{Name: "f"}}}))
 	var last uint64
 	for i := 0; i < 3; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
-		err := k.Atomic(ctx, -1, func(tx *Txn) error {
+		err := k.Run(ctx, -1, func(tx *Txn) error {
 			if tx.ID() <= last {
 				t.Errorf("id %d not fresh (last %d)", tx.ID(), last)
 			}
@@ -340,14 +340,14 @@ func TestRegistryScanBound(t *testing.T) {
 	for _, g := range []int{1, 2, 4, 8} {
 		k := &Kernel{}
 		cfg := stmapi.CommonConfig{}
-		k.Init("fake", objmodel.NewHeap(), &cfg, func() Strategy { return &fake{} })
+		k.Init("fake", objmodel.NewHeap(), cfg, func() Strategy { return &fake{} })
 		var wg sync.WaitGroup
 		for range g {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				for range 2000 {
-					_ = k.Atomic(nil, -1, func(*Txn) error { return nil })
+					_ = k.Run(nil, -1, func(*Txn) error { return nil })
 				}
 			}()
 		}
@@ -361,7 +361,7 @@ func TestRegistryScanBound(t *testing.T) {
 func TestStatsFlushParallel(t *testing.T) {
 	k := &Kernel{}
 	cfg := stmapi.CommonConfig{}
-	k.Init("fake", objmodel.NewHeap(), &cfg, func() Strategy { return &fake{} })
+	k.Init("fake", objmodel.NewHeap(), cfg, func() Strategy { return &fake{} })
 	const goroutines, iters = 8, 200
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -369,7 +369,7 @@ func TestStatsFlushParallel(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				_ = k.Atomic(nil, -1, func(tx *Txn) error {
+				_ = k.Run(nil, -1, func(tx *Txn) error {
 					tx.NReads += 2
 					tx.NWrites++
 					if tx.Attempt() == 0 && i%4 == 0 {
@@ -382,7 +382,7 @@ func TestStatsFlushParallel(t *testing.T) {
 	}
 	wg.Wait()
 	const total = goroutines * iters
-	s := k.Stats.Snapshot()
+	s := k.Stats()
 	if s.Commits != total || s.Aborts != total/4 || s.Starts != s.Commits+s.Aborts {
 		t.Errorf("starts %d, commits %d, aborts %d; want %d commits and %d aborts", s.Starts, s.Commits, s.Aborts, total, total/4)
 	}
@@ -399,7 +399,7 @@ func TestOrphanIsRetiredAndReaped(t *testing.T) {
 				t.Error("Die did not surface an OrphanError")
 			}
 		}()
-		_ = k.Atomic(nil, -1, func(tx *Txn) error { tx.Die(faultinject.PreValidate); return nil })
+		_ = k.Run(nil, -1, func(tx *Txn) error { tx.Die(faultinject.PreValidate); return nil })
 	}()
 	if got, want := f.take(), "[begin]"; got != want {
 		t.Errorf("calls = %s, want %s (no cleanup may run for an orphan)", got, want)
@@ -417,7 +417,7 @@ func TestOrphanIsRetiredAndReaped(t *testing.T) {
 	if got, want := f.take(), "[reap false]"; got != want {
 		t.Errorf("calls = %s, want %s", got, want)
 	}
-	s := k.Stats.Snapshot()
+	s := k.Stats()
 	if s.ReaperSteals != 1 || s.Aborts != 1 || k.FindStamp(id) != nil || f.Status() != stmapi.Aborted {
 		t.Errorf("steals %d, aborts %d, status %v; want 1, 1, aborted and unregistered", s.ReaperSteals, s.Aborts, f.Status())
 	}
@@ -432,14 +432,14 @@ func TestLockWriteSet(t *testing.T) {
 	k, f := newFake(t, stmapi.CommonConfig{})
 	tr := trace.New(trace.Config{Shards: 1})
 	k.SetTracer(tr)
-	cls := k.Heap.MustDefineClass(objmodel.ClassSpec{Name: "C", Fields: []objmodel.Field{{Name: "f"}}})
+	cls := k.Heap().MustDefineClass(objmodel.ClassSpec{Name: "C", Fields: []objmodel.Field{{Name: "f"}}})
 	var objs [5]*objmodel.Object
 	for i := range objs {
-		objs[i] = k.Heap.New(cls)
+		objs[i] = k.Heap().New(cls)
 	}
-	k.Heap.AllocPrivate = true
-	private := k.Heap.New(cls)
-	k.Heap.AllocPrivate = false
+	k.Heap().AllocPrivate = true
+	private := k.Heap().New(cls)
+	k.Heap().AllocPrivate = false
 	words := func() (w [len(objs)]txrec.Word) {
 		for i, o := range objs {
 			w[i] = o.Rec.Load()
@@ -454,7 +454,7 @@ func TestLockWriteSet(t *testing.T) {
 		}
 	}
 
-	_ = k.Atomic(nil, -1, func(tx *Txn) error {
+	_ = k.Run(nil, -1, func(tx *Txn) error {
 		// Held before commit, as an irrevocable body's read leaves it.
 		if !f.Acquire(objs[2], objs[2].Rec.Load()) {
 			t.Fatal("Acquire lost an uncontended CAS")
@@ -500,7 +500,7 @@ func TestLockWriteSet(t *testing.T) {
 	// The version limit: objs[3] was committed above it by somebody else.
 	objs[3].Rec.Store(txrec.MakeShared(9))
 	before = words()
-	_ = k.Atomic(nil, -1, func(tx *Txn) error {
+	_ = k.Run(nil, -1, func(tx *Txn) error {
 		list(4, 3, 0)
 		if f.LockWriteSet(5) {
 			t.Fatal("a record above the version limit was acquired")
@@ -517,7 +517,7 @@ func TestLockWriteSet(t *testing.T) {
 	// Every: 2 aborts at PreAcquire arrivals 0 and 2: the first call fails
 	// before taking anything, the second between its two acquisitions.
 	k.SetInjector(faultinject.New(1, faultinject.Rule{Point: faultinject.PreAcquire, Action: faultinject.Abort, Every: 2}))
-	_ = k.Atomic(nil, -1, func(tx *Txn) error {
+	_ = k.Run(nil, -1, func(tx *Txn) error {
 		for round := 0; round < 2; round++ {
 			list(0, 4)
 			if f.LockWriteSet(NoLimit) {

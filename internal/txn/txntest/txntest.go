@@ -98,8 +98,9 @@ func CtxDeadlineInRetryWait(t *testing.T, name string) {
 	}
 }
 
-// CtxAPIAdapter: a live context through the adapter commits normally, and
-// a context cancelled mid-body discards the attempt's writes.
+// CtxAPIAdapter: through the stmapi.Runtime interface, a live context
+// commits normally, and a context cancelled mid-body discards the attempt's
+// writes.
 func CtxAPIAdapter(t *testing.T, name string) {
 	f := New(t, name, stmapi.CommonConfig{})
 	o := f.NewCell()

@@ -41,10 +41,10 @@ func TestWriteSetSliceSpill(t *testing.T) {
 			name:  "mvstm",
 			slots: []int{1, 0},
 			atomic: func(h *objmodel.Heap, tr *trace.Tracer) func(func(stmapi.Txn, *txn.WriteBuf)) error {
-				rt := mvstm.New(h, mvstm.Config{})
+				rt := mvstm.New(h, stmapi.CommonConfig{})
 				rt.SetTracer(tr)
 				return func(body func(stmapi.Txn, *txn.WriteBuf)) error {
-					return rt.Atomic(func(tx *mvstm.Txn) error { body(tx, &tx.Buf); return nil })
+					return rt.Atomic(func(tx stmapi.Txn) error { body(tx, &tx.(*mvstm.Txn).Buf); return nil })
 				}
 			},
 			order: func(buffered []target) []target {
@@ -57,10 +57,10 @@ func TestWriteSetSliceSpill(t *testing.T) {
 			name:  "lazy spans",
 			slots: []int{1},
 			atomic: func(h *objmodel.Heap, tr *trace.Tracer) func(func(stmapi.Txn, *txn.WriteBuf)) error {
-				rt := lazystm.New(h, lazystm.Config{CommonConfig: stmapi.CommonConfig{Granularity: 2}})
+				rt := lazystm.New(h, stmapi.CommonConfig{Granularity: 2})
 				rt.SetTracer(tr)
 				return func(body func(stmapi.Txn, *txn.WriteBuf)) error {
-					return rt.Atomic(func(tx *lazystm.Txn) error { body(tx, &tx.Buf); return nil })
+					return rt.Atomic(func(tx stmapi.Txn) error { body(tx, &tx.(*lazystm.Txn).Buf); return nil })
 				}
 			},
 			order: func(buffered []target) []target {

@@ -151,13 +151,6 @@ func IsExclusiveAnon(w Word) bool { return w&stateMask3 == exAnonBits }
 // IsPrivate reports whether w is the private (all ones) encoding.
 func IsPrivate(w Word) bool { return w == PrivateWord }
 
-// IsOwned reports whether some thread holds the record for writing — the
-// paper's bit-1 test ("test ecx, 2; jz conflict"). It is true for the
-// Exclusive state only; Shared, ExclusiveAnon and Private all have bit 1
-// set. Non-transactional read barriers use ConflictsWithRead instead, which
-// matches this test exactly.
-func IsOwned(w Word) bool { return w&2 == 0 }
-
 // ConflictsWithRead reports whether a non-transactional read of an object
 // with record w must invoke the conflict handler. Per Section 3.2, a
 // single test of bit 1 suffices: only the Exclusive state (a transactional

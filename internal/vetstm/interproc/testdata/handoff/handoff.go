@@ -10,6 +10,7 @@ package handoff
 import (
 	"repro/internal/objmodel"
 	"repro/internal/stm"
+	"repro/internal/stmapi"
 	"repro/internal/strong"
 )
 
@@ -20,7 +21,7 @@ func Run() {
 		Name:   "Item",
 		Fields: []objmodel.Field{{Name: "v"}, {Name: "next", IsRef: true}},
 	})
-	rt := stm.New(h, stm.Config{})
+	rt := stm.New(h, stmapi.CommonConfig{})
 	b := strong.New(h, false)
 
 	ch := make(chan objmodel.Ref, 8)
@@ -39,13 +40,13 @@ func Run() {
 
 	counter := h.New(cls) // txn access and crosses goroutines: mixed
 	go bump(b, counter, done)
-	_ = rt.Atomic(func(tx *stm.Txn) error {
+	_ = rt.Atomic(func(tx stmapi.Txn) error {
 		tx.Write(counter, 0, tx.Read(counter, 0)+1)
 		return nil
 	})
 
 	local := h.New(cls) // txn access, single goroutine: tl
-	_ = rt.Atomic(func(tx *stm.Txn) error {
+	_ = rt.Atomic(func(tx stmapi.Txn) error {
 		tx.Write(local, 0, 1)
 		return nil
 	})

@@ -15,13 +15,16 @@ const (
 	PkgLazySTM  = "internal/lazystm"
 	PkgMVSTM    = "internal/mvstm"
 	PkgSTMAPI   = "internal/stmapi"
+	PkgTxn      = "internal/txn"
 	PkgCore     = "internal/core"
 	PkgObjModel = "internal/objmodel"
 	PkgStrong   = "internal/strong"
 )
 
-// stmPkgTails are the packages that declare atomic entry points.
-var stmPkgTails = []string{PkgSTM, PkgLazySTM, PkgMVSTM, PkgSTMAPI, PkgCore}
+// stmPkgTails are the packages that declare atomic entry points. A runtime's
+// Atomic, AtomicCtx and AtomicIrrevocable are the kernel's, promoted: they
+// resolve to methods declared in internal/txn. mvstm adds AtomicRead.
+var stmPkgTails = []string{PkgTxn, PkgMVSTM, PkgSTMAPI, PkgCore}
 
 // PathHasTail reports whether the package path is tail or ends in /tail.
 func PathHasTail(path, tail string) bool {

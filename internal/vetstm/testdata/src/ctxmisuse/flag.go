@@ -12,7 +12,7 @@ import (
 var rt *stm.Runtime
 var api stmapi.Runtime
 
-func body(tx *stm.Txn) error { return nil }
+func body(tx stmapi.Txn) error { return nil }
 
 func discarded(ctx context.Context) {
 	rt.AtomicCtx(ctx, body) // want `AtomicCtx result discarded`

@@ -6,6 +6,7 @@ import (
 	"repro/internal/mvstm"
 	"repro/internal/objmodel"
 	"repro/internal/stm"
+	"repro/internal/stmapi"
 )
 
 var rt *stm.Runtime
@@ -14,7 +15,7 @@ var shared *objmodel.Object
 var snapshotted *objmodel.Object // opened only by a multi-version snapshot read
 
 func transactional() {
-	_ = rt.Atomic(func(tx *stm.Txn) error {
+	_ = rt.Atomic(func(tx stmapi.Txn) error {
 		tx.Write(shared, 0, tx.Read(shared, 0)+1)
 		return nil
 	})
@@ -33,7 +34,7 @@ func rawSlots() uint64 {
 }
 
 func transactionalMV() {
-	_ = mv.AtomicRead(func(tx *mvstm.Txn) error {
+	_ = mv.AtomicRead(func(tx stmapi.Txn) error {
 		_ = tx.Read(snapshotted, 0)
 		return nil
 	})

@@ -5,6 +5,7 @@ package privatization
 import (
 	"repro/internal/objmodel"
 	"repro/internal/stm"
+	"repro/internal/stmapi"
 	"repro/internal/strong"
 )
 
@@ -19,7 +20,7 @@ func unsafePublication(container, item *objmodel.Object) {
 
 func safePublication(b *strong.Barriers, rt *stm.Runtime, container, item *objmodel.Object) {
 	b.WriteRef(container, 0, item.Ref()) // barriered: runs the publication walk
-	_ = rt.Atomic(func(tx *stm.Txn) error {
+	_ = rt.Atomic(func(tx stmapi.Txn) error {
 		tx.WriteRef(container, 0, item.Ref()) // transactional: fine
 		return nil
 	})
@@ -30,7 +31,7 @@ func safePublication(b *strong.Barriers, rt *stm.Runtime, container, item *objmo
 // transaction's write-back still in flight.
 func privatizeThenRawRead(h *objmodel.Heap, rt *stm.Runtime, list *objmodel.Object) uint64 {
 	var ref objmodel.Ref
-	_ = rt.Atomic(func(tx *stm.Txn) error {
+	_ = rt.Atomic(func(tx stmapi.Txn) error {
 		ref = tx.ReadRef(list, 0)
 		tx.WriteRef(list, 0, 0) // unlink: the item is private now
 		return nil
@@ -42,7 +43,7 @@ func privatizeThenRawRead(h *objmodel.Heap, rt *stm.Runtime, list *objmodel.Obje
 // The same shape through the ordering read barrier is the sanctioned fix.
 func privatizeThenOrderedRead(h *objmodel.Heap, b *strong.Barriers, rt *stm.Runtime, list *objmodel.Object) uint64 {
 	var ref objmodel.Ref
-	_ = rt.Atomic(func(tx *stm.Txn) error {
+	_ = rt.Atomic(func(tx stmapi.Txn) error {
 		ref = tx.ReadRef(list, 0)
 		tx.WriteRef(list, 0, 0)
 		return nil

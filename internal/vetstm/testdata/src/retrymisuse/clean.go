@@ -3,10 +3,11 @@ package retrymisuse
 
 import (
 	"repro/internal/stm"
+	"repro/internal/stmapi"
 )
 
 func guard() {
-	_ = rt.Atomic(func(tx *stm.Txn) error {
+	_ = rt.Atomic(func(tx stmapi.Txn) error {
 		if tx.Read(obj, 0) == 0 {
 			tx.Retry()
 		}
@@ -16,7 +17,7 @@ func guard() {
 }
 
 func loopWithRead(objs []*stm.Txn) {
-	_ = rt.Atomic(func(tx *stm.Txn) error {
+	_ = rt.Atomic(func(tx stmapi.Txn) error {
 		for slot := 0; slot < 4; slot++ {
 			if tx.Read(obj, slot) == 0 {
 				tx.Retry() // the loop re-reads: a change is observable

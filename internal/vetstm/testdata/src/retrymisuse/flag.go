@@ -13,7 +13,7 @@ var api stmapi.Runtime
 var obj *objmodel.Object
 
 func emptyReadSet() {
-	_ = rt.Atomic(func(tx *stm.Txn) error {
+	_ = rt.Atomic(func(tx stmapi.Txn) error {
 		tx.Retry() // want `Retry with an empty read set`
 		return nil
 	})
@@ -28,7 +28,7 @@ func emptyReadSetAPI() {
 }
 
 func deadLoop() {
-	_ = rt.Atomic(func(tx *stm.Txn) error {
+	_ = rt.Atomic(func(tx stmapi.Txn) error {
 		v := tx.Read(obj, 0)
 		for v == 0 {
 			tx.Retry() // want `Retry inside a loop with no transactional read`

@@ -6,12 +6,12 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/stm"
+	"repro/internal/stmapi"
 )
 
 func afterCommit() {
 	var v uint64
-	err := rt.Atomic(func(tx *stm.Txn) error {
+	err := rt.Atomic(func(tx stmapi.Txn) error {
 		v = tx.Read(obj, 0)
 		tx.Write(obj, 0, v+1)
 		return nil
@@ -20,14 +20,14 @@ func afterCommit() {
 }
 
 func irrevocableBody() {
-	_ = rt.AtomicIrrevocable(func(tx *stm.Txn) error {
+	_ = rt.AtomicIrrevocable(func(tx stmapi.Txn) error {
 		fmt.Println("runs at most once past the switch")
 		return nil
 	})
 }
 
 func becomeIrrevocable() {
-	_ = rt.Atomic(func(tx *stm.Txn) error {
+	_ = rt.Atomic(func(tx stmapi.Txn) error {
 		v := tx.Read(obj, 0)
 		tx.BecomeIrrevocable()
 		fmt.Printf("snapshot %d\n", v) // after the switch: no re-execution
@@ -36,7 +36,7 @@ func becomeIrrevocable() {
 }
 
 func localRNG(rng *rand.Rand) {
-	_ = rt.Atomic(func(tx *stm.Txn) error {
+	_ = rt.Atomic(func(tx stmapi.Txn) error {
 		// Methods on a caller-owned *rand.Rand are thread-confined state,
 		// not a visible effect (nondeterministic across attempts, but not
 		// an isolation violation).
@@ -46,7 +46,7 @@ func localRNG(rng *rand.Rand) {
 }
 
 func suppressed() {
-	_ = rt.Atomic(func(tx *stm.Txn) error {
+	_ = rt.Atomic(func(tx stmapi.Txn) error {
 		fmt.Println("deliberate") //stmvet:ignore sideeffect -- demo output, abort rate ~0
 		return nil
 	})

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/objmodel"
 	"repro/internal/stm"
+	"repro/internal/stmapi"
 )
 
 var rt *stm.Runtime
@@ -19,7 +20,7 @@ var ch = make(chan uint64, 1)
 func work() {}
 
 func flagged() {
-	_ = rt.Atomic(func(tx *stm.Txn) error {
+	_ = rt.Atomic(func(tx stmapi.Txn) error {
 		fmt.Println("attempt")                    // want `fmt.Println inside an atomic body`
 		log.Printf("balance=%d", tx.Read(obj, 0)) // want `log.Printf inside an atomic body`
 		time.Sleep(time.Millisecond)              // want `time.Sleep inside an atomic body`

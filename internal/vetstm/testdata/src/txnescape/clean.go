@@ -5,14 +5,14 @@ package txnescape
 import (
 	"fmt"
 
-	"repro/internal/stm"
+	"repro/internal/stmapi"
 )
 
 var total uint64
 var valCh = make(chan uint64, 1)
 
 func cleanUses() {
-	_ = rt.Atomic(func(tx *stm.Txn) error {
+	_ = rt.Atomic(func(tx stmapi.Txn) error {
 		v := tx.Read(obj, 0)
 		total = v      // a read value, not the handle
 		valCh <- v + 1 // likewise (sideeffect's problem, not txnescape's)
@@ -26,7 +26,7 @@ func cleanUses() {
 }
 
 func cleanError() error {
-	return rt.Atomic(func(tx *stm.Txn) error {
+	return rt.Atomic(func(tx stmapi.Txn) error {
 		if tx.Read(obj, 0) == 0 {
 			return fmt.Errorf("empty at id %d", tx.ID())
 		}

@@ -20,15 +20,15 @@ var registry = map[string]*stm.Txn{}
 var txnCh = make(chan *stm.Txn, 1)
 
 func storeGlobal() {
-	_ = rt.Atomic(func(tx *stm.Txn) error {
-		leaked = tx // want `stored to package-level leaked`
+	_ = rt.Atomic(func(tx stmapi.Txn) error {
+		leaked = tx.(*stm.Txn) // want `stored to package-level leaked`
 		return nil
 	})
 }
 
 func storeGlobalMap() {
-	_ = rt.Atomic(func(tx *stm.Txn) error {
-		registry["current"] = tx // want `stored to package-level registry`
+	_ = rt.Atomic(func(tx stmapi.Txn) error {
+		registry["current"] = tx.(*stm.Txn) // want `stored to package-level registry`
 		return nil
 	})
 }
@@ -41,14 +41,14 @@ func storeGlobalAPI() {
 }
 
 func storeGlobalMV() {
-	_ = mv.Atomic(func(tx *mvstm.Txn) error {
-		leakedMV = tx // want `stored to package-level leakedMV`
+	_ = mv.Atomic(func(tx stmapi.Txn) error {
+		leakedMV = tx.(*mvstm.Txn) // want `stored to package-level leakedMV`
 		return nil
 	})
 }
 
 func goroutineCaptureMVRead() {
-	_ = mv.AtomicRead(func(tx *mvstm.Txn) error {
+	_ = mv.AtomicRead(func(tx stmapi.Txn) error {
 		go func() { // want `captured by a goroutine`
 			_ = tx.Read(obj, 0)
 		}()
@@ -57,14 +57,14 @@ func goroutineCaptureMVRead() {
 }
 
 func sendOnChannel() {
-	_ = rt.Atomic(func(tx *stm.Txn) error {
-		txnCh <- tx // want `sent on a channel`
+	_ = rt.Atomic(func(tx stmapi.Txn) error {
+		txnCh <- tx.(*stm.Txn) // want `sent on a channel`
 		return nil
 	})
 }
 
 func goroutineCapture() {
-	_ = rt.Atomic(func(tx *stm.Txn) error {
+	_ = rt.Atomic(func(tx stmapi.Txn) error {
 		go func() { // want `captured by a goroutine`
 			_ = tx.Read(obj, 0)
 		}()
@@ -72,8 +72,8 @@ func goroutineCapture() {
 	})
 }
 
-func goroutineArg(f func(*stm.Txn)) {
-	_ = rt.Atomic(func(tx *stm.Txn) error {
+func goroutineArg(f func(stmapi.Txn)) {
+	_ = rt.Atomic(func(tx stmapi.Txn) error {
 		go f(tx) // want `captured by a goroutine`
 		return nil
 	})

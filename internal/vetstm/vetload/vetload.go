@@ -42,14 +42,6 @@ func List(dir string, patterns ...string) ([]*ListedPackage, error) {
 	return list(dir, false, patterns...)
 }
 
-// ListTests is List with `-test`: the listing additionally contains each
-// matched package's test-augmented variant ("pkg [pkg.test]", whose
-// GoFiles include the in-package _test.go files), external test packages
-// ("pkg_test [pkg.test]"), and the synthetic test mains ("pkg.test").
-func ListTests(dir string, patterns ...string) ([]*ListedPackage, error) {
-	return list(dir, true, patterns...)
-}
-
 func list(dir string, withTests bool, patterns ...string) ([]*ListedPackage, error) {
 	args := []string{"list", "-e", "-json", "-export", "-deps"}
 	if withTests {
@@ -248,10 +240,4 @@ func ModuleDir(dir string) (string, error) {
 		}
 		d = parent
 	}
-}
-
-// IsStdPattern reports whether pattern names a standard-library package
-// (used by the test harness to widen its export universe).
-func IsStdPattern(pattern string) bool {
-	return !strings.Contains(pattern, ".") && !strings.HasPrefix(pattern, "./")
 }

@@ -36,6 +36,7 @@ import (
 	"repro/internal/elide"
 	"repro/internal/objmodel"
 	"repro/internal/stm"
+	"repro/internal/stmapi"
 	"repro/internal/strong"
 	"repro/internal/trace"
 )
@@ -120,7 +121,7 @@ func Run(cfg Config) (Result, error) {
 	st := &strong.Stats{}
 	bars.Stats = st
 	bars.Tracer = cfg.Tracer
-	rt := stm.New(h, stm.Config{})
+	rt := stm.New(h, stmapi.CommonConfig{})
 	rt.SetTracer(cfg.Tracer)
 
 	// Shared counters: every worker transactionally bumps two of them per
@@ -171,7 +172,7 @@ func Run(cfg Config) (Result, error) {
 			}
 
 			for i := 0; i < cfg.TxnOps; i++ {
-				if err := rt.Atomic(func(tx *stm.Txn) error {
+				if err := rt.Atomic(func(tx stmapi.Txn) error {
 					c := counters[w]
 					tx.Write(c, 0, tx.Read(c, 0)+1)
 					n := counters[(w+1)%cfg.Workers]

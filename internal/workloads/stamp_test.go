@@ -29,20 +29,19 @@ func TestStampBodiesCommit(t *testing.T) {
 			if w.Name != name || w.Mix == "" {
 				t.Errorf("workload metadata: Name=%q Mix=%q", w.Name, w.Mix)
 			}
-			rt := stm.New(h, stm.Config{})
+			rt := stm.New(h, stmapi.CommonConfig{})
 			rng := uint64(1)
 			body := func(tx stmapi.Txn) error {
 				w.Body(tx, &rng)
 				return nil
 			}
-			api := rt.API()
 			const n = 500
 			for i := 0; i < n; i++ {
-				if err := api.Atomic(body); err != nil {
+				if err := rt.Atomic(body); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if got := rt.Stats.Commits.Load(); got != n {
+			if got := rt.Counters.Commits.Load(); got != n {
 				t.Errorf("commits = %d, want %d", got, n)
 			}
 		})
