@@ -8,7 +8,7 @@
 //
 //	stmcrash -runtime mvstm -iters 100
 //	stmcrash -runtime eager -killpoint wal-fsync -iters 20
-//	stmcrash -runtime lazy -window 1ms -iters 50 -artifacts /tmp/breaches
+//	stmcrash -runtime lazy -iters 50 -artifacts breaches
 //
 // The exit status is 0 when every iteration holds every invariant, 1 on any
 // breach (with artifact directories persisted when -artifacts or
@@ -44,7 +44,6 @@ func main() {
 		runtime    = flag.String("runtime", "mvstm", "STM runtime to crash: "+runtimes)
 		iterations = flag.Int("iters", 50, "crash-recover iterations")
 		seed       = flag.Uint64("seed", 1, "seed for kill timing and killpoint selection")
-		window     = flag.Duration("window", 0, "group-commit fsync window (0 = fsync ASAP)")
 		ckpt       = flag.Duration("ckpt", 25*time.Millisecond, "child checkpoint period")
 		killpoint  = flag.String("killpoint", "", "whitebox killpoint ("+strings.Join(points, ", ")+"); empty = blackbox SIGKILL")
 		killrate   = flag.Uint64("killrate", 32, "whitebox kill probability in 1/1024ths of arrivals")
@@ -81,7 +80,6 @@ func main() {
 		ChildCommand:    []string{exe},
 		Iterations:      *iterations,
 		Seed:            *seed,
-		SyncWindow:      *window,
 		CheckpointEvery: *ckpt,
 		KillPoint:       *killpoint,
 		KillRate:        *killrate,

@@ -40,9 +40,7 @@ type Options struct {
 	// Seed derives per-iteration child seeds and blackbox kill delays.
 	Seed uint64
 
-	// SyncWindow and CheckpointEvery are passed through to the child's
-	// store.
-	SyncWindow      time.Duration
+	// CheckpointEvery is passed through to the child's store.
 	CheckpointEvery time.Duration
 
 	// KillPoint selects whitebox mode: the faultinject point name
@@ -186,7 +184,6 @@ func runChild(opts *Options, iter int) (acks, aborts []Ack, killed bool, err err
 		childEnvDir+"="+opts.Dir,
 		childEnvRuntime+"="+opts.Runtime,
 		childEnvSeed+"="+strconv.FormatUint(iterSeed, 10),
-		childEnvWindow+"="+opts.SyncWindow.String(),
 		childEnvCkpt+"="+opts.CheckpointEvery.String(),
 		childEnvKillPoint+"="+opts.KillPoint,
 		childEnvKillRate+"="+strconv.FormatUint(opts.KillRate, 10),

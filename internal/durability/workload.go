@@ -82,7 +82,6 @@ const (
 	childEnvDir        = "STMCRASH_DIR"
 	childEnvRuntime    = "STMCRASH_RUNTIME"
 	childEnvSeed       = "STMCRASH_SEED"
-	childEnvWindow     = "STMCRASH_WINDOW"
 	childEnvCkpt       = "STMCRASH_CKPT"
 	childEnvKillPoint  = "STMCRASH_KILLPOINT"
 	childEnvKillRate   = "STMCRASH_KILLRATE"
@@ -124,7 +123,6 @@ func ChildMain() {
 	opts := durable.Options{
 		Dir:              dir,
 		Runtime:          runtime,
-		SyncWindow:       envDuration(childEnvWindow, 0),
 		CheckpointEvery:  envDuration(childEnvCkpt, 25*time.Millisecond),
 		NoOpenCheckpoint: os.Getenv(childEnvNoOpenCkpt) == "1",
 		TrackStamps:      true,

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/objmodel"
 	"repro/internal/stmapi"
@@ -70,62 +69,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	seg, stamp, ok := parseSnapName(snapName(3, 55))
 	if !ok || seg != 3 || stamp != 55 {
 		t.Fatalf("name round trip: %d %d %v", seg, stamp, ok)
-	}
-}
-
-// TestWALGroupCommit drives concurrent appenders through one wal and checks
-// that every record survives in order and that fsyncs were batched.
-func TestWALGroupCommit(t *testing.T) {
-	fs := NewTestFS()
-	w, err := openWAL(fs, "/d", 1, 200*time.Microsecond, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const G, N = 8, 50
-	var wg sync.WaitGroup
-	for g := 0; g < G; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < N; i++ {
-				seq, err := w.Append(&record{Kind: kindCommit, Epoch: 1, TxnID: uint64(g*N + i), Stamp: 1})
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if err := w.Wait(seq); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	if err := w.Close(true); err != nil {
-		t.Fatal(err)
-	}
-	data, err := fs.ReadFile("/d/" + segName(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	count := 0
-	for off := 0; off < len(data); {
-		_, n, err := decodeRecord(data[off:])
-		if err != nil {
-			t.Fatalf("record %d: %v", count, err)
-		}
-		off += n
-		count++
-	}
-	if count != G*N {
-		t.Fatalf("replayed %d records, appended %d", count, G*N)
-	}
-	fsyncs := w.fsyncs.Load()
-	if fsyncs == 0 || fsyncs >= int64(G*N) {
-		t.Fatalf("fsyncs = %d for %d acked appends — group commit not batching", fsyncs, G*N)
-	}
-	if w.batchMax.Load() < 2 {
-		t.Fatalf("max batch %d, want >= 2", w.batchMax.Load())
 	}
 }
 

@@ -30,12 +30,6 @@ type Options struct {
 	// Common is the runtime configuration.
 	Common stmapi.CommonConfig
 
-	// SyncWindow is the group-commit window: 0 fsyncs as soon as the
-	// flusher can keep up (lowest latency), >0 batches all commits in each
-	// window into one fsync (highest throughput, up to one window of ack
-	// latency).
-	SyncWindow time.Duration
-
 	// Injector, when non-nil, is installed on the runtime and fired at the
 	// WAL points (wal-append, wal-fsync, wal-rename) — the whitebox crash
 	// harness's hook. Orphan injection at the commit-protocol points is
@@ -211,7 +205,7 @@ func Open(opts Options, setup func(*objmodel.Heap) error) (*Store, error) {
 	}
 
 	info.Epoch = maxEpoch + 1
-	w, err := openWAL(fs, opts.Dir, maxSeg+1, opts.SyncWindow, opts.Injector)
+	w, err := openWAL(fs, opts.Dir, maxSeg+1, opts.Injector)
 	if err != nil {
 		return nil, err
 	}

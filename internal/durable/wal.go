@@ -25,16 +25,14 @@ var errWALClosed = errors.New("durable: WAL closed")
 // since the previous flush, which is the entire point: fsync cost is paid
 // per batch, not per transaction.
 //
-// With SyncWindow == 0 every append kicks the flusher immediately, so the
-// batch is whatever piled up during the previous fsync (natural group commit
-// under concurrency, sync-per-commit when idle). With SyncWindow > 0 the
-// flusher runs on that period and commits ack with up to one window of
-// latency — the tunable durability/throughput knob.
+// Every append kicks the flusher, and a kicked flush first gathers the batch
+// its previous flush predicts (flushLoop): as many records as that flush
+// saw committers, for at most as long as that flush took. A lone committer
+// is flushed at once; concurrent committers share one fsync.
 type wal struct {
-	fs     vfs.FS
-	dir    string
-	inj    *faultinject.Injector
-	window time.Duration
+	fs  vfs.FS
+	dir string
+	inj *faultinject.Injector
 
 	// wmu serializes file writes and rotation; flushes hold it across the
 	// Write+Sync pair so a rotate cannot swap the file mid-batch.
@@ -83,7 +81,7 @@ func parseSegName(name string) (int, bool) {
 // openWAL creates segment segIndex (which must not exist: recovery always
 // starts a fresh segment past any possibly-torn tail) and starts the
 // flusher.
-func openWAL(fs vfs.FS, dir string, segIndex int, window time.Duration, inj *faultinject.Injector) (*wal, error) {
+func openWAL(fs vfs.FS, dir string, segIndex int, inj *faultinject.Injector) (*wal, error) {
 	f, err := fs.OpenFile(filepath.Join(dir, segName(segIndex)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
@@ -93,7 +91,7 @@ func openWAL(fs vfs.FS, dir string, segIndex int, window time.Duration, inj *fau
 		return nil, err
 	}
 	w := &wal{
-		fs: fs, dir: dir, inj: inj, window: window,
+		fs: fs, dir: dir, inj: inj,
 		f: f, segIndex: segIndex,
 		stop: make(chan struct{}), kick: make(chan struct{}, 1), done: make(chan struct{}),
 	}
@@ -124,9 +122,7 @@ func (w *wal) Append(r *record) (uint64, error) {
 	seq := w.pendingSeq
 	w.mu.Unlock()
 	w.appends.Add(1)
-	if w.window == 0 {
-		w.kickFlusher()
-	}
+	w.kickFlusher()
 	return seq, nil
 }
 
@@ -154,47 +150,98 @@ func (w *wal) Wait(seq uint64) error {
 	return nil
 }
 
+// flushLoop is the flusher. After each flush it keeps two figures: expect,
+// the records that flush acknowledged plus those appended while it ran (the
+// committers seen in one cycle), and bound, how long its Write+Sync took.
+// A kicked flush starts once expect records are pending or bound after the
+// kick, whichever comes first: committers that were all waiting on one
+// fsync come back within a return gap and share the next one, a lone
+// committer (expect 1) never waits, and a committer that left costs one
+// wait of at most bound, after which expect drops to what was seen. expect
+// starts at 0, so the first flush is immediate. Sync, rotate and Close
+// flush directly and never gather.
 func (w *wal) flushLoop() {
 	defer close(w.done)
-	var tick *time.Ticker
-	var tickC <-chan time.Time
-	if w.window > 0 {
-		tick = time.NewTicker(w.window)
-		tickC = tick.C
-		defer tick.Stop()
-	}
+	var expect int64
+	var bound time.Duration
+	timer := time.NewTimer(time.Hour)
+	timer.Stop()
 	for {
 		select {
 		case <-w.stop:
 			return
-		case <-tickC:
 		case <-w.kick:
 		}
-		w.flush()
+		pending, open := w.pending()
+		if !open {
+			return // closed: Close flushes or drops the batch; poisoned: no flush will succeed
+		}
+		if pending == 0 {
+			continue // the kick's record went out with an earlier flush
+		}
+		if pending < expect && !w.gather(expect, bound, timer) {
+			return
+		}
+		if n, took, after := w.flush(); n > 0 {
+			expect, bound = n+after, took
+		}
 	}
 }
 
-// flush writes and fsyncs the pending batch, then wakes every waiter.
-func (w *wal) flush() {
-	w.wmu.Lock()
-	defer w.wmu.Unlock()
-	w.flushLocked()
+// gather waits until expect records are pending, bound has passed, or the
+// log is poisoned. It reports false when Close stops the flusher meanwhile.
+// It sleeps on a timer rather than spinning: a sub-millisecond timer on an
+// idle processor fires after about a millisecond (DESIGN §8), which is paid
+// only when an expected committer does not come.
+func (w *wal) gather(expect int64, bound time.Duration, timer *time.Timer) bool {
+	timer.Reset(bound)
+	defer timer.Stop()
+	for {
+		select {
+		case <-w.stop:
+			return false
+		case <-timer.C:
+			return true
+		case <-w.kick:
+			if pending, open := w.pending(); !open || pending >= expect {
+				return open
+			}
+		}
+	}
 }
 
-// flushLocked is flush with wmu already held (rotate calls it directly).
-func (w *wal) flushLocked() {
+// pending returns the records awaiting flush, and open=false once the log is
+// closed or poisoned.
+func (w *wal) pending() (n int64, open bool) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.pendingN, !w.closed && w.err == nil
+}
+
+// flush writes and fsyncs the pending batch, then wakes every waiter.
+func (w *wal) flush() (n int64, took time.Duration, after int64) {
+	w.wmu.Lock()
+	defer w.wmu.Unlock()
+	return w.flushLocked()
+}
+
+// flushLocked is flush with wmu already held (rotate calls it directly). It
+// returns the records it made durable, how long their Write+Sync took, and
+// how many records were appended meanwhile.
+func (w *wal) flushLocked() (n int64, took time.Duration, after int64) {
 	w.mu.Lock()
 	if w.err != nil || len(w.buf) == 0 {
 		w.mu.Unlock()
-		return
+		return 0, 0, 0
 	}
 	data := w.buf
 	w.buf = w.spare[:0]
 	upTo := w.pendingSeq
-	n := w.pendingN
+	n = w.pendingN
 	w.pendingN = 0
 	w.mu.Unlock()
 
+	start := time.Now()
 	_, err := w.f.Write(data)
 	if err == nil {
 		if fi := w.inj; fi != nil {
@@ -203,6 +250,7 @@ func (w *wal) flushLocked() {
 		err = w.f.Sync()
 		w.fsyncs.Add(1)
 	}
+	took = time.Since(start)
 	w.batchSum.Add(n)
 	w.batchN.Add(1)
 	if m := w.batchMax.Load(); n > m {
@@ -216,8 +264,10 @@ func (w *wal) flushLocked() {
 	} else if upTo > w.syncedSeq {
 		w.syncedSeq = upTo
 	}
+	after = w.pendingN
 	w.cond.Broadcast()
 	w.mu.Unlock()
+	return n, took, after
 }
 
 // Sync forces the pending batch out and returns the first flush error, if
@@ -268,6 +318,7 @@ func (w *wal) poison(err error) error {
 	}
 	w.cond.Broadcast()
 	w.mu.Unlock()
+	w.kickFlusher() // a gathering flusher stops waiting
 	return err
 }
 

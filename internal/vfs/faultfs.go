@@ -104,10 +104,10 @@ func (f *faultFile) Write(p []byte) (int, error) {
 		return 0, fmt.Errorf("vfs: %s not opened for writing", f.name)
 	}
 	end := f.off + int64(len(p))
-	if int64(len(f.mf.cur)) < end {
-		grown := make([]byte, end)
-		copy(grown, f.mf.cur)
-		f.mf.cur = grown
+	if n := int64(len(f.mf.cur)); n < end {
+		// Extend in place, zero-filling any gap below off: an append
+		// costs its own length, not the file's.
+		f.mf.cur = append(f.mf.cur, make([]byte, end-n)...)
 	}
 	copy(f.mf.cur[f.off:end], p)
 	f.off = end

@@ -181,3 +181,36 @@ func TestFaultFSAppendAndReadAt(t *testing.T) {
 		t.Fatalf("ReadAt(3) = %q", buf)
 	}
 }
+
+// TestFaultFSWriteExtendsInPlace: an append costs its own length, not a copy
+// of the file (a WAL segment takes one small write per batch), so the file's
+// image moves to a new array only as its capacity doubles; and a write past
+// the end through a handle whose file was truncated under it still reads
+// zeros in the gap.
+func TestFaultFSWriteExtendsInPlace(t *testing.T) {
+	fs := NewFaultFS(1, Mode{})
+	f, _ := fs.OpenFile("/d/seg", os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	mf := f.(*faultFile).mf
+	rec := bytes.Repeat([]byte{7}, 64)
+	moves := 0
+	var last *byte
+	for i := 0; i < 1000; i++ {
+		f.Write(rec)
+		if p := &mf.cur[0]; p != last {
+			moves, last = moves+1, p
+		}
+	}
+	if moves > 50 {
+		t.Fatalf("1000 appends of 64 bytes copied the file to %d new arrays, want it grown in place", moves)
+	}
+
+	g, _ := fs.OpenFile("/d/other", os.O_CREATE|os.O_WRONLY, 0o644)
+	g.Write([]byte("abcdef"))
+	trunc, _ := fs.OpenFile("/d/other", os.O_WRONLY|os.O_TRUNC, 0o644)
+	trunc.Close()
+	g.Write([]byte("gh"))
+	got, _ := fs.ReadFile("/d/other")
+	if want := []byte("\x00\x00\x00\x00\x00\x00gh"); !bytes.Equal(got, want) {
+		t.Fatalf("file = %q, want %q", got, want)
+	}
+}
