@@ -445,6 +445,35 @@ func BenchmarkMVWriteCommit(b *testing.B) {
 	}
 }
 
+// BenchmarkMVWriteCommitLarge is durable_bank's transfer without the disk: one
+// goroutine moves a unit between two slots of a 4096-slot array. Each commit
+// finds the array's head dead under its own snapshot and rewrites it in place
+// with the image it overwrites, which differs from the one the head holds in
+// the two slots the commit before wrote. Storing every slot costs 31-37 µs/op
+// on a 2-CPU x86-64 host; storing only the slots that differ, 6-8 µs/op,
+// most of it loading the object and the head once each.
+func BenchmarkMVWriteCommitLarge(b *testing.B) {
+	const slots = 4096
+	h := objmodel.NewHeap()
+	arr := h.NewArray(slots, false)
+	rt := mvstm.New(h, stmapi.CommonConfig{})
+	rng := uint64(1)
+	body := func(tx stmapi.Txn) error {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		from, to := int(rng%slots), int(rng>>32%slots)
+		tx.Write(arr, from, tx.Read(arr, from)-1)
+		tx.Write(arr, to, tx.Read(arr, to)+1)
+		return nil
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = rt.Atomic(body)
+	}
+}
+
 // BenchmarkMVWriteCommitParallel is the same operation from GOMAXPROCS
 // goroutines, each on its own share of 8192 objects (halves on the 2-CPU
 // host), as partitioned_write runs it: no two commits share an object, so

@@ -40,6 +40,12 @@
 // the clock). Either way the new snapshot sits at or above W, as in the
 // first case. A first attempt begins from the pool's snap of 1.
 //
+// A committed attempt reads nothing more, so Commit unpins the descriptor
+// the same way once it has left the commit gate, before it waits for its
+// redo record to be durable or for a grace period: neither wait holds history
+// back. Its next pin is the pool's: putTxn unregisters the descriptor before
+// Reset stores snap = 1, and the registry publishes it again only after that.
+//
 // The same argument covers every later transaction, so a watermark stays
 // valid for as long as the runtime lives: rt.watermark only rises (CAS-max),
 // and pruning against a cached value is merely conservative. Each descriptor
@@ -67,7 +73,8 @@
 // object's first install and installs with sv > w allocate. So a node is
 // not immutable while reachable, and what makes that safe is the proof
 // above: every transaction R live now or beginning later has rv_R >= w (an
-// attempt waiting to retry reads nothing, and its retry begins later).
+// attempt waiting to retry reads nothing, and its retry begins later; a
+// committed one reads nothing more).
 // snapshotRead loads the head in two places:
 //
 //   - Record Shared(ver) with ver > rv_R, then the walk. R is pinned, so a
@@ -83,6 +90,15 @@
 //     probe is true, any holder while that node is the head has
 //     sv > head.TS > rv_R >= w and only pushes over it, and a node under the
 //     head is never written again: R walks an immutable chain.
+//
+// An install stores only the slots where the node's image differs from the
+// object's: a rewritten head keeps the slots the commits since its last
+// rewrite left alone, and a fresh node its zeros. That writes the same final
+// image a full copy does, so it adds no clause to the proof: no snapshot that
+// can read the Vals of a head being rewritten is live, and a fresh node is
+// unpublished until MVHead.Store. Rewriting the head of a large object of
+// which few slots changed since its last rewrite thus costs two loads per slot
+// and a store per changed slot, not a store per slot.
 //
 // GC() prunes under the anonymous claim and rewrites nothing.
 package mvstm
@@ -160,12 +176,12 @@ func (tx *Txn) pruneHorizon() pruning {
 // to the horizon once, for this install and the commit's later ones. At or
 // under it the saved image is the one a w-snapshot reads and the whole old
 // chain is dead (o.MVLen says how long it was): its head is rewritten in
-// place and whatever hung below it is cut off unread. Above it a live
-// snapshot may read the head, so a fresh node is linked over it, and only a
-// sweep install (one in gcEvery) looks for the newest node at or
-// under w to sever below it: on such an object the nodes were pushed from
-// other processors, and reading them at every install costs more than
-// keeping them a few commits longer.
+// place, in the slots whose value differs, and whatever hung below it is cut
+// off unread. Above it a live snapshot may read the head, so a fresh node is
+// linked over it, and only a sweep install (one in gcEvery) looks for the
+// newest node at or under w to sever below it: on such an object the nodes
+// were pushed from other processors, and reading them at every install costs
+// more than keeping them a few commits longer.
 func (tx *Txn) install(o *objmodel.Object, sv uint64, p *pruning) {
 	head := o.MVHead.Load()
 	if head != nil && sv > p.w && !p.fresh {
@@ -190,7 +206,9 @@ func (tx *Txn) install(o *objmodel.Object, sv uint64, p *pruning) {
 	}
 	n.TS.Store(sv)
 	for i := range n.Vals {
-		n.Vals[i].Store(o.LoadSlot(i))
+		if v := o.LoadSlot(i); n.Vals[i].Load() != v {
+			n.Vals[i].Store(v)
+		}
 	}
 	if n != head {
 		o.MVHead.Store(n)

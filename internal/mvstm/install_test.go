@@ -313,6 +313,133 @@ func TestAbortedAttemptDoesNotPin(t *testing.T) {
 	}
 }
 
+// parkSink is a commit sink whose first WaitDurable parks until resume is
+// closed; every other returns at once.
+type parkSink struct {
+	seq            atomic.Uint64
+	held           atomic.Bool
+	parked, resume chan struct{}
+}
+
+func (s *parkSink) AppendRedo(_, _ uint64, _ []stmapi.RedoWrite) (uint64, error) {
+	return s.seq.Add(1), nil
+}
+
+func (s *parkSink) WaitDurable(uint64) error {
+	if s.held.CompareAndSwap(false, true) {
+		close(s.parked)
+		<-s.resume
+	}
+	return nil
+}
+
+// TestCommittedAttemptDoesNotPin: a committed transaction waiting for its redo
+// record to be durable reads nothing more, so it holds no history back. A
+// commits a write to a 4096-slot array and parks in the sink's WaitDurable;
+// meanwhile the watermark passes A's snapshot, and of B's two commits to the
+// array the second finds the head B's first left dead and rewrites it in
+// place, where a pin at A's snapshot would have it push a fresh 4096-slot
+// node over it.
+func TestCommittedAttemptDoesNotPin(t *testing.T) {
+	f := newFixture(t, stmapi.CommonConfig{})
+	arr := f.heap.NewArray(4096, false)
+	sink := &parkSink{parked: make(chan struct{}), resume: make(chan struct{})}
+	f.rt.SetCommitSink(sink)
+	var rvA atomic.Uint64
+	done := make(chan error, 1)
+	go func() {
+		done <- f.rt.Atomic(func(stx stmapi.Txn) error {
+			rvA.Store(stx.(*Txn).RV)
+			stx.Write(arr, 0, 1)
+			return nil
+		})
+	}()
+	<-sink.parked
+	write := func(slot int) {
+		t.Helper()
+		if err := f.rt.Atomic(func(tx stmapi.Txn) error {
+			tx.Write(arr, slot, tx.Read(arr, slot)+1)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(1)
+	if w := f.rt.Watermark(); w <= rvA.Load() {
+		t.Errorf("watermark %d with the clock at %d: a committed transaction waiting on durability still pins its snapshot %d", w, f.rt.Clock.Load(), rvA.Load())
+	}
+	head := arr.MVHead.Load()
+	write(2)
+	if arr.MVHead.Load() != head || arr.MVLen != 1 {
+		t.Errorf("B's second install: head replaced = %v, MVLen = %d; want the head rewritten in place and 1", arr.MVHead.Load() != head, arr.MVLen)
+	}
+	close(sink.resume)
+	if err := <-done; err != nil {
+		t.Errorf("A returned %v after its durability wait, want nil", err)
+	}
+	f.rt.SetCommitSink(nil)
+}
+
+// TestInPlaceRewriteLeavesFullImage: a head rewritten in place holds the whole
+// image its commit overwrote, not only the slots that commit wrote. Each
+// commit writes different slots of a 64-slot array, so the image a commit
+// saves differs from the one already in the head in the slots the commit
+// before it wrote. A reader begins between two commits; once the second has
+// rewritten the head, the reader reads every slot off it, and each value must
+// be the one the model history holds at the reader's snapshot.
+func TestInPlaceRewriteLeavesFullImage(t *testing.T) {
+	f := newFixture(t, stmapi.CommonConfig{})
+	const slots, commits = 64, 200
+	arr := f.heap.NewArray(slots, false)
+	model := make([]uint64, slots)
+	written := func(k int) []int { return []int{3 * k % slots, (3*k + 1) % slots, (7*k + 5) % slots} }
+	commit := func(k int) {
+		t.Helper()
+		if err := f.rt.Atomic(func(tx stmapi.Txn) error {
+			for _, s := range written(k) {
+				tx.Write(arr, s, uint64(k*slots+s))
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range written(k) {
+			model[s] = uint64(k*slots + s)
+		}
+	}
+	commit(0) // the array's first install allocates its node
+	head := arr.MVHead.Load()
+	for k := 1; k < commits; k++ {
+		want := append([]uint64(nil), model...) // the state the reader's snapshot covers
+		begun, release := make(chan struct{}), make(chan struct{})
+		got := make(chan []uint64, 1)
+		go func() {
+			vals := make([]uint64, slots)
+			_ = f.rt.AtomicRead(func(tx stmapi.Txn) error {
+				close(begun)
+				<-release
+				for s := range vals {
+					vals[s] = tx.Read(arr, s)
+				}
+				return nil
+			})
+			got <- vals // unpinned now: the next commit may rewrite the head again
+		}()
+		<-begun
+		commit(k)
+		if arr.MVHead.Load() != head || arr.MVLen != 1 {
+			t.Fatalf("commit %d: head replaced or MVLen = %d, want the head rewritten in place and 1", k, arr.MVLen)
+		}
+		close(release)
+		vals := <-got
+		for s := range vals {
+			if vals[s] != want[s] {
+				t.Fatalf("commit %d: slot %d reads %d off the rewritten head, the model history holds %d", k, s, vals[s], want[s])
+			}
+		}
+	}
+}
+
 // TestPinnedReaderSurvivesInstallPrune is TestGCPinnedByLongReader against
 // pruning at install: a reader pinned at snapshot S keeps reading every
 // object at its S value while writers push thousands of versions over them

@@ -169,8 +169,9 @@ type Txn struct {
 	// allocation, and again whenever it returns to the pool — so a
 	// concurrent watermark scan can never race past a snapshot it did not
 	// see, then refined to RV at each begin (over-pinning is safe). Between
-	// a rollback and the next begin, when nothing is read, it is
-	// maxSnapshot: pinned nowhere. See gc.go for the full ordering argument.
+	// a rollback and the next begin, and from a commit's gate exit until
+	// the descriptor is pooled, when nothing is read, it is maxSnapshot:
+	// pinned nowhere. See gc.go for the full ordering argument.
 	snap atomic.Uint64
 
 	// readOnly marks an AtomicRead transaction: writes panic, commit takes
@@ -489,7 +490,10 @@ func (tx *Txn) Rollback() {
 // means a concurrent committer got there first), obtain the write version,
 // pass the commit point, push every written object's pre-image on its chain
 // and write the buffered slots back, release the records stamped with the
-// write version, and (in quiescence mode) wait out the attempts in flight.
+// write version, leave the gate and unpin the descriptor, and wait out the
+// durability of its redo record and (in quiescence mode) the attempts in
+// flight. A committed attempt reads nothing more, so neither wait holds
+// history back (gc.go).
 func (tx *Txn) Commit() (ok bool, err error) {
 	rt := tx.rt
 	if tx.readOnly || len(tx.Buf.Ents) == 0 {
@@ -571,8 +575,9 @@ func (tx *Txn) Commit() (ok bool, err error) {
 	// appended.
 	durSeq, durErr := tx.AppendBufferedRedo()
 
-	tx.ReleaseCommitted() // stamps every record with max(WV, sv+1), above the chain head's TS (sv)
-	rt.exitCommit(tx)     // records released: out of the gate before any wait
+	tx.ReleaseCommitted()      // stamps every record with max(WV, sv+1), above the chain head's TS (sv)
+	rt.exitCommit(tx)          // records released: out of the gate before any wait
+	tx.snap.Store(maxSnapshot) // reads nothing more: pinned nowhere through the waits
 	return true, tx.AwaitCommitted(durSeq, durErr)
 }
 

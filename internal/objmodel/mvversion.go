@@ -19,7 +19,9 @@ import "sync/atomic"
 // can be: a committer that finds the whole chain dead (at or under the
 // watermark) stores its pre-image and timestamp into the head instead of
 // allocating a node to replace it, so TS and Vals are atomics, as an object's
-// slots are. No snapshot that can still be live reads the image meanwhile,
+// slots are. It stores only the slots whose value differs from the head's, so
+// a rewrite costs what the commits since the last one changed, not what the
+// object holds. No snapshot that can still be live reads the image meanwhile,
 // and a concurrent load of TS decides the same way on the old value and the
 // new (internal/mvstm/gc.go has the argument). Readers that raced past a cut
 // still hold the detached tail through their local pointer, and Go's GC keeps
