@@ -7,23 +7,22 @@
 // Injection points sit at the stages of the commit protocol where an abort
 // is hardest to get right: around record acquisition, entering commit
 // validation, and inside the commit window before records are released.
-// Four actions are supported:
+// Three actions are supported in memory:
 //
 //	Delay   sleep at the point, widening race windows that are normally
 //	        nanoseconds long (the litmus programs' best friend)
 //	Abort   doom the attempt: the runtime runs its ordinary abort path
 //	        (undo-log replay / buffer discard, record release) and retries
-//	Crash   simulate the thread dying at the point: the runtime performs the
-//	        cleanup a managed runtime would perform for a crashed thread —
-//	        rolling back and releasing if before the commit point, finishing
-//	        the release if after — and then panics with Crash{}, which
-//	        propagates to the Atomic caller
 //	Orphan  simulate the thread dying with NO cleanup: the runtime marks the
 //	        descriptor dead and panics with OrphanError, leaving every
 //	        acquired record held and the undo log / write buffer in place.
 //	        The transaction's records stay Exclusive until a waiter steals
 //	        them inline or a sweep (stmapi.Runtime.ReapDead) reclaims them —
 //	        the failure mode the reclaimers exist to fix
+//
+// The runtimes ask txn.Txn.Fault at every in-memory point, which maps these
+// actions onto the protocol once. Kill, the fourth action, ends the process
+// inside Fire; the durability harness arms it at the WAL points.
 //
 // Determinism: every decision is a pure function of (Seed, point, arrival
 // index at that point). Two runs with the same seed and the same per-point
@@ -42,8 +41,8 @@ import (
 // Point is an injection site in a runtime's transaction lifecycle.
 type Point uint8
 
-// Injection points. Both runtimes fire the subset that exists in their
-// protocol (the eager runtime has no write-back, for instance).
+// Injection points. Each of the three runtimes fires the subset that exists
+// in its protocol (the eager runtime has no write-back, for instance).
 const (
 	// PreAcquire fires before each attempt to CAS a record to Exclusive.
 	PreAcquire Point = iota
@@ -55,8 +54,10 @@ const (
 	// but before its records are released (for the lazy runtime: after
 	// write-back, before release — the paper's Figure 4 window).
 	PostCommitPoint
-	// PreRelease fires before abort releases the records it rolled back
-	// under (the doom sites' common exit).
+	// PreRelease fires before the records are released: on the eager
+	// runtime on its abort path, before the undo log is replayed; on the
+	// lazy and multi-version runtimes inside the commit window, after
+	// write-back and PostCommitPoint.
 	PreRelease
 	// WALAppend fires before a commit's redo record is appended to the
 	// write-ahead log (internal/durable), while the commit still holds its
@@ -74,16 +75,12 @@ const (
 
 // Points lists the commit-protocol injection points in protocol order, for
 // callers arming a rule at each in-memory commit stage. The durability
-// points live in WALPoints; AllPoints is their concatenation.
+// points live in WALPoints.
 var Points = []Point{PreAcquire, PostAcquire, PreValidate, PostCommitPoint, PreRelease}
 
 // WALPoints lists the durability-layer injection points (internal/durable
 // fires them; the runtimes never do).
 var WALPoints = []Point{WALAppend, WALFsync, WALRename}
-
-// AllPoints is every injection point: the commit protocol's five followed
-// by the WAL's three.
-var AllPoints = append(append([]Point{}, Points...), WALPoints...)
 
 var pointNames = [NumPoints]string{
 	"pre-acquire", "post-acquire", "pre-validate", "post-commit-point", "pre-release",
@@ -105,7 +102,6 @@ const (
 	None Action = iota
 	Delay
 	Abort
-	Crash
 	Orphan
 
 	// Kill terminates the whole process at the point — no cleanup, no
@@ -126,8 +122,6 @@ func (a Action) String() string {
 		return "delay"
 	case Abort:
 		return "abort"
-	case Crash:
-		return "crash"
 	case Orphan:
 		return "orphan"
 	case Kill:
@@ -161,22 +155,10 @@ var KillProcess = func() {
 	os.Exit(137)
 }
 
-// CrashError is the panic value raised at a Crash injection. It unwinds
-// through the runtime's cleanup (which releases every owned record first)
-// to the Atomic caller.
-type CrashError struct {
-	Point Point
-	Txn   uint64
-}
-
-func (c CrashError) Error() string {
-	return fmt.Sprintf("faultinject: injected crash at %v (txn %d)", c.Point, c.Txn)
-}
-
-// OrphanError is the panic value raised at an Orphan injection. Unlike
-// CrashError nothing is cleaned up first: the descriptor is marked dead and
-// abandoned with its records still Exclusive. Waiters stay blocked until the
-// reaper (or a stealing waiter) reclaims them.
+// OrphanError is the panic value raised at an Orphan injection. Nothing is
+// cleaned up first: the descriptor is marked dead and abandoned with its
+// records still Exclusive. Waiters stay blocked until the reaper (or a
+// stealing waiter) reclaims them.
 type OrphanError struct {
 	Point Point
 	Txn   uint64
@@ -241,8 +223,8 @@ func splitmix64(x uint64) uint64 {
 }
 
 // Fire evaluates the point's rules against this arrival and performs any
-// Delay itself; the caller maps Abort and Crash onto its own abort/cleanup
-// machinery (only the runtime knows how to roll back from each stage).
+// Delay (and Kill) itself; the caller maps Abort and Orphan onto the
+// protocol (txn.Txn.Fault for the in-memory points).
 // With no rule armed on the point it costs one atomic add.
 func (in *Injector) Fire(p Point, txID uint64) Action {
 	n := in.arrivals[p].Add(1) - 1

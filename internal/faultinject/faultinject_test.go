@@ -67,7 +67,7 @@ func TestRateIsDeterministicPerSeed(t *testing.T) {
 }
 
 func TestUnarmedPointIsNone(t *testing.T) {
-	in := New(0, Rule{Point: PreAcquire, Action: Crash})
+	in := New(0, Rule{Point: PreAcquire, Action: Orphan})
 	if a := in.Fire(PostCommitPoint, 1); a != None {
 		t.Fatalf("unarmed point fired %v", a)
 	}
@@ -79,12 +79,12 @@ func TestUnarmedPointIsNone(t *testing.T) {
 func TestFirstMatchingRuleWins(t *testing.T) {
 	in := New(0,
 		Rule{Point: PreRelease, Action: Abort, Every: 2},
-		Rule{Point: PreRelease, Action: Crash}) // always fires when reached
+		Rule{Point: PreRelease, Action: Orphan}) // always fires when reached
 	if a := in.Fire(PreRelease, 1); a != Abort {
 		t.Fatalf("arrival 0: got %v, want Abort (first rule)", a)
 	}
-	if a := in.Fire(PreRelease, 1); a != Crash {
-		t.Fatalf("arrival 1: got %v, want Crash (second rule)", a)
+	if a := in.Fire(PreRelease, 1); a != Orphan {
+		t.Fatalf("arrival 1: got %v, want Orphan (second rule)", a)
 	}
 }
 

@@ -2,10 +2,8 @@ package lazystm
 
 // Fault-injection tests for the lazy runtime: injected aborts in the
 // commit-time acquire/validate sequence must discard buffers and restore
-// records; injected crashes must perform stage-appropriate cleanup; a crash
-// inside the Figure 4 window must end its attempt so no quiescing committer
-// stalls behind it (those two through txntest, where the multi-version
-// runtime runs them too).
+// records. An injected death is an orphan; its checks are in
+// recovery_test.go and internal/litmus.
 
 import (
 	"sync"
@@ -14,7 +12,6 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/objmodel"
 	"repro/internal/stmapi"
-	"repro/internal/txn/txntest"
 	"repro/internal/txrec"
 )
 
@@ -91,13 +88,4 @@ func TestInjectedAbortsPreserveInvariants(t *testing.T) {
 			}
 		})
 	}
-}
-
-// Crash cleanup per stage and in the commit window is the kernel's
-// commit-time protocol; the bodies are in txntest.
-func TestInjectedCrashCleansUpPerStage(t *testing.T) {
-	txntest.InjectedCrashCleansUpPerStage(t, "lazy")
-}
-func TestCrashInCommitWindowDoesNotStallOrdering(t *testing.T) {
-	txntest.CrashInCommitWindowDoesNotStallOrdering(t, "lazy")
 }

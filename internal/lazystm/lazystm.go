@@ -217,10 +217,9 @@ func (tx *Txn) Commit() (ok bool, err error) {
 		return false, nil
 	}
 	// The write version is obtained before the commit point, so every
-	// release past here — normal, crash branch, or reaper-completed — stamps
-	// records with tx.WV. Transactions holding records without buffered
-	// writes (pessimistic read locks only) release values unchanged and need
-	// none.
+	// release past here — normal or reaper-completed — stamps records with
+	// tx.WV. Transactions holding records without buffered writes
+	// (pessimistic read locks only) release values unchanged and need none.
 	if vok, bad := tx.ValidateCommit(len(ents) > 0); !vok {
 		if tx.Irrevocable {
 			// Structurally impossible: every read-set entry has been

@@ -153,10 +153,20 @@ func orphanRules(kind string, p faultinject.Point) []faultinject.Rule {
 	return rules
 }
 
+// pastCommitPoint reports whether an orphan dead at p on runtime kind has
+// committed: PostCommitPoint everywhere, and PreRelease on the
+// deferred-update runtimes, which fire it inside the commit window (eager's
+// is on its abort path).
+func pastCommitPoint(kind string, p faultinject.Point) bool {
+	return p == faultinject.PostCommitPoint || p == faultinject.PreRelease && kind != "eager"
+}
+
 // TestOrphanReclaimedAtEveryPoint kills the owner at each of the five
 // commit-protocol points on every registered runtime and checks the full
-// recovery contract: one reap, records Shared, balances conserved, and a
-// subsequent writer over the same accounts commits promptly.
+// recovery contract: one reap, records Shared, balances conserved, the
+// orphan's transfer applied iff it died past its commit point, no attempt
+// left in flight, and a subsequent writer over the same accounts commits
+// promptly.
 func TestOrphanReclaimedAtEveryPoint(t *testing.T) {
 	underEachPolicy(t, func(t *testing.T) {
 		for _, kind := range stmapi.Runtimes() {
@@ -176,6 +186,16 @@ func TestOrphanReclaimedAtEveryPoint(t *testing.T) {
 						t.Fatalf("reaped %d transactions, want 1", n)
 					}
 					rig.checkInvariants(t)
+					want := uint64(crashInitBal)
+					if pastCommitPoint(kind, p) {
+						want -= 5
+					}
+					if got := rig.accts[0].LoadSlot(0); got != want {
+						t.Errorf("account 0 = %d after reclaim, want %d", got, want)
+					}
+					if n := rig.rt.ActiveTransactions(); n != 0 {
+						t.Errorf("active transactions = %d after reclaim, want 0", n)
+					}
 					// Waiters must be unblocked: a transfer over the same two
 					// accounts has to commit without help.
 					done := make(chan error, 1)

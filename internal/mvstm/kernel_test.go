@@ -21,14 +21,8 @@ func TestPoliciesPreserveInvariantsUnderContention(t *testing.T) {
 	txntest.PoliciesPreserveInvariants(t, "mvstm")
 }
 
-// The commit-time protocol's fault and orphan checks; on this runtime each
-// also requires the commit gate to come out empty.
-func TestInjectedCrashCleansUpPerStage(t *testing.T) {
-	txntest.InjectedCrashCleansUpPerStage(t, "mvstm")
-}
-func TestCrashInCommitWindowDoesNotStallOrdering(t *testing.T) {
-	txntest.CrashInCommitWindowDoesNotStallOrdering(t, "mvstm")
-}
+// The commit-time protocol's orphan checks; on this runtime each also
+// requires the commit gate to come out empty.
 func TestReaperRestoresOrphanedRecord(t *testing.T) {
 	txntest.ReaperRestoresOrphanedRecord(t, "mvstm")
 }

@@ -531,8 +531,8 @@ func (tx *Txn) Commit() (ok bool, err error) {
 	}
 
 	// Obtain the write version before the commit point so every release
-	// path — normal, crash branch, or a reaper completing an orphan — stamps
-	// the same version.
+	// path — normal or a reaper completing an orphan — stamps the same
+	// version.
 	tx.Stamp()
 
 	// ----- commit point: the transaction is now serialized. -----
@@ -565,7 +565,7 @@ func (tx *Txn) Commit() (ok bool, err error) {
 	}
 
 	if tx.FI != nil {
-		tx.FireCommitted() // a crash unwinds through the deferred gate exit
+		tx.FireCommitted() // an orphan unwinds through the deferred gate exit
 	}
 
 	// The redo image goes to the commit sink while the write-back is done

@@ -2,12 +2,11 @@ package stm
 
 // Fault-injection tests: inject aborts at every doom site under concurrency
 // and assert the invariants that make abort safe — no lost undo entries
-// (money is conserved), records return to Shared, quiescence never hangs —
-// and inject crashes at each point asserting the stage-appropriate cleanup.
+// (money is conserved), records return to Shared, quiescence never hangs.
+// An injected death is an orphan; its checks are in recovery_test.go and
+// internal/litmus.
 
 import (
-	"errors"
-	"fmt"
 	"sync"
 	"testing"
 
@@ -124,103 +123,6 @@ func TestInjectedAbortsWithQuiescenceNeverHang(t *testing.T) {
 	}
 	if n := f.rt.ActiveTransactions(); n != 0 {
 		t.Fatalf("active transactions = %d, want 0", n)
-	}
-}
-
-func TestInjectedCrashCleansUpPerStage(t *testing.T) {
-	crashPoints := []struct {
-		point     faultinject.Point
-		committed bool // effects durable after the crash?
-	}{
-		{faultinject.PreAcquire, false},
-		{faultinject.PostAcquire, false},
-		{faultinject.PreValidate, false},
-		{faultinject.PostCommitPoint, true},
-	}
-	for _, c := range crashPoints {
-		t.Run(c.point.String(), func(t *testing.T) {
-			f := newFixture(t, stmapi.CommonConfig{})
-			f.rt.SetInjector(faultinject.New(1, faultinject.Rule{
-				Point: c.point, Action: faultinject.Crash,
-			}))
-			o := f.newCell()
-			o.StoreSlot(0, 10)
-			err := func() (err error) {
-				defer func() {
-					if r := recover(); r != nil {
-						ce, ok := r.(faultinject.CrashError)
-						if !ok {
-							panic(r)
-						}
-						err = ce
-					}
-				}()
-				return f.rt.Atomic(func(tx stmapi.Txn) error {
-					tx.Write(o, 0, 20)
-					return nil
-				})
-			}()
-			var ce faultinject.CrashError
-			if !errors.As(err, &ce) || ce.Point != c.point {
-				t.Fatalf("err = %v, want CrashError at %v", err, c.point)
-			}
-			if w := o.Rec.Load(); !txrec.IsShared(w) {
-				t.Fatalf("record %#x not released after crash", w)
-			}
-			want := uint64(10)
-			if c.committed {
-				want = 20
-			}
-			if got := o.LoadSlot(0); got != want {
-				t.Fatalf("slot 0 = %d, want %d", got, want)
-			}
-			if n := f.rt.ActiveTransactions(); n != 0 {
-				t.Fatalf("active transactions = %d, want 0", n)
-			}
-			// The record must be usable by later transactions.
-			f.rt.SetInjector(nil)
-			if err := f.rt.Atomic(func(tx stmapi.Txn) error {
-				tx.Write(o, 1, 1)
-				return nil
-			}); err != nil {
-				t.Fatalf("post-crash transaction: %v", err)
-			}
-		})
-	}
-}
-
-func TestInjectedCrashOnAbortPath(t *testing.T) {
-	f := newFixture(t, stmapi.CommonConfig{})
-	f.rt.SetInjector(faultinject.New(1, faultinject.Rule{
-		Point: faultinject.PreRelease, Action: faultinject.Crash,
-	}))
-	o := f.newCell()
-	o.StoreSlot(0, 10)
-	boom := fmt.Errorf("user abort")
-	err := func() (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				ce, ok := r.(faultinject.CrashError)
-				if !ok {
-					panic(r)
-				}
-				err = ce
-			}
-		}()
-		return f.rt.Atomic(func(tx stmapi.Txn) error {
-			tx.Write(o, 0, 20)
-			return boom // abort path: PreRelease fires inside abort()
-		})
-	}()
-	var ce faultinject.CrashError
-	if !errors.As(err, &ce) || ce.Point != faultinject.PreRelease {
-		t.Fatalf("err = %v, want CrashError at pre-release", err)
-	}
-	if w := o.Rec.Load(); !txrec.IsShared(w) {
-		t.Fatalf("record %#x not released after abort-path crash", w)
-	}
-	if got := o.LoadSlot(0); got != 10 {
-		t.Fatalf("slot 0 = %d, want 10 (rolled back)", got)
 	}
 }
 

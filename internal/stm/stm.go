@@ -208,28 +208,6 @@ func (tx *Txn) maybePublish(o *objmodel.Object, slot int, v uint64) {
 	tx.rt.Heap().PublishRef(objmodel.Ref(v))
 }
 
-// inject fires the fault injector at point p of a write's record
-// acquisition on o. Abort restarts through the ordinary path (which replays
-// any undo entry already logged and releases with a version bump); Crash
-// simulates thread death, which the atomic loop's recover cleans up after
-// exactly as a managed runtime does for a dead thread; Orphan dies with no
-// cleanup at all, leaving the records held for a reaper or a waiting
-// contender to steal. An irrevocable transaction can do none of these.
-func (tx *Txn) inject(p faultinject.Point, o *objmodel.Object) {
-	switch tx.FI.Fire(p, tx.ID()) {
-	case faultinject.Abort:
-		if !tx.Irrevocable {
-			tx.RestartOn(uint64(o.Ref()))
-		}
-	case faultinject.Crash:
-		if !tx.Irrevocable {
-			panic(faultinject.CrashError{Point: p, Txn: tx.ID()})
-		}
-	case faultinject.Orphan:
-		tx.Die(p)
-	}
-}
-
 // Write opens object o for writing at slot and stores v in place
 // (open-for-write with strict two-phase locking and eager versioning).
 func (tx *Txn) Write(o *objmodel.Object, slot int, v uint64) {
@@ -253,8 +231,8 @@ func (tx *Txn) Write(o *objmodel.Object, slot int, v uint64) {
 			tx.ConflictWait(o, conflict.TxnWrite, attempt, w)
 			continue
 		default: // shared: acquire
-			if tx.FI != nil {
-				tx.inject(faultinject.PreAcquire, o)
+			if tx.FI != nil && tx.Fault(faultinject.PreAcquire) {
+				tx.RestartOn(uint64(o.Ref()))
 			}
 			if !tx.Acquire(o, w) {
 				continue
@@ -275,9 +253,9 @@ func (tx *Txn) Write(o *objmodel.Object, slot int, v uint64) {
 		if tr := tx.Tr; tr != nil {
 			tr.Record(trace.EvWrite, tx.ID(), uint64(o.Ref()), slot, ver)
 		}
-		if tx.FI != nil && acquired {
-			// The record is ours and the old value is logged.
-			tx.inject(faultinject.PostAcquire, o)
+		// The record is ours and the old value is logged.
+		if tx.FI != nil && acquired && tx.Fault(faultinject.PostAcquire) {
+			tx.RestartOn(uint64(o.Ref()))
 		}
 		return
 	}
@@ -324,17 +302,10 @@ func (tx *Txn) rollback() {
 // Rollback implements txn.Strategy: replay the whole undo log and release
 // every record with a version bump.
 func (tx *Txn) Rollback() {
-	if fi := tx.FI; fi != nil {
-		switch fi.Fire(faultinject.PreRelease, tx.ID()) {
-		case faultinject.Crash:
-			// Crash on the abort path itself: complete the cleanup so every
-			// owned record is released, then surface the crash.
-			tx.Crash(faultinject.PreRelease)
-		case faultinject.Orphan:
-			// Dies entering its own rollback: nothing is undone or released;
-			// the reaper replays the whole undo log.
-			tx.Die(faultinject.PreRelease)
-		}
+	if tx.FI != nil {
+		// An orphan dies entering its own rollback: nothing is undone or
+		// released; the reaper replays the whole undo log.
+		tx.Fault(faultinject.PreRelease)
 	}
 	tx.rollback()
 }
@@ -356,23 +327,10 @@ func (tx *Txn) Commit() (ok bool, err error) {
 	if tx.Doomed() && !tx.Irrevocable {
 		return false, nil
 	}
-	if fi := tx.FI; fi != nil {
-		switch fi.Fire(faultinject.PreValidate, tx.ID()) {
-		case faultinject.Abort:
-			if !tx.Irrevocable {
-				return false, nil
-			}
-		case faultinject.Crash:
-			if !tx.Irrevocable {
-				// Thread dies entering validation: roll back and release
-				// everything (the managed-runtime cleanup), then surface it.
-				tx.Crash(faultinject.PreValidate)
-			}
-		case faultinject.Orphan:
-			// Dies entering validation with every write still in place and
-			// every record still Exclusive: the canonical orphan.
-			tx.Die(faultinject.PreValidate)
-		}
+	// An orphan dies entering validation with every write still in place and
+	// every record still Exclusive: the canonical orphan.
+	if tx.FI != nil && tx.Fault(faultinject.PreValidate) {
+		return false, nil
 	}
 	// A write version is needed by a commit that stored in place to a shared
 	// object, and by a durable runtime (as the redo record's LSN) for any
@@ -388,19 +346,10 @@ func (tx *Txn) Commit() (ok bool, err error) {
 		return false, nil
 	}
 	tx.CommitPoint()
-	if fi := tx.FI; fi != nil {
-		switch fi.Fire(faultinject.PostCommitPoint, tx.ID()) {
-		case faultinject.Crash:
-			// Past the commit point the transaction is logically committed; a
-			// dying thread's records are released exactly as commit would have
-			// released them, never rolled back.
-			tx.releaseCommitted()
-			tx.CrashCommitted(faultinject.PostCommitPoint)
-		case faultinject.Orphan:
-			// Dies just past the commit point still holding every record: the
-			// reaper must finish the release (no rollback — it committed).
-			tx.Die(faultinject.PostCommitPoint)
-		}
+	if tx.FI != nil {
+		// An orphan dies just past the commit point still holding every
+		// record: the reaper finishes the release (no rollback: it committed).
+		tx.Fault(faultinject.PostCommitPoint)
 	}
 	// Eager versioning wrote in place, so the current slot values under the
 	// undo spans ARE the redo image.

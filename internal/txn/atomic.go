@@ -145,18 +145,18 @@ func (k *Kernel) Run(ctx context.Context, irrevFrom int, body func(*Txn) error) 
 		switch sig {
 		case 0:
 			if err != nil {
-				tx.Abort()
+				tx.abort()
 				return err
 			}
 			committed, cerr := tx.self.Commit()
 			if committed {
 				return cerr
 			}
-			tx.Abort()
+			tx.abort()
 		case sigRestart:
-			tx.Abort()
+			tx.abort()
 		case sigRetry:
-			tx.Abort()
+			tx.abort()
 			// The read set survives abort (begin resets it on the next
 			// attempt), so the runtime waits on it in place instead of
 			// copying it into a fresh snapshot on every retry.
@@ -164,7 +164,7 @@ func (k *Kernel) Run(ctx context.Context, irrevFrom int, body func(*Txn) error) 
 				return werr
 			}
 		case sigCancel:
-			tx.Abort()
+			tx.abort()
 			if ctx != nil {
 				return ctx.Err()
 			}
@@ -207,7 +207,7 @@ func (tx *Txn) run(body func(*Txn) error, irrevocable, escalated bool) (err erro
 		// A genuine fault in a consistent transaction: abort (roll back and
 		// release every owned record) before propagating, so other threads
 		// are not left blocking on records owned by a dead transaction.
-		tx.Abort()
+		tx.abort()
 		panic(r)
 	}()
 	if irrevocable {
@@ -216,10 +216,9 @@ func (tx *Txn) run(body func(*Txn) error, irrevocable, escalated bool) (err erro
 	return body(tx), 0
 }
 
-// Abort rolls the attempt back and does the bookkeeping of an abort of any
-// cause. The atomic loop calls it; runtimes call it from injected-crash
-// branches that must clean up before surfacing the crash.
-func (tx *Txn) Abort() {
+// abort rolls the attempt back and does the bookkeeping of an abort of any
+// cause.
+func (tx *Txn) abort() {
 	tx.self.Rollback()
 	// Work invested by the failed attempt converts into priority for the
 	// next one (Karma-style policies): reads and writes not yet flushed
@@ -245,25 +244,19 @@ func (tx *Txn) Abort() {
 	tx.flushStats()
 }
 
-// Crash completes a simulated thread death (faultinject.Crash) at p before
-// the commit point: with injection disarmed (the cleanup must not re-fire
-// it) the attempt is aborted — the cleanup a managed runtime performs for a
-// dead thread — and the crash is surfaced.
-func (tx *Txn) Crash(p faultinject.Point) {
-	tx.FI = nil
-	tx.Abort()
-	panic(faultinject.CrashError{Point: p, Txn: tx.id})
-}
-
-// CrashCommitted is Crash past the commit point: the transaction is
-// logically committed and the caller has released its records exactly as
-// commit would have, so it is accounted as a commit, never rolled back, and
-// surrenders the irrevocable token as Committed does.
-func (tx *Txn) CrashCommitted(p faultinject.Point) {
-	tx.k.Counters.Commits.AddShard(int(tx.id), 1)
-	tx.dropIrrevocable()
-	tx.flushStats()
-	panic(faultinject.CrashError{Point: p, Txn: tx.id})
+// Fault fires the injector at point p of the commit protocol, the one place
+// an injected action meets it. true means the attempt must fail: an Abort
+// fired and the transaction is not irrevocable; the caller takes its
+// ordinary failure step. An Orphan dies here with no cleanup (Die), and a
+// Delay has already slept. Callers guard it with FI != nil.
+func (tx *Txn) Fault(p faultinject.Point) bool {
+	switch tx.FI.Fire(p, tx.id) {
+	case faultinject.Abort:
+		return !tx.Irrevocable
+	case faultinject.Orphan:
+		tx.Die(p)
+	}
+	return false
 }
 
 // Die terminates the goroutine's transactional life with no cleanup

@@ -161,30 +161,18 @@ func (d *Deferred) LockWriteSet(limit uint64) bool {
 
 // fire fires the fault injector at point p, before the commit point, with o
 // (nil at PreValidate) the object being acquired. false means the commit
-// must fail: the records are restored and o is blamed. Crash simulates
-// thread death — nothing has reached shared memory, so the records are
-// restored unchanged before the crash surfaces; Orphan dies holding
-// whatever it acquired so far (Owned records it) until a reaper steals it.
-// An irrevocable transaction can do neither Abort nor Crash.
+// must fail: the records are restored and o is blamed. An orphan dies
+// holding whatever it acquired so far (Owned records it) until a reaper
+// steals it.
 func (d *Deferred) fire(p faultinject.Point, o *objmodel.Object) bool {
-	switch d.FI.Fire(p, d.id) {
-	case faultinject.Abort:
-		if !d.Irrevocable {
-			if o != nil {
-				d.Blame = uint64(o.Ref())
-			}
-			d.Release(false)
-			return false
-		}
-	case faultinject.Crash:
-		if !d.Irrevocable {
-			d.Release(false)
-			d.Crash(p)
-		}
-	case faultinject.Orphan:
-		d.Die(p)
+	if !d.Fault(p) {
+		return true
 	}
-	return true
+	if o != nil {
+		d.Blame = uint64(o.Ref())
+	}
+	d.Release(false)
+	return false
 }
 
 // Serialize passes the commit point. The commit window opens here, so the
@@ -199,21 +187,14 @@ func (d *Deferred) Serialize() {
 }
 
 // FireCommitted fires the two fault points inside the Figure 4 window:
-// logically committed, write-back done, records still held. A crashing
-// thread's cleanup releases at the write version, and its attempt ends as
-// it unwinds; an orphan dies with NO cleanup, in flight until the reaper
-// releases it, or a quiescing committer reaps it inline. Callers guard it
-// with FI != nil like every other injection point.
+// logically committed, write-back done, records still held. An Abort there
+// is ignored (the transaction has committed); an orphan dies with NO
+// cleanup, in flight until a reaper releases it at the write version, or a
+// quiescing committer reaps it inline. Callers guard it with FI != nil like
+// every other injection point.
 func (d *Deferred) FireCommitted() {
-	for _, p := range [...]faultinject.Point{faultinject.PostCommitPoint, faultinject.PreRelease} {
-		switch d.FI.Fire(p, d.id) {
-		case faultinject.Crash:
-			d.Release(true)
-			d.CrashCommitted(p)
-		case faultinject.Orphan:
-			d.Die(p)
-		}
-	}
+	d.Fault(faultinject.PostCommitPoint)
+	d.Fault(faultinject.PreRelease)
 }
 
 // ReleaseCommitted ends the commit window: release at the write version and

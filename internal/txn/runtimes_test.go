@@ -326,13 +326,14 @@ func TestHeapDoesNotRetainRuntimes(t *testing.T) {
 	}
 }
 
-// TestIrrevocableCrashPastCommitPointFreesToken: an irrevocable transaction
-// whose thread crashes past its commit point is a commit, and like one it
-// surrenders the irrevocable token; the next irrevocable transaction, and on
-// mvstm every writer (its commit gate waits out a token holder), would
-// otherwise wait forever. Eager fires only PostCommitPoint there: its
+// TestIrrevocableOrphanPastCommitPointFreesToken: an irrevocable transaction
+// whose thread dies past its commit point is a commit, and it dies holding
+// the irrevocable token. The next irrevocable transaction reaps it inline
+// while it waits for the token, and on mvstm every writer (its commit gate
+// waits out a token holder) does too; either would otherwise wait forever.
+// The reap surrenders the token. Eager fires only PostCommitPoint there: its
 // PreRelease is on the abort path.
-func TestIrrevocableCrashPastCommitPointFreesToken(t *testing.T) {
+func TestIrrevocableOrphanPastCommitPointFreesToken(t *testing.T) {
 	for _, name := range stmapi.Runtimes() {
 		points := []faultinject.Point{faultinject.PostCommitPoint, faultinject.PreRelease}
 		if name == "eager" {
@@ -342,21 +343,25 @@ func TestIrrevocableCrashPastCommitPointFreesToken(t *testing.T) {
 			t.Run(name+"/"+p.String(), func(t *testing.T) {
 				f := txntest.New(t, name, stmapi.CommonConfig{})
 				rt, o := f.Runtime(), f.NewCell()
-				rt.SetInjector(faultinject.New(1, faultinject.Rule{Point: p, Action: faultinject.Crash}))
 				write := func(v uint64) func(stmapi.Txn) error {
 					return func(tx stmapi.Txn) error { tx.Write(o, 0, v); return nil }
 				}
-				func() {
-					defer func() {
-						if ce, ok := recover().(faultinject.CrashError); !ok || ce.Point != p {
-							t.Fatalf("the irrevocable commit did not crash at %v", p)
-						}
-					}()
-					_ = rt.AtomicIrrevocable(write(1))
+				rt.SetInjector(faultinject.New(1, faultinject.Rule{Point: p, Action: faultinject.Orphan}))
+				var id uint64
+				died := make(chan any, 1)
+				go func() {
+					defer func() { died <- recover() }()
+					_ = rt.AtomicIrrevocable(func(tx stmapi.Txn) error {
+						id = tx.ID()
+						return write(1)(tx)
+					})
 				}()
+				if oe, ok := (<-died).(faultinject.OrphanError); !ok || oe.Point != p {
+					t.Fatalf("the irrevocable commit did not die at %v", p)
+				}
 				rt.SetInjector(nil)
-				if id := kernelOf(rt).IrrevocableHolder(); id != 0 {
-					t.Errorf("the token is still held by the crashed transaction %d", id)
+				if holder := kernelOf(rt).IrrevocableHolder(); holder != id {
+					t.Fatalf("token holder %d, want the orphan %d", holder, id)
 				}
 				for _, next := range []struct {
 					kind   string
@@ -370,8 +375,14 @@ func TestIrrevocableCrashPastCommitPointFreesToken(t *testing.T) {
 							t.Fatal(err)
 						}
 					case <-time.After(2 * time.Second):
-						t.Fatalf("the next %s writer stalled behind the crashed token holder", next.kind)
+						t.Fatalf("the next %s writer stalled behind the dead token holder", next.kind)
 					}
+				}
+				if holder := kernelOf(rt).IrrevocableHolder(); holder != 0 {
+					t.Errorf("the token is still held by %d", holder)
+				}
+				if n := rt.Stats().ReaperSteals; n != 1 {
+					t.Errorf("ReaperSteals = %d, want 1", n)
 				}
 				if got := o.LoadSlot(0); got != 2 {
 					t.Errorf("slot 0 = %d, want 2", got)
@@ -428,8 +439,8 @@ func TestRuntimeCapabilities(t *testing.T) {
 // runtime alike: one parked in its body, and on a deferred-update runtime one
 // parked past its commit point, whose write-back is then in memory. A deadline
 // abandons the wait, not the commit, and stalls nothing after it; an orphan in
-// flight is reaped by the waiting committer itself; with Quiescence off nobody
-// waits.
+// flight, in its body or in its commit window, is reaped by the waiting
+// committer itself; with Quiescence off nobody waits.
 func TestQuiescenceIsAGracePeriod(t *testing.T) {
 	where := map[bool]string{false: "body", true: "commit window"}
 	for _, name := range stmapi.Runtimes() {
@@ -484,15 +495,27 @@ func TestQuiescenceIsAGracePeriod(t *testing.T) {
 			within(t, commitAsync(f, z, 3), "a commit after the abandoned wait stalled")
 		})
 		t.Run(name+"/reaps an orphan in flight inline", func(t *testing.T) {
-			f := txntest.New(t, name, stmapi.CommonConfig{Quiescence: true})
-			x, y := f.NewCell(), f.NewCell()
-			orphan(t, f, x, faultinject.PostAcquire)
-			within(t, commitAsync(f, y, 1), "commit stalled on an orphan with no reaper running")
-			if w := x.Rec.Load(); !txrec.IsShared(w) || x.LoadSlot(0) != 0 {
-				t.Errorf("orphan's record %#x, slot %d: want Shared and rolled back", w, x.LoadSlot(0))
+			// Dead before its commit point the orphan is rolled back; dead
+			// in the commit window, which eager does not have, its write
+			// stands.
+			deaths := []struct {
+				p    faultinject.Point
+				want uint64
+			}{{faultinject.PostAcquire, 0}, {faultinject.PostCommitPoint, 9}}
+			if name == "eager" {
+				deaths = deaths[:1]
 			}
-			if n := f.Runtime().Stats().ReaperSteals; n != 1 {
-				t.Errorf("ReaperSteals = %d, want 1", n)
+			for _, d := range deaths {
+				f := txntest.New(t, name, stmapi.CommonConfig{Quiescence: true})
+				x, y := f.NewCell(), f.NewCell()
+				orphan(t, f, x, d.p)
+				within(t, commitAsync(f, y, 1), "commit stalled on an orphan dead at "+d.p.String()+" with no reaper running")
+				if w := x.Rec.Load(); !txrec.IsShared(w) || x.LoadSlot(0) != d.want {
+					t.Errorf("%v: orphan's record %#x, slot %d: want Shared holding %d", d.p, w, x.LoadSlot(0), d.want)
+				}
+				if n := f.Runtime().Stats().ReaperSteals; n != 1 {
+					t.Errorf("%v: ReaperSteals = %d, want 1", d.p, n)
+				}
 			}
 		})
 		t.Run(name+"/without Quiescence nobody waits", func(t *testing.T) {

@@ -383,8 +383,8 @@ func (k *Kernel) getTxn(ctx context.Context) *Txn {
 // their next incarnation), and returns it to the pool — unless the
 // transaction died: a dead descriptor's records are (or will be) reclaimed
 // by a reaper, which must find its write set intact, so it is retired, never
-// reused. A panic past the commit point (a simulated crash in the commit
-// window) unwinds through here without Committed, so the attempt ends here.
+// reused. A panic out of Commit (a sink's, say) unwinds through here
+// without Committed, so the attempt ends here.
 func (k *Kernel) putTxn(tx *Txn) {
 	if tx.dead.Load() {
 		return
