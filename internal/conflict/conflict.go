@@ -5,9 +5,10 @@
 // Per Section 3.2, the default manager "backs off and returns so that the
 // barriers retry"; alternatively conflicts "could signal a race by throwing
 // an exception or breaking to the debugger", which is how isolation
-// barriers can aid in debugging concurrent programs. All three policies are
-// available here: exponential backoff, a panic policy, and a reporting
-// policy that records each conflict for later inspection.
+// barriers can aid in debugging concurrent programs. Both are here: Backoff,
+// the default, and Panic, which surfaces the race. ByName also builds the
+// two arbitrating policies a transaction can resolve a conflict with,
+// Timestamp (older wins) and Karma (accumulated work wins).
 package conflict
 
 import (
@@ -24,11 +25,10 @@ type Kind uint8
 
 // Conflict kinds.
 const (
-	NonTxnRead    Kind = iota // non-transactional read barrier
-	NonTxnWrite               // non-transactional write barrier
-	TxnRead                   // transactional open-for-read
-	TxnWrite                  // transactional open-for-write
-	TxnValidation             // read-set validation failure (clock-stale abort)
+	NonTxnRead  Kind = iota // non-transactional read barrier
+	NonTxnWrite             // non-transactional write barrier
+	TxnRead                 // transactional open-for-read
+	TxnWrite                // transactional open-for-write
 )
 
 func (k Kind) String() string {
@@ -41,8 +41,6 @@ func (k Kind) String() string {
 		return "txn-read"
 	case TxnWrite:
 		return "txn-write"
-	case TxnValidation:
-		return "txn-validation"
 	default:
 		return fmt.Sprintf("Kind(%d)", uint8(k))
 	}
@@ -89,7 +87,7 @@ type Handler interface {
 // converge on the same object, so a single shared counter here would
 // serialize exactly the threads that are already contending.
 type Stats struct {
-	counts [5]stats.Counter
+	counts [4]stats.Counter
 }
 
 // Count returns the number of conflicts of kind k handled so far.
@@ -105,19 +103,6 @@ func (s *Stats) Total() int64 {
 }
 
 func (s *Stats) record(k Kind) { s.counts[k].Add(1) }
-
-// StaleObserver is implemented by handlers or policies that want to see
-// validation failures. Unlike the Handler conflicts — where a thread meets
-// a record someone else owns and can wait — a validation failure means the
-// observing transaction is already doomed to abort: the runtime reports it
-// (Kind TxnValidation, Obj the first inconsistent object, Record its
-// current word) and restarts regardless of any decision. Observers use the
-// signal for attribution: under commit-clock validation these clock-stale
-// aborts are exactly the cost of sharing a heap with writers, so a policy
-// can feed them into the same priority accounting as ordinary conflicts.
-type StaleObserver interface {
-	ObserveValidationAbort(Info)
-}
 
 // Backoff is the default handler: it counts the conflict and waits
 // WaitAttempt(info.Attempt). It is safe for concurrent use.

@@ -1,10 +1,8 @@
 package stm
 
 import (
-	"sync"
 	"testing"
 
-	"repro/internal/conflict"
 	"repro/internal/stmapi"
 )
 
@@ -123,63 +121,5 @@ func TestClockSnapshotExtensionFails(t *testing.T) {
 	}
 	if got := f.rt.Counters.Aborts.Load(); got != 1 {
 		t.Errorf("aborts = %d, want 1", got)
-	}
-}
-
-// staleObsPolicy is a contention handler that also records validation-abort
-// notifications (conflict.StaleObserver).
-type staleObsPolicy struct {
-	conflict.Backoff
-	mu    sync.Mutex
-	infos []conflict.Info
-}
-
-func (p *staleObsPolicy) ObserveValidationAbort(in conflict.Info) {
-	p.mu.Lock()
-	p.infos = append(p.infos, in)
-	p.mu.Unlock()
-}
-
-// TestStaleObserverNotified: a commit-time validation failure reports the
-// stale object to a policy implementing StaleObserver, with Kind
-// TxnValidation and the object's handle.
-func TestStaleObserverNotified(t *testing.T) {
-	pol := &staleObsPolicy{}
-	f := newFixture(t, stmapi.CommonConfig{Handler: pol})
-	o1, o2 := f.newCell(), f.newCell()
-	runs := 0
-	err := f.rt.Atomic(func(tx stmapi.Txn) error {
-		runs++
-		_ = tx.Read(o1, 0)
-		if runs == 1 {
-			// NT barrier shape: the read-set entry goes stale after the read,
-			// with no further contact before commit.
-			if _, ok := o1.Rec.AcquireAnon(); !ok {
-				t.Fatal("acquire failed")
-			}
-			o1.StoreSlot(0, 10)
-			f.heap.Clock().Tick()
-			o1.Rec.ReleaseAnon()
-		}
-		tx.Write(o2, 0, 1)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if runs != 2 {
-		t.Fatalf("runs = %d, want 2", runs)
-	}
-	pol.mu.Lock()
-	defer pol.mu.Unlock()
-	if len(pol.infos) != 1 {
-		t.Fatalf("observer saw %d validation aborts, want 1", len(pol.infos))
-	}
-	in := pol.infos[0]
-	if in.Kind != conflict.TxnValidation {
-		t.Errorf("Kind = %v, want %v", in.Kind, conflict.TxnValidation)
-	}
-	if in.Obj != uint64(o1.Ref()) {
-		t.Errorf("Obj = %d, want %d (the stale object)", in.Obj, o1.Ref())
 	}
 }

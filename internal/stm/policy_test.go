@@ -1,11 +1,12 @@
 package stm
 
-// Contention-policy integration tests: the wait/self-abort/abort-other
-// decisions wired through conflictWait, and the starvation litmus the PR's
-// acceptance criterion names — a deterministic deadlock (skewed write-heavy:
-// two transactions hammer the same two hot objects in opposite orders) that
-// the default backoff policy can never resolve, while the arbitrating
-// policies commit every transaction.
+// Contention policies against eager's encounter-time ownership, which the
+// deferred-update runtimes do not have (their conflicts are at commit): a
+// deterministic deadlock of two writers holding each other's next record
+// from their bodies, which the default backoff can never resolve while the
+// arbitrating policies commit both, and an older writer dooming a body that
+// holds its record. What every runtime promises under every policy is
+// internal/txn's TestPoliciesPreserveInvariantsUnderContention.
 
 import (
 	"context"
@@ -16,9 +17,9 @@ import (
 
 	"repro/internal/conflict"
 	"repro/internal/stmapi"
-	"repro/internal/txn/txntest"
 )
 
+// Encounter-time locking: each writer holds a record from its body on.
 func TestPoliciesResolveDeadlockWhereBackoffStarves(t *testing.T) {
 	t.Run("backoff", func(t *testing.T) {
 		e1, e2, _ := runOpposedWriters(t, "backoff", 500*time.Millisecond)
@@ -106,10 +107,7 @@ func runOpposedWriters(t *testing.T, policy string, deadline time.Duration) (e1,
 	return e1, e2, f.rt.Stats()
 }
 
-func TestPoliciesPreserveInvariantsUnderContention(t *testing.T) {
-	txntest.PoliciesPreserveInvariants(t, "eager")
-}
-
+// Encounter-time locking: the victim holds the record from its body on.
 func TestDoomedVictimRestartsAndBothCommit(t *testing.T) {
 	// Direct abort-other wiring check: an older transaction dooms the owner
 	// of the record it needs; the victim notices at its next access, aborts

@@ -640,3 +640,24 @@ func ExampleRuntime_Atomic() {
 	fmt.Println(a.LoadSlot(0), b.LoadSlot(0))
 	// Output: 70 30
 }
+
+// TestPooledDescriptorClean: eager's share of a clean pooled descriptor, its
+// undo log (eager's in-place versioning record), comes back empty; the
+// kernel's share is internal/txn's TestPooledDescriptorClean row.
+func TestPooledDescriptorClean(t *testing.T) {
+	f := newFixture(t, stmapi.CommonConfig{})
+	o := f.newCell()
+	for i := 0; i < 20; i++ {
+		if err := f.rt.Atomic(func(stx stmapi.Txn) error {
+			tx := stx.(*Txn)
+			if len(tx.undo) != 0 {
+				t.Errorf("iteration %d: dirty undo log (%d entries)", i, len(tx.undo))
+			}
+			tx.Write(o, 0, uint64(i))
+			tx.Write(o, 1, uint64(i))
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -1,0 +1,156 @@
+package txn_test
+
+// Contention policies on every runtime: whatever a policy decides, the
+// invariants hold, and a doom that arrives past the victim's commit point is
+// ignored. Eager's encounter-time deadlock, which only arbitration breaks,
+// and its in-body doom are internal/stm's.
+
+import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/conflict"
+	"repro/internal/objmodel"
+	"repro/internal/stmapi"
+	"repro/internal/txn"
+)
+
+// TestPoliciesPreserveInvariantsUnderContention runs a heavily contended
+// transfer workload under every registered contention policy: whatever the
+// policy decides (wait, self-abort, doom), total balance is conserved and
+// work commits.
+func TestPoliciesPreserveInvariantsUnderContention(t *testing.T) {
+	forEachRuntime(t, func(t *testing.T, name string) {
+		for _, policy := range conflict.PolicyNames {
+			t.Run(policy, func(t *testing.T) {
+				pol, err := conflict.ByName(policy)
+				if err != nil {
+					t.Fatal(err)
+				}
+				f := newFixture(t, name, stmapi.CommonConfig{Handler: pol})
+				const accounts, balance = 4, 1000 // few accounts: heavy contention
+				objs := make([]*objmodel.Object, accounts)
+				for i := range objs {
+					objs[i] = f.cell()
+					objs[i].StoreSlot(0, balance)
+				}
+				var wg sync.WaitGroup
+				for g := 0; g < 4; g++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						rng := uint64(g+1)*2862933555777941757 + 3037000493
+						for i := 0; i < 400; i++ {
+							rng ^= rng << 13
+							rng ^= rng >> 7
+							rng ^= rng << 17
+							from, to := objs[rng%accounts], objs[(rng>>8)%accounts]
+							if from == to {
+								continue
+							}
+							if err := f.rt.Atomic(func(tx stmapi.Txn) error {
+								a, b := tx.Read(from, 0), tx.Read(to, 0)
+								tx.Write(from, 0, a-1)
+								tx.Write(to, 0, b+1)
+								return nil
+							}); err != nil {
+								t.Errorf("transfer: %v", err)
+								return
+							}
+						}
+					}()
+				}
+				wg.Wait()
+				var sum uint64
+				for _, o := range objs {
+					sum += o.LoadSlot(0)
+				}
+				if sum != accounts*balance {
+					t.Fatalf("total balance %d, want %d", sum, accounts*balance)
+				}
+				s := f.rt.Stats()
+				if s.Commits == 0 {
+					t.Fatalf("no commits recorded")
+				}
+				t.Logf("starts=%d commits=%d aborts=%d self-aborts=%d dooms=%d",
+					s.Starts, s.Commits, s.Aborts, s.SelfAborts, s.DoomsIssued)
+			})
+		}
+	})
+}
+
+// alwaysDoom is a contention policy that rules for the requester every
+// time.
+type alwaysDoom struct{}
+
+func (alwaysDoom) HandleConflict(conflict.Info)            {}
+func (alwaysDoom) Resolve(conflict.Info) conflict.Decision { return conflict.AbortOther }
+
+// holdSink is a commit sink that calls hold on every redo append.
+type holdSink func()
+
+func (h holdSink) AppendRedo(uint64, uint64, []stmapi.RedoWrite) (uint64, error) {
+	h()
+	return 0, nil
+}
+
+func (holdSink) WaitDurable(uint64) error { return nil }
+
+// inCommitWindow runs fn once, on the committing goroutine, inside the first
+// commit window to open on f's runtime, with the committer's records held:
+// at a deferred-update runtime's commit point (trace.EvCommitPoint), and on
+// eager at its redo append, the one call its commit makes between its commit
+// point and the release of its records.
+func inCommitWindow(f fixture, name string, fn func()) {
+	var once atomic.Bool
+	hold := func() {
+		if once.CompareAndSwap(false, true) {
+			fn()
+		}
+	}
+	if name == "eager" {
+		f.rt.(stmapi.DurableRuntime).SetCommitSink(holdSink(hold))
+	} else {
+		atCommitPoint(f, hold)
+	}
+}
+
+// TestDoomAfterCommitPointIsIgnored: a doom landing after the victim's
+// commit point must not undo it: the victim has won the race and simply
+// commits (a doom is honoured only up to validation). The victim is held
+// in its commit window until a contender for its record has doomed it.
+func TestDoomAfterCommitPointIsIgnored(t *testing.T) {
+	forEachRuntime(t, func(t *testing.T, name string) {
+		f := newFixture(t, name, stmapi.CommonConfig{Handler: alwaysDoom{}})
+		o := f.cell()
+		var victim *txn.Txn
+		held := false
+		contender := make(chan error, 1)
+		inCommitWindow(f, name, func() {
+			held = true
+			go func() { contender <- f.write(o, 1, 9) }()
+			for !victim.Doomed() {
+				runtime.Gosched()
+			}
+		})
+		if err := f.rt.Atomic(func(tx stmapi.Txn) error {
+			victim = base(tx)
+			tx.Write(o, 0, 7)
+			return nil
+		}); err != nil {
+			t.Fatalf("Atomic: %v", err)
+		}
+		if !held {
+			t.Fatal("the victim's commit window never opened")
+		}
+		within(t, contender, "the contender did not commit")
+		if got := o.LoadSlot(0); got != 7 {
+			t.Fatalf("slot 0 = %d, want 7 (post-commit-point doom must be ignored)", got)
+		}
+		if s := f.rt.Stats(); s.Commits != 2 || s.DoomsIssued != 1 {
+			t.Fatalf("commits = %d, dooms = %d, want 2 and 1", s.Commits, s.DoomsIssued)
+		}
+	})
+}

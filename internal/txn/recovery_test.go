@@ -1,0 +1,268 @@
+package txn_test
+
+// Orphan reclamation and irrevocability on every runtime: a ReapDead sweep
+// or an inline steal restores or completes what an orphan held, exactly
+// once, and irrevocable transactions, explicit, switched mid-body or
+// escalated, commit and give the token back.
+
+import (
+	"errors"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/faultinject"
+	"repro/internal/stmapi"
+	"repro/internal/txrec"
+)
+
+// gateEmpty fails the test if the runtime has a commit gate (mvstm) and a
+// committer is still counted inside it: an orphan in the commit window must
+// not leak the gate, or every later irrevocable switch and live checkpoint
+// waits forever.
+func gateEmpty(t *testing.T, f fixture) {
+	t.Helper()
+	if g, ok := f.rt.(interface {
+		DrainCommitters(time.Duration) bool
+	}); ok && !g.DrainCommitters(0) {
+		t.Error("commit gate not empty afterwards")
+	}
+}
+
+// TestReaperRestoresOrphanedRecord: an orphan that died at PostAcquire holds
+// its record; reclaiming it restores the record to Shared with the old
+// value, exactly once. Eager wrote in place and the reclaim replays its undo
+// log; lazy and mvstm never wrote memory.
+func TestReaperRestoresOrphanedRecord(t *testing.T) {
+	forEachRuntime(t, func(t *testing.T, name string) {
+		f := newFixture(t, name, stmapi.CommonConfig{})
+		o := f.cell()
+		if err := f.write(o, 0, 41); err != nil {
+			t.Fatal(err)
+		}
+		orphan(t, f, o, faultinject.PostAcquire)
+		if w := o.Rec.Load(); !txrec.IsExclusive(w) {
+			t.Fatalf("record not left Exclusive by the orphan: %#x", w)
+		}
+		inPlace := uint64(41)
+		if name == "eager" {
+			inPlace = 9
+		}
+		if v := o.LoadSlot(0); v != inPlace {
+			t.Fatalf("slot = %d before the reclaim, want %d", v, inPlace)
+		}
+		gateEmpty(t, f) // the dying goroutine's unwind left the gate; only the record is orphaned
+		if n := f.rt.ReapDead(); n != 1 {
+			t.Fatalf("reaped %d, want 1", n)
+		}
+		if w := o.Rec.Load(); !txrec.IsShared(w) {
+			t.Fatalf("record not restored to Shared: %#x", w)
+		}
+		if v := o.LoadSlot(0); v != 41 {
+			t.Fatalf("slot = %d after the reclaim, want 41", v)
+		}
+		if n := f.rt.Stats().ReaperSteals; n != 1 {
+			t.Fatalf("ReaperSteals = %d, want 1", n)
+		}
+		if n := f.rt.ReapDead(); n != 0 {
+			t.Fatalf("second sweep reaped %d, want 0", n)
+		}
+	})
+}
+
+// TestCommittedOrphanKeepsEffects: an orphan that died just past its commit
+// point is committed, with its write in memory and its records still held;
+// a ReapDead sweep releases them, keeps its effects, and ends its flight, so
+// a quiescent commit after it does not stall.
+func TestCommittedOrphanKeepsEffects(t *testing.T) {
+	forEachRuntime(t, func(t *testing.T, name string) {
+		f := newFixture(t, name, stmapi.CommonConfig{Quiescence: true})
+		o := f.cell()
+		orphan(t, f, o, faultinject.PostCommitPoint)
+		gateEmpty(t, f)
+		if n := f.rt.ReapDead(); n != 1 {
+			t.Fatalf("reaped %d, want 1", n)
+		}
+		if w := o.Rec.Load(); !txrec.IsShared(w) {
+			t.Fatalf("record not released: %#x", w)
+		}
+		if v := o.LoadSlot(0); v != 9 {
+			t.Fatalf("committed effect lost: slot = %d, want 9", v)
+		}
+		within(t, commitAsync(f, f.cell(), 1), "a quiescent commit stalled on the reaped orphan")
+	})
+}
+
+// TestWaiterStealsInlineWithoutReaper: with no sweep running, the next
+// writer finds the dead owner and steals its record inline.
+func TestWaiterStealsInlineWithoutReaper(t *testing.T) {
+	forEachRuntime(t, func(t *testing.T, name string) {
+		f := newFixture(t, name, stmapi.CommonConfig{})
+		o := f.cell()
+		orphan(t, f, o, faultinject.PreValidate)
+		within(t, commitAsync(f, o, 5), "writer blocked on the orphaned record: inline steal did not happen")
+		if v := o.LoadSlot(0); v != 5 {
+			t.Fatalf("slot = %d, want 5", v)
+		}
+	})
+}
+
+// TestReaperVsInlineStealRace races the two reclamation paths on one
+// orphan: ReapDead sweeping flat out while a conflicting writer steals
+// inline the moment it finds the dead owner. Reclaim is idempotent per
+// victim, so exactly one of them wins: one steal, the record Shared, and
+// the writer's value in place. Run under -race in CI; the iterations give
+// the schedules room to interleave both orders.
+func TestReaperVsInlineStealRace(t *testing.T) {
+	iters := 25
+	if testing.Short() {
+		iters = 5
+	}
+	forEachRuntime(t, func(t *testing.T, name string) {
+		for i := 0; i < iters; i++ {
+			f := newFixture(t, name, stmapi.CommonConfig{})
+			o := f.cell()
+			if err := f.write(o, 0, 41); err != nil {
+				t.Fatal(err)
+			}
+			orphan(t, f, o, faultinject.PostAcquire)
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for j := 0; j < 4; j++ {
+					f.rt.ReapDead()
+				}
+			}()
+			wrote := make(chan error, 1)
+			go func() {
+				<-start
+				wrote <- f.write(o, 0, 5)
+			}()
+			close(start)
+			wg.Wait()
+			within(t, wrote, "writer blocked on the orphaned record")
+			if n := f.rt.Stats().ReaperSteals; n != 1 {
+				t.Fatalf("iteration %d: %d steals recorded, want exactly 1 (double reclaim?)", i, n)
+			}
+			if w := o.Rec.Load(); !txrec.IsShared(w) {
+				t.Fatalf("iteration %d: record not Shared after the race: %#x", i, w)
+			}
+			if v := o.LoadSlot(0); v != 5 {
+				t.Fatalf("iteration %d: slot = %d, want the writer's 5", i, v)
+			}
+		}
+	})
+}
+
+// TestAtomicIrrevocableCommitsAndReleasesToken: an AtomicIrrevocable body
+// runs irrevocably, commits, gives the token back and is accounted.
+func TestAtomicIrrevocableCommitsAndReleasesToken(t *testing.T) {
+	forEachRuntime(t, func(t *testing.T, name string) {
+		f := newFixture(t, name, stmapi.CommonConfig{})
+		o := f.cell()
+		if err := f.write(o, 0, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.rt.AtomicIrrevocable(func(tx stmapi.Txn) error {
+			if !tx.IsIrrevocable() {
+				t.Error("body not irrevocable inside AtomicIrrevocable")
+			}
+			tx.Write(o, 0, tx.Read(o, 0)+1)
+			return nil
+		}); err != nil {
+			t.Fatalf("AtomicIrrevocable: %v", err)
+		}
+		if v := o.LoadSlot(0); v != 2 {
+			t.Fatalf("slot = %d, want 2", v)
+		}
+		if tok := kernelOf(f.rt).IrrevocableHolder(); tok != 0 {
+			t.Fatalf("token not released: %d", tok)
+		}
+		if s := f.rt.Stats(); s.IrrevocableTxns != 1 || s.IrrevocableNs <= 0 {
+			t.Fatalf("IrrevocableTxns = %d, IrrevocableNs = %d; want 1 and > 0", s.IrrevocableTxns, s.IrrevocableNs)
+		}
+	})
+}
+
+// TestBecomeIrrevocableMidBodySurvivesDoom: past the switch nothing may
+// abort the transaction: its read of an object writers hammer succeeds and
+// it commits, giving the token back.
+func TestBecomeIrrevocableMidBodySurvivesDoom(t *testing.T) {
+	forEachRuntime(t, func(t *testing.T, name string) {
+		f := newFixture(t, name, stmapi.CommonConfig{})
+		o := f.cell()
+		var wg sync.WaitGroup
+		stop := make(chan struct{})
+		for i := 0; i < 2; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if err := f.rt.Atomic(func(tx stmapi.Txn) error {
+						tx.Write(o, 1, tx.Read(o, 1)+1)
+						return nil
+					}); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		err := f.rt.Atomic(func(tx stmapi.Txn) error {
+			tx.BecomeIrrevocable()
+			v := tx.Read(o, 1)
+			time.Sleep(time.Millisecond)
+			tx.Write(o, 0, v)
+			return nil
+		})
+		close(stop)
+		wg.Wait()
+		if err != nil {
+			t.Fatalf("irrevocable transaction returned %v", err)
+		}
+		if tok := kernelOf(f.rt).IrrevocableHolder(); tok != 0 {
+			t.Fatalf("token not released: %d", tok)
+		}
+	})
+}
+
+// TestEscalateAfterConsecutiveAborts: with every attempt aborted at
+// validation, the attempt after EscalateAfter consecutive aborts runs
+// irrevocably, which the injected abort cannot touch, and commits.
+func TestEscalateAfterConsecutiveAborts(t *testing.T) {
+	forEachRuntime(t, func(t *testing.T, name string) {
+		f := newFixture(t, name, stmapi.CommonConfig{EscalateAfter: 3})
+		o := f.cell()
+		f.rt.SetInjector(faultinject.New(1, faultinject.Rule{Point: faultinject.PreValidate, Action: faultinject.Abort, Every: 1}))
+		sawIrrevocable := false
+		err := f.rt.Atomic(func(tx stmapi.Txn) error {
+			if tx.Attempt() > 6 {
+				return errors.New("still revocable after 6 aborts")
+			}
+			sawIrrevocable = tx.IsIrrevocable()
+			tx.Write(o, 0, uint64(tx.Attempt()))
+			return nil
+		})
+		f.rt.SetInjector(nil)
+		if err != nil {
+			t.Fatalf("Atomic: %v", err)
+		}
+		if !sawIrrevocable {
+			t.Fatal("final attempt did not run irrevocably")
+		}
+		if n := f.rt.Stats().Escalations; n != 1 {
+			t.Fatalf("Escalations = %d, want 1", n)
+		}
+		if v := o.LoadSlot(0); v != 3 {
+			t.Fatalf("slot = %d, want 3 (attempt index at escalation)", v)
+		}
+	})
+}

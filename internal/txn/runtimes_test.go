@@ -1,10 +1,17 @@
 package txn_test
 
-// Isolation regressions for the validation the kernel does once for every
-// runtime, run over the registered runtimes: the write-skew probe for the
-// commit fast path, the deterministic interleaving for snapshot extension,
-// the walk-mode counters, the quiescence grace period, and that a heap does
-// not keep its runtimes alive. Run under -race in CI.
+// The kernel's promises, checked once over the registered runtimes, one
+// subtest per runtime: here the isolation regressions for the validation the
+// kernel does for every runtime (the write-skew probe for the commit fast
+// path, the deterministic interleaving for snapshot extension, the walk-mode
+// counters), the quiescence grace period, orphan reclamation, and that a heap
+// does not keep its runtimes alive; beside them cancellation (ctx_test.go),
+// the descriptor pool and statistics (hotpath_test.go), contention policies
+// (policy_test.go) and recovery and irrevocability (recovery_test.go). A row
+// states what each runtime must do where they differ. What names a single
+// runtime's protocol structure (eager's undo log, lazy's write-back, mvstm's
+// chains, gate and watermark) is tested in that runtime's package. Run under
+// -race in CI.
 
 import (
 	"context"
@@ -27,9 +34,46 @@ import (
 	"repro/internal/strong"
 	"repro/internal/trace"
 	"repro/internal/txn"
-	"repro/internal/txn/txntest"
 	"repro/internal/txrec"
 )
+
+// fixture is a runtime on a fresh heap with a two-slot cell class.
+type fixture struct {
+	rt  stmapi.Runtime
+	cls *objmodel.Class
+}
+
+// newFixture constructs the runtime registered under name, with cfg, on a
+// fresh heap.
+func newFixture(t *testing.T, name string, cfg stmapi.CommonConfig) fixture {
+	t.Helper()
+	heap := objmodel.NewHeap()
+	rt, err := stmapi.New(name, heap, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cls := heap.MustDefineClass(objmodel.ClassSpec{Name: "Cell", Fields: []objmodel.Field{{Name: "f"}, {Name: "g"}}})
+	return fixture{rt, cls}
+}
+
+// cell allocates a cell on the fixture's heap.
+func (f fixture) cell() *objmodel.Object { return f.rt.Heap().New(f.cls) }
+
+// write commits a transaction of its own storing v to o's slot.
+func (f fixture) write(o *objmodel.Object, slot int, v uint64) error {
+	return f.rt.Atomic(func(tx stmapi.Txn) error {
+		tx.Write(o, slot, v)
+		return nil
+	})
+}
+
+// forEachRuntime runs check as one subtest per registered runtime, named
+// after it.
+func forEachRuntime(t *testing.T, check func(t *testing.T, name string)) {
+	for _, name := range stmapi.Runtimes() {
+		t.Run(name, func(t *testing.T) { check(t, name) })
+	}
+}
 
 // TestWriteSkew runs the classic probe, T1: if b == 0 { a = 1 } against
 // T2: if a == 0 { b = 1 }, for a bounded number of rounds. Any serial order
@@ -52,8 +96,8 @@ func TestWriteSkew(t *testing.T) {
 				mode = "walk"
 			}
 			t.Run(name+"/"+mode, func(t *testing.T) {
-				f := txntest.New(t, name, stmapi.CommonConfig{NoCommitClock: walk})
-				rt, a, b := f.Runtime(), f.NewCell(), f.NewCell()
+				f := newFixture(t, name, stmapi.CommonConfig{NoCommitClock: walk})
+				rt, a, b := f.rt, f.cell(), f.cell()
 				probe := func(mine, other *objmodel.Object) func(stmapi.Txn) error {
 					return func(tx stmapi.Txn) error {
 						if tx.Read(other, 0) == 0 {
@@ -131,8 +175,8 @@ func TestWriteSkew(t *testing.T) {
 func TestExtensionCoversTriggeringRead(t *testing.T) {
 	for _, name := range []string{"eager", "lazy"} {
 		t.Run(name, func(t *testing.T) {
-			f := txntest.New(t, name, stmapi.CommonConfig{})
-			rt, o, q := f.Runtime(), f.NewCell(), f.NewCell()
+			f := newFixture(t, name, stmapi.CommonConfig{})
+			rt, o, q := f.rt, f.cell(), f.cell()
 			write := func(v uint64) func(stmapi.Txn) error {
 				return func(tx stmapi.Txn) error {
 					tx.Write(o, 0, v)
@@ -199,8 +243,8 @@ func TestStaleReadAcrossNTRelease(t *testing.T) {
 	}
 	for _, name := range []string{"eager", "lazy"} {
 		t.Run(name, func(t *testing.T) {
-			f := txntest.New(t, name, stmapi.CommonConfig{})
-			rt, o, q := f.Runtime(), f.NewCell(), f.NewCell()
+			f := newFixture(t, name, stmapi.CommonConfig{})
+			rt, o, q := f.rt, f.cell(), f.cell()
 			bar := strong.New(rt.Heap(), false)
 			// dwell spins without touching o's or q's record.
 			dwell := func(n int) {
@@ -257,32 +301,30 @@ func TestStaleReadAcrossNTRelease(t *testing.T) {
 // read-set walk and the clock never advances; the multi-version runtime
 // ignores the knob (the clock is what stamps its versions).
 func TestNoCommitClockWalks(t *testing.T) {
-	for _, name := range stmapi.Runtimes() {
-		t.Run(name, func(t *testing.T) {
-			f := txntest.New(t, name, stmapi.CommonConfig{NoCommitClock: true})
-			rt, o := f.Runtime(), f.NewCell()
-			const n = 10
-			for i := 0; i < n; i++ {
-				if err := rt.Atomic(func(tx stmapi.Txn) error {
-					tx.Write(o, 0, tx.Read(o, 0)+1)
-					return nil
-				}); err != nil {
-					t.Fatal(err)
-				}
+	forEachRuntime(t, func(t *testing.T, name string) {
+		f := newFixture(t, name, stmapi.CommonConfig{NoCommitClock: true})
+		rt, o := f.rt, f.cell()
+		const n = 10
+		for i := 0; i < n; i++ {
+			if err := rt.Atomic(func(tx stmapi.Txn) error {
+				tx.Write(o, 0, tx.Read(o, 0)+1)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
 			}
-			s := rt.Stats()
-			if name == "mvstm" {
-				if s.ClockAdvances != n {
-					t.Errorf("clock advances = %d, want %d", s.ClockAdvances, n)
-				}
-				return
+		}
+		s := rt.Stats()
+		if name == "mvstm" {
+			if s.ClockAdvances != n {
+				t.Errorf("clock advances = %d, want %d", s.ClockAdvances, n)
 			}
-			if s.FastpathValidations != 0 || s.FallbackWalks != n || s.ClockAdvances != 0 {
-				t.Errorf("fastpath %d, walks %d, clock advances %d; want 0, %d, 0 in walk mode",
-					s.FastpathValidations, s.FallbackWalks, s.ClockAdvances, n)
-			}
-		})
-	}
+			return
+		}
+		if s.FastpathValidations != 0 || s.FallbackWalks != n || s.ClockAdvances != 0 {
+			t.Errorf("fastpath %d, walks %d, clock advances %d; want 0, %d, 0 in walk mode",
+				s.FastpathValidations, s.FallbackWalks, s.ClockAdvances, n)
+		}
+	})
 }
 
 // TestHeapDoesNotRetainRuntimes: a heap may outlive the runtimes built on it
@@ -291,39 +333,37 @@ func TestNoCommitClockWalks(t *testing.T) {
 // eight runtimes commits once and is dropped; two collections must free all
 // of them.
 func TestHeapDoesNotRetainRuntimes(t *testing.T) {
-	for _, name := range stmapi.Runtimes() {
-		t.Run(name, func(t *testing.T) {
-			h := objmodel.NewHeap()
-			cls := h.MustDefineClass(objmodel.ClassSpec{Name: "Cell", Fields: []objmodel.Field{{Name: "v"}}})
-			o := h.New(cls)
-			kernels := make([]weak.Pointer[txn.Kernel], 8)
-			for i := range kernels {
-				rt, err := stmapi.New(name, h, stmapi.CommonConfig{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := rt.Atomic(func(tx stmapi.Txn) error {
-					tx.Write(o, 0, tx.Read(o, 0)+1)
-					return nil
-				}); err != nil {
-					t.Fatal(err)
-				}
-				kernels[i] = weak.Make(kernelOf(rt))
+	forEachRuntime(t, func(t *testing.T, name string) {
+		h := objmodel.NewHeap()
+		cls := h.MustDefineClass(objmodel.ClassSpec{Name: "Cell", Fields: []objmodel.Field{{Name: "v"}}})
+		o := h.New(cls)
+		kernels := make([]weak.Pointer[txn.Kernel], 8)
+		for i := range kernels {
+			rt, err := stmapi.New(name, h, stmapi.CommonConfig{})
+			if err != nil {
+				t.Fatal(err)
 			}
-			runtime.GC()
-			runtime.GC()
-			live := 0
-			for _, k := range kernels {
-				if k.Value() != nil {
-					live++
-				}
+			if err := rt.Atomic(func(tx stmapi.Txn) error {
+				tx.Write(o, 0, tx.Read(o, 0)+1)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
 			}
-			if live != 0 {
-				t.Errorf("%d of %d runtimes still live after two collections with only their heap reachable", live, len(kernels))
+			kernels[i] = weak.Make(kernelOf(rt))
+		}
+		runtime.GC()
+		runtime.GC()
+		live := 0
+		for _, k := range kernels {
+			if k.Value() != nil {
+				live++
 			}
-			runtime.KeepAlive(h)
-		})
-	}
+		}
+		if live != 0 {
+			t.Errorf("%d of %d runtimes still live after two collections with only their heap reachable", live, len(kernels))
+		}
+		runtime.KeepAlive(h)
+	})
 }
 
 // TestIrrevocableOrphanPastCommitPointFreesToken: an irrevocable transaction
@@ -341,8 +381,8 @@ func TestIrrevocableOrphanPastCommitPointFreesToken(t *testing.T) {
 		}
 		for _, p := range points {
 			t.Run(name+"/"+p.String(), func(t *testing.T) {
-				f := txntest.New(t, name, stmapi.CommonConfig{})
-				rt, o := f.Runtime(), f.NewCell()
+				f := newFixture(t, name, stmapi.CommonConfig{})
+				rt, o := f.rt, f.cell()
 				write := func(v uint64) func(stmapi.Txn) error {
 					return func(tx stmapi.Txn) error { tx.Write(o, 0, v); return nil }
 				}
@@ -450,13 +490,13 @@ func TestQuiescenceIsAGracePeriod(t *testing.T) {
 		}
 		for _, window := range windows {
 			t.Run(name+"/waits for an attempt parked in its "+where[window], func(t *testing.T) {
-				f := txntest.New(t, name, stmapi.CommonConfig{Quiescence: true})
-				x, y := f.NewCell(), f.NewCell()
+				f := newFixture(t, name, stmapi.CommonConfig{Quiescence: true})
+				x, y := f.cell(), f.cell()
 				release, parked := park(f, x, window)
 				committed := commitAsync(f, y, 1)
 				// The commit counts before its wait, so once it has counted the
 				// wait has begun; give it a moment to end (wrongly).
-				for deadline := time.Now().Add(5 * time.Second); f.Runtime().Stats().Commits == 0; runtime.Gosched() {
+				for deadline := time.Now().Add(5 * time.Second); f.rt.Stats().Commits == 0; runtime.Gosched() {
 					if time.Now().After(deadline) {
 						t.Fatal("the committer never committed")
 					}
@@ -475,24 +515,26 @@ func TestQuiescenceIsAGracePeriod(t *testing.T) {
 			})
 		}
 		t.Run(name+"/a deadline abandons the wait, not the commit", func(t *testing.T) {
-			f := txntest.New(t, name, stmapi.CommonConfig{Quiescence: true})
-			x, y, z := f.NewCell(), f.NewCell(), f.NewCell()
-			release, parked := park(f, x, false)
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-			defer cancel()
-			err := f.Runtime().AtomicCtx(ctx, func(tx stmapi.Txn) error {
-				tx.Write(y, 0, 2)
-				return nil
-			})
-			if !errors.Is(err, context.DeadlineExceeded) {
-				t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+			for _, window := range windows {
+				f := newFixture(t, name, stmapi.CommonConfig{Quiescence: true})
+				x, y, z := f.cell(), f.cell(), f.cell()
+				release, parked := park(f, x, window)
+				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+				err := f.rt.AtomicCtx(ctx, func(tx stmapi.Txn) error {
+					tx.Write(y, 0, 2)
+					return nil
+				})
+				cancel()
+				if !errors.Is(err, context.DeadlineExceeded) {
+					t.Fatalf("parked in its %s: err = %v, want context.DeadlineExceeded", where[window], err)
+				}
+				if got, n := y.LoadSlot(0), f.rt.Stats().Commits; got != 2 || n != 1 {
+					t.Fatalf("parked in its %s: y = %d after %d commits, want 2 after 1: the commit is applied whether or not it waited", where[window], got, n)
+				}
+				release()
+				within(t, parked, "the parked transaction did not finish")
+				within(t, commitAsync(f, z, 3), "a commit after the abandoned wait stalled")
 			}
-			if got := y.LoadSlot(0); got != 2 {
-				t.Fatalf("y = %d, want 2: the commit is applied whether or not it waited", got)
-			}
-			release()
-			within(t, parked, "the parked transaction did not finish")
-			within(t, commitAsync(f, z, 3), "a commit after the abandoned wait stalled")
 		})
 		t.Run(name+"/reaps an orphan in flight inline", func(t *testing.T) {
 			// Dead before its commit point the orphan is rolled back; dead
@@ -506,23 +548,23 @@ func TestQuiescenceIsAGracePeriod(t *testing.T) {
 				deaths = deaths[:1]
 			}
 			for _, d := range deaths {
-				f := txntest.New(t, name, stmapi.CommonConfig{Quiescence: true})
-				x, y := f.NewCell(), f.NewCell()
+				f := newFixture(t, name, stmapi.CommonConfig{Quiescence: true})
+				x, y := f.cell(), f.cell()
 				orphan(t, f, x, d.p)
 				within(t, commitAsync(f, y, 1), "commit stalled on an orphan dead at "+d.p.String()+" with no reaper running")
 				if w := x.Rec.Load(); !txrec.IsShared(w) || x.LoadSlot(0) != d.want {
 					t.Errorf("%v: orphan's record %#x, slot %d: want Shared holding %d", d.p, w, x.LoadSlot(0), d.want)
 				}
-				if n := f.Runtime().Stats().ReaperSteals; n != 1 {
+				if n := f.rt.Stats().ReaperSteals; n != 1 {
 					t.Errorf("%v: ReaperSteals = %d, want 1", d.p, n)
 				}
 			}
 		})
 		t.Run(name+"/without Quiescence nobody waits", func(t *testing.T) {
-			f := txntest.New(t, name, stmapi.CommonConfig{})
-			y := f.NewCell()
+			f := newFixture(t, name, stmapi.CommonConfig{})
+			y := f.cell()
 			for _, window := range windows {
-				release, parked := park(f, f.NewCell(), window)
+				release, parked := park(f, f.cell(), window)
 				within(t, commitAsync(f, y, 1), "commit waited for an attempt parked in its "+where[window])
 				release()
 				within(t, parked, "the parked transaction did not finish")
@@ -538,48 +580,46 @@ func TestQuiescenceIsAGracePeriod(t *testing.T) {
 // post-release version, so the wait does not wake on the transaction's own
 // release.
 func TestRetryAfterOwnWriteWaitsForAnotherCommit(t *testing.T) {
-	for _, name := range stmapi.Runtimes() {
-		t.Run(name, func(t *testing.T) {
-			f := txntest.New(t, name, stmapi.CommonConfig{})
-			o := f.NewCell()
-			var runs atomic.Int32
-			var seen atomic.Uint64
-			done := make(chan error, 1)
-			go func() {
-				done <- f.Runtime().Atomic(func(tx stmapi.Txn) error {
-					runs.Add(1)
-					v := tx.Read(o, 0)
-					tx.Write(o, 1, 1)
-					if v == 0 {
-						tx.Retry()
-					}
-					seen.Store(v)
-					return nil
-				})
-			}()
-			for deadline := time.Now().Add(5 * time.Second); f.Runtime().Stats().UserRetries == 0; runtime.Gosched() {
-				if time.Now().After(deadline) {
-					t.Fatal("the body never retried")
+	forEachRuntime(t, func(t *testing.T, name string) {
+		f := newFixture(t, name, stmapi.CommonConfig{})
+		o := f.cell()
+		var runs atomic.Int32
+		var seen atomic.Uint64
+		done := make(chan error, 1)
+		go func() {
+			done <- f.rt.Atomic(func(tx stmapi.Txn) error {
+				runs.Add(1)
+				v := tx.Read(o, 0)
+				tx.Write(o, 1, 1)
+				if v == 0 {
+					tx.Retry()
 				}
+				seen.Store(v)
+				return nil
+			})
+		}()
+		for deadline := time.Now().Add(5 * time.Second); f.rt.Stats().UserRetries == 0; runtime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Fatal("the body never retried")
 			}
-			time.Sleep(20 * time.Millisecond)
-			if n := runs.Load(); n != 1 {
-				t.Fatalf("body ran %d times with nothing else committed", n)
-			}
-			within(t, commitAsync(f, o, 5), "the waking commit stalled")
-			within(t, done, "the retrying transaction did not wake on another commit")
-			if n, v := runs.Load(), seen.Load(); n != 2 || v != 5 {
-				t.Errorf("body ran %d times and saw %d, want 2 runs ending at 5", n, v)
-			}
-		})
-	}
+		}
+		time.Sleep(20 * time.Millisecond)
+		if n := runs.Load(); n != 1 {
+			t.Fatalf("body ran %d times with nothing else committed", n)
+		}
+		within(t, commitAsync(f, o, 5), "the waking commit stalled")
+		within(t, done, "the retrying transaction did not wake on another commit")
+		if n, v := runs.Load(), seen.Load(); n != 2 || v != 5 {
+			t.Errorf("body ran %d times and saw %d, want 2 runs ending at 5", n, v)
+		}
+	})
 }
 
 // orphan runs a transaction writing 9 to o whose goroutine dies at p with
 // no cleanup, and returns once it has died.
-func orphan(t *testing.T, f txntest.Fixture, o *objmodel.Object, p faultinject.Point) {
+func orphan(t *testing.T, f fixture, o *objmodel.Object, p faultinject.Point) {
 	t.Helper()
-	rt := f.Runtime()
+	rt := f.rt
 	rt.SetInjector(faultinject.New(1, faultinject.Rule{Point: p, Action: faultinject.Orphan, Every: 1}))
 	defer rt.SetInjector(nil)
 	died := make(chan any, 1)
@@ -601,77 +641,73 @@ func orphan(t *testing.T, f txntest.Fixture, o *objmodel.Object, p faultinject.P
 // once, and leaves a live transaction parked in its body alone, which then
 // commits.
 func TestReapDeadReclaimsOnlyDead(t *testing.T) {
-	for _, name := range stmapi.Runtimes() {
-		t.Run(name, func(t *testing.T) {
-			f := txntest.New(t, name, stmapi.CommonConfig{})
-			rt, x, y := f.Runtime(), f.NewCell(), f.NewCell()
-			release, parked := park(f, x, false)
-			orphan(t, f, y, faultinject.PostAcquire)
-			if n := rt.ReapDead(); n != 1 {
-				t.Fatalf("first sweep reclaimed %d, want 1", n)
-			}
-			if n := rt.ReapDead(); n != 0 {
-				t.Fatalf("second sweep reclaimed %d, want 0", n)
-			}
-			if w := y.Rec.Load(); !txrec.IsShared(w) || y.LoadSlot(0) != 0 {
-				t.Errorf("orphan's record %#x, slot %d: want Shared and rolled back", w, y.LoadSlot(0))
-			}
-			if n := rt.ActiveTransactions(); n != 1 {
-				t.Errorf("active transactions = %d, want the parked one", n)
-			}
-			release()
-			within(t, parked, "the live transaction did not commit after the sweep")
-			if x.LoadSlot(0) != 1 {
-				t.Error("the live transaction's write is missing")
-			}
-		})
-	}
+	forEachRuntime(t, func(t *testing.T, name string) {
+		f := newFixture(t, name, stmapi.CommonConfig{})
+		rt, x, y := f.rt, f.cell(), f.cell()
+		release, parked := park(f, x, false)
+		orphan(t, f, y, faultinject.PostAcquire)
+		if n := rt.ReapDead(); n != 1 {
+			t.Fatalf("first sweep reclaimed %d, want 1", n)
+		}
+		if n := rt.ReapDead(); n != 0 {
+			t.Fatalf("second sweep reclaimed %d, want 0", n)
+		}
+		if w := y.Rec.Load(); !txrec.IsShared(w) || y.LoadSlot(0) != 0 {
+			t.Errorf("orphan's record %#x, slot %d: want Shared and rolled back", w, y.LoadSlot(0))
+		}
+		if n := rt.ActiveTransactions(); n != 1 {
+			t.Errorf("active transactions = %d, want the parked one", n)
+		}
+		release()
+		within(t, parked, "the live transaction did not commit after the sweep")
+		if x.LoadSlot(0) != 1 {
+			t.Error("the live transaction's write is missing")
+		}
+	})
 }
 
 // TestInlineStealNamesReclaimer: a writer that finds a dead owner on its
 // object reclaims it inline, and the steal event names that writer's attempt
 // and the object, so the causal recorder draws a stolen-from edge to it.
 func TestInlineStealNamesReclaimer(t *testing.T) {
-	for _, name := range stmapi.Runtimes() {
-		t.Run(name, func(t *testing.T) {
-			f := txntest.New(t, name, stmapi.CommonConfig{})
-			rt, o := f.Runtime(), f.NewCell()
-			rec := causal.NewRecorder(causal.Config{})
-			tr := trace.New(trace.Config{Shards: 1, ShardCapacity: 256})
-			tr.SetSink(rec)
-			rt.SetTracer(tr)
-			orphan(t, f, o, faultinject.PreValidate)
-			var waiter causal.AttemptRef
-			if err := rt.Atomic(func(tx stmapi.Txn) error {
-				waiter = causal.AttemptRef{Txn: tx.ID(), N: tx.Attempt()}
-				tx.Write(o, 0, 5)
-				return nil
-			}); err != nil {
-				t.Fatal(err)
+	forEachRuntime(t, func(t *testing.T, name string) {
+		f := newFixture(t, name, stmapi.CommonConfig{})
+		rt, o := f.rt, f.cell()
+		rec := causal.NewRecorder(causal.Config{})
+		tr := trace.New(trace.Config{Shards: 1, ShardCapacity: 256})
+		tr.SetSink(rec)
+		rt.SetTracer(tr)
+		orphan(t, f, o, faultinject.PreValidate)
+		var waiter causal.AttemptRef
+		if err := rt.Atomic(func(tx stmapi.Txn) error {
+			waiter = causal.AttemptRef{Txn: tx.ID(), N: tx.Attempt()}
+			tx.Write(o, 0, 5)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		var stolen []causal.Edge
+		for _, e := range rec.Graph().Edges {
+			if e.Kind == causal.StolenFrom {
+				stolen = append(stolen, e)
 			}
-			var stolen []causal.Edge
-			for _, e := range rec.Graph().Edges {
-				if e.Kind == causal.StolenFrom {
-					stolen = append(stolen, e)
-				}
-			}
-			if len(stolen) != 1 {
-				t.Fatalf("stolen-from edges = %+v, want exactly one", stolen)
-			}
-			if e := stolen[0]; e.To != waiter || e.Obj != uint64(o.Ref()) {
-				t.Errorf("stolen-from edge To:%+v Obj:%d, want To:%+v Obj:%d", e.To, e.Obj, waiter, o.Ref())
-			}
-			if o.LoadSlot(0) != 5 {
-				t.Errorf("slot 0 = %d, want the waiter's 5", o.LoadSlot(0))
-			}
-		})
-	}
+		}
+		if len(stolen) != 1 {
+			t.Fatalf("stolen-from edges = %+v, want exactly one", stolen)
+		}
+		if e := stolen[0]; e.To != waiter || e.Obj != uint64(o.Ref()) {
+			t.Errorf("stolen-from edge To:%+v Obj:%d, want To:%+v Obj:%d", e.To, e.Obj, waiter, o.Ref())
+		}
+		if o.LoadSlot(0) != 5 {
+			t.Errorf("slot 0 = %d, want the waiter's 5", o.LoadSlot(0))
+		}
+	})
 }
 
 // park starts a transaction writing 1 to o that stops in its body or, with
 // window, just past its commit point, and returns once it has stopped:
 // release lets it go on, and parked delivers its Atomic's result.
-func park(f txntest.Fixture, o *objmodel.Object, window bool) (release func(), parked <-chan error) {
+func park(f fixture, o *objmodel.Object, window bool) (release func(), parked <-chan error) {
 	stopped, resume := make(chan struct{}), make(chan struct{})
 	var once atomic.Bool
 	stop := func() {
@@ -681,17 +717,11 @@ func park(f txntest.Fixture, o *objmodel.Object, window bool) (release func(), p
 		}
 	}
 	if window {
-		tr := trace.New(trace.Config{Shards: 1, ShardCapacity: 64})
-		tr.SetSink(trace.SinkFunc(func(ev trace.Event) {
-			if ev.Kind == trace.EvCommitPoint {
-				stop()
-			}
-		}))
-		f.Runtime().SetTracer(tr)
+		atCommitPoint(f, stop)
 	}
 	done := make(chan error, 1)
 	go func() {
-		done <- f.Runtime().Atomic(func(tx stmapi.Txn) error {
+		done <- f.rt.Atomic(func(tx stmapi.Txn) error {
 			tx.Write(o, 0, 1)
 			if !window {
 				stop()
@@ -703,15 +733,23 @@ func park(f txntest.Fixture, o *objmodel.Object, window bool) (release func(), p
 	return func() { close(resume) }, done
 }
 
+// atCommitPoint installs a tracer on f's runtime whose synchronous sink
+// calls fn, on the committing goroutine, at every deferred-update commit
+// point (trace.EvCommitPoint), before anything is written back.
+func atCommitPoint(f fixture, fn func()) {
+	tr := trace.New(trace.Config{Shards: 1, ShardCapacity: 64})
+	tr.SetSink(trace.SinkFunc(func(ev trace.Event) {
+		if ev.Kind == trace.EvCommitPoint {
+			fn()
+		}
+	}))
+	f.rt.SetTracer(tr)
+}
+
 // commitAsync commits o = v on a goroutine of its own.
-func commitAsync(f txntest.Fixture, o *objmodel.Object, v uint64) <-chan error {
+func commitAsync(f fixture, o *objmodel.Object, v uint64) <-chan error {
 	done := make(chan error, 1)
-	go func() {
-		done <- f.Runtime().Atomic(func(tx stmapi.Txn) error {
-			tx.Write(o, 0, v)
-			return nil
-		})
-	}()
+	go func() { done <- f.write(o, 0, v) }()
 	return done
 }
 

@@ -113,8 +113,7 @@ type Kernel struct {
 	name     string
 	cfg      stmapi.CommonConfig
 	newTxn   func() Strategy
-	policy   conflict.Policy        // the configured handler, adapted to Policy
-	staleObs conflict.StaleObserver // the handler, if it observes stale aborts; asserted once here
+	policy   conflict.Policy // the configured handler, adapted to Policy
 	nextID   atomic.Uint64
 	reg      registry
 	pool     sync.Pool // idle *Txn descriptors
@@ -148,7 +147,6 @@ func (k *Kernel) Init(name string, heap *objmodel.Heap, cfg stmapi.CommonConfig,
 	k.cfg = cfg
 	k.newTxn = newTxn
 	k.policy = conflict.AsPolicy(h)
-	k.staleObs, _ = h.(conflict.StaleObserver)
 }
 
 // Register registers a kernel-based runtime with stmapi under name: the

@@ -209,30 +209,20 @@ func (tx *Txn) ExtendSnapshot(o *objmodel.Object, ver uint64) {
 }
 
 // failValidation attributes a validation failure to the object with handle
-// bad and restarts, first notifying the contention handler.
+// bad and restarts.
 func (tx *Txn) failValidation(bad uint64) {
 	tx.NotifyStale(bad)
 	tx.RestartOn(bad)
 }
 
 // NotifyStale reports an abort caused by a stale read of the object with
-// handle bad to the tracer and, if it observes stale aborts
-// (conflict.StaleObserver), the contention handler. Unlike a conflict there
-// is no decision to make — the transaction is already inconsistent — so
-// the notification is purely for attribution and priority accounting.
+// handle bad to the tracer. Unlike a conflict there is no decision to make
+// — the transaction is already inconsistent — so the report is purely for
+// attribution.
 func (tx *Txn) NotifyStale(bad uint64) {
 	if tr := tx.Tr; tr != nil {
 		tr.Record(trace.EvValidation, tx.id, bad, tx.attempt, 0)
 		tr.Hot().BumpValidation(bad)
-	}
-	if obs := tx.k.staleObs; obs != nil {
-		obs.ObserveValidationAbort(conflict.Info{
-			Kind:     conflict.TxnValidation,
-			Attempt:  tx.attempt,
-			Obj:      bad,
-			Self:     tx.id,
-			SelfPrio: tx.karma.Load(),
-		})
 	}
 }
 
