@@ -2,6 +2,7 @@ package durability
 
 import (
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -27,6 +28,20 @@ func childCommand(t *testing.T) []string {
 	return []string{exe}
 }
 
+// artifactDir is where a breach's evidence goes: under
+// STM_DURABILITY_ARTIFACTS if it is set, else under a fixed directory in
+// os.TempDir() that outlives the test, one directory per subtest so that
+// two runtimes breaching at the same iteration keep both. The harness
+// writes there only when an iteration breaches, and the test logs each
+// artifact's path.
+func artifactDir(t *testing.T) string {
+	root := os.Getenv("STM_DURABILITY_ARTIFACTS")
+	if root == "" {
+		root = filepath.Join(os.TempDir(), "stm-durability-artifacts")
+	}
+	return filepath.Join(root, filepath.FromSlash(t.Name()))
+}
+
 func iters(t *testing.T, full int) int {
 	if testing.Short() {
 		return full / 5
@@ -49,7 +64,7 @@ func TestBlackboxCrashLoop(t *testing.T) {
 				Iterations:      iters(t, 70),
 				Seed:            0xC0FFEE ^ uint64(len(rt)),
 				CheckpointEvery: 25 * time.Millisecond,
-				ArtifactDir:     os.Getenv("STM_DURABILITY_ARTIFACTS"),
+				ArtifactDir:     artifactDir(t),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -93,13 +108,16 @@ func TestWhiteboxKillpoints(t *testing.T) {
 					KillPoint:       point,
 					KillRate:        24,
 					MaxRun:          60 * time.Millisecond,
-					ArtifactDir:     os.Getenv("STM_DURABILITY_ARTIFACTS"),
+					ArtifactDir:     artifactDir(t),
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, b := range res.Breaches {
 					t.Errorf("invariant breach: %s", b)
+				}
+				for _, a := range res.Artifacts {
+					t.Logf("artifact: %s", a)
 				}
 				if res.Kills == 0 {
 					t.Fatalf("killpoint %s never fired on %s", point, rt)

@@ -5,8 +5,8 @@
 // nil check and nothing else.
 //
 // Injection points sit at the stages of the commit protocol where an abort
-// is hardest to get right: around record acquisition, entering commit
-// validation, and inside the commit window before records are released.
+// is hardest to get right: around record acquisition, once a commit holds
+// its write set, and inside the commit window before records are released.
 // Three actions are supported in memory:
 //
 //	Delay   sleep at the point, widening race windows that are normally
@@ -41,18 +41,27 @@ import (
 // Point is an injection site in a runtime's transaction lifecycle.
 type Point uint8
 
-// Injection points. Each of the three runtimes fires the subset that exists
-// in its protocol (the eager runtime has no write-back, for instance).
+// Injection points. All three runtimes reach every in-memory point (Points);
+// where each falls in the protocol differs, as each point says.
+// internal/txn's TestEveryFaultPointFires pins how often each runtime
+// reaches each one.
 const (
-	// PreAcquire fires before each attempt to CAS a record to Exclusive.
+	// PreAcquire fires before each attempt to CAS a record to Exclusive: on
+	// the eager runtime at the write, on the lazy and multi-version runtimes
+	// at commit.
 	PreAcquire Point = iota
 	// PostAcquire fires immediately after a record acquisition succeeds.
 	PostAcquire
-	// PreValidate fires on entering commit-time read-set validation.
+	// PreValidate fires once a commit holds its write set, before its commit
+	// point. The eager and lazy runtimes validate the read set next; the
+	// multi-version runtime validates no reads (first-committer-wins was
+	// checked while acquiring), so its commit point follows, and its
+	// read-only commits never reach the point.
 	PreValidate
 	// PostCommitPoint fires after the transaction has logically committed
-	// but before its records are released (for the lazy runtime: after
-	// write-back, before release — the paper's Figure 4 window).
+	// but before its records are released (for the lazy and multi-version
+	// runtimes: after write-back, before release — the paper's Figure 4
+	// window).
 	PostCommitPoint
 	// PreRelease fires before the records are released: on the eager
 	// runtime on its abort path, before the undo log is replayed; on the

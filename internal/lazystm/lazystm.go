@@ -238,12 +238,12 @@ func (tx *Txn) Commit() (ok bool, err error) {
 	// particular order", and what Figure 4a needs of that is a publishing
 	// store able to land before the store that initializes what it publishes:
 	// atomic { el.val = 1; x = el } buffers x last and writes it back first.
-	publish := tx.rt.Heap().HasManifest()
+	publish := tx.rt.Heap().MintsPrivate()
 	for k := range ents {
 		e := &ents[len(ents)-1-k]
-		// With an elision manifest loaded the heap mints private-born
-		// objects, so write-back into a public container is a publication
-		// point (Figure 10b): the referenced subgraph escapes here.
+		// On a heap that mints private-born objects, write-back into a
+		// public container is a publication point (Figure 10b): the
+		// referenced subgraph escapes here.
 		if publish && e.Val != 0 && e.Obj.IsRefSlot(e.Slot) && !txrec.IsPrivate(e.Obj.Rec.Load()) {
 			tx.rt.Heap().PublishRef(objmodel.Ref(e.Val))
 		}

@@ -544,7 +544,7 @@ func (tx *Txn) Commit() (ok bool, err error) {
 	// readers under weak atomicity go straight to the slots and see the lazy
 	// write-back window (the litmus MI programs depend on it).
 	horizon := tx.pruneHorizon()
-	publish := rt.Heap().HasManifest()
+	publish := rt.Heap().MintsPrivate()
 	for k := range ents {
 		e := &ents[k]
 		o := e.Obj
@@ -553,8 +553,9 @@ func (tx *Txn) Commit() (ok bool, err error) {
 				tx.install(o, sv, &horizon)
 			}
 		}
-		// Publication point under an elision manifest: a private-born
-		// object written into a public container escapes at write-back.
+		// Publication point on a heap that mints private objects: a
+		// private-born object written into a public container escapes at
+		// write-back.
 		if publish && e.Val != 0 && o.IsRefSlot(e.Slot) && !txrec.IsPrivate(o.Rec.Load()) {
 			rt.Heap().PublishRef(objmodel.Ref(e.Val))
 		}

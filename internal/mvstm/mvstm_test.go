@@ -1,8 +1,13 @@
 package mvstm
 
+// Multi-version's own structure: version chains, the read-only path,
+// snapshot reads, first-committer-wins and the commit gate; the install
+// path and the watermark are install_test.go's and gc_test.go's. The
+// promises mvstm shares with the other runtimes are the kernel's rows in
+// internal/txn.
+
 import (
 	"errors"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -51,32 +56,20 @@ func chainLen(o *objmodel.Object) int {
 	return n
 }
 
+// TestMVCommitBasic: a commit pushes what it overwrote on the object's
+// version chain: one node holding the pre-image at the birth version, below
+// the record's. The commit itself is internal/txn's TestCommitBasic row.
 func TestMVCommitBasic(t *testing.T) {
 	f := newFixture(t, stmapi.CommonConfig{})
 	o := f.heap.New(f.cls)
-	err := f.rt.Atomic(func(tx stmapi.Txn) error {
+	if err := f.rt.Atomic(func(tx stmapi.Txn) error {
 		tx.Write(o, 0, 5)
-		if got := tx.Read(o, 0); got != 5 {
-			t.Errorf("read-own-write = %d", got)
-		}
-		if got := o.LoadSlot(0); got != 0 {
-			t.Errorf("buffered write reached memory before commit: %d", got)
-		}
 		tx.Write(o, 1, 6)
 		return nil
-	})
-	if err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if o.LoadSlot(0) != 5 || o.LoadSlot(1) != 6 {
-		t.Errorf("state = (%d,%d), want (5,6)", o.LoadSlot(0), o.LoadSlot(1))
-	}
 	w := o.Rec.Load()
-	if !txrec.IsShared(w) {
-		t.Fatalf("record = %#x, want shared", w)
-	}
-	// The chain holds what the commit overwrote: the image at the birth
-	// version, below the record's.
 	head := o.MVHead.Load()
 	if head == nil {
 		t.Fatal("no version chain after commit")
@@ -95,25 +88,21 @@ func TestMVCommitBasic(t *testing.T) {
 	}
 }
 
+// TestMVAbortLeavesMemoryAndChainUntouched: an aborted transaction installs
+// no version. That it leaves memory and the record alone is internal/txn's
+// TestUserErrorAborts row.
 func TestMVAbortLeavesMemoryAndChainUntouched(t *testing.T) {
 	f := newFixture(t, stmapi.CommonConfig{})
 	o := f.heap.New(f.cls)
 	boom := errors.New("boom")
-	err := f.rt.Atomic(func(tx stmapi.Txn) error {
+	if err := f.rt.Atomic(func(tx stmapi.Txn) error {
 		tx.Write(o, 0, 99)
 		return boom
-	})
-	if !errors.Is(err, boom) {
+	}); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
-	}
-	if o.LoadSlot(0) != 0 {
-		t.Errorf("aborted write reached memory: %d", o.LoadSlot(0))
 	}
 	if o.MVHead.Load() != nil {
 		t.Error("aborted transaction installed a version")
-	}
-	if got := f.rt.Counters.Aborts.Load(); got != 1 {
-		t.Errorf("aborts = %d, want 1", got)
 	}
 }
 
@@ -146,6 +135,8 @@ func TestReadOnlyCommitPath(t *testing.T) {
 	}
 }
 
+// TestAtomicReadRejectsWrites: the read-only path has nowhere to put a
+// write, so a write there panics.
 func TestAtomicReadRejectsWrites(t *testing.T) {
 	f := newFixture(t, stmapi.CommonConfig{})
 	o := f.heap.New(f.cls)
@@ -314,38 +305,8 @@ func TestSnapshotConsistencyUnderWriters(t *testing.T) {
 	}
 }
 
-func TestRetryWakesOnCommit(t *testing.T) {
-	f := newFixture(t, stmapi.CommonConfig{})
-	o := f.heap.New(f.cls)
-	done := make(chan uint64, 1)
-	var once sync.Once
-	waiting := make(chan struct{})
-	go func() {
-		_ = f.rt.Atomic(func(tx stmapi.Txn) error {
-			v := tx.Read(o, 0)
-			if v == 0 {
-				once.Do(func() { close(waiting) })
-				tx.Retry()
-			}
-			done <- v
-			return nil
-		})
-	}()
-	<-waiting // the reader is provably blocked in Retry before the write
-	if err := f.rt.Atomic(func(tx stmapi.Txn) error {
-		tx.Write(o, 0, 42)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got := <-done; got != 42 {
-		t.Errorf("retry observed %d, want 42", got)
-	}
-	if f.rt.Counters.UserRetries.Load() == 0 {
-		t.Error("no retry recorded")
-	}
-}
-
+// TestIrrevocableReadsNewestAndCommits: an irrevocable transaction reads at
+// the newest version, not a snapshot, and surrenders the token at commit.
 func TestIrrevocableReadsNewestAndCommits(t *testing.T) {
 	f := newFixture(t, stmapi.CommonConfig{})
 	o := f.heap.New(f.cls)
@@ -371,6 +332,8 @@ func TestIrrevocableReadsNewestAndCommits(t *testing.T) {
 	}
 }
 
+// TestIrrevocableExcludesCommitters: the commit gate keeps every other
+// commit out while an irrevocable transaction runs, so none is lost.
 func TestIrrevocableExcludesCommitters(t *testing.T) {
 	f := newFixture(t, stmapi.CommonConfig{})
 	o := f.heap.New(f.cls)
@@ -497,86 +460,5 @@ func TestGateIsPerDescriptor(t *testing.T) {
 	}
 	if a.LoadSlot(0) != 1 || b.LoadSlot(0) != 1 || c.LoadSlot(0) != 1 {
 		t.Errorf("state = (%d,%d,%d), want (1,1,1)", a.LoadSlot(0), b.LoadSlot(0), c.LoadSlot(0))
-	}
-}
-
-// TestMVTraceEventLifecycle is the lazy lifecycle test's twin on the
-// multi-version commit: the commit window is a commit point and one
-// write-back per buffered slot between the lock acquire and the commit, and
-// both carry the write version the commit obtained.
-func TestMVTraceEventLifecycle(t *testing.T) {
-	f := newFixture(t, stmapi.CommonConfig{})
-	o := f.heap.New(f.cls)
-	var mine *Txn
-	var events []trace.Event
-	var wv uint64
-	f.traceSink(func(ev trace.Event) {
-		events = append(events, ev)
-		if ev.Kind == trace.EvCommitPoint {
-			wv = mine.WV
-		}
-	})
-	if err := f.rt.Atomic(func(stx stmapi.Txn) error {
-		tx := stx.(*Txn)
-		mine = tx
-		tx.Write(o, 0, tx.Read(o, 0)+1)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	want := []trace.Kind{trace.EvBegin, trace.EvRead, trace.EvWrite, trace.EvLockAcquire,
-		trace.EvCommitPoint, trace.EvWriteBack, trace.EvCommit}
-	var kinds []trace.Kind
-	for _, ev := range events {
-		kinds = append(kinds, ev.Kind)
-	}
-	if !slices.Equal(kinds, want) {
-		t.Fatalf("events = %v, want %v", kinds, want)
-	}
-	if cp := events[4]; wv == 0 || cp.Ver != wv || cp.Txn != mine.ID() {
-		t.Errorf("commit point %+v, want Ver = WV = %d of txn %d", cp, wv, mine.ID())
-	}
-	if wb := events[5]; wb.Ver != wv || wb.Obj != uint64(o.Ref()) || wb.Slot != 0 {
-		t.Errorf("write-back %+v, want object %d slot 0 at %d", wb, o.Ref(), wv)
-	}
-}
-
-func TestRegistryDrivenConstruction(t *testing.T) {
-	names := stmapi.Runtimes()
-	found := false
-	for _, n := range names {
-		if n == "mvstm" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("mvstm not registered: %v", names)
-	}
-	h := objmodel.NewHeap()
-	rt, err := stmapi.New("mvstm", h, stmapi.CommonConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rt.Name() != "mvstm" {
-		t.Errorf("Name = %q", rt.Name())
-	}
-	ro, ok := rt.(stmapi.ReadOnlyRuntime)
-	if !ok {
-		t.Fatal("mvstm adapter does not satisfy ReadOnlyRuntime")
-	}
-	cls := h.MustDefineClass(objmodel.ClassSpec{Name: "C", Fields: []objmodel.Field{{Name: "f"}}})
-	o := h.New(cls)
-	if err := rt.Atomic(func(tx stmapi.Txn) error { tx.Write(o, 0, 9); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	var got uint64
-	if err := ro.AtomicRead(func(tx stmapi.Txn) error { got = tx.Read(o, 0); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if got != 9 {
-		t.Errorf("read = %d, want 9", got)
-	}
-	if _, err := stmapi.New("no-such-runtime", h, stmapi.CommonConfig{}); err == nil {
-		t.Error("unknown runtime name did not error")
 	}
 }

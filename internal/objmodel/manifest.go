@@ -100,6 +100,14 @@ func (h *Heap) ClearManifest() { h.manifest.Store(nil) }
 // write barrier's anonymous acquisition.
 func (h *Heap) HasManifest() bool { return h.manifest.Load() != nil }
 
+// MintsPrivate reports whether the heap can mint private-born objects:
+// under dynamic escape analysis (AllocPrivate) or with an elision manifest
+// loaded. Every runtime asks it where a transaction stores a reference into
+// a public container, which is then a publication point (Section 4): the
+// referenced subgraph escapes there, or a private object becomes reachable
+// by other threads with every barrier skipping synchronization on it.
+func (h *Heap) MintsPrivate() bool { return h.AllocPrivate || h.HasManifest() }
+
 // ManifestElidable returns the number of distinct elidable sites loaded.
 func (h *Heap) ManifestElidable() int {
 	idx := h.manifest.Load()

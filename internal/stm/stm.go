@@ -195,11 +195,10 @@ func (tx *Txn) logUndo(o *objmodel.Object, slot int) {
 }
 
 func (tx *Txn) maybePublish(o *objmodel.Object, slot int, v uint64) {
-	// Armed whenever the heap can mint private objects (dynamic escape
-	// analysis, or an elision manifest with it off). The heap is asked, not
-	// a runtime option that could disagree with it and leave a private-born
-	// object reachable from a public one.
-	if v == 0 || !o.IsRefSlot(slot) || !(tx.rt.Heap().AllocPrivate || tx.rt.Heap().HasManifest()) {
+	// Armed whenever the heap can mint private objects. The heap is asked,
+	// not a runtime option that could disagree with it and leave a
+	// private-born object reachable from a public one.
+	if v == 0 || !o.IsRefSlot(slot) || !tx.rt.Heap().MintsPrivate() {
 		return
 	}
 	// The container is public (callers ensure this); publish the referenced

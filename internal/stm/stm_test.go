@@ -1,15 +1,18 @@
 package stm
 
+// Eager versioning's own structure: the undo log, encounter-time ownership
+// and validation, the dynamic-escape-analysis barriers and the quiescence
+// ordering of eager's in-place commits. The promises eager shares with the
+// other runtimes are the kernel's rows in internal/txn.
+
 import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/objmodel"
 	"repro/internal/stmapi"
-	"repro/internal/txrec"
 )
 
 // errAborted is what a body returns to abort its transaction for good: the
@@ -50,82 +53,8 @@ func newFixtureOn(t testing.TB, h *objmodel.Heap, cfg stmapi.CommonConfig) *fixt
 
 func (f *fixture) newCell() *objmodel.Object { return f.heap.New(f.cls) }
 
-func TestCommitBasic(t *testing.T) {
-	f := newFixture(t, stmapi.CommonConfig{})
-	o := f.newCell()
-	err := f.rt.Atomic(func(tx stmapi.Txn) error {
-		tx.Write(o, 0, 41)
-		tx.Write(o, 0, tx.Read(o, 0)+1)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := o.LoadSlot(0); got != 42 {
-		t.Errorf("slot0 = %d, want 42", got)
-	}
-	w := o.Rec.Load()
-	if !txrec.IsShared(w) || txrec.Version(w) != 2 {
-		t.Errorf("record after commit = %#x, want shared v2", w)
-	}
-	if f.rt.Counters.Commits.Load() != 1 {
-		t.Errorf("commits = %d", f.rt.Counters.Commits.Load())
-	}
-}
-
-func TestUserErrorAborts(t *testing.T) {
-	f := newFixture(t, stmapi.CommonConfig{})
-	o := f.newCell()
-	o.StoreSlot(0, 7)
-	myErr := errors.New("boom")
-	err := f.rt.Atomic(func(tx stmapi.Txn) error {
-		tx.Write(o, 0, 99)
-		return myErr
-	})
-	if !errors.Is(err, myErr) {
-		t.Fatalf("err = %v, want %v", err, myErr)
-	}
-	if got := o.LoadSlot(0); got != 7 {
-		t.Errorf("slot0 = %d after abort, want 7 (rolled back)", got)
-	}
-	w := o.Rec.Load()
-	if !txrec.IsShared(w) {
-		t.Fatalf("record not released after abort: %#x", w)
-	}
-	if txrec.Version(w) != 2 {
-		t.Errorf("abort must bump version; got v%d", txrec.Version(w))
-	}
-	if f.rt.Counters.Aborts.Load() != 1 {
-		t.Errorf("aborts = %d, want 1", f.rt.Counters.Aborts.Load())
-	}
-}
-
-func TestRestartReexecutes(t *testing.T) {
-	f := newFixture(t, stmapi.CommonConfig{})
-	o := f.newCell()
-	runs := 0
-	err := f.rt.Atomic(func(tx stmapi.Txn) error {
-		runs++
-		tx.Write(o, 0, uint64(runs))
-		if runs < 3 {
-			tx.Restart()
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if runs != 3 {
-		t.Errorf("runs = %d, want 3", runs)
-	}
-	if got := o.LoadSlot(0); got != 3 {
-		t.Errorf("slot0 = %d, want 3", got)
-	}
-	if f.rt.Counters.Aborts.Load() != 2 {
-		t.Errorf("aborts = %d, want 2", f.rt.Counters.Aborts.Load())
-	}
-}
-
+// TestRollbackReverseOrder: the undo log replays the last write first, so
+// three writes to one slot roll back to the value before the first.
 func TestRollbackReverseOrder(t *testing.T) {
 	f := newFixture(t, stmapi.CommonConfig{})
 	o := f.newCell()
@@ -144,158 +73,8 @@ func TestRollbackReverseOrder(t *testing.T) {
 	}
 }
 
-// TestCounterAtomicity runs concurrent increment transactions and checks
-// that no update is lost.
-func TestCounterAtomicity(t *testing.T) {
-	f := newFixture(t, stmapi.CommonConfig{})
-	o := f.newCell()
-	const (
-		goroutines = 8
-		iters      = 300
-	)
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				err := f.rt.Atomic(func(tx stmapi.Txn) error {
-					tx.Write(o, 0, tx.Read(o, 0)+1)
-					return nil
-				})
-				if err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if got := o.LoadSlot(0); got != goroutines*iters {
-		t.Errorf("counter = %d, want %d", got, goroutines*iters)
-	}
-}
-
-// TestInvariantPreserved maintains x+y == 0 across transfer transactions
-// while readers check the invariant transactionally.
-func TestInvariantPreserved(t *testing.T) {
-	f := newFixture(t, stmapi.CommonConfig{})
-	x, y := f.newCell(), f.newCell()
-	stop := make(chan struct{})
-	var bad atomic.Int64
-	var readers, writers sync.WaitGroup
-	for r := 0; r < 4; r++ {
-		readers.Add(1)
-		go func() {
-			defer readers.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				var a, b int64
-				_ = f.rt.Atomic(func(tx stmapi.Txn) error {
-					a = int64(tx.Read(x, 0))
-					b = int64(tx.Read(y, 0))
-					return nil
-				})
-				if a+b != 0 {
-					bad.Add(1)
-				}
-			}
-		}()
-	}
-	for w := 0; w < 4; w++ {
-		writers.Add(1)
-		go func() {
-			defer writers.Done()
-			for i := 0; i < 400; i++ {
-				_ = f.rt.Atomic(func(tx stmapi.Txn) error {
-					tx.Write(x, 0, tx.Read(x, 0)+1)
-					tx.Write(y, 0, tx.Read(y, 0)-1)
-					return nil
-				})
-			}
-		}()
-	}
-	writers.Wait()
-	close(stop)
-	readers.Wait()
-	if bad.Load() != 0 {
-		t.Errorf("%d isolation violations observed", bad.Load())
-	}
-	if x.LoadSlot(0) != 1600 {
-		t.Errorf("x = %d, want 1600", x.LoadSlot(0))
-	}
-}
-
-func TestRetryWaitsForChange(t *testing.T) {
-	f := newFixture(t, stmapi.CommonConfig{})
-	o := f.newCell()
-	done := make(chan uint64)
-	go func() {
-		var got uint64
-		_ = f.rt.Atomic(func(tx stmapi.Txn) error {
-			v := tx.Read(o, 0)
-			if v == 0 {
-				tx.Retry()
-			}
-			got = v
-			return nil
-		})
-		done <- got
-	}()
-	// Let the retry engage, then satisfy it from another transaction.
-	for f.rt.Counters.UserRetries.Load() == 0 {
-	}
-	if err := f.rt.Atomic(func(tx stmapi.Txn) error {
-		tx.Write(o, 0, 5)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got := <-done; got != 5 {
-		t.Errorf("retry observed %d, want 5", got)
-	}
-}
-
-// TestValidationDetectsNonTxnVersionBump simulates a strong-atomicity
-// non-transactional write (acquire-anonymous + release) between a
-// transactional read and commit; the transaction must abort and re-execute.
-func TestValidationDetectsNonTxnVersionBump(t *testing.T) {
-	f := newFixture(t, stmapi.CommonConfig{})
-	o := f.newCell()
-	runs := 0
-	err := f.rt.Atomic(func(tx stmapi.Txn) error {
-		runs++
-		v := tx.Read(o, 0)
-		if runs == 1 {
-			// Simulate the NT write barrier: acquire, store, tick, release.
-			// Like the real barrier (strong.Barriers.Write) the commit clock
-			// ticks before the release publishes the value, so stale snapshots
-			// lose the validation fast path.
-			if _, ok := o.Rec.AcquireAnon(); !ok {
-				t.Fatal("acquire failed")
-			}
-			o.StoreSlot(0, 10)
-			f.heap.Clock().Tick()
-			o.Rec.ReleaseAnon()
-		}
-		tx.Write(o, 1, v)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if runs != 2 {
-		t.Errorf("runs = %d, want 2 (validation failure forces retry)", runs)
-	}
-	if got := o.LoadSlot(1); got != 10 {
-		t.Errorf("slot1 = %d, want 10 (re-execution saw the NT write)", got)
-	}
-}
-
+// TestDoomedReadRestarts: encounter-time validation: a second read of an
+// object whose version moved restarts the attempt at the read.
 func TestDoomedReadRestarts(t *testing.T) {
 	f := newFixture(t, stmapi.CommonConfig{})
 	o := f.newCell()
@@ -348,6 +127,8 @@ func TestForeignPanicWhileDoomedRestarts(t *testing.T) {
 	}
 }
 
+// TestForeignPanicWhileValidPropagates: a panic from a body whose read set
+// is still valid is the program's, and propagates.
 func TestForeignPanicWhileValidPropagates(t *testing.T) {
 	f := newFixture(t, stmapi.CommonConfig{})
 	o := f.newCell()
@@ -365,6 +146,8 @@ func TestForeignPanicWhileValidPropagates(t *testing.T) {
 	})
 }
 
+// TestDEAPrivateAccessSkipsLocking: a private object is written in place
+// without acquiring its record, and stays private after the commit.
 func TestDEAPrivateAccessSkipsLocking(t *testing.T) {
 	f := newDEAFixture(t)
 	o := f.newCell()
@@ -389,6 +172,8 @@ func TestDEAPrivateAccessSkipsLocking(t *testing.T) {
 	}
 }
 
+// TestDEAPrivateRollback: a private object's write is still undo-logged and
+// rolled back.
 func TestDEAPrivateRollback(t *testing.T) {
 	f := newDEAFixture(t)
 	o := f.newCell()
@@ -423,34 +208,8 @@ func TestDEATxnWritePublishes(t *testing.T) {
 	}
 }
 
-// TestRegistryBuiltEagerPublishes builds the runtime the way drivers do,
-// through the stmapi registry, whose factory can pass only CommonConfig. On
-// a heap that mints private objects it must still publish: a private-born
-// object left private after being written into a public holder is reachable
-// by other threads with every barrier skipping synchronization on it.
-func TestRegistryBuiltEagerPublishes(t *testing.T) {
-	h := objmodel.NewHeap()
-	h.AllocPrivate = true
-	rt, err := stmapi.New("eager", h, stmapi.CommonConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cls := h.MustDefineClass(objmodel.ClassSpec{Name: "Cell", Fields: []objmodel.Field{{Name: "next", IsRef: true}}})
-	holder, item := h.NewPublic(cls), h.New(cls)
-	if !item.IsPrivate() {
-		t.Fatal("object not private at birth")
-	}
-	if err := rt.Atomic(func(tx stmapi.Txn) error {
-		tx.WriteRef(holder, 0, item.Ref())
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if item.IsPrivate() {
-		t.Error("private-born object still private after a committed write into a public holder")
-	}
-}
-
+// TestDEAWriteIntoPrivateDoesNotPublish: a reference stored into a private
+// container stays private.
 func TestDEAWriteIntoPrivateDoesNotPublish(t *testing.T) {
 	f := newDEAFixture(t)
 	container := f.newCell()
@@ -464,66 +223,6 @@ func TestDEAWriteIntoPrivateDoesNotPublish(t *testing.T) {
 	}
 	if !child.IsPrivate() {
 		t.Error("write into a private container must not publish the value")
-	}
-}
-
-// TestGranularitySpanUndo checks that with 2-slot granularity an abort
-// restores the *adjacent* slot too — the raw material of the granular lost
-// update anomaly (Section 2.4).
-func TestGranularitySpanUndo(t *testing.T) {
-	f := newFixture(t, stmapi.CommonConfig{Granularity: 2})
-	o := f.newCell()
-	o.StoreSlot(0, 1) // f
-	o.StoreSlot(1, 2) // g
-	barrier := make(chan struct{})
-	resume := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		_ = f.rt.Atomic(func(tx stmapi.Txn) error {
-			tx.Write(o, 0, 42) // undo entry captures slots {0,1} = {1,2}
-			close(barrier)
-			<-resume
-			return errAborted
-		})
-		close(done)
-	}()
-	<-barrier
-	// A (weakly-atomic) non-transactional write to the adjacent slot g.
-	o.StoreSlot(1, 99)
-	close(resume)
-	<-done
-	if got := o.LoadSlot(1); got != 2 {
-		// The rollback restored g from the 2-slot undo span: the
-		// non-transactional update was lost, as Section 2.4 predicts.
-		t.Fatalf("slot g = %d; expected the granular lost update to restore 2", got)
-	}
-	if got := o.LoadSlot(0); got != 1 {
-		t.Errorf("slot f = %d, want 1", got)
-	}
-}
-
-func TestGranularityOneDoesNotSpan(t *testing.T) {
-	f := newFixture(t, stmapi.CommonConfig{Granularity: 1})
-	o := f.newCell()
-	o.StoreSlot(1, 2)
-	sync1 := make(chan struct{})
-	resume := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		_ = f.rt.Atomic(func(tx stmapi.Txn) error {
-			tx.Write(o, 0, 42)
-			close(sync1)
-			<-resume
-			return errAborted
-		})
-		close(done)
-	}()
-	<-sync1
-	o.StoreSlot(1, 99)
-	close(resume)
-	<-done
-	if got := o.LoadSlot(1); got != 99 {
-		t.Errorf("slot g = %d, want 99 (field-granular undo must not touch it)", got)
 	}
 }
 
@@ -576,50 +275,6 @@ func TestQuiescenceWaitsForActive(t *testing.T) {
 	if len(order) != 2 || order[0] != "long-done" {
 		t.Errorf("order = %v, want long transaction to finish before quiesced commit returns", order)
 	}
-}
-
-func TestStatsCounting(t *testing.T) {
-	f := newFixture(t, stmapi.CommonConfig{})
-	o := f.newCell()
-	_ = f.rt.Atomic(func(tx stmapi.Txn) error {
-		_ = tx.Read(o, 0)
-		tx.Write(o, 0, 1)
-		return nil
-	})
-	if f.rt.Counters.TxnReads.Load() != 1 || f.rt.Counters.TxnWrites.Load() != 1 {
-		t.Errorf("reads/writes = %d/%d, want 1/1",
-			f.rt.Counters.TxnReads.Load(), f.rt.Counters.TxnWrites.Load())
-	}
-	if f.rt.Counters.Starts.Load() != 1 {
-		t.Errorf("starts = %d", f.rt.Counters.Starts.Load())
-	}
-}
-
-func TestActiveTransactions(t *testing.T) {
-	f := newFixture(t, stmapi.CommonConfig{})
-	inBody := make(chan struct{})
-	release := make(chan struct{})
-	go func() {
-		_ = f.rt.Atomic(func(tx stmapi.Txn) error {
-			close(inBody)
-			<-release
-			return nil
-		})
-	}()
-	<-inBody
-	if n := f.rt.ActiveTransactions(); n != 1 {
-		t.Errorf("active = %d, want 1", n)
-	}
-	close(release)
-}
-
-func TestBadGranularityPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("granularity 3 accepted")
-		}
-	}()
-	New(objmodel.NewHeap(), stmapi.CommonConfig{Granularity: 3})
 }
 
 func ExampleRuntime_Atomic() {

@@ -126,8 +126,12 @@ func (c *CommonConfig) Normalize() error {
 }
 
 // StatsSnapshot is a point-in-time copy of a runtime's counters as plain
-// values. Counters that a runtime does not track (UserRetries before the
-// lazy runtime grew retry accounting, for instance) are simply zero.
+// values. A counter that names a step a runtime's protocol lacks stays zero
+// there: the multi-version runtime validates no reads, so its
+// FastpathValidations and FallbackWalks are zero (internal/txn's
+// TestClockCounters), and the eager and lazy runtimes keep no version
+// chains and no read-only path, so the multi-version counters are zero on
+// them.
 type StatsSnapshot struct {
 	Starts      int64 `json:"starts"`
 	Commits     int64 `json:"commits"`

@@ -233,21 +233,7 @@ func TestDisabledSinkAllocFree(t *testing.T) {
 			tx.Write(o, 0, tx.Read(o, 0)+1)
 			return nil
 		}
-		measure := func(when string) {
-			for i := 0; i < 10; i++ { // warm the descriptor pool
-				if err := f.rt.Atomic(body); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if avg := testing.AllocsPerRun(200, func() {
-				if err := f.rt.Atomic(body); err != nil {
-					t.Fatal(err)
-				}
-			}); avg != 0 {
-				t.Errorf("%s: a transaction allocates %.1f objects, want 0", when, avg)
-			}
-		}
-		measure("never sinked")
+		allocFree(t, f.rt, body, "never sinked")
 		// Pooled descriptors that carried redo scratch must come back
 		// allocation-free.
 		sink := &countSink{}
@@ -261,6 +247,24 @@ func TestDisabledSinkAllocFree(t *testing.T) {
 			t.Fatal("sink never saw a redo append while installed")
 		}
 		f.rt.(stmapi.DurableRuntime).SetCommitSink(nil)
-		measure("sink removed")
+		allocFree(t, f.rt, body, "sink removed")
 	})
+}
+
+// allocFree fails the test unless body, committed on rt once its descriptor
+// pool is warm, allocates nothing; when says in what state.
+func allocFree(t *testing.T, rt stmapi.Runtime, body func(stmapi.Txn) error, when string) {
+	t.Helper()
+	for i := 0; i < 10; i++ {
+		if err := rt.Atomic(body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if avg := testing.AllocsPerRun(200, func() {
+		if err := rt.Atomic(body); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("%s: a transaction allocates %.1f objects, want 0", when, avg)
+	}
 }

@@ -7,12 +7,10 @@ package txn_test
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/conflict"
-	"repro/internal/objmodel"
 	"repro/internal/stmapi"
 	"repro/internal/txn"
 )
@@ -30,46 +28,9 @@ func TestPoliciesPreserveInvariantsUnderContention(t *testing.T) {
 					t.Fatal(err)
 				}
 				f := newFixture(t, name, stmapi.CommonConfig{Handler: pol})
-				const accounts, balance = 4, 1000 // few accounts: heavy contention
-				objs := make([]*objmodel.Object, accounts)
-				for i := range objs {
-					objs[i] = f.cell()
-					objs[i].StoreSlot(0, balance)
-				}
-				var wg sync.WaitGroup
-				for g := 0; g < 4; g++ {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						rng := uint64(g+1)*2862933555777941757 + 3037000493
-						for i := 0; i < 400; i++ {
-							rng ^= rng << 13
-							rng ^= rng >> 7
-							rng ^= rng << 17
-							from, to := objs[rng%accounts], objs[(rng>>8)%accounts]
-							if from == to {
-								continue
-							}
-							if err := f.rt.Atomic(func(tx stmapi.Txn) error {
-								a, b := tx.Read(from, 0), tx.Read(to, 0)
-								tx.Write(from, 0, a-1)
-								tx.Write(to, 0, b+1)
-								return nil
-							}); err != nil {
-								t.Errorf("transfer: %v", err)
-								return
-							}
-						}
-					}()
-				}
-				wg.Wait()
-				var sum uint64
-				for _, o := range objs {
-					sum += o.LoadSlot(0)
-				}
-				if sum != accounts*balance {
-					t.Fatalf("total balance %d, want %d", sum, accounts*balance)
-				}
+				objs := accounts(f, 4, 1000) // few accounts: heavy contention
+				runTransfers(t, f, objs, 4, 400)
+				conserved(t, f, objs, 1000)
 				s := f.rt.Stats()
 				if s.Commits == 0 {
 					t.Fatalf("no commits recorded")

@@ -5,13 +5,16 @@ package txn_test
 // kernel does for every runtime (the write-skew probe for the commit fast
 // path, the deterministic interleaving for snapshot extension, the walk-mode
 // counters), the quiescence grace period, orphan reclamation, and that a heap
-// does not keep its runtimes alive; beside them cancellation (ctx_test.go),
-// the descriptor pool and statistics (hotpath_test.go), contention policies
-// (policy_test.go) and recovery and irrevocability (recovery_test.go). A row
-// states what each runtime must do where they differ. What names a single
-// runtime's protocol structure (eager's undo log, lazy's write-back, mvstm's
-// chains, gate and watermark) is tested in that runtime's package. Run under
-// -race in CI.
+// does not keep its runtimes alive; beside them the basic commit, abort,
+// restart and retry contract (commit_test.go), the commit clock
+// (clock_test.go), cancellation (ctx_test.go), fault injection
+// (faultinject_test.go), granularity (granularity_test.go), the descriptor
+// pool and statistics (hotpath_test.go), contention policies
+// (policy_test.go), recovery and irrevocability (recovery_test.go) and the
+// tracer (trace_test.go). A row states what each runtime must do where they
+// differ. What names a single runtime's protocol structure (eager's undo
+// log, lazy's write-back, mvstm's chains, gate and watermark) is tested in
+// that runtime's package. Run under -race in CI.
 
 import (
 	"context"
@@ -438,6 +441,13 @@ func kernelOf(rt stmapi.Runtime) *txn.Kernel {
 	return reflect.ValueOf(rt).Elem().FieldByName("Kernel").Addr().Interface().(*txn.Kernel)
 }
 
+// constructors are the runtime packages' own New, by registry name.
+var constructors = map[string]func(*objmodel.Heap, stmapi.CommonConfig) stmapi.Runtime{
+	"eager": func(h *objmodel.Heap, cfg stmapi.CommonConfig) stmapi.Runtime { return stm.New(h, cfg) },
+	"lazy":  func(h *objmodel.Heap, cfg stmapi.CommonConfig) stmapi.Runtime { return lazystm.New(h, cfg) },
+	"mvstm": func(h *objmodel.Heap, cfg stmapi.CommonConfig) stmapi.Runtime { return mvstm.New(h, cfg) },
+}
+
 // TestRuntimeCapabilities pins what drivers probe a runtime for. A runtime
 // is its own driver view, so a capability gained or lost through embedding
 // would otherwise change a driver's path silently: the durable store, for
@@ -446,21 +456,20 @@ func kernelOf(rt stmapi.Runtime) *txn.Kernel {
 func TestRuntimeCapabilities(t *testing.T) {
 	type drainer interface{ DrainCommitters(time.Duration) bool }
 	h := objmodel.NewHeap()
-	direct := map[string]stmapi.Runtime{
-		"eager": stm.New(h, stmapi.CommonConfig{}),
-		"lazy":  lazystm.New(h, stmapi.CommonConfig{}),
-		"mvstm": mvstm.New(h, stmapi.CommonConfig{}),
-	}
 	names := stmapi.Runtimes()
-	if len(names) != len(direct) {
-		t.Fatalf("registered runtimes %v, want the %d this test knows", names, len(direct))
+	if len(names) != len(constructors) {
+		t.Fatalf("registered runtimes %v, want the %d this test knows", names, len(constructors))
+	}
+	if _, err := stmapi.New("no-such-runtime", h, stmapi.CommonConfig{}); err == nil {
+		t.Error("an unknown runtime name did not error")
 	}
 	for _, name := range names {
 		rt, err := stmapi.New(name, h, stmapi.CommonConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := reflect.TypeOf(rt), reflect.TypeOf(direct[name]); got != want {
+		direct := constructors[name](h, stmapi.CommonConfig{})
+		if got, want := reflect.TypeOf(rt), reflect.TypeOf(direct); got != want {
 			t.Errorf("%s: stmapi.New returns %v, the package's New %v", name, got, want)
 		}
 		if _, ok := rt.(stmapi.DurableRuntime); !ok {
@@ -496,11 +505,7 @@ func TestQuiescenceIsAGracePeriod(t *testing.T) {
 				committed := commitAsync(f, y, 1)
 				// The commit counts before its wait, so once it has counted the
 				// wait has begun; give it a moment to end (wrongly).
-				for deadline := time.Now().Add(5 * time.Second); f.rt.Stats().Commits == 0; runtime.Gosched() {
-					if time.Now().After(deadline) {
-						t.Fatal("the committer never committed")
-					}
-				}
+				waitFor(t, "the committer to commit", func() bool { return f.rt.Stats().Commits > 0 })
 				select {
 				case err := <-committed:
 					t.Fatalf("commit returned (err %v) with an attempt in flight", err)
@@ -598,11 +603,7 @@ func TestRetryAfterOwnWriteWaitsForAnotherCommit(t *testing.T) {
 				return nil
 			})
 		}()
-		for deadline := time.Now().Add(5 * time.Second); f.rt.Stats().UserRetries == 0; runtime.Gosched() {
-			if time.Now().After(deadline) {
-				t.Fatal("the body never retried")
-			}
-		}
+		waitFor(t, "the body to retry", func() bool { return f.rt.Stats().UserRetries > 0 })
 		time.Sleep(20 * time.Millisecond)
 		if n := runs.Load(); n != 1 {
 			t.Fatalf("body ran %d times with nothing else committed", n)
@@ -763,5 +764,76 @@ func within(t *testing.T, done <-chan error, stalled string) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal(stalled)
+	}
+}
+
+// waitFor fails the test with what unless cond holds within five seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// accounts allocates n cells on f's heap holding balance each.
+func accounts(f fixture, n int, balance uint64) []*objmodel.Object {
+	objs := make([]*objmodel.Object, n)
+	for i := range objs {
+		objs[i] = f.cell()
+		objs[i].StoreSlot(0, balance)
+	}
+	return objs
+}
+
+// runTransfers runs goroutines workers, each committing up to n
+// transactions that move one unit between two pseudo-random accounts.
+func runTransfers(t *testing.T, f fixture, accounts []*objmodel.Object, goroutines, n int) {
+	t.Helper()
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(rng uint64) {
+			defer wg.Done()
+			for i := 0; i < n; i++ {
+				rng ^= rng << 13
+				rng ^= rng >> 7
+				rng ^= rng << 17
+				from, to := accounts[rng%uint64(len(accounts))], accounts[(rng>>8)%uint64(len(accounts))]
+				if from == to {
+					continue
+				}
+				if err := f.rt.Atomic(func(tx stmapi.Txn) error {
+					a, b := tx.Read(from, 0), tx.Read(to, 0)
+					tx.Write(from, 0, a-1)
+					tx.Write(to, 0, b+1)
+					return nil
+				}); err != nil {
+					t.Errorf("transfer: %v", err)
+					return
+				}
+			}
+		}(uint64(g+1)*2862933555777941757 + 3037000493)
+	}
+	wg.Wait()
+}
+
+// conserved fails the test unless the accounts hold n·balance between them,
+// every record is Shared and no transaction is active.
+func conserved(t *testing.T, f fixture, accounts []*objmodel.Object, balance uint64) {
+	t.Helper()
+	var sum uint64
+	for i, o := range accounts {
+		if w := o.Rec.Load(); !txrec.IsShared(w) {
+			t.Errorf("account %d record %#x not back to Shared", i, w)
+		}
+		sum += o.LoadSlot(0)
+	}
+	if want := uint64(len(accounts)) * balance; sum != want {
+		t.Errorf("total balance %d, want %d", sum, want)
+	}
+	if n := f.rt.ActiveTransactions(); n != 0 {
+		t.Errorf("active transactions = %d, want 0", n)
 	}
 }
