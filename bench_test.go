@@ -284,6 +284,49 @@ func BenchmarkTxnReadOnly(b *testing.B) {
 	sinkU64 = s
 }
 
+// BenchmarkTxnReadOnlyParallel is BenchmarkTxnReadOnly from GOMAXPROCS
+// goroutines on every runtime, each on a cell of its own, so the transactions
+// share no data. What they can still share is the runtime's own cache lines:
+// a line every begin writes shows here, on more than one processor, as ns/op
+// above the one-goroutine figure. Allocation-free.
+func BenchmarkTxnReadOnlyParallel(b *testing.B) {
+	for _, rtc := range []struct {
+		name string
+		mk   func(*objmodel.Heap) stmapi.Runtime
+	}{
+		{"eager", func(h *objmodel.Heap) stmapi.Runtime { return stm.New(h, stmapi.CommonConfig{}) }},
+		{"lazy", func(h *objmodel.Heap) stmapi.Runtime { return lazystm.New(h, stmapi.CommonConfig{}) }},
+		{"mvstm", func(h *objmodel.Heap) stmapi.Runtime { return mvstm.New(h, stmapi.CommonConfig{}) }},
+	} {
+		b.Run(rtc.name, func(b *testing.B) {
+			h, first, _ := barrierFixture(b, false)
+			rt := rtc.mk(h)
+			// One cell per goroutine, seven unused ones apart: no two of
+			// them, nor their slot arrays, share a cache line.
+			cells := make([]*objmodel.Object, runtime.GOMAXPROCS(0))
+			for i := range cells {
+				cells[i] = h.New(first.Class)
+				for pad := 0; pad < 7; pad++ {
+					h.New(first.Class)
+				}
+			}
+			var next atomic.Int32
+			b.ReportAllocs()
+			b.RunParallel(func(pb *testing.PB) {
+				o := cells[next.Add(1)-1]
+				var s uint64
+				body := func(tx stmapi.Txn) error {
+					s += tx.Read(o, 0) + tx.Read(o, 1) + tx.Read(o, 2)
+					return nil
+				}
+				for pb.Next() {
+					_ = rt.Atomic(body)
+				}
+			})
+		})
+	}
+}
+
 // BenchmarkTxnEmptyCommit isolates pure transaction overhead: descriptor
 // acquisition, registry begin/end, commit, stats flush. With descriptor
 // pooling this is allocation-free — run with -benchmem to verify 0

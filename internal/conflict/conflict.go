@@ -49,12 +49,17 @@ func (k Kind) String() string {
 // Info describes one conflict event passed to a Handler or Policy.
 //
 // The Self/Owner fields exist for policies that arbitrate between the two
-// transactions rather than blindly backing off. Transaction IDs are
-// assigned from a runtime-monotonic counter once per top-level atomic
-// block (they survive internal retries), so they double as age stamps:
-// a smaller ID is an older transaction. Zero means "unknown" — a conflict
-// raised by a non-transactional barrier has no Self, and a record owned by
-// an anonymous (non-transactional) writer has no Owner.
+// transactions rather than blindly backing off. A transaction's ID is
+// assigned once per top-level Atomic (it survives internal retries) and
+// comes from its descriptor's block of 64 consecutive IDs, blocks being
+// taken from a runtime-wide counter in order, so IDs double as age stamps:
+// a smaller ID is an older transaction, up to the block. A descriptor still
+// spending a block taken earlier hands out IDs below those of blocks taken
+// later, so a retrying transaction is outranked by at most 63 newcomers per
+// other descriptor, and after those it is older than every newcomer. Zero
+// means "unknown" — a conflict raised by a non-transactional barrier has no
+// Self, and a record owned by an anonymous (non-transactional) writer has
+// no Owner.
 type Info struct {
 	Kind    Kind
 	Attempt int    // 0-based retry attempt for this access

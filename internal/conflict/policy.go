@@ -96,11 +96,14 @@ func (b *Backoff) Resolve(info Info) Decision {
 
 // Timestamp is the greedy age-based policy: older transactions win. On a
 // conflict with a live transactional owner, the older party (smaller ID —
-// IDs are begin-order stamps that survive retries) dooms the younger; a
-// younger contender aborts itself instead of waiting. The oldest live
-// transaction can therefore never lose an arbitration, which makes it
-// starvation-free: whatever it contends on, it either dooms the owner or
-// is itself the owner.
+// IDs are age stamps that survive retries, in begin order up to the block
+// of IDs each descriptor takes; see Info) dooms the younger; a younger
+// contender aborts itself instead of waiting. The oldest live transaction
+// can therefore never lose an arbitration, and a retrying one is outranked
+// only by the transactions older than it and at most 63 newcomers per other
+// descriptor, so it becomes the oldest. That makes the policy
+// starvation-free: whatever the oldest contends on, it either dooms the
+// owner or is itself the owner.
 //
 // Conflicts without a live transactional owner (anonymous writers,
 // non-transactional barriers, owner already finishing) fall back to
@@ -140,8 +143,10 @@ func (t *Timestamp) Resolve(info Info) Decision {
 // so repeatedly-victimized transactions grow strong enough to win. A
 // contender waits while the owner outranks it, gaining rank with every
 // conflict; once its priority plus the attempt count reaches the owner's
-// priority, it dooms the owner. Ties break by age (older wins), so two
-// equal-karma rivals cannot doom each other in the same round.
+// priority, it dooms the owner. Ties break by age (older wins: the smaller
+// ID, an age stamp up to the block it was taken in; see Info), so two
+// equal-karma rivals cannot doom each other in the same round: IDs are
+// unique, so exactly one of them is the older.
 type Karma struct {
 	Stats Stats
 }

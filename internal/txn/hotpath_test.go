@@ -30,32 +30,36 @@ func deferredOf(tx stmapi.Txn) *txn.Deferred {
 // TestPooledDescriptorClean: a descriptor fetched from the pool carries
 // nothing over from its last incarnation, whichever goroutine ran it: an
 // empty read set, no held records, on a deferred-update runtime an empty
-// write buffer and write set, and a fresh ID. Every incarnation dirties its
-// descriptor (a read set spilled past its inline capacity, a buffered or
-// logged write per object read) and counts its goroutine's own cell up, so
-// state bled between goroutines shows in the counts too. Eager's undo log is
-// internal/stm's own TestPooledDescriptorClean.
+// write buffer and write set, and an ID no incarnation on any goroutine was
+// given before, which is what record ownership needs (IDs come from
+// per-descriptor blocks, so a goroutine that moves to another descriptor may
+// be given a lower one). Every incarnation dirties its descriptor (a read set
+// spilled past its inline capacity, a buffered or logged write per object
+// read) and counts its goroutine's own cell up, so state bled between
+// goroutines shows in the counts too. Eager's undo log is internal/stm's own
+// TestPooledDescriptorClean.
 func TestPooledDescriptorClean(t *testing.T) {
 	forEachRuntime(t, func(t *testing.T, name string) {
 		f := newFixture(t, name, stmapi.CommonConfig{})
 		const goroutines, iters = 4, 50
 		var wg sync.WaitGroup
+		var seen sync.Map // owner ID -> goroutine that was given it
 		for g := 0; g < goroutines; g++ {
 			o := f.cell()
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				var lastID uint64
 				for i := 0; i < iters; i++ {
 					if err := f.rt.Atomic(func(tx stmapi.Txn) error {
 						k, d := base(tx), deferredOf(tx)
 						if k.Reads.Len() != 0 || k.Owned.Len() != 0 || d != nil && (len(d.Buf.Ents) != 0 || len(d.Objs) != 0) {
 							t.Errorf("goroutine %d, iteration %d: dirty descriptor", g, i)
 						}
-						if k.Attempt() == 0 && k.ID() <= lastID {
-							t.Errorf("goroutine %d: id %d not fresh (last %d)", g, k.ID(), lastID)
+						if k.Attempt() == 0 {
+							if prev, dup := seen.LoadOrStore(k.ID(), g); dup {
+								t.Errorf("goroutine %d, iteration %d: id %d already given to goroutine %d", g, i, k.ID(), prev)
+							}
 						}
-						lastID = k.ID()
 						if v := tx.Read(o, 0); v != uint64(i) {
 							t.Errorf("goroutine %d: read %d, want %d", g, v, i)
 						}

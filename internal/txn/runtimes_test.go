@@ -680,13 +680,15 @@ func TestInlineStealNamesReclaimer(t *testing.T) {
 		rt.SetTracer(tr)
 		orphan(t, f, o, faultinject.PreValidate)
 		var waiter causal.AttemptRef
-		if err := rt.Atomic(func(tx stmapi.Txn) error {
-			waiter = causal.AttemptRef{Txn: tx.ID(), N: tx.Attempt()}
-			tx.Write(o, 0, 5)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
+		done := make(chan error, 1)
+		go func() {
+			done <- rt.Atomic(func(tx stmapi.Txn) error {
+				waiter = causal.AttemptRef{Txn: tx.ID(), N: tx.Attempt()}
+				tx.Write(o, 0, 5)
+				return nil
+			})
+		}()
+		within(t, done, "the waiter did not reclaim the dead owner")
 		var stolen []causal.Edge
 		for _, e := range rec.Graph().Edges {
 			if e.Kind == causal.StolenFrom {

@@ -114,7 +114,7 @@ type Kernel struct {
 	cfg      stmapi.CommonConfig
 	newTxn   func() Strategy
 	policy   conflict.Policy // the configured handler, adapted to Policy
-	nextID   atomic.Uint64
+	nextID   atomic.Uint64   // the last ID of the last block of owner IDs taken (getTxn)
 	reg      registry
 	pool     sync.Pool // idle *Txn descriptors
 	tracer   atomic.Pointer[trace.Tracer]
@@ -269,7 +269,10 @@ type Txn struct {
 	self Strategy   // the runtime descriptor embedding this one; set once at allocation
 	api  stmapi.Txn // self as the driver-facing interface, asserted once at allocation
 
-	id      uint64
+	// id is the current incarnation's owner ID; [idNext, idEnd) is the
+	// unused rest of the descriptor's block of IDs (getTxn).
+	id, idNext, idEnd uint64
+
 	slot    int // registry slot index, -1 when in overflow; the next claim tries it first
 	attempt int
 
@@ -342,9 +345,24 @@ func (tx *Txn) Dead() bool { return tx.dead.Load() }
 // Doomed reports whether a contention policy marked this attempt for abort.
 func (tx *Txn) Doomed() bool { return tx.doomed.Load() }
 
+// idBlock is how many owner IDs a descriptor takes from the kernel's counter
+// at once, so that a begin writes the runtime-wide counter's cache line once
+// every idBlock top-level Atomics instead of every time.
+const idBlock = 64
+
 // getTxn fetches a pooled descriptor (or allocates the first time), assigns
-// a fresh owner ID, and registers it. The fresh ID per top-level Atomic
-// keeps record-ownership comparisons ABA-free across descriptor reuse.
+// a fresh owner ID, and registers it. The ID comes from the descriptor's own
+// block; an exhausted block is refilled with the next idBlock IDs of the
+// runtime-wide counter. IDs are never reused, so a fresh one per top-level
+// Atomic keeps record-ownership comparisons and findStamp ABA-free across
+// descriptor reuse; the ID survives the Atomic's retries.
+//
+// As an age stamp (conflict.Info) a block ID follows begin order up to the
+// block: a descriptor still spending a block taken earlier hands out IDs
+// below those of blocks taken later. A retrying transaction is therefore
+// outranked by IDs from blocks taken before its own only, at most idBlock-1
+// from each other descriptor, and after those it is older than every
+// newcomer, which keeps Timestamp starvation-free.
 func (k *Kernel) getTxn(ctx context.Context) *Txn {
 	tx, _ := k.pool.Get().(*Txn)
 	if tx == nil {
@@ -353,7 +371,12 @@ func (k *Kernel) getTxn(ctx context.Context) *Txn {
 		tx.k, tx.self = k, s
 		tx.api, _ = s.(stmapi.Txn)
 	}
-	tx.id = k.nextID.Add(1)
+	if tx.idNext == tx.idEnd {
+		tx.idEnd = k.nextID.Add(idBlock) + 1
+		tx.idNext = tx.idEnd - idBlock
+	}
+	tx.id = tx.idNext
+	tx.idNext++
 	tx.Ctx = ctx
 	tx.Tr = k.tracer.Load()
 	tx.FI = k.injector.Load()
@@ -363,12 +386,19 @@ func (k *Kernel) getTxn(ctx context.Context) *Txn {
 	}
 	tx.Blame = 0
 	tx.abortAt = time.Time{}
-	tx.doomed.Store(false)
-	tx.karma.Store(0)
-	tx.dead.Store(false)
-	tx.reaping.Store(false)
+	// Each atomic flag is stored only if it differs: a sequentially
+	// consistent store costs a locked instruction even when the value is
+	// already in place. dead and reaping are false on every pooled
+	// descriptor, because putTxn retires a dead one and only a dead one is
+	// reaped; doomed is cleared by begin. The owner is the only writer of
+	// karma and irrevStamp, so a load is enough to know.
+	if tx.karma.Load() != 0 {
+		tx.karma.Store(0)
+	}
 	tx.Irrevocable = false
-	tx.irrevStamp.Store(false)
+	if tx.irrevStamp.Load() {
+		tx.irrevStamp.Store(false)
+	}
 	// Publish the stamp before the descriptor becomes reachable through the
 	// registry, so policy lookups never observe a stale incarnation's ID.
 	tx.stamp.Store(tx.id)
@@ -405,7 +435,11 @@ func (tx *Txn) begin() {
 		tx.flight.Store(tx.flight.Load() + 1)
 	}
 	tx.status.Store(uint32(stmapi.Active))
-	tx.doomed.Store(false) // a doom aimed at a finished attempt is consumed
+	// A doom aimed at a finished attempt is consumed. One that lands after
+	// the load hits this attempt, as it would after an unconditional store.
+	if tx.doomed.Load() {
+		tx.doomed.Store(false)
+	}
 	tx.nStarts++
 	tx.Reads.Reset()
 	tx.Owned.Reset()

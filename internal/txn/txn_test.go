@@ -207,11 +207,15 @@ func TestAtomicFaults(t *testing.T) {
 }
 
 func TestEscalationAndIrrevocable(t *testing.T) {
-	k, f := newFake(t, stmapi.CommonConfig{EscalateAfter: 2})
+	const escalateAfter = 2
+	k, f := newFake(t, stmapi.CommonConfig{EscalateAfter: escalateAfter})
 	var seen []bool
 	if err := k.Run(nil, k.escalateFrom(), func(tx *Txn) error {
 		seen = append(seen, tx.IsIrrevocable())
 		if !tx.IsIrrevocable() {
+			if tx.Attempt() > escalateAfter { // the EscalateAfter+2nd attempt
+				return errors.New("no escalation after EscalateAfter aborts")
+			}
 			tx.Restart()
 		}
 		if k.IrrevocableHolder() != tx.ID() {
@@ -283,6 +287,61 @@ func TestPoolHygiene(t *testing.T) {
 		if f.Ctx != nil || f.FI != nil || f.Sink != nil || f.Reads.Len() != 0 || f.Owned.Len() != 0 || len(f.Redo) != 0 {
 			t.Errorf("iteration %d: pooled descriptor still holds references", i)
 		}
+	}
+}
+
+// TestOwnerIDs pins what the kernel promises of owner IDs, which come from
+// per-descriptor blocks of idBlock: a restarted attempt keeps its Atomic's
+// ID, two descriptors that run interleaved never share an ID, and the first
+// ID of a refilled block is above every ID handed out before it, by any
+// descriptor.
+func TestOwnerIDs(t *testing.T) {
+	k, _ := newFake(t, stmapi.CommonConfig{})
+	var ids []uint64
+	if err := k.Run(nil, -1, func(tx *Txn) error {
+		if ids = append(ids, tx.ID()); len(ids) < 3 {
+			tx.Restart()
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if ids[0] == 0 || ids[1] != ids[0] || ids[2] != ids[0] {
+		t.Errorf("IDs per attempt = %v, want one nonzero ID", ids)
+	}
+
+	// newFake's kernel hands out one descriptor; these two need their own.
+	k = &Kernel{}
+	k.Init("fake", objmodel.NewHeap(), stmapi.CommonConfig{}, func() Strategy { return &fake{lockOK: true} })
+	given := map[uint64]bool{}
+	var top uint64 // the highest ID handed out so far
+	next := func(prev *Txn) *Txn {
+		if prev != nil {
+			k.putTxn(prev)
+		}
+		tx := k.getTxn(nil)
+		id := tx.ID()
+		if given[id] {
+			t.Fatalf("ID %d handed out twice", id)
+		}
+		if id == tx.idEnd-idBlock && id <= top { // the first of a fresh block
+			t.Fatalf("refilled block starts at %d, not above %d", id, top)
+		}
+		given[id], top = true, max(top, id)
+		return tx
+	}
+	a := next(nil)
+	b := next(nil)
+	for range 3 * idBlock {
+		if a = next(a); a == b {
+			t.Fatal("two live incarnations share a descriptor")
+		}
+		b = next(b)
+	}
+	k.putTxn(a)
+	k.putTxn(b)
+	if len(given) != 2+6*idBlock {
+		t.Errorf("%d distinct IDs, want %d", len(given), 2+6*idBlock)
 	}
 }
 
