@@ -14,6 +14,7 @@ package repro
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -323,6 +324,50 @@ func BenchmarkTxnReadOnlyParallel(b *testing.B) {
 					_ = rt.Atomic(body)
 				}
 			})
+		})
+	}
+}
+
+// BenchmarkKernelStats is the cost of one Stats() call, which /metrics and
+// stmtop make on every scrape, on a runtime whose registry has had 2 and 256
+// slots claimed at once (its high-water mark), all of them free again when
+// it is measured.
+func BenchmarkKernelStats(b *testing.B) {
+	for _, slots := range []int{2, 256} {
+		b.Run(fmt.Sprintf("slots=%d", slots), func(b *testing.B) {
+			h, first, _ := barrierFixture(b, false)
+			rt := mvstm.New(h, stmapi.CommonConfig{})
+			var parked, wg sync.WaitGroup
+			release := make(chan struct{})
+			parked.Add(slots)
+			for i := 0; i < slots; i++ {
+				o := h.New(first.Class)
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					first := true
+					_ = rt.Atomic(func(tx stmapi.Txn) error {
+						tx.Write(o, 0, tx.Read(o, 0)+1)
+						if first { // hold the slot until every goroutine holds one
+							first = false
+							parked.Done()
+							<-release
+						}
+						return nil
+					})
+				}()
+			}
+			parked.Wait()
+			close(release)
+			wg.Wait()
+			if got := rt.Stats().Commits; got != int64(slots) {
+				b.Fatalf("commits = %d, want %d", got, slots)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_ = rt.Stats()
+			}
 		})
 	}
 }

@@ -139,7 +139,7 @@ func (rt *Runtime) Watermark() uint64 {
 		}
 	}
 	if c := rt.Clock.Load(); c >= w {
-		rt.Counters.WatermarkLag.Store(int64(c - w))
+		rt.SetWatermarkLag(int64(c - w))
 	}
 	return w
 }
@@ -258,7 +258,7 @@ func (rt *Runtime) GC() int {
 		o.Rec.Store(rec)
 	}
 	if reclaimed > 0 {
-		rt.Counters.VersionsGCd.AddShard(0, int64(reclaimed))
+		rt.CountVersionsGCd(int64(reclaimed))
 	}
 	return reclaimed
 }

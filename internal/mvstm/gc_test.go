@@ -198,7 +198,7 @@ func TestGCUnderConcurrentLoad(t *testing.T) {
 	close(stop)
 	writers.Wait()
 	gcs.Wait()
-	if n := f.rt.Counters.ReadOnlyAborts.Load(); n != 0 {
+	if n := f.rt.Stats().ReadOnlyAborts; n != 0 {
 		t.Errorf("read-only aborts under GC churn = %d, want 0", n)
 	}
 }

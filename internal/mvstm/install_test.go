@@ -625,7 +625,7 @@ func TestPinnedReaderSurvivesInstallPrune(t *testing.T) {
 	if _, longest := chainNodes(f.heap); longest <= 2 {
 		t.Errorf("longest chain = %d while a reader pinned the history, want it kept", longest)
 	}
-	if n := f.rt.Counters.ReadOnlyAborts.Load(); n != 0 {
+	if n := f.rt.Stats().ReadOnlyAborts; n != 0 {
 		t.Errorf("read-only aborts = %d, want 0", n)
 	}
 

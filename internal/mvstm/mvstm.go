@@ -475,7 +475,7 @@ func (rt *Runtime) DrainCommitters(timeout time.Duration) bool {
 func (tx *Txn) Rollback() {
 	tx.snap.Store(maxSnapshot)
 	if tx.readOnly {
-		tx.rt.Counters.ReadOnlyAborts.AddShard(int(tx.ID()), 1)
+		tx.NReadOnlyAborts++
 	}
 }
 
@@ -497,7 +497,7 @@ func (tx *Txn) Rollback() {
 func (tx *Txn) Commit() (ok bool, err error) {
 	rt := tx.rt
 	if tx.readOnly || len(tx.Buf.Ents) == 0 {
-		rt.Counters.ReadOnlyTxns.AddShard(int(tx.ID()), 1)
+		tx.NReadOnly++
 		tx.CommitPoint()
 		tx.Committed()
 		return true, nil

@@ -175,8 +175,8 @@ func TestFirstCommitterWins(t *testing.T) {
 	if got := o.LoadSlot(0); got != goroutines*iters {
 		t.Errorf("counter = %d, want %d (lost updates under FCW)", got, goroutines*iters)
 	}
-	if f.rt.Counters.Commits.Load() != goroutines*iters {
-		t.Errorf("commits = %d", f.rt.Counters.Commits.Load())
+	if n := f.rt.Stats().Commits; n != goroutines*iters {
+		t.Errorf("commits = %d", n)
 	}
 }
 
@@ -327,8 +327,8 @@ func TestIrrevocableReadsNewestAndCommits(t *testing.T) {
 	if f.rt.IrrevocableHolder() != 0 {
 		t.Error("irrevocable token not surrendered")
 	}
-	if f.rt.Counters.IrrevocableTxns.Load() != 1 {
-		t.Errorf("irrevocable txns = %d", f.rt.Counters.IrrevocableTxns.Load())
+	if n := f.rt.Stats().IrrevocableTxns; n != 1 {
+		t.Errorf("irrevocable txns = %d", n)
 	}
 }
 

@@ -1,12 +1,17 @@
-// Package stats provides sharded counters for hot-path runtime statistics.
+// Package stats provides sharded counters for statistics that threads bump
+// with no descriptor to batch them in: the conflict package's decision
+// counts and the tracer's per-kind event counts are its only users. (The
+// transaction kernel's counters batch in the registry slot a descriptor
+// holds instead and cost a commit no locked instruction; see
+// internal/txn/stats.go.)
 //
 // A single atomic counter bumped by every thread serializes the whole
 // system on one cache line — exactly the scalability failure the paper's
 // Section 7 results are about avoiding. A Counter spreads its value over
 // NumShards cache-line-padded slots so concurrent adders (almost always)
 // touch distinct lines; Load sums the shards. Readers are assumed rare
-// relative to writers, which is the profile of every counter in this
-// repository: bumped millions of times per run, read once at the end.
+// relative to writers: bumped millions of times per run, read once at the
+// end.
 package stats
 
 import (

@@ -263,9 +263,11 @@ func TestQuiescenceWaitsForActive(t *testing.T) {
 	}()
 	go func() {
 		// Release the long transaction after giving the committer a chance
-		// to reach its quiesce wait.
+		// to reach its quiesce wait. The commit shows in Stats while the
+		// committer waits: a commit's statistics batch is published before
+		// the grace period.
 		<-inBody
-		for f.rt.Counters.Commits.Load() == 0 {
+		for f.rt.Stats().Commits == 0 {
 		}
 		close(finish)
 	}()

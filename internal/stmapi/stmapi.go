@@ -125,13 +125,20 @@ func (c *CommonConfig) Normalize() error {
 	return nil
 }
 
-// StatsSnapshot is a point-in-time copy of a runtime's counters as plain
-// values. A counter that names a step a runtime's protocol lacks stays zero
-// there: the multi-version runtime validates no reads, so its
-// FastpathValidations and FallbackWalks are zero (internal/txn's
-// TestClockCounters), and the eager and lazy runtimes keep no version
-// chains and no read-only path, so the multi-version counters are zero on
-// them.
+// StatsSnapshot is a copy of a runtime's counters as plain values. It is
+// exact whenever no transaction is in flight. While transactions run it may
+// lag: a transaction's counts are batched where its thread alone writes
+// them, and published once per 64 flushes, before the thread blocks (a
+// retry wait, the quiescence grace period, a durability wait) and when
+// Stats finds the batch idle. So a snapshot misses at most 63 finished
+// Atomics per thread inside a transaction at the call, and, like any
+// statistics read, it is not an atomic cut across counters.
+//
+// A counter that names a step a runtime's protocol lacks stays zero there:
+// the multi-version runtime validates no reads, so its FastpathValidations
+// and FallbackWalks are zero (internal/txn's TestClockCounters), and the
+// eager and lazy runtimes keep no version chains and no read-only path, so
+// the multi-version counters are zero on them.
 type StatsSnapshot struct {
 	Starts      int64 `json:"starts"`
 	Commits     int64 `json:"commits"`
@@ -301,7 +308,9 @@ type Runtime interface {
 	// caller bug.
 	AtomicIrrevocable(body func(Txn) error) error
 
-	// Stats snapshots the runtime's counters.
+	// Stats snapshots the runtime's counters: exactly when no transaction
+	// is in flight, and otherwise up to 63 finished Atomics short per
+	// transaction in flight (see StatsSnapshot).
 	Stats() StatsSnapshot
 
 	// SetTracer installs (or, with nil, removes) the event tracer.

@@ -44,7 +44,7 @@ func (tx *Txn) RestartOn(ref uint64) {
 // change on the validating runtimes, any commit on the multi-version one),
 // then re-executes.
 func (tx *Txn) Retry() {
-	tx.nRetries++
+	tx.batch.d[cUserRetries]++
 	if tr := tx.Tr; tr != nil {
 		tr.Record(trace.EvRetry, tx.id, 0, 0, 0)
 	}
@@ -159,7 +159,9 @@ func (k *Kernel) Run(ctx context.Context, irrevFrom int, body func(*Txn) error) 
 			tx.abort()
 			// The read set survives abort (begin resets it on the next
 			// attempt), so the runtime waits on it in place instead of
-			// copying it into a fresh snapshot on every retry.
+			// copying it into a fresh snapshot on every retry. The retry
+			// shows in Stats while it waits.
+			tx.publishStats()
 			if werr := tx.self.RetryWait(ctx); werr != nil {
 				return werr
 			}
@@ -232,7 +234,6 @@ func (tx *Txn) abort() {
 	tx.dropIrrevocable()
 	tx.status.Store(uint32(stmapi.Aborted))
 	tx.land()
-	tx.k.Counters.Aborts.AddShard(int(tx.id), 1)
 	if tr := tx.Tr; tr != nil {
 		tr.Record(trace.EvAbort, tx.id, tx.Blame, 0, 0)
 		if tx.Blame != 0 {
@@ -241,6 +242,7 @@ func (tx *Txn) abort() {
 		tx.abortAt = time.Now()
 	}
 	tx.Blame = 0
+	tx.batch.d[cAborts]++
 	tx.flushStats()
 }
 
@@ -272,15 +274,18 @@ func (tx *Txn) Die(p faultinject.Point) {
 // Committed is the common tail of a commit, called past CommitPoint once
 // the records are released: it accounts the commit, surrenders the
 // irrevocable token and ends the attempt. The commit counts from here,
-// before the quiescence wait: it has happened whether or not the caller
-// stays to wait.
+// before the quiescence and durability waits: it has happened whether or
+// not the caller stays to wait. It goes into the slot's statistics batch,
+// which AwaitCommitted publishes before either wait, so Stats().Commits
+// shows it while the committer waits; without a wait it shows in Stats
+// within statsBatch flushes of the slot, or once the slot is free.
 func (tx *Txn) Committed() {
-	tx.k.Counters.Commits.AddShard(int(tx.id), 1)
 	if tr := tx.Tr; tr != nil {
 		tr.Record(trace.EvCommit, tx.id, 0, 0, 0)
 		tr.ObserveCommit(time.Since(tx.beginAt))
 	}
 	tx.dropIrrevocable()
+	tx.batch.d[cCommits]++
 	tx.flushStats()
 	tx.land()
 }
@@ -335,8 +340,13 @@ func (tx *Txn) quiesce() error {
 // time: under Quiescence the grace period (observed by the tracer), then the
 // durability of the redo record appended as seq (appendErr is that append's
 // error). Either error leaves the commit applied in memory, its durability
-// unknown to the caller; the grace period's takes precedence.
+// unknown to the caller; the grace period's takes precedence. Before either
+// wait the slot's statistics batch is published, the commit included.
 func (tx *Txn) AwaitCommitted(seq uint64, appendErr error) error {
+	durable := appendErr == nil && seq != 0
+	if tx.k.cfg.Quiescence || durable {
+		tx.publishStats()
+	}
 	var err error
 	if tx.k.cfg.Quiescence {
 		start := time.Now()
@@ -345,7 +355,7 @@ func (tx *Txn) AwaitCommitted(seq uint64, appendErr error) error {
 			tr.ObserveQuiesce(time.Since(start))
 		}
 	}
-	if appendErr == nil && seq != 0 {
+	if durable {
 		appendErr = tx.Sink.WaitDurable(seq)
 	}
 	if err != nil {

@@ -23,7 +23,7 @@ func (tx *Txn) doom(victim *Txn, ref uint64) bool {
 	if victim.irrevStamp.Load() || !victim.doomed.CompareAndSwap(false, true) {
 		return false
 	}
-	tx.nDooms++
+	tx.batch.d[cDoomsIssued]++
 	if tr := tx.Tr; tr != nil {
 		tr.Record(trace.EvDoom, tx.id, ref, 0, victim.stamp.Load())
 	}
@@ -105,7 +105,7 @@ func (tx *Txn) resolve(o *objmodel.Object, kind conflict.Kind, attempt int, rec 
 	d := tx.k.policy.Resolve(info)
 	switch d {
 	case conflict.SelfAbort:
-		tx.nSelfAborts++
+		tx.batch.d[cSelfAborts]++
 		if tr := tx.Tr; tr != nil {
 			tr.Record(trace.EvSelfAbort, tx.id, uint64(o.Ref()), 0, 0)
 		}

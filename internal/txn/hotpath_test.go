@@ -30,7 +30,8 @@ func deferredOf(tx stmapi.Txn) *txn.Deferred {
 // TestPooledDescriptorClean: a descriptor fetched from the pool carries
 // nothing over from its last incarnation, whichever goroutine ran it: an
 // empty read set, no held records, on a deferred-update runtime an empty
-// write buffer and write set, and an ID no incarnation on any goroutine was
+// write buffer and write set, no statistics delta left unflushed (begin's
+// count of the attempt is the only one), and an ID no incarnation on any goroutine was
 // given before, which is what record ownership needs (IDs come from
 // per-descriptor blocks, so a goroutine that moves to another descriptor may
 // be given a lower one). Every incarnation dirties its descriptor (a read set
@@ -56,6 +57,9 @@ func TestPooledDescriptorClean(t *testing.T) {
 							t.Errorf("goroutine %d, iteration %d: dirty descriptor", g, i)
 						}
 						if k.Attempt() == 0 {
+							if n := k.Unflushed(); n != 1 {
+								t.Errorf("goroutine %d, iteration %d: %d statistics deltas at begin, want begin's 1", g, i, n)
+							}
 							if prev, dup := seen.LoadOrStore(k.ID(), g); dup {
 								t.Errorf("goroutine %d, iteration %d: id %d already given to goroutine %d", g, i, k.ID(), prev)
 							}

@@ -54,17 +54,20 @@ func (k *Kernel) Reap(tx *Txn, by, obj uint64) bool {
 	committed := tx.Status() == stmapi.Committed
 	tx.self.ReapOrphan(committed)
 	if committed {
-		k.Counters.Commits.AddShard(int(id), 1)
+		tx.batch.d[cCommits]++
 	} else {
 		tx.status.Store(uint32(stmapi.Aborted))
-		k.Counters.Aborts.AddShard(int(id), 1)
+		tx.batch.d[cAborts]++
 	}
 	tx.land() // quiescing committers stop waiting on the orphan
 	if tx.irrevStamp.Load() {
 		// The orphan held the irrevocable token; free it for the next taker.
 		k.irrevToken.CompareAndSwap(id, 0)
 	}
-	k.Counters.ReaperSteals.AddShard(int(id), 1)
+	// Winning the reaping CAS made the orphan's descriptor, and the registry
+	// slot it still holds, the reclaimer's: the counts go into that slot's
+	// batch like any flush.
+	tx.batch.d[cReaperSteals]++
 	tx.flushStats()
 	if tr := k.tracer.Load(); tr != nil {
 		tr.Record(trace.EvSteal, by, obj, 0, id)
@@ -132,7 +135,7 @@ func (tx *Txn) becomeIrrevocable(escalated bool) {
 		tx.Restart()
 	}
 	if escalated {
-		k.Counters.Escalations.AddShard(int(tx.id), 1)
+		tx.batch.d[cEscalations]++
 		if tr := tx.Tr; tr != nil {
 			tr.Record(trace.EvEscalate, tx.id, 0, tx.attempt, 0)
 		}
@@ -190,8 +193,8 @@ func (tx *Txn) dropIrrevocable() {
 	tx.Irrevocable = false
 	tx.irrevStamp.Store(false)
 	tx.k.irrevToken.Store(0)
-	tx.k.Counters.IrrevocableTxns.AddShard(int(tx.id), 1)
-	tx.k.Counters.IrrevocableNs.AddShard(int(tx.id), hold.Nanoseconds())
+	tx.batch.d[cIrrevocableTxns]++
+	tx.batch.d[cIrrevocableNs] += hold.Nanoseconds()
 	if tr := tx.Tr; tr != nil {
 		tr.ObserveIrrevocableHold(hold)
 	}

@@ -11,10 +11,14 @@ import (
 const regSlots = 256
 
 // regSlot is one registry slot, padded to a cache line so neighbouring
-// claims and releases do not false-share.
+// claims and releases do not false-share: the pointer every scan reads, and
+// the statistics batch of whoever holds the slot (stats.go), allocated by
+// the slot's first claim and written only by its holder, on lines of its
+// own so a holder's flush is not a miss for a scan.
 type regSlot struct {
 	p atomic.Pointer[Txn]
-	_ [56]byte
+	b *batch
+	_ [48]byte
 }
 
 // registry tracks in-flight transaction descriptors, packed at the bottom of
@@ -53,7 +57,10 @@ func (r *registry) add(tx *Txn) {
 			return
 		}
 	}
-	tx.slot = -1
+	if tx.spill == nil {
+		tx.spill = new(batch)
+	}
+	tx.slot, tx.batch = -1, tx.spill
 	r.overflow.Store(tx.id, tx)
 }
 
@@ -71,7 +78,10 @@ func (r *registry) claim(i int, tx *Txn) bool {
 	if !s.p.CompareAndSwap(nil, tx) {
 		return false
 	}
-	tx.slot = i
+	if s.b == nil {
+		s.b = new(batch)
+	}
+	tx.slot, tx.batch = i, s.b
 	return true
 }
 
@@ -93,13 +103,34 @@ func (r *registry) forEach(f func(*Txn) bool) {
 	r.overflow.Range(func(_, v any) bool { return f(v.(*Txn)) })
 }
 
+// drain publishes the batch of every free slot in [0, hi) to t: it claims
+// the slot with idle, publishes, and frees it again. Busy slots are skipped.
+// While idle sits in a slot the kernel's scans see it, so it looks idle to
+// each: status not Active, flight even, stamp 0, not dead. Kernel.ForEach,
+// the runtimes' scan, skips it.
+func (r *registry) drain(idle *Txn, t *totals) {
+	for i, n := 0, int(r.hi.Load()); i < n; i++ {
+		s := &r.slots[i]
+		if s.p.Load() == nil && s.p.CompareAndSwap(nil, idle) {
+			if s.b != nil && s.b.n != 0 {
+				t.publish(s.b)
+			}
+			s.p.Store(nil)
+		}
+	}
+}
+
 // findStamp returns the live descriptor whose current incarnation ID is id,
 // or nil. Descriptors are pooled, so a pointer read from a slot may belong
 // to a later transaction by the time its stamp is loaded; the stamp check
 // filters that race (IDs are never reused), making the lookup safe — at
 // worst it misses a departing transaction, which callers treat as "owner no
-// longer active".
+// longer active". IDs start at 1: 0 is the idle sentinel's stamp and finds
+// nothing.
 func (r *registry) findStamp(id uint64) *Txn {
+	if id == 0 {
+		return nil
+	}
 	var found *Txn
 	r.forEach(func(tx *Txn) bool {
 		if tx.stamp.Load() == id {

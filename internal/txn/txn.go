@@ -23,7 +23,7 @@
 //     period over the attempts in flight (atomic.go);
 //   - orphan recovery, one reclaim path (Reap) that waiters run inline and
 //     a ReapDead sweep runs for drivers, and the irrevocable token
-//     (recovery.go), and sharded statistics (stats.go);
+//     (recovery.go), and statistics batched per registry slot (stats.go);
 //   - the driver surface: Kernel implements stmapi.Runtime and
 //     stmapi.DurableRuntime, so a runtime that embeds it is its own driver
 //     view, and Register is the helper every runtime registers through.
@@ -100,8 +100,9 @@ type Strategy interface {
 // and stmapi.DurableRuntime methods are the runtime's own surface, and
 // initializes it in place with Init.
 type Kernel struct {
-	// Counters are the runtime's statistics; Stats snapshots them.
-	Counters Stats
+	// counters are the runtime's published statistics; Stats drains the
+	// registry's free slots into them and snapshots them.
+	counters totals
 
 	// Clock is the heap's commit clock, cached to skip a pointer hop per
 	// validation; ClockOn is whether commit-clock validation is enabled
@@ -116,7 +117,9 @@ type Kernel struct {
 	policy   conflict.Policy // the configured handler, adapted to Policy
 	nextID   atomic.Uint64   // the last ID of the last block of owner IDs taken (getTxn)
 	reg      registry
-	pool     sync.Pool // idle *Txn descriptors
+	pool     sync.Pool  // idle *Txn descriptors
+	idle     Txn        // the sentinel Stats claims free slots with
+	statsMu  sync.Mutex // one Stats drain at a time
 	tracer   atomic.Pointer[trace.Tracer]
 	injector atomic.Pointer[faultinject.Injector]
 	sink     atomic.Pointer[sinkBox]
@@ -147,6 +150,7 @@ func (k *Kernel) Init(name string, heap *objmodel.Heap, cfg stmapi.CommonConfig,
 	k.cfg = cfg
 	k.newTxn = newTxn
 	k.policy = conflict.AsPolicy(h)
+	k.idle.status.Store(uint32(stmapi.Aborted))
 }
 
 // Register registers a kernel-based runtime with stmapi under name: the
@@ -170,9 +174,6 @@ func (k *Kernel) Heap() *objmodel.Heap { return k.heap }
 // Config returns the normalized configuration the kernel was initialized
 // with.
 func (k *Kernel) Config() stmapi.CommonConfig { return k.cfg }
-
-// Stats snapshots the runtime's counters.
-func (k *Kernel) Stats() stmapi.StatsSnapshot { return k.Counters.Snapshot() }
 
 // SetTracer installs (or, with nil, removes) the event tracer. Descriptors
 // sample the tracer when a top-level Atomic begins, so transactions already
@@ -219,7 +220,11 @@ func (k *Kernel) ActiveTransactions() int {
 
 // ForEach calls f for every registered descriptor until f returns false
 // (the multi-version watermark and commit gate scan the live set this way).
-func (k *Kernel) ForEach(f func(*Txn) bool) { k.reg.forEach(f) }
+// It skips the sentinel Stats parks in free slots, which is no runtime's
+// descriptor and reads and commits nothing.
+func (k *Kernel) ForEach(f func(*Txn) bool) {
+	k.reg.forEach(func(tx *Txn) bool { return tx == &k.idle || f(tx) })
+}
 
 // Txn is the kernel half of a transaction descriptor; each runtime's
 // descriptor embeds one and adds its read/write-set representation. A
@@ -314,12 +319,15 @@ type Txn struct {
 	beginAt time.Time
 	abortAt time.Time
 
-	// Statistics deltas accumulated without synchronization and flushed to
-	// the kernel's sharded counters at commit/abort (stats.go).
+	// Statistics (stats.go). The per-access and per-attempt counts are
+	// descriptor fields, moved into the batch at commit and abort; the
+	// rarer ones are added to batch directly: the batch of the registry
+	// slot the descriptor holds, or spill, its own, in the overflow.
 	NReads, NWrites, NSnapReads, NInstalled int64
 	NReclaimed                              int64 // chain nodes this attempt's installs severed
-	nStarts, nRetries, nSelfAborts, nDooms  int64
-	nClockAdv, nFastpath, nWalks            int64
+	NReadOnly, NReadOnlyAborts              int64 // multi-version read-only commits and aborts
+	nStarts                                 int64
+	batch, spill                            *batch
 }
 
 // Base returns tx; runtime descriptors satisfy Strategy.Base by promotion.
@@ -412,12 +420,17 @@ func (k *Kernel) getTxn(ctx context.Context) *Txn {
 // transaction died: a dead descriptor's records are (or will be) reclaimed
 // by a reaper, which must find its write set intact, so it is retired, never
 // reused. A panic out of Commit (a sink's, say) unwinds through here
-// without Committed, so the attempt ends here.
+// without Committed, so the attempt ends here, and its counts, begun but
+// neither committed nor aborted, are flushed here: a pooled descriptor
+// holds no delta.
 func (k *Kernel) putTxn(tx *Txn) {
 	if tx.dead.Load() {
 		return
 	}
 	tx.land()
+	if tx.nStarts != 0 {
+		tx.flushStats()
+	}
 	k.reg.remove(tx)
 	tx.self.Reset()
 	tx.Reads.Reset()

@@ -168,7 +168,7 @@ func TestAtomicCancellation(t *testing.T) {
 	if err := k.Run(ctx, -1, func(*Txn) error { t.Error("body ran"); return nil }); err != context.Canceled {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
-	if f.take() != "[]" || k.Counters.Starts.Load() != 1 {
+	if f.take() != "[]" || k.Stats().Starts != 1 {
 		t.Error("a pre-cancelled Atomic began an attempt")
 	}
 

@@ -39,10 +39,10 @@ func (tx *Txn) ValidateOrRestart() {
 // and commits that changed no shared value. An unmoved clock is sufficient.
 func (tx *Txn) validateRead() (bool, uint64) {
 	if tx.k.ClockOn && tx.k.Clock.Load() == tx.RV {
-		tx.nFastpath++
+		tx.batch.d[cFastpathValidations]++
 		return true, 0
 	}
-	tx.nWalks++
+	tx.batch.d[cFallbackWalks]++
 	return tx.walkValidate()
 }
 
@@ -92,7 +92,7 @@ func (tx *Txn) ValidateCommit(stamp bool) (bool, uint64) {
 		}
 		return ok, bad
 	case !k.ClockOn:
-		tx.nWalks++
+		tx.batch.d[cFallbackWalks]++
 		ok, bad := tx.walkValidate()
 		if !ok {
 			tx.NotifyStale(bad)
@@ -107,7 +107,7 @@ func (tx *Txn) ValidateCommit(stamp bool) (bool, uint64) {
 	c := k.Clock.Load()
 	for fast := c == tx.RV; ; c, fast = k.Clock.Load(), false {
 		if !fast {
-			tx.nWalks++
+			tx.batch.d[cFallbackWalks]++
 			if ok, bad := tx.walkValidate(); !ok {
 				tx.NotifyStale(bad)
 				return false, bad
@@ -115,9 +115,9 @@ func (tx *Txn) ValidateCommit(stamp bool) (bool, uint64) {
 		}
 		if k.Clock.AdvanceFrom(c) {
 			if fast {
-				tx.nFastpath++
+				tx.batch.d[cFastpathValidations]++
 			}
-			tx.nClockAdv++
+			tx.batch.d[cClockAdvances]++
 			tx.WV = c + 1
 			return true, 0
 		}
@@ -146,7 +146,7 @@ func (tx *Txn) CoverBump(ver uint64) {
 func (tx *Txn) Stamp() {
 	var advanced bool
 	if tx.WV, advanced = tx.k.Clock.Advance(); advanced {
-		tx.nClockAdv++
+		tx.batch.d[cClockAdvances]++
 	}
 }
 
@@ -201,7 +201,7 @@ func (tx *Txn) ExtendSnapshot(o *objmodel.Object, ver uint64) {
 	}
 	k.Clock.Raise(ver)
 	newRV := k.Clock.Load()
-	tx.nWalks++
+	tx.batch.d[cFallbackWalks]++
 	if ok, bad := tx.walkValidate(); !ok {
 		tx.failValidation(bad)
 	}

@@ -41,7 +41,7 @@ func TestStampBodiesCommit(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if got := rt.Counters.Commits.Load(); got != n {
+			if got := rt.Stats().Commits; got != n {
 				t.Errorf("commits = %d, want %d", got, n)
 			}
 		})
