@@ -372,6 +372,37 @@ func BenchmarkKernelStats(b *testing.B) {
 	}
 }
 
+// BenchmarkHeapNew is one allocation: Heap.New of a class of 4 slots (held
+// inline) and of 33 (a slot array of their own), and Heap.NewArray of 4096
+// elements. A fresh heap every 8192 objects (64 arrays), timed with them,
+// bounds what the run holds; the benchmark workloads' set-ups build heaps
+// of that size.
+func BenchmarkHeapNew(b *testing.B) {
+	classes := objmodel.NewHeap()
+	c4 := classes.MustDefineClass(objmodel.ClassSpec{Name: "C4", Fields: make([]objmodel.Field, 4)})
+	c33 := classes.MustDefineClass(objmodel.ClassSpec{Name: "C33", Fields: make([]objmodel.Field, 33)})
+	for _, bc := range []struct {
+		name  string
+		per   int
+		alloc func(*objmodel.Heap)
+	}{
+		{"slots4", 8192, func(h *objmodel.Heap) { h.New(c4) }},
+		{"slots33", 8192, func(h *objmodel.Heap) { h.New(c33) }},
+		{"array4096", 64, func(h *objmodel.Heap) { h.NewArray(4096, false) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var h *objmodel.Heap
+			for i := 0; i < b.N; i++ {
+				if i%bc.per == 0 {
+					h = objmodel.NewHeap()
+				}
+				bc.alloc(h)
+			}
+		})
+	}
+}
+
 // BenchmarkTxnEmptyCommit isolates pure transaction overhead: descriptor
 // acquisition, registry begin/end, commit, stats flush. With descriptor
 // pooling this is allocation-free — run with -benchmem to verify 0

@@ -108,6 +108,16 @@ type Object struct {
 	ref Ref // this object's own handle
 
 	monitor atomic.Pointer[Monitor] // lazily allocated Java-style monitor
+
+	// inline backs Slots for objects of up to inlineSlots slots, so such an
+	// object costs no allocation beyond its share of a heap slab.
+	inline [inlineSlots]atomic.Uint64
+
+	// Objects are carved from shared slabs rather than each worker's own
+	// allocation span, so each is padded to 128 bytes: no two objects' data
+	// share a 64-byte line, with the slab starting 0 or 8 bytes (Go's malloc
+	// header) past a line boundary.
+	_ [16]byte
 }
 
 // Ref returns the object's handle.
@@ -181,13 +191,14 @@ func (o *Object) Monitor() *Monitor {
 	return o.monitor.Load()
 }
 
-// Heap is a handle-indexed table of objects. Object lookup is a single
-// atomic load plus an index; allocation appends under a lock with
-// copy-on-grow so readers never block.
+// Heap is a handle-indexed table of objects. Object lookup is two atomic
+// loads plus an index; allocation carves the object from a slab and appends
+// it to the table in place under a lock, so readers never block.
 type Heap struct {
-	mu      sync.Mutex
-	objects atomic.Pointer[[]*Object]
-	n       atomic.Int64
+	mu    sync.Mutex
+	table atomic.Pointer[[]*Object] // len is the capacity; entries [0, n) are live
+	n     atomic.Int64              // the number of objects; storing it publishes the newest
+	slab  []Object                  // the current slab's uncarved tail, under mu
 
 	// AllocPrivate controls the initial transaction-record state of new
 	// objects: when true (dynamic escape analysis enabled) objects are born
@@ -222,8 +233,8 @@ func (h *Heap) Clock() *CommitClock { return &h.clock }
 // NewHeap creates an empty heap.
 func NewHeap() *Heap {
 	h := &Heap{classes: make(map[string]*Class)}
-	initial := make([]*Object, 0, 1024)
-	h.objects.Store(&initial)
+	initial := make([]*Object, minSlab)
+	h.table.Store(&initial)
 	// Objects are born shared at version 1; start the clock level with them
 	// so a fresh transaction's snapshot covers every fresh object.
 	h.clock.Reset(1)
@@ -293,57 +304,28 @@ func (h *Heap) ClassByName(name string) *Class {
 	return h.classes[name]
 }
 
-func (h *Heap) initialRecWord(forcePublic bool) txrec.Word {
-	if h.AllocPrivate && !forcePublic {
-		return txrec.PrivateWord
-	}
-	return txrec.MakeShared(1)
-}
-
-func (h *Heap) install(o *Object) Ref {
-	h.mu.Lock()
-	cur := *h.objects.Load()
-	if len(cur) == cap(cur) {
-		grown := make([]*Object, len(cur), 2*cap(cur)+1)
-		copy(grown, cur)
-		cur = grown
-	}
-	cur = append(cur, o)
-	h.objects.Store(&cur)
-	h.n.Store(int64(len(cur)))
-	h.mu.Unlock()
-	o.ref = Ref(len(cur)) // handle = index+1; 0 stays null
-	return o.ref
-}
+// An object of up to inlineSlots slots keeps them inline. A new slab holds
+// as many objects as the heap has, at least minSlab, so that a heap of a few
+// objects zeroes a few kilobytes, and at most maxSlab (32 KB). The handle
+// table starts at minSlab entries and doubles.
+const (
+	inlineSlots = 4
+	minSlab     = 16
+	maxSlab     = 256
+)
 
 // New allocates an object of class c. With AllocPrivate the object is born
 // private (Section 4: "A freshly minted object is private"). With an
 // elision manifest loaded, a call site the static analysis classified
 // NAIT or thread-local also yields a private-born object.
 func (h *Heap) New(c *Class) *Object {
-	o := &Object{Class: c, Slots: make([]atomic.Uint64, c.NumSlots)}
-	if site := h.manifestSite(); site != nil {
-		word := h.initialRecWord(false)
-		if site.Class.Elidable() {
-			word = txrec.PrivateWord
-		}
-		o.Rec.Init(word)
-		h.install(o)
-		h.notifyAlloc(o, site)
-		return o
-	}
-	o.Rec.Init(h.initialRecWord(false))
-	h.install(o)
-	return o
+	return h.allocAt(c, c.NumSlots, h.manifestSite())
 }
 
 // NewPublic allocates an object that is public from birth regardless of
 // AllocPrivate. Statics holders and Thread objects use this.
 func (h *Heap) NewPublic(c *Class) *Object {
-	o := &Object{Class: c, Slots: make([]atomic.Uint64, c.NumSlots)}
-	o.Rec.Init(txrec.MakeShared(1))
-	h.install(o)
-	return o
+	return h.alloc(c, c.NumSlots, txrec.MakeShared(1))
 }
 
 // NewArray allocates an array of n elements. elemRef selects reference
@@ -353,19 +335,60 @@ func (h *Heap) NewArray(n int, elemRef bool) *Object {
 	if elemRef {
 		cls = h.arrayCls[1]
 	}
-	o := &Object{Class: cls, Slots: make([]atomic.Uint64, n), Len: n}
-	if site := h.manifestSite(); site != nil {
-		word := h.initialRecWord(false)
-		if site.Class.Elidable() {
-			word = txrec.PrivateWord
-		}
-		o.Rec.Init(word)
-		h.install(o)
-		h.notifyAlloc(o, site)
-		return o
+	return h.allocAt(cls, n, h.manifestSite())
+}
+
+// allocAt allocates an object of class c with n slots, born in the state
+// that AllocPrivate and the manifest site of its allocation (nil if none)
+// pick, and tells the allocation observers of a matched site.
+func (h *Heap) allocAt(c *Class, n int, site *ManifestSite) *Object {
+	word := txrec.MakeShared(1)
+	if h.AllocPrivate || site != nil && site.Class.Elidable() {
+		word = txrec.PrivateWord
 	}
-	o.Rec.Init(h.initialRecWord(false))
-	h.install(o)
+	o := h.alloc(c, n, word)
+	if site != nil {
+		h.notifyAlloc(o, site)
+	}
+	return o
+}
+
+// alloc is every allocation: it carves an object of class c with n slots
+// from the heap's slab, initialises its record to word, and appends it to
+// the handle table. The object is published by the store of the new count,
+// after everything a reader of the table loads from it is written; the
+// table itself is republished only when it doubles.
+func (h *Heap) alloc(c *Class, n int, word txrec.Word) *Object {
+	var slots []atomic.Uint64
+	if uint(n) > inlineSlots { // a negative n panics here, before the lock
+		slots = make([]atomic.Uint64, n)
+	}
+	h.mu.Lock()
+	i := h.n.Load()
+	if len(h.slab) == 0 {
+		h.slab = make([]Object, min(max(int(i), minSlab), maxSlab))
+	}
+	o := &h.slab[0]
+	h.slab = h.slab[1:]
+	if slots == nil {
+		slots = o.inline[:n]
+	}
+	o.Class, o.Slots = c, slots
+	if c.Kind == KindArray {
+		o.Len = n
+	}
+	o.Rec.Init(word)
+	tbl := h.table.Load()
+	if int(i) == len(*tbl) {
+		grown := make([]*Object, 2*len(*tbl))
+		copy(grown, *tbl)
+		tbl = &grown
+		h.table.Store(tbl)
+	}
+	(*tbl)[i] = o
+	o.ref = Ref(i + 1) // handle = index+1; 0 stays null
+	h.n.Store(i + 1)
+	h.mu.Unlock()
 	return o
 }
 
@@ -377,8 +400,8 @@ func (h *Heap) Get(r Ref) *Object {
 	if r == Null {
 		panic(ErrNullDeref)
 	}
-	objs := *h.objects.Load()
-	return objs[r-1]
+	n := h.n.Load() // before the table: a table loaded after it holds n objects
+	return (*h.table.Load())[:n][r-1]
 }
 
 // TryGet resolves a handle, returning nil for Null.

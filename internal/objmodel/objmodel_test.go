@@ -3,8 +3,10 @@ package objmodel
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/txrec"
 )
@@ -326,16 +328,41 @@ func TestMonitorExitByNonOwnerPanics(t *testing.T) {
 	m.Exit(2)
 }
 
-// TestConcurrentAllocation checks the copy-on-grow heap table under
-// parallel allocation and lookup.
+// TestConcurrentAllocation checks the heap table under parallel allocation
+// and lookup: allocators look up their own earlier objects, readers resolve
+// the newest handle Len reports while the table grows under them, and once
+// allocation stops a handle above Len still panics though it falls inside
+// the table's spare capacity.
 func TestConcurrentAllocation(t *testing.T) {
 	h := newTestHeap()
 	item := defineItem(t, h)
 	const (
 		goroutines = 8
+		readers    = 2
 		perG       = 500
 	)
-	var wg sync.WaitGroup
+	var wg, rg sync.WaitGroup
+	var stop atomic.Bool
+	for range readers {
+		rg.Add(1)
+		go func() {
+			defer rg.Done()
+			for !stop.Load() {
+				n := Ref(h.Len())
+				if n == 0 {
+					continue
+				}
+				if o := h.Get(n); o == nil || o.Ref() != n || o.Class != item || len(o.Slots) != item.NumSlots {
+					t.Errorf("Get(%d) of a heap of %d objects = %+v", n, n, o)
+					return
+				}
+				if o := h.TryGet(n / 2); n > 1 && (o == nil || o.Ref() != n/2) {
+					t.Errorf("TryGet(%d) = %+v", n/2, o)
+					return
+				}
+			}
+		}()
+	}
 	refs := make([][]Ref, goroutines)
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -357,6 +384,8 @@ func TestConcurrentAllocation(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	stop.Store(true)
+	rg.Wait()
 	if h.Len() != goroutines*perG {
 		t.Fatalf("heap Len = %d, want %d", h.Len(), goroutines*perG)
 	}
@@ -369,6 +398,92 @@ func TestConcurrentAllocation(t *testing.T) {
 			}
 			seen[v] = true
 		}
+	}
+	above := Ref(h.Len() + 1)
+	if spare := len(*h.table.Load()); int(above) > spare {
+		t.Fatalf("handle %d is past the table's %d entries: the test checks nothing", above, spare)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Errorf("Get(%d) in a heap of %d objects did not panic", above, h.Len())
+		}
+	}()
+	h.Get(above)
+}
+
+// TestObjectsShareNoLine: objects allocated from several goroutines, of
+// classes with and without inline slots and arrays, share no 64-byte line
+// of their data (header fields and inline slots), wherever the slab they
+// were carved from starts, and an object of up to inlineSlots slots holds
+// them in its own header.
+func TestObjectsShareNoLine(t *testing.T) {
+	h := newTestHeap()
+	var classes []*Class
+	for _, n := range []int{0, 1, 4, 5} {
+		fields := make([]Field, n)
+		for i := range fields {
+			fields[i].Name = fmt.Sprintf("f%d", i)
+		}
+		classes = append(classes, h.MustDefineClass(ClassSpec{Name: fmt.Sprintf("C%d", n), Fields: fields}))
+	}
+	const goroutines, perG = 4, 300
+	objs := make([][]*Object, goroutines)
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range perG {
+				var o *Object
+				switch k := i % 6; k {
+				case 4:
+					o = h.NewArray(i%7, false)
+				case 5:
+					o = h.NewArray(2, true)
+				default:
+					o = h.New(classes[k])
+				}
+				objs[g] = append(objs[g], o)
+			}
+		}()
+	}
+	wg.Wait()
+	data := unsafe.Offsetof(Object{}.inline) + unsafe.Sizeof(Object{}.inline)
+	lines := make(map[uintptr]*Object)
+	for _, os := range objs {
+		for _, o := range os {
+			at := uintptr(unsafe.Pointer(o))
+			for l := at / 64; l <= (at+data-1)/64; l++ {
+				if p, ok := lines[l]; ok {
+					t.Fatalf("objects %d (at %#x) and %d (at %#x) share line %#x", p.Ref(), uintptr(unsafe.Pointer(p)), o.Ref(), at, l*64)
+				}
+				lines[l] = o
+			}
+			if n := len(o.Slots); n > 0 && n <= inlineSlots {
+				if s := uintptr(unsafe.Pointer(&o.Slots[0])); s < at || s >= at+unsafe.Sizeof(*o) {
+					t.Fatalf("object %d of %d slots: slots at %#x, outside its header at %#x", o.Ref(), n, s, at)
+				}
+			}
+		}
+	}
+}
+
+// TestNewAllocations: an object of up to inlineSlots slots is carved from a
+// slab, so 16 of them cost at most one allocation (slabs and table growth,
+// amortised); one with more costs exactly one, its slot array.
+func TestNewAllocations(t *testing.T) {
+	h := newTestHeap()
+	c4 := h.MustDefineClass(ClassSpec{Name: "C4", Fields: make([]Field, 4)})
+	c33 := h.MustDefineClass(ClassSpec{Name: "C33", Fields: make([]Field, 33)})
+	if a := testing.AllocsPerRun(100, func() {
+		for range 16 {
+			h.New(c4)
+		}
+	}); a > 1 {
+		t.Errorf("16 objects of 4 slots: %v allocations, want at most 1", a)
+	}
+	if a := testing.AllocsPerRun(1000, func() { h.New(c33) }); a != 1 {
+		t.Errorf("an object of 33 slots: %v allocations, want 1", a)
 	}
 }
 

@@ -36,16 +36,23 @@ type Deferred struct {
 	// has sorted it. Which records are held, and at what version, is Owned:
 	// the two differ by private objects, by entries not acquired yet, and by
 	// an irrevocable body's read locks. Filled by Commit and emptied by
-	// Release on every way out of it, so it is empty between commits; the
-	// array is reused, so a steady-state commit allocates nothing.
+	// Release on every way out of it but a panic, and by Reset, so it is
+	// empty between commits; the array is reused, so a steady-state commit
+	// allocates nothing.
 	Objs []*objmodel.Object
 }
 
 // Begin implements Strategy.
 func (d *Deferred) Begin() { d.Buf.Reset() }
 
-// Reset implements Strategy.
-func (d *Deferred) Reset() { d.Buf.Reset() }
+// Reset implements Strategy. A panic out of Commit leaves Objs filled; a
+// pooled descriptor that kept it would acquire the old write set again at
+// its next commit.
+func (d *Deferred) Reset() {
+	d.Buf.Reset()
+	clear(d.Objs)
+	d.Objs = d.Objs[:0]
+}
 
 // Rollback implements Strategy: restore whatever records the attempt still
 // holds (an irrevocable body's pessimistic read locks, a failed irrevocable

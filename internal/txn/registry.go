@@ -14,11 +14,14 @@ const regSlots = 256
 // claims and releases do not false-share: the pointer every scan reads, and
 // the statistics batch of whoever holds the slot (stats.go), allocated by
 // the slot's first claim and written only by its holder, on lines of its
-// own so a holder's flush is not a miss for a scan.
+// own so a holder's flush is not a miss for a scan. full is set while the
+// batch holds unpublished flushes, so that Stats claims only the free slots
+// it has something to drain from.
 type regSlot struct {
-	p atomic.Pointer[Txn]
-	b *batch
-	_ [48]byte
+	p    atomic.Pointer[Txn]
+	b    *batch
+	full atomic.Bool
+	_    [44]byte
 }
 
 // registry tracks in-flight transaction descriptors, packed at the bottom of
@@ -103,18 +106,19 @@ func (r *registry) forEach(f func(*Txn) bool) {
 	r.overflow.Range(func(_, v any) bool { return f(v.(*Txn)) })
 }
 
-// drain publishes the batch of every free slot in [0, hi) to t: it claims
-// the slot with idle, publishes, and frees it again. Busy slots are skipped.
-// While idle sits in a slot the kernel's scans see it, so it looks idle to
-// each: status not Active, flight even, stamp 0, not dead. Kernel.ForEach,
-// the runtimes' scan, skips it.
+// drain publishes the batch of every free full slot in [0, hi) to t: it
+// claims the slot with idle, publishes, and frees it again. Busy slots and
+// empty ones are skipped. A holder sets full before it frees the slot, so a
+// drain that finds the slot free finds the mark. While idle sits in a slot
+// the kernel's scans see it, so it looks idle to each: status not Active,
+// flight even, stamp 0, not dead. Kernel.ForEach, the runtimes' scan, skips
+// it.
 func (r *registry) drain(idle *Txn, t *totals) {
 	for i, n := 0, int(r.hi.Load()); i < n; i++ {
 		s := &r.slots[i]
-		if s.p.Load() == nil && s.p.CompareAndSwap(nil, idle) {
-			if s.b != nil && s.b.n != 0 {
-				t.publish(s.b)
-			}
+		if s.full.Load() && s.p.Load() == nil && s.p.CompareAndSwap(nil, idle) {
+			t.publish(s.b)
+			s.full.Store(false)
 			s.p.Store(nil)
 		}
 	}

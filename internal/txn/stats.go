@@ -17,8 +17,10 @@ import (
 //   - before the holder blocks: a user Retry's wait, the quiescence grace
 //     period, a durability wait (Run, AwaitCommitted), so a count a waiter
 //     polls for shows while the transaction that made it waits;
-//   - from Stats, which claims each free slot with the idle sentinel,
-//     drains it and frees it again.
+//   - from Stats, which claims each free slot whose batch is marked full
+//     with the idle sentinel, drains it and frees it again. The holder
+//     marks it with one atomic store at the batch's first flush, and
+//     whoever publishes the batch clears the mark.
 //
 // A descriptor in the registry's overflow holds no slot and publishes at
 // every flush. So Stats is exact whenever no transaction is in flight, and
@@ -153,9 +155,17 @@ func (tx *Txn) flushStats() {
 	tx.nStarts, tx.NReads, tx.NWrites, tx.NSnapReads = 0, 0, 0, 0
 	tx.NInstalled, tx.NReclaimed, tx.NReadOnly, tx.NReadOnlyAborts = 0, 0, 0, 0
 	if b.n++; b.n == statsBatch || tx.slot < 0 {
-		tx.k.counters.publish(b)
+		tx.publishStats()
+	} else if b.n == 1 {
+		tx.k.reg.slots[tx.slot].full.Store(true)
 	}
 }
 
-// publishStats publishes the batch of the slot tx holds, before tx blocks.
-func (tx *Txn) publishStats() { tx.k.counters.publish(tx.batch) }
+// publishStats publishes the batch of the slot tx holds: every statsBatch
+// flushes, and before tx blocks.
+func (tx *Txn) publishStats() {
+	tx.k.counters.publish(tx.batch)
+	if tx.slot >= 0 {
+		tx.k.reg.slots[tx.slot].full.Store(false)
+	}
+}

@@ -151,6 +151,39 @@ func TestStatsLagBound(t *testing.T) {
 	})
 }
 
+// TestStatsDrainsPartialBatch: goroutines whose last Atomic leaves their
+// slot's batch short of a publish, or exactly at one, have every commit in
+// the next Stats once they are done: the batches left partial in free slots
+// are drained, and a slot its holder published last is not drained twice.
+func TestStatsDrainsPartialBatch(t *testing.T) {
+	forEachRuntime(t, func(t *testing.T, name string) {
+		f := newFixture(t, name, stmapi.CommonConfig{})
+		for _, row := range []struct{ goroutines, atomics int }{
+			{1, 1}, {1, 63}, {1, 64}, {3, 65}, {2, 129}, {4, 128},
+		} {
+			before := f.rt.Stats().Commits
+			var wg sync.WaitGroup
+			for g := 0; g < row.goroutines; g++ {
+				o := f.cell()
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < row.atomics; i++ {
+						if err := f.write(o, 0, uint64(i)); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			if got, want := f.rt.Stats().Commits-before, int64(row.goroutines*row.atomics); got != want {
+				t.Errorf("%d goroutines of %d Atomics each: Stats counts %d commits, want %d", row.goroutines, row.atomics, got, want)
+			}
+		}
+	})
+}
+
 // slowSink holds every durability wait until release is closed.
 type slowSink struct {
 	seq     atomic.Uint64
@@ -237,7 +270,10 @@ func (panicSink) WaitDurable(uint64) error { return nil }
 
 // TestStatsPanicOutOfCommit: a panic out of a commit (here a sink's) leaves
 // its attempt neither committed nor aborted; its counts still reach Stats,
-// and the descriptor returns to the pool with nothing unflushed.
+// and the descriptor returns to the pool with nothing unflushed, no record
+// held and, on a deferred-update runtime, an empty write set, so the next
+// Atomic does not acquire the panicked one's write set again (its record
+// stays Exclusive: the next commit would spin on it to its self-abort cap).
 func TestStatsPanicOutOfCommit(t *testing.T) {
 	forEachRuntime(t, func(t *testing.T, name string) {
 		f := newFixture(t, name, stmapi.CommonConfig{})
@@ -255,12 +291,24 @@ func TestStatsPanicOutOfCommit(t *testing.T) {
 		if s := f.rt.Stats(); s.Starts != 1 || s.TxnWrites != 1 || s.Commits != 0 || s.Aborts != 0 {
 			t.Errorf("starts/writes/commits/aborts = %d/%d/%d/%d, want 1/1/0/0", s.Starts, s.TxnWrites, s.Commits, s.Aborts)
 		}
+		start := time.Now()
 		_ = f.rt.Atomic(func(tx stmapi.Txn) error {
-			if n := base(tx).Unflushed(); n != 1 {
+			k, d := base(tx), deferredOf(tx)
+			if n := k.Unflushed(); n != 1 {
 				t.Errorf("%d statistics deltas at begin, want begin's 1", n)
+			}
+			objs := 0
+			if d != nil {
+				objs = len(d.Objs)
+			}
+			if k.Owned.Len() != 0 || objs != 0 {
+				t.Errorf("the descriptor after the panic holds %d records and lists %d objects, want none", k.Owned.Len(), objs)
 			}
 			return nil
 		})
+		if took := time.Since(start); took > 10*time.Millisecond {
+			t.Errorf("the Atomic after the panic took %v, want under 10ms", took)
+		}
 	})
 }
 
