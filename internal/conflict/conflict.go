@@ -16,8 +16,6 @@ import (
 	"runtime"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/stats"
 )
 
 // Kind classifies the access that hit a conflict.
@@ -64,7 +62,6 @@ type Info struct {
 	Kind    Kind
 	Attempt int    // 0-based retry attempt for this access
 	Record  uint64 // transaction-record word observed
-	Obj     uint64 // contended object's handle; 0 if unknown
 
 	Self     uint64 // contender's transaction ID (age stamp); 0 outside a transaction
 	SelfPrio int64  // contender's accumulated priority (Karma policies)
@@ -87,33 +84,9 @@ type Handler interface {
 	HandleConflict(Info)
 }
 
-// Stats counts conflict events per kind. The counters are sharded across
-// cache lines: conflicts are by construction the moments when many threads
-// converge on the same object, so a single shared counter here would
-// serialize exactly the threads that are already contending.
-type Stats struct {
-	counts [4]stats.Counter
-}
-
-// Count returns the number of conflicts of kind k handled so far.
-func (s *Stats) Count(k Kind) int64 { return s.counts[k].Load() }
-
-// Total returns the number of conflicts of all kinds.
-func (s *Stats) Total() int64 {
-	var t int64
-	for i := range s.counts {
-		t += s.counts[i].Load()
-	}
-	return t
-}
-
-func (s *Stats) record(k Kind) { s.counts[k].Add(1) }
-
-// Backoff is the default handler: it counts the conflict and waits
-// WaitAttempt(info.Attempt). It is safe for concurrent use.
-type Backoff struct {
-	Stats Stats
-}
+// Backoff is the default handler and policy: it waits
+// WaitAttempt(info.Attempt) and retries. It keeps no state.
+type Backoff struct{}
 
 // DefaultMaxSleep caps the duration WaitAttempt asks time.Sleep for. It is
 // a request, not what a wait costs: the timer rounds every sub-millisecond
@@ -121,10 +94,7 @@ type Backoff struct {
 const DefaultMaxSleep = 100 * time.Microsecond
 
 // HandleConflict implements Handler with bounded exponential backoff.
-func (b *Backoff) HandleConflict(info Info) {
-	b.Stats.record(info.Kind)
-	WaitAttempt(info.Attempt)
-}
+func (*Backoff) HandleConflict(info Info) { WaitAttempt(info.Attempt) }
 
 // WaitAttempt performs the backoff for the given 0-based attempt number:
 // spinning 1 to 8 iterations for attempts 0-3, a scheduler yield for 4-9,
@@ -164,7 +134,7 @@ func spin(n int) {
 
 // Panic is a handler that raises a RaceError, the "throw an exception"
 // policy. Useful in tests that must prove a conflict occurs.
-type Panic struct{ Stats Stats }
+type Panic struct{}
 
 // RaceError is the panic value raised by the Panic handler.
 type RaceError struct{ Info Info }
@@ -175,7 +145,4 @@ func (e RaceError) Error() string {
 }
 
 // HandleConflict implements Handler by panicking with a RaceError.
-func (p *Panic) HandleConflict(info Info) {
-	p.Stats.record(info.Kind)
-	panic(RaceError{Info: info})
-}
+func (*Panic) HandleConflict(info Info) { panic(RaceError{Info: info}) }

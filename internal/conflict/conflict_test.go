@@ -24,17 +24,14 @@ func TestKindStrings(t *testing.T) {
 	}
 }
 
-func TestBackoffCountsAndReturns(t *testing.T) {
+// TestBackoffWaitsAndReturns: the default handler returns at every kind and
+// every stage of WaitAttempt, so the caller retries the access.
+func TestBackoffWaitsAndReturns(t *testing.T) {
 	b := &Backoff{}
-	for i := 0; i < 5; i++ {
-		b.HandleConflict(Info{Kind: TxnWrite, Attempt: i})
-	}
-	b.HandleConflict(Info{Kind: NonTxnRead, Attempt: 0})
-	if b.Stats.Count(TxnWrite) != 5 || b.Stats.Count(NonTxnRead) != 1 {
-		t.Errorf("counts = %d/%d", b.Stats.Count(TxnWrite), b.Stats.Count(NonTxnRead))
-	}
-	if b.Stats.Total() != 6 {
-		t.Errorf("total = %d", b.Stats.Total())
+	for _, k := range []Kind{NonTxnRead, NonTxnWrite, TxnRead, TxnWrite} {
+		for _, attempt := range []int{0, 3, 4, 10} {
+			b.HandleConflict(Info{Kind: k, Attempt: attempt})
+		}
 	}
 }
 
@@ -59,9 +56,6 @@ func TestPanicHandler(t *testing.T) {
 		}
 		if re.Info.Kind != NonTxnWrite || !strings.Contains(re.Error(), "non-txn-write") {
 			t.Errorf("race error = %v", re)
-		}
-		if p.Stats.Count(NonTxnWrite) != 1 {
-			t.Error("panic handler did not count")
 		}
 	}()
 	p.HandleConflict(Info{Kind: NonTxnWrite, Record: 0x2a})

@@ -58,8 +58,9 @@ func (d Decision) String() string {
 }
 
 // Policy is a Handler that can arbitrate conflicts instead of always
-// waiting. Runtimes probe their configured Handler for this interface; a
-// plain Handler behaves as a Policy that always waits.
+// waiting: what a transaction resolves its conflicts with
+// (stmapi.CommonConfig.Handler). HandleConflict is its answer at call sites
+// that never arbitrate.
 //
 // Resolve must perform its own waiting before returning Wait (exactly as
 // HandleConflict does); for SelfAbort and AbortOther the runtime acts
@@ -69,29 +70,22 @@ type Policy interface {
 	Resolve(Info) Decision
 }
 
-// AsPolicy adapts any Handler to the Policy interface: a legacy handler's
-// HandleConflict is its waiting, and the decision is always Wait.
-func AsPolicy(h Handler) Policy {
-	if p, ok := h.(Policy); ok {
-		return p
-	}
-	return waitOnly{h}
-}
-
-type waitOnly struct{ h Handler }
-
-func (w waitOnly) HandleConflict(info Info) { w.h.HandleConflict(info) }
-func (w waitOnly) Resolve(info Info) Decision {
-	w.h.HandleConflict(info)
+// Resolve makes Backoff a Policy that never arbitrates: back off, then
+// retry, the paper's Section 3.2 behavior and its cost. The arbitrating
+// policies embed it for the conflicts they cannot arbitrate.
+func (*Backoff) Resolve(info Info) Decision {
+	WaitAttempt(info.Attempt)
 	return Wait
 }
 
-// Resolve makes the default Backoff a Policy explicitly (it would be
-// wrapped by AsPolicy anyway): back off, then retry. Keeping Backoff on the
-// wait-only path preserves the paper's Section 3.2 behavior and its cost.
-func (b *Backoff) Resolve(info Info) Decision {
-	b.HandleConflict(info)
-	return Wait
+// arbitrable reports whether a conflict has two parties to arbitrate
+// between: a transactional contender, and a live owner that may be doomed.
+// Anonymous writers, non-transactional barriers and an owner already
+// finishing leave nobody to arbitrate against; an irrevocable owner can
+// never be doomed (the runtime would refuse, and an AbortOther against it
+// would spin issuing dooms that never land). Either way the contender waits.
+func arbitrable(info Info) bool {
+	return info.Self != 0 && info.Owner != 0 && info.OwnerActive && !info.OwnerIrrevocable
 }
 
 // Timestamp is the greedy age-based policy: older transactions win. On a
@@ -105,31 +99,14 @@ func (b *Backoff) Resolve(info Info) Decision {
 // starvation-free: whatever the oldest contends on, it either dooms the
 // owner or is itself the owner.
 //
-// Conflicts without a live transactional owner (anonymous writers,
-// non-transactional barriers, owner already finishing) fall back to
-// backoff-and-retry, since there is nobody to arbitrate against.
-type Timestamp struct {
-	Stats Stats
-}
+// A conflict that is not arbitrable falls back to the embedded Backoff, as
+// do the non-transactional barriers through HandleConflict.
+type Timestamp struct{ Backoff }
 
-// HandleConflict implements Handler for call sites that never arbitrate
-// (the non-transactional barriers): plain backoff.
-func (t *Timestamp) HandleConflict(info Info) {
-	t.Stats.record(info.Kind)
-	WaitAttempt(info.Attempt)
-}
-
-// Resolve implements Policy: older wins — except an irrevocable owner,
-// which outranks age (it can never be doomed; the contender yields).
+// Resolve implements Policy: older wins.
 func (t *Timestamp) Resolve(info Info) Decision {
-	t.Stats.record(info.Kind)
-	if info.Self == 0 || info.Owner == 0 || !info.OwnerActive {
-		WaitAttempt(info.Attempt)
-		return Wait
-	}
-	if info.OwnerIrrevocable {
-		WaitAttempt(info.Attempt)
-		return Wait
+	if !arbitrable(info) {
+		return t.Backoff.Resolve(info)
 	}
 	if info.Self < info.Owner {
 		return AbortOther
@@ -146,46 +123,26 @@ func (t *Timestamp) Resolve(info Info) Decision {
 // priority, it dooms the owner. Ties break by age (older wins: the smaller
 // ID, an age stamp up to the block it was taken in; see Info), so two
 // equal-karma rivals cannot doom each other in the same round: IDs are
-// unique, so exactly one of them is the older.
-type Karma struct {
-	Stats Stats
-}
-
-// HandleConflict implements Handler: plain backoff (barriers don't carry
-// priorities).
-func (k *Karma) HandleConflict(info Info) {
-	k.Stats.record(info.Kind)
-	WaitAttempt(info.Attempt)
-}
+// unique, so exactly one of them is the older. A conflict that is not
+// arbitrable falls back to the embedded Backoff.
+type Karma struct{ Backoff }
 
 // Resolve implements Policy.
 func (k *Karma) Resolve(info Info) Decision {
-	k.Stats.record(info.Kind)
-	if info.Self == 0 || info.Owner == 0 || !info.OwnerActive {
-		WaitAttempt(info.Attempt)
-		return Wait
-	}
-	if info.OwnerIrrevocable {
-		// No karma total outranks the irrevocable token; yield.
-		WaitAttempt(info.Attempt)
-		return Wait
+	if !arbitrable(info) {
+		return k.Backoff.Resolve(info)
 	}
 	rank := info.SelfPrio + int64(info.Attempt)
-	switch {
-	case rank > info.OwnerPrio:
+	if rank > info.OwnerPrio || rank == info.OwnerPrio && info.Self < info.Owner {
 		return AbortOther
-	case rank == info.OwnerPrio && info.Self < info.Owner:
-		return AbortOther
-	default:
-		WaitAttempt(info.Attempt)
-		return Wait
 	}
+	return k.Backoff.Resolve(info)
 }
 
 // PolicyNames lists the selectable contention policies, default first.
 var PolicyNames = []string{"backoff", "timestamp", "karma"}
 
-// ByName constructs a fresh contention policy: "backoff" (the paper's
+// ByName constructs a contention policy: "backoff" (the paper's
 // Section 3.2 default), "timestamp" (greedy, older wins), or "karma"
 // (priority accumulation). It is the single point tools (stmbench -policy,
 // the litmus harness) resolve policy names through.

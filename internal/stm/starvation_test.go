@@ -40,14 +40,14 @@ type starvationRun struct {
 	graph         *causal.Graph
 }
 
-func runStarvationLitmus(t *testing.T, handler conflict.Handler, selfAbortAfter int,
+func runStarvationLitmus(t *testing.T, policy conflict.Policy, selfAbortAfter int,
 	deadline time.Duration, stop func(starvationRun) bool) starvationRun {
 	t.Helper()
 	tr := trace.New(trace.Config{})
 	rec := causal.NewRecorder(causal.Config{})
 	tr.SetSink(rec)
 	f := newFixture(t, stmapi.CommonConfig{
-		Handler:        handler,
+		Handler:        policy,
 		SelfAbortAfter: selfAbortAfter,
 	})
 	f.rt.SetTracer(tr)

@@ -74,11 +74,11 @@ type CommonConfig struct {
 	// commit privatized is touched by no transaction afterwards.
 	Quiescence bool
 
-	// Handler receives conflict notifications; nil means a shared
-	// conflict.Backoff. A Handler that also implements conflict.Policy may
-	// additionally direct the runtime to self-abort or doom the contended
-	// record's owner (see internal/conflict).
-	Handler conflict.Handler
+	// Handler is the contention policy a transaction resolves each conflict
+	// with: wait and retry, self-abort, or doom the contended record's owner
+	// (see internal/conflict). Nil means a conflict.Backoff, which Normalize
+	// fills in.
+	Handler conflict.Policy
 
 	// SelfAbortAfter is the number of conflict-handler invocations a single
 	// transactional access tolerates before the transaction aborts itself
@@ -112,6 +112,9 @@ func (c *CommonConfig) Normalize() error {
 	}
 	if c.Granularity < 1 || c.Granularity > MaxGranularity {
 		return fmt.Errorf("stmapi: unsupported granularity %d (want 1..%d)", c.Granularity, MaxGranularity)
+	}
+	if c.Handler == nil {
+		c.Handler = &conflict.Backoff{}
 	}
 	if c.SelfAbortAfter == 0 {
 		c.SelfAbortAfter = DefaultSelfAbortAfter

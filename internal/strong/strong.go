@@ -58,7 +58,9 @@ type Barriers struct {
 	// DEA enables the Figure 10 private-object fast paths and publication.
 	DEA bool
 
-	// Handler receives conflict notifications; nil means a shared Backoff.
+	// Handler receives conflict notifications; nil means a
+	// conflict.Backoff. A conflict.Panic raises the race instead, the
+	// paper's "break to the debugger".
 	Handler conflict.Handler
 
 	// Stats, when non-nil, counts barrier executions.
@@ -88,9 +90,9 @@ func (b *Barriers) elide() bool {
 	return b.DEA || b.Heap.HasManifest()
 }
 
-// New returns Barriers over heap with the default backoff conflict handler.
+// New returns Barriers over heap with the default conflict handler.
 func New(heap *objmodel.Heap, dea bool) *Barriers {
-	return &Barriers{Heap: heap, DEA: dea, Handler: &conflict.Backoff{}}
+	return &Barriers{Heap: heap, DEA: dea}
 }
 
 var defaultHandler = &conflict.Backoff{}

@@ -11,8 +11,7 @@ import (
 const HistBuckets = 40
 
 // histBucket is one padded bucket: concurrent committers observing similar
-// latencies land on the same bucket, so each gets its own cache line (the
-// same treatment stats.Counter gives its shards).
+// latencies land on the same bucket, so each gets its own cache line.
 type histBucket struct {
 	v atomic.Int64
 	_ [56]byte

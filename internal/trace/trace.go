@@ -36,8 +36,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/stats"
+	"unsafe"
 )
 
 // Kind discriminates transaction lifecycle events.
@@ -131,16 +130,17 @@ const (
 // recorder trivially race-free for live readers; the goroutine-affine shard
 // choice keeps the lock all but uncontended.
 type ring struct {
-	mu    sync.Mutex
-	buf   []Event
-	total uint64   // events ever recorded into this shard
-	_     [24]byte // keep neighbouring shards' hot fields off one line
+	mu     sync.Mutex
+	buf    []Event
+	total  uint64           // events ever recorded into this shard
+	byKind [numKinds]uint64 // total by kind; the struct spans whole cache lines
 }
 
 func (r *ring) record(ev Event) {
 	r.mu.Lock()
 	r.buf[r.total%uint64(len(r.buf))] = ev
 	r.total++
+	r.byKind[ev.Kind]++
 	r.mu.Unlock()
 }
 
@@ -174,8 +174,6 @@ type Tracer struct {
 	// stamped and ring-recorded. atomic.Pointer keeps the no-sink check to
 	// one load on the traced path.
 	sink atomic.Pointer[sinkBox]
-
-	byKind [numKinds]stats.Counter
 
 	hot       Hotspots
 	commitLat Histogram
@@ -236,17 +234,24 @@ func (t *Tracer) Record(k Kind, txn, obj uint64, slot int, ver uint64) {
 		Seq:  t.seq.Add(1),
 		Unix: time.Now().UnixNano(),
 	}
-	t.byKind[k].Add(1)
 	// Mix the transaction ID into the stack-page hint: goroutine stacks
 	// allocated from the same span share a page hint, and a pure-hint choice
 	// then funnels whole worker pools into one or two shards (observed: 15 of
 	// 16 shards idle under an 8-worker sweep). Txn IDs are fresh per Atomic,
 	// so the mix keeps shard affinity for a transaction's lifetime while
 	// spreading colliding goroutines across the ring.
-	t.rings[(uint64(stats.Hint())^(txn*0x9e3779b97f4a7c15))&t.mask].record(ev)
+	t.rings[(stackHint()^(txn*0x9e3779b97f4a7c15))&t.mask].record(ev)
 	if b := t.sink.Load(); b != nil {
 		b.s.Observe(ev)
 	}
+}
+
+// stackHint returns a cheap shard hint that tends to differ between
+// goroutines: the page of the caller's stack. Goroutine stacks are distinct
+// heap allocations at least 2KB apart. Allocation-free.
+func stackHint() uint64 {
+	var x byte
+	return uint64(uintptr(unsafe.Pointer(&x)) >> 11)
 }
 
 // Hot returns the conflict-attribution table.
@@ -279,7 +284,10 @@ func (t *Tracer) ObserveIrrevocableHold(d time.Duration) { t.irrevHold.Observe(d
 
 // Count returns how many events of kind k have been recorded (including
 // events since overwritten in the rings).
-func (t *Tracer) Count(k Kind) int64 { return t.byKind[k].Load() }
+func (t *Tracer) Count(k Kind) int64 {
+	_, byKind := t.counts()
+	return byKind[k]
+}
 
 // Events returns the retained event history, oldest first, merged across
 // shards by the global sequence stamp. Timestamps alone cannot order the
@@ -298,14 +306,10 @@ func (t *Tracer) Events() []Event {
 // Recorded returns the total events recorded and how many of those have
 // been overwritten (dropped from the retained history).
 func (t *Tracer) Recorded() (total, dropped int64) {
-	for i := range t.rings {
-		r := &t.rings[i]
-		r.mu.Lock()
-		total += int64(r.total)
-		if n := uint64(len(r.buf)); r.total > n {
-			dropped += int64(r.total - n)
-		}
-		r.mu.Unlock()
+	shards, _ := t.counts()
+	for _, sc := range shards {
+		total += sc.Total
+		dropped += sc.Dropped
 	}
 	return total, dropped
 }
@@ -320,24 +324,34 @@ type ShardCount struct {
 // Exporters use this to mark history gaps honestly: a drop on any shard
 // means the merged Events() stream has a hole whose Seq range is unknown.
 func (t *Tracer) RecordedByShard() []ShardCount {
-	out := make([]ShardCount, len(t.rings))
+	shards, _ := t.counts()
+	return shards
+}
+
+// counts reads every ring's counters under its lock: the shard's total and
+// drops, and the per-kind counts summed over the shards.
+func (t *Tracer) counts() (shards []ShardCount, byKind [numKinds]int64) {
+	shards = make([]ShardCount, len(t.rings))
 	for i := range t.rings {
 		r := &t.rings[i]
 		r.mu.Lock()
-		out[i].Total = int64(r.total)
+		shards[i].Total = int64(r.total)
 		if n := uint64(len(r.buf)); r.total > n {
-			out[i].Dropped = int64(r.total - n)
+			shards[i].Dropped = int64(r.total - n)
+		}
+		for k, n := range r.byKind {
+			byKind[k] += int64(n)
 		}
 		r.mu.Unlock()
 	}
-	return out
+	return shards, byKind
 }
 
 // Snapshot summarizes the tracer's derived views for export: per-kind event
 // counts, the topN hottest objects, and histogram summaries. It is cheap
 // relative to Events (no event copy) and JSON-serializable.
 func (t *Tracer) Snapshot(topN int) Snapshot {
-	shards := t.RecordedByShard()
+	shards, counts := t.counts()
 	var total, dropped int64
 	var byShard []int64
 	for _, sc := range shards {
@@ -352,7 +366,7 @@ func (t *Tracer) Snapshot(topN int) Snapshot {
 	}
 	byKind := make(map[string]int64, int(numKinds))
 	for k := Kind(0); k < numKinds; k++ {
-		if n := t.byKind[k].Load(); n != 0 {
+		if n := counts[k]; n != 0 {
 			byKind[k.String()] = n
 		}
 	}

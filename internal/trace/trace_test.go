@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestRingRetainsWithinCapacity(t *testing.T) {
@@ -51,7 +52,8 @@ func TestRingOverwritesOldest(t *testing.T) {
 }
 
 // TestRecordParallel hammers Record from many goroutines (run under -race
-// in CI): no event may be lost while the shard rings have capacity.
+// in CI): no event may be lost while the shard rings have capacity, and no
+// count either (a kind counted in the wrong ring, or outside its lock).
 func TestRecordParallel(t *testing.T) {
 	const goroutines = 8
 	const perG = 500
@@ -74,12 +76,23 @@ func TestRecordParallel(t *testing.T) {
 	if len(evs) != goroutines*perG {
 		t.Fatalf("events = %d, want %d", len(evs), goroutines*perG)
 	}
+	if got := tr.Count(EvCommit); got != goroutines*perG {
+		t.Fatalf("Count(EvCommit) = %d, want %d", got, goroutines*perG)
+	}
 	seen := make(map[uint64]bool, len(evs))
 	for _, ev := range evs {
 		if seen[ev.Txn] {
 			t.Fatalf("duplicate event for txn %d", ev.Txn)
 		}
 		seen[ev.Txn] = true
+	}
+}
+
+// TestRingSpansWholeCacheLines: a ring's per-kind counts fill it out to
+// whole cache lines, so neighbouring shards' hot fields never share one.
+func TestRingSpansWholeCacheLines(t *testing.T) {
+	if n := unsafe.Sizeof(ring{}); n%64 != 0 {
+		t.Fatalf("sizeof(ring) = %d, not a multiple of 64", n)
 	}
 }
 

@@ -102,7 +102,7 @@ func (tx *Txn) resolve(o *objmodel.Object, kind conflict.Kind, attempt int, rec 
 			info.OwnerIrrevocable = owner.irrevStamp.Load()
 		}
 	}
-	d := tx.k.policy.Resolve(info)
+	d := tx.k.cfg.Handler.Resolve(info)
 	switch d {
 	case conflict.SelfAbort:
 		tx.batch.d[cSelfAborts]++

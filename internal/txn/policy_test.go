@@ -1,19 +1,100 @@
 package txn_test
 
-// Contention policies on every runtime: whatever a policy decides, the
-// invariants hold, and a doom that arrives past the victim's commit point is
-// ignored. Eager's encounter-time deadlock, which only arbitration breaks,
+// Contention policies on every runtime: a policy is handed what the kernel
+// knows of both parties, whatever a policy decides the invariants hold, and
+// a doom that arrives past the victim's commit point is ignored. Eager's encounter-time deadlock, which only arbitration breaks,
 // and its in-body doom are internal/stm's.
 
 import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/conflict"
 	"repro/internal/stmapi"
 	"repro/internal/txn"
+	"repro/internal/txrec"
 )
+
+// recordingPolicy hands the first Info it is given to seen and backs off on
+// every conflict.
+type recordingPolicy struct {
+	conflict.Backoff
+	seen chan conflict.Info
+}
+
+func (p *recordingPolicy) Resolve(info conflict.Info) conflict.Decision {
+	select {
+	case p.seen <- info:
+	default:
+	}
+	return p.Backoff.Resolve(info)
+}
+
+// TestPolicySeesConflict: a transaction that meets a record another
+// transaction holds hands its policy both parties: its own ID, the holder's,
+// that the holder is live, and whether it holds the irrevocable token. The
+// holder is kept in its commit window, records held, until the policy has
+// seen the contender's first write conflict, on the holder's record word. A runtime with a commit gate (mvstm)
+// admits no committer while the irrevocable token is held, so no writer
+// meets an irrevocable owner there. With no Handler configured, the runtime
+// reports the conflict.Backoff it resolves with.
+func TestPolicySeesConflict(t *testing.T) {
+	forEachRuntime(t, func(t *testing.T, name string) {
+		if h := kernelOf(newFixture(t, name, stmapi.CommonConfig{}).rt).Config().Handler; h == nil {
+			t.Fatal("Config().Handler = nil, want the default *conflict.Backoff")
+		} else if _, ok := h.(*conflict.Backoff); !ok {
+			t.Fatalf("Config().Handler = %T, want *conflict.Backoff", h)
+		}
+		for _, irrevocable := range []bool{false, true} {
+			pol := &recordingPolicy{seen: make(chan conflict.Info, 1)}
+			f := newFixture(t, name, stmapi.CommonConfig{Handler: pol})
+			if _, gated := f.rt.(interface{ DrainCommitters(time.Duration) bool }); gated && irrevocable {
+				continue
+			}
+			o := f.cell()
+			var holder, contender uint64
+			contended := make(chan error, 1)
+			var info conflict.Info
+			inCommitWindow(f, name, func() {
+				go func() {
+					contended <- f.rt.Atomic(func(tx stmapi.Txn) error {
+						contender = tx.ID()
+						tx.Write(o, 0, 9)
+						return nil
+					})
+				}()
+				select {
+				case info = <-pol.seen:
+				case <-time.After(5 * time.Second):
+					t.Error("the contender's conflict never reached the policy")
+				}
+			})
+			run := f.rt.Atomic
+			if irrevocable {
+				run = f.rt.AtomicIrrevocable
+			}
+			if err := run(func(tx stmapi.Txn) error {
+				holder = tx.ID()
+				tx.Write(o, 0, 7)
+				return nil
+			}); err != nil {
+				t.Fatalf("holder: %v", err)
+			}
+			within(t, contended, "the contender did not commit")
+			want := conflict.Info{
+				Kind: conflict.TxnWrite, Record: uint64(txrec.MakeExclusive(holder)),
+				Self: contender, SelfPrio: info.SelfPrio,
+				Owner: holder, OwnerPrio: info.OwnerPrio, OwnerActive: true,
+				OwnerIrrevocable: irrevocable,
+			}
+			if info != want {
+				t.Errorf("irrevocable holder %v: policy saw %+v, want %+v", irrevocable, info, want)
+			}
+		}
+	})
+}
 
 // TestPoliciesPreserveInvariantsUnderContention runs a heavily contended
 // transfer workload under every registered contention policy: whatever the

@@ -42,7 +42,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/conflict"
 	"repro/internal/faultinject"
 	"repro/internal/objmodel"
 	"repro/internal/objset"
@@ -114,8 +113,7 @@ type Kernel struct {
 	name     string
 	cfg      stmapi.CommonConfig
 	newTxn   func() Strategy
-	policy   conflict.Policy // the configured handler, adapted to Policy
-	nextID   atomic.Uint64   // the last ID of the last block of owner IDs taken (getTxn)
+	nextID   atomic.Uint64 // the last ID of the last block of owner IDs taken (getTxn)
 	reg      registry
 	pool     sync.Pool  // idle *Txn descriptors
 	idle     Txn        // the sentinel Stats claims free slots with
@@ -139,17 +137,12 @@ func (k *Kernel) Init(name string, heap *objmodel.Heap, cfg stmapi.CommonConfig,
 	if err := cfg.Normalize(); err != nil {
 		panic(name + ": " + err.Error())
 	}
-	h := cfg.Handler
-	if h == nil {
-		h = &conflict.Backoff{}
-	}
 	k.heap = heap
 	k.Clock = heap.Clock()
 	k.ClockOn = !cfg.NoCommitClock
 	k.name = name
 	k.cfg = cfg
 	k.newTxn = newTxn
-	k.policy = conflict.AsPolicy(h)
 	k.idle.status.Store(uint32(stmapi.Aborted))
 }
 
