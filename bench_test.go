@@ -485,7 +485,7 @@ func BenchmarkLazyTxnSmall(b *testing.B) {
 }
 
 // BenchmarkLazyWriteCommit is a lazy commit with a write set of 8 objects:
-// buffer, list, acquire in handle order, validate, write back, release, all
+// buffer, acquire in buffer order, validate, write back, release, all
 // out of the descriptor's reused arrays.
 func BenchmarkLazyWriteCommit(b *testing.B) {
 	h, first, _ := barrierFixture(b, false)

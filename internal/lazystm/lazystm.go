@@ -198,7 +198,7 @@ func (tx *Txn) WriteRef(o *objmodel.Object, slot int, r objmodel.Ref) {
 func (tx *Txn) RetryWait(ctx context.Context) error { return tx.WaitForReadSetChange(ctx) }
 
 // Commit implements txn.Strategy with the lazy commit protocol: acquire the
-// write set's records in handle order, validate the read set, pass the
+// write set's records in buffer order, validate the read set, pass the
 // commit point, write back the buffered slots from the last buffered to the
 // first, release the records, and (in quiescence mode) wait out the attempts
 // in flight, so every commit serialized earlier has written back.
@@ -210,9 +210,6 @@ func (tx *Txn) Commit() (ok bool, err error) {
 	// read records in Owned; those are kept. No first-committer-wins rule:
 	// the read set is validated below.
 	ents := tx.Buf.Ents
-	for i := range ents {
-		tx.AddWrite(ents[i].Obj)
-	}
 	if !tx.LockWriteSet(txn.NoLimit) {
 		return false, nil
 	}

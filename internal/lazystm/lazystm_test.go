@@ -1,9 +1,9 @@
 package lazystm
 
 // Lazy versioning's own structure: the commit window between the commit
-// point and the write-back, the span buffer's stale neighbour and the
-// sorted commit-time acquisition. The promises lazy shares with the other
-// runtimes are the kernel's rows in internal/txn.
+// point and the write-back, and the span buffer's stale neighbour. The
+// promises lazy shares with the other runtimes are the kernel's rows in
+// internal/txn.
 
 import (
 	"errors"
@@ -142,45 +142,5 @@ func TestQuiescenceOrdersCompletion(t *testing.T) {
 				t.Errorf("counter = %d, want %d", got, 4*n)
 			}
 		})
-	}
-}
-
-// TestLazyMultiObjectCommitSorted: the write set is acquired in handle order
-// at commit, so bodies writing the same objects in opposite orders never
-// deadlock.
-func TestLazyMultiObjectCommitSorted(t *testing.T) {
-	f := newFixture(t, stmapi.CommonConfig{})
-	objs := make([]*objmodel.Object, 8)
-	for i := range objs {
-		objs[i] = f.heap.New(f.cls)
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				_ = f.rt.Atomic(func(tx stmapi.Txn) error {
-					// Touch objects in different orders per goroutine; the
-					// sorted commit-time acquisition avoids deadlock.
-					if g%2 == 0 {
-						for _, o := range objs {
-							tx.Write(o, 0, tx.Read(o, 0)+1)
-						}
-					} else {
-						for j := len(objs) - 1; j >= 0; j-- {
-							tx.Write(objs[j], 0, tx.Read(objs[j], 0)+1)
-						}
-					}
-					return nil
-				})
-			}
-		}(g)
-	}
-	wg.Wait()
-	for i, o := range objs {
-		if got := o.LoadSlot(0); got != 400 {
-			t.Errorf("obj %d = %d, want 400", i, got)
-		}
 	}
 }

@@ -141,11 +141,11 @@ func Programs() []Program {
 			ID: "MI-OW", Figure: "4a", Row: "read/write",
 			Description: "memory inconsistency, overlapped writes: unordered write-back publishes a reference before the initializing store",
 			Trials:      80,
-			// MV: no — mvstm writes back in heap-handle order, and the
-			// element here is allocated before the object publishing it, so
-			// the initializing store always lands first. (The window is not
-			// closed in general: publishing through a lower-handle object
-			// would reorder. The matrix records this program's outcome.)
+			// MV: no — mvstm writes back in program order, and the body
+			// here initializes the element before it publishes it, so the
+			// initializing store always lands first. (The window is not
+			// closed in general: a body that publishes first would reorder.
+			// The matrix records this program's outcome.)
 			Expected: expect(false, true, false, false, false),
 			Run:      runMIOW,
 		},

@@ -26,14 +26,14 @@
 // the slots had before (objmodel.MVVersion).
 //
 // Writers buffer slot-granular, in a slice in program order, and commit
-// like the lazy runtime: sort the buffer by handle, acquire the write set's
-// records in that order, first-committer-wins check, advance the clock to
-// obtain the write version, pass the commit point, and then in one pass over
-// the buffer save each object's pre-image at the head of its chain (over a
-// head no snapshot can need any more, else on a fresh node), pruning the chain
-// while there, and write the buffered values back to the slots; finally
-// release the records stamped with the write version. Versions strictly
-// decrease along each chain and the head's is below the record's.
+// like the lazy runtime: acquire the write set's records in buffer order
+// with a first-committer-wins check, advance the clock to obtain the write
+// version, pass the commit point, save each held object's pre-image at the
+// head of its chain (over a head no snapshot can need any more, else on a
+// fresh node), pruning the chain while there, and write the buffered values
+// back to the slots in program order; finally release the records stamped
+// with the write version. Versions strictly decrease along each chain and
+// the head's is below the record's.
 //
 // Dead versions are reclaimed against a watermark: the smallest begin
 // snapshot among live transactions (tracked in the same registry
@@ -153,9 +153,8 @@ const maxSnapshot = math.MaxUint64
 
 // Txn is a multi-version transaction descriptor: the kernel's
 // deferred-update descriptor, whose buffer is used slot-granular: one entry
-// per written slot, in the order the body first wrote each, until commit
-// sorts it by handle. Its RV is the begin
-// snapshot — reads see the newest version at or below it — and its WV,
+// per written slot, in the order the body first wrote each. Its RV is the
+// begin snapshot — reads see the newest version at or below it — and its WV,
 // obtained from the clock before the commit point, is what every release
 // path stamps records with. Pooled across Atomic calls; user code must not
 // retain one past the body.
@@ -484,16 +483,15 @@ func (tx *Txn) Rollback() {
 // declaration needed — takes the zero-metadata path: no gate, no clock, no
 // records, no quiescence wait, because its snapshot reads were consistent by
 // construction the moment they happened. A writing transaction runs the
-// multi-version commit protocol: enter the commit gate, sort the buffer by
-// handle, acquire the write set's records in that order with the
-// first-committer-wins check (a record version above the begin snapshot
-// means a concurrent committer got there first), obtain the write version,
-// pass the commit point, push every written object's pre-image on its chain
-// and write the buffered slots back, release the records stamped with the
-// write version, leave the gate and unpin the descriptor, and wait out the
-// durability of its redo record and (in quiescence mode) the attempts in
-// flight. A committed attempt reads nothing more, so neither wait holds
-// history back (gc.go).
+// multi-version commit protocol: enter the commit gate, acquire the write
+// set's records in buffer order with the first-committer-wins check (a
+// record version above the begin snapshot means a concurrent committer got
+// there first), obtain the write version, pass the commit point, push every
+// written object's pre-image on its chain, write the buffered slots back in
+// program order, release the records stamped with the write version, leave
+// the gate and unpin the descriptor, and wait out the durability of its redo
+// record and (in quiescence mode) the attempts in flight. A committed
+// attempt reads nothing more, so neither wait holds history back (gc.go).
 func (tx *Txn) Commit() (ok bool, err error) {
 	rt := tx.rt
 	if tx.readOnly || len(tx.Buf.Ents) == 0 {
@@ -510,17 +508,6 @@ func (tx *Txn) Commit() (ok bool, err error) {
 	}
 	defer rt.exitCommit(tx)
 
-	// Handle order is the acquire order, and it makes each object's entries
-	// contiguous, so everything below is one pass over the buffer; the sort
-	// is stable, so an object's slots stay in the order the body wrote them
-	// and write-back and the redo record are deterministic.
-	tx.Buf.SortByRef()
-	ents := tx.Buf.Ents
-	for i := range ents {
-		if i == 0 || ents[i].Obj != ents[i-1].Obj {
-			tx.Objs = append(tx.Objs, ents[i].Obj) // empty between commits, so already deduplicated and sorted
-		}
-	}
 	// First committer wins: a record version above the begin snapshot fails
 	// the commit (an irrevocable committer's is maxSnapshot: nothing can).
 	// There is no other validation step: snapshot reads need no re-checking —
@@ -538,21 +525,22 @@ func (tx *Txn) Commit() (ok bool, err error) {
 	// ----- commit point: the transaction is now serialized. -----
 	tx.Serialize()
 
-	// Per object, save the pre-image at the chain's head, then write the buffered
-	// slots back. Both happen under the Exclusive record, which keeps
+	// Save every held object's pre-image at its chain's head (a private
+	// object keeps no history), then write the buffered slots back in
+	// program order. Both happen under the Exclusive records, which keep
 	// snapshot readers off the slots (snapshotRead); non-transactional
 	// readers under weak atomicity go straight to the slots and see the lazy
 	// write-back window (the litmus MI programs depend on it).
 	horizon := tx.pruneHorizon()
+	tx.Owned.Range(func(o *objmodel.Object, sv uint64) bool {
+		tx.install(o, sv, &horizon)
+		return true
+	})
 	publish := rt.Heap().MintsPrivate()
+	ents := tx.Buf.Ents
 	for k := range ents {
 		e := &ents[k]
 		o := e.Obj
-		if k == 0 || o != ents[k-1].Obj {
-			if sv, held := tx.Owned.Get(o); held { // a private object keeps no history
-				tx.install(o, sv, &horizon)
-			}
-		}
 		// Publication point on a heap that mints private objects: a
 		// private-born object written into a public container escapes at
 		// write-back.

@@ -14,14 +14,14 @@ import (
 const NoLimit = math.MaxUint64
 
 // Deferred is the kernel descriptor of a deferred-update runtime (lazy,
-// multi-version): Txn plus the write buffer and the write set's object list,
-// and on them the commit-time locking protocol (Sections 3.3, 3.4):
-// acquire the write set's records in handle order, validate, pass the commit
-// point, write back, release, and in quiescence mode wait out the attempts in
-// flight. A multi-version commit differs in what it checks while locking
-// (LockWriteSet's version limit) and what it installs, not in that skeleton,
-// so the skeleton, its fault points and the reaper's release are here once;
-// DESIGN.md §6 has the split between kernel and runtime step by step.
+// multi-version): Txn plus the write buffer, and on them the commit-time
+// locking protocol (Sections 3.3, 3.4): acquire the write set's records in
+// buffer order, validate, pass the commit point, write back, release, and in
+// quiescence mode wait out the attempts in flight. A multi-version commit
+// differs in what it checks while locking (LockWriteSet's version limit) and
+// what it installs, not in that skeleton, so the skeleton, its fault points
+// and the reaper's release are here once; DESIGN.md §6 has the split between
+// kernel and runtime step by step.
 //
 // It implements the Strategy methods that do not depend on the versioning
 // (Begin, Reset, Rollback, ReapOrphan); a runtime with more to do at one of
@@ -29,30 +29,20 @@ const NoLimit = math.MaxUint64
 type Deferred struct {
 	Txn
 
-	// Buf holds the body's writes until commit (writebuf.go).
+	// Buf holds the body's writes until commit (writebuf.go). Its entries
+	// are the write set: LockWriteSet acquires their objects' records, and
+	// which are held, at what version, is Owned (the two differ by private
+	// objects, by entries not acquired yet, and by an irrevocable body's
+	// read locks).
 	Buf WriteBuf
-
-	// Objs lists the write set's objects, in handle order once LockWriteSet
-	// has sorted it. Which records are held, and at what version, is Owned:
-	// the two differ by private objects, by entries not acquired yet, and by
-	// an irrevocable body's read locks. Filled by Commit and emptied by
-	// Release on every way out of it but a panic, and by Reset, so it is
-	// empty between commits; the array is reused, so a steady-state commit
-	// allocates nothing.
-	Objs []*objmodel.Object
 }
 
 // Begin implements Strategy.
 func (d *Deferred) Begin() { d.Buf.Reset() }
 
-// Reset implements Strategy. A panic out of Commit leaves Objs filled; a
-// pooled descriptor that kept it would acquire the old write set again at
-// its next commit.
-func (d *Deferred) Reset() {
-	d.Buf.Reset()
-	clear(d.Objs)
-	d.Objs = d.Objs[:0]
-}
+// Reset implements Strategy: a pooled descriptor must not pin the objects
+// its last attempt wrote.
+func (d *Deferred) Reset() { d.Buf.Reset() }
 
 // Rollback implements Strategy: restore whatever records the attempt still
 // holds (an irrevocable body's pessimistic read locks, a failed irrevocable
@@ -67,17 +57,6 @@ func (d *Deferred) Rollback() { d.Release(false) }
 // post-commit fault point), so it is released as its own commit would have.
 func (d *Deferred) ReapOrphan(committed bool) { d.Release(committed) }
 
-// AddWrite lists o in the write set, once however many of its slots are
-// buffered (write sets are small: a scan beats a second index).
-func (d *Deferred) AddWrite(o *objmodel.Object) {
-	for _, p := range d.Objs {
-		if p == o {
-			return
-		}
-	}
-	d.Objs = append(d.Objs, o)
-}
-
 // Release gives back every record this attempt acquired. A committed
 // release stamps them with the write version obtained before the commit
 // point (WV is 0 for a commit that wrote nothing, degrading to the plain
@@ -86,8 +65,7 @@ func (d *Deferred) AddWrite(o *objmodel.Object) {
 // hold. Otherwise the
 // original words are restored — nothing reached memory. The holdings are
 // cleared: a descriptor that later dies as an orphan must not present
-// records it no longer owns to the reaper, and a pooled one must not pin
-// the objects it wrote.
+// records it no longer owns to the reaper.
 func (d *Deferred) Release(committed bool) {
 	d.Owned.Range(func(o *objmodel.Object, sv uint64) bool {
 		if committed {
@@ -98,63 +76,83 @@ func (d *Deferred) Release(committed bool) {
 		return true
 	})
 	d.Owned.Reset()
-	clear(d.Objs)
-	d.Objs = d.Objs[:0]
 }
 
-// LockWriteSet acquires the record of every listed object, sorted by handle
-// so concurrent committers acquire in the same order (no deadlock). Private
-// objects are written back without synchronization and records already held
-// (an irrevocable transaction's) are kept. A record whose version is above
+// LockWriteSet acquires the record of every object the buffer writes, in
+// buffer order, the order the body first wrote each slot. Private objects
+// are written back without synchronization, and a record already
+// Exclusive(self) — an irrevocable body's read lock, or an object whose
+// earlier slot this pass took — is kept. A record whose version is above
 // limit was committed after the caller's snapshot and the first committer
 // wins; the clock is raised over the lost version so the retry's snapshot
 // covers it even when the release stamp outran the clock (two committers
 // sharing a write version).
+//
+// A record held by someone else is one conflict round (AcquireWait), taken
+// by a revocable committer holding nothing: it restores every record it
+// took, waits, and starts the pass again. attempt counts the rounds across
+// passes, so SelfAbortAfter and the policy bound the commit as they bound
+// a body's access. The irrevocable token holder keeps its holdings and
+// claims the record.
+//
+// That is the whole deadlock argument, and it needs no acquire order: a
+// cycle of waits needs a waiter that holds a record, and only the token
+// holder ever waits holding one. The token is singular, so there is at
+// most one such waiter, and every record it waits on belongs to a
+// revocable committer that is either acquiring (and releases at its own
+// next conflict, or is doomed by the claim) or past its last acquisition
+// and finishing without waiting on a record, or to a non-transactional
+// barrier, which holds one record and never waits.
 //
 // false means the commit must fail: every record taken is back at its
 // original word and the object responsible is blamed. A doom that landed
 // while acquiring is honored here, up to the commit point; past it the
 // victim has won the race and simply commits.
 func (d *Deferred) LockWriteSet(limit uint64) bool {
-	SortByRef(d.Objs)
-	for _, o := range d.Objs {
-		if txrec.IsPrivate(o.Rec.Load()) {
+	self := txrec.MakeExclusive(d.id)
+	ents := d.Buf.Ents
+	attempt := 0
+	for i := 0; i < len(ents); i++ {
+		o := ents[i].Obj
+		w := o.Rec.Load()
+		if w == self || txrec.IsPrivate(w) {
 			continue
 		}
-		if _, mine := d.Owned.Get(o); mine {
+		if !txrec.IsShared(w) {
+			revocable := !d.Irrevocable
+			if revocable {
+				d.Release(false) // wait holding nothing
+			}
+			if !d.AcquireWait(o, attempt, w) {
+				return false
+			}
+			attempt++
+			if revocable {
+				i = -1 // start the pass again
+			} else {
+				i-- // re-probe o
+			}
 			continue
 		}
-		for attempt := 0; ; attempt++ {
-			w := o.Rec.Load()
-			if !txrec.IsShared(w) {
-				// An irrevocable committer never fails here: AcquireWait
-				// claims (reaping a dead owner) and it re-probes.
-				if !d.AcquireWait(o, attempt, w) {
-					d.Release(false)
-					return false
-				}
-				continue
-			}
-			if d.FI != nil && !d.fire(faultinject.PreAcquire, o) {
-				return false
-			}
-			if ver := txrec.Version(w); ver > limit {
-				d.NotifyStale(uint64(o.Ref()))
-				d.Blame = uint64(o.Ref())
-				d.Release(false)
-				d.k.Clock.Raise(ver)
-				return false
-			}
-			if !d.Acquire(o, w) {
-				continue
-			}
-			if tr := d.Tr; tr != nil {
-				tr.Record(trace.EvLockAcquire, d.id, uint64(o.Ref()), 0, txrec.Version(w))
-			}
-			if d.FI != nil && !d.fire(faultinject.PostAcquire, o) {
-				return false
-			}
-			break
+		if d.FI != nil && !d.fire(faultinject.PreAcquire, o) {
+			return false
+		}
+		if ver := txrec.Version(w); ver > limit {
+			d.NotifyStale(uint64(o.Ref()))
+			d.Blame = uint64(o.Ref())
+			d.Release(false)
+			d.k.Clock.Raise(ver)
+			return false
+		}
+		if !d.Acquire(o, w) {
+			i-- // lost the CAS: re-probe o
+			continue
+		}
+		if tr := d.Tr; tr != nil {
+			tr.Record(trace.EvLockAcquire, d.id, uint64(o.Ref()), 0, txrec.Version(w))
+		}
+		if d.FI != nil && !d.fire(faultinject.PostAcquire, o) {
+			return false
 		}
 	}
 	if d.doomed.Load() && !d.Irrevocable {

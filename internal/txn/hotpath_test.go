@@ -53,7 +53,7 @@ func TestPooledDescriptorClean(t *testing.T) {
 				for i := 0; i < iters; i++ {
 					if err := f.rt.Atomic(func(tx stmapi.Txn) error {
 						k, d := base(tx), deferredOf(tx)
-						if k.Reads.Len() != 0 || k.Owned.Len() != 0 || d != nil && (len(d.Buf.Ents) != 0 || len(d.Objs) != 0) {
+						if k.Reads.Len() != 0 || k.Owned.Len() != 0 || d != nil && len(d.Buf.Ents) != 0 {
 							t.Errorf("goroutine %d, iteration %d: dirty descriptor", g, i)
 						}
 						if k.Attempt() == 0 {

@@ -297,12 +297,12 @@ func TestStatsPanicOutOfCommit(t *testing.T) {
 			if n := k.Unflushed(); n != 1 {
 				t.Errorf("%d statistics deltas at begin, want begin's 1", n)
 			}
-			objs := 0
+			buffered := 0
 			if d != nil {
-				objs = len(d.Objs)
+				buffered = len(d.Buf.Ents)
 			}
-			if k.Owned.Len() != 0 || objs != 0 {
-				t.Errorf("the descriptor after the panic holds %d records and lists %d objects, want none", k.Owned.Len(), objs)
+			if k.Owned.Len() != 0 || buffered != 0 {
+				t.Errorf("the descriptor after the panic holds %d records and buffers %d writes, want none", k.Owned.Len(), buffered)
 			}
 			return nil
 		})

@@ -483,15 +483,16 @@ func TestOrphanIsRetiredAndReaped(t *testing.T) {
 }
 
 // TestLockWriteSet drives the commit-time acquire loop the deferred-update
-// runtimes share: handle order whatever the listing order, private and
-// already-held records skipped, and every way of failing (the version
-// limit, an injected abort between two acquisitions) leaving each record
-// Shared at the version it had.
+// runtimes share: buffer order, each object once however many of its slots
+// are buffered, private and already-held records skipped, and every way of
+// failing (the version limit, an injected abort at each fault point, before,
+// between and after acquisitions) leaving each record Shared at the version
+// it had.
 func TestLockWriteSet(t *testing.T) {
 	k, f := newFake(t, stmapi.CommonConfig{})
 	tr := trace.New(trace.Config{Shards: 1})
 	k.SetTracer(tr)
-	cls := k.Heap().MustDefineClass(objmodel.ClassSpec{Name: "C", Fields: []objmodel.Field{{Name: "f"}}})
+	cls := k.Heap().MustDefineClass(objmodel.ClassSpec{Name: "C", Fields: []objmodel.Field{{Name: "f"}, {Name: "g"}}})
 	var objs [5]*objmodel.Object
 	for i := range objs {
 		objs[i] = k.Heap().New(cls)
@@ -505,64 +506,78 @@ func TestLockWriteSet(t *testing.T) {
 		}
 		return w
 	}
-	before := words()
-	abort := errors.New("abort")
-	list := func(idx ...int) {
+	// acquired lists the objects acquired since the trace held mark events.
+	acquired := func(mark int) (refs []uint64) {
+		for _, ev := range tr.Events()[mark:] {
+			if ev.Kind == trace.EvLockAcquire {
+				refs = append(refs, ev.Obj)
+			}
+		}
+		return refs
+	}
+	refs := func(idx ...int) (refs []uint64) {
 		for _, i := range idx {
-			f.AddWrite(objs[i])
+			refs = append(refs, uint64(objs[i].Ref()))
+		}
+		return refs
+	}
+	// write buffers slot 0 of each listed object (the fake's Begin leaves
+	// the buffer alone, so each body starts from an empty one).
+	write := func(idx ...int) {
+		f.Buf.Reset()
+		for _, i := range idx {
+			f.Buf.Put(objs[i], 0, uint64(i))
 		}
 	}
+	before := words()
+	abort := errors.New("abort")
 
 	_ = k.Run(nil, -1, func(tx *Txn) error {
 		// Held before commit, as an irrevocable body's read leaves it.
 		if !f.Acquire(objs[2], objs[2].Rec.Load()) {
 			t.Fatal("Acquire lost an uncontended CAS")
 		}
-		list(4, 2, 0, 3, 0, 4)
-		f.AddWrite(private)
-		if len(f.Objs) != 5 {
-			t.Fatalf("%d objects listed, want 5 (each once)", len(f.Objs))
-		}
+		write(4, 2, 0)
+		f.Buf.Put(private, 0, 9)
+		f.Buf.Put(objs[3], 1, 3)
+		f.Buf.Put(objs[0], 1, 1)
+		f.Buf.Put(objs[4], 1, 4)
 		if !f.LockWriteSet(NoLimit) {
 			t.Fatal("uncontended LockWriteSet failed")
 		}
-		for i := 1; i < len(f.Objs); i++ {
-			if f.Objs[i-1].Ref() >= f.Objs[i].Ref() {
-				t.Errorf("Objs not in handle order at %d", i)
-			}
-		}
-		var acquired []uint64
-		for _, ev := range tr.Events() {
-			if ev.Kind == trace.EvLockAcquire {
-				acquired = append(acquired, ev.Obj)
-			}
-		}
-		want := []uint64{uint64(objs[0].Ref()), uint64(objs[3].Ref()), uint64(objs[4].Ref())}
-		if fmt.Sprint(acquired) != fmt.Sprint(want) {
-			t.Errorf("acquired %v, want %v: handle order, without the held and the private one", acquired, want)
+		if got, want := acquired(0), refs(4, 0, 3); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("acquired %v, want %v: buffer order, each object once, without the held and the private one", got, want)
 		}
 		for _, i := range []int{0, 2, 3, 4} {
 			if w := objs[i].Rec.Load(); !txrec.IsExclusive(w) || txrec.Owner(w) != tx.ID() {
 				t.Errorf("object %d: record %#x, want Exclusive(self)", i, w)
 			}
+			if sv, ok := f.Owned.Get(objs[i]); !ok || sv != txrec.Version(before[i]) {
+				t.Errorf("object %d: held at %d (%v), want its version %d", i, sv, ok, txrec.Version(before[i]))
+			}
 		}
-		if objs[1].Rec.Load() != before[1] || !private.IsPrivate() {
+		if objs[1].Rec.Load() != before[1] || !private.IsPrivate() || f.Owned.Len() != 4 {
 			t.Error("a record outside the write set, or a private one, was touched")
 		}
 		f.Release(false)
-		if words() != before || f.Owned.Len() != 0 || len(f.Objs) != 0 {
+		if words() != before || f.Owned.Len() != 0 {
 			t.Error("Release(false) did not restore every record and clear the holdings")
 		}
 		return abort
 	})
 
-	// The version limit: objs[3] was committed above it by somebody else.
+	// The version limit: objs[3] was committed above it by somebody else,
+	// after objs[4] was acquired.
 	objs[3].Rec.Store(txrec.MakeShared(9))
 	before = words()
+	mark := len(tr.Events())
 	_ = k.Run(nil, -1, func(tx *Txn) error {
-		list(4, 3, 0)
+		write(4, 3, 0)
 		if f.LockWriteSet(5) {
 			t.Fatal("a record above the version limit was acquired")
+		}
+		if got, want := acquired(mark), refs(4); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("acquired %v before the refusal, want %v", got, want)
 		}
 		if words() != before || f.Owned.Len() != 0 {
 			t.Error("the refused commit kept a record, or changed a version")
@@ -573,22 +588,44 @@ func TestLockWriteSet(t *testing.T) {
 		return abort
 	})
 
-	// Every: 2 aborts at PreAcquire arrivals 0 and 2: the first call fails
-	// before taking anything, the second between its two acquisitions.
-	k.SetInjector(faultinject.New(1, faultinject.Rule{Point: faultinject.PreAcquire, Action: faultinject.Abort, Every: 2}))
-	_ = k.Run(nil, -1, func(tx *Txn) error {
-		for round := 0; round < 2; round++ {
-			list(0, 4)
-			if f.LockWriteSet(NoLimit) {
-				t.Fatalf("round %d: LockWriteSet survived an injected abort", round)
+	// An abort at each fault point, twice: Every 2 fires on arrivals 0 and
+	// 2, so an acquire point fails the first call at the first object and
+	// the second between its two objects; PreValidate fails both calls
+	// holding the whole write set.
+	for _, c := range []struct {
+		point faultinject.Point
+		every uint64
+		blame [2]int // objs index blamed by each call; -1 none
+	}{
+		{faultinject.PreAcquire, 2, [2]int{4, 0}},
+		{faultinject.PostAcquire, 2, [2]int{4, 0}},
+		{faultinject.PreValidate, 1, [2]int{-1, -1}},
+	} {
+		in := faultinject.New(1, faultinject.Rule{Point: c.point, Action: faultinject.Abort, Every: c.every})
+		k.SetInjector(in)
+		_ = k.Run(nil, -1, func(tx *Txn) error {
+			for round := 0; round < 2; round++ {
+				write(4, 0)
+				tx.Blame = 0
+				if f.LockWriteSet(NoLimit) {
+					t.Fatalf("%v, round %d: LockWriteSet survived an injected abort", c.point, round)
+				}
+				if words() != before || f.Owned.Len() != 0 {
+					t.Errorf("%v, round %d: an injected abort left a record held or re-versioned", c.point, round)
+				}
+				want := uint64(0)
+				if i := c.blame[round]; i >= 0 {
+					want = uint64(objs[i].Ref())
+				}
+				if tx.Blame != want {
+					t.Errorf("%v, round %d: blame %d, want %d", c.point, round, tx.Blame, want)
+				}
 			}
-			if words() != before || f.Owned.Len() != 0 {
-				t.Errorf("round %d: an injected abort left a record held or re-versioned", round)
-			}
+			return abort
+		})
+		if n := in.Fired(c.point, faultinject.Abort); n != 2 {
+			t.Errorf("%v: %d aborts fired, want 2", c.point, n)
 		}
-		if tx.Blame != uint64(objs[4].Ref()) {
-			t.Errorf("blame %d, want the object being acquired", tx.Blame)
-		}
-		return abort
-	})
+	}
+	k.SetInjector(nil)
 }

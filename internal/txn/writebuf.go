@@ -1,9 +1,6 @@
 package txn
 
 import (
-	"cmp"
-	"slices"
-
 	"repro/internal/objmodel"
 	"repro/internal/stmapi"
 )
@@ -35,8 +32,7 @@ type WriteBuf struct {
 	index map[slotKey]int // position in Ents; filled only past BufSpill entries
 }
 
-// Find returns the position of (o, slot)'s entry, or -1. Not for use once a
-// commit has reordered Ents (SortByRef leaves the index stale).
+// Find returns the position of (o, slot)'s entry, or -1.
 func (b *WriteBuf) Find(o *objmodel.Object, slot int) int {
 	if len(b.index) > 0 {
 		if i, ok := b.index[slotKey{o, slot}]; ok {
@@ -75,41 +71,6 @@ func (b *WriteBuf) Put(o *objmodel.Object, slot int, v uint64) {
 		return
 	}
 	b.Add(o, slot, v)
-}
-
-// SortByRef sorts the entries by object handle, the order a commit acquires
-// and writes back in, keeping an object's entries in the order the body first
-// wrote them (stable). Up to BufSpill entries that is an insertion sort with
-// nothing to call through; past it, the library's.
-func (b *WriteBuf) SortByRef() {
-	ents := b.Ents
-	if len(ents) > BufSpill {
-		slices.SortStableFunc(ents, func(x, y BufEntry) int { return cmp.Compare(x.Obj.Ref(), y.Obj.Ref()) })
-		return
-	}
-	for i := 1; i < len(ents); i++ {
-		e := ents[i]
-		j := i
-		for r := e.Obj.Ref(); j > 0 && ents[j-1].Obj.Ref() > r; j-- {
-			ents[j] = ents[j-1]
-		}
-		ents[j] = e
-	}
-}
-
-// SortByRef sorts objects by their heap handle, the order in which
-// commit-time acquirers lock their write sets so that concurrent committers
-// cannot deadlock (insertion sort; write sets are small).
-func SortByRef(objs []*objmodel.Object) {
-	for i := 1; i < len(objs); i++ {
-		o := objs[i]
-		j := i - 1
-		for j >= 0 && objs[j].Ref() > o.Ref() {
-			objs[j+1] = objs[j]
-			j--
-		}
-		objs[j+1] = o
-	}
 }
 
 // Reset empties the buffer, dropping its object references.

@@ -1,7 +1,6 @@
 package txn_test
 
 import (
-	"cmp"
 	"slices"
 	"testing"
 
@@ -16,8 +15,8 @@ import (
 // TestWriteSetSliceSpill: a transaction that buffers more slots than the
 // write buffer scans reads its own writes on both sides of the threshold,
 // keeps one entry for a slot written twice, and writes back in its runtime's
-// order. The multi-version runtime goes object by object in handle order, an
-// object's slots in the order the body first wrote them. The lazy runtime
+// order. The multi-version runtime goes in program order, the order the body
+// first wrote each slot, whatever the objects' handles. The lazy runtime
 // goes from the last-buffered slot to the first, and with Granularity 2 a
 // span's neighbour slot is buffered with it: read back from the buffer
 // (Section 2.4's granular inconsistent read) and written back over whatever
@@ -47,10 +46,7 @@ func TestWriteSetSliceSpill(t *testing.T) {
 					return rt.Atomic(func(tx stmapi.Txn) error { body(tx, &tx.(*mvstm.Txn).Buf); return nil })
 				}
 			},
-			order: func(buffered []target) []target {
-				slices.SortStableFunc(buffered, func(a, b target) int { return cmp.Compare(a.o.Ref(), b.o.Ref()) })
-				return buffered
-			},
+			order: func(buffered []target) []target { return buffered },
 		},
 		{
 			// One write per object, to slot 1: the span brings slot 0 along.
@@ -155,32 +151,5 @@ func TestWriteSetSliceSpill(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-	}
-}
-
-// TestWriteBufSortByRef: on both sides of BufSpill, where the sort changes
-// from its own insertion sort to the library's, the commit order is the
-// library's stable sort by handle: objects ascending, an object's slots in
-// the order the body first wrote them.
-func TestWriteBufSortByRef(t *testing.T) {
-	h := objmodel.NewHeap()
-	cls := h.MustDefineClass(objmodel.ClassSpec{Name: "Cell", Fields: []objmodel.Field{{Name: "f"}, {Name: "g"}}})
-	objs := make([]*objmodel.Object, txn.BufSpill)
-	for i := range objs {
-		objs[i] = h.New(cls)
-	}
-	for n := 0; n <= 2*txn.BufSpill; n++ {
-		var buf txn.WriteBuf
-		for i := 0; i < n; i++ {
-			// Handles out of order (7 is coprime to the object count), each
-			// object's slot 1 before its slot 0.
-			buf.Add(objs[i*7%len(objs)], 1-i/len(objs), uint64(i))
-		}
-		want := slices.Clone(buf.Ents)
-		slices.SortStableFunc(want, func(a, b txn.BufEntry) int { return cmp.Compare(a.Obj.Ref(), b.Obj.Ref()) })
-		buf.SortByRef()
-		if !slices.Equal(buf.Ents, want) {
-			t.Errorf("%d entries: sorted to %v, want %v", n, buf.Ents, want)
-		}
 	}
 }
