@@ -24,11 +24,14 @@
 //
 // Everything that is not versioning is the transaction kernel, package txn,
 // which this runtime embeds and plugs into through txn.Strategy; that
-// includes the write buffer and the commit-time locking protocol it shares
-// with the multi-version runtime (txn.Deferred). What is here is the
-// versioning: the Read and Write barriers, the spans, and in commit the
-// validation and the write-back. The differences from the eager runtime all
-// follow from buffering:
+// includes the open-for-read and the commit-clock validation it shares with
+// the eager runtime (txn.Txn.OpenRead, txn.Txn.ValidateCommit), the retry
+// wait and the orphan reaper, and the write buffer and the commit-time
+// locking protocol it shares with the multi-version runtime (txn.Deferred).
+// What is here is the versioning: Read's buffer lookup in front of the
+// kernel's read barrier, the Write barrier and its spans, and in commit the
+// order of the steps and of the write-back (last-buffered slot first). The
+// differences from the eager runtime all follow from buffering:
 //
 //   - An attempt that has not passed its commit point never wrote to shared
 //     memory, so rolling it back (or reclaiming it as an orphan) only
@@ -44,14 +47,10 @@
 package lazystm
 
 import (
-	"context"
-
-	"repro/internal/conflict"
 	"repro/internal/objmodel"
 	"repro/internal/stmapi"
 	"repro/internal/trace"
 	"repro/internal/txn"
-	"repro/internal/txrec"
 )
 
 // Runtime is a lazy-versioning STM instance bound to a heap, configured by
@@ -90,7 +89,10 @@ type Txn struct {
 // Read returns the transaction's view of o's slot: the private buffer if
 // the containing span has been buffered (even when only the *adjacent*
 // slot was written — the granular inconsistent read of Section 2.4),
-// otherwise shared memory under optimistic version validation.
+// otherwise shared memory through the kernel's open-for-read
+// (txn.Txn.OpenRead). A record this transaction holds (an irrevocable
+// body's read lock) is read through: write-back has not happened, so memory
+// holds the pre-transaction value of every slot the buffer does not.
 func (tx *Txn) Read(o *objmodel.Object, slot int) uint64 {
 	tx.NReads++
 	tx.Poll(o)
@@ -102,61 +104,7 @@ func (tx *Txn) Read(o *objmodel.Object, slot int) uint64 {
 			return tx.Buf.Ents[i].Val
 		}
 	}
-	for attempt := 0; ; attempt++ {
-		w := o.Rec.Load()
-		switch {
-		case txrec.IsPrivate(w):
-			// Traced even though no logging is needed: the soundness oracle
-			// audits private (elided) accesses against the manifest.
-			if tr := tx.Tr; tr != nil {
-				tr.Record(trace.EvRead, tx.ID(), uint64(o.Ref()), slot, 0)
-			}
-			return o.LoadSlot(slot)
-		case txrec.IsExclusive(w) && txrec.Owner(w) == tx.ID():
-			// Our own pessimistic hold (irrevocable mode): the slot value in
-			// memory is ours to read — write-back has not happened, so it is
-			// the pre-transaction value unless buffered (handled above).
-			return o.LoadSlot(slot)
-		case !txrec.IsShared(w):
-			// Lazy versioning never reads another transaction's data while
-			// its record is held (there is no dirty data in memory, but a
-			// committer may be writing back).
-			tx.ConflictWait(o, conflict.TxnRead, attempt, w)
-		case tx.Irrevocable:
-			// Pessimistic read: acquire the record so nothing can ever
-			// invalidate it (no abort is legal past the switch).
-			if !tx.Acquire(o, w) {
-				continue
-			}
-			tx.Reads.Put(o, txrec.Version(w))
-			if tr := tx.Tr; tr != nil {
-				tr.Record(trace.EvRead, tx.ID(), uint64(o.Ref()), slot, txrec.Version(w))
-			}
-			return o.LoadSlot(slot)
-		default:
-			v := o.LoadSlot(slot)
-			if o.Rec.Load() != w {
-				continue
-			}
-			ver := txrec.Version(w)
-			if tx.rt.ClockOn && ver > tx.RV {
-				// Version postdates the clock snapshot: extend it (or restart
-				// if the read set is stale), then sample o again under the
-				// snapshot that covers it.
-				tx.ExtendSnapshot(o, ver)
-				continue
-			}
-			if prev, ok := tx.Reads.Get(o); !ok {
-				tx.Reads.Put(o, ver)
-			} else if prev != ver {
-				tx.RestartOn(uint64(o.Ref()))
-			}
-			if tr := tx.Tr; tr != nil {
-				tr.Record(trace.EvRead, tx.ID(), uint64(o.Ref()), slot, ver)
-			}
-			return v
-		}
-	}
+	return tx.OpenRead(o, slot)
 }
 
 // ReadRef is Read for reference slots.
@@ -194,9 +142,6 @@ func (tx *Txn) WriteRef(o *objmodel.Object, slot int, r objmodel.Ref) {
 	tx.Write(o, slot, uint64(r))
 }
 
-// RetryWait implements txn.Strategy.
-func (tx *Txn) RetryWait(ctx context.Context) error { return tx.WaitForReadSetChange(ctx) }
-
 // Commit implements txn.Strategy with the lazy commit protocol: acquire the
 // write set's records in buffer order, validate the read set, pass the
 // commit point, write back the buffered slots from the last buffered to the
@@ -217,15 +162,8 @@ func (tx *Txn) Commit() (ok bool, err error) {
 	// release past here — normal or reaper-completed — stamps records with
 	// tx.WV. Transactions holding records without buffered writes
 	// (pessimistic read locks only) release values unchanged and need none.
-	if vok, bad := tx.ValidateCommit(len(ents) > 0); !vok {
-		if tx.Irrevocable {
-			// Structurally impossible: every read-set entry has been
-			// Exclusive(self) since the switch.
-			panic("lazystm: irrevocable transaction failed validation")
-		}
-		tx.Blame = bad
-		tx.Release(false) // nothing reached memory; restore original versions
-		return false, nil
+	if !tx.ValidateCommit(len(ents) > 0) {
+		return false, nil // Rollback restores the write set: nothing reached memory
 	}
 
 	// ----- commit point: the transaction is now serialized. -----
@@ -235,19 +173,8 @@ func (tx *Txn) Commit() (ok bool, err error) {
 	// particular order", and what Figure 4a needs of that is a publishing
 	// store able to land before the store that initializes what it publishes:
 	// atomic { el.val = 1; x = el } buffers x last and writes it back first.
-	publish := tx.rt.Heap().MintsPrivate()
 	for k := range ents {
-		e := &ents[len(ents)-1-k]
-		// On a heap that mints private-born objects, write-back into a
-		// public container is a publication point (Figure 10b): the
-		// referenced subgraph escapes here.
-		if publish && e.Val != 0 && e.Obj.IsRefSlot(e.Slot) && !txrec.IsPrivate(e.Obj.Rec.Load()) {
-			tx.rt.Heap().PublishRef(objmodel.Ref(e.Val))
-		}
-		e.Obj.StoreSlot(e.Slot, e.Val)
-		if tr := tx.Tr; tr != nil {
-			tr.Record(trace.EvWriteBack, tx.ID(), uint64(e.Obj.Ref()), e.Slot, tx.WV)
-		}
+		tx.WriteBack(&ents[len(ents)-1-k])
 	}
 
 	if tx.FI != nil {
@@ -258,15 +185,4 @@ func (tx *Txn) Commit() (ok bool, err error) {
 
 	tx.ReleaseCommitted() // the token is surrendered before the quiescence wait
 	return true, tx.AwaitCommitted(durSeq, durErr)
-}
-
-// ReapOrphan implements txn.Strategy: the kernel's record release,
-// behind a clock tick when the orphan had committed. Its releases expose
-// written-back values, so no snapshot predating them may keep its clock-only
-// validation (see the eager reaper).
-func (tx *Txn) ReapOrphan(committed bool) {
-	if committed && tx.rt.ClockOn {
-		tx.rt.Clock.Tick()
-	}
-	tx.Deferred.ReapOrphan(committed)
 }

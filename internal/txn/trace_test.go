@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/objmodel"
 	"repro/internal/stmapi"
 	"repro/internal/trace"
 	"repro/internal/txn"
@@ -307,6 +308,54 @@ func TestStatsSnapshot(t *testing.T) {
 		}
 		if s.TxnReads != 3 || s.TxnWrites != 3 {
 			t.Errorf("reads/writes = %d/%d, want 3/3", s.TxnReads, s.TxnWrites)
+		}
+	})
+}
+
+// TestEveryReadTraced: every transactional read records one trace.EvRead,
+// whatever serves it: a private object, a shared one, a slot this
+// transaction wrote (buffered, or in place under its own record), and,
+// after an irrevocable switch, a read of a record the switch locked and a
+// pessimistic first read.
+func TestEveryReadTraced(t *testing.T) {
+	forEachRuntime(t, func(t *testing.T, name string) {
+		f := newFixture(t, name, stmapi.CommonConfig{})
+		heap := f.rt.Heap()
+		heap.AllocPrivate = true
+		private := f.cell()
+		heap.AllocPrivate = false
+		x, y, z := f.cell(), f.cell(), f.cell()
+		tr := trace.New(trace.Config{Shards: 1, ShardCapacity: 256})
+		f.rt.SetTracer(tr)
+		var id uint64
+		reads := 0
+		if err := f.rt.Atomic(func(tx stmapi.Txn) error {
+			id, reads = tx.ID(), 0
+			read := func(o *objmodel.Object) {
+				tx.Read(o, 0)
+				reads++
+			}
+			read(private)
+			read(x)
+			tx.Write(y, 0, 1)
+			read(y)
+			tx.BecomeIrrevocable()
+			read(x)
+			read(x)
+			read(z)
+			read(y)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		traced := 0
+		for _, ev := range tr.Events() {
+			if ev.Kind == trace.EvRead && ev.Txn == id {
+				traced++
+			}
+		}
+		if traced != reads {
+			t.Errorf("%d EvRead events for %d reads", traced, reads)
 		}
 	})
 }

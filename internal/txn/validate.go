@@ -25,6 +25,61 @@ import (
 // further than the version they store (CoverBump). With ClockOn false every
 // validation walks.
 
+// OpenRead is the validating runtimes' open-for-read (Section 3.1): eager's
+// Read, and lazy's past its buffer lookup. A private object is read directly
+// and a record this transaction holds is read through (eager's own write, an
+// irrevocable body's read lock). A record held by someone else is one
+// conflict round, and the record is probed again. An irrevocable transaction
+// acquires the record like a write, so its commit validation cannot fail.
+// Otherwise the slot is sampled under the record seqlock: a version above
+// the clock snapshot extends the snapshot and samples again under the one
+// that covers it (extendSnapshot says why), and a version other than the one
+// this attempt first read o at dooms the attempt. Every read is traced, a
+// private one too: the soundness oracle audits elided accesses against the
+// manifest, and sees them no other way.
+func (tx *Txn) OpenRead(o *objmodel.Object, slot int) uint64 {
+	for attempt := 0; ; attempt++ {
+		w := o.Rec.Load()
+		var ver uint64
+		switch {
+		case txrec.IsPrivate(w):
+		case txrec.IsExclusive(w) && txrec.Owner(w) == tx.id:
+		case !txrec.IsShared(w):
+			tx.ConflictWait(o, conflict.TxnRead, attempt, w)
+			continue
+		case tx.Irrevocable:
+			if !tx.Acquire(o, w) {
+				continue
+			}
+			ver = txrec.Version(w)
+			tx.Reads.Put(o, ver)
+		default:
+			v := o.LoadSlot(slot)
+			if o.Rec.Load() != w {
+				continue // the record changed under the sample
+			}
+			ver = txrec.Version(w)
+			if tx.k.ClockOn && ver > tx.RV {
+				tx.extendSnapshot(o, ver)
+				continue
+			}
+			if prev, ok := tx.Reads.Get(o); !ok {
+				tx.Reads.Put(o, ver)
+			} else if prev != ver {
+				tx.RestartOn(uint64(o.Ref()))
+			}
+			if tr := tx.Tr; tr != nil {
+				tr.Record(trace.EvRead, tx.id, uint64(o.Ref()), slot, ver)
+			}
+			return v
+		}
+		if tr := tx.Tr; tr != nil {
+			tr.Record(trace.EvRead, tx.id, uint64(o.Ref()), slot, ver)
+		}
+		return o.LoadSlot(slot)
+	}
+}
+
 // ValidateOrRestart aborts and restarts the transaction if its read set is
 // no longer consistent. The VM calls this periodically so that doomed
 // transactions (which have read data speculatively written by others)
@@ -47,8 +102,10 @@ func (tx *Txn) validateRead() (bool, uint64) {
 }
 
 // ValidateCommit validates the read set at commit, with the write set's
-// records already held. On failure it reports the first inconsistent
-// object's handle and has notified the contention handler. stamp says the
+// records already held. false means the commit must fail: the first
+// inconsistent object is blamed and the stale read reported to the tracer.
+// An irrevocable transaction cannot fail (every read-set entry has been
+// Exclusive(self) since the switch), so one that does panics. stamp says the
 // commit changes shared values (or must be logged) and so needs a write
 // version, which is left in tx.WV; otherwise WV stays 0 and the releases
 // degrade to plain version bumps — releasing unchanged values (read-only
@@ -75,14 +132,15 @@ func (tx *Txn) validateRead() (bool, uint64) {
 // concurrent fast-path committer for the span between its walk and its
 // step: the fast path passes because the clock has not moved yet, the
 // walker passed because the other had not locked yet.
-func (tx *Txn) ValidateCommit(stamp bool) (bool, uint64) {
+func (tx *Txn) ValidateCommit(stamp bool) bool {
 	k := tx.k
 	switch {
 	case !stamp:
 		ok, bad := tx.validateRead()
 		if !ok {
-			tx.NotifyStale(bad)
-		} else if tx.Owned.Len() > 0 {
+			return tx.failCommit(bad)
+		}
+		if tx.Owned.Len() > 0 {
 			// Pessimistic read claims, about to be released one version up
 			// with their values as they were.
 			tx.Owned.Range(func(_ *objmodel.Object, sv uint64) bool {
@@ -90,16 +148,16 @@ func (tx *Txn) ValidateCommit(stamp bool) (bool, uint64) {
 				return true
 			})
 		}
-		return ok, bad
+		return true
 	case !k.ClockOn:
 		tx.batch.d[cFallbackWalks]++
-		ok, bad := tx.walkValidate()
-		if !ok {
-			tx.NotifyStale(bad)
-		} else if tx.Sink != nil {
+		if ok, bad := tx.walkValidate(); !ok {
+			return tx.failCommit(bad)
+		}
+		if tx.Sink != nil {
 			tx.Stamp() // walk validation needs no version; the redo record needs an LSN
 		}
-		return ok, bad
+		return true
 	}
 	// Sample first rather than open with a CAS from RV: under contention the
 	// clock has usually moved, and a load leaves its cache line shared where
@@ -109,8 +167,7 @@ func (tx *Txn) ValidateCommit(stamp bool) (bool, uint64) {
 		if !fast {
 			tx.batch.d[cFallbackWalks]++
 			if ok, bad := tx.walkValidate(); !ok {
-				tx.NotifyStale(bad)
-				return false, bad
+				return tx.failCommit(bad)
 			}
 		}
 		if k.Clock.AdvanceFrom(c) {
@@ -119,9 +176,20 @@ func (tx *Txn) ValidateCommit(stamp bool) (bool, uint64) {
 			}
 			tx.batch.d[cClockAdvances]++
 			tx.WV = c + 1
-			return true, 0
+			return true
 		}
 	}
+}
+
+// failCommit is ValidateCommit's failure: the stale read of the object with
+// handle bad is reported and blamed.
+func (tx *Txn) failCommit(bad uint64) bool {
+	tx.NotifyStale(bad)
+	if tx.Irrevocable {
+		panic("txn: irrevocable transaction failed validation")
+	}
+	tx.Blame = bad
+	return false
 }
 
 // CoverBump raises the commit clock to ver, the version at which the caller is
@@ -178,7 +246,7 @@ func (tx *Txn) walkValidate() (bool, uint64) {
 	return ok, bad
 }
 
-// ExtendSnapshot handles a read that observed version ver of o above the
+// extendSnapshot handles a read that observed version ver of o above the
 // clock snapshot: it raises the clock to cover ver (abort releases and
 // anonymous releases push object versions past the clock, so waiting for a
 // committer to catch the clock up could livelock), re-validates the read
@@ -192,7 +260,7 @@ func (tx *Txn) walkValidate() (bool, uint64) {
 // landing between the sample and the fresh clock value would leave a stale
 // entry that every later clock-only validation accepts — the lost update
 // the benchmark's shared_hot workload found on the lazy runtime.
-func (tx *Txn) ExtendSnapshot(o *objmodel.Object, ver uint64) {
+func (tx *Txn) extendSnapshot(o *objmodel.Object, ver uint64) {
 	k := tx.k
 	if tr := tx.Tr; tr != nil {
 		ref := uint64(o.Ref())
@@ -226,11 +294,12 @@ func (tx *Txn) NotifyStale(bad uint64) {
 	}
 }
 
-// WaitForReadSetChange blocks until any object in the aborted attempt's read
-// set changes version or becomes owned, implementing the retry operation
-// for the validating runtimes. The read set survives abort and is reset
-// only on the next begin, so it is waited on in place.
-func (tx *Txn) WaitForReadSetChange(ctx context.Context) error {
+// RetryWait implements Strategy.RetryWait for the validating runtimes, and
+// is promoted to them: it blocks until any object in the aborted attempt's
+// read set changes version or becomes owned, or ctx (nil for none) is done.
+// The read set survives abort and is reset only on the next begin, so it is
+// waited on in place.
+func (tx *Txn) RetryWait(ctx context.Context) error {
 	if tx.Reads.Len() == 0 {
 		return nil // retrying with an empty read set would block forever
 	}
