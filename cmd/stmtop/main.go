@@ -143,9 +143,6 @@ func render(prev, cur []metrics.RuntimeSnapshot, topN int) string {
 			fmt.Fprintf(&b, "  durability: epoch %d  wal appends %s  fsyncs %s  batch %s  snapshot age %s  replayed %d",
 				d.Epoch, big(float64(d.WALAppends)), big(float64(d.Fsyncs)), batch,
 				ns(d.SnapshotAgeNs), d.RecoveryReplays)
-			if d.CheckpointSkips > 0 {
-				fmt.Fprintf(&b, "  ckpt skips %d", d.CheckpointSkips)
-			}
 			b.WriteByte('\n')
 		}
 		// Causal line: present only when a flight recorder is attached to

@@ -52,23 +52,25 @@ func oneTrial(cfg core.Config) bool {
 	// then holds the write-back until Thread 1 has probed (bounded, so the
 	// strong regimes — whose probes rightly block on the held record — make
 	// progress once the window closes). The eager runtime writes in place:
-	// it has no such window and records no commit point.
+	// it has no write-back window to widen, so its trials run untraced.
 	lazy := cfg.Versioning == "lazy"
 	gate := make(chan struct{})
 	probed := make(chan struct{})
-	var once sync.Once
-	tr := trace.New(trace.Config{Shards: 1, ShardCapacity: 64})
-	tr.SetSink(trace.SinkFunc(func(ev trace.Event) {
-		if ev.Kind != trace.EvCommitPoint {
-			return
-		}
-		once.Do(func() { close(gate) })
-		select {
-		case <-probed:
-		case <-time.After(2 * time.Millisecond):
-		}
-	}))
-	sys.RT.SetTracer(tr)
+	if lazy {
+		var once sync.Once
+		tr := trace.New(trace.Config{Shards: 1, ShardCapacity: 64})
+		tr.SetSink(trace.SinkFunc(func(ev trace.Event) {
+			if ev.Kind != trace.EvCommitPoint {
+				return
+			}
+			once.Do(func() { close(gate) })
+			select {
+			case <-probed:
+			case <-time.After(2 * time.Millisecond):
+			}
+		}))
+		sys.RT.SetTracer(tr)
+	}
 
 	var wg sync.WaitGroup
 	wg.Add(1)

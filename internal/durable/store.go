@@ -46,11 +46,6 @@ type Options struct {
 	// state without rewriting anything.
 	NoOpenCheckpoint bool
 
-	// DrainTimeout bounds the commit-gate drain in a live (multi-version)
-	// checkpoint; 0 means 2s. On timeout the checkpoint is skipped — never
-	// taken inconsistently.
-	DrainTimeout time.Duration
-
 	// TrackStamps keeps an in-memory txnID→stamp map that TakeStamp pops,
 	// so a caller can learn the commit stamp (LSN) of a transaction it just
 	// ran. The crash harness needs this; benchmarks leave it off (the map
@@ -99,7 +94,6 @@ type DurabilitySnapshot struct {
 	Snapshots        int64   `json:"snapshots"`
 	SnapshotAgeNs    int64   `json:"snapshot_age_ns"`  // since last successful checkpoint
 	RecoveryReplays  int64   `json:"recovery_replays"` // WAL records replayed at open
-	CheckpointSkips  int64   `json:"checkpoint_skips"` // drain timeouts
 }
 
 // Store is a durable STM: a runtime bound to a write-ahead log. Run
@@ -118,19 +112,17 @@ type Store struct {
 
 	// gate is the single-writer/many-readers shutter for stop-the-world
 	// checkpoints: Atomic holds it shared for the whole transaction, a
-	// non-live checkpoint holds it exclusively across rotate+read. The
-	// multi-version runtime checkpoints live (DrainCommitters) and never
+	// non-live checkpoint holds it exclusively across rotate+read. A runtime
+	// with a read-only snapshot path (mvstm) checkpoints live and never
 	// takes the exclusive side.
 	gate sync.RWMutex
 
 	trackStamps bool
 	stamps      sync.Map // txnID → stamp, popped by TakeStamp
 
-	ckMu         sync.Mutex // serializes checkpoints
-	drainTimeout time.Duration
-	snapshots    atomic.Int64
-	ckSkips      atomic.Int64
-	lastSnapNs   atomic.Int64
+	ckMu       sync.Mutex // serializes checkpoints
+	snapshots  atomic.Int64
+	lastSnapNs atomic.Int64
 
 	ckStop chan struct{}
 	ckDone chan struct{}
@@ -138,23 +130,12 @@ type Store struct {
 	closed atomic.Bool
 }
 
-// liveCheckpointer is the capability a runtime exposes to checkpoint without
-// stopping the world: a barrier proving every commit that entered the commit
-// gate before some instant has fully installed (mvstm's DrainCommitters).
-type liveCheckpointer interface {
-	DrainCommitters(timeout time.Duration) bool
+// readVersioned is a transaction that tells the commit-clock snapshot its
+// reads see: a multi-version read-only transaction reads exactly the commits
+// stamped at or below it.
+type readVersioned interface {
+	ReadVersion() uint64
 }
-
-// readOnlyRunner is the zero-abort read-only path mvstm exposes; the live
-// checkpoint reads the heap through it so the snapshot read can never abort
-// a writer or itself.
-type readOnlyRunner interface {
-	AtomicRead(body func(stmapi.Txn) error) error
-}
-
-// errDrainTimeout is returned by Checkpoint when the commit gate would not
-// drain; the store keeps running on the old snapshot + longer WAL tail.
-var errDrainTimeout = errors.New("durable: checkpoint skipped: commit gate did not drain")
 
 // Open builds the heap via setup, recovers committed state from dir
 // (snapshot + WAL tail), constructs the named runtime over it, and starts a
@@ -171,9 +152,6 @@ func Open(opts Options, setup func(*objmodel.Heap) error) (*Store, error) {
 	fs := opts.FS
 	if fs == nil {
 		fs = vfs.OS{}
-	}
-	if opts.DrainTimeout == 0 {
-		opts.DrainTimeout = 2 * time.Second
 	}
 	if err := fs.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, err
@@ -212,8 +190,7 @@ func Open(opts Options, setup func(*objmodel.Heap) error) (*Store, error) {
 	s := &Store{
 		fs: fs, dir: opts.Dir, rt: rt, heap: heap, wal: w, inj: opts.Injector,
 		epoch: info.Epoch, recovery: info,
-		trackStamps:  opts.TrackStamps,
-		drainTimeout: opts.DrainTimeout,
+		trackStamps: opts.TrackStamps,
 	}
 	// Stamp the new epoch into the log before any commit can: after a crash,
 	// max(epoch) identifies this generation even if it commits nothing.
@@ -228,7 +205,7 @@ func Open(opts Options, setup func(*objmodel.Heap) error) (*Store, error) {
 	drt.SetCommitSink(s)
 
 	if !opts.NoOpenCheckpoint {
-		if err := s.Checkpoint(); err != nil && !errors.Is(err, errDrainTimeout) {
+		if err := s.Checkpoint(); err != nil {
 			s.Close()
 			return nil, fmt.Errorf("durable: open checkpoint: %w", err)
 		}
@@ -319,6 +296,9 @@ func recoverState(fs vfs.FS, dir string, heap *objmodel.Heap) (RecoveryInfo, uin
 			switch rec.Kind {
 			case kindEpoch:
 			case kindCommit:
+				if snap != nil && rec.Stamp <= snap.Stamp {
+					continue // inside the snapshot's version cut
+				}
 				for _, wr := range rec.Writes {
 					if err := applyWrite(heap, wr.Ref, wr.Slot, wr.Val, false, nil); err != nil {
 						return info, 0, 0, fmt.Errorf("durable: segment %d: %w", seg, err)
@@ -420,63 +400,61 @@ func (s *Store) TakeStamp(txnID uint64) (uint64, bool) {
 	return v.(uint64), true
 }
 
-// Checkpoint writes a consistent heap snapshot and prunes WAL segments it
-// covers. Multi-version runtimes checkpoint live (rotate → drain the commit
-// gate → tick the clock → snapshot-read the heap on the zero-abort read-only
-// path); single-version runtimes stop the world briefly (block new Atomics,
-// rotate, copy the heap).
+// Checkpoint writes a heap snapshot that is a version cut, and prunes the
+// WAL segments it covers. The snapshot holds exactly the commits stamped at
+// or below its Stamp, and every commit stamped above it has its redo record
+// in a segment at or after its SegIndex; recovery replays those segments
+// and skips the records at or below Stamp. A runtime with a read-only
+// snapshot path (mvstm) checkpoints live: rotate, then read the heap in one
+// AtomicRead, whose snapshot is the Stamp. The others stop the world
+// briefly: block new Atomics, rotate, copy the heap at the clock.
 func (s *Store) Checkpoint() error {
 	s.ckMu.Lock()
 	defer s.ckMu.Unlock()
-
-	var stamp uint64
-	var newSeg int
-	var objs []objImage
-	if lc, ok := s.rt.(liveCheckpointer); ok {
+	if ror, ok := s.rt.(stmapi.ReadOnlyRuntime); ok {
 		seg, err := s.wal.rotate()
 		if err != nil {
 			return err
 		}
-		newSeg = seg
-		// Every commit that appended to a pre-rotation segment entered the
-		// gate before rotate returned; once the gate drains, their versions
-		// are installed, so a snapshot taken now covers all of them.
-		if !lc.DrainCommitters(s.drainTimeout) {
-			s.ckSkips.Add(1)
-			return errDrainTimeout
-		}
-		s.heap.Clock().Tick()
-		stamp = s.heap.Clock().Load()
-		read := s.rt.Atomic
-		if ror, ok := s.rt.(readOnlyRunner); ok {
-			read = ror.AtomicRead // mvstm's zero-abort snapshot path
-		}
-		if err := read(func(tx stmapi.Txn) error {
-			objs = s.readHeap(objs[:0], tx)
-			return nil
-		}); err != nil {
-			return err
-		}
-	} else {
-		s.gate.Lock()
-		seg, err := s.wal.rotate()
-		if err != nil {
-			s.gate.Unlock()
-			return err
-		}
-		newSeg = seg
-		stamp = s.heap.Clock().Load()
-		objs = s.readHeap(nil, nil)
-		s.gate.Unlock()
+		return s.liveCheckpoint(ror, seg)
 	}
+	s.gate.Lock()
+	seg, err := s.wal.rotate()
+	if err != nil {
+		s.gate.Unlock()
+		return err
+	}
+	snap := &snapshot{Epoch: s.epoch, Stamp: s.heap.Clock().Load(), SegIndex: seg, Objs: s.readHeap(nil, nil)}
+	s.gate.Unlock()
+	return s.writeCheckpoint(snap)
+}
 
-	snap := &snapshot{Epoch: s.epoch, Stamp: stamp, SegIndex: newSeg, Objs: objs}
+// liveCheckpoint is the rest of a live checkpoint once the WAL has rotated
+// to segment seg: one snapshot read of the whole heap, on the zero-abort
+// read-only path, stamped with the read's snapshot RV. A commit stamped at
+// or below RV is in the read (DESIGN.md §13.1's read rule). One stamped
+// above it drew its stamp after the read began, so after the rotation, and
+// appends its redo record after its stamp, to segment seg or later.
+func (s *Store) liveCheckpoint(ror stmapi.ReadOnlyRuntime, seg int) error {
+	snap := &snapshot{Epoch: s.epoch, SegIndex: seg}
+	if err := ror.AtomicRead(func(tx stmapi.Txn) error {
+		snap.Stamp = tx.(readVersioned).ReadVersion()
+		snap.Objs = s.readHeap(snap.Objs[:0], tx)
+		return nil
+	}); err != nil {
+		return err
+	}
+	return s.writeCheckpoint(snap)
+}
+
+// writeCheckpoint makes snap durable, then prunes what it covers.
+func (s *Store) writeCheckpoint(snap *snapshot) error {
 	if err := writeSnapshot(s.fs, s.dir, s.inj, snap); err != nil {
 		return err
 	}
 	s.snapshots.Add(1)
 	s.lastSnapNs.Store(time.Now().UnixNano())
-	s.prune(newSeg)
+	s.prune(snap.SegIndex)
 	return nil
 }
 
@@ -562,7 +540,6 @@ func (s *Store) Durability() DurabilitySnapshot {
 		Rotations:        s.wal.rotates.Load(),
 		Snapshots:        s.snapshots.Load(),
 		RecoveryReplays:  int64(s.recovery.Records),
-		CheckpointSkips:  s.ckSkips.Load(),
 	}
 	if n := s.wal.batchN.Load(); n > 0 {
 		d.GroupCommitMean = float64(s.wal.batchSum.Load()) / float64(n)

@@ -20,7 +20,7 @@
 //	        them inline or a sweep (stmapi.Runtime.ReapDead) reclaims them —
 //	        the failure mode the reclaimers exist to fix
 //
-// The runtimes ask txn.Txn.Fault at every in-memory point, which maps these
+// Every in-memory point is asked through txn.Txn.Fault, which maps these
 // actions onto the protocol once. Kill, the fourth action, ends the process
 // inside Fire; the durability harness arms it at the WAL points.
 //
@@ -41,32 +41,28 @@ import (
 // Point is an injection site in a runtime's transaction lifecycle.
 type Point uint8
 
-// Injection points. All three runtimes reach every in-memory point (Points);
-// where each falls in the protocol differs, as each point says.
-// internal/txn's TestEveryFaultPointFires pins how often each runtime
-// reaches each one.
+// Injection points. The in-memory ones (Points) sit in the transaction
+// kernel's one commit protocol (internal/txn, commit.go), each at one place
+// in it, and every runtime reaches each; internal/txn's
+// TestEveryFaultPointFires pins how often.
 const (
-	// PreAcquire fires before each attempt to CAS a record to Exclusive: on
-	// the eager runtime at the write, on the lazy and multi-version runtimes
-	// at commit.
+	// PreAcquire fires before each CAS that takes a write-set record to
+	// Exclusive, at the acquisition the versioning makes: at the write
+	// under eager versioning, in LockWriteSet under deferred update.
 	PreAcquire Point = iota
-	// PostAcquire fires immediately after a record acquisition succeeds.
+	// PostAcquire fires immediately after such an acquisition succeeds.
 	PostAcquire
-	// PreValidate fires once a commit holds its write set, before its commit
-	// point. The eager and lazy runtimes validate the read set next; the
-	// multi-version runtime validates no reads (first-committer-wins was
-	// checked while acquiring), so its commit point follows, and its
-	// read-only commits never reach the point.
+	// PreValidate fires once a commit holds its write set (after
+	// LockWriteSet), before Validate and the commit point. A multi-version
+	// commit validates no reads there (first-committer-wins was checked
+	// while locking), and its read-only commits never reach the point.
 	PreValidate
-	// PostCommitPoint fires after the transaction has logically committed
-	// but before its records are released (for the lazy and multi-version
-	// runtimes: after write-back, before release — the paper's Figure 4
-	// window).
+	// PostCommitPoint fires past the commit point and the write-back, with
+	// the records still held and the redo record not yet appended: the
+	// paper's Figure 4 window.
 	PostCommitPoint
-	// PreRelease fires before the records are released: on the eager
-	// runtime on its abort path, before the undo log is replayed; on the
-	// lazy and multi-version runtimes inside the commit window, after
-	// write-back and PostCommitPoint.
+	// PreRelease fires right after PostCommitPoint, before the redo append
+	// and the release.
 	PreRelease
 	// WALAppend fires before a commit's redo record is appended to the
 	// write-ahead log (internal/durable), while the commit still holds its

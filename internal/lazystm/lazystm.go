@@ -5,7 +5,7 @@
 // transaction logically commits, and the buffered updates are then copied
 // back one at a time before the records are released: the paper says "in no
 // particular order", and this runtime copies the last-buffered slot first
-// (Commit says why).
+// (WriteBack says why).
 //
 // The window between the commit point and the completion of write-back is
 // precisely what produces the memory-inconsistency (MI) anomalies of
@@ -24,14 +24,15 @@
 //
 // Everything that is not versioning is the transaction kernel, package txn,
 // which this runtime embeds and plugs into through txn.Strategy; that
-// includes the open-for-read and the commit-clock validation it shares with
-// the eager runtime (txn.Txn.OpenRead, txn.Txn.ValidateCommit), the retry
-// wait and the orphan reaper, and the write buffer and the commit-time
-// locking protocol it shares with the multi-version runtime (txn.Deferred).
-// What is here is the versioning: Read's buffer lookup in front of the
-// kernel's read barrier, the Write barrier and its spans, and in commit the
-// order of the steps and of the write-back (last-buffered slot first). The
-// differences from the eager runtime all follow from buffering:
+// includes the commit protocol, the open-for-read and the commit-clock
+// validation it shares with the eager runtime (txn.Txn.OpenRead,
+// txn.Txn.ValidateCommit), the retry wait and the orphan reaper, and the
+// write buffer, the commit-time locking and the redo image it shares with
+// the multi-version runtime (txn.Deferred). What is here is the versioning:
+// Read's buffer lookup in front of the kernel's read barrier, the Write
+// barrier and its spans, and the order of the write-back (last-buffered
+// slot first). The differences from the eager runtime all follow from
+// buffering:
 //
 //   - An attempt that has not passed its commit point never wrote to shared
 //     memory, so rolling it back (or reclaiming it as an orphan) only
@@ -142,47 +143,14 @@ func (tx *Txn) WriteRef(o *objmodel.Object, slot int, r objmodel.Ref) {
 	tx.Write(o, slot, uint64(r))
 }
 
-// Commit implements txn.Strategy with the lazy commit protocol: acquire the
-// write set's records in buffer order, validate the read set, pass the
-// commit point, write back the buffered slots from the last buffered to the
-// first, release the records, and (in quiescence mode) wait out the attempts
-// in flight, so every commit serialized earlier has written back.
-func (tx *Txn) Commit() (ok bool, err error) {
-	if tx.Doomed() && !tx.Irrevocable {
-		return false, nil
-	}
-	// An irrevocable transaction arrives already holding its pessimistically
-	// read records in Owned; those are kept. No first-committer-wins rule:
-	// the read set is validated below.
+// WriteBack implements txn.Strategy: the buffered slots are stored from the
+// last buffered to the first. The paper's lazy STM copies "in no particular
+// order", and what Figure 4a needs of that is a publishing store able to
+// land before the store that initializes what it publishes:
+// atomic { el.val = 1; x = el } buffers x last and writes it back first.
+func (tx *Txn) WriteBack() {
 	ents := tx.Buf.Ents
-	if !tx.LockWriteSet(txn.NoLimit) {
-		return false, nil
-	}
-	// The write version is obtained before the commit point, so every
-	// release past here — normal or reaper-completed — stamps records with
-	// tx.WV. Transactions holding records without buffered writes
-	// (pessimistic read locks only) release values unchanged and need none.
-	if !tx.ValidateCommit(len(ents) > 0) {
-		return false, nil // Rollback restores the write set: nothing reached memory
-	}
-
-	// ----- commit point: the transaction is now serialized. -----
-	tx.Serialize()
-
-	// Write back, last-buffered slot first. The paper's lazy STM copies "in no
-	// particular order", and what Figure 4a needs of that is a publishing
-	// store able to land before the store that initializes what it publishes:
-	// atomic { el.val = 1; x = el } buffers x last and writes it back first.
 	for k := range ents {
-		tx.WriteBack(&ents[len(ents)-1-k])
+		tx.WriteEntry(&ents[len(ents)-1-k])
 	}
-
-	if tx.FI != nil {
-		tx.FireCommitted()
-	}
-
-	durSeq, durErr := tx.AppendBufferedRedo()
-
-	tx.ReleaseCommitted() // the token is surrendered before the quiescence wait
-	return true, tx.AwaitCommitted(durSeq, durErr)
 }

@@ -142,23 +142,10 @@ var crashPoints = []faultinject.Point{
 	faultinject.PreRelease,
 }
 
-// orphanRules builds the injection rules that orphan a transaction at p.
-// The eager runtime's PreRelease point fires on the abort path, so reaching
-// it needs an injected abort first; everywhere else a single rule suffices.
-func orphanRules(kind string, p faultinject.Point) []faultinject.Rule {
-	rules := []faultinject.Rule{{Point: p, Action: faultinject.Orphan, Every: 1}}
-	if kind == "eager" && p == faultinject.PreRelease {
-		rules = append(rules, faultinject.Rule{Point: faultinject.PreValidate, Action: faultinject.Abort, Every: 1})
-	}
-	return rules
-}
-
-// pastCommitPoint reports whether an orphan dead at p on runtime kind has
-// committed: PostCommitPoint everywhere, and PreRelease on the
-// deferred-update runtimes, which fire it inside the commit window (eager's
-// is on its abort path).
-func pastCommitPoint(kind string, p faultinject.Point) bool {
-	return p == faultinject.PostCommitPoint || p == faultinject.PreRelease && kind != "eager"
+// pastCommitPoint reports whether an orphan dead at p has committed: the
+// two points inside the commit window.
+func pastCommitPoint(p faultinject.Point) bool {
+	return p == faultinject.PostCommitPoint || p == faultinject.PreRelease
 }
 
 // TestOrphanReclaimedAtEveryPoint kills the owner at each of the five
@@ -174,7 +161,7 @@ func TestOrphanReclaimedAtEveryPoint(t *testing.T) {
 				p := p
 				t.Run(kind+"/"+p.String(), func(t *testing.T) {
 					rig := newCrashRig(t, kind)
-					rig.rt.SetInjector(faultinject.New(1, orphanRules(kind, p)...))
+					rig.rt.SetInjector(faultinject.New(1, faultinject.Rule{Point: p, Action: faultinject.Orphan, Every: 1}))
 					orphanAtomic(t, rig.rt, func(tx stmapi.Txn) error {
 						tx.Write(rig.accts[0], 0, tx.Read(rig.accts[0], 0)-5)
 						tx.Write(rig.accts[1], 0, tx.Read(rig.accts[1], 0)+5)
@@ -187,7 +174,7 @@ func TestOrphanReclaimedAtEveryPoint(t *testing.T) {
 					}
 					rig.checkInvariants(t)
 					want := uint64(crashInitBal)
-					if pastCommitPoint(kind, p) {
+					if pastCommitPoint(p) {
 						want -= 5
 					}
 					if got := rig.accts[0].LoadSlot(0); got != want {
@@ -223,7 +210,7 @@ func TestWaitersUnblockUnderBackgroundReaper(t *testing.T) {
 		for _, kind := range stmapi.Runtimes() {
 			t.Run(kind, func(t *testing.T) {
 				rig := newCrashRig(t, kind)
-				rig.rt.SetInjector(faultinject.New(1, orphanRules(kind, faultinject.PreValidate)...))
+				rig.rt.SetInjector(faultinject.New(1, faultinject.Rule{Point: faultinject.PreValidate, Action: faultinject.Orphan, Every: 1}))
 				orphanAtomic(t, rig.rt, func(tx stmapi.Txn) error {
 					for i := range rig.accts {
 						tx.Write(rig.accts[i], 0, tx.Read(rig.accts[i], 0)+1)

@@ -40,8 +40,8 @@
 // the clock). Either way the new snapshot sits at or above W, as in the
 // first case. A first attempt begins from the pool's snap of 1.
 //
-// A committed attempt reads nothing more, so Commit unpins the descriptor
-// the same way once it has left the commit gate, before it waits for its
+// A committed attempt reads nothing more, so Exit unpins the descriptor
+// the same way as it leaves the commit gate, before the commit waits for its
 // redo record to be durable or for a grace period: neither wait holds history
 // back. Its next pin is the pool's: putTxn unregisters the descriptor before
 // Reset stores snap = 1, and the registry publishes it again only after that.

@@ -43,30 +43,32 @@
 //
 // Everything that is not versioning is the transaction kernel, package txn,
 // which this runtime embeds and plugs into through txn.Strategy; that
-// includes the write buffer and the commit-time locking protocol it shares
-// with the lazy runtime (txn.Deferred). What is here is the versioning: the
-// Read and Write barriers, the version chains, in commit the gate, the
-// stamp, the install and the write-back, and GC. The kernel's lifecycle
-// reads differently here in four places:
+// includes the commit protocol, and the write buffer, the commit-time
+// locking and the redo image it shares with the lazy runtime
+// (txn.Deferred). What is here is the versioning: the Read and Write
+// barriers, the version chains, the commit steps it has a part in (the
+// gate and first-committer-wins around the lock, the stamp, the install,
+// the write-back in program order, the gate exit), and GC. The kernel's
+// lifecycle reads differently here in four places:
 //
 //   - Bodies own nothing. Reads resolve against slots and version chains and
 //     writes stay buffered, so an orphan that died mid-body holds no records
 //     at all — the reaper only unregisters it (and unpins its GC snapshot).
 //
 //   - An orphan that died inside the commit window holds write-set records.
-//     The kernel's reaper release restores them before the commit point (no
-//     versions were installed, no state escaped) and releases them at the
-//     orphan's write version after it: its pre-images are on the chains and
-//     its values in the slots (write-back precedes every post-commit fault
-//     point). The clock tick Kernel.Reap takes before that release is
-//     for the validating runtimes and costs mvstm one clock step per reaped
-//     orphan: snapshot readers never validate, and a writer that meets the
-//     released version raises the clock on contact.
+//     The kernel's reclaim restores them before the commit point (no
+//     versions were installed, no state escaped) and after it completes
+//     the commit by the phase it reached: the install if it was not made,
+//     the write-back, and the release at the orphan's write version. No
+//     clock step goes with that release: snapshot readers never validate,
+//     and a writer that meets the released version raises the clock on
+//     contact.
 //
-//   - The commit gate, a flag on the descriptor (Txn.inCommit), is never
-//     repaired by the reaper: commit lowers it on every exit, including the
-//     panic unwind of a simulated thread death, so only the descriptor's own
-//     goroutine ever writes it.
+//   - The commit gate, a flag on the descriptor (Txn.inCommit), is lowered
+//     by the commit's Exit on every way out: a commit's own, a failed
+//     commit's Rollback, and the unwind of a panic or of a simulated thread
+//     death (the kernel calls Exit for both), so no committer that has gone
+//     leaves it raised.
 //
 //   - Irrevocable mode takes no read locks. The switch acquires the
 //     singular token and then scans the registry until it has seen every
@@ -82,7 +84,6 @@ import (
 	"context"
 	"math"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/conflict"
 	"repro/internal/objmodel"
@@ -101,7 +102,7 @@ const gcEvery = 64
 
 // Runtime is a multi-version STM instance bound to a heap. The embedded
 // kernel supplies Atomic, AtomicCtx, AtomicIrrevocable, Heap, Stats, the
-// setters and ReapDead; with AtomicRead and DrainCommitters, *Runtime is an
+// setters and ReapDead; with AtomicRead, *Runtime is an
 // stmapi.DurableRuntime and an stmapi.ReadOnlyRuntime. The kernel's registry
 // is also the GC's view of live snapshots (the watermark is the minimum
 // pinned snapshot over registered descriptors).
@@ -185,19 +186,16 @@ type Txn struct {
 	refreshIn int
 
 	// inCommit is the commit gate: raised while this descriptor is inside a
-	// writing commit, by its own goroutine only. An irrevocable switch takes
-	// the kernel's token, waits until it has seen every registered
-	// descriptor's flag down (drainGate), and then runs alone.
+	// writing commit, by its own goroutine, and lowered by Exit. An
+	// irrevocable switch takes the kernel's token, waits until it has seen
+	// every registered descriptor's flag down (drainGate), and then runs
+	// alone.
 	inCommit atomic.Bool
-
-	// installed says the commit has saved its pre-images (installAll).
-	installed bool
 }
 
 // Begin implements txn.Strategy.
 func (tx *Txn) Begin() {
 	tx.Deferred.Begin()
-	tx.installed = false
 	if tx.snap.Load() == maxSnapshot {
 		// Unpinned since the rollback: pin low, then take the snapshot the
 		// pin covers (gc.go).
@@ -423,151 +421,90 @@ func (rt *Runtime) enterCommit(tx *Txn) bool {
 	}
 }
 
-// exitCommit leaves the gate; a second call (Commit's deferred one, after a
-// normal exit) costs a load, not another sequentially consistent store.
-func (rt *Runtime) exitCommit(tx *Txn) {
-	if tx.inCommit.Load() {
-		tx.inCommit.Store(false)
-	}
-}
-
 // drainGate waits, one registered descriptor after the other, until it has
-// seen each outside the commit gate, calling wait between looks at a raised
-// flag; false means wait gave up. Every commit inside the gate when the scan
-// starts has left it when drainGate returns true.
-func (rt *Runtime) drainGate(wait func(attempt int) bool) bool {
-	drained := true
+// seen each outside the commit gate, reaping the dead between looks at a
+// raised flag. Every commit inside the gate when the scan starts has left it
+// when drainGate returns.
+func (rt *Runtime) drainGate() {
 	rt.ForEach(func(k *txn.Txn) bool {
 		tx := k.Self().(*Txn)
-		for a := 0; drained && tx.inCommit.Load(); a++ {
-			drained = wait(a)
+		for a := 0; tx.inCommit.Load(); a++ {
+			rt.ReapDead()
+			conflict.WaitAttempt(a)
 		}
-		return drained
-	})
-	return drained
-}
-
-// DrainCommitters waits until every writing transaction inside the commit
-// gate (between enterCommit and exitCommit) when it was called has left it,
-// or the timeout elapses: each of those commits has installed its versions
-// and released — the barrier the durable store's live checkpoint uses to
-// bound snapshot coverage. Commits entering after the call are not excluded
-// (a barrier, not a lock; excluding them takes the irrevocable token).
-func (rt *Runtime) DrainCommitters(timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	return rt.drainGate(func(a int) bool {
-		if time.Now().After(deadline) {
-			return false
-		}
-		conflict.WaitAttempt(a)
 		return true
 	})
 }
 
-// Rollback implements txn.Strategy: a failed commit has already restored
-// its records and the buffer is dropped at the next begin, so only the
-// accounting is left, and the pin: an aborted attempt reads nothing until it
-// begins again, so it holds no history back while it waits to retry.
-func (tx *Txn) Rollback() {
-	tx.snap.Store(maxSnapshot)
-	if tx.readOnly {
-		tx.NReadOnlyAborts++
-	}
+// ReadOnly implements txn.Strategy. A body that never wrote — AtomicRead,
+// or any body without writes; the read-only hint is the absence of writes,
+// no declaration needed — commits on the zero-metadata path: no gate, no
+// clock, no records, no quiescence wait, because its snapshot reads were
+// consistent by construction the moment they happened.
+func (tx *Txn) ReadOnly() bool { return tx.readOnly || len(tx.Buf.Ents) == 0 }
+
+// LockWriteSet implements txn.Strategy: enter the commit gate, then acquire
+// the write set's records in buffer order with the first-committer-wins
+// check. A record version above the begin snapshot means a concurrent
+// committer got there first (an irrevocable committer's snapshot is
+// maxSnapshot: nothing can). There is no other validation step: snapshot
+// reads need no re-checking — that is the snapshot-isolation trade (write
+// skew admitted, see the litmus matrix's MV column).
+func (tx *Txn) LockWriteSet() bool {
+	return tx.rt.enterCommit(tx) && tx.AcquireWriteSet(tx.RV)
 }
 
-// Commit implements txn.Strategy. A body that never wrote — AtomicRead, or
-// any body without writes; the read-only hint is the absence of writes, no
-// declaration needed — takes the zero-metadata path: no gate, no clock, no
-// records, no quiescence wait, because its snapshot reads were consistent by
-// construction the moment they happened. A writing transaction runs the
-// multi-version commit protocol: enter the commit gate, acquire the write
-// set's records in buffer order with the first-committer-wins check (a
-// record version above the begin snapshot means a concurrent committer got
-// there first), obtain the write version, pass the commit point, push every
-// written object's pre-image on its chain, write the buffered slots back in
-// program order, release the records stamped with the write version, leave
-// the gate and unpin the descriptor, and wait out the durability of its redo
-// record and (in quiescence mode) the attempts in flight. A committed
-// attempt reads nothing more, so neither wait holds history back (gc.go).
-func (tx *Txn) Commit() (ok bool, err error) {
-	rt := tx.rt
-	if tx.readOnly || len(tx.Buf.Ents) == 0 {
-		tx.NReadOnly++
-		tx.CommitPoint()
-		tx.Committed()
-		return true, nil
-	}
-	if tx.Doomed() && !tx.Irrevocable {
-		return false, nil
-	}
-	if !rt.enterCommit(tx) {
-		return false, nil
-	}
-	defer rt.exitCommit(tx)
-
-	// First committer wins: a record version above the begin snapshot fails
-	// the commit (an irrevocable committer's is maxSnapshot: nothing can).
-	// There is no other validation step: snapshot reads need no re-checking —
-	// that is the snapshot-isolation trade (write skew admitted, see the
-	// litmus matrix's MV column).
-	if !tx.LockWriteSet(tx.RV) {
-		return false, nil
-	}
-
-	// Obtain the write version before the commit point so every release
-	// path — normal or a reaper completing an orphan — stamps the same
-	// version.
+// Validate implements txn.Strategy: obtain the write version before the
+// commit point, so every release path (normal, or completing for an
+// orphan) stamps the same version.
+func (tx *Txn) Validate() bool {
 	tx.Stamp()
-
-	// ----- commit point: the transaction is now serialized. -----
-	tx.Serialize()
-
-	// Save every held object's pre-image at its chain's head (a private
-	// object keeps no history), then write the buffered slots back in
-	// program order. Both happen under the Exclusive records, which keep
-	// snapshot readers off the slots (snapshotRead); non-transactional
-	// readers under weak atomicity go straight to the slots and see the lazy
-	// write-back window (the litmus MI programs depend on it).
-	tx.installAll()
-	for k := range tx.Buf.Ents {
-		tx.WriteBack(&tx.Buf.Ents[k])
-	}
-
-	if tx.FI != nil {
-		tx.FireCommitted() // an orphan unwinds through the deferred gate exit
-	}
-
-	// The redo image goes to the commit sink while the write-back is done
-	// but this committer is still inside the gate: WAL order is consistent
-	// with version order, and a live checkpoint's DrainCommitters barrier
-	// cannot observe a written-back commit whose redo record is not yet
-	// appended.
-	durSeq, durErr := tx.AppendBufferedRedo()
-
-	tx.ReleaseCommitted()      // stamps every record with max(WV, sv+1), above the chain head's TS (sv)
-	rt.exitCommit(tx)          // records released: out of the gate before any wait
-	tx.snap.Store(maxSnapshot) // reads nothing more: pinned nowhere through the waits
-	return true, tx.AwaitCommitted(durSeq, durErr)
+	return true
 }
 
-// installAll saves every held object's pre-image at its chain's head.
-func (tx *Txn) installAll() {
+// Install implements txn.Strategy: save every held object's pre-image at
+// its chain's head (a private object keeps no history), under the
+// Exclusive records, which keep snapshot readers off the slots
+// (snapshotRead).
+func (tx *Txn) Install() {
 	horizon := tx.pruneHorizon()
 	tx.Owned.Range(func(o *objmodel.Object, sv uint64) bool {
 		tx.install(o, sv, &horizon)
 		return true
 	})
-	tx.installed = true
 }
 
-// CompleteWriteBack implements txn.Strategy. A commit that ended at its
-// commit point has saved no pre-image yet: its objects still hold them, so
-// they are installed before the write-back is completed.
-func (tx *Txn) CompleteWriteBack() {
-	if !tx.installed {
-		tx.installAll()
+// WriteBack implements txn.Strategy: the buffered slots in program order.
+// Non-transactional readers under weak atomicity go straight to the slots
+// and see the lazy write-back window (the litmus MI programs depend on it).
+func (tx *Txn) WriteBack() {
+	for k := range tx.Buf.Ents {
+		tx.WriteEntry(&tx.Buf.Ents[k])
 	}
-	tx.Deferred.CompleteWriteBack()
+}
+
+// Exit implements txn.Strategy: leave the gate, so no quiescence or fsync
+// wait holds it, and unpin: a committed attempt reads nothing more, so
+// neither wait holds history back (gc.go). A second call, the kernel's
+// after a cut-short commit, costs a load and a store to the pin.
+func (tx *Txn) Exit() {
+	if tx.inCommit.Load() {
+		tx.inCommit.Store(false)
+	}
+	tx.snap.Store(maxSnapshot)
+}
+
+// Rollback implements txn.Strategy: give back the records a commit cut
+// short still holds (a failed commit restored its own), leave the gate,
+// and unpin: an aborted attempt reads nothing until it begins again, so it
+// holds no history back while it waits to retry. The buffer is dropped at
+// the next begin.
+func (tx *Txn) Rollback() {
+	tx.Restore()
+	tx.Exit()
+	if tx.readOnly {
+		tx.NReadOnlyAborts++
+	}
 }
 
 // BecomeIrrevocable switches the transaction to irrevocable mode. The
@@ -590,11 +527,7 @@ func (tx *Txn) BecomeIrrevocable() {
 // alone, the newest version of everything is a consistent (and the only
 // serializable) view, so no record is locked and no read needs re-checking.
 func (tx *Txn) LockReadSet() bool {
-	tx.rt.drainGate(func(a int) bool {
-		tx.rt.ReapDead()
-		conflict.WaitAttempt(a)
-		return true
-	})
+	tx.rt.drainGate()
 	tx.RV = maxSnapshot
 	return true
 }

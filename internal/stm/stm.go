@@ -23,15 +23,15 @@
 //
 // Everything that is not versioning — the descriptor pool and registry, the
 // retry loop and the retry wait, conflict arbitration, the open-for-read,
-// commit-clock validation, the commit release, recovery, irrevocability,
+// commit-clock validation, the commit protocol, recovery, irrevocability,
 // statistics — is the transaction kernel, package txn, which this runtime
 // embeds and plugs its versioning into through txn.Strategy. Read is one
 // call into the kernel's read barrier (txn.Txn.OpenRead): in-place versioning
 // reads memory as it is. What is here is the versioning: the Write barrier
-// and its undo log, the body of commit (which validates through
-// txn.Txn.ValidateCommit, logs the undo spans' current values as the redo
-// image and releases through txn.Txn.ReleaseCommitted), rollback, and
-// reaping an orphan that died before its commit point. The write set is the
+// and its undo log, and the two commit steps it has a part in, validation
+// (txn.Txn.ValidateCommit, with a write version when it stored) and the redo
+// image (the undo spans' current values), and rollback, which also rolls
+// back an orphan that died before its commit point. The write set is the
 // kernel's Owned set, and records are acquired and the irrevocable switch's
 // read set locked through the kernel (txn.Txn.Acquire, txn.Txn.LockReadSet).
 package stm
@@ -93,7 +93,7 @@ type Txn struct {
 	undo []undoEntry
 
 	// wrote records whether this attempt stored in place to a shared
-	// (record-acquired) object; private-object writes leave it false. Commit
+	// (record-acquired) object; private-object writes leave it false. Validate
 	// asks for a write version only then: irrevocable transactions add
 	// pessimistic READ claims to Owned without changing any value, and
 	// releasing those unchanged needs no snapshot invalidation.
@@ -195,10 +195,10 @@ func (tx *Txn) WriteRef(o *objmodel.Object, slot int, r objmodel.Ref) {
 	tx.Write(o, slot, uint64(r))
 }
 
-// Restore implements txn.Strategy: it replays the undo log and releases
-// every owned record with a version bump. A reaper restores an orphan that
-// died before its commit point as its own Rollback would have.
-func (tx *Txn) Restore() {
+// Rollback implements txn.Strategy: it replays the undo log and releases
+// every owned record with a version bump. A reaper rolls back an orphan
+// that died before its commit point the same way.
+func (tx *Txn) Rollback() {
 	// Replay the undo log in reverse: later entries may shadow earlier ones,
 	// so reverse order restores the oldest values last.
 	for i := len(tx.undo) - 1; i >= 0; i-- {
@@ -227,57 +227,24 @@ func (tx *Txn) Restore() {
 	tx.Owned.Reset()
 }
 
-// Rollback implements txn.Strategy: replay the whole undo log and release
-// every record with a version bump.
-func (tx *Txn) Rollback() {
-	if tx.FI != nil {
-		// An orphan dies entering its own rollback: nothing is undone or
-		// released; the reaper replays the whole undo log.
-		tx.Fault(faultinject.PreRelease)
-	}
-	tx.Restore()
+// Validate implements txn.Strategy: validate the read set (the write set's
+// records have been held since each first write). A write version is
+// needed by a commit that stored in place to a shared object, and by a
+// durable runtime (as the redo record's LSN) for any commit that stored
+// anywhere, including private objects, which skip tx.wrote.
+func (tx *Txn) Validate() bool {
+	return tx.ValidateCommit(tx.wrote || tx.Durable() && len(tx.undo) > 0)
 }
 
-// Commit implements txn.Strategy: validate the read set (the write set's
-// records have been held since each first write), pass the commit point,
-// log, release, and (in quiescence mode) wait out the attempts in flight.
-func (tx *Txn) Commit() (ok bool, err error) {
-	if tx.Doomed() && !tx.Irrevocable {
-		return false, nil
-	}
-	// An orphan dies entering validation with every write still in place and
-	// every record still Exclusive: the canonical orphan.
-	if tx.FI != nil && tx.Fault(faultinject.PreValidate) {
-		return false, nil
-	}
-	// A write version is needed by a commit that stored in place to a shared
-	// object, and by a durable runtime (as the redo record's LSN) for any
-	// commit that stored anywhere — including private objects, which skip
-	// tx.wrote.
-	if !tx.ValidateCommit(tx.wrote || (tx.Sink != nil && len(tx.undo) > 0)) {
-		return false, nil
-	}
-	tx.CommitPoint()
-	if tx.FI != nil {
-		// An orphan dies just past the commit point still holding every
-		// record: the reaper finishes the release (no rollback: it committed).
-		tx.Fault(faultinject.PostCommitPoint)
-	}
-	// Eager versioning wrote in place, so the current slot values under the
-	// undo spans ARE the redo image.
-	var durSeq uint64
-	var durErr error
-	if tx.Sink != nil && len(tx.undo) > 0 {
-		tx.Redo = tx.Redo[:0]
-		for _, e := range tx.undo {
-			for i := 0; i < e.n; i++ {
-				tx.Redo = append(tx.Redo, stmapi.RedoWrite{
-					Ref: e.obj.Ref(), Slot: e.base + i, Val: e.obj.LoadSlot(e.base + i),
-				})
-			}
+// Redo implements txn.Strategy: eager versioning wrote in place, so the
+// current slot values under the undo spans are the redo image.
+func (tx *Txn) Redo(dst []stmapi.RedoWrite) []stmapi.RedoWrite {
+	for _, e := range tx.undo {
+		for i := 0; i < e.n; i++ {
+			dst = append(dst, stmapi.RedoWrite{
+				Ref: e.obj.Ref(), Slot: e.base + i, Val: e.obj.LoadSlot(e.base + i),
+			})
 		}
-		durSeq, durErr = tx.AppendRedo()
 	}
-	tx.ReleaseCommitted()
-	return true, tx.AwaitCommitted(durSeq, durErr)
+	return dst
 }

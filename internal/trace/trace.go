@@ -61,7 +61,7 @@ const (
 	EvExtend                  // read-time snapshot extension: version above snapshot, clock raised (Obj, Ver = version seen)
 	EvNTRead                  // non-transactional barriered read (Txn 0; Ver = version read, 0 on a private object)
 	EvNTWrite                 // non-transactional barriered write (Txn 0; Ver = version released, 0 on a private object)
-	EvCommitPoint             // deferred-update commit point passed, nothing written back yet (Ver = write version)
+	EvCommitPoint             // commit point passed, nothing installed or written back yet (Ver = write version)
 	EvWriteBack               // deferred-update commit stored one buffered slot (Obj, Slot; Ver = write version)
 	numKinds
 )

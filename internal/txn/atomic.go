@@ -148,7 +148,7 @@ func (k *Kernel) Run(ctx context.Context, irrevFrom int, body func(*Txn) error) 
 				tx.abort()
 				return err
 			}
-			committed, cerr := tx.self.Commit()
+			committed, cerr := tx.commit()
 			if committed {
 				return cerr
 			}
@@ -271,57 +271,6 @@ func (tx *Txn) Die(p faultinject.Point) {
 	panic(faultinject.OrphanError{Point: p, Txn: tx.id})
 }
 
-// Committed is the common tail of a commit, called past CommitPoint once
-// the records are released: it accounts the commit, surrenders the
-// irrevocable token and ends the attempt. The commit counts from here,
-// before the quiescence and durability waits: it has happened whether or
-// not the caller stays to wait. It goes into the slot's statistics batch,
-// which AwaitCommitted publishes before either wait, so Stats().Commits
-// shows it while the committer waits; without a wait it shows in Stats
-// within statsBatch flushes of the slot, or once the slot is free.
-func (tx *Txn) Committed() {
-	if tr := tx.Tr; tr != nil {
-		tr.Record(trace.EvCommit, tx.id, 0, 0, 0)
-		tr.ObserveCommit(time.Since(tx.beginAt))
-	}
-	tx.dropIrrevocable()
-	tx.batch.d[cCommits]++
-	tx.flushStats()
-	tx.land()
-}
-
-// ReleaseCommitted ends the commit window of every runtime: release at the
-// write version and account the commit, which surrenders the irrevocable
-// token and ends the attempt before any waiting.
-func (tx *Txn) ReleaseCommitted() {
-	tx.ReleaseStamped()
-	tx.Committed()
-}
-
-// ReleaseStamped is every committed release, normal or completed for an
-// orphan: each held record is stamped with the write version obtained
-// before the commit point (WV is 0 for a commit that wrote nothing,
-// degrading to the plain version bump), which publishes the new state to
-// optimistic readers and to a multi-version runtime's snapshot readers as
-// the version the slots now hold. The holdings are cleared, so nothing that
-// runs after it (a panic's unwind through putTxn, a reaper) releases them
-// again.
-func (tx *Txn) ReleaseStamped() {
-	tx.Owned.Range(func(o *objmodel.Object, sv uint64) bool {
-		o.Rec.ReleaseOwnedAt(sv, tx.WV)
-		return true
-	})
-	tx.Owned.Reset()
-}
-
-// CompleteWriteBack implements Strategy for a runtime that writes in place:
-// a committed attempt's writes are all in memory already.
-func (tx *Txn) CompleteWriteBack() {}
-
-// CommitPoint publishes the Committed status: from here on a reaper that
-// finds the descriptor dead completes the release instead of rolling back.
-func (tx *Txn) CommitPoint() { tx.status.Store(uint32(stmapi.Committed)) }
-
 // land ends the attempt in flight, if quiescence began one: nothing it did
 // is left to undo, write back or release.
 func (tx *Txn) land() {
@@ -361,43 +310,4 @@ func (tx *Txn) quiesce() error {
 		return true
 	})
 	return err
-}
-
-// AwaitCommitted is what a committed transaction waits for before Atomic
-// returns, holding nothing and landed, so neither wait extends a lock hold
-// time: under Quiescence the grace period (observed by the tracer), then the
-// durability of the redo record appended as seq (appendErr is that append's
-// error). Either error leaves the commit applied in memory, its durability
-// unknown to the caller; the grace period's takes precedence. Before either
-// wait the slot's statistics batch is published, the commit included.
-func (tx *Txn) AwaitCommitted(seq uint64, appendErr error) error {
-	durable := appendErr == nil && seq != 0
-	if tx.k.cfg.Quiescence || durable {
-		tx.publishStats()
-	}
-	var err error
-	if tx.k.cfg.Quiescence {
-		start := time.Now()
-		err = tx.quiesce()
-		if tr := tx.Tr; tr != nil {
-			tr.ObserveQuiesce(time.Since(start))
-		}
-	}
-	if durable {
-		appendErr = tx.Sink.WaitDurable(seq)
-	}
-	if err != nil {
-		return err
-	}
-	return appendErr
-}
-
-// AppendRedo streams the redo record built in tx.Redo to the commit sink
-// while the records are still held, so the log observes commits to each
-// object in release order and replay order agrees with every object's
-// version order. An injected death never reaches this append: a commit that
-// died before logging is simply not durable, which is the contract (it was
-// never acked).
-func (tx *Txn) AppendRedo() (seq uint64, err error) {
-	return tx.Sink.AppendRedo(tx.id, tx.WV, tx.Redo)
 }

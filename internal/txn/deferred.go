@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/objmodel"
+	"repro/internal/stmapi"
 	"repro/internal/trace"
 	"repro/internal/txrec"
 )
@@ -14,18 +15,18 @@ import (
 const NoLimit = math.MaxUint64
 
 // Deferred is the kernel descriptor of a deferred-update runtime (lazy,
-// multi-version): Txn plus the write buffer, and on them the commit-time
-// locking protocol (Sections 3.3, 3.4): acquire the write set's records in
-// buffer order, validate, pass the commit point, write back, release, and in
-// quiescence mode wait out the attempts in flight. A multi-version commit
-// differs in what it checks while locking (LockWriteSet's version limit) and
-// what it installs, not in that skeleton, so the skeleton, its fault points
-// and the reaper's release are here once; DESIGN.md §6 has the split between
-// kernel and runtime step by step.
+// multi-version): Txn plus the write buffer, and on them the steps of the
+// kernel's commit protocol (commit.go) that buffering shares: acquire the
+// write set's records in buffer order (AcquireWriteSet), validate, hand
+// the buffer to the log as the redo image, and give back what a failed or
+// abandoned commit took. A multi-version commit differs in what it checks
+// while locking (AcquireWriteSet's version limit) and what it installs, not
+// in that skeleton; DESIGN.md §6 has the split between kernel and runtime
+// step by step.
 //
 // It implements the Strategy methods that do not depend on the versioning
-// (Begin, Reset, Rollback, Restore, CompleteWriteBack); a runtime with more
-// to do at one of them declares its own and calls this one.
+// (Begin, Reset, LockWriteSet, Validate, Redo, Rollback); a runtime with
+// more to do at one of them declares its own and calls this one.
 type Deferred struct {
 	Txn
 
@@ -46,14 +47,15 @@ func (d *Deferred) Reset() { d.Buf.Reset() }
 
 // Rollback implements Strategy: restore whatever records the attempt still
 // holds (an irrevocable body's pessimistic read locks, a failed irrevocable
-// switch's partial upgrade, a failed validation's write set). The buffer
-// never reached memory and is dropped at the next begin.
+// switch's partial upgrade, a failed validation's write set, an orphan's
+// write set). The buffer never reached memory and is dropped at the next
+// begin.
 func (d *Deferred) Rollback() { d.Restore() }
 
-// Restore implements Strategy: it gives back every record this attempt
-// acquired at its original word, since nothing reached memory. The holdings
-// are cleared: a descriptor that later dies as an orphan must not present
-// records it no longer owns to the reaper.
+// Restore gives back every record this attempt acquired at its original
+// word, since nothing reached memory. The holdings are cleared: a
+// descriptor that later dies as an orphan must not present records it no
+// longer owns to the reaper.
 func (d *Deferred) Restore() {
 	d.Owned.Range(func(o *objmodel.Object, sv uint64) bool {
 		o.Rec.Store(txrec.MakeShared(sv))
@@ -62,7 +64,15 @@ func (d *Deferred) Restore() {
 	d.Owned.Reset()
 }
 
-// LockWriteSet acquires the record of every object the buffer writes, in
+// LockWriteSet implements Strategy for a commit without a
+// first-committer-wins rule: AcquireWriteSet with no version limit.
+func (d *Deferred) LockWriteSet() bool { return d.AcquireWriteSet(NoLimit) }
+
+// Validate implements Strategy for a deferred-update runtime that validates
+// its read set: a commit that buffered anything needs a write version.
+func (d *Deferred) Validate() bool { return d.ValidateCommit(len(d.Buf.Ents) > 0) }
+
+// AcquireWriteSet acquires the record of every object the buffer writes, in
 // buffer order, the order the body first wrote each slot. Private objects
 // are written back without synchronization, and a record already
 // Exclusive(self) — an irrevocable body's read lock, or an object whose
@@ -92,7 +102,7 @@ func (d *Deferred) Restore() {
 // original word and the object responsible is blamed. A doom that landed
 // while acquiring is honored here, up to the commit point; past it the
 // victim has won the race and simply commits.
-func (d *Deferred) LockWriteSet(limit uint64) bool {
+func (d *Deferred) AcquireWriteSet(limit uint64) bool {
 	self := txrec.MakeExclusive(d.id)
 	ents := d.Buf.Ents
 	attempt := 0
@@ -143,53 +153,26 @@ func (d *Deferred) LockWriteSet(limit uint64) bool {
 		d.Restore()
 		return false
 	}
-	// An orphan here dies entering validation holding its whole write set:
-	// the canonical deferred-update orphan — buffers never reach memory.
-	return d.FI == nil || d.fire(faultinject.PreValidate, nil)
+	return true
 }
 
-// fire fires the fault injector at point p, before the commit point, with o
-// (nil at PreValidate) the object being acquired. false means the commit
-// must fail: the records are restored and o is blamed. An orphan dies
-// holding whatever it acquired so far (Owned records it) until a reaper
-// steals it.
+// fire fires the fault injector at point p, an acquire of o. false means
+// the commit must fail: the records are restored and o is blamed. An
+// orphan dies holding whatever it acquired so far (Owned records it) until
+// a reaper steals it.
 func (d *Deferred) fire(p faultinject.Point, o *objmodel.Object) bool {
 	if !d.Fault(p) {
 		return true
 	}
-	if o != nil {
-		d.Blame = uint64(o.Ref())
-	}
+	d.Blame = uint64(o.Ref())
 	d.Restore()
 	return false
 }
 
-// Serialize passes the commit point. The commit window opens here, so the
-// descriptor's tracer records trace.EvCommitPoint here, carrying WV: a
-// synchronous Sink that blocks on it holds the commit with nothing written
-// back yet.
-func (d *Deferred) Serialize() {
-	d.CommitPoint()
-	if tr := d.Tr; tr != nil {
-		tr.Record(trace.EvCommitPoint, d.id, 0, 0, d.WV)
-	}
-}
-
-// FireCommitted fires the two fault points inside the Figure 4 window:
-// logically committed, write-back done, records still held. An Abort there
-// is ignored (the transaction has committed); an orphan dies with NO
-// cleanup, in flight until a reaper releases it at the write version, or a
-// quiescing committer reaps it inline. Callers guard it with FI != nil like
-// every other injection point.
-func (d *Deferred) FireCommitted() {
-	d.Fault(faultinject.PostCommitPoint)
-	d.Fault(faultinject.PreRelease)
-}
-
-// WriteBack stores the buffered entry e into its slot past the commit point
-// and records trace.EvWriteBack, carrying WV. The store is a publication
-// point (Publish).
-func (d *Deferred) WriteBack(e *BufEntry) {
+// WriteEntry stores the buffered entry e into its slot past the commit point
+// and records trace.EvWriteBack, carrying WV: a runtime's WriteBack is its
+// order over these. The store is a publication point (Publish).
+func (d *Deferred) WriteEntry(e *BufEntry) {
 	d.Publish(e.Obj, e.Slot, e.Val)
 	e.Obj.StoreSlot(e.Slot, e.Val)
 	if tr := d.Tr; tr != nil {
@@ -197,17 +180,11 @@ func (d *Deferred) WriteBack(e *BufEntry) {
 	}
 }
 
-// CompleteWriteBack implements Strategy. The buffer holds one entry per
-// slot, so storing every entry again completes a write-back a panic cut
-// short, whatever its order. Only an object still held or private is
-// stored (past the release a later commit may own the slot), untraced (the
-// tracer may be what panicked).
-func (d *Deferred) CompleteWriteBack() {
-	self := txrec.MakeExclusive(d.id)
+// Redo implements Strategy: after write-back the buffer's entries carry
+// exactly the values the slots now hold.
+func (d *Deferred) Redo(dst []stmapi.RedoWrite) []stmapi.RedoWrite {
 	for _, e := range d.Buf.Ents {
-		if w := e.Obj.Rec.Load(); w == self || txrec.IsPrivate(w) {
-			d.Publish(e.Obj, e.Slot, e.Val)
-			e.Obj.StoreSlot(e.Slot, e.Val)
-		}
+		dst = append(dst, stmapi.RedoWrite{Ref: e.Obj.Ref(), Slot: e.Slot, Val: e.Val})
 	}
+	return dst
 }

@@ -23,13 +23,11 @@ var abortPoints = []faultinject.Point{faultinject.PreAcquire, faultinject.PostAc
 
 // TestEveryFaultPointFires: with a Delay armed on every arrival at every
 // in-memory point, one committed write and one write aborted by its body
-// reach each point as many times as the runtime's protocol says. Eager
+// reach each point as many times as the kernel's commit protocol says:
+// PreValidate, PostCommitPoint and PreRelease once, for the committed
+// write, on every runtime; the aborted body never reaches commit. Eager
 // acquires at the write, so both transactions pass PreAcquire and
-// PostAcquire, and it fires PreRelease only on its abort path, before the
-// undo log is replayed. Lazy and mvstm acquire at commit and fire PreRelease
-// inside the commit window; the aborted body never reaches commit. mvstm's
-// PreValidate fires once the write set is held, with no read validation
-// after it.
+// PostAcquire; lazy and mvstm acquire at commit.
 func TestEveryFaultPointFires(t *testing.T) {
 	forEachRuntime(t, func(t *testing.T, name string) {
 		f := newFixture(t, name, stmapi.CommonConfig{})

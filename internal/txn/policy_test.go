@@ -50,14 +50,14 @@ func TestPolicySeesConflict(t *testing.T) {
 		for _, irrevocable := range []bool{false, true} {
 			pol := &recordingPolicy{seen: make(chan conflict.Info, 1)}
 			f := newFixture(t, name, stmapi.CommonConfig{Handler: pol})
-			if _, gated := f.rt.(interface{ DrainCommitters(time.Duration) bool }); gated && irrevocable {
+			if name == "mvstm" && irrevocable {
 				continue
 			}
 			o := f.cell()
 			var holder, contender uint64
 			contended := make(chan error, 1)
 			var info conflict.Info
-			inCommitWindow(f, name, func() {
+			inCommitWindow(f, func() {
 				go func() {
 					contended <- f.rt.Atomic(func(tx stmapi.Txn) error {
 						contender = tx.ID()
@@ -130,33 +130,16 @@ type alwaysDoom struct{}
 func (alwaysDoom) HandleConflict(conflict.Info)            {}
 func (alwaysDoom) Resolve(conflict.Info) conflict.Decision { return conflict.AbortOther }
 
-// holdSink is a commit sink that calls hold on every redo append.
-type holdSink func()
-
-func (h holdSink) AppendRedo(uint64, uint64, []stmapi.RedoWrite) (uint64, error) {
-	h()
-	return 0, nil
-}
-
-func (holdSink) WaitDurable(uint64) error { return nil }
-
 // inCommitWindow runs fn once, on the committing goroutine, inside the first
 // commit window to open on f's runtime, with the committer's records held:
-// at a deferred-update runtime's commit point (trace.EvCommitPoint), and on
-// eager at its redo append, the one call its commit makes between its commit
-// point and the release of its records.
-func inCommitWindow(f fixture, name string, fn func()) {
+// at its commit point (trace.EvCommitPoint).
+func inCommitWindow(f fixture, fn func()) {
 	var once atomic.Bool
-	hold := func() {
+	atCommitPoint(f, func() {
 		if once.CompareAndSwap(false, true) {
 			fn()
 		}
-	}
-	if name == "eager" {
-		f.rt.(stmapi.DurableRuntime).SetCommitSink(holdSink(hold))
-	} else {
-		atCommitPoint(f, hold)
-	}
+	})
 }
 
 // TestDoomAfterCommitPointIsIgnored: a doom landing after the victim's
@@ -170,7 +153,7 @@ func TestDoomAfterCommitPointIsIgnored(t *testing.T) {
 		var victim *txn.Txn
 		held := false
 		contender := make(chan error, 1)
-		inCommitWindow(f, name, func() {
+		inCommitWindow(f, func() {
 			held = true
 			go func() { contender <- f.write(o, 1, 9) }()
 			for !victim.Doomed() {

@@ -74,20 +74,6 @@ func (k *Kernel) Reap(tx *Txn, by, obj uint64) bool {
 	return true
 }
 
-// reclaim ends an attempt that ended without its own rollback or release
-// and reports whether it had passed its commit point: rolled back before
-// it, its write-back completed and its records stamped at WV after, with no
-// clock step, as its own release would have (WV came from the clock).
-func (tx *Txn) reclaim() bool {
-	if tx.Status() != stmapi.Committed {
-		tx.self.Restore()
-		return false
-	}
-	tx.self.CompleteWriteBack()
-	tx.ReleaseStamped()
-	return true
-}
-
 // ReapDead sweeps the registry for confirmed-dead descriptors, reclaims them
 // inline and returns how many it reclaimed. Wait paths with no record to
 // find the owner through (the irrevocable token, a commit gate) call it so a

@@ -12,24 +12,25 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/conflict"
 	"repro/internal/faultinject"
 	"repro/internal/objmodel"
 	"repro/internal/stmapi"
 	"repro/internal/trace"
+	"repro/internal/txn"
 	"repro/internal/txrec"
 )
 
-// gateEmpty fails the test if the runtime has a commit gate (mvstm) and a
-// committer is still counted inside it: an orphan in the commit window must
-// not leak the gate, or every later irrevocable switch and live checkpoint
-// waits forever.
+// gateEmpty fails the test unless an irrevocable transaction commits
+// promptly. Its switch waits for the token and then, on a runtime with a
+// commit gate (mvstm), until it has seen every registered descriptor
+// outside the gate: a committer left counted inside it would make every
+// later irrevocable switch wait forever.
 func gateEmpty(t *testing.T, f fixture) {
 	t.Helper()
-	if g, ok := f.rt.(interface {
-		DrainCommitters(time.Duration) bool
-	}); ok && !g.DrainCommitters(0) {
-		t.Error("commit gate not empty afterwards")
-	}
+	done := make(chan error, 1)
+	go func() { done <- f.rt.AtomicIrrevocable(func(stmapi.Txn) error { return nil }) }()
+	within(t, done, "an irrevocable switch stalled: the commit gate is not empty")
 }
 
 // TestReaperRestoresOrphanedRecord: an orphan that died at PostAcquire holds
@@ -54,10 +55,10 @@ func TestReaperRestoresOrphanedRecord(t *testing.T) {
 		if v := o.LoadSlot(0); v != inPlace {
 			t.Fatalf("slot = %d before the reclaim, want %d", v, inPlace)
 		}
-		gateEmpty(t, f) // the dying goroutine's unwind left the gate; only the record is orphaned
 		if n := f.rt.ReapDead(); n != 1 {
 			t.Fatalf("reaped %d, want 1", n)
 		}
+		gateEmpty(t, f)
 		if w := o.Rec.Load(); !txrec.IsShared(w) {
 			t.Fatalf("record not restored to Shared: %#x", w)
 		}
@@ -82,10 +83,10 @@ func TestCommittedOrphanKeepsEffects(t *testing.T) {
 		f := newFixture(t, name, stmapi.CommonConfig{Quiescence: true})
 		o := f.cell()
 		orphan(t, f, o, faultinject.PostCommitPoint)
-		gateEmpty(t, f)
 		if n := f.rt.ReapDead(); n != 1 {
 			t.Fatalf("reaped %d, want 1", n)
 		}
+		gateEmpty(t, f)
 		if w := o.Rec.Load(); !txrec.IsShared(w) {
 			t.Fatalf("record not released: %#x", w)
 		}
@@ -271,37 +272,63 @@ func TestEscalateAfterConsecutiveAborts(t *testing.T) {
 }
 
 // TestPanicInCommitWindow: a panic raised inside a commit, by the commit
-// sink or by a synchronous trace sink at an event the runtime records inside
-// Commit, reaches the caller unchanged and leaves nothing held, on a plain
-// and on an irrevocable commit. Afterwards the irrevocable token is free, a
-// fresh goroutine's write to the object commits within the bound, and the
-// two objects the commit wrote hold what it left: before the commit point
-// their old values and original record words; past it Shared records whose
-// version is not below the commit's stamp, over the committed values, even
-// where the panic came before the write-back stored them (at the commit
-// point, or at the first of the two write-backs), and on mvstm over a chain
-// whose head is the pre-image. At the commit event the records are already
-// released, and the plain run commits a second write to the first object
-// from another goroutine there: the unwind must leave that commit's record
-// word and value alone. A site a runtime does not record inside Commit
-// (eager acquires at the write and has no write-back) is skipped.
+// sink, by a synchronous trace sink at an event the kernel's commit records,
+// or by the contention policy the commit consults, reaches the caller
+// unchanged and leaves nothing held, on a plain and on an irrevocable
+// commit. Afterwards the irrevocable token is free, a fresh goroutine's
+// write to the object commits within the bound, and the two objects the
+// commit wrote hold what it left: before the commit point their old values
+// and original record words; past it Shared records whose version is not
+// below the commit's stamp, over the committed values, even where the panic
+// came before the write-back stored them (at the commit point, or at the
+// first of the two write-backs), and on mvstm over a chain whose head is
+// the pre-image. At the commit event the records are already released, and
+// the plain run commits a second write to the first object from another
+// goroutine there: the unwind must leave that commit's record word and
+// value alone.
+//
+// Every commit runs with a commit sink installed. One that the panic ended
+// past its commit point and before its redo append (the sink, commit-point
+// and write-back sites) poisons that sink: the next commit through it fails
+// with txn.ErrSinkPoisoned and appends nothing, until the sink is installed
+// again. Before the commit point, or once appended, the next commit is
+// logged as usual.
+//
+// Some sites cannot exist on some runtimes, by construction: eager takes
+// its records at the write, in the body, so it records no lock-acquire and
+// consults no policy inside its commit, and it writes in place, so it has
+// no write-back; an irrevocable commit claims a held record and consults no
+// policy (irrevClaim).
 func TestPanicInCommitWindow(t *testing.T) {
 	sites := []struct {
 		name      string
-		kind      trace.Kind // 0: the commit sink panics
+		kind      trace.Kind // 0: the commit sink, or the policy, panics
 		committed bool       // the panic is past the commit point
+		poisons   bool       // ... and before the redo append
 	}{
-		{"sink", 0, true},
-		{"lock-acquire", trace.EvLockAcquire, false},
-		{"commit-point", trace.EvCommitPoint, true},
-		{"write-back", trace.EvWriteBack, true},
-		{"commit", trace.EvCommit, true},
+		{"sink", 0, true, true},
+		{"lock-acquire", trace.EvLockAcquire, false, false},
+		{"commit-point", trace.EvCommitPoint, true, true},
+		{"write-back", trace.EvWriteBack, true, true},
+		{"commit", trace.EvCommit, true, false},
+		{"handler", 0, false, false},
 	}
 	forEachRuntime(t, func(t *testing.T, name string) {
 		for _, s := range sites {
 			t.Run(s.name, func(t *testing.T) {
+				switch {
+				case name == "eager" && (s.kind == trace.EvLockAcquire || s.name == "handler"):
+					t.Skip("eager takes its records at the write, in the body: its commit records no lock-acquire and consults no policy")
+				case name == "eager" && s.kind == trace.EvWriteBack:
+					t.Skip("eager writes in place: its commit has no write-back")
+				}
 				for _, irrevocable := range []bool{false, true} {
-					f := newFixture(t, name, stmapi.CommonConfig{})
+					if irrevocable && s.name == "handler" {
+						continue // an irrevocable commit claims a held record and consults no policy
+					}
+					var armed, fired atomic.Bool
+					pol := &panicPolicy{armed: &armed, fired: &fired}
+					f := newFixture(t, name, stmapi.CommonConfig{Handler: pol})
 					rt := f.rt.(stmapi.DurableRuntime)
 					k := kernelOf(f.rt)
 					scratch, o, p := f.cell(), f.cell(), f.cell()
@@ -311,12 +338,16 @@ func TestPanicInCommitWindow(t *testing.T) {
 						}
 					}
 					before, beforeP, clock := o.Rec.Load(), p.Rec.Load(), k.Clock.Load()
-					var armed, fired atomic.Bool
+					sink := &windowSink{}
+					sink.panics.Store(s.name == "sink")
+					rt.SetCommitSink(sink)
 					var want any = "sink failure"
 					var after txrec.Word // the record word the second commit left, if any
-					if s.kind == 0 {
-						rt.SetCommitSink(panicSink{})
-					} else {
+					switch {
+					case s.name == "handler":
+						want = "policy failure"
+						p.Rec.Store(txrec.MakeExclusive(1 << 40)) // held by an owner no registry knows
+					case s.kind != 0:
 						want = "trace sink failure at " + s.name
 						tr := trace.New(trace.Config{Shards: 1, ShardCapacity: 64})
 						tr.SetSink(trace.SinkFunc(func(ev trace.Event) {
@@ -342,18 +373,21 @@ func TestPanicInCommitWindow(t *testing.T) {
 						_ = run(func(tx stmapi.Txn) error {
 							tx.Write(o, 0, 7)
 							tx.Write(p, 0, 7)
-							armed.Store(true) // what follows the body is Commit
+							armed.Store(true) // what follows the body is the commit
 							return nil
 						})
 						return nil
 					}()
-					rt.SetCommitSink(nil)
+					armed.Store(false)
 					f.rt.SetTracer(nil)
+					if s.name == "handler" {
+						p.Rec.Store(beforeP)
+					}
 					if s.kind != 0 && !fired.Load() {
-						t.Skipf("%s records no %s inside Commit", name, s.name)
+						t.Fatalf("irrevocable=%v: %s recorded no %s inside its commit", irrevocable, name, s.name)
 					}
 					if got != want {
-						t.Fatalf("irrevocable=%v: recovered %v, want the sink's panic %q", irrevocable, got, want)
+						t.Fatalf("irrevocable=%v: recovered %v, want the panic %q", irrevocable, got, want)
 					}
 					if h := k.IrrevocableHolder(); h != 0 {
 						t.Errorf("irrevocable=%v: transaction %d still holds the irrevocable token", irrevocable, h)
@@ -385,6 +419,27 @@ func TestPanicInCommitWindow(t *testing.T) {
 							}
 						}
 					}
+					// The next commit through the same sink, then through the
+					// sink installed again.
+					sink.panics.Store(false)
+					logged := int64(1)
+					if s.poisons {
+						logged = 0
+					}
+					appended := sink.appends.Load()
+					if err := f.write(scratch, 0, 10); s.poisons && !errors.Is(err, txn.ErrSinkPoisoned) {
+						t.Errorf("irrevocable=%v: the next commit returned %v, want txn.ErrSinkPoisoned", irrevocable, err)
+					} else if !s.poisons && err != nil {
+						t.Errorf("irrevocable=%v: the next commit returned %v, want it logged", irrevocable, err)
+					}
+					if n := sink.appends.Load() - appended; n != logged {
+						t.Errorf("irrevocable=%v: the next commit appended %d records, want %d", irrevocable, n, logged)
+					}
+					rt.SetCommitSink(sink)
+					if err := f.write(scratch, 0, 11); err != nil || sink.appends.Load()-appended != logged+1 {
+						t.Errorf("irrevocable=%v: a commit through the sink installed again returned %v and appended %d, want nil and %d", irrevocable, err, sink.appends.Load()-appended, logged+1)
+					}
+					rt.SetCommitSink(nil)
 					within(t, commitAsync(f, o, 9), "a write to the object stalled behind the panicked commit")
 					if v := o.LoadSlot(0); v != 9 {
 						t.Errorf("irrevocable=%v: slot %d after the rewrite, want 9", irrevocable, v)
@@ -394,4 +449,34 @@ func TestPanicInCommitWindow(t *testing.T) {
 			})
 		}
 	})
+}
+
+// windowSink is the commit sink of TestPanicInCommitWindow: it counts the
+// records appended to it, and panics in every append while panics is set.
+type windowSink struct {
+	panics  atomic.Bool
+	appends atomic.Int64
+}
+
+func (s *windowSink) AppendRedo(uint64, uint64, []stmapi.RedoWrite) (uint64, error) {
+	if s.panics.Load() {
+		panic("sink failure")
+	}
+	return uint64(s.appends.Add(1)), nil
+}
+
+func (*windowSink) WaitDurable(uint64) error { return nil }
+
+// panicPolicy is a contention policy that panics at the first conflict it
+// is asked to resolve while armed, and backs off otherwise.
+type panicPolicy struct {
+	conflict.Backoff
+	armed, fired *atomic.Bool
+}
+
+func (p *panicPolicy) Resolve(info conflict.Info) conflict.Decision {
+	if p.armed.Load() && p.fired.CompareAndSwap(false, true) {
+		panic("policy failure")
+	}
+	return p.Backoff.Resolve(info)
 }

@@ -374,15 +374,10 @@ func TestHeapDoesNotRetainRuntimes(t *testing.T) {
 // the irrevocable token. The next irrevocable transaction reaps it inline
 // while it waits for the token, and on mvstm every writer (its commit gate
 // waits out a token holder) does too; either would otherwise wait forever.
-// The reap surrenders the token. Eager fires only PostCommitPoint there: its
-// PreRelease is on the abort path.
+// The reap surrenders the token.
 func TestIrrevocableOrphanPastCommitPointFreesToken(t *testing.T) {
 	for _, name := range stmapi.Runtimes() {
-		points := []faultinject.Point{faultinject.PostCommitPoint, faultinject.PreRelease}
-		if name == "eager" {
-			points = points[:1]
-		}
-		for _, p := range points {
+		for _, p := range []faultinject.Point{faultinject.PostCommitPoint, faultinject.PreRelease} {
 			t.Run(name+"/"+p.String(), func(t *testing.T) {
 				f := newFixture(t, name, stmapi.CommonConfig{})
 				rt, o := f.rt, f.cell()
@@ -451,10 +446,9 @@ var constructors = map[string]func(*objmodel.Heap, stmapi.CommonConfig) stmapi.R
 // TestRuntimeCapabilities pins what drivers probe a runtime for. A runtime
 // is its own driver view, so a capability gained or lost through embedding
 // would otherwise change a driver's path silently: the durable store, for
-// one, falls back to a stop-the-world checkpoint when DrainCommitters is
+// one, falls back to a stop-the-world checkpoint when AtomicRead is
 // missing.
 func TestRuntimeCapabilities(t *testing.T) {
-	type drainer interface{ DrainCommitters(time.Duration) bool }
 	h := objmodel.NewHeap()
 	names := stmapi.Runtimes()
 	if len(names) != len(constructors) {
@@ -475,10 +469,8 @@ func TestRuntimeCapabilities(t *testing.T) {
 		if _, ok := rt.(stmapi.DurableRuntime); !ok {
 			t.Errorf("%s: not an stmapi.DurableRuntime", name)
 		}
-		_, ro := rt.(stmapi.ReadOnlyRuntime)
-		_, drains := rt.(drainer)
-		if want := name == "mvstm"; ro != want || drains != want {
-			t.Errorf("%s: ReadOnlyRuntime %v, DrainCommitters %v, want both %v", name, ro, drains, want)
+		if _, ro := rt.(stmapi.ReadOnlyRuntime); ro != (name == "mvstm") {
+			t.Errorf("%s: ReadOnlyRuntime %v, want %v", name, ro, name == "mvstm")
 		}
 	}
 }
@@ -737,8 +729,8 @@ func park(f fixture, o *objmodel.Object, window bool) (release func(), parked <-
 }
 
 // atCommitPoint installs a tracer on f's runtime whose synchronous sink
-// calls fn, on the committing goroutine, at every deferred-update commit
-// point (trace.EvCommitPoint), before anything is written back.
+// calls fn, on the committing goroutine, at every commit point
+// (trace.EvCommitPoint), before anything is written back.
 func atCommitPoint(f fixture, fn func()) {
 	tr := trace.New(trace.Config{Shards: 1, ShardCapacity: 64})
 	tr.SetSink(trace.SinkFunc(func(ev trace.Event) {

@@ -15,7 +15,7 @@ import (
 //
 //   - once per statsBatch flushes of the slot;
 //   - before the holder blocks: a user Retry's wait, the quiescence grace
-//     period, a durability wait (Run, AwaitCommitted), so a count a waiter
+//     period, a durability wait (Run, awaitCommitted), so a count a waiter
 //     polls for shows while the transaction that made it waits;
 //   - from Stats, which claims each free slot whose batch is marked full
 //     with the idle sentinel, drains it and frees it again. The holder

@@ -48,23 +48,24 @@ func TestDisabledTracerAllocFree(t *testing.T) {
 
 // TestTraceEventLifecycle: one committed read-write transaction emits its
 // protocol's events, all under its ID. Eager acquires the record at the
-// write; lazy and mvstm acquire at commit, then pass the commit point and
-// write the one slot back, both stamped with the write version.
+// write; lazy and mvstm acquire at commit. Every runtime passes the commit
+// point stamped with the write version, and lazy and mvstm then write the
+// one slot back, stamped with it too.
 func TestTraceEventLifecycle(t *testing.T) {
 	forEachRuntime(t, func(t *testing.T, name string) {
 		f := newFixture(t, name, stmapi.CommonConfig{})
 		tr := trace.New(trace.Config{ShardCapacity: 128, Shards: 1})
-		var d *txn.Deferred
+		var k *txn.Txn
 		var wv uint64
 		tr.SetSink(trace.SinkFunc(func(ev trace.Event) {
 			if ev.Kind == trace.EvCommitPoint {
-				wv = d.WV
+				wv = k.WV
 			}
 		}))
 		f.rt.SetTracer(tr)
 		o := f.cell()
 		if err := f.rt.Atomic(func(tx stmapi.Txn) error {
-			d = deferredOf(tx)
+			k = tx.(txn.Strategy).Base()
 			tx.Write(o, 1, tx.Read(o, 0)+7)
 			return nil
 		}); err != nil {
@@ -78,7 +79,7 @@ func TestTraceEventLifecycle(t *testing.T) {
 		want := []trace.Kind{trace.EvBegin, trace.EvRead, trace.EvWrite, trace.EvLockAcquire,
 			trace.EvCommitPoint, trace.EvWriteBack, trace.EvCommit}
 		if name == "eager" {
-			want = []trace.Kind{trace.EvBegin, trace.EvRead, trace.EvLockAcquire, trace.EvWrite, trace.EvCommit}
+			want = []trace.Kind{trace.EvBegin, trace.EvRead, trace.EvLockAcquire, trace.EvWrite, trace.EvCommitPoint, trace.EvCommit}
 		}
 		if !slices.Equal(kinds, want) {
 			t.Fatalf("events = %v, want %v", kinds, want)

@@ -18,9 +18,11 @@
 //     from dead owners, the irrevocable claim (conflict.go);
 //   - commit-clock validation for the two validating runtimes: snapshot,
 //     extension, the commit fast path, the read-set walk (validate.go);
-//   - the commit-time locking protocol of the two deferred-update runtimes
-//     (deferred.go), and for all three the Section 3.4 quiescence, a grace
-//     period over the attempts in flight (atomic.go);
+//   - the commit protocol, one sequence of steps for all three runtimes,
+//     each step a Strategy hook, with the phase it reached recorded for
+//     recovery (commit.go); the commit-time locking of the two
+//     deferred-update runtimes (deferred.go); and the Section 3.4
+//     quiescence, a grace period over the attempts in flight (atomic.go);
 //   - orphan recovery, one reclaim path (Reap) that waiters run inline and
 //     a ReapDead sweep runs for drivers, and the irrevocable token
 //     (recovery.go), and statistics batched per registry slot (stats.go);
@@ -32,12 +34,13 @@
 // Txn) in its descriptor, keeps its Read and Write barriers as concrete
 // methods that reach kernel state through the embedded fields (no generic
 // call on any access; bodies reach them through stmapi.Txn), and plugs its
-// versioning in through Strategy, which the kernel calls a handful of times
-// per attempt.
+// versioning in through Strategy, whose steps the kernel calls a handful of
+// times per attempt.
 package txn
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,7 +55,9 @@ import (
 
 // Strategy is the versioning seam: what a runtime's descriptor implements so
 // the kernel can drive it. Every method is per attempt (or rarer); nothing
-// here is on the access path.
+// here is on the access path. The commit protocol is the kernel's (commit.go);
+// a runtime supplies its steps, which the kernel runs in protocol order, and
+// the kernel Txn and Deferred answer every step a runtime has no part in.
 type Strategy interface {
 	// Base returns the kernel descriptor embedded in the runtime's (promoted
 	// from the embedded Txn; runtimes do not write it).
@@ -63,15 +68,36 @@ type Strategy interface {
 	// clock snapshot.
 	Begin()
 
-	// Commit runs the runtime's commit protocol. ok=false means the attempt
-	// must abort and retry (the kernel calls Rollback next). A non-nil error
-	// is only possible past the commit point, when cancellation abandoned the
-	// quiescence wait or the commit sink failed; the effects are applied and
-	// the kernel returns the error without retrying.
-	Commit() (ok bool, err error)
+	// ReadOnly reports whether the attempt commits on the zero-metadata
+	// path: nothing to lock, validate, write back, log or wait for (a
+	// multi-version body that wrote nothing). The kernel Txn answers false.
+	ReadOnly() bool
+
+	// LockWriteSet takes the write set's records at commit (a no-op where
+	// the body took them); Validate then validates the read set, or stamps,
+	// and leaves the write version in WV. false from either means the
+	// attempt must abort and retry, holding only what Rollback releases.
+	LockWriteSet() bool
+	Validate() bool
+
+	// Install saves what the commit overwrites, past the commit point and
+	// before the write-back (mvstm's version chains). WriteBack stores the
+	// buffered writes, under the held records; the kernel also calls it,
+	// untraced, to complete a write-back a panic or a death cut short, so
+	// storing an entry twice must be harmless. Redo appends the commit's
+	// redo image (what it wrote, as the slots hold it after write-back) to
+	// dst. Exit leaves whatever the runtime entered to commit: once the
+	// records are released, and again, harmlessly, wherever a panic or a
+	// death ended the attempt.
+	Install()
+	WriteBack()
+	Redo(dst []stmapi.RedoWrite) []stmapi.RedoWrite
+	Exit()
 
 	// Rollback undoes the attempt's effects on shared memory and releases
-	// every record it holds. The kernel does the bookkeeping around it.
+	// every record it holds: an abort's, and, run by the kernel, that of
+	// an attempt that ended before its commit point without one (an orphan
+	// a reaper reclaims, a panic out of the commit).
 	Rollback()
 
 	// RetryWait blocks a user Retry until re-execution may observe something
@@ -84,13 +110,6 @@ type Strategy interface {
 	// restarts the attempt, so the runtime must leave its holdings in a
 	// state Rollback releases.
 	LockReadSet() bool
-
-	// Restore and CompleteWriteBack finish an attempt that ended without
-	// its own Rollback or release (an orphan, a panic out of Commit): Restore
-	// rolls it back, before its commit point; CompleteWriteBack stores what
-	// a commit past it may not have stored yet, before the kernel releases.
-	Restore()
-	CompleteWriteBack()
 
 	// Reset drops every object reference the runtime's part of the
 	// descriptor holds, before it returns to the pool.
@@ -187,11 +206,26 @@ func (k *Kernel) SetInjector(in *faultinject.Injector) { k.injector.Store(in) }
 
 // sinkBox wraps a CommitSink so it can live in an atomic.Pointer (which
 // needs a concrete element type) regardless of the sink's dynamic type.
-type sinkBox struct{ s stmapi.CommitSink }
+// poisoned is set once a commit past its commit point ended without its
+// redo record (reclaim): memory then holds effects no log does, so every
+// later commit through the box appends nothing and fails (ErrSinkPoisoned).
+type sinkBox struct {
+	s        stmapi.CommitSink
+	poisoned atomic.Bool
+}
+
+// ErrSinkPoisoned is the error of a commit through a commit sink that an
+// earlier commit was lost to: that commit passed its commit point and
+// ended, by a panic or a thread death, before its redo record reached the
+// sink. The commit is applied in memory, like every commit that returns an
+// error, and logged nowhere; so is every later one through the same sink,
+// until a sink is installed again (SetCommitSink).
+var ErrSinkPoisoned = errors.New("txn: commit sink poisoned: an earlier commit's effects were never logged")
 
 // SetCommitSink installs (or, with nil, removes) the durable commit sink
-// (stmapi.DurableRuntime). Sampled once per top-level Atomic like the
-// tracer; transactions in flight keep their previous setting.
+// (stmapi.DurableRuntime), clearing a poisoned one's poison. Sampled once
+// per top-level Atomic like the tracer; transactions in flight keep their
+// previous setting.
 func (k *Kernel) SetCommitSink(s stmapi.CommitSink) {
 	if s == nil {
 		k.sink.Store(nil)
@@ -300,14 +334,18 @@ type Txn struct {
 	// Atomic, in which case no cancellation checks run anywhere.
 	Ctx context.Context
 
-	// FI, Sink and Tr are the fault injector, commit sink and tracer sampled
+	// FI, sink and Tr are the fault injector, commit sink and tracer sampled
 	// when the top-level Atomic began; nil (the default) disables every hook
-	// behind one predictable branch. Redo is the sink's scratch record,
+	// behind one predictable branch. redo is the sink's scratch record,
 	// reused across commits.
 	FI   *faultinject.Injector
-	Sink stmapi.CommitSink
-	Redo []stmapi.RedoWrite
+	sink *sinkBox
+	redo []stmapi.RedoWrite
 	Tr   *trace.Tracer
+
+	// phase is how far this attempt's commit got (commit.go); reclaim ends
+	// an attempt a panic or a death cut short by it.
+	phase phase
 
 	// Blame is the handle of the object a pending abort is attributed to;
 	// beginAt/abortAt feed the commit-latency and abort-to-retry histograms.
@@ -349,6 +387,12 @@ func (tx *Txn) Dead() bool { return tx.dead.Load() }
 // Doomed reports whether a contention policy marked this attempt for abort.
 func (tx *Txn) Doomed() bool { return tx.doomed.Load() }
 
+// ReadVersion returns the commit-clock snapshot the attempt's reads are
+// consistent with (RV). A multi-version read-only transaction reads exactly
+// the commits stamped at or below it, which makes its heap copy a version
+// cut (the durable store's live checkpoint).
+func (tx *Txn) ReadVersion() uint64 { return tx.RV }
+
 // idBlock is how many owner IDs a descriptor takes from the kernel's counter
 // at once, so that a begin writes the runtime-wide counter's cache line once
 // every idBlock top-level Atomics instead of every time.
@@ -384,10 +428,7 @@ func (k *Kernel) getTxn(ctx context.Context) *Txn {
 	tx.Ctx = ctx
 	tx.Tr = k.tracer.Load()
 	tx.FI = k.injector.Load()
-	tx.Sink = nil
-	if b := k.sink.Load(); b != nil {
-		tx.Sink = b.s
-	}
+	tx.sink = k.sink.Load()
 	tx.Blame = 0
 	tx.abortAt = time.Time{}
 	// Each atomic flag is stored only if it differs: a sequentially
@@ -415,13 +456,14 @@ func (k *Kernel) getTxn(ctx context.Context) *Txn {
 // their next incarnation), and returns it to the pool — unless the
 // transaction died: a dead descriptor's records are (or will be) reclaimed
 // by a reaper, which must find its write set intact, so it is retired, never
-// reused. A panic out of Commit (a sink's or a trace sink's, say) leaves the
-// attempt neither committed nor aborted, its counts unflushed, so it ends
-// here as a reaper ends an orphan that died at the same point (effects past
-// the commit point applied but unlogged, as AppendRedo states), and the
-// token is surrendered: a pooled descriptor holds no record, token or delta.
+// reused. A panic out of the commit (a sink's or a trace sink's, say) leaves
+// the attempt neither committed nor aborted, its counts unflushed, so it
+// ends here as a reaper ends an orphan that died at the same point
+// (reclaim), and the token is surrendered: a pooled descriptor holds no
+// record, token or delta.
 func (k *Kernel) putTxn(tx *Txn) {
 	if tx.dead.Load() {
+		tx.self.Exit() // the unwind leaves what it entered; the records wait for the reaper
 		return
 	}
 	if tx.nStarts != 0 {
@@ -436,8 +478,8 @@ func (k *Kernel) putTxn(tx *Txn) {
 	tx.Owned.Reset()
 	tx.Ctx = nil
 	tx.FI = nil
-	tx.Sink = nil
-	tx.Redo = tx.Redo[:0]
+	tx.sink = nil
+	tx.redo = tx.redo[:0]
 	k.pool.Put(tx)
 }
 
@@ -456,6 +498,7 @@ func (tx *Txn) begin() {
 	tx.Reads.Reset()
 	tx.Owned.Reset()
 	tx.WV = 0
+	tx.phase = phaseBody
 	if k.ClockOn {
 		tx.RV = k.Clock.Load()
 	}

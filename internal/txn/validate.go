@@ -154,7 +154,7 @@ func (tx *Txn) ValidateCommit(stamp bool) bool {
 		if ok, bad := tx.walkValidate(); !ok {
 			return tx.failCommit(bad)
 		}
-		if tx.Sink != nil {
+		if tx.sink != nil {
 			tx.Stamp() // walk validation needs no version; the redo record needs an LSN
 		}
 		return true

@@ -1,9 +1,6 @@
 package txn
 
-import (
-	"repro/internal/objmodel"
-	"repro/internal/stmapi"
-)
+import "repro/internal/objmodel"
 
 // BufEntry is one buffered slot write.
 type BufEntry struct {
@@ -78,18 +75,4 @@ func (b *WriteBuf) Reset() {
 	clear(b.Ents)
 	b.Ents = b.Ents[:0]
 	clear(b.index)
-}
-
-// AppendBufferedRedo hands the commit sink, if there is one, the buffer as
-// the commit's redo image: after write-back the entries carry exactly the
-// values the slots now hold.
-func (d *Deferred) AppendBufferedRedo() (seq uint64, err error) {
-	if d.Sink == nil || len(d.Buf.Ents) == 0 {
-		return 0, nil
-	}
-	d.Redo = d.Redo[:0]
-	for _, e := range d.Buf.Ents {
-		d.Redo = append(d.Redo, stmapi.RedoWrite{Ref: e.Obj.Ref(), Slot: e.Slot, Val: e.Val})
-	}
-	return d.AppendRedo()
 }
