@@ -330,13 +330,14 @@ func RunInProcess(fs *vfs.FaultFS, runtime string, iterations int, seed uint64) 
 	const dir = "/stmcrash"
 	for iter := 0; iter < iterations; iter++ {
 		s, err := durable.Open(durable.Options{
-			Dir: dir, FS: fs, Runtime: runtime, TrackStamps: true,
+			Dir: dir, FS: fs, Runtime: runtime,
 			CheckpointEvery: time.Millisecond,
 		}, SetupBank)
 		if err != nil {
 			return res, fmt.Errorf("iteration %d: open: %w", iter, err)
 		}
 		arr, ticker := bankObjects(s.Heap())
+		stamps := trackStamps(s)
 		epoch := s.Epoch()
 		rng := splitmix64(seed ^ uint64(iter))
 		var acks, aborts []Ack
@@ -360,7 +361,7 @@ func RunInProcess(fs *vfs.FaultFS, runtime string, iterations int, seed uint64) 
 			})
 			if err != nil {
 				aborts = append(aborts, Ack{Epoch: epoch, TxnID: id})
-			} else if stamp, ok := s.TakeStamp(id); ok {
+			} else if stamp, ok := stamps.take(id); ok {
 				acks = append(acks, Ack{Epoch: epoch, TxnID: id, Stamp: stamp})
 			}
 		}

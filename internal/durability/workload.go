@@ -74,6 +74,37 @@ func BankSum(h *objmodel.Heap) uint64 {
 	return sum
 }
 
+// stampSink is a commit sink installed over a store that records the
+// commit stamp of every redo record it forwards, so a worker can report the
+// stamp of a transaction it just ran.
+type stampSink struct {
+	stmapi.CommitSink
+	stamps sync.Map // txnID → stamp, popped by take
+}
+
+// trackStamps installs a stampSink over s.
+func trackStamps(s *durable.Store) *stampSink {
+	k := &stampSink{CommitSink: s}
+	s.Runtime().(stmapi.DurableRuntime).SetCommitSink(k)
+	return k
+}
+
+// AppendRedo implements stmapi.CommitSink.
+func (k *stampSink) AppendRedo(txnID, stamp uint64, writes []stmapi.RedoWrite) (uint64, error) {
+	k.stamps.Store(txnID, stamp)
+	return k.CommitSink.AppendRedo(txnID, stamp, writes)
+}
+
+// take pops the stamp recorded for txnID; ok is false for a transaction
+// that logged nothing.
+func (k *stampSink) take(txnID uint64) (uint64, bool) {
+	v, ok := k.stamps.LoadAndDelete(txnID)
+	if !ok {
+		return 0, false
+	}
+	return v.(uint64), true
+}
+
 // Child environment. The harness re-executes its own binary with
 // ChildEnvVar=1; ChildMain picks the rest of its configuration from the
 // other variables.
@@ -125,7 +156,6 @@ func ChildMain() {
 		Runtime:          runtime,
 		CheckpointEvery:  envDuration(childEnvCkpt, 25*time.Millisecond),
 		NoOpenCheckpoint: os.Getenv(childEnvNoOpenCkpt) == "1",
-		TrackStamps:      true,
 	}
 	if name := os.Getenv(childEnvKillPoint); name != "" {
 		p, ok := faultinject.PointByName(name)
@@ -145,6 +175,7 @@ func ChildMain() {
 		os.Exit(2)
 	}
 	arr, ticker := bankObjects(s.Heap())
+	stamps := trackStamps(s)
 
 	// Acks go straight to stdout, one small write per line, serialized by a
 	// mutex: a SIGKILL can tear at most the final line, which the parent's
@@ -186,7 +217,7 @@ func ChildMain() {
 				outMu.Lock()
 				if err != nil {
 					fmt.Printf("X %d %d\n", epoch, id)
-				} else if stamp, ok := s.TakeStamp(id); ok {
+				} else if stamp, ok := stamps.take(id); ok {
 					fmt.Printf("A %d %d %d\n", epoch, id, stamp)
 				}
 				outMu.Unlock()

@@ -82,7 +82,7 @@ const bankInit = 100
 func openBank(t *testing.T, fs vfs.FS, dir, runtime string, opts func(*Options)) (*Store, *objmodel.Object) {
 	t.Helper()
 	var arr *objmodel.Object
-	o := Options{Dir: dir, FS: fs, Runtime: runtime, TrackStamps: true}
+	o := Options{Dir: dir, FS: fs, Runtime: runtime}
 	if opts != nil {
 		opts(&o)
 	}
@@ -106,6 +106,36 @@ func bankSum(arr *objmodel.Object) (sum uint64) {
 	return sum
 }
 
+// stampSink is a commit sink installed over a store that records the commit
+// stamp of every redo record it forwards, so a test can tell which acked
+// commits a snapshot covers and which recovery must replay.
+type stampSink struct {
+	stmapi.CommitSink
+	mu     sync.Mutex
+	stamps map[uint64]uint64 // txnID → stamp
+}
+
+func trackStamps(s *Store) *stampSink {
+	k := &stampSink{CommitSink: s, stamps: make(map[uint64]uint64)}
+	s.rt.(stmapi.DurableRuntime).SetCommitSink(k)
+	return k
+}
+
+func (k *stampSink) AppendRedo(txnID, stamp uint64, writes []stmapi.RedoWrite) (uint64, error) {
+	k.mu.Lock()
+	k.stamps[txnID] = stamp
+	k.mu.Unlock()
+	return k.CommitSink.AppendRedo(txnID, stamp, writes)
+}
+
+// stamp returns the commit stamp logged for txnID.
+func (k *stampSink) stamp(txnID uint64) (uint64, bool) {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	st, ok := k.stamps[txnID]
+	return st, ok
+}
+
 func transfer(s *Store, arr *objmodel.Object, from, to int) (txnID uint64, err error) {
 	err = s.Atomic(func(tx stmapi.Txn) error {
 		txnID = tx.ID()
@@ -126,6 +156,7 @@ func TestStoreCrashRecovery(t *testing.T) {
 		t.Run(rt, func(t *testing.T) {
 			fs := NewTestFS()
 			s, arr := openBank(t, fs, "/d", rt, nil)
+			stamps := trackStamps(s)
 			type ack struct{ epoch, id, stamp uint64 }
 			var acks []ack
 			for i := 0; i < 40; i++ {
@@ -133,7 +164,7 @@ func TestStoreCrashRecovery(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				stamp, ok := s.TakeStamp(id)
+				stamp, ok := stamps.stamp(id)
 				if !ok {
 					t.Fatalf("txn %d committed without a stamp", id)
 				}
@@ -214,13 +245,14 @@ func TestRecoveryReplaysWALTail(t *testing.T) {
 func TestFsyncLieLosesAckedCommits(t *testing.T) {
 	fs := vfs.NewFaultFS(7, vfs.Mode{FsyncLie: true})
 	s, arr := openBank(t, fs, "/d", "eager", func(o *Options) { o.NoOpenCheckpoint = true })
+	stamps := trackStamps(s)
 	var lastStamp uint64
 	for i := 0; i < 10; i++ {
 		id, err := transfer(s, arr, 0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st, ok := s.TakeStamp(id); ok {
+		if st, ok := stamps.stamp(id); ok {
 			lastStamp = st
 		}
 	}
@@ -421,10 +453,9 @@ func TestTornMiddleSegmentStillCorruption(t *testing.T) {
 }
 
 // TestCheckpointCoversAndPrunes checkpoints mid-stream and checks pruning
-// plus recovery from snapshot + shorter tail, on both checkpoint paths
-// (stop-the-world for eager, live drain for mvstm).
+// plus recovery from snapshot + shorter tail, on every runtime.
 func TestCheckpointCoversAndPrunes(t *testing.T) {
-	for _, rt := range []string{"eager", "mvstm"} {
+	for _, rt := range stmapi.Runtimes() {
 		t.Run(rt, func(t *testing.T) {
 			fs := NewTestFS()
 			s, arr := openBank(t, fs, "/d", rt, func(o *Options) { o.NoOpenCheckpoint = true })
@@ -468,48 +499,6 @@ func TestCheckpointCoversAndPrunes(t *testing.T) {
 				t.Fatalf("slot 5 = %d, want %d (tail content)", got, bankInit+6)
 			}
 		})
-	}
-}
-
-// TestLiveCheckpointUnderLoad checkpoints mvstm repeatedly while writers
-// run, then crash-recovers and checks conservation — the drain barrier must
-// never capture a half-installed commit.
-func TestLiveCheckpointUnderLoad(t *testing.T) {
-	fs := NewTestFS()
-	s, arr := openBank(t, fs, "/d", "mvstm", nil)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if _, err := transfer(s, arr, (g+i)%bankAccounts, (g+i+1)%bankAccounts); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(g)
-	}
-	for i := 0; i < 5; i++ {
-		if err := s.Checkpoint(); err != nil {
-			t.Errorf("checkpoint %d: %v", i, err)
-		}
-	}
-	close(stop)
-	wg.Wait()
-	s.Abandon()
-	fs.Crash()
-
-	s2, arr2 := openBank(t, fs, "/d", "mvstm", func(o *Options) { o.NoOpenCheckpoint = true })
-	defer s2.Close()
-	if got := bankSum(arr2); got != bankAccounts*bankInit {
-		t.Fatalf("sum = %d after live-checkpoint crash recovery, want %d", got, bankAccounts*bankInit)
 	}
 }
 

@@ -32,9 +32,10 @@ type Options struct {
 
 	// Injector, when non-nil, is installed on the runtime and fired at the
 	// WAL points (wal-append, wal-fsync, wal-rename) — the whitebox crash
-	// harness's hook. Orphan injection at the commit-protocol points is
-	// incompatible with a durable store: an orphaned-then-stolen commit is
-	// visible in memory but never reaches the WAL.
+	// harness's hook. An orphan injected at a commit-protocol point past the
+	// commit point, before its redo record reached the WAL, poisons the
+	// sink: every later commit through the store fails with
+	// txn.ErrSinkPoisoned and none is acked (DESIGN.md §14.1).
 	Injector *faultinject.Injector
 
 	// CheckpointEvery starts a background checkpointer with that period;
@@ -45,12 +46,6 @@ type Options struct {
 	// recovery. Verification opens use it to inspect exactly the recovered
 	// state without rewriting anything.
 	NoOpenCheckpoint bool
-
-	// TrackStamps keeps an in-memory txnID→stamp map that TakeStamp pops,
-	// so a caller can learn the commit stamp (LSN) of a transaction it just
-	// ran. The crash harness needs this; benchmarks leave it off (the map
-	// would grow with every commit until popped).
-	TrackStamps bool
 }
 
 // TxnStamp identifies one committed transaction across process generations.
@@ -97,8 +92,9 @@ type DurabilitySnapshot struct {
 }
 
 // Store is a durable STM: a runtime bound to a write-ahead log. Run
-// transactions through Atomic/AtomicCtx; when they return nil the commit is
-// durable. Reopening the same directory recovers the committed heap.
+// transactions through Atomic or the Runtime's entry points; when they
+// return nil the commit is durable. Reopening the same directory recovers
+// the committed heap.
 type Store struct {
 	fs   vfs.FS
 	dir  string
@@ -110,16 +106,6 @@ type Store struct {
 	epoch    uint64
 	recovery RecoveryInfo
 
-	// gate is the single-writer/many-readers shutter for stop-the-world
-	// checkpoints: Atomic holds it shared for the whole transaction, a
-	// non-live checkpoint holds it exclusively across rotate+read. A runtime
-	// with a read-only snapshot path (mvstm) checkpoints live and never
-	// takes the exclusive side.
-	gate sync.RWMutex
-
-	trackStamps bool
-	stamps      sync.Map // txnID → stamp, popped by TakeStamp
-
 	ckMu       sync.Mutex // serializes checkpoints
 	snapshots  atomic.Int64
 	lastSnapNs atomic.Int64
@@ -128,13 +114,6 @@ type Store struct {
 	ckDone chan struct{}
 
 	closed atomic.Bool
-}
-
-// readVersioned is a transaction that tells the commit-clock snapshot its
-// reads see: a multi-version read-only transaction reads exactly the commits
-// stamped at or below it.
-type readVersioned interface {
-	ReadVersion() uint64
 }
 
 // Open builds the heap via setup, recovers committed state from dir
@@ -190,7 +169,6 @@ func Open(opts Options, setup func(*objmodel.Heap) error) (*Store, error) {
 	s := &Store{
 		fs: fs, dir: opts.Dir, rt: rt, heap: heap, wal: w, inj: opts.Injector,
 		epoch: info.Epoch, recovery: info,
-		trackStamps: opts.TrackStamps,
 	}
 	// Stamp the new epoch into the log before any commit can: after a crash,
 	// max(epoch) identifies this generation even if it commits nothing.
@@ -357,8 +335,8 @@ func applyWrite(heap *objmodel.Heap, ref objmodel.Ref, slot int, val uint64, bul
 	return nil
 }
 
-// Runtime returns the driver-facing runtime. Run transactions through the
-// Store's Atomic wrappers, not the runtime's, so checkpoints can quiesce.
+// Runtime returns the driver-facing runtime. Every transaction it runs on
+// the store's heap is durable, whether through it or through Atomic.
 func (s *Store) Runtime() stmapi.Runtime { return s.rt }
 
 // Heap returns the managed heap.
@@ -372,79 +350,65 @@ func (s *Store) Epoch() uint64 { return s.epoch }
 
 // Atomic runs body as a durable transaction: when it returns nil the
 // commit's redo record has been fsynced.
-func (s *Store) Atomic(body func(stmapi.Txn) error) error {
-	s.gate.RLock()
-	defer s.gate.RUnlock()
-	return s.rt.Atomic(body)
-}
+func (s *Store) Atomic(body func(stmapi.Txn) error) error { return s.rt.Atomic(body) }
 
 // AppendRedo implements stmapi.CommitSink: called by the runtime at the
 // commit point with the transaction's redo image.
 func (s *Store) AppendRedo(txnID, stamp uint64, writes []stmapi.RedoWrite) (uint64, error) {
-	if s.trackStamps {
-		s.stamps.Store(txnID, stamp)
-	}
 	return s.wal.Append(&record{Kind: kindCommit, Epoch: s.epoch, TxnID: txnID, Stamp: stamp, Writes: writes})
 }
 
 // WaitDurable implements stmapi.CommitSink: the group-commit barrier.
 func (s *Store) WaitDurable(seq uint64) error { return s.wal.Wait(seq) }
 
-// TakeStamp pops and returns the commit stamp recorded for txnID (requires
-// Options.TrackStamps). ok is false for unknown or aborted transactions.
-func (s *Store) TakeStamp(txnID uint64) (uint64, bool) {
-	v, ok := s.stamps.LoadAndDelete(txnID)
-	if !ok {
-		return 0, false
-	}
-	return v.(uint64), true
-}
-
 // Checkpoint writes a heap snapshot that is a version cut, and prunes the
 // WAL segments it covers. The snapshot holds exactly the commits stamped at
 // or below its Stamp, and every commit stamped above it has its redo record
 // in a segment at or after its SegIndex; recovery replays those segments
-// and skips the records at or below Stamp. A runtime with a read-only
-// snapshot path (mvstm) checkpoints live: rotate, then read the heap in one
-// AtomicRead, whose snapshot is the Stamp. The others stop the world
-// briefly: block new Atomics, rotate, copy the heap at the clock.
+// and skips the records at or below Stamp. One protocol on every runtime:
+// rotate, copy the heap in one irrevocable transaction (copyHeap), write
+// the snapshot.
 func (s *Store) Checkpoint() error {
 	s.ckMu.Lock()
 	defer s.ckMu.Unlock()
-	if ror, ok := s.rt.(stmapi.ReadOnlyRuntime); ok {
-		seg, err := s.wal.rotate()
-		if err != nil {
-			return err
-		}
-		return s.liveCheckpoint(ror, seg)
-	}
-	s.gate.Lock()
 	seg, err := s.wal.rotate()
 	if err != nil {
-		s.gate.Unlock()
 		return err
 	}
-	snap := &snapshot{Epoch: s.epoch, Stamp: s.heap.Clock().Load(), SegIndex: seg, Objs: s.readHeap(nil, nil)}
-	s.gate.Unlock()
+	snap, err := s.copyHeap(seg)
+	if err != nil {
+		return err
+	}
 	return s.writeCheckpoint(snap)
 }
 
-// liveCheckpoint is the rest of a live checkpoint once the WAL has rotated
-// to segment seg: one snapshot read of the whole heap, on the zero-abort
-// read-only path, stamped with the read's snapshot RV. A commit stamped at
-// or below RV is in the read (DESIGN.md §13.1's read rule). One stamped
-// above it drew its stamp after the read began, so after the rotation, and
-// appends its redo record after its stamp, to segment seg or later.
-func (s *Store) liveCheckpoint(ror stmapi.ReadOnlyRuntime, seg int) error {
+// copyHeap reads every object through one irrevocable transaction, once
+// the WAL has rotated to segment seg, and stamps the image with the commit
+// clock read after the last read (DESIGN.md §14.3). That is a version cut:
+// on mvstm the switch drained the commit gate and no writer enters it while
+// the token is held, so the clock stands still; on eager and lazy the copy
+// holds every record it read until it commits, so when it reads the clock
+// no commit holds a record. A commit stamped at or below the stamp drew it
+// holding its write set, before the copy took any of it, and released
+// after its redo append: the copy holds all of it. A commit stamped above
+// drew its stamp later, after the rotation, and appends to seg or later.
+func (s *Store) copyHeap(seg int) (*snapshot, error) {
 	snap := &snapshot{Epoch: s.epoch, SegIndex: seg}
-	if err := ror.AtomicRead(func(tx stmapi.Txn) error {
-		snap.Stamp = tx.(readVersioned).ReadVersion()
-		snap.Objs = s.readHeap(snap.Objs[:0], tx)
+	err := s.rt.AtomicIrrevocable(func(tx stmapi.Txn) error {
+		n := s.heap.Len()
+		snap.Objs = make([]objImage, 0, n)
+		for i := 1; i <= n; i++ {
+			o := s.heap.Get(objmodel.Ref(i))
+			vals := make([]uint64, len(o.Slots)) //stmvet:ignore nakedaccess -- slot count only, fixed at allocation
+			for j := range vals {
+				vals[j] = tx.Read(o, j)
+			}
+			snap.Objs = append(snap.Objs, objImage{Ref: o.Ref(), Vals: vals})
+		}
+		snap.Stamp = s.heap.Clock().Load()
 		return nil
-	}); err != nil {
-		return err
-	}
-	return s.writeCheckpoint(snap)
+	})
+	return snap, err
 }
 
 // writeCheckpoint makes snap durable, then prunes what it covers.
@@ -456,27 +420,6 @@ func (s *Store) writeCheckpoint(snap *snapshot) error {
 	s.lastSnapNs.Store(time.Now().UnixNano())
 	s.prune(snap.SegIndex)
 	return nil
-}
-
-// readHeap copies every object's slots into dst. With tx nil it reads the
-// raw heap (only safe stop-the-world); otherwise it reads transactionally —
-// on the multi-version runtime that is a consistent snapshot at the
-// transaction's read version, taken without blocking writers.
-func (s *Store) readHeap(dst []objImage, tx stmapi.Txn) []objImage {
-	n := s.heap.Len()
-	for i := 1; i <= n; i++ {
-		o := s.heap.Get(objmodel.Ref(i))
-		vals := make([]uint64, len(o.Slots)) //stmvet:ignore nakedaccess -- slot count only; gate held exclusively in the nil-tx path
-		for j := range vals {
-			if tx != nil {
-				vals[j] = tx.Read(o, j)
-			} else {
-				vals[j] = o.LoadSlot(j) //stmvet:ignore nakedaccess -- stop-the-world copy: Checkpoint holds the store gate, no txn is running
-			}
-		}
-		dst = append(dst, objImage{Ref: o.Ref(), Vals: vals})
-	}
-	return dst
 }
 
 // prune removes WAL segments fully covered by the newest snapshot (index <

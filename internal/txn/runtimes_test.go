@@ -446,8 +446,8 @@ var constructors = map[string]func(*objmodel.Heap, stmapi.CommonConfig) stmapi.R
 // TestRuntimeCapabilities pins what drivers probe a runtime for. A runtime
 // is its own driver view, so a capability gained or lost through embedding
 // would otherwise change a driver's path silently: the durable store, for
-// one, falls back to a stop-the-world checkpoint when AtomicRead is
-// missing.
+// one, refuses a runtime that is not a DurableRuntime, and a driver reading
+// through AtomicRead finds it on mvstm only.
 func TestRuntimeCapabilities(t *testing.T) {
 	h := objmodel.NewHeap()
 	names := stmapi.Runtimes()

@@ -387,12 +387,6 @@ func (tx *Txn) Dead() bool { return tx.dead.Load() }
 // Doomed reports whether a contention policy marked this attempt for abort.
 func (tx *Txn) Doomed() bool { return tx.doomed.Load() }
 
-// ReadVersion returns the commit-clock snapshot the attempt's reads are
-// consistent with (RV). A multi-version read-only transaction reads exactly
-// the commits stamped at or below it, which makes its heap copy a version
-// cut (the durable store's live checkpoint).
-func (tx *Txn) ReadVersion() uint64 { return tx.RV }
-
 // idBlock is how many owner IDs a descriptor takes from the kernel's counter
 // at once, so that a begin writes the runtime-wide counter's cache line once
 // every idBlock top-level Atomics instead of every time.
